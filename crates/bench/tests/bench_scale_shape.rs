@@ -1,7 +1,8 @@
 //! Shape check for the committed `BENCH_scale.json` trajectory file: the
-//! migrated BENCH_pr4 section keeps its provenance tag, every (R, p)
-//! regime is present with positive medians and a sane winner, and the
-//! parallel-sweep entry records the host thread count next to its note.
+//! migrated BENCH_pr4 section keeps its provenance tag, the frozen PR-7
+//! engine comparison keeps every (R, p) regime with positive medians and
+//! a sane winner, and the parallel-sweep entry records the host thread
+//! count next to its note.
 //!
 //! This is a schema smoke test, not a perf assertion — the medians are
 //! machine-dependent and regenerated via
@@ -56,12 +57,18 @@ fn bench_scale_json_has_the_expected_shape() {
         assert!(num(row, "speedup") > 0.0);
     }
 
-    // Backend regimes: the full R × p grid, each with positive medians and
-    // a winner naming one of the two timed backends.
+    // Backend regimes: frozen history (both timed engines are gone; the
+    // binary carries the rows forward, it cannot re-measure them). Still
+    // the full R × p grid, each row with positive medians and a winner
+    // naming one of the two engines that were timed.
     let regimes = obj(root
         .get("backend_regimes")
         .expect("backend_regimes section"));
     assert_eq!(num(regimes, "source_pr"), 7.0);
+    assert!(
+        text(regimes, "frozen").contains("not re-measurable"),
+        "the engine comparison must stay marked as frozen history"
+    );
     let rows = arr(regimes.get("results").expect("regime results"));
     let mut seen = BTreeSet::new();
     for row in rows {

@@ -107,12 +107,6 @@ pub mod names {
     pub const SERVE_QUOTA_DENIED: &str = "serve.quota.denied";
     /// Histogram: per-application scheduling latency in nanoseconds.
     pub const SERVE_LATENCY: &str = "serve.schedule.latency_ns";
-    /// Counter: slot queries answered by the segment-tree calendar backend.
-    pub const BACKEND_INDEXED_QUERIES: &str = "backend.indexed.queries";
-    /// Counter: slot queries answered by the slot-set calendar backend.
-    pub const BACKEND_SLOTSET_QUERIES: &str = "backend.slotset.queries";
-    /// Counter: slot queries answered by the linear-scan reference backend.
-    pub const BACKEND_LINEAR_QUERIES: &str = "backend.linear.queries";
     /// Counter: heap allocations observed by the counting allocator
     /// (`alloc-probe` feature) over a published measurement window.
     pub const ALLOC_COUNT: &str = "alloc.count";
@@ -735,7 +729,6 @@ pub mod probe {
         super::counter_add(queries_name, cost.queries);
         super::counter_add(steps_name, cost.steps);
         super::record_value(names::FIT_STEPS, cost.steps);
-        record_backend(cost.queries);
     }
 
     /// Mirror one earliest/latest fit query into the ambient registry
@@ -743,25 +736,6 @@ pub mod probe {
     #[cfg(not(feature = "obs"))]
     #[inline(always)]
     fn record_fit(_queries_name: &'static str, _steps_name: &'static str, _cost: QueryCost) {}
-
-    /// Attribute `queries` slot queries to the calendar backend that
-    /// answered them (`backend.*` counters), per the process-wide
-    /// selection.
-    #[cfg(feature = "obs")]
-    fn record_backend(queries: u64) {
-        let name = match resched_resv::backend::selected() {
-            resched_resv::BackendKind::Indexed => names::BACKEND_INDEXED_QUERIES,
-            resched_resv::BackendKind::SlotSet => names::BACKEND_SLOTSET_QUERIES,
-            resched_resv::BackendKind::Linear => names::BACKEND_LINEAR_QUERIES,
-        };
-        super::counter_add(name, queries);
-    }
-
-    /// Attribute slot queries to their backend (no-op: `obs` feature
-    /// disabled).
-    #[cfg(not(feature = "obs"))]
-    #[inline(always)]
-    fn record_backend(_queries: u64) {}
 
     /// `Calendar::earliest_fit` with cost folded into `stats` and mirrored
     /// into the ambient registry.
@@ -819,7 +793,6 @@ pub mod probe {
         // is needed (and `resched-lint`'s parity rule would demand a twin).
         super::counter_add(names::CPA_MAP_QUERIES, cost.queries);
         super::counter_add(names::CPA_MAP_STEPS, cost.steps);
-        record_backend(cost.queries);
         start
     }
 
@@ -877,9 +850,6 @@ mod tests {
             names::SERVE_CANCELS,
             names::SERVE_RESIZES,
             names::SERVE_LATENCY,
-            names::BACKEND_INDEXED_QUERIES,
-            names::BACKEND_SLOTSET_QUERIES,
-            names::BACKEND_LINEAR_QUERIES,
             names::ALLOC_COUNT,
             names::ALLOC_BYTES,
             names::ALLOC_STEADY_STATE,

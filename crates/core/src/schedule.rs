@@ -35,11 +35,9 @@ impl Placement {
 pub struct ScheduleStats {
     /// Number of `earliest_fit` / `latest_fit` calendar queries issued.
     pub slot_queries: u64,
-    /// Work done answering those queries: calendar breakpoints visited by
-    /// the linear backend, or segment-tree nodes visited by the indexed
-    /// backend (see `resched_resv::QueryCost`). Both count memory touches
-    /// proportional to search effort, so the two backends are directly
-    /// comparable through this field.
+    /// Work done answering those queries: calendar slots inspected, plus
+    /// one positioning step per query (see `resched_resv::QueryCost`) —
+    /// memory touches proportional to search effort.
     pub slot_steps: u64,
     /// Number of CPA allocation-phase runs.
     pub cpa_allocations: u64,

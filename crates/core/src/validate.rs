@@ -8,10 +8,9 @@
 //! calendar breakpoints, never from `earliest_fit`/`try_add`, so a bug in
 //! the slot-query machinery cannot hide a bug in a scheduler (and vice
 //! versa). The competing calendar's usage is additionally cross-checked
-//! through *both* query backends (the segment-tree index and the
-//! [`Calendar::linear`] reference scans), so the oracle also acts as a
-//! differential test of the calendar itself at exactly the instants a
-//! schedule cares about.
+//! against the independently written [`Calendar::linear`] reference scans,
+//! so the oracle also acts as a differential test of the calendar's own
+//! queries at exactly the instants a schedule cares about.
 //!
 //! The checked invariants:
 //!
@@ -30,8 +29,9 @@
 //!    instant, application usage plus competing usage stays within `p`
 //!    (this is the "never runs inside a competing reservation" guarantee —
 //!    processors held by competing reservations are simply not there);
-//! 9. the two calendar backends agree on competing usage over every
-//!    audited interval (backend divergence is reported separately);
+//! 9. the calendar's queries and its linear reference agree on competing
+//!    usage over every audited interval (divergence is reported
+//!    separately);
 //! 10. the turn-around / deadline bookkeeping is consistent with the exit
 //!     tasks' finish times (`completion()` equals the latest exit finish,
 //!     and meets the deadline when one was required);
@@ -59,7 +59,7 @@ use crate::schedule::{Schedule, ScheduleStats};
 use resched_resv::{AdmissionGate, Calendar, Dur, Owner, QuotaSet, Time};
 use std::fmt;
 
-/// Cap on capacity-sweep intervals that get the full dual-backend
+/// Cap on capacity-sweep intervals that get the full calendar-vs-linear
 /// cross-check; beyond this the cross-check samples evenly (the capacity
 /// *check* itself still covers every interval).
 const DUAL_CHECK_CAP: usize = 128;
@@ -145,15 +145,15 @@ pub enum Violation {
         /// Platform capacity `p`.
         capacity: u32,
     },
-    /// The indexed and linear calendar backends disagree about competing
-    /// usage over an audited interval.
+    /// The calendar's queries and its linear reference scans disagree about
+    /// competing usage over an audited interval.
     BackendDivergence {
         /// Interval start.
         from: Time,
         /// Interval end.
         to: Time,
-        /// Peak usage per the segment-tree index.
-        indexed: u32,
+        /// Peak usage per the calendar's own query.
+        calendar: u32,
         /// Peak usage per the linear reference scan.
         linear: u32,
     },
@@ -297,11 +297,12 @@ impl fmt::Display for Violation {
             Violation::BackendDivergence {
                 from,
                 to,
-                indexed,
+                calendar,
                 linear,
             } => write!(
                 f,
-                "calendar backends diverge over [{from}, {to}): indexed {indexed} vs linear {linear}"
+                "calendar diverges from its linear reference over [{from}, {to}): \
+                 calendar {calendar} vs linear {linear}"
             ),
             Violation::DeadlineMissed {
                 completion,
@@ -589,7 +590,8 @@ impl<'a> ScheduleValidator<'a> {
     /// application and competing usage are constant, so probing the
     /// interval start suffices. Application usage comes from a from-scratch
     /// endpoint sweep (no calendar machinery); competing usage is read via
-    /// `used_at` and cross-checked against `peak_used` on both backends.
+    /// `used_at` and cross-checked against `peak_used` on the calendar and
+    /// on its linear reference.
     fn sweep_capacity(&self, sched: &Schedule, out: &mut Vec<Violation>) {
         let placements = sched.placements();
         if placements.is_empty() {
@@ -632,18 +634,18 @@ impl<'a> ScheduleValidator<'a> {
             let app = u32::try_from(acc).expect("usage sweep went negative");
             let competing = self.competing.used_at(a);
 
-            // Dual-backend cross-check on a bounded sample of intervals
-            // (every interval when there are few). No competing breakpoint
-            // lies strictly inside (a, b), so peak over [a, b) must equal
-            // the usage at `a` on both backends.
+            // Calendar-vs-linear cross-check on a bounded sample of
+            // intervals (every interval when there are few). No competing
+            // breakpoint lies strictly inside (a, b), so peak over [a, b)
+            // must equal the usage at `a` by both routes.
             if i % stride == 0 {
-                let indexed_peak = self.competing.peak_used(a, b);
+                let calendar_peak = self.competing.peak_used(a, b);
                 let linear_peak = linear.peak_used(a, b);
-                if indexed_peak != linear_peak || indexed_peak != competing {
+                if calendar_peak != linear_peak || calendar_peak != competing {
                     out.push(Violation::BackendDivergence {
                         from: a,
                         to: b,
-                        indexed: indexed_peak,
+                        calendar: calendar_peak,
                         linear: linear_peak.max(competing),
                     });
                 }
@@ -682,7 +684,7 @@ impl<'a> ScheduleValidator<'a> {
 ///    cycles cannot leak ([`Violation::CalendarAccountingDrift`]);
 /// 4. **cancellation** — zero live reservations implies a pristine
 ///    calendar ([`Violation::CancelledResidue`]);
-/// 5. **backends** — the segment-tree index and the linear reference scans
+/// 5. **reference** — the calendar's queries and the linear reference scans
 ///    agree on peak usage and usage integral over the whole span
 ///    ([`Violation::BackendDivergence`]).
 pub fn audit_calendar(cal: &Calendar) -> Vec<Violation> {
@@ -797,20 +799,20 @@ pub fn audit_calendar_with(
     if let (Some(&a), Some(&b)) = (bps.first(), bps.last()) {
         if a < b {
             let linear = cal.linear();
-            let (ip, lp) = (cal.peak_used(a, b), linear.peak_used(a, b));
-            if ip != lp {
+            let (cp, lp) = (cal.peak_used(a, b), linear.peak_used(a, b));
+            if cp != lp {
                 out.push(Violation::BackendDivergence {
                     from: a,
                     to: b,
-                    indexed: ip,
+                    calendar: cp,
                     linear: lp,
                 });
             }
-            let (ii, li) = (cal.used_integral(a, b), linear.used_integral(a, b));
-            if ii != li {
+            let (ci, li) = (cal.used_integral(a, b), linear.used_integral(a, b));
+            if ci != li {
                 out.push(Violation::CalendarCorrupt {
                     detail: format!(
-                        "usage integral diverges over [{a}, {b}): indexed {ii} vs linear {li}"
+                        "usage integral diverges over [{a}, {b}): calendar {ci} vs linear {li}"
                     ),
                 });
             }

@@ -1211,7 +1211,7 @@ mod tests {
     #[test]
     fn roots_manifest_parses_and_rejects() {
         let m = RootsManifest::parse(
-            "# hot paths\n[roots]\n\"core::forward::schedule_forward_with\" = \"fwd\"\n[det-chokepoints]\n\"resv::backend::selected\" = \"env\"\nbogus\n[nope]\n",
+            "# hot paths\n[roots]\n\"core::forward::schedule_forward_with\" = \"fwd\"\n[det-chokepoints]\n\"core::cpa::cache_enabled\" = \"env\"\nbogus\n[nope]\n",
         );
         assert_eq!(m.roots.len(), 1);
         assert_eq!(m.chokepoints.len(), 1);

@@ -23,10 +23,9 @@
 //!   tables, the differential-test golden, and the test harnesses agree on
 //!   the exact algorithm list;
 //! * `parity` — every `#[cfg(feature = "obs")]` item has a
-//!   `#[cfg(not(feature = "obs"))]` counterpart, every `CalendarBackend`
-//!   impl is in the backend manifest and its differential harness, and
-//!   every `Violation` kind is wired through the validator oracle and the
-//!   fuzz shrinker's labels.
+//!   `#[cfg(not(feature = "obs"))]` counterpart, and every `Violation`
+//!   kind is wired through the validator oracle and the fuzz shrinker's
+//!   labels.
 //!
 //! The transitive families run over an approximate name-resolved call
 //! graph ([`symbols`], [`graph`]); diagnostics carry the witness chain
@@ -290,13 +289,6 @@ pub struct Config {
     pub catalog_tests: Vec<String>,
     /// Golden JSON files whose `"algorithm"` entries must match the catalog.
     pub catalog_goldens: Vec<String>,
-    /// The calendar-backend manifest: one `impl CalendarBackend` type name
-    /// per line.
-    pub backend_manifest: String,
-    /// Path prefixes scanned for `impl CalendarBackend for <Name>` items.
-    pub backend_impl_paths: Vec<String>,
-    /// Differential harnesses that must exercise every manifest backend.
-    pub backend_tests: Vec<String>,
     /// The module declaring `pub enum Violation` (the validator oracle).
     pub violation_module: String,
     /// Fuzz/shrink harnesses that must be able to label every violation
@@ -325,9 +317,6 @@ impl Default for Config {
                 "tests/tests/prop_scheduling.rs".into(),
             ],
             catalog_goldens: vec!["results/golden/obs_differential.json".into()],
-            backend_manifest: "crates/resv/src/backends.txt".into(),
-            backend_impl_paths: vec!["crates/resv/src".into()],
-            backend_tests: vec!["tests/tests/backend_differential.rs".into()],
             violation_module: "crates/core/src/validate.rs".into(),
             violation_tests: vec!["tests/fuzz.rs".into()],
             roots_manifest: "crates/lint/roots.toml".into(),
@@ -341,7 +330,6 @@ impl Config {
         let mut v = vec![
             self.metrics_manifest.clone(),
             self.catalog_manifest.clone(),
-            self.backend_manifest.clone(),
             self.roots_manifest.clone(),
         ];
         v.extend(self.catalog_docs.iter().cloned());
@@ -516,7 +504,6 @@ pub fn run(ws: &Workspace, cfg: &Config) -> Vec<Violation> {
     rules::obs_hygiene(ws, cfg, &mut sink);
     rules::catalog_sync(ws, cfg, &mut sink);
     rules::feature_parity(ws, cfg, &mut sink);
-    rules::backend_parity(ws, cfg, &mut sink);
     rules::violation_parity(ws, cfg, &mut sink);
     graph::transitive(ws, cfg, &mut sink);
     sink.finish()

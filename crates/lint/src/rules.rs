@@ -677,133 +677,6 @@ pub fn feature_parity(ws: &Workspace, cfg: &Config, sink: &mut Sink) {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Rule 5b: backend-parity (same `parity` family).
-// ---------------------------------------------------------------------------
-
-/// Every `impl CalendarBackend for <Name>` must be listed in the backend
-/// manifest, every manifest name must have an impl in scope, and every
-/// manifest name must be exercised by the cross-backend differential
-/// harness. A backend that answers queries but never faces the oracle is
-/// a silent coverage gap, so it is a `parity` violation instead.
-pub fn backend_parity(ws: &Workspace, cfg: &Config, sink: &mut Sink) {
-    let mut impls: Vec<(String, String, usize)> = Vec::new();
-    for (path, file) in &ws.files {
-        if !in_scope(path, &cfg.backend_impl_paths) {
-            continue;
-        }
-        for (idx, line) in file.lexed.lines.iter().enumerate() {
-            if let Some(name) = backend_impl_target(&line.code) {
-                impls.push((name, path.clone(), idx + 1));
-            }
-        }
-    }
-    let manifest = match ws.extras.get(&cfg.backend_manifest) {
-        Some(src) => Catalog::parse(src),
-        None => {
-            if !impls.is_empty() {
-                sink.emit(
-                    ws,
-                    &cfg.backend_manifest,
-                    1,
-                    Rule::Parity,
-                    "calendar-backend manifest is missing; list every `impl CalendarBackend` \
-                     type name here"
-                        .into(),
-                );
-            }
-            return;
-        }
-    };
-    for (name, path, line) in &impls {
-        if !manifest.contains(name) {
-            sink.emit(
-                ws,
-                path,
-                *line,
-                Rule::Parity,
-                format!(
-                    "`impl CalendarBackend for {name}` is not listed in the backend manifest \
-                     ({})",
-                    cfg.backend_manifest
-                ),
-            );
-        }
-    }
-    for (name, mline) in &manifest.names {
-        if !impls.iter().any(|(n, _, _)| n == name) {
-            sink.emit(
-                ws,
-                &cfg.backend_manifest,
-                *mline,
-                Rule::Parity,
-                format!("manifest backend `{name}` has no `impl CalendarBackend` in scope"),
-            );
-        }
-    }
-    for test in &cfg.backend_tests {
-        let Some(file) = ws.files.get(test) else {
-            sink.emit(
-                ws,
-                test,
-                1,
-                Rule::Parity,
-                "backend differential harness is missing but referenced by the backend-parity \
-                 rule"
-                    .into(),
-            );
-            continue;
-        };
-        // Since the hierarchical extension, `earliest_fit` and
-        // `earliest_fit_hier` are both part of the cross-backend contract;
-        // a harness that skips the hierarchical battery is not differential.
-        if !file.text.contains("earliest_fit_hier") {
-            sink.emit(
-                ws,
-                test,
-                1,
-                Rule::Parity,
-                "backend differential harness never exercises `earliest_fit_hier`; the \
-                 hierarchical fit is part of the cross-backend contract"
-                    .into(),
-            );
-        }
-        for (name, mline) in &manifest.names {
-            if !file.text.contains(name.as_str()) {
-                sink.emit(
-                    ws,
-                    &cfg.backend_manifest,
-                    *mline,
-                    Rule::Parity,
-                    format!(
-                        "manifest backend `{name}` never appears in {test}; the differential \
-                         harness must exercise every backend"
-                    ),
-                );
-            }
-        }
-    }
-}
-
-/// The `<Name>` in `impl CalendarBackend for <Name>` (lifetime or generic
-/// parameters on the impl are tolerated), if this code line declares one.
-fn backend_impl_target(code: &str) -> Option<String> {
-    let pos = code.find("impl")?;
-    let rest = code[pos + "impl".len()..].trim_start();
-    let rest = if let Some(r) = rest.strip_prefix('<') {
-        r[r.find('>')? + 1..].trim_start()
-    } else {
-        rest
-    };
-    let rest = rest.strip_prefix("CalendarBackend")?.trim_start();
-    let rest = rest.strip_prefix("for")?.trim_start();
-    let name: String = rest
-        .chars()
-        .take_while(|c| c.is_alphanumeric() || *c == '_')
-        .collect();
-    (!name.is_empty()).then_some(name)
-}
-
 /// Is line `n` a positive / negative obs feature gate?
 fn classify_gate(lexed: &Lexed, n: usize) -> (bool, bool) {
     let code = &lexed.line(n).code;

@@ -18,7 +18,7 @@ use std::collections::BTreeMap;
 pub struct FnSym {
     /// Fully qualified name: `module::fn`, or `module::Type::fn` for
     /// methods (e.g. `core::forward::schedule_forward_with`,
-    /// `resv::backend::IndexedRef::earliest_fit_with_cost`).
+    /// `resv::calendar::LinearRef::earliest_fit_with_cost`).
     pub qname: String,
     /// The bare function name (last segment).
     pub name: String,
@@ -552,7 +552,7 @@ fn split_for(s: &str) -> (&str, Option<&str>) {
 }
 
 /// The base type name of a (possibly generic, possibly path-qualified)
-/// type text: `crate::backend::IndexedRef<'_>` → `IndexedRef`.
+/// type text: `crate::calendar::LinearRef<'_>` → `LinearRef`.
 fn last_type_segment(s: &str) -> Option<String> {
     let s = s.trim();
     let no_gen = match s.find('<') {
@@ -748,14 +748,14 @@ mod tests {
     #[test]
     fn impl_headers_with_generics_and_lifetimes() {
         let w = ws(&[(
-            "crates/resv/src/backend.rs",
-            "impl CalendarBackend for IndexedRef<'_> {\n    fn name(&self) -> &'static str {\n        \"indexed\"\n    }\n}\nimpl<'a> SlotSetRef<'a> {\n    fn helper(&self) -> u32 {\n        1\n    }\n}\n",
+            "crates/resv/src/views.rs",
+            "impl QueryView for LinearRef<'_> {\n    fn name(&self) -> &'static str {\n        \"linear\"\n    }\n}\nimpl<'a> Slots<'a> {\n    fn helper(&self) -> u32 {\n        1\n    }\n}\n",
         )]);
         let t = SymbolTable::build(&w);
         let f0 = &t.fns[0];
-        assert_eq!(f0.qname, "resv::backend::IndexedRef::name");
-        assert_eq!(f0.trait_name.as_deref(), Some("CalendarBackend"));
-        assert_eq!(t.fns[1].qname, "resv::backend::SlotSetRef::helper");
+        assert_eq!(f0.qname, "resv::views::LinearRef::name");
+        assert_eq!(f0.trait_name.as_deref(), Some("QueryView"));
+        assert_eq!(t.fns[1].qname, "resv::views::Slots::helper");
     }
 
     #[test]
@@ -799,13 +799,13 @@ mod tests {
     #[test]
     fn resolve_specs_exact_glob_and_suffix() {
         let w = ws(&[(
-            "crates/resv/src/backend.rs",
-            "impl CalendarBackend for IndexedRef<'_> {\n    fn peak(&self) -> u32 {\n        0\n    }\n    fn fit(&self) -> u32 {\n        0\n    }\n}\npub fn selected() -> u32 {\n    0\n}\n",
+            "crates/resv/src/views.rs",
+            "impl QueryView for LinearRef<'_> {\n    fn peak(&self) -> u32 {\n        0\n    }\n    fn fit(&self) -> u32 {\n        0\n    }\n}\npub fn selected() -> u32 {\n    0\n}\n",
         )]);
         let t = SymbolTable::build(&w);
-        assert_eq!(t.resolve_spec("resv::backend::selected").len(), 1);
-        assert_eq!(t.resolve_spec("backend::selected").len(), 1);
-        assert_eq!(t.resolve_spec("resv::backend::IndexedRef::*").len(), 2);
+        assert_eq!(t.resolve_spec("resv::views::selected").len(), 1);
+        assert_eq!(t.resolve_spec("views::selected").len(), 1);
+        assert_eq!(t.resolve_spec("resv::views::LinearRef::*").len(), 2);
         assert_eq!(t.resolve_spec("nope::missing").len(), 0);
     }
 }

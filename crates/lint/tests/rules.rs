@@ -461,73 +461,6 @@ fn parity_waiver_suppresses() {
 }
 
 // ---------------------------------------------------------------------------
-// parity: calendar backends
-// ---------------------------------------------------------------------------
-
-/// A complete, clean backend overlay: two impls, both in the manifest,
-/// both named by the differential harness.
-fn backend_base() -> Vec<(&'static str, &'static str)> {
-    vec![
-        (
-            "crates/resv/src/backend.rs",
-            "impl CalendarBackend for IndexedRef<'_> {}\nimpl CalendarBackend for SlotSetRef<'_> {}\n",
-        ),
-        (
-            "crates/resv/src/backends.txt",
-            "# backend manifest\nIndexedRef\nSlotSetRef\n",
-        ),
-        (
-            "tests/tests/backend_differential.rs",
-            "#[test]\nfn diff() {\n    // IndexedRef vs SlotSetRef, flat and earliest_fit_hier\n}\n",
-        ),
-    ]
-}
-
-#[test]
-fn synced_backend_manifest_is_clean() {
-    let report = lint(&backend_base());
-    assert_eq!(sites(&report, Rule::Parity), Vec::<(String, usize)>::new());
-}
-
-#[test]
-fn unlisted_backend_impl_is_flagged() {
-    let mut fx = backend_base();
-    fx[0].1 = "impl CalendarBackend for IndexedRef<'_> {}\nimpl CalendarBackend for SlotSetRef<'_> {}\nimpl CalendarBackend for GhostRef<'_> {}\n";
-    let report = lint(&fx);
-    assert_eq!(
-        sites(&report, Rule::Parity),
-        vec![("crates/resv/src/backend.rs".to_string(), 3)]
-    );
-}
-
-#[test]
-fn manifest_backend_without_impl_or_harness_coverage_is_flagged() {
-    let mut fx = backend_base();
-    fx[1].1 = "IndexedRef\nSlotSetRef\nPhantomRef\n";
-    let report = lint(&fx);
-    // PhantomRef: no impl (line 3 of the manifest) and never exercised by
-    // the differential harness (same line).
-    assert_eq!(
-        sites(&report, Rule::Parity),
-        vec![
-            ("crates/resv/src/backends.txt".to_string(), 3),
-            ("crates/resv/src/backends.txt".to_string(), 3),
-        ]
-    );
-}
-
-#[test]
-fn backend_outside_the_harness_is_flagged() {
-    let mut fx = backend_base();
-    fx[2].1 = "#[test]\nfn diff() {\n    // IndexedRef only, with earliest_fit_hier\n}\n";
-    let report = lint(&fx);
-    assert_eq!(
-        sites(&report, Rule::Parity),
-        vec![("crates/resv/src/backends.txt".to_string(), 3)]
-    );
-}
-
-// ---------------------------------------------------------------------------
 // parity: violation kinds
 // ---------------------------------------------------------------------------
 
@@ -587,17 +520,6 @@ fn violation_kind_missing_from_shrink_harness_is_flagged() {
     assert_eq!(
         sites(&report, Rule::Parity),
         vec![("crates/core/src/validate.rs".to_string(), 3)]
-    );
-}
-
-#[test]
-fn missing_backend_manifest_with_impls_is_flagged() {
-    let mut fx = backend_base();
-    fx.remove(1);
-    let report = lint(&fx);
-    assert_eq!(
-        sites(&report, Rule::Parity),
-        vec![("crates/resv/src/backends.txt".to_string(), 1)]
     );
 }
 

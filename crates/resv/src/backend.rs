@@ -1,507 +1,22 @@
-//! Calendar backend selection: one logical calendar, three interchangeable
-//! query engines.
-//!
-//! * [`BackendKind::Indexed`] — the lazy min/max segment tree plus prefix
-//!   areas of [`crate::index`], `O(log B)` per blocker search (default);
-//! * [`BackendKind::SlotSet`] — the sorted free-interval list of
-//!   [`crate::slotset`], `O(log S + k)` walks, incremental split/merge;
-//! * [`BackendKind::Linear`] — the original `O(B)` scans, kept as the
-//!   reference oracle.
-//!
-//! All three answer every query identically — the cross-backend
-//! differential harness in `tests/tests/backend_differential.rs` pins that
-//! — and differ only in work performed, which is why `QueryCost::steps`
-//! (and the derived `ScheduleStats::slot_steps`) is the *only* observable
-//! that may vary across backends. The process-wide selection comes from
-//! the `RESCHED_BACKEND` environment variable (`slotset`, `linear`, or the
-//! default `indexed`), parsed once; tests that pin step counts force a
-//! specific backend with [`force_backend`].
-//!
-//! The [`CalendarBackend`] trait is the object-safe common surface. It is
-//! deliberately read-only: mutation always goes through [`Calendar`], which
-//! keeps *all* backends' derived state consistent (segment tree bumped,
-//! slot set split/merged) regardless of which one answers queries.
+//! Reporting stub, not a selection mechanism. The calendar has one query
+//! engine — the slot walk of `slotset.rs` over `Calendar`'s breakpoints —
+//! so there is nothing to select. The benchmark adapter
+//! (`benchmark/src/layers.rs`, frozen while this was written) prints
+//! `selected().name()` in its run header and is this module's only caller;
+//! a later `benchmark` PR should drop the call and this file with it.
 
-use crate::calendar::{Calendar, LinearRef, QueryCost};
-use crate::hierarchy::{Hierarchy, HierarchyError, PlacementLevel};
-use crate::time::{Dur, Time};
-use std::sync::atomic::{AtomicU8, Ordering};
-use std::sync::OnceLock;
+/// The one engine answering calendar queries.
+#[derive(Debug, Clone, Copy)]
+pub struct Engine;
 
-/// Which query engine answers calendar slot queries.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum BackendKind {
-    /// Segment-tree index (default).
-    #[default]
-    Indexed,
-    /// Sorted free-interval slot list.
-    SlotSet,
-    /// Linear-scan reference oracle.
-    Linear,
-}
-
-impl BackendKind {
-    /// Stable lower-case name, as accepted by `RESCHED_BACKEND` and
-    /// reported by the `backend.*` observability counters.
+impl Engine {
+    /// Stable lower-case name: the walk is the slot-set algorithm.
     pub fn name(self) -> &'static str {
-        match self {
-            BackendKind::Indexed => "indexed",
-            BackendKind::SlotSet => "slotset",
-            BackendKind::Linear => "linear",
-        }
-    }
-
-    /// Every selectable backend, in manifest order.
-    pub const ALL: [BackendKind; 3] = [
-        BackendKind::Indexed,
-        BackendKind::SlotSet,
-        BackendKind::Linear,
-    ];
-}
-
-/// In-process override: 0 = defer to the environment, else kind + 1.
-static BACKEND_OVERRIDE: AtomicU8 = AtomicU8::new(0);
-/// Lazily parsed `RESCHED_BACKEND` environment knob.
-static BACKEND_ENV: OnceLock<BackendKind> = OnceLock::new();
-
-/// Force the calendar backend in-process: `Some(kind)` pins it, `None`
-/// restores the `RESCHED_BACKEND`-driven default. Used by tests whose
-/// golden artifacts pin backend-dependent step counts, and by differential
-/// tests that compare backends within one process.
-pub fn force_backend(kind: Option<BackendKind>) {
-    let v = match kind {
-        None => 0,
-        Some(BackendKind::Indexed) => 1,
-        Some(BackendKind::SlotSet) => 2,
-        Some(BackendKind::Linear) => 3,
-    };
-    BACKEND_OVERRIDE.store(v, Ordering::SeqCst);
-}
-
-/// Parse a `RESCHED_BACKEND` value. Accepted spellings: `indexed`
-/// (`index`, `segment`), `slotset` (`slot-set`, `slots`), `linear`
-/// (`oracle`). Anything else is an error naming the accepted values — a
-/// typo'd backend knob must fail loudly at startup, never silently run
-/// the default.
-// lint:warmup: runs once when the memoized RESCHED_BACKEND override is first read.
-pub fn parse_backend(value: &str) -> Result<BackendKind, String> {
-    match value {
-        "indexed" | "index" | "segment" => Ok(BackendKind::Indexed),
-        "slotset" | "slot-set" | "slots" => Ok(BackendKind::SlotSet),
-        "linear" | "oracle" => Ok(BackendKind::Linear),
-        other => Err(format!(
-            "unknown RESCHED_BACKEND value {other:?}; accepted values: \
-             indexed (index, segment), slotset (slot-set, slots), linear (oracle)"
-        )),
+        "slotset"
     }
 }
 
-/// The backend answering calendar queries right now. Reads the in-process
-/// override first, then the `RESCHED_BACKEND` environment variable
-/// (unset selects the indexed default; an unrecognized value is a hard
-/// startup error — see [`parse_backend`]).
-pub fn selected() -> BackendKind {
-    match BACKEND_OVERRIDE.load(Ordering::SeqCst) {
-        1 => BackendKind::Indexed,
-        2 => BackendKind::SlotSet,
-        3 => BackendKind::Linear,
-        _ => *BACKEND_ENV.get_or_init(|| match std::env::var("RESCHED_BACKEND") {
-            Ok(v) => match parse_backend(&v) {
-                Ok(kind) => kind,
-                // lint:allow(panic): a bad RESCHED_BACKEND is a startup configuration error; the previous silent fallback masked typos and ran the wrong engine
-                Err(msg) => panic!("{msg}"),
-            },
-            Err(_) => BackendKind::Indexed,
-        }),
-    }
-}
-
-/// The read-only query surface every calendar backend provides.
-///
-/// Answers are pinned identical across implementations by the
-/// cross-backend differential harness; only the work tallied into
-/// `QueryCost::steps` may differ.
-pub trait CalendarBackend {
-    /// Stable backend name (matches [`BackendKind::name`]).
-    fn name(&self) -> &'static str;
-
-    /// Earliest start `s >= not_before` with `procs` processors free
-    /// throughout `[s, s + dur)`; tallies work into `cost`.
-    fn earliest_fit_with_cost(
-        &self,
-        procs: u32,
-        dur: Dur,
-        not_before: Time,
-        cost: &mut QueryCost,
-    ) -> Time;
-
-    /// Latest start `s` with `s + dur <= end_by`, `s >= not_before`, and
-    /// `procs` processors free throughout, or `None`; tallies work into
-    /// `cost`.
-    fn latest_fit_with_cost(
-        &self,
-        procs: u32,
-        dur: Dur,
-        end_by: Time,
-        not_before: Time,
-        cost: &mut QueryCost,
-    ) -> Option<Time>;
-
-    /// Peak processors in use over `[from, to)`.
-    fn peak_used(&self, from: Time, to: Time) -> u32;
-
-    /// Integral of processors-in-use over `[from, to)`, in
-    /// processor-seconds.
-    fn used_integral(&self, from: Time, to: Time) -> i64;
-
-    /// Hierarchy-aware earliest fit: quantize `procs` up to whole
-    /// placement units of `hier` at `level`, then search. Errors if the
-    /// hierarchy disagrees with the calendar's capacity or the quantized
-    /// request cannot fit at all.
-    ///
-    /// With the flat degenerate hierarchy ([`Hierarchy::flat`]) the answer
-    /// is byte-for-byte [`CalendarBackend::earliest_fit_with_cost`]: same
-    /// start, same processor count, same `QueryCost::queries`. All three
-    /// backends are pinned identical by the differential harness.
-    fn earliest_fit_hier(
-        &self,
-        hier: &Hierarchy,
-        level: PlacementLevel,
-        procs: u32,
-        dur: Dur,
-        not_before: Time,
-        cost: &mut QueryCost,
-    ) -> Result<HierFit, HierarchyError>;
-}
-
-/// A hierarchical fit answer: where the quantized request starts and how
-/// many cores it actually claims.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct HierFit {
-    /// Earliest admissible start.
-    pub start: Time,
-    /// Cores reserved after rounding up to whole placement units.
-    pub procs: u32,
-}
-
-/// [`CalendarBackend`] view of a calendar backed by the segment-tree
-/// index.
-#[derive(Debug, Clone, Copy)]
-pub struct IndexedRef<'a> {
-    pub(crate) cal: &'a Calendar,
-}
-
-/// [`CalendarBackend`] view of a calendar backed by the slot-set list.
-#[derive(Debug, Clone, Copy)]
-pub struct SlotSetRef<'a> {
-    pub(crate) cal: &'a Calendar,
-}
-
-impl CalendarBackend for IndexedRef<'_> {
-    fn name(&self) -> &'static str {
-        BackendKind::Indexed.name()
-    }
-
-    fn earliest_fit_with_cost(
-        &self,
-        procs: u32,
-        dur: Dur,
-        not_before: Time,
-        cost: &mut QueryCost,
-    ) -> Time {
-        self.cal
-            .indexed_earliest_fit_with_cost(procs, dur, not_before, cost)
-    }
-
-    fn latest_fit_with_cost(
-        &self,
-        procs: u32,
-        dur: Dur,
-        end_by: Time,
-        not_before: Time,
-        cost: &mut QueryCost,
-    ) -> Option<Time> {
-        self.cal
-            .indexed_latest_fit_with_cost(procs, dur, end_by, not_before, cost)
-    }
-
-    fn peak_used(&self, from: Time, to: Time) -> u32 {
-        self.cal.indexed_peak_used(from, to)
-    }
-
-    fn used_integral(&self, from: Time, to: Time) -> i64 {
-        self.cal.indexed_used_integral(from, to)
-    }
-
-    fn earliest_fit_hier(
-        &self,
-        hier: &Hierarchy,
-        level: PlacementLevel,
-        procs: u32,
-        dur: Dur,
-        not_before: Time,
-        cost: &mut QueryCost,
-    ) -> Result<HierFit, HierarchyError> {
-        let procs = hier.quantized_request(procs, level, self.cal.capacity())?;
-        let start = self
-            .cal
-            .indexed_earliest_fit_with_cost(procs, dur, not_before, cost);
-        Ok(HierFit { start, procs })
-    }
-}
-
-impl CalendarBackend for SlotSetRef<'_> {
-    fn name(&self) -> &'static str {
-        BackendKind::SlotSet.name()
-    }
-
-    fn earliest_fit_with_cost(
-        &self,
-        procs: u32,
-        dur: Dur,
-        not_before: Time,
-        cost: &mut QueryCost,
-    ) -> Time {
-        cost.queries += 1;
-        self.cal
-            .slotset()
-            .earliest_fit(procs, dur, not_before, &mut cost.steps)
-    }
-
-    fn latest_fit_with_cost(
-        &self,
-        procs: u32,
-        dur: Dur,
-        end_by: Time,
-        not_before: Time,
-        cost: &mut QueryCost,
-    ) -> Option<Time> {
-        cost.queries += 1;
-        self.cal
-            .slotset()
-            .latest_fit(procs, dur, end_by, not_before, &mut cost.steps)
-    }
-
-    fn peak_used(&self, from: Time, to: Time) -> u32 {
-        self.cal.slotset().peak_used(from, to)
-    }
-
-    fn used_integral(&self, from: Time, to: Time) -> i64 {
-        self.cal.slotset().used_integral(from, to)
-    }
-
-    fn earliest_fit_hier(
-        &self,
-        hier: &Hierarchy,
-        level: PlacementLevel,
-        procs: u32,
-        dur: Dur,
-        not_before: Time,
-        cost: &mut QueryCost,
-    ) -> Result<HierFit, HierarchyError> {
-        let procs = hier.quantized_request(procs, level, self.cal.capacity())?;
-        cost.queries += 1;
-        let start = self
-            .cal
-            .slotset()
-            .earliest_fit(procs, dur, not_before, &mut cost.steps);
-        Ok(HierFit { start, procs })
-    }
-}
-
-impl CalendarBackend for LinearRef<'_> {
-    fn name(&self) -> &'static str {
-        BackendKind::Linear.name()
-    }
-
-    fn earliest_fit_with_cost(
-        &self,
-        procs: u32,
-        dur: Dur,
-        not_before: Time,
-        cost: &mut QueryCost,
-    ) -> Time {
-        LinearRef::earliest_fit_with_cost(self, procs, dur, not_before, cost)
-    }
-
-    fn latest_fit_with_cost(
-        &self,
-        procs: u32,
-        dur: Dur,
-        end_by: Time,
-        not_before: Time,
-        cost: &mut QueryCost,
-    ) -> Option<Time> {
-        LinearRef::latest_fit_with_cost(self, procs, dur, end_by, not_before, cost)
-    }
-
-    fn peak_used(&self, from: Time, to: Time) -> u32 {
-        LinearRef::peak_used(self, from, to)
-    }
-
-    fn used_integral(&self, from: Time, to: Time) -> i64 {
-        LinearRef::used_integral(self, from, to)
-    }
-
-    fn earliest_fit_hier(
-        &self,
-        hier: &Hierarchy,
-        level: PlacementLevel,
-        procs: u32,
-        dur: Dur,
-        not_before: Time,
-        cost: &mut QueryCost,
-    ) -> Result<HierFit, HierarchyError> {
-        let procs = hier.quantized_request(procs, level, self.calendar().capacity())?;
-        let start = LinearRef::earliest_fit_with_cost(self, procs, dur, not_before, cost);
-        Ok(HierFit { start, procs })
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn force_backend_round_trips() {
-        for kind in BackendKind::ALL {
-            force_backend(Some(kind));
-            assert_eq!(selected(), kind);
-        }
-        force_backend(None);
-        // Unset environment (the test harness does not set RESCHED_BACKEND
-        // here) falls back to the indexed default — or whatever the env
-        // says if the CI lane set it.
-        let _ = selected();
-    }
-
-    #[test]
-    fn names_are_stable() {
-        assert_eq!(BackendKind::Indexed.name(), "indexed");
-        assert_eq!(BackendKind::SlotSet.name(), "slotset");
-        assert_eq!(BackendKind::Linear.name(), "linear");
-    }
-
-    #[test]
-    fn parse_backend_accepts_every_documented_spelling() {
-        for (value, kind) in [
-            ("indexed", BackendKind::Indexed),
-            ("index", BackendKind::Indexed),
-            ("segment", BackendKind::Indexed),
-            ("slotset", BackendKind::SlotSet),
-            ("slot-set", BackendKind::SlotSet),
-            ("slots", BackendKind::SlotSet),
-            ("linear", BackendKind::Linear),
-            ("oracle", BackendKind::Linear),
-        ] {
-            assert_eq!(parse_backend(value), Ok(kind), "{value}");
-        }
-    }
-
-    #[test]
-    fn parse_backend_rejects_unknown_values_listing_accepted_names() {
-        // The silent-default fallback was a real footgun: a typo'd knob ran
-        // the wrong engine through an entire experiment. The error must
-        // name the knob and every accepted spelling.
-        for bogus in ["Indexed", "slotsets", "fast", ""] {
-            let msg = parse_backend(bogus).unwrap_err();
-            assert!(msg.contains("RESCHED_BACKEND"), "{msg}");
-            for accepted in ["indexed", "slotset", "linear", "oracle"] {
-                assert!(msg.contains(accepted), "{msg} should list {accepted}");
-            }
-        }
-    }
-
-    #[test]
-    fn flat_hierarchy_is_byte_identical_to_flat_queries() {
-        use crate::hierarchy::{Hierarchy, PlacementLevel};
-        use crate::reservation::Reservation;
-
-        let mut cal = Calendar::new(8);
-        cal.try_add(Reservation::new(Time::seconds(100), Time::seconds(900), 6))
-            .unwrap();
-        cal.try_add(Reservation::new(
-            Time::seconds(2000),
-            Time::seconds(4000),
-            8,
-        ))
-        .unwrap();
-        let flat = Hierarchy::flat(8);
-        for kind in BackendKind::ALL {
-            let view = cal.backend_view(kind);
-            for (procs, dur, from) in [
-                (1, Dur::seconds(50), Time::ZERO),
-                (3, Dur::seconds(500), Time::seconds(100)),
-                (8, Dur::seconds(1000), Time::ZERO),
-            ] {
-                let mut c_flat = QueryCost::default();
-                let mut c_hier = QueryCost::default();
-                let base = view.earliest_fit_with_cost(procs, dur, from, &mut c_flat);
-                let fit = view
-                    .earliest_fit_hier(&flat, PlacementLevel::Node, procs, dur, from, &mut c_hier)
-                    .unwrap();
-                assert_eq!(fit.start, base, "{}: start differs", view.name());
-                assert_eq!(
-                    fit.procs,
-                    procs,
-                    "{}: flat grain must not round",
-                    view.name()
-                );
-                assert_eq!(
-                    c_hier.queries,
-                    c_flat.queries,
-                    "{}: query count differs",
-                    view.name()
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn hierarchical_fit_rounds_to_whole_nodes() {
-        use crate::hierarchy::{Hierarchy, HierarchyError, PlacementLevel};
-        use crate::reservation::Reservation;
-
-        let mut cal = Calendar::new(8);
-        // 6 cores busy until t=1000: a node-level ask for 3 (→ 4) cores
-        // cannot start before the release even though 2 cores are free.
-        cal.try_add(Reservation::new(Time::ZERO, Time::seconds(1000), 6))
-            .unwrap();
-        let h = Hierarchy::uniform("c", 2, 2, 2); // grain 2 at node level
-        for kind in BackendKind::ALL {
-            let view = cal.backend_view(kind);
-            let mut cost = QueryCost::default();
-            let fit = view
-                .earliest_fit_hier(
-                    &h,
-                    PlacementLevel::Node,
-                    3,
-                    Dur::seconds(100),
-                    Time::ZERO,
-                    &mut cost,
-                )
-                .unwrap();
-            assert_eq!(fit.procs, 4, "{}", view.name());
-            assert_eq!(fit.start, Time::seconds(1000), "{}", view.name());
-            // Capacity disagreement is a structured error, not a wrong answer.
-            let wrong = Hierarchy::flat(16);
-            let err = view
-                .earliest_fit_hier(
-                    &wrong,
-                    PlacementLevel::Core,
-                    1,
-                    Dur::seconds(1),
-                    Time::ZERO,
-                    &mut cost,
-                )
-                .unwrap_err();
-            assert_eq!(
-                err,
-                HierarchyError::CapacityMismatch {
-                    hierarchy: 16,
-                    calendar: 8
-                }
-            );
-        }
-    }
+/// The engine answering calendar queries: a constant.
+pub fn selected() -> Engine {
+    Engine
 }

@@ -17,20 +17,21 @@
 //! breakpoint is 0, and the structural invariant that every reservation is
 //! finite guarantees the last breakpoint's `used` is 0 as well.
 //!
-//! Queries run against a lazily built min/max segment tree over the
-//! breakpoints (see [`crate::index`]) in `O(log B)` per blocker search,
-//! instead of the `O(R)` linear scan the paper's cost model charges per
-//! placement attempt. The original linear scans are kept, publicly
-//! reachable through [`Calendar::linear`], as the reference implementation
-//! that differential property tests and benchmarks compare against.
+//! Queries walk the breakpoints directly (see [`crate::slotset`]): a binary
+//! search to the window, then one pass over the slots that intersect it,
+//! instead of the `O(R)` scan from the start of the calendar the paper's
+//! cost model charges per placement attempt. There is no derived state —
+//! the four fields of [`Calendar`] are all there is — so a mutation is
+//! just an edit of the breakpoint vector. The original linear scans are
+//! kept, publicly reachable through [`Calendar::linear`], as the
+//! independently written reference that the validator, the calendar audit
+//! and the differential tests compare against.
 
-use crate::backend::{self, BackendKind, CalendarBackend, IndexedRef, SlotSetRef};
-use crate::index::UsageIndex;
+use crate::hierarchy::{HierFit, Hierarchy, HierarchyError, PlacementLevel};
 use crate::reservation::{Reservation, ReservationError};
-use crate::slotset::SlotSet;
+use crate::slotset::Slots;
 use crate::time::{Dur, Time};
 use serde::{Deserialize, Serialize};
-use std::sync::OnceLock;
 
 /// One breakpoint of the usage step function.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -43,14 +44,15 @@ pub(crate) struct Step {
 
 /// Work performed by calendar slot queries, for scheduler statistics.
 ///
-/// `steps` counts breakpoints visited by the linear backend and tree nodes
-/// visited by the indexed backend, so the two are directly comparable:
-/// both measure "memory touches proportional to search effort".
+/// `steps` counts the slots a query inspected plus one for the binary
+/// search that positioned it (breakpoints visited, for the
+/// [`Calendar::linear`] reference): "memory touches proportional to search
+/// effort".
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct QueryCost {
     /// Number of slot queries issued.
     pub queries: u64,
-    /// Breakpoints (linear backend) or tree nodes (indexed backend) visited.
+    /// Slots inspected, plus one positioning step per query.
     pub steps: u64,
 }
 
@@ -64,7 +66,7 @@ impl QueryCost {
 
 /// A homogeneous platform of `capacity` processors plus the step function of
 /// processors already promised to reservations.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Calendar {
     capacity: u32,
     steps: Vec<Step>,
@@ -72,27 +74,6 @@ pub struct Calendar {
     reserved_proc_seconds: i64,
     /// Number of accepted reservations (the paper's `R`).
     num_reservations: usize,
-    /// Lazily built segment-tree index over `steps`; invalidated on
-    /// structural mutation, incrementally updated on pure usage bumps.
-    /// Never serialized and never part of equality: it is derived state.
-    #[serde(skip)]
-    index: OnceLock<UsageIndex>,
-    /// Lazily built slot-set dual of `steps`; maintained incrementally
-    /// (split/merge around the touched interval) on every mutation. Like
-    /// the index, derived state: never serialized, never part of equality.
-    #[serde(skip)]
-    slotset: OnceLock<SlotSet>,
-}
-
-impl PartialEq for Calendar {
-    fn eq(&self, other: &Self) -> bool {
-        // The index cache is derived state: two calendars are equal iff
-        // their logical content is, regardless of which has been queried.
-        self.capacity == other.capacity
-            && self.steps == other.steps
-            && self.reserved_proc_seconds == other.reserved_proc_seconds
-            && self.num_reservations == other.num_reservations
-    }
 }
 
 impl Calendar {
@@ -107,49 +88,24 @@ impl Calendar {
             steps: Vec::new(),
             reserved_proc_seconds: 0,
             num_reservations: 0,
-            index: OnceLock::new(),
-            slotset: OnceLock::new(),
         }
     }
 
-    /// The linear-scan reference backend: identical results to the indexed
-    /// queries, `O(B)` per query. Kept for differential tests and the
-    /// indexed-vs-linear benchmarks.
+    /// The linear-scan reference: identical results to the calendar's own
+    /// queries from independently written `O(B)` scans. The validator, the
+    /// calendar audit, the differential tests and the calendar-vs-linear
+    /// benchmarks compare against it; no query on [`Calendar`] goes
+    /// through it.
     pub fn linear(&self) -> LinearRef<'_> {
         LinearRef { cal: self }
     }
 
-    /// The segment-tree backend as an explicit [`CalendarBackend`] view,
-    /// regardless of the process-wide selection.
-    pub fn indexed(&self) -> IndexedRef<'_> {
-        IndexedRef { cal: self }
-    }
-
-    /// The slot-set backend as an explicit [`CalendarBackend`] view,
-    /// regardless of the process-wide selection.
-    pub fn slot_set(&self) -> SlotSetRef<'_> {
-        SlotSetRef { cal: self }
-    }
-
-    /// The named backend as a trait object — the cross-backend
-    /// differential harness iterates [`BackendKind::ALL`] through this.
-    pub fn backend_view(&self, kind: BackendKind) -> Box<dyn CalendarBackend + '_> {
-        match kind {
-            BackendKind::Indexed => Box::new(self.indexed()),
-            BackendKind::SlotSet => Box::new(self.slot_set()),
-            BackendKind::Linear => Box::new(self.linear()),
+    /// The slot list the queries walk: a borrowed view of the breakpoints.
+    fn slots(&self) -> Slots<'_> {
+        Slots {
+            capacity: self.capacity,
+            steps: &self.steps,
         }
-    }
-
-    /// The (lazily built) segment-tree index over the current breakpoints.
-    fn index(&self) -> &UsageIndex {
-        self.index.get_or_init(|| UsageIndex::build(&self.steps))
-    }
-
-    /// The (lazily built) slot-set dual of the current breakpoints.
-    pub(crate) fn slotset(&self) -> &SlotSet {
-        self.slotset
-            .get_or_init(|| SlotSet::build(self.capacity, &self.steps))
     }
 
     /// Build a calendar from a list of reservations.
@@ -241,40 +197,27 @@ impl Calendar {
             steps,
             reserved_proc_seconds,
             num_reservations,
-            index: OnceLock::new(),
-            slotset: OnceLock::new(),
         };
         debug_assert!(cal.check_invariants());
         Ok(cal)
     }
 
-    /// Make `self` logically identical to `src`, reusing every buffer this
-    /// calendar already owns — breakpoints, segment-tree index, slot set —
-    /// instead of allocating fresh ones. The allocation-free twin of
-    /// `clone()` for scratch calendars recycled across schedules: after
-    /// the buffers have warmed up to the peak sizes seen so far, this
-    /// performs zero heap allocation.
-    ///
-    /// Derived caches that were never built on `self` stay unbuilt (they
-    /// remain lazy); caches already present are rebuilt in place so later
-    /// queries find them warm.
+    /// Make `self` identical to `src`, reusing the breakpoint buffer this
+    /// calendar already owns instead of allocating a fresh one. The
+    /// allocation-free twin of `clone()` for scratch calendars recycled
+    /// across schedules: once the buffer has warmed up to the peak size
+    /// seen so far, this performs zero heap allocation.
     pub fn copy_from(&mut self, src: &Calendar) {
         self.capacity = src.capacity;
         self.steps.clone_from(&src.steps);
         self.reserved_proc_seconds = src.reserved_proc_seconds;
         self.num_reservations = src.num_reservations;
-        if let Some(ix) = self.index.get_mut() {
-            ix.rebuild(&self.steps);
-        }
-        if let Some(ss) = self.slotset.get_mut() {
-            ss.rebuild(self.capacity, &self.steps);
-        }
     }
 
-    /// Clear to an empty calendar of `capacity` processors, keeping every
-    /// buffer — the allocation-free twin of [`Calendar::new`] for scratch
-    /// platforms (e.g. the CPA mapping phase's virtual platform) recycled
-    /// across runs.
+    /// Clear to an empty calendar of `capacity` processors, keeping the
+    /// breakpoint buffer — the allocation-free twin of [`Calendar::new`]
+    /// for scratch platforms (e.g. the CPA mapping phase's virtual
+    /// platform) recycled across runs.
     ///
     /// # Panics
     /// Panics if `capacity == 0`.
@@ -284,19 +227,13 @@ impl Calendar {
         self.steps.clear();
         self.reserved_proc_seconds = 0;
         self.num_reservations = 0;
-        if let Some(ix) = self.index.get_mut() {
-            ix.rebuild(&self.steps);
-        }
-        if let Some(ss) = self.slotset.get_mut() {
-            ss.rebuild(capacity, &self.steps);
-        }
     }
 
-    /// Overwrite the breakpoint buffer with sentinel garbage and drop the
-    /// derived caches. Test-only helper: scratch-reuse tests poison a
-    /// recycled calendar between schedules to prove nothing depends on
-    /// leftover state. The calendar is *invalid* until the next
-    /// [`Calendar::copy_from`] / [`Calendar::reset`].
+    /// Overwrite the breakpoint buffer with sentinel garbage. Test-only
+    /// helper: scratch-reuse tests poison a recycled calendar between
+    /// schedules to prove nothing depends on leftover state. The calendar
+    /// is *invalid* until the next [`Calendar::copy_from`] /
+    /// [`Calendar::reset`].
     #[doc(hidden)]
     pub fn debug_poison(&mut self) {
         let cap = self.steps.capacity();
@@ -310,8 +247,6 @@ impl Calendar {
         );
         self.reserved_proc_seconds = i64::MIN;
         self.num_reservations = usize::MAX;
-        self.index.take();
-        self.slotset.take();
     }
 
     /// Total number of processors on the platform (the paper's `p`).
@@ -335,13 +270,12 @@ impl Calendar {
     }
 
     /// Processors in use at instant `t`.
-    // lint:allow(panic-transitive): segment indices come from binary searches and linear walks over self.segs, bounded by its length at every step.
     pub fn used_at(&self, t: Time) -> u32 {
-        match self.steps.binary_search_by_key(&t, |s| s.time) {
-            Ok(i) => self.steps[i].used,
-            Err(0) => 0,
-            Err(i) => self.steps[i - 1].used,
-        }
+        let after = self.steps.partition_point(|s| s.time <= t);
+        after
+            .checked_sub(1)
+            .and_then(|i| self.steps.get(i))
+            .map_or(0, |s| s.used)
     }
 
     /// Free processors at instant `t`.
@@ -349,28 +283,9 @@ impl Calendar {
         self.capacity - self.used_at(t)
     }
 
-    /// Peak usage over `[from, to)`, answered by the selected backend.
+    /// Peak usage over `[from, to)`.
     pub fn peak_used(&self, from: Time, to: Time) -> u32 {
-        match backend::selected() {
-            BackendKind::Indexed => self.indexed_peak_used(from, to),
-            BackendKind::SlotSet => self.slotset().peak_used(from, to),
-            BackendKind::Linear => self.linear().peak_used(from, to),
-        }
-    }
-
-    /// Segment-tree [`Calendar::peak_used`].
-    pub(crate) fn indexed_peak_used(&self, from: Time, to: Time) -> u32 {
-        assert!(from < to, "empty window");
-        // Usage at `from` comes from the segment covering it; breakpoints
-        // strictly inside the window come from the tree.
-        let base = self.used_at(from);
-        let start_idx = match self.steps.binary_search_by_key(&from, |s| s.time) {
-            Ok(i) => i + 1,
-            Err(i) => i,
-        };
-        let end_idx = self.steps.partition_point(|s| s.time < to);
-        let mut visited = 0u64;
-        base.max(self.index().max_in(start_idx, end_idx, &mut visited))
+        self.slots().peak_used(from, to)
     }
 
     /// Minimum free processors over `[from, to)`.
@@ -386,7 +301,7 @@ impl Calendar {
                 capacity: self.capacity,
             });
         }
-        if let Some((at, free)) = self.first_conflict(r.start, r.end, r.procs) {
+        if let Some((at, free)) = self.slots().first_conflict(r.start, r.end, r.procs) {
             return Err(ReservationError::Conflict {
                 at,
                 free,
@@ -395,40 +310,6 @@ impl Calendar {
         }
         self.add_unchecked(r);
         Ok(())
-    }
-
-    /// First instant in `[from, to)` where fewer than `procs` processors
-    /// are free, with the free count there — the conflict probe behind
-    /// [`Calendar::try_add`] / [`Calendar::fits`], answered by the selected
-    /// backend. All backends report the identical `(instant, free)` pair:
-    /// the conflict instant is the later of the blocking segment's start
-    /// and `from`.
-    // lint:allow(panic-transitive): segment indices come from binary searches and linear walks over self.segs, bounded by its length at every step.
-    fn first_conflict(&self, from: Time, to: Time, procs: u32) -> Option<(Time, u32)> {
-        match backend::selected() {
-            BackendKind::SlotSet => self.slotset().first_conflict(from, to, procs),
-            BackendKind::Indexed => {
-                let mut visited = 0u64;
-                self.first_blocker(from, to, self.capacity - procs, &mut visited)
-                    .map(|idx| {
-                        (
-                            self.steps[idx].time.max(from),
-                            self.capacity - self.steps[idx].used,
-                        )
-                    })
-            }
-            BackendKind::Linear => {
-                let mut visited = 0u64;
-                self.linear()
-                    .first_blocker(from, to, self.capacity - procs, &mut visited)
-                    .map(|idx| {
-                        (
-                            self.steps[idx].time.max(from),
-                            self.capacity - self.steps[idx].used,
-                        )
-                    })
-            }
-        }
     }
 
     /// Insert a reservation that is already known to fit.
@@ -447,8 +328,8 @@ impl Calendar {
         );
         // Ensure breakpoints exist at r.start and r.end, then bump `used`
         // on every step in [start_idx, end_idx).
-        let (start_idx, inserted_start) = self.ensure_breakpoint(r.start);
-        let (end_idx, inserted_end) = self.ensure_breakpoint(r.end);
+        let start_idx = self.ensure_breakpoint(r.start);
+        let end_idx = self.ensure_breakpoint(r.end);
         for s in &mut self.steps[start_idx..end_idx] {
             s.used = s
                 .used
@@ -462,28 +343,7 @@ impl Calendar {
                     )
                 });
         }
-        let removed = self.coalesce_around(start_idx, end_idx);
-        if inserted_start || inserted_end || removed > 0 {
-            // The breakpoint vector changed shape; the Vec::insert/remove
-            // above already cost O(B), so an in-place rebuild (reusing the
-            // tree's buffers, see UsageIndex::rebuild) keeps the same
-            // asymptotics without touching the heap in the steady state.
-            if let Some(ix) = self.index.get_mut() {
-                ix.rebuild(&self.steps);
-            }
-        } else if let Some(ix) = self.index.get_mut() {
-            // Pure usage bump over existing breakpoints: patch the tree
-            // in place instead of rebuilding — O(log B) total.
-            ix.range_bump(start_idx, end_idx, r.procs as i64);
-            debug_assert!(ix.matches(&self.steps));
-        }
-        if let Some(ss) = self.slotset.get_mut() {
-            // The slot set keys on times, not breakpoint indices, so the
-            // same split/bump/merge repair works whether or not the
-            // breakpoint vector changed shape.
-            ss.bump(r.start, r.end, r.procs as i64);
-            debug_assert!(ss.matches(&self.steps));
-        }
+        self.coalesce_around(start_idx, end_idx);
         self.reserved_proc_seconds += r.proc_seconds();
         self.num_reservations += 1;
     }
@@ -495,7 +355,9 @@ impl Calendar {
         if r.procs > self.capacity {
             return false;
         }
-        self.first_conflict(r.start, r.end, r.procs).is_none()
+        self.slots()
+            .first_conflict(r.start, r.end, r.procs)
+            .is_none()
     }
 
     /// Cancel a previously accepted reservation, checking that `r.procs`
@@ -506,7 +368,7 @@ impl Calendar {
     /// paper's model where the platform only sees aggregate usage. On
     /// error the calendar is untouched.
     pub fn try_remove(&mut self, r: Reservation) -> Result<(), ReservationError> {
-        if let Some((at, used)) = self.first_under(r.start, r.end, r.procs) {
+        if let Some((at, used)) = self.slots().first_under(r.start, r.end, r.procs) {
             return Err(ReservationError::NotReserved {
                 at,
                 used,
@@ -519,12 +381,11 @@ impl Calendar {
 
     /// Cancel a reservation that is already known to be present.
     ///
-    /// Subtracts `r.procs` from every segment of `[r.start, r.end)`,
-    /// re-coalesces boundary breakpoints, and repairs the segment-tree
-    /// index incrementally (O(log B) when no breakpoints move, lazy
-    /// rebuild otherwise) — the exact mirror of [`Calendar::add_unchecked`].
-    /// Because the step vector is always kept in canonical minimal form,
-    /// an add followed by its removal restores the byte-identical state.
+    /// Subtracts `r.procs` from every segment of `[r.start, r.end)` and
+    /// re-coalesces boundary breakpoints — the exact mirror of
+    /// [`Calendar::add_unchecked`]. Because the step vector is always kept
+    /// in canonical minimal form, an add followed by its removal restores
+    /// the byte-identical state.
     ///
     /// # Panics
     /// Panics — in **all** build profiles — if usage would underflow, i.e.
@@ -532,8 +393,8 @@ impl Calendar {
     /// never wrapping: silent wrap-around would corrupt the calendar in
     /// release builds. Use [`Calendar::try_remove`] for the fallible path.
     pub fn remove_unchecked(&mut self, r: Reservation) {
-        let (start_idx, inserted_start) = self.ensure_breakpoint(r.start);
-        let (end_idx, inserted_end) = self.ensure_breakpoint(r.end);
+        let start_idx = self.ensure_breakpoint(r.start);
+        let end_idx = self.ensure_breakpoint(r.end);
         for s in &mut self.steps[start_idx..end_idx] {
             s.used = s.used.checked_sub(r.procs).unwrap_or_else(|| {
                 panic!(
@@ -542,19 +403,7 @@ impl Calendar {
                 )
             });
         }
-        let removed = self.coalesce_around(start_idx, end_idx);
-        if inserted_start || inserted_end || removed > 0 {
-            if let Some(ix) = self.index.get_mut() {
-                ix.rebuild(&self.steps);
-            }
-        } else if let Some(ix) = self.index.get_mut() {
-            ix.range_bump(start_idx, end_idx, -(r.procs as i64));
-            debug_assert!(ix.matches(&self.steps));
-        }
-        if let Some(ss) = self.slotset.get_mut() {
-            ss.bump(r.start, r.end, -(r.procs as i64));
-            debug_assert!(ss.matches(&self.steps));
-        }
+        self.coalesce_around(start_idx, end_idx);
         self.reserved_proc_seconds -= r.proc_seconds();
         self.num_reservations = self
             .num_reservations
@@ -583,26 +432,6 @@ impl Calendar {
         }
     }
 
-    /// First instant in `[from, to)` where fewer than `procs` processors
-    /// are in use, with the usage there — the removal-validity scan.
-    fn first_under(&self, from: Time, to: Time, procs: u32) -> Option<(Time, u32)> {
-        let mut t = from;
-        while t < to {
-            let used = self.used_at(t);
-            if used < procs {
-                return Some((t, used));
-            }
-            // Advance to the next breakpoint after `t`; none left means
-            // usage is 0 from the last breakpoint on, already handled.
-            let idx = self.steps.partition_point(|s| s.time <= t);
-            if idx >= self.steps.len() {
-                break;
-            }
-            t = self.steps[idx].time;
-        }
-        None
-    }
-
     /// Earliest start `s >= not_before` such that `procs` processors are free
     /// throughout `[s, s + dur)`.
     ///
@@ -617,9 +446,7 @@ impl Calendar {
     }
 
     /// [`Calendar::earliest_fit`], tallying the work performed into `cost`:
-    /// one query plus the breakpoints / tree nodes / slots visited by the
-    /// selected backend. The answer is backend-independent; only
-    /// `cost.steps` varies.
+    /// one query plus the slots the walk inspected.
     pub fn earliest_fit_with_cost(
         &self,
         procs: u32,
@@ -627,59 +454,31 @@ impl Calendar {
         not_before: Time,
         cost: &mut QueryCost,
     ) -> Time {
-        match backend::selected() {
-            BackendKind::Indexed => {
-                self.indexed_earliest_fit_with_cost(procs, dur, not_before, cost)
-            }
-            BackendKind::SlotSet => self
-                .slot_set()
-                .earliest_fit_with_cost(procs, dur, not_before, cost),
-            BackendKind::Linear => self
-                .linear()
-                .earliest_fit_with_cost(procs, dur, not_before, cost),
-        }
+        cost.queries += 1;
+        self.slots()
+            .earliest_fit(procs, dur, not_before, &mut cost.steps)
     }
 
-    /// Segment-tree [`Calendar::earliest_fit_with_cost`]; `cost.steps`
-    /// counts tree nodes visited.
-    // lint:allow(panic-transitive): the usage index mirrors self.segs one leaf per segment, so indices translate between them exactly.
-    pub(crate) fn indexed_earliest_fit_with_cost(
+    /// Hierarchy-aware earliest fit: quantize `procs` up to whole
+    /// placement units of `hier` at `level`, then search. Errors if the
+    /// hierarchy disagrees with the calendar's capacity or the quantized
+    /// request cannot fit at all.
+    ///
+    /// With the flat degenerate hierarchy ([`Hierarchy::flat`]) the answer
+    /// is byte-for-byte [`Calendar::earliest_fit_with_cost`]: same start,
+    /// same processor count, same `QueryCost`.
+    pub fn earliest_fit_hier(
         &self,
+        hier: &Hierarchy,
+        level: PlacementLevel,
         procs: u32,
         dur: Dur,
         not_before: Time,
         cost: &mut QueryCost,
-    ) -> Time {
-        assert!(procs > 0 && procs <= self.capacity, "bad procs {procs}");
-        assert!(dur.is_positive(), "bad duration {dur}");
-        cost.queries += 1;
-        let max_used = self.capacity - procs;
-        let mut s = not_before;
-        loop {
-            match self.first_blocker(s, s + dur, max_used, &mut cost.steps) {
-                None => return s,
-                Some(block_idx) => {
-                    // Window is blocked by segment `block_idx`; restart at the
-                    // first later breakpoint where usage drops low enough.
-                    // The final breakpoint always has used == 0 <= max_used,
-                    // so a restart point must exist; its absence means the
-                    // calendar invariants are broken and any answer we could
-                    // return would silently overbook the platform.
-                    let i = self
-                        .index()
-                        .first_at_most(block_idx + 1, max_used, &mut cost.steps)
-                        .unwrap_or_else(|| {
-                            panic!(
-                                "calendar invariant violated: usage never drops to \
-                                 {max_used} after the blocker at {}; the final \
-                                 breakpoint must have used == 0",
-                                self.steps[block_idx].time
-                            )
-                        });
-                    s = self.steps[i].time;
-                }
-            }
-        }
+    ) -> Result<HierFit, HierarchyError> {
+        let procs = hier.quantized_request(procs, level, self.capacity)?;
+        let start = self.earliest_fit_with_cost(procs, dur, not_before, cost);
+        Ok(HierFit { start, procs })
     }
 
     /// Latest start `s` with `s + dur <= end_by`, `s >= not_before`, and
@@ -694,9 +493,7 @@ impl Calendar {
     }
 
     /// [`Calendar::latest_fit`], tallying the work performed into `cost`:
-    /// one query plus the breakpoints / tree nodes / slots visited by the
-    /// selected backend. The answer is backend-independent; only
-    /// `cost.steps` varies.
+    /// one query plus the slots the walk inspected.
     pub fn latest_fit_with_cost(
         &self,
         procs: u32,
@@ -705,58 +502,9 @@ impl Calendar {
         not_before: Time,
         cost: &mut QueryCost,
     ) -> Option<Time> {
-        match backend::selected() {
-            BackendKind::Indexed => {
-                self.indexed_latest_fit_with_cost(procs, dur, end_by, not_before, cost)
-            }
-            BackendKind::SlotSet => self
-                .slot_set()
-                .latest_fit_with_cost(procs, dur, end_by, not_before, cost),
-            BackendKind::Linear => self
-                .linear()
-                .latest_fit_with_cost(procs, dur, end_by, not_before, cost),
-        }
-    }
-
-    /// Segment-tree [`Calendar::latest_fit_with_cost`]; `cost.steps`
-    /// counts tree nodes visited.
-    // lint:allow(panic-transitive): the usage index mirrors self.segs one leaf per segment, so indices translate between them exactly.
-    pub(crate) fn indexed_latest_fit_with_cost(
-        &self,
-        procs: u32,
-        dur: Dur,
-        end_by: Time,
-        not_before: Time,
-        cost: &mut QueryCost,
-    ) -> Option<Time> {
-        assert!(procs > 0 && procs <= self.capacity, "bad procs {procs}");
-        assert!(dur.is_positive(), "bad duration {dur}");
         cost.queries += 1;
-        let max_used = self.capacity - procs;
-        let mut e = end_by;
-        loop {
-            let s = e - dur;
-            if s < not_before {
-                return None;
-            }
-            match self.last_blocker(s, e, max_used, &mut cost.steps) {
-                None => return Some(s),
-                Some(block_idx) => {
-                    // Window must end no later than the blocking segment's
-                    // start. A blocker intersecting [s, e) starts strictly
-                    // before e, so `e` strictly decreases every round and the
-                    // loop terminates; enforce that rather than spin forever
-                    // on a corrupted calendar.
-                    let blocker_start = self.steps[block_idx].time;
-                    assert!(
-                        blocker_start < e,
-                        "latest_fit stalled: blocker at {blocker_start} does not \
-                         precede the window end {e}"
-                    );
-                    e = blocker_start;
-                }
-            }
-        }
+        self.slots()
+            .latest_fit(procs, dur, end_by, not_before, &mut cost.steps)
     }
 
     /// Time-average number of *free* processors over `[from, to)` — the
@@ -784,37 +532,9 @@ impl Calendar {
     }
 
     /// Integral of processors-in-use over `[from, to)`, in
-    /// processor-seconds, answered by the selected backend.
+    /// processor-seconds.
     pub fn used_integral(&self, from: Time, to: Time) -> i64 {
-        match backend::selected() {
-            BackendKind::Indexed => self.indexed_used_integral(from, to),
-            BackendKind::SlotSet => self.slotset().used_integral(from, to),
-            BackendKind::Linear => self.linear().used_integral(from, to),
-        }
-    }
-
-    /// Segment-tree [`Calendar::used_integral`] via the prefix-area table.
-    pub(crate) fn indexed_used_integral(&self, from: Time, to: Time) -> i64 {
-        assert!(from <= to);
-        if from == to || self.steps.is_empty() {
-            return 0;
-        }
-        let ix = self.index();
-        self.prefix_area(ix, to) - self.prefix_area(ix, from)
-    }
-
-    /// Integral of processors-in-use over `(-inf, t)` via the index's
-    /// prefix-area table plus the partial segment covering `t`.
-    // lint:allow(panic-transitive): the usage index mirrors self.segs one leaf per segment, so indices translate between them exactly.
-    fn prefix_area(&self, ix: &UsageIndex, t: Time) -> i64 {
-        match self.steps.binary_search_by_key(&t, |s| s.time) {
-            Ok(i) => ix.area_before(i),
-            Err(0) => 0,
-            Err(i) => {
-                let s = &self.steps[i - 1];
-                ix.area_before(i - 1) + s.used as i64 * (t - s.time).as_seconds()
-            }
-        }
+        self.slots().used_integral(from, to)
     }
 
     /// Average *utilization* (fraction of capacity in use) over `[from, to)`.
@@ -893,81 +613,27 @@ impl Calendar {
 
     // ----- internals ---------------------------------------------------
 
-    /// Breakpoint index range `[lo, hi)` of the segments intersecting the
-    /// time window `[from, to)`.
-    fn segment_range(&self, from: Time, to: Time) -> (usize, usize) {
-        let mut lo = match self.steps.binary_search_by_key(&from, |s| s.time) {
-            Ok(i) => i,
-            Err(i) => i.saturating_sub(1),
-        };
-        // Skip the segment entirely before `from` if it doesn't cover it.
-        if !self.steps.is_empty()
-            && self.steps[lo].time < from
-            && self.next_time_after_idx(lo) <= from
-        {
-            lo += 1;
-        }
-        let hi = self.steps.partition_point(|s| s.time < to);
-        (lo, hi)
-    }
-
-    /// Index of the first segment intersecting `[from, to)` whose usage
-    /// exceeds `max_used`, or `None` if the window fits. `O(log B)` via the
-    /// segment tree; `visited` counts tree nodes touched.
-    fn first_blocker(
-        &self,
-        from: Time,
-        to: Time,
-        max_used: u32,
-        visited: &mut u64,
-    ) -> Option<usize> {
-        if self.steps.is_empty() {
-            return None;
-        }
-        let (lo, hi) = self.segment_range(from, to);
-        self.index().first_above(lo, hi, max_used, visited)
-    }
-
-    /// Index of the *last* segment intersecting `[from, to)` whose usage
-    /// exceeds `max_used`, or `None` if the window fits. `O(log B)` via the
-    /// segment tree; `visited` counts tree nodes touched.
-    fn last_blocker(
-        &self,
-        from: Time,
-        to: Time,
-        max_used: u32,
-        visited: &mut u64,
-    ) -> Option<usize> {
-        if self.steps.is_empty() {
-            return None;
-        }
-        let (lo, hi) = self.segment_range(from, to);
-        self.index().last_above(lo, hi, max_used, visited)
-    }
-
     fn next_time_after_idx(&self, idx: usize) -> Time {
         self.steps.get(idx + 1).map(|s| s.time).unwrap_or(Time::MAX)
     }
 
-    /// Ensure a breakpoint exists exactly at `t`; return its index and
-    /// whether a new breakpoint was inserted (a structural change that
-    /// invalidates the segment-tree index).
+    /// Ensure a breakpoint exists exactly at `t`; return its index.
     // lint:allow(panic-transitive): the insertion point returned by the binary search is <= self.segs.len(), and indexing only happens after the insert.
-    fn ensure_breakpoint(&mut self, t: Time) -> (usize, bool) {
+    fn ensure_breakpoint(&mut self, t: Time) -> usize {
         match self.steps.binary_search_by_key(&t, |s| s.time) {
-            Ok(i) => (i, false),
+            Ok(i) => i,
             Err(i) => {
                 let used = if i == 0 { 0 } else { self.steps[i - 1].used };
                 self.steps.insert(i, Step { time: t, used });
-                (i, true)
+                i
             }
         }
     }
 
     /// Remove redundant breakpoints (equal `used` to their predecessor)
-    /// around a mutated range; returns how many were removed.
+    /// around a mutated range.
     // lint:allow(panic-transitive): coalesce_around only touches start_idx/end_idx and their immediate neighbors, all re-checked against len() after each removal.
-    fn coalesce_around(&mut self, start_idx: usize, end_idx: usize) -> usize {
+    fn coalesce_around(&mut self, start_idx: usize, end_idx: usize) {
         // Only breakpoints at the boundary of the mutated range can have
         // become redundant; check just the two boundaries. A fixed-size
         // scratch keeps this hot mutation path off the heap.
@@ -988,7 +654,6 @@ impl Calendar {
             self.steps.remove(i);
         }
         debug_assert!(self.check_invariants());
-        removed
     }
 
     #[allow(dead_code)]
@@ -1018,21 +683,16 @@ impl Calendar {
 /// Read-only view of a [`Calendar`] answering the slot queries with the
 /// original `O(B)`-per-query linear scans.
 ///
-/// Results are identical to the indexed queries on [`Calendar`]; only the
-/// work performed differs. Differential property tests and the
-/// indexed-vs-linear benchmarks use this as the reference implementation.
+/// Results are identical to the queries on [`Calendar`]; only the work
+/// performed differs. The validator, the calendar audit, the differential
+/// property tests and the calendar-vs-linear benchmarks use this as the
+/// reference implementation.
 #[derive(Debug, Clone, Copy)]
 pub struct LinearRef<'a> {
     cal: &'a Calendar,
 }
 
 impl LinearRef<'_> {
-    /// The calendar this view reads (for capacity checks in the backend
-    /// trait impls).
-    pub(crate) fn calendar(&self) -> &Calendar {
-        self.cal
-    }
-
     /// Linear-scan [`Calendar::earliest_fit`].
     pub fn earliest_fit(&self, procs: u32, dur: Dur, not_before: Time) -> Time {
         let mut cost = QueryCost::default();
@@ -1060,8 +720,10 @@ impl LinearRef<'_> {
                 None => return s,
                 Some(block_idx) => {
                     // Restart at the first later breakpoint where usage
-                    // drops low enough; same hardened invariant check as
-                    // the indexed backend.
+                    // drops low enough. The final breakpoint always has
+                    // used == 0 <= max_used, so a restart point must exist;
+                    // its absence means the calendar invariants are broken
+                    // and any answer would silently overbook the platform.
                     let mut i = block_idx + 1;
                     while i < cal.steps.len() && cal.steps[i].used > max_used {
                         cost.steps += 1;
@@ -1487,7 +1149,7 @@ mod tests {
     fn earliest_fit_when_last_segment_blocks_through_horizon() {
         // The final busy segment runs right up to the horizon; the only
         // fit starts exactly there. Exercises the restart-past-the-last-
-        // blocker path in both backends.
+        // blocker path in the walk and in the linear reference.
         let mut cal = Calendar::new(4);
         cal.try_add(r(0, 50, 4)).unwrap();
         assert_eq!(cal.earliest_fit(4, d(10), t(0)), t(50));
@@ -1564,17 +1226,19 @@ mod tests {
 
     #[test]
     fn index_survives_incremental_updates() {
+        // (The name predates the single engine: queries interleaved with
+        // mutations must always see the current breakpoints.)
         let mut cal = Calendar::new(8);
         cal.try_add(r(0, 100, 2)).unwrap();
         cal.try_add(r(50, 80, 2)).unwrap();
-        // Force the index to build, then add a reservation whose endpoints
-        // already exist as breakpoints (pure usage bump -> range_add path).
+        // Query, then add a reservation whose endpoints already exist as
+        // breakpoints (pure usage bump, no breakpoint moves).
         assert_eq!(cal.peak_used(t(0), t(100)), 4);
         cal.try_add(r(50, 80, 3)).unwrap();
         assert_eq!(cal.peak_used(t(0), t(100)), 7);
         assert_eq!(cal.earliest_fit(8, d(5), t(0)), t(100));
         assert_eq!(cal.earliest_fit(2, d(60), t(0)), t(80));
-        // And one that inserts breakpoints (structural -> rebuild path).
+        // And one that inserts breakpoints.
         cal.try_add(r(10, 20, 1)).unwrap();
         assert_eq!(cal.peak_used(t(10), t(20)), 3);
         assert_eq!(
@@ -1589,16 +1253,16 @@ mod tests {
         for i in 0..20 {
             cal.try_add(r(10 * i, 10 * i + 5, 4)).unwrap();
         }
-        let mut indexed = QueryCost::default();
+        let mut walked = QueryCost::default();
         let mut linear = QueryCost::default();
-        let a = cal.earliest_fit_with_cost(4, d(10), t(0), &mut indexed);
+        let a = cal.earliest_fit_with_cost(4, d(10), t(0), &mut walked);
         let b = cal
             .linear()
             .earliest_fit_with_cost(4, d(10), t(0), &mut linear);
         assert_eq!(a, b);
-        assert_eq!(indexed.queries, 1);
+        assert_eq!(walked.queries, 1);
         assert_eq!(linear.queries, 1);
-        assert!(indexed.steps > 0);
+        assert!(walked.steps > 0);
         assert!(linear.steps > 0);
 
         let mut cost = QueryCost::default();
@@ -1608,10 +1272,10 @@ mod tests {
         assert!(cost.steps > 0);
 
         let mut total = QueryCost::default();
-        total.absorb(indexed);
+        total.absorb(walked);
         total.absorb(cost);
         assert_eq!(total.queries, 2);
-        assert_eq!(total.steps, indexed.steps + cost.steps);
+        assert_eq!(total.steps, walked.steps + cost.steps);
     }
 
     #[test]
@@ -1709,8 +1373,9 @@ mod tests {
         let mut cal = Calendar::new(8);
         cal.try_add(r(0, 100, 2)).unwrap();
         cal.try_add(r(50, 80, 3)).unwrap();
-        // Build the index, then remove along existing breakpoints (pure
-        // bump path) and check queries against the linear oracle.
+        // (The name predates the single engine.) Query, then remove along
+        // existing breakpoints (pure usage bump) and check queries against
+        // the linear oracle.
         assert_eq!(cal.peak_used(t(0), t(100)), 5);
         cal.try_remove(r(50, 80, 3)).unwrap();
         assert_eq!(cal.peak_used(t(0), t(100)), 2);
@@ -1719,7 +1384,7 @@ mod tests {
             cal.used_integral(t(0), t(100)),
             cal.linear().used_integral(t(0), t(100))
         );
-        // Structural removal (breakpoints vanish) falls back to rebuild.
+        // Structural removal: breakpoints vanish.
         cal.try_remove(r(0, 100, 2)).unwrap();
         assert_eq!(cal.peak_used(t(0), t(100)), 0);
         assert_eq!(cal.earliest_fit(8, d(10), t(0)), t(0));
@@ -1792,57 +1457,165 @@ mod tests {
 
     #[test]
     fn backends_agree_on_queries_and_mutation() {
-        use crate::backend::BackendKind;
+        // Production walk vs the linear reference: same answers, same
+        // query counts, before and after mutation.
+        fn check(cal: &Calendar, fits: [(u32, Dur, Time, Time); 2], peak: u32, area: i64) {
+            let lin = cal.linear();
+            let (mut cw, mut cl) = (QueryCost::default(), QueryCost::default());
+            let (procs, dur, from, want) = fits[0];
+            assert_eq!(cal.earliest_fit_with_cost(procs, dur, from, &mut cw), want);
+            assert_eq!(lin.earliest_fit_with_cost(procs, dur, from, &mut cl), want);
+            let (procs, dur, end_by, want) = fits[1];
+            assert_eq!(
+                cal.latest_fit_with_cost(procs, dur, end_by, t(0), &mut cw),
+                Some(want)
+            );
+            assert_eq!(
+                lin.latest_fit_with_cost(procs, dur, end_by, t(0), &mut cl),
+                Some(want)
+            );
+            assert_eq!((cw.queries, cl.queries), (2, 2));
+            assert_eq!(cal.peak_used(t(0), t(200)), peak);
+            assert_eq!(lin.peak_used(t(0), t(200)), peak);
+            assert_eq!(cal.used_integral(t(0), t(200)), area);
+            assert_eq!(lin.used_integral(t(0), t(200)), area);
+        }
         let mut cal = Calendar::new(8);
         cal.try_add(r(0, 100, 2)).unwrap();
         cal.try_add(r(50, 80, 5)).unwrap();
         cal.try_add(r(120, 140, 8)).unwrap();
-        for kind in BackendKind::ALL {
-            let b = cal.backend_view(kind);
-            assert_eq!(b.name(), kind.name());
-            let mut cost = QueryCost::default();
-            assert_eq!(
-                b.earliest_fit_with_cost(7, d(10), t(0), &mut cost),
-                t(100),
-                "backend {}",
-                kind.name()
-            );
-            assert_eq!(cost.queries, 1);
-            assert_eq!(
-                b.latest_fit_with_cost(4, d(10), t(130), t(0), &mut cost),
-                Some(t(110)),
-                "backend {}",
-                kind.name()
-            );
-            assert_eq!(b.peak_used(t(0), t(200)), 8, "backend {}", kind.name());
-            assert_eq!(
-                b.used_integral(t(0), t(200)),
-                2 * 100 + 5 * 30 + 8 * 20,
-                "backend {}",
-                kind.name()
-            );
-        }
-        // Mutation keeps the (already built) slot set repaired: remove and
-        // re-query through the slot-set view.
+        let fits = [(7, d(10), t(0), t(100)), (4, d(10), t(130), t(110))];
+        check(&cal, fits, 8, 2 * 100 + 5 * 30 + 8 * 20);
         cal.try_remove(r(50, 80, 5)).unwrap();
-        let mut cost = QueryCost::default();
-        assert_eq!(
-            cal.slot_set()
-                .earliest_fit_with_cost(7, d(10), t(0), &mut cost),
-            t(100)
-        );
-        assert_eq!(cal.slot_set().peak_used(t(0), t(200)), 8);
+        check(&cal, fits, 8, 2 * 100 + 8 * 20);
         cal.try_remove(r(120, 140, 8)).unwrap();
-        assert_eq!(cal.slot_set().peak_used(t(0), t(200)), 2);
+        let fits = [(7, d(10), t(0), t(100)), (4, d(10), t(130), t(120))];
+        check(&cal, fits, 2, 2 * 100);
+    }
+
+    /// The removal-validity scan as it was before it became one forward
+    /// pass: a `used_at` search plus a `partition_point` per breakpoint.
+    /// Kept here as the reference the walk's reports are pinned to.
+    fn first_under_by_repeated_search(
+        cal: &Calendar,
+        from: Time,
+        to: Time,
+        procs: u32,
+    ) -> Option<(Time, u32)> {
+        let mut at = from;
+        while at < to {
+            let used = cal.used_at(at);
+            if used < procs {
+                return Some((at, used));
+            }
+            let idx = cal.steps.partition_point(|s| s.time <= at);
+            at = cal.steps.get(idx)?.time;
+        }
+        None
+    }
+
+    #[test]
+    fn removal_scan_reports_are_unchanged_by_the_single_pass() {
+        let mut cal = Calendar::new(8);
+        cal.try_add(r(10, 20, 4)).unwrap();
+        cal.try_add(r(15, 40, 2)).unwrap();
+        cal.try_add(r(60, 80, 3)).unwrap(); // idle hole [40, 60)
+        let expect = |rm: Reservation, at: i64, used: u32| {
+            assert_eq!(
+                cal.clone().try_remove(rm),
+                Err(ReservationError::NotReserved {
+                    at: t(at),
+                    used,
+                    requested: rm.procs
+                }),
+                "{rm:?}"
+            );
+        };
+        // Partial overlap: runs off the end of the level it matches.
+        expect(r(10, 25, 4), 20, 2);
+        expect(r(12, 30, 5), 12, 4);
+        expect(r(15, 45, 2), 40, 0);
+        // Starts before the first breakpoint.
+        expect(r(5, 20, 4), 5, 0);
+        expect(r(0, 5, 1), 0, 0);
+        // Runs past (or lies entirely past) the horizon.
+        expect(r(60, 90, 3), 80, 0);
+        expect(r(80, 90, 1), 80, 0);
+        expect(r(100, 110, 1), 100, 0);
+        // Straddles the interior hole.
+        expect(r(30, 70, 2), 40, 0);
+        // And exhaustively against the old two-search scan.
+        for from in (0..95).step_by(5) {
+            for to in ((from + 5)..100).step_by(5) {
+                for procs in 1..=7 {
+                    assert_eq!(
+                        cal.slots().first_under(t(from), t(to), procs),
+                        first_under_by_repeated_search(&cal, t(from), t(to), procs),
+                        "[{from}, {to}) x {procs}"
+                    );
+                }
+            }
+        }
+        assert_eq!(
+            Calendar::new(4).slots().first_under(t(0), t(9), 1),
+            Some((t(0), 0))
+        );
+    }
+
+    #[test]
+    fn flat_hierarchy_is_byte_identical_to_flat_queries() {
+        let mut cal = Calendar::new(8);
+        cal.try_add(r(100, 900, 6)).unwrap();
+        cal.try_add(r(2000, 4000, 8)).unwrap();
+        let flat = Hierarchy::flat(8);
+        for (procs, dur, from) in [(1, d(50), t(0)), (3, d(500), t(100)), (8, d(1000), t(0))] {
+            let mut c_flat = QueryCost::default();
+            let mut c_hier = QueryCost::default();
+            let base = cal.earliest_fit_with_cost(procs, dur, from, &mut c_flat);
+            let fit = cal
+                .earliest_fit_hier(&flat, PlacementLevel::Node, procs, dur, from, &mut c_hier)
+                .unwrap();
+            assert_eq!(fit.start, base, "start differs");
+            assert_eq!(fit.procs, procs, "flat grain must not round");
+            assert_eq!(c_hier, c_flat, "query cost differs");
+            assert_eq!(c_hier.queries, 1);
+        }
+    }
+
+    #[test]
+    fn hierarchical_fit_rounds_to_whole_nodes() {
+        let mut cal = Calendar::new(8);
+        // 6 cores busy until t=1000: a node-level ask for 3 (→ 4) cores
+        // cannot start before the release even though 2 cores are free.
+        cal.try_add(r(0, 1000, 6)).unwrap();
+        let h = Hierarchy::uniform("c", 2, 2, 2); // grain 2 at node level
+        let mut cost = QueryCost::default();
+        let fit = cal
+            .earliest_fit_hier(&h, PlacementLevel::Node, 3, d(100), t(0), &mut cost)
+            .unwrap();
+        assert_eq!(fit.procs, 4);
+        assert_eq!(fit.start, t(1000));
+        // Capacity disagreement is a structured error, not a wrong answer.
+        let wrong = Hierarchy::flat(16);
+        let err = cal
+            .earliest_fit_hier(&wrong, PlacementLevel::Core, 1, d(1), t(0), &mut cost)
+            .unwrap_err();
+        assert_eq!(
+            err,
+            HierarchyError::CapacityMismatch {
+                hierarchy: 16,
+                calendar: 8
+            }
+        );
     }
 
     #[test]
     fn serde_round_trip_ignores_index_cache() {
+        // (The name predates the single engine: there is no cache left to
+        // ignore, and the four serialized fields are the whole calendar.)
         let mut cal = Calendar::new(8);
         cal.try_add(r(10, 20, 4)).unwrap();
         cal.try_add(r(15, 30, 3)).unwrap();
-        // Query to force the cache on one side only.
-        let _ = cal.peak_used(t(0), t(40));
         let json = serde_json::to_string(&cal).unwrap();
         let back: Calendar = serde_json::from_str(&json).unwrap();
         assert_eq!(cal, back);

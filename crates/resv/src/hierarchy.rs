@@ -20,8 +20,8 @@
 //! `capacity` single-core nodes. Its grain is 1 at every placement level,
 //! so quantization is the identity and every hierarchical query answers
 //! **byte-for-byte** what the flat query answers (same start, same
-//! processor count, same `QueryCost::queries`). The cross-backend
-//! differential harness pins this for all three backends.
+//! processor count, same `QueryCost`). The differential harness pins this
+//! for the calendar and for its linear reference.
 //!
 //! ## Fragmentation-free packing assumption
 //!
@@ -33,8 +33,20 @@
 //! optimistic otherwise — the same abstraction level the paper's flat
 //! model already commits to.
 
+use crate::time::Time;
 use serde::{Deserialize, Serialize};
 use std::fmt;
+
+/// A hierarchical fit answer ([`crate::Calendar::earliest_fit_hier`]):
+/// where the quantized request starts and how many cores it actually
+/// claims.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct HierFit {
+    /// Earliest admissible start.
+    pub start: Time,
+    /// Cores reserved after rounding up to whole placement units.
+    pub procs: u32,
+}
 
 /// A compute node: the smallest unit that can be claimed whole.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -278,8 +290,8 @@ impl Hierarchy {
     }
 
     /// [`Hierarchy::quantize`] plus the capacity-agreement check against
-    /// the calendar the request will be placed in. Backends call this
-    /// before delegating to their flat search.
+    /// the calendar the request will be placed in — the step before the
+    /// flat search.
     pub fn quantized_request(
         &self,
         procs: u32,

@@ -9,7 +9,7 @@
 //! * [`Calendar`] — the platform's usage profile over time, answering the
 //!   earliest-fit / latest-fit / historical-availability queries that every
 //!   scheduling algorithm in the paper is built on, and supporting full
-//!   mutation (add / remove / resize) with incremental index repair;
+//!   mutation (add / remove / resize);
 //! * [`ShadowTxn`] — probe → commit/rollback transactions over a calendar
 //!   for online scheduling, with exact (byte-identical) rollback.
 //!
@@ -36,16 +36,14 @@
 pub mod backend;
 mod calendar;
 pub mod hierarchy;
-mod index;
 pub mod quotas;
 mod reservation;
 mod slotset;
 pub mod time;
 mod txn;
 
-pub use backend::{force_backend, BackendKind, CalendarBackend, HierFit, IndexedRef, SlotSetRef};
 pub use calendar::{Calendar, LinearRef, QueryCost};
-pub use hierarchy::{Hierarchy, HierarchyError, PlacementLevel};
+pub use hierarchy::{HierFit, Hierarchy, HierarchyError, PlacementLevel};
 pub use quotas::{AdmissionGate, Owner, QuotaDenial, QuotaRule, QuotaSet, QuotaSubject};
 pub use reservation::{Reservation, ReservationError};
 pub use time::{Dur, Time, DAY, HOUR, MINUTE, SECOND};

@@ -1,193 +1,80 @@
-//! The slot-set calendar backend: free capacity organized as a sorted list
-//! of time intervals ("slots"), each carrying the number of *free*
-//! processors over its span.
+//! The slot walk: the calendar's one query engine.
 //!
-//! This is the representation production batch schedulers (OAR and its Rust
-//! rewrite among them) keep their availability in: a query walks the slots
-//! that intersect its window instead of descending a tree, so earliest-fit
-//! and latest-fit run in `O(log S + k)` where `k` is the number of slots
-//! actually inspected, and mutations split/merge at most two slots around
-//! the touched interval.
+//! Production batch schedulers (OAR and its Rust rewrite among them) keep
+//! availability as a sorted list of time intervals ("slots"), and a query
+//! walks the slots that intersect its window: earliest-fit and latest-fit
+//! run in `O(log S + k)` where `k` is the number of slots actually
+//! inspected. The calendar's canonical breakpoint vector (see
+//! [`crate::calendar`]) already *is* that list — slot `i` is the half-open
+//! interval between breakpoints `i` and `i + 1`, carrying
+//! `steps[i].used` — so the walk reads the breakpoints directly through
+//! the borrowed [`Slots`] view. Nothing is derived, cached or repaired:
+//! a mutation edits the breakpoints and the next query sees them.
 //!
-//! ## Invariants
+//! What the canonical form of the breakpoints guarantees about the slots:
 //!
-//! The slot list is the exact dual of the calendar's canonical breakpoint
-//! vector (see [`crate::calendar`]): slot `i` is segment `i`, i.e. the
-//! half-open interval between breakpoints `i` and `i + 1`, with
-//! `free = capacity - used`. Consequently:
-//!
-//! * slots are contiguous: `slots[i].end == slots[i + 1].start`;
-//! * adjacent slots differ in `free` (the steps differ in `used`);
-//! * the first and last slots are never fully free (`free != capacity`),
-//!   because the first breakpoint has `used != 0` and the segment before
-//!   the last breakpoint does too;
-//! * interior fully-free slots are legal — they are the holes between busy
-//!   periods, and a canonical step vector represents them as `used == 0`
-//!   segments;
+//! * slots are contiguous and adjacent slots differ in `used`;
+//! * the first and last slots are never idle (the first breakpoint has
+//!   `used != 0`, and so does the segment before the last one);
+//! * interior idle slots are legal — they are the holes between busy
+//!   periods;
 //! * outside the covered span every processor is free (implicitly).
-//!
-//! [`SlotSet::bump`] maintains these invariants incrementally under
-//! add/remove/resize: it splits at the two interval endpoints, applies the
-//! usage delta, re-merges at the two seams (interior pairs received the
-//! same delta and therefore still differ), and trims fully-free slots off
-//! both ends. [`SlotSet::matches`] checks the result against a fresh
-//! rebuild; calendar mutations `debug_assert!` it.
 
 use crate::calendar::Step;
 use crate::time::{Dur, Time};
 
-/// One slot: `free` processors available throughout `[start, end)`.
+/// One slot: `used` processors busy throughout `[start, end)`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) struct Slot {
+struct Slot {
     /// Start of the slot (inclusive).
-    pub(crate) start: Time,
+    start: Time,
     /// End of the slot (exclusive).
-    pub(crate) end: Time,
-    /// Free processors throughout the slot.
-    pub(crate) free: u32,
+    end: Time,
+    /// Processors in use throughout the slot.
+    used: u32,
 }
 
-/// A sorted, contiguous list of free-capacity slots over the calendar's
-/// covered span. See the module docs for the invariants.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub(crate) struct SlotSet {
-    capacity: u32,
-    slots: Vec<Slot>,
+/// The slot list of a `capacity`-processor calendar, read straight off its
+/// breakpoint vector. See the module docs.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Slots<'a> {
+    pub(crate) capacity: u32,
+    pub(crate) steps: &'a [Step],
 }
 
-impl SlotSet {
-    /// Build the slot list from a canonical breakpoint vector.
-    // lint:warmup: full slot-set rebuild after a structural calendar mutation; queries between mutations stay allocation-free.
-    pub(crate) fn build(capacity: u32, steps: &[Step]) -> SlotSet {
-        let mut ss = SlotSet {
-            capacity,
-            slots: Vec::new(),
-        };
-        ss.rebuild(capacity, steps);
-        ss
+impl<'a> Slots<'a> {
+    /// Slot `i`, or `None` past the covered span.
+    fn get(self, i: usize) -> Option<Slot> {
+        let (a, b) = (self.steps.get(i)?, self.steps.get(i + 1)?);
+        Some(Slot {
+            start: a.time,
+            end: b.time,
+            used: a.used,
+        })
     }
 
-    /// Rebuild the slot list in place from a breakpoint vector, reusing
-    /// the slot buffer — the allocation-free twin of [`SlotSet::build`]
-    /// for scratch calendars recycled across schedules.
-    // lint:allow(panic-transitive): rebuild indexes the slot vector it just resized, one slot per step interval.
-    pub(crate) fn rebuild(&mut self, capacity: u32, steps: &[Step]) {
-        self.capacity = capacity;
-        self.slots.clear();
-        self.slots.extend(steps.windows(2).map(|w| Slot {
-            start: w[0].time,
-            end: w[1].time,
-            // Saturating: `audit_calendar` inspects deliberately
-            // overbooked calendars through this backend, and an
-            // over-capacity segment simply has nothing free.
-            free: capacity.saturating_sub(w[0].used),
-        }));
+    /// Index of the first slot ending after `t` — the `O(log S)`
+    /// positioning search every walk starts from. Past the covered span it
+    /// names no slot.
+    fn first_ending_after(self, t: Time) -> usize {
+        self.steps
+            .partition_point(|s| s.time <= t)
+            .saturating_sub(1)
     }
 
-    /// Whether this slot list is exactly the one a fresh rebuild from
-    /// `steps` would produce — the incremental-maintenance correctness
-    /// check, `debug_assert!`ed after every mutation.
-    pub(crate) fn matches(&self, steps: &[Step]) -> bool {
-        *self == SlotSet::build(self.capacity, steps)
-    }
-
-    /// Number of slots currently held (for the `backend.*` observability
-    /// counters and size diagnostics).
-    #[allow(dead_code)]
-    pub(crate) fn num_slots(&self) -> usize {
-        self.slots.len()
-    }
-
-    /// Apply a usage change of `delta_used` processors over `[start, end)`:
-    /// positive for an added reservation, negative for a removal. Splits at
-    /// the endpoints, bumps the covered slots, merges the seams, and trims
-    /// fully-free slots off both ends — `O(log S + k)` plus the `Vec`
-    /// shifts, mirroring the calendar's own breakpoint maintenance cost.
-    // lint:allow(panic-transitive): slot indices come from the split/merge bookkeeping that keeps the slot list sorted and gap-free, so neighbors are always in range.
-    pub(crate) fn bump(&mut self, start: Time, end: Time, delta_used: i64) {
-        debug_assert!(start < end, "empty bump interval");
-        if self.slots.is_empty() {
-            let free = bumped_free(self.capacity, delta_used, self.capacity);
-            if free != self.capacity {
-                self.slots.push(Slot { start, end, free });
-            }
-            return;
-        }
-        // Extend coverage with fully-free filler so the bumped interval
-        // lies inside it; the trailing filler also covers any gap between
-        // the old span and a disjoint later interval.
-        let first_start = self.slots[0].start;
-        let last_end = self.slots[self.slots.len() - 1].end;
-        if start < first_start {
-            self.slots.insert(
-                0,
-                Slot {
-                    start,
-                    end: first_start,
-                    free: self.capacity,
-                },
-            );
-        }
-        if end > last_end {
-            self.slots.push(Slot {
-                start: last_end,
-                end,
-                free: self.capacity,
-            });
-        }
-        let i0 = self.split_at(start);
-        let i1 = self.split_at(end);
-        for s in &mut self.slots[i0..i1] {
-            s.free = bumped_free(s.free, delta_used, self.capacity);
-        }
-        // Only the two seams can have become mergeable: every adjacent
-        // pair strictly inside [i0, i1) received the same delta and still
-        // differs. Merge the higher seam first so the lower index holds.
-        self.merge_at(i1);
-        self.merge_at(i0);
-        while self.slots.first().is_some_and(|s| s.free == self.capacity) {
-            self.slots.remove(0);
-        }
-        while self.slots.last().is_some_and(|s| s.free == self.capacity) {
-            self.slots.pop();
-        }
-    }
-
-    /// Ensure a slot boundary exists at `t` (which must lie within the
-    /// covered span) and return the index of the first slot starting at or
-    /// after `t`.
-    fn split_at(&mut self, t: Time) -> usize {
-        let j = self.slots.partition_point(|s| s.start < t);
-        if j > 0 && self.slots[j - 1].end > t {
-            let old = self.slots[j - 1];
-            self.slots[j - 1].end = t;
-            self.slots.insert(
-                j,
-                Slot {
-                    start: t,
-                    end: old.end,
-                    free: old.free,
-                },
-            );
-        }
-        j
-    }
-
-    /// Merge the slot boundary at index `k` if the two sides now carry the
-    /// same free count.
-    fn merge_at(&mut self, k: usize) {
-        if k > 0 && k < self.slots.len() && self.slots[k - 1].free == self.slots[k].free {
-            self.slots[k - 1].end = self.slots[k].end;
-            self.slots.remove(k);
-        }
+    /// The slots intersecting `[from, to)`, in order.
+    fn intersecting(self, from: Time, to: Time) -> impl Iterator<Item = Slot> + 'a {
+        (self.first_ending_after(from)..)
+            .map_while(move |i| self.get(i))
+            .take_while(move |s| s.start < to)
     }
 
     /// Earliest start `s >= not_before` with `procs` processors free
-    /// throughout `[s, s + dur)`. Binary-searches to the first slot ending
-    /// after the candidate start, then walks forward restarting past each
+    /// throughout `[s, s + dur)`. Positions on the first slot ending after
+    /// the candidate start, then walks forward restarting past each
     /// blocking slot; `visited` counts slots inspected.
     pub(crate) fn earliest_fit(
-        &self,
+        self,
         procs: u32,
         dur: Dur,
         not_before: Time,
@@ -195,39 +82,32 @@ impl SlotSet {
     ) -> Time {
         assert!(procs > 0 && procs <= self.capacity, "bad procs {procs}");
         assert!(dur.is_positive(), "bad duration {dur}");
-        // The O(log S) positioning search is real work: count it as one
-        // step so a query that inspects no slot still reports nonzero cost
+        let max_used = self.capacity - procs;
+        // The positioning search is real work: count it as one step so a
+        // query that inspects no slot still reports nonzero cost
         // (ScheduleStats promises `slot_queries > 0 ⇒ slot_steps > 0`).
         *visited += 1;
         let mut c = not_before;
-        let mut i = self.slots.partition_point(|s| s.end <= c);
-        loop {
-            let Some(s) = self.slots.get(i) else {
-                // Everything from `c` on is free.
-                return c;
-            };
-            if s.start >= c + dur {
-                // The window completes before the next covered slot.
-                return c;
-            }
+        let mut i = self.first_ending_after(c);
+        // Past the covered span everything from `c` on is free; so is a
+        // window that completes before the next covered slot.
+        while let Some(s) = self.get(i).filter(|s| s.start < c + dur) {
             *visited += 1;
-            if s.free >= procs {
-                i += 1;
-                continue;
+            if s.used > max_used {
+                // Blocked: the window cannot start before this slot drains.
+                c = s.end;
             }
-            // Blocked: the window cannot start before this slot drains.
-            c = s.end;
             i += 1;
         }
+        c
     }
 
     /// Latest start `s` with `s + dur <= end_by`, `s >= not_before`, and
     /// `procs` processors free throughout — or `None`. Walks backward from
     /// the window restarting before each blocking slot; `visited` counts
     /// slots inspected.
-    // lint:allow(panic-transitive): slot indices come from the split/merge bookkeeping that keeps the slot list sorted and gap-free, so neighbors are always in range.
     pub(crate) fn latest_fit(
-        &self,
+        self,
         procs: u32,
         dur: Dur,
         end_by: Time,
@@ -236,6 +116,7 @@ impl SlotSet {
     ) -> Option<Time> {
         assert!(procs > 0 && procs <= self.capacity, "bad procs {procs}");
         assert!(dur.is_positive(), "bad duration {dur}");
+        let max_used = self.capacity - procs;
         // Positioning step, as in `earliest_fit`.
         *visited += 1;
         let mut e = end_by;
@@ -244,236 +125,237 @@ impl SlotSet {
             if s < not_before {
                 return None;
             }
-            match self.last_blocking_slot(s, e, procs, visited) {
+            match self.last_blocker(s, e, max_used, visited) {
                 None => return Some(s),
-                Some(j) => {
-                    let blocker_start = self.slots[j].start;
+                Some(blocker) => {
+                    // A blocker intersecting [s, e) starts strictly before
+                    // e, so `e` strictly decreases every round; enforce that
+                    // rather than spin forever on a corrupted calendar.
                     assert!(
-                        blocker_start < e,
-                        "latest_fit stalled: blocker at {blocker_start} does not \
-                         precede the window end {e}"
+                        blocker.start < e,
+                        "latest_fit stalled: blocker at {} does not precede the window end {e}",
+                        blocker.start
                     );
-                    e = blocker_start;
+                    e = blocker.start;
                 }
             }
         }
     }
 
-    /// Peak processors in use over `[from, to)`.
-    pub(crate) fn peak_used(&self, from: Time, to: Time) -> u32 {
-        assert!(from < to, "empty window");
-        // Implicitly-free time outside the covered span contributes 0.
-        let mut peak = 0u32;
-        let i = self.slots.partition_point(|s| s.end <= from);
-        for s in &self.slots[i..] {
-            if s.start >= to {
-                break;
+    /// The last slot intersecting `[from, to)` with more than `max_used`
+    /// processors busy.
+    fn last_blocker(self, from: Time, to: Time, max_used: u32, visited: &mut u64) -> Option<Slot> {
+        // Slot `k` starts at breakpoint `k` (the last breakpoint starts no
+        // slot), so `k` counts the slots starting before `to`.
+        let mut k = self
+            .steps
+            .partition_point(|s| s.time < to)
+            .min(self.steps.len().saturating_sub(1));
+        while let Some(s) = k.checked_sub(1).and_then(|last| self.get(last)) {
+            *visited += 1;
+            if s.end <= from {
+                return None;
             }
-            peak = peak.max(self.capacity - s.free);
+            if s.used > max_used {
+                return Some(s);
+            }
+            k -= 1;
         }
-        peak
+        None
+    }
+
+    /// Peak processors in use over `[from, to)`. Implicitly-free time
+    /// outside the covered span contributes 0.
+    pub(crate) fn peak_used(self, from: Time, to: Time) -> u32 {
+        assert!(from < to, "empty window");
+        self.intersecting(from, to)
+            .map(|s| s.used)
+            .max()
+            .unwrap_or(0)
     }
 
     /// Integral of processors-in-use over `[from, to)`, in
     /// processor-seconds.
-    pub(crate) fn used_integral(&self, from: Time, to: Time) -> i64 {
+    pub(crate) fn used_integral(self, from: Time, to: Time) -> i64 {
         assert!(from <= to);
-        let mut total = 0i64;
-        let i = self.slots.partition_point(|s| s.end <= from);
-        for s in &self.slots[i..] {
-            if s.start >= to {
-                break;
-            }
-            let lo = s.start.max(from);
-            let hi = s.end.min(to);
-            total += (self.capacity - s.free) as i64 * (hi - lo).as_seconds();
-        }
-        total
+        self.intersecting(from, to)
+            .map(|s| i64::from(s.used) * (s.end.min(to) - s.start.max(from)).as_seconds())
+            .sum()
     }
 
-    /// First slot intersecting `[from, to)` with fewer than `procs` free
-    /// processors, reported as `(conflict instant, free there)` — the
-    /// slot-set twin of the indexed backend's first-blocker probe used by
-    /// `try_add` / `fits`. The conflict instant is the later of the slot
-    /// start and `from`, matching the indexed error report.
-    pub(crate) fn first_conflict(&self, from: Time, to: Time, procs: u32) -> Option<(Time, u32)> {
-        let i = self.slots.partition_point(|s| s.end <= from);
-        for s in &self.slots[i..] {
-            if s.start >= to {
-                break;
-            }
-            if s.free < procs {
-                return Some((s.start.max(from), s.free));
-            }
-        }
-        None
+    /// First instant in `[from, to)` where fewer than `procs` processors
+    /// are free, with the free count there — the conflict probe behind
+    /// `try_add` / `fits`. The conflict instant is the later of the
+    /// blocking slot's start and `from`. Saturating: an over-capacity slot
+    /// (only a hand-built calendar under audit has one) has nothing free.
+    pub(crate) fn first_conflict(self, from: Time, to: Time, procs: u32) -> Option<(Time, u32)> {
+        self.intersecting(from, to)
+            .map(|s| (s.start.max(from), self.capacity.saturating_sub(s.used)))
+            .find(|&(_, free)| free < procs)
     }
 
-    /// Index of the last slot intersecting `[from, to)` with fewer than
-    /// `procs` free processors.
-    fn last_blocking_slot(
-        &self,
-        from: Time,
-        to: Time,
-        procs: u32,
-        visited: &mut u64,
-    ) -> Option<usize> {
-        let mut j = self.slots.partition_point(|s| s.start < to);
-        while j > 0 {
-            *visited += 1;
-            let s = &self.slots[j - 1];
-            if s.end <= from {
-                return None;
+    /// First instant in `[from, to)` where fewer than `procs` processors
+    /// are in use, with the usage there — the removal-validity scan behind
+    /// `try_remove` / `try_resize`. One forward pass: the slots over the
+    /// window are contiguous, so wherever the next slot does not pick up at
+    /// the cursor the calendar is idle.
+    pub(crate) fn first_under(self, from: Time, to: Time, procs: u32) -> Option<(Time, u32)> {
+        let mut t = from;
+        let mut i = self.first_ending_after(from);
+        while t < to {
+            let covering = self.get(i).filter(|s| s.start <= t);
+            let used = covering.map_or(0, |s| s.used);
+            if used < procs {
+                return Some((t, used));
             }
-            if s.free < procs {
-                return Some(j - 1);
-            }
-            j -= 1;
+            t = covering?.end;
+            i += 1;
         }
         None
     }
-}
-
-/// New `free` for a slot at `prev_free` after a usage change of
-/// `delta_used`, with the saturation bound derived from the slot's *own*
-/// arithmetic: an added reservation (`delta_used > 0`) can only spend
-/// cores the slot actually has free (`0..=prev_free`), and a removal can
-/// only return cores up to the platform capacity
-/// (`prev_free..=capacity`).
-///
-/// The previous inline code clamped into the blanket `0..=capacity`
-/// range, leaning on a *global* calendar invariant to make the `i64 →
-/// u32` cast safe and leaving a release-mode window where an
-/// out-of-range delta from an upstream accounting bug would be silently
-/// clipped against the wrong bound. Here the window's own `free` is the
-/// bound, so the clamp is provably total from slot-local facts alone,
-/// the debug assertion states exactly the violated invariant, and a
-/// release build saturates to the nearest state consistent with the slot
-/// itself.
-fn bumped_free(prev_free: u32, delta_used: i64, capacity: u32) -> u32 {
-    let next = i64::from(prev_free) - delta_used;
-    let (lo, hi) = if delta_used >= 0 {
-        (0, i64::from(prev_free))
-    } else {
-        (i64::from(prev_free), i64::from(capacity))
-    };
-    debug_assert!(
-        (lo..=hi).contains(&next),
-        "slot over/underflow: free {prev_free} delta {delta_used} capacity {capacity}"
-    );
-    // i64 → u32 is total here: the clamp bounds are themselves u32 values.
-    next.clamp(lo, hi) as u32
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::calendar::Calendar;
+    use crate::reservation::Reservation;
 
     fn t(s: i64) -> Time {
         Time::seconds(s)
     }
+    fn d(s: i64) -> Dur {
+        Dur::seconds(s)
+    }
     fn step(s: i64, used: u32) -> Step {
         Step { time: t(s), used }
+    }
+    fn slot(start: i64, end: i64, used: u32) -> Slot {
+        Slot {
+            start: t(start),
+            end: t(end),
+            used,
+        }
+    }
+    fn slots(capacity: u32, steps: &[Step]) -> Slots<'_> {
+        Slots { capacity, steps }
+    }
+    fn all(ss: Slots<'_>) -> Vec<Slot> {
+        (0..).map_while(|i| ss.get(i)).collect()
+    }
+    /// The breakpoint vector of a calendar, read back through its public
+    /// surface: what the walk sees after a mutation.
+    fn steps_of(cal: &Calendar) -> Vec<Step> {
+        cal.breakpoints()
+            .map(|time| Step {
+                time,
+                used: cal.used_at(time),
+            })
+            .collect()
+    }
+    fn bump(cal: &mut Calendar, start: i64, end: i64, delta_used: i64) {
+        let r = Reservation::new(t(start), t(end), delta_used.unsigned_abs() as u32);
+        if delta_used > 0 {
+            cal.try_add(r).unwrap();
+        } else {
+            cal.try_remove(r).unwrap();
+        }
     }
 
     #[test]
     fn build_is_the_segment_dual() {
         let steps = [step(10, 3), step(20, 0), step(30, 8), step(40, 0)];
-        let ss = SlotSet::build(8, &steps);
-        assert_eq!(ss.num_slots(), 3);
         assert_eq!(
-            ss.slots,
+            all(slots(8, &steps)),
             vec![
-                Slot {
-                    start: t(10),
-                    end: t(20),
-                    free: 5
-                },
-                Slot {
-                    start: t(20),
-                    end: t(30),
-                    free: 8
-                }, // interior hole
-                Slot {
-                    start: t(30),
-                    end: t(40),
-                    free: 0
-                },
+                slot(10, 20, 3),
+                slot(20, 30, 0), // interior hole
+                slot(30, 40, 8),
             ]
         );
-        assert!(ss.matches(&steps));
+        // The last breakpoint starts no slot; neither does a lone one.
+        assert_eq!(all(slots(8, &steps[3..])), vec![]);
+        assert_eq!(all(slots(8, &[])), vec![]);
     }
 
     #[test]
     fn bump_splits_merges_and_trims() {
         // Start empty, add [10,20)x3 on an 8-proc platform.
-        let mut ss = SlotSet::build(8, &[]);
-        ss.bump(t(10), t(20), 3);
-        assert!(ss.matches(&[step(10, 3), step(20, 0)]));
+        let mut cal = Calendar::new(8);
+        bump(&mut cal, 10, 20, 3);
+        assert_eq!(steps_of(&cal), [step(10, 3), step(20, 0)]);
         // Overlapping add splits interior.
-        ss.bump(t(15), t(30), 2);
-        assert!(ss.matches(&[step(10, 3), step(15, 5), step(20, 2), step(30, 0)]));
+        bump(&mut cal, 15, 30, 2);
+        assert_eq!(
+            steps_of(&cal),
+            [step(10, 3), step(15, 5), step(20, 2), step(30, 0)]
+        );
         // Removing the first restores a pure [15,30) picture, with the
         // leading slot trimmed.
-        ss.bump(t(10), t(20), -3);
-        assert!(ss.matches(&[step(15, 2), step(30, 0)]));
-        // And removing the second empties the set entirely.
-        ss.bump(t(15), t(30), -2);
-        assert_eq!(ss.num_slots(), 0);
-        assert!(ss.matches(&[]));
+        bump(&mut cal, 10, 20, -3);
+        assert_eq!(steps_of(&cal), [step(15, 2), step(30, 0)]);
+        // And removing the second empties the calendar entirely.
+        bump(&mut cal, 15, 30, -2);
+        assert_eq!(steps_of(&cal), []);
     }
 
     #[test]
     fn bump_merges_equal_seams() {
-        let mut ss = SlotSet::build(4, &[]);
-        ss.bump(t(0), t(10), 2);
-        ss.bump(t(10), t(20), 2); // abutting, equal level: one slot
-        assert!(ss.matches(&[step(0, 2), step(20, 0)]));
-        assert_eq!(ss.num_slots(), 1);
-        // A disjoint later add leaves an interior fully-free hole.
-        ss.bump(t(30), t(40), 4);
-        assert!(ss.matches(&[step(0, 2), step(20, 0), step(30, 4), step(40, 0)]));
-        assert_eq!(ss.num_slots(), 3);
+        let mut cal = Calendar::new(4);
+        bump(&mut cal, 0, 10, 2);
+        bump(&mut cal, 10, 20, 2); // abutting, equal level: one slot
+        assert_eq!(steps_of(&cal), [step(0, 2), step(20, 0)]);
+        // A disjoint later add leaves an interior idle hole.
+        bump(&mut cal, 30, 40, 4);
+        assert_eq!(
+            steps_of(&cal),
+            [step(0, 2), step(20, 0), step(30, 4), step(40, 0)]
+        );
+        assert_eq!(all(slots(4, &steps_of(&cal))).len(), 3);
     }
 
     #[test]
     fn earliest_fit_walks_and_restarts() {
         let steps = [step(0, 4), step(10, 0), step(20, 4), step(30, 0)];
-        let ss = SlotSet::build(4, &steps);
+        let ss = slots(4, &steps);
+        // The hole [10,20) takes a 10s window exactly: one positioning
+        // step, the blocker, the hole.
         let mut v = 0;
-        // The hole [10,20) takes a 10s window exactly.
-        assert_eq!(ss.earliest_fit(4, Dur::seconds(10), t(0), &mut v), t(10));
-        // An 11s window must wait for the drain.
-        assert_eq!(ss.earliest_fit(4, Dur::seconds(11), t(0), &mut v), t(30));
-        // Past the span everything is free.
-        assert_eq!(ss.earliest_fit(1, Dur::seconds(5), t(100), &mut v), t(100));
-        assert!(v > 0);
+        assert_eq!(ss.earliest_fit(4, d(10), t(0), &mut v), t(10));
+        assert_eq!(v, 3);
+        // An 11s window must wait for the drain: all three slots.
+        let mut v = 0;
+        assert_eq!(ss.earliest_fit(4, d(11), t(0), &mut v), t(30));
+        assert_eq!(v, 4);
+        // Past the span everything is free: the positioning step alone.
+        let mut v = 0;
+        assert_eq!(ss.earliest_fit(1, d(5), t(100), &mut v), t(100));
+        assert_eq!(v, 1);
     }
 
     #[test]
     fn latest_fit_walks_backward() {
         let steps = [step(0, 2), step(10, 0), step(20, 2), step(30, 0)];
-        let ss = SlotSet::build(2, &steps);
+        let ss = slots(2, &steps);
+        // Blocked by [20,30), then the hole and the slot before it (which
+        // ends at the window start and stops the walk).
         let mut v = 0;
-        assert_eq!(
-            ss.latest_fit(2, Dur::seconds(10), t(30), t(0), &mut v),
-            Some(t(10))
-        );
-        assert_eq!(
-            ss.latest_fit(2, Dur::seconds(11), t(30), t(0), &mut v),
-            None
-        );
-        assert_eq!(
-            ss.latest_fit(1, Dur::seconds(5), t(100), t(0), &mut v),
-            Some(t(95))
-        );
+        assert_eq!(ss.latest_fit(2, d(10), t(30), t(0), &mut v), Some(t(10)));
+        assert_eq!(v, 4);
+        let mut v = 0;
+        assert_eq!(ss.latest_fit(2, d(11), t(30), t(0), &mut v), None);
+        assert!(v > 0);
+        // Past the span: the last slot ends before the window.
+        let mut v = 0;
+        assert_eq!(ss.latest_fit(1, d(5), t(100), t(0), &mut v), Some(t(95)));
+        assert_eq!(v, 2);
     }
 
     #[test]
     #[allow(clippy::identity_op)] // the 1-proc plateau terms keep the area sums legible
     fn aggregates_and_conflicts() {
         let steps = [step(10, 3), step(20, 1), step(30, 0)];
-        let ss = SlotSet::build(4, &steps);
+        let ss = slots(4, &steps);
         assert_eq!(ss.peak_used(t(0), t(50)), 3);
         assert_eq!(ss.peak_used(t(25), t(50)), 1);
         assert_eq!(ss.peak_used(t(40), t(50)), 0);
@@ -486,59 +368,139 @@ mod tests {
     }
 
     #[test]
-    fn bumped_free_saturates_at_the_slot_bound_not_capacity() {
-        // In-range deltas are exact.
-        assert_eq!(bumped_free(5, 3, 8), 2);
-        assert_eq!(bumped_free(2, -4, 8), 6);
-        assert_eq!(bumped_free(8, 8, 8), 0);
-        assert_eq!(bumped_free(0, -8, 8), 8);
-        // Out-of-range deltas (upstream accounting bugs) pin to the
-        // tight per-slot bound in release: a busy slot can never *gain*
-        // free cores from an add, and a removal can never free more than
-        // capacity. Only reachable with debug assertions compiled out.
-        #[cfg(not(debug_assertions))]
-        {
-            assert_eq!(bumped_free(3, -100, 8), 8); // release: at most capacity
-            assert_eq!(bumped_free(3, 100, 8), 0); // spend: at most what was free
-        }
+    fn over_capacity_slot_has_nothing_free() {
+        // Only a hand-built (deserialized) calendar can be overbooked; the
+        // audit reads it through the same walk. Usage is reported as
+        // stored, the free count saturates at zero.
+        let steps = [step(0, 9), step(10, 0)];
+        let ss = slots(8, &steps);
+        assert_eq!(ss.peak_used(t(0), t(10)), 9);
+        assert_eq!(ss.used_integral(t(0), t(10)), 90);
+        assert_eq!(ss.first_conflict(t(0), t(10), 1), Some((t(0), 0)));
+        let mut v = 0;
+        assert_eq!(ss.earliest_fit(1, d(5), t(0), &mut v), t(10));
     }
 
     #[test]
     fn capacity_edge_split_bump_merge_round_trip() {
         // Drive split/bump/merge through reservations that pin slots at
-        // both arithmetic edges (0 free and fully free) on a 4-proc
-        // platform, checking the incremental state against a fresh
-        // rebuild after every mutation via the mirrored step vector.
-        let cap = 4;
-        let mut ss = SlotSet::build(cap, &[]);
+        // both arithmetic edges (nothing free and fully free) on a 4-proc
+        // platform, checking the breakpoints after every mutation.
+        let mut cal = Calendar::new(4);
 
-        // Fill [100, 200) to capacity: free hits the lower edge.
-        ss.bump(t(100), t(200), 4);
-        assert!(ss.matches(&[step(100, 4), step(200, 0)]));
+        // Fill [100, 200) to capacity.
+        bump(&mut cal, 100, 200, 4);
+        assert_eq!(steps_of(&cal), [step(100, 4), step(200, 0)]);
 
         // Carve the middle back out: splits at both seams, interior slot
-        // returns to fully free (upper edge), while the flanks stay at 0.
-        ss.bump(t(125), t(175), -4);
-        assert!(ss.matches(&[step(100, 4), step(125, 0), step(175, 4), step(200, 0)]));
+        // returns to fully free, while the flanks stay full.
+        bump(&mut cal, 125, 175, -4);
+        assert_eq!(
+            steps_of(&cal),
+            [step(100, 4), step(125, 0), step(175, 4), step(200, 0)]
+        );
 
         // Refill exactly the hole: both seams must merge back into one
         // saturated slot.
-        ss.bump(t(125), t(175), 4);
-        assert!(ss.matches(&[step(100, 4), step(200, 0)]));
-        assert_eq!(ss.num_slots(), 1);
+        bump(&mut cal, 125, 175, 4);
+        assert_eq!(steps_of(&cal), [step(100, 4), step(200, 0)]);
 
         // Stack a disjoint saturated reservation after a gap, then release
-        // the first: the leading slot trims away, the gap filler with it.
-        ss.bump(t(300), t(400), 4);
-        assert!(ss.matches(&[step(100, 4), step(200, 0), step(300, 4), step(400, 0)]));
-        ss.bump(t(100), t(200), -4);
-        assert!(ss.matches(&[step(300, 4), step(400, 0)]));
+        // the first: the leading slot trims away, the gap with it.
+        bump(&mut cal, 300, 400, 4);
+        assert_eq!(
+            steps_of(&cal),
+            [step(100, 4), step(200, 0), step(300, 4), step(400, 0)]
+        );
+        bump(&mut cal, 100, 200, -4);
+        assert_eq!(steps_of(&cal), [step(300, 4), step(400, 0)]);
 
-        // Partial release down the edge ladder: 4 → 1 → 0 used.
-        ss.bump(t(300), t(400), -3);
-        assert!(ss.matches(&[step(300, 1), step(400, 0)]));
-        ss.bump(t(300), t(400), -1);
-        assert!(ss.matches(&[]));
-        assert_eq!(ss.num_slots(), 0);
+        // Narrow down the edge ladder: 4 → 1 → 0 used.
+        let wide = Reservation::new(t(300), t(400), 4);
+        let narrow = Reservation::new(t(300), t(400), 1);
+        cal.try_resize(wide, narrow).unwrap();
+        assert_eq!(steps_of(&cal), [step(300, 1), step(400, 0)]);
+        cal.try_remove(narrow).unwrap();
+        assert_eq!(steps_of(&cal), []);
+        assert_eq!(cal, Calendar::new(4));
+    }
+
+    #[test]
+    fn empty_calendar_answers_at_the_query_bounds() {
+        let ss = slots(8, &[]);
+        let mut v = 0;
+        assert_eq!(ss.earliest_fit(8, d(100), t(7), &mut v), t(7));
+        // A query that inspects no slot still reports its positioning step
+        // (`slot_queries > 0 ⇒ slot_steps > 0`).
+        assert_eq!(v, 1);
+        let mut v = 0;
+        assert_eq!(ss.latest_fit(8, d(10), t(100), t(0), &mut v), Some(t(90)));
+        assert_eq!(v, 1);
+        assert_eq!(ss.latest_fit(8, d(10), t(100), t(91), &mut v), None);
+        assert_eq!(ss.peak_used(t(0), t(100)), 0);
+        assert_eq!(ss.used_integral(t(0), t(100)), 0);
+        assert_eq!(ss.first_conflict(t(0), t(100), 8), None);
+        assert_eq!(ss.first_under(t(0), t(100), 1), Some((t(0), 0)));
+    }
+
+    #[test]
+    fn two_breakpoint_calendar_is_one_slot() {
+        let steps = [step(10, 3), step(20, 0)];
+        let ss = slots(4, &steps);
+        assert_eq!(all(ss), vec![slot(10, 20, 3)]);
+        let mut v = 0;
+        assert_eq!(ss.earliest_fit(2, d(5), t(0), &mut v), t(0)); // ends before it
+        assert_eq!(ss.earliest_fit(2, d(11), t(0), &mut v), t(20)); // must clear it
+        assert_eq!(ss.earliest_fit(1, d(50), t(0), &mut v), t(0)); // fits beside it
+        assert_eq!(ss.latest_fit(2, d(5), t(18), t(0), &mut v), Some(t(5)));
+        assert_eq!(ss.latest_fit(1, d(5), t(18), t(0), &mut v), Some(t(13)));
+        assert_eq!(ss.latest_fit(2, d(5), t(25), t(0), &mut v), Some(t(20)));
+        assert_eq!(ss.peak_used(t(0), t(30)), 3);
+        assert_eq!(ss.used_integral(t(12), t(30)), 24);
+        assert_eq!(ss.first_conflict(t(0), t(30), 2), Some((t(10), 1)));
+        assert_eq!(ss.first_under(t(10), t(20), 3), None);
+        assert_eq!(ss.first_under(t(10), t(20), 4), Some((t(10), 3)));
+    }
+
+    #[test]
+    fn windows_outside_the_covered_span_see_an_idle_platform() {
+        let steps = [step(100, 4), step(200, 2), step(300, 0)];
+        let ss = slots(4, &steps);
+        for (from, to) in [(0, 100), (0, 50), (300, 400), (350, 400)] {
+            let (from, to) = (t(from), t(to));
+            assert_eq!(ss.peak_used(from, to), 0);
+            assert_eq!(ss.used_integral(from, to), 0);
+            assert_eq!(ss.first_conflict(from, to, 4), None);
+            assert_eq!(ss.first_under(from, to, 1), Some((from, 0)));
+            let mut v = 0;
+            assert_eq!(ss.earliest_fit(4, to - from, from, &mut v), from);
+            assert_eq!(ss.latest_fit(4, to - from, to, from, &mut v), Some(from));
+        }
+    }
+
+    #[test]
+    fn windows_abutting_a_busy_slot_do_not_touch_it() {
+        let steps = [step(100, 4), step(200, 0)];
+        let ss = slots(4, &steps);
+        // Ending exactly where the busy slot starts, starting exactly
+        // where it ends: both fit, and neither counts it as a conflict.
+        let mut v = 0;
+        assert_eq!(ss.earliest_fit(4, d(50), t(50), &mut v), t(50));
+        assert_eq!(ss.earliest_fit(4, d(50), t(200), &mut v), t(200));
+        assert_eq!(ss.latest_fit(4, d(50), t(100), t(0), &mut v), Some(t(50)));
+        assert_eq!(
+            ss.latest_fit(4, d(50), t(250), t(200), &mut v),
+            Some(t(200))
+        );
+        assert_eq!(ss.first_conflict(t(50), t(100), 1), None);
+        assert_eq!(ss.first_conflict(t(200), t(250), 1), None);
+        assert_eq!(ss.peak_used(t(50), t(100)), 0);
+        assert_eq!(ss.peak_used(t(200), t(250)), 0);
+        // One second of overlap on either side is a conflict at the
+        // overlap's first instant.
+        assert_eq!(ss.first_conflict(t(50), t(101), 1), Some((t(100), 0)));
+        assert_eq!(ss.first_conflict(t(199), t(250), 1), Some((t(199), 0)));
+        // Starting on the busy breakpoint itself skips past the slot.
+        assert_eq!(ss.earliest_fit(1, d(10), t(100), &mut v), t(200));
     }
 }

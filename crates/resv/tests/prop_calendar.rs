@@ -1,6 +1,6 @@
 //! Property tests for the reservation calendar against a brute-force
-//! per-second reference model, plus differential tests pitting the indexed
-//! backend against the linear-scan reference backend.
+//! per-second reference model, plus differential tests pitting the
+//! calendar's queries against the linear-scan reference (`linear()`).
 //!
 //! Randomness is driven by seeded `ChaCha12Rng` loops so every run explores
 //! the same cases; bump the iteration counts locally when hunting bugs.
@@ -259,15 +259,15 @@ fn average_available_bounds() {
     }
 }
 
-/// Differential test: on >= 1000 random calendars, the indexed backend and
-/// the linear-scan reference backend must agree on every slot query —
-/// `earliest_fit`, `latest_fit`, `peak_used`, and `used_integral` — and the
-/// indexed backend must not do more work than the linear one on any
-/// non-trivial calendar.
+/// Differential test: on >= 1000 random calendars, the calendar's queries
+/// and the linear-scan reference must agree on every slot query —
+/// `earliest_fit`, `latest_fit`, `peak_used`, and `used_integral` — at the
+/// same query count. (The test name predates the single engine: "indexed
+/// backend" was the calendar's then-default query path.)
 #[test]
 fn indexed_backend_matches_linear_reference() {
     let mut rng = ChaCha12Rng::seed_from_u64(0xD1FF_0001);
-    let mut total_indexed = QueryCost::default();
+    let mut total_walked = QueryCost::default();
     let mut total_linear = QueryCost::default();
     for case in 0..1000 {
         let capacity = rng.gen_range(1u32..=16);
@@ -287,7 +287,7 @@ fn indexed_backend_matches_linear_reference() {
                 "earliest_fit disagrees (case {case}, procs {procs}, dur {dur}, \
                  not_before {not_before})"
             );
-            total_indexed.absorb(ci);
+            total_walked.absorb(ci);
             total_linear.absorb(cl);
 
             let end_by = Time::seconds(rng.gen_range(1i64..HORIZON + 50));
@@ -300,7 +300,7 @@ fn indexed_backend_matches_linear_reference() {
                 "latest_fit disagrees (case {case}, procs {procs}, dur {dur}, \
                  end_by {end_by}, not_before {nb})"
             );
-            total_indexed.absorb(ci);
+            total_walked.absorb(ci);
             total_linear.absorb(cl);
 
             let a = rng.gen_range(-10i64..HORIZON);
@@ -317,13 +317,13 @@ fn indexed_backend_matches_linear_reference() {
             );
         }
     }
-    assert_eq!(total_indexed.queries, total_linear.queries);
-    assert!(total_indexed.steps > 0 && total_linear.steps > 0);
+    assert_eq!(total_walked.queries, total_linear.queries);
+    assert!(total_walked.steps > 0 && total_linear.steps > 0);
 }
 
-/// The admission decision itself (`try_add`) goes through the indexed
-/// blocker search; cross-check a long add/query interleaving against a
-/// freshly built (never-incrementally-updated) clone.
+/// The admission decision itself (`try_add`) goes through the same slot
+/// walk as the queries; cross-check a long add/query interleaving against
+/// a twin thawed from the serialized bytes (never incrementally updated).
 #[test]
 fn incremental_index_matches_fresh_rebuild() {
     let mut rng = ChaCha12Rng::seed_from_u64(0xD1FF_0002);
@@ -336,10 +336,9 @@ fn incremental_index_matches_fresh_rebuild() {
             let p = rng.gen_range(1..=capacity);
             let r = Reservation::new(Time::seconds(s), Time::seconds((s + d).min(HORIZON)), p);
             let _ = cal.try_add(r);
-            // Interleave queries so the incremental range_add path runs
-            // against a live index, then compare with a clone whose index
-            // is rebuilt from scratch (clone copies the cache state, so
-            // round-trip through serde to drop it).
+            // Interleave queries with the mutations, then compare with a
+            // twin rebuilt from the serialized bytes: the four serialized
+            // fields are all the state a query may depend on.
             let procs = rng.gen_range(1..=capacity);
             let dur = Dur::seconds(rng.gen_range(1i64..40));
             let nb = Time::seconds(rng.gen_range(0i64..HORIZON));

@@ -166,9 +166,6 @@ pub struct ServeReport {
     pub p99_us: f64,
     /// Calendar utilization over the replayed span.
     pub utilization: f64,
-    /// The calendar backend that answered slot queries during the run
-    /// (`indexed` / `slotset` / `linear`, from `RESCHED_BACKEND`).
-    pub backend: String,
     /// Live applications still holding reservations at the end.
     pub live_apps: usize,
     /// The obs metrics recorded during the run (`serve.*` counters and the
@@ -327,7 +324,6 @@ pub fn run(log: &JobLog, cfg: &ServeConfig) -> ServeReport {
         p95_us: 0.0,
         p99_us: 0.0,
         utilization: 0.0,
-        backend: resched_resv::backend::selected().name().to_string(),
         live_apps: 0,
         metrics: MetricsRegistry::new(),
     };
@@ -592,11 +588,10 @@ pub fn summarize(r: &ServeReport) -> String {
         r.p50_us, r.p95_us, r.p99_us, r.throughput_per_s, r.wall_ms
     ));
     out.push_str(&format!(
-        "utilization {:.1}%  live apps {}  violations {}  backend {}",
+        "utilization {:.1}%  live apps {}  violations {}",
         r.utilization * 100.0,
         r.live_apps,
-        r.violations,
-        r.backend
+        r.violations
     ));
     if r.quota_denied > 0 {
         out.push_str(&format!("\nquota denied {}", r.quota_denied));
@@ -729,7 +724,6 @@ mod tests {
             (b.apps, b.commits, b.rollbacks, b.cancels, b.resizes)
         );
         assert_eq!(a.utilization, b.utilization);
-        assert_eq!(a.backend, b.backend);
     }
 
     /// The ISSUE acceptance criterion: the quota-denied path must be

@@ -47,6 +47,67 @@ pub fn violation_label(v: &Violation) -> &'static str {
     }
 }
 
+/// Who decides capacity feasibility while a test calendar is built and
+/// mutated. The differential harnesses replay every scenario under both
+/// judges and demand identical decisions and byte-identical calendars:
+/// the production checks (`try_add` / `try_resize`, i.e. the slot walk)
+/// against the independently written [`Calendar::linear`] scans deciding
+/// and the unchecked mutators applying.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Judge {
+    /// The calendar's own fallible mutators.
+    Production,
+    /// `Calendar::linear()` decides, `add_unchecked` / `remove_unchecked`
+    /// apply.
+    LinearOracle,
+}
+
+impl Judge {
+    /// Both judges, production first.
+    pub const BOTH: [Judge; 2] = [Judge::Production, Judge::LinearOracle];
+
+    /// Label for divergence reports.
+    pub fn name(self) -> &'static str {
+        match self {
+            Judge::Production => "production",
+            Judge::LinearOracle => "linear-oracle",
+        }
+    }
+
+    /// Admit `r` if it fits; whether it was admitted.
+    pub fn try_add(self, cal: &mut Calendar, r: Reservation) -> bool {
+        match self {
+            Judge::Production => cal.try_add(r).is_ok(),
+            Judge::LinearOracle => {
+                let fits = linear_fits(cal, &r);
+                if fits {
+                    cal.add_unchecked(r);
+                }
+                fits
+            }
+        }
+    }
+
+    /// Replace the live reservation `old` by `new` if `new` fits once
+    /// `old` is gone; on refusal the calendar must be exactly as before.
+    pub fn try_resize(self, cal: &mut Calendar, old: Reservation, new: Reservation) -> bool {
+        match self {
+            Judge::Production => cal.try_resize(old, new).is_ok(),
+            Judge::LinearOracle => {
+                cal.remove_unchecked(old);
+                let fits = linear_fits(cal, &new);
+                cal.add_unchecked(if fits { new } else { old });
+                fits
+            }
+        }
+    }
+}
+
+/// Capacity feasibility of `r` by the linear reference scan alone.
+fn linear_fits(cal: &Calendar, r: &Reservation) -> bool {
+    r.procs <= cal.capacity() && cal.linear().peak_used(r.start, r.end) <= cal.capacity() - r.procs
+}
+
 /// One moldable task of a fuzz scenario.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct FuzzTask {
@@ -232,6 +293,12 @@ impl Scenario {
     /// mutation oracle: it must equal the incrementally mutated calendar
     /// exactly (`PartialEq` *and* serialized bytes).
     pub fn calendar_with_live(&self) -> (Calendar, Vec<Reservation>) {
+        self.calendar_with_live_judged(Judge::Production)
+    }
+
+    /// [`Scenario::calendar_with_live`] with every feasibility decision
+    /// made by `judge`.
+    pub fn calendar_with_live_judged(&self, judge: Judge) -> (Calendar, Vec<Reservation>) {
         let cap = self.capacity.max(1);
         let mut cal = Calendar::new(cap);
         let mut live = Vec::new();
@@ -240,7 +307,7 @@ impl Scenario {
             let dur = Dur::seconds(r.dur_secs.max(1));
             let procs = r.procs.clamp(1, cap);
             let res = Reservation::for_duration(start, dur, procs);
-            if cal.try_add(res).is_ok() {
+            if judge.try_add(&mut cal, res) {
                 live.push(res);
             }
         }
@@ -269,7 +336,7 @@ impl Scenario {
                         Dur::seconds(dur_secs.max(1)),
                         procs.clamp(1, cap),
                     );
-                    if cal.try_resize(old, new).is_ok() {
+                    if judge.try_resize(&mut cal, old, new) {
                         live[i] = new;
                     }
                     // A rejected resize (conflicting grow) must have
@@ -639,9 +706,9 @@ pub struct QuotaRequest {
 /// A quota-admission stress case: a request sequence driven through an
 /// [`AdmissionGate`] and a live [`Calendar`] together. The observable is
 /// the per-request decision log (`admit` / `conflict` / a quota reason
-/// code), which must be identical under every calendar backend — quota
+/// code), which must be identical under both capacity [`Judge`]s — quota
 /// admissibility and capacity feasibility are independent judgments, and
-/// neither may depend on the query engine. Serializable for committing
+/// neither may depend on how the calendar answers. Serializable for committing
 /// shrunk failures under `tests/repros/quota_*.json`.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct QuotaStress {
@@ -720,6 +787,12 @@ impl QuotaStress {
     /// audit (`AdmissionGate::audit` plus `audit_calendar_with`), or
     /// ledger/live-set accounting drift.
     pub fn replay(&self) -> Result<Vec<String>, String> {
+        self.replay_judged(Judge::Production)
+    }
+
+    /// [`QuotaStress::replay`] with every capacity decision made by
+    /// `judge`.
+    pub fn replay_judged(&self, judge: Judge) -> Result<Vec<String>, String> {
         let cap = self.capacity.max(1);
         let mut cal = Calendar::new(cap);
         let mut gate = self.gate();
@@ -747,7 +820,7 @@ impl QuotaStress {
             match gate.check(&owner, &r) {
                 Err(denial) => log.push(denial.reason_code().to_string()),
                 Ok(()) => {
-                    if cal.try_add(r).is_ok() {
+                    if judge.try_add(&mut cal, r) {
                         if let Err(denial) = gate.admit(&owner, r) {
                             return Err(format!("gate flipped after a clean check: {denial}"));
                         }

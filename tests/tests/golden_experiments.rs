@@ -37,15 +37,6 @@ fn golden_dir() -> PathBuf {
         .join("results/golden")
 }
 
-/// Several goldens pin `slot_steps` work counters — the one quantity that
-/// legitimately differs between calendar backends — so every test here
-/// forces the indexed backend before computing anything: the
-/// `RESCHED_BACKEND=slotset` CI lane must not (and with this pin cannot)
-/// shift the counters.
-fn pin_indexed_backend() {
-    resched_resv::force_backend(Some(resched_resv::BackendKind::Indexed));
-}
-
 /// Compare `value` against the committed golden `name`, or rewrite it when
 /// `RESCHED_UPDATE_GOLDEN` is set.
 fn check_golden(name: &str, value: &impl serde::Serialize) {
@@ -76,7 +67,6 @@ fn check_golden(name: &str, value: &impl serde::Serialize) {
 /// statistics (machine size, utilization, exec/wait distributions).
 #[test]
 fn golden_log_stats() {
-    pin_indexed_backend();
     let spec = LogSpec::sdsc_ds().with_duration(Dur::days(15));
     let mut cache = LogCache::new();
     let log = cache.get(&spec, DEFAULT_ROOT_SEED);
@@ -88,7 +78,6 @@ fn golden_log_stats() {
 /// steps, CPA mappings) of the three instrumented algorithms as `n` grows.
 #[test]
 fn golden_table8_scaling() {
-    pin_indexed_backend();
     let scaling = run_scaling(GOLDEN_SCALE, DEFAULT_ROOT_SEED);
     check_golden("table8_scaling_small.json", &scaling);
 }
@@ -97,7 +86,6 @@ fn golden_table8_scaling() {
 /// CPU-hours degradation summaries on a Grid'5000-like schedule.
 #[test]
 fn golden_deadline_grid5000() {
-    pin_indexed_backend();
     let sweeps = vec![Sweep {
         params: resched_daggen::DagParams {
             num_tasks: 10,

@@ -9,17 +9,17 @@
 //!    mutated calendar — `PartialEq` *and* serialized bytes, so no hidden
 //!    residue (stale breakpoints, drifted ledgers) survives behind a lucky
 //!    step-vector.
-//! 2. **Indexed vs. linear**: every query answered through the usage index
-//!    must match `Calendar::linear()`'s brute-force scan on the mutated
-//!    calendar, plus a full `audit_calendar` shape/accounting audit.
+//! 2. **Calendar vs. linear**: every query the calendar answers must match
+//!    `Calendar::linear()`'s brute-force scan on the mutated calendar,
+//!    plus a full `audit_calendar` shape/accounting audit.
 //! 3. **ScheduleValidator**: schedules produced against mutated calendars
 //!    still pass the independent validity oracle (via `Scenario::run_all`,
 //!    which now schedules against post-mutation calendars).
 //!
-//! A fourth test pins the `#[serde(skip)]` index cache: deserialize a
-//! mutated calendar, mutate it *again*, and require byte-identical
-//! behavior to the never-serialized original — proving the cache is
-//! rebuilt, not resurrected stale.
+//! A fourth test pins serialization as lossless: deserialize a mutated
+//! calendar, mutate it *again*, and require byte-identical behavior to
+//! the never-serialized original — the four serialized fields are the
+//! whole calendar, so nothing can be resurrected stale.
 
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha12Rng;
@@ -71,7 +71,7 @@ fn mutated_calendar_equals_rebuild_from_scratch() {
     );
 }
 
-/// Oracle 2: indexed queries ≡ linear scan, and the audit stays clean.
+/// Oracle 2: calendar queries ≡ linear scan, and the audit stays clean.
 #[test]
 fn mutated_calendar_queries_match_linear_reference() {
     let mut rng = ChaCha12Rng::seed_from_u64(SWEEP_SEED ^ 1);
@@ -83,7 +83,7 @@ fn mutated_calendar_queries_match_linear_reference() {
         let Some(h) = cal.horizon() else { continue };
         let lo = cal.breakpoints().next().unwrap();
         // Probe windows straddling breakpoints, interior slices, and the
-        // full span — the index answers, the linear scan referees.
+        // full span — the calendar answers, the linear scan referees.
         let span = (h - lo).as_seconds().max(2);
         for _ in 0..16 {
             let a = lo + Dur::seconds(rng.gen_range(0..span));
@@ -127,9 +127,9 @@ fn schedules_against_mutated_calendars_validate() {
     }
 }
 
-/// The `#[serde(skip)]` usage-index cache must be rebuilt after
-/// deserialization — and stay correct through *further* mutation. A stale
-/// or lazily-missing cache would diverge from the never-serialized twin.
+/// A deserialized calendar must behave exactly like the never-serialized
+/// twin — and stay so through *further* mutation. Anything a query
+/// depended on that serialization dropped would make the twins diverge.
 #[test]
 fn deserialize_then_mutate_matches_unserialized_twin() {
     let mut rng = ChaCha12Rng::seed_from_u64(SWEEP_SEED ^ 3);
@@ -141,7 +141,7 @@ fn deserialize_then_mutate_matches_unserialized_twin() {
         assert_eq!(original, thawed, "iteration {i}: roundtrip drift");
 
         // Mutate both twins identically: remove every other survivor, add
-        // a fresh reservation, and compare through the indexed queries.
+        // a fresh reservation, and compare through the queries.
         for (k, r) in live.iter().enumerate() {
             if k % 2 == 0 {
                 original.try_remove(*r).expect("live in original");
@@ -164,7 +164,7 @@ fn deserialize_then_mutate_matches_unserialized_twin() {
                 assert_eq!(
                     original.peak_used(lo, h),
                     thawed.linear().peak_used(lo, h),
-                    "iteration {i}: thawed index answers differ from linear"
+                    "iteration {i}: thawed calendar answers differ from linear"
                 );
             }
         }

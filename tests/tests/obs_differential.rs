@@ -92,14 +92,6 @@ fn golden_dir() -> PathBuf {
         .join("results/golden")
 }
 
-/// The goldens pin `ScheduleStats::slot_steps`, which is the one quantity
-/// allowed to differ between calendar backends. Pin the indexed backend
-/// for this whole binary so the `RESCHED_BACKEND=slotset` CI lane replays
-/// the same step counts (the force outranks the env knob by design).
-fn pin_indexed_backend() {
-    resched_resv::force_backend(Some(resched_resv::BackendKind::Indexed));
-}
-
 /// Compare `value` against the committed golden `name`, or rewrite it when
 /// `RESCHED_UPDATE_GOLDEN` is set (same contract as golden_experiments).
 fn check_golden(name: &str, value: &impl serde::Serialize) {
@@ -132,7 +124,6 @@ fn check_golden(name: &str, value: &impl serde::Serialize) {
 /// cross-feature byte-identity proof.
 #[test]
 fn golden_schedules_are_feature_invariant() {
-    pin_indexed_backend();
     let mut all = Vec::new();
     for (i, (dag, cal, q, deadline)) in scenarios().iter().enumerate() {
         let mut results = Vec::new();
@@ -171,7 +162,6 @@ fn golden_schedules_are_feature_invariant() {
 /// schedule's stats when the collector is compiled in.
 #[test]
 fn observed_runs_match_plain_runs_exactly() {
-    pin_indexed_backend();
     for (dag, cal, q, deadline) in scenarios() {
         for algo in Algorithm::catalog() {
             let plain = algo.run(&dag, &cal, Time::ZERO, q, deadline);

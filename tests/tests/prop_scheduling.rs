@@ -181,10 +181,11 @@ fn every_algorithm_passes_the_oracle_on_random_scenarios() {
 }
 
 /// Pipeline-level differential test: replay every placement a real
-/// scheduling run produced as slot queries against both calendar backends;
-/// the indexed segment tree and the linear reference scans must agree at
+/// scheduling run produced as slot queries against the calendar and its
+/// linear reference; the slot walk and the reference scans must agree at
 /// exactly the query points the algorithms care about, and the schedule's
-/// stats must surface the query work.
+/// stats must surface the query work. (The "backends" of the name are
+/// those two.)
 #[test]
 fn scheduling_queries_agree_across_backends() {
     let mut rng = ChaCha12Rng::seed_from_u64(0x5CED_0007);
@@ -205,7 +206,7 @@ fn scheduling_queries_agree_across_backends() {
             let mut ic = QueryCost::default();
             let mut lc = QueryCost::default();
             // The competing calendar must grant the placement's slot no
-            // later than the schedule chose it, identically per backend.
+            // later than the schedule chose it, identically by both routes.
             let ei = cal.earliest_fit_with_cost(pl.procs, dur, pl.start, &mut ic);
             let el = lin.earliest_fit_with_cost(pl.procs, dur, pl.start, &mut lc);
             assert_eq!(ei, el, "earliest_fit diverges at placement {pl:?}");

@@ -1,7 +1,8 @@
 //! Quota-constrained admission, end to end: edge-case policies through the
 //! [`AdmissionGate`] and the independent [`ScheduleValidator`] oracle, a
-//! cross-backend invariance check (admission decisions and reason codes
-//! must not depend on the calendar query engine), and a seeded
+//! capacity-judge invariance check (admission decisions and reason codes
+//! must be the same whether the calendar's own checks or its linear
+//! reference decide capacity), and a seeded
 //! [`QuotaStress`] mutation sweep with greedy shrinking to
 //! `tests/repros/quota_*.json`. Committed quota repros replay here forever.
 
@@ -11,21 +12,12 @@ use resched_core::dag::DagBuilder;
 use resched_core::forward::{schedule_forward, ForwardConfig};
 use resched_core::prelude::*;
 use resched_core::validate::Violation;
-use resched_resv::{
-    force_backend, AdmissionGate, BackendKind, Owner, QuotaRule, QuotaSet, QuotaSubject,
-};
-use resched_tests::fuzz::{shrink_quota, violation_label, QuotaStress};
+use resched_resv::{AdmissionGate, Owner, QuotaRule, QuotaSet, QuotaSubject};
+use resched_tests::fuzz::{shrink_quota, violation_label, Judge, QuotaStress};
 use std::path::PathBuf;
-use std::sync::{Mutex, MutexGuard};
 
 /// Root seed for the quota-stress sweep.
 const QUOTA_SEED: u64 = 0x5CED_0090;
-
-/// `force_backend` is process-global; serialize every test that toggles it.
-fn lock() -> MutexGuard<'static, ()> {
-    static GUARD: Mutex<()> = Mutex::new(());
-    GUARD.lock().unwrap_or_else(|e| e.into_inner())
-}
 
 fn repro_dir() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("repros")
@@ -159,13 +151,11 @@ fn quota_exactly_equal_to_request_admits() {
 /// Two users of one project, overlapping reservations, a project-level
 /// concurrent cap: the second overlapping request is denied against the
 /// *project* subject even though each user is individually fine — and the
-/// whole decision sequence is identical under two different calendar
-/// backends.
+/// whole decision sequence is identical whether the calendar's own checks
+/// or its linear reference judge capacity (the two "backends" of the name).
 #[test]
 fn overlapping_same_project_reservations_across_two_backends() {
-    let _g = lock();
-    let decisions = |kind: BackendKind| {
-        force_backend(Some(kind));
+    let decisions = |judge: Judge| {
         let mut cal = Calendar::new(16);
         let mut gate = AdmissionGate::new(QuotaSet::unlimited().with_rule(QuotaRule::concurrent(
             QuotaSubject::Project("astro".into()),
@@ -183,19 +173,18 @@ fn overlapping_same_project_reservations_across_two_backends() {
             match gate.check(owner, &r) {
                 Err(d) => log.push(format!("{}:{}", d.subject, d.reason_code())),
                 Ok(()) => {
-                    cal.try_add(r).expect("capacity 16 fits any single 6");
+                    assert!(judge.try_add(&mut cal, r), "capacity 16 fits any single 6");
                     gate.admit(owner, r).expect("checked admit");
                     log.push("admit".to_string());
                 }
             }
         }
-        force_backend(None);
         (log, gate.held())
     };
-    let (log_indexed, held_indexed) = decisions(BackendKind::Indexed);
-    let (log_slotset, held_slotset) = decisions(BackendKind::SlotSet);
+    let (log, held) = decisions(Judge::Production);
+    let (log_oracle, held_oracle) = decisions(Judge::LinearOracle);
     assert_eq!(
-        log_indexed,
+        log,
         vec![
             "admit".to_string(),
             "project:astro:quota.concurrent_cores".to_string(),
@@ -203,44 +192,28 @@ fn overlapping_same_project_reservations_across_two_backends() {
         ],
         "overlap must trip the project cap; the disjoint retry must pass"
     );
-    assert_eq!(log_indexed, log_slotset, "decisions depend on the backend");
-    assert_eq!(held_indexed, held_slotset);
+    assert_eq!(log, log_oracle, "decisions depend on the capacity judge");
+    assert_eq!(held, held_oracle);
 }
 
-/// Full decision-log differential for one case across all backends.
+/// Full decision-log differential for one case across both capacity judges.
 fn divergence(c: &QuotaStress) -> Option<String> {
-    let mut logs: Vec<(BackendKind, Vec<String>)> = Vec::new();
-    for kind in BackendKind::ALL {
-        force_backend(Some(kind));
-        match c.replay() {
-            Ok(log) => logs.push((kind, log)),
-            Err(e) => {
-                force_backend(None);
-                return Some(format!("{}: {e}", kind.name()));
-            }
+    let mut logs = Vec::new();
+    for judge in Judge::BOTH {
+        match c.replay_judged(judge) {
+            Ok(log) => logs.push(log),
+            Err(e) => return Some(format!("{}: {e}", judge.name())),
         }
     }
-    force_backend(None);
-    let (k0, l0) = &logs[0];
-    for (k, l) in &logs[1..] {
-        if l != l0 {
-            return Some(format!(
-                "decision logs diverge: {} vs {}",
-                k0.name(),
-                k.name()
-            ));
-        }
-    }
-    None
+    (logs[0] != logs[1]).then(|| "decision logs diverge: production vs linear-oracle".into())
 }
 
 /// Seeded sweep: every generated case must replay consistently (gate audit
-/// clean, ledger accounting exact) with backend-invariant decisions. A
+/// clean, ledger accounting exact) with judge-invariant decisions. A
 /// failure is greedily shrunk and committed under `tests/repros/` as
 /// `quota_*.json` before the test panics.
 #[test]
 fn quota_stress_sweep_is_consistent_and_backend_invariant() {
-    let _g = lock();
     let mut rng = ChaCha12Rng::seed_from_u64(QUOTA_SEED);
     let n: usize = std::env::var("RESCHED_QUOTA_FUZZ_ITERS")
         .ok()
@@ -261,7 +234,6 @@ fn quota_stress_sweep_is_consistent_and_backend_invariant() {
                 path.display()
             );
         }
-        force_backend(None);
         denials += case
             .replay()
             .expect("divergence-free case replays")
@@ -279,7 +251,6 @@ fn quota_stress_sweep_is_consistent_and_backend_invariant() {
 /// fixed forever.
 #[test]
 fn committed_quota_repros_replay_green() {
-    let _g = lock();
     let dir = repro_dir();
     let Ok(entries) = std::fs::read_dir(&dir) else {
         return;

@@ -1,25 +1,27 @@
 //! Seeded scale fuzz: a 100k-reservation calendar under mutation-heavy
-//! load, once per queryable backend. `#[ignore]` by default — the nightly
-//! CI lane runs it with `cargo test --release -- --ignored`.
+//! load. `#[ignore]` by default — the nightly CI lane runs it with
+//! `cargo test --release -- --ignored`.
 //!
 //! Construction: `Calendar::bulk_load` over a lane-structured reservation
 //! set (deterministically conflict-free by construction), then thousands
 //! of incremental mutations — removals, duration shrinks, and re-adds
-//! whose feasibility checks go through the backend under test. Oracles:
+//! whose feasibility checks go through the calendar's own `try_add` /
+//! `try_resize`. Oracles:
 //!
-//! * the `indexed` and `slotset` calendars end byte-identical (the linear
-//!   backend is exempt from the full mutation run — `O(B)` per op over
-//!   100k breakpoints is the cost profile this index work exists to avoid
-//!   — but referees sampled queries below);
-//! * `audit_calendar` stays clean on the survivor;
-//! * a sampled query battery agrees across all three backend views.
+//! * the mutated calendar is byte-identical to one bulk-loaded from the
+//!   surviving live set (a full replay under the linear-oracle judge is
+//!   exempt at this size — `O(B)` per decision over 100k breakpoints is
+//!   the cost profile the walk exists to avoid — but `linear()` referees
+//!   the sampled queries below);
+//! * `audit_calendar` stays clean on the survivor (which includes its
+//!   whole-span calendar-vs-linear cross-check);
+//! * a sampled query battery agrees between the calendar and `linear()`.
 
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha12Rng;
 use resched_core::prelude::*;
 use resched_core::validate::audit_calendar;
-use resched_resv::{force_backend, BackendKind, QueryCost};
-use std::sync::{Mutex, MutexGuard};
+use resched_resv::QueryCost;
 
 const SCALE_SEED: u64 = 0x5CED_0050;
 /// Reservations in the bulk-loaded base set.
@@ -30,16 +32,10 @@ const OPS: usize = 20_000;
 const CAPACITY: u32 = 4096;
 const LANES: u32 = 64;
 
-fn lock() -> MutexGuard<'static, ()> {
-    static GUARD: Mutex<()> = Mutex::new(());
-    GUARD.lock().unwrap_or_else(|e| e.into_inner())
-}
-
 /// A deterministic, conflict-free base set: `LANES` disjoint processor
 /// bands, each packed with non-overlapping reservations laid end to end
 /// with random gaps. Conflict-free by construction, so `bulk_load` admits
-/// all of it and the mutation phase starts from a known-identical state
-/// under every backend.
+/// all of it.
 fn base_set(rng: &mut ChaCha12Rng) -> Vec<Reservation> {
     let width = CAPACITY / LANES;
     let mut out = Vec::with_capacity(R);
@@ -63,8 +59,6 @@ fn base_set(rng: &mut ChaCha12Rng) -> Vec<Reservation> {
 }
 
 /// Replay the same mutation script against `cal`, tracking the live set.
-/// Every feasibility decision (`try_add`, `try_resize`) dispatches through
-/// the currently forced backend.
 fn mutate(cal: &mut Calendar, live: &mut Vec<Reservation>, rng: &mut ChaCha12Rng) {
     for _ in 0..OPS {
         match rng.gen_range(0u32..3) {
@@ -95,7 +89,7 @@ fn mutate(cal: &mut Calendar, live: &mut Vec<Reservation>, rng: &mut ChaCha12Rng
             }
             _ => {
                 // Try to admit a fresh random reservation; rejection is a
-                // legitimate (and backend-checked) outcome.
+                // legitimate outcome.
                 let s = rng.gen_range(0i64..8_000_000);
                 let d = rng.gen_range(60i64..7_200);
                 let p = rng.gen_range(1u32..=CAPACITY / 4);
@@ -111,7 +105,6 @@ fn mutate(cal: &mut Calendar, live: &mut Vec<Reservation>, rng: &mut ChaCha12Rng
 #[test]
 #[ignore = "scale smoke: ~100k reservations; run via the nightly lane or --ignored"]
 fn scale_100k_mutation_heavy_backends_agree() {
-    let _g = lock();
     let mut rng = ChaCha12Rng::seed_from_u64(SCALE_SEED);
     let base = base_set(&mut rng);
     assert!(
@@ -119,55 +112,48 @@ fn scale_100k_mutation_heavy_backends_agree() {
         "base set near target size"
     );
 
-    let mut survivors = Vec::new();
-    for kind in [BackendKind::Indexed, BackendKind::SlotSet] {
-        force_backend(Some(kind));
-        let mut cal =
-            Calendar::bulk_load(CAPACITY, base.iter().copied()).expect("lane set is conflict-free");
-        let mut live = base.clone();
-        // Same script per backend: identical decisions are the assertion.
-        let mut op_rng = ChaCha12Rng::seed_from_u64(SCALE_SEED ^ 0xA5);
-        mutate(&mut cal, &mut live, &mut op_rng);
-        survivors.push((kind, cal, live));
-    }
-    force_backend(None);
+    let mut cal =
+        Calendar::bulk_load(CAPACITY, base.iter().copied()).expect("lane set is conflict-free");
+    let mut live = base;
+    let mut op_rng = ChaCha12Rng::seed_from_u64(SCALE_SEED ^ 0xA5);
+    mutate(&mut cal, &mut live, &mut op_rng);
 
-    let (_, cal_a, live_a) = &survivors[0];
-    let (_, cal_b, live_b) = &survivors[1];
-    assert_eq!(live_a, live_b, "mutation scripts took different branches");
-    assert_eq!(cal_a, cal_b, "indexed and slotset calendars diverged");
+    let rebuilt = Calendar::bulk_load(CAPACITY, live.iter().copied()).expect("the live set fits");
+    assert_eq!(cal, rebuilt, "mutated calendar differs from its live set");
     assert_eq!(
-        serde_json::to_string(cal_a).unwrap(),
-        serde_json::to_string(cal_b).unwrap(),
-        "serialized residue differs between indexed and slotset"
+        serde_json::to_string(&cal).unwrap(),
+        serde_json::to_string(&rebuilt).unwrap(),
+        "mutation left serialized residue a fresh load does not have"
     );
-    let vs = audit_calendar(cal_a);
+    let vs = audit_calendar(&cal);
     assert!(vs.is_empty(), "audit violations at scale: {:?}", vs.first());
 
-    // Sampled queries: all three views (linear included) referee.
-    let hi = cal_a.horizon().expect("non-empty at scale");
+    // Sampled queries: the linear reference referees.
+    let lin = cal.linear();
+    let hi = cal.horizon().expect("non-empty at scale");
     let span = (hi - Time::ZERO).as_seconds().max(2);
     let mut q_rng = ChaCha12Rng::seed_from_u64(SCALE_SEED ^ 0x5A);
     for _ in 0..200 {
         let a = Time::seconds(q_rng.gen_range(0..span));
         let d = Dur::seconds(q_rng.gen_range(1..span / 4 + 2));
         let procs = q_rng.gen_range(1u32..=CAPACITY);
-        let mut per_view = Vec::new();
-        for kind in BackendKind::ALL {
-            let view = cal_a.backend_view(kind);
-            let mut c = QueryCost::default();
-            per_view.push((
-                view.earliest_fit_with_cost(procs, d, a, &mut c),
-                view.latest_fit_with_cost(procs, d, a + d + d, a, &mut c),
-                view.peak_used(a, a + d),
-                view.used_integral(a, a + d),
-                c.queries,
-            ));
-        }
+        let (mut c, mut lc) = (QueryCost::default(), QueryCost::default());
         assert_eq!(
-            per_view[0], per_view[1],
-            "indexed vs slotset query diverged"
+            (
+                cal.earliest_fit_with_cost(procs, d, a, &mut c),
+                cal.latest_fit_with_cost(procs, d, a + d + d, a, &mut c),
+                cal.peak_used(a, a + d),
+                cal.used_integral(a, a + d),
+                c.queries,
+            ),
+            (
+                lin.earliest_fit_with_cost(procs, d, a, &mut lc),
+                lin.latest_fit_with_cost(procs, d, a + d + d, a, &mut lc),
+                lin.peak_used(a, a + d),
+                lin.used_integral(a, a + d),
+                lc.queries,
+            ),
+            "calendar vs linear query diverged"
         );
-        assert_eq!(per_view[0], per_view[2], "indexed vs linear query diverged");
     }
 }
