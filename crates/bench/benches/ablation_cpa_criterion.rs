@@ -12,8 +12,8 @@ use resched_sim::scenario::{instances_for, LogCache, ResvSpec, Scale, DEFAULT_RO
 use resched_sim::table::{fnum, Table};
 
 fn main() {
-    let scale = Scale::from_env();
-    let sweeps = resched_sim::scenario::sweeps_with_stride(5);
+    let scale = Scale::from_env().unwrap_or_else(|e| e.exit());
+    let sweeps = resched_sim::scenario::sweeps_with_stride(5).unwrap_or_else(|e| e.exit());
     let specs = [ResvSpec::grid5000()];
     let mut cache = LogCache::new();
 

@@ -9,7 +9,7 @@ use resched_sim::table::{fnum, Table};
 use resched_workloads::prelude::*;
 
 fn main() {
-    let scale = Scale::from_env();
+    let scale = Scale::from_env().unwrap_or_else(|e| e.exit());
     let spec = LogSpec::sdsc_blue();
     let mut cache = LogCache::new();
     let log = cache.get(&spec, DEFAULT_ROOT_SEED).clone();

@@ -7,8 +7,8 @@ use resched_sim::exp::ressched::{bl_compare_table, run_bl_compare};
 use resched_sim::scenario::{ResvSpec, Scale, DEFAULT_ROOT_SEED};
 
 fn main() {
-    let scale = Scale::from_env();
-    let sweeps = resched_sim::scenario::sweeps_with_stride(2);
+    let scale = Scale::from_env().unwrap_or_else(|e| e.exit());
+    let sweeps = resched_sim::scenario::sweeps_with_stride(2).unwrap_or_else(|e| e.exit());
     let specs = ResvSpec::paper_grid();
     eprintln!(
         "bl_methods: {} sweeps x {} specs x {} instances",

@@ -66,9 +66,9 @@ fn schedule_with_bounds(
 }
 
 fn main() {
-    let scale = Scale::from_env();
+    let scale = Scale::from_env().unwrap_or_else(|e| e.exit());
     // Layered DAGs only (jump = 1 sweeps are the defaults).
-    let sweeps = resched_sim::scenario::sweeps_with_stride(5);
+    let sweeps = resched_sim::scenario::sweeps_with_stride(5).unwrap_or_else(|e| e.exit());
     let spec = ResvSpec::grid5000();
     let mut cache = LogCache::new();
     let log = cache.get(&spec.log, DEFAULT_ROOT_SEED).clone();

@@ -9,7 +9,7 @@ use resched_sim::exp::ressched::{ressched_table, run_table4};
 use resched_sim::scenario::{Scale, DEFAULT_ROOT_SEED};
 
 fn main() {
-    let scale = Scale::from_env();
+    let scale = Scale::from_env().unwrap_or_else(|e| e.exit());
     eprintln!("table4: {} instances/scenario", scale.instances());
     let r = run_table4(scale, DEFAULT_ROOT_SEED);
     println!(

@@ -5,7 +5,7 @@ use resched_sim::exp::ressched::{ressched_table, run_table5};
 use resched_sim::scenario::{Scale, DEFAULT_ROOT_SEED};
 
 fn main() {
-    let scale = Scale::from_env();
+    let scale = Scale::from_env().unwrap_or_else(|e| e.exit());
     let r = run_table5(scale, DEFAULT_ROOT_SEED);
     println!(
         "{}",

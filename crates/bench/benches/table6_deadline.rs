@@ -10,8 +10,8 @@ use resched_sim::exp::deadline::{deadline_table, run_table6};
 use resched_sim::scenario::{sweeps_with_stride, Scale, DEFAULT_ROOT_SEED};
 
 fn main() {
-    let scale = Scale::from_env();
-    let sweeps = sweeps_with_stride(5);
+    let scale = Scale::from_env().unwrap_or_else(|e| e.exit());
+    let sweeps = sweeps_with_stride(5).unwrap_or_else(|e| e.exit());
     eprintln!(
         "table6: {} sweeps, {} instances/scenario",
         sweeps.len(),

@@ -8,8 +8,8 @@ use resched_sim::exp::deadline::{deadline_table, run_table7};
 use resched_sim::scenario::{sweeps_with_stride, Scale, DEFAULT_ROOT_SEED};
 
 fn main() {
-    let scale = Scale::from_env();
-    let sweeps = sweeps_with_stride(5);
+    let scale = Scale::from_env().unwrap_or_else(|e| e.exit());
+    let sweeps = sweeps_with_stride(5).unwrap_or_else(|e| e.exit());
     let r = run_table7(&sweeps, scale, DEFAULT_ROOT_SEED);
     println!(
         "{}",

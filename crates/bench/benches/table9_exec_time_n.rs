@@ -10,7 +10,7 @@ use resched_sim::exp::exec_time::{run_table9, timing_table};
 use resched_sim::scenario::{Scale, DEFAULT_ROOT_SEED};
 
 fn main() {
-    let scale = Scale::from_env();
+    let scale = Scale::from_env().unwrap_or_else(|e| e.exit());
     let cols = run_table9(scale, DEFAULT_ROOT_SEED);
     println!(
         "{}",

@@ -1,6 +1,6 @@
-//! Standing scale-trajectory benchmark: the parallel-sweep and arena
-//! measurements, plus two frozen history sections, written to
-//! `BENCH_scale.json` in the workspace root.
+//! Standing scale-trajectory benchmark: the parallel-sweep measurement,
+//! plus three frozen history sections, written to `BENCH_scale.json` in
+//! the workspace root.
 //!
 //! Methodology is the bench_pr4 paired-interleaved protocol: each rep
 //! times both sides back to back so machine-wide noise cancels in the
@@ -18,22 +18,14 @@
 //!   history behind that decision;
 //! * `parallel_sweep` (`source_pr: 7`) — the speculative experiment sweep
 //!   at `force_threads(1)` vs all available threads, with the host's
-//!   thread count recorded: on a single-core host the parallel path
-//!   degenerates to inline dispatch and the ratio is ~1, which the
-//!   `threads` field makes explicit rather than hiding.
-//! * `arena_ctx` (`source_pr: 8`) — per-schedule fresh contexts
-//!   (`Algorithm::run`, one `SchedCtx` + output `Schedule` born and
-//!   dropped per call) vs one warm recycled context
-//!   (`Algorithm::run_with`), on n=100 DAGs at forced 1 thread (the
-//!   allocation-free configuration DESIGN.md §16 pins).
+//!   thread count recorded beside the ratio;
+//! * `arena_ctx` (`source_pr: 8`, frozen) — per-schedule fresh scratch vs
+//!   one context recycled across schedules, on n=100 DAGs at forced 1
+//!   thread. The recycled path measured ~1.0× and was deleted (DESIGN.md
+//!   §16); the rows are its final measurement, carried forward verbatim.
 //!
 //! Run with `cargo run --release -p resched-bench --bin bench_scale`.
 
-use resched_core::algos::Algorithm;
-use resched_core::forward::{schedule_forward, ForwardConfig};
-use resched_core::prelude::{SchedCtx, Schedule};
-use resched_daggen::{generate, DagParams};
-use resched_resv::{Calendar, Reservation, Time};
 use resched_sim::exp::validation::run_validation;
 use resched_sim::scenario::Scale;
 use serde::{Deserialize, Serialize};
@@ -118,29 +110,7 @@ struct SweepResult {
 struct SweepSection {
     source_pr: u32,
     description: String,
-    note: String,
     results: Vec<SweepResult>,
-}
-
-#[derive(Serialize)]
-struct ArenaResult {
-    scenario: String,
-    algorithm: String,
-    num_tasks: usize,
-    reps: usize,
-    schedules_per_rep: usize,
-    fresh_median_s: f64,
-    reused_median_s: f64,
-    /// Median per-pair fresh/reused time ratio (> 1 ⇒ recycled ctx faster).
-    speedup: f64,
-}
-
-#[derive(Serialize)]
-struct ArenaSection {
-    source_pr: u32,
-    description: String,
-    note: String,
-    results: Vec<ArenaResult>,
 }
 
 #[derive(Serialize)]
@@ -149,7 +119,7 @@ struct Report {
     migrated: Migrated,
     backend_regimes: serde_json::Value,
     parallel_sweep: SweepSection,
-    arena_ctx: ArenaSection,
+    arena_ctx: serde_json::Value,
 }
 
 fn median(mut xs: Vec<f64>) -> f64 {
@@ -186,15 +156,15 @@ fn time_paired<A: FnMut(), B: FnMut()>(reps: usize, mut a: A, mut b: B) -> (f64,
     (median(sa), median(sb), median(ratios))
 }
 
-/// The `backend_regimes` section of the committed report, verbatim: the
-/// engines it timed no longer exist, so it can only be carried forward.
-fn frozen_backend_regimes(path: &str) -> serde_json::Value {
+/// A frozen section of the committed report, verbatim: what it timed no
+/// longer exists, so it can only be carried forward.
+fn frozen_section(path: &str, key: &str) -> serde_json::Value {
     let committed = std::fs::read_to_string(path).expect("BENCH_scale.json is committed");
     match serde_json::from_str(&committed).expect("BENCH_scale.json parses") {
-        serde_json::Value::Object(root) => root.get("backend_regimes").cloned(),
+        serde_json::Value::Object(root) => root.get(key).cloned(),
         _ => None,
     }
-    .expect("committed BENCH_scale.json carries the frozen backend_regimes section")
+    .unwrap_or_else(|| panic!("committed BENCH_scale.json carries the frozen {key} section"))
 }
 
 fn main() {
@@ -203,10 +173,11 @@ fn main() {
     // Section 1: carry the PR-4 trajectory forward, tagged with its source.
     let pr4: Pr4Report = serde_json::from_str(PR4_FROZEN).expect("frozen PR-4 rows parse");
 
-    // Section 2: the frozen engine comparison, read back before the
-    // report is rewritten.
+    // Sections 2 and 4: the frozen engine and arena comparisons, read back
+    // before the report is rewritten.
     let path = format!("{root}/BENCH_scale.json");
-    let backend_regimes = frozen_backend_regimes(&path);
+    let backend_regimes = frozen_section(&path, "backend_regimes");
+    let arena_ctx = frozen_section(&path, "arena_ctx");
 
     // Section 3: the speculative experiment sweep, sequential vs parallel.
     let threads = std::thread::available_parallelism().map_or(1, |n| n.get());
@@ -238,116 +209,10 @@ fn main() {
         par * 1e3,
     );
 
-    // Section 4: fresh vs recycled scheduling contexts (the §16 arena).
-    // Forced to one thread: that is the allocation-free configuration the
-    // counting-allocator harness pins, and it keeps the deadline sweep off
-    // its speculative (allocating-by-design) parallel path.
-    let arena_dag = generate(
-        &DagParams {
-            num_tasks: 100,
-            alpha_max: 0.3,
-            width: 0.5,
-            regularity: 0.5,
-            density: 0.8,
-            jump: 2,
-        },
-        41,
-    );
-    let mut arena_cal = Calendar::new(32);
-    for i in 0..10i64 {
-        let s = 2_000 * i;
-        let procs = 1 + (i as u32 * 3) % 16;
-        arena_cal
-            .try_add(Reservation::new(
-                Time::seconds(s),
-                Time::seconds(s + 1_500 + 100 * i),
-                procs,
-            ))
-            .expect("bench reservations are conflict-free");
-    }
-    let arena_q = 24u32;
-    let fwd = schedule_forward(
-        &arena_dag,
-        &arena_cal,
-        Time::ZERO,
-        arena_q,
-        ForwardConfig::recommended(),
-    );
-    let arena_deadline = Some(Time::ZERO + fwd.turnaround() * 4);
-    let schedules_per_rep = 10usize;
-    let arena_reps = 41usize;
-    let mut arena_results = Vec::new();
-    rayon::force_threads(Some(1));
-    for name in ["BL_CPA_BD_CPA", "DL_RC_CPAR", "iCASLB-AR"] {
-        let algo = Algorithm::by_name(name).expect("catalog algorithm");
-        let mut ctx = SchedCtx::new();
-        let mut out = Schedule::new(Vec::new(), Time::ZERO);
-        // Differential sanity before timing, which also warms the context.
-        let fresh_sched = algo
-            .run(&arena_dag, &arena_cal, Time::ZERO, arena_q, arena_deadline)
-            .expect("bench deadline is feasible");
-        algo.run_with(
-            &arena_dag,
-            &arena_cal,
-            Time::ZERO,
-            arena_q,
-            arena_deadline,
-            &mut ctx,
-            &mut out,
-        )
-        .expect("bench deadline is feasible");
-        assert_eq!(
-            fresh_sched, out,
-            "{name}: recycled ctx changed the schedule"
-        );
-        let (fresh, reused, speedup) = time_paired(
-            arena_reps,
-            || {
-                for _ in 0..schedules_per_rep {
-                    std::hint::black_box(
-                        algo.run(&arena_dag, &arena_cal, Time::ZERO, arena_q, arena_deadline)
-                            .expect("bench deadline is feasible"),
-                    );
-                }
-            },
-            || {
-                for _ in 0..schedules_per_rep {
-                    algo.run_with(
-                        &arena_dag,
-                        &arena_cal,
-                        Time::ZERO,
-                        arena_q,
-                        arena_deadline,
-                        &mut ctx,
-                        &mut out,
-                    )
-                    .expect("bench deadline is feasible");
-                    std::hint::black_box(&out);
-                }
-            },
-        );
-        println!(
-            "arena {name:<14} fresh {:>9.3} ms   reused {:>9.3} ms   fresh/reused {speedup:.2}x",
-            fresh * 1e3,
-            reused * 1e3,
-        );
-        arena_results.push(ArenaResult {
-            scenario: "n100_dense_p32".to_string(),
-            algorithm: name.to_string(),
-            num_tasks: 100,
-            reps: arena_reps,
-            schedules_per_rep,
-            fresh_median_s: fresh,
-            reused_median_s: reused,
-            speedup,
-        });
-    }
-    rayon::force_threads(None);
-
     let report = Report {
-        description: "Standing scale trajectory: the speculative sweep and arena-context \
-                      speedups, paired-interleaved methodology (see bench_pr4.rs), plus the \
-                      frozen PR-4 CPA-loop and PR-7 calendar-engine comparisons"
+        description: "Standing scale trajectory: the speculative sweep speedup, \
+                      paired-interleaved methodology (see bench_pr4.rs), plus the frozen PR-4 \
+                      CPA-loop, PR-7 calendar-engine and PR-8 arena-context comparisons"
             .to_string(),
         migrated: Migrated {
             source_pr: 4,
@@ -360,12 +225,6 @@ fn main() {
             description: "validation experiment sweep, force_threads(1) vs all available \
                           threads; outputs asserted byte-identical before timing"
                 .to_string(),
-            note: format!(
-                "recorded on a {threads}-thread host; with a single hardware thread the \
-                 parallel path degenerates to inline sequential dispatch, so a ratio near \
-                 1.0 is the honest expectation — rerun on a multi-core host for the \
-                 scaling target"
-            ),
             results: vec![SweepResult {
                 scenario: "validation_sweep_2x2x1".to_string(),
                 threads,
@@ -374,21 +233,7 @@ fn main() {
                 speedup: sweep_speedup,
             }],
         },
-        arena_ctx: ArenaSection {
-            source_pr: 8,
-            description: "per-schedule fresh SchedCtx + Schedule (Algorithm::run) vs one warm \
-                          recycled context (Algorithm::run_with), n=100 dense DAG over a busy \
-                          p=32 calendar at forced 1 thread; outputs asserted identical before \
-                          timing, speedup is the median per-pair fresh/reused ratio"
-                .to_string(),
-            note: "at n=100 the per-schedule heap traffic this measures is small next to \
-                   the mapping search itself, so a ratio near 1.0 is expected here; the \
-                   arena contract's enforced payoff is the zero-steady-state-allocation \
-                   pin (alloc_probe suite), which buys predictable latency rather than \
-                   throughput at this scale"
-                .to_string(),
-            results: arena_results,
-        },
+        arena_ctx,
     };
     let mut out = serde_json::to_string_pretty(&report).expect("report serializes");
     out.push('\n');

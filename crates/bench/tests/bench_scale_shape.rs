@@ -1,8 +1,8 @@
 //! Shape check for the committed `BENCH_scale.json` trajectory file: the
 //! migrated BENCH_pr4 section keeps its provenance tag, the frozen PR-7
 //! engine comparison keeps every (R, p) regime with positive medians and
-//! a sane winner, and the parallel-sweep entry records the host thread
-//! count next to its note.
+//! a sane winner, the parallel-sweep entry records the host thread count,
+//! and the frozen PR-8 arena comparison stays marked as history.
 //!
 //! This is a schema smoke test, not a perf assertion — the medians are
 //! machine-dependent and regenerated via
@@ -92,13 +92,9 @@ fn bench_scale_json_has_the_expected_shape() {
         .collect();
     assert_eq!(seen, expected, "regime grid is incomplete or has extras");
 
-    // Parallel sweep: thread count recorded, honesty note present.
+    // Parallel sweep: thread count recorded beside every ratio.
     let sweep = obj(root.get("parallel_sweep").expect("parallel_sweep section"));
     assert_eq!(num(sweep, "source_pr"), 7.0);
-    assert!(
-        text(sweep, "note").contains("thread"),
-        "note must state the thread-count caveat"
-    );
     let sweep_rows = arr(sweep.get("results").expect("sweep results"));
     assert!(!sweep_rows.is_empty());
     for row in sweep_rows {
@@ -106,6 +102,20 @@ fn bench_scale_json_has_the_expected_shape() {
         assert!(num(row, "threads") >= 1.0);
         assert!(num(row, "sequential_median_s") > 0.0);
         assert!(num(row, "parallel_median_s") > 0.0);
+        assert!(num(row, "speedup") > 0.0);
+    }
+
+    // Arena contexts: frozen history (the recycled path is deleted).
+    let arena = obj(root.get("arena_ctx").expect("arena_ctx section"));
+    assert_eq!(num(arena, "source_pr"), 8.0);
+    assert!(
+        text(arena, "frozen").contains("not re-measurable"),
+        "the arena comparison must stay marked as frozen history"
+    );
+    for row in arr(arena.get("results").expect("arena results")) {
+        let row = obj(row);
+        assert!(num(row, "fresh_median_s") > 0.0);
+        assert!(num(row, "reused_median_s") > 0.0);
         assert!(num(row, "speedup") > 0.0);
     }
 }

@@ -1,13 +1,12 @@
 //! A unified registry over every scheduling algorithm in the workspace, so
 //! harnesses, CLIs, and comparisons can treat them uniformly.
 
-use crate::backward::{schedule_deadline_with, DeadlineAlgo, DeadlineConfig, DeadlineInfeasible};
+use crate::backward::{schedule_deadline, DeadlineAlgo, DeadlineConfig, DeadlineInfeasible};
 use crate::bl::BlMethod;
-use crate::blind::BlindConfig;
-use crate::ctx::SchedCtx;
+use crate::blind::{schedule_blind, BlindConfig, ReservationDesk};
 use crate::dag::Dag;
-use crate::forward::{schedule_forward_with, BdMethod, ForwardConfig};
-use crate::icaslb::{schedule_icaslb_with, IcaslbConfig};
+use crate::forward::{schedule_forward, BdMethod, ForwardConfig};
+use crate::icaslb::{schedule_icaslb, IcaslbConfig};
 use crate::schedule::Schedule;
 use resched_resv::{Calendar, Time};
 use serde::{Deserialize, Serialize};
@@ -121,78 +120,31 @@ impl Algorithm {
         q: u32,
         deadline: Option<Time>,
     ) -> Result<Schedule, RunError> {
-        let mut ctx = SchedCtx::new();
-        let mut out = Schedule::new(Vec::new(), now);
-        self.run_with(dag, competing, now, q, deadline, &mut ctx, &mut out)?;
-        Ok(out)
-    }
-
-    /// [`Algorithm::run`] into a recycled [`SchedCtx`] and output schedule:
-    /// byte-identical results, allocation-free once the context is warm.
-    /// On `Err` the contents of `out` are unspecified.
-    #[allow(clippy::too_many_arguments)]
-    pub fn run_with(
-        &self,
-        dag: &Dag,
-        competing: &Calendar,
-        now: Time,
-        q: u32,
-        deadline: Option<Time>,
-        ctx: &mut SchedCtx,
-        out: &mut Schedule,
-    ) -> Result<(), RunError> {
+        let deadline_run = |a: DeadlineAlgo, cfg: DeadlineConfig| {
+            let k = deadline.ok_or(RunError::DeadlineRequired)?;
+            schedule_deadline(dag, competing, now, q, k, a, cfg)
+                .map(|outcome| outcome.schedule)
+                .map_err(RunError::Infeasible)
+        };
         match self {
-            Algorithm::Forward(cfg) => {
-                schedule_forward_with(dag, competing, now, q, *cfg, ctx, out);
-                Ok(())
-            }
-            Algorithm::Deadline(a) => {
-                let k = deadline.ok_or(RunError::DeadlineRequired)?;
-                schedule_deadline_with(
-                    dag,
-                    competing,
-                    now,
-                    q,
-                    k,
-                    *a,
-                    DeadlineConfig::default(),
-                    ctx,
-                    out,
-                )
-                .map(|_lambda| ())
-                .map_err(RunError::Infeasible)
-            }
-            Algorithm::Icaslb => {
-                schedule_icaslb_with(dag, competing, now, q, IcaslbConfig::default(), ctx, out);
-                Ok(())
-            }
-            Algorithm::Blind => {
-                crate::blind::schedule_blind_ctx(
-                    dag,
-                    competing,
-                    now,
-                    q,
-                    BlindConfig::default(),
-                    ctx,
-                    out,
-                );
-                Ok(())
-            }
+            Algorithm::Forward(cfg) => Ok(schedule_forward(dag, competing, now, q, *cfg)),
+            Algorithm::Deadline(a) => deadline_run(*a, DeadlineConfig::default()),
+            Algorithm::Icaslb => Ok(schedule_icaslb(
+                dag,
+                competing,
+                now,
+                q,
+                IcaslbConfig::default(),
+            )),
+            Algorithm::Blind => Ok(schedule_blind(
+                dag,
+                &mut ReservationDesk::new(competing.clone()),
+                now,
+                q,
+                BlindConfig::default(),
+            )),
             Algorithm::HierDeadline(a) => {
-                let k = deadline.ok_or(RunError::DeadlineRequired)?;
-                schedule_deadline_with(
-                    dag,
-                    competing,
-                    now,
-                    q,
-                    k,
-                    *a,
-                    DeadlineConfig::default().hierarchical(TWIN_GRAIN),
-                    ctx,
-                    out,
-                )
-                .map(|_lambda| ())
-                .map_err(RunError::Infeasible)
+                deadline_run(*a, DeadlineConfig::default().hierarchical(TWIN_GRAIN))
             }
         }
     }

@@ -27,8 +27,7 @@
 //!   letting it use up to `p` processors.
 
 use crate::bl::{self, BlMethod};
-use crate::cpa::{self, CpaAllocation, MapScratch, StoppingCriterion};
-use crate::ctx::{poison_vec, SchedCtx};
+use crate::cpa::{self, CpaAllocation, CpaCache, MapScratch, StoppingCriterion};
 use crate::dag::{Dag, TaskId};
 use crate::obs;
 use crate::pool::Pool;
@@ -164,7 +163,6 @@ pub struct DeadlineOutcome {
 ///
 /// `competing` describes the platform and its existing reservations, `now`
 /// the scheduling instant, and `q` the historical average availability.
-// lint:warmup: builds a fresh context and schedule per call (concurrent probes cannot share an arena); steady-state callers use schedule_deadline_with, which is rooted separately.
 pub fn schedule_deadline(
     dag: &Dag,
     competing: &Calendar,
@@ -174,91 +172,46 @@ pub fn schedule_deadline(
     algo: DeadlineAlgo,
     cfg: DeadlineConfig,
 ) -> Result<DeadlineOutcome, DeadlineInfeasible> {
-    let mut ctx = SchedCtx::new();
-    let mut schedule = Schedule::new(Vec::new(), now);
-    let lambda = schedule_deadline_with(
-        dag,
-        competing,
-        now,
-        q,
-        deadline,
-        algo,
-        cfg,
-        &mut ctx,
-        &mut schedule,
-    )?;
-    Ok(DeadlineOutcome { schedule, lambda })
-}
-
-/// [`schedule_deadline`] into a recycled [`SchedCtx`] and output schedule:
-/// byte-identical results, and (on the sequential sweep path) allocation-free
-/// once the context is warm. Returns the successful λ for the hybrids.
-#[allow(clippy::too_many_arguments)]
-pub fn schedule_deadline_with(
-    dag: &Dag,
-    competing: &Calendar,
-    now: Time,
-    q: u32,
-    deadline: Time,
-    algo: DeadlineAlgo,
-    cfg: DeadlineConfig,
-    ctx: &mut SchedCtx,
-    out: &mut Schedule,
-) -> Result<Option<f64>, DeadlineInfeasible> {
     let p = competing.capacity();
     let q = Pool::effective(q, p);
     let grain = cfg.grain.clamp(1, p.max(1));
     let mut stats = ScheduleStats::default();
-    let SchedCtx {
-        cache,
-        exec,
-        levels,
-        order,
-        bounds,
-        deadline: dbufs,
-        ..
-    } = ctx;
-    cache.begin_run();
-    let DeadlineBufs {
-        guide,
-        fallback,
-        grid,
-        starts,
-        decisions,
-        last_failure,
-        pass,
-        placed,
-    } = dbufs;
 
     // All algorithms order tasks with BL_CPAR bottom levels (paper §5.2:
     // "We use the BL_CPAR method ... because it proved the best"). The
-    // per-run cache means the CPA(q) allocation computed here is reused by
+    // per-call cache means the CPA(q) allocation computed here is reused by
     // the BD_CPAR bounds, RC guides, and hybrid guides below.
-    {
+    let mut cache = CpaCache::new();
+    let order = {
         crate::span!("deadline.prep");
         stats.count_cpa_allocation();
-        bl::exec_times_into(dag, p, q, BlMethod::CpaR, cfg.criterion, cache, exec);
-        bl::bottom_levels_into(dag, exec, levels);
-        bl::order_by_increasing_bl_into(dag, levels, order);
-    }
-    let order: &[TaskId] = order;
+        let exec = cache.exec_times(dag, p, q, BlMethod::CpaR, cfg.criterion);
+        let levels = bl::bottom_levels(dag, &exec);
+        bl::order_by_increasing_bl(dag, &levels)
+    };
+    let order: &[TaskId] = &order;
+    // One pass-buffer set and one placement buffer for the whole call:
+    // the λ sweep below runs up to 21 passes over them.
+    let mut pass = PassBufs::default();
+    let mut placed = Vec::new();
 
     let lambda = match algo {
         DeadlineAlgo::BdAll | DeadlineAlgo::BdCpa | DeadlineAlgo::BdCpaR => {
-            bounds.clear();
-            match algo {
-                DeadlineAlgo::BdAll => bounds.resize(dag.num_tasks(), p),
+            let flat;
+            let bounds: &[u32] = match algo {
                 DeadlineAlgo::BdCpa => {
                     stats.count_cpa_allocation();
-                    bounds.extend_from_slice(&cache.cpa(dag, p, cfg.criterion).allocs);
+                    &cache.cpa(dag, p, cfg.criterion).allocs
                 }
                 DeadlineAlgo::BdCpaR => {
                     stats.count_cpa_allocation();
-                    bounds.extend_from_slice(&cache.cpa(dag, q, cfg.criterion).allocs);
+                    &cache.cpa(dag, q, cfg.criterion).allocs
                 }
-                // lint:allow(panic): the outer match arm only admits the three BD_* variants, so the inner match is exhaustive over them.
-                _ => unreachable!("aggressive arm"),
-            }
+                _ => {
+                    flat = vec![p; dag.num_tasks()];
+                    &flat
+                }
+            };
             let ok = backward_pass(
                 dag,
                 competing,
@@ -269,8 +222,8 @@ pub fn schedule_deadline_with(
                 grain,
                 &mut stats,
                 None,
-                pass,
-                placed,
+                &mut pass,
+                &mut placed,
             );
             if !ok {
                 return Err(DeadlineInfeasible { deadline });
@@ -280,10 +233,7 @@ pub fn schedule_deadline_with(
         DeadlineAlgo::RcCpa | DeadlineAlgo::RcCpaR => {
             let pool = if algo == DeadlineAlgo::RcCpa { p } else { q };
             stats.count_cpa_allocation();
-            // Copying the allocation into the ctx-owned guide buffer ends
-            // the cache borrow immediately (the backward pass consults the
-            // guide throughout while other buffers are in play).
-            guide.assign_from(cache.cpa(dag, pool, cfg.criterion));
+            let guide = cache.cpa(dag, pool, cfg.criterion);
             let ok = backward_pass(
                 dag,
                 competing,
@@ -298,8 +248,8 @@ pub fn schedule_deadline_with(
                 grain,
                 &mut stats,
                 None,
-                pass,
-                placed,
+                &mut pass,
+                &mut placed,
             );
             if !ok {
                 return Err(DeadlineInfeasible { deadline });
@@ -308,21 +258,20 @@ pub fn schedule_deadline_with(
         }
         DeadlineAlgo::RcCpaRLambda | DeadlineAlgo::RcbdCpaRLambda => {
             stats.count_cpa_allocation();
-            guide.assign_from(cache.cpa(dag, q, cfg.criterion));
-            let guide: &CpaAllocation = guide;
-            let use_fallback = algo == DeadlineAlgo::RcbdCpaRLambda;
-            fallback.clear();
-            if use_fallback {
-                fallback.extend_from_slice(&guide.allocs);
-            }
-            let fallback_bounds = use_fallback.then_some(fallback.as_slice());
+            let guide = cache.cpa(dag, q, cfg.criterion);
+            let fallback_bounds =
+                (algo == DeadlineAlgo::RcbdCpaRLambda).then_some(guide.allocs.as_slice());
             // `S_i` is λ-invariant, so it is computed once for the whole
             // sweep. Doing it eagerly (rather than memoizing on first
             // touch) makes each λ pass a pure function of λ — the
             // precondition for executing passes speculatively in parallel.
-            guideline_starts_into(dag, guide, now, order, &mut stats, pass, starts);
-            let starts: &[Time] = starts;
-            lambda_grid_into(cfg.lambda_step, grid);
+            let starts = guideline_starts(dag, guide, now, order, &mut stats, &mut pass);
+            let starts: &[Time] = &starts;
+            let grid = lambda_grid(cfg.lambda_step);
+            // This pass's decision log and the most recent failed pass's
+            // (the warm-start skip reads it).
+            let mut decisions = Vec::new();
+            let mut last_failure = Vec::new();
 
             let mut found = None;
             // Ambient observability is thread-local; under an `observe`
@@ -334,12 +283,12 @@ pub fn schedule_deadline_with(
                 rayon::current_num_threads()
             };
             if threads <= 1 {
-                // Sequential sweep over the recycled ctx buffers: one pass
-                // buffer set, one decision log, one placement buffer. The
-                // failed log is kept by swapping, not cloning.
+                // Sequential sweep: every λ reuses the one pass-buffer set,
+                // decision log and placement buffer. The failed log is kept
+                // by swapping, not cloning.
                 let mut have_failure = false;
                 for &lambda in grid.iter() {
-                    if have_failure && sweep_skips(Some(last_failure), lambda) {
+                    if have_failure && sweep_skips(Some(&last_failure), lambda) {
                         continue;
                     }
                     let mut pass_stats = ScheduleStats::default();
@@ -357,31 +306,30 @@ pub fn schedule_deadline_with(
                         },
                         grain,
                         &mut pass_stats,
-                        Some(SweepRun { starts, decisions }),
-                        pass,
-                        placed,
+                        Some(SweepRun {
+                            starts,
+                            decisions: &mut decisions,
+                        }),
+                        &mut pass,
+                        &mut placed,
                     );
                     stats.absorb(pass_stats);
                     if ok {
                         found = Some(lambda);
                         break;
                     }
-                    std::mem::swap(decisions, last_failure);
+                    std::mem::swap(&mut decisions, &mut last_failure);
                     have_failure = true;
                 }
             } else {
                 // One λ pass over fresh local buffers, a fresh decision log
                 // and fresh local stats, so results compose identically
                 // whatever order they were *executed* in — the replay below
-                // folds them in λ order. Per-pass allocations are confined
-                // to this speculative path; the zero-alloc harness forces
-                // the sequential sweep.
+                // folds them in λ order.
                 let run_pass = |lambda: f64| {
                     let mut pass_stats = ScheduleStats::default();
-                    // lint:allow(alloc): speculative parallel passes own fresh buffers by design; the zero-alloc pin covers the sequential sweep, which this branch is not.
                     let mut pass_decisions = Vec::new();
                     let mut bufs = PassBufs::default();
-                    // lint:allow(alloc): speculative parallel passes own fresh buffers by design; the zero-alloc pin covers the sequential sweep, which this branch is not.
                     let mut placements = Vec::new();
                     let ok = backward_pass(
                         dag,
@@ -415,25 +363,22 @@ pub fn schedule_deadline_with(
                 // reached.
                 let mut have_failure = false;
                 'sweep: for block in grid.chunks(threads) {
-                    // lint:allow(alloc): gathering one block of speculative parallel results; only the sequential sweep carries the zero-alloc pin.
                     let results: Vec<_> = block.par_iter().map(|&l| run_pass(l)).collect();
                     for (lambda, (placements, pass_stats, pass_decisions)) in
                         block.iter().copied().zip(results)
                     {
-                        if have_failure && sweep_skips(Some(last_failure), lambda) {
+                        if have_failure && sweep_skips(Some(&last_failure), lambda) {
                             continue;
                         }
                         stats.absorb(pass_stats);
                         match placements {
                             Some(placements) => {
-                                placed.clear();
-                                placed.extend_from_slice(&placements);
+                                placed = placements;
                                 found = Some(lambda);
                                 break 'sweep;
                             }
                             None => {
-                                last_failure.clear();
-                                last_failure.extend(pass_decisions);
+                                last_failure = pass_decisions;
                                 have_failure = true;
                             }
                         }
@@ -447,11 +392,11 @@ pub fn schedule_deadline_with(
         }
     };
 
-    out.assign(placed.iter().copied(), now);
-    out.stats = stats;
+    let mut schedule = Schedule::new(placed, now);
+    schedule.stats = stats;
     #[cfg(any(debug_assertions, feature = "validate"))]
-    validate_outcome(dag, competing, now, deadline, q, algo, cfg, out);
-    Ok(lambda)
+    validate_outcome(dag, competing, now, deadline, q, algo, cfg, &schedule);
+    Ok(DeadlineOutcome { schedule, lambda })
 }
 
 /// Debug/feature-gated post-pass: replay a successful deadline schedule
@@ -511,23 +456,17 @@ enum Mode<'a> {
 /// from `0.899…` straight past `1.0` without ever trying the fully
 /// aggressive pass.
 pub fn lambda_grid(step: f64) -> Vec<f64> {
-    let mut grid = Vec::new();
-    lambda_grid_into(step, &mut grid);
-    grid
-}
-
-/// [`lambda_grid`] writing into a caller-owned buffer.
-pub fn lambda_grid_into(step: f64, out: &mut Vec<f64>) {
     assert!(step > 0.0, "lambda step must be positive");
-    out.clear();
+    let mut grid = Vec::new();
     for i in 0.. {
         let lambda = i as f64 * step;
         if lambda >= 1.0 {
             break;
         }
-        out.push(lambda);
+        grid.push(lambda);
     }
-    out.push(1.0);
+    grid.push(1.0);
+    grid
 }
 
 /// The relaxed RC guideline `S_i + λ·(dl_i − S_i)` (paper §5.4).
@@ -565,17 +504,15 @@ fn sweep_skips(last_failure: Option<&[RcDecision]>, lambda: f64) -> bool {
 /// the per-sweep memo it replaced — a successful pass visits every
 /// position, so all `n` mappings ran either way; only fully infeasible
 /// sweeps now map positions no failing pass reached.
-fn guideline_starts_into(
+fn guideline_starts(
     dag: &Dag,
     guide: &CpaAllocation,
     now: Time,
     order: &[TaskId],
     stats: &mut ScheduleStats,
     bufs: &mut PassBufs,
-    starts: &mut Vec<Time>,
-) {
-    starts.clear();
-    starts.reserve(order.len());
+) -> Vec<Time> {
+    let mut starts = Vec::with_capacity(order.len());
     for (k, &t) in order.iter().enumerate() {
         stats.count_cpa_mapping();
         bufs.unscheduled.clear();
@@ -607,6 +544,7 @@ fn guideline_starts_into(
         );
         starts.push(bufs.mapped[t.idx()].map_or(now, |pl| pl.start));
     }
+    starts
 }
 
 /// Context for one hybrid λ pass: the precomputed λ-invariant guideline
@@ -645,50 +583,9 @@ fn failure_repeats_at(decisions: &[RcDecision], lambda: f64) -> bool {
         })
 }
 
-/// Recycled buffers for the deadline algorithms, owned by
-/// [`SchedCtx`]. Nothing in here carries meaning between runs — every
-/// buffer is cleared or overwritten before use.
-#[derive(Debug, Default)]
-pub struct DeadlineBufs {
-    /// Ctx-owned copy of the RC guide allocation (ends the cache borrow).
-    guide: CpaAllocation,
-    /// RCBD fallback bounds (a copy of `guide.allocs`).
-    fallback: Vec<u32>,
-    /// The hybrid λ sweep grid.
-    grid: Vec<f64>,
-    /// λ-invariant guideline starts `S_i`, indexed by order position.
-    starts: Vec<Time>,
-    /// Current pass's decision log.
-    decisions: Vec<RcDecision>,
-    /// Decision log of the most recent failed pass (warm-start skips).
-    last_failure: Vec<RcDecision>,
-    /// Per-pass scratch.
-    pass: PassBufs,
-    /// Successful placements, staged before `Schedule::assign`.
-    placed: Vec<Placement>,
-}
-
-impl DeadlineBufs {
-    /// Fill every buffer with sentinel garbage (see [`SchedCtx::poison`]).
-    pub(crate) fn poison(&mut self) {
-        self.guide.poison();
-        poison_vec(&mut self.fallback, u32::MAX);
-        poison_vec(&mut self.grid, f64::NAN);
-        poison_vec(&mut self.starts, Time::seconds(i64::MIN / 4));
-        let junk = RcDecision {
-            s_i: Time::seconds(i64::MIN / 4),
-            dl: Time::seconds(i64::MIN / 4),
-            threshold: Time::seconds(i64::MIN / 4),
-            chosen: Some(Time::seconds(i64::MIN / 4)),
-        };
-        poison_vec(&mut self.decisions, junk.clone());
-        poison_vec(&mut self.last_failure, junk);
-        self.pass.poison();
-        poison_vec(&mut self.placed, crate::ctx::poison_placement());
-    }
-}
-
-/// Recycled scratch for one [`backward_pass`] invocation.
+/// Scratch for [`backward_pass`], held by `schedule_deadline` for the whole
+/// call: a hybrid sweep runs one pass per λ over the same set, and the
+/// single-pass RC algorithms re-map into `map`/`mapped` per task.
 #[derive(Debug)]
 struct PassBufs {
     cal: Calendar,
@@ -699,7 +596,6 @@ struct PassBufs {
 }
 
 impl Default for PassBufs {
-    // lint:warmup: one-time buffer construction when a context first runs the backward pass; later passes reuse the buffers.
     fn default() -> Self {
         PassBufs {
             cal: Calendar::new(1),
@@ -711,23 +607,13 @@ impl Default for PassBufs {
     }
 }
 
-impl PassBufs {
-    fn poison(&mut self) {
-        self.cal.debug_poison();
-        poison_vec(&mut self.placements, Some(crate::ctx::poison_placement()));
-        poison_vec(&mut self.unscheduled, true);
-        self.map.poison();
-        poison_vec(&mut self.mapped, Some(crate::ctx::poison_placement()));
-    }
-}
-
 /// One whole-DAG backward pass. Writes placements for every task into `out`
 /// and returns `true`, or returns `false` if some task cannot be placed
 /// between `now` and its deadline.
 ///
 /// `sweep` (hybrid sweeps only) carries the precomputed λ-invariant `S_i`
-/// values and records this pass's decision log. `bufs` is the recycled
-/// scratch set; nothing in it carries meaning across calls. `grain`
+/// values and records this pass's decision log. `bufs` is the call's
+/// scratch set; nothing in it carries meaning across passes. `grain`
 /// restricts every candidate allocation to whole multiples of that many
 /// cores (1 = the paper's flat placement; see `DeadlineConfig::grain`).
 #[allow(clippy::too_many_arguments)]
@@ -791,7 +677,7 @@ fn backward_pass(
             } => {
                 // CPA guideline start time S_i (paper §5.2.2). Hybrid
                 // sweeps precompute it per order position (it is
-                // λ-invariant; see `guideline_starts_into`); the single-pass
+                // λ-invariant; see `guideline_starts`); the single-pass
                 // RC algorithms map the unscheduled suffix here.
                 let s_i = match &sweep {
                     // lint:allow(panic): k walks the same unscheduled suffix the sweep's starts were computed over, so the index is always covered.

@@ -57,47 +57,28 @@ pub fn exec_times(
     method: BlMethod,
     criterion: StoppingCriterion,
 ) -> Vec<Dur> {
-    let mut cache = CpaCache::new();
-    exec_times_cached(dag, p, q, method, criterion, &mut cache)
+    CpaCache::new().exec_times(dag, p, q, method, criterion)
 }
 
-/// [`exec_times`] drawing CPA allocations from a per-run [`CpaCache`], so a
-/// scheduler that also needs the same allocation for bounds or guides
-/// computes it once. The `CpaR` pool is sized by [`Pool::effective`] — the
-/// historical `q` can exceed the platform (or be zero) and must be clamped
-/// to `1..=p` here, not just in the schedulers' entry points.
-pub fn exec_times_cached(
-    dag: &Dag,
-    p: u32,
-    q: u32,
-    method: BlMethod,
-    criterion: StoppingCriterion,
-    cache: &mut CpaCache,
-) -> Vec<Dur> {
-    let mut out = Vec::new();
-    exec_times_into(dag, p, q, method, criterion, cache, &mut out);
-    out
-}
-
-/// [`exec_times_cached`] writing into a caller-owned buffer, so a reused
-/// scheduling context ([`crate::ctx::SchedCtx`]) pays no per-run allocation
-/// once the buffer's capacity has warmed up.
-pub fn exec_times_into(
-    dag: &Dag,
-    p: u32,
-    q: u32,
-    method: BlMethod,
-    criterion: StoppingCriterion,
-    cache: &mut CpaCache,
-    out: &mut Vec<Dur>,
-) {
-    out.clear();
-    match method {
-        BlMethod::One => out.extend(dag.costs().iter().map(|c| c.exec_time(1))),
-        BlMethod::All => out.extend(dag.costs().iter().map(|c| c.exec_time(p))),
-        BlMethod::Cpa => out.extend_from_slice(&cache.cpa(dag, p, criterion).exec),
-        BlMethod::CpaR => {
-            out.extend_from_slice(&cache.cpa(dag, Pool::effective(q, p), criterion).exec)
+impl CpaCache {
+    /// [`exec_times`] drawing CPA allocations from this call's memo, so a
+    /// scheduler that also needs the same allocation for bounds or guides
+    /// computes it once. The `CpaR` pool is sized by [`Pool::effective`] —
+    /// the historical `q` can exceed the platform (or be zero) and must be
+    /// clamped to `1..=p` here, not just in the schedulers' entry points.
+    pub(crate) fn exec_times(
+        &mut self,
+        dag: &Dag,
+        p: u32,
+        q: u32,
+        method: BlMethod,
+        criterion: StoppingCriterion,
+    ) -> Vec<Dur> {
+        match method {
+            BlMethod::One => dag.costs().iter().map(|c| c.exec_time(1)).collect(),
+            BlMethod::All => dag.costs().iter().map(|c| c.exec_time(p)).collect(),
+            BlMethod::Cpa => self.cpa(dag, p, criterion).exec.clone(),
+            BlMethod::CpaR => self.cpa(dag, Pool::effective(q, p), criterion).exec.clone(),
         }
     }
 }
@@ -110,8 +91,10 @@ pub fn bottom_levels(dag: &Dag, exec: &[Dur]) -> Vec<Dur> {
     bl
 }
 
-/// [`bottom_levels`] writing into a caller-owned buffer (cleared first).
-pub fn bottom_levels_into(dag: &Dag, exec: &[Dur], out: &mut Vec<Dur>) {
+/// [`bottom_levels`] into a caller-held buffer (cleared first): the CPA
+/// mapping phase recomputes them per task decision of an RC deadline pass
+/// (`cpa::map_subset_into`), and a [`LevelTracker`] per cache key.
+pub(crate) fn bottom_levels_into(dag: &Dag, exec: &[Dur], out: &mut Vec<Dur>) {
     assert_eq!(exec.len(), dag.num_tasks());
     out.clear();
     out.resize(dag.num_tasks(), Dur::ZERO);
@@ -134,8 +117,9 @@ pub fn top_levels(dag: &Dag, exec: &[Dur]) -> Vec<Dur> {
     tl
 }
 
-/// [`top_levels`] writing into a caller-owned buffer (cleared first).
-pub fn top_levels_into(dag: &Dag, exec: &[Dur], out: &mut Vec<Dur>) {
+/// [`top_levels`] into a caller-held buffer (cleared first), for
+/// [`LevelTracker::rebuild`] — once per cache key of a scheduling call.
+fn top_levels_into(dag: &Dag, exec: &[Dur], out: &mut Vec<Dur>) {
     assert_eq!(exec.len(), dag.num_tasks());
     out.clear();
     out.resize(dag.num_tasks(), Dur::ZERO);
@@ -168,12 +152,13 @@ pub fn order_by_decreasing_bl(dag: &Dag, bl: &[Dur]) -> Vec<TaskId> {
     order
 }
 
-/// [`order_by_decreasing_bl`] writing into a caller-owned buffer.
+/// [`order_by_decreasing_bl`] into a caller-held buffer: iCASLB re-sorts
+/// per candidate build of its growth loop, the CPA mapping phase per task
+/// decision of an RC deadline pass.
 ///
 /// The sort key `(Reverse(bl), id)` is injective (ids are unique), so the
-/// unstable sort is deterministic and byte-identical to a stable one — and,
-/// unlike a stable sort, never allocates a merge buffer.
-pub fn order_by_decreasing_bl_into(dag: &Dag, bl: &[Dur], out: &mut Vec<TaskId>) {
+/// unstable sort is deterministic and byte-identical to a stable one.
+pub(crate) fn order_by_decreasing_bl_into(dag: &Dag, bl: &[Dur], out: &mut Vec<TaskId>) {
     out.clear();
     out.extend(dag.task_ids());
     out.sort_unstable_by_key(|t| (std::cmp::Reverse(bl[t.idx()]), t.0));
@@ -182,15 +167,9 @@ pub fn order_by_decreasing_bl_into(dag: &Dag, bl: &[Dur], out: &mut Vec<TaskId>)
 /// Task ids sorted by *increasing* bottom level (the backward, deadline
 /// scheduling order: exit tasks first).
 pub fn order_by_increasing_bl(dag: &Dag, bl: &[Dur]) -> Vec<TaskId> {
-    let mut order = Vec::new();
-    order_by_increasing_bl_into(dag, bl, &mut order);
+    let mut order = order_by_decreasing_bl(dag, bl);
+    order.reverse();
     order
-}
-
-/// [`order_by_increasing_bl`] writing into a caller-owned buffer.
-pub fn order_by_increasing_bl_into(dag: &Dag, bl: &[Dur], out: &mut Vec<TaskId>) {
-    order_by_decreasing_bl_into(dag, bl, out);
-    out.reverse();
 }
 
 /// Incrementally maintained bottom/top levels under single-task execution
@@ -285,7 +264,6 @@ pub struct LevelTracker {
 
 impl LevelTracker {
     /// Full build from the given per-task execution times.
-    // lint:warmup: builds the per-DAG level arrays once per allocation run; the incremental update path reuses them in place.
     pub fn new(dag: &Dag, exec: &[Dur]) -> LevelTracker {
         let mut tracker = LevelTracker {
             bl: Vec::new(),
@@ -314,9 +292,9 @@ impl LevelTracker {
         tracker
     }
 
-    /// Rebuild the tracker for a (possibly different) DAG in place,
-    /// reusing every internal buffer's capacity. After warm-up a reused
-    /// scheduling context rebuilds trackers without touching the heap.
+    /// Rebuild the tracker for new execution times in place, reusing every
+    /// internal buffer: a [`CpaCache`] rebuilds its one tracker per cache
+    /// key of the scheduling call it serves.
     // lint:allow(panic-transitive): rebuild walks tasks in stored topological order over arrays it just resized to the DAG, so every index is in range.
     pub fn rebuild(&mut self, dag: &Dag, exec: &[Dur]) {
         let n = dag.num_tasks();
@@ -387,35 +365,6 @@ impl LevelTracker {
     #[inline]
     pub fn top(&self) -> &[Dur] {
         &self.tl
-    }
-
-    /// Fill every internal buffer with sentinel garbage (see
-    /// [`crate::ctx::SchedCtx::poison`]). The tracker is unusable until
-    /// the next [`LevelTracker::rebuild`], which overwrites everything.
-    pub(crate) fn debug_poison(&mut self) {
-        use crate::ctx::poison_vec;
-        let garbage = Dur::seconds(i64::MIN / 4);
-        poison_vec(&mut self.bl, garbage);
-        poison_vec(&mut self.tl, garbage);
-        poison_vec(&mut self.topo_pos, u32::MAX);
-        poison_vec(&mut self.order, u32::MAX);
-        poison_vec(&mut self.blp, garbage);
-        poison_vec(&mut self.tlp, garbage);
-        poison_vec(&mut self.execp, garbage);
-        poison_vec(&mut self.sbp, garbage);
-        poison_vec(&mut self.entry_pos, u32::MAX);
-        poison_vec(&mut self.dirty, true);
-        self.dense = !self.dense;
-        poison_vec(&mut self.cand, garbage);
-        poison_vec(&mut self.rescan, true);
-        poison_vec(&mut self.cp_stamp, u32::MAX);
-        self.cp_epoch = u32::MAX;
-        poison_vec(&mut self.cp_stack, u32::MAX);
-        poison_vec(&mut self.cp_members, TaskId(u32::MAX));
-        poison_vec(&mut self.succ_start, u32::MAX);
-        poison_vec(&mut self.succ_list, u32::MAX);
-        poison_vec(&mut self.pred_start, u32::MAX);
-        poison_vec(&mut self.pred_list, u32::MAX);
     }
 
     /// Current critical-path length (max bottom level over entry tasks;

@@ -18,8 +18,7 @@
 //! [`crate::forward::schedule_forward`].
 
 use crate::bl::{self, BlMethod};
-use crate::cpa::StoppingCriterion;
-use crate::ctx::{poison_placement, poison_vec, SchedCtx};
+use crate::cpa::{CpaCache, StoppingCriterion};
 use crate::dag::Dag;
 use crate::obs;
 use crate::pool::Pool;
@@ -96,14 +95,6 @@ impl ReservationDesk {
     pub fn into_calendar(self) -> Calendar {
         self.cal
     }
-
-    /// Re-point a recycled desk at a fresh competing load: copy the
-    /// calendar in place and zero the probe/commit counters.
-    pub fn reset_from(&mut self, competing: &Calendar) {
-        self.cal.copy_from(competing);
-        self.probes = 0;
-        self.commits = 0;
-    }
 }
 
 impl std::fmt::Debug for ReservationDesk {
@@ -113,41 +104,6 @@ impl std::fmt::Debug for ReservationDesk {
             .field("probes", &self.probes)
             .field("commits", &self.commits)
             .finish()
-    }
-}
-
-/// Recycled buffers for the blind scheduler, owned by [`SchedCtx`].
-/// Nothing in here carries meaning between runs.
-#[derive(Debug)]
-pub struct BlindBufs {
-    /// A recycled desk for callers that only hold a competing [`Calendar`]
-    /// (the catalog entry point); re-pointed via
-    /// [`ReservationDesk::reset_from`] before each run.
-    pub(crate) desk: ReservationDesk,
-    /// The geometric probe ladder for one task.
-    ladder: Vec<u32>,
-    /// Per-task placement slots.
-    slots: Vec<Option<Placement>>,
-}
-
-impl Default for BlindBufs {
-    fn default() -> Self {
-        BlindBufs {
-            desk: ReservationDesk::new(Calendar::new(1)),
-            ladder: Vec::new(),
-            slots: Vec::new(),
-        }
-    }
-}
-
-impl BlindBufs {
-    /// Fill every buffer with sentinel garbage (see [`SchedCtx::poison`]).
-    pub(crate) fn poison(&mut self) {
-        self.desk.cal.debug_poison();
-        self.desk.probes = u64::MAX / 2;
-        self.desk.commits = u64::MAX / 2;
-        poison_vec(&mut self.ladder, u32::MAX);
-        poison_vec(&mut self.slots, Some(poison_placement()));
     }
 }
 
@@ -181,84 +137,6 @@ pub fn schedule_blind(
     q_estimate: u32,
     cfg: BlindConfig,
 ) -> Schedule {
-    let mut ctx = SchedCtx::new();
-    let mut out = Schedule::new(Vec::new(), now);
-    schedule_blind_with(dag, desk, now, q_estimate, cfg, &mut ctx, &mut out);
-    out
-}
-
-/// [`schedule_blind`] into a recycled [`SchedCtx`] and output schedule:
-/// byte-identical results, allocation-free once the context is warm.
-pub fn schedule_blind_with(
-    dag: &Dag,
-    desk: &mut ReservationDesk,
-    now: Time,
-    q_estimate: u32,
-    cfg: BlindConfig,
-    ctx: &mut SchedCtx,
-    out: &mut Schedule,
-) {
-    let SchedCtx {
-        cache,
-        exec,
-        levels,
-        order,
-        bounds,
-        blind: BlindBufs { ladder, slots, .. },
-        ..
-    } = ctx;
-    blind_inner(
-        dag, desk, now, q_estimate, cfg, cache, exec, levels, order, bounds, ladder, slots, out,
-    );
-}
-
-/// The catalog entry point: run BLIND against a competing [`Calendar`]
-/// using the recycled desk owned by the context itself, so repeat runs
-/// allocate nothing.
-pub(crate) fn schedule_blind_ctx(
-    dag: &Dag,
-    competing: &Calendar,
-    now: Time,
-    q_estimate: u32,
-    cfg: BlindConfig,
-    ctx: &mut SchedCtx,
-    out: &mut Schedule,
-) {
-    let SchedCtx {
-        cache,
-        exec,
-        levels,
-        order,
-        bounds,
-        blind: BlindBufs {
-            desk,
-            ladder,
-            slots,
-        },
-        ..
-    } = ctx;
-    desk.reset_from(competing);
-    blind_inner(
-        dag, desk, now, q_estimate, cfg, cache, exec, levels, order, bounds, ladder, slots, out,
-    );
-}
-
-#[allow(clippy::too_many_arguments)]
-fn blind_inner(
-    dag: &Dag,
-    desk: &mut ReservationDesk,
-    now: Time,
-    q_estimate: u32,
-    cfg: BlindConfig,
-    cache: &mut crate::cpa::CpaCache,
-    exec: &mut Vec<Dur>,
-    levels: &mut Vec<Dur>,
-    order: &mut Vec<crate::dag::TaskId>,
-    bounds: &mut Vec<u32>,
-    ladder: &mut Vec<u32>,
-    slots: &mut Vec<Option<Placement>>,
-    out: &mut Schedule,
-) {
     let p = desk.capacity();
     let q = Pool::effective(q_estimate, p);
     // Snapshot the calendar before our own commits land in it, so the
@@ -268,25 +146,25 @@ fn blind_inner(
     let mut stats = ScheduleStats::default();
     stats.count_pass();
     stats.count_cpa_allocation();
-    cache.begin_run();
 
     // Bottom levels and bounds exactly as BL_CPAR / BD_CPAR would; the
-    // per-run cache computes the CPA(q) allocation once for both roles.
-    // The clamped bounds are copied out of the cache entry so the borrow
-    // ends before the bottom-level pass consults the cache again.
-    {
-        let alloc_q = cache.cpa(dag, q, cfg.criterion);
-        bounds.clear();
-        bounds.extend(alloc_q.allocs.iter().map(|&a| a.clamp(1, p)));
-    }
-    bl::exec_times_into(dag, p, q, BlMethod::CpaR, cfg.criterion, cache, exec);
-    bl::bottom_levels_into(dag, exec, levels);
-    bl::order_by_decreasing_bl_into(dag, levels, order);
+    // per-call cache computes the CPA(q) allocation once for both roles.
+    let mut cache = CpaCache::new();
+    let bounds: Vec<u32> = cache
+        .cpa(dag, q, cfg.criterion)
+        .allocs
+        .iter()
+        .map(|&a| a.clamp(1, p))
+        .collect();
+    let exec = cache.exec_times(dag, p, q, BlMethod::CpaR, cfg.criterion);
+    let levels = bl::bottom_levels(dag, &exec);
+    let order = bl::order_by_decreasing_bl(dag, &levels);
 
     crate::span!("blind.place");
-    slots.clear();
-    slots.resize(dag.num_tasks(), None);
-    for &t in order.iter() {
+    let mut slots: Vec<Option<Placement>> = vec![None; dag.num_tasks()];
+    // The geometric probe ladder, rebuilt per task.
+    let mut ladder: Vec<u32> = Vec::new();
+    for &t in &order {
         let ready = dag
             .preds(t)
             .iter()
@@ -335,14 +213,16 @@ fn blind_inner(
         slots[t.idx()] = Some(chosen);
     }
 
-    out.assign(slots.iter().flatten().copied(), now);
+    let mut out = Schedule::new(slots.into_iter().flatten().collect(), now);
     debug_assert_eq!(out.placements().len(), dag.num_tasks(), "all tasks placed");
     out.stats = stats;
 
     #[cfg(any(debug_assertions, feature = "validate"))]
     crate::validate::ScheduleValidator::new(dag, &competing_at_entry, now)
-        .with_declared_bounds(bounds.clone())
-        .assert_valid(out, "BLIND");
+        .with_declared_bounds(bounds)
+        .assert_valid(&out, "BLIND");
+
+    out
 }
 
 #[cfg(test)]

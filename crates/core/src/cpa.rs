@@ -52,8 +52,6 @@ use crate::obs;
 use crate::schedule::{Placement, Schedule};
 use resched_resv::{Calendar, Dur, QueryCost, Reservation, Time};
 use serde::{Deserialize, Serialize};
-use std::sync::atomic::{AtomicU8, Ordering};
-use std::sync::OnceLock;
 
 /// Which phase-1 stopping criterion to use.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
@@ -89,58 +87,17 @@ impl CpaAllocation {
     pub fn exec_time(&self, t: TaskId) -> Dur {
         self.exec[t.idx()]
     }
-
-    /// An allocation with no tasks, for use as a buffer to be filled by
-    /// [`allocate_with`] or [`assign_from`](Self::assign_from).
-    // lint:warmup: zero-capacity placeholder built when a cache slot is first initialized; assign_from fills it in place afterwards.
-    pub fn empty() -> CpaAllocation {
-        CpaAllocation {
-            pool: 0,
-            allocs: Vec::new(),
-            exec: Vec::new(),
-        }
-    }
-
-    /// Overwrite `self` with a copy of `src`, reusing `self`'s buffers.
-    ///
-    /// The derived `Clone` does not override `clone_from`, so a plain
-    /// `clone_from` would still route through `Clone::clone` allocating
-    /// fresh `Vec`s; this is the allocation-free equivalent used by the
-    /// scratch-context hot paths.
-    pub fn assign_from(&mut self, src: &CpaAllocation) {
-        self.pool = src.pool;
-        self.allocs.clone_from(&src.allocs);
-        self.exec.clone_from(&src.exec);
-    }
-
-    /// Fill with sentinel garbage (see [`crate::ctx::SchedCtx::poison`]).
-    pub(crate) fn poison(&mut self) {
-        self.pool = u32::MAX;
-        crate::ctx::poison_vec(&mut self.allocs, u32::MAX);
-        crate::ctx::poison_vec(&mut self.exec, Dur::seconds(i64::MIN / 4));
-    }
 }
 
-/// Reusable scratch buffers for [`allocate_with`]: the incremental level
-/// tracker plus the two selection-input arrays. Keeping one of these warm
-/// across scheduling runs makes repeat CPA allocations allocation-free.
+/// Working state of the allocation loop: the incremental level tracker
+/// plus the two selection-input arrays. A [`CpaCache`] keeps one for the
+/// scheduling call it serves, so a second cache key (e.g. `BL_CPA` +
+/// `BD_CPAR`: pools `p` and `q`) rebuilds the tracker in place.
 #[derive(Debug, Default)]
-pub struct CpaScratch {
+struct CpaScratch {
     tracker: Option<LevelTracker>,
     next_exec: Vec<Dur>,
     gain: Vec<f64>,
-}
-
-impl CpaScratch {
-    /// Fill the scratch buffers with sentinel garbage (see
-    /// [`crate::ctx::SchedCtx::poison`]).
-    pub(crate) fn poison(&mut self) {
-        if let Some(t) = &mut self.tracker {
-            t.debug_poison();
-        }
-        crate::ctx::poison_vec(&mut self.next_exec, Dur::seconds(i64::MIN / 4));
-        crate::ctx::poison_vec(&mut self.gain, f64::NAN);
-    }
 }
 
 /// CPA phase 1: compute per-task allocations for a pool of `pool`
@@ -156,33 +113,23 @@ impl CpaScratch {
 /// # Panics
 /// Panics if `pool == 0`.
 pub fn allocate(dag: &Dag, pool: u32, criterion: StoppingCriterion) -> CpaAllocation {
-    let mut scratch = CpaScratch::default();
-    let mut out = CpaAllocation::empty();
-    allocate_with(dag, pool, criterion, &mut scratch, &mut out);
-    out
+    allocate_in(dag, pool, criterion, &mut CpaScratch::default())
 }
 
-/// [`allocate`] into caller-owned buffers: `out` receives the allocation
-/// and `scratch` keeps the loop's working state warm across calls. With
-/// both recycled, repeat allocations perform no heap allocation (buffer
-/// capacity grows monotonically to the largest DAG seen).
-///
-/// # Panics
-/// Panics if `pool == 0`.
-pub fn allocate_with(
+/// [`allocate`] over a caller-held [`CpaScratch`] (the [`CpaCache`]'s, so
+/// every allocation of one scheduling call shares one tracker).
+fn allocate_in(
     dag: &Dag,
     pool: u32,
     criterion: StoppingCriterion,
     scratch: &mut CpaScratch,
-    out: &mut CpaAllocation,
-) {
+) -> CpaAllocation {
     assert!(pool > 0, "CPA needs a non-empty processor pool");
-    let n = dag.num_tasks();
-    out.pool = pool;
-    out.allocs.clear();
-    out.allocs.resize(n, 1u32);
-    out.exec.clear();
-    out.exec.extend(dag.costs().iter().map(|c| c.exec_time(1)));
+    let mut out = CpaAllocation {
+        pool,
+        allocs: vec![1u32; dag.num_tasks()],
+        exec: dag.costs().iter().map(|c| c.exec_time(1)).collect(),
+    };
     let mut total_work: i64 = dag
         .task_ids()
         .map(|t| dag.cost(t).work(out.allocs[t.idx()]))
@@ -270,7 +217,8 @@ pub fn allocate_with(
     obs::counter_add(obs::names::CPA_ALLOC_INCR_UPDATES, incr_touched);
 
     #[cfg(any(debug_assertions, feature = "validate"))]
-    crate::validate::assert_allocation_valid(dag, out, "CPA");
+    crate::validate::assert_allocation_valid(dag, &out, "CPA");
+    out
 }
 
 /// The legacy CPA allocation loop: rebuilds every bottom/top level from
@@ -344,67 +292,8 @@ pub fn allocate_reference(dag: &Dag, pool: u32, criterion: StoppingCriterion) ->
 }
 
 // ---------------------------------------------------------------------------
-// Per-run allocation cache
+// Per-call allocation memo
 // ---------------------------------------------------------------------------
-
-/// Override state for [`CpaCache`]: 0 = follow the environment, 1 = forced
-/// on, 2 = forced off.
-static CACHE_OVERRIDE: AtomicU8 = AtomicU8::new(0);
-/// Lazily parsed `RESCHED_CPA_CACHE` environment knob.
-static CACHE_ENV: OnceLock<bool> = OnceLock::new();
-
-/// Force the per-run allocation cache on or off process-wide, overriding
-/// the `RESCHED_CPA_CACHE` environment knob; `None` restores env-driven
-/// behavior.
-///
-/// Intended for the cache-differential tests, which run the full catalog
-/// with the cache toggled both ways *in one process* and assert
-/// byte-identical schedules. Because caching must never change any output
-/// (that is the invariant under test), flipping this concurrently with
-/// other work is observationally safe — it only affects how often
-/// allocations are recomputed.
-pub fn force_cache(enabled: Option<bool>) {
-    let v = match enabled {
-        None => 0,
-        Some(true) => 1,
-        Some(false) => 2,
-    };
-    CACHE_OVERRIDE.store(v, Ordering::SeqCst);
-}
-
-/// Parse a `RESCHED_CPA_CACHE` value. Unknown spellings are an error
-/// listing the accepted names — a typo must not silently run with the
-/// cache in the wrong state.
-// lint:warmup: runs once when the memoized RESCHED_CPA_CACHE override is first read.
-pub fn parse_cache_knob(value: &str) -> Result<bool, String> {
-    match value {
-        "on" | "1" | "true" | "yes" => Ok(true),
-        "off" | "0" | "false" | "no" => Ok(false),
-        other => Err(format!(
-            "unknown RESCHED_CPA_CACHE value {other:?}; accepted values: \
-             on (1, true, yes), off (0, false, no)"
-        )),
-    }
-}
-
-/// Whether new [`CpaCache`]s memoize. Defaults to on; set
-/// `RESCHED_CPA_CACHE=off` (or `0` / `false` / `no`) to disable — the CI
-/// `cache-differential` lane runs the whole suite that way. Any other
-/// value is a hard startup error (see [`parse_cache_knob`]).
-fn cache_enabled() -> bool {
-    match CACHE_OVERRIDE.load(Ordering::SeqCst) {
-        1 => true,
-        2 => false,
-        _ => *CACHE_ENV.get_or_init(|| match std::env::var("RESCHED_CPA_CACHE") {
-            Ok(v) => match parse_cache_knob(&v) {
-                Ok(enabled) => enabled,
-                // lint:allow(panic): a bad RESCHED_CPA_CACHE is a startup configuration error; the previous silent default masked typos and ran with the wrong cache state.
-                Err(msg) => panic!("{msg}"),
-            },
-            Err(_) => true,
-        }),
-    }
-}
 
 /// The key a memoized allocation was computed under. CPA and MCPA share
 /// the cache (both produce [`CpaAllocation`]s) but never alias.
@@ -419,68 +308,32 @@ enum CacheKey {
     },
 }
 
-/// One memoized allocation. `stale` marks a value left over from a prior
-/// scheduling run: its buffers are kept for recycling but it must not be
-/// served as a hit until recomputed under the current run.
-#[derive(Debug)]
-struct CacheEntry {
-    key: CacheKey,
-    stale: bool,
-    value: CpaAllocation,
-}
-
-/// A per-scheduling-run memo of CPA phase-1 allocations, keyed by
+/// The memo of CPA phase-1 allocations one scheduling call keeps, keyed by
 /// `(pool, criterion)`.
 ///
 /// Every algorithm in the catalog derives several artifacts from the *same*
 /// allocation — `BL_CPAR` execution times, `BD_CPAR` bounds, RC guides —
-/// and used to recompute it for each. A scheduler threads one `CpaCache`
-/// through [`crate::bl::exec_times_cached`] /
-/// [`crate::forward::allocation_bounds_cached`] / the guide lookups, so
-/// each distinct allocation is computed exactly once per run. Hits and
-/// misses are reported through the `cpa.cache.{hit,miss}` counters.
+/// so each scheduler builds one `CpaCache` at the top of the call, reads
+/// exec times ([`CpaCache::exec_times`]), bounds
+/// ([`CpaCache::allocation_bounds`]) and guides ([`CpaCache::cpa`]) through
+/// it, and drops it on return: each distinct allocation is computed
+/// exactly once per call. Hits and misses are reported through the
+/// `cpa.cache.{hit,miss}` counters.
 ///
-/// The memo's *validity* is scoped to one scheduling call, but the struct
-/// itself lives inside a recycled [`crate::ctx::SchedCtx`]: calling
-/// [`begin_run`](Self::begin_run) marks every entry stale, and a stale
-/// entry's buffers are reused in place on the next compute (which counts
-/// as a miss, exactly like a fresh per-run cache would). Keys therefore
-/// never need to identify the DAG. Lookup is a plain probed `Vec` — a run
-/// touches at most a handful of distinct pools.
+/// A cache serves one DAG — keys carry no DAG identity — and is always on
+/// (DESIGN.md §16 has what computing the shared allocation once is worth
+/// end to end). Lookup is a plain probed `Vec`; a call touches at most a
+/// handful of distinct pools.
 #[derive(Debug, Default)]
 pub struct CpaCache {
-    enabled: bool,
-    entries: Vec<CacheEntry>,
+    entries: Vec<(CacheKey, CpaAllocation)>,
     scratch: CpaScratch,
-    /// Compute target when memoization is disabled: recycled across calls
-    /// so the disabled path is also allocation-free after warm-up.
-    uncached: CpaAllocation,
 }
 
 impl CpaCache {
-    /// An empty cache honoring the `RESCHED_CPA_CACHE` knob (and any
-    /// [`force_cache`] override).
+    /// An empty memo for one scheduling call.
     pub fn new() -> CpaCache {
-        CpaCache {
-            enabled: cache_enabled(),
-            entries: Vec::new(),
-            scratch: CpaScratch::default(),
-            uncached: CpaAllocation::empty(),
-        }
-    }
-
-    /// Start a new scheduling run: re-read the enablement knob (tests flip
-    /// [`force_cache`] between runs) and expire every memoized entry. Their
-    /// buffers stay warm for in-place recomputation.
-    pub fn begin_run(&mut self) {
-        self.enabled = cache_enabled();
-        if self.enabled {
-            for e in &mut self.entries {
-                e.stale = true;
-            }
-        } else {
-            self.entries.clear();
-        }
+        CpaCache::default()
     }
 
     /// The CPA allocation for `(pool, criterion)`, computed on first use.
@@ -494,72 +347,25 @@ impl CpaCache {
     }
 
     fn fetch(&mut self, dag: &Dag, key: CacheKey) -> &CpaAllocation {
-        if !self.enabled {
-            obs::counter_add(obs::names::CPA_CACHE_MISS, 1);
-            Self::compute(dag, key, &mut self.scratch, &mut self.uncached);
-            return &self.uncached;
-        }
-        if let Some(i) = self.entries.iter().position(|e| !e.stale && e.key == key) {
-            obs::counter_add(obs::names::CPA_CACHE_HIT, 1);
-            // lint:allow(panic): i comes from position() over the same entries list two lines up.
-            return &self.entries[i].value;
-        }
-        // Miss — identical accounting to a fresh per-run cache, whether the
-        // value lands in a recycled stale slot or a brand-new entry.
-        obs::counter_add(obs::names::CPA_CACHE_MISS, 1);
-        let slot = match self
-            .entries
-            .iter()
-            .position(|e| e.stale && e.key == key)
-            .or_else(|| self.entries.iter().position(|e| e.stale))
-        {
-            Some(i) => i,
+        let slot = match self.entries.iter().position(|(k, _)| *k == key) {
+            Some(i) => {
+                obs::counter_add(obs::names::CPA_CACHE_HIT, 1);
+                i
+            }
             None => {
-                // Warm-up only: each run computes at most a handful of
-                // distinct keys, so the entry list stops growing after the
-                // widest run seen.
-                self.entries.push(CacheEntry {
-                    key,
-                    stale: true,
-                    value: CpaAllocation::empty(),
-                });
+                obs::counter_add(obs::names::CPA_CACHE_MISS, 1);
+                let value = match key {
+                    CacheKey::Cpa { pool, criterion } => {
+                        allocate_in(dag, pool, criterion, &mut self.scratch)
+                    }
+                    CacheKey::Mcpa { pool } => crate::mcpa::allocate(dag, pool),
+                };
+                self.entries.push((key, value));
                 self.entries.len() - 1
             }
         };
         // lint:allow(panic): slot is either a position() hit or len() - 1 right after a push.
-        let entry = &mut self.entries[slot];
-        entry.key = key;
-        entry.stale = false;
-        Self::compute(dag, key, &mut self.scratch, &mut entry.value);
-        // lint:allow(panic): slot is either a position() hit or len() - 1 right after a push.
-        &self.entries[slot].value
-    }
-
-    /// Fill every memoized value with sentinel garbage, leaving keys
-    /// intact and entries marked *fresh*: an entry point that forgets
-    /// [`begin_run`](Self::begin_run) will then serve the garbage and fail
-    /// its differential tests loudly. `begin_run` restores correctness.
-    pub fn debug_poison(&mut self) {
-        for e in &mut self.entries {
-            e.stale = false;
-            e.value.pool = u32::MAX;
-            crate::ctx::poison_vec(&mut e.value.allocs, u32::MAX);
-            crate::ctx::poison_vec(&mut e.value.exec, Dur::seconds(i64::MIN / 4));
-        }
-        self.uncached.pool = u32::MAX;
-        crate::ctx::poison_vec(&mut self.uncached.allocs, u32::MAX);
-        crate::ctx::poison_vec(&mut self.uncached.exec, Dur::seconds(i64::MIN / 4));
-        self.scratch.poison();
-    }
-
-    fn compute(dag: &Dag, key: CacheKey, scratch: &mut CpaScratch, out: &mut CpaAllocation) {
-        match key {
-            CacheKey::Cpa { pool, criterion } => allocate_with(dag, pool, criterion, scratch, out),
-            // MCPA sits outside the zero-alloc catalog hot path (only the
-            // MCPA baseline bench uses it), so it keeps its allocating
-            // entry point and we copy into the recycled buffers.
-            CacheKey::Mcpa { pool } => out.assign_from(&crate::mcpa::allocate(dag, pool)),
-        }
+        &self.entries[slot].1
     }
 }
 
@@ -567,66 +373,37 @@ impl CpaCache {
 /// empty `alloc.pool`-processor platform, starting no earlier than
 /// `start_at`. Returns one placement per task.
 pub fn map(dag: &Dag, alloc: &CpaAllocation, start_at: Time) -> Vec<Placement> {
-    let mut cost = QueryCost::default();
-    map_with_cost(dag, alloc, start_at, &mut cost)
+    map_all(dag, alloc, start_at, &mut QueryCost::default())
 }
 
 /// [`map`], tallying the calendar slot-query work into `cost`.
-pub fn map_with_cost(
+fn map_all(
     dag: &Dag,
     alloc: &CpaAllocation,
     start_at: Time,
     cost: &mut QueryCost,
 ) -> Vec<Placement> {
+    let mut slots = Vec::new();
+    map_subset_into(
+        dag,
+        alloc,
+        start_at,
+        |_| true,
+        cost,
+        &mut MapScratch::default(),
+        &mut slots,
+    );
     // `include = |_| true` puts every task in the subset, so every slot is
     // `Some`; a hole would shorten the result, which the assert catches.
-    let placed: Vec<Placement> = map_subset_with_cost(dag, alloc, start_at, |_| true, cost)
-        .into_iter()
-        .flatten()
-        .collect();
+    let placed: Vec<Placement> = slots.into_iter().flatten().collect();
     debug_assert_eq!(placed.len(), dag.num_tasks(), "map includes every task");
     placed
 }
 
-/// List-schedule a predecessor-closed subset of tasks (those for which
-/// `include` returns true) with the given allocation onto an empty platform.
-///
-/// Used by the resource-conservative deadline algorithms (paper §5.2.2),
-/// which re-map the not-yet-scheduled "upper" part of the DAG before every
-/// task decision. Tasks outside the subset get `None`.
-///
-/// # Panics
-/// Panics (in debug builds) if the subset is not predecessor-closed.
-pub fn map_subset(
-    dag: &Dag,
-    alloc: &CpaAllocation,
-    start_at: Time,
-    include: impl Fn(TaskId) -> bool,
-) -> Vec<Option<Placement>> {
-    let mut cost = QueryCost::default();
-    map_subset_with_cost(dag, alloc, start_at, include, &mut cost)
-}
-
-/// [`map_subset`], tallying the calendar slot-query work into `cost`.
-pub fn map_subset_with_cost(
-    dag: &Dag,
-    alloc: &CpaAllocation,
-    start_at: Time,
-    include: impl Fn(TaskId) -> bool,
-    cost: &mut QueryCost,
-) -> Vec<Option<Placement>> {
-    let mut scratch = MapScratch::default();
-    let mut out = Vec::new();
-    map_subset_into(dag, alloc, start_at, include, cost, &mut scratch, &mut out);
-    out
-}
-
-/// Reusable scratch buffers for [`map_subset_into`]: the bottom-level and
-/// priority-order arrays plus the empty mapping platform, all recycled
-/// across calls (the deadline algorithms re-map the upper DAG before every
-/// task decision, so this is the hottest allocation site in the codebase).
+/// Working buffers of [`map_subset_into`]: the bottom-level and
+/// priority-order arrays plus the empty mapping platform.
 #[derive(Debug)]
-pub struct MapScratch {
+pub(crate) struct MapScratch {
     bl: Vec<Dur>,
     order: Vec<TaskId>,
     platform: Calendar,
@@ -642,19 +419,19 @@ impl Default for MapScratch {
     }
 }
 
-impl MapScratch {
-    /// Fill the scratch buffers with sentinel garbage (see
-    /// [`crate::ctx::SchedCtx::poison`]).
-    pub(crate) fn poison(&mut self) {
-        crate::ctx::poison_vec(&mut self.bl, Dur::seconds(i64::MIN / 4));
-        crate::ctx::poison_vec(&mut self.order, TaskId(u32::MAX));
-        self.platform.debug_poison();
-    }
-}
-
-/// [`map_subset_with_cost`] into caller-owned buffers; allocation-free once
-/// `scratch` and `out` are warm.
-pub fn map_subset_into(
+/// List-schedule a predecessor-closed subset of tasks (those for which
+/// `include` returns true) with the given allocation onto an empty
+/// platform, into caller-held buffers. Tasks outside the subset get `None`.
+///
+/// Buffer-taking because the resource-conservative deadline algorithms
+/// (paper §5.2.2) re-map the not-yet-scheduled "upper" part of the DAG
+/// before every task decision — the per-task loops of
+/// `backward::backward_pass` and `backward::guideline_starts` call this
+/// `n` times per scheduling call over one `scratch`/`out` pair.
+///
+/// # Panics
+/// Panics (in debug builds) if the subset is not predecessor-closed.
+pub(crate) fn map_subset_into(
     dag: &Dag,
     alloc: &CpaAllocation,
     start_at: Time,
@@ -670,7 +447,7 @@ pub fn map_subset_into(
     out.clear();
     out.resize(dag.num_tasks(), None);
     for &t in &scratch.order {
-        // lint:allow(dynamic-call): every root-reachable caller passes a pure membership probe over the pass's unscheduled bitmask (`|u| uns[u.idx()]`) — no panics (ids are dense), no allocation, no ambient state.
+        // lint:allow(dynamic-call): every root-reachable caller passes a pure membership probe — the pass's unscheduled bitmask (`|u| uns[u.idx()]`) or `|_| true` — no panics (ids are dense), no allocation, no ambient state.
         if !include(t) {
             continue;
         }
@@ -706,7 +483,7 @@ pub fn map_subset_into(
 pub fn schedule(dag: &Dag, pool: u32, criterion: StoppingCriterion, now: Time) -> Schedule {
     let alloc = allocate(dag, pool, criterion);
     let mut cost = QueryCost::default();
-    let placements = map_with_cost(dag, &alloc, now, &mut cost);
+    let placements = map_all(dag, &alloc, now, &mut cost);
     let mut s = Schedule::new(placements, now);
     s.stats.count_cpa_allocation();
     s.stats.count_cpa_mapping();
@@ -730,27 +507,6 @@ mod tests {
 
     fn c(s: i64, a: f64) -> TaskCost {
         TaskCost::new(Dur::seconds(s), a)
-    }
-
-    #[test]
-    fn cache_knob_accepts_every_documented_spelling() {
-        for on in ["on", "1", "true", "yes"] {
-            assert_eq!(parse_cache_knob(on), Ok(true), "{on}");
-        }
-        for off in ["off", "0", "false", "no"] {
-            assert_eq!(parse_cache_knob(off), Ok(false), "{off}");
-        }
-    }
-
-    #[test]
-    fn cache_knob_rejects_unknown_values_listing_accepted_names() {
-        for bad in ["On", "offf", "disabled", ""] {
-            let msg = parse_cache_knob(bad).unwrap_err();
-            assert!(msg.contains("RESCHED_CPA_CACHE"), "{msg}");
-            for name in ["on", "off", "true", "false", "yes", "no"] {
-                assert!(msg.contains(name), "{msg} should list {name}");
-            }
-        }
     }
 
     #[test]
@@ -842,7 +598,16 @@ mod tests {
             .add_edge(y, z);
         let dag = b.build().unwrap();
         let alloc = allocate(&dag, 4, StoppingCriterion::Stringent);
-        let out = map_subset(&dag, &alloc, Time::ZERO, |t| t != z);
+        let mut out = Vec::new();
+        map_subset_into(
+            &dag,
+            &alloc,
+            Time::ZERO,
+            |t| t != z,
+            &mut QueryCost::default(),
+            &mut MapScratch::default(),
+            &mut out,
+        );
         assert!(out[z.idx()].is_none());
         assert!(out[a.idx()].is_some());
         let pa = out[a.idx()].unwrap();
@@ -881,10 +646,11 @@ mod tests {
         }
     }
 
-    // NB: the seeded daggen sweep comparing `allocate` against
-    // `allocate_reference` lives in `tests/alloc_differential.rs` — the
-    // dev-dependency cycle with resched-daggen means unit tests here would
-    // see a second copy of this crate's types.
+    // NB: the seeded daggen sweeps comparing `allocate` against
+    // `allocate_reference`, and `CpaCache` lookups against both, live in
+    // `tests/alloc_differential.rs` — the dev-dependency cycle with
+    // resched-daggen means unit tests here would see a second copy of this
+    // crate's types.
 
     #[test]
     fn saturated_critical_path_exits_via_best_none() {
@@ -922,59 +688,5 @@ mod tests {
         ] {
             assert_eq!(alloc.allocs, vec![2, 2, 1], "tie-break drifted");
         }
-    }
-
-    #[test]
-    fn cache_memoizes_per_key_and_disables_cleanly() {
-        let dag = fork_join(c(500, 0.1), &[c(5000, 0.1); 6], c(500, 0.1));
-        let mut cache = CpaCache::new();
-        let a_direct = allocate(&dag, 16, StoppingCriterion::Classic);
-        assert_eq!(*cache.cpa(&dag, 16, StoppingCriterion::Classic), a_direct);
-        // Same key again: served from the same slot, not recomputed into a
-        // new one (no entry push happens between the two fetches, so the
-        // address comparison is sound) — when the env knob is on.
-        let a_ptr = cache.cpa(&dag, 16, StoppingCriterion::Classic) as *const CpaAllocation;
-        let b_ptr = cache.cpa(&dag, 16, StoppingCriterion::Classic) as *const CpaAllocation;
-        if cache.enabled {
-            assert_eq!(a_ptr, b_ptr, "expected a cache hit");
-        }
-        // Distinct keys never alias: each serves its own computation, and
-        // the original key is undisturbed afterwards.
-        assert_eq!(
-            *cache.cpa(&dag, 8, StoppingCriterion::Classic),
-            allocate(&dag, 8, StoppingCriterion::Classic)
-        );
-        assert_eq!(
-            *cache.cpa(&dag, 16, StoppingCriterion::Stringent),
-            allocate(&dag, 16, StoppingCriterion::Stringent)
-        );
-        assert_eq!(
-            *cache.mcpa(&dag, 16),
-            crate::mcpa::allocate(&dag, 16),
-            "CPA and MCPA keys must not alias"
-        );
-        assert_eq!(*cache.cpa(&dag, 16, StoppingCriterion::Classic), a_direct);
-    }
-
-    #[test]
-    fn begin_run_expires_entries_and_recycles_buffers() {
-        let dag = fork_join(c(500, 0.1), &[c(5000, 0.1); 6], c(500, 0.1));
-        let mut cache = CpaCache::new();
-        let direct = allocate(&dag, 16, StoppingCriterion::Classic);
-        assert_eq!(*cache.cpa(&dag, 16, StoppingCriterion::Classic), direct);
-        // A new run recomputes into the stale slot: same value, and the
-        // entry list does not grow across runs.
-        cache.begin_run();
-        assert_eq!(*cache.cpa(&dag, 16, StoppingCriterion::Classic), direct);
-        let entries_after_two_runs = cache.entries.len();
-        // A stale entry keyed for one DAG must not leak into a run over a
-        // different DAG, even though keys carry no DAG identity.
-        let other = chain(&[c(10_000, 0.0), c(10_000, 0.0)]);
-        cache.begin_run();
-        assert_eq!(
-            *cache.cpa(&other, 16, StoppingCriterion::Classic),
-            allocate(&other, 16, StoppingCriterion::Classic)
-        );
-        assert_eq!(cache.entries.len(), entries_after_two_runs);
     }
 }

@@ -17,7 +17,7 @@
 use crate::bl::{self, BlMethod};
 use crate::cpa::CpaCache;
 use crate::dag::Dag;
-use crate::forward::{allocation_bounds_cached, ForwardConfig};
+use crate::forward::ForwardConfig;
 use crate::obs;
 use crate::pool::Pool;
 use crate::schedule::{Placement, Schedule, ScheduleStats};
@@ -56,10 +56,10 @@ pub fn schedule_forward_dynamic(
     if matches!(cfg.bl, BlMethod::Cpa | BlMethod::CpaR) {
         stats.count_cpa_allocation();
     }
-    let exec = bl::exec_times_cached(dag, p, q, cfg.bl, cfg.criterion, &mut cache);
+    let exec = cache.exec_times(dag, p, q, cfg.bl, cfg.criterion);
     let levels = bl::bottom_levels(dag, &exec);
     let order = bl::order_by_decreasing_bl(dag, &levels);
-    let bounds = allocation_bounds_cached(dag, p, q, cfg.bd, cfg.criterion, &mut stats, &mut cache);
+    let bounds = cache.allocation_bounds(dag, p, q, cfg.bd, cfg.criterion, &mut stats);
 
     crate::span!("dynamic.place");
     let mut cal = competing.clone();

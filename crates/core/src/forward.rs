@@ -15,7 +15,6 @@
 
 use crate::bl::{self, BlMethod};
 use crate::cpa::{CpaCache, StoppingCriterion};
-use crate::ctx::SchedCtx;
 use crate::dag::Dag;
 use crate::obs;
 use crate::pool::Pool;
@@ -146,51 +145,35 @@ pub fn allocation_bounds(
     criterion: StoppingCriterion,
     stats: &mut ScheduleStats,
 ) -> Vec<u32> {
-    allocation_bounds_cached(dag, p, q, bd, criterion, stats, &mut CpaCache::new())
+    CpaCache::new().allocation_bounds(dag, p, q, bd, criterion, stats)
 }
 
-/// [`allocation_bounds`] against a shared per-run [`CpaCache`], so the same
-/// CPA allocation computed for `BL_CPA(R)` exec times is reused for the
-/// `BD_CPA(R)` bound instead of being recomputed.
-#[allow(clippy::too_many_arguments)]
-pub fn allocation_bounds_cached(
-    dag: &Dag,
-    p: u32,
-    q: u32,
-    bd: BdMethod,
-    criterion: StoppingCriterion,
-    stats: &mut ScheduleStats,
-    cache: &mut CpaCache,
-) -> Vec<u32> {
-    let mut out = Vec::new();
-    allocation_bounds_into(dag, p, q, bd, criterion, stats, cache, &mut out);
-    out
-}
-
-/// [`allocation_bounds_cached`] into a caller-owned buffer; allocation-free
-/// once `out` is warm.
-#[allow(clippy::too_many_arguments)]
-pub fn allocation_bounds_into(
-    dag: &Dag,
-    p: u32,
-    q: u32,
-    bd: BdMethod,
-    criterion: StoppingCriterion,
-    stats: &mut ScheduleStats,
-    cache: &mut CpaCache,
-    out: &mut Vec<u32>,
-) {
-    out.clear();
-    match bd {
-        BdMethod::All => out.resize(dag.num_tasks(), p),
-        BdMethod::Half => out.resize(dag.num_tasks(), (p / 2).max(1)),
-        BdMethod::Cpa => {
-            stats.count_cpa_allocation();
-            out.extend_from_slice(&cache.cpa(dag, p, criterion).allocs);
-        }
-        BdMethod::CpaR => {
-            stats.count_cpa_allocation();
-            out.extend_from_slice(&cache.cpa(dag, Pool::effective(q, p), criterion).allocs);
+impl CpaCache {
+    /// [`allocation_bounds`] drawing from this call's memo, so the same CPA
+    /// allocation computed for `BL_CPA(R)` exec times is reused for the
+    /// `BD_CPA(R)` bound instead of being recomputed.
+    pub(crate) fn allocation_bounds(
+        &mut self,
+        dag: &Dag,
+        p: u32,
+        q: u32,
+        bd: BdMethod,
+        criterion: StoppingCriterion,
+        stats: &mut ScheduleStats,
+    ) -> Vec<u32> {
+        match bd {
+            BdMethod::All => vec![p; dag.num_tasks()],
+            BdMethod::Half => vec![(p / 2).max(1); dag.num_tasks()],
+            BdMethod::Cpa => {
+                stats.count_cpa_allocation();
+                self.cpa(dag, p, criterion).allocs.clone()
+            }
+            BdMethod::CpaR => {
+                stats.count_cpa_allocation();
+                self.cpa(dag, Pool::effective(q, p), criterion)
+                    .allocs
+                    .clone()
+            }
         }
     }
 }
@@ -208,64 +191,33 @@ pub fn schedule_forward(
     q: u32,
     cfg: ForwardConfig,
 ) -> Schedule {
-    let mut ctx = SchedCtx::new();
-    let mut out = Schedule::new(Vec::new(), now);
-    schedule_forward_with(dag, competing, now, q, cfg, &mut ctx, &mut out);
-    out
-}
-
-/// [`schedule_forward`] into a recycled [`SchedCtx`] and output schedule:
-/// byte-identical results, and allocation-free once the context is warm.
-pub fn schedule_forward_with(
-    dag: &Dag,
-    competing: &Calendar,
-    now: Time,
-    q: u32,
-    cfg: ForwardConfig,
-    ctx: &mut SchedCtx,
-    out: &mut Schedule,
-) {
     let p = competing.capacity();
     let q = Pool::effective(q, p);
     let mut stats = ScheduleStats::default();
     stats.count_pass();
 
-    // Disjoint field borrows: the cache is consulted while other buffers
-    // are written, which a whole-&mut ctx could not express.
-    let SchedCtx {
-        cache,
-        exec,
-        levels,
-        order,
-        bounds,
-        cal,
-        slots,
-        ..
-    } = ctx;
-    cache.begin_run();
-
-    // Phase 1: bottom levels and scheduling order. The per-run CpaCache
+    // Phase 1: bottom levels and scheduling order. The per-call CpaCache
     // means e.g. BL_CPAR_BD_CPAR computes its CPA allocation once, not
     // twice.
-    {
+    let mut cache = CpaCache::new();
+    let (order, bounds) = {
         crate::span!("forward.prep");
         if matches!(cfg.bl, BlMethod::Cpa | BlMethod::CpaR) {
             stats.count_cpa_allocation();
         }
-        bl::exec_times_into(dag, p, q, cfg.bl, cfg.criterion, cache, exec);
-        bl::bottom_levels_into(dag, exec, levels);
-        bl::order_by_decreasing_bl_into(dag, levels, order);
-        allocation_bounds_into(dag, p, q, cfg.bd, cfg.criterion, &mut stats, cache, bounds);
-    }
+        let exec = cache.exec_times(dag, p, q, cfg.bl, cfg.criterion);
+        let levels = bl::bottom_levels(dag, &exec);
+        let order = bl::order_by_decreasing_bl(dag, &levels);
+        let bounds = cache.allocation_bounds(dag, p, q, cfg.bd, cfg.criterion, &mut stats);
+        (order, bounds)
+    };
 
     // Phase 2: per-task earliest-completion slot search.
     let place_span = obs::span_enter("forward.place");
-    cal.copy_from(competing);
-    let placements = &mut *slots;
-    placements.clear();
-    placements.resize(dag.num_tasks(), None);
+    let mut cal = competing.clone();
+    let mut placements: Vec<Option<Placement>> = vec![None; dag.num_tasks()];
 
-    for &t in order.iter() {
+    for &t in &order {
         // Decreasing-BL order is topological, so every predecessor is
         // already placed; an unplaced one would mean a broken order, which
         // the debug assert (and the gated oracle below) would surface.
@@ -288,7 +240,7 @@ pub fn schedule_forward_with(
         // one-processor seed) so `best` is total — there is no "empty
         // search" state to unwrap.
         let dur1 = cost.exec_time(g);
-        let s1 = obs::probe::earliest_fit(cal, g, dur1, ready, &mut stats);
+        let s1 = obs::probe::earliest_fit(&cal, g, dur1, ready, &mut stats);
         let mut best = Placement {
             start: s1,
             end: s1 + dur1,
@@ -309,7 +261,7 @@ pub fn schedule_forward_with(
                 continue;
             }
             prev_dur = Some(dur);
-            let s = obs::probe::earliest_fit(cal, m, dur, ready, &mut stats);
+            let s = obs::probe::earliest_fit(&cal, m, dur, ready, &mut stats);
             let end = s + dur;
             let better = end < best.end
                 || (end == best.end
@@ -333,7 +285,7 @@ pub fn schedule_forward_with(
     // `order` visits every task exactly once, so each slot is filled; a
     // hole would shrink the schedule, which the length assert and the
     // gated oracle both catch in checked builds.
-    out.assign(placements.iter().flatten().copied(), now);
+    let mut out = Schedule::new(placements.into_iter().flatten().collect(), now);
     debug_assert_eq!(
         out.placements().len(),
         dag.num_tasks(),
@@ -353,7 +305,9 @@ pub fn schedule_forward_with(
                 .map(|&b| quantize_bound(b, cfg.grain.clamp(1, p.max(1)), p))
                 .collect(),
         )
-        .assert_valid(out, cfg.name().as_str());
+        .assert_valid(&out, cfg.name().as_str());
+
+    out
 }
 
 /// Clamp a per-task allocation bound into `1..=p`, then round it up to

@@ -17,7 +17,6 @@
 //! The `ext_icaslb` bench compares it with `BL_CPAR_BD_CPAR`.
 
 use crate::bl::{self, LevelTracker};
-use crate::ctx::{poison_placement, poison_vec, SchedCtx};
 use crate::dag::{Dag, TaskId};
 use crate::obs;
 use crate::schedule::{Placement, Schedule, ScheduleStats};
@@ -47,73 +46,13 @@ impl Default for IcaslbConfig {
     }
 }
 
-/// Recycled buffers for the iCASLB growth loop, owned by [`SchedCtx`].
-/// Nothing in here carries meaning between runs.
-#[derive(Debug)]
-pub struct IcaslbBufs {
-    tracker: Option<LevelTracker>,
-    allocs: Vec<u32>,
-    exec: Vec<Dur>,
-    /// Candidate/gain pairs before the selection sort.
-    gains: Vec<(TaskId, f64)>,
-    /// Sorted critical-path candidates.
-    cands: Vec<TaskId>,
-    /// List-scheduling order for one build.
-    order: Vec<TaskId>,
-    /// Working calendar for one build.
-    cal: Calendar,
-    /// Per-task placement slots for one build.
-    slots: Vec<Option<Placement>>,
-    /// The placements built for the candidate under evaluation.
-    trial: Vec<Placement>,
-    /// The best candidate's placements this iteration.
-    step: Vec<Placement>,
-    /// The best placements found so far.
-    best: Vec<Placement>,
-}
-
-impl Default for IcaslbBufs {
-    fn default() -> Self {
-        IcaslbBufs {
-            tracker: None,
-            allocs: Vec::new(),
-            exec: Vec::new(),
-            gains: Vec::new(),
-            cands: Vec::new(),
-            order: Vec::new(),
-            cal: Calendar::new(1),
-            slots: Vec::new(),
-            trial: Vec::new(),
-            step: Vec::new(),
-            best: Vec::new(),
-        }
-    }
-}
-
-impl IcaslbBufs {
-    /// Fill every buffer with sentinel garbage (see [`SchedCtx::poison`]).
-    pub(crate) fn poison(&mut self) {
-        if let Some(t) = &mut self.tracker {
-            t.debug_poison();
-        }
-        poison_vec(&mut self.allocs, u32::MAX);
-        poison_vec(&mut self.exec, Dur::seconds(i64::MIN / 4));
-        poison_vec(&mut self.gains, (TaskId(u32::MAX), f64::NAN));
-        poison_vec(&mut self.cands, TaskId(u32::MAX));
-        poison_vec(&mut self.order, TaskId(u32::MAX));
-        self.cal.debug_poison();
-        poison_vec(&mut self.slots, Some(poison_placement()));
-        poison_vec(&mut self.trial, poison_placement());
-        poison_vec(&mut self.step, poison_placement());
-        poison_vec(&mut self.best, poison_placement());
-    }
-}
-
 /// Build the full reservation-aware schedule for a fixed allocation vector:
 /// list scheduling by decreasing bottom level, earliest-fit per task.
 ///
 /// `exec` and `levels` are maintained incrementally by the caller (one
 /// allocation changes per growth step), so this no longer recomputes them.
+/// `order`, `cal` and `slots` are working buffers the growth loop hands to
+/// every build (one per look-ahead candidate); `out` receives the result.
 #[allow(clippy::too_many_arguments)]
 fn build_schedule(
     dag: &Dag,
@@ -164,7 +103,8 @@ fn makespan(placements: &[Placement]) -> Time {
 
 /// Critical-path candidates under the current allocation: tasks with
 /// `tl + bl == CP`, ordered by decreasing marginal gain from one extra
-/// processor. Levels come from the caller's [`LevelTracker`].
+/// processor. Levels come from the caller's [`LevelTracker`]; `gains` is
+/// the growth loop's per-iteration candidate buffer.
 fn cp_candidates(
     dag: &Dag,
     allocs: &[u32],
@@ -172,7 +112,6 @@ fn cp_candidates(
     exec: &[Dur],
     tracker: &LevelTracker,
     gains: &mut Vec<(TaskId, f64)>,
-    out: &mut Vec<TaskId>,
 ) {
     let bls = tracker.bottom();
     let tls = tracker.top();
@@ -186,12 +125,9 @@ fn cp_candidates(
             .map(|t| (t, dag.cost(t).marginal_gain(allocs[t.idx()]))),
     );
     // The task-id tie-break makes the key injective, so the unstable sort
-    // (which, unlike the stable one, never allocates a merge buffer) is
-    // deterministic.
+    // is deterministic.
     // lint:allow(panic): marginal gains are finite ratios of positive durations (never NaN), so partial_cmp is total here.
     gains.sort_unstable_by(|a, b| b.1.partial_cmp(&a.1).unwrap().then(a.0 .0.cmp(&b.0 .0)));
-    out.clear();
-    out.extend(gains.iter().map(|&(t, _)| t));
 }
 
 /// Schedule `dag` with the reservation-aware one-step iCASLB adaptation.
@@ -206,67 +142,36 @@ pub fn schedule_icaslb(
     q: u32,
     cfg: IcaslbConfig,
 ) -> Schedule {
-    let mut ctx = SchedCtx::new();
-    let mut out = Schedule::new(Vec::new(), now);
-    schedule_icaslb_with(dag, competing, now, q, cfg, &mut ctx, &mut out);
-    out
-}
-
-/// [`schedule_icaslb`] into a recycled [`SchedCtx`] and output schedule:
-/// byte-identical results, allocation-free once the context is warm.
-pub fn schedule_icaslb_with(
-    dag: &Dag,
-    competing: &Calendar,
-    now: Time,
-    q: u32,
-    cfg: IcaslbConfig,
-    ctx: &mut SchedCtx,
-    out: &mut Schedule,
-) {
     let p = competing.capacity();
     let cap = crate::pool::Pool::effective(q, p);
     let mut stats = ScheduleStats::default();
     stats.count_pass();
-    let IcaslbBufs {
-        tracker,
-        allocs,
-        exec,
-        gains,
-        cands,
-        order,
-        cal,
-        slots,
-        trial,
-        step,
-        best,
-    } = &mut ctx.icaslb;
 
-    allocs.clear();
-    allocs.resize(dag.num_tasks(), 1u32);
-    exec.clear();
-    exec.extend(dag.costs().iter().map(|c| c.exec_time(1)));
-    let tracker = match tracker {
-        Some(t) => {
-            t.rebuild(dag, exec);
-            t
-        }
-        none => none.insert(LevelTracker::new(dag, exec)),
-    };
+    let mut allocs = vec![1u32; dag.num_tasks()];
+    let mut exec: Vec<Dur> = dag.costs().iter().map(|c| c.exec_time(1)).collect();
+    let mut tracker = LevelTracker::new(dag, &exec);
+    // The growth loop's buffers, reused across its iterations: candidate
+    // gains, one build's working set (order, calendar, slots), and three
+    // placement vectors (the candidate under evaluation, this iteration's
+    // best, the best so far) rotated by swapping.
+    let mut gains: Vec<(TaskId, f64)> = Vec::new();
+    let (mut order, mut cal, mut slots) = (Vec::new(), Calendar::new(1), Vec::new());
+    let (mut trial, mut step, mut best) = (Vec::new(), Vec::new(), Vec::new());
     let mut incr_touched = 0u64;
     build_schedule(
         dag,
         competing,
         now,
-        allocs,
-        exec,
+        &allocs,
+        &exec,
         tracker.bottom(),
         &mut stats,
-        order,
-        cal,
-        slots,
-        best,
+        &mut order,
+        &mut cal,
+        &mut slots,
+        &mut best,
     );
-    let mut best_makespan = makespan(best);
+    let mut best_makespan = makespan(&best);
     let mut best_cpu: i64 = best
         .iter()
         .map(|pl| pl.procs as i64 * pl.duration().as_seconds())
@@ -278,8 +183,8 @@ pub fn schedule_icaslb_with(
         if stalls >= cfg.patience {
             break;
         }
-        cp_candidates(dag, allocs, cap, exec, tracker, gains, cands);
-        if cands.is_empty() {
+        cp_candidates(dag, &allocs, cap, &exec, &tracker, &mut gains);
+        if gains.is_empty() {
             break;
         }
         // Look-ahead: evaluate the real makespan of each candidate growth.
@@ -289,33 +194,33 @@ pub fn schedule_icaslb_with(
         // the loop reuses two placement buffers instead of allocating one
         // per candidate.
         let mut best_step: Option<(TaskId, Time)> = None;
-        for &t in cands.iter().take(cfg.lookahead) {
+        for &(t, _) in gains.iter().take(cfg.lookahead) {
             allocs[t.idx()] += 1;
             let old_exec = exec[t.idx()];
             exec[t.idx()] = dag.cost(t).exec_time(allocs[t.idx()]);
-            incr_touched += tracker.update(dag, exec, t);
+            incr_touched += tracker.update(dag, &exec, t);
             build_schedule(
                 dag,
                 competing,
                 now,
-                allocs,
-                exec,
+                &allocs,
+                &exec,
                 tracker.bottom(),
                 &mut stats,
-                order,
-                cal,
-                slots,
-                trial,
+                &mut order,
+                &mut cal,
+                &mut slots,
+                &mut trial,
             );
-            let m = makespan(trial);
+            let m = makespan(&trial);
             allocs[t.idx()] -= 1;
             exec[t.idx()] = old_exec;
-            incr_touched += tracker.update(dag, exec, t);
+            incr_touched += tracker.update(dag, &exec, t);
             match &best_step {
                 Some((_, bm)) if m >= *bm => {}
                 _ => {
                     best_step = Some((t, m));
-                    std::mem::swap(trial, step);
+                    std::mem::swap(&mut trial, &mut step);
                 }
             }
         }
@@ -326,7 +231,7 @@ pub fn schedule_icaslb_with(
         // minima), but count the stall.
         allocs[t.idx()] += 1;
         exec[t.idx()] = dag.cost(t).exec_time(allocs[t.idx()]);
-        incr_touched += tracker.update(dag, exec, t);
+        incr_touched += tracker.update(dag, &exec, t);
         let cpu: i64 = step
             .iter()
             .map(|pl| pl.procs as i64 * pl.duration().as_seconds())
@@ -334,7 +239,7 @@ pub fn schedule_icaslb_with(
         if m < best_makespan || (m == best_makespan && cpu < best_cpu) {
             best_makespan = m;
             best_cpu = cpu;
-            std::mem::swap(step, best);
+            std::mem::swap(&mut step, &mut best);
             stalls = 0;
         } else {
             stalls += 1;
@@ -342,13 +247,15 @@ pub fn schedule_icaslb_with(
     }
 
     obs::counter_add(obs::names::CPA_ALLOC_INCR_UPDATES, incr_touched);
-    out.assign(best.iter().copied(), now);
+    let mut out = Schedule::new(best, now);
     out.stats = stats;
 
     #[cfg(any(debug_assertions, feature = "validate"))]
     crate::validate::ScheduleValidator::new(dag, competing, now)
         .with_declared_bounds(vec![cap; dag.num_tasks()])
-        .assert_valid(out, "iCASLB-AR");
+        .assert_valid(&out, "iCASLB-AR");
+
+    out
 }
 
 #[cfg(test)]

@@ -60,8 +60,6 @@
 //!   kill/requeue semantics (completing the paper's §3.1 estimate story);
 //! * [`backward`] — RESSCHEDDL algorithms (`DL_*`, λ-hybrids, tightest
 //!   deadline);
-//! * [`ctx`] — the recycled per-thread scheduling context ([`ctx::SchedCtx`])
-//!   behind the allocation-free `*_with` entry points;
 //! * [`pool`] — the single `q`-clamping rule sizing every CPA pool;
 //! * [`obs`] — feature-gated observability: metrics registry, span timers,
 //!   per-run phase profiles, and JSONL trace reports;
@@ -74,14 +72,11 @@
 #![forbid(unsafe_code)]
 
 pub mod algos;
-#[cfg(feature = "alloc-probe")]
-pub mod alloc_probe;
 pub mod backward;
 pub mod bl;
 pub mod blind;
 pub mod complexity;
 pub mod cpa;
-pub mod ctx;
 pub mod dag;
 pub mod dynamic;
 pub mod exec;
@@ -103,7 +98,6 @@ pub mod prelude {
     };
     pub use crate::bl::BlMethod;
     pub use crate::cpa::StoppingCriterion;
-    pub use crate::ctx::SchedCtx;
     pub use crate::dag::{Dag, DagBuilder, TaskId};
     pub use crate::forward::{schedule_forward, BdMethod, ForwardConfig, TieBreak};
     pub use crate::pool::Pool;

@@ -35,7 +35,6 @@ pub fn allocate(dag: &Dag, pool: u32) -> CpaAllocation {
     assert!(pool > 0, "MCPA needs a non-empty processor pool");
     let n = dag.num_tasks();
     let mut allocs = vec![1u32; n];
-    // lint:allow(alloc): builds the returned allocation table once per DAG; M-CPA has no arena-backed _with variant yet (ROADMAP).
     let mut exec: Vec<Dur> = dag.costs().iter().map(|c| c.exec_time(1)).collect();
     let mut total_work: i64 = dag.task_ids().map(|t| dag.cost(t).work(1)).sum();
 

@@ -107,15 +107,6 @@ pub mod names {
     pub const SERVE_QUOTA_DENIED: &str = "serve.quota.denied";
     /// Histogram: per-application scheduling latency in nanoseconds.
     pub const SERVE_LATENCY: &str = "serve.schedule.latency_ns";
-    /// Counter: heap allocations observed by the counting allocator
-    /// (`alloc-probe` feature) over a published measurement window.
-    pub const ALLOC_COUNT: &str = "alloc.count";
-    /// Counter: heap bytes requested over a published measurement window.
-    pub const ALLOC_BYTES: &str = "alloc.bytes";
-    /// Counter: allocations observed during windows declared steady-state
-    /// (post-warm-up schedules); the regression tests pin this to zero.
-    pub const ALLOC_STEADY_STATE: &str = "alloc.steady_state";
-
     use super::ScheduleStats;
 
     /// Selects the [`ScheduleStats`] field a registry counter sums into.
@@ -850,9 +841,6 @@ mod tests {
             names::SERVE_CANCELS,
             names::SERVE_RESIZES,
             names::SERVE_LATENCY,
-            names::ALLOC_COUNT,
-            names::ALLOC_BYTES,
-            names::ALLOC_STEADY_STATE,
         ];
         for c in constants {
             assert!(

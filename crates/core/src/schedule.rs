@@ -106,18 +106,6 @@ impl Schedule {
         }
     }
 
-    /// Overwrite this schedule in place with new per-task placements
-    /// (indexed by task id) computed at instant `now`, resetting the stats.
-    ///
-    /// The allocation-free counterpart of [`Schedule::new`] for recycled
-    /// output schedules: the placement buffer's capacity is reused.
-    pub fn assign(&mut self, placements: impl IntoIterator<Item = Placement>, now: Time) {
-        self.placements.clear();
-        self.placements.extend(placements);
-        self.now = now;
-        self.stats = ScheduleStats::default();
-    }
-
     /// The placement of task `t`.
     #[inline]
     pub fn placement(&self, t: TaskId) -> Placement {

@@ -4,10 +4,13 @@
 //! incrementally with a `LevelTracker`; `*_reference` keep the legacy
 //! full-rebuild loops. Both must be *byte-identical* — same allocs, same
 //! exec, same pool — across a seeded sweep of generated DAG shapes, pools,
-//! and stopping criteria.
+//! and stopping criteria. The per-call [`CpaCache`] memo is held to the
+//! same standard over the same sweep: a lookup is the direct allocation,
+//! field for field, whether it was a miss or a hit.
 
-use resched_core::cpa::{self, StoppingCriterion};
+use resched_core::cpa::{self, CpaCache, StoppingCriterion};
 use resched_core::mcpa;
+use resched_core::obs;
 use resched_daggen::{generate, DagParams};
 
 fn shapes() -> Vec<DagParams> {
@@ -68,4 +71,49 @@ fn mcpa_incremental_matches_reference_on_seeded_sweep() {
             }
         }
     }
+}
+
+#[test]
+fn cache_lookups_equal_direct_allocations_on_seeded_sweep() {
+    let pools = [1u32, 7, 32];
+    let criteria = [StoppingCriterion::Classic, StoppingCriterion::Stringent];
+    // The aliasing check below only bites where MCPA and CPA disagree.
+    let mut mcpa_differs = false;
+    for (i, params) in shapes().iter().enumerate() {
+        for seed in 0..2u64 {
+            let dag = generate(params, 3000 * i as u64 + seed);
+            // One cache per DAG, as one scheduling call would hold it;
+            // every key below is looked up twice through it.
+            let mut cache = CpaCache::new();
+            let ((), report) = obs::observe("cache-sweep", || {
+                for pool in pools {
+                    for criterion in criteria {
+                        let at = format!("shape {i}, seed {seed}, pool {pool}, {criterion:?}");
+                        let direct = cpa::allocate(&dag, pool, criterion);
+                        assert_eq!(*cache.cpa(&dag, pool, criterion), direct, "miss: {at}");
+                        assert_eq!(*cache.cpa(&dag, pool, criterion), direct, "hit: {at}");
+                    }
+                    // Same pool as the CPA keys just memoized: the MCPA key
+                    // must compute its own allocation, not alias theirs.
+                    let direct = mcpa::allocate(&dag, pool);
+                    mcpa_differs |= direct != *cache.cpa(&dag, pool, criteria[0]);
+                    assert_eq!(*cache.mcpa(&dag, pool), direct, "mcpa miss: pool {pool}");
+                    assert_eq!(*cache.mcpa(&dag, pool), direct, "mcpa hit: pool {pool}");
+                }
+                // Earlier keys survive every later insertion.
+                assert_eq!(
+                    *cache.cpa(&dag, pools[0], criteria[0]),
+                    cpa::allocate(&dag, pools[0], criteria[0]),
+                );
+            });
+            if obs::COMPILED {
+                // Each distinct key computed once; every repeat is a hit.
+                let keys = (pools.len() * (criteria.len() + 1)) as u64;
+                assert_eq!(report.metrics.counter(obs::names::CPA_CACHE_MISS), keys);
+                let hits = keys + pools.len() as u64 + 1;
+                assert_eq!(report.metrics.counter(obs::names::CPA_CACHE_HIT), hits);
+            }
+        }
+    }
+    assert!(mcpa_differs, "sweep never separates MCPA from CPA");
 }

@@ -4,9 +4,8 @@
 
 /// Root: the steady-state scheduling entry.
 pub fn schedule_tick(xs: &[u32], n: usize, pick: impl Fn(u32) -> u32) -> u32 {
-    let warm = Scratch::build(n);
     let picked = pick(backend_kind());
-    sweep(xs, picked as usize) + guarded(xs) + warm.cap as u32
+    sweep(xs, picked as usize + n) + guarded(xs)
 }
 
 /// Mid link: every deeper witness passes through here.
@@ -14,12 +13,11 @@ fn sweep(xs: &[u32], n: usize) -> u32 {
     place(xs, n)
 }
 
-/// Deep end (schedule_tick → sweep → place): the alloc, det, and panic
-/// positives the proofs must reach three hops down.
+/// Deep end (schedule_tick → sweep → place): the det and panic positives
+/// the proofs must reach three hops down.
 fn place(xs: &[u32], n: usize) -> u32 {
-    let grown: Vec<u32> = (0..n as u32).collect();
     let seed = std::env::var("FIXTURE_SEED").ok().map(|s| s.len() as u32);
-    xs[n] + grown.len() as u32 + seed.unwrap_or(0)
+    xs[n] + seed.unwrap_or(0)
 }
 
 /// Waived cone: the fn-level waiver is a BFS barrier, so the expect()
@@ -29,22 +27,9 @@ fn guarded(xs: &[u32]) -> u32 {
     *xs.first().expect("non-empty")
 }
 
-/// Warm-up construction: reachable and allocating, but exempt — and the
-/// marker is consumed on the way, so it is not rot.
-pub struct Scratch {
-    pub cap: usize,
-}
-
-impl Scratch {
-    // lint:warmup: fixture warm-up — built once per tick loop, reused in place thereafter.
-    pub fn build(n: usize) -> Scratch {
-        let _scratch: Vec<u32> = Vec::new();
-        Scratch { cap: n }
-    }
-}
-
-/// Determinism chokepoint declared in roots.toml: the env read below is
-/// allow-listed, so the det proof stops at the boundary.
+/// Waived det cone: the env read below sits behind a fn-level barrier, so
+/// the det proof stops at the boundary.
+// lint:allow(det-transitive): fixture barrier — the value is read once and never changes a schedule.
 pub fn backend_kind() -> u32 {
     std::env::var("FIXTURE_BACKEND").map(|s| s.len() as u32).unwrap_or(0)
 }

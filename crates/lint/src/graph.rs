@@ -24,8 +24,6 @@ use std::collections::{BTreeMap, VecDeque};
 pub enum SinkKind {
     /// unwrap/expect/panic!/unreachable!/todo!/unimplemented!/indexing.
     Panic,
-    /// Vec::new / Box::new / collect / to_vec / format!.
-    Alloc,
     /// env reads, wall-clock reads, thread spawns.
     Det,
 }
@@ -35,7 +33,6 @@ impl SinkKind {
     pub fn rule(self) -> Rule {
         match self {
             SinkKind::Panic => Rule::Panic,
-            SinkKind::Alloc => Rule::Alloc,
             SinkKind::Det => Rule::Det,
         }
     }
@@ -47,7 +44,7 @@ pub struct SinkSite {
     /// 1-based line.
     pub line: usize,
     pub kind: SinkKind,
-    /// What was found (`unwrap()`, `Vec::new`, `env::var`, …).
+    /// What was found (`unwrap()`, `env::var`, …).
     pub what: String,
 }
 
@@ -207,7 +204,7 @@ fn token_then(code: &str, tok: &str, suffix: &str) -> bool {
     false
 }
 
-/// Collect panic/alloc/det sinks on one stripped code line.
+/// Collect panic/det sinks on one stripped code line.
 fn scan_sinks(code: &str, n: usize, node: &mut Node) {
     let mut push = |kind: SinkKind, what: &str| {
         node.sinks.push(SinkSite {
@@ -234,21 +231,6 @@ fn scan_sinks(code: &str, n: usize, node: &mut Node) {
     }
     for what in index_sites(code) {
         push(SinkKind::Panic, &what);
-    }
-    if token_then(code, "Vec", "::new") {
-        push(SinkKind::Alloc, "Vec::new");
-    }
-    if token_then(code, "Box", "::new") {
-        push(SinkKind::Alloc, "Box::new");
-    }
-    if token_then(code, "collect", "(") || token_then(code, "collect", "::<") {
-        push(SinkKind::Alloc, "collect");
-    }
-    if token_then(code, "to_vec", "(") {
-        push(SinkKind::Alloc, "to_vec");
-    }
-    if token_then(code, "format", "!") {
-        push(SinkKind::Alloc, "format!");
     }
     if code.contains("env::var") {
         push(SinkKind::Det, "env::var");
@@ -622,15 +604,13 @@ fn scan_calls(code: &str, n: usize, fi: usize, table: &SymbolTable, node: &mut N
 // Roots manifest.
 // ---------------------------------------------------------------------------
 
-/// The `roots.toml` manifest: reachability roots and the determinism
-/// chokepoints. Restricted TOML, same grammar as the metrics manifest:
-/// `[section]` headers and `"qualified::name" = "description"` entries.
+/// The `roots.toml` manifest: the reachability roots. Restricted TOML,
+/// same grammar as the metrics manifest: a `[roots]` header and
+/// `"qualified::name" = "description"` entries.
 #[derive(Debug, Default)]
 pub struct RootsManifest {
     /// `[roots]` entries in file order: (spec, line).
     pub roots: Vec<(String, usize)>,
-    /// `[det-chokepoints]` entries: (spec, line).
-    pub chokepoints: Vec<(String, usize)>,
     /// Parse errors: (line, message).
     pub errors: Vec<(usize, String)>,
 }
@@ -638,7 +618,7 @@ pub struct RootsManifest {
 impl RootsManifest {
     pub fn parse(src: &str) -> RootsManifest {
         let mut m = RootsManifest::default();
-        let mut section: Option<&str> = None;
+        let mut in_roots = false;
         for (idx, raw) in src.lines().enumerate() {
             let n = idx + 1;
             let line = raw.trim();
@@ -646,19 +626,10 @@ impl RootsManifest {
                 continue;
             }
             if let Some(name) = line.strip_prefix('[').and_then(|l| l.strip_suffix(']')) {
-                match name {
-                    "roots" => section = Some("roots"),
-                    "det-chokepoints" => section = Some("det-chokepoints"),
-                    other => {
-                        section = None;
-                        m.errors.push((
-                            n,
-                            format!(
-                                "unknown section [{other}] (expected [roots] or \
-                                 [det-chokepoints])"
-                            ),
-                        ));
-                    }
+                in_roots = name == "roots";
+                if !in_roots {
+                    m.errors
+                        .push((n, format!("unknown section [{name}] (expected [roots])")));
                 }
                 continue;
             }
@@ -673,16 +644,9 @@ impl RootsManifest {
                         && v.starts_with('"')
                         && v.ends_with('"')
                 });
-            match (section, entry) {
-                (Some(sec), Some((k, _))) => {
-                    let spec = k[1..k.len() - 1].to_string();
-                    if sec == "roots" {
-                        m.roots.push((spec, n));
-                    } else {
-                        m.chokepoints.push((spec, n));
-                    }
-                }
-                (None, _) => m.errors.push((n, "entry outside any section".into())),
+            match (in_roots, entry) {
+                (true, Some((k, _))) => m.roots.push((k[1..k.len() - 1].to_string(), n)),
+                (false, _) => m.errors.push((n, "entry outside any section".into())),
                 (_, None) => m.errors.push((
                     n,
                     "malformed entry; expected `\"qualified::name\" = \"description\"`".into(),
@@ -694,28 +658,21 @@ impl RootsManifest {
 }
 
 // ---------------------------------------------------------------------------
-// Function-level markers (transitive waivers, warm-up markers).
+// Function-level markers (transitive waivers).
 // ---------------------------------------------------------------------------
-
-/// Marker comment prefix for warm-up functions (allowed to allocate).
-pub const WARMUP_PREFIX: &str = "lint:warmup";
 
 /// Per-function marker lines, parallel to [`SymbolTable::fns`].
 #[derive(Debug, Default, Clone)]
 pub struct FnMarks {
     /// `lint:allow(panic-transitive)` waiver line.
     pub panic_t: Option<usize>,
-    /// `lint:allow(alloc-transitive)` waiver line.
-    pub alloc_t: Option<usize>,
     /// `lint:allow(det-transitive)` waiver line.
     pub det_t: Option<usize>,
-    /// `lint:warmup:` marker line.
-    pub warmup: Option<usize>,
 }
 
 /// Scan the comment block attached to each function signature (trailing
 /// comment on the signature line, plus the contiguous comment/attribute
-/// block directly above) for transitive waivers and warm-up markers.
+/// block directly above) for transitive waivers.
 pub fn scan_marks(ws: &Workspace, table: &SymbolTable) -> Vec<FnMarks> {
     let mut out = vec![FnMarks::default(); table.fns.len()];
     for (i, f) in table.fns.iter().enumerate() {
@@ -744,12 +701,9 @@ pub fn scan_marks(ws: &Workspace, table: &SymbolTable) -> Vec<FnMarks> {
             if let Some(rest) = c.strip_prefix(crate::WAIVER_PREFIX) {
                 match rest.split_once(')').map(|(r, _)| r.trim()) {
                     Some("panic-transitive") => out[i].panic_t = Some(l),
-                    Some("alloc-transitive") => out[i].alloc_t = Some(l),
                     Some("det-transitive") => out[i].det_t = Some(l),
                     _ => {}
                 }
-            } else if c.starts_with(WARMUP_PREFIX) {
-                out[i].warmup = Some(l);
             }
         }
     }
@@ -760,8 +714,8 @@ pub fn scan_marks(ws: &Workspace, table: &SymbolTable) -> Vec<FnMarks> {
 // The transitive rules.
 // ---------------------------------------------------------------------------
 
-/// Run the transitive panic / alloc / det proofs and the dynamic-call
-/// check from the declared roots.
+/// Run the transitive panic / det proofs and the dynamic-call check from
+/// the declared roots.
 pub fn transitive(ws: &Workspace, cfg: &Config, sink: &mut Sink) {
     let Some(src) = ws.extras.get(&cfg.roots_manifest) else {
         sink.emit(
@@ -801,63 +755,6 @@ pub fn transitive(ws: &Workspace, cfg: &Config, sink: &mut Sink) {
             }
         }
     }
-    let mut chokepoints: Vec<usize> = Vec::new();
-    for (spec, line) in &manifest.chokepoints {
-        let resolved = table.resolve_spec(spec);
-        if resolved.is_empty() {
-            sink.emit(
-                ws,
-                &cfg.roots_manifest,
-                *line,
-                Rule::Det,
-                format!("det chokepoint `{spec}` does not resolve to any workspace function"),
-            );
-        }
-        chokepoints.extend(resolved);
-    }
-
-    // Warm-up marker hygiene: every marker must carry a justification and
-    // be attached to a function signature.
-    let attached: Vec<(String, usize)> = table
-        .fns
-        .iter()
-        .zip(&marks)
-        .filter_map(|(f, m)| m.warmup.map(|l| (f.path.clone(), l)))
-        .collect();
-    for (path, file) in &ws.files {
-        for (idx, line) in file.lexed.lines.iter().enumerate() {
-            let Some(comment) = &line.comment else {
-                continue;
-            };
-            let c = comment.trim();
-            let Some(rest) = c.strip_prefix(WARMUP_PREFIX) else {
-                continue;
-            };
-            let n = idx + 1;
-            let just = rest.strip_prefix(':').unwrap_or("").trim();
-            if just.is_empty() {
-                sink.emit(
-                    ws,
-                    path,
-                    n,
-                    Rule::Waiver,
-                    "warm-up marker has no justification (write `// lint:warmup: <why this \
-                     function may allocate>`)"
-                        .into(),
-                );
-            }
-            if !attached.iter().any(|(p, l)| p == path && *l == n) {
-                sink.emit(
-                    ws,
-                    path,
-                    n,
-                    Rule::Waiver,
-                    "warm-up marker is not attached to a function signature".into(),
-                );
-            }
-        }
-    }
-
     // Panic proof (and dynamic-call reporting, which undermines it).
     let (visited, parent) = graph.reach(&starts, |i| {
         if let Some(l) = marks[i].panic_t {
@@ -903,64 +800,14 @@ pub fn transitive(ws: &Workspace, cfg: &Config, sink: &mut Sink) {
         }
     }
 
-    // Alloc proof: warm-up-marked functions are barriers. Track which
-    // markers actually intercept a path so stale ones can be flagged.
-    let mut warmup_hit = vec![false; table.fns.len()];
-    let (visited, parent) = graph.reach(&starts, |i| {
-        if let Some(l) = marks[i].alloc_t {
-            sink.consume(&table.fns[i].path, l, Rule::AllocTransitive);
-            return true;
-        }
-        if marks[i].warmup.is_some() {
-            warmup_hit[i] = true;
-            return true;
-        }
-        false
-    });
-    for (i, f) in table.fns.iter().enumerate() {
-        if !visited[i] {
-            continue;
-        }
-        let chain = witness(&table, &parent, i);
-        for s in &graph.nodes[i].sinks {
-            if s.kind == SinkKind::Alloc {
-                sink.emit(
-                    ws,
-                    &f.path,
-                    s.line,
-                    Rule::Alloc,
-                    format!(
-                        "{} allocates on a hot path; witness: {chain}; reuse a scratch \
-                         buffer from the scheduling context, mark the function \
-                         `lint:warmup`, or waive",
-                        s.what
-                    ),
-                );
-            }
-        }
-    }
-    // A warm-up marker on a function no hot path reaches is rot.
-    for (i, (f, m)) in table.fns.iter().zip(&marks).enumerate() {
-        if let Some(l) = m.warmup {
-            if !warmup_hit[i] {
-                sink.emit(
-                    ws,
-                    &f.path,
-                    l,
-                    Rule::Waiver,
-                    "warm-up marker on a function not reachable from any root; delete it".into(),
-                );
-            }
-        }
-    }
-
-    // Det proof: declared chokepoints are barriers.
+    // Det proof.
     let (visited, parent) = graph.reach(&starts, |i| {
         if let Some(l) = marks[i].det_t {
             sink.consume(&table.fns[i].path, l, Rule::DetTransitive);
-            return true;
+            true
+        } else {
+            false
         }
-        chokepoints.contains(&i)
     });
     for (i, f) in table.fns.iter().enumerate() {
         if !visited[i] {
@@ -975,8 +822,8 @@ pub fn transitive(ws: &Workspace, cfg: &Config, sink: &mut Sink) {
                     s.line,
                     Rule::Det,
                     format!(
-                        "{} is nondeterministic on a hot path; witness: {chain}; route \
-                         it through a declared chokepoint in roots.toml or waive",
+                        "{} is nondeterministic on a hot path; witness: {chain}; pass the \
+                         value in from the caller or waive",
                         s.what
                     ),
                 );
@@ -1040,7 +887,6 @@ pub fn graph_json(ws: &Workspace) -> String {
             .map(|s| {
                 let kind = match s.kind {
                     SinkKind::Panic => "panic",
-                    SinkKind::Alloc => "alloc",
                     SinkKind::Det => "det",
                 };
                 format!(
@@ -1211,11 +1057,10 @@ mod tests {
     #[test]
     fn roots_manifest_parses_and_rejects() {
         let m = RootsManifest::parse(
-            "# hot paths\n[roots]\n\"core::forward::schedule_forward_with\" = \"fwd\"\n[det-chokepoints]\n\"core::cpa::cache_enabled\" = \"env\"\nbogus\n[nope]\n",
+            "# hot paths\n[roots]\n\"core::forward::schedule_forward\" = \"fwd\"\nbogus\n[nope]\n\"core::cpa::allocate\" = \"stray\"\n",
         );
         assert_eq!(m.roots.len(), 1);
-        assert_eq!(m.chokepoints.len(), 1);
-        assert_eq!(m.errors.len(), 2);
+        assert_eq!(m.errors.len(), 3);
     }
 
     #[test]

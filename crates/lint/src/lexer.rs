@@ -376,7 +376,7 @@ fn mark_test_regions(lines: &mut [Line]) {
 /// the `validate` feature — `#[cfg(debug_assertions)]`,
 /// `#[cfg(any(debug_assertions, ...))]`, `#[cfg(feature = "validate")]`
 /// and friends. These lines are compiled out of release builds, so the
-/// release-proof rules (transitive panic/alloc/det) skip them.
+/// release-proof rules (transitive panic/det) skip them.
 ///
 /// Unlike the test-region heuristic, a debug gate may sit on a *statement*
 /// (the validator replay tail in the schedulers): the region therefore

@@ -8,13 +8,8 @@
 //! * `panic` — no `unwrap()`/`expect(`/`panic!`/`unreachable!`/unchecked
 //!   indexing in any function transitively reachable from the hot-path
 //!   roots declared in `crates/lint/roots.toml`;
-//! * `alloc` — no `Vec::new`/`Box::new`/`collect`/`to_vec`/`format!`
-//!   reachable from the same roots outside `lint:warmup`-marked
-//!   functions, the scheduling hot paths pinned allocation-free by the
-//!   counting-allocator harness (DESIGN.md §16);
-//! * `det` — `env::var`/`Instant::now`/`SystemTime::now`/thread spawns
-//!   only reachable through the chokepoints allow-listed in the roots
-//!   manifest;
+//! * `det` — no `env::var`/`Instant::now`/`SystemTime::now`/thread spawn
+//!   reachable from the same roots;
 //! * `dynamic-call` — calls through fn-typed parameters on a proved path
 //!   are conservatively reported, since the graph cannot resolve them;
 //! * `obs` — every metric/span name used by `obs::` hooks is declared in
@@ -39,10 +34,10 @@
 //!
 //! either trailing on the offending line or on a comment line directly
 //! above it. The `*-transitive` spellings (`panic-transitive`,
-//! `alloc-transitive`, `det-transitive`) attach to a function signature
-//! and clear every path *through* that function in the graph. A waiver
-//! with no justification, an unknown rule, or no matching violation is
-//! itself a violation (rule `waiver`), so waivers cannot rot silently.
+//! `det-transitive`) attach to a function signature and clear every path
+//! *through* that function in the graph. A waiver with no justification,
+//! an unknown rule, or no matching violation is itself a violation (rule
+//! `waiver`), so waivers cannot rot silently.
 
 pub mod graph;
 pub mod lexer;
@@ -69,10 +64,7 @@ pub enum Rule {
     Catalog,
     /// `obs` feature gates without no-op stubs.
     Parity,
-    /// Heap allocation reachable from a hot-path root.
-    Alloc,
-    /// Nondeterministic sources reachable from a hot-path root outside
-    /// declared chokepoints.
+    /// Nondeterministic sources reachable from a hot-path root.
     Det,
     /// A call the graph cannot resolve (fn-typed parameter) on a path the
     /// transitive proofs must cover.
@@ -80,8 +72,6 @@ pub enum Rule {
     /// Waiver name for clearing every panic path *through* a function
     /// (a call-graph barrier); never reported as a violation itself.
     PanicTransitive,
-    /// Barrier waiver for the alloc proof.
-    AllocTransitive,
     /// Barrier waiver for the det proof.
     DetTransitive,
     /// Malformed, unjustified, or unused waivers.
@@ -90,17 +80,15 @@ pub enum Rule {
 
 impl Rule {
     /// All waivable rules (everything except `waiver` itself).
-    pub const WAIVABLE: [Rule; 11] = [
+    pub const WAIVABLE: [Rule; 9] = [
         Rule::Nondet,
         Rule::Panic,
         Rule::Obs,
         Rule::Catalog,
         Rule::Parity,
-        Rule::Alloc,
         Rule::Det,
         Rule::DynamicCall,
         Rule::PanicTransitive,
-        Rule::AllocTransitive,
         Rule::DetTransitive,
     ];
 
@@ -112,11 +100,9 @@ impl Rule {
             Rule::Obs => "obs",
             Rule::Catalog => "catalog",
             Rule::Parity => "parity",
-            Rule::Alloc => "alloc",
             Rule::Det => "det",
             Rule::DynamicCall => "dynamic-call",
             Rule::PanicTransitive => "panic-transitive",
-            Rule::AllocTransitive => "alloc-transitive",
             Rule::DetTransitive => "det-transitive",
             Rule::Waiver => "waiver",
         }
@@ -313,7 +299,7 @@ impl Default for Config {
             catalog_manifest: "crates/core/src/algos/catalog.txt".into(),
             catalog_docs: vec!["DESIGN.md".into(), "EXPERIMENTS.md".into()],
             catalog_tests: vec![
-                "tests/tests/cache_differential.rs".into(),
+                "tests/tests/obs_differential.rs".into(),
                 "tests/tests/prop_scheduling.rs".into(),
             ],
             catalog_goldens: vec!["results/golden/obs_differential.json".into()],
@@ -462,8 +448,8 @@ impl Sink {
                         rule: Rule::Waiver,
                         message: format!(
                             "waiver names unknown rule `{}` (known: nondet, panic, obs, \
-                             catalog, parity, alloc, det, dynamic-call, panic-transitive, \
-                             alloc-transitive, det-transitive)",
+                             catalog, parity, det, dynamic-call, panic-transitive, \
+                             det-transitive)",
                             w.raw_rule
                         ),
                     }),

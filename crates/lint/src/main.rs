@@ -144,8 +144,8 @@ fn main() -> ExitCode {
 fn run_waive(root: &std::path::Path, rule: &str, site: &str) -> ExitCode {
     let Some(rule) = Rule::from_name(rule) else {
         return usage(&format!(
-            "unknown rule `{rule}` (waivable: nondet, panic, obs, catalog, parity, alloc, \
-             det, dynamic-call, panic-transitive, alloc-transitive, det-transitive)"
+            "unknown rule `{rule}` (waivable: nondet, panic, obs, catalog, parity, det, \
+             dynamic-call, panic-transitive, det-transitive)"
         ));
     };
     let Some((path, line)) = site.rsplit_once(':') else {

@@ -1,6 +1,6 @@
 //! The per-line rule families (nondet, obs, catalog, parity). Each rule
 //! walks the lexed workspace and emits violations through the waiver-aware
-//! [`Sink`]; the transitive families (panic, alloc, det, dynamic-call)
+//! [`Sink`]; the transitive families (panic, det, dynamic-call)
 //! live in [`crate::graph`].
 
 use crate::lexer::Lexed;

@@ -141,7 +141,7 @@ fn qname_suffix_matches(qname: &str, spec: &str) -> bool {
 /// Module path for a workspace-relative file path:
 /// `crates/core/src/forward.rs` → `core::forward`,
 /// `crates/core/src/lib.rs` → `core`, `crates/core/src/obs/mod.rs` →
-/// `core::obs`, `tests/tests/alloc_probe.rs` → `tests::alloc_probe`.
+/// `core::obs`, `tests/tests/integration.rs` → `tests::integration`.
 pub fn module_path_for(path: &str) -> String {
     let segs: Vec<&str> = path.split('/').collect();
     let mut out: Vec<String> = Vec::new();
@@ -363,7 +363,7 @@ fn scan_file(path: &str, file: &SourceFile, table: &mut SymbolTable) {
             for (ci, c) in after.char_indices() {
                 match c {
                     '(' => {
-                        if !(p.in_params && p.paren == 0) && p.in_params {
+                        if p.in_params && p.paren != 0 {
                             p.params.push(c);
                         }
                         p.paren += 1;
@@ -708,8 +708,8 @@ mod tests {
             "core::exp::scaling"
         );
         assert_eq!(
-            module_path_for("tests/tests/alloc_probe.rs"),
-            "tests::alloc_probe"
+            module_path_for("tests/tests/integration.rs"),
+            "tests::integration"
         );
         assert_eq!(
             module_path_for("crates/resv/tests/prop_calendar.rs"),

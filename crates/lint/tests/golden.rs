@@ -53,15 +53,13 @@ fn seeded_violations_are_reported_at_exact_sites() {
         "crates/core/src/gated.rs:3: parity:",
         // The transitive positives three hops below the root, each carrying
         // the full BFS witness chain.
-        "crates/core/src/hot.rs:20: alloc: collect allocates on a hot path; \
+        "crates/core/src/hot.rs:19: det: env::var is nondeterministic on a hot path; \
          witness: core::hot::schedule_tick → core::hot::sweep → core::hot::place",
-        "crates/core/src/hot.rs:21: det: env::var is nondeterministic on a hot path; \
+        "crates/core/src/hot.rs:20: panic: indexing `[n]` without get reachable on a hot path; \
          witness: core::hot::schedule_tick → core::hot::sweep → core::hot::place",
-        "crates/core/src/hot.rs:22: panic: indexing `[n]` without get reachable on a hot path; \
-         witness: core::hot::schedule_tick → core::hot::sweep → core::hot::place",
-        "crates/core/src/hot.rs:8: dynamic-call: indirect call through fn-typed parameter `pick`",
+        "crates/core/src/hot.rs:7: dynamic-call: indirect call through fn-typed parameter `pick`",
         "crates/core/src/sched.rs:20: waiver:",
-        "tests/tests/cache_differential.rs:1: catalog:",
+        "tests/tests/obs_differential.rs:1: catalog:",
         "did you mean \"fixture.good\"?",
     ] {
         assert!(text.contains(needle), "missing `{needle}` in:\n{text}");
@@ -71,10 +69,10 @@ fn seeded_violations_are_reported_at_exact_sites() {
         !text.contains("sched.rs:17"),
         "waived expect() must not be reported:\n{text}"
     );
-    // The waived, warm-up, chokepoint, and unreachable cases stay silent:
-    // guarded()'s expect (28-30), Scratch::build's Vec::new (41),
-    // backend_kind()'s env read (49), and all of offline_report (55-58).
-    for clean in [":29:", ":41:", ":49:", ":56:", ":57:", ":58:"] {
+    // The waived and unreachable cases stay silent: guarded()'s expect
+    // (27), backend_kind()'s env read (34), and all of offline_report
+    // (40-42).
+    for clean in [":27:", ":34:", ":40:", ":41:", ":42:"] {
         let needle = format!("hot.rs{clean}");
         assert!(
             !text.contains(&needle),

@@ -1,7 +1,6 @@
 //! Pins the real roots manifest to the real workspace: every declared
-//! root and det chokepoint must resolve to at least one function, so a
-//! rename in the scheduling crates cannot silently turn a proof into a
-//! no-op.
+//! root must resolve to at least one function, so a rename in the
+//! scheduling crates cannot silently turn a proof into a no-op.
 
 use resched_lint::graph::RootsManifest;
 use resched_lint::symbols::SymbolTable;
@@ -37,7 +36,7 @@ fn every_manifest_entry_resolves_against_the_workspace() {
     );
 
     let table = SymbolTable::build(&ws);
-    for (spec, line) in manifest.roots.iter().chain(&manifest.chokepoints) {
+    for (spec, line) in &manifest.roots {
         assert!(
             !table.resolve_spec(spec).is_empty(),
             "roots.toml:{line}: `{spec}` no longer resolves to any workspace function"

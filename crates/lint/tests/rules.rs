@@ -31,7 +31,7 @@ fn base() -> Vec<(String, String)> {
             "{\"runs\": [{\"algorithm\": \"ALG_A\"}, {\"algorithm\": \"ALG_B\"}]}\n",
         ),
         (
-            "tests/tests/cache_differential.rs",
+            "tests/tests/obs_differential.rs",
             "#[test]\nfn all() {\n    for a in Algorithm::catalog() {\n        let _ = a;\n    }\n}\n",
         ),
         (
@@ -41,7 +41,7 @@ fn base() -> Vec<(String, String)> {
         // No roots declared: the transitive proofs have no subject, so the
         // base stays clean. Tests that exercise them overlay their own
         // manifest via `lint_rooted`.
-        ("crates/lint/roots.toml", "[roots]\n\n[det-chokepoints]\n"),
+        ("crates/lint/roots.toml", "[roots]\n"),
     ];
     pairs
         .iter()
@@ -71,7 +71,7 @@ fn lint_rooted(roots: &str, extra: &[(&str, &str)]) -> Vec<Violation> {
 }
 
 /// Manifest overlay rooting the transitive proofs at `core::fix::entry`.
-const FIX_ROOTS: &str = "[roots]\n\"core::fix::entry\" = \"fixture root\"\n\n[det-chokepoints]\n";
+const FIX_ROOTS: &str = "[roots]\n\"core::fix::entry\" = \"fixture root\"\n";
 
 /// The `(path, line)` pairs reported for `rule`.
 fn sites(violations: &[Violation], rule: Rule) -> Vec<(String, usize)> {
@@ -261,7 +261,7 @@ fn stale_panic_transitive_waiver_is_rot() {
 #[test]
 fn type_glob_root_covers_every_method() {
     let report = lint_rooted(
-        "[roots]\n\"core::fix::Gadget::*\" = \"every backend method\"\n\n[det-chokepoints]\n",
+        "[roots]\n\"core::fix::Gadget::*\" = \"every backend method\"\n",
         &[(
             "crates/core/src/fix.rs",
             "pub struct Gadget;\nimpl Gadget {\n    pub fn a(x: Option<u32>) -> u32 {\n        x.unwrap()\n    }\n    pub fn b() -> u32 {\n        1\n    }\n}\n",
@@ -400,16 +400,16 @@ fn golden_missing_an_algorithm_is_flagged() {
 #[test]
 fn harness_without_full_catalog_coverage_is_flagged() {
     let report = lint(&[(
-        "tests/tests/cache_differential.rs",
+        "tests/tests/obs_differential.rs",
         "#[test]\nfn partial() {\n    let _ = Algorithm::by_name(\"ALG_A\");\n    let _ = Algorithm::by_name(\"ALG_GONE\");\n}\n",
     )]);
     assert_eq!(
         sites(&report, Rule::Catalog),
         vec![
             // No Algorithm::catalog() sweep...
-            ("tests/tests/cache_differential.rs".to_string(), 1),
+            ("tests/tests/obs_differential.rs".to_string(), 1),
             // ...and a by_name() of an uncataloged algorithm.
-            ("tests/tests/cache_differential.rs".to_string(), 4),
+            ("tests/tests/obs_differential.rs".to_string(), 4),
         ]
     );
 }
@@ -524,133 +524,14 @@ fn violation_kind_missing_from_shrink_harness_is_flagged() {
 }
 
 // ---------------------------------------------------------------------------
-// alloc (transitive, with lint:warmup barriers)
+// retired families
 // ---------------------------------------------------------------------------
 
 #[test]
-fn allocation_reachable_from_a_root_is_flagged() {
-    let report = lint_rooted(
-        FIX_ROOTS,
-        &[(
-            "crates/core/src/fix.rs",
-            "pub fn entry(n: usize) -> Vec<u32> {\n    build(n)\n}\nfn build(n: usize) -> Vec<u32> {\n    let _b = Box::new(1u32);\n    let _s = format!(\"{n}\");\n    (0..n as u32).collect()\n}\n",
-        )],
-    );
-    assert_eq!(
-        sites(&report, Rule::Alloc),
-        vec![
-            ("crates/core/src/fix.rs".to_string(), 5),
-            ("crates/core/src/fix.rs".to_string(), 6),
-            ("crates/core/src/fix.rs".to_string(), 7),
-        ]
-    );
-    let v = report.iter().find(|v| v.rule == Rule::Alloc).unwrap();
-    assert!(
-        v.message
-            .contains("witness: core::fix::entry → core::fix::build"),
-        "{}",
-        v.message
-    );
-}
-
-#[test]
-fn warmup_marker_exempts_construction_and_is_not_rot() {
-    // `Tracker::build` is reachable and allocates, but the justified
-    // warm-up marker makes it a barrier; nothing is reported.
-    let report = lint_rooted(
-        FIX_ROOTS,
-        &[(
-            "crates/core/src/fix.rs",
-            "pub fn entry(n: usize) -> usize {\n    let t = Tracker::build(n);\n    t.cap\n}\npub struct Tracker {\n    pub cap: usize,\n}\nimpl Tracker {\n    // lint:warmup: builds the tracker once per run; the steady state reuses it in place.\n    pub fn build(n: usize) -> Tracker {\n        let _scratch: Vec<u32> = Vec::new();\n        Tracker { cap: n }\n    }\n}\n",
-        )],
-    );
-    assert!(report.is_empty(), "warm-up cone must be clean: {report:?}");
-}
-
-#[test]
-fn warmup_marker_without_justification_is_flagged() {
-    let report = lint_rooted(
-        FIX_ROOTS,
-        &[(
-            "crates/core/src/fix.rs",
-            "pub fn entry(n: usize) -> u32 {\n    ctor(n)\n}\n// lint:warmup:\nfn ctor(n: usize) -> u32 {\n    n as u32\n}\n",
-        )],
-    );
-    assert_eq!(
-        sites(&report, Rule::Waiver),
-        vec![("crates/core/src/fix.rs".to_string(), 4)]
-    );
-    assert!(
-        report[0].message.contains("no justification"),
-        "{}",
-        report[0].message
-    );
-}
-
-#[test]
-fn floating_warmup_marker_is_flagged() {
-    // A blank line detaches the marker from the signature below it.
-    let report = lint_rooted(
-        FIX_ROOTS,
-        &[(
-            "crates/core/src/fix.rs",
-            "// lint:warmup: stray marker with nothing to attach to.\n\npub fn entry() -> u32 {\n    1\n}\n",
-        )],
-    );
-    assert_eq!(
-        sites(&report, Rule::Waiver),
-        vec![("crates/core/src/fix.rs".to_string(), 1)]
-    );
-    assert!(
-        report[0]
-            .message
-            .contains("not attached to a function signature"),
-        "{}",
-        report[0].message
-    );
-}
-
-#[test]
-fn warmup_marker_on_an_unreachable_function_is_rot() {
-    let report = lint_rooted(
-        FIX_ROOTS,
-        &[(
-            "crates/core/src/fix.rs",
-            "pub fn entry() -> u32 {\n    1\n}\n// lint:warmup: stale — the arena preallocates this now.\nfn cold_build() -> Vec<u32> {\n    Vec::new()\n}\n",
-        )],
-    );
-    assert_eq!(
-        sites(&report, Rule::Waiver),
-        vec![("crates/core/src/fix.rs".to_string(), 4)]
-    );
-    assert!(
-        report[0]
-            .message
-            .contains("not reachable from any root; delete it"),
-        "{}",
-        report[0].message
-    );
-}
-
-#[test]
-fn alloc_negatives_pass() {
-    // Scratch-buffer reuse on the hot path, allocation in unreachable
-    // functions, and allocation in test code are all fine.
-    let report = lint_rooted(
-        FIX_ROOTS,
-        &[(
-            "crates/core/src/fix.rs",
-            "pub fn entry(buf: &mut Vec<u32>, n: usize) {\n    buf.clear();\n    buf.extend(0..n as u32);\n}\npub fn cold(n: usize) -> Vec<u32> {\n    (0..n as u32).collect()\n}\n#[cfg(test)]\nmod tests {\n    pub fn t() {\n        let _: Vec<u32> = Vec::new();\n    }\n}\n",
-        )],
-    );
-    assert_eq!(sites(&report, Rule::Alloc), vec![]);
-}
-
-#[test]
 fn stale_alloc_waiver_from_the_marker_era_is_flagged() {
-    // Under the retired region-marker rule this waiver suppressed a
-    // per-line violation; the transitive rule reaches no allocation here,
-    // so the waiver is dead and the lint demands its deletion.
+    // The `alloc` family is retired with the recycled scheduling context
+    // it guarded: a leftover waiver for it names a rule that no longer
+    // exists, and the lint demands its deletion.
     let report = lint_rooted(
         FIX_ROOTS,
         &[(
@@ -663,14 +544,14 @@ fn stale_alloc_waiver_from_the_marker_era_is_flagged() {
         vec![("crates/core/src/fix.rs".to_string(), 5)]
     );
     assert!(
-        report[0].message.contains("matches no violation"),
+        report[0].message.contains("unknown rule `alloc`"),
         "{}",
         report[0].message
     );
 }
 
 // ---------------------------------------------------------------------------
-// det (transitive, with declared chokepoints)
+// det (transitive)
 // ---------------------------------------------------------------------------
 
 #[test]
@@ -696,51 +577,17 @@ fn det_sinks_reachable_from_a_root_are_flagged() {
 }
 
 #[test]
-fn declared_chokepoint_clears_the_paths_through_it() {
-    let report = lint_rooted(
-        "[roots]\n\"core::fix::entry\" = \"fixture root\"\n\n[det-chokepoints]\n\"core::fix::knob\" = \"memoized override read\"\n",
-        &[(
-            "crates/core/src/fix.rs",
-            "pub fn entry() -> String {\n    knob()\n}\nfn knob() -> String {\n    std::env::var(\"RESCHED_FIX\").unwrap_or_default()\n}\n",
-        )],
-    );
-    assert!(report.is_empty(), "chokepoint must clear: {report:?}");
-}
-
-#[test]
 fn det_transitive_waiver_is_a_barrier_and_is_consumed() {
     let report = lint_rooted(
         FIX_ROOTS,
         &[(
             "crates/core/src/fix.rs",
-            "pub fn entry() -> String {\n    mid()\n}\n// lint:allow(det-transitive): reads a memoized override once; pinned by the cache differential test.\nfn mid() -> String {\n    std::env::var(\"RESCHED_FIX\").unwrap_or_default()\n}\n",
+            "pub fn entry() -> String {\n    mid()\n}\n// lint:allow(det-transitive): reads an override once at startup; it never changes a schedule.\nfn mid() -> String {\n    std::env::var(\"RESCHED_FIX\").unwrap_or_default()\n}\n",
         )],
     );
     assert!(
         report.is_empty(),
         "waived subtree must be clean: {report:?}"
-    );
-}
-
-#[test]
-fn unresolvable_chokepoint_is_flagged() {
-    let report = lint_rooted(
-        "[roots]\n\"core::fix::entry\" = \"fixture root\"\n\n[det-chokepoints]\n\"core::fix::ghost\" = \"gone\"\n",
-        &[(
-            "crates/core/src/fix.rs",
-            "pub fn entry() -> u32 {\n    1\n}\n",
-        )],
-    );
-    assert_eq!(
-        sites(&report, Rule::Det),
-        vec![("crates/lint/roots.toml".to_string(), 5)]
-    );
-    assert!(
-        report[0]
-            .message
-            .contains("does not resolve to any workspace function"),
-        "{}",
-        report[0].message
     );
 }
 
@@ -818,10 +665,7 @@ fn missing_roots_manifest_is_flagged() {
 
 #[test]
 fn unresolvable_root_is_flagged() {
-    let report = lint_rooted(
-        "[roots]\n\"core::fix::ghost\" = \"renamed away\"\n\n[det-chokepoints]\n",
-        &[],
-    );
+    let report = lint_rooted("[roots]\n\"core::fix::ghost\" = \"renamed away\"\n", &[]);
     assert_eq!(
         sites(&report, Rule::Panic),
         vec![("crates/lint/roots.toml".to_string(), 2)]
@@ -862,7 +706,7 @@ fn malformed_manifest_entries_are_flagged() {
 #[test]
 fn unknown_rule_empty_justification_and_unused_waivers_are_flagged() {
     let report = lint_rooted(
-        "[roots]\n\"core::fix::b\" = \"fixture root\"\n\n[det-chokepoints]\n",
+        "[roots]\n\"core::fix::b\" = \"fixture root\"\n",
         &[(
             "crates/core/src/fix.rs",
             "// lint:allow(speed): not a rule.\npub fn a() {}\n// lint:allow(panic):\npub fn b(x: Option<u32>) -> u32 {\n    x.unwrap()\n}\n// lint:allow(nondet): nothing below is nondeterministic.\npub fn c() {}\n",

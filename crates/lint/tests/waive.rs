@@ -23,7 +23,7 @@ fn scratch(name: &str) -> PathBuf {
     std::fs::create_dir_all(&lint).expect("mkdir scratch lint");
     std::fs::write(
         lint.join("roots.toml"),
-        "[roots]\n\"core::f\" = \"scratch root\"\n\n[det-chokepoints]\n",
+        "[roots]\n\"core::f\" = \"scratch root\"\n",
     )
     .expect("write scratch roots manifest");
     dir

@@ -203,10 +203,10 @@ impl Calendar {
     }
 
     /// Make `self` identical to `src`, reusing the breakpoint buffer this
-    /// calendar already owns instead of allocating a fresh one. The
-    /// allocation-free twin of `clone()` for scratch calendars recycled
-    /// across schedules: once the buffer has warmed up to the peak size
-    /// seen so far, this performs zero heap allocation.
+    /// calendar already owns instead of allocating a fresh one: the twin
+    /// of `clone()` for a working calendar refilled many times inside one
+    /// scheduling call (once per λ pass of the deadline sweep, once per
+    /// candidate build of iCASLB's growth loop).
     pub fn copy_from(&mut self, src: &Calendar) {
         self.capacity = src.capacity;
         self.steps.clone_from(&src.steps);
@@ -215,9 +215,9 @@ impl Calendar {
     }
 
     /// Clear to an empty calendar of `capacity` processors, keeping the
-    /// breakpoint buffer — the allocation-free twin of [`Calendar::new`]
-    /// for scratch platforms (e.g. the CPA mapping phase's virtual
-    /// platform) recycled across runs.
+    /// breakpoint buffer — the twin of [`Calendar::new`] for the CPA
+    /// mapping phase's virtual platform, which the resource-conservative
+    /// deadline algorithms empty and refill before every task decision.
     ///
     /// # Panics
     /// Panics if `capacity == 0`.
@@ -227,26 +227,6 @@ impl Calendar {
         self.steps.clear();
         self.reserved_proc_seconds = 0;
         self.num_reservations = 0;
-    }
-
-    /// Overwrite the breakpoint buffer with sentinel garbage. Test-only
-    /// helper: scratch-reuse tests poison a recycled calendar between
-    /// schedules to prove nothing depends on leftover state. The calendar
-    /// is *invalid* until the next [`Calendar::copy_from`] /
-    /// [`Calendar::reset`].
-    #[doc(hidden)]
-    pub fn debug_poison(&mut self) {
-        let cap = self.steps.capacity();
-        self.steps.clear();
-        self.steps.resize(
-            cap,
-            Step {
-                time: Time::seconds(i64::MIN / 4),
-                used: u32::MAX,
-            },
-        );
-        self.reserved_proc_seconds = i64::MIN;
-        self.num_reservations = usize::MAX;
     }
 
     /// Total number of processors on the platform (the paper's `p`).

@@ -241,12 +241,12 @@ fn probe_deadline(
             .ok()
             .map(|o| o.schedule)
     };
+    // Materialized (at most 4 candidates) so the parallel and sequential
+    // folds stay byte-identical.
     let candidates: Vec<Option<_>> =
         if roster.len() == 1 || resched_core::obs::active() || rayon::current_num_threads() <= 1 {
-            // lint:allow(alloc): bounded by the probe roster (<= 4 candidates), materialized once per admission probe so the parallel and sequential folds stay byte-identical.
             roster.iter().map(probe).collect()
         } else {
-            // lint:allow(alloc): bounded by the probe roster (<= 4 candidates), materialized once per admission probe so the parallel and sequential folds stay byte-identical.
             roster.par_iter().map(probe).collect()
         };
     candidates

@@ -27,7 +27,10 @@ impl Checker {
 }
 
 fn main() {
-    let scale = Scale::from_env();
+    // Every knob is read before any experiment runs, so a typo stops the
+    // binary at once instead of minutes in.
+    let scale = Scale::from_env().unwrap_or_else(|e| e.exit());
+    let sweeps = sweeps_with_stride(5).unwrap_or_else(|e| e.exit());
     let seed = DEFAULT_ROOT_SEED;
     let mut c = Checker { failures: vec![] };
 
@@ -63,7 +66,6 @@ fn main() {
     }
 
     // ---- Table 6 shapes ----------------------------------------------
-    let sweeps = sweeps_with_stride(5);
     let t6 = run_table6(&sweeps, scale, seed);
     let col = |label: &str| t6.iter().find(|r| r.label == label).expect("column");
     let algo = |r: &resched_sim::exp::deadline::DeadlineResult, name: &str| {

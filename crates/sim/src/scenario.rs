@@ -60,6 +60,70 @@ impl ResvSpec {
     }
 }
 
+/// A `RESCHED_*` environment variable set to a value that does not parse.
+/// A typo must stop the run, not quietly run the default experiment.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct EnvError {
+    /// The variable's name.
+    pub var: &'static str,
+    /// The offending value, as read.
+    pub value: String,
+    /// What a valid value looks like.
+    pub expected: &'static str,
+}
+
+impl std::fmt::Display for EnvError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(
+            f,
+            "{}={:?}: expected {}",
+            self.var, self.value, self.expected
+        )
+    }
+}
+
+impl std::error::Error for EnvError {}
+
+impl EnvError {
+    /// Report the error on stderr and exit with status 2 (bad invocation).
+    pub fn exit(&self) -> ! {
+        eprintln!("error: {self}");
+        std::process::exit(2)
+    }
+}
+
+/// A variable lookup: `std::env::var` in the binaries, a table in tests.
+type Lookup<'a> = &'a dyn Fn(&str) -> Option<String>;
+
+/// A count knob under `get`: `None` when unset, an error naming the
+/// variable and the value when set but not a whole number.
+fn env_count(var: &'static str, get: Lookup<'_>) -> Result<Option<usize>, EnvError> {
+    get(var)
+        .map(|value| {
+            value.parse().map_err(|_| EnvError {
+                var,
+                value,
+                expected: "a non-negative integer",
+            })
+        })
+        .transpose()
+}
+
+/// The `RESCHED_SCALE` multiplier under `get`: finite and positive.
+fn env_scale(get: Lookup<'_>) -> Result<Option<f64>, EnvError> {
+    let var = "RESCHED_SCALE";
+    get(var)
+        .map(|value| match value.parse::<f64>() {
+            Ok(f) if f.is_finite() && f > 0.0 => Ok(f),
+            _ => Err(EnvError {
+                var,
+                value,
+                expected: "a positive number",
+            }),
+        })
+        .transpose()
+}
+
 /// How many random instances to draw per scenario.
 ///
 /// The paper uses 20 DAG instances × 50 reservation-schedule instances
@@ -97,30 +161,33 @@ impl Scale {
     }
 
     /// Read the scale from the environment (see type docs), starting from
-    /// [`Scale::quick`].
-    pub fn from_env() -> Scale {
+    /// [`Scale::quick`]. A variable that is set but does not parse is an
+    /// error, not the default.
+    pub fn from_env() -> Result<Scale, EnvError> {
+        Scale::from_vars(&|k| std::env::var(k).ok())
+    }
+
+    /// [`Scale::from_env`] over an explicit variable lookup.
+    fn from_vars(get: Lookup<'_>) -> Result<Scale, EnvError> {
         let mut s = Scale::quick();
-        if let Ok(f) = std::env::var("RESCHED_SCALE") {
-            if let Ok(f) = f.parse::<f64>() {
-                let scale = |x: usize| ((x as f64 * f).round() as usize).max(1);
-                s = Scale {
-                    dags: scale(s.dags),
-                    starts: scale(s.starts),
-                    tags: scale(s.tags),
-                };
-            }
+        if let Some(f) = env_scale(get)? {
+            let scale = |x: usize| ((x as f64 * f).round() as usize).max(1);
+            s = Scale {
+                dags: scale(s.dags),
+                starts: scale(s.starts),
+                tags: scale(s.tags),
+            };
         }
-        let get = |k: &str| std::env::var(k).ok().and_then(|v| v.parse::<usize>().ok());
-        if let Some(v) = get("RESCHED_DAGS") {
+        if let Some(v) = env_count("RESCHED_DAGS", get)? {
             s.dags = v.max(1);
         }
-        if let Some(v) = get("RESCHED_STARTS") {
+        if let Some(v) = env_count("RESCHED_STARTS", get)? {
             s.starts = v.max(1);
         }
-        if let Some(v) = get("RESCHED_TAGS") {
+        if let Some(v) = env_count("RESCHED_TAGS", get)? {
             s.tags = v.max(1);
         }
-        s
+        Ok(s)
     }
 
     /// Instances per scenario.
@@ -208,17 +275,21 @@ pub const DEFAULT_ROOT_SEED: u64 = 20080623; // HPDC 2008 week
 
 /// Every `stride`-th of the paper's 40 application sweeps (stride 1 = all).
 /// Benches with expensive per-instance work (tightest-deadline searches)
-/// default to a stride > 1; set `RESCHED_SWEEP_STRIDE` to override.
-pub fn sweeps_with_stride(default_stride: usize) -> Vec<Sweep> {
-    let stride = std::env::var("RESCHED_SWEEP_STRIDE")
-        .ok()
-        .and_then(|v| v.parse::<usize>().ok())
+/// default to a stride > 1; set `RESCHED_SWEEP_STRIDE` to override (an
+/// unparsable value is an error).
+pub fn sweeps_with_stride(default_stride: usize) -> Result<Vec<Sweep>, EnvError> {
+    sweeps_from_vars(default_stride, &|k| std::env::var(k).ok())
+}
+
+/// [`sweeps_with_stride`] over an explicit variable lookup.
+fn sweeps_from_vars(default_stride: usize, get: Lookup<'_>) -> Result<Vec<Sweep>, EnvError> {
+    let stride = env_count("RESCHED_SWEEP_STRIDE", get)?
         .unwrap_or(default_stride)
         .max(1);
-    DagParams::paper_sweeps()
+    Ok(DagParams::paper_sweeps()
         .into_iter()
         .step_by(stride)
-        .collect()
+        .collect())
 }
 
 /// Convenience: the subset of application sweeps for fast runs — one spec
@@ -283,9 +354,46 @@ mod tests {
 
     #[test]
     fn sweep_stride() {
-        assert_eq!(sweeps_with_stride(1).len(), 40);
-        assert_eq!(sweeps_with_stride(5).len(), 8);
-        assert_eq!(sweeps_with_stride(100).len(), 1);
+        let unset = |_: &str| None;
+        assert_eq!(sweeps_from_vars(1, &unset).unwrap().len(), 40);
+        assert_eq!(sweeps_from_vars(5, &unset).unwrap().len(), 8);
+        assert_eq!(sweeps_from_vars(100, &unset).unwrap().len(), 1);
+    }
+
+    #[test]
+    fn unparsable_env_values_are_errors_naming_the_variable() {
+        // Each variable alone in the environment, set to `value`.
+        let read = |var: &'static str, value: &'static str| {
+            let get = move |k: &str| (k == var).then(|| value.to_string());
+            match var {
+                "RESCHED_SWEEP_STRIDE" => sweeps_from_vars(5, &get).map(|s| s.len()),
+                _ => Scale::from_vars(&get).map(|s| s.instances()),
+            }
+        };
+        let table: [(&'static str, &[&'static str], &'static str, usize); 5] = [
+            (
+                "RESCHED_SCALE",
+                &["fast", "", "1,5", "0", "-2", "NaN", "inf"],
+                "2",
+                32,
+            ),
+            ("RESCHED_DAGS", &["many", "", "2.5", "-1"], "5", 10),
+            ("RESCHED_STARTS", &["ten", "", "1e1", "-1"], "3", 6),
+            ("RESCHED_TAGS", &["x", "", "0x2", "-1"], "2", 8),
+            ("RESCHED_SWEEP_STRIDE", &["all", "", "5 ", "-5"], "10", 4),
+        ];
+        for (var, bad, good, expect) in table {
+            for &value in bad {
+                let err = read(var, value).expect_err(&format!("{var}={value:?} must not parse"));
+                assert_eq!(err.var, var);
+                let msg = err.to_string();
+                assert!(msg.contains(var), "{msg}");
+                assert!(msg.contains(&format!("{value:?}")), "{msg}");
+            }
+            assert_eq!(read(var, good), Ok(expect), "{var}={good}");
+        }
+        // Nothing set: the defaults, not an error.
+        assert_eq!(Scale::from_vars(&|_| None), Ok(Scale::quick()));
     }
 
     #[test]

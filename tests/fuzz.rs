@@ -500,189 +500,6 @@ impl Scenario {
     }
 }
 
-/// An arena-stress case: a *sequence* of scenarios — task counts varying
-/// across the sequence on purpose — all driven through ONE long-lived
-/// [`SchedCtx`], interleaved with schedule/cancel cycles on the competing
-/// calendar. Every reused-context schedule is compared against a
-/// fresh-context run of the same algorithm, so any buffer in the shared
-/// context that leaks state between runs (growing, shrinking, or surviving
-/// a cancel) shows up as a differential failure. Serializable for
-/// committing shrunk failures under `tests/repros/arena_*.json`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct ArenaStress {
-    /// The scenarios visited in order on each cycle.
-    pub scenarios: Vec<Scenario>,
-    /// How many times the whole sequence replays on the same context.
-    pub cycles: u32,
-    /// Whether to poison the shared context between schedules, replacing
-    /// realistic stale data with sentinel garbage.
-    pub poison: bool,
-}
-
-impl ArenaStress {
-    /// Draw a random case: a few small scenarios (so the shared buffers
-    /// flip between growing and shrinking) replayed once or twice.
-    pub fn generate<R: Rng>(rng: &mut R) -> ArenaStress {
-        let k = rng.gen_range(2usize..=4);
-        ArenaStress {
-            scenarios: (0..k).map(|_| Scenario::generate(rng)).collect(),
-            cycles: rng.gen_range(1u32..=2),
-            poison: rng.gen_range(0.0..1.0f64) < 0.5,
-        }
-    }
-
-    /// Drive the whole sequence through one shared context. Each scenario
-    /// visit compares the full catalog twice: once on the base calendar,
-    /// and once after committing the recommended forward schedule's
-    /// placements as reservations (a schedule cycle); the commits are then
-    /// cancelled and the calendar must restore exactly.
-    pub fn run(&self) -> Result<(), Failure> {
-        let mut ctx = SchedCtx::new();
-        for cycle in 0..self.cycles.max(1) {
-            for (si, s) in self.scenarios.iter().enumerate() {
-                let Some(dag) = s.dag() else { continue };
-                let mut cal = s.calendar();
-                let now = s.now();
-                let deadline = Some(s.deadline(&dag, &cal));
-                let at = |stage: &str| format!("cycle {cycle}, scenario {si}, {stage}");
-                self.compare_all(&dag, &cal, now, s.q, deadline, &mut ctx, &at("base"))?;
-
-                // Schedule cycle: commit the forward schedule into the
-                // calendar (it validated against it, so every placement
-                // should admit) and re-compare on the busier calendar.
-                let fwd = schedule_forward(&dag, &cal, now, s.q, ForwardConfig::recommended());
-                let pristine = cal.clone();
-                let mut committed = Vec::new();
-                for p in fwd.placements() {
-                    let r = Reservation::new(p.start, p.end, p.procs);
-                    if cal.try_add(r).is_ok() {
-                        committed.push(r);
-                    }
-                }
-                self.compare_all(&dag, &cal, now, s.q, deadline, &mut ctx, &at("committed"))?;
-
-                // Cancel cycle: remove the commits and demand the calendar
-                // is byte-for-byte back to its pre-commit state.
-                for r in committed {
-                    if cal.try_remove(r).is_err() {
-                        return Err(Failure {
-                            algo: "<calendar>".to_string(),
-                            detail: at("cancel of a committed reservation failed"),
-                        });
-                    }
-                }
-                if cal != pristine {
-                    return Err(Failure {
-                        algo: "<calendar>".to_string(),
-                        detail: at("cancel did not restore the calendar"),
-                    });
-                }
-            }
-        }
-        Ok(())
-    }
-
-    /// Run every catalog algorithm twice — fresh context vs the shared one
-    /// (optionally poisoned first) — and fail on any divergence in
-    /// placements, stats, feasibility, or panic behavior.
-    #[allow(clippy::too_many_arguments)]
-    fn compare_all(
-        &self,
-        dag: &Dag,
-        cal: &Calendar,
-        now: Time,
-        q: u32,
-        deadline: Option<Time>,
-        ctx: &mut SchedCtx,
-        at: &str,
-    ) -> Result<(), Failure> {
-        for algo in Algorithm::catalog() {
-            let fresh = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                algo.run(dag, cal, now, q, deadline)
-            }))
-            .map_err(|p| Failure {
-                algo: algo.name(),
-                detail: format!("{at}: fresh ctx {}", panic_message(p)),
-            })?;
-            if self.poison {
-                ctx.poison();
-            }
-            let mut reused = Schedule::new(Vec::new(), now);
-            let res = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                algo.run_with(dag, cal, now, q, deadline, ctx, &mut reused)
-            }))
-            .map_err(|p| Failure {
-                algo: algo.name(),
-                detail: format!("{at}: reused ctx {}", panic_message(p)),
-            })?;
-            match (fresh, res) {
-                (Ok(a), Ok(())) => {
-                    if a != reused {
-                        return Err(Failure {
-                            algo: algo.name(),
-                            detail: format!("{at}: reused ctx diverged from fresh ctx"),
-                        });
-                    }
-                }
-                (Err(_), Err(_)) => {}
-                (a, b) => {
-                    return Err(Failure {
-                        algo: algo.name(),
-                        detail: format!(
-                            "{at}: feasibility diverged (fresh ok: {}, reused ok: {})",
-                            a.is_ok(),
-                            b.is_ok()
-                        ),
-                    })
-                }
-            }
-        }
-        Ok(())
-    }
-
-    /// One-step simplifications, most aggressive first: drop a whole
-    /// scenario, collapse to one cycle, stop poisoning, then simplify any
-    /// single scenario with the [`Scenario`] shrinker.
-    pub fn shrink_candidates(&self) -> Vec<ArenaStress> {
-        let mut out = Vec::new();
-        for i in (0..self.scenarios.len()).rev() {
-            let mut s = self.clone();
-            s.scenarios.remove(i);
-            out.push(s);
-        }
-        if self.cycles > 1 {
-            let mut s = self.clone();
-            s.cycles = 1;
-            out.push(s);
-        }
-        if self.poison {
-            let mut s = self.clone();
-            s.poison = false;
-            out.push(s);
-        }
-        for (i, sc) in self.scenarios.iter().enumerate() {
-            for cand in sc.shrink_candidates() {
-                let mut s = self.clone();
-                s.scenarios[i] = cand;
-                out.push(s);
-            }
-        }
-        out
-    }
-
-    /// Pretty JSON for committing under `tests/repros/arena_*.json`.
-    pub fn to_json(&self) -> String {
-        let mut s = serde_json::to_string_pretty(self).expect("arena case serializes");
-        s.push('\n');
-        s
-    }
-
-    /// Parse a committed arena repro.
-    pub fn from_json(json: &str) -> Result<ArenaStress, serde_json::Error> {
-        serde_json::from_str(json)
-    }
-}
-
 /// One admission request of a [`QuotaStress`] case.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct QuotaRequest {
@@ -919,12 +736,6 @@ pub fn shrink(scenario: &Scenario, fails: impl Fn(&Scenario) -> bool) -> Scenari
     greedy_shrink(scenario, Scenario::shrink_candidates, fails)
 }
 
-/// [`shrink`], for arena-stress cases: same greedy loop and budget over
-/// [`ArenaStress::shrink_candidates`].
-pub fn shrink_arena(case: &ArenaStress, fails: impl Fn(&ArenaStress) -> bool) -> ArenaStress {
-    greedy_shrink(case, ArenaStress::shrink_candidates, fails)
-}
-
 fn greedy_shrink<T: Clone>(
     start: &T,
     candidates: impl Fn(&T) -> Vec<T>,
@@ -992,24 +803,6 @@ mod tests {
         assert!(min.ops.is_empty());
         assert!(min.tasks[0].seq_secs <= 30, "cost fully halved down");
         assert_eq!(min.now_secs, 0);
-    }
-
-    #[test]
-    fn arena_cases_roundtrip_and_shrink() {
-        let mut rng = ChaCha12Rng::seed_from_u64(0x5CED_00F2);
-        let case = ArenaStress::generate(&mut rng);
-        assert!(case.scenarios.len() >= 2);
-        let back = ArenaStress::from_json(&case.to_json()).unwrap();
-        assert_eq!(back, case);
-
-        // Shrinking against "still has a scenario" must strip everything
-        // else away: one cycle, no poisoning, one degenerate scenario.
-        let min = shrink_arena(&case, |c| !c.scenarios.is_empty());
-        assert_eq!(min.scenarios.len(), 1);
-        assert_eq!(min.cycles, 1);
-        assert!(!min.poison);
-        assert!(min.scenarios[0].tasks.is_empty());
-        assert!(min.scenarios[0].reservations.is_empty());
     }
 
     #[test]

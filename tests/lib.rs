@@ -7,41 +7,3 @@
 //! `tests/repros/`).
 
 pub mod fuzz;
-
-/// The counting global allocator behind the `alloc-probe` feature: a thin
-/// wrapper over the system allocator that reports every allocation into
-/// `resched_core::alloc_probe`'s per-thread counters before delegating.
-/// Installing it here makes every test binary in this crate count heap
-/// traffic, which is what lets the regression tests pin a warmed-up
-/// scheduler context to zero allocations per schedule.
-#[cfg(feature = "alloc-probe")]
-mod counting_alloc {
-    use std::alloc::{GlobalAlloc, Layout, System};
-
-    /// System allocator with per-thread counting probes.
-    struct CountingAlloc;
-
-    unsafe impl GlobalAlloc for CountingAlloc {
-        unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-            resched_core::alloc_probe::on_alloc(layout.size());
-            unsafe { System.alloc(layout) }
-        }
-
-        unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-            unsafe { System.dealloc(ptr, layout) }
-        }
-
-        unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-            resched_core::alloc_probe::on_alloc(layout.size());
-            unsafe { System.alloc_zeroed(layout) }
-        }
-
-        unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-            resched_core::alloc_probe::on_alloc(new_size);
-            unsafe { System.realloc(ptr, layout, new_size) }
-        }
-    }
-
-    #[global_allocator]
-    static COUNTING: CountingAlloc = CountingAlloc;
-}

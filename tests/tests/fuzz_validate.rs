@@ -15,12 +15,6 @@
 //!    deliberate scheduler bug (widening an allocation without consulting
 //!    the calendar), asserts the oracle catches it, and pins the shrunk
 //!    minimal scenario byte-for-byte against a committed fixture.
-//! 4. `arena_stress_*` sweeps random [`ArenaStress`] cases — sequences of
-//!    varying-size scenarios driven through one long-lived `SchedCtx`
-//!    with schedule/cancel calendar cycles — differentially against fresh
-//!    per-call contexts. Failures shrink to `tests/repros/arena_*.json`;
-//!    committed arena repros replay through their own lane (they are not
-//!    plain `Scenario` files).
 //!
 //! Iteration count is controlled by `RESCHED_FUZZ_ITERS` (default 60);
 //! CI's fuzz-smoke lane runs a reduced count. Seeds are fixed constants
@@ -30,15 +24,13 @@ use rand::SeedableRng;
 use rand_chacha::ChaCha12Rng;
 use resched_core::forward::{schedule_forward, ForwardConfig};
 use resched_core::prelude::*;
-use resched_tests::fuzz::{shrink, shrink_arena, ArenaStress, Scenario};
+use resched_tests::fuzz::{shrink, Scenario};
 use std::path::PathBuf;
 
 /// Root seed for the random-scenario sweep.
 const FUZZ_SEED: u64 = 0x5CED_0010;
 /// Root seed for the capacity-overflow mutation search.
 const MUTATION_SEED: u64 = 0x5CED_0011;
-/// Root seed for the arena-stress sweep.
-const ARENA_SEED: u64 = 0x5CED_0012;
 /// How many seeds the mutation search may probe before giving up.
 const MUTATION_SEARCH_BUDGET: u64 = 500;
 
@@ -77,9 +69,8 @@ fn all_algorithms_validate_on_random_scenarios() {
     }
 }
 
-/// All committed `.json` repros, split by kind: `arena_*` files are
-/// [`ArenaStress`] cases, everything else is a plain [`Scenario`].
-fn repro_paths(arena: bool) -> Vec<PathBuf> {
+/// All committed [`Scenario`] `.json` repros.
+fn repro_paths() -> Vec<PathBuf> {
     let dir = repro_dir();
     let mut entries: Vec<_> = std::fs::read_dir(&dir)
         .unwrap_or_else(|e| panic!("missing {}: {e}", dir.display()))
@@ -90,10 +81,7 @@ fn repro_paths(arena: bool) -> Vec<PathBuf> {
             let name = name.as_deref().unwrap_or("");
             // `quota_*` repros are QuotaStress cases replayed by the
             // quota_admission harness, not Scenarios.
-            if name.starts_with("quota_") {
-                return false;
-            }
-            name.starts_with("arena_") == arena
+            !name.starts_with("quota_")
         })
         .collect();
     entries.sort();
@@ -103,7 +91,7 @@ fn repro_paths(arena: bool) -> Vec<PathBuf> {
 #[test]
 fn committed_repros_replay_green() {
     let mut replayed = 0usize;
-    for path in repro_paths(false) {
+    for path in repro_paths() {
         let json = std::fs::read_to_string(&path).unwrap();
         let scenario = Scenario::from_json(&json)
             .unwrap_or_else(|e| panic!("{} does not parse: {e}", path.display()));
@@ -115,26 +103,6 @@ fn committed_repros_replay_green() {
     assert!(
         replayed > 0,
         "no repros found under {}",
-        repro_dir().display()
-    );
-}
-
-#[test]
-fn committed_arena_repros_replay_green() {
-    let mut replayed = 0usize;
-    for path in repro_paths(true) {
-        let json = std::fs::read_to_string(&path).unwrap();
-        let case = ArenaStress::from_json(&json)
-            .unwrap_or_else(|e| panic!("{} does not parse: {e}", path.display()));
-        if let Err(f) = case.run() {
-            panic!("committed arena repro {} regressed: {f}", path.display());
-        }
-        replayed += 1;
-    }
-    // `arena_smoke.json` is always committed, so the lane never runs empty.
-    assert!(
-        replayed > 0,
-        "no arena repros found under {}",
         repro_dir().display()
     );
 }
@@ -200,67 +168,6 @@ fn mutation_capacity_overflow_is_caught_and_shrinks() {
         want,
         "shrunk mutation repro drifted from {}; if the generator or \
          shrinker changed intentionally, refresh with RESCHED_UPDATE_GOLDEN=1",
-        path.display()
-    );
-}
-
-/// The arena sweep is ~100× the work per iteration of the plain sweep
-/// (every scenario visit runs the whole catalog twice, against two
-/// calendars), so it takes a reduced share of the iteration budget.
-fn arena_iterations() -> usize {
-    (iterations() / 6).max(4)
-}
-
-#[test]
-fn arena_stress_reused_ctx_matches_fresh_on_random_sequences() {
-    let mut rng = ChaCha12Rng::seed_from_u64(ARENA_SEED);
-    for i in 0..arena_iterations() {
-        let case = ArenaStress::generate(&mut rng);
-        let Err(failure) = case.run() else {
-            continue;
-        };
-        let minimal = shrink_arena(&case, |c| c.run().is_err());
-        let final_failure = minimal.run().unwrap_err();
-        let path = repro_dir().join(format!("arena_failure_iter{i:04}.json"));
-        std::fs::create_dir_all(repro_dir()).unwrap();
-        std::fs::write(&path, minimal.to_json()).unwrap();
-        panic!(
-            "arena-stress iteration {i} failed ({failure}); shrunk to {} \
-             (now failing as: {final_failure}) — commit the repro once fixed",
-            path.display()
-        );
-    }
-}
-
-/// The committed `arena_smoke.json` fixture is generated, not hand-written:
-/// it is the first seed's [`ArenaStress`] case, pinned byte-for-byte so the
-/// arena replay lane always has a deterministic, regenerable case to chew
-/// on (refresh with `RESCHED_UPDATE_GOLDEN=1` if the generator changes).
-#[test]
-fn arena_smoke_fixture_is_pinned_and_green() {
-    let mut rng = ChaCha12Rng::seed_from_u64(ARENA_SEED);
-    let case = ArenaStress::generate(&mut rng);
-    case.run()
-        .unwrap_or_else(|f| panic!("arena smoke case regressed: {f}"));
-
-    let path = repro_dir().join("arena_smoke.json");
-    let got = case.to_json();
-    if std::env::var("RESCHED_UPDATE_GOLDEN").is_ok() {
-        std::fs::create_dir_all(repro_dir()).unwrap();
-        std::fs::write(&path, &got).unwrap();
-        return;
-    }
-    let want = std::fs::read_to_string(&path).unwrap_or_else(|e| {
-        panic!(
-            "missing {} ({e}); run with RESCHED_UPDATE_GOLDEN=1 to create it",
-            path.display()
-        )
-    });
-    assert_eq!(
-        got,
-        want,
-        "arena smoke fixture drifted from {}; if the generator changed \
-         intentionally, refresh with RESCHED_UPDATE_GOLDEN=1",
         path.display()
     );
 }
