@@ -103,9 +103,11 @@ impl<'a> Slots<'a> {
     }
 
     /// Latest start `s` with `s + dur <= end_by`, `s >= not_before`, and
-    /// `procs` processors free throughout — or `None`. Walks backward from
-    /// the window restarting before each blocking slot; `visited` counts
-    /// slots inspected.
+    /// `procs` processors free throughout — or `None`. Positions once on
+    /// the last slot starting before `end_by`, then walks backward; a
+    /// blocking slot moves the window to end where it starts and the walk
+    /// carries on from the slot before it. `visited` counts slots
+    /// inspected.
     pub(crate) fn latest_fit(
         self,
         procs: u32,
@@ -119,49 +121,31 @@ impl<'a> Slots<'a> {
         let max_used = self.capacity - procs;
         // Positioning step, as in `earliest_fit`.
         *visited += 1;
-        let mut e = end_by;
-        loop {
-            let s = e - dur;
-            if s < not_before {
-                return None;
-            }
-            match self.last_blocker(s, e, max_used, visited) {
-                None => return Some(s),
-                Some(blocker) => {
-                    // A blocker intersecting [s, e) starts strictly before
-                    // e, so `e` strictly decreases every round; enforce that
-                    // rather than spin forever on a corrupted calendar.
-                    assert!(
-                        blocker.start < e,
-                        "latest_fit stalled: blocker at {} does not precede the window end {e}",
-                        blocker.start
-                    );
-                    e = blocker.start;
-                }
-            }
+        let mut s = end_by - dur;
+        if s < not_before {
+            return None;
         }
-    }
-
-    /// The last slot intersecting `[from, to)` with more than `max_used`
-    /// processors busy.
-    fn last_blocker(self, from: Time, to: Time, max_used: u32, visited: &mut u64) -> Option<Slot> {
         // Slot `k` starts at breakpoint `k` (the last breakpoint starts no
-        // slot), so `k` counts the slots starting before `to`.
+        // slot), so `k` counts the slots starting before `end_by`.
         let mut k = self
             .steps
-            .partition_point(|s| s.time < to)
+            .partition_point(|b| b.time < end_by)
             .min(self.steps.len().saturating_sub(1));
-        while let Some(s) = k.checked_sub(1).and_then(|last| self.get(last)) {
+        while let Some(slot) = k.checked_sub(1).and_then(|last| self.get(last)) {
             *visited += 1;
-            if s.end <= from {
-                return None;
+            if slot.end <= s {
+                break; // everything earlier lies before the window
             }
-            if s.used > max_used {
-                return Some(s);
+            if slot.used > max_used {
+                // Blocked: the window must end where this slot starts.
+                s = slot.start - dur;
+                if s < not_before {
+                    return None;
+                }
             }
             k -= 1;
         }
-        None
+        Some(s)
     }
 
     /// Peak processors in use over `[from, to)`. Implicitly-free time
@@ -349,6 +333,110 @@ mod tests {
         let mut v = 0;
         assert_eq!(ss.latest_fit(1, d(5), t(100), t(0), &mut v), Some(t(95)));
         assert_eq!(v, 2);
+    }
+
+    /// The backward walk as it was before it positioned once: a fresh
+    /// `partition_point` for the window end after every blocker. Kept here
+    /// as the reference the one-walk answers and `visited` counts are
+    /// pinned to.
+    fn latest_fit_by_repeated_search(
+        ss: Slots<'_>,
+        procs: u32,
+        dur: Dur,
+        end_by: Time,
+        not_before: Time,
+        visited: &mut u64,
+    ) -> Option<Time> {
+        let max_used = ss.capacity - procs;
+        *visited += 1;
+        let mut e = end_by;
+        loop {
+            let s = e - dur;
+            if s < not_before {
+                return None;
+            }
+            let mut k = ss
+                .steps
+                .partition_point(|b| b.time < e)
+                .min(ss.steps.len().saturating_sub(1));
+            let blocker = loop {
+                let Some(slot) = k.checked_sub(1).and_then(|last| ss.get(last)) else {
+                    break None;
+                };
+                *visited += 1;
+                if slot.end <= s {
+                    break None;
+                }
+                if slot.used > max_used {
+                    break Some(slot);
+                }
+                k -= 1;
+            };
+            match blocker {
+                None => return Some(s),
+                Some(b) => e = b.start,
+            }
+        }
+    }
+
+    /// A seeded 8-processor calendar of `n` accepted-or-dropped random
+    /// reservations over `[0, 400)`, with interior holes.
+    fn seeded_calendar(seed: u64, n: usize) -> Calendar {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand_chacha::ChaCha12Rng::seed_from_u64(seed);
+        let mut cal = Calendar::new(8);
+        for _ in 0..n {
+            let start = rng.gen_range(0..380i64);
+            let len = rng.gen_range(1..40i64);
+            let procs = rng.gen_range(1..=8u32);
+            let _ = cal.try_add(Reservation::new(t(start), t(start + len), procs));
+        }
+        cal
+    }
+
+    #[test]
+    fn latest_fit_one_walk_matches_the_per_restart_search() {
+        for seed in 0..40u64 {
+            let cal = seeded_calendar(seed, 4 + (seed as usize % 5) * 8);
+            let steps = steps_of(&cal);
+            let ss = slots(8, &steps);
+            let horizon = steps.last().map_or(0, |b| b.time.as_seconds());
+            // Window ends mid-slot, on every breakpoint, and past the span;
+            // `not_before` before the span, inside it, and beyond the last
+            // blocker.
+            let mut ends: Vec<i64> = steps.iter().map(|b| b.time.as_seconds()).collect();
+            ends.extend([3, 57, 111, 203, 333, horizon + 1, horizon + 50]);
+            for &end_by in &ends {
+                for not_before in [-20, 0, 41, 150, horizon - 1, horizon + 10] {
+                    for procs in [1, 3, 5, 8] {
+                        for dur in [1, 4, 9, 25, 70] {
+                            let (mut v1, mut v2) = (0, 0);
+                            let got =
+                                ss.latest_fit(procs, d(dur), t(end_by), t(not_before), &mut v1);
+                            let want = latest_fit_by_repeated_search(
+                                ss,
+                                procs,
+                                d(dur),
+                                t(end_by),
+                                t(not_before),
+                                &mut v2,
+                            );
+                            let case = format!(
+                                "seed {seed}: {procs} procs x {dur}s in [{not_before}, {end_by})"
+                            );
+                            assert_eq!(got, want, "{case}");
+                            assert_eq!(v1, v2, "visited differs, {case}");
+                            assert_eq!(
+                                got,
+                                cal.linear()
+                                    .latest_fit(procs, d(dur), t(end_by), t(not_before)),
+                                "{case}"
+                            );
+                        }
+                    }
+                }
+            }
+        }
     }
 
     #[test]
