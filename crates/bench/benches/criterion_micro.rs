@@ -79,6 +79,32 @@ fn bench_earliest_fit_scaling(c: &mut Criterion) {
     group.finish();
 }
 
+/// The mirror image of [`bench_earliest_fit_scaling`]: a window that must
+/// end by the staircase's last breakpoint, so every slot blocks and the
+/// backward walk restarts `r` times before it finds room ahead of the
+/// first one. A walk that re-positions after each restart pays
+/// `O(r log r)` here instead of `O(r)`.
+fn bench_latest_fit_scaling(c: &mut Criterion) {
+    let mut group = c.benchmark_group("latest_fit");
+    for &r in &[100usize, 1_000, 10_000] {
+        let cal = staircase_calendar(r);
+        let end_by = Time::seconds(r as i64 * 10);
+        let not_before = Time::seconds(-1_000);
+        group.bench_function(format!("calendar/{r}"), |b| {
+            b.iter(|| {
+                black_box(cal.latest_fit(black_box(33), Dur::seconds(100), end_by, not_before))
+            })
+        });
+        let lin = cal.linear();
+        group.bench_function(format!("linear/{r}"), |b| {
+            b.iter(|| {
+                black_box(lin.latest_fit(black_box(33), Dur::seconds(100), end_by, not_before))
+            })
+        });
+    }
+    group.finish();
+}
+
 /// Calendar mutation cost, split by path. A reservation whose endpoints
 /// coincide with existing breakpoints is a *pure bump* of the usage levels
 /// it covers. Unaligned endpoints insert/erase breakpoints and are O(B) by
@@ -184,6 +210,34 @@ fn bench_schedulers(c: &mut Criterion) {
             )
         })
     });
+    // An infeasible deadline is the hybrids' worst case: the whole λ sweep
+    // runs (minus the passes the warm start proves redundant) and every
+    // pass ends in failed probes.
+    let small = generate(
+        &DagParams {
+            num_tasks: 10,
+            ..DagParams::paper_default()
+        },
+        42,
+    );
+    let reference = schedule_forward(&small, &cal, Time::ZERO, q, ForwardConfig::recommended());
+    let too_tight = Time::ZERO + reference.turnaround() / 2;
+    let infeasible = |deadline| {
+        schedule_deadline(
+            &small,
+            &cal,
+            Time::ZERO,
+            q,
+            deadline,
+            DeadlineAlgo::RcbdCpaRLambda,
+            DeadlineConfig::default(),
+        )
+        .is_err()
+    };
+    assert!(infeasible(too_tight), "half the forward turnaround is met");
+    c.bench_function("deadline/dl_rcbd_cpar_l_n10", |b| {
+        b.iter(|| black_box(infeasible(black_box(too_tight))))
+    });
 }
 
 /// Overhead of the observability layer. Without the `obs` feature every
@@ -243,6 +297,6 @@ fn config() -> Criterion {
 criterion_group! {
     name = benches;
     config = config();
-    targets = bench_calendar, bench_earliest_fit_scaling, bench_calendar_mutate, bench_cpa, bench_cpa_alloc, bench_schedulers, bench_obs
+    targets = bench_calendar, bench_earliest_fit_scaling, bench_latest_fit_scaling, bench_calendar_mutate, bench_cpa, bench_cpa_alloc, bench_schedulers, bench_obs
 }
 criterion_main!(benches);

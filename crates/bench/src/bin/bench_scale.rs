@@ -1,11 +1,11 @@
 //! Standing scale-trajectory benchmark: the parallel-sweep measurement,
-//! plus three frozen history sections, written to `BENCH_scale.json` in
+//! plus four frozen history sections, written to `BENCH_scale.json` in
 //! the workspace root.
 //!
 //! Methodology is the bench_pr4 paired-interleaved protocol: each rep
 //! times both sides back to back so machine-wide noise cancels in the
 //! per-pair ratio, and the recorded speedup is the median of per-pair
-//! ratios. Four sections:
+//! ratios. Five sections:
 //!
 //! * `migrated` — the PR-4 CPA-loop results carried forward under the
 //!   same schema with a `source_pr: 4` provenance field (frozen inline
@@ -22,7 +22,11 @@
 //! * `arena_ctx` (`source_pr: 8`, frozen) — per-schedule fresh scratch vs
 //!   one context recycled across schedules, on n=100 DAGs at forced 1
 //!   thread. The recycled path measured ~1.0× and was deleted (DESIGN.md
-//!   §16); the rows are its final measurement, carried forward verbatim.
+//!   §16); the rows are its final measurement, carried forward verbatim;
+//! * `backward_scan` (`source_pr: 15`, frozen) — the repo benchmark
+//!   (`BENCHMARK.json`) run as alternating parent/change pairs on all four
+//!   workloads when the deadline width scan was rebuilt (DESIGN.md §9).
+//!   It compares two commits, so this binary cannot re-measure it.
 //!
 //! Run with `cargo run --release -p resched-bench --bin bench_scale`.
 
@@ -120,6 +124,7 @@ struct Report {
     backend_regimes: serde_json::Value,
     parallel_sweep: SweepSection,
     arena_ctx: serde_json::Value,
+    backward_scan: serde_json::Value,
 }
 
 fn median(mut xs: Vec<f64>) -> f64 {
@@ -157,7 +162,8 @@ fn time_paired<A: FnMut(), B: FnMut()>(reps: usize, mut a: A, mut b: B) -> (f64,
 }
 
 /// A frozen section of the committed report, verbatim: what it timed no
-/// longer exists, so it can only be carried forward.
+/// longer exists (or was another commit), so it can only be carried
+/// forward.
 fn frozen_section(path: &str, key: &str) -> serde_json::Value {
     let committed = std::fs::read_to_string(path).expect("BENCH_scale.json is committed");
     match serde_json::from_str(&committed).expect("BENCH_scale.json parses") {
@@ -173,11 +179,12 @@ fn main() {
     // Section 1: carry the PR-4 trajectory forward, tagged with its source.
     let pr4: Pr4Report = serde_json::from_str(PR4_FROZEN).expect("frozen PR-4 rows parse");
 
-    // Sections 2 and 4: the frozen engine and arena comparisons, read back
-    // before the report is rewritten.
+    // Sections 2, 4 and 5: the frozen engine, arena and width-scan
+    // comparisons, read back before the report is rewritten.
     let path = format!("{root}/BENCH_scale.json");
     let backend_regimes = frozen_section(&path, "backend_regimes");
     let arena_ctx = frozen_section(&path, "arena_ctx");
+    let backward_scan = frozen_section(&path, "backward_scan");
 
     // Section 3: the speculative experiment sweep, sequential vs parallel.
     let threads = std::thread::available_parallelism().map_or(1, |n| n.get());
@@ -212,7 +219,8 @@ fn main() {
     let report = Report {
         description: "Standing scale trajectory: the speculative sweep speedup, \
                       paired-interleaved methodology (see bench_pr4.rs), plus the frozen PR-4 \
-                      CPA-loop, PR-7 calendar-engine and PR-8 arena-context comparisons"
+                      CPA-loop, PR-7 calendar-engine, PR-8 arena-context and PR-15 deadline \
+                      width-scan comparisons"
             .to_string(),
         migrated: Migrated {
             source_pr: 4,
@@ -234,6 +242,7 @@ fn main() {
             }],
         },
         arena_ctx,
+        backward_scan,
     };
     let mut out = serde_json::to_string_pretty(&report).expect("report serializes");
     out.push('\n');

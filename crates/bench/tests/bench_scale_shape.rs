@@ -2,7 +2,9 @@
 //! migrated BENCH_pr4 section keeps its provenance tag, the frozen PR-7
 //! engine comparison keeps every (R, p) regime with positive medians and
 //! a sane winner, the parallel-sweep entry records the host thread count,
-//! and the frozen PR-8 arena comparison stays marked as history.
+//! the frozen PR-8 arena comparison stays marked as history, and the frozen
+//! PR-15 width-scan record keeps a parent-vs-change row for every metric of
+//! every benchmark workload.
 //!
 //! This is a schema smoke test, not a perf assertion — the medians are
 //! machine-dependent and regenerated via
@@ -118,4 +120,44 @@ fn bench_scale_json_has_the_expected_shape() {
         assert!(num(row, "reused_median_s") > 0.0);
         assert!(num(row, "speedup") > 0.0);
     }
+
+    // Deadline width scan: frozen history (a comparison of two commits on
+    // the repo benchmark). Every workload × end-to-end metric has a row
+    // with both medians, the pair count and how many pairs the change won.
+    let scan = obj(root.get("backward_scan").expect("backward_scan section"));
+    assert_eq!(num(scan, "source_pr"), 15.0);
+    assert!(
+        text(scan, "frozen").contains("not re-measurable"),
+        "the width-scan comparison must stay marked as frozen history"
+    );
+    let mut seen = BTreeSet::new();
+    for row in arr(scan.get("results").expect("width-scan results")) {
+        let row = obj(row);
+        assert!(num(row, "parent_median") > 0.0);
+        assert!(num(row, "change_median") > 0.0);
+        assert!(num(row, "pairs") >= 10.0);
+        assert!(num(row, "change_wins") <= num(row, "pairs"));
+        seen.insert((text(row, "workload"), text(row, "metric")));
+    }
+    let workloads = [
+        "serve_saturated",
+        "serve_admit",
+        "serve_deadline",
+        "batch_table9",
+    ];
+    let metrics = [
+        "setup_s",
+        "ops_per_s",
+        "op_p50_us",
+        "op_p95_us",
+        "peak_rss_mb",
+    ];
+    let expected: BTreeSet<(&str, &str)> = workloads
+        .iter()
+        .flat_map(|&w| metrics.iter().map(move |&m| (w, m)))
+        .collect();
+    assert_eq!(
+        seen, expected,
+        "width-scan grid is incomplete or has extras"
+    );
 }

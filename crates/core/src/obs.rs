@@ -81,6 +81,10 @@ pub mod names {
     /// Counter: λ-sweep passes the hybrid deadline algorithms skipped
     /// because the previous failure provably repeats at the next λ.
     pub const HYBRID_LAMBDA_PASSES_SAVED: &str = "hybrid.lambda_passes_saved";
+    /// Counter: width-scan candidates the deadline algorithms did not
+    /// probe because an earlier failed probe's free-run bound rules them
+    /// out.
+    pub const DEADLINE_WIDTHS_SKIPPED: &str = "deadline.scan.widths_skipped";
     /// Counter: mirror of [`ScheduleStats::cpa_allocations`].
     pub const STATS_CPA_ALLOCATIONS: &str = "sched.cpa_allocations";
     /// Counter: mirror of [`ScheduleStats::cpa_mappings`].
@@ -712,7 +716,7 @@ pub use ambient::{active, counter_add, observe, record_value, span_enter, SpanGu
 pub mod probe {
     use super::names;
     use crate::schedule::ScheduleStats;
-    use resched_resv::{Calendar, Dur, QueryCost, Time};
+    use resched_resv::{Calendar, Dur, NoFit, QueryCost, Time};
 
     /// Mirror one earliest/latest fit query into the ambient registry.
     #[cfg(feature = "obs")]
@@ -745,8 +749,8 @@ pub mod probe {
         start
     }
 
-    /// `Calendar::latest_fit` with cost folded into `stats` and mirrored
-    /// into the ambient registry.
+    /// `Calendar::latest_fit_with_cost` with cost folded into `stats` and
+    /// mirrored into the ambient registry.
     #[inline]
     pub fn latest_fit(
         cal: &Calendar,
@@ -755,7 +759,7 @@ pub mod probe {
         end_by: Time,
         not_before: Time,
         stats: &mut ScheduleStats,
-    ) -> Option<Time> {
+    ) -> Result<Time, NoFit> {
         let mut cost = QueryCost::default();
         let start = cal.latest_fit_with_cost(procs, dur, end_by, not_before, &mut cost);
         stats.absorb_query_cost(cost);
@@ -829,6 +833,7 @@ mod tests {
             names::CPA_CACHE_MISS,
             names::CPA_ALLOC_INCR_UPDATES,
             names::HYBRID_LAMBDA_PASSES_SAVED,
+            names::DEADLINE_WIDTHS_SKIPPED,
             names::STATS_CPA_ALLOCATIONS,
             names::STATS_CPA_MAPPINGS,
             names::STATS_PASSES,

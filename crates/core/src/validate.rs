@@ -706,20 +706,55 @@ pub fn audit_calendar_with(
     gate: Option<&AdmissionGate>,
 ) -> Vec<Violation> {
     let mut out = Vec::new();
-    let bps: Vec<Time> = cal.breakpoints().collect();
-
-    if let Some(g) = grain.filter(|&g| g > 1) {
-        for &t in &bps {
-            let used = cal.used_at(t);
-            if !used.is_multiple_of(g) {
-                out.push(Violation::HierarchyViolation {
-                    at: format!("breakpoint {t}"),
-                    procs: used,
-                    grain: g,
-                });
-                break; // one report; later breakpoints would repeat it
-            }
+    // The step function as stored, read once: every segment's start with
+    // its level, then the last breakpoint with the trailing level.
+    let levels = cal
+        .segments()
+        .map(|(start, _, used)| (start, used))
+        .chain(cal.horizon().map(|last| (last, cal.used_at(last))));
+    let grain = grain.filter(|&g| g > 1);
+    // The first misaligned and the first overbooked level: one report
+    // each, since every later breakpoint would repeat it.
+    let mut misaligned = None;
+    let mut overbooked = None;
+    let mut shape = Vec::new();
+    let mut breakpoints = 0usize;
+    let mut first = None;
+    let mut prev: Option<(Time, u32)> = None;
+    for (t, used) in levels {
+        breakpoints += 1;
+        if misaligned.is_none() && grain.is_some_and(|g| !used.is_multiple_of(g)) {
+            misaligned = Some((t, used));
         }
+        if overbooked.is_none() && used > cal.capacity() {
+            overbooked = Some((t, used));
+        }
+        if let Some((before, level)) = prev {
+            if before >= t {
+                shape.push(Violation::CalendarCorrupt {
+                    detail: format!("breakpoints out of order: {before} then {t}"),
+                });
+            }
+            if level == used {
+                shape.push(Violation::CalendarCorrupt {
+                    detail: format!(
+                        "redundant breakpoint at {t}: usage {used} unchanged from {before}"
+                    ),
+                });
+            }
+        } else {
+            first = Some((t, used));
+        }
+        prev = Some((t, used));
+    }
+    let last = prev;
+
+    if let (Some((t, procs)), Some(grain)) = (misaligned, grain) {
+        out.push(Violation::HierarchyViolation {
+            at: format!("breakpoint {t}"),
+            procs,
+            grain,
+        });
     }
     if let Some(gate) = gate {
         for d in gate.audit() {
@@ -731,57 +766,34 @@ pub fn audit_calendar_with(
         }
     }
 
-    for w in bps.windows(2) {
-        if w[0] >= w[1] {
-            out.push(Violation::CalendarCorrupt {
-                detail: format!("breakpoints out of order: {} then {}", w[0], w[1]),
-            });
-        }
-        if cal.used_at(w[0]) == cal.used_at(w[1]) {
-            out.push(Violation::CalendarCorrupt {
-                detail: format!(
-                    "redundant breakpoint at {}: usage {} unchanged from {}",
-                    w[1],
-                    cal.used_at(w[1]),
-                    w[0]
-                ),
-            });
-        }
+    out.extend(shape);
+    if let Some((first, 0)) = first {
+        out.push(Violation::CalendarCorrupt {
+            detail: format!("leading breakpoint at {first} carries zero usage"),
+        });
     }
-    if let Some(&first) = bps.first() {
-        if cal.used_at(first) == 0 {
-            out.push(Violation::CalendarCorrupt {
-                detail: format!("leading breakpoint at {first} carries zero usage"),
-            });
-        }
+    if let Some((last, used)) = last.filter(|&(_, used)| used != 0) {
+        out.push(Violation::CalendarCorrupt {
+            detail: format!(
+                "trailing breakpoint at {last} carries usage {used} (calendar never drains)"
+            ),
+        });
     }
-    if let Some(&last) = bps.last() {
-        if cal.used_at(last) != 0 {
-            out.push(Violation::CalendarCorrupt {
-                detail: format!(
-                    "trailing breakpoint at {last} carries usage {} (calendar never drains)",
-                    cal.used_at(last)
-                ),
-            });
-        }
+    if let Some((at, used)) = overbooked {
+        out.push(Violation::CalendarOverbooked {
+            at,
+            used,
+            capacity: cal.capacity(),
+        });
     }
 
-    for &t in &bps {
-        let used = cal.used_at(t);
-        if used > cal.capacity() {
-            out.push(Violation::CalendarOverbooked {
-                at: t,
-                used,
-                capacity: cal.capacity(),
-            });
-            break; // one report; every later breakpoint would repeat it
-        }
-    }
-
-    let recomputed = match (bps.first(), bps.last()) {
-        (Some(&a), Some(&b)) if a < b => cal.used_integral(a, b),
-        _ => 0,
-    };
+    // The production integral over the whole span, computed once: the
+    // ledger is checked against it, and so is the reference scan below.
+    let span = first
+        .zip(last)
+        .map(|((a, _), (b, _))| (a, b))
+        .filter(|(a, b)| a < b);
+    let recomputed = span.map_or(0, |(a, b)| cal.used_integral(a, b));
     if recomputed != cal.reserved_proc_seconds() {
         out.push(Violation::CalendarAccountingDrift {
             recorded: cal.reserved_proc_seconds(),
@@ -789,33 +801,31 @@ pub fn audit_calendar_with(
         });
     }
 
-    if cal.num_reservations() == 0 && (!bps.is_empty() || cal.reserved_proc_seconds() != 0) {
+    if cal.num_reservations() == 0 && (breakpoints != 0 || cal.reserved_proc_seconds() != 0) {
         out.push(Violation::CancelledResidue {
-            breakpoints: bps.len(),
+            breakpoints,
             proc_seconds: cal.reserved_proc_seconds(),
         });
     }
 
-    if let (Some(&a), Some(&b)) = (bps.first(), bps.last()) {
-        if a < b {
-            let linear = cal.linear();
-            let (cp, lp) = (cal.peak_used(a, b), linear.peak_used(a, b));
-            if cp != lp {
-                out.push(Violation::BackendDivergence {
-                    from: a,
-                    to: b,
-                    calendar: cp,
-                    linear: lp,
-                });
-            }
-            let (ci, li) = (cal.used_integral(a, b), linear.used_integral(a, b));
-            if ci != li {
-                out.push(Violation::CalendarCorrupt {
-                    detail: format!(
-                        "usage integral diverges over [{a}, {b}): calendar {ci} vs linear {li}"
-                    ),
-                });
-            }
+    if let Some((a, b)) = span {
+        let linear = cal.linear();
+        let (cp, lp) = (cal.peak_used(a, b), linear.peak_used(a, b));
+        if cp != lp {
+            out.push(Violation::BackendDivergence {
+                from: a,
+                to: b,
+                calendar: cp,
+                linear: lp,
+            });
+        }
+        let li = linear.used_integral(a, b);
+        if recomputed != li {
+            out.push(Violation::CalendarCorrupt {
+                detail: format!(
+                    "usage integral diverges over [{a}, {b}): calendar {recomputed} vs linear {li}"
+                ),
+            });
         }
     }
 

@@ -64,6 +64,18 @@ impl QueryCost {
     }
 }
 
+/// Why a latest-fit probe for `procs` processors failed, as a bound a
+/// caller scanning widths can reuse: no run of `procs` free processors
+/// inside the probed `[not_before, end_by)` is longer than `longest_run`
+/// (itself shorter than the probed duration). The instants with more than
+/// `procs` processors free are a subset of those with `procs` free, so a
+/// wider request over the same window needing longer than this fails too.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct NoFit {
+    /// Upper bound on the longest free run the probe saw.
+    pub longest_run: Dur,
+}
+
 /// A homogeneous platform of `capacity` processors plus the step function of
 /// processors already promised to reservations.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -470,10 +482,13 @@ impl Calendar {
     pub fn latest_fit(&self, procs: u32, dur: Dur, end_by: Time, not_before: Time) -> Option<Time> {
         let mut cost = QueryCost::default();
         self.latest_fit_with_cost(procs, dur, end_by, not_before, &mut cost)
+            .ok()
     }
 
-    /// [`Calendar::latest_fit`], tallying the work performed into `cost`:
-    /// one query plus the slots the walk inspected.
+    /// [`Calendar::latest_fit`], tallying the work performed into `cost`
+    /// (one query plus the slots the walk inspected) and saying, when
+    /// nothing fits, how long a free run the window holds at most
+    /// ([`NoFit`]).
     pub fn latest_fit_with_cost(
         &self,
         procs: u32,
@@ -481,7 +496,7 @@ impl Calendar {
         end_by: Time,
         not_before: Time,
         cost: &mut QueryCost,
-    ) -> Option<Time> {
+    ) -> Result<Time, NoFit> {
         cost.queries += 1;
         self.slots()
             .latest_fit(procs, dur, end_by, not_before, &mut cost.steps)
@@ -1247,7 +1262,7 @@ mod tests {
 
         let mut cost = QueryCost::default();
         let lf = cal.latest_fit_with_cost(4, d(5), t(500), t(0), &mut cost);
-        assert!(lf.is_some());
+        assert!(lf.is_ok());
         assert_eq!(cost.queries, 1);
         assert!(cost.steps > 0);
 
@@ -1448,7 +1463,7 @@ mod tests {
             let (procs, dur, end_by, want) = fits[1];
             assert_eq!(
                 cal.latest_fit_with_cost(procs, dur, end_by, t(0), &mut cw),
-                Some(want)
+                Ok(want)
             );
             assert_eq!(
                 lin.latest_fit_with_cost(procs, dur, end_by, t(0), &mut cl),

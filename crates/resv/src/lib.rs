@@ -42,7 +42,7 @@ mod slotset;
 pub mod time;
 mod txn;
 
-pub use calendar::{Calendar, LinearRef, QueryCost};
+pub use calendar::{Calendar, LinearRef, NoFit, QueryCost};
 pub use hierarchy::{HierFit, Hierarchy, HierarchyError, PlacementLevel};
 pub use quotas::{AdmissionGate, Owner, QuotaDenial, QuotaRule, QuotaSet, QuotaSubject};
 pub use reservation::{Reservation, ReservationError};

@@ -20,7 +20,7 @@
 //!   periods;
 //! * outside the covered span every processor is free (implicitly).
 
-use crate::calendar::Step;
+use crate::calendar::{NoFit, Step};
 use crate::time::{Dur, Time};
 
 /// One slot: `used` processors busy throughout `[start, end)`.
@@ -103,11 +103,15 @@ impl<'a> Slots<'a> {
     }
 
     /// Latest start `s` with `s + dur <= end_by`, `s >= not_before`, and
-    /// `procs` processors free throughout — or `None`. Positions once on
-    /// the last slot starting before `end_by`, then walks backward; a
-    /// blocking slot moves the window to end where it starts and the walk
-    /// carries on from the slot before it. `visited` counts slots
-    /// inspected.
+    /// `procs` processors free throughout. Positions once on the last slot
+    /// starting before `end_by`, then walks backward; a blocking slot moves
+    /// the window to end where it starts and the walk carries on from the
+    /// slot before it. `visited` counts slots inspected.
+    ///
+    /// A failed probe has seen every run of `procs` free processors inside
+    /// `[not_before, end_by)`: the gaps between the blockers it restarted
+    /// at, and the remainder below the last one (too short to hold `dur`,
+    /// so never entered). The longest of them is what [`NoFit`] carries.
     pub(crate) fn latest_fit(
         self,
         procs: u32,
@@ -115,15 +119,20 @@ impl<'a> Slots<'a> {
         end_by: Time,
         not_before: Time,
         visited: &mut u64,
-    ) -> Option<Time> {
+    ) -> Result<Time, NoFit> {
         assert!(procs > 0 && procs <= self.capacity, "bad procs {procs}");
         assert!(dur.is_positive(), "bad duration {dur}");
         let max_used = self.capacity - procs;
         // Positioning step, as in `earliest_fit`.
         *visited += 1;
-        let mut s = end_by - dur;
-        if s < not_before {
-            return None;
+        // The window under test is `[e - dur, e)`.
+        let mut e = end_by;
+        let mut longest_run = Dur::ZERO;
+        let no_fit = |e: Time, longest_run: Dur| NoFit {
+            longest_run: longest_run.max(e - not_before),
+        };
+        if e - dur < not_before {
+            return Err(no_fit(e, longest_run));
         }
         // Slot `k` starts at breakpoint `k` (the last breakpoint starts no
         // slot), so `k` counts the slots starting before `end_by`.
@@ -133,19 +142,21 @@ impl<'a> Slots<'a> {
             .min(self.steps.len().saturating_sub(1));
         while let Some(slot) = k.checked_sub(1).and_then(|last| self.get(last)) {
             *visited += 1;
-            if slot.end <= s {
+            if slot.end <= e - dur {
                 break; // everything earlier lies before the window
             }
             if slot.used > max_used {
-                // Blocked: the window must end where this slot starts.
-                s = slot.start - dur;
-                if s < not_before {
-                    return None;
+                // Blocked: the free run `[slot.end, e)` is too short, and
+                // the window must end where this slot starts.
+                longest_run = longest_run.max(e - slot.end);
+                e = slot.start;
+                if e - dur < not_before {
+                    return Err(no_fit(e, longest_run));
                 }
             }
             k -= 1;
         }
-        Some(s)
+        Ok(e - dur)
     }
 
     /// Peak processors in use over `[from, to)`. Implicitly-free time
@@ -324,14 +335,18 @@ mod tests {
         // Blocked by [20,30), then the hole and the slot before it (which
         // ends at the window start and stops the walk).
         let mut v = 0;
-        assert_eq!(ss.latest_fit(2, d(10), t(30), t(0), &mut v), Some(t(10)));
+        assert_eq!(ss.latest_fit(2, d(10), t(30), t(0), &mut v), Ok(t(10)));
         assert_eq!(v, 4);
         let mut v = 0;
-        assert_eq!(ss.latest_fit(2, d(11), t(30), t(0), &mut v), None);
+        // No fit: the hole [10, 20) is the longest free run it saw.
+        assert_eq!(
+            ss.latest_fit(2, d(11), t(30), t(0), &mut v),
+            Err(NoFit { longest_run: d(10) })
+        );
         assert!(v > 0);
         // Past the span: the last slot ends before the window.
         let mut v = 0;
-        assert_eq!(ss.latest_fit(1, d(5), t(100), t(0), &mut v), Some(t(95)));
+        assert_eq!(ss.latest_fit(1, d(5), t(100), t(0), &mut v), Ok(t(95)));
         assert_eq!(v, 2);
     }
 
@@ -395,7 +410,7 @@ mod tests {
     }
 
     #[test]
-    fn latest_fit_one_walk_matches_the_per_restart_search() {
+    fn latest_fit_one_walk_matches_the_per_restart_search_and_bounds_its_failures() {
         for seed in 0..40u64 {
             let cal = seeded_calendar(seed, 4 + (seed as usize % 5) * 8);
             let steps = steps_of(&cal);
@@ -411,8 +426,9 @@ mod tests {
                     for procs in [1, 3, 5, 8] {
                         for dur in [1, 4, 9, 25, 70] {
                             let (mut v1, mut v2) = (0, 0);
-                            let got =
+                            let probe =
                                 ss.latest_fit(procs, d(dur), t(end_by), t(not_before), &mut v1);
+                            let got = probe.ok();
                             let want = latest_fit_by_repeated_search(
                                 ss,
                                 procs,
@@ -426,12 +442,30 @@ mod tests {
                             );
                             assert_eq!(got, want, "{case}");
                             assert_eq!(v1, v2, "visited differs, {case}");
+                            let lin = cal.linear();
                             assert_eq!(
                                 got,
-                                cal.linear()
-                                    .latest_fit(procs, d(dur), t(end_by), t(not_before)),
+                                lin.latest_fit(procs, d(dur), t(end_by), t(not_before)),
                                 "{case}"
                             );
+                            // A failure's bound is below the probed duration
+                            // and nothing one second longer fits the window.
+                            if let Err(NoFit { longest_run }) = probe {
+                                assert!(
+                                    !longest_run.is_negative() && longest_run < d(dur),
+                                    "bound {longest_run}, {case}"
+                                );
+                                assert_eq!(
+                                    lin.latest_fit(
+                                        procs,
+                                        longest_run + d(1),
+                                        t(end_by),
+                                        t(not_before)
+                                    ),
+                                    None,
+                                    "a run longer than the bound {longest_run} exists, {case}"
+                                );
+                            }
                         }
                     }
                 }
@@ -522,9 +556,12 @@ mod tests {
         // (`slot_queries > 0 ⇒ slot_steps > 0`).
         assert_eq!(v, 1);
         let mut v = 0;
-        assert_eq!(ss.latest_fit(8, d(10), t(100), t(0), &mut v), Some(t(90)));
+        assert_eq!(ss.latest_fit(8, d(10), t(100), t(0), &mut v), Ok(t(90)));
         assert_eq!(v, 1);
-        assert_eq!(ss.latest_fit(8, d(10), t(100), t(91), &mut v), None);
+        assert_eq!(
+            ss.latest_fit(8, d(10), t(100), t(91), &mut v),
+            Err(NoFit { longest_run: d(9) })
+        );
         assert_eq!(ss.peak_used(t(0), t(100)), 0);
         assert_eq!(ss.used_integral(t(0), t(100)), 0);
         assert_eq!(ss.first_conflict(t(0), t(100), 8), None);
@@ -540,9 +577,9 @@ mod tests {
         assert_eq!(ss.earliest_fit(2, d(5), t(0), &mut v), t(0)); // ends before it
         assert_eq!(ss.earliest_fit(2, d(11), t(0), &mut v), t(20)); // must clear it
         assert_eq!(ss.earliest_fit(1, d(50), t(0), &mut v), t(0)); // fits beside it
-        assert_eq!(ss.latest_fit(2, d(5), t(18), t(0), &mut v), Some(t(5)));
-        assert_eq!(ss.latest_fit(1, d(5), t(18), t(0), &mut v), Some(t(13)));
-        assert_eq!(ss.latest_fit(2, d(5), t(25), t(0), &mut v), Some(t(20)));
+        assert_eq!(ss.latest_fit(2, d(5), t(18), t(0), &mut v), Ok(t(5)));
+        assert_eq!(ss.latest_fit(1, d(5), t(18), t(0), &mut v), Ok(t(13)));
+        assert_eq!(ss.latest_fit(2, d(5), t(25), t(0), &mut v), Ok(t(20)));
         assert_eq!(ss.peak_used(t(0), t(30)), 3);
         assert_eq!(ss.used_integral(t(12), t(30)), 24);
         assert_eq!(ss.first_conflict(t(0), t(30), 2), Some((t(10), 1)));
@@ -562,7 +599,7 @@ mod tests {
             assert_eq!(ss.first_under(from, to, 1), Some((from, 0)));
             let mut v = 0;
             assert_eq!(ss.earliest_fit(4, to - from, from, &mut v), from);
-            assert_eq!(ss.latest_fit(4, to - from, to, from, &mut v), Some(from));
+            assert_eq!(ss.latest_fit(4, to - from, to, from, &mut v), Ok(from));
         }
     }
 
@@ -575,11 +612,8 @@ mod tests {
         let mut v = 0;
         assert_eq!(ss.earliest_fit(4, d(50), t(50), &mut v), t(50));
         assert_eq!(ss.earliest_fit(4, d(50), t(200), &mut v), t(200));
-        assert_eq!(ss.latest_fit(4, d(50), t(100), t(0), &mut v), Some(t(50)));
-        assert_eq!(
-            ss.latest_fit(4, d(50), t(250), t(200), &mut v),
-            Some(t(200))
-        );
+        assert_eq!(ss.latest_fit(4, d(50), t(100), t(0), &mut v), Ok(t(50)));
+        assert_eq!(ss.latest_fit(4, d(50), t(250), t(200), &mut v), Ok(t(200)));
         assert_eq!(ss.first_conflict(t(50), t(100), 1), None);
         assert_eq!(ss.first_conflict(t(200), t(250), 1), None);
         assert_eq!(ss.peak_used(t(50), t(100)), 0);

@@ -15,6 +15,7 @@ use resched_core::backward::{schedule_deadline, DeadlineAlgo, DeadlineConfig};
 use resched_core::complexity::complexity_of;
 use resched_core::forward::{schedule_forward, ForwardConfig};
 use resched_core::prelude::Time;
+use resched_core::schedule::ScheduleStats;
 use resched_daggen::{DagParams, Sweep};
 use serde::{Deserialize, Serialize};
 
@@ -42,29 +43,32 @@ pub struct ScalingResult {
     pub points: Vec<ScalingPoint>,
 }
 
-/// Measure counter growth for the recommended forward algorithm and a
-/// resource-conservative deadline algorithm as `n` grows.
+/// The deadline algorithms measured beside the two forward ones: the
+/// resource-conservative scan, the aggressive scan, and the hybrid whose
+/// fallback is bounded by the CPA(`q`) allocation.
+const DEADLINE_ROWS: [DeadlineAlgo; 3] = [
+    DeadlineAlgo::RcCpaR,
+    DeadlineAlgo::BdCpaR,
+    DeadlineAlgo::RcbdCpaRLambda,
+];
+
+/// Measure counter growth for the forward algorithms (`BD_ALL`, the
+/// recommended `BD_CPAR`) and the [`DEADLINE_ROWS`] as `n` grows.
 pub fn run_scaling(scale: Scale, seed: u64) -> Vec<ScalingResult> {
     let sizes = [10usize, 25, 50, 100];
     let spec = ResvSpec::grid5000();
     let mut cache = LogCache::new();
     let log = cache.get(&spec.log, seed).clone();
 
-    let mut fwd_all = ScalingResult {
-        name: "BD_ALL".into(),
-        complexity: complexity_of("BD_ALL").into(),
-        points: Vec::new(),
-    };
-    let mut fwd = ScalingResult {
-        name: "BD_CPAR".into(),
-        complexity: complexity_of("BD_CPAR").into(),
-        points: Vec::new(),
-    };
-    let mut rc = ScalingResult {
-        name: "DL_RC_CPAR".into(),
-        complexity: complexity_of("DL_RC_CPAR").into(),
-        points: Vec::new(),
-    };
+    let mut results: Vec<ScalingResult> = ["BD_ALL", "BD_CPAR"]
+        .into_iter()
+        .chain(DEADLINE_ROWS.iter().map(|a| a.name()))
+        .map(|name| ScalingResult {
+            name: name.into(),
+            complexity: complexity_of(name).into(),
+            points: Vec::new(),
+        })
+        .collect();
 
     for &n in &sizes {
         let sweep = Sweep {
@@ -82,78 +86,46 @@ pub fn run_scaling(scale: Scale, seed: u64) -> Vec<ScalingResult> {
             scale,
             derive_seed(seed, "scal", n as u64),
         );
-        let mut fa_q = 0.0;
-        let mut fa_s = 0.0;
-        let mut fa_m = 0.0;
-        let mut fwd_q = 0.0;
-        let mut fwd_s = 0.0;
-        let mut fwd_m = 0.0;
-        let mut rc_q = 0.0;
-        let mut rc_s = 0.0;
-        let mut rc_m = 0.0;
-        let mut count = 0usize;
+        // One counter total per result row, in row order.
+        let mut totals = vec![ScheduleStats::default(); results.len()];
         for inst in &instances {
             let cal = inst.resv.calendar();
-            let sa = schedule_forward(
-                &inst.dag,
-                &cal,
-                Time::ZERO,
-                inst.resv.q,
-                ForwardConfig::new(
+            let forward = |cfg| schedule_forward(&inst.dag, &cal, Time::ZERO, inst.resv.q, cfg);
+            totals[0].absorb(
+                forward(ForwardConfig::new(
                     resched_core::bl::BlMethod::CpaR,
                     resched_core::forward::BdMethod::All,
-                ),
+                ))
+                .stats,
             );
-            fa_q += sa.stats.slot_queries as f64;
-            fa_s += sa.stats.slot_steps as f64;
-            fa_m += sa.stats.cpa_mappings as f64;
-            let s = schedule_forward(
-                &inst.dag,
-                &cal,
-                Time::ZERO,
-                inst.resv.q,
-                ForwardConfig::recommended(),
-            );
-            fwd_q += s.stats.slot_queries as f64;
-            fwd_s += s.stats.slot_steps as f64;
-            fwd_m += s.stats.cpa_mappings as f64;
+            let s = forward(ForwardConfig::recommended());
+            totals[1].absorb(s.stats);
             let deadline = Time::ZERO + s.turnaround() * 2;
-            if let Ok(out) = schedule_deadline(
-                &inst.dag,
-                &cal,
-                Time::ZERO,
-                inst.resv.q,
-                deadline,
-                DeadlineAlgo::RcCpaR,
-                DeadlineConfig::default(),
-            ) {
-                rc_q += out.schedule.stats.slot_queries as f64;
-                rc_s += out.schedule.stats.slot_steps as f64;
-                rc_m += out.schedule.stats.cpa_mappings as f64;
+            for (total, algo) in totals[2..].iter_mut().zip(DEADLINE_ROWS) {
+                if let Ok(out) = schedule_deadline(
+                    &inst.dag,
+                    &cal,
+                    Time::ZERO,
+                    inst.resv.q,
+                    deadline,
+                    algo,
+                    DeadlineConfig::default(),
+                ) {
+                    total.absorb(out.schedule.stats);
+                }
             }
-            count += 1;
         }
-        let c = count.max(1) as f64;
-        fwd_all.points.push(ScalingPoint {
-            n,
-            slot_queries: fa_q / c,
-            slot_steps: fa_s / c,
-            cpa_mappings: fa_m / c,
-        });
-        fwd.points.push(ScalingPoint {
-            n,
-            slot_queries: fwd_q / c,
-            slot_steps: fwd_s / c,
-            cpa_mappings: fwd_m / c,
-        });
-        rc.points.push(ScalingPoint {
-            n,
-            slot_queries: rc_q / c,
-            slot_steps: rc_s / c,
-            cpa_mappings: rc_m / c,
-        });
+        let c = instances.len().max(1) as f64;
+        for (r, total) in results.iter_mut().zip(totals) {
+            r.points.push(ScalingPoint {
+                n,
+                slot_queries: total.slot_queries as f64 / c,
+                slot_steps: total.slot_steps as f64 / c,
+                cpa_mappings: total.cpa_mappings as f64 / c,
+            });
+        }
     }
-    vec![fwd_all, fwd, rc]
+    results
 }
 
 /// Render the symbolic Table 8 plus the measured counters.
@@ -219,7 +191,7 @@ mod tests {
             tags: 1,
         };
         let results = run_scaling(scale, 5);
-        assert_eq!(results.len(), 3);
+        assert_eq!(results.len(), 5);
         // BD_ALL scans 1..=p per task, so its query count must grow ~V.
         let fwd_all = &results[0];
         let first = &fwd_all.points[0];

@@ -162,13 +162,20 @@ impl Scale {
 
     /// Read the scale from the environment (see type docs), starting from
     /// [`Scale::quick`]. A variable that is set but does not parse is an
-    /// error, not the default.
+    /// error, not the default. This is the binaries' start-up check, so it
+    /// also vets `RESCHED_PAR`, the rayon shim's worker count, which would
+    /// otherwise be read only when the first parallel section runs.
     pub fn from_env() -> Result<Scale, EnvError> {
         Scale::from_vars(&|k| std::env::var(k).ok())
     }
 
     /// [`Scale::from_env`] over an explicit variable lookup.
     fn from_vars(get: Lookup<'_>) -> Result<Scale, EnvError> {
+        rayon::threads_from_vars(get).map_err(|e| EnvError {
+            var: "RESCHED_PAR",
+            value: e.value,
+            expected: rayon::PAR_EXPECTED,
+        })?;
         let mut s = Scale::quick();
         if let Some(f) = env_scale(get)? {
             let scale = |x: usize| ((x as f64 * f).round() as usize).max(1);
@@ -370,7 +377,8 @@ mod tests {
                 _ => Scale::from_vars(&get).map(|s| s.instances()),
             }
         };
-        let table: [(&'static str, &[&'static str], &'static str, usize); 5] = [
+        let table: [(&'static str, &[&'static str], &'static str, usize); 6] = [
+            ("RESCHED_PAR", &["on", "", "two", "2 ", "-1"], "seq", 4),
             (
                 "RESCHED_SCALE",
                 &["fast", "", "1,5", "0", "-2", "NaN", "inf"],

@@ -97,7 +97,12 @@ macro_rules! answers {
                 let mut c1 = QueryCost::default();
                 let earliest = view.earliest_fit_with_cost(procs, dur, a, &mut c1);
                 let mut c2 = QueryCost::default();
-                let latest = view.latest_fit_with_cost(procs, dur, b, a, &mut c2);
+                // The calendar answers `Result<Time, NoFit>`, the reference
+                // `Option<Time>`; both iterate over the start they found.
+                let latest = view
+                    .latest_fit_with_cost(procs, dur, b, a, &mut c2)
+                    .into_iter()
+                    .next();
                 (
                     earliest,
                     c1.queries,

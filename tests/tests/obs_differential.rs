@@ -200,3 +200,49 @@ fn observed_runs_match_plain_runs_exactly() {
         }
     }
 }
+
+/// The width scan's run-bound skip is counted, and counting it is inert:
+/// on deadlines tight enough that probes fail, the observed run returns
+/// exactly what the plain run returns, its registry still reconstructs the
+/// schedule's `slot_*` stats (a skipped candidate is not a query), and the
+/// skip counter ticks — only when the collector is compiled in.
+#[test]
+fn skipped_widths_are_counted_without_changing_the_schedule() {
+    use resched_core::backward::{schedule_deadline, DeadlineAlgo, DeadlineConfig};
+    let mut skipped = 0u64;
+    for (dag, cal, q, loose) in scenarios() {
+        let loose = loose.expect("every scenario carries a deadline");
+        // Half the loose deadline is the forward completion time itself.
+        for deadline in [loose, Time::ZERO + (loose - Time::ZERO) / 2] {
+            for algo in DeadlineAlgo::ALL {
+                let run = || {
+                    schedule_deadline(
+                        &dag,
+                        &cal,
+                        Time::ZERO,
+                        q,
+                        deadline,
+                        algo,
+                        DeadlineConfig::default(),
+                    )
+                };
+                let plain = run();
+                let (observed, report) = obs::observe(algo.name(), run);
+                assert_eq!(plain, observed, "{algo}: observation changed the outcome");
+                if let (true, Ok(out)) = (obs::COMPILED, &observed) {
+                    assert_eq!(
+                        report.metrics.stats_view(),
+                        out.schedule.stats,
+                        "{algo}: registry view diverged from ScheduleStats"
+                    );
+                }
+                skipped += report.metrics.counter(obs::names::DEADLINE_WIDTHS_SKIPPED);
+            }
+        }
+    }
+    if obs::COMPILED {
+        assert!(skipped > 0, "no scenario exercised the run-bound skip");
+    } else {
+        assert_eq!(skipped, 0, "a counter ticked without the obs feature");
+    }
+}
