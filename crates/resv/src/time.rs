@@ -69,11 +69,13 @@ impl Time {
     }
 
     /// The earlier of two instants.
+    #[inline]
     pub fn min(self, other: Time) -> Time {
         Time(self.0.min(other.0))
     }
 
     /// The later of two instants.
+    #[inline]
     pub fn max(self, other: Time) -> Time {
         Time(self.0.max(other.0))
     }
@@ -147,11 +149,13 @@ impl Dur {
     }
 
     /// The shorter of two spans.
+    #[inline]
     pub fn min(self, other: Dur) -> Dur {
         Dur(self.0.min(other.0))
     }
 
     /// The longer of two spans.
+    #[inline]
     pub fn max(self, other: Dur) -> Dur {
         Dur(self.0.max(other.0))
     }
