@@ -93,7 +93,7 @@ pub fn bottom_levels(dag: &Dag, exec: &[Dur]) -> Vec<Dur> {
 
 /// [`bottom_levels`] into a caller-held buffer (cleared first): the CPA
 /// mapping phase recomputes them per task decision of an RC deadline pass
-/// (`cpa::map_subset_into`), and a [`LevelTracker`] per cache key.
+/// (`cpa::map_subset_into`).
 pub(crate) fn bottom_levels_into(dag: &Dag, exec: &[Dur], out: &mut Vec<Dur>) {
     assert_eq!(exec.len(), dag.num_tasks());
     out.clear();
@@ -170,6 +170,110 @@ pub fn order_by_increasing_bl(dag: &Dag, bl: &[Dur]) -> Vec<TaskId> {
     let mut order = order_by_decreasing_bl(dag, bl);
     order.reverse();
     order
+}
+
+/// A DAG's adjacency in *topological-position* space, as flat CSR: the
+/// layout the allocation loops walk. `Dag` stores one `Vec` per task and
+/// the loops re-scan neighborhoods thousands of times per call; here a
+/// predecessor always sits at a smaller position than its successors, so
+/// level propagation is a linear positional sweep instead of a worklist.
+#[derive(Debug, Clone)]
+pub(crate) struct PosGraph {
+    /// Task index at each topological position.
+    order: Vec<u32>,
+    succ_start: Vec<u32>,
+    succ_list: Vec<u32>,
+    /// One past the highest predecessor position of each position (0 for
+    /// an entry): every ancestor sits below it.
+    sweep_end: Vec<u32>,
+    /// Positions of entry tasks; the critical-path length is their max
+    /// bottom level (an entry always dominates its descendants).
+    entry_pos: Vec<u32>,
+}
+
+impl PosGraph {
+    // lint:allow(panic-transitive): positions and task ids are dense indices < num_tasks over arrays sized to the DAG here, so every index is in range by construction.
+    pub(crate) fn new(dag: &Dag) -> PosGraph {
+        let n = dag.num_tasks();
+        let mut topo_pos = vec![0u32; n];
+        for (i, &t) in dag.topo_order().iter().enumerate() {
+            topo_pos[t.idx()] = i as u32;
+        }
+        let mut g = PosGraph {
+            order: dag.topo_order().iter().map(|t| t.0).collect(),
+            succ_start: Vec::with_capacity(n + 1),
+            succ_list: Vec::with_capacity(dag.num_edges()),
+            sweep_end: Vec::with_capacity(n),
+            entry_pos: dag.entries().iter().map(|t| topo_pos[t.idx()]).collect(),
+        };
+        g.succ_start.push(0);
+        for &t in dag.topo_order() {
+            g.succ_list
+                .extend(dag.succs(t).iter().map(|s| topo_pos[s.idx()]));
+            g.succ_start.push(g.succ_list.len() as u32);
+            let preds = dag.preds(t).iter().map(|p| topo_pos[p.idx()] + 1);
+            g.sweep_end.push(preds.max().unwrap_or(0));
+        }
+        g
+    }
+
+    /// Task index at each topological position.
+    #[inline]
+    pub(crate) fn order(&self) -> &[u32] {
+        &self.order
+    }
+
+    /// Positions of the entry tasks.
+    #[inline]
+    pub(crate) fn entry_positions(&self) -> &[u32] {
+        &self.entry_pos
+    }
+
+    /// Successor positions of the task at `pos`.
+    #[inline]
+    pub(crate) fn succs_at(&self, pos: usize) -> &[u32] {
+        &self.succ_list[self.succ_start[pos] as usize..self.succ_start[pos + 1] as usize]
+    }
+
+    /// Recompute the bottom levels of positions `0..end` by the
+    /// full-rebuild formula, highest position first; positions `end..`
+    /// must already be exact. `end = len` is the full build.
+    pub(crate) fn sweep_bottom(&self, exec: &[Dur], bl: &mut [Dur], end: usize) {
+        for pos in (0..end).rev() {
+            let mut succ_max = Dur::ZERO;
+            for &s in self.succs_at(pos) {
+                succ_max = succ_max.max(bl[s as usize]);
+            }
+            bl[pos] = exec[pos] + succ_max;
+        }
+    }
+
+    /// Re-establish `bl` after the execution time at `pos` changed from
+    /// `old` to `exec[pos]` (and nothing else); returns the number of
+    /// positions recomputed.
+    ///
+    /// The task's successors are untouched, so its own level moves by
+    /// exactly the exec-time difference. Only its ancestors can move
+    /// with it, and they all sit below its highest predecessor, so that
+    /// prefix is re-swept; positions above depend on later positions only.
+    pub(crate) fn propagate_bottom(
+        &self,
+        exec: &[Dur],
+        bl: &mut [Dur],
+        pos: usize,
+        old: Dur,
+    ) -> u64 {
+        bl[pos] = bl[pos] - old + exec[pos];
+        let end = self.sweep_end[pos] as usize;
+        self.sweep_bottom(exec, bl, end);
+        end as u64 + 1
+    }
+
+    /// The critical-path length under bottom levels `bl`.
+    pub(crate) fn critical_length(&self, bl: &[Dur]) -> Dur {
+        let entry_levels = self.entry_pos.iter().map(|&e| bl[e as usize]);
+        entry_levels.max().unwrap_or(Dur::ZERO)
+    }
 }
 
 /// Incrementally maintained bottom/top levels under single-task execution
@@ -464,7 +568,6 @@ impl LevelTracker {
     /// [`LevelTracker::critical_tasks`]. Callers that need the id-indexed
     /// views go through [`LevelTracker::update`]; allocation loops that
     /// select via critical-path membership never read them.
-    // lint:allow(panic-transitive): task ids are dense indices < num_tasks and the level arrays are sized to the DAG, so every index is in range by construction.
     pub fn update_bottom(&mut self, dag: &Dag, exec: &[Dur], t: TaskId) -> u64 {
         debug_assert_eq!(exec.len(), self.bl.len());
         debug_assert_eq!(dag.num_tasks(), self.bl.len());
@@ -614,7 +717,6 @@ impl LevelTracker {
     /// Returns the critical path length (same value as
     /// [`LevelTracker::critical_path`]), so callers that need both don't
     /// scan the entries twice.
-    // lint:allow(panic-transitive): the critical-path scan iterates positions 0..levels.len() over arrays kept the same length by rebuild.
     pub fn refresh_critical(&mut self) -> Dur {
         let cp = self.critical_path();
         self.cp_epoch = self.cp_epoch.wrapping_add(1);

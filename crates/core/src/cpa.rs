@@ -45,11 +45,12 @@
 
 use crate::bl::{
     bottom_levels, bottom_levels_into, critical_path_length, order_by_decreasing_bl_into,
-    top_levels, LevelTracker,
+    top_levels, PosGraph,
 };
 use crate::dag::{Dag, TaskId};
 use crate::obs;
 use crate::schedule::{Placement, Schedule};
+use crate::task::{relative_gain, TaskCost};
 use resched_resv::{Calendar, Dur, QueryCost, Reservation, Time};
 use serde::{Deserialize, Serialize};
 
@@ -89,136 +90,188 @@ impl CpaAllocation {
     }
 }
 
-/// Working state of the allocation loop: the incremental level tracker
-/// plus the two selection-input arrays. A [`CpaCache`] keeps one for the
-/// scheduling call it serves, so a second cache key (e.g. `BL_CPA` +
-/// `BD_CPAR`: pools `p` and `q`) rebuilds the tracker in place.
-#[derive(Debug, Default)]
-struct CpaScratch {
-    tracker: Option<LevelTracker>,
+/// State of the allocation loop, every array indexed by *topological
+/// position* beside the [`PosGraph`] adjacency. A [`CpaCache`] keeps one
+/// for the scheduling call it serves.
+#[derive(Debug)]
+struct AllocState {
+    graph: PosGraph,
+    cost: Vec<TaskCost>,
+    /// Processors held, the execution time on them and on one more, and
+    /// the relative gain of that one more: pure functions of `(cost, m)`,
+    /// so only the grown task's entries change per iteration.
+    m: Vec<u32>,
+    exec: Vec<Dur>,
     next_exec: Vec<Dur>,
     gain: Vec<f64>,
+    bl: Vec<Dur>,
+    total_work: i64,
+    /// Critical-walk scratch: position `p` was reached in the current
+    /// iteration iff `stamp[p] == epoch`.
+    stamp: Vec<u32>,
+    epoch: u32,
+    stack: Vec<u32>,
+}
+
+impl AllocState {
+    fn new(dag: &Dag) -> AllocState {
+        let graph = PosGraph::new(dag);
+        let n = dag.num_tasks();
+        AllocState {
+            cost: (graph.order().iter())
+                .map(|&t| dag.cost(TaskId(t)))
+                .collect(),
+            graph,
+            m: Vec::new(),
+            exec: Vec::new(),
+            next_exec: Vec::new(),
+            gain: Vec::new(),
+            bl: vec![Dur::ZERO; n],
+            total_work: 0,
+            stamp: vec![0; n],
+            epoch: 0,
+            stack: Vec::new(),
+        }
+    }
+
+    /// Back to one processor per task.
+    fn restart(&mut self) {
+        self.m.clear();
+        self.m.resize(self.cost.len(), 1);
+        self.exec.clear();
+        self.exec.extend(self.cost.iter().map(|c| c.exec_time(1)));
+        self.next_exec.clear();
+        self.next_exec
+            .extend(self.cost.iter().map(|c| c.exec_time(2)));
+        self.gain.clear();
+        self.gain.extend(
+            (self.exec.iter().zip(&self.next_exec)).map(|(&e, &next)| relative_gain(e, next)),
+        );
+        self.total_work = self.exec.iter().map(|e| e.as_seconds()).sum();
+        self.graph
+            .sweep_bottom(&self.exec, &mut self.bl, self.cost.len());
+    }
+
+    /// Run the loop for `pool` and read the allocation out in task-id
+    /// space.
+    ///
+    /// One iteration, all in position space: the entry scan gives the
+    /// critical-path length for the stop test; a task is on a critical
+    /// path iff it is reachable from a `bl == cp` entry along *tight*
+    /// edges (`bl(u) == exec(u) + bl(s)`), so the walk visits exactly the
+    /// critical subgraph and picks the argmax as it discovers members —
+    /// under the total (gain, lowest-id) tie-break the pick is
+    /// order-independent, so it is the reference's id-order pick. The
+    /// grown task's new gain divides the two execution times already at
+    /// hand (the operands `marginal_gain` would re-derive), and its level
+    /// change is propagated by [`PosGraph::propagate_bottom`].
+    // lint:allow(panic-transitive): every array is sized to the DAG in `new`/`restart` and indexed by positions < num_tasks taken from the `PosGraph` built over the same DAG.
+    fn allocate(&mut self, dag: &Dag, pool: u32, criterion: StoppingCriterion) -> CpaAllocation {
+        assert!(pool > 0, "CPA needs a non-empty processor pool");
+        crate::span!("cpa.alloc_loop");
+        self.restart();
+        let parallelism = match criterion {
+            StoppingCriterion::Classic => 1.0,
+            StoppingCriterion::Stringent => dag.mean_width().clamp(1.0, pool as f64),
+        };
+        let AllocState {
+            graph,
+            cost,
+            m,
+            exec,
+            next_exec,
+            gain,
+            bl,
+            total_work,
+            stamp,
+            epoch,
+            stack,
+        } = self;
+        let order = graph.order();
+        let mut iterations = 0u64;
+        let mut swept = 0u64;
+        loop {
+            let cp = graph.critical_length(bl);
+            let t_a = parallelism * *total_work as f64 / pool as f64;
+            if (cp.as_seconds() as f64) <= t_a {
+                break;
+            }
+
+            *epoch = epoch.wrapping_add(1);
+            let mut best: Option<(usize, f64)> = None;
+            stack.clear();
+            for &e in graph.entry_positions() {
+                if bl[e as usize] == cp {
+                    stamp[e as usize] = *epoch;
+                    stack.push(e);
+                }
+            }
+            while let Some(u) = stack.pop() {
+                let u = u as usize;
+                // A candidate needs room in the pool and an integer-second
+                // improvement left.
+                if m[u] < pool && next_exec[u] < exec[u] {
+                    let g = gain[u];
+                    match best {
+                        Some((b, bg)) if g < bg || (g == bg && order[u] >= order[b]) => {}
+                        _ => best = Some((u, g)),
+                    }
+                }
+                let tight = bl[u] - exec[u];
+                for &s in graph.succs_at(u) {
+                    if stamp[s as usize] != *epoch && bl[s as usize] == tight {
+                        stamp[s as usize] = *epoch;
+                        stack.push(s);
+                    }
+                }
+            }
+            let Some((b, _)) = best else {
+                break; // critical path saturated; cannot improve further
+            };
+            iterations += 1;
+            let (old, new) = (exec[b], next_exec[b]);
+            m[b] += 1;
+            // work(m) = m * exec_time(m); both exec times are at hand.
+            *total_work += m[b] as i64 * new.as_seconds();
+            *total_work -= (m[b] - 1) as i64 * old.as_seconds();
+            exec[b] = new;
+            next_exec[b] = cost[b].exec_time(m[b] + 1);
+            gain[b] = relative_gain(new, next_exec[b]);
+            swept += graph.propagate_bottom(exec, bl, b, old);
+        }
+        obs::counter_add(obs::names::CPA_ALLOC_ITERS, iterations);
+        obs::record_value(obs::names::CPA_ALLOC_ITERS_PER_RUN, iterations);
+        obs::counter_add(obs::names::CPA_ALLOC_INCR_UPDATES, swept);
+
+        let mut out = CpaAllocation {
+            pool,
+            allocs: vec![0; order.len()],
+            exec: vec![Dur::ZERO; order.len()],
+        };
+        for (pos, &t) in order.iter().enumerate() {
+            out.allocs[t as usize] = m[pos];
+            out.exec[t as usize] = exec[pos];
+        }
+        #[cfg(any(debug_assertions, feature = "validate"))]
+        crate::validate::assert_allocation_valid(dag, &out, "CPA");
+        out
+    }
 }
 
 /// CPA phase 1: compute per-task allocations for a pool of `pool`
 /// processors.
 ///
-/// The inner loop maintains bottom/top levels *incrementally* through a
-/// [`LevelTracker`]: each iteration grows exactly one task, which can only
-/// change the levels of that task's ancestors and descendants, so the old
-/// O(iters·(V+E)) full rebuild was pure waste. The legacy loop survives as
-/// [`allocate_reference`], and differential tests pin the two to identical
-/// output on every input.
+/// Each iteration grows one task by one processor, which can only change
+/// the bottom levels of that task and its ancestors, so the loop keeps
+/// its state in topological-position space and updates it in place
+/// instead of rebuilding every level per iteration. The legacy
+/// full-rebuild loop survives as [`allocate_reference`], and differential
+/// tests pin the two to identical output on every input.
 ///
 /// # Panics
 /// Panics if `pool == 0`.
 pub fn allocate(dag: &Dag, pool: u32, criterion: StoppingCriterion) -> CpaAllocation {
-    allocate_in(dag, pool, criterion, &mut CpaScratch::default())
-}
-
-/// [`allocate`] over a caller-held [`CpaScratch`] (the [`CpaCache`]'s, so
-/// every allocation of one scheduling call shares one tracker).
-fn allocate_in(
-    dag: &Dag,
-    pool: u32,
-    criterion: StoppingCriterion,
-    scratch: &mut CpaScratch,
-) -> CpaAllocation {
-    assert!(pool > 0, "CPA needs a non-empty processor pool");
-    let mut out = CpaAllocation {
-        pool,
-        allocs: vec![1u32; dag.num_tasks()],
-        exec: dag.costs().iter().map(|c| c.exec_time(1)).collect(),
-    };
-    let mut total_work: i64 = dag
-        .task_ids()
-        .map(|t| dag.cost(t).work(out.allocs[t.idx()]))
-        .sum();
-
-    let parallelism = match criterion {
-        StoppingCriterion::Classic => 1.0,
-        StoppingCriterion::Stringent => dag.mean_width().clamp(1.0, pool as f64),
-    };
-
-    crate::span!("cpa.alloc_loop");
-    let tracker = match &mut scratch.tracker {
-        Some(t) => {
-            t.rebuild(dag, &out.exec);
-            t
-        }
-        none => none.insert(LevelTracker::new(dag, &out.exec)),
-    };
-    // Selection inputs that depend only on a task's current processor
-    // count: the execution time one processor wider and the marginal gain.
-    // Both are pure functions of `(cost, m)`, so refreshing them for just
-    // the grown task each iteration yields bit-identical selections while
-    // dropping the per-iteration float work from O(critical path) to O(1).
-    scratch.next_exec.clear();
-    scratch
-        .next_exec
-        .extend(dag.costs().iter().map(|c| c.exec_time(2)));
-    scratch.gain.clear();
-    scratch
-        .gain
-        .extend(dag.costs().iter().map(|c| c.marginal_gain(1)));
-    let (next_exec, gain) = (&mut scratch.next_exec, &mut scratch.gain);
-    let mut iterations = 0u64;
-    let mut incr_touched = 0u64;
-    loop {
-        // One entry scan serves both the stopping test and the walk.
-        let cp = tracker.refresh_critical();
-        let t_a = parallelism * total_work as f64 / pool as f64;
-        if (cp.as_seconds() as f64) <= t_a {
-            break;
-        }
-
-        // Pick the critical-path task with the largest relative gain from
-        // one extra processor that still produces an integer-second
-        // improvement. The member list is in walk order, not id order,
-        // but argmax under the total (gain, lowest-id) tie-break is
-        // order-independent, so the pick matches the reference loop's
-        // id-order scan exactly.
-        let mut best: Option<(TaskId, f64)> = None;
-        for &t in tracker.critical_tasks() {
-            let m = out.allocs[t.idx()];
-            if m >= pool {
-                continue;
-            }
-            if next_exec[t.idx()] >= out.exec[t.idx()] {
-                continue; // no integer improvement left
-            }
-            let g = gain[t.idx()];
-            match best {
-                Some((bt, bg)) if g < bg || (g == bg && t.0 >= bt.0) => {}
-                _ => best = Some((t, g)),
-            }
-        }
-        let Some((t, _)) = best else {
-            break; // critical path saturated; cannot improve further
-        };
-        iterations += 1;
-        let m = out.allocs[t.idx()] + 1;
-        // work(m) = m * exec_time(m); both exec times are already at hand.
-        let old_exec = out.exec[t.idx()];
-        let new_exec = next_exec[t.idx()];
-        total_work += m as i64 * new_exec.as_seconds();
-        total_work -= (m - 1) as i64 * old_exec.as_seconds();
-        out.allocs[t.idx()] = m;
-        out.exec[t.idx()] = new_exec;
-        let cost = dag.cost(t);
-        next_exec[t.idx()] = cost.exec_time(m + 1);
-        gain[t.idx()] = cost.marginal_gain(m);
-        // Bottom levels only: selection derives critical-path membership
-        // from them via the tight-edge walk, so top levels are never read.
-        incr_touched += tracker.update_bottom(dag, &out.exec, t);
-    }
-    obs::counter_add(obs::names::CPA_ALLOC_ITERS, iterations);
-    obs::record_value(obs::names::CPA_ALLOC_ITERS_PER_RUN, iterations);
-    obs::counter_add(obs::names::CPA_ALLOC_INCR_UPDATES, incr_touched);
-
-    #[cfg(any(debug_assertions, feature = "validate"))]
-    crate::validate::assert_allocation_valid(dag, &out, "CPA");
-    out
+    AllocState::new(dag).allocate(dag, pool, criterion)
 }
 
 /// The legacy CPA allocation loop: rebuilds every bottom/top level from
@@ -327,7 +380,7 @@ enum CacheKey {
 #[derive(Debug, Default)]
 pub struct CpaCache {
     entries: Vec<(CacheKey, CpaAllocation)>,
-    scratch: CpaScratch,
+    state: Option<AllocState>,
 }
 
 impl CpaCache {
@@ -355,9 +408,10 @@ impl CpaCache {
             None => {
                 obs::counter_add(obs::names::CPA_CACHE_MISS, 1);
                 let value = match key {
-                    CacheKey::Cpa { pool, criterion } => {
-                        allocate_in(dag, pool, criterion, &mut self.scratch)
-                    }
+                    CacheKey::Cpa { pool, criterion } => self
+                        .state
+                        .get_or_insert_with(|| AllocState::new(dag))
+                        .allocate(dag, pool, criterion),
                     CacheKey::Mcpa { pool } => crate::mcpa::allocate(dag, pool),
                 };
                 self.entries.push((key, value));

@@ -136,10 +136,16 @@ impl TaskCost {
     /// time would be reduced the most (relatively) when given an extra
     /// processor").
     pub fn marginal_gain(&self, m: u32) -> f64 {
-        let t_m = self.exec_time(m).as_seconds() as f64;
-        let t_m1 = self.exec_time(m + 1).as_seconds() as f64;
-        (t_m - t_m1) / t_m
+        relative_gain(self.exec_time(m), self.exec_time(m + 1))
     }
+}
+
+/// [`TaskCost::marginal_gain`] from the two execution times it divides,
+/// for a loop that already holds them.
+#[inline]
+pub(crate) fn relative_gain(t_m: Dur, t_m1: Dur) -> f64 {
+    let t_m = t_m.as_seconds() as f64;
+    (t_m - t_m1.as_seconds() as f64) / t_m
 }
 
 #[cfg(test)]
