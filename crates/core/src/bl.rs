@@ -117,8 +117,6 @@ pub fn top_levels(dag: &Dag, exec: &[Dur]) -> Vec<Dur> {
     tl
 }
 
-/// [`top_levels`] into a caller-held buffer (cleared first), for
-/// [`LevelTracker::rebuild`] — once per cache key of a scheduling call.
 fn top_levels_into(dag: &Dag, exec: &[Dur], out: &mut Vec<Dur>) {
     assert_eq!(exec.len(), dag.num_tasks());
     out.clear();
@@ -179,13 +177,13 @@ pub fn order_by_increasing_bl(dag: &Dag, bl: &[Dur]) -> Vec<TaskId> {
 /// level propagation is a linear positional sweep instead of a worklist.
 #[derive(Debug, Clone)]
 pub(crate) struct PosGraph {
-    /// Task index at each topological position.
+    /// Task index at each topological position, and its inverse.
     order: Vec<u32>,
+    topo_pos: Vec<u32>,
     succ_start: Vec<u32>,
     succ_list: Vec<u32>,
-    /// One past the highest predecessor position of each position (0 for
-    /// an entry): every ancestor sits below it.
-    sweep_end: Vec<u32>,
+    pred_start: Vec<u32>,
+    pred_list: Vec<u32>,
     /// Positions of entry tasks; the critical-path length is their max
     /// bottom level (an entry always dominates its descendants).
     entry_pos: Vec<u32>,
@@ -203,16 +201,21 @@ impl PosGraph {
             order: dag.topo_order().iter().map(|t| t.0).collect(),
             succ_start: Vec::with_capacity(n + 1),
             succ_list: Vec::with_capacity(dag.num_edges()),
-            sweep_end: Vec::with_capacity(n),
+            pred_start: Vec::with_capacity(n + 1),
+            pred_list: Vec::with_capacity(dag.num_edges()),
             entry_pos: dag.entries().iter().map(|t| topo_pos[t.idx()]).collect(),
+            topo_pos,
         };
         g.succ_start.push(0);
+        g.pred_start.push(0);
         for &t in dag.topo_order() {
+            let topo_pos = &g.topo_pos;
             g.succ_list
                 .extend(dag.succs(t).iter().map(|s| topo_pos[s.idx()]));
             g.succ_start.push(g.succ_list.len() as u32);
-            let preds = dag.preds(t).iter().map(|p| topo_pos[p.idx()] + 1);
-            g.sweep_end.push(preds.max().unwrap_or(0));
+            g.pred_list
+                .extend(dag.preds(t).iter().map(|p| topo_pos[p.idx()]));
+            g.pred_start.push(g.pred_list.len() as u32);
         }
         g
     }
@@ -235,6 +238,12 @@ impl PosGraph {
         &self.succ_list[self.succ_start[pos] as usize..self.succ_start[pos + 1] as usize]
     }
 
+    /// Predecessor positions of the task at `pos`.
+    #[inline]
+    fn preds_at(&self, pos: usize) -> &[u32] {
+        &self.pred_list[self.pred_start[pos] as usize..self.pred_start[pos + 1] as usize]
+    }
+
     /// Recompute the bottom levels of positions `0..end` by the
     /// full-rebuild formula, highest position first; positions `end..`
     /// must already be exact. `end = len` is the full build.
@@ -249,24 +258,29 @@ impl PosGraph {
     }
 
     /// Re-establish `bl` after the execution time at `pos` changed from
-    /// `old` to `exec[pos]` (and nothing else); returns the number of
-    /// positions recomputed.
+    /// `old` to `exec[pos]` (and nothing else): the one bottom-level
+    /// propagation routine. Returns the end of the re-swept prefix.
     ///
     /// The task's successors are untouched, so its own level moves by
     /// exactly the exec-time difference. Only its ancestors can move
-    /// with it, and they all sit below its highest predecessor, so that
-    /// prefix is re-swept; positions above depend on later positions only.
+    /// with it, and they all sit at or below its highest predecessor, so
+    /// that prefix is re-swept; positions above depend on later positions
+    /// only.
     pub(crate) fn propagate_bottom(
         &self,
         exec: &[Dur],
         bl: &mut [Dur],
         pos: usize,
         old: Dur,
-    ) -> u64 {
+    ) -> usize {
         bl[pos] = bl[pos] - old + exec[pos];
-        let end = self.sweep_end[pos] as usize;
+        let end = self
+            .preds_at(pos)
+            .iter()
+            .max()
+            .map_or(0, |&hp| hp as usize + 1);
         self.sweep_bottom(exec, bl, end);
-        end as u64 + 1
+        end
     }
 
     /// The critical-path length under bottom levels `bl`.
@@ -279,182 +293,55 @@ impl PosGraph {
 /// Incrementally maintained bottom/top levels under single-task execution
 /// time updates.
 ///
-/// The CPA/MCPA/iCASLB allocation loops change one task's execution time
-/// per iteration, yet used to rebuild every level from scratch — an
-/// O(iters·(V+E)) recompute. A single-task change can only affect the
-/// bottom levels of the task and its *ancestors* and the top levels of its
-/// *descendants*, so [`LevelTracker::update`] propagates along exactly
-/// those cones, pruning as soon as a node's value is unchanged.
+/// The MCPA and iCASLB allocation loops change one task's execution time
+/// per iteration. That can only affect the bottom levels of the task and
+/// its *ancestors* and the top levels of its *descendants*, so
+/// [`LevelTracker::update`] re-sweeps the positions below the task's
+/// highest predecessor ([`PosGraph::propagate_bottom`], the routine CPA's
+/// own loop runs) and propagates top levels along the descendant cone —
+/// instead of the O(V+E) rebuild per iteration the legacy loops paid.
 ///
-/// Internally everything is laid out in *topological position* space with
-/// flat CSR adjacency: the propagation sweeps walk dirty flags in
-/// positional order instead of popping a priority queue, and classifying a
-/// predecessor costs one load of its cached successor max (`sb`) rather
-/// than a neighborhood scan. Id-indexed level vectors are kept in sync by
-/// write-through so [`LevelTracker::bottom`]/[`LevelTracker::top`] stay
-/// cheap borrows.
+/// Levels are kept in *topological position* space, with id-indexed
+/// views in sync by write-through so [`LevelTracker::bottom`] /
+/// [`LevelTracker::top`] stay cheap borrows.
 ///
 /// Exactness: levels are integer-second [`Dur`] max-plus values, and the
 /// update recomputes each touched node with the same formula as the full
 /// rebuild, so the tracker's state is always *identical* (not merely
 /// approximately equal) to [`bottom_levels`]/[`top_levels`] on the current
-/// execution times. The differential tests in [`crate::cpa`] pin this.
+/// execution times. `tests/alloc_differential.rs` pins this.
 #[derive(Debug, Clone)]
 pub struct LevelTracker {
-    /// Bottom levels indexed by task id (write-through copy of `blp`).
+    graph: PosGraph,
+    /// Bottom / top levels indexed by task id (write-through copies of
+    /// `blp` / `tlp`).
     bl: Vec<Dur>,
-    /// Top levels indexed by task id (write-through copy of `tlp`).
     tl: Vec<Dur>,
-    /// Position of each task in the DAG's topological order; propagating
-    /// in (decreasing for bl, increasing for tl) positional order
-    /// guarantees a node is recomputed only after every affected neighbor
-    /// it depends on.
-    topo_pos: Vec<u32>,
-    /// Inverse of `topo_pos`: task index at each topological position.
-    order: Vec<u32>,
-    /// Bottom levels indexed by topological position.
+    /// Bottom levels, top levels and execution times by position.
     blp: Vec<Dur>,
-    /// Top levels indexed by topological position.
     tlp: Vec<Dur>,
-    /// Execution times indexed by topological position. Only the updated
-    /// task's entry changes per [`LevelTracker::update`] call, so this
-    /// mirror costs one write per update and saves a random id-space load
-    /// per touched node and per classified edge.
     execp: Vec<Dur>,
-    /// Cached successor max per position: `blp = exec + sbp`. Lets the
-    /// sparse incremental sweep classify a predecessor in O(1). Maintained
-    /// (and read) only on that path — dense mode derives a node's
-    /// successor max as `blp - execp` where needed.
-    sbp: Vec<Dur>,
-    /// Positions of entry tasks; the critical path length is their max
-    /// bottom level (an entry always dominates its descendants).
-    entry_pos: Vec<u32>,
-    /// Dirty flags for both propagation sweeps, indexed by position.
-    /// Each sweep clears every flag it sets before returning, so the two
-    /// directions can share the array.
+    /// Dirty flags of the top-level sweep, indexed by position; every
+    /// flag it sets is cleared before it returns.
     dirty: Vec<bool>,
-    /// Dense-DAG strategy switch, fixed at construction (average degree of
-    /// at least 4). On dense graphs a single changed task dirties most of its
-    /// ancestor cone anyway, and the data-dependent classification
-    /// branches cost more than they prune; a straight branch-free
-    /// positional sweep over the affected prefix is faster. Sparse graphs
-    /// keep the pruned incremental walk.
-    dense: bool,
-    /// Per-position scratch for the bottom-level sweep: largest *increased*
-    /// child level seen while a node is dirty (valid only then).
-    cand: Vec<Dur>,
-    /// Per-position scratch: a max-contributing child decreased, so the
-    /// successor max must be rescanned rather than patched.
-    rescan: Vec<bool>,
-    /// Epoch stamps for [`LevelTracker::refresh_critical`]: the task at
-    /// position `p` is on a critical path iff `cp_stamp[p] == cp_epoch`,
-    /// so membership resets by bumping the epoch instead of clearing.
-    cp_stamp: Vec<u32>,
-    cp_epoch: u32,
-    /// Worklist scratch for the critical-path walk.
-    cp_stack: Vec<u32>,
-    /// Tasks marked critical by the last walk, in discovery order. Lets
-    /// selection loops iterate just the members instead of filtering the
-    /// whole task set through [`LevelTracker::is_critical`].
-    cp_members: Vec<TaskId>,
-    // Flat CSR adjacency in position space. `Dag` stores one `Vec` per
-    // task; the allocation loops re-scan neighborhoods hundreds of times
-    // per run, and chasing a pointer per task dominates the update cost.
-    succ_start: Vec<u32>,
-    succ_list: Vec<u32>,
-    pred_start: Vec<u32>,
-    pred_list: Vec<u32>,
 }
 
 impl LevelTracker {
     /// Full build from the given per-task execution times.
+    // lint:allow(panic-transitive): `order` holds every task id < num_tasks once, and the level vectors are built over the same DAG, so every index is in range.
     pub fn new(dag: &Dag, exec: &[Dur]) -> LevelTracker {
-        let mut tracker = LevelTracker {
-            bl: Vec::new(),
-            tl: Vec::new(),
-            topo_pos: Vec::new(),
-            order: Vec::new(),
-            blp: Vec::new(),
-            tlp: Vec::new(),
-            execp: Vec::new(),
-            sbp: Vec::new(),
-            entry_pos: Vec::new(),
-            dirty: Vec::new(),
-            dense: false,
-            cand: Vec::new(),
-            rescan: Vec::new(),
-            cp_stamp: Vec::new(),
-            cp_epoch: 0,
-            cp_stack: Vec::new(),
-            cp_members: Vec::new(),
-            succ_start: Vec::new(),
-            succ_list: Vec::new(),
-            pred_start: Vec::new(),
-            pred_list: Vec::new(),
-        };
-        tracker.rebuild(dag, exec);
-        tracker
-    }
-
-    /// Rebuild the tracker for new execution times in place, reusing every
-    /// internal buffer: a [`CpaCache`] rebuilds its one tracker per cache
-    /// key of the scheduling call it serves.
-    // lint:allow(panic-transitive): rebuild walks tasks in stored topological order over arrays it just resized to the DAG, so every index is in range.
-    pub fn rebuild(&mut self, dag: &Dag, exec: &[Dur]) {
-        let n = dag.num_tasks();
-        self.topo_pos.clear();
-        self.topo_pos.resize(n, 0);
-        self.order.clear();
-        self.order.resize(n, 0);
-        for (i, &t) in dag.topo_order().iter().enumerate() {
-            self.topo_pos[t.idx()] = i as u32;
-            self.order[i] = t.0;
+        let graph = PosGraph::new(dag);
+        let (bl, tl) = (bottom_levels(dag, exec), top_levels(dag, exec));
+        let by_pos = |v: &[Dur]| graph.order().iter().map(|&t| v[t as usize]).collect();
+        LevelTracker {
+            blp: by_pos(&bl),
+            tlp: by_pos(&tl),
+            execp: by_pos(exec),
+            dirty: vec![false; dag.num_tasks()],
+            bl,
+            tl,
+            graph,
         }
-        self.succ_start.clear();
-        self.succ_list.clear();
-        self.pred_start.clear();
-        self.pred_list.clear();
-        self.succ_start.push(0);
-        self.pred_start.push(0);
-        for i in 0..n {
-            let t = TaskId(self.order[i]);
-            let topo_pos = &self.topo_pos;
-            self.succ_list
-                .extend(dag.succs(t).iter().map(|s| topo_pos[s.idx()]));
-            self.succ_start.push(self.succ_list.len() as u32);
-            self.pred_list
-                .extend(dag.preds(t).iter().map(|p| topo_pos[p.idx()]));
-            self.pred_start.push(self.pred_list.len() as u32);
-        }
-        bottom_levels_into(dag, exec, &mut self.bl);
-        top_levels_into(dag, exec, &mut self.tl);
-        self.blp.clear();
-        self.blp
-            .extend(self.order.iter().map(|&t| self.bl[t as usize]));
-        self.tlp.clear();
-        self.tlp
-            .extend(self.order.iter().map(|&t| self.tl[t as usize]));
-        self.execp.clear();
-        self.execp
-            .extend(self.order.iter().map(|&t| exec[t as usize]));
-        self.sbp.clear();
-        self.sbp
-            .extend((0..n).map(|pos| self.blp[pos] - exec[self.order[pos] as usize]));
-        self.entry_pos.clear();
-        self.entry_pos
-            .extend(dag.entries().iter().map(|t| self.topo_pos[t.idx()]));
-        self.dirty.clear();
-        self.dirty.resize(n, false);
-        self.dense = dag.num_edges() >= 4 * n;
-        self.cand.clear();
-        self.cand.resize(n, Dur::ZERO);
-        self.rescan.clear();
-        self.rescan.resize(n, false);
-        self.cp_stamp.clear();
-        self.cp_stamp.resize(n, 0);
-        self.cp_epoch = 0;
-        self.cp_stack.clear();
-        self.cp_members.clear();
     }
 
     /// Current bottom levels (always equal to `bottom_levels(dag, exec)`).
@@ -463,9 +350,7 @@ impl LevelTracker {
         &self.bl
     }
 
-    /// Current top levels (always equal to `top_levels(dag, exec)`) —
-    /// provided every refresh went through the full [`LevelTracker::update`],
-    /// not the bottom-only variant.
+    /// Current top levels (always equal to `top_levels(dag, exec)`).
     #[inline]
     pub fn top(&self) -> &[Dur] {
         &self.tl
@@ -473,299 +358,75 @@ impl LevelTracker {
 
     /// Current critical-path length (max bottom level over entry tasks;
     /// every other task's bottom level is dominated by an entry ancestor's).
-    // lint:allow(panic-transitive): task ids are dense indices < num_tasks and the level arrays are sized to the DAG, so every index is in range by construction.
+    // lint:allow(panic-transitive): entry positions are < num_tasks and `blp` is sized to the DAG, so every index is in range by construction.
     pub fn critical_path(&self) -> Dur {
-        self.entry_pos
-            .iter()
-            .map(|&e| self.blp[e as usize])
-            .max()
-            .unwrap_or(Dur::ZERO)
+        self.graph.critical_length(&self.blp)
     }
 
     /// Re-establish both level vectors after `exec[t]` changed (and nothing
-    /// else). Returns the number of nodes whose level was recomputed — the
-    /// work a full rebuild would have spent on *every* node.
+    /// else). Returns the number of positions whose level was recomputed —
+    /// the work a full rebuild would have spent on *every* node.
     ///
-    /// Both sweeps walk topological *positions* with a dirty bitmap and a
-    /// pending counter instead of a priority queue: a predecessor always
-    /// sits at a smaller position than its successors, so a linear scan in
-    /// the right direction pops nodes in exactly the order a heap would,
-    /// without the per-node `O(log V)` cost, and stops as soon as no dirty
-    /// node remains.
+    /// Top levels flow from predecessors to successors: `tl[t]` does not
+    /// depend on `exec[t]`, but every direct successor reads it, so the
+    /// sweep is seeded with them and walks increasing positions with a
+    /// dirty bitmap and a pending counter instead of a priority queue: a
+    /// predecessor always sits at a smaller position than its successors,
+    /// so the linear scan pops nodes in exactly the order a heap would,
+    /// and it stops as soon as no dirty node remains.
     // lint:allow(panic-transitive): task ids are dense indices < num_tasks and the level arrays are sized to the DAG, so every index is in range by construction.
     pub fn update(&mut self, dag: &Dag, exec: &[Dur], t: TaskId) -> u64 {
-        let mut touched = self.update_bottom(dag, exec, t);
-        if self.dense {
-            // The dense sweep only writes the positional `blp`; sync the
-            // id-indexed view over the swept prefix for `bottom()` readers.
-            let start = self.topo_pos[t.idx()] as usize;
-            for pos in 0..=start {
-                self.bl[self.order[pos] as usize] = self.blp[pos];
-            }
-        }
-
-        // Top levels flow from predecessors to successors: tl[t] does not
-        // depend on exec[t], but every direct successor reads it, so seed
-        // with them and propagate in increasing topological position.
-        let tp = self.topo_pos[t.idx()] as usize;
-        let mut pending = 0u32;
-        let mut lo = usize::MAX;
-        for &sp in &self.succ_list[self.succ_start[tp] as usize..self.succ_start[tp + 1] as usize] {
-            let sp = sp as usize;
-            if !self.dirty[sp] {
-                self.dirty[sp] = true;
-                pending += 1;
-            }
-            lo = lo.min(sp);
-        }
-        if pending > 0 {
-            for pos in lo..self.order.len() {
-                if !self.dirty[pos] {
-                    continue;
-                }
-                self.dirty[pos] = false;
-                pending -= 1;
-                touched += 1;
-                let mut pred_max = Dur::ZERO;
-                for &pp in &self.pred_list
-                    [self.pred_start[pos] as usize..self.pred_start[pos + 1] as usize]
-                {
-                    let pp = pp as usize;
-                    pred_max = pred_max.max(self.tlp[pp] + self.execp[pp]);
-                }
-                if pred_max != self.tlp[pos] {
-                    self.tlp[pos] = pred_max;
-                    self.tl[self.order[pos] as usize] = pred_max;
-                    for &sp in &self.succ_list
-                        [self.succ_start[pos] as usize..self.succ_start[pos + 1] as usize]
-                    {
-                        let sp = sp as usize;
-                        if !self.dirty[sp] {
-                            self.dirty[sp] = true;
-                            pending += 1;
-                        }
-                    }
-                }
-                if pending == 0 {
-                    break;
-                }
-            }
-        }
-
-        touched
-    }
-
-    /// The bottom-level half of [`LevelTracker::update`], for loops that
-    /// never read top levels (CPA's selection uses
-    /// [`LevelTracker::refresh_critical`] instead, which derives
-    /// critical-path membership from bottom levels alone).
-    ///
-    /// After calling this, [`LevelTracker::top`] is **stale** until a full
-    /// [`LevelTracker::update`] or rebuild — and on dense graphs so is
-    /// [`LevelTracker::bottom`]: the sweep maintains only the positional
-    /// state read by [`LevelTracker::critical_path`],
-    /// [`LevelTracker::refresh_critical`] and
-    /// [`LevelTracker::critical_tasks`]. Callers that need the id-indexed
-    /// views go through [`LevelTracker::update`]; allocation loops that
-    /// select via critical-path membership never read them.
-    pub fn update_bottom(&mut self, dag: &Dag, exec: &[Dur], t: TaskId) -> u64 {
         debug_assert_eq!(exec.len(), self.bl.len());
         debug_assert_eq!(dag.num_tasks(), self.bl.len());
-        let start = self.topo_pos[t.idx()] as usize;
-        self.execp[start] = exec[t.idx()];
-        if self.dense {
-            // Dense graphs: recompute the whole affected prefix with a
-            // branch-free sweep. Positions above `start` only depend on
-            // *later* positions (successors) and are untouched. Disjoint
-            // field borrows make the arrays provably non-aliasing so the
-            // pointer loads hoist out of the loop. Only `blp` is written:
-            // the id-indexed `bl` view is synced by [`LevelTracker::update`]
-            // (the positional-only allocation loops never read it), and
-            // `sbp` is a sparse-path structure — dense mode derives
-            // successor maxima as `blp - execp` where needed.
-            let LevelTracker {
-                blp,
-                execp,
-                succ_start,
-                succ_list,
-                pred_start,
-                pred_list,
-                ..
-            } = self;
-            // Seed: recompute the changed task from its (untouched)
-            // successors. If its level is unchanged, nothing can move.
-            let mut succ_max = Dur::ZERO;
-            for &sp in &succ_list[succ_start[start] as usize..succ_start[start + 1] as usize] {
-                succ_max = succ_max.max(blp[sp as usize]);
-            }
-            let fresh = execp[start] + succ_max;
-            if blp[start] == fresh {
-                return 1;
-            }
-            blp[start] = fresh;
-            // Only the seed has changed so far, so positions strictly
-            // between its highest predecessor and `start` cannot move —
-            // on layered graphs that skips a layer-width of scans. Resume
-            // the full sweep there; below it, any position may be reached.
-            let preds = &pred_list[pred_start[start] as usize..pred_start[start + 1] as usize];
-            let Some(&hp) = preds.iter().max() else {
-                return 1;
-            };
-            let hp = hp as usize;
-            for pos in (0..=hp).rev() {
-                let mut succ_max = Dur::ZERO;
-                for &sp in &succ_list[succ_start[pos] as usize..succ_start[pos + 1] as usize] {
-                    succ_max = succ_max.max(blp[sp as usize]);
-                }
-                blp[pos] = execp[pos] + succ_max;
-            }
-            return (hp + 2) as u64;
+        let LevelTracker {
+            graph,
+            bl,
+            tl,
+            blp,
+            tlp,
+            execp,
+            dirty,
+        } = self;
+        let tp = graph.topo_pos[t.idx()] as usize;
+        let old = std::mem::replace(&mut execp[tp], exec[t.idx()]);
+        let swept = graph.propagate_bottom(execp, blp, tp, old);
+        bl[t.idx()] = blp[tp];
+        for (&u, &level) in graph.order[..swept].iter().zip(&blp[..swept]) {
+            bl[u as usize] = level;
         }
-        let mut touched = 0u64;
+        let mut touched = swept as u64 + 1;
 
-        // Bottom levels flow from successors to predecessors: bl[t] itself
-        // changes with exec[t], then ancestors in decreasing topological
-        // position. A changed child classifies each of its predecessors
-        // against the predecessor's cached successor max:
-        //   - child rose above the max        -> patch via `cand`, no scan
-        //   - a max-contributing child fell   -> full rescan
-        //   - anything else                   -> the max is unchanged and
-        //     the predecessor is skipped entirely.
-        // The seed itself needs no rescan: its successors are untouched,
-        // so its cached max is still exact under the new exec time.
-        //
-        // The worklist is a dirty-flag scan over decreasing topological
-        // positions with a pending counter: a mark always lands on a
-        // predecessor (strictly below the current position), so a single
-        // downward pass visits every dirty node in dependency order.
-        self.dirty[start] = true;
-        let mut pending = 1u32;
-        for pos in (0..=start).rev() {
-            if !self.dirty[pos] {
+        let mut pending = 0u32;
+        for &sp in graph.succs_at(tp) {
+            if !std::mem::replace(&mut dirty[sp as usize], true) {
+                pending += 1;
+            }
+        }
+        let lo = graph.succs_at(tp).iter().min().map_or(0, |&sp| sp as usize);
+        for pos in lo..graph.order.len() {
+            if pending == 0 {
+                break;
+            }
+            if !std::mem::replace(&mut dirty[pos], false) {
                 continue;
             }
-            self.dirty[pos] = false;
             pending -= 1;
             touched += 1;
-            let fresh_sb = if self.rescan[pos] {
-                self.rescan[pos] = false;
-                let mut succ_max = Dur::ZERO;
-                for &sp in &self.succ_list
-                    [self.succ_start[pos] as usize..self.succ_start[pos + 1] as usize]
-                {
-                    succ_max = succ_max.max(self.blp[sp as usize]);
-                }
-                succ_max
-            } else {
-                self.sbp[pos].max(self.cand[pos])
-            };
-            self.cand[pos] = Dur::ZERO;
-            self.sbp[pos] = fresh_sb;
-            let fresh = self.execp[pos] + fresh_sb;
-            let old = self.blp[pos];
-            if fresh != old {
-                self.blp[pos] = fresh;
-                self.bl[self.order[pos] as usize] = fresh;
-                for &pp in &self.pred_list
-                    [self.pred_start[pos] as usize..self.pred_start[pos + 1] as usize]
-                {
-                    let pp = pp as usize;
-                    if fresh > self.sbp[pp] {
-                        // Child rose past the cached max: patch later.
-                        if self.cand[pp] < fresh {
-                            self.cand[pp] = fresh;
-                        }
-                    } else if old == self.sbp[pp] && fresh < old {
-                        // A max contributor fell: the new max is unknown.
-                        self.rescan[pp] = true;
-                    } else {
-                        // Some other child still holds the max; skip.
-                        continue;
-                    }
-                    if !self.dirty[pp] {
-                        self.dirty[pp] = true;
+            let mut pred_max = Dur::ZERO;
+            for &pp in graph.preds_at(pos) {
+                pred_max = pred_max.max(tlp[pp as usize] + execp[pp as usize]);
+            }
+            if pred_max != tlp[pos] {
+                tlp[pos] = pred_max;
+                tl[graph.order[pos] as usize] = pred_max;
+                for &sp in graph.succs_at(pos) {
+                    if !std::mem::replace(&mut dirty[sp as usize], true) {
                         pending += 1;
                     }
                 }
             }
-            if pending == 0 {
-                break;
-            }
         }
         touched
-    }
-
-    /// Recompute critical-path membership from the current bottom levels,
-    /// to be queried with [`LevelTracker::is_critical`].
-    ///
-    /// A task is on a critical path (`tl(t) + bl(t) == cp`) iff it is
-    /// reachable from an entry with `bl == cp` along *tight* edges
-    /// (`bl(u) == exec(u) + bl(s)`, i.e. `bl(s)` equals `u`'s successor
-    /// max):
-    ///
-    /// - If a predecessor `pr` is critical and the edge is tight, then
-    ///   `tl(t) >= tl(pr) + exec(pr) = cp - bl(pr) + exec(pr) = cp - bl(t)`,
-    ///   and `tl + bl <= cp` always, so `t` is critical.
-    /// - Conversely if `t` is critical and not an entry, its `tl`-argmax
-    ///   predecessor `pr` satisfies `tl(pr) + bl(pr) >= tl(t) - exec(pr) +
-    ///   exec(pr) + bl(t) = cp`, so `pr` is critical with a tight edge.
-    ///
-    /// The walk therefore touches only critical tasks and their out-edges —
-    /// no top levels needed, and far less work per allocation iteration
-    /// than maintaining `tl` across the whole DAG.
-    ///
-    /// Returns the critical path length (same value as
-    /// [`LevelTracker::critical_path`]), so callers that need both don't
-    /// scan the entries twice.
-    pub fn refresh_critical(&mut self) -> Dur {
-        let cp = self.critical_path();
-        self.cp_epoch = self.cp_epoch.wrapping_add(1);
-        let epoch = self.cp_epoch;
-        self.cp_stack.clear();
-        self.cp_members.clear();
-        for i in 0..self.entry_pos.len() {
-            let e = self.entry_pos[i] as usize;
-            if self.blp[e] == cp {
-                self.cp_stamp[e] = epoch;
-                self.cp_stack.push(e as u32);
-                self.cp_members.push(TaskId(self.order[e]));
-            }
-        }
-        while let Some(u) = self.cp_stack.pop() {
-            let u = u as usize;
-            // A successor edge is tight iff the child's bl equals this
-            // node's successor max, i.e. `bl - exec`. Derived rather than
-            // read from `sbp`, which dense mode does not maintain.
-            let tight = self.blp[u] - self.execp[u];
-            for &sp in &self.succ_list[self.succ_start[u] as usize..self.succ_start[u + 1] as usize]
-            {
-                let sp = sp as usize;
-                if self.cp_stamp[sp] != epoch && self.blp[sp] == tight {
-                    self.cp_stamp[sp] = epoch;
-                    self.cp_stack.push(sp as u32);
-                    self.cp_members.push(TaskId(self.order[sp]));
-                }
-            }
-        }
-        cp
-    }
-
-    /// Whether `t` was on a critical path at the last
-    /// [`LevelTracker::refresh_critical`] call.
-    #[inline]
-    pub fn is_critical(&self, t: TaskId) -> bool {
-        self.cp_stamp[self.topo_pos[t.idx()] as usize] == self.cp_epoch
-    }
-
-    /// The tasks on a critical path as of the last
-    /// [`LevelTracker::refresh_critical`] call, in walk discovery order
-    /// (*not* id or topological order). Selection by an order-independent
-    /// criterion — e.g. argmax with a total tie-break — can iterate this
-    /// instead of filtering every task through
-    /// [`LevelTracker::is_critical`].
-    #[inline]
-    pub fn critical_tasks(&self) -> &[TaskId] {
-        &self.cp_members
     }
 }
 
@@ -896,7 +557,7 @@ mod tests {
     }
 
     /// A deterministic multi-level DAG with cross edges, denser than the
-    /// diamond, for exercising the tracker's pruned propagation.
+    /// diamond, for exercising the tracker's propagation.
     fn lattice() -> Dag {
         let mut b = DagBuilder::new();
         let ids: Vec<_> = (1..=9i64).map(|i| b.add_task(c(i * 7))).collect();
@@ -950,9 +611,9 @@ mod tests {
 
     #[test]
     fn tracker_matches_full_rebuild_on_dense_dag() {
-        // Average degree >= 4 flips the tracker onto the dense sweep
-        // strategy; the same random walk must stay exact there too, and
-        // `update` must re-sync the id-indexed views the sweep defers.
+        // The same random walk on a dense DAG (average degree >= 4), where
+        // nearly every update moves most of the swept prefix, and `update`
+        // must keep the id-indexed views in sync with it.
         // Fully-bipartite adjacent layers: 3 layers of 8 give 128 edges
         // >= 4 * 24 tasks.
         let mut b = DagBuilder::new();
@@ -967,7 +628,7 @@ mod tests {
         let dag = b.build().unwrap();
         assert!(
             dag.num_edges() >= 4 * dag.num_tasks(),
-            "test DAG not dense enough to exercise the sweep path ({} edges)",
+            "test DAG not dense enough ({} edges)",
             dag.num_edges()
         );
         let mut exec: Vec<Dur> = dag.costs().iter().map(|c| c.exec_time(1)).collect();

@@ -237,7 +237,7 @@ impl AllocState {
             exec[b] = new;
             next_exec[b] = cost[b].exec_time(m[b] + 1);
             gain[b] = relative_gain(new, next_exec[b]);
-            swept += graph.propagate_bottom(exec, bl, b, old);
+            swept += graph.propagate_bottom(exec, bl, b, old) as u64 + 1;
         }
         obs::counter_add(obs::names::CPA_ALLOC_ITERS, iterations);
         obs::record_value(obs::names::CPA_ALLOC_ITERS_PER_RUN, iterations);
