@@ -92,7 +92,8 @@ impl CpaAllocation {
 
 /// State of the allocation loop, every array indexed by *topological
 /// position* beside the [`PosGraph`] adjacency. A [`CpaCache`] keeps one
-/// for the scheduling call it serves.
+/// for the scheduling call it serves, and a later allocation for a larger
+/// pool continues from it (see [`AllocState::allocate`]).
 #[derive(Debug)]
 struct AllocState {
     graph: PosGraph,
@@ -111,6 +112,12 @@ struct AllocState {
     stamp: Vec<u32>,
     epoch: u32,
     stack: Vec<u32>,
+    /// What the state is the trajectory of: the last run's pool (0 before
+    /// the first) and criterion, and whether a critical task with an
+    /// improvement left was ever passed over for holding the whole pool.
+    pool: u32,
+    criterion: StoppingCriterion,
+    withheld: bool,
 }
 
 impl AllocState {
@@ -131,11 +138,15 @@ impl AllocState {
             stamp: vec![0; n],
             epoch: 0,
             stack: Vec::new(),
+            pool: 0,
+            criterion: StoppingCriterion::default(),
+            withheld: false,
         }
     }
 
     /// Back to one processor per task.
     fn restart(&mut self) {
+        self.withheld = false;
         self.m.clear();
         self.m.resize(self.cost.len(), 1);
         self.exec.clear();
@@ -165,11 +176,21 @@ impl AllocState {
     /// grown task's new gain divides the two execution times already at
     /// hand (the operands `marginal_gain` would re-derive), and its level
     /// change is propagated by [`PosGraph::propagate_bottom`].
+    ///
+    /// The pool enters an iteration in two places only: the stop test,
+    /// whose threshold `π(pool)·W/pool` is non-increasing in `pool` under
+    /// both criteria, and the `m < pool` eligibility. So until a pick is
+    /// withheld because its task already holds the whole pool, the state
+    /// a pool-`q` run stops in is one the run for any `p ≥ q` passes
+    /// through, and that run continues from it instead of starting over.
     // lint:allow(panic-transitive): every array is sized to the DAG in `new`/`restart` and indexed by positions < num_tasks taken from the `PosGraph` built over the same DAG.
     fn allocate(&mut self, dag: &Dag, pool: u32, criterion: StoppingCriterion) -> CpaAllocation {
         assert!(pool > 0, "CPA needs a non-empty processor pool");
         crate::span!("cpa.alloc_loop");
-        self.restart();
+        if self.pool == 0 || self.withheld || pool < self.pool || criterion != self.criterion {
+            self.restart();
+        }
+        (self.pool, self.criterion) = (pool, criterion);
         let parallelism = match criterion {
             StoppingCriterion::Classic => 1.0,
             StoppingCriterion::Stringent => dag.mean_width().clamp(1.0, pool as f64),
@@ -186,6 +207,8 @@ impl AllocState {
             stamp,
             epoch,
             stack,
+            withheld,
+            ..
         } = self;
         let order = graph.order();
         let mut iterations = 0u64;
@@ -208,13 +231,17 @@ impl AllocState {
             }
             while let Some(u) = stack.pop() {
                 let u = u as usize;
-                // A candidate needs room in the pool and an integer-second
-                // improvement left.
-                if m[u] < pool && next_exec[u] < exec[u] {
-                    let g = gain[u];
-                    match best {
-                        Some((b, bg)) if g < bg || (g == bg && order[u] >= order[b]) => {}
-                        _ => best = Some((u, g)),
+                // A candidate needs an integer-second improvement left and
+                // room in the pool.
+                if next_exec[u] < exec[u] {
+                    if m[u] >= pool {
+                        *withheld = true;
+                    } else {
+                        let g = gain[u];
+                        match best {
+                            Some((b, bg)) if g < bg || (g == bg && order[u] >= order[b]) => {}
+                            _ => best = Some((u, g)),
+                        }
                     }
                 }
                 let tight = bl[u] - exec[u];
@@ -376,7 +403,10 @@ enum CacheKey {
 /// A cache serves one DAG — keys carry no DAG identity — and is always on
 /// (DESIGN.md §16 has what computing the shared allocation once is worth
 /// end to end). Lookup is a plain probed `Vec`; a call touches at most a
-/// handful of distinct pools.
+/// handful of distinct pools. A miss leaves the allocation loop's state
+/// behind, and a later miss for a larger pool under the same criterion
+/// (`BL_CPAR` then `BD_CPA`: `q` then `p`) continues from it rather than
+/// from one processor per task.
 #[derive(Debug, Default)]
 pub struct CpaCache {
     entries: Vec<(CacheKey, CpaAllocation)>,

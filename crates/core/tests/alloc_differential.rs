@@ -63,6 +63,204 @@ fn cpa_incremental_matches_reference_on_seeded_sweep() {
     }
 }
 
+/// Seeded draws per shape of the Table-1 sweep; the CI fuzz lane raises it.
+fn draws() -> u64 {
+    std::env::var("RESCHED_DIFF_ITERS")
+        .ok()
+        .and_then(|v| v.parse().ok())
+        .unwrap_or(1)
+}
+
+/// Loop iterations behind an allocation: every task starts at one
+/// processor and each iteration grants one more.
+fn iterations(alloc: &cpa::CpaAllocation) -> u64 {
+    alloc.allocs.iter().map(|&m| u64::from(m - 1)).sum()
+}
+
+#[test]
+fn cpa_matches_reference_on_the_table1_shapes() {
+    // The paper's 40 application specifications (n up to 100) at the
+    // pools the workloads ask for: degenerate, the 57-processor machine,
+    // serve's q, Table 9's p. Each DAG also goes through one cache in
+    // ascending pool order, the order every scheduler asks in, so the
+    // larger pools are continuations wherever no pick was withheld.
+    let pools = [1u32, 2, 7, 57, 430, 1152];
+    let mut resumed = 0u32;
+    for (i, sweep) in DagParams::paper_sweeps().iter().enumerate() {
+        for draw in 0..draws() {
+            let dag = generate(&sweep.params, 0xA110C ^ (1000 * i as u64 + draw));
+            for criterion in [StoppingCriterion::Classic, StoppingCriterion::Stringent] {
+                let mut cache = CpaCache::new();
+                // Iterations of every pool's whole trajectory, and of the
+                // prefixes a continuation is certain to skip: a run in
+                // which no task reached the pool withheld nothing.
+                let (mut walked, mut skippable) = (0u64, 0u64);
+                let mut before: Option<cpa::CpaAllocation> = None;
+                let ((), report) = obs::observe("table1-sweep", || {
+                    for pool in pools {
+                        let at = format!(
+                            "{}={}, draw {draw}, pool {pool}, {criterion:?}",
+                            sweep.varied, sweep.value
+                        );
+                        let reference = cpa::allocate_reference(&dag, pool, criterion);
+                        assert_eq!(cpa::allocate(&dag, pool, criterion), reference, "{at}");
+                        assert_eq!(*cache.cpa(&dag, pool, criterion), reference, "cache: {at}");
+                        walked += iterations(&reference);
+                        if let Some(b) = before.take() {
+                            if b.allocs.iter().all(|&m| m < b.pool) {
+                                skippable += iterations(&b);
+                            }
+                        }
+                        before = Some(reference);
+                    }
+                });
+                if obs::COMPILED {
+                    // `allocate` walks each trajectory whole; the cache
+                    // walks at most that, less the skipped prefixes.
+                    let ran = report.metrics.counter(obs::names::CPA_ALLOC_ITERS);
+                    assert!(
+                        ran <= 2 * walked - skippable,
+                        "{ran} > 2 x {walked} - {skippable}"
+                    );
+                    resumed += u32::from(skippable > 0);
+                }
+            }
+        }
+    }
+    assert!(
+        !obs::COMPILED || resumed > 0,
+        "no pool was ever a continuation"
+    );
+}
+
+#[test]
+fn cpa_matches_reference_when_tasks_retire_early() {
+    // U-shaped execution times (a per-processor overhead) retire a task
+    // from selection as soon as one more processor stops helping, long
+    // before the pool runs out; alpha = 1 retires it at one processor.
+    let u = |s: i64, a: f64, o: i64| TaskCost::with_overhead(Dur::seconds(s), a, Dur::seconds(o));
+    let mut b = DagBuilder::new();
+    let ids: Vec<TaskId> = [
+        u(9_000, 0.0, 40),
+        u(20_000, 0.1, 15),
+        u(500, 1.0, 0),
+        u(12_000, 0.0, 0),
+        u(7_000, 1.0, 5),
+        u(15_000, 0.05, 90),
+    ]
+    .into_iter()
+    .map(|c| b.add_task(c))
+    .collect();
+    for (from, to) in [(0, 1), (0, 2), (1, 3), (2, 3), (2, 4), (3, 5), (4, 5)] {
+        b.add_edge(ids[from], ids[to]);
+    }
+    let shapes = [
+        ("overhead dag", b.build().unwrap()),
+        ("overhead chain", chain(&[u(10_000, 0.0, 25); 4])),
+        ("sequential chain", chain(&[u(10_000, 1.0, 0); 3])),
+        (
+            "sequential fork-join",
+            fork_join(u(100, 1.0, 0), &[u(5_000, 1.0, 0); 6], u(100, 1.0, 0)),
+        ),
+        (
+            "mixed fork-join",
+            fork_join(
+                u(600, 1.0, 0),
+                &[u(8_000, 0.0, 30), u(8_000, 1.0, 0), u(3_000, 0.2, 0)],
+                u(600, 0.0, 10),
+            ),
+        ),
+    ];
+    for (name, dag) in &shapes {
+        for criterion in [StoppingCriterion::Classic, StoppingCriterion::Stringent] {
+            let mut cache = CpaCache::new();
+            for pool in [1u32, 2, 3, 16, 64, 1024] {
+                let reference = cpa::allocate_reference(dag, pool, criterion);
+                let at = format!("{name}, pool {pool}, {criterion:?}");
+                assert_eq!(cpa::allocate(dag, pool, criterion), reference, "{at}");
+                assert_eq!(*cache.cpa(dag, pool, criterion), reference, "cache: {at}");
+            }
+        }
+    }
+}
+
+#[test]
+fn one_cache_in_any_pool_order_equals_the_reference() {
+    let classic = StoppingCriterion::Classic;
+    // A pool of 2 is smaller than the first task's unconstrained
+    // allocation and the second task cannot shrink the path, so the loop
+    // ends with its only useful pick withheld by the cap.
+    let c = |s: i64, a: f64| TaskCost::new(Dur::seconds(s), a);
+    let capped = chain(&[c(10_000, 0.0), c(10_000, 1.0)]);
+    let generated = generate(
+        &DagParams {
+            num_tasks: 30,
+            ..DagParams::paper_default()
+        },
+        77,
+    );
+    // (dag, pools in asking order, whether each miss after the first
+    // continues the one before it). On `generated` no task reaches a pool
+    // of 8, 16 or 24, and some task holds all of a pool of 64.
+    let cases: [(&str, &Dag, &[u32], &[bool]); 6] = [
+        ("ascending", &generated, &[8, 16, 16, 24], &[true, true]),
+        ("descending", &generated, &[24, 16, 8], &[false, false]),
+        ("down then up", &generated, &[16, 8, 24, 8], &[false, true]),
+        ("capped", &generated, &[16, 64, 512], &[true, false]),
+        ("capped chain", &capped, &[2, 8, 32], &[false, false]),
+        ("repeated", &generated, &[64, 64, 64], &[]),
+    ];
+    for (name, dag, pools, continues) in cases {
+        let mut cache = CpaCache::new();
+        let (mut expected, mut misses, mut seen) = (0u64, 0usize, Vec::new());
+        let ((), report) = obs::observe("cache-orders", || {
+            for &pool in pools {
+                let reference = cpa::allocate_reference(dag, pool, classic);
+                assert_eq!(
+                    *cache.cpa(dag, pool, classic),
+                    reference,
+                    "{name}, pool {pool}"
+                );
+                if seen.contains(&pool) {
+                    continue; // a hit runs no loop
+                }
+                // A continuation runs only the iterations its predecessor
+                // had not; a fresh start runs them all.
+                expected += iterations(&reference);
+                if misses > 0 && continues[misses - 1] {
+                    let before = *seen.last().unwrap();
+                    expected -= iterations(&cpa::allocate_reference(dag, before, classic));
+                }
+                misses += 1;
+                seen.push(pool);
+            }
+        });
+        assert_eq!(misses, continues.len() + 1, "{name}: case table");
+        if obs::COMPILED {
+            let ran = report.metrics.counter(obs::names::CPA_ALLOC_ITERS);
+            assert_eq!(ran, expected, "{name}: resumed-vs-fresh decisions");
+        }
+    }
+    // The withheld case really is one: the capped run stopped short of
+    // what the larger pool gives the same task.
+    let (small, large) = (
+        cpa::allocate(&capped, 2, classic),
+        cpa::allocate(&capped, 8, classic),
+    );
+    assert_eq!(small.allocs, vec![2, 1]);
+    assert!(large.allocs[0] > 2);
+    // A different criterion never continues another's trajectory.
+    let mut cache = CpaCache::new();
+    for (pool, criterion) in [
+        (16, classic),
+        (64, StoppingCriterion::Stringent),
+        (512, classic),
+    ] {
+        let reference = cpa::allocate_reference(&generated, pool, criterion);
+        assert_eq!(*cache.cpa(&generated, pool, criterion), reference);
+    }
+}
+
 #[test]
 fn mcpa_incremental_matches_reference_on_seeded_sweep() {
     for (i, params) in shapes().iter().enumerate() {
