@@ -92,7 +92,7 @@ pub fn bottom_levels(dag: &Dag, exec: &[Dur]) -> Vec<Dur> {
 }
 
 /// [`bottom_levels`] into a caller-held buffer (cleared first): the CPA
-/// mapping phase recomputes them per task decision of an RC deadline pass
+/// mapping phase recomputes them per guide of an RC deadline pass
 /// (`cpa::map_subset_into`).
 pub(crate) fn bottom_levels_into(dag: &Dag, exec: &[Dur], out: &mut Vec<Dur>) {
     assert_eq!(exec.len(), dag.num_tasks());
@@ -151,8 +151,8 @@ pub fn order_by_decreasing_bl(dag: &Dag, bl: &[Dur]) -> Vec<TaskId> {
 }
 
 /// [`order_by_decreasing_bl`] into a caller-held buffer: iCASLB re-sorts
-/// per candidate build of its growth loop, the CPA mapping phase per task
-/// decision of an RC deadline pass.
+/// per candidate build of its growth loop, the CPA mapping phase per
+/// guide of an RC deadline pass.
 ///
 /// The sort key `(Reverse(bl), id)` is injective (ids are unique), so the
 /// unstable sort is deterministic and byte-identical to a stable one.

@@ -484,12 +484,16 @@ fn map_all(
     placed
 }
 
-/// Working buffers of [`map_subset_into`]: the bottom-level and
-/// priority-order arrays plus the empty mapping platform.
+/// Working buffers of [`map_subset_into`]: the priority order with the
+/// execution times it was built from, and the empty mapping platform.
+/// Like a [`CpaCache`], a scratch serves one DAG.
 #[derive(Debug)]
 pub(crate) struct MapScratch {
     bl: Vec<Dur>,
     order: Vec<TaskId>,
+    /// `alloc.exec` of the guide `order` is sorted for (empty before the
+    /// first mapping).
+    ordered_for: Vec<Dur>,
     platform: Calendar,
 }
 
@@ -498,6 +502,7 @@ impl Default for MapScratch {
         MapScratch {
             bl: Vec::new(),
             order: Vec::new(),
+            ordered_for: Vec::new(),
             platform: Calendar::new(1),
         }
     }
@@ -511,7 +516,8 @@ impl Default for MapScratch {
 /// (paper §5.2.2) re-map the not-yet-scheduled "upper" part of the DAG
 /// before every task decision — the per-task loops of
 /// `backward::backward_pass` and `backward::guideline_starts` call this
-/// `n` times per scheduling call over one `scratch`/`out` pair.
+/// `n` times per scheduling call over one `scratch`/`out` pair, and the
+/// scratch keeps the guide's priority order from one call to the next.
 ///
 /// # Panics
 /// Panics (in debug builds) if the subset is not predecessor-closed.
@@ -525,8 +531,13 @@ pub(crate) fn map_subset_into(
     out: &mut Vec<Option<Placement>>,
 ) {
     crate::span!("cpa.map");
-    bottom_levels_into(dag, &alloc.exec, &mut scratch.bl);
-    order_by_decreasing_bl_into(dag, &scratch.bl, &mut scratch.order);
+    // The priority order is a function of the guide's execution times
+    // alone, and an RC pass re-maps under one guide per task decision.
+    if scratch.ordered_for != alloc.exec {
+        bottom_levels_into(dag, &alloc.exec, &mut scratch.bl);
+        order_by_decreasing_bl_into(dag, &scratch.bl, &mut scratch.order);
+        scratch.ordered_for.clone_from(&alloc.exec);
+    }
     scratch.platform.reset(alloc.pool);
     out.clear();
     out.resize(dag.num_tasks(), None);
@@ -698,6 +709,34 @@ mod tests {
         let px = out[x.idx()].unwrap();
         let py = out[y.idx()].unwrap();
         assert!(px.start >= pa.end && py.start >= pa.end);
+    }
+
+    #[test]
+    fn map_scratch_follows_the_guide_it_is_handed() {
+        // One scratch across guides, as an RC pass holds it. Both middle
+        // tasks take the whole platform, so the memoized priority order
+        // decides which runs first and must be rebuilt with the guide.
+        let dag = fork_join(c(60, 0.0), &[c(10_000, 0.0), c(10_000, 0.0)], c(60, 0.0));
+        let guide = |x: i64, y: i64| CpaAllocation {
+            pool: 4,
+            allocs: vec![1, 4, 4, 1],
+            exec: [60, x, y, 60].map(Dur::seconds).to_vec(),
+        };
+        let (x_first, y_first) = (guide(5_500, 2_500), guide(2_500, 5_500));
+        let mut shared = MapScratch::default();
+        for guide in [&x_first, &y_first, &y_first, &x_first] {
+            let (mut got, mut want) = (Vec::new(), Vec::new());
+            for (scratch, out) in [
+                (&mut shared, &mut got),
+                (&mut MapScratch::default(), &mut want),
+            ] {
+                let mut cost = QueryCost::default();
+                map_subset_into(&dag, guide, Time::ZERO, |_| true, &mut cost, scratch, out);
+            }
+            assert_eq!(got, want);
+            let leads = if guide.exec[1] > guide.exec[2] { 1 } else { 2 };
+            assert_eq!(got[leads].unwrap().start, Time::seconds(60));
+        }
     }
 
     #[test]
