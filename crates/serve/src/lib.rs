@@ -404,10 +404,17 @@ pub fn run(log: &JobLog, cfg: &ServeConfig) -> ServeReport {
                         return None;
                     }
                 }
-                for r in &resvs {
-                    // Cannot fail: the schedule was validated against this
-                    // exact transaction view.
-                    txn.try_add(*r).expect("validated placement must fit");
+                if let Err(v) = apply_all(&mut txn, &resvs) {
+                    report.violations += 1;
+                    report.first_violation.get_or_insert(v);
+                    // The gate admitted the batch; the rollback below
+                    // undoes the calendar, this undoes the ledger.
+                    if let Some(g) = gate.as_mut() {
+                        for r in &resvs {
+                            g.release(&owner, r);
+                        }
+                    }
+                    return None;
                 }
                 Some(resvs)
             });
@@ -605,6 +612,19 @@ pub fn summarize(r: &ServeReport) -> String {
     out
 }
 
+/// Apply a validated schedule's reservations inside the transaction.
+///
+/// The schedule was validated against this exact transaction view, so
+/// every add fits; one that does not is a fault in the validator or the
+/// calendar, handed back as a violation for the caller to count — not a
+/// panic that ends the replay.
+fn apply_all(txn: &mut ShadowTxn<'_>, resvs: &[Reservation]) -> Result<(), String> {
+    resvs.iter().try_for_each(|r| {
+        txn.try_add(*r)
+            .map_err(|e| format!("validated placement {r:?} does not fit: {e}"))
+    })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -612,6 +632,22 @@ mod tests {
 
     fn small_log() -> JobLog {
         generate_log(&LogSpec::ctc_sp2().with_duration(Dur::days(2)), 7)
+    }
+
+    #[test]
+    fn a_validated_placement_that_does_not_fit_is_a_violation_not_a_panic() {
+        let mut cal = Calendar::new(4);
+        cal.try_add(Reservation::new(Time::ZERO, Time::seconds(100), 3))
+            .unwrap();
+        let before = cal.clone();
+        let mut txn = cal.transaction();
+        let fits = Reservation::new(Time::ZERO, Time::seconds(50), 1);
+        let overlaps = Reservation::new(Time::seconds(10), Time::seconds(60), 2);
+        let violation = apply_all(&mut txn, &[fits, overlaps]).unwrap_err();
+        assert!(violation.contains("does not fit"), "{violation}");
+        // The caller rolls back: the add that did fit goes with the rest.
+        txn.rollback();
+        assert_eq!(cal, before);
     }
 
     #[test]
