@@ -149,27 +149,46 @@ fn bench_cpa(c: &mut Criterion) {
     });
 }
 
-/// Incremental allocation loop vs the legacy full-rebuild oracle on the
-/// PR-4 headline configuration: n = 100 dense DAGs, where each growth
-/// iteration used to rebuild all bottom/top levels from scratch.
+/// The allocation loop vs the legacy full-rebuild oracle: on the PR-4
+/// headline shape (n = 100 dense, `Stringent`), where each growth
+/// iteration used to rebuild all bottom/top levels from scratch, and on
+/// the shapes the repo benchmark's workloads allocate — serve's 10-task
+/// DAGs under `Classic` at q ≈ 430, Table 9's 100-task paper-default DAGs
+/// under `Classic` at p = 1152. The last row asks one `CpaCache` for
+/// Table 9's q then p, so the second pool is a continuation of the first.
 fn bench_cpa_alloc(c: &mut Criterion) {
-    let params = DagParams {
-        num_tasks: 100,
-        density: 0.9,
+    let sized = |num_tasks| DagParams {
+        num_tasks,
         ..DagParams::paper_default()
     };
-    let dag = generate(&params, 42);
+    let dense = DagParams {
+        density: 0.9,
+        ..sized(100)
+    };
+    let (dense, n10, n100) = (
+        generate(&dense, 42),
+        generate(&sized(10), 42),
+        generate(&sized(100), 42),
+    );
+    let classic = StoppingCriterion::Classic;
     let mut group = c.benchmark_group("cpa_alloc");
-    group.bench_function("incremental/n100_dense_p512", |b| {
-        b.iter(|| black_box(cpa::allocate(&dag, 512, StoppingCriterion::Stringent)))
-    });
-    group.bench_function("reference/n100_dense_p512", |b| {
+    for (id, dag, pool, criterion) in [
+        ("n100_dense_p512", &dense, 512, StoppingCriterion::Stringent),
+        ("n10_p430_classic", &n10, 430, classic),
+        ("n100_default_p1152_classic", &n100, 1152, classic),
+    ] {
+        group.bench_function(format!("allocate/{id}"), |b| {
+            b.iter(|| black_box(cpa::allocate(dag, pool, criterion)))
+        });
+        group.bench_function(format!("reference/{id}"), |b| {
+            b.iter(|| black_box(cpa::allocate_reference(dag, pool, criterion)))
+        });
+    }
+    group.bench_function("cache_q_then_p/n100_default_q576_p1152_classic", |b| {
         b.iter(|| {
-            black_box(cpa::allocate_reference(
-                &dag,
-                512,
-                StoppingCriterion::Stringent,
-            ))
+            let mut cache = cpa::CpaCache::new();
+            black_box(cache.cpa(&n100, 576, classic));
+            black_box(cache.cpa(&n100, 1152, classic).allocs.len())
         })
     });
     group.finish();
