@@ -1,7 +1,7 @@
 //! PR-4 acceptance benchmark: incremental CPA allocation loop vs the
 //! legacy full-rebuild reference.
 //!
-//! Times `cpa::allocate` (LevelTracker-based incremental levels) against
+//! Times `cpa::allocate` (incrementally maintained levels) against
 //! `cpa::allocate_reference` (full `bottom_levels` + `top_levels` rebuild
 //! per growth iteration) on the headline n = 100 dense-DAG configuration
 //! plus the paper-default n = 50 shape, and prints the report to stdout.
@@ -122,7 +122,7 @@ fn main() {
         });
     }
     let report = Report {
-        description: "CPA allocation loop: full-rebuild reference vs incremental LevelTracker \
+        description: "CPA allocation loop: full-rebuild reference vs incremental levels \
                       (paired interleaved samples, release build; speedup is the median of \
                       per-pair reference/incremental ratios)"
             .to_string(),

@@ -1,11 +1,11 @@
 //! Standing scale-trajectory benchmark: the parallel-sweep measurement,
-//! plus four frozen history sections, written to `BENCH_scale.json` in
+//! plus five frozen history sections, written to `BENCH_scale.json` in
 //! the workspace root.
 //!
 //! Methodology is the bench_pr4 paired-interleaved protocol: each rep
 //! times both sides back to back so machine-wide noise cancels in the
 //! per-pair ratio, and the recorded speedup is the median of per-pair
-//! ratios. Five sections:
+//! ratios. Six sections:
 //!
 //! * `migrated` — the PR-4 CPA-loop results carried forward under the
 //!   same schema with a `source_pr: 4` provenance field (frozen inline
@@ -26,7 +26,10 @@
 //! * `backward_scan` (`source_pr: 15`, frozen) — the repo benchmark
 //!   (`BENCHMARK.json`) run as alternating parent/change pairs on all four
 //!   workloads when the deadline width scan was rebuilt (DESIGN.md §9).
-//!   It compares two commits, so this binary cannot re-measure it.
+//!   It compares two commits, so this binary cannot re-measure it;
+//! * `cpa_trajectory` (`source_pr: 16`, frozen) — the same protocol when
+//!   CPA's allocation loop was fused in position space and made to resume
+//!   across the pools of one scheduling call (DESIGN.md §9).
 //!
 //! Run with `cargo run --release -p resched-bench --bin bench_scale`.
 
@@ -125,6 +128,7 @@ struct Report {
     parallel_sweep: SweepSection,
     arena_ctx: serde_json::Value,
     backward_scan: serde_json::Value,
+    cpa_trajectory: serde_json::Value,
 }
 
 fn median(mut xs: Vec<f64>) -> f64 {
@@ -179,12 +183,14 @@ fn main() {
     // Section 1: carry the PR-4 trajectory forward, tagged with its source.
     let pr4: Pr4Report = serde_json::from_str(PR4_FROZEN).expect("frozen PR-4 rows parse");
 
-    // Sections 2, 4 and 5: the frozen engine, arena and width-scan
-    // comparisons, read back before the report is rewritten.
+    // Sections 2 and 4 to 6: the frozen engine, arena, width-scan and
+    // allocation-loop comparisons, read back before the report is
+    // rewritten.
     let path = format!("{root}/BENCH_scale.json");
     let backend_regimes = frozen_section(&path, "backend_regimes");
     let arena_ctx = frozen_section(&path, "arena_ctx");
     let backward_scan = frozen_section(&path, "backward_scan");
+    let cpa_trajectory = frozen_section(&path, "cpa_trajectory");
 
     // Section 3: the speculative experiment sweep, sequential vs parallel.
     let threads = std::thread::available_parallelism().map_or(1, |n| n.get());
@@ -219,8 +225,8 @@ fn main() {
     let report = Report {
         description: "Standing scale trajectory: the speculative sweep speedup, \
                       paired-interleaved methodology (see bench_pr4.rs), plus the frozen PR-4 \
-                      CPA-loop, PR-7 calendar-engine, PR-8 arena-context and PR-15 deadline \
-                      width-scan comparisons"
+                      CPA-loop, PR-7 calendar-engine, PR-8 arena-context, PR-15 deadline \
+                      width-scan and PR-16 CPA allocation-loop comparisons"
             .to_string(),
         migrated: Migrated {
             source_pr: 4,
@@ -243,6 +249,7 @@ fn main() {
         },
         arena_ctx,
         backward_scan,
+        cpa_trajectory,
     };
     let mut out = serde_json::to_string_pretty(&report).expect("report serializes");
     out.push('\n');

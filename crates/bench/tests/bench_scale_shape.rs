@@ -3,8 +3,8 @@
 //! engine comparison keeps every (R, p) regime with positive medians and
 //! a sane winner, the parallel-sweep entry records the host thread count,
 //! the frozen PR-8 arena comparison stays marked as history, and the frozen
-//! PR-15 width-scan record keeps a parent-vs-change row for every metric of
-//! every benchmark workload.
+//! PR-15 width-scan and PR-16 allocation-loop records each keep a
+//! parent-vs-change row for every metric of every benchmark workload.
 //!
 //! This is a schema smoke test, not a perf assertion — the medians are
 //! machine-dependent and regenerated via
@@ -121,24 +121,10 @@ fn bench_scale_json_has_the_expected_shape() {
         assert!(num(row, "speedup") > 0.0);
     }
 
-    // Deadline width scan: frozen history (a comparison of two commits on
-    // the repo benchmark). Every workload × end-to-end metric has a row
-    // with both medians, the pair count and how many pairs the change won.
-    let scan = obj(root.get("backward_scan").expect("backward_scan section"));
-    assert_eq!(num(scan, "source_pr"), 15.0);
-    assert!(
-        text(scan, "frozen").contains("not re-measurable"),
-        "the width-scan comparison must stay marked as frozen history"
-    );
-    let mut seen = BTreeSet::new();
-    for row in arr(scan.get("results").expect("width-scan results")) {
-        let row = obj(row);
-        assert!(num(row, "parent_median") > 0.0);
-        assert!(num(row, "change_median") > 0.0);
-        assert!(num(row, "pairs") >= 10.0);
-        assert!(num(row, "change_wins") <= num(row, "pairs"));
-        seen.insert((text(row, "workload"), text(row, "metric")));
-    }
+    // Deadline width scan and CPA allocation loop: frozen history (each a
+    // comparison of two commits on the repo benchmark). Every workload ×
+    // end-to-end metric has a row with both medians, the pair count and
+    // how many pairs the change won.
     let workloads = [
         "serve_saturated",
         "serve_admit",
@@ -156,8 +142,22 @@ fn bench_scale_json_has_the_expected_shape() {
         .iter()
         .flat_map(|&w| metrics.iter().map(move |&m| (w, m)))
         .collect();
-    assert_eq!(
-        seen, expected,
-        "width-scan grid is incomplete or has extras"
-    );
+    for (key, source_pr) in [("backward_scan", 15.0), ("cpa_trajectory", 16.0)] {
+        let section = obj(root.get(key).unwrap_or_else(|| panic!("{key} section")));
+        assert_eq!(num(section, "source_pr"), source_pr);
+        assert!(
+            text(section, "frozen").contains("not re-measurable"),
+            "the {key} comparison must stay marked as frozen history"
+        );
+        let mut seen = BTreeSet::new();
+        for row in arr(section.get("results").expect("parent-vs-change results")) {
+            let row = obj(row);
+            assert!(num(row, "parent_median") > 0.0);
+            assert!(num(row, "change_median") > 0.0);
+            assert!(num(row, "pairs") >= 10.0);
+            assert!(num(row, "change_wins") <= num(row, "pairs"));
+            seen.insert((text(row, "workload"), text(row, "metric")));
+        }
+        assert_eq!(seen, expected, "{key} grid is incomplete or has extras");
+    }
 }

@@ -168,14 +168,22 @@ impl AllocState {
     ///
     /// One iteration, all in position space: the entry scan gives the
     /// critical-path length for the stop test; a task is on a critical
-    /// path iff it is reachable from a `bl == cp` entry along *tight*
-    /// edges (`bl(u) == exec(u) + bl(s)`), so the walk visits exactly the
-    /// critical subgraph and picks the argmax as it discovers members —
-    /// under the total (gain, lowest-id) tie-break the pick is
-    /// order-independent, so it is the reference's id-order pick. The
-    /// grown task's new gain divides the two execution times already at
-    /// hand (the operands `marginal_gain` would re-derive), and its level
-    /// change is propagated by [`PosGraph::propagate_bottom`].
+    /// path (`tl + bl == cp`) iff it is reachable from a `bl == cp` entry
+    /// along *tight* edges (`bl(u) == exec(u) + bl(s)`), so the walk
+    /// visits exactly the critical subgraph, with no top levels, and
+    /// picks the argmax as it discovers members — under the total (gain,
+    /// lowest-id) tie-break the pick is order-independent, so it is the
+    /// reference's id-order pick. The grown task's new gain divides the
+    /// two execution times already at hand (the operands `marginal_gain`
+    /// would re-derive), and its level change is propagated by
+    /// [`PosGraph::propagate_bottom`].
+    ///
+    /// Why tight edges: if `u` is critical and `u → s` is tight, then
+    /// `tl(s) ≥ tl(u) + exec(u) = cp − bl(u) + exec(u) = cp − bl(s)`, and
+    /// `tl + bl ≤ cp` always, so `s` is critical. Conversely the
+    /// `tl`-argmax predecessor `u` of a critical non-entry `s` has
+    /// `tl(u) + bl(u) ≥ tl(s) − exec(u) + exec(u) + bl(s) = cp`, so it is
+    /// critical and its edge to `s` is tight.
     ///
     /// The pool enters an iteration in two places only: the stop test,
     /// whose threshold `π(pool)·W/pool` is non-increasing in `pool` under

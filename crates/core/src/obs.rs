@@ -75,8 +75,10 @@ pub mod names {
     /// Counter: per-run CPA allocation-cache misses (an allocation
     /// actually computed, then retained for the rest of the run).
     pub const CPA_CACHE_MISS: &str = "cpa.cache.miss";
-    /// Counter: nodes touched by incremental level maintenance inside the
-    /// allocation loops (the work the full O(V+E) rebuild used to redo).
+    /// Counter: level positions recomputed by the allocation loops'
+    /// incremental maintenance — the re-swept prefix per grown task, plus
+    /// the top-level cone in MCPA/iCASLB (a full rebuild would recompute
+    /// every node per iteration).
     pub const CPA_ALLOC_INCR_UPDATES: &str = "cpa.alloc.incr_updates";
     /// Counter: λ-sweep passes the hybrid deadline algorithms skipped
     /// because the previous failure provably repeats at the next λ.
