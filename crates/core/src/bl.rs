@@ -112,24 +112,13 @@ pub(crate) fn bottom_levels_into(dag: &Dag, exec: &[Dur], out: &mut Vec<Dur>) {
 /// Top levels (excluding the task's own execution time), given per-task
 /// execution times.
 pub fn top_levels(dag: &Dag, exec: &[Dur]) -> Vec<Dur> {
-    let mut tl = Vec::new();
-    top_levels_into(dag, exec, &mut tl);
-    tl
-}
-
-fn top_levels_into(dag: &Dag, exec: &[Dur], out: &mut Vec<Dur>) {
     assert_eq!(exec.len(), dag.num_tasks());
-    out.clear();
-    out.resize(dag.num_tasks(), Dur::ZERO);
+    let mut tl = vec![Dur::ZERO; dag.num_tasks()];
     for &t in dag.topo_order() {
-        let pred_max = dag
-            .preds(t)
-            .iter()
-            .map(|&p| out[p.idx()] + exec[p.idx()])
-            .max()
-            .unwrap_or(Dur::ZERO);
-        out[t.idx()] = pred_max;
+        let pred_levels = dag.preds(t).iter().map(|&p| tl[p.idx()] + exec[p.idx()]);
+        tl[t.idx()] = pred_levels.max().unwrap_or(Dur::ZERO);
     }
+    tl
 }
 
 /// The critical-path length: the maximum bottom level over entry tasks

@@ -125,9 +125,7 @@ impl AllocState {
         let graph = PosGraph::new(dag);
         let n = dag.num_tasks();
         AllocState {
-            cost: (graph.order().iter())
-                .map(|&t| dag.cost(TaskId(t)))
-                .collect(),
+            cost: graph.order().iter().map(|&t| dag.cost(TaskId(t))).collect(),
             graph,
             m: Vec::new(),
             exec: Vec::new(),
@@ -155,9 +153,9 @@ impl AllocState {
         self.next_exec
             .extend(self.cost.iter().map(|c| c.exec_time(2)));
         self.gain.clear();
-        self.gain.extend(
-            (self.exec.iter().zip(&self.next_exec)).map(|(&e, &next)| relative_gain(e, next)),
-        );
+        let pairs = self.exec.iter().zip(&self.next_exec);
+        self.gain
+            .extend(pairs.map(|(&e, &next)| relative_gain(e, next)));
         self.total_work = self.exec.iter().map(|e| e.as_seconds()).sum();
         self.graph
             .sweep_bottom(&self.exec, &mut self.bl, self.cost.len());
