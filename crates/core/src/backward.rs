@@ -33,7 +33,6 @@ use crate::obs;
 use crate::pool::Pool;
 use crate::schedule::{Placement, Schedule, ScheduleStats};
 use crate::task::TaskCost;
-use rayon::prelude::*;
 use resched_resv::{Calendar, Dur, QueryCost, Reservation, Time};
 use serde::{Deserialize, Serialize};
 use std::fmt;
@@ -222,7 +221,6 @@ pub fn schedule_deadline(
                 Mode::Aggressive { bounds },
                 grain,
                 &mut stats,
-                None,
                 &mut pass,
                 &mut placed,
             );
@@ -248,7 +246,6 @@ pub fn schedule_deadline(
                 },
                 grain,
                 &mut stats,
-                None,
                 &mut pass,
                 &mut placed,
             );
@@ -262,129 +259,35 @@ pub fn schedule_deadline(
             let guide = cache.cpa(dag, q, cfg.criterion);
             let fallback_bounds =
                 (algo == DeadlineAlgo::RcbdCpaRLambda).then_some(guide.allocs.as_slice());
-            // `S_i` is λ-invariant, so it is computed once for the whole
-            // sweep. Doing it eagerly (rather than memoizing on first
-            // touch) makes each λ pass a pure function of λ — the
-            // precondition for executing passes speculatively in parallel.
-            let starts = guideline_starts(dag, guide, now, order, &mut stats, &mut pass);
-            let starts: &[Time] = &starts;
-            let grid = lambda_grid(cfg.lambda_step);
-            // This pass's decision log and the most recent failed pass's
-            // (the warm-start skip reads it).
-            let mut decisions = Vec::new();
+            // The most recent failed pass's decision log (the warm-start
+            // skip reads it); kept by swapping with the pass's, not cloning.
             let mut last_failure = Vec::new();
-
             let mut found = None;
-            // Ambient observability is thread-local; under an `observe`
-            // scope the sweep stays on the calling thread so no counter
-            // tick is lost.
-            let threads = if obs::active() {
-                1
-            } else {
-                rayon::current_num_threads()
-            };
-            if threads <= 1 {
-                // Sequential sweep: every λ reuses the one pass-buffer set,
-                // decision log and placement buffer. The failed log is kept
-                // by swapping, not cloning.
-                let mut have_failure = false;
-                for &lambda in grid.iter() {
-                    if have_failure && sweep_skips(Some(&last_failure), lambda) {
-                        continue;
-                    }
-                    let mut pass_stats = ScheduleStats::default();
-                    decisions.clear();
-                    let ok = backward_pass(
-                        dag,
-                        competing,
-                        now,
-                        deadline,
-                        order,
-                        Mode::Rc {
-                            guide,
-                            lambda,
-                            fallback_bounds,
-                        },
-                        grain,
-                        &mut pass_stats,
-                        Some(SweepRun {
-                            starts,
-                            decisions: &mut decisions,
-                        }),
-                        &mut pass,
-                        &mut placed,
-                    );
-                    stats.absorb(pass_stats);
-                    if ok {
-                        found = Some(lambda);
-                        break;
-                    }
-                    std::mem::swap(&mut decisions, &mut last_failure);
-                    have_failure = true;
+            for lambda in lambda_grid(cfg.lambda_step) {
+                if sweep_skips(&last_failure, lambda) {
+                    continue;
                 }
-            } else {
-                // One λ pass over fresh local buffers, a fresh decision log
-                // and fresh local stats, so results compose identically
-                // whatever order they were *executed* in — the replay below
-                // folds them in λ order.
-                let run_pass = |lambda: f64| {
-                    let mut pass_stats = ScheduleStats::default();
-                    let mut pass_decisions = Vec::new();
-                    let mut bufs = PassBufs::default();
-                    let mut placements = Vec::new();
-                    let ok = backward_pass(
-                        dag,
-                        competing,
-                        now,
-                        deadline,
-                        order,
-                        Mode::Rc {
-                            guide,
-                            lambda,
-                            fallback_bounds,
-                        },
-                        grain,
-                        &mut pass_stats,
-                        Some(SweepRun {
-                            starts,
-                            decisions: &mut pass_decisions,
-                        }),
-                        &mut bufs,
-                        &mut placements,
-                    );
-                    (ok.then_some(placements), pass_stats, pass_decisions)
-                };
-                // Execute each block of λs speculatively in parallel, then
-                // replay the warm-start chain over the block's results
-                // sequentially in λ order. Every pass is pure in λ, and the
-                // replay applies the exact skip / fold / stop decisions of
-                // the sequential loop, so the outcome (schedule, λ, stats)
-                // is byte-identical — speculation only wastes work on
-                // passes the sequential loop would have skipped or never
-                // reached.
-                let mut have_failure = false;
-                'sweep: for block in grid.chunks(threads) {
-                    let results: Vec<_> = block.par_iter().map(|&l| run_pass(l)).collect();
-                    for (lambda, (placements, pass_stats, pass_decisions)) in
-                        block.iter().copied().zip(results)
-                    {
-                        if have_failure && sweep_skips(Some(&last_failure), lambda) {
-                            continue;
-                        }
-                        stats.absorb(pass_stats);
-                        match placements {
-                            Some(placements) => {
-                                placed = placements;
-                                found = Some(lambda);
-                                break 'sweep;
-                            }
-                            None => {
-                                last_failure = pass_decisions;
-                                have_failure = true;
-                            }
-                        }
-                    }
+                let ok = backward_pass(
+                    dag,
+                    competing,
+                    now,
+                    deadline,
+                    order,
+                    Mode::Rc {
+                        guide,
+                        lambda,
+                        fallback_bounds,
+                    },
+                    grain,
+                    &mut stats,
+                    &mut pass,
+                    &mut placed,
+                );
+                if ok {
+                    found = Some(lambda);
+                    break;
                 }
+                std::mem::swap(&mut pass.decisions, &mut last_failure);
             }
             match found {
                 Some(lambda) => Some(lambda),
@@ -484,44 +387,54 @@ fn rc_threshold(s_i: Time, dl: Time, lambda: f64) -> Time {
 
 /// Warm start: a failed pass whose every decision provably replays
 /// identically at `lambda` fails identically — skip it (and count the
-/// saving).
-fn sweep_skips(last_failure: Option<&[RcDecision]>, lambda: f64) -> bool {
-    match last_failure {
-        Some(decisions) if failure_repeats_at(decisions, lambda) => {
-            obs::counter_add(obs::names::HYBRID_LAMBDA_PASSES_SAVED, 1);
-            true
-        }
-        _ => false,
+/// saving). `last_failure` is empty until a pass has failed.
+fn sweep_skips(last_failure: &[RcDecision], lambda: f64) -> bool {
+    let skip = failure_repeats_at(last_failure, lambda);
+    if skip {
+        obs::counter_add(obs::names::HYBRID_LAMBDA_PASSES_SAVED, 1);
     }
+    skip
 }
 
-/// The λ-invariant CPA guideline start `S_i` for every order position:
-/// re-map the not-yet-scheduled suffix `order[k..]` (predecessor-closed,
-/// because predecessors have higher bottom levels) on an empty virtual
-/// platform from `now` (paper §5.2.2).
-///
-/// Computed eagerly before a hybrid sweep so every λ pass is a pure
-/// function of λ. Whenever a sweep succeeds this does exactly the work of
-/// the per-sweep memo it replaced — a successful pass visits every
-/// position, so all `n` mappings ran either way; only fully infeasible
-/// sweeps now map positions no failing pass reached.
-fn guideline_starts(
-    dag: &Dag,
-    guide: &CpaAllocation,
-    now: Time,
-    order: &[TaskId],
-    stats: &mut ScheduleStats,
-    bufs: &mut PassBufs,
-) -> Vec<Time> {
-    let mut starts = Vec::with_capacity(order.len());
-    for (k, &t) in order.iter().enumerate() {
-        stats.count_cpa_mapping();
-        bufs.unscheduled.clear();
-        bufs.unscheduled.resize(dag.num_tasks(), false);
-        for &u in &order[k..] {
-            bufs.unscheduled[u.idx()] = true;
+/// The CPA guideline starts `S_i` of one call, each computed on first
+/// read: re-map the not-yet-scheduled suffix of the order
+/// (predecessor-closed, because predecessors have higher bottom levels) on
+/// an empty virtual platform from `now` (paper §5.2.2). `S_i` depends only
+/// on `(dag, guide, now, suffix)`, none of which a pass changes, so the
+/// single-pass `DL_RC_*` algorithms and every λ pass of a sweep read the
+/// same memo: a call that succeeds maps each of the `n` tasks exactly
+/// once, one that fails maps only the tasks some pass reached.
+#[derive(Debug, Default)]
+struct GuidelineStarts {
+    /// `S_i` by task, `None` until first read.
+    starts: Vec<Option<Time>>,
+    unscheduled: Vec<bool>,
+    map: MapScratch,
+    mapped: Vec<Option<Placement>>,
+}
+
+impl GuidelineStarts {
+    /// `S_i` of `t`, the first task of the unscheduled `suffix`.
+    fn start(
+        &mut self,
+        dag: &Dag,
+        guide: &CpaAllocation,
+        now: Time,
+        t: TaskId,
+        suffix: &[TaskId],
+        stats: &mut ScheduleStats,
+    ) -> Time {
+        self.starts.resize(dag.num_tasks(), None);
+        if let Some(s_i) = self.starts[t.idx()] {
+            return s_i;
         }
-        let uns: &[bool] = &bufs.unscheduled;
+        stats.count_cpa_mapping();
+        self.unscheduled.clear();
+        self.unscheduled.resize(dag.num_tasks(), false);
+        for &u in suffix {
+            self.unscheduled[u.idx()] = true;
+        }
+        let uns: &[bool] = &self.unscheduled;
         // NB: the mapping's probe cost is deliberately *not* folded into
         // `stats` (it runs on a virtual platform); the registry still sees
         // it under `cpa.map.*` via the mapping's probes.
@@ -532,28 +445,20 @@ fn guideline_starts(
             now,
             |u| uns[u.idx()],
             &mut qcost,
-            &mut bufs.map,
-            &mut bufs.mapped,
+            &mut self.map,
+            &mut self.mapped,
         );
-        // `t` = `order[k]` is in the subset by construction; if the map
-        // somehow misses it, `now` is the safe guideline (earliest start ⇒
-        // loosest threshold, and the aggressive fallback still guarantees
-        // validity).
+        // `t` is in the subset by construction; if the map somehow misses
+        // it, `now` is the safe guideline (earliest start ⇒ loosest
+        // threshold, and the aggressive fallback still guarantees validity).
         debug_assert!(
-            bufs.mapped[t.idx()].is_some(),
+            self.mapped[t.idx()].is_some(),
             "current task is in the unscheduled subset"
         );
-        starts.push(bufs.mapped[t.idx()].map_or(now, |pl| pl.start));
+        let s_i = self.mapped[t.idx()].map_or(now, |pl| pl.start);
+        self.starts[t.idx()] = Some(s_i);
+        s_i
     }
-    starts
-}
-
-/// Context for one hybrid λ pass: the precomputed λ-invariant guideline
-/// starts (indexed by *order position*) and this pass's decision log.
-struct SweepRun<'a> {
-    starts: &'a [Time],
-    /// Recorded decisions, for [`failure_repeats_at`].
-    decisions: &'a mut Vec<RcDecision>,
 }
 
 /// One RC placement decision, recorded so a failed pass can prove that a
@@ -585,20 +490,19 @@ fn failure_repeats_at(decisions: &[RcDecision], lambda: f64) -> bool {
 }
 
 /// Scratch for [`backward_pass`], held by `schedule_deadline` for the whole
-/// call: a hybrid sweep runs one pass per λ over the same set, and the
-/// single-pass RC algorithms re-map into `map`/`mapped` per task. Only
-/// `widths` carries meaning from one pass to the next.
+/// call: a hybrid sweep runs one pass per λ over the same set. `cal` and
+/// `placements` are rebuilt by every pass; `guideline` and `widths` are
+/// per-call memos every pass reads and extends.
 #[derive(Debug)]
 struct PassBufs {
     cal: Calendar,
     placements: Vec<Option<Placement>>,
-    unscheduled: Vec<bool>,
-    map: MapScratch,
-    mapped: Vec<Option<Placement>>,
+    guideline: GuidelineStarts,
     /// Per-task width candidates. They depend on the task's cost and the
-    /// grain alone, so every pass of the call reads (and extends) the same
-    /// memo; a speculative parallel pass starts its own.
+    /// grain alone.
     widths: Vec<Widths>,
+    /// The last RC pass's decisions, for [`failure_repeats_at`].
+    decisions: Vec<RcDecision>,
 }
 
 impl Default for PassBufs {
@@ -606,10 +510,9 @@ impl Default for PassBufs {
         PassBufs {
             cal: Calendar::new(1),
             placements: Vec::new(),
-            unscheduled: Vec::new(),
-            map: MapScratch::default(),
-            mapped: Vec::new(),
+            guideline: GuidelineStarts::default(),
             widths: Vec::new(),
+            decisions: Vec::new(),
         }
     }
 }
@@ -649,11 +552,10 @@ impl Widths {
 /// and returns `true`, or returns `false` if some task cannot be placed
 /// between `now` and its deadline.
 ///
-/// `sweep` (hybrid sweeps only) carries the precomputed λ-invariant `S_i`
-/// values and records this pass's decision log. `bufs` is the call's
-/// scratch set; nothing in it carries meaning across passes. `grain`
-/// restricts every candidate allocation to whole multiples of that many
-/// cores (1 = the paper's flat placement; see `DeadlineConfig::grain`).
+/// `bufs` is the call's scratch set (see [`PassBufs`]); an RC pass leaves
+/// its decision log in `bufs.decisions`. `grain` restricts every candidate
+/// allocation to whole multiples of that many cores (1 = the paper's flat
+/// placement; see `DeadlineConfig::grain`).
 #[allow(clippy::too_many_arguments)]
 fn backward_pass(
     dag: &Dag,
@@ -664,7 +566,6 @@ fn backward_pass(
     mode: Mode<'_>,
     grain: u32,
     stats: &mut ScheduleStats,
-    mut sweep: Option<SweepRun<'_>>,
     bufs: &mut PassBufs,
     out: &mut Vec<Placement>,
 ) -> bool {
@@ -674,11 +575,11 @@ fn backward_pass(
     let PassBufs {
         cal,
         placements,
-        unscheduled,
-        map,
-        mapped,
+        guideline,
         widths,
+        decisions,
     } = bufs;
+    decisions.clear();
     cal.copy_from(competing);
     placements.clear();
     placements.resize(dag.num_tasks(), None);
@@ -717,42 +618,8 @@ fn backward_pass(
                 lambda,
                 fallback_bounds,
             } => {
-                // CPA guideline start time S_i (paper §5.2.2). Hybrid
-                // sweeps precompute it per order position (it is
-                // λ-invariant; see `guideline_starts`); the single-pass
-                // RC algorithms map the unscheduled suffix here.
-                let s_i = match &sweep {
-                    // lint:allow(panic): k walks the same unscheduled suffix the sweep's starts were computed over, so the index is always covered.
-                    Some(c) => c.starts[k],
-                    None => {
-                        stats.count_cpa_mapping();
-                        unscheduled.clear();
-                        unscheduled.resize(dag.num_tasks(), false);
-                        for &u in &order[k..] {
-                            unscheduled[u.idx()] = true;
-                        }
-                        let uns: &[bool] = unscheduled;
-                        // NB: the mapping's probe cost is deliberately *not*
-                        // folded into `stats` (it runs on a virtual
-                        // platform); the registry still sees it under
-                        // `cpa.map.*` via the mapping's probes.
-                        let mut qcost = QueryCost::default();
-                        cpa::map_subset_into(
-                            dag,
-                            guide,
-                            now,
-                            |u| uns[u.idx()],
-                            &mut qcost,
-                            map,
-                            mapped,
-                        );
-                        debug_assert!(
-                            mapped[t.idx()].is_some(),
-                            "current task is in the unscheduled subset"
-                        );
-                        mapped[t.idx()].map_or(now, |pl| pl.start)
-                    }
-                };
+                // CPA guideline start time S_i (paper §5.2.2).
+                let s_i = guideline.start(dag, guide, now, t, &order[k..], stats);
                 let threshold = rc_threshold(s_i, dl, *lambda);
 
                 // Fewest processors whose latest fit starts at or after the
@@ -762,17 +629,14 @@ fn backward_pass(
                 let bound = fallback_bounds.map(|b| b[t.idx()]).unwrap_or(p);
                 let bound = crate::forward::quantize_bound(bound, grain, p);
                 let chosen = scan.run(memo, p, Some(threshold), bound, stats);
-                if let Some(c) = sweep.as_mut() {
-                    c.decisions.push(RcDecision {
-                        s_i,
-                        dl,
-                        threshold,
-                        // A fallback starts before the threshold, or the
-                        // scan would have taken it as the conservative
-                        // choice.
-                        chosen: chosen.map(|pl| pl.start).filter(|&s| s >= threshold),
-                    });
-                }
+                decisions.push(RcDecision {
+                    s_i,
+                    dl,
+                    threshold,
+                    // A fallback starts before the threshold, or the scan
+                    // would have taken it as the conservative choice.
+                    chosen: chosen.map(|pl| pl.start).filter(|&s| s >= threshold),
+                });
                 chosen
             }
         };
@@ -925,6 +789,14 @@ mod tests {
         fork_join(c(300, 0.1), &[c(3600, 0.15); 4], c(300, 0.1))
     }
 
+    /// The `DL_RC_*` algorithms and the λ-hybrids: the ones that read `S_i`.
+    fn reads_guideline(algo: DeadlineAlgo) -> bool {
+        !matches!(
+            algo,
+            DeadlineAlgo::BdAll | DeadlineAlgo::BdCpa | DeadlineAlgo::BdCpaR
+        )
+    }
+
     fn busy_calendar() -> Calendar {
         let mut cal = Calendar::new(8);
         cal.try_add(Reservation::new(Time::seconds(200), Time::seconds(4000), 5))
@@ -965,21 +837,33 @@ mod tests {
     fn impossible_deadline_is_reported() {
         let dag = small_dag();
         let cal = busy_calendar();
-        // The entry task alone takes ~300s; 10s is impossible.
+        // The exit task alone takes ~300s; 1s is impossible.
         for algo in DeadlineAlgo::ALL {
-            assert!(
+            let (out, report) = obs::observe("impossible", || {
                 schedule_deadline(
                     &dag,
                     &cal,
                     Time::ZERO,
                     4,
-                    Time::seconds(10),
+                    Time::seconds(1),
                     algo,
                     DeadlineConfig::default(),
                 )
-                .is_err(),
+            });
+            assert!(
+                out.is_err(),
                 "{algo} claimed to meet an impossible deadline"
             );
+            // No pass gets beyond the first order position, so an RC
+            // algorithm (every λ pass of a hybrid included) has read one
+            // `S_i` and mapped one suffix.
+            if obs::COMPILED {
+                assert_eq!(
+                    report.metrics.counter(obs::names::STATS_CPA_MAPPINGS),
+                    u64::from(reads_guideline(algo)),
+                    "{algo}"
+                );
+            }
         }
     }
 
@@ -1229,7 +1113,6 @@ mod tests {
                         },
                         1,
                         &mut stats,
-                        None,
                         &mut bufs,
                         &mut placements,
                     ) {
@@ -1432,8 +1315,19 @@ mod tests {
                             let want =
                                 brute_deadline(&dag, &cal, Time::ZERO, q, deadline, algo, cfg);
                             let got =
-                                schedule_deadline(&dag, &cal, Time::ZERO, q, deadline, algo, cfg)
-                                    .map(|out| (out.schedule.placements().to_vec(), out.lambda));
+                                schedule_deadline(&dag, &cal, Time::ZERO, q, deadline, algo, cfg);
+                            if let Ok(out) = &got {
+                                // One mapping per task, however many λ
+                                // passes read its `S_i`.
+                                let mappings = if reads_guideline(algo) {
+                                    dag.num_tasks() as u64
+                                } else {
+                                    0
+                                };
+                                assert_eq!(out.schedule.stats.cpa_mappings, mappings, "{algo}");
+                            }
+                            let got =
+                                got.map(|out| (out.schedule.placements().to_vec(), out.lambda));
                             match &want {
                                 Ok(_) => feasible += 1,
                                 Err(_) => infeasible += 1,

@@ -520,10 +520,9 @@ impl Default for MapScratch {
 ///
 /// Buffer-taking because the resource-conservative deadline algorithms
 /// (paper §5.2.2) re-map the not-yet-scheduled "upper" part of the DAG
-/// before every task decision — the per-task loops of
-/// `backward::backward_pass` and `backward::guideline_starts` call this
-/// `n` times per scheduling call over one `scratch`/`out` pair, and the
-/// scratch keeps the guide's priority order from one call to the next.
+/// before every task decision — `backward::GuidelineStarts` calls this
+/// up to `n` times per scheduling call over one `scratch`/`out` pair, and
+/// the scratch keeps the guide's priority order from one call to the next.
 ///
 /// # Panics
 /// Panics (in debug builds) if the subset is not predecessor-closed.

@@ -620,15 +620,6 @@ mod ambient {
         });
     }
 
-    /// Whether an [`crate::obs::observe`] scope is collecting on this
-    /// thread. Ambient collection is thread-local, so parallel sections
-    /// must pin themselves to sequential execution while this is true —
-    /// worker threads would silently drop their counter ticks otherwise.
-    #[inline]
-    pub fn active() -> bool {
-        RUNS.with(|runs| !runs.borrow().is_empty())
-    }
-
     /// Run `f` with ambient collection active; see [`crate::obs::observe`].
     pub fn observe<T>(label: &str, f: impl FnOnce() -> T) -> (T, RunReport) {
         RUNS.with(|runs| runs.borrow_mut().push(RunState::default()));
@@ -672,13 +663,6 @@ mod ambient {
         SpanGuard { _private: () }
     }
 
-    /// Always false: the `obs` feature is disabled, so no ambient scope
-    /// can ever be collecting and parallel sections never need to yield.
-    #[inline(always)]
-    pub fn active() -> bool {
-        false
-    }
-
     /// No-op: the `obs` feature is disabled.
     #[inline(always)]
     pub fn counter_add(_name: &'static str, _by: u64) {}
@@ -699,7 +683,7 @@ mod ambient {
     }
 }
 
-pub use ambient::{active, counter_add, observe, record_value, span_enter, SpanGuard};
+pub use ambient::{counter_add, observe, record_value, span_enter, SpanGuard};
 
 // ---------------------------------------------------------------------------
 // Probe wrappers: the single choke point between schedulers, ScheduleStats,

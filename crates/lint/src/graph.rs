@@ -10,9 +10,10 @@
 //! cannot be resolved at all and are reported as `dynamic-call`
 //! violations when reachable. Test-gated and debug/validate-gated lines
 //! are invisible (compiled out of release hot paths), macros are opaque
-//! except for the sink macros themselves, and `std`/vendored callees
-//! (including the rayon shim, whose determinism is pinned by the
-//! parallel-determinism differential test instead) are trusted leaves.
+//! except for the sink macros themselves, and `std`/vendored callees are
+//! trusted leaves. No root reaches the rayon shim (`resched-core` and
+//! `resched-serve` do not depend on it), so the `det` proof's "no thread
+//! spawn reachable" does not lean on that trust.
 
 use crate::lexer::strip_attributes;
 use crate::symbols::SymbolTable;

@@ -34,7 +34,6 @@
 
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha12Rng;
-use rayon::prelude::*;
 use resched_core::backward::{schedule_deadline, DeadlineAlgo, DeadlineConfig};
 use resched_core::forward::{schedule_forward, ForwardConfig};
 use resched_core::obs::{names, MetricsRegistry};
@@ -92,10 +91,10 @@ pub struct ServeConfig {
     /// Window for the historical availability estimate `q`.
     pub q_window: Dur,
     /// Admission-probe fan-out: deadline arrivals probe the first
-    /// `probe_fanout` algorithms of [`PROBE_ROSTER`] (in parallel when the
-    /// process has worker threads) and admit the candidate with the
-    /// earliest completion, lowest roster index winning ties. `0` and `1`
-    /// both mean the single-probe behavior.
+    /// `probe_fanout` algorithms of [`PROBE_ROSTER`] in turn and admit the
+    /// candidate with the earliest completion, lowest roster index winning
+    /// ties. Clamped into `1..=PROBE_ROSTER.len()`: `0` and `1` both mean
+    /// the single-probe behavior.
     #[serde(default)]
     pub probe_fanout: usize,
     /// Per-user admission quotas, enforced through an
@@ -219,13 +218,10 @@ pub const PROBE_ROSTER: [DeadlineAlgo; 4] = [
     DeadlineAlgo::BdAll,
 ];
 
-/// Probe the first `fanout` roster algorithms against the transaction's
-/// calendar view and keep the feasible candidate with the earliest
-/// completion (lowest roster index wins ties, which is what `min_by_key`
-/// does). Every probe is a pure function of its inputs and the candidates
-/// are folded in roster order, so the parallel and sequential paths pick
-/// byte-identical winners; under an ambient `observe` scope the probes
-/// stay on the calling thread so no thread-local counter tick is lost.
+/// Probe the first `fanout` roster algorithms, one after the other, against
+/// the transaction's calendar view and keep the feasible candidate with the
+/// earliest completion (lowest roster index wins ties, which is what
+/// `min_by_key` does).
 fn probe_deadline(
     dag: &resched_core::dag::Dag,
     cal: &Calendar,
@@ -235,23 +231,10 @@ fn probe_deadline(
     dl_cfg: DeadlineConfig,
     fanout: usize,
 ) -> Option<resched_core::schedule::Schedule> {
-    let roster = &PROBE_ROSTER[..fanout.clamp(1, PROBE_ROSTER.len())];
-    let probe = |algo: &DeadlineAlgo| {
-        schedule_deadline(dag, cal, now, q, deadline, *algo, dl_cfg)
-            .ok()
-            .map(|o| o.schedule)
-    };
-    // Materialized (at most 4 candidates) so the parallel and sequential
-    // folds stay byte-identical.
-    let candidates: Vec<Option<_>> =
-        if roster.len() == 1 || resched_core::obs::active() || rayon::current_num_threads() <= 1 {
-            roster.iter().map(probe).collect()
-        } else {
-            roster.par_iter().map(probe).collect()
-        };
-    candidates
-        .into_iter()
-        .flatten()
+    PROBE_ROSTER[..fanout.clamp(1, PROBE_ROSTER.len())]
+        .iter()
+        .filter_map(|&algo| schedule_deadline(dag, cal, now, q, deadline, algo, dl_cfg).ok())
+        .map(|o| o.schedule)
         .min_by_key(|s| s.completion())
 }
 
