@@ -15,12 +15,15 @@
 //! `--quota-cores` peak concurrent cores and/or `--quota-core-seconds`
 //! total reservation area (0 = unlimited on that axis).
 //!
+//! `--probe-fanout` takes 1 to `PROBE_ROSTER.len()` (4), `--accel` a finite
+//! factor above 0; anything else is a usage error.
+//!
 //! `--assert-clean` exits nonzero unless the run had zero calendar-audit
 //! violations and exercised both the commit and the rollback path — and,
 //! when quotas are configured, at least one quota denial — the contract
 //! the CI serve-smoke and hierarchy lanes enforce.
 
-use resched_serve::{run, summarize, ServeConfig, ServeQuotaConfig};
+use resched_serve::{run, summarize, ServeConfig, ServeQuotaConfig, PROBE_ROSTER};
 use resched_workloads::prelude::*;
 use std::process::ExitCode;
 
@@ -39,10 +42,17 @@ fn usage() -> ! {
 }
 
 fn parse<T: std::str::FromStr>(flag: &str, v: Option<String>) -> T {
-    v.and_then(|s| s.parse().ok()).unwrap_or_else(|| {
-        eprintln!("bad or missing value for {flag}");
-        usage()
-    })
+    parse_if(flag, v, |_| true)
+}
+
+/// [`parse`], with a value outside the flag's domain rejected the same way.
+fn parse_if<T: std::str::FromStr>(flag: &str, v: Option<String>, ok: impl Fn(&T) -> bool) -> T {
+    v.and_then(|s| s.parse().ok())
+        .filter(ok)
+        .unwrap_or_else(|| {
+            eprintln!("bad or missing value for {flag}");
+            usage()
+        })
 }
 
 fn main() -> ExitCode {
@@ -66,14 +76,23 @@ fn main() -> ExitCode {
             "--swf" => swf = Some(parse("--swf", args.next())),
             "--days" => days = parse("--days", args.next()),
             "--apps" => cfg.max_apps = parse("--apps", args.next()),
-            "--accel" => cfg.accel = parse("--accel", args.next()),
+            "--accel" => {
+                cfg.accel = parse_if("--accel", args.next(), |x: &f64| x.is_finite() && *x > 0.0)
+            }
             "--tasks" => cfg.tasks_per_app = parse("--tasks", args.next()),
             "--seed" => cfg.seed = parse("--seed", args.next()),
             "--cancel-every" => cfg.cancel_every = parse("--cancel-every", args.next()),
             "--resize-every" => cfg.resize_every = parse("--resize-every", args.next()),
             "--deadline-every" => cfg.deadline_every = parse("--deadline-every", args.next()),
             "--admit-hours" => cfg.admit_horizon = Dur::hours(parse("--admit-hours", args.next())),
-            "--probe-fanout" => cfg.probe_fanout = parse("--probe-fanout", args.next()),
+            "--probe-fanout" => {
+                let roster = 1..=PROBE_ROSTER.len();
+                cfg.probe_fanout = parse_if(
+                    &format!("--probe-fanout (expected {roster:?})"),
+                    args.next(),
+                    |n| roster.contains(n),
+                );
+            }
             "--quota-users" => {
                 quota.users = parse("--quota-users", args.next());
                 quota_requested = true;
