@@ -32,7 +32,7 @@ use crate::dag::{Dag, TaskId};
 use crate::obs;
 use crate::pool::Pool;
 use crate::schedule::{Placement, Schedule, ScheduleStats};
-use crate::task::TaskCost;
+use crate::task::{TaskCost, Widths};
 use resched_resv::{Calendar, Dur, QueryCost, Reservation, Time};
 use serde::{Deserialize, Serialize};
 use std::fmt;
@@ -514,37 +514,6 @@ impl Default for PassBufs {
             widths: Vec::new(),
             decisions: Vec::new(),
         }
-    }
-}
-
-/// One task's width-scan candidates, in scan order: the distinct
-/// `(m, exec_time(m))` pairs over the multiples of the grain, with a
-/// plateau (same duration as the candidate before it) elided — the same
-/// duration on more processors can neither start later nor save any.
-/// Grown only as far as some scan reads, so a task whose scans stop at
-/// `m = 1` never evaluates `m = p`.
-#[derive(Debug, Default)]
-struct Widths {
-    candidates: Vec<(u32, Dur)>,
-    /// How many multiples of the grain have been evaluated.
-    evaluated: u32,
-}
-
-impl Widths {
-    /// Candidate `i`, if there is one no wider than `bound`.
-    fn get(&mut self, i: usize, cost: &TaskCost, grain: u32, bound: u32) -> Option<(u32, Dur)> {
-        while self.candidates.len() <= i {
-            let m = (self.evaluated + 1) * grain;
-            if m > bound {
-                return None;
-            }
-            self.evaluated += 1;
-            let dur = cost.exec_time(m);
-            if self.candidates.last().is_none_or(|&(_, prev)| prev != dur) {
-                self.candidates.push((m, dur));
-            }
-        }
-        self.candidates.get(i).copied().filter(|&(m, _)| m <= bound)
     }
 }
 
@@ -1256,28 +1225,6 @@ mod tests {
         .ok_or(infeasible)
     }
 
-    /// A seeded random DAG: each task draws up to three predecessors among
-    /// the five tasks before it; costs are Amdahl with the given
-    /// per-processor overhead (> 0 makes execution time U-shaped in `m`).
-    fn random_dag<R: rand::Rng>(rng: &mut R, overhead: i64) -> Dag {
-        let mut b = crate::dag::DagBuilder::new();
-        let n = rng.gen_range(4usize..16);
-        for j in 0..n {
-            let t = b.add_task(TaskCost::with_overhead(
-                Dur::seconds(rng.gen_range(300i64..30_000)),
-                rng.gen_range(0.0..0.5f64),
-                Dur::seconds(overhead),
-            ));
-            for _ in 0..rng.gen_range(0..=3usize.min(j)) {
-                let pred = TaskId(rng.gen_range(j.saturating_sub(5)..j) as u32);
-                if !b.has_edge(pred, t) {
-                    b.add_edge(pred, t);
-                }
-            }
-        }
-        b.build().expect("edges only point forward")
-    }
-
     #[test]
     fn width_scan_matches_the_brute_force_pass() {
         use rand::{Rng, SeedableRng};
@@ -1299,7 +1246,7 @@ mod tests {
             }
             let q = rng.gen_range(1u32..=p);
             for overhead in [0, rng.gen_range(1i64..40)] {
-                let dag = random_dag(&mut rng, overhead);
+                let dag = crate::dag::random_dag(&mut rng, overhead);
                 let fwd = crate::forward::schedule_forward(
                     &dag,
                     &cal,

@@ -24,6 +24,17 @@
 //! | `DL_RC_CPAR-λ`     | `O(V²P' + VEP' + VR'P')`                |
 //! | `DL_RCBD_CPAR-λ`   | `O(V²P' + VEP' + VR'P')`                |
 //!
+//! The table is the paper's. What this implementation *measures* for the
+//! forward rows' last term is smaller: the paper charges the slot search
+//! `V·R·P'` — one scan of the reservation schedule per candidate width per
+//! task — while [`forward`](crate::forward) sends all of a task's widths
+//! down one calendar walk (`Calendar::earliest_finish`: a slot that blocks
+//! width `m` blocks every wider one, so one pass carries every candidate's
+//! start), i.e. `V·(R + P')`: `P'` execution-time evaluations to list the
+//! candidates plus one walk over at most the reservations. The
+//! `slot_queries` / `slot_steps` counters of `table8_scaling` show it —
+//! one query per task, steps growing with `R` and not with `P'`.
+//!
 //! The resource-conservative algorithms additionally run one CPA
 //! list-scheduling mapping per task decision (`O(VP)` / `O(VP')` each,
 //! `O(V²P)` / `O(V²P')` total), which does not change the dominated terms

@@ -352,6 +352,31 @@ pub fn fork_join(entry: TaskCost, middle: &[TaskCost], exit: TaskCost) -> Dag {
     b.build().expect("fork-join is always a valid DAG")
 }
 
+/// A seeded random DAG for the schedulers' differential tests: each task
+/// draws up to three predecessors among the five tasks before it; costs are
+/// Amdahl with the given per-processor overhead (> 0 makes execution time
+/// U-shaped in `m`).
+#[cfg(test)]
+pub(crate) fn random_dag<R: rand::Rng>(rng: &mut R, overhead: i64) -> Dag {
+    use resched_resv::Dur;
+    let mut b = DagBuilder::new();
+    let n = rng.gen_range(4usize..16);
+    for j in 0..n {
+        let t = b.add_task(TaskCost::with_overhead(
+            Dur::seconds(rng.gen_range(300i64..30_000)),
+            rng.gen_range(0.0..0.5f64),
+            Dur::seconds(overhead),
+        ));
+        for _ in 0..rng.gen_range(0..=3usize.min(j)) {
+            let pred = TaskId(rng.gen_range(j.saturating_sub(5)..j) as u32);
+            if !b.has_edge(pred, t) {
+                b.add_edge(pred, t);
+            }
+        }
+    }
+    b.build().expect("edges only point forward")
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

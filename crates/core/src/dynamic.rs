@@ -17,8 +17,7 @@
 use crate::bl::{self, BlMethod};
 use crate::cpa::CpaCache;
 use crate::dag::Dag;
-use crate::forward::ForwardConfig;
-use crate::obs;
+use crate::forward::{ForwardConfig, SlotSearch};
 use crate::pool::Pool;
 use crate::schedule::{Placement, Schedule, ScheduleStats};
 use resched_resv::{Calendar, Reservation, Time};
@@ -65,6 +64,7 @@ pub fn schedule_forward_dynamic(
     let mut cal = competing.clone();
     let mut placements: Vec<Option<Placement>> = vec![None; dag.num_tasks()];
     let total = order.len();
+    let mut search = SlotSearch::new(cfg, p);
     for (ordinal, &t) in order.iter().enumerate() {
         let ready = dag
             .preds(t)
@@ -73,31 +73,7 @@ pub fn schedule_forward_dynamic(
             .max()
             .unwrap_or(now)
             .max(now);
-        let cost = dag.cost(t);
-        let bound = bounds[t.idx()].clamp(1, p);
-        let mut best: Option<Placement> = None;
-        let mut prev_dur = None;
-        for m in 1..=bound {
-            let dur = cost.exec_time(m);
-            if prev_dur == Some(dur) {
-                continue;
-            }
-            prev_dur = Some(dur);
-            let s = obs::probe::earliest_fit(&cal, m, dur, ready, &mut stats);
-            let end = s + dur;
-            let better = match &best {
-                None => true,
-                Some(b) => end < b.end || (end == b.end && m < b.procs),
-            };
-            if better {
-                best = Some(Placement {
-                    start: s,
-                    end,
-                    procs: m,
-                });
-            }
-        }
-        let chosen = best.expect("bound >= 1");
+        let chosen = search.place(&cal, &dag.cost(t), bounds[t.idx()], ready, &mut stats);
         cal.add_unchecked(Reservation::new(chosen.start, chosen.end, chosen.procs));
         placements[t.idx()] = Some(chosen);
         interfere(
@@ -123,8 +99,8 @@ pub fn schedule_forward_dynamic(
     // reservations), so every placement that fit the live view also fits
     // the original competing calendar — the full oracle applies.
     #[cfg(any(debug_assertions, feature = "validate"))]
-    crate::validate::ScheduleValidator::new(dag, competing, now)
-        .with_declared_bounds(bounds.iter().map(|&b| b.clamp(1, p)).collect())
+    search
+        .validator(dag, competing, now, &bounds)
         .assert_valid(&sched, "dynamic forward");
 
     sched
@@ -134,7 +110,7 @@ pub fn schedule_forward_dynamic(
 mod tests {
     use super::*;
     use crate::dag::{chain, fork_join};
-    use crate::forward::schedule_forward;
+    use crate::forward::{schedule_forward, BdMethod, TieBreak};
     use crate::task::TaskCost;
     use resched_resv::Dur;
 
@@ -144,20 +120,31 @@ mod tests {
 
     #[test]
     fn no_interference_matches_static_scheduler() {
-        let dag = fork_join(c(300, 0.1), &[c(3600, 0.15); 5], c(300, 0.1));
+        let dag = fork_join(c(300, 0.1), &[c(3600, 0.15); 5], c(7, 0.0));
         let mut cal = Calendar::new(8);
         cal.try_add(Reservation::new(Time::seconds(100), Time::seconds(900), 6))
             .unwrap();
-        let dynamic = schedule_forward_dynamic(
-            &dag,
-            &cal,
-            Time::ZERO,
-            6,
-            ForwardConfig::recommended(),
-            |_, _| {},
-        );
-        let static_ = schedule_forward(&dag, &cal, Time::ZERO, 6, ForwardConfig::recommended());
-        assert_eq!(dynamic, static_);
+        // The recommended configuration, then the tie rule and the grain,
+        // which bind here as they do in the static scheduler. The 7 s exit
+        // task takes 2 s on four, five or six processors alike, so ties do
+        // arise.
+        let recommended = ForwardConfig::recommended();
+        let bd_all = ForwardConfig::new(BlMethod::CpaR, BdMethod::All);
+        let most_procs = ForwardConfig {
+            tie: TieBreak::MostProcs,
+            ..bd_all
+        };
+        let procs = |cfg: ForwardConfig| -> Vec<u32> {
+            let dynamic = schedule_forward_dynamic(&dag, &cal, Time::ZERO, 6, cfg, |_, _| {});
+            let static_ = schedule_forward(&dag, &cal, Time::ZERO, 6, cfg);
+            assert_eq!(dynamic, static_, "{} {:?}", cfg.name(), cfg.tie);
+            dynamic.placements().iter().map(|pl| pl.procs).collect()
+        };
+        procs(recommended);
+        assert_ne!(procs(bd_all), procs(most_procs));
+        assert!(procs(recommended.hierarchical(4))
+            .iter()
+            .all(|m| m % 4 == 0));
     }
 
     #[test]

@@ -5,10 +5,12 @@
 //!
 //! 1. compute a bottom level for every task (using one of the four
 //!    [`BlMethod`] cost models) and sort tasks by decreasing bottom level;
-//! 2. for each task in order, scan candidate processor counts
-//!    `m ∈ 1..=bound` and pick the `<m, start>` pair with the earliest
-//!    completion time among slots that respect both the competing
-//!    reservations and the task's predecessors.
+//! 2. for each task in order, pick among the candidate processor counts
+//!    `m ∈ 1..=bound` the `<m, start>` pair with the earliest completion
+//!    time among slots that respect both the competing reservations and
+//!    the task's predecessors — one calendar walk per task that carries
+//!    every candidate at once (`Calendar::earliest_finish`), not one per
+//!    `m`.
 //!
 //! The allocation bound is one of the four [`BdMethod`] policies; the
 //! combination `BL_x_BD_y` names the paper's 12 (+BD_HALF) algorithms.
@@ -19,6 +21,7 @@ use crate::dag::Dag;
 use crate::obs;
 use crate::pool::Pool;
 use crate::schedule::{Placement, Schedule, ScheduleStats};
+use crate::task::{TaskCost, Widths};
 use resched_resv::{Calendar, Reservation, Time};
 use serde::{Deserialize, Serialize};
 
@@ -216,6 +219,7 @@ pub fn schedule_forward(
     let place_span = obs::span_enter("forward.place");
     let mut cal = competing.clone();
     let mut placements: Vec<Option<Placement>> = vec![None; dag.num_tasks()];
+    let mut search = SlotSearch::new(cfg, p);
 
     for &t in &order {
         // Decreasing-BL order is topological, so every predecessor is
@@ -232,51 +236,7 @@ pub fn schedule_forward(
             }
         }
 
-        let cost = dag.cost(t);
-        let g = cfg.grain.clamp(1, p.max(1));
-        let bound = quantize_bound(bounds[t.idx()], g, p);
-        // Seed the search with the smallest always-legal candidate (one
-        // placement unit of `g` cores; `g == 1` is the paper's flat
-        // one-processor seed) so `best` is total — there is no "empty
-        // search" state to unwrap.
-        let dur1 = cost.exec_time(g);
-        let s1 = obs::probe::earliest_fit(&cal, g, dur1, ready, &mut stats);
-        let mut best = Placement {
-            start: s1,
-            end: s1 + dur1,
-            procs: g,
-        };
-        let mut prev_dur = Some(dur1);
-        for k in 2..=(bound / g) {
-            let m = k * g;
-            let dur = cost.exec_time(m);
-            // Same duration with more processors can never finish earlier
-            // and never helps any tie-break toward fewer processors; for
-            // MostProcs ties we must keep scanning the plateau's candidates
-            // only if a larger m could still win a tie — it can't produce an
-            // *earlier* start, and an equal start is only reproducible at
-            // equal or later times, so the plateau skip is safe there too
-            // except for exact ties, which we resolve by construction below.
-            if prev_dur == Some(dur) && cfg.tie == TieBreak::FewestProcs {
-                continue;
-            }
-            prev_dur = Some(dur);
-            let s = obs::probe::earliest_fit(&cal, m, dur, ready, &mut stats);
-            let end = s + dur;
-            let better = end < best.end
-                || (end == best.end
-                    && match cfg.tie {
-                        TieBreak::FewestProcs => m < best.procs,
-                        TieBreak::MostProcs => m > best.procs,
-                    });
-            if better {
-                best = Placement {
-                    start: s,
-                    end,
-                    procs: m,
-                };
-            }
-        }
+        let best = search.place(&cal, &dag.cost(t), bounds[t.idx()], ready, &mut stats);
         cal.add_unchecked(Reservation::new(best.start, best.end, best.procs));
         placements[t.idx()] = Some(best);
     }
@@ -297,17 +257,74 @@ pub fn schedule_forward(
     // the independent oracle, including the BD_* cap actually in force
     // (quantized to the placement grain) and the grain itself.
     #[cfg(any(debug_assertions, feature = "validate"))]
-    crate::validate::ScheduleValidator::new(dag, competing, now)
-        .with_grain(cfg.grain.clamp(1, p.max(1)))
-        .with_declared_bounds(
-            bounds
-                .iter()
-                .map(|&b| quantize_bound(b, cfg.grain.clamp(1, p.max(1)), p))
-                .collect(),
-        )
+    search
+        .validator(dag, competing, now, &bounds)
         .assert_valid(&out, cfg.name().as_str());
 
     out
+}
+
+/// The per-task slot search of the forward family (paper §4.2): among the
+/// widths `m` — multiples of the placement grain up to the task's bound —
+/// the `<m, start>` pair that completes first at or after the task's ready
+/// time, ties broken by the configuration's [`TieBreak`]. One calendar
+/// query per task: the candidates (see [`Widths`]) go to
+/// `Calendar::earliest_finish` together.
+///
+/// Held by one scheduling call; the candidate list is refilled per task.
+pub(crate) struct SlotSearch {
+    grain: u32,
+    widths: Widths,
+}
+
+impl SlotSearch {
+    /// The search `cfg` asks for on a `p`-processor platform.
+    pub(crate) fn new(cfg: ForwardConfig, p: u32) -> SlotSearch {
+        SlotSearch {
+            grain: cfg.grain.clamp(1, p.max(1)),
+            widths: Widths::for_tie(cfg.tie),
+        }
+    }
+
+    /// Where a task of `cost`, ready at `ready` and allowed `bound`
+    /// processors (quantized to the grain here), goes on `cal`.
+    pub(crate) fn place(
+        &mut self,
+        cal: &Calendar,
+        cost: &TaskCost,
+        bound: u32,
+        ready: Time,
+        stats: &mut ScheduleStats,
+    ) -> Placement {
+        // At least one placement unit of `grain` cores is always a legal
+        // candidate (`grain == 1` is the paper's flat one-processor one),
+        // so the search is total.
+        let bound = quantize_bound(bound, self.grain, cal.capacity());
+        let tie = self.widths.tie();
+        let candidates = self.widths.refill(cost, self.grain, bound);
+        obs::probe::earliest_finish(cal, candidates, ready, tie, stats)
+    }
+
+    /// The oracle for schedules this search produced: the grain and the
+    /// `BD_*` caps actually in force (quantized to the grain).
+    #[cfg(any(debug_assertions, feature = "validate"))]
+    pub(crate) fn validator<'a>(
+        &self,
+        dag: &'a Dag,
+        competing: &'a Calendar,
+        now: Time,
+        bounds: &[u32],
+    ) -> crate::validate::ScheduleValidator<'a> {
+        let p = competing.capacity();
+        crate::validate::ScheduleValidator::new(dag, competing, now)
+            .with_grain(self.grain)
+            .with_declared_bounds(
+                bounds
+                    .iter()
+                    .map(|&b| quantize_bound(b, self.grain, p))
+                    .collect(),
+            )
+    }
 }
 
 /// Clamp a per-task allocation bound into `1..=p`, then round it up to
@@ -327,7 +344,6 @@ mod tests {
     use super::*;
     use crate::cpa;
     use crate::dag::{chain, fork_join};
-    use crate::task::TaskCost;
     use resched_resv::Dur;
 
     fn c(s: i64, a: f64) -> TaskCost {
@@ -486,6 +502,144 @@ mod tests {
         assert!(sched.stats.slot_queries > 0);
         assert!(sched.stats.cpa_allocations >= 1);
         assert_eq!(sched.stats.passes, 1);
+    }
+
+    /// `schedule_forward` as paper §4.2 states it, with nothing shared: per
+    /// task, every multiple of the grain up to the bound evaluated and
+    /// probed on its own through the linear reference, the earliest
+    /// completion kept under the tie rule. What the one-walk search
+    /// (dominance-elided candidates, `Calendar::earliest_finish`) is pinned
+    /// to. Returns the placements, the non-`slot_*` stats, and the slot
+    /// steps the per-width walks of the calendar itself would have cost.
+    fn brute_forward(
+        dag: &Dag,
+        competing: &Calendar,
+        now: Time,
+        q: u32,
+        cfg: ForwardConfig,
+    ) -> (Vec<Placement>, ScheduleStats, u64) {
+        let p = competing.capacity();
+        let q = Pool::effective(q, p);
+        let mut stats = ScheduleStats::default();
+        stats.count_pass();
+        if matches!(cfg.bl, BlMethod::Cpa | BlMethod::CpaR) {
+            stats.count_cpa_allocation();
+        }
+        let exec = bl::exec_times(dag, p, q, cfg.bl, cfg.criterion);
+        let order = bl::order_by_decreasing_bl(dag, &bl::bottom_levels(dag, &exec));
+        let bounds = allocation_bounds(dag, p, q, cfg.bd, cfg.criterion, &mut stats);
+        let g = cfg.grain.clamp(1, p);
+
+        let mut cal = competing.clone();
+        let mut placed: Vec<Option<Placement>> = vec![None; dag.num_tasks()];
+        let mut walked = resched_resv::QueryCost::default();
+        for &t in &order {
+            let ready = dag
+                .preds(t)
+                .iter()
+                .map(|pr| placed[pr.idx()].expect("predecessors first").end)
+                .fold(now, Time::max);
+            let mut best: Option<Placement> = None;
+            for k in 1..=quantize_bound(bounds[t.idx()], g, p) / g {
+                let m = k * g;
+                let dur = dag.cost(t).exec_time(m);
+                let start = cal.linear().earliest_fit(m, dur, ready);
+                assert_eq!(
+                    cal.earliest_fit_with_cost(m, dur, ready, &mut walked),
+                    start
+                );
+                let end = start + dur;
+                let better = best.is_none_or(|b| {
+                    end < b.end
+                        || (end == b.end
+                            && match cfg.tie {
+                                TieBreak::FewestProcs => m < b.procs,
+                                TieBreak::MostProcs => m > b.procs,
+                            })
+                });
+                if better {
+                    best = Some(Placement {
+                        start,
+                        end,
+                        procs: m,
+                    });
+                }
+            }
+            let best = best.expect("one grain always fits");
+            cal.add_unchecked(Reservation::new(best.start, best.end, best.procs));
+            placed[t.idx()] = Some(best);
+        }
+        (placed.into_iter().flatten().collect(), stats, walked.steps)
+    }
+
+    #[test]
+    fn one_walk_matches_the_brute_force_pass() {
+        use rand::{Rng, SeedableRng};
+        // Seeded DAG/calendar draws; the CI fuzz lane raises the count.
+        let draws: u64 = std::env::var("RESCHED_DIFF_ITERS")
+            .ok()
+            .and_then(|v| v.parse().ok())
+            .unwrap_or(6);
+        let (mut ties, mut saved) = (0u32, 0u64);
+        for draw in 0..draws {
+            let mut rng = rand_chacha::ChaCha12Rng::seed_from_u64(0xF0_0019 ^ draw);
+            let p = 16;
+            let mut cal = Calendar::new(p);
+            for _ in 0..rng.gen_range(0..30usize) {
+                let s = rng.gen_range(0i64..60_000);
+                let d = rng.gen_range(60i64..15_000);
+                let m = rng.gen_range(1u32..=p);
+                let _ = cal.try_add(Reservation::new(Time::seconds(s), Time::seconds(s + d), m));
+            }
+            let q = rng.gen_range(1u32..=p);
+            let now = Time::seconds(rng.gen_range(0i64..30_000));
+            let bl = BlMethod::ALL[draw as usize % BlMethod::ALL.len()];
+            for overhead in [0, 3, 40] {
+                let dag = crate::dag::random_dag(&mut rng, overhead);
+                for bd in BdMethod::ALL {
+                    for grain in [1, 4] {
+                        let cfgs =
+                            [TieBreak::FewestProcs, TieBreak::MostProcs].map(|tie| ForwardConfig {
+                                tie,
+                                ..ForwardConfig::new(bl, bd).hierarchical(grain)
+                            });
+                        let runs = cfgs.map(|cfg| {
+                            let case = format!(
+                                "{} {:?}, draw {draw}, overhead {overhead}, grain {grain}",
+                                cfg.name(),
+                                cfg.tie
+                            );
+                            let (placements, stats, walked) =
+                                brute_forward(&dag, &cal, now, q, cfg);
+                            let got = schedule_forward(&dag, &cal, now, q, cfg);
+                            assert_eq!(got.placements(), &placements[..], "{case}");
+                            // One query per task; every other count as the
+                            // per-width pass leaves it.
+                            let tasks = dag.num_tasks() as u64;
+                            assert_eq!(got.stats.slot_queries, tasks, "{case}");
+                            assert!(
+                                (tasks..=walked).contains(&got.stats.slot_steps),
+                                "{} steps, the per-width walks {walked}, {case}",
+                                got.stats.slot_steps
+                            );
+                            saved += walked - got.stats.slot_steps;
+                            let rest = ScheduleStats {
+                                slot_queries: 0,
+                                slot_steps: 0,
+                                ..got.stats
+                            };
+                            assert_eq!(rest, stats, "{case}");
+                            placements
+                        });
+                        ties += u32::from(runs[0] != runs[1]);
+                    }
+                }
+            }
+        }
+        assert!(
+            ties > 0 && saved > 0,
+            "the draws must exercise the tie rule ({ties} differ) and real walks ({saved} steps saved)"
+        );
     }
 
     #[test]

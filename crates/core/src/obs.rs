@@ -48,9 +48,12 @@ pub const COMPILED: bool = cfg!(feature = "obs");
 /// [`stats_view`](MetricsRegistry::stats_view) reconstruction agree on
 /// spelling.
 pub mod names {
-    /// Counter: `earliest_fit` queries issued against a competing calendar.
+    /// Counter: forward slot queries issued against a competing calendar —
+    /// one `earliest_finish` walk per task the forward family places, one
+    /// `earliest_fit` per placement elsewhere.
     pub const EARLIEST_FIT_QUERIES: &str = "calendar.earliest_fit.queries";
-    /// Counter: steps (breakpoints / tree nodes) spent in `earliest_fit`.
+    /// Counter: slots those walks inspected, plus one positioning step per
+    /// query.
     pub const EARLIEST_FIT_STEPS: &str = "calendar.earliest_fit.steps";
     /// Counter: `latest_fit` queries issued against a competing calendar.
     pub const LATEST_FIT_QUERIES: &str = "calendar.latest_fit.queries";
@@ -701,7 +704,8 @@ pub use ambient::{counter_add, observe, record_value, span_enter, SpanGuard};
 /// reconstruction.
 pub mod probe {
     use super::names;
-    use crate::schedule::ScheduleStats;
+    use crate::forward::TieBreak;
+    use crate::schedule::{Placement, ScheduleStats};
     use resched_resv::{Calendar, Dur, NoFit, QueryCost, Time};
 
     /// Mirror one earliest/latest fit query into the ambient registry.
@@ -733,6 +737,29 @@ pub mod probe {
         stats.absorb_query_cost(cost);
         record_fit(names::EARLIEST_FIT_QUERIES, names::EARLIEST_FIT_STEPS, cost);
         start
+    }
+
+    /// `Calendar::earliest_finish` over one task's width `candidates`, as
+    /// the placement it picks: one query, whatever the number of widths,
+    /// folded into `stats` and mirrored under `calendar.earliest_fit.*`.
+    #[inline]
+    pub fn earliest_finish(
+        cal: &Calendar,
+        candidates: &[(u32, Dur)],
+        not_before: Time,
+        tie: TieBreak,
+        stats: &mut ScheduleStats,
+    ) -> Placement {
+        let mut cost = QueryCost::default();
+        let widest_on_tie = tie == TieBreak::MostProcs;
+        let first = cal.earliest_finish(candidates, not_before, widest_on_tie, &mut cost);
+        stats.absorb_query_cost(cost);
+        record_fit(names::EARLIEST_FIT_QUERIES, names::EARLIEST_FIT_STEPS, cost);
+        Placement {
+            start: first.start,
+            end: first.end,
+            procs: first.procs,
+        }
     }
 
     /// `Calendar::latest_fit_with_cost` with cost folded into `stats` and

@@ -33,7 +33,10 @@ impl Placement {
 /// empirical complexity experiments (paper §6).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct ScheduleStats {
-    /// Number of `earliest_fit` / `latest_fit` calendar queries issued.
+    /// Number of calendar slot queries issued: one `earliest_finish` per
+    /// task for the forward family (it decides among all the task's widths
+    /// in one walk), one `latest_fit` per probed width for the deadline
+    /// family, one `earliest_fit` per placement elsewhere.
     pub slot_queries: u64,
     /// Work done answering those queries: calendar slots inspected, plus
     /// one positioning step per query (see `resched_resv::QueryCost`) —

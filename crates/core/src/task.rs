@@ -13,6 +13,7 @@
 //! not modeled separately — each task runs in its own reservation and data is
 //! staged through files, an overhead folded into `alpha` (paper §3.1).
 
+use crate::forward::TieBreak;
 use resched_resv::Dur;
 use serde::{Deserialize, Serialize};
 
@@ -66,9 +67,9 @@ impl TaskCost {
     /// Rounding up guarantees a reservation sized with this value always
     /// contains the modeled execution. With zero overhead (the paper's
     /// model) the result is monotonically non-increasing in `m`; with a
-    /// positive overhead it is U-shaped, and the schedulers' exhaustive
-    /// `m`-scans handle that correctly (the plateau skip only elides
-    /// *equal* durations).
+    /// positive overhead it is U-shaped, and the schedulers' `m`-scans
+    /// handle that correctly (their shared candidate list elides only the
+    /// widths that a narrower, no longer one dominates).
     ///
     /// ## Rounding policy
     ///
@@ -137,6 +138,94 @@ impl TaskCost {
     /// processor").
     pub fn marginal_gain(&self, m: u32) -> f64 {
         relative_gain(self.exec_time(m), self.exec_time(m + 1))
+    }
+}
+
+/// One task's width candidates, in scan order: `(m, exec_time(m))` over the
+/// multiples of the grain, minus the *dominated* widths — those no shorter
+/// than some narrower candidate (than the running minimum of the duration).
+/// Where ties go to the widest ([`TieBreak::MostProcs`]) a width exactly as
+/// short as the running minimum stays. Under the paper's zero-overhead model
+/// `exec_time` never rises with `m`, so this is plain plateau elision; with
+/// a per-processor overhead it also drops the rising arm of the U.
+///
+/// Both directions scan this one list, and for both leaving a dominated
+/// width out is exact:
+///
+/// * *forward* (earliest completion): every instant with `m′ > m`
+///   processors free has `m` free, so the dominated width starts no
+///   earlier than the narrower one that dominates it, runs at least as
+///   long, and so completes no earlier — and loses the tie;
+/// * *backward* (first latest fit past a threshold, else the latest start,
+///   ties to the narrower): for the same reason it never starts later than
+///   the narrower one, so it is never the first past the threshold and
+///   never the strictly latest start.
+///
+/// Grown only as far as some scan reads, so a task whose scans stop at
+/// `m = 1` never evaluates `m = p`.
+#[derive(Debug, Default)]
+pub(crate) struct Widths {
+    candidates: Vec<(u32, Dur)>,
+    /// How many multiples of the grain have been evaluated.
+    evaluated: u32,
+    tie: TieBreak,
+}
+
+impl Widths {
+    /// An empty list for a scan that breaks ties by `tie`.
+    pub(crate) fn for_tie(tie: TieBreak) -> Widths {
+        Widths {
+            tie,
+            ..Widths::default()
+        }
+    }
+
+    /// The tie rule the list is grown for.
+    pub(crate) fn tie(&self) -> TieBreak {
+        self.tie
+    }
+
+    /// Evaluate the next multiple of the grain, if it is no wider than
+    /// `bound`.
+    fn grow(&mut self, cost: &TaskCost, grain: u32, bound: u32) -> bool {
+        let m = (self.evaluated + 1) * grain;
+        if m > bound {
+            return false;
+        }
+        self.evaluated += 1;
+        let dur = cost.exec_time(m);
+        let kept = self.candidates.last().is_none_or(|&(_, shortest)| {
+            dur < shortest || (dur == shortest && self.tie == TieBreak::MostProcs)
+        });
+        if kept {
+            self.candidates.push((m, dur));
+        }
+        true
+    }
+
+    /// Candidate `i`, if there is one no wider than `bound`.
+    pub(crate) fn get(
+        &mut self,
+        i: usize,
+        cost: &TaskCost,
+        grain: u32,
+        bound: u32,
+    ) -> Option<(u32, Dur)> {
+        while self.candidates.len() <= i {
+            if !self.grow(cost, grain, bound) {
+                return None;
+            }
+        }
+        self.candidates.get(i).copied().filter(|&(m, _)| m <= bound)
+    }
+
+    /// Start over for another task: every candidate of `cost` no wider
+    /// than `bound`, narrowest first.
+    pub(crate) fn refill(&mut self, cost: &TaskCost, grain: u32, bound: u32) -> &[(u32, Dur)] {
+        self.candidates.clear();
+        self.evaluated = 0;
+        while self.grow(cost, grain, bound) {}
+        &self.candidates
     }
 }
 

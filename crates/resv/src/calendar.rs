@@ -5,7 +5,9 @@
 //!
 //! 1. *Earliest fit* — the earliest start `s >= not_before` such that `m`
 //!    processors are free throughout `[s, s + d)` (forward / RESSCHED
-//!    scheduling, paper §4.2).
+//!    scheduling, paper §4.2) — and *earliest finish*, the same question
+//!    over all of a task's `<m, d>` candidates at once, which is what
+//!    RESSCHED asks per task.
 //! 2. *Latest fit* — the latest start `s` with `s + d <= end_by` and `m`
 //!    processors free throughout (backward / RESSCHEDDL scheduling, §5.2).
 //! 3. *Historical average availability* — the time-average number of free
@@ -47,7 +49,9 @@ pub(crate) struct Step {
 /// `steps` counts the slots a query inspected plus one for the binary
 /// search that positioned it (breakpoints visited, for the
 /// [`Calendar::linear`] reference): "memory touches proportional to search
-/// effort".
+/// effort". A query is one positioned walk, however much it answers:
+/// [`Calendar::earliest_finish`] decides among all of a task's widths in
+/// one.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct QueryCost {
     /// Number of slot queries issued.
@@ -449,6 +453,54 @@ impl Calendar {
         cost.queries += 1;
         self.slots()
             .earliest_fit(procs, dur, not_before, &mut cost.steps)
+    }
+
+    /// Earliest *finish* over a task's width candidates: the reservation of
+    /// the one whose earliest fit at or after `not_before` completes first.
+    /// A tie in completion time goes to the widest candidate if
+    /// `widest_on_tie`, to the narrowest otherwise.
+    ///
+    /// `candidates` is `(procs, dur)` in increasing `procs` with `dur`
+    /// decreasing (non-increasing if `widest_on_tie`); a wider candidate
+    /// that is no shorter could never be the answer, so the caller leaves
+    /// it out. The answer is the argmin of
+    /// `earliest_fit(procs, dur, not_before) + dur` over them, found in one
+    /// walk that carries every candidate's start at once — a slot too full
+    /// for one width is too full for every wider one, so the starts move
+    /// together: `cost` is charged **one** query and the slots
+    /// that walk inspected, never more than the cheapest per-candidate
+    /// `earliest_fit` would have inspected alone.
+    ///
+    /// ```
+    /// use resched_resv::{Calendar, Dur, QueryCost, Reservation, Time};
+    ///
+    /// // 6 of 8 processors are taken for the first hour.
+    /// let mut cal = Calendar::new(8);
+    /// cal.try_add(Reservation::new(Time::ZERO, Time::seconds(3600), 6)).unwrap();
+    ///
+    /// // 100 minutes on 2 processors, 50 on 4, 25 on all 8. Two fit at once
+    /// // (done at 100 min); four wait out the hour (110 min); so do eight,
+    /// // and still finish first.
+    /// let widths = [(2, Dur::minutes(100)), (4, Dur::minutes(50)), (8, Dur::minutes(25))];
+    /// let mut cost = QueryCost::default();
+    /// let first = cal.earliest_finish(&widths, Time::ZERO, false, &mut cost);
+    /// assert_eq!(first, Reservation::for_duration(Time::seconds(3600), Dur::minutes(25), 8));
+    /// assert_eq!(cost.queries, 1);
+    /// ```
+    ///
+    /// # Panics
+    /// Panics if `candidates` is empty, a width is 0 or above the capacity,
+    /// or a duration is not positive.
+    pub fn earliest_finish(
+        &self,
+        candidates: &[(u32, Dur)],
+        not_before: Time,
+        widest_on_tie: bool,
+        cost: &mut QueryCost,
+    ) -> Reservation {
+        cost.queries += 1;
+        self.slots()
+            .earliest_finish(candidates, not_before, widest_on_tie, &mut cost.steps)
     }
 
     /// Hierarchy-aware earliest fit: quantize `procs` up to whole

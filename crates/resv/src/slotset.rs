@@ -21,6 +21,7 @@
 //! * outside the covered span every processor is free (implicitly).
 
 use crate::calendar::{NoFit, Step};
+use crate::reservation::Reservation;
 use crate::time::{Dur, Time};
 
 /// One slot: `used` processors busy throughout `[start, end)`.
@@ -32,6 +33,20 @@ struct Slot {
     end: Time,
     /// Processors in use throughout the slot.
     used: u32,
+}
+
+/// A run of consecutive width candidates that [`Slots::earliest_finish`]
+/// carries at one start: from candidate `first` up to the next segment's
+/// (the last segment runs to the widest candidate).
+#[derive(Debug, Clone, Copy)]
+struct Segment {
+    /// Index of the narrowest candidate in the run.
+    first: usize,
+    /// Where every candidate in the run currently starts.
+    start: Time,
+    /// The widest, hence shortest, candidate in the run as `(m, dur)`: the
+    /// only one that can be the first to complete.
+    top: (u32, Dur),
 }
 
 /// The slot list of a `capacity`-processor calendar, read straight off its
@@ -100,6 +115,106 @@ impl<'a> Slots<'a> {
             i += 1;
         }
         c
+    }
+
+    /// The reservation of the width candidate that completes first: the
+    /// argmin over `cands` of `earliest_fit(m, dur, not_before) + dur`, a
+    /// tie going to the widest candidate if `widest_on_tie` and to the
+    /// narrowest otherwise — from one forward walk instead of one per
+    /// candidate. `cands` is `(m, dur)` in increasing `m` with `dur`
+    /// decreasing (non-increasing if `widest_on_tie`): a wider candidate
+    /// that is no shorter can never complete first.
+    ///
+    /// A slot with `free` processors free blocks exactly the candidates
+    /// wider than `free`, a suffix of `cands`, and sends all of them to the
+    /// slot's end, which no candidate start has passed yet. So candidate
+    /// starts never decrease with `m`, and the walk keeps them as a stack of
+    /// [`Segment`]s, starts increasing up the stack: a blocking slot pops
+    /// the segments it blocks whole, cuts the one it blocks in part, and
+    /// pushes the blocked suffix as one segment. Each candidate's start
+    /// thereby follows the trajectory its own
+    /// [`earliest_fit`](Slots::earliest_fit) walk would. Within a segment
+    /// the widest candidate is the shortest, so it alone can complete
+    /// first; the walk stops at the first slot starting at or after the
+    /// earliest such completion (every candidate still waiting then ends
+    /// later than that slot starts) or past the covered span, and the
+    /// answer is the best of the segments' widest candidates.
+    ///
+    /// `visited` counts the positioning step and the slots inspected — no
+    /// more than any single candidate's own walk inspects.
+    pub(crate) fn earliest_finish(
+        self,
+        cands: &[(u32, Dur)],
+        not_before: Time,
+        widest_on_tie: bool,
+        visited: &mut u64,
+    ) -> Reservation {
+        assert!(!cands.is_empty(), "no width candidate");
+        let narrowest = cands.first().map_or(0, |&(m, _)| m);
+        let top = cands.last().copied().unwrap_or_default();
+        let (widest, shortest) = top;
+        assert!(
+            narrowest > 0 && widest <= self.capacity,
+            "bad procs {narrowest}..={widest}"
+        );
+        assert!(shortest.is_positive(), "bad duration {shortest}");
+        debug_assert!(
+            cands.windows(2).all(|w| matches!(w, &[(m0, d0), (m1, d1)]
+                if m0 < m1 && (d1 < d0 || (widest_on_tie && d1 == d0)))),
+            "candidates must widen and shorten: {cands:?}"
+        );
+        // Best completion among the segments' widest candidates. Segments
+        // come narrowest first, so a tie is always with a narrower one.
+        let lead_of = |segs: &[Segment]| {
+            let mut lead = Reservation {
+                start: not_before,
+                end: Time::MAX,
+                procs: widest,
+            };
+            for seg in segs {
+                let (procs, dur) = seg.top;
+                let end = seg.start + dur;
+                if end < lead.end || (end == lead.end && widest_on_tie) {
+                    lead = Reservation {
+                        start: seg.start,
+                        end,
+                        procs,
+                    };
+                }
+            }
+            lead
+        };
+        *visited += 1;
+        let mut segs = vec![Segment {
+            first: 0,
+            start: not_before,
+            top,
+        }];
+        let mut lead = lead_of(&segs);
+        let mut i = self.first_ending_after(not_before);
+        while let Some(s) = self.get(i).filter(|s| s.start < lead.end) {
+            *visited += 1;
+            let free = self.capacity.saturating_sub(s.used);
+            if free < widest {
+                let blocked = cands.partition_point(|&(m, _)| m <= free);
+                while segs.last().is_some_and(|seg| seg.first >= blocked) {
+                    segs.pop();
+                }
+                // The segment `blocked` falls inside keeps its narrower part,
+                // whose widest candidate is now the one just below `blocked`.
+                if let (Some(cut), Some(&below)) = (segs.last_mut(), cands[..blocked].last()) {
+                    cut.top = below;
+                }
+                segs.push(Segment {
+                    first: blocked,
+                    start: s.end,
+                    top,
+                });
+                lead = lead_of(&segs);
+            }
+            i += 1;
+        }
+        lead
     }
 
     /// Latest start `s` with `s + dur <= end_by`, `s >= not_before`, and
@@ -394,16 +509,16 @@ mod tests {
         }
     }
 
-    /// A seeded 8-processor calendar of `n` accepted-or-dropped random
-    /// reservations over `[0, 400)`, with interior holes.
-    fn seeded_calendar(seed: u64, n: usize) -> Calendar {
+    /// A seeded `capacity`-processor calendar of `n` accepted-or-dropped
+    /// random reservations over `[0, 400)`, with interior holes.
+    fn seeded_calendar(capacity: u32, seed: u64, n: usize) -> Calendar {
         use rand::{Rng, SeedableRng};
         let mut rng = rand_chacha::ChaCha12Rng::seed_from_u64(seed);
-        let mut cal = Calendar::new(8);
+        let mut cal = Calendar::new(capacity);
         for _ in 0..n {
             let start = rng.gen_range(0..380i64);
             let len = rng.gen_range(1..40i64);
-            let procs = rng.gen_range(1..=8u32);
+            let procs = rng.gen_range(1..=capacity);
             let _ = cal.try_add(Reservation::new(t(start), t(start + len), procs));
         }
         cal
@@ -412,7 +527,7 @@ mod tests {
     #[test]
     fn latest_fit_one_walk_matches_the_per_restart_search_and_bounds_its_failures() {
         for seed in 0..40u64 {
-            let cal = seeded_calendar(seed, 4 + (seed as usize % 5) * 8);
+            let cal = seeded_calendar(8, seed, 4 + (seed as usize % 5) * 8);
             let steps = steps_of(&cal);
             let ss = slots(8, &steps);
             let horizon = steps.last().map_or(0, |b| b.time.as_seconds());
@@ -468,6 +583,149 @@ mod tests {
                             }
                         }
                     }
+                }
+            }
+        }
+    }
+
+    /// `earliest_finish` against the loop it replaces: one `earliest_fit`
+    /// per candidate (the `linear()` reference for the answer, the slot walk
+    /// for the step count), best completion kept under the same tie rule.
+    fn assert_finish_matches_per_width_fits(
+        cal: &Calendar,
+        cands: &[(u32, Dur)],
+        not_before: Time,
+        case: &str,
+    ) {
+        let steps = steps_of(cal);
+        let ss = slots(cal.capacity(), &steps);
+        // Equal durations are legal input only when ties go to the widest.
+        let strict = cands.windows(2).all(|w| w[1].1 < w[0].1);
+        for widest_on_tie in [true, false] {
+            if !widest_on_tie && !strict {
+                continue;
+            }
+            let mut want: Option<Reservation> = None;
+            let (mut summed, mut cheapest) = (0u64, u64::MAX);
+            for &(m, dur) in cands {
+                let start = cal.linear().earliest_fit(m, dur, not_before);
+                let mut v = 0;
+                assert_eq!(ss.earliest_fit(m, dur, not_before, &mut v), start, "{case}");
+                summed += v;
+                cheapest = cheapest.min(v);
+                let fit = Reservation::for_duration(start, dur, m);
+                if want.is_none_or(|b| fit.end < b.end || (fit.end == b.end && widest_on_tie)) {
+                    want = Some(fit);
+                }
+            }
+            let mut v = 0;
+            let got = ss.earliest_finish(cands, not_before, widest_on_tie, &mut v);
+            let case =
+                format!("{case}, widest_on_tie {widest_on_tie}, {cands:?} from {not_before}");
+            assert_eq!(Some(got), want, "{case}");
+            assert!(
+                (1..=cheapest).contains(&v) && v <= summed,
+                "{v} steps against {cheapest} for the cheapest per-width walk, {case}"
+            );
+        }
+    }
+
+    /// A calendar whose slots are exactly `used` processors busy over
+    /// consecutive `len`-second intervals from `start`.
+    fn staircase(capacity: u32, start: i64, len: i64, used: &[u32]) -> Calendar {
+        let mut cal = Calendar::new(capacity);
+        for (k, &u) in used.iter().enumerate().filter(|&(_, &u)| u > 0) {
+            let from = start + k as i64 * len;
+            bump(&mut cal, from, from + len, i64::from(u));
+        }
+        cal
+    }
+
+    #[test]
+    fn earliest_finish_fixed_shapes() {
+        // 1..=8 processors, each width 10 s shorter than the one before.
+        let ladder: Vec<(u32, Dur)> = (1..=8).map(|m| (m, d(90 - 10 * i64::from(m)))).collect();
+        let plateau = [(1, d(40)), (2, d(25)), (4, d(25)), (8, d(25))];
+        let shapes = [
+            ("empty", Calendar::new(8)),
+            // Nothing fits beside any slot: every candidate restarts at
+            // every slot, one segment throughout.
+            (
+                "all-blocking",
+                staircase(8, 100, 15, &[8, 7, 8, 7, 8, 7, 8]),
+            ),
+            // Each slot frees one more processor than the one before, so
+            // each splits one more segment off: 8 live at the end.
+            (
+                "ascending free",
+                staircase(8, 100, 15, &[8, 7, 6, 5, 4, 3, 2, 1]),
+            ),
+            // The reverse merges everything back into one segment each slot.
+            (
+                "descending free",
+                staircase(8, 100, 15, &[1, 2, 3, 4, 5, 6, 7, 8]),
+            ),
+            ("holes", staircase(8, 100, 30, &[8, 0, 5, 0, 8, 2, 0, 7])),
+        ];
+        for (name, cal) in &shapes {
+            // Before the span (windows straddling the first slot), on its
+            // first breakpoint, inside it, on its last breakpoint, past it.
+            for not_before in [0, 30, 95, 100, 101, 160, 219, 220, 340, 1000] {
+                let case = format!("{name} calendar");
+                assert_finish_matches_per_width_fits(cal, &ladder, t(not_before), &case);
+                assert_finish_matches_per_width_fits(cal, &plateau, t(not_before), &case);
+                // A single candidate, and the whole machine alone.
+                for one in [ladder[2], ladder[7], (8, d(200))] {
+                    assert_finish_matches_per_width_fits(cal, &[one], t(not_before), &case);
+                }
+            }
+        }
+        // The ascending staircase seen from its foot: all eight widths wait
+        // for different slots, and the walk still inspects each slot once.
+        let (_, cal) = &shapes[2];
+        let steps = steps_of(cal);
+        let mut v = 0;
+        let long: Vec<(u32, Dur)> = (1..=8).map(|m| (m, d(500 - i64::from(m)))).collect();
+        let got = slots(8, &steps).earliest_finish(&long, t(100), false, &mut v);
+        // One processor frees first and is never caught up.
+        assert_eq!(got, Reservation::new(t(115), t(115 + 499), 1));
+        assert_eq!(v, 1 + 8);
+    }
+
+    #[test]
+    fn earliest_finish_one_walk_matches_the_per_width_fits() {
+        use rand::{Rng, SeedableRng};
+        // Seeded calendar/candidate draws; the CI fuzz lane raises the count.
+        let draws: u64 = std::env::var("RESCHED_DIFF_ITERS")
+            .ok()
+            .and_then(|v| v.parse().ok())
+            .unwrap_or(60);
+        for draw in 0..draws {
+            let mut rng = rand_chacha::ChaCha12Rng::seed_from_u64(0xF1_0019 ^ draw);
+            let capacity = [1, 3, 8, 32][draw as usize % 4];
+            let cal = seeded_calendar(capacity, draw, rng.gen_range(0..60usize));
+            for _ in 0..8 {
+                // A random subset of the widths; durations fall by a random
+                // amount per kept width, with plateaus half of the time.
+                let plateaus = rng.gen_bool(0.5);
+                let mut dur = rng.gen_range(1..150i64);
+                let mut cands = Vec::new();
+                for m in 1..=capacity {
+                    if rng.gen_bool(0.6) {
+                        cands.push((m, d(dur)));
+                        let fall = rng.gen_range(i64::from(!plateaus)..=1 + dur / 4);
+                        dur -= fall;
+                        if dur < 1 {
+                            break;
+                        }
+                    }
+                }
+                if cands.is_empty() {
+                    cands.push((capacity, d(dur.max(1))));
+                }
+                for not_before in [-50, 0, 17, 120, 233, 390, 450] {
+                    let case = format!("draw {draw} on {capacity} processors");
+                    assert_finish_matches_per_width_fits(&cal, &cands, t(not_before), &case);
                 }
             }
         }

@@ -88,7 +88,10 @@ pub struct ServeConfig {
     /// Admission horizon: an application whose turn-around would exceed
     /// this is rejected (its transaction rolled back).
     pub admit_horizon: Dur,
-    /// Window for the historical availability estimate `q`.
+    /// Window for the historical availability estimate `q`: the average
+    /// over the `q_window` before each arrival. A window that is not
+    /// positive holds no history, so `q` is then the machine size, as it is
+    /// while the calendar is still empty.
     pub q_window: Dur,
     /// Admission-probe fan-out: deadline arrivals probe the first
     /// `probe_fanout` algorithms of [`PROBE_ROSTER`] in turn and admit the
@@ -332,9 +335,8 @@ pub fn run(log: &JobLog, cfg: &ServeConfig) -> ServeReport {
         resched_core::obs::counter_add(names::SERVE_APPS, 1);
 
         let dag = resched_daggen::generate(&params, derive_seed(cfg.seed, u64::from(job.id)));
-        let from = now - cfg.q_window;
-        let q = if cal.num_breakpoints() > 0 {
-            cal.average_available(from, now)
+        let q = if cal.num_breakpoints() > 0 && cfg.q_window.is_positive() {
+            cal.average_available(now - cfg.q_window, now)
         } else {
             cal.capacity()
         };
@@ -696,6 +698,25 @@ mod tests {
             )
         );
         assert_eq!(a.utilization, b.utilization);
+    }
+
+    #[test]
+    fn a_window_without_history_estimates_the_whole_machine() {
+        // `average_available` asserts a non-empty window, so a `q_window`
+        // of zero (or below — the struct deserializes) must not reach it
+        // once the calendar has a breakpoint.
+        let log = small_log();
+        for q_window in [Dur::ZERO, -Dur::hours(1)] {
+            let cfg = ServeConfig {
+                accel: 1.0,
+                max_apps: 30,
+                q_window,
+                ..ServeConfig::default()
+            };
+            let r = run(&log, &cfg);
+            assert_eq!((r.apps, r.violations), (30, 0), "{:?}", r.first_violation);
+            assert!(r.commits > 0, "the calendar never got a breakpoint");
+        }
     }
 
     #[test]
