@@ -8,6 +8,7 @@ use resched_core::cpa;
 use resched_core::forward::{schedule_forward, ForwardConfig};
 use resched_core::prelude::*;
 use resched_daggen::{generate, DagParams};
+use resched_resv::QueryCost;
 use resched_sim::scenario::{derive_seed, LogCache, DEFAULT_ROOT_SEED};
 use resched_workloads::prelude::*;
 use std::hint::black_box;
@@ -99,6 +100,68 @@ fn bench_latest_fit_scaling(c: &mut Criterion) {
         group.bench_function(format!("linear/{r}"), |b| {
             b.iter(|| {
                 black_box(lin.latest_fit(black_box(33), Dur::seconds(100), end_by, not_before))
+            })
+        });
+    }
+    group.finish();
+}
+
+/// The forward scheduler's per-task slot search, two ways: the calendar's
+/// one-walk `earliest_finish` over all width candidates, and the loop it
+/// replaced — one `earliest_fit` per candidate, best completion kept —
+/// which lives on here (and as the schedulers' test oracle), not in `core`.
+/// A 430-processor machine holding 300 seeded reservations over a month;
+/// the candidates are the first 8 / 64 / 430 widths of one long Amdahl task
+/// (strictly shorter with every processor), searched from four ready times.
+fn bench_forward_scan(c: &mut Criterion) {
+    use rand::{Rng, SeedableRng};
+    let p = 430;
+    let mut rng = rand_chacha::ChaCha12Rng::seed_from_u64(19);
+    let mut cal = Calendar::new(p);
+    while cal.num_reservations() < 300 {
+        let start = Time::seconds(rng.gen_range(0..30 * 86_400i64));
+        let dur = Dur::seconds(rng.gen_range(3_600..2 * 86_400i64));
+        let _ = cal.try_add(Reservation::for_duration(
+            start,
+            dur,
+            rng.gen_range(1..=300),
+        ));
+    }
+    let cost = TaskCost::new(Dur::seconds(2_000_000), 0.02);
+    let readies = [0, 5, 12, 20].map(|day| Time::seconds(day * 86_400));
+
+    let per_width = |cands: &[(u32, Dur)], ready: Time| {
+        let mut best: Option<Reservation> = None;
+        for &(m, dur) in cands {
+            let fit = Reservation::for_duration(cal.earliest_fit(m, dur, ready), dur, m);
+            if best.is_none_or(|b| fit.end < b.end) {
+                best = Some(fit);
+            }
+        }
+        best.expect("at least one candidate")
+    };
+
+    let mut group = c.benchmark_group("forward_scan");
+    for k in [8u32, 64, 430] {
+        let cands: Vec<(u32, Dur)> = (1..=k).map(|m| (m, cost.exec_time(m))).collect();
+        let mut walk_cost = QueryCost::default();
+        for &ready in &readies {
+            let one = cal.earliest_finish(&cands, ready, false, &mut walk_cost);
+            assert_eq!(one, per_width(&cands, ready), "{k} candidates from {ready}");
+        }
+        group.bench_function(format!("one_walk/{k}"), |b| {
+            b.iter(|| {
+                let mut cost = QueryCost::default();
+                for &ready in &readies {
+                    black_box(cal.earliest_finish(black_box(&cands), ready, false, &mut cost));
+                }
+            })
+        });
+        group.bench_function(format!("per_width/{k}"), |b| {
+            b.iter(|| {
+                for &ready in &readies {
+                    black_box(per_width(black_box(&cands), ready));
+                }
             })
         });
     }
@@ -316,6 +379,6 @@ fn config() -> Criterion {
 criterion_group! {
     name = benches;
     config = config();
-    targets = bench_calendar, bench_earliest_fit_scaling, bench_latest_fit_scaling, bench_calendar_mutate, bench_cpa, bench_cpa_alloc, bench_schedulers, bench_obs
+    targets = bench_calendar, bench_earliest_fit_scaling, bench_latest_fit_scaling, bench_forward_scan, bench_calendar_mutate, bench_cpa, bench_cpa_alloc, bench_schedulers, bench_obs
 }
 criterion_main!(benches);
