@@ -104,3 +104,149 @@ fn golden_deadline_grid5000() {
     );
     check_golden("deadline_grid5000_small.json", &result);
 }
+
+/// The deterministic part of a `ServeReport`, field by field. A local
+/// struct, so that a field added to `ServeReport` later cannot move the
+/// golden's bytes; wall-clock fields (`wall_ms`, `throughput_per_s`, the
+/// latency percentiles and histogram) are left out.
+#[derive(serde::Serialize)]
+struct ServeDecisions {
+    replay: &'static str,
+    apps: usize,
+    commits: usize,
+    rollbacks: usize,
+    cancels: usize,
+    resizes: usize,
+    quota_denied: u64,
+    quota_reasons: Vec<(String, u64)>,
+    violations: usize,
+    first_violation: Option<String>,
+    utilization: f64,
+    live_apps: usize,
+    serve_counters: Vec<(String, u64)>,
+}
+
+/// Online serving: pin what `serve::run` decides on the four CI replays
+/// (`ci.yml`, serve-smoke and hierarchy lanes) and on the three serve
+/// shapes of the repo benchmark at its test size.
+#[test]
+fn golden_serve_replays() {
+    use resched_serve::{run, ServeConfig, ServeQuotaConfig};
+    let base = ServeConfig::default();
+    let quota = |users| {
+        Some(ServeQuotaConfig {
+            users,
+            max_concurrent_cores: 300,
+            max_core_seconds: 0,
+        })
+    };
+    // (name, log preset, log days, configuration); the log is generated
+    // from the configuration's seed, as the CLI does.
+    let replays = [
+        (
+            "ci_soak",
+            LogSpec::ctc_sp2(),
+            3,
+            ServeConfig {
+                max_apps: 150,
+                ..base
+            },
+        ),
+        (
+            "ci_deadline_heavy",
+            LogSpec::sdsc_blue(),
+            2,
+            ServeConfig {
+                max_apps: 100,
+                deadline_every: 2,
+                seed: 7,
+                ..base
+            },
+        ),
+        (
+            "ci_full_roster",
+            LogSpec::ctc_sp2(),
+            3,
+            ServeConfig {
+                max_apps: 150,
+                deadline_every: 1,
+                probe_fanout: 4,
+                ..base
+            },
+        ),
+        (
+            "ci_quota",
+            LogSpec::ctc_sp2(),
+            3,
+            ServeConfig {
+                max_apps: 150,
+                quota: quota(2),
+                ..base
+            },
+        ),
+        (
+            "bench_saturated",
+            LogSpec::ctc_sp2(),
+            5,
+            ServeConfig {
+                max_apps: 120,
+                seed: 1,
+                ..base
+            },
+        ),
+        (
+            "bench_admit",
+            LogSpec::ctc_sp2(),
+            11,
+            ServeConfig {
+                accel: 1.0,
+                max_apps: 120,
+                seed: 2,
+                ..base
+            },
+        ),
+        (
+            "bench_deadline",
+            LogSpec::ctc_sp2(),
+            2,
+            ServeConfig {
+                accel: 1.0,
+                max_apps: 100,
+                deadline_every: 1,
+                admit_horizon: Dur::hours(3),
+                probe_fanout: 2,
+                quota: quota(8),
+                seed: 3,
+                ..base
+            },
+        ),
+    ];
+    let decisions: Vec<ServeDecisions> = replays
+        .into_iter()
+        .map(|(replay, spec, days, cfg)| {
+            let log = generate_log(&spec.with_duration(Dur::days(days)), cfg.seed);
+            let r = run(&log, &cfg);
+            ServeDecisions {
+                replay,
+                apps: r.apps,
+                commits: r.commits,
+                rollbacks: r.rollbacks,
+                cancels: r.cancels,
+                resizes: r.resizes,
+                quota_denied: r.quota_denied,
+                quota_reasons: r.quota_reasons,
+                violations: r.violations,
+                first_violation: r.first_violation,
+                utilization: r.utilization,
+                live_apps: r.live_apps,
+                serve_counters: r
+                    .metrics
+                    .counters()
+                    .filter(|(name, _)| name.starts_with("serve."))
+                    .map(|(name, n)| (name.to_string(), n))
+                    .collect(),
+            }
+        })
+        .collect();
+    check_golden("serve_replays.json", &decisions);
+}
