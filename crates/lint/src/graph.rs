@@ -306,7 +306,7 @@ const KEYWORDS: [&str; 22] = [
 /// false edges (e.g. a slice `.get(…)` resolving to a workspace cache's
 /// `get`), and the receivers the resolver CAN type — `self.m(…)` and
 /// `Type::Variant.m(…)` — still resolve exactly.
-const STD_RECV_METHODS: [&str; 30] = [
+const STD_RECV_METHODS: [&str; 31] = [
     "clear",
     "clone",
     "cmp",
@@ -331,6 +331,7 @@ const STD_RECV_METHODS: [&str; 30] = [
     "push",
     "remove",
     "replace",
+    "resize",
     "retain",
     "sort",
     "sort_unstable",

@@ -76,16 +76,6 @@ impl ShadowTxn<'_> {
         Ok(())
     }
 
-    /// Transactional [`Calendar::add_unchecked`].
-    ///
-    /// # Panics
-    /// As [`Calendar::add_unchecked`]: panics if the reservation overbooks
-    /// the platform (in which case nothing is logged or applied).
-    pub fn add_unchecked(&mut self, r: Reservation) {
-        self.cal.add_unchecked(r);
-        self.log.push(TxnOp::Added(r));
-    }
-
     /// Transactional [`Calendar::try_remove`].
     pub fn try_remove(&mut self, r: Reservation) -> Result<(), ReservationError> {
         self.cal.try_remove(r)?;
@@ -105,29 +95,6 @@ impl ShadowTxn<'_> {
         self.log.push(TxnOp::Removed(old));
         self.log.push(TxnOp::Added(new));
         Ok(())
-    }
-
-    /// Probe a set of candidate reservations against the transaction's
-    /// current view and return the index of the best-fitting one under
-    /// `better` (a strict "is `a` better than `b`" comparison), or `None`
-    /// if no candidate fits. Nothing is applied — pair with
-    /// [`ShadowTxn::try_add`] to take the winner.
-    pub fn probe_best<F>(&self, candidates: &[Reservation], better: F) -> Option<usize>
-    where
-        F: Fn(&Reservation, &Reservation) -> bool,
-    {
-        let mut best: Option<usize> = None;
-        for (i, r) in candidates.iter().enumerate() {
-            if !self.cal.fits(r) {
-                continue;
-            }
-            match best {
-                None => best = Some(i),
-                Some(b) if better(r, &candidates[b]) => best = Some(i),
-                Some(_) => {}
-            }
-        }
-        best
     }
 
     /// Keep every applied operation; returns how many were committed.
@@ -243,20 +210,6 @@ mod tests {
         assert!(txn.calendar().fits(&r(10, 20, 4)));
         txn.rollback();
         assert!(cal.fits(&r(5, 15, 1)));
-    }
-
-    #[test]
-    fn probe_best_picks_under_comparator() {
-        let mut cal = Calendar::new(4);
-        cal.try_add(r(0, 10, 4)).unwrap();
-        let txn = cal.transaction();
-        let cands = [r(5, 15, 1), r(12, 20, 2), r(10, 18, 4)];
-        // Earliest-start comparator; candidate 0 conflicts, so 10 beats 12.
-        let best = txn.probe_best(&cands, |a, b| a.start < b.start);
-        assert_eq!(best, Some(2));
-        // No candidate fits on a full calendar.
-        let none = txn.probe_best(&[r(0, 10, 1)], |a, b| a.start < b.start);
-        assert_eq!(none, None);
     }
 
     #[test]

@@ -1,27 +1,49 @@
 //! # resched-serve — online scheduling frontend
 //!
 //! The dynamic-arrival setting the paper's §4.2 RESSCHED algorithms
-//! assume but the batch harness never exercises: an event-driven
-//! submission loop replays an SWF workload at accelerated speed, and every
-//! arriving application is scheduled **against the live calendar** through
-//! a shadow-schedule transaction ([`resched_resv::ShadowTxn`]):
+//! assume but the batch harness never exercises: every arriving
+//! application is scheduled **against the calendar as it stands now**.
 //!
-//! 1. open a transaction over the shared calendar;
+//! The unit is one operation on a [`Server`], which owns the calendar, the
+//! quota ledger and the live applications:
+//!
+//! ```
+//! use resched_serve::{Decision, ServeConfig, Server};
+//! # use resched_core::prelude::*;
+//! # use resched_daggen::DagParams;
+//! # let params = DagParams { num_tasks: 10, ..DagParams::paper_default() };
+//! # let (now, app_id, dag) = (Time::ZERO, 1, resched_daggen::generate(&params, 1));
+//! let mut server = Server::new(128, &ServeConfig::default());
+//! match server.submit(now, app_id, &dag) {
+//!     Decision::Admitted { completion, .. } => println!("runs until {completion}"),
+//!     Decision::Rejected(reason) => println!("{}: {reason}", reason.code()),
+//! }
+//! # assert_eq!(server.live().len(), 1);
+//! ```
+//!
+//! [`Server::submit`] is the admission policy, in one place:
+//!
+//! 1. estimate the availability `q` from the recent past and open a
+//!    shadow-schedule transaction ([`resched_resv::ShadowTxn`]) over the
+//!    calendar;
 //! 2. run the forward scheduler (or, for a configurable fraction of
-//!    arrivals, the backward deadline scheduler) against the transaction's
-//!    view;
+//!    arrivals, a roster of backward deadline schedulers) against the
+//!    transaction's view, and hold the result to the admission horizon;
 //! 3. audit the candidate schedule with the independent
-//!    [`ScheduleValidator`] oracle;
-//! 4. apply its reservations inside the transaction and **commit** if the
-//!    application is admitted (deadline met, turn-around within the
-//!    admission horizon), or **rollback** — byte-exact — if not.
+//!    [`ScheduleValidator`] oracle, then give the quota gate its veto;
+//! 4. apply its reservations inside the transaction and **commit** — or
+//!    **roll back**, byte-exactly, with a typed [`Reason`].
 //!
-//! Committed applications stay live: a seeded fraction is later
-//! *cancelled* (all reservations removed) or *resized* (one reservation
-//! trimmed to half its length), exercising the calendar's mutable surface
-//! under sustained load. After every event the whole calendar is re-audited
-//! by [`resched_core::validate::audit_calendar`]; any violation is counted
-//! in the report.
+//! Committed applications stay live and can be [cancelled](Server::cancel)
+//! (all reservations removed) or [shrunk](Server::resize) (one reservation
+//! trimmed in place). After every `audit_every`-th step the whole calendar
+//! is re-audited by [`resched_core::validate::audit_calendar`]; any
+//! violation is counted in the report.
+//!
+//! [`run`] is the replay built on those steps: it compresses an SWF
+//! workload's arrival process, generates one DAG per job, submits it, and
+//! after each commit draws a seeded cancel or shrink, exercising the
+//! calendar's mutable surface under sustained load.
 //!
 //! Scheduling latency is measured per arrival (wall clock) and reported as
 //! p50/p95/p99 percentiles, both exactly (sorted samples) and through the
@@ -32,18 +54,17 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
+mod server;
+
+pub use server::{Decision, Fault, LiveApp, Reason, Server, PROBE_ROSTER};
+
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha12Rng;
-use resched_core::backward::{schedule_deadline, DeadlineAlgo, DeadlineConfig};
-use resched_core::forward::{schedule_forward, ForwardConfig};
-use resched_core::obs::{names, MetricsRegistry};
+use resched_core::obs::MetricsRegistry;
 use resched_core::prelude::*;
-use resched_core::validate::audit_calendar_with;
 use resched_daggen::DagParams;
-use resched_resv::{AdmissionGate, Owner, QuotaDenial, QuotaRule, QuotaSet, QuotaSubject};
 use resched_workloads::job::JobLog;
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
 use std::time::Instant;
 
 /// Per-user admission quotas for the serving loop.
@@ -138,7 +159,8 @@ pub struct ServeReport {
     pub apps: usize,
     /// Transactions committed (applications admitted).
     pub commits: usize,
-    /// Transactions rolled back (applications rejected).
+    /// Transactions rolled back (applications rejected); `rejections` says
+    /// why.
     pub rollbacks: usize,
     /// Live applications later cancelled.
     pub cancels: usize,
@@ -150,8 +172,13 @@ pub struct ServeReport {
     pub quota_denied: u64,
     /// Denial tallies by stable reason code (`quota.concurrent_cores`,
     /// `quota.core_seconds`), sorted by code; their sum is `quota_denied`.
+    /// The `quota.*` slice of `rejections`.
     #[serde(default)]
     pub quota_reasons: Vec<(String, u64)>,
+    /// Rejection tallies by [`Reason::code`], sorted by code; their sum is
+    /// `rollbacks`.
+    #[serde(default)]
+    pub rejections: Vec<(String, u64)>,
     /// Calendar-audit violations observed (must be 0 on a healthy run).
     pub violations: usize,
     /// First violation, for diagnostics.
@@ -173,15 +200,6 @@ pub struct ServeReport {
     /// The obs metrics recorded during the run (`serve.*` counters and the
     /// `serve.schedule.latency_ns` histogram).
     pub metrics: MetricsRegistry,
-}
-
-/// One admitted application's live reservations, tracked so later cancels
-/// and resizes operate on reservations that actually exist — and the owner
-/// they are accounted to, so the quota ledger stays in step.
-#[derive(Debug, Clone)]
-struct LiveApp {
-    owner: Owner,
-    resvs: Vec<Reservation>,
 }
 
 /// Deterministic per-application seed derivation (splitmix64 over the
@@ -209,363 +227,64 @@ pub fn percentile(sorted: &[u64], q: f64) -> f64 {
     sorted[rank] as f64
 }
 
-/// The fixed candidate roster for admission-probe fan-out, strongest
-/// single candidate first: the default `DL_BD_CPAR` probe, then the two λ
-/// hybrids (resource-conservative, so they tend to admit schedules that
-/// leave more room for later arrivals), then the fully aggressive bound.
-/// `ServeConfig::probe_fanout` takes a prefix of this list.
-pub const PROBE_ROSTER: [DeadlineAlgo; 4] = [
-    DeadlineAlgo::BdCpaR,
-    DeadlineAlgo::RcbdCpaRLambda,
-    DeadlineAlgo::RcCpaRLambda,
-    DeadlineAlgo::BdAll,
-];
-
-/// Probe the first `fanout` roster algorithms, one after the other, against
-/// the transaction's calendar view and keep the feasible candidate with the
-/// earliest completion (lowest roster index wins ties, which is what
-/// `min_by_key` does).
-fn probe_deadline(
-    dag: &resched_core::dag::Dag,
-    cal: &Calendar,
-    now: Time,
-    q: u32,
-    deadline: Time,
-    dl_cfg: DeadlineConfig,
-    fanout: usize,
-) -> Option<resched_core::schedule::Schedule> {
-    PROBE_ROSTER[..fanout.clamp(1, PROBE_ROSTER.len())]
-        .iter()
-        .filter_map(|&algo| schedule_deadline(dag, cal, now, q, deadline, algo, dl_cfg).ok())
-        .map(|o| o.schedule)
-        .min_by_key(|s| s.completion())
-}
-
-/// Replay `log` through the online serving loop.
+/// Replay `log` through the online serving loop: a fold over a
+/// [`Server`].
 ///
 /// The log's submission process (compressed by `cfg.accel`) drives
 /// arrivals; each arrival's DAG is generated from the job id under
-/// `cfg.seed`, so the run is fully deterministic in everything except the
-/// wall-clock latency measurements.
+/// `cfg.seed` and submitted, and every commit is followed by the seeded
+/// churn — so the run is fully deterministic in everything except the
+/// wall-clock latency measurements. The report's `wall_ms` covers the
+/// steps, not the log preparation before them or the final audit after.
 pub fn run(log: &JobLog, cfg: &ServeConfig) -> ServeReport {
     let log = log.accelerated(cfg.accel);
-    let mut jobs = log.jobs.clone();
+    let mut jobs = log.jobs;
     jobs.sort_by_key(|j| (j.submit, j.id));
     if cfg.max_apps > 0 {
         jobs.truncate(cfg.max_apps);
     }
-
-    let mut cal = Calendar::new(log.procs);
-    let mut rng = ChaCha12Rng::seed_from_u64(derive_seed(cfg.seed, u64::MAX));
     let params = DagParams {
         num_tasks: cfg.tasks_per_app.max(1),
         ..DagParams::paper_default()
     };
-    let dl_cfg = DeadlineConfig::default();
-
-    // Quota gate: one identical rule set per synthetic user. Arrivals are
-    // attributed by job id, so admission decisions are as deterministic as
-    // the rest of the replay.
-    let users = cfg.quota.map_or(1, |q| q.users.max(1));
-    let mut gate = cfg.quota.map(|q| {
-        let mut set = QuotaSet::unlimited();
-        for u in 0..users {
-            let subject = QuotaSubject::User(format!("u{u}"));
-            if q.max_concurrent_cores > 0 {
-                set = set.with_rule(QuotaRule::concurrent(
-                    subject.clone(),
-                    q.max_concurrent_cores,
-                ));
-            }
-            if q.max_core_seconds > 0 {
-                set = set.with_rule(QuotaRule::core_seconds(subject, q.max_core_seconds));
-            }
-        }
-        AdmissionGate::new(set)
-    });
-    let owner_of = |id: u32| {
-        Owner::new(
-            &format!("u{}", id as usize % users),
-            &format!("p{}", id % 2),
-        )
-    };
-    let mut quota_reasons: BTreeMap<String, u64> = BTreeMap::new();
-
-    let mut registry = MetricsRegistry::new();
-    let mut live: Vec<LiveApp> = Vec::new();
-    let mut latencies_ns: Vec<u64> = Vec::with_capacity(jobs.len());
-    let mut report = ServeReport {
-        apps: 0,
-        commits: 0,
-        rollbacks: 0,
-        cancels: 0,
-        resizes: 0,
-        quota_denied: 0,
-        quota_reasons: Vec::new(),
-        violations: 0,
-        first_violation: None,
-        wall_ms: 0.0,
-        throughput_per_s: 0.0,
-        p50_us: 0.0,
-        p95_us: 0.0,
-        p99_us: 0.0,
-        utilization: 0.0,
-        live_apps: 0,
-        metrics: MetricsRegistry::new(),
-    };
-
-    let audit =
-        |cal: &Calendar, gate: Option<&AdmissionGate>, report: &mut ServeReport, events: usize| {
-            if cfg.audit_every > 0 && events.is_multiple_of(cfg.audit_every) {
-                let vs = audit_calendar_with(cal, None, gate);
-                if let Some(v) = vs.first() {
-                    report.first_violation.get_or_insert_with(|| v.to_string());
-                }
-                report.violations += vs.len();
-            }
-        };
+    let mut rng = ChaCha12Rng::seed_from_u64(derive_seed(cfg.seed, u64::MAX));
+    let mut server = Server::new(log.procs, cfg);
 
     let wall_start = Instant::now();
-    let mut events = 0usize;
     for job in &jobs {
-        let now = job.submit;
-        report.apps += 1;
-        events += 1;
-        registry.inc(names::SERVE_APPS, 1);
-        resched_core::obs::counter_add(names::SERVE_APPS, 1);
-
         let dag = resched_daggen::generate(&params, derive_seed(cfg.seed, u64::from(job.id)));
-        let q = if cal.num_breakpoints() > 0 && cfg.q_window.is_positive() {
-            cal.average_available(now - cfg.q_window, now)
-        } else {
-            cal.capacity()
-        };
-
-        let t0 = Instant::now();
-        let use_deadline = cfg.deadline_every > 0 && report.apps.is_multiple_of(cfg.deadline_every);
-        let deadline = now + cfg.admit_horizon;
-        let owner = owner_of(job.id);
-        let mut denial: Option<QuotaDenial> = None;
-        let committed = {
-            resched_core::span!("serve.schedule");
-            let mut txn = cal.transaction();
-            let sched = if use_deadline {
-                // Infeasible everywhere ⇒ None ⇒ reject.
-                probe_deadline(
-                    &dag,
-                    txn.calendar(),
-                    now,
-                    q,
-                    deadline,
-                    dl_cfg,
-                    cfg.probe_fanout,
-                )
-            } else {
-                let s =
-                    schedule_forward(&dag, txn.calendar(), now, q, ForwardConfig::recommended());
-                // Forward admission control: keep the turn-around bounded.
-                (s.completion() <= deadline).then_some(s)
-            };
-            let admitted = sched.and_then(|sched| {
-                let mut validator = ScheduleValidator::new(&dag, txn.calendar(), now);
-                if use_deadline {
-                    validator = validator.with_deadline(deadline);
-                }
-                if let Err(v) = validator.check(&sched) {
-                    report.violations += 1;
-                    report.first_violation.get_or_insert_with(|| v.to_string());
-                    return None;
-                }
-                let resvs: Vec<Reservation> = dag
-                    .task_ids()
-                    .map(|t| sched.placement(t).reservation())
-                    .collect();
-                // Capacity said yes; now the quota gate gets its veto. An
-                // all-or-nothing batch admit keeps the ledger untouched on
-                // denial, mirroring the transaction rollback below.
-                if let Some(g) = gate.as_mut() {
-                    if let Err(d) = g.admit_all(&owner, &resvs) {
-                        denial = Some(d);
-                        return None;
-                    }
-                }
-                if let Err(v) = apply_all(&mut txn, &resvs) {
-                    report.violations += 1;
-                    report.first_violation.get_or_insert(v);
-                    // The gate admitted the batch; the rollback below
-                    // undoes the calendar, this undoes the ledger.
-                    if let Some(g) = gate.as_mut() {
-                        for r in &resvs {
-                            g.release(&owner, r);
-                        }
-                    }
-                    return None;
-                }
-                Some(resvs)
-            });
-            match admitted {
-                Some(resvs) => {
-                    txn.commit();
-                    live.push(LiveApp {
-                        owner: owner.clone(),
-                        resvs,
-                    });
-                    true
-                }
-                None => {
-                    txn.rollback();
-                    false
-                }
-            }
-        };
-        let ns = u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX);
-        latencies_ns.push(ns);
-        registry.record(names::SERVE_LATENCY, ns);
-        resched_core::obs::record_value(names::SERVE_LATENCY, ns);
-
-        if committed {
-            report.commits += 1;
-            registry.inc(names::SERVE_COMMITS, 1);
-            resched_core::obs::counter_add(names::SERVE_COMMITS, 1);
-        } else {
-            report.rollbacks += 1;
-            registry.inc(names::SERVE_ROLLBACKS, 1);
-            resched_core::obs::counter_add(names::SERVE_ROLLBACKS, 1);
-            if let Some(d) = &denial {
-                report.quota_denied += 1;
-                registry.inc(names::SERVE_QUOTA_DENIED, 1);
-                resched_core::obs::counter_add(names::SERVE_QUOTA_DENIED, 1);
-                *quota_reasons
-                    .entry(d.reason_code().to_string())
-                    .or_insert(0) += 1;
-            }
+        if let Decision::Admitted { .. } = server.submit(job.submit, job.id, &dag) {
+            churn(&mut server, cfg, &mut rng);
         }
-        audit(&cal, gate.as_ref(), &mut report, events);
+    }
+    server.into_report(wall_start.elapsed())
+}
 
-        // Seeded churn on the committed population.
-        if committed
-            && cfg.cancel_every > 0
-            && report.commits.is_multiple_of(cfg.cancel_every)
-            && !live.is_empty()
-        {
-            let k = rng.gen_range(0..live.len());
-            let app = live.swap_remove(k);
-            events += 1;
-            let ok = {
-                resched_core::span!("serve.cancel");
-                let mut txn = cal.transaction();
-                let mut ok = true;
-                for r in &app.resvs {
-                    if txn.try_remove(*r).is_err() {
-                        ok = false;
-                        break;
-                    }
-                }
-                if ok {
-                    txn.commit();
-                } else {
-                    txn.rollback();
-                }
-                ok
-            };
-            if ok {
-                report.cancels += 1;
-                registry.inc(names::SERVE_CANCELS, 1);
-                resched_core::obs::counter_add(names::SERVE_CANCELS, 1);
-                if let Some(g) = gate.as_mut() {
-                    for r in &app.resvs {
-                        if !g.release(&app.owner, r) {
-                            // The ledger mirrors commits exactly; a miss
-                            // here is a bookkeeping bug, not a policy call.
-                            report.violations += 1;
-                            report.first_violation.get_or_insert_with(|| {
-                                "quota ledger missing a cancelled reservation".into()
-                            });
-                        }
-                    }
-                }
-            } else {
-                // A tracked live reservation must always be removable.
-                report.violations += 1;
-                report
-                    .first_violation
-                    .get_or_insert_with(|| "cancel of a tracked live reservation failed".into());
-            }
-            audit(&cal, gate.as_ref(), &mut report, events);
-        }
-
-        if committed
-            && cfg.resize_every > 0
-            && report.commits.is_multiple_of(cfg.resize_every)
-            && !live.is_empty()
-        {
-            let k = rng.gen_range(0..live.len());
-            // Trim the app's longest reservation to half its length.
-            let longest =
-                (0..live[k].resvs.len()).max_by_key(|&i| live[k].resvs[i].duration().as_seconds());
-            if let Some(i) = longest {
-                let old = live[k].resvs[i];
-                let mid = old.start.midpoint(old.end);
-                if mid > old.start {
-                    events += 1;
-                    let new = Reservation::new(old.start, mid, old.procs);
-                    let mut txn = cal.transaction();
-                    if txn.try_resize(old, new).is_ok() {
-                        txn.commit();
-                        live[k].resvs[i] = new;
-                        report.resizes += 1;
-                        registry.inc(names::SERVE_RESIZES, 1);
-                        resched_core::obs::counter_add(names::SERVE_RESIZES, 1);
-                        if let Some(g) = gate.as_mut() {
-                            if !g.replace(&live[k].owner, &old, new) {
-                                report.violations += 1;
-                                report.first_violation.get_or_insert_with(|| {
-                                    "quota ledger missing a resized reservation".into()
-                                });
-                            }
-                        }
-                    } else {
-                        // Shrinking a live reservation releases capacity
-                        // only; it can never conflict.
-                        txn.rollback();
-                        report.violations += 1;
-                        report
-                            .first_violation
-                            .get_or_insert_with(|| "shrink of a live reservation failed".into());
-                    }
-                    audit(&cal, gate.as_ref(), &mut report, events);
-                }
+/// Seeded churn on the committed population, drawn after a commit: every
+/// `cancel_every`-th commit cancels a random live application, every
+/// `resize_every`-th trims the longest reservation of one to half its
+/// length. The indices are drawn in range and the trim is a shrink, so a
+/// step can only fail on a bookkeeping fault — which is on the server's
+/// tally (`violations`) by the time it returns, and the replay goes on.
+fn churn(server: &mut Server, cfg: &ServeConfig, rng: &mut ChaCha12Rng) {
+    let commits = server.commits();
+    let due = |every: usize| every > 0 && commits.is_multiple_of(every);
+    if due(cfg.cancel_every) && !server.live().is_empty() {
+        let k = rng.gen_range(0..server.live().len());
+        let _ = server.cancel(k);
+    }
+    if due(cfg.resize_every) && !server.live().is_empty() {
+        let k = rng.gen_range(0..server.live().len());
+        let resvs = &server.live()[k].resvs;
+        let longest = (0..resvs.len()).max_by_key(|&i| resvs[i].duration().as_seconds());
+        if let Some(i) = longest {
+            let old = resvs[i];
+            let mid = old.start.midpoint(old.end);
+            if mid > old.start {
+                let _ = server.resize(k, i, Reservation::new(old.start, mid, old.procs));
             }
         }
     }
-    let wall = wall_start.elapsed();
-
-    // Final audit (covers audit_every == 0 and any tail skipped by stride);
-    // with a quota gate this also audits the ledger itself.
-    let vs = audit_calendar_with(&cal, None, gate.as_ref());
-    if let Some(v) = vs.first() {
-        report.first_violation.get_or_insert_with(|| v.to_string());
-    }
-    report.violations += vs.len();
-
-    latencies_ns.sort_unstable();
-    report.wall_ms = wall.as_secs_f64() * 1e3;
-    report.throughput_per_s = if wall.as_secs_f64() > 0.0 {
-        report.apps as f64 / wall.as_secs_f64()
-    } else {
-        0.0
-    };
-    report.p50_us = percentile(&latencies_ns, 0.50) / 1e3;
-    report.p95_us = percentile(&latencies_ns, 0.95) / 1e3;
-    report.p99_us = percentile(&latencies_ns, 0.99) / 1e3;
-    report.utilization = match (jobs.first(), cal.horizon()) {
-        (Some(first), Some(h)) if h > first.submit => cal.average_utilization(first.submit, h),
-        _ => 0.0,
-    };
-    report.live_apps = live.len();
-    report.quota_reasons = quota_reasons.into_iter().collect();
-    report.metrics = registry;
-    report
 }
 
 /// Render a human-readable summary of a report.
@@ -585,6 +304,12 @@ pub fn summarize(r: &ServeReport) -> String {
         r.live_apps,
         r.violations
     ));
+    if !r.rejections.is_empty() {
+        out.push_str("\nrejections");
+        for (code, n) in &r.rejections {
+            out.push_str(&format!("  {code} {n}"));
+        }
+    }
     if r.quota_denied > 0 {
         out.push_str(&format!("\nquota denied {}", r.quota_denied));
         for (code, n) in &r.quota_reasons {
@@ -597,22 +322,10 @@ pub fn summarize(r: &ServeReport) -> String {
     out
 }
 
-/// Apply a validated schedule's reservations inside the transaction.
-///
-/// The schedule was validated against this exact transaction view, so
-/// every add fits; one that does not is a fault in the validator or the
-/// calendar, handed back as a violation for the caller to count — not a
-/// panic that ends the replay.
-fn apply_all(txn: &mut ShadowTxn<'_>, resvs: &[Reservation]) -> Result<(), String> {
-    resvs.iter().try_for_each(|r| {
-        txn.try_add(*r)
-            .map_err(|e| format!("validated placement {r:?} does not fit: {e}"))
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use resched_core::obs::names;
     use resched_workloads::prelude::*;
 
     fn small_log() -> JobLog {
@@ -628,8 +341,14 @@ mod tests {
         let mut txn = cal.transaction();
         let fits = Reservation::new(Time::ZERO, Time::seconds(50), 1);
         let overlaps = Reservation::new(Time::seconds(10), Time::seconds(60), 2);
-        let violation = apply_all(&mut txn, &[fits, overlaps]).unwrap_err();
-        assert!(violation.contains("does not fit"), "{violation}");
+        let violation = server::apply_all(&mut txn, &[fits, overlaps]).unwrap_err();
+        assert!(
+            matches!(
+                violation,
+                resched_resv::ReservationError::Conflict { requested: 2, .. }
+            ),
+            "{violation}"
+        );
         // The caller rolls back: the add that did fit goes with the rest.
         txn.rollback();
         assert_eq!(cal, before);
@@ -869,5 +588,298 @@ mod tests {
         let s = summarize(&r);
         assert!(s.contains("commits"));
         assert!(s.contains("latency p50"));
+    }
+
+    /// Calendar bytes and ledger: what a rejection must leave untouched.
+    fn books(server: &Server) -> (String, Vec<(resched_resv::Owner, Reservation)>) {
+        (
+            serde_json::to_string(server.calendar()).unwrap(),
+            server.ledger().map(|(o, r)| (o.clone(), *r)).collect(),
+        )
+    }
+
+    /// Submit ten-task applications at one instant to a `procs`-processor
+    /// server until one is rejected under `code` with the books non-empty,
+    /// and hand that reason back. Every rejection on the way — whatever its
+    /// reason — must leave calendar and ledger byte-identical.
+    fn first_rejection(procs: u32, cfg: &ServeConfig, code: &str) -> (Time, Reason) {
+        let params = DagParams {
+            num_tasks: 10,
+            ..DagParams::paper_default()
+        };
+        let now = Time::seconds(5_000);
+        let mut server = Server::new(procs, cfg);
+        for id in 0..200u32 {
+            let before = books(&server);
+            let dag = resched_daggen::generate(&params, derive_seed(cfg.seed, u64::from(id)));
+            match server.submit(now, id, &dag) {
+                Decision::Admitted { .. } => assert_ne!(books(&server), before),
+                Decision::Rejected(reason) => {
+                    assert_eq!(books(&server), before, "{reason} changed the books");
+                    assert_eq!(server.audit(), 0);
+                    if reason.code() == code && !server.live().is_empty() {
+                        return (now, reason);
+                    }
+                }
+            }
+        }
+        panic!("no {code} rejection in 200 arrivals");
+    }
+
+    #[test]
+    fn a_turnaround_past_the_horizon_is_rejected_with_both_instants() {
+        let cfg = ServeConfig {
+            deadline_every: 0,
+            ..ServeConfig::default()
+        };
+        let (now, reason) = first_rejection(64, &cfg, "horizon_exceeded");
+        let Reason::HorizonExceeded {
+            completion,
+            horizon,
+        } = reason
+        else {
+            panic!("{reason}");
+        };
+        assert_eq!(horizon, now + cfg.admit_horizon);
+        assert!(completion > horizon);
+    }
+
+    #[test]
+    fn a_deadline_no_roster_algorithm_meets_is_rejected_with_the_deadline() {
+        let cfg = ServeConfig {
+            deadline_every: 1,
+            probe_fanout: 2,
+            ..ServeConfig::default()
+        };
+        let (now, reason) = first_rejection(64, &cfg, "deadline_infeasible");
+        assert_eq!(
+            reason,
+            Reason::DeadlineInfeasible {
+                deadline: now + cfg.admit_horizon
+            }
+        );
+    }
+
+    #[test]
+    fn each_quota_axis_is_rejected_with_its_denial() {
+        use resched_resv::quotas::QuotaAxis;
+        for (quota, axis, code) in [
+            (
+                ServeQuotaConfig {
+                    users: 1,
+                    max_concurrent_cores: 300,
+                    max_core_seconds: 0,
+                },
+                QuotaAxis::ConcurrentCores,
+                "quota.concurrent_cores",
+            ),
+            (
+                ServeQuotaConfig {
+                    users: 1,
+                    max_concurrent_cores: 0,
+                    max_core_seconds: 5_000_000,
+                },
+                QuotaAxis::CoreSeconds,
+                "quota.core_seconds",
+            ),
+        ] {
+            let cfg = ServeConfig {
+                quota: Some(quota),
+                admit_horizon: Dur::days(30),
+                ..ServeConfig::default()
+            };
+            let (_, reason) = first_rejection(430, &cfg, code);
+            let Reason::Quota(denial) = &reason else {
+                panic!("{reason}");
+            };
+            assert_eq!((denial.axis, denial.subject.as_str()), (axis, "user:u0"));
+            assert!(denial.requested > denial.limit, "{denial}");
+            assert_eq!(reason.to_string(), denial.to_string());
+        }
+    }
+
+    /// `Validator` and `ApplyFailed` take a scheduler or calendar bug to
+    /// occur (the apply step itself is covered above), so only their
+    /// wording and codes are pinned here.
+    #[test]
+    fn the_two_bug_reasons_have_codes_and_read_as_their_cause() {
+        let v = Violation::TaskCountMismatch {
+            expected: 3,
+            actual: 2,
+        };
+        let validator = Reason::Validator(v.clone());
+        assert_eq!(validator.code(), "validator");
+        assert_eq!(validator.to_string(), v.to_string());
+
+        let e = resched_resv::ReservationError::ZeroProcs;
+        let apply = Reason::ApplyFailed(e);
+        assert_eq!(apply.code(), "apply_failed");
+        assert_eq!(
+            apply.to_string(),
+            format!("validated placement does not fit: {e}")
+        );
+        // As a fault on the report they read the same.
+        assert_eq!(
+            Fault::Rejected(apply.clone()).to_string(),
+            apply.to_string()
+        );
+    }
+
+    #[test]
+    fn rejections_carry_their_reason_to_the_report() {
+        let log = small_log();
+        let saturated = |deadline_every| {
+            run(
+                &log,
+                &ServeConfig {
+                    max_apps: 60,
+                    deadline_every,
+                    ..ServeConfig::default()
+                },
+            )
+        };
+        for (deadline_every, only) in [(0, "horizon_exceeded"), (1, "deadline_infeasible")] {
+            let r = saturated(deadline_every);
+            assert!(r.rollbacks > 0, "{r:?}");
+            assert_eq!(r.rejections, vec![(only.to_string(), r.rollbacks as u64)]);
+            assert!(summarize(&r).contains(&format!("rejections  {only} {}", r.rollbacks)));
+        }
+        // Mixed: the codes are sorted and sum to the rollbacks, and the
+        // quota fields are the `quota.*` slice of the same tally.
+        let r = run(
+            &log,
+            &ServeConfig {
+                max_apps: 60,
+                quota: Some(ServeQuotaConfig {
+                    users: 2,
+                    max_concurrent_cores: 300,
+                    max_core_seconds: 0,
+                }),
+                ..ServeConfig::default()
+            },
+        );
+        let codes: Vec<&str> = r.rejections.iter().map(|(c, _)| c.as_str()).collect();
+        assert_eq!(
+            codes,
+            [
+                "deadline_infeasible",
+                "horizon_exceeded",
+                "quota.concurrent_cores"
+            ]
+        );
+        let total: u64 = r.rejections.iter().map(|(_, n)| n).sum();
+        assert_eq!(total, r.rollbacks as u64);
+        let quota: Vec<(String, u64)> = r
+            .rejections
+            .iter()
+            .filter(|(c, _)| c.starts_with("quota."))
+            .cloned()
+            .collect();
+        assert_eq!(quota, r.quota_reasons);
+    }
+
+    /// The replay written out against `Server`'s public steps alone: what
+    /// `run` adds to them is the log preparation, the DAG per job id and
+    /// the seeded churn.
+    fn fold(log: &JobLog, cfg: &ServeConfig) -> ServeReport {
+        let log = log.accelerated(cfg.accel);
+        let mut jobs = log.jobs.clone();
+        jobs.sort_by_key(|j| (j.submit, j.id));
+        jobs.truncate(if cfg.max_apps > 0 {
+            cfg.max_apps
+        } else {
+            jobs.len()
+        });
+        let params = DagParams {
+            num_tasks: cfg.tasks_per_app.max(1),
+            ..DagParams::paper_default()
+        };
+        let mut rng = ChaCha12Rng::seed_from_u64(derive_seed(cfg.seed, u64::MAX));
+        let mut server = Server::new(log.procs, cfg);
+        let mut commits = 0;
+        for job in jobs {
+            let dag = resched_daggen::generate(&params, derive_seed(cfg.seed, u64::from(job.id)));
+            if matches!(
+                server.submit(job.submit, job.id, &dag),
+                Decision::Rejected(_)
+            ) {
+                continue;
+            }
+            commits += 1;
+            if cfg.cancel_every > 0 && commits % cfg.cancel_every == 0 {
+                let k = rng.gen_range(0..server.live().len());
+                server.cancel(k).unwrap();
+            }
+            if cfg.resize_every > 0 && commits % cfg.resize_every == 0 && !server.live().is_empty()
+            {
+                let k = rng.gen_range(0..server.live().len());
+                // The longest reservation (the last of equals), halved.
+                let (i, old) = server.live()[k]
+                    .resvs
+                    .iter()
+                    .copied()
+                    .enumerate()
+                    .max_by_key(|(_, r)| r.duration())
+                    .unwrap();
+                let mid = old.start.midpoint(old.end);
+                if mid > old.start {
+                    let half = Reservation::new(old.start, mid, old.procs);
+                    server.resize(k, i, half).unwrap();
+                }
+            }
+        }
+        server.into_report(std::time::Duration::from_millis(1))
+    }
+
+    #[test]
+    fn run_is_the_fold_over_the_public_steps() {
+        let quota = ServeQuotaConfig {
+            users: 3,
+            max_concurrent_cores: 300,
+            max_core_seconds: 0,
+        };
+        for (log, cfg) in [
+            (
+                small_log(),
+                ServeConfig {
+                    max_apps: 80,
+                    ..ServeConfig::default()
+                },
+            ),
+            (
+                generate_log(&LogSpec::sdsc_blue().with_duration(Dur::days(2)), 11),
+                ServeConfig {
+                    accel: 20.0,
+                    max_apps: 80,
+                    deadline_every: 2,
+                    probe_fanout: 3,
+                    cancel_every: 2,
+                    resize_every: 3,
+                    audit_every: 3,
+                    quota: Some(quota),
+                    seed: 11,
+                    ..ServeConfig::default()
+                },
+            ),
+        ] {
+            let (a, b) = (run(&log, &cfg), fold(&log, &cfg));
+            assert!(a.commits > 0 && a.cancels > 0 && a.resizes > 0, "{a:?}");
+            // Everything but the stopwatch.
+            let decided = |r: &ServeReport| ServeReport {
+                wall_ms: 0.0,
+                throughput_per_s: 0.0,
+                p50_us: 0.0,
+                p95_us: 0.0,
+                p99_us: 0.0,
+                metrics: MetricsRegistry::new(),
+                ..r.clone()
+            };
+            assert_eq!(decided(&a), decided(&b));
+            let counters = |r: &ServeReport| -> Vec<(String, u64)> {
+                let all = r.metrics.counters();
+                all.map(|(name, n)| (name.to_string(), n)).collect()
+            };
+            assert_eq!(counters(&a), counters(&b));
+        }
     }
 }

@@ -1,0 +1,635 @@
+//! The admission state machine.
+//!
+//! A [`Server`] owns the three things that must never drift apart — the
+//! [`Calendar`], the quota ledger ([`AdmissionGate`]) and the set of live
+//! applications — as private fields, so the only code that can change any
+//! of them is one of its steps: [`submit`](Server::submit),
+//! [`cancel`](Server::cancel), [`resize`](Server::resize) and
+//! [`audit`](Server::audit). Each mutating step counts one event and
+//! re-audits the calendar on the configured cadence; every outcome is a
+//! typed value ([`Decision`], [`Reason`], [`Fault`]) and turns into text
+//! only in [`Server::into_report`].
+
+use crate::{percentile, ServeConfig, ServeQuotaConfig, ServeReport};
+use resched_core::algos::Algorithm;
+use resched_core::backward::{schedule_deadline, DeadlineAlgo, DeadlineConfig};
+use resched_core::forward::{schedule_forward, ForwardConfig};
+use resched_core::obs::{self, names, MetricsRegistry};
+use resched_core::prelude::*;
+use resched_core::validate::audit_calendar_with;
+use resched_resv::{
+    AdmissionGate, Owner, QuotaDenial, QuotaRule, QuotaSet, QuotaSubject, ReservationError,
+};
+use std::collections::BTreeMap;
+use std::fmt;
+use std::time::{Duration, Instant};
+
+/// What [`Server::submit`] decided about one arrival.
+#[derive(Debug, Clone, PartialEq)]
+pub enum Decision {
+    /// Committed: the application's reservations are in the calendar (and
+    /// in the ledger) and the application is live.
+    Admitted {
+        /// The algorithm whose schedule was taken: the forward scheduler,
+        /// or the winner of the deadline roster.
+        algo: Algorithm,
+        /// When the application's last task ends.
+        completion: Time,
+        /// Processor-seconds reserved for it.
+        proc_seconds: i64,
+    },
+    /// Rolled back: calendar and ledger are byte-identical to what they
+    /// were before the arrival.
+    Rejected(Reason),
+}
+
+/// Why an arrival was rejected.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum Reason {
+    /// The forward schedule ends after the admission horizon.
+    HorizonExceeded {
+        /// When the schedule would have completed.
+        completion: Time,
+        /// The latest admissible completion (arrival + `admit_horizon`).
+        horizon: Time,
+    },
+    /// No probed roster algorithm finds a schedule that meets the deadline.
+    DeadlineInfeasible {
+        /// The deadline (arrival + `admit_horizon`).
+        deadline: Time,
+    },
+    /// The quota gate vetoed a schedule that fits.
+    Quota(QuotaDenial),
+    /// The independent oracle refused the scheduler's candidate: a
+    /// scheduler bug, counted as a violation as well.
+    Validator(Violation),
+    /// A validated placement did not fit the transaction's calendar: a
+    /// validator or calendar bug, counted as a violation as well.
+    ApplyFailed(ReservationError),
+}
+
+impl Reason {
+    /// Stable machine-readable code, the key of `ServeReport::rejections`.
+    pub fn code(&self) -> &'static str {
+        match self {
+            Reason::HorizonExceeded { .. } => "horizon_exceeded",
+            Reason::DeadlineInfeasible { .. } => "deadline_infeasible",
+            Reason::Quota(d) => d.reason_code(),
+            Reason::Validator(_) => "validator",
+            Reason::ApplyFailed(_) => "apply_failed",
+        }
+    }
+}
+
+impl fmt::Display for Reason {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Reason::HorizonExceeded {
+                completion,
+                horizon,
+            } => write!(
+                f,
+                "completion {completion} is past the admission horizon {horizon}"
+            ),
+            Reason::DeadlineInfeasible { deadline } => {
+                write!(f, "no probed algorithm meets the deadline {deadline}")
+            }
+            Reason::Quota(d) => write!(f, "{d}"),
+            Reason::Validator(v) => write!(f, "{v}"),
+            Reason::ApplyFailed(e) => write!(f, "validated placement does not fit: {e}"),
+        }
+    }
+}
+
+/// Why a [`cancel`](Server::cancel) or [`resize`](Server::resize) did not
+/// go through, or what an audit found.
+///
+/// The first two are the caller's: the step is refused before anything is
+/// touched and nothing is counted. The rest are the server's own books
+/// disagreeing with each other — each is counted in
+/// `ServeReport::violations`, and the first one is the report's
+/// `first_violation`, rendered by this type's `Display`.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum Fault {
+    /// No live application (or no reservation of it) at that index.
+    OutOfRange {
+        /// The index asked for.
+        index: usize,
+        /// How many there are.
+        len: usize,
+    },
+    /// `new` is not `old` made smaller. Only a shrink is accepted, because
+    /// the ledger swaps the entry without re-checking quotas.
+    NotAShrink {
+        /// The live reservation.
+        old: Reservation,
+        /// What it was to become.
+        new: Reservation,
+    },
+    /// An arrival was rejected for a reason no caller can cause
+    /// ([`Reason::Validator`], [`Reason::ApplyFailed`]).
+    Rejected(Reason),
+    /// The calendar refused to give back a reservation the live set tracks.
+    CancelFailed(ReservationError),
+    /// The calendar refused a shrink, which only releases capacity.
+    ShrinkFailed(ReservationError),
+    /// The quota ledger has no entry for a reservation the live set tracks.
+    LedgerMiss(Reservation),
+    /// A finding of the calendar (and ledger) audit.
+    Audit(Violation),
+}
+
+impl fmt::Display for Fault {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Fault::OutOfRange { index, len } => write!(f, "index {index} out of range ({len})"),
+            Fault::NotAShrink { old, new } => write!(f, "{new:?} is not a shrink of {old:?}"),
+            Fault::Rejected(reason) => write!(f, "{reason}"),
+            Fault::CancelFailed(e) => {
+                write!(f, "cancel of a tracked live reservation failed: {e}")
+            }
+            Fault::ShrinkFailed(e) => write!(f, "shrink of a live reservation failed: {e}"),
+            Fault::LedgerMiss(r) => write!(f, "quota ledger missing tracked reservation {r:?}"),
+            Fault::Audit(v) => write!(f, "{v}"),
+        }
+    }
+}
+
+impl std::error::Error for Fault {}
+
+/// One admitted application: the reservations it still holds, so later
+/// cancels and resizes operate on reservations that exist, and the owner
+/// they are accounted to, so the quota ledger stays in step.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct LiveApp {
+    /// Who the reservations are accounted to.
+    pub owner: Owner,
+    /// The reservations, in task order.
+    pub resvs: Vec<Reservation>,
+}
+
+/// The fixed candidate roster for admission-probe fan-out, strongest
+/// single candidate first: the default `DL_BD_CPAR` probe, then the two λ
+/// hybrids (resource-conservative, so they tend to admit schedules that
+/// leave more room for later arrivals), then the fully aggressive bound.
+/// `ServeConfig::probe_fanout` takes a prefix of this list.
+pub const PROBE_ROSTER: [DeadlineAlgo; 4] = [
+    DeadlineAlgo::BdCpaR,
+    DeadlineAlgo::RcbdCpaRLambda,
+    DeadlineAlgo::RcCpaRLambda,
+    DeadlineAlgo::BdAll,
+];
+
+/// Probe the first `fanout` roster algorithms, one after the other, against
+/// the transaction's calendar view and keep the feasible candidate with the
+/// earliest completion (lowest roster index wins ties, which is what
+/// `min_by_key` does).
+fn probe_deadline(
+    dag: &Dag,
+    cal: &Calendar,
+    now: Time,
+    q: u32,
+    deadline: Time,
+    fanout: usize,
+) -> Option<(DeadlineAlgo, Schedule)> {
+    let dl_cfg = DeadlineConfig::default();
+    PROBE_ROSTER[..fanout.clamp(1, PROBE_ROSTER.len())]
+        .iter()
+        .filter_map(|&algo| {
+            let outcome = schedule_deadline(dag, cal, now, q, deadline, algo, dl_cfg).ok()?;
+            Some((algo, outcome.schedule))
+        })
+        .min_by_key(|(_, s)| s.completion())
+}
+
+/// The validated candidate schedule for one arrival, or why there is none.
+/// A deadline arrival (`fanout` is `Some`) probes the roster against
+/// `horizon`; any other is scheduled forward and then held to the same
+/// bound, which keeps the turn-around of what is admitted bounded.
+fn candidate(
+    dag: &Dag,
+    cal: &Calendar,
+    now: Time,
+    q: u32,
+    horizon: Time,
+    fanout: Option<usize>,
+) -> Result<(Algorithm, Schedule), Reason> {
+    let (algo, sched) = match fanout {
+        Some(fanout) => {
+            let (algo, sched) = probe_deadline(dag, cal, now, q, horizon, fanout)
+                .ok_or(Reason::DeadlineInfeasible { deadline: horizon })?;
+            (Algorithm::Deadline(algo), sched)
+        }
+        None => {
+            let cfg = ForwardConfig::recommended();
+            let sched = schedule_forward(dag, cal, now, q, cfg);
+            let completion = sched.completion();
+            if completion > horizon {
+                return Err(Reason::HorizonExceeded {
+                    completion,
+                    horizon,
+                });
+            }
+            (Algorithm::Forward(cfg), sched)
+        }
+    };
+    algo.validator(dag, cal, now, Some(horizon))
+        .check(&sched)
+        .map_err(Reason::Validator)?;
+    Ok((algo, sched))
+}
+
+/// Apply a validated schedule's reservations inside the transaction.
+///
+/// The schedule was validated against this exact transaction view, so
+/// every add fits; one that does not is a fault in the validator or the
+/// calendar, handed back for the caller to count — not a panic that ends
+/// the replay.
+pub(crate) fn apply_all(
+    txn: &mut ShadowTxn<'_>,
+    resvs: &[Reservation],
+) -> Result<(), ReservationError> {
+    resvs.iter().try_for_each(|r| txn.try_add(*r))
+}
+
+/// Capacity said yes; the quota gate gets its veto, then the reservations
+/// go into the transaction. The all-or-nothing batch admit leaves the
+/// ledger untouched on denial, mirroring the rollback the caller owes the
+/// calendar on any `Err`.
+fn reserve(
+    txn: &mut ShadowTxn<'_>,
+    gate: Option<&mut AdmissionGate>,
+    owner: &Owner,
+    resvs: &[Reservation],
+) -> Result<(), Reason> {
+    let Some(gate) = gate else {
+        return apply_all(txn, resvs).map_err(Reason::ApplyFailed);
+    };
+    gate.admit_all(owner, resvs).map_err(Reason::Quota)?;
+    apply_all(txn, resvs).map_err(|e| {
+        // The gate admitted the batch: the caller's rollback undoes the
+        // calendar, this undoes the ledger.
+        for r in resvs {
+            gate.release(owner, r);
+        }
+        Reason::ApplyFailed(e)
+    })
+}
+
+/// One identical rule set per synthetic user; a `0` cap installs no rule.
+fn quota_gate(q: &ServeQuotaConfig, users: usize) -> AdmissionGate {
+    let mut set = QuotaSet::unlimited();
+    for u in 0..users {
+        let subject = QuotaSubject::User(format!("u{u}"));
+        if q.max_concurrent_cores > 0 {
+            set = set.with_rule(QuotaRule::concurrent(
+                subject.clone(),
+                q.max_concurrent_cores,
+            ));
+        }
+        if q.max_core_seconds > 0 {
+            set = set.with_rule(QuotaRule::core_seconds(subject, q.max_core_seconds));
+        }
+    }
+    AdmissionGate::new(set)
+}
+
+/// The online admission server: see the module documentation.
+#[derive(Debug)]
+pub struct Server {
+    cfg: ServeConfig,
+    cal: Calendar,
+    gate: Option<AdmissionGate>,
+    live: Vec<LiveApp>,
+    /// Every owner an arrival can be attributed to, `[project p0, p1]` per
+    /// user: arrivals are attributed by id (user `id % users`, project
+    /// `id % 2`), so admission is as deterministic as the rest of a replay.
+    owners: Vec<[Owner; 2]>,
+    /// Mutating steps so far, the audit cadence's clock.
+    events: usize,
+    apps: usize,
+    commits: usize,
+    cancels: usize,
+    resizes: usize,
+    /// Rejections by [`Reason::code`]; their sum is the rollback count.
+    rejections: BTreeMap<&'static str, u64>,
+    violations: usize,
+    first_fault: Option<Fault>,
+    first_arrival: Option<Time>,
+    latencies_ns: Vec<u64>,
+}
+
+impl Server {
+    /// An empty `procs`-processor machine serving under `cfg`.
+    ///
+    /// # Panics
+    /// As [`Calendar::new`]: a platform needs at least one processor.
+    pub fn new(procs: u32, cfg: &ServeConfig) -> Server {
+        let users = cfg.quota.map_or(1, |q| q.users.max(1));
+        Server {
+            cfg: *cfg,
+            cal: Calendar::new(procs),
+            gate: cfg.quota.map(|q| quota_gate(&q, users)),
+            live: Vec::new(),
+            owners: (0..users)
+                .map(|u| ["p0", "p1"].map(|project| Owner::new(&format!("u{u}"), project)))
+                .collect(),
+            events: 0,
+            apps: 0,
+            commits: 0,
+            cancels: 0,
+            resizes: 0,
+            rejections: BTreeMap::new(),
+            violations: 0,
+            first_fault: None,
+            first_arrival: None,
+            latencies_ns: Vec::new(),
+        }
+    }
+
+    /// The calendar as it stands.
+    pub fn calendar(&self) -> &Calendar {
+        &self.cal
+    }
+
+    /// The live applications; `cancel` and `resize` index into this.
+    pub fn live(&self) -> &[LiveApp] {
+        &self.live
+    }
+
+    /// The quota ledger as it stands (empty without a quota config).
+    pub fn ledger(&self) -> impl Iterator<Item = (&Owner, &Reservation)> {
+        self.gate.iter().flat_map(AdmissionGate::ledger)
+    }
+
+    /// Arrivals admitted so far.
+    pub fn commits(&self) -> usize {
+        self.commits
+    }
+
+    /// Decide one arrival: estimate `q` from the recent past, open a
+    /// transaction, find a candidate (forward, or the deadline roster for
+    /// every `deadline_every`-th arrival), hold it to the horizon, the
+    /// validator and the quota gate, apply it, and commit — or roll back
+    /// byte-exactly on the first `Reason` not to. The arrival's latency is
+    /// the time from after the `q` estimate to after the commit or
+    /// rollback.
+    pub fn submit(&mut self, now: Time, app_id: u32, dag: &Dag) -> Decision {
+        self.apps += 1;
+        self.first_arrival.get_or_insert(now);
+        // A window that is not positive holds no history (and
+        // `average_available` asserts a non-empty one).
+        let q = if self.cal.num_breakpoints() > 0 && self.cfg.q_window.is_positive() {
+            self.cal.average_available(now - self.cfg.q_window, now)
+        } else {
+            self.cal.capacity()
+        };
+
+        let t0 = Instant::now();
+        let decision = self.decide(now, q, app_id, dag);
+        let ns = u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX);
+        self.latencies_ns.push(ns);
+
+        let fault = match &decision {
+            Decision::Admitted { .. } => {
+                self.commits += 1;
+                None
+            }
+            Decision::Rejected(reason) => {
+                *self.rejections.entry(reason.code()).or_insert(0) += 1;
+                matches!(reason, Reason::Validator(_) | Reason::ApplyFailed(_))
+                    .then(|| Fault::Rejected(reason.clone()))
+            }
+        };
+        self.end_step(fault);
+        decision
+    }
+
+    /// The transaction of one arrival, from open to commit or rollback.
+    fn decide(&mut self, now: Time, q: u32, app_id: u32, dag: &Dag) -> Decision {
+        resched_core::span!("serve.schedule");
+        let horizon = now + self.cfg.admit_horizon;
+        let by_deadline =
+            self.cfg.deadline_every > 0 && self.apps.is_multiple_of(self.cfg.deadline_every);
+        let fanout = by_deadline.then_some(self.cfg.probe_fanout);
+        let owner = &self.owners[app_id as usize % self.owners.len()][(app_id % 2) as usize];
+
+        let mut txn = self.cal.transaction();
+        let placed =
+            candidate(dag, txn.calendar(), now, q, horizon, fanout).and_then(|(algo, sched)| {
+                let resvs: Vec<Reservation> = dag
+                    .task_ids()
+                    .map(|t| sched.placement(t).reservation())
+                    .collect();
+                reserve(&mut txn, self.gate.as_mut(), owner, &resvs)?;
+                Ok((algo, sched.completion(), resvs))
+            });
+        match placed {
+            Ok((algo, completion, resvs)) => {
+                txn.commit();
+                let proc_seconds = resvs.iter().map(Reservation::proc_seconds).sum();
+                self.live.push(LiveApp {
+                    owner: owner.clone(),
+                    resvs,
+                });
+                Decision::Admitted {
+                    algo,
+                    completion,
+                    proc_seconds,
+                }
+            }
+            Err(reason) => {
+                txn.rollback();
+                Decision::Rejected(reason)
+            }
+        }
+    }
+
+    /// Cancel live application `k`: remove all its reservations from the
+    /// calendar and the ledger. The last live application takes its place
+    /// in [`live`](Server::live) (`swap_remove`).
+    pub fn cancel(&mut self, k: usize) -> Result<(), Fault> {
+        if k >= self.live.len() {
+            return Err(Fault::OutOfRange {
+                index: k,
+                len: self.live.len(),
+            });
+        }
+        let app = self.live.swap_remove(k);
+        let removed = {
+            resched_core::span!("serve.cancel");
+            let mut txn = self.cal.transaction();
+            let removed = app.resvs.iter().try_for_each(|r| txn.try_remove(*r));
+            match removed {
+                Ok(()) => txn.commit(),
+                Err(_) => txn.rollback(),
+            };
+            removed
+        };
+        let faults: Vec<Fault> = match removed {
+            // A tracked live reservation must always be removable.
+            Err(e) => vec![Fault::CancelFailed(e)],
+            Ok(()) => {
+                self.cancels += 1;
+                // The ledger mirrors commits exactly; a miss here is a
+                // bookkeeping bug, not a policy call.
+                match &mut self.gate {
+                    None => Vec::new(),
+                    Some(gate) => {
+                        let missed = app.resvs.iter().filter(|r| !gate.release(&app.owner, r));
+                        missed.map(|r| Fault::LedgerMiss(*r)).collect()
+                    }
+                }
+            }
+        };
+        let result = faults.first().cloned().map_or(Ok(()), Err);
+        self.end_step(faults);
+        result
+    }
+
+    /// Shrink reservation `i` of live application `k` to `new`, which must
+    /// lie inside the old one (no earlier, no later, no wider) and differ
+    /// from it.
+    pub fn resize(&mut self, k: usize, i: usize, new: Reservation) -> Result<(), Fault> {
+        let len = self.live.len();
+        let app = self
+            .live
+            .get_mut(k)
+            .ok_or(Fault::OutOfRange { index: k, len })?;
+        let len = app.resvs.len();
+        let held = app
+            .resvs
+            .get_mut(i)
+            .ok_or(Fault::OutOfRange { index: i, len })?;
+        let old = *held;
+        if new == old || new.start < old.start || new.end > old.end || new.procs > old.procs {
+            return Err(Fault::NotAShrink { old, new });
+        }
+        let mut txn = self.cal.transaction();
+        let result = match txn.try_resize(old, new) {
+            Ok(()) => {
+                txn.commit();
+                *held = new;
+                self.resizes += 1;
+                let in_ledger = self
+                    .gate
+                    .as_mut()
+                    .is_none_or(|gate| gate.replace(&app.owner, &old, new));
+                if in_ledger {
+                    Ok(())
+                } else {
+                    Err(Fault::LedgerMiss(old))
+                }
+            }
+            // Shrinking a live reservation releases capacity only; it can
+            // never conflict.
+            Err(e) => {
+                txn.rollback();
+                Err(Fault::ShrinkFailed(e))
+            }
+        };
+        self.end_step(result.clone().err());
+        result
+    }
+
+    /// Audit the calendar (shape, capacity, accounting, reference scans)
+    /// and the ledger against its rules, now; the findings go on the
+    /// tally, their number is returned.
+    pub fn audit(&mut self) -> usize {
+        let found = audit_calendar_with(&self.cal, None, self.gate.as_ref());
+        let n = found.len();
+        self.record(found.into_iter().map(Fault::Audit));
+        n
+    }
+
+    /// The one place a violation is counted.
+    fn record(&mut self, faults: impl IntoIterator<Item = Fault>) {
+        for fault in faults {
+            self.violations += 1;
+            self.first_fault.get_or_insert(fault);
+        }
+    }
+
+    /// Close a mutating step: its faults go on the tally, it counts as one
+    /// event, and every `audit_every`-th event re-audits the calendar.
+    fn end_step(&mut self, faults: impl IntoIterator<Item = Fault>) {
+        self.record(faults);
+        self.events += 1;
+        if self.cfg.audit_every > 0 && self.events.is_multiple_of(self.cfg.audit_every) {
+            self.audit();
+        }
+    }
+
+    /// Close the books: a final audit (it covers `audit_every == 0` and
+    /// any tail the cadence skipped), then the tallies as a report. `wall`
+    /// is the caller's stopwatch over the steps; the `serve.*` counters
+    /// and the latency histogram are written here, once, to the report's
+    /// registry and to the ambient obs collector.
+    pub fn into_report(mut self, wall: Duration) -> ServeReport {
+        self.audit();
+
+        let rejections: Vec<(String, u64)> = self
+            .rejections
+            .iter()
+            .map(|(code, n)| (code.to_string(), *n))
+            .collect();
+        let rollbacks: u64 = rejections.iter().map(|(_, n)| n).sum();
+        // The quota denials are the `quota.*` slice of the same tally.
+        let quota_reasons: Vec<(String, u64)> = rejections
+            .iter()
+            .filter(|(code, _)| code.starts_with("quota."))
+            .cloned()
+            .collect();
+        let quota_denied: u64 = quota_reasons.iter().map(|(_, n)| n).sum();
+
+        let mut metrics = MetricsRegistry::new();
+        for (name, n) in [
+            (names::SERVE_APPS, self.apps as u64),
+            (names::SERVE_COMMITS, self.commits as u64),
+            (names::SERVE_ROLLBACKS, rollbacks),
+            (names::SERVE_QUOTA_DENIED, quota_denied),
+            (names::SERVE_CANCELS, self.cancels as u64),
+            (names::SERVE_RESIZES, self.resizes as u64),
+        ] {
+            // A counter exists from its first tick on, not before.
+            if n > 0 {
+                metrics.inc(name, n);
+                obs::counter_add(name, n);
+            }
+        }
+        for &ns in &self.latencies_ns {
+            metrics.record(names::SERVE_LATENCY, ns);
+            obs::record_value(names::SERVE_LATENCY, ns);
+        }
+
+        self.latencies_ns.sort_unstable();
+        let secs = wall.as_secs_f64();
+        ServeReport {
+            apps: self.apps,
+            commits: self.commits,
+            rollbacks: rollbacks as usize,
+            cancels: self.cancels,
+            resizes: self.resizes,
+            quota_denied,
+            quota_reasons,
+            rejections,
+            violations: self.violations,
+            first_violation: self.first_fault.map(|f| f.to_string()),
+            wall_ms: secs * 1e3,
+            throughput_per_s: if secs > 0.0 {
+                self.apps as f64 / secs
+            } else {
+                0.0
+            },
+            p50_us: percentile(&self.latencies_ns, 0.50) / 1e3,
+            p95_us: percentile(&self.latencies_ns, 0.95) / 1e3,
+            p99_us: percentile(&self.latencies_ns, 0.99) / 1e3,
+            utilization: match (self.first_arrival, self.cal.horizon()) {
+                (Some(first), Some(h)) if h > first => self.cal.average_utilization(first, h),
+                _ => 0.0,
+            },
+            live_apps: self.live.len(),
+            metrics,
+        }
+    }
+}

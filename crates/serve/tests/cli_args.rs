@@ -1,6 +1,7 @@
 //! `resched-serve` rejects flag values outside their domain as usage
-//! errors (exit 2, the flag named on stderr) instead of panicking on them
-//! or silently running something else.
+//! errors (exit 2, the flag named on stderr), and SWF files it cannot
+//! represent as parse errors (exit 2, the line named on stderr), instead
+//! of panicking on them or silently running something else.
 
 use std::process::Command;
 
@@ -24,5 +25,46 @@ fn out_of_domain_flag_values_are_usage_errors() {
             stderr.contains(&format!("bad or missing value for {flag}")),
             "{flag} {value}: {stderr}"
         );
+    }
+}
+
+/// An SWF file the replay cannot represent is refused at the door: exit 2
+/// with the parser's typed message naming the line — not a panic (exit
+/// 101) somewhere inside the replay, and not a silently narrowed number.
+#[test]
+fn unrepresentable_swf_files_are_parse_errors() {
+    let dir = std::path::Path::new(env!("CARGO_TARGET_TMPDIR"));
+    for (name, text, message) in [
+        (
+            "zero_procs.swf",
+            "; MaxProcs: 0\n1 0 0 100 4\n",
+            "line 1: MaxProcs is not a positive processor count",
+        ),
+        (
+            "far_future.swf",
+            "1 0 0 100 4\n2 9223372036854775000 0 100 4\n",
+            "line 2: field 2 is out of range",
+        ),
+        (
+            "wide_id.swf",
+            "; MaxProcs: 8\n4294967297 0 0 100 4\n",
+            "line 2: field 1 is out of range",
+        ),
+        (
+            "wide_procs.swf",
+            "1 0 0 100 4294967297\n",
+            "line 1: field 5 is out of range",
+        ),
+    ] {
+        let path = dir.join(name);
+        std::fs::write(&path, text).expect("scratch file");
+        let out = Command::new(env!("CARGO_BIN_EXE_resched-serve"))
+            .args(["--apps", "5", "--swf"])
+            .arg(&path)
+            .output()
+            .expect("resched-serve runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{name}: {stderr}");
+        assert!(stderr.contains(message), "{name}: {stderr}");
     }
 }

@@ -1,8 +1,9 @@
 //! Multi-application stream: a closed-loop scenario where the "competing
 //! reservations" are themselves mixed-parallel applications scheduled with
-//! this library. Applications arrive as a Poisson process; each schedules
-//! with `BL_CPAR_BD_CPAR` against the live calendar and its reservations
-//! persist for everyone after it.
+//! this library. Applications arrive as a Poisson process; each is
+//! submitted to an online admission server ([`resched_serve::Server`]),
+//! which schedules it with `BL_CPAR_BD_CPAR` against the live calendar, and
+//! its reservations persist for everyone after it.
 //!
 //! This goes beyond the paper (whose competition is replayed from logs) and
 //! measures how the recommended algorithm behaves as the offered load
@@ -13,9 +14,9 @@ use crate::scenario::derive_seed;
 use crate::table::{fnum, Table};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha12Rng;
-use resched_core::forward::{schedule_forward, ForwardConfig};
 use resched_core::prelude::*;
 use resched_daggen::DagParams;
+use resched_serve::{Decision, ServeConfig, Server};
 use serde::{Deserialize, Serialize};
 
 /// Configuration of a stream simulation.
@@ -61,7 +62,22 @@ pub struct StreamResult {
 /// Run one stream simulation.
 pub fn run_stream(cfg: &StreamConfig, seed: u64) -> StreamResult {
     let mut rng = ChaCha12Rng::seed_from_u64(seed);
-    let mut cal = Calendar::new(cfg.procs);
+    let window = Dur::days(1);
+    // Admission is the online server's, pared down to what the experiment
+    // is about: every arrival scheduled forward, no quota, no periodic
+    // audit, and a horizon no turn-around reaches — so nothing is rejected
+    // and the calendar is the sum of everything that arrived.
+    let mut server = Server::new(
+        cfg.procs,
+        &ServeConfig {
+            deadline_every: 0,
+            audit_every: 0,
+            quota: None,
+            admit_horizon: Dur::days(365_000),
+            q_window: window,
+            ..ServeConfig::default()
+        },
+    );
     let params = DagParams {
         num_tasks: cfg.tasks_per_app,
         ..DagParams::paper_default()
@@ -70,8 +86,7 @@ pub fn run_stream(cfg: &StreamConfig, seed: u64) -> StreamResult {
     let mut q_fracs = Vec::new();
     let mut now = Time::ZERO;
     let horizon = Time::ZERO + cfg.horizon;
-    let window = Dur::days(1);
-    let mut app = 0u64;
+    let mut app = 0u32;
     while now < horizon {
         let u: f64 = rng.gen_range(f64::EPSILON..1.0);
         now += Dur::from_secs_f64_ceil(-u.ln() * cfg.mean_interarrival.as_seconds() as f64);
@@ -79,32 +94,24 @@ pub fn run_stream(cfg: &StreamConfig, seed: u64) -> StreamResult {
             break;
         }
         app += 1;
-        let dag = resched_daggen::generate(&params, derive_seed(seed, "stream", app));
-        // Availability estimate from the recent past, exactly as the
-        // paper's q (the window is clamped to the simulated past).
-        let from = (now - window).max(Time::ZERO - window);
-        let q = if now > from {
-            cal.average_available(from, now)
-        } else {
-            cfg.procs
-        };
+        let dag = resched_daggen::generate(&params, derive_seed(seed, "stream", u64::from(app)));
+        // The availability estimate the server is about to schedule with:
+        // the paper's q, over the same window of the recent past.
+        let q = server.calendar().average_available(now - window, now);
         q_fracs.push(q as f64 / cfg.procs as f64);
         resched_core::obs::counter_add("stream.apps", 1);
-        // Admit through a shadow transaction: the schedule is computed and
-        // applied against the transaction's view, then committed — the
-        // same probe → commit path the online serving loop uses, so this
-        // closed-loop experiment exercises it under sustained load.
-        let mut txn = cal.transaction();
-        let sched = {
+        let decision = {
             resched_core::span!("stream.schedule");
-            schedule_forward(&dag, txn.calendar(), now, q, ForwardConfig::recommended())
+            server.submit(now, app, &dag)
         };
-        debug_assert!(sched.validate(&dag, txn.calendar()).is_ok());
-        for t in dag.task_ids() {
-            txn.add_unchecked(sched.placement(t).reservation());
+        match decision {
+            Decision::Admitted { completion, .. } => {
+                turnarounds.push((completion - now).as_hours());
+            }
+            // Under this configuration only a scheduler or calendar bug
+            // rejects an arrival.
+            Decision::Rejected(reason) => panic!("stream application {app} rejected: {reason}"),
         }
-        txn.commit();
-        turnarounds.push(sched.turnaround().as_hours());
     }
     turnarounds.sort_by(|a, b| a.partial_cmp(b).unwrap());
     let n = turnarounds.len();
@@ -117,7 +124,7 @@ pub fn run_stream(cfg: &StreamConfig, seed: u64) -> StreamResult {
         apps: n,
         avg_turnaround_h: crate::metrics::mean(&turnarounds),
         p95_turnaround_h: p95,
-        utilization: cal.average_utilization(Time::ZERO, horizon),
+        utilization: server.calendar().average_utilization(Time::ZERO, horizon),
         avg_q_fraction: crate::metrics::mean(&q_fracs),
     }
 }

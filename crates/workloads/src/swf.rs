@@ -30,7 +30,28 @@ pub enum SwfError {
         /// 1-based field number.
         field: usize,
     },
+    /// A field of a usable record holds a number the log cannot represent:
+    /// a job id or processor count outside `u32`, or an instant or
+    /// duration past [`MAX_SECONDS`].
+    OutOfRange {
+        /// 1-based line number.
+        line: usize,
+        /// 1-based field number.
+        field: usize,
+    },
+    /// The `; MaxProcs:` header is not a positive processor count.
+    BadMaxProcs {
+        /// 1-based line number.
+        line: usize,
+    },
 }
+
+/// The largest instant (start of execution) and the longest runtime a
+/// record may carry, in seconds: about 35,000 years. Real traces span
+/// months; the bound is what keeps every sum a replay forms from a job's
+/// instants — `submit + wait`, `start + runtime`, `now + admit_horizon`
+/// plus a schedule's length — far inside `i64`.
+pub const MAX_SECONDS: i64 = 1 << 40;
 
 impl fmt::Display for SwfError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -38,6 +59,12 @@ impl fmt::Display for SwfError {
             SwfError::TooFewFields { line } => write!(f, "line {line}: too few fields"),
             SwfError::BadNumber { line, field } => {
                 write!(f, "line {line}: field {field} is not a number")
+            }
+            SwfError::OutOfRange { line, field } => {
+                write!(f, "line {line}: field {field} is out of range")
+            }
+            SwfError::BadMaxProcs { line } => {
+                write!(f, "line {line}: MaxProcs is not a positive processor count")
             }
         }
     }
@@ -53,8 +80,11 @@ impl std::error::Error for SwfError {}
 /// practice — and **counted**: the returned log's
 /// [`skipped_jobs`](JobLog::skipped_jobs) records every dropped record, so
 /// a heavily-cleaned trace cannot silently masquerade as a small one.
-/// `max_procs` is taken from the `; MaxProcs:` header when present,
-/// otherwise from the largest allocation seen.
+/// `max_procs` is taken from the `; MaxProcs:` header when present (a job
+/// wider than it cannot have run on that machine and is skipped and
+/// counted like the sentinels), otherwise from the largest allocation
+/// seen. A usable record with a field the log cannot represent is an
+/// error naming its line, never a silently narrowed number.
 pub fn parse_swf(name: &str, text: &str) -> Result<JobLog, SwfError> {
     let mut jobs = Vec::new();
     let mut skipped_jobs: u32 = 0;
@@ -67,7 +97,8 @@ pub fn parse_swf(name: &str, text: &str) -> Result<JobLog, SwfError> {
         if let Some(rest) = line.strip_prefix(';') {
             let rest = rest.trim();
             if let Some(v) = rest.strip_prefix("MaxProcs:") {
-                max_procs_header = v.trim().parse().ok();
+                let procs = v.trim().parse().ok().filter(|&p: &u32| p > 0);
+                max_procs_header = Some(procs.ok_or(SwfError::BadMaxProcs { line: lineno + 1 })?);
             }
             continue;
         }
@@ -81,7 +112,7 @@ pub fn parse_swf(name: &str, text: &str) -> Result<JobLog, SwfError> {
                 field: i + 1,
             })
         };
-        let id = num(0)? as u32;
+        let id = num(0)?;
         let submit = num(1)?;
         let wait = num(2)?;
         let runtime = num(3)?;
@@ -93,14 +124,30 @@ pub fn parse_swf(name: &str, text: &str) -> Result<JobLog, SwfError> {
             skipped_jobs = skipped_jobs.saturating_add(1);
             continue;
         }
-        let wait = wait.max(0);
+        let out_of_range = |field: usize| SwfError::OutOfRange {
+            line: lineno + 1,
+            field,
+        };
+        let start = submit
+            .checked_add(wait.max(0))
+            .filter(|&start| start <= MAX_SECONDS)
+            .ok_or(out_of_range(if submit > MAX_SECONDS { 2 } else { 3 }))?;
+        if runtime > MAX_SECONDS {
+            return Err(out_of_range(4));
+        }
         jobs.push(Job {
-            id,
+            id: u32::try_from(id).map_err(|_| out_of_range(1))?,
             submit: Time::seconds(submit),
-            start: Time::seconds(submit + wait),
+            start: Time::seconds(start),
             runtime: Dur::seconds(runtime),
-            procs: procs as u32,
+            procs: u32::try_from(procs).map_err(|_| out_of_range(5))?,
         });
+    }
+    if let Some(max) = max_procs_header {
+        let parsed = jobs.len();
+        jobs.retain(|j| j.procs <= max);
+        let too_wide = u32::try_from(parsed - jobs.len()).unwrap_or(u32::MAX);
+        skipped_jobs = skipped_jobs.saturating_add(too_wide);
     }
     jobs.sort_by_key(|j| j.submit);
     let procs = max_procs_header
@@ -210,5 +257,65 @@ mod tests {
         let legacy = r#"{"name":"x","procs":4,"jobs":[]}"#;
         let old: crate::job::JobLog = serde_json::from_str(legacy).unwrap();
         assert_eq!(old.skipped_jobs, 0);
+    }
+
+    #[test]
+    fn max_procs_header_must_be_a_positive_count() {
+        for header in ["0", "lots", "-4", "4294967296", ""] {
+            let text = format!("; Version: 2.2\n; MaxProcs: {header}\n1 0 0 100 4\n");
+            assert_eq!(
+                parse_swf("x", &text),
+                Err(SwfError::BadMaxProcs { line: 2 }),
+                "MaxProcs: {header}"
+            );
+        }
+    }
+
+    #[test]
+    fn a_number_the_log_cannot_hold_is_an_error_not_a_narrowing() {
+        // (record, the field at fault): a job id and a processor count
+        // past u32 (4294967297 used to wrap to 1), a negative id, and
+        // instants or durations that would overflow later arithmetic.
+        for (record, field) in [
+            ("4294967297 0 0 100 4", 1),
+            ("-7 0 0 100 4", 1),
+            ("1 9223372036854775000 0 100 4", 2),
+            ("1 1099511627777 0 100 4", 2),
+            ("1 5 9223372036854775807 100 4", 3),
+            ("1 1099511627000 1000 100 4", 3),
+            ("1 0 0 1099511627777 4", 4),
+            ("1 0 0 100 4294967297", 5),
+        ] {
+            let text = format!("1 0 0 100 4\n{record}\n");
+            assert_eq!(
+                parse_swf("x", &text),
+                Err(SwfError::OutOfRange { line: 2, field }),
+                "{record}"
+            );
+        }
+        // The bound itself is in range, and a record that is skipped
+        // anyway is not held to it.
+        let edge = format!(
+            "1 {MAX_SECONDS} 0 {MAX_SECONDS} 4294967295\n9 {} 0 -1 4\n",
+            i64::MAX
+        );
+        let log = parse_swf("x", &edge).unwrap();
+        assert_eq!(
+            (log.jobs.len(), log.skipped_jobs, log.procs),
+            (1, 1, u32::MAX)
+        );
+        assert_eq!(log.jobs[0].end(), Time::seconds(2 * MAX_SECONDS));
+    }
+
+    #[test]
+    fn a_job_wider_than_the_machine_is_skipped_and_counted() {
+        let text = "1 0 0 100 8\n2 5 0 100 9\n; MaxProcs: 8\n3 9 0 100 64\n";
+        let log = parse_swf("x", text).unwrap();
+        assert_eq!(log.procs, 8);
+        assert_eq!(log.skipped_jobs, 2);
+        assert_eq!(log.jobs.iter().map(|j| j.id).collect::<Vec<_>>(), [1]);
+        // Without a header the widest job defines the machine.
+        let log = parse_swf("x", "1 0 0 100 8\n2 5 0 100 9\n").unwrap();
+        assert_eq!((log.procs, log.skipped_jobs, log.jobs.len()), (9, 0, 2));
     }
 }
