@@ -106,18 +106,12 @@ fn bench_latest_fit_scaling(c: &mut Criterion) {
     group.finish();
 }
 
-/// The forward scheduler's per-task slot search, two ways: the calendar's
-/// one-walk `earliest_finish` over all width candidates, and the loop it
-/// replaced — one `earliest_fit` per candidate, best completion kept —
-/// which lives on here (and as the schedulers' test oracle), not in `core`.
-/// A 430-processor machine holding 300 seeded reservations over a month;
-/// the candidates are the first 8 / 64 / 430 widths of one long Amdahl task
-/// (strictly shorter with every processor), searched from four ready times.
-fn bench_forward_scan(c: &mut Criterion) {
+/// The machine the width-scan groups search: 430 processors holding 300
+/// seeded reservations over a month.
+fn month_of_reservations() -> Calendar {
     use rand::{Rng, SeedableRng};
-    let p = 430;
     let mut rng = rand_chacha::ChaCha12Rng::seed_from_u64(19);
-    let mut cal = Calendar::new(p);
+    let mut cal = Calendar::new(430);
     while cal.num_reservations() < 300 {
         let start = Time::seconds(rng.gen_range(0..30 * 86_400i64));
         let dur = Dur::seconds(rng.gen_range(3_600..2 * 86_400i64));
@@ -127,6 +121,17 @@ fn bench_forward_scan(c: &mut Criterion) {
             rng.gen_range(1..=300),
         ));
     }
+    cal
+}
+
+/// The forward scheduler's per-task slot search, two ways: the calendar's
+/// one-walk `earliest_finish` over all width candidates, and the loop it
+/// replaced — one `earliest_fit` per candidate, best completion kept —
+/// which lives on here (and as the schedulers' test oracle), not in `core`.
+/// On [`month_of_reservations`]; the candidates are the first 8 / 64 / 430 widths of one long Amdahl task
+/// (strictly shorter with every processor), searched from four ready times.
+fn bench_forward_scan(c: &mut Criterion) {
+    let cal = month_of_reservations();
     let cost = TaskCost::new(Dur::seconds(2_000_000), 0.02);
     let readies = [0, 5, 12, 20].map(|day| Time::seconds(day * 86_400));
 
@@ -161,6 +166,88 @@ fn bench_forward_scan(c: &mut Criterion) {
             b.iter(|| {
                 for &ready in &readies {
                     black_box(per_width(black_box(&cands), ready));
+                }
+            })
+        });
+    }
+    group.finish();
+}
+
+/// RESSCHEDDL's per-task slot search, one walk against the loop it replaced
+/// — one `latest_fit` per candidate, then the latest start (the aggressive
+/// rule) or the first start at or after a threshold (the conservative one)
+/// — which lives on here (and as the schedulers' test oracle), not in
+/// `core`. On [`month_of_reservations`], the first 8 / 64 / 430 widths
+/// of a shorter Amdahl task (one that fits between the reservations),
+/// searched backward from four deadlines; the conservative legs ask for a
+/// start in the last twelve hours before the deadline, which takes five
+/// processors on an empty machine and more where reservations are in the
+/// way — so their per-width loop stops early when the answer is narrow.
+fn bench_backward_scan(c: &mut Criterion) {
+    let cal = month_of_reservations();
+    let cost = TaskCost::new(Dur::seconds(200_000), 0.02);
+    let deadlines = [8, 15, 24, 33].map(|day| Time::seconds(day * 86_400));
+    let slack = Dur::hours(12);
+
+    let per_width = |cands: &[(u32, Dur)], dl: Time, threshold: Option<Time>| {
+        let mut latest: Option<Reservation> = None;
+        for &(m, dur) in cands {
+            let Some(start) = cal.latest_fit(m, dur, dl, Time::ZERO) else {
+                continue;
+            };
+            let fit = Reservation::for_duration(start, dur, m);
+            if threshold.is_some_and(|th| start >= th) {
+                return Some(fit);
+            }
+            if threshold.is_none() && latest.is_none_or(|b| start > b.start) {
+                latest = Some(fit);
+            }
+        }
+        latest
+    };
+
+    let mut group = c.benchmark_group("backward_scan");
+    for k in [8u32, 64, 430] {
+        let cands: Vec<(u32, Dur)> = (1..=k).map(|m| (m, cost.exec_time(m))).collect();
+        let mut walk_cost = QueryCost::default();
+        for &dl in &deadlines {
+            let one = cal.latest_start(&cands, dl, Time::ZERO, &mut walk_cost);
+            assert_eq!(one, per_width(&cands, dl, None), "{k} candidates by {dl}");
+            let one = cal.narrowest_start_from(&cands, dl, dl - slack, &mut walk_cost);
+            assert_eq!(
+                one,
+                per_width(&cands, dl, Some(dl - slack)),
+                "{k} candidates in the twelve hours before {dl}"
+            );
+        }
+        group.bench_function(format!("one_walk/{k}"), |b| {
+            b.iter(|| {
+                let mut cost = QueryCost::default();
+                for &dl in &deadlines {
+                    black_box(cal.latest_start(black_box(&cands), dl, Time::ZERO, &mut cost));
+                }
+            })
+        });
+        group.bench_function(format!("per_width/{k}"), |b| {
+            b.iter(|| {
+                for &dl in &deadlines {
+                    black_box(per_width(black_box(&cands), dl, None));
+                }
+            })
+        });
+        group.bench_function(format!("one_walk_conservative/{k}"), |b| {
+            b.iter(|| {
+                let mut cost = QueryCost::default();
+                for &dl in &deadlines {
+                    let th = dl - slack;
+                    black_box(cal.narrowest_start_from(black_box(&cands), dl, th, &mut cost));
+                }
+            })
+        });
+        group.bench_function(format!("per_width_conservative/{k}"), |b| {
+            b.iter(|| {
+                for &dl in &deadlines {
+                    black_box(per_width(black_box(&cands), dl, Some(dl - slack)));
                 }
             })
         });
@@ -379,6 +466,6 @@ fn config() -> Criterion {
 criterion_group! {
     name = benches;
     config = config();
-    targets = bench_calendar, bench_earliest_fit_scaling, bench_latest_fit_scaling, bench_forward_scan, bench_calendar_mutate, bench_cpa, bench_cpa_alloc, bench_schedulers, bench_obs
+    targets = bench_calendar, bench_earliest_fit_scaling, bench_latest_fit_scaling, bench_forward_scan, bench_backward_scan, bench_calendar_mutate, bench_cpa, bench_cpa_alloc, bench_schedulers, bench_obs
 }
 criterion_main!(benches);

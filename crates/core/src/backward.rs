@@ -33,7 +33,7 @@ use crate::obs;
 use crate::pool::Pool;
 use crate::schedule::{Placement, Schedule, ScheduleStats};
 use crate::task::{TaskCost, Widths};
-use resched_resv::{Calendar, Dur, QueryCost, Reservation, Time};
+use resched_resv::{Calendar, QueryCost, Reservation, Time};
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
@@ -580,7 +580,7 @@ fn backward_pass(
         let chosen = match &mode {
             Mode::Aggressive { bounds } => {
                 let bound = crate::forward::quantize_bound(bounds[t.idx()], grain, p);
-                scan.run(memo, bound, None, bound, stats)
+                scan.run(memo, None, bound, stats)
             }
             Mode::Rc {
                 guide,
@@ -594,10 +594,10 @@ fn backward_pass(
                 // Fewest processors whose latest fit starts at or after the
                 // threshold (grain-stepped: whole nodes only), else the
                 // back-on-track fallback: the latest start among the
-                // fallback's widths, which the same scan already probed.
+                // fallback's widths.
                 let bound = fallback_bounds.map(|b| b[t.idx()]).unwrap_or(p);
                 let bound = crate::forward::quantize_bound(bound, grain, p);
-                let chosen = scan.run(memo, p, Some(threshold), bound, stats);
+                let chosen = scan.run(memo, Some(threshold), bound, stats);
                 decisions.push(RcDecision {
                     s_i,
                     dl,
@@ -636,55 +636,55 @@ struct WidthScan<'a> {
     now: Time,
 }
 
+/// The conservative rule asks about the candidate list in chunks of 1, 4,
+/// 16, … candidates, each listed only when the one before it has no answer:
+/// every candidate is in exactly one chunk, so the first chunk with an
+/// answer holds the narrowest, and a scan that accepts `m = 1` never
+/// evaluates `exec_time(p)`. Measured (seed 77, `--seconds 6`, three
+/// alternating rounds, medians; DESIGN.md §9): handing the whole list to
+/// one walk costs `batch_table9` 726 → 621 ops/s and 1 346 → 1 902 µs
+/// `op_p50_us` (100 tasks × 1 152 `exec_time` evaluations per RC pass);
+/// growth by 2 / 4 / 8 reads 753 / 726 / 734 ops/s there and 4 650 / 4 852
+/// / 5 006 on `serve_deadline`, all inside one another's spread, so the
+/// middle one stays: six walks cross a 1 152-wide list.
+const FIRST_CHUNK: usize = 1;
+const CHUNK_GROWTH: usize = 4;
+
 impl WidthScan<'_> {
-    /// Probe the candidates no wider than `limit` in increasing width and
-    /// return the first whose latest fit starts at or after `threshold`
-    /// (never, for `None`); failing that, the latest-starting fit among
-    /// the candidates no wider than `latest_bound` (a tie keeps the
-    /// smaller `m`), or `None` if none of those fits between `now` and
-    /// `dl`. Callers pre-quantize both bounds to multiples of the grain
-    /// (see [`crate::forward::quantize_bound`]).
-    ///
-    /// A failed probe bounds the longest run of `m` free processors in
-    /// `[now, dl)`; every wider candidate needs its processors free inside
-    /// such a run, so one whose duration exceeds the bound cannot fit and
-    /// is not probed. That holds for any cost model: it uses only that the
-    /// later candidate is wider, not that it is shorter.
+    /// The narrowest candidate whose latest fit starts at or after
+    /// `threshold` (none, for `None`); failing that, the latest-starting
+    /// fit among the candidates no wider than `latest_bound` (a tie keeps
+    /// the smaller `m`), or `None` if none of those fits between `now` and
+    /// `dl`. Callers pre-quantize the bound to a multiple of the grain (see
+    /// [`crate::forward::quantize_bound`]). One calendar walk per chunk of
+    /// candidates asked about, and one for the latest start.
     fn run(
         &self,
         widths: &mut Widths,
-        limit: u32,
         threshold: Option<Time>,
         latest_bound: u32,
         stats: &mut ScheduleStats,
     ) -> Option<Placement> {
-        let mut latest: Option<Placement> = None;
-        let mut longest_run = Dur::MAX;
-        let mut i = 0;
-        while let Some((m, dur)) = widths.get(i, &self.cost, self.grain, limit) {
-            i += 1;
-            if dur > longest_run {
-                obs::counter_add(obs::names::DEADLINE_WIDTHS_SKIPPED, 1);
-                continue;
-            }
-            match obs::probe::latest_fit(self.cal, m, dur, self.dl, self.now, stats) {
-                Ok(start) => {
-                    let fit = Placement {
-                        start,
-                        end: start + dur,
-                        procs: m,
-                    };
-                    if threshold.is_some_and(|th| start >= th) {
-                        return Some(fit); // smallest m wins
-                    }
-                    if m <= latest_bound && latest.is_none_or(|best| start > best.start) {
-                        latest = Some(fit);
-                    }
+        if let Some(threshold) = threshold {
+            // A fit never starts before `now`, whatever the guideline says.
+            let from = threshold.max(self.now);
+            let p = self.cal.capacity();
+            let (mut asked, mut len) = (0, FIRST_CHUNK);
+            loop {
+                let chunk = widths.range(asked, len, &self.cost, self.grain, p);
+                if chunk.is_empty() {
+                    break;
                 }
-                Err(no_fit) => longest_run = longest_run.min(no_fit.longest_run),
+                let fit = obs::probe::narrowest_start_from(self.cal, chunk, self.dl, from, stats);
+                if fit.is_some() {
+                    return fit;
+                }
+                asked += chunk.len();
+                len *= CHUNK_GROWTH;
             }
         }
-        latest
+        let candidates = widths.up_to(&self.cost, self.grain, latest_bound);
+        obs::probe::latest_start(self.cal, candidates, self.dl, self.now, stats)
     }
 }
 
@@ -1225,74 +1225,150 @@ mod tests {
         .ok_or(infeasible)
     }
 
+    /// How many of the conservative rule's chunks cover `n` candidates.
+    fn chunks_covering(n: u32) -> u64 {
+        let (mut covered, mut len, mut chunks) = (0, FIRST_CHUNK, 0);
+        while covered < n as usize {
+            covered += len;
+            len *= CHUNK_GROWTH;
+            chunks += 1;
+        }
+        chunks
+    }
+
+    /// One draw of [`width_scan_matches_the_brute_force_pass`] on a
+    /// `p`-processor platform with sequential times up to `longest`:
+    /// returns how many (deadline, algorithm) cases were met and missed,
+    /// and the widest placement an RC-family schedule made.
+    fn width_scan_draw(draw: u64, p: u32, longest: i64, tenths: &[i64]) -> (u32, u32, u32) {
+        use rand::{Rng, SeedableRng};
+        let (mut feasible, mut infeasible, mut widest_rc) = (0, 0, 0);
+        let mut rng = rand_chacha::ChaCha12Rng::seed_from_u64(0x5CA9_0015 ^ draw);
+        let mut cal = Calendar::new(p);
+        for _ in 0..rng.gen_range(0..30usize) {
+            let s = rng.gen_range(0i64..60_000);
+            let d = rng.gen_range(60i64..15_000);
+            let m = rng.gen_range(1u32..=p);
+            let _ = cal.try_add(Reservation::new(Time::seconds(s), Time::seconds(s + d), m));
+        }
+        let q = rng.gen_range(1u32..=p);
+        for overhead in [0, rng.gen_range(1i64..40)] {
+            let dag = crate::dag::random_dag(&mut rng, longest, overhead);
+            let fwd = crate::forward::schedule_forward(
+                &dag,
+                &cal,
+                Time::ZERO,
+                q,
+                crate::forward::ForwardConfig::recommended(),
+            );
+            for grain in [1, 4] {
+                let cfg = DeadlineConfig::default().hierarchical(grain);
+                for &tenths in tenths {
+                    let deadline = Time::ZERO + fwd.turnaround() * tenths / 10;
+                    for algo in DeadlineAlgo::ALL {
+                        let want = brute_deadline(&dag, &cal, Time::ZERO, q, deadline, algo, cfg);
+                        let got = schedule_deadline(&dag, &cal, Time::ZERO, q, deadline, algo, cfg);
+                        if let Ok(out) = &got {
+                            let stats = &out.schedule.stats;
+                            // One mapping per task, however many λ
+                            // passes read its `S_i`.
+                            let mappings = if reads_guideline(algo) {
+                                dag.num_tasks() as u64
+                            } else {
+                                0
+                            };
+                            assert_eq!(stats.cpa_mappings, mappings, "{algo}");
+                            // One walk per chunk of widths the conservative
+                            // rule asks about, and one for the latest start.
+                            let walks = chunks_covering(p / grain) + 1;
+                            assert!(
+                                stats.slot_queries <= dag.num_tasks() as u64 * stats.passes * walks,
+                                "{algo}: {stats:?} for {} tasks, {walks} walks each",
+                                dag.num_tasks()
+                            );
+                            if reads_guideline(algo) {
+                                let widest = out.schedule.placements().iter().map(|pl| pl.procs);
+                                widest_rc = widest_rc.max(widest.max().unwrap_or(0));
+                            }
+                        }
+                        let got = got.map(|out| (out.schedule.placements().to_vec(), out.lambda));
+                        match &want {
+                            Ok(_) => feasible += 1,
+                            Err(_) => infeasible += 1,
+                        }
+                        assert_eq!(
+                            got, want,
+                            "{algo}, draw {draw}, {p} processors, overhead {overhead}, \
+                             grain {grain}, deadline {deadline}"
+                        );
+                    }
+                }
+            }
+        }
+        (feasible, infeasible, widest_rc)
+    }
+
     #[test]
     fn width_scan_matches_the_brute_force_pass() {
-        use rand::{Rng, SeedableRng};
         // Seeded DAG/calendar draws; the CI fuzz lane raises the count.
         let draws: u64 = std::env::var("RESCHED_DIFF_ITERS")
             .ok()
             .and_then(|v| v.parse().ok())
             .unwrap_or(6);
-        let (mut feasible, mut infeasible) = (0u32, 0u32);
+        let (mut feasible, mut infeasible, mut widest_rc) = (0u32, 0u32, 0u32);
         for draw in 0..draws {
-            let mut rng = rand_chacha::ChaCha12Rng::seed_from_u64(0x5CA9_0015 ^ draw);
-            let p = 16;
-            let mut cal = Calendar::new(p);
-            for _ in 0..rng.gen_range(0..30usize) {
-                let s = rng.gen_range(0i64..60_000);
-                let d = rng.gen_range(60i64..15_000);
-                let m = rng.gen_range(1u32..=p);
-                let _ = cal.try_add(Reservation::new(Time::seconds(s), Time::seconds(s + d), m));
-            }
-            let q = rng.gen_range(1u32..=p);
-            for overhead in [0, rng.gen_range(1i64..40)] {
-                let dag = crate::dag::random_dag(&mut rng, overhead);
-                let fwd = crate::forward::schedule_forward(
-                    &dag,
-                    &cal,
-                    Time::ZERO,
-                    q,
-                    crate::forward::ForwardConfig::recommended(),
-                );
-                for grain in [1, 4] {
-                    let cfg = DeadlineConfig::default().hierarchical(grain);
-                    for tenths in [3, 8, 11, 16, 30] {
-                        let deadline = Time::ZERO + fwd.turnaround() * tenths / 10;
-                        for algo in DeadlineAlgo::ALL {
-                            let want =
-                                brute_deadline(&dag, &cal, Time::ZERO, q, deadline, algo, cfg);
-                            let got =
-                                schedule_deadline(&dag, &cal, Time::ZERO, q, deadline, algo, cfg);
-                            if let Ok(out) = &got {
-                                // One mapping per task, however many λ
-                                // passes read its `S_i`.
-                                let mappings = if reads_guideline(algo) {
-                                    dag.num_tasks() as u64
-                                } else {
-                                    0
-                                };
-                                assert_eq!(out.schedule.stats.cpa_mappings, mappings, "{algo}");
-                            }
-                            let got =
-                                got.map(|out| (out.schedule.placements().to_vec(), out.lambda));
-                            match &want {
-                                Ok(_) => feasible += 1,
-                                Err(_) => infeasible += 1,
-                            }
-                            assert_eq!(
-                                got, want,
-                                "{algo}, draw {draw}, overhead {overhead}, grain {grain}, \
-                                 deadline {deadline}"
-                            );
-                        }
-                    }
-                }
+            let (met, missed, _) = width_scan_draw(draw, 16, 30_000, &[3, 8, 11, 16, 30]);
+            feasible += met;
+            infeasible += missed;
+            // Every sixth draw on a platform wide enough, under tasks long
+            // enough (every width a candidate), that the conservative rule
+            // asks about all six of its chunks: 1, 4, 16, 64, 256 and the
+            // rest of 430.
+            if draw % 6 == 0 {
+                let (met, missed, widest) = width_scan_draw(draw, 430, 400_000, &[8, 11, 30]);
+                feasible += met;
+                infeasible += missed;
+                widest_rc = widest_rc.max(widest);
             }
         }
         assert!(
             feasible > 0 && infeasible > 0,
             "deadlines must fall on both sides of feasibility ({feasible} met, {infeasible} not)"
         );
+        assert!(
+            widest_rc > 341,
+            "no RC schedule reached the last chunk (widest placement {widest_rc})"
+        );
+    }
+
+    #[test]
+    fn rc_scan_that_accepts_one_processor_evaluates_one_width() {
+        // A loose deadline on an empty machine: one processor keeps every
+        // task on its guideline, so the first chunk answers and the memo
+        // never grows past it.
+        let cal = Calendar::new(64);
+        let cost = c(600, 0.1);
+        let scan = WidthScan {
+            cal: &cal,
+            cost,
+            grain: 1,
+            dl: Time::seconds(100_000),
+            now: Time::ZERO,
+        };
+        let mut widths = Widths::default();
+        let mut stats = ScheduleStats::default();
+        let fit = scan.run(&mut widths, Some(Time::seconds(50_000)), 64, &mut stats);
+        assert_eq!(fit.map(|pl| pl.procs), Some(1));
+        assert_eq!((widths.evaluated(), stats.slot_queries), (1, 1));
+        // A threshold only the second chunk can meet grows the memo to the
+        // end of that chunk, no further; with no threshold (the aggressive
+        // rule) the scan lists every width up to its bound.
+        let fit = scan.run(&mut widths, Some(Time::seconds(99_750)), 64, &mut stats);
+        assert_eq!(fit.map(|pl| pl.procs), Some(3));
+        assert_eq!((widths.evaluated(), stats.slot_queries), (5, 3));
+        let fit = scan.run(&mut widths, None, 32, &mut stats);
+        assert_eq!(fit.map(|pl| pl.procs), Some(32));
+        assert_eq!((widths.evaluated(), stats.slot_queries), (32, 4));
     }
 
     #[test]

@@ -35,6 +35,17 @@
 //! `slot_queries` / `slot_steps` counters of `table8_scaling` show it —
 //! one query per task, steps growing with `R` and not with `P'`.
 //!
+//! The same holds for the `DL_*` rows' last term. The paper charges
+//! `V·R'·P` (or `P'`): one scan of the reservations before the deadline per
+//! candidate width per task. [`backward`](crate::backward) places a task
+//! with `Calendar::latest_start` — every width's window end carried down
+//! one backward walk — after, for the resource-conservative rows, one
+//! `Calendar::narrowest_start_from` walk per chunk of 1, 4, 16, … widths
+//! the rule has to ask about (at most `log₄ P + 2` walks, one when a single
+//! processor keeps the task on its guideline): `V·(R' + P)` per pass,
+//! measured as a handful of queries per task where the per-width loop
+//! issued one per width.
+//!
 //! The resource-conservative algorithms additionally run one CPA
 //! list-scheduling mapping per task decision (`O(VP)` / `O(VP')` each,
 //! `O(V²P)` / `O(V²P')` total), which does not change the dominated terms

@@ -354,16 +354,16 @@ pub fn fork_join(entry: TaskCost, middle: &[TaskCost], exit: TaskCost) -> Dag {
 
 /// A seeded random DAG for the schedulers' differential tests: each task
 /// draws up to three predecessors among the five tasks before it; costs are
-/// Amdahl with the given per-processor overhead (> 0 makes execution time
-/// U-shaped in `m`).
+/// Amdahl, sequential times up to `longest` seconds, with the given
+/// per-processor overhead (> 0 makes execution time U-shaped in `m`).
 #[cfg(test)]
-pub(crate) fn random_dag<R: rand::Rng>(rng: &mut R, overhead: i64) -> Dag {
+pub(crate) fn random_dag<R: rand::Rng>(rng: &mut R, longest: i64, overhead: i64) -> Dag {
     use resched_resv::Dur;
     let mut b = DagBuilder::new();
     let n = rng.gen_range(4usize..16);
     for j in 0..n {
         let t = b.add_task(TaskCost::with_overhead(
-            Dur::seconds(rng.gen_range(300i64..30_000)),
+            Dur::seconds(rng.gen_range(300i64..longest)),
             rng.gen_range(0.0..0.5f64),
             Dur::seconds(overhead),
         ));

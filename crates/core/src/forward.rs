@@ -595,7 +595,7 @@ mod tests {
             let now = Time::seconds(rng.gen_range(0i64..30_000));
             let bl = BlMethod::ALL[draw as usize % BlMethod::ALL.len()];
             for overhead in [0, 3, 40] {
-                let dag = crate::dag::random_dag(&mut rng, overhead);
+                let dag = crate::dag::random_dag(&mut rng, 30_000, overhead);
                 for bd in BdMethod::ALL {
                     for grain in [1, 4] {
                         let cfgs =

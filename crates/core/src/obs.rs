@@ -86,10 +86,6 @@ pub mod names {
     /// Counter: λ-sweep passes the hybrid deadline algorithms skipped
     /// because the previous failure provably repeats at the next λ.
     pub const HYBRID_LAMBDA_PASSES_SAVED: &str = "hybrid.lambda_passes_saved";
-    /// Counter: width-scan candidates the deadline algorithms did not
-    /// probe because an earlier failed probe's free-run bound rules them
-    /// out.
-    pub const DEADLINE_WIDTHS_SKIPPED: &str = "deadline.scan.widths_skipped";
     /// Counter: mirror of [`ScheduleStats::cpa_allocations`].
     pub const STATS_CPA_ALLOCATIONS: &str = "sched.cpa_allocations";
     /// Counter: mirror of [`ScheduleStats::cpa_mappings`].
@@ -706,7 +702,7 @@ pub mod probe {
     use super::names;
     use crate::forward::TieBreak;
     use crate::schedule::{Placement, ScheduleStats};
-    use resched_resv::{Calendar, Dur, NoFit, QueryCost, Time};
+    use resched_resv::{Calendar, Dur, QueryCost, Reservation, Time};
 
     /// Mirror one earliest/latest fit query into the ambient registry.
     #[cfg(feature = "obs")]
@@ -721,6 +717,16 @@ pub mod probe {
     #[cfg(not(feature = "obs"))]
     #[inline(always)]
     fn record_fit(_queries_name: &'static str, _steps_name: &'static str, _cost: QueryCost) {}
+
+    /// The reservation a width-scan query answered with, as the scheduler's
+    /// placement.
+    fn placed(r: Reservation) -> Placement {
+        Placement {
+            start: r.start,
+            end: r.end,
+            procs: r.procs,
+        }
+    }
 
     /// `Calendar::earliest_fit` with cost folded into `stats` and mirrored
     /// into the ambient registry.
@@ -755,29 +761,43 @@ pub mod probe {
         let first = cal.earliest_finish(candidates, not_before, widest_on_tie, &mut cost);
         stats.absorb_query_cost(cost);
         record_fit(names::EARLIEST_FIT_QUERIES, names::EARLIEST_FIT_STEPS, cost);
-        Placement {
-            start: first.start,
-            end: first.end,
-            procs: first.procs,
-        }
+        placed(first)
     }
 
-    /// `Calendar::latest_fit_with_cost` with cost folded into `stats` and
-    /// mirrored into the ambient registry.
+    /// `Calendar::latest_start` over one task's width `candidates`, as the
+    /// placement it picks: one query, whatever the number of widths, folded
+    /// into `stats` and mirrored under `calendar.latest_fit.*`.
     #[inline]
-    pub fn latest_fit(
+    pub fn latest_start(
         cal: &Calendar,
-        procs: u32,
-        dur: Dur,
+        candidates: &[(u32, Dur)],
         end_by: Time,
         not_before: Time,
         stats: &mut ScheduleStats,
-    ) -> Result<Time, NoFit> {
+    ) -> Option<Placement> {
         let mut cost = QueryCost::default();
-        let start = cal.latest_fit_with_cost(procs, dur, end_by, not_before, &mut cost);
+        let last = cal.latest_start(candidates, end_by, not_before, &mut cost);
         stats.absorb_query_cost(cost);
         record_fit(names::LATEST_FIT_QUERIES, names::LATEST_FIT_STEPS, cost);
-        start
+        last.map(placed)
+    }
+
+    /// `Calendar::narrowest_start_from` over one chunk of a task's width
+    /// `candidates`, as the placement it picks: one query per chunk, folded
+    /// into `stats` and mirrored under `calendar.latest_fit.*`.
+    #[inline]
+    pub fn narrowest_start_from(
+        cal: &Calendar,
+        candidates: &[(u32, Dur)],
+        end_by: Time,
+        threshold: Time,
+        stats: &mut ScheduleStats,
+    ) -> Option<Placement> {
+        let mut cost = QueryCost::default();
+        let fit = cal.narrowest_start_from(candidates, end_by, threshold, &mut cost);
+        stats.absorb_query_cost(cost);
+        record_fit(names::LATEST_FIT_QUERIES, names::LATEST_FIT_STEPS, cost);
+        fit.map(placed)
     }
 
     /// `Calendar::earliest_fit` against the CPA mapping phase's *virtual*
@@ -846,7 +866,6 @@ mod tests {
             names::CPA_CACHE_MISS,
             names::CPA_ALLOC_INCR_UPDATES,
             names::HYBRID_LAMBDA_PASSES_SAVED,
-            names::DEADLINE_WIDTHS_SKIPPED,
             names::STATS_CPA_ALLOCATIONS,
             names::STATS_CPA_MAPPINGS,
             names::STATS_PASSES,

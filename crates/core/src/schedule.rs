@@ -35,8 +35,10 @@ impl Placement {
 pub struct ScheduleStats {
     /// Number of calendar slot queries issued: one `earliest_finish` per
     /// task for the forward family (it decides among all the task's widths
-    /// in one walk), one `latest_fit` per probed width for the deadline
-    /// family, one `earliest_fit` per placement elsewhere.
+    /// in one walk); per task decision of a deadline pass one
+    /// `latest_start`, after one `narrowest_start_from` per chunk of widths
+    /// the conservative rule asked about; one `earliest_fit` per placement
+    /// elsewhere.
     pub slot_queries: u64,
     /// Work done answering those queries: calendar slots inspected, plus
     /// one positioning step per query (see `resched_resv::QueryCost`) —

@@ -203,20 +203,27 @@ impl Widths {
         true
     }
 
-    /// Candidate `i`, if there is one no wider than `bound`.
-    pub(crate) fn get(
+    /// Candidates `from..from + len` of the list over the widths up to
+    /// `bound` — fewer, or none, where the list ends first — evaluating
+    /// widths only as far as that takes.
+    pub(crate) fn range(
         &mut self,
-        i: usize,
+        from: usize,
+        len: usize,
         cost: &TaskCost,
         grain: u32,
         bound: u32,
-    ) -> Option<(u32, Dur)> {
-        while self.candidates.len() <= i {
-            if !self.grow(cost, grain, bound) {
-                return None;
-            }
-        }
-        self.candidates.get(i).copied().filter(|&(m, _)| m <= bound)
+    ) -> &[(u32, Dur)] {
+        while self.candidates.len() < from + len && self.grow(cost, grain, bound) {}
+        let until = self.candidates.len().min(from + len);
+        self.candidates.get(from..until).unwrap_or_default()
+    }
+
+    /// Every candidate no wider than `bound`, narrowest first.
+    pub(crate) fn up_to(&mut self, cost: &TaskCost, grain: u32, bound: u32) -> &[(u32, Dur)] {
+        while self.grow(cost, grain, bound) {}
+        let n = self.candidates.partition_point(|&(m, _)| m <= bound);
+        self.candidates.get(..n).unwrap_or_default()
     }
 
     /// Start over for another task: every candidate of `cost` no wider
@@ -224,8 +231,13 @@ impl Widths {
     pub(crate) fn refill(&mut self, cost: &TaskCost, grain: u32, bound: u32) -> &[(u32, Dur)] {
         self.candidates.clear();
         self.evaluated = 0;
-        while self.grow(cost, grain, bound) {}
-        &self.candidates
+        self.up_to(cost, grain, bound)
+    }
+
+    /// How many widths have been evaluated so far.
+    #[cfg(test)]
+    pub(crate) fn evaluated(&self) -> u32 {
+        self.evaluated
     }
 }
 

@@ -50,8 +50,9 @@ pub(crate) struct Step {
 /// search that positioned it (breakpoints visited, for the
 /// [`Calendar::linear`] reference): "memory touches proportional to search
 /// effort". A query is one positioned walk, however much it answers:
-/// [`Calendar::earliest_finish`] decides among all of a task's widths in
-/// one.
+/// [`Calendar::earliest_finish`], [`Calendar::latest_start`] and
+/// [`Calendar::narrowest_start_from`] each decide among all the widths
+/// they are handed in one.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct QueryCost {
     /// Number of slot queries issued.
@@ -552,6 +553,104 @@ impl Calendar {
         cost.queries += 1;
         self.slots()
             .latest_fit(procs, dur, end_by, not_before, &mut cost.steps)
+    }
+
+    /// Latest *start* over a task's width candidates: the reservation of the
+    /// one whose latest fit inside `[not_before, end_by)` starts latest, a
+    /// tie going to the narrower candidate; `None` if none of them fits.
+    /// The backward mirror of [`Calendar::earliest_finish`], and what the
+    /// aggressive deadline algorithms (and the conservative ones' fallback)
+    /// place a task by.
+    ///
+    /// `candidates` is `(procs, dur)` in increasing `procs` with `dur`
+    /// decreasing. The answer is the argmax of
+    /// `latest_fit(procs, dur, end_by, not_before)` over them, found in one
+    /// backward walk that carries every candidate's window end at once — a
+    /// slot too full for one width is too full for every wider one, so the
+    /// ends move together: `cost` is charged **one** query and the slots
+    /// that walk inspected, no more than the answer's own `latest_fit`
+    /// would have inspected alone.
+    ///
+    /// ```
+    /// use resched_resv::{Calendar, Dur, QueryCost, Reservation, Time};
+    ///
+    /// // 6 of 8 processors are taken for the last hour before the deadline.
+    /// let mut cal = Calendar::new(8);
+    /// let deadline = Time::seconds(4 * 3600);
+    /// cal.try_add(Reservation::new(Time::seconds(3 * 3600), deadline, 6)).unwrap();
+    ///
+    /// // 100 minutes on 2 processors, 50 on 4, 25 on all 8. Two fit beside
+    /// // the reservation and start 100 min before the deadline; four and
+    /// // eight must end where it starts, and eight start latest of all.
+    /// let widths = [(2, Dur::minutes(100)), (4, Dur::minutes(50)), (8, Dur::minutes(25))];
+    /// let mut cost = QueryCost::default();
+    /// let last = cal.latest_start(&widths, deadline, Time::ZERO, &mut cost);
+    /// let start = Time::seconds(3 * 3600) - Dur::minutes(25);
+    /// assert_eq!(last, Some(Reservation::for_duration(start, Dur::minutes(25), 8)));
+    /// assert_eq!(cost.queries, 1);
+    /// ```
+    ///
+    /// # Panics
+    /// Panics if `candidates` is empty, a width is 0 or above the capacity,
+    /// or a duration is not positive.
+    pub fn latest_start(
+        &self,
+        candidates: &[(u32, Dur)],
+        end_by: Time,
+        not_before: Time,
+        cost: &mut QueryCost,
+    ) -> Option<Reservation> {
+        cost.queries += 1;
+        self.slots()
+            .latest_start(candidates, end_by, not_before, &mut cost.steps)
+    }
+
+    /// The *narrowest* of a task's width candidates that can still start at
+    /// or after `threshold` and end by `end_by`, with its latest such fit;
+    /// `None` if none can. This is the resource-conservative deadline rule
+    /// (paper §5.2.2): the fewest processors that keep the task on its
+    /// guideline.
+    ///
+    /// `candidates` as for [`Calendar::latest_start`]. The answer is the
+    /// first of them for which `latest_fit(procs, dur, end_by, threshold)`
+    /// succeeds, found in one backward walk (one query in `cost`, plus the
+    /// slots it inspected). Asking about consecutive chunks of a candidate
+    /// list in turn finds the same answer as asking about the whole list —
+    /// the first chunk that has one holds the narrowest — so a caller whose
+    /// candidates are costly to list can list them as it goes.
+    ///
+    /// ```
+    /// use resched_resv::{Calendar, Dur, QueryCost, Reservation, Time};
+    ///
+    /// let mut cal = Calendar::new(8);
+    /// let deadline = Time::seconds(4 * 3600);
+    /// cal.try_add(Reservation::new(Time::seconds(3 * 3600), deadline, 6)).unwrap();
+    /// let widths = [(2, Dur::minutes(100)), (4, Dur::minutes(50)), (8, Dur::minutes(25))];
+    ///
+    /// // Two processors start 100 min before the deadline; four must end
+    /// // where the reservation starts, so they start 50 min before it, and
+    /// // eight 25 min before it. Asked to start in the last two hours, two
+    /// // processors are enough; in the last hour and a half, it takes eight.
+    /// let mut cost = QueryCost::default();
+    /// let two = cal.narrowest_start_from(&widths, deadline, deadline - Dur::minutes(120), &mut cost);
+    /// assert_eq!(two.map(|r| r.procs), Some(2));
+    /// let eight = cal.narrowest_start_from(&widths, deadline, deadline - Dur::minutes(90), &mut cost);
+    /// assert_eq!(eight.map(|r| (r.procs, r.end)), Some((8, Time::seconds(3 * 3600))));
+    /// assert_eq!(cost.queries, 2);
+    /// ```
+    ///
+    /// # Panics
+    /// As [`Calendar::latest_start`].
+    pub fn narrowest_start_from(
+        &self,
+        candidates: &[(u32, Dur)],
+        end_by: Time,
+        threshold: Time,
+        cost: &mut QueryCost,
+    ) -> Option<Reservation> {
+        cost.queries += 1;
+        self.slots()
+            .narrowest_start_from(candidates, end_by, threshold, &mut cost.steps)
     }
 
     /// Time-average number of *free* processors over `[from, to)` — the

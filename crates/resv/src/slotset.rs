@@ -35,18 +35,116 @@ struct Slot {
     used: u32,
 }
 
-/// A run of consecutive width candidates that [`Slots::earliest_finish`]
-/// carries at one start: from candidate `first` up to the next segment's
-/// (the last segment runs to the widest candidate).
+/// A run of consecutive width candidates that a one-walk width scan
+/// carries at one window edge: from candidate `first` up to the next
+/// segment's (the last segment runs to the widest candidate).
 #[derive(Debug, Clone, Copy)]
 struct Segment {
     /// Index of the narrowest candidate in the run.
     first: usize,
-    /// Where every candidate in the run currently starts.
-    start: Time,
+    /// The window edge every candidate in the run currently shares: where
+    /// it starts in the forward walk ([`Slots::earliest_finish`]), where it
+    /// ends in the backward ones ([`Slots::latest_start`],
+    /// [`Slots::narrowest_start_from`]).
+    edge: Time,
     /// The widest, hence shortest, candidate in the run as `(m, dur)`: the
-    /// only one that can be the first to complete.
+    /// only one that can be the first to complete, or the last to start.
     top: (u32, Dur),
+}
+
+/// Take every candidate from `at` on off the stack: pop the segments that
+/// start there or above, and cut the one `at` falls inside — its widest
+/// candidate is now the one just below `at`.
+fn cut_at(segs: &mut Vec<Segment>, cands: &[(u32, Dur)], at: usize) {
+    while segs.last().is_some_and(|seg| seg.first >= at) {
+        segs.pop();
+    }
+    let below = cands.get(..at).and_then(<[_]>::last);
+    if let (Some(cut), Some(&below)) = (segs.last_mut(), below) {
+        cut.top = below;
+    }
+}
+
+/// A slot too full for candidate `blocked` is too full for every wider one:
+/// send them all to `edge`, which no candidate's window edge has passed yet,
+/// as one segment on top of what is left of the narrower ones'.
+fn block_from(segs: &mut Vec<Segment>, cands: &[(u32, Dur)], blocked: usize, edge: Time) {
+    cut_at(segs, cands, blocked);
+    if let Some(&top) = cands.last() {
+        segs.push(Segment {
+            first: blocked,
+            edge,
+            top,
+        });
+    }
+}
+
+/// Candidate `(m, dur)` in the window ending at `edge`.
+fn ending_at(edge: Time, (procs, dur): (u32, Dur)) -> Reservation {
+    Reservation {
+        start: edge - dur,
+        end: edge,
+        procs,
+    }
+}
+
+/// The narrowest of `cands[from..until]` no longer than `room`, if any:
+/// durations fall with the width, so everything wider is no longer either.
+fn narrowest_within(
+    cands: &[(u32, Dur)],
+    from: usize,
+    until: usize,
+    room: Dur,
+) -> Option<(usize, (u32, Dur))> {
+    let run = cands.get(from..until)?;
+    let at = run.partition_point(|&(_, dur)| dur > room);
+    run.get(at).map(|&cand| (from + at, cand))
+}
+
+/// The narrowest candidate that can still start at or after `threshold`
+/// where its segment has it, as the reservation it would get — after
+/// dropping every narrower one from the bottom of the stack: tentative
+/// starts only fall, so those are out for good. Leaves that candidate first
+/// in the bottom segment.
+fn narrowest_from(
+    segs: &mut Vec<Segment>,
+    cands: &[(u32, Dur)],
+    threshold: Time,
+) -> Option<Reservation> {
+    while let Some(&Segment { first, edge, top }) = segs.first() {
+        // A segment's widest candidate starts last: if it is too early, all
+        // of the segment is.
+        if edge - top.1 >= threshold {
+            let until = segs.get(1).map_or(cands.len(), |next| next.first);
+            let (lead, cand) = narrowest_within(cands, first, until, edge - threshold)?;
+            segs.first_mut()?.first = lead;
+            return Some(ending_at(edge, cand));
+        }
+        segs.remove(0);
+    }
+    None
+}
+
+/// The narrowest candidate from `blocked` on whose whole window lies at or
+/// after `slot_end` — the walk is past it, so its tentative fit is final —
+/// as its index and that fit.
+fn narrowest_settled(
+    segs: &[Segment],
+    cands: &[(u32, Dur)],
+    blocked: usize,
+    slot_end: Time,
+) -> Option<(usize, Reservation)> {
+    segs.iter().enumerate().find_map(|(n, seg)| {
+        // Most slots settle nothing: a segment's widest candidate starts
+        // last, so if the walk is not past its start it is past none.
+        if seg.edge - seg.top.1 < slot_end {
+            return None;
+        }
+        let until = segs.get(n + 1).map_or(cands.len(), |next| next.first);
+        let from = seg.first.max(blocked);
+        let (i, cand) = narrowest_within(cands, from, until, seg.edge - slot_end)?;
+        Some((i, ending_at(seg.edge, cand)))
+    })
 }
 
 /// The slot list of a `capacity`-processor calendar, read straight off its
@@ -75,6 +173,41 @@ impl<'a> Slots<'a> {
         self.steps
             .partition_point(|s| s.time <= t)
             .saturating_sub(1)
+    }
+
+    /// How many slots start before `t`: the backward walks position on the
+    /// last of them. Slot `k` starts at breakpoint `k`, and the last
+    /// breakpoint starts no slot.
+    fn starting_before(self, t: Time) -> usize {
+        self.steps
+            .partition_point(|b| b.time < t)
+            .min(self.steps.len().saturating_sub(1))
+    }
+
+    /// The slot before slot `k`, while the backward walk has any left.
+    fn before(self, k: usize) -> Option<Slot> {
+        k.checked_sub(1).and_then(|last| self.get(last))
+    }
+
+    /// The widest (last) of a task's width candidates `(m, dur)`, after
+    /// checking what every one-walk scan asks of the list: not empty, widths
+    /// within `1..=capacity` and increasing, durations positive and
+    /// decreasing (non-increasing if `plateaus`).
+    fn widest_of(self, cands: &[(u32, Dur)], plateaus: bool) -> (u32, Dur) {
+        assert!(!cands.is_empty(), "no width candidate");
+        let narrowest = cands.first().map_or(0, |&(m, _)| m);
+        let (widest, shortest) = cands.last().copied().unwrap_or_default();
+        assert!(
+            narrowest > 0 && widest <= self.capacity,
+            "bad procs {narrowest}..={widest}"
+        );
+        assert!(shortest.is_positive(), "bad duration {shortest}");
+        debug_assert!(
+            cands.windows(2).all(|w| matches!(w, &[(m0, d0), (m1, d1)]
+                if m0 < m1 && (d1 < d0 || (plateaus && d1 == d0)))),
+            "candidates must widen and shorten: {cands:?}"
+        );
+        (widest, shortest)
     }
 
     /// The slots intersecting `[from, to)`, in order.
@@ -149,20 +282,8 @@ impl<'a> Slots<'a> {
         widest_on_tie: bool,
         visited: &mut u64,
     ) -> Reservation {
-        assert!(!cands.is_empty(), "no width candidate");
-        let narrowest = cands.first().map_or(0, |&(m, _)| m);
-        let top = cands.last().copied().unwrap_or_default();
-        let (widest, shortest) = top;
-        assert!(
-            narrowest > 0 && widest <= self.capacity,
-            "bad procs {narrowest}..={widest}"
-        );
-        assert!(shortest.is_positive(), "bad duration {shortest}");
-        debug_assert!(
-            cands.windows(2).all(|w| matches!(w, &[(m0, d0), (m1, d1)]
-                if m0 < m1 && (d1 < d0 || (widest_on_tie && d1 == d0)))),
-            "candidates must widen and shorten: {cands:?}"
-        );
+        let top = self.widest_of(cands, widest_on_tie);
+        let (widest, _) = top;
         // Best completion among the segments' widest candidates. Segments
         // come narrowest first, so a tie is always with a narrower one.
         let lead_of = |segs: &[Segment]| {
@@ -173,10 +294,10 @@ impl<'a> Slots<'a> {
             };
             for seg in segs {
                 let (procs, dur) = seg.top;
-                let end = seg.start + dur;
+                let end = seg.edge + dur;
                 if end < lead.end || (end == lead.end && widest_on_tie) {
                     lead = Reservation {
-                        start: seg.start,
+                        start: seg.edge,
                         end,
                         procs,
                     };
@@ -187,7 +308,7 @@ impl<'a> Slots<'a> {
         *visited += 1;
         let mut segs = vec![Segment {
             first: 0,
-            start: not_before,
+            edge: not_before,
             top,
         }];
         let mut lead = lead_of(&segs);
@@ -197,19 +318,7 @@ impl<'a> Slots<'a> {
             let free = self.capacity.saturating_sub(s.used);
             if free < widest {
                 let blocked = cands.partition_point(|&(m, _)| m <= free);
-                while segs.last().is_some_and(|seg| seg.first >= blocked) {
-                    segs.pop();
-                }
-                // The segment `blocked` falls inside keeps its narrower part,
-                // whose widest candidate is now the one just below `blocked`.
-                if let (Some(cut), Some(&below)) = (segs.last_mut(), cands[..blocked].last()) {
-                    cut.top = below;
-                }
-                segs.push(Segment {
-                    first: blocked,
-                    start: s.end,
-                    top,
-                });
+                block_from(&mut segs, cands, blocked, s.end);
                 lead = lead_of(&segs);
             }
             i += 1;
@@ -249,13 +358,8 @@ impl<'a> Slots<'a> {
         if e - dur < not_before {
             return Err(no_fit(e, longest_run));
         }
-        // Slot `k` starts at breakpoint `k` (the last breakpoint starts no
-        // slot), so `k` counts the slots starting before `end_by`.
-        let mut k = self
-            .steps
-            .partition_point(|b| b.time < end_by)
-            .min(self.steps.len().saturating_sub(1));
-        while let Some(slot) = k.checked_sub(1).and_then(|last| self.get(last)) {
+        let mut k = self.starting_before(end_by);
+        while let Some(slot) = self.before(k) {
             *visited += 1;
             if slot.end <= e - dur {
                 break; // everything earlier lies before the window
@@ -272,6 +376,146 @@ impl<'a> Slots<'a> {
             k -= 1;
         }
         Ok(e - dur)
+    }
+
+    /// The reservation of the width candidate whose latest fit inside
+    /// `[not_before, end_by)` starts latest: the argmax over `cands` of
+    /// `latest_fit(m, dur, end_by, not_before)`, a tie going to the narrower
+    /// candidate, or `None` if no candidate fits — from one backward walk
+    /// instead of one per candidate. `cands` is `(m, dur)` in increasing `m`
+    /// with `dur` decreasing.
+    ///
+    /// The mirror of [`earliest_finish`](Slots::earliest_finish). A slot
+    /// with `free` processors free blocks exactly the candidates wider than
+    /// `free`, a suffix of `cands`, and sends all of their windows to end
+    /// where the slot starts, before every window end so far. So window
+    /// ends never increase with `m`, and the walk keeps them as a stack of
+    /// [`Segment`]s, ends decreasing up the stack. Within a segment the
+    /// widest candidate is the shortest, so it alone can start latest; the
+    /// lead is the latest-starting of the segments' widest candidates. No
+    /// candidate starts after the lead, so every slot ending after the
+    /// lead's start still lies in every candidate's window, and each
+    /// candidate's window end follows the trajectory its own
+    /// [`latest_fit`](Slots::latest_fit) walk would give it. The walk stops
+    /// at the first slot ending at or before the lead's start (the lead's
+    /// window is clear, and nothing can start later), before the covered
+    /// span, or when the lead itself — hence every candidate — would start
+    /// before `not_before`.
+    ///
+    /// `visited` counts the positioning step and the slots inspected — no
+    /// more than the answer's own `latest_fit` walk inspects (than the
+    /// longest of the candidates' walks, when nothing fits).
+    pub(crate) fn latest_start(
+        self,
+        cands: &[(u32, Dur)],
+        end_by: Time,
+        not_before: Time,
+        visited: &mut u64,
+    ) -> Option<Reservation> {
+        let top = self.widest_of(cands, false);
+        let (widest, _) = top;
+        // Segments come narrowest first, so the strict comparison leaves a
+        // tie with the narrower candidate.
+        let lead_of = |segs: &[Segment]| {
+            let mut lead: Option<Reservation> = None;
+            for seg in segs {
+                let fit = ending_at(seg.edge, seg.top);
+                if lead.is_none_or(|l| fit.start > l.start) {
+                    lead = Some(fit);
+                }
+            }
+            lead.filter(|l| l.start >= not_before)
+        };
+        *visited += 1;
+        let mut segs = vec![Segment {
+            first: 0,
+            edge: end_by,
+            top,
+        }];
+        let mut lead = lead_of(&segs)?;
+        let mut k = self.starting_before(end_by);
+        while let Some(s) = self.before(k).filter(|s| s.end > lead.start) {
+            *visited += 1;
+            let free = self.capacity.saturating_sub(s.used);
+            if free < widest {
+                let blocked = cands.partition_point(|&(m, _)| m <= free);
+                block_from(&mut segs, cands, blocked, s.start);
+                lead = lead_of(&segs)?;
+            }
+            k -= 1;
+        }
+        Some(lead)
+    }
+
+    /// The reservation of the *narrowest* width candidate whose latest fit
+    /// ending by `end_by` starts at or after `threshold`: the first of
+    /// `cands` for which `latest_fit(m, dur, end_by, threshold)` succeeds,
+    /// with that fit, or `None` — from one backward walk. `cands` as for
+    /// [`latest_start`](Slots::latest_start), whose segment stack this walk
+    /// shares.
+    ///
+    /// Tentative starts only fall, so a candidate whose tentative start is
+    /// below `threshold` is out for good and leaves the stack; the lead is
+    /// the narrowest one left. It wins when a slot ends at or before its
+    /// start (or the covered span does): its window is clear and everything
+    /// narrower is out. Unlike in `latest_start`, wider candidates may start
+    /// after the lead, so the walk can be past a candidate's whole window —
+    /// its fit is then *settled* — and still meet a slot too full for it.
+    /// Such a slot must not move it. The narrowest settled candidate among
+    /// those a slot blocks is a known answer unless something narrower
+    /// fits: the walk records it, drops it and everything wider, and
+    /// carries on with the narrower ones; it is the answer when the last of
+    /// them is out.
+    ///
+    /// A caller may split `cands` into consecutive chunks and ask about each
+    /// in turn: the first chunk with an answer holds the narrowest one.
+    ///
+    /// `visited` counts the positioning step and the slots inspected — no
+    /// more than the longest `latest_fit` walk among the answer's and the
+    /// narrower candidates'.
+    pub(crate) fn narrowest_start_from(
+        self,
+        mut cands: &[(u32, Dur)],
+        end_by: Time,
+        threshold: Time,
+        visited: &mut u64,
+    ) -> Option<Reservation> {
+        let top = self.widest_of(cands, false);
+        *visited += 1;
+        let mut segs = vec![Segment {
+            first: 0,
+            edge: end_by,
+            top,
+        }];
+        let mut settled = None;
+        let mut lead = narrowest_from(&mut segs, cands, threshold)?;
+        let mut k = self.starting_before(end_by);
+        while let Some(s) = self.before(k).filter(|s| s.end > lead.start) {
+            *visited += 1;
+            k -= 1;
+            let free = self.capacity.saturating_sub(s.used);
+            if cands.last().is_none_or(|&(widest, _)| widest <= free) {
+                continue;
+            }
+            // The lead is the first candidate of the bottom segment.
+            let lead_at = segs.first().map_or(0, |seg| seg.first);
+            let blocked = cands.partition_point(|&(m, _)| m <= free).max(lead_at);
+            if let Some((i, fit)) = narrowest_settled(&segs, cands, blocked, s.end) {
+                settled = Some(fit);
+                cut_at(&mut segs, cands, i);
+                cands = cands.get(..i).unwrap_or_default();
+            }
+            if blocked < cands.len() {
+                block_from(&mut segs, cands, blocked, s.start);
+                if blocked == lead_at {
+                    match narrowest_from(&mut segs, cands, threshold) {
+                        Some(next) => lead = next,
+                        None => return settled,
+                    }
+                }
+            }
+        }
+        Some(lead)
     }
 
     /// Peak processors in use over `[from, to)`. Implicitly-free time
@@ -726,6 +970,276 @@ mod tests {
                 for not_before in [-50, 0, 17, 120, 233, 390, 450] {
                     let case = format!("draw {draw} on {capacity} processors");
                     assert_finish_matches_per_width_fits(&cal, &cands, t(not_before), &case);
+                }
+            }
+        }
+    }
+
+    /// The conservative query asked chunk by chunk (1, 4, 16, … candidates),
+    /// as the deadline scheduler asks it: the first chunk with an answer.
+    fn narrowest_start_from_in_chunks(
+        ss: Slots<'_>,
+        cands: &[(u32, Dur)],
+        end_by: Time,
+        threshold: Time,
+    ) -> Option<Reservation> {
+        let (mut from, mut len) = (0, 1);
+        while from < cands.len() {
+            let chunk = &cands[from..(from + len).min(cands.len())];
+            let hit = ss.narrowest_start_from(chunk, end_by, threshold, &mut 0);
+            if hit.is_some() {
+                return hit;
+            }
+            from += len;
+            len *= 4;
+        }
+        None
+    }
+
+    /// `latest_start` and `narrowest_start_from` against the loops they
+    /// replace: one `latest_fit` per candidate inside `[not_before, end_by)`
+    /// (the `linear()` reference for the answers, the slot walk for the step
+    /// counts), then the latest start with ties to the narrower, and — for
+    /// a threshold on either side of every candidate's start, below
+    /// `not_before` and past `end_by` — the first start at or after it.
+    fn assert_backward_walks_match_per_width_fits(
+        cal: &Calendar,
+        cands: &[(u32, Dur)],
+        end_by: Time,
+        not_before: Time,
+        case: &str,
+    ) {
+        let steps = steps_of(cal);
+        let ss = slots(cal.capacity(), &steps);
+        let case = format!("{case}, {cands:?} in [{not_before}, {end_by})");
+        let (mut fits, mut walks) = (Vec::new(), Vec::new());
+        for &(m, dur) in cands {
+            let fit = cal.linear().latest_fit(m, dur, end_by, not_before);
+            let mut v = 0;
+            let walked = ss.latest_fit(m, dur, end_by, not_before, &mut v);
+            assert_eq!(walked.ok(), fit, "{case}");
+            fits.push(fit.map(|start| Reservation::for_duration(start, dur, m)));
+            walks.push(v);
+        }
+        // No walk inspects more than the longest of the per-width walks it
+        // stands for (so never their sum), nor more than its answer's own.
+        let longest = |upto: usize| walks[..=upto].iter().copied().max().unwrap_or(0);
+
+        let mut want: Option<(usize, Reservation)> = None;
+        for (i, fit) in fits.iter().enumerate() {
+            if let Some(fit) = fit {
+                if want.is_none_or(|(_, best)| fit.start > best.start) {
+                    want = Some((i, *fit));
+                }
+            }
+        }
+        let mut v = 0;
+        let got = ss.latest_start(cands, end_by, not_before, &mut v);
+        assert_eq!(got, want.map(|(_, fit)| fit), "latest start, {case}");
+        let bound = want.map_or(longest(cands.len() - 1), |(i, _)| walks[i]);
+        assert!(
+            (1..=bound).contains(&v),
+            "latest start: {v} steps against {bound} per width, {case}"
+        );
+
+        let mut thresholds = vec![not_before - d(7), not_before, end_by, end_by + d(1)];
+        for fit in fits.iter().flatten() {
+            thresholds.extend([fit.start, fit.start + d(1)]);
+        }
+        thresholds.sort();
+        thresholds.dedup();
+        for th in thresholds {
+            let want = fits
+                .iter()
+                .enumerate()
+                .find_map(|(i, fit)| fit.filter(|fit| fit.start >= th).map(|fit| (i, fit)));
+            let from = th.max(not_before);
+            let mut v = 0;
+            let got = ss.narrowest_start_from(cands, end_by, from, &mut v);
+            assert_eq!(got, want.map(|(_, fit)| fit), "from {th}, {case}");
+            let bound = longest(want.map_or(cands.len() - 1, |(i, _)| i));
+            assert!(
+                (1..=bound).contains(&v),
+                "from {th}: {v} steps against {bound} per width, {case}"
+            );
+            assert_eq!(
+                narrowest_start_from_in_chunks(ss, cands, end_by, from),
+                got,
+                "chunked, from {th}, {case}"
+            );
+        }
+    }
+
+    /// A task's width candidates under Amdahl's law with a per-processor
+    /// overhead, rounded up to whole seconds, dominated widths elided — the
+    /// list `resched-core` hands these queries.
+    fn amdahl(capacity: u32, seq: i64, alpha: f64, overhead: i64) -> Vec<(u32, Dur)> {
+        let mut cands: Vec<(u32, Dur)> = Vec::new();
+        for m in 1..=capacity {
+            let t = seq as f64 * (alpha + (1.0 - alpha) / f64::from(m))
+                + (overhead * i64::from(m - 1)) as f64;
+            let dur = d((t.ceil() as i64).max(1));
+            if cands.last().is_none_or(|&(_, shortest)| dur < shortest) {
+                cands.push((m, dur));
+            }
+        }
+        cands
+    }
+
+    #[test]
+    fn backward_walks_fixed_shapes() {
+        // 1..=8 processors, each width 10 s shorter than the one before.
+        let ladder: Vec<(u32, Dur)> = (1..=8).map(|m| (m, d(90 - 10 * i64::from(m)))).collect();
+        let sparse = [(1, d(60)), (3, d(25)), (8, d(7))];
+        let shapes = [
+            ("empty", Calendar::new(8)),
+            (
+                "all-blocking",
+                staircase(8, 100, 15, &[8, 7, 8, 7, 8, 7, 8]),
+            ),
+            // Walked backward, each slot frees one more processor than the
+            // one after it: one more segment splits off per slot.
+            (
+                "descending free",
+                staircase(8, 100, 15, &[1, 2, 3, 4, 5, 6, 7, 8]),
+            ),
+            // The reverse merges everything back into one segment each slot.
+            (
+                "ascending free",
+                staircase(8, 100, 15, &[8, 7, 6, 5, 4, 3, 2, 1]),
+            ),
+            ("holes", staircase(8, 100, 30, &[8, 0, 5, 0, 8, 2, 0, 7])),
+        ];
+        for (name, cal) in &shapes {
+            // Past the span, on its last breakpoint, inside it, on its first
+            // breakpoint and before it; windows opening before, inside and
+            // after the span.
+            for end_by in [1000, 341, 340, 220, 219, 161, 160, 101, 100, 60] {
+                for not_before in [-50, 0, 100, 130, 205, 400] {
+                    let case = format!("{name} calendar");
+                    for cands in [&ladder[..], &sparse[..]] {
+                        assert_backward_walks_match_per_width_fits(
+                            cal,
+                            cands,
+                            t(end_by),
+                            t(not_before),
+                            &case,
+                        );
+                    }
+                    // A single candidate, and the whole machine alone.
+                    for one in [ladder[2], ladder[7], (8, d(200))] {
+                        assert_backward_walks_match_per_width_fits(
+                            cal,
+                            &[one],
+                            t(end_by),
+                            t(not_before),
+                            &case,
+                        );
+                    }
+                }
+            }
+        }
+
+        // Equal latest starts go to the narrower candidate: one processor
+        // runs [60, 100) beside the last slot, two must end where it starts.
+        let cal = staircase(2, 90, 10, &[1]);
+        let steps = steps_of(&cal);
+        let pair = [(1, d(40)), (2, d(30))];
+        let got = slots(2, &steps).latest_start(&pair, t(100), t(0), &mut 0);
+        assert_eq!(got, Some(Reservation::new(t(60), t(100), 1)));
+
+        // A wider candidate settles before the lead is blocked. Four
+        // processors run [90, 100), clear of the full slot [60, 80); one
+        // processor would start at 50, inside the threshold, until that slot
+        // sends it to start at 10. The slot is too full for four as well,
+        // but the walk is past their window: they are the answer where they
+        // are, not moved to end at 60 (and start at 50, past the threshold).
+        let cal = staircase(4, 60, 20, &[4]);
+        let steps = steps_of(&cal);
+        let ss = slots(4, &steps);
+        let pair = [(1, d(50)), (4, d(10))];
+        let mut v = 0;
+        let got = ss.narrowest_start_from(&pair, t(100), t(40), &mut v);
+        assert_eq!(got, Some(Reservation::new(t(90), t(100), 4)));
+        assert_eq!(v, 1 + 1);
+        // With the lead still inside the threshold after the slot, it wins.
+        let got = ss.narrowest_start_from(&pair, t(100), t(10), &mut 0);
+        assert_eq!(got, Some(Reservation::new(t(10), t(60), 1)));
+        // A window that starts where a full slot ends is clear of it: neither
+        // walk inspects that slot.
+        let cal = staircase(4, 30, 20, &[4]);
+        let steps = steps_of(&cal);
+        let ss = slots(4, &steps);
+        let abutting = Some(Reservation::new(t(50), t(100), 1));
+        let (mut v1, mut v2) = (0, 0);
+        assert_eq!(ss.latest_start(&pair[..1], t(100), t(0), &mut v1), abutting);
+        assert_eq!(
+            ss.narrowest_start_from(&pair[..1], t(100), t(0), &mut v2),
+            abutting
+        );
+        assert_eq!((v1, v2), (1, 1));
+
+        // A staircase that blocks one width fewer per slot walked: seven
+        // widths end at seven different slots, one processor is never
+        // blocked and never caught up, and each slot is inspected once.
+        let cal = staircase(8, 115, 15, &[7, 6, 5, 4, 3, 2, 1]);
+        let steps = steps_of(&cal);
+        let long: Vec<(u32, Dur)> = (1..=8).map(|m| (m, d(500 - i64::from(m)))).collect();
+        let mut v = 0;
+        let got = slots(8, &steps).latest_start(&long, t(220), t(-1000), &mut v);
+        assert_eq!(got, Some(Reservation::new(t(220 - 499), t(220), 1)));
+        assert_eq!(v, 1 + 7);
+    }
+
+    #[test]
+    fn backward_walks_match_the_per_width_fits() {
+        use rand::{Rng, SeedableRng};
+        // Seeded calendar/candidate draws; the CI fuzz lane raises the count.
+        let draws: u64 = std::env::var("RESCHED_DIFF_ITERS")
+            .ok()
+            .and_then(|v| v.parse().ok())
+            .unwrap_or(30);
+        for draw in 0..draws {
+            let mut rng = rand_chacha::ChaCha12Rng::seed_from_u64(0xBAC_0022 ^ draw);
+            let capacity = [8, 57, 430][draw as usize % 3];
+            let cal = seeded_calendar(capacity, draw, rng.gen_range(0..60usize));
+            let horizon = cal.horizon().map_or(0, |h| h.as_seconds());
+            // Amdahl lists without and with overhead (the second loses the
+            // rising arm of the U), a random strictly shortening subset of
+            // the widths, one candidate alone, and the whole machine alone.
+            let seq = rng.gen_range(1..600i64);
+            let alpha = rng.gen_range(0.0..0.6);
+            let mut subset = Vec::new();
+            let mut dur = rng.gen_range(1..150i64);
+            for m in 1..=capacity {
+                if dur >= 1 && rng.gen_bool(0.3) {
+                    subset.push((m, d(dur)));
+                    dur -= rng.gen_range(1..=1 + dur / 4);
+                }
+            }
+            let lists = [
+                amdahl(capacity, seq, alpha, 0),
+                amdahl(capacity, seq, alpha, rng.gen_range(1..4i64)),
+                subset,
+                vec![(rng.gen_range(1..=capacity), d(rng.gen_range(1..90i64)))],
+                vec![(capacity, d(rng.gen_range(1..90i64)))],
+            ];
+            // Window ends on breakpoints, mid-slot and past the span.
+            let mut ends: Vec<i64> = cal.breakpoints().map(Time::as_seconds).collect();
+            ends.retain(|_| rng.gen_bool(0.15));
+            ends.extend([rng.gen_range(1..400i64), horizon, horizon + 1, horizon + 70]);
+            for cands in lists.iter().filter(|l| !l.is_empty()) {
+                for &end_by in &ends {
+                    for not_before in [-40, rng.gen_range(0..400i64), horizon - 1, horizon + 10] {
+                        let case = format!("draw {draw} on {capacity} processors");
+                        assert_backward_walks_match_per_width_fits(
+                            &cal,
+                            cands,
+                            t(end_by),
+                            t(not_before),
+                            &case,
+                        );
+                    }
                 }
             }
         }

@@ -16,7 +16,8 @@
 //! total reservation area (0 = unlimited on that axis).
 //!
 //! `--probe-fanout` takes 1 to `PROBE_ROSTER.len()` (4), `--accel` a finite
-//! factor above 0; anything else is a usage error.
+//! factor above 0, `--admit-hours` 1 to `swf::MAX_SECONDS / 3600` (the
+//! parser's bound on instants, in hours); anything else is a usage error.
 //!
 //! `--assert-clean` exits nonzero unless the run had zero calendar-audit
 //! violations and exercised both the commit and the rollback path — and,
@@ -84,7 +85,17 @@ fn main() -> ExitCode {
             "--cancel-every" => cfg.cancel_every = parse("--cancel-every", args.next()),
             "--resize-every" => cfg.resize_every = parse("--resize-every", args.next()),
             "--deadline-every" => cfg.deadline_every = parse("--deadline-every", args.next()),
-            "--admit-hours" => cfg.admit_horizon = Dur::hours(parse("--admit-hours", args.next())),
+            "--admit-hours" => {
+                // The horizon is added to arrival instants the SWF parser
+                // bounds by `MAX_SECONDS`; the same bound keeps the sum (and
+                // `hours * 3600` itself) far inside an `i64`.
+                let hours = 1..=resched_workloads::swf::MAX_SECONDS / 3600;
+                cfg.admit_horizon = Dur::hours(parse_if(
+                    &format!("--admit-hours (expected {hours:?})"),
+                    args.next(),
+                    |h| hours.contains(h),
+                ));
+            }
             "--probe-fanout" => {
                 let roster = 1..=PROBE_ROSTER.len();
                 cfg.probe_fanout = parse_if(

@@ -14,6 +14,13 @@ fn out_of_domain_flag_values_are_usage_errors() {
         ("--accel", "inf"),
         ("--probe-fanout", "0"),
         ("--probe-fanout", "99"),
+        // `hours * 3600` used to wrap (or panic under overflow checks) and a
+        // horizon at or below zero to reject every arrival on an empty
+        // machine; the bound is the SWF parser's own on instants.
+        ("--admit-hours", "9999999999999999"),
+        ("--admit-hours", "305419897"),
+        ("--admit-hours", "0"),
+        ("--admit-hours", "-3"),
     ] {
         let out = Command::new(env!("CARGO_BIN_EXE_resched-serve"))
             .args(["--apps", "5", flag, value])
@@ -26,6 +33,17 @@ fn out_of_domain_flag_values_are_usage_errors() {
             "{flag} {value}: {stderr}"
         );
     }
+}
+
+#[test]
+fn the_widest_admission_horizon_is_accepted() {
+    // `swf::MAX_SECONDS / 3600`, the last value inside the bound.
+    let out = Command::new(env!("CARGO_BIN_EXE_resched-serve"))
+        .args(["--apps", "5", "--admit-hours", "305419896"])
+        .output()
+        .expect("resched-serve runs");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(0), "{stderr}");
 }
 
 /// An SWF file the replay cannot represent is refused at the door: exit 2

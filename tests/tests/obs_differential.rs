@@ -201,15 +201,14 @@ fn observed_runs_match_plain_runs_exactly() {
     }
 }
 
-/// The width scan's run-bound skip is counted, and counting it is inert:
-/// on deadlines tight enough that probes fail, the observed run returns
-/// exactly what the plain run returns, its registry still reconstructs the
-/// schedule's `slot_*` stats (a skipped candidate is not a query), and the
-/// skip counter ticks — only when the collector is compiled in.
+/// Observation is inert where the width scan works hardest: on deadlines
+/// tight enough that the conservative rule runs out of chunks and falls
+/// back, and that passes fail, the observed run returns exactly what the
+/// plain run returns and its registry still reconstructs the schedule's
+/// `slot_*` stats (one query per walk, whatever the number of widths in it).
 #[test]
-fn skipped_widths_are_counted_without_changing_the_schedule() {
+fn tight_deadlines_are_observed_without_changing_the_schedule() {
     use resched_core::backward::{schedule_deadline, DeadlineAlgo, DeadlineConfig};
-    let mut skipped = 0u64;
     for (dag, cal, q, loose) in scenarios() {
         let loose = loose.expect("every scenario carries a deadline");
         // Half the loose deadline is the forward completion time itself.
@@ -236,13 +235,10 @@ fn skipped_widths_are_counted_without_changing_the_schedule() {
                         "{algo}: registry view diverged from ScheduleStats"
                     );
                 }
-                skipped += report.metrics.counter(obs::names::DEADLINE_WIDTHS_SKIPPED);
+                if !obs::COMPILED {
+                    assert!(report.metrics.is_empty(), "metrics without obs feature");
+                }
             }
         }
-    }
-    if obs::COMPILED {
-        assert!(skipped > 0, "no scenario exercised the run-bound skip");
-    } else {
-        assert_eq!(skipped, 0, "a counter ticked without the obs feature");
     }
 }
