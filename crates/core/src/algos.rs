@@ -208,20 +208,27 @@ mod tests {
     }
 
     #[test]
-    fn catalog_matches_checked_in_manifest() {
-        // `resched-lint` statically diffs docs, goldens, and harnesses
-        // against `algos/catalog.txt`; this test pins the manifest to the
-        // runtime catalog, closing the loop.
-        let manifest: Vec<&str> = include_str!("algos/catalog.txt")
-            .lines()
-            .map(str::trim)
-            .filter(|l| !l.is_empty() && !l.starts_with('#'))
-            .collect();
+    fn catalog_matches_the_doc_tables() {
+        // The catalog tables of DESIGN.md §13 and EXPERIMENTS.md — the
+        // backticked names between the `lint:catalog` markers — list
+        // exactly `Algorithm::catalog()`, in its order. (The goldens are
+        // held to the catalog by `obs_differential`, which runs all of it.)
         let runtime: Vec<String> = Algorithm::catalog().iter().map(|a| a.name()).collect();
-        assert_eq!(
-            manifest, runtime,
-            "crates/core/src/algos/catalog.txt is out of sync with Algorithm::catalog()"
-        );
+        for (doc, text) in [
+            ("DESIGN.md", include_str!("../../../DESIGN.md")),
+            ("EXPERIMENTS.md", include_str!("../../../EXPERIMENTS.md")),
+        ] {
+            let table = text
+                .split_once("<!-- lint:catalog:begin -->")
+                .and_then(|(_, rest)| rest.split_once("<!-- lint:catalog:end -->"))
+                .unwrap_or_else(|| panic!("{doc} has no lint:catalog marker pair"))
+                .0;
+            let listed: Vec<&str> = table.split('`').skip(1).step_by(2).collect();
+            assert_eq!(
+                listed, runtime,
+                "{doc}'s catalog table is out of sync with Algorithm::catalog()"
+            );
+        }
     }
 
     #[test]

@@ -121,10 +121,10 @@ pub struct DeadlineConfig {
     pub lambda_step: f64,
     /// Placement grain: candidate allocations are restricted to multiples
     /// of this many cores. 1 is the paper's flat core-level placement;
-    /// above 1 is the hierarchical twin regime (whole nodes of `grain` cores,
-    /// see `resched_resv::hierarchy`). Grain 1 reproduces pre-hierarchy
-    /// behavior byte-for-byte. Deserializing a pre-hierarchy config yields
-    /// 0, which every consumer clamps up to 1 — also flat.
+    /// above 1 is the hierarchical twin regime (whole nodes of `grain`
+    /// cores). Grain 1 is flat placement byte-for-byte. Deserializing a
+    /// config written before the field existed yields 0, which every
+    /// consumer clamps up to 1 — also flat.
     #[serde(default)]
     pub grain: u32,
 }
@@ -183,7 +183,7 @@ pub fn schedule_deadline(
     // the BD_CPAR bounds, RC guides, and hybrid guides below.
     let mut cache = CpaCache::new();
     let order = {
-        crate::span!("deadline.prep");
+        crate::span!(obs::names::SPAN_DEADLINE_PREP);
         stats.count_cpa_allocation();
         let exec = cache.exec_times(dag, p, q, BlMethod::CpaR, cfg.criterion);
         let levels = bl::bottom_levels(dag, &exec);
@@ -538,7 +538,7 @@ fn backward_pass(
     bufs: &mut PassBufs,
     out: &mut Vec<Placement>,
 ) -> bool {
-    crate::span!("deadline.pass");
+    crate::span!(obs::names::SPAN_DEADLINE_PASS);
     stats.count_pass();
     let p = competing.capacity();
     let PassBufs {
@@ -993,7 +993,9 @@ mod tests {
         assert!(out.is_ok());
     }
 
+    // The grid is pinned bit for bit: drift is the defect this test exists for.
     #[test]
+    #[allow(clippy::float_cmp)]
     fn lambda_grid_is_drift_free_and_always_ends_at_one() {
         // Paper default step 0.05: exactly the 21 values 0.00, 0.05, …, 1.00.
         let g = lambda_grid(0.05);

@@ -160,7 +160,7 @@ pub fn schedule_blind(
     let levels = bl::bottom_levels(dag, &exec);
     let order = bl::order_by_decreasing_bl(dag, &levels);
 
-    crate::span!("blind.place");
+    crate::span!(obs::names::SPAN_BLIND_PLACE);
     let mut slots: Vec<Option<Placement>> = vec![None; dag.num_tasks()];
     // The geometric probe ladder, rebuilt per task.
     let mut ladder: Vec<u32> = Vec::new();

@@ -192,7 +192,7 @@ impl AllocState {
     // lint:allow(panic-transitive): every array is sized to the DAG in `new`/`restart` and indexed by positions < num_tasks taken from the `PosGraph` built over the same DAG.
     fn allocate(&mut self, dag: &Dag, pool: u32, criterion: StoppingCriterion) -> CpaAllocation {
         assert!(pool > 0, "CPA needs a non-empty processor pool");
-        crate::span!("cpa.alloc_loop");
+        crate::span!(obs::names::SPAN_CPA_ALLOC_LOOP);
         if self.pool == 0 || self.withheld || pool < self.pool || criterion != self.criterion {
             self.restart();
         }
@@ -243,9 +243,15 @@ impl AllocState {
                     if m[u] >= pool {
                         *withheld = true;
                     } else {
+                        // Gains are positive finite ratios, so `total_cmp`
+                        // is their numeric order; an exact tie is real (2/4
+                        // and 1/2) and goes to the earlier task.
                         let g = gain[u];
                         match best {
-                            Some((b, bg)) if g < bg || (g == bg && order[u] >= order[b]) => {}
+                            Some((b, bg))
+                                if g.total_cmp(&bg)
+                                    .then_with(|| order[b].cmp(&order[u]))
+                                    .is_le() => {}
                             _ => best = Some((u, g)),
                         }
                     }
@@ -357,7 +363,7 @@ pub fn allocate_reference(dag: &Dag, pool: u32, criterion: StoppingCriterion) ->
             }
             let gain = cost.marginal_gain(m);
             match best {
-                Some((bt, bg)) if gain < bg || (gain == bg && t.0 >= bt.0) => {}
+                Some((bt, bg)) if gain.total_cmp(&bg).then(bt.0.cmp(&t.0)).is_le() => {}
                 _ => best = Some((t, gain)),
             }
         }
@@ -535,7 +541,7 @@ pub(crate) fn map_subset_into(
     scratch: &mut MapScratch,
     out: &mut Vec<Option<Placement>>,
 ) {
-    crate::span!("cpa.map");
+    crate::span!(obs::names::SPAN_CPA_MAP);
     // The priority order is a function of the guide's execution times
     // alone, and an RC pass re-maps under one guide per task decision.
     if scratch.ordered_for != alloc.exec {

@@ -60,7 +60,7 @@ pub fn schedule_forward_dynamic(
     let order = bl::order_by_decreasing_bl(dag, &levels);
     let bounds = cache.allocation_bounds(dag, p, q, cfg.bd, cfg.criterion, &mut stats);
 
-    crate::span!("dynamic.place");
+    crate::span!(crate::obs::names::SPAN_DYNAMIC_PLACE);
     let mut cal = competing.clone();
     let mut placements: Vec<Option<Placement>> = vec![None; dag.num_tasks()];
     let total = order.len();

@@ -98,7 +98,7 @@ pub fn execute(
         cal.add_unchecked(schedule.placement(t).reservation());
     }
 
-    crate::span!("exec.replay");
+    crate::span!(obs::names::SPAN_EXEC_REPLAY);
     let mut actual_end: Vec<Option<Time>> = vec![None; dag.num_tasks()];
     let mut overruns = Vec::new();
     let mut cpu_paid = 0.0f64;

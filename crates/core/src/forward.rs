@@ -78,10 +78,10 @@ pub struct ForwardConfig {
     pub tie: TieBreak,
     /// Placement grain: candidate allocations are restricted to multiples
     /// of this many cores. 1 is the paper's flat core-level placement;
-    /// above 1 is the hierarchical twin regime (whole nodes of `grain` cores,
-    /// see `resched_resv::hierarchy`). Grain 1 reproduces pre-hierarchy
-    /// behavior byte-for-byte. Deserializing a pre-hierarchy config yields
-    /// 0, which every consumer clamps up to 1 — also flat.
+    /// above 1 is the hierarchical twin regime (whole nodes of `grain`
+    /// cores). Grain 1 is flat placement byte-for-byte. Deserializing a
+    /// config written before the field existed yields 0, which every
+    /// consumer clamps up to 1 — also flat.
     #[serde(default)]
     pub grain: u32,
 }
@@ -204,7 +204,7 @@ pub fn schedule_forward(
     // twice.
     let mut cache = CpaCache::new();
     let (order, bounds) = {
-        crate::span!("forward.prep");
+        crate::span!(obs::names::SPAN_FORWARD_PREP);
         if matches!(cfg.bl, BlMethod::Cpa | BlMethod::CpaR) {
             stats.count_cpa_allocation();
         }
@@ -216,7 +216,7 @@ pub fn schedule_forward(
     };
 
     // Phase 2: per-task earliest-completion slot search.
-    let place_span = obs::span_enter("forward.place");
+    let place_span = obs::span_enter(obs::names::SPAN_FORWARD_PLACE);
     let mut cal = competing.clone();
     let mut placements: Vec<Option<Placement>> = vec![None; dag.num_tasks()];
     let mut search = SlotSearch::new(cfg, p);

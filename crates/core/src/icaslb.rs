@@ -67,7 +67,7 @@ fn build_schedule(
     slots: &mut Vec<Option<Placement>>,
     out: &mut Vec<Placement>,
 ) {
-    crate::span!("icaslb.build");
+    crate::span!(obs::names::SPAN_ICASLB_BUILD);
     bl::order_by_decreasing_bl_into(dag, levels, order);
     cal.copy_from(competing);
     slots.clear();
@@ -97,8 +97,8 @@ fn build_schedule(
 }
 
 fn makespan(placements: &[Placement]) -> Time {
-    // lint:allow(panic): DagBuilder rejects empty DAGs, so there is always at least one placement.
-    placements.iter().map(|p| p.end).max().expect("non-empty")
+    // `DagBuilder` rejects empty DAGs, so there is always a placement.
+    placements.iter().map(|p| p.end).max().unwrap_or(Time::ZERO)
 }
 
 /// Critical-path candidates under the current allocation: tasks with
@@ -126,8 +126,9 @@ fn cp_candidates(
     );
     // The task-id tie-break makes the key injective, so the unstable sort
     // is deterministic.
-    // lint:allow(panic): marginal gains are finite ratios of positive durations (never NaN), so partial_cmp is total here.
-    gains.sort_unstable_by(|a, b| b.1.partial_cmp(&a.1).unwrap().then(a.0 .0.cmp(&b.0 .0)));
+    // Marginal gains are positive finite ratios, so `total_cmp` is their
+    // numeric order.
+    gains.sort_unstable_by(|a, b| b.1.total_cmp(&a.1).then(a.0 .0.cmp(&b.0 .0)));
 }
 
 /// Schedule `dag` with the reservation-aware one-step iCASLB adaptation.
@@ -178,7 +179,7 @@ pub fn schedule_icaslb(
         .sum();
     let mut stalls = 0usize;
 
-    crate::span!("icaslb.grow_loop");
+    crate::span!(obs::names::SPAN_ICASLB_GROW_LOOP);
     for _ in 0..cfg.max_iterations {
         if stalls >= cfg.patience {
             break;

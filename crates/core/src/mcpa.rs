@@ -20,6 +20,15 @@ use crate::dag::Dag;
 use crate::obs;
 use resched_resv::Dur;
 
+/// Count one more processor on `level`. `depth(t) < num_levels()` for every
+/// task by `Dag` construction; a level outside the table counts nothing
+/// (and reads as full where the loop asks for headroom).
+fn grant(level_total: &mut [u32], level: u32) {
+    if let Some(total) = level_total.get_mut(level as usize) {
+        *total += 1;
+    }
+}
+
 /// MCPA allocation: CPA's loop with a per-level total-allocation cap.
 ///
 /// Returns the same [`CpaAllocation`] shape as [`crate::cpa::allocate`], so
@@ -41,11 +50,10 @@ pub fn allocate(dag: &Dag, pool: u32) -> CpaAllocation {
     // Per-level allocation totals (levels = longest-path depth).
     let mut level_total: Vec<u32> = vec![0; dag.num_levels() as usize];
     for t in dag.task_ids() {
-        // lint:allow(panic): depth(t) < num_levels() for every task by Dag construction, and level_total is sized num_levels().
-        level_total[dag.depth(t) as usize] += 1;
+        grant(&mut level_total, dag.depth(t));
     }
 
-    crate::span!("mcpa.alloc_loop");
+    crate::span!(obs::names::SPAN_MCPA_ALLOC_LOOP);
     let mut tracker = LevelTracker::new(dag, &exec);
     let mut iterations = 0u64;
     let mut incr_touched = 0u64;
@@ -66,8 +74,8 @@ pub fn allocate(dag: &Dag, pool: u32) -> CpaAllocation {
                 continue;
             }
             // MCPA's extra constraint: the task's level must have headroom.
-            // lint:allow(panic): depth(t) < num_levels() for every task by Dag construction, and level_total is sized num_levels().
-            if level_total[dag.depth(t) as usize] >= pool {
+            let level = level_total.get(dag.depth(t) as usize);
+            if level.is_none_or(|&total| total >= pool) {
                 continue;
             }
             let cost = dag.cost(t);
@@ -76,7 +84,7 @@ pub fn allocate(dag: &Dag, pool: u32) -> CpaAllocation {
             }
             let gain = cost.marginal_gain(m);
             match best {
-                Some((bt, bg)) if gain < bg || (gain == bg && t.0 >= bt.0) => {}
+                Some((bt, bg)) if gain.total_cmp(&bg).then(bt.0.cmp(&t.0)).is_le() => {}
                 _ => best = Some((t, gain)),
             }
         }
@@ -87,8 +95,7 @@ pub fn allocate(dag: &Dag, pool: u32) -> CpaAllocation {
         total_work += dag.cost(t).work(m);
         allocs[t.idx()] = m;
         exec[t.idx()] = dag.cost(t).exec_time(m);
-        // lint:allow(panic): depth(t) < num_levels() for every task by Dag construction, and level_total is sized num_levels().
-        level_total[dag.depth(t) as usize] += 1;
+        grant(&mut level_total, dag.depth(t));
         incr_touched += tracker.update(dag, &exec, t);
     }
     obs::counter_add(obs::names::MCPA_ALLOC_ITERS, iterations);
@@ -143,7 +150,7 @@ pub fn allocate_reference(dag: &Dag, pool: u32) -> CpaAllocation {
             }
             let gain = cost.marginal_gain(m);
             match best {
-                Some((bt, bg)) if gain < bg || (gain == bg && t.0 >= bt.0) => {}
+                Some((bt, bg)) if gain.total_cmp(&bg).then(bt.0.cmp(&t.0)).is_le() => {}
                 _ => best = Some((t, gain)),
             }
         }

@@ -48,70 +48,120 @@ pub const COMPILED: bool = cfg!(feature = "obs");
 /// [`stats_view`](MetricsRegistry::stats_view) reconstruction agree on
 /// spelling.
 pub mod names {
-    /// Counter: forward slot queries issued against a competing calendar —
-    /// one `earliest_finish` walk per task the forward family places, one
-    /// `earliest_fit` per placement elsewhere.
-    pub const EARLIEST_FIT_QUERIES: &str = "calendar.earliest_fit.queries";
-    /// Counter: slots those walks inspected, plus one positioning step per
-    /// query.
-    pub const EARLIEST_FIT_STEPS: &str = "calendar.earliest_fit.steps";
-    /// Counter: `latest_fit` queries issued against a competing calendar.
-    pub const LATEST_FIT_QUERIES: &str = "calendar.latest_fit.queries";
-    /// Counter: steps spent in `latest_fit`.
-    pub const LATEST_FIT_STEPS: &str = "calendar.latest_fit.steps";
-    /// Histogram: steps per individual fit query (size distribution).
-    pub const FIT_STEPS: &str = "calendar.fit.steps";
-    /// Counter: fit queries issued by the CPA mapping phase against its
-    /// *virtual* platform (not folded into `slot_queries` views).
-    pub const CPA_MAP_QUERIES: &str = "cpa.map.queries";
-    /// Counter: steps spent by CPA mapping-phase fit queries.
-    pub const CPA_MAP_STEPS: &str = "cpa.map.steps";
-    /// Counter: CPA allocation-loop iterations (one processor granted).
-    pub const CPA_ALLOC_ITERS: &str = "cpa.alloc.iterations";
-    /// Histogram: allocation-loop iterations per CPA allocation run.
-    pub const CPA_ALLOC_ITERS_PER_RUN: &str = "cpa.alloc.iterations_per_run";
-    /// Counter: MCPA allocation-loop iterations.
-    pub const MCPA_ALLOC_ITERS: &str = "mcpa.alloc.iterations";
-    /// Counter: per-run CPA allocation-cache hits (an allocation reused
-    /// instead of recomputed).
-    pub const CPA_CACHE_HIT: &str = "cpa.cache.hit";
-    /// Counter: per-run CPA allocation-cache misses (an allocation
-    /// actually computed, then retained for the rest of the run).
-    pub const CPA_CACHE_MISS: &str = "cpa.cache.miss";
-    /// Counter: level positions recomputed by the allocation loops'
-    /// incremental maintenance — the re-swept prefix per grown task, plus
-    /// the top-level cone in MCPA/iCASLB (a full rebuild would recompute
-    /// every node per iteration).
-    pub const CPA_ALLOC_INCR_UPDATES: &str = "cpa.alloc.incr_updates";
-    /// Counter: λ-sweep passes the hybrid deadline algorithms skipped
-    /// because the previous failure provably repeats at the next λ.
-    pub const HYBRID_LAMBDA_PASSES_SAVED: &str = "hybrid.lambda_passes_saved";
-    /// Counter: mirror of [`ScheduleStats::cpa_allocations`].
-    pub const STATS_CPA_ALLOCATIONS: &str = "sched.cpa_allocations";
-    /// Counter: mirror of [`ScheduleStats::cpa_mappings`].
-    pub const STATS_CPA_MAPPINGS: &str = "sched.cpa_mappings";
-    /// Counter: mirror of [`ScheduleStats::passes`].
-    pub const STATS_PASSES: &str = "sched.passes";
-    /// Counter: probes the BLIND scheduler sent through its reservation desk.
-    pub const BLIND_PROBES: &str = "blind.desk.probes";
-    /// Counter: tasks whose actual runtime overran the reservation.
-    pub const EXEC_OVERRUNS: &str = "exec.overruns";
-    /// Counter: tasks re-queued (re-reserved) during execution replay.
-    pub const EXEC_REQUEUES: &str = "exec.requeues";
-    /// Counter: applications submitted to the online serving loop.
-    pub const SERVE_APPS: &str = "serve.apps";
-    /// Counter: shadow transactions committed by the serving loop.
-    pub const SERVE_COMMITS: &str = "serve.commits";
-    /// Counter: shadow transactions rolled back by the serving loop.
-    pub const SERVE_ROLLBACKS: &str = "serve.rollbacks";
-    /// Counter: committed applications later cancelled (reservations removed).
-    pub const SERVE_CANCELS: &str = "serve.cancels";
-    /// Counter: committed reservations later resized in place.
-    pub const SERVE_RESIZES: &str = "serve.resizes";
-    /// Counter: applications denied admission by a quota rule.
-    pub const SERVE_QUOTA_DENIED: &str = "serve.quota.denied";
-    /// Histogram: per-application scheduling latency in nanoseconds.
-    pub const SERVE_LATENCY: &str = "serve.schedule.latency_ns";
+    /// Declares every name constant and [`ALL`] from one list, so a name
+    /// cannot exist without being in the list the manifest test reads.
+    macro_rules! names {
+        ($($(#[$doc:meta])* $id:ident = $name:literal;)*) => {
+            $($(#[$doc])* pub const $id: &str = $name;)*
+            /// Every name above: exactly the entries of `obs/metrics.toml`.
+            pub const ALL: &[&str] = &[$($id),*];
+        };
+    }
+
+    names! {
+        /// Counter: forward slot queries issued against a competing calendar —
+        /// one `earliest_finish` walk per task the forward family places, one
+        /// `earliest_fit` per placement elsewhere.
+        EARLIEST_FIT_QUERIES = "calendar.earliest_fit.queries";
+        /// Counter: slots those walks inspected, plus one positioning step per
+        /// query.
+        EARLIEST_FIT_STEPS = "calendar.earliest_fit.steps";
+        /// Counter: `latest_fit` queries issued against a competing calendar.
+        LATEST_FIT_QUERIES = "calendar.latest_fit.queries";
+        /// Counter: steps spent in `latest_fit`.
+        LATEST_FIT_STEPS = "calendar.latest_fit.steps";
+        /// Histogram: steps per individual fit query (size distribution).
+        FIT_STEPS = "calendar.fit.steps";
+        /// Counter: fit queries issued by the CPA mapping phase against its
+        /// *virtual* platform (not folded into `slot_queries` views).
+        CPA_MAP_QUERIES = "cpa.map.queries";
+        /// Counter: steps spent by CPA mapping-phase fit queries.
+        CPA_MAP_STEPS = "cpa.map.steps";
+        /// Counter: CPA allocation-loop iterations (one processor granted).
+        CPA_ALLOC_ITERS = "cpa.alloc.iterations";
+        /// Histogram: allocation-loop iterations per CPA allocation run.
+        CPA_ALLOC_ITERS_PER_RUN = "cpa.alloc.iterations_per_run";
+        /// Counter: MCPA allocation-loop iterations.
+        MCPA_ALLOC_ITERS = "mcpa.alloc.iterations";
+        /// Counter: per-run CPA allocation-cache hits (an allocation reused
+        /// instead of recomputed).
+        CPA_CACHE_HIT = "cpa.cache.hit";
+        /// Counter: per-run CPA allocation-cache misses (an allocation
+        /// actually computed, then retained for the rest of the run).
+        CPA_CACHE_MISS = "cpa.cache.miss";
+        /// Counter: level positions recomputed by the allocation loops'
+        /// incremental maintenance — the re-swept prefix per grown task, plus
+        /// the top-level cone in MCPA/iCASLB (a full rebuild would recompute
+        /// every node per iteration).
+        CPA_ALLOC_INCR_UPDATES = "cpa.alloc.incr_updates";
+        /// Counter: λ-sweep passes the hybrid deadline algorithms skipped
+        /// because the previous failure provably repeats at the next λ.
+        HYBRID_LAMBDA_PASSES_SAVED = "hybrid.lambda_passes_saved";
+        /// Counter: mirror of [`ScheduleStats::cpa_allocations`].
+        STATS_CPA_ALLOCATIONS = "sched.cpa_allocations";
+        /// Counter: mirror of [`ScheduleStats::cpa_mappings`].
+        STATS_CPA_MAPPINGS = "sched.cpa_mappings";
+        /// Counter: mirror of [`ScheduleStats::passes`].
+        STATS_PASSES = "sched.passes";
+        /// Counter: probes the BLIND scheduler sent through its reservation desk.
+        BLIND_PROBES = "blind.desk.probes";
+        /// Counter: tasks whose actual runtime overran the reservation.
+        EXEC_OVERRUNS = "exec.overruns";
+        /// Counter: tasks re-queued (re-reserved) during execution replay.
+        EXEC_REQUEUES = "exec.requeues";
+        /// Counter: applications submitted to the online serving loop.
+        SERVE_APPS = "serve.apps";
+        /// Counter: shadow transactions committed by the serving loop.
+        SERVE_COMMITS = "serve.commits";
+        /// Counter: shadow transactions rolled back by the serving loop.
+        SERVE_ROLLBACKS = "serve.rollbacks";
+        /// Counter: committed applications later cancelled (reservations removed).
+        SERVE_CANCELS = "serve.cancels";
+        /// Counter: committed reservations later resized in place.
+        SERVE_RESIZES = "serve.resizes";
+        /// Counter: applications denied admission by a quota rule.
+        SERVE_QUOTA_DENIED = "serve.quota.denied";
+        /// Histogram: per-application scheduling latency in nanoseconds.
+        SERVE_LATENCY = "serve.schedule.latency_ns";
+        /// Span: forward scheduling — bottom levels, ordering, allocation
+        /// bounds.
+        SPAN_FORWARD_PREP = "forward.prep";
+        /// Span: forward scheduling — the per-task earliest-completion slot
+        /// search.
+        SPAN_FORWARD_PLACE = "forward.place";
+        /// Span: deadline scheduling — `BL_CPAR` bottom levels and ordering.
+        SPAN_DEADLINE_PREP = "deadline.prep";
+        /// Span: one whole-DAG backward pass.
+        SPAN_DEADLINE_PASS = "deadline.pass";
+        /// Span: the CPA allocation loop.
+        SPAN_CPA_ALLOC_LOOP = "cpa.alloc_loop";
+        /// Span: the CPA mapping phase.
+        SPAN_CPA_MAP = "cpa.map";
+        /// Span: the MCPA allocation loop.
+        SPAN_MCPA_ALLOC_LOOP = "mcpa.alloc_loop";
+        /// Span: iCASLB-AR's initial one-processor allocation and ordering.
+        SPAN_ICASLB_BUILD = "icaslb.build";
+        /// Span: iCASLB-AR's allocation growth loop.
+        SPAN_ICASLB_GROW_LOOP = "icaslb.grow_loop";
+        /// Span: the dynamic (list) scheduler's placement loop.
+        SPAN_DYNAMIC_PLACE = "dynamic.place";
+        /// Span: BLIND's trial-and-error placement loop.
+        SPAN_BLIND_PLACE = "blind.place";
+        /// Span: execution replay of a finished schedule.
+        SPAN_EXEC_REPLAY = "exec.replay";
+        /// Counter: applications submitted to the streaming-arrivals
+        /// experiment.
+        STREAM_APPS = "stream.apps";
+        /// Span: the streaming-arrivals experiment's scheduling call for one
+        /// application.
+        SPAN_STREAM_SCHEDULE = "stream.schedule";
+        /// Span: the serving loop's probe-and-commit cycle for one
+        /// application.
+        SPAN_SERVE_SCHEDULE = "serve.schedule";
+        /// Span: the serving loop's cancellation of one application.
+        SPAN_SERVE_CANCEL = "serve.cancel";
+    }
+
     use super::ScheduleStats;
 
     /// Selects the [`ScheduleStats`] field a registry counter sums into.
@@ -201,8 +251,10 @@ impl Histogram {
             self.min = self.min.min(v);
             self.max = self.max.max(v);
         }
-        // lint:allow(panic): bucket_index returns at most 64 and counts holds HIST_BUCKETS = 65 entries.
-        self.counts[Self::bucket_index(v)] = self.counts[Self::bucket_index(v)].saturating_add(1);
+        // `bucket_index` is at most 64 and `counts` holds `HIST_BUCKETS` = 65.
+        if let Some(c) = self.counts.get_mut(Self::bucket_index(v)) {
+            *c = c.saturating_add(1);
+        }
         self.count = self.count.saturating_add(1);
         self.sum = self.sum.saturating_add(v);
     }
@@ -524,7 +576,11 @@ macro_rules! span {
 // Ambient collection — real implementation (feature "obs").
 // ---------------------------------------------------------------------------
 
+// The collector is the one place in this crate that reads the clock: span
+// timings are reported beside schedules, never fed into them
+// (`obs_differential` pins the schedules byte for byte, feature on and off).
 #[cfg(feature = "obs")]
+#[allow(clippy::disallowed_methods)]
 mod ambient {
     use super::{MetricsRegistry, PhaseProfile, RunReport};
     use std::cell::RefCell;
@@ -818,7 +874,7 @@ pub mod probe {
         let start = platform.earliest_fit_with_cost(procs, dur, not_before, &mut cost);
         acc.absorb(cost);
         // `counter_add` is a no-op stub when `obs` is off, so no cfg gate
-        // is needed (and `resched-lint`'s parity rule would demand a twin).
+        // is needed.
         super::counter_add(names::CPA_MAP_QUERIES, cost.queries);
         super::counter_add(names::CPA_MAP_STEPS, cost.steps);
         start
@@ -841,55 +897,32 @@ mod tests {
 
     #[test]
     fn every_name_constant_is_declared_in_the_manifest() {
-        // `resched-lint`'s obs-hygiene rule checks the same property
-        // statically; this test pins the `names` constants to
-        // `obs/metrics.toml` at build time so the manifest cannot drift
-        // even when the lint lane is skipped.
-        let manifest: Vec<String> = include_str!("obs/metrics.toml")
+        // Both directions, from the one list the constants are declared in:
+        // a constant with no `obs/metrics.toml` entry and an entry with no
+        // constant both fail here. Call sites pass constants, never
+        // literals, so a misspelt name does not compile.
+        let manifest: Vec<&str> = include_str!("obs/metrics.toml")
             .lines()
             .map(str::trim)
             .filter(|l| l.starts_with('"'))
-            .filter_map(|l| l.split('"').nth(1).map(str::to_string))
+            .filter_map(|l| l.split('"').nth(1))
             .collect();
-        let constants = [
-            names::EARLIEST_FIT_QUERIES,
-            names::EARLIEST_FIT_STEPS,
-            names::LATEST_FIT_QUERIES,
-            names::LATEST_FIT_STEPS,
-            names::FIT_STEPS,
-            names::CPA_MAP_QUERIES,
-            names::CPA_MAP_STEPS,
-            names::CPA_ALLOC_ITERS,
-            names::CPA_ALLOC_ITERS_PER_RUN,
-            names::MCPA_ALLOC_ITERS,
-            names::CPA_CACHE_HIT,
-            names::CPA_CACHE_MISS,
-            names::CPA_ALLOC_INCR_UPDATES,
-            names::HYBRID_LAMBDA_PASSES_SAVED,
-            names::STATS_CPA_ALLOCATIONS,
-            names::STATS_CPA_MAPPINGS,
-            names::STATS_PASSES,
-            names::BLIND_PROBES,
-            names::EXEC_OVERRUNS,
-            names::EXEC_REQUEUES,
-            names::SERVE_APPS,
-            names::SERVE_COMMITS,
-            names::SERVE_ROLLBACKS,
-            names::SERVE_CANCELS,
-            names::SERVE_RESIZES,
-            names::SERVE_LATENCY,
-        ];
-        for c in constants {
-            assert!(
-                manifest.iter().any(|m| m == c),
-                "obs::names constant \"{c}\" missing from crates/core/src/obs/metrics.toml"
-            );
+        let missing = |from: &[&'static str], of: &[&'static str]| -> Vec<&str> {
+            of.iter().copied().filter(|n| !from.contains(n)).collect()
+        };
+        let undeclared = missing(&manifest, names::ALL);
+        let unbacked = missing(names::ALL, &manifest);
+        assert!(
+            undeclared.is_empty() && unbacked.is_empty(),
+            "obs::names constants with no crates/core/src/obs/metrics.toml entry: \
+             {undeclared:?}; entries with no constant: {unbacked:?}"
+        );
+        for list in [names::ALL, &manifest[..]] {
+            let mut sorted = list.to_vec();
+            sorted.sort_unstable();
+            sorted.dedup();
+            assert_eq!(sorted.len(), list.len(), "a name is declared twice");
         }
-        // No duplicate declarations.
-        let mut sorted = manifest.clone();
-        sorted.sort();
-        sorted.dedup();
-        assert_eq!(sorted.len(), manifest.len(), "duplicate manifest entries");
     }
 
     #[test]

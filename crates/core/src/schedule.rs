@@ -156,8 +156,9 @@ impl Schedule {
             .iter()
             .map(|p| p.end)
             .max()
-            // lint:allow(panic): schedules carry one placement per task and DagBuilder rejects empty DAGs.
-            .expect("schedule of an empty DAG")
+            // Schedules carry one placement per task and `DagBuilder`
+            // rejects empty DAGs; nothing placed completes at once.
+            .unwrap_or(self.now)
     }
 
     /// Start of the earliest placement.

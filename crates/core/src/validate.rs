@@ -66,7 +66,6 @@ const DUAL_CHECK_CAP: usize = 128;
 
 /// One violated schedule invariant, as found by [`ScheduleValidator`].
 #[derive(Debug, Clone, PartialEq, Eq)]
-#[non_exhaustive]
 pub enum Violation {
     /// The schedule does not hold exactly one placement per DAG task.
     TaskCountMismatch {
@@ -544,18 +543,14 @@ impl<'a> ScheduleValidator<'a> {
 
         self.sweep_capacity(sched, &mut out);
 
-        let exit_finish = self
-            .dag
-            .exits()
-            .iter()
-            .map(|&t| sched.placement(t).end)
-            .max()
-            .expect("a DAG has at least one exit");
-        if sched.completion() != exit_finish {
-            out.push(Violation::ExitFinishMismatch {
-                completion: sched.completion(),
-                exit_finish,
-            });
+        let exits = self.dag.exits().iter();
+        if let Some(exit_finish) = exits.map(|&t| sched.placement(t).end).max() {
+            if sched.completion() != exit_finish {
+                out.push(Violation::ExitFinishMismatch {
+                    completion: sched.completion(),
+                    exit_finish,
+                });
+            }
         }
         if let Some(k) = self.deadline {
             if sched.completion() > k {
@@ -594,11 +589,12 @@ impl<'a> ScheduleValidator<'a> {
     /// on its linear reference.
     fn sweep_capacity(&self, sched: &Schedule, out: &mut Vec<Violation>) {
         let placements = sched.placements();
-        if placements.is_empty() {
-            return;
-        }
-        let lo = placements.iter().map(|pl| pl.start).min().unwrap();
-        let hi = placements.iter().map(|pl| pl.end).max().unwrap();
+        let (Some(lo), Some(hi)) = (
+            placements.iter().map(|pl| pl.start).min(),
+            placements.iter().map(|pl| pl.end).max(),
+        ) else {
+            return; // no placements, nothing to sweep
+        };
 
         let mut bounds: Vec<Time> = Vec::with_capacity(2 * placements.len());
         let mut events: Vec<(Time, i64)> = Vec::with_capacity(2 * placements.len());
@@ -626,12 +622,15 @@ impl<'a> ScheduleValidator<'a> {
         let mut next_event = 0;
         let mut overflow_reported = false;
         for (i, w) in bounds.windows(2).enumerate() {
-            let (a, b) = (w[0], w[1]);
-            while next_event < events.len() && events[next_event].0 <= a {
-                acc += events[next_event].1;
+            let &[a, b] = w else { continue };
+            while let Some(&(_, delta)) = events.get(next_event).filter(|e| e.0 <= a) {
+                acc += delta;
                 next_event += 1;
             }
-            let app = u32::try_from(acc).expect("usage sweep went negative");
+            // Every placement here starts before it ends (`report` returned
+            // early otherwise), so the running sum never dips below zero;
+            // clamped either way, a validator reports, it does not panic.
+            let app = u32::try_from(acc.max(0)).unwrap_or(u32::MAX);
             let competing = self.competing.used_at(a);
 
             // Calendar-vs-linear cross-check on a bounded sample of
@@ -651,7 +650,7 @@ impl<'a> ScheduleValidator<'a> {
                 }
             }
 
-            if !overflow_reported && app + competing > p {
+            if !overflow_reported && app.saturating_add(competing) > p {
                 out.push(Violation::CapacityExceeded {
                     at: a,
                     app,

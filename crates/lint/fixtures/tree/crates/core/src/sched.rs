@@ -1,14 +1,4 @@
-//! Seeded fixture: nondeterminism hazards, a waived panic site, and a
-//! stale waiver.
-
-use std::collections::HashMap;
-
-/// Map iteration order escapes into the output vector — the exact hazard
-/// class that BTreeMap replacements fix in the real workspace.
-pub fn jitter(xs: &[(u32, u32)]) -> Vec<u32> {
-    let m: HashMap<u32, u32> = xs.iter().copied().collect();
-    m.values().copied().collect()
-}
+//! Seeded fixture: a waived panic site and a stale waiver.
 
 /// Properly waived: suppressed by the justification above the line.
 pub fn head(xs: &[u32]) -> u32 {
@@ -17,12 +7,13 @@ pub fn head(xs: &[u32]) -> u32 {
 }
 
 /// A stale waiver: nothing below it violates anything.
-// lint:allow(nondet): nothing here is nondeterministic any more.
+// lint:allow(det): nothing here is nondeterministic any more.
 pub fn stale() -> u32 {
     7
 }
 
-/// Bare float equality on a computed value.
-pub fn brittle(a: f64, b: f64) -> bool {
-    a / b == 0.5
+/// A waiver for a rule family that no longer exists.
+// lint:allow(nondet): the lexical families went to clippy.
+pub fn retired() -> u32 {
+    9
 }

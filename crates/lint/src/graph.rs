@@ -92,7 +92,7 @@ impl Graph {
         // encloser and has a narrower span, so later assignment wins.
         let mut owners: BTreeMap<&str, Vec<Option<usize>>> = BTreeMap::new();
         for (path, file) in &ws.files {
-            owners.insert(path.as_str(), vec![None; file.lexed.lines.len()]);
+            owners.insert(path.as_str(), vec![None; file.lines.len()]);
         }
         for (i, f) in table.fns.iter().enumerate() {
             let Some((_, end)) = f.body else { continue };
@@ -105,16 +105,21 @@ impl Graph {
 
         for (path, file) in &ws.files {
             let owners = &owners[path.as_str()];
-            for (idx, line) in file.lexed.lines.iter().enumerate() {
+            for (idx, line) in file.lines.iter().enumerate() {
                 let Some(fi) = owners[idx] else { continue };
                 let f = &table.fns[fi];
                 if f.is_test || f.is_debug || line.in_test || line.in_debug {
                     continue;
                 }
                 let code = strip_attributes(&line.code);
+                // `debug_assert!` bodies are compiled out of release builds.
+                if code.trim_start().starts_with("debug_assert") {
+                    continue;
+                }
                 let n = idx + 1;
                 scan_sinks(&code, n, &mut nodes[fi]);
                 scan_calls(&code, n, fi, table, &mut nodes[fi]);
+                scan_implicit(&code, n, fi, table, &mut nodes[fi]);
             }
         }
 
@@ -214,11 +219,6 @@ fn scan_sinks(code: &str, n: usize, node: &mut Node) {
             what: what.to_string(),
         });
     };
-    // `debug_assert!` bodies are compiled out of release builds.
-    let stmt = code.trim_start();
-    if stmt.starts_with("debug_assert") {
-        return;
-    }
     if token_then(code, "unwrap", "()") {
         push(SinkKind::Panic, "unwrap()");
     }
@@ -595,7 +595,29 @@ fn scan_calls(code: &str, n: usize, fi: usize, table: &SymbolTable, node: &mut N
             node.dynamic.push(DynSite { line: n, param });
         }
         for t in targets {
-            if !table.fns[t].is_test {
+            if table.may_call(fi, t) {
+                node.edges.push(Edge { callee: t, line: n });
+            }
+        }
+    }
+}
+
+/// Edges to code that runs with no call syntax: operator, `Iterator` and
+/// `Drop` impls ([`SymbolTable::implicit_impls`]). A line that names a
+/// workspace type with such impls — or any line of that type's own
+/// methods, where `Self` names it — gets an edge to each of them: whoever
+/// adds, iterates or drops a value of the type is taken to be among the
+/// functions that spell the type. Over-approximate by design, and blind
+/// to a function that handles the type only through inference or field
+/// access (DESIGN.md §18).
+fn scan_implicit(code: &str, n: usize, fi: usize, table: &SymbolTable, node: &mut Node) {
+    let own = table.fns[fi].self_type.as_deref();
+    let named = code
+        .split(|c: char| !(c.is_alphanumeric() || c == '_'))
+        .filter(|w| w.starts_with(char::is_uppercase));
+    for ty in named.chain(own) {
+        for &t in table.implicit_impls.get(ty).into_iter().flatten() {
+            if t != fi && table.may_call(fi, t) {
                 node.edges.push(Edge { callee: t, line: n });
             }
         }
@@ -685,7 +707,7 @@ pub fn scan_marks(ws: &Workspace, table: &SymbolTable) -> Vec<FnMarks> {
         let mut l = f.sig_line;
         while l > 1 {
             l -= 1;
-            let above = file.lexed.line(l);
+            let above = file.line(l);
             let attr_only = above.code.trim_start().starts_with("#[")
                 || above.code.trim_start().starts_with("#![");
             let comment_only = above.code.trim().is_empty() && above.comment.is_some();
@@ -696,7 +718,7 @@ pub fn scan_marks(ws: &Workspace, table: &SymbolTable) -> Vec<FnMarks> {
             }
         }
         for l in lines {
-            let Some(comment) = &file.lexed.line(l).comment else {
+            let Some(comment) = &file.line(l).comment else {
                 continue;
             };
             let c = comment.trim();
@@ -835,77 +857,8 @@ pub fn transitive(ws: &Workspace, cfg: &Config, sink: &mut Sink) {
 }
 
 // ---------------------------------------------------------------------------
-// CLI support: --graph and --why.
+// CLI support: --why.
 // ---------------------------------------------------------------------------
-
-/// The call graph as stable JSON: one object per function with its
-/// resolved edges, unresolved dynamic calls, and sinks.
-pub fn graph_json(ws: &Workspace) -> String {
-    let table = SymbolTable::build(ws);
-    let graph = Graph::build(ws, &table);
-    let mut out = String::from("[");
-    let mut first = true;
-    for (i, f) in table.fns.iter().enumerate() {
-        if f.is_test {
-            continue;
-        }
-        if !first {
-            out.push(',');
-        }
-        first = false;
-        out.push_str(&format!(
-            "\n  {{\n    \"fn\": \"{}\",\n    \"path\": \"{}\",\n    \"line\": {},",
-            crate::json_escape(&f.qname),
-            crate::json_escape(&f.path),
-            f.sig_line
-        ));
-        let edges: Vec<String> = graph.nodes[i]
-            .edges
-            .iter()
-            .map(|e| {
-                format!(
-                    "{{\"to\": \"{}\", \"line\": {}}}",
-                    crate::json_escape(&table.fns[e.callee].qname),
-                    e.line
-                )
-            })
-            .collect();
-        out.push_str(&format!("\n    \"calls\": [{}],", edges.join(", ")));
-        let dynamic: Vec<String> = graph.nodes[i]
-            .dynamic
-            .iter()
-            .map(|d| {
-                format!(
-                    "{{\"param\": \"{}\", \"line\": {}}}",
-                    crate::json_escape(&d.param),
-                    d.line
-                )
-            })
-            .collect();
-        out.push_str(&format!("\n    \"dynamic\": [{}],", dynamic.join(", ")));
-        let sinks: Vec<String> = graph.nodes[i]
-            .sinks
-            .iter()
-            .map(|s| {
-                let kind = match s.kind {
-                    SinkKind::Panic => "panic",
-                    SinkKind::Det => "det",
-                };
-                format!(
-                    "{{\"kind\": \"{kind}\", \"what\": \"{}\", \"line\": {}}}",
-                    crate::json_escape(&s.what),
-                    s.line
-                )
-            })
-            .collect();
-        out.push_str(&format!("\n    \"sinks\": [{}]\n  }}", sinks.join(", ")));
-    }
-    if !first {
-        out.push('\n');
-    }
-    out.push_str("]\n");
-    out
-}
 
 /// The witness chain from `root_spec` to `sink_spec` over the raw graph
 /// (no barriers — `--why` answers reachability questions, the rules apply
@@ -963,27 +916,95 @@ mod tests {
         (t, g)
     }
 
+    /// Qualified names of the functions `name` has an edge to.
+    fn callees(w: &Workspace, name: &str) -> Vec<String> {
+        let (t, g) = build(w);
+        let f = t.fns.iter().position(|f| f.name == name).unwrap();
+        let edges = g.nodes[f].edges.iter();
+        edges.map(|e| t.fns[e.callee].qname.clone()).collect()
+    }
+
     #[test]
     fn edges_resolve_free_method_and_path_calls() {
         let w = ws(&[(
             "crates/core/src/a.rs",
             "pub fn root(p: &Pool) -> u32 {\n    helper(p) + p.effective(3) + other::thing()\n}\nfn helper(_p: &Pool) -> u32 {\n    1\n}\npub mod other {\n    pub fn thing() -> u32 {\n        2\n    }\n}\npub struct Pool;\nimpl Pool {\n    pub fn effective(&self, q: u32) -> u32 {\n        q\n    }\n}\n",
         )]);
-        let (t, g) = build(&w);
-        let root = t.fns.iter().position(|f| f.name == "root").unwrap();
-        let callees: Vec<&str> = g.nodes[root]
-            .edges
-            .iter()
-            .map(|e| t.fns[e.callee].qname.as_str())
-            .collect();
         assert_eq!(
-            callees,
+            callees(&w, "root"),
             vec![
                 "core::a::helper",
                 "core::a::Pool::effective",
                 "core::a::other::thing"
             ]
         );
+    }
+
+    #[test]
+    fn edges_against_the_crate_dependency_direction_are_pruned() {
+        // `t.calendar()` matches every workspace method of that name. The
+        // one in `sim` cannot be meant: `serve` does not depend on `sim`
+        // (`sim` depends on `serve`, and a dev-dependency is test-only).
+        // The one in `resv` can: `serve` → `core` → `resv`.
+        let sources = [
+            (
+                "crates/serve/src/lib.rs",
+                "pub fn step(t: &Txn) {\n    t.calendar();\n}\n",
+            ),
+            (
+                "crates/resv/src/lib.rs",
+                "pub struct Txn;\nimpl Txn {\n    pub fn calendar(&self) {}\n}\n",
+            ),
+            (
+                "crates/sim/src/lib.rs",
+                "pub struct Args;\nimpl Args {\n    pub fn calendar(&self) {}\n}\n",
+            ),
+        ];
+        let manifests = [
+            (
+                "crates/serve/Cargo.toml",
+                "[dependencies]\nresched-core = { workspace = true }\n\n[dev-dependencies]\nresched-sim = { workspace = true }\n",
+            ),
+            (
+                "crates/core/Cargo.toml",
+                "[dependencies]\nresched-resv = { workspace = true }\n",
+            ),
+            ("crates/resv/Cargo.toml", "[dependencies]\n"),
+            (
+                "crates/sim/Cargo.toml",
+                "[dependencies]\nresched-serve = { workspace = true }\n",
+            ),
+        ];
+        let pruned = ws(&[&sources[..], &manifests[..]].concat());
+        assert_eq!(callees(&pruned, "step"), vec!["resv::Txn::calendar"]);
+        // A crate whose manifest the workspace does not hold is unrestricted.
+        assert_eq!(
+            callees(&ws(&sources), "step"),
+            vec!["resv::Txn::calendar", "sim::Args::calendar"]
+        );
+    }
+
+    #[test]
+    fn naming_a_type_reaches_its_operator_iterator_and_drop_impls() {
+        let w = ws(&[(
+            "crates/resv/src/t.rs",
+            "pub struct Dur(i64);\nimpl std::ops::Add for Dur {\n    type Output = Dur;\n    fn add(self, o: Dur) -> Dur {\n        Dur(self.0 + o.0)\n    }\n}\nimpl Drop for Dur {\n    fn drop(&mut self) {}\n}\nimpl Dur {\n    pub fn twice(self) -> i64 {\n        self.0 * 2\n    }\n}\npub fn sum(a: Dur, b: Dur) -> i64 {\n    (a + b).twice()\n}\npub fn plain(a: i64) -> i64 {\n    a + 1\n}\n",
+        )]);
+        // `sum` spells `Dur`; `twice` is a method of it; `plain` adds
+        // integers and names no workspace type.
+        assert_eq!(
+            callees(&w, "sum"),
+            vec![
+                "resv::t::Dur::add",
+                "resv::t::Dur::drop",
+                "resv::t::Dur::twice"
+            ]
+        );
+        assert_eq!(
+            callees(&w, "twice"),
+            vec!["resv::t::Dur::add", "resv::t::Dur::drop"]
+        );
+        assert!(callees(&w, "plain").is_empty());
     }
 
     #[test]

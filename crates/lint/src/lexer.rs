@@ -13,25 +13,10 @@
 //!   attribute line itself included). Rules that police library code skip
 //!   these lines.
 //!
-//! String literals (including raw strings) are collected separately with
-//! their line and column, so rules that *do* care about literal values
-//! (obs-hygiene) see them without re-parsing.
-//!
 //! Known heuristic limits, acceptable for this workspace and documented in
 //! DESIGN.md §10: `#[cfg(test)]` is assumed to gate a braced item (a `;`
 //! before any `{` cancels the region), and block comments never carry
 //! waivers.
-
-/// One string literal with its location.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct StrLit {
-    /// 1-based line number.
-    pub line: usize,
-    /// 0-based byte column of the opening quote in the original line.
-    pub col: usize,
-    /// Literal content (escapes left as written).
-    pub value: String,
-}
 
 /// One lexed source line.
 #[derive(Debug, Clone, Default)]
@@ -53,8 +38,6 @@ pub struct Line {
 pub struct Lexed {
     /// Per-line views, index 0 = line 1.
     pub lines: Vec<Line>,
-    /// Every string literal in the file, in source order.
-    pub strings: Vec<StrLit>,
 }
 
 impl Lexed {
@@ -62,11 +45,6 @@ impl Lexed {
     /// only, never on user input.
     pub fn line(&self, n: usize) -> &Line {
         &self.lines[n - 1]
-    }
-
-    /// String literals on line `n` (1-based), in column order.
-    pub fn strings_on(&self, n: usize) -> impl Iterator<Item = &StrLit> {
-        self.strings.iter().filter(move |s| s.line == n)
     }
 }
 
@@ -78,19 +56,14 @@ enum State {
     Str { raw_hashes: Option<u32> },
 }
 
-/// Lex `src` into per-line code/comment views plus a string-literal table.
+/// Lex `src` into per-line code/comment views.
 pub fn lex(src: &str) -> Lexed {
     let mut out = Lexed::default();
     let mut state = State::Normal;
     let mut code = String::new();
     let mut comment = String::new();
-    let mut lit = String::new();
-    let mut lit_start = (0usize, 0usize);
-
-    let mut line_no = 1usize;
     let bytes: Vec<char> = src.chars().collect();
     let mut i = 0usize;
-    let mut col = 0usize;
 
     macro_rules! push_line {
         () => {
@@ -105,8 +78,6 @@ pub fn lex(src: &str) -> Lexed {
                 in_debug: false,
             });
             comment.clear();
-            line_no += 1;
-            col = 0;
         };
     }
 
@@ -128,21 +99,17 @@ pub fn lex(src: &str) -> Lexed {
                 if c == '/' && next == Some('/') {
                     state = State::LineComment;
                     i += 2;
-                    col += 2;
                     continue;
                 }
                 if c == '/' && next == Some('*') {
                     state = State::BlockComment(1);
                     i += 2;
-                    col += 2;
                     continue;
                 }
                 if c == '"' {
                     state = State::Str { raw_hashes: None };
-                    lit_start = (line_no, col);
                     code.push('"');
                     i += 1;
-                    col += 1;
                     continue;
                 }
                 // The `r`/`b` must start its own token: an identifier that
@@ -155,10 +122,8 @@ pub fn lex(src: &str) -> Lexed {
                     state = State::Str {
                         raw_hashes: Some(hashes),
                     };
-                    lit_start = (line_no, col);
                     code.push('"');
                     i += skip;
-                    col += skip;
                     continue;
                 }
                 if c == '\'' {
@@ -168,25 +133,21 @@ pub fn lex(src: &str) -> Lexed {
                         code.push('\'');
                         code.push('\'');
                         i += len;
-                        col += len;
                         continue;
                     }
                 }
                 code.push(c);
                 i += 1;
-                col += 1;
             }
             State::LineComment => {
                 comment.push(c);
                 i += 1;
-                col += 1;
             }
             State::BlockComment(depth) => {
                 let next = bytes.get(i + 1).copied();
                 if c == '/' && next == Some('*') {
                     state = State::BlockComment(depth + 1);
                     i += 2;
-                    col += 2;
                 } else if c == '*' && next == Some('/') {
                     state = if depth == 1 {
                         State::Normal
@@ -194,65 +155,39 @@ pub fn lex(src: &str) -> Lexed {
                         State::BlockComment(depth - 1)
                     };
                     i += 2;
-                    col += 2;
                 } else {
                     i += 1;
-                    col += 1;
                 }
             }
             State::Str { raw_hashes } => {
                 match raw_hashes {
                     None => {
                         if c == '\\' {
-                            lit.push(c);
-                            match bytes.get(i + 1) {
-                                // A `\` line continuation: leave the newline
-                                // for the top-of-loop handler so per-line
-                                // accounting stays exact.
-                                Some('\n') => {
-                                    i += 1;
-                                    col += 1;
-                                }
-                                Some(&e) => {
-                                    lit.push(e);
-                                    i += 2;
-                                    col += 2;
-                                }
-                                None => i += 1,
-                            }
+                            // Skip the escaped character, except a newline
+                            // (a `\` line continuation), which is left for
+                            // the top-of-loop handler so per-line accounting
+                            // stays exact.
+                            i += if bytes.get(i + 1) == Some(&'\n') {
+                                1
+                            } else {
+                                2
+                            };
                             continue;
                         }
                         if c == '"' {
                             code.push('"');
-                            out.strings.push(StrLit {
-                                line: lit_start.0,
-                                col: lit_start.1,
-                                value: std::mem::take(&mut lit),
-                            });
                             state = State::Normal;
-                            i += 1;
-                            col += 1;
-                            continue;
                         }
                     }
                     Some(h) => {
                         if c == '"' && closes_raw_string(&bytes, i, h) {
                             code.push('"');
-                            out.strings.push(StrLit {
-                                line: lit_start.0,
-                                col: lit_start.1,
-                                value: std::mem::take(&mut lit),
-                            });
                             state = State::Normal;
-                            i += 1 + h as usize;
-                            col += 1 + h as usize;
-                            continue;
+                            i += h as usize;
                         }
                     }
                 }
-                lit.push(c);
                 i += 1;
-                col += 1;
             }
         }
     }
@@ -492,8 +427,6 @@ mod tests {
         let l = lex("let x = \"unwrap()\"; // trailing unwrap()\n");
         assert_eq!(l.lines[0].code, "let x = \"\"; ");
         assert_eq!(l.lines[0].comment.as_deref(), Some(" trailing unwrap()"));
-        assert_eq!(l.strings[0].value, "unwrap()");
-        assert_eq!(l.strings[0].line, 1);
     }
 
     #[test]
@@ -507,9 +440,7 @@ mod tests {
     #[test]
     fn raw_strings_and_escapes() {
         let l = lex("let a = r#\"has \"quotes\" and \\\"#; let b = \"\\\"esc\\\"\";\n");
-        assert_eq!(l.strings.len(), 2);
-        assert_eq!(l.strings[0].value, "has \"quotes\" and \\");
-        assert_eq!(l.strings[1].value, "\\\"esc\\\"");
+        assert_eq!(l.lines[0].code, "let a = \"\"; let b = \"\";");
     }
 
     #[test]
@@ -520,8 +451,9 @@ mod tests {
         let src = "let a = \"one \\\n     two\";\nlet b = 1;\n";
         let l = lex(src);
         assert_eq!(l.lines.len(), 4, "three source lines + trailing");
+        assert_eq!(l.lines[0].code, "let a = \"");
+        assert_eq!(l.lines[1].code, "\";");
         assert_eq!(l.lines[2].code, "let b = 1;");
-        assert_eq!(l.strings[0].line, 1);
     }
 
     #[test]
@@ -562,7 +494,6 @@ mod tests {
         // `/*/**/*/` is a fully balanced nested comment: open, open,
         // close, close — nothing of it survives as code.
         assert_eq!(l.lines[1].code, " c");
-        assert!(l.strings.is_empty());
     }
 
     #[test]
@@ -580,8 +511,7 @@ mod tests {
         // real `}` and the trailing library fn must stay unmarked.
         let src = "#[cfg(test)]\nmod tests {\n    const S: &str = r##\"{ \"# #[cfg(test)] }\"##;\n    fn t() {}\n}\npub fn lib() { x.unwrap() }\n";
         let l = lex(src);
-        assert_eq!(l.strings.len(), 1);
-        assert_eq!(l.strings[0].value, "{ \"# #[cfg(test)] }");
+        assert_eq!(l.lines[2].code, "    const S: &str = \"\";");
         assert!(l.lines[2].in_test, "raw-string line is inside the region");
         assert!(l.lines[4].in_test, "closing brace line");
         assert!(!l.lines[5].in_test, "library fn after the region");
@@ -595,9 +525,7 @@ mod tests {
         // literal; the `r` of `var` must not open a raw string (which
         // would swallow the rest of the file).
         let l = lex("m!(var\"a\"); let ok = r\"real\";\n");
-        assert_eq!(l.strings.len(), 2);
-        assert_eq!(l.strings[0].value, "a");
-        assert_eq!(l.strings[1].value, "real");
+        assert_eq!(l.lines[0].code, "m!(var\"\"); let ok = \"\";");
     }
 
     #[test]

@@ -1,30 +1,22 @@
-//! `resched-lint` — the workspace's static-analysis pass.
+//! `resched-lint` — the workspace's call-graph proofs.
 //!
-//! Deny-by-default rule families keep the reproduction's correctness
-//! story enforceable at the source level (DESIGN.md §10, §18):
+//! What is checked here is what no compiler pass, clippy lint or test can
+//! check: properties of everything *reachable* from the entry points
+//! declared in `crates/lint/roots.toml` (DESIGN.md §13, §18):
 //!
-//! * `nondet` — no `HashMap`/`HashSet`, wall-clock reads, or bare float
-//!   `==`/`!=` in scheduler crates;
 //! * `panic` — no `unwrap()`/`expect(`/`panic!`/`unreachable!`/unchecked
-//!   indexing in any function transitively reachable from the hot-path
-//!   roots declared in `crates/lint/roots.toml`;
+//!   indexing in any function transitively reachable from a root;
 //! * `det` — no `env::var`/`Instant::now`/`SystemTime::now`/thread spawn
 //!   reachable from the same roots;
 //! * `dynamic-call` — calls through fn-typed parameters on a proved path
-//!   are conservatively reported, since the graph cannot resolve them;
-//! * `obs` — every metric/span name used by `obs::` hooks is declared in
-//!   `crates/core/src/obs/metrics.toml`, and every manifest entry is used;
-//! * `catalog` — the algorithm catalog manifest, the DESIGN/EXPERIMENTS
-//!   tables, the differential-test golden, and the test harnesses agree on
-//!   the exact algorithm list;
-//! * `parity` — every `#[cfg(feature = "obs")]` item has a
-//!   `#[cfg(not(feature = "obs"))]` counterpart, and every `Violation`
-//!   kind is wired through the validator oracle and the fuzz shrinker's
-//!   labels.
+//!   are conservatively reported, since the graph cannot resolve them.
 //!
-//! The transitive families run over an approximate name-resolved call
-//! graph ([`symbols`], [`graph`]); diagnostics carry the witness chain
+//! The proofs run over an approximate name-resolved call graph
+//! ([`symbols`], [`graph`]); diagnostics carry the witness chain
 //! `root → … → sink`, and `--why root sink` reproduces it from the CLI.
+//! (Per-crate determinism — hash-ordered containers, clock reads, bare
+//! float `==` — is clippy's job, through the `clippy.toml` of `core`,
+//! `resv` and `sim`; DESIGN.md §13 lists every property and its owner.)
 //!
 //! Violations are suppressed by inline waivers:
 //!
@@ -41,8 +33,6 @@
 
 pub mod graph;
 pub mod lexer;
-pub mod manifest;
-pub mod rules;
 pub mod symbols;
 
 use lexer::Lexed;
@@ -54,17 +44,9 @@ use std::path::{Path, PathBuf};
 /// Rule families. `Waiver` covers problems with waiver comments themselves.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Rule {
-    /// Nondeterminism hazards in scheduler crates.
-    Nondet,
-    /// Panic sinks reachable from a hot-path root.
+    /// Panic sinks reachable from a root.
     Panic,
-    /// Metric/span names out of sync with the manifest.
-    Obs,
-    /// Algorithm catalog drift.
-    Catalog,
-    /// `obs` feature gates without no-op stubs.
-    Parity,
-    /// Nondeterministic sources reachable from a hot-path root.
+    /// Nondeterministic sources reachable from a root.
     Det,
     /// A call the graph cannot resolve (fn-typed parameter) on a path the
     /// transitive proofs must cover.
@@ -80,12 +62,8 @@ pub enum Rule {
 
 impl Rule {
     /// All waivable rules (everything except `waiver` itself).
-    pub const WAIVABLE: [Rule; 9] = [
-        Rule::Nondet,
+    pub const WAIVABLE: [Rule; 5] = [
         Rule::Panic,
-        Rule::Obs,
-        Rule::Catalog,
-        Rule::Parity,
         Rule::Det,
         Rule::DynamicCall,
         Rule::PanicTransitive,
@@ -95,11 +73,7 @@ impl Rule {
     /// The rule's name as written in reports and waiver comments.
     pub fn name(self) -> &'static str {
         match self {
-            Rule::Nondet => "nondet",
             Rule::Panic => "panic",
-            Rule::Obs => "obs",
-            Rule::Catalog => "catalog",
-            Rule::Parity => "parity",
             Rule::Det => "det",
             Rule::DynamicCall => "dynamic-call",
             Rule::PanicTransitive => "panic-transitive",
@@ -146,21 +120,12 @@ impl fmt::Display for Violation {
     }
 }
 
-/// One lexed `.rs` source file.
-#[derive(Debug)]
-pub struct SourceFile {
-    /// Raw text (used for waiver insertion and marker scans).
-    pub text: String,
-    /// Lexed view.
-    pub lexed: Lexed,
-}
-
 /// Everything the analyzer looks at: lexed `.rs` files plus the raw text of
-/// manifests, docs, and goldens ("extras").
+/// the roots manifest and the crate manifests ("extras").
 #[derive(Debug, Default)]
 pub struct Workspace {
     /// Walked `.rs` files by workspace-relative path (sorted).
-    pub files: BTreeMap<String, SourceFile>,
+    pub files: BTreeMap<String, Lexed>,
     /// Non-Rust inputs by workspace-relative path.
     pub extras: BTreeMap<String, String>,
 }
@@ -173,8 +138,7 @@ impl Workspace {
         let mut ws = Workspace::default();
         for (path, text) in inputs {
             if path.ends_with(".rs") {
-                let lexed = lexer::lex(&text);
-                ws.files.insert(path, SourceFile { text, lexed });
+                ws.files.insert(path, lexer::lex(&text));
             } else {
                 ws.extras.insert(path, text);
             }
@@ -183,30 +147,32 @@ impl Workspace {
     }
 
     /// Walk the workspace rooted at `root`: every `.rs` file under
-    /// `crates/*/src`, `crates/*/tests`, and `tests/`, plus the extras a
-    /// [`Config`] refers to. The lint crate's own `fixtures/` tree is never
-    /// walked. Returns deterministic, sorted contents.
+    /// `crates/*/src`, `crates/*/tests`, and `tests/`, plus the roots
+    /// manifest and each member's `Cargo.toml` (the crate dependency
+    /// direction prunes call edges, [`symbols::SymbolTable::may_call`]).
+    /// The lint crate's own `fixtures/` tree is never walked. Returns
+    /// deterministic, sorted contents.
     pub fn load(root: &Path, cfg: &Config) -> std::io::Result<Workspace> {
         let mut ws = Workspace::default();
-        let mut rs_roots: Vec<PathBuf> = Vec::new();
+        let mut members: Vec<PathBuf> = Vec::new();
         let crates_dir = root.join("crates");
         if crates_dir.is_dir() {
-            let mut members: Vec<PathBuf> = std::fs::read_dir(&crates_dir)?
+            members = std::fs::read_dir(&crates_dir)?
                 .filter_map(|e| Some(e.ok()?.path()))
                 .collect();
             members.sort();
-            for m in members {
-                rs_roots.push(m.join("src"));
-                rs_roots.push(m.join("tests"));
-            }
         }
-        rs_roots.push(root.join("tests"));
-        for dir in rs_roots {
-            walk_rs(root, &dir, &mut ws)?;
+        for m in &members {
+            walk_rs(root, &m.join("src"), &mut ws)?;
+            walk_rs(root, &m.join("tests"), &mut ws)?;
         }
-        for extra in cfg.extra_paths() {
-            let p = root.join(&extra);
-            if let Ok(text) = std::fs::read_to_string(&p) {
+        walk_rs(root, &root.join("tests"), &mut ws)?;
+        members.push(root.join("tests"));
+        let manifests = members
+            .iter()
+            .map(|m| rel_path(root, &m.join("Cargo.toml")));
+        for extra in manifests.chain([cfg.roots_manifest.clone()]) {
+            if let Ok(text) = std::fs::read_to_string(root.join(&extra)) {
                 ws.extras.insert(extra, text);
             }
         }
@@ -235,8 +201,7 @@ fn walk_rs(root: &Path, dir: &Path, ws: &mut Workspace) -> std::io::Result<()> {
         } else if p.extension().and_then(|e| e.to_str()) == Some("rs") {
             let rel = rel_path(root, &p);
             let text = std::fs::read_to_string(&p)?;
-            let lexed = lexer::lex(&text);
-            ws.files.insert(rel, SourceFile { text, lexed });
+            ws.files.insert(rel, lexer::lex(&text));
         }
     }
     Ok(())
@@ -252,34 +217,10 @@ fn rel_path(root: &Path, p: &Path) -> String {
         .join("/")
 }
 
-/// Rule scoping and manifest locations. [`Config::default`] describes the
-/// real workspace; fixture tests build custom configs.
+/// Where the reachability roots are declared. [`Config::default`] is the
+/// real workspace's `crates/lint/roots.toml`.
 #[derive(Debug, Clone)]
 pub struct Config {
-    /// Path prefixes where the `nondet` family applies.
-    pub nondet_paths: Vec<String>,
-    /// Files allowed to read wall clocks (the designated timing module).
-    pub timing_allowlist: Vec<String>,
-    /// Path prefixes scanned for obs call sites and feature gates.
-    pub src_paths: Vec<String>,
-    /// The metric/span name manifest.
-    pub metrics_manifest: String,
-    /// The file whose `pub const NAME: &str = "..."` definitions are the
-    /// canonical metric-name constants.
-    pub names_module: String,
-    /// The algorithm catalog manifest.
-    pub catalog_manifest: String,
-    /// Markdown docs that must carry a marker-delimited catalog table.
-    pub catalog_docs: Vec<String>,
-    /// Test files that must exercise the full catalog.
-    pub catalog_tests: Vec<String>,
-    /// Golden JSON files whose `"algorithm"` entries must match the catalog.
-    pub catalog_goldens: Vec<String>,
-    /// The module declaring `pub enum Violation` (the validator oracle).
-    pub violation_module: String,
-    /// Fuzz/shrink harnesses that must be able to label every violation
-    /// kind.
-    pub violation_tests: Vec<String>,
     /// The reachability-roots manifest for the transitive proofs.
     pub roots_manifest: String,
 }
@@ -287,40 +228,8 @@ pub struct Config {
 impl Default for Config {
     fn default() -> Self {
         Config {
-            nondet_paths: vec![
-                "crates/core/src".into(),
-                "crates/resv/src".into(),
-                "crates/sim/src".into(),
-            ],
-            timing_allowlist: vec!["crates/core/src/obs.rs".into()],
-            src_paths: vec!["crates/".into()],
-            metrics_manifest: "crates/core/src/obs/metrics.toml".into(),
-            names_module: "crates/core/src/obs.rs".into(),
-            catalog_manifest: "crates/core/src/algos/catalog.txt".into(),
-            catalog_docs: vec!["DESIGN.md".into(), "EXPERIMENTS.md".into()],
-            catalog_tests: vec![
-                "tests/tests/obs_differential.rs".into(),
-                "tests/tests/prop_scheduling.rs".into(),
-            ],
-            catalog_goldens: vec!["results/golden/obs_differential.json".into()],
-            violation_module: "crates/core/src/validate.rs".into(),
-            violation_tests: vec!["tests/fuzz.rs".into()],
             roots_manifest: "crates/lint/roots.toml".into(),
         }
-    }
-}
-
-impl Config {
-    /// Every non-`.rs` path the rules consult.
-    pub fn extra_paths(&self) -> Vec<String> {
-        let mut v = vec![
-            self.metrics_manifest.clone(),
-            self.catalog_manifest.clone(),
-            self.roots_manifest.clone(),
-        ];
-        v.extend(self.catalog_docs.iter().cloned());
-        v.extend(self.catalog_goldens.iter().cloned());
-        v
     }
 }
 
@@ -383,7 +292,7 @@ impl Sink {
         let waivers = ws
             .files
             .iter()
-            .map(|(path, f)| (path.clone(), parse_waivers(&f.lexed)))
+            .map(|(path, lexed)| (path.clone(), parse_waivers(lexed)))
             .collect();
         Sink {
             violations: Vec::new(),
@@ -401,7 +310,7 @@ impl Sink {
             let mut l = line;
             while l > 1 {
                 l -= 1;
-                let above = file.lexed.line(l);
+                let above = file.line(l);
                 if above.code.trim().is_empty() && above.comment.is_some() {
                     covered.push(l);
                 } else {
@@ -447,9 +356,8 @@ impl Sink {
                         line: w.line,
                         rule: Rule::Waiver,
                         message: format!(
-                            "waiver names unknown rule `{}` (known: nondet, panic, obs, \
-                             catalog, parity, det, dynamic-call, panic-transitive, \
-                             det-transitive)",
+                            "waiver names unknown rule `{}` (known: panic, det, \
+                             dynamic-call, panic-transitive, det-transitive)",
                             w.raw_rule
                         ),
                     }),
@@ -483,14 +391,10 @@ impl Sink {
     }
 }
 
-/// Run every rule over the workspace and return the sorted report.
+/// Run the transitive proofs over the workspace and return the sorted
+/// report.
 pub fn run(ws: &Workspace, cfg: &Config) -> Vec<Violation> {
     let mut sink = Sink::new(ws);
-    rules::nondet(ws, cfg, &mut sink);
-    rules::obs_hygiene(ws, cfg, &mut sink);
-    rules::catalog_sync(ws, cfg, &mut sink);
-    rules::feature_parity(ws, cfg, &mut sink);
-    rules::violation_parity(ws, cfg, &mut sink);
     graph::transitive(ws, cfg, &mut sink);
     sink.finish()
 }
@@ -504,74 +408,4 @@ pub fn render_text(violations: &[Violation]) -> String {
         out.push('\n');
     }
     out
-}
-
-/// Render violations as a stable JSON array (2-space indent, sorted).
-pub fn render_json(violations: &[Violation]) -> String {
-    let mut out = String::from("[");
-    for (i, v) in violations.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str("\n  {");
-        out.push_str(&format!("\n    \"path\": \"{}\",", json_escape(&v.path)));
-        out.push_str(&format!("\n    \"line\": {},", v.line));
-        out.push_str(&format!("\n    \"rule\": \"{}\",", v.rule.name()));
-        out.push_str(&format!(
-            "\n    \"message\": \"{}\"",
-            json_escape(&v.message)
-        ));
-        out.push_str("\n  }");
-    }
-    if !violations.is_empty() {
-        out.push('\n');
-    }
-    out.push_str("]\n");
-    out
-}
-
-/// Minimal JSON string escaping (the report never contains exotic chars,
-/// but stay correct anyway).
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-/// Insert a templated waiver comment above `line` (1-based) in `text`,
-/// matching the target line's indentation. Returns the new text, or an
-/// error message if the line is out of range.
-pub fn insert_waiver(text: &str, line: usize, rule: Rule) -> Result<String, String> {
-    let lines: Vec<&str> = text.split_inclusive('\n').collect();
-    if line == 0 || line > lines.len() {
-        return Err(format!(
-            "line {line} out of range (file has {} lines)",
-            lines.len()
-        ));
-    }
-    let target = lines[line - 1];
-    let indent: String = target
-        .chars()
-        .take_while(|c| *c == ' ' || *c == '\t')
-        .collect();
-    let mut out = String::with_capacity(text.len() + 64);
-    for (i, l) in lines.iter().enumerate() {
-        if i == line - 1 {
-            out.push_str(&format!(
-                "{indent}// lint:allow({}): TODO: justify why this is safe.\n",
-                rule.name()
-            ));
-        }
-        out.push_str(l);
-    }
-    Ok(out)
 }

@@ -10,8 +10,9 @@
 //! contains none of the latter.
 
 use crate::lexer::strip_attributes;
-use crate::{SourceFile, Workspace};
-use std::collections::BTreeMap;
+use crate::lexer::Lexed;
+use crate::Workspace;
+use std::collections::{BTreeMap, BTreeSet};
 
 /// One `fn` definition.
 #[derive(Debug, Clone)]
@@ -47,15 +48,6 @@ pub struct FnSym {
     pub is_debug: bool,
 }
 
-/// One `trait` declaration with its method names.
-#[derive(Debug, Clone, Default)]
-pub struct TraitSym {
-    /// Bare trait name.
-    pub name: String,
-    /// Declared method names.
-    pub methods: Vec<String>,
-}
-
 /// The resolved table.
 #[derive(Debug, Default)]
 pub struct SymbolTable {
@@ -67,9 +59,42 @@ pub struct SymbolTable {
     pub methods_by_name: BTreeMap<String, Vec<usize>>,
     /// Methods by (type, name) → indices into `fns`.
     pub methods_by_type: BTreeMap<(String, String), Vec<usize>>,
-    /// Traits by name.
-    pub traits: BTreeMap<String, TraitSym>,
+    /// Methods of hand-written operator / `Iterator` / `Drop` impls by
+    /// implementing type: code the compiler calls with no call syntax
+    /// (`a + b`, `for x in it`, end of scope), so no call token names it.
+    pub implicit_impls: BTreeMap<String, Vec<usize>>,
+    /// Crate alias → the workspace crates it may call into: itself is
+    /// implied, the rest is the transitive closure of the `[dependencies]`
+    /// of its `Cargo.toml`. A crate whose manifest is not in the workspace
+    /// has no entry and is unrestricted.
+    pub crate_deps: BTreeMap<String, BTreeSet<String>>,
 }
+
+/// Traits whose methods run without being named at the use site.
+const IMPLICIT_TRAITS: [&str; 22] = [
+    "Add",
+    "AddAssign",
+    "Sub",
+    "SubAssign",
+    "Mul",
+    "MulAssign",
+    "Div",
+    "DivAssign",
+    "Rem",
+    "RemAssign",
+    "Neg",
+    "Not",
+    "Index",
+    "IndexMut",
+    "Deref",
+    "DerefMut",
+    "PartialEq",
+    "PartialOrd",
+    "Ord",
+    "Iterator",
+    "IntoIterator",
+    "Drop",
+];
 
 impl SymbolTable {
     /// Build the table over every lexed file in the workspace.
@@ -78,9 +103,16 @@ impl SymbolTable {
         for (path, file) in &ws.files {
             scan_file(path, file, &mut table);
         }
+        table.crate_deps = crate_deps(ws);
         for (i, f) in table.fns.iter().enumerate() {
             match &f.self_type {
                 Some(ty) => {
+                    if f.trait_name
+                        .as_deref()
+                        .is_some_and(|t| IMPLICIT_TRAITS.contains(&t))
+                    {
+                        table.implicit_impls.entry(ty.clone()).or_default().push(i);
+                    }
                     table
                         .methods_by_name
                         .entry(f.name.clone())
@@ -102,6 +134,21 @@ impl SymbolTable {
             }
         }
         table
+    }
+
+    /// May `from` call `to`? Not if `to` is test code, and not against the
+    /// crate dependency direction: a name the resolver matched in a crate
+    /// the caller's crate does not depend on cannot be what the caller's
+    /// code refers to.
+    pub fn may_call(&self, from: usize, to: usize) -> bool {
+        let krate = |i: usize| self.fns[i].module.split("::").next().unwrap_or("");
+        let (from, to_crate) = (krate(from), krate(to));
+        !self.fns[to].is_test
+            && (from == to_crate
+                || self
+                    .crate_deps
+                    .get(from)
+                    .is_none_or(|d| d.contains(to_crate)))
     }
 
     /// Functions whose qualified name matches `spec`. Exact match, or a
@@ -136,6 +183,46 @@ fn qname_suffix_matches(qname: &str, spec: &str) -> bool {
         || (qname.len() > spec.len() + 2
             && qname.ends_with(spec)
             && qname[..qname.len() - spec.len()].ends_with("::"))
+}
+
+/// The crate dependency direction from the `Cargo.toml` extras: for each
+/// member manifest (`crates/<alias>/Cargo.toml`, `tests/Cargo.toml`), the
+/// `resched-<alias>` keys of its `[dependencies]` section, closed
+/// transitively. Dev-dependencies are left out: only test code can use
+/// them, and test code is never a caller or a callee in the graph.
+fn crate_deps(ws: &Workspace) -> BTreeMap<String, BTreeSet<String>> {
+    let mut direct: BTreeMap<String, BTreeSet<String>> = BTreeMap::new();
+    for (path, text) in &ws.extras {
+        let Some(dir) = path.strip_suffix("/Cargo.toml") else {
+            continue;
+        };
+        let alias = dir.rsplit('/').next().unwrap_or(dir).to_string();
+        let mut in_deps = false;
+        let mut deps = BTreeSet::new();
+        for line in text.lines().map(str::trim) {
+            if line.starts_with('[') {
+                in_deps = line == "[dependencies]";
+            } else if let Some(dep) = line.strip_prefix("resched-").filter(|_| in_deps) {
+                let alias = dep
+                    .chars()
+                    .take_while(|c| c.is_alphanumeric() || *c == '_' || *c == '-');
+                deps.insert(alias.collect());
+            }
+        }
+        direct.insert(alias, deps);
+    }
+    let mut closed = direct.clone();
+    for deps in closed.values_mut() {
+        let mut todo: Vec<String> = deps.iter().cloned().collect();
+        while let Some(d) = todo.pop() {
+            for next in direct.get(&d).into_iter().flatten() {
+                if deps.insert(next.clone()) {
+                    todo.push(next.clone());
+                }
+            }
+        }
+    }
+    closed
 }
 
 /// Module path for a workspace-relative file path:
@@ -207,14 +294,14 @@ struct PendingFn {
     in_params: bool,
 }
 
-fn scan_file(path: &str, file: &SourceFile, table: &mut SymbolTable) {
+fn scan_file(path: &str, file: &Lexed, table: &mut SymbolTable) {
     let file_module = module_path_for(path);
     let path_is_test = path.contains("/tests/");
     let mut depth: i32 = 0;
     let mut scopes: Vec<Scope> = Vec::new();
     let mut pending: Option<PendingFn> = None;
 
-    for (idx, line) in file.lexed.lines.iter().enumerate() {
+    for (idx, line) in file.lines.iter().enumerate() {
         let n = idx + 1;
         let code = strip_attributes(&line.code);
 
@@ -307,13 +394,6 @@ fn scan_file(path: &str, file: &SourceFile, table: &mut SymbolTable) {
             }
         } else if let Some(name) = item_name(trimmed, "trait") {
             if line_opens_brace(&code) {
-                table
-                    .traits
-                    .entry(name.clone())
-                    .or_insert_with(|| TraitSym {
-                        name: name.clone(),
-                        methods: Vec::new(),
-                    });
                 scopes.push(Scope::Trait {
                     name,
                     close_depth: depth,
@@ -324,18 +404,11 @@ fn scan_file(path: &str, file: &SourceFile, table: &mut SymbolTable) {
             let module = enclosing_module(&file_module, &scopes);
             // A default/declared method in `trait Tr` is addressed as
             // `module::Tr::name`, same shape as impl methods.
-            let self_type = self_type.or_else(|| in_trait.clone());
+            let self_type = self_type.or(in_trait);
             let qname = match &self_type {
                 Some(ty) => format!("{module}::{ty}::{fn_name}"),
                 None => format!("{module}::{fn_name}"),
             };
-            if let Some(tr) = in_trait {
-                if let Some(t) = table.traits.get_mut(&tr) {
-                    if !t.methods.contains(&fn_name) {
-                        t.methods.push(fn_name.clone());
-                    }
-                }
-            }
             let fidx = table.fns.len();
             table.fns.push(FnSym {
                 qname,
@@ -737,7 +810,6 @@ mod tests {
         );
         assert!(t.free_by_name.contains_key("free_one"));
         assert_eq!(t.methods_by_type[&("T".into(), "q".into())].len(), 1);
-        assert_eq!(t.traits["Tr"].methods, vec!["q"]);
         // Body spans: free_one covers lines 1..=3.
         assert_eq!(t.fns[0].body, Some((1, 3)));
         // The bodiless trait signature has no body.

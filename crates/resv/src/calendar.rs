@@ -29,7 +29,6 @@
 //! independently written reference that the validator, the calendar audit
 //! and the differential tests compare against.
 
-use crate::hierarchy::{HierFit, Hierarchy, HierarchyError, PlacementLevel};
 use crate::reservation::{Reservation, ReservationError};
 use crate::slotset::Slots;
 use crate::time::{Dur, Time};
@@ -67,18 +66,6 @@ impl QueryCost {
         self.queries += other.queries;
         self.steps += other.steps;
     }
-}
-
-/// Why a latest-fit probe for `procs` processors failed, as a bound a
-/// caller scanning widths can reuse: no run of `procs` free processors
-/// inside the probed `[not_before, end_by)` is longer than `longest_run`
-/// (itself shorter than the probed duration). The instants with more than
-/// `procs` processors free are a subset of those with `procs` free, so a
-/// wider request over the same window needing longer than this fails too.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct NoFit {
-    /// Upper bound on the longest free run the probe saw.
-    pub longest_run: Dur,
 }
 
 /// A homogeneous platform of `capacity` processors plus the step function of
@@ -275,19 +262,9 @@ impl Calendar {
             .map_or(0, |s| s.used)
     }
 
-    /// Free processors at instant `t`.
-    pub fn available_at(&self, t: Time) -> u32 {
-        self.capacity - self.used_at(t)
-    }
-
     /// Peak usage over `[from, to)`.
     pub fn peak_used(&self, from: Time, to: Time) -> u32 {
         self.slots().peak_used(from, to)
-    }
-
-    /// Minimum free processors over `[from, to)`.
-    pub fn min_available(&self, from: Time, to: Time) -> u32 {
-        self.capacity - self.peak_used(from, to)
     }
 
     /// Insert a reservation, checking capacity throughout its interval.
@@ -372,8 +349,13 @@ impl Calendar {
                 requested: r.procs,
             });
         }
-        self.remove_unchecked(r);
-        Ok(())
+        // Cannot fail after the scan above; if it did, nothing changed.
+        self.release(r)
+            .map_err(|(at, used)| ReservationError::NotReserved {
+                at,
+                used,
+                requested: r.procs,
+            })
     }
 
     /// Cancel a reservation that is already known to be present.
@@ -390,22 +372,34 @@ impl Calendar {
     /// never wrapping: silent wrap-around would corrupt the calendar in
     /// release builds. Use [`Calendar::try_remove`] for the fallible path.
     pub fn remove_unchecked(&mut self, r: Reservation) {
+        self.release(r).unwrap_or_else(|(at, used)| {
+            panic!(
+                "removal underflow: {used} procs in use, {} to release at {at}",
+                r.procs
+            )
+        });
+    }
+
+    /// The removal itself: checks every step of `[r.start, r.end)` before
+    /// it changes any, so on `Err((instant, used there))` the calendar is
+    /// as it was (the two breakpoints it may have inserted coalesce away).
+    pub(crate) fn release(&mut self, r: Reservation) -> Result<(), (Time, u32)> {
         let start_idx = self.ensure_breakpoint(r.start);
         let end_idx = self.ensure_breakpoint(r.end);
-        for s in &mut self.steps[start_idx..end_idx] {
-            s.used = s.used.checked_sub(r.procs).unwrap_or_else(|| {
-                panic!(
-                    "removal underflow: {} procs in use, {} to release at {}",
-                    s.used, r.procs, s.time
-                )
-            });
+        let range = self.steps.get_mut(start_idx..end_idx).unwrap_or_default();
+        let short = range
+            .iter()
+            .find(|s| s.used < r.procs)
+            .map(|s| (s.time, s.used));
+        if short.is_none() {
+            for s in range {
+                s.used -= r.procs;
+            }
+            self.reserved_proc_seconds -= r.proc_seconds();
+            self.num_reservations = self.num_reservations.saturating_sub(1);
         }
         self.coalesce_around(start_idx, end_idx);
-        self.reserved_proc_seconds -= r.proc_seconds();
-        self.num_reservations = self
-            .num_reservations
-            .checked_sub(1)
-            .unwrap_or_else(|| panic!("remove with num_reservations == 0"));
+        short.map_or(Ok(()), Err)
     }
 
     /// Replace reservation `old` with `new` atomically: on any error the
@@ -504,44 +498,22 @@ impl Calendar {
             .earliest_finish(candidates, not_before, widest_on_tie, &mut cost.steps)
     }
 
-    /// Hierarchy-aware earliest fit: quantize `procs` up to whole
-    /// placement units of `hier` at `level`, then search. Errors if the
-    /// hierarchy disagrees with the calendar's capacity or the quantized
-    /// request cannot fit at all.
-    ///
-    /// With the flat degenerate hierarchy ([`Hierarchy::flat`]) the answer
-    /// is byte-for-byte [`Calendar::earliest_fit_with_cost`]: same start,
-    /// same processor count, same `QueryCost`.
-    pub fn earliest_fit_hier(
-        &self,
-        hier: &Hierarchy,
-        level: PlacementLevel,
-        procs: u32,
-        dur: Dur,
-        not_before: Time,
-        cost: &mut QueryCost,
-    ) -> Result<HierFit, HierarchyError> {
-        let procs = hier.quantized_request(procs, level, self.capacity)?;
-        let start = self.earliest_fit_with_cost(procs, dur, not_before, cost);
-        Ok(HierFit { start, procs })
-    }
-
     /// Latest start `s` with `s + dur <= end_by`, `s >= not_before`, and
     /// `procs` processors free throughout `[s, s + dur)`. `None` if no such
-    /// start exists.
+    /// start exists. [`Calendar::latest_fit_with_cost`] with the tally
+    /// dropped; production asks the width-scan queries below, this one is
+    /// the per-width primitive their differentials and benches compare
+    /// against.
     ///
     /// # Panics
     /// Panics if `procs == 0`, `procs > capacity`, or `dur <= 0`.
     pub fn latest_fit(&self, procs: u32, dur: Dur, end_by: Time, not_before: Time) -> Option<Time> {
         let mut cost = QueryCost::default();
         self.latest_fit_with_cost(procs, dur, end_by, not_before, &mut cost)
-            .ok()
     }
 
     /// [`Calendar::latest_fit`], tallying the work performed into `cost`
-    /// (one query plus the slots the walk inspected) and saying, when
-    /// nothing fits, how long a free run the window holds at most
-    /// ([`NoFit`]).
+    /// (one query plus the slots the walk inspected).
     pub fn latest_fit_with_cost(
         &self,
         procs: u32,
@@ -549,7 +521,7 @@ impl Calendar {
         end_by: Time,
         not_before: Time,
         cost: &mut QueryCost,
-    ) -> Result<Time, NoFit> {
+    ) -> Option<Time> {
         cost.queries += 1;
         self.slots()
             .latest_fit(procs, dur, end_by, not_before, &mut cost.steps)
@@ -694,9 +666,11 @@ impl Calendar {
     /// The implicit zero-usage segments before the first and after the last
     /// breakpoint are not yielded.
     pub fn segments(&self) -> impl Iterator<Item = (Time, Time, u32)> + '_ {
+        let ends = self.steps.iter().skip(1);
         self.steps
-            .windows(2)
-            .map(|w| (w[0].time, w[1].time, w[0].used))
+            .iter()
+            .zip(ends)
+            .map(|(a, b)| (a.time, b.time, a.used))
     }
 
     /// Iterate the breakpoint instants of the usage step function, in
@@ -714,62 +688,26 @@ impl Calendar {
         self.steps.last().map(|s| s.time)
     }
 
-    /// Iterate the maximal windows within `[from, to)` during which at
-    /// least `procs` processors are free, as `(start, end)` pairs.
-    ///
-    /// Useful for visualization and capacity planning; the scheduling
-    /// algorithms use the targeted [`Calendar::earliest_fit`] /
-    /// [`Calendar::latest_fit`] queries instead.
-    pub fn free_windows(&self, procs: u32, from: Time, to: Time) -> Vec<(Time, Time)> {
-        assert!(procs > 0 && procs <= self.capacity, "bad procs {procs}");
-        assert!(from < to, "empty window");
-        let max_used = self.capacity - procs;
-        let mut out = Vec::new();
-        let mut open: Option<Time> = if self.used_at(from) <= max_used {
-            Some(from)
-        } else {
-            None
-        };
-        let start_idx = match self.steps.binary_search_by_key(&from, |s| s.time) {
-            Ok(i) => i + 1,
-            Err(i) => i,
-        };
-        for s in &self.steps[start_idx..] {
-            if s.time >= to {
-                break;
-            }
-            match (&open, s.used <= max_used) {
-                (None, true) => open = Some(s.time),
-                (Some(st), false) => {
-                    if s.time > *st {
-                        out.push((*st, s.time));
-                    }
-                    open = None;
-                }
-                _ => {}
-            }
-        }
-        if let Some(st) = open {
-            if to > st {
-                out.push((st, to));
-            }
-        }
-        out
-    }
-
     // ----- internals ---------------------------------------------------
 
     fn next_time_after_idx(&self, idx: usize) -> Time {
         self.steps.get(idx + 1).map(|s| s.time).unwrap_or(Time::MAX)
     }
 
+    /// Usage just before breakpoint `i`: the previous step's, 0 before the
+    /// first.
+    fn used_before(&self, i: usize) -> u32 {
+        i.checked_sub(1)
+            .and_then(|prev| self.steps.get(prev))
+            .map_or(0, |s| s.used)
+    }
+
     /// Ensure a breakpoint exists exactly at `t`; return its index.
-    // lint:allow(panic-transitive): the insertion point returned by the binary search is <= self.segs.len(), and indexing only happens after the insert.
     fn ensure_breakpoint(&mut self, t: Time) -> usize {
         match self.steps.binary_search_by_key(&t, |s| s.time) {
             Ok(i) => i,
             Err(i) => {
-                let used = if i == 0 { 0 } else { self.steps[i - 1].used };
+                let used = self.used_before(i);
                 self.steps.insert(i, Step { time: t, used });
                 i
             }
@@ -778,26 +716,15 @@ impl Calendar {
 
     /// Remove redundant breakpoints (equal `used` to their predecessor)
     /// around a mutated range.
-    // lint:allow(panic-transitive): coalesce_around only touches start_idx/end_idx and their immediate neighbors, all re-checked against len() after each removal.
     fn coalesce_around(&mut self, start_idx: usize, end_idx: usize) {
-        // Only breakpoints at the boundary of the mutated range can have
-        // become redundant; check just the two boundaries. A fixed-size
-        // scratch keeps this hot mutation path off the heap.
-        let mut remove = [usize::MAX; 2];
-        let mut removed = 0usize;
-        for &i in &[end_idx, start_idx] {
-            if i < self.steps.len() {
-                let prev_used = if i == 0 { 0 } else { self.steps[i - 1].used };
-                if self.steps[i].used == prev_used {
-                    remove[removed] = i;
-                    removed += 1;
-                }
+        // Only the two boundary breakpoints can have become redundant. The
+        // higher index goes first, so removing it does not move the other
+        // (nor what the other is compared with).
+        for i in [end_idx, start_idx] {
+            let prev_used = self.used_before(i);
+            if self.steps.get(i).is_some_and(|s| s.used == prev_used) {
+                self.steps.remove(i);
             }
-        }
-        // Remove in descending index order (end_idx first, already ordered
-        // descending because end_idx > start_idx).
-        for &i in &remove[..removed] {
-            self.steps.remove(i);
         }
         debug_assert!(self.check_invariants());
     }
@@ -847,7 +774,7 @@ impl LinearRef<'_> {
 
     /// Linear-scan [`Calendar::earliest_fit_with_cost`]; `cost.steps`
     /// counts breakpoints visited.
-    // lint:allow(panic-transitive): segment indices come from binary searches and linear walks over self.segs, bounded by its length at every step.
+    // lint:allow(panic-transitive): step indices come from binary searches and linear walks over `cal.steps`, bounded by its length at every step. (No root calls the reference; the proof arrives by name from `Calendar::earliest_fit_with_cost` call sites.)
     pub fn earliest_fit_with_cost(
         &self,
         procs: u32,
@@ -896,7 +823,6 @@ impl LinearRef<'_> {
 
     /// Linear-scan [`Calendar::latest_fit_with_cost`]; `cost.steps` counts
     /// breakpoints visited.
-    // lint:allow(panic-transitive): segment indices come from binary searches and linear walks over self.segs, bounded by its length at every step.
     pub fn latest_fit_with_cost(
         &self,
         procs: u32,
@@ -950,7 +876,7 @@ impl LinearRef<'_> {
     }
 
     /// Linear-scan [`Calendar::used_integral`].
-    // lint:allow(panic-transitive): segment indices come from binary searches and linear walks over self.segs, bounded by its length at every step.
+    // lint:allow(panic-transitive): step indices come from binary searches and linear walks over `cal.steps`, bounded by its length at every step.
     pub fn used_integral(&self, from: Time, to: Time) -> i64 {
         let cal = self.cal;
         assert!(from <= to);
@@ -1071,7 +997,6 @@ mod tests {
         let cal = Calendar::new(8);
         assert_eq!(cal.earliest_fit(8, d(100), t(0)), t(0));
         assert_eq!(cal.used_at(t(12345)), 0);
-        assert_eq!(cal.available_at(t(0)), 8);
         assert_eq!(cal.latest_fit(8, d(10), t(100), t(0)), Some(t(90)));
     }
 
@@ -1240,53 +1165,11 @@ mod tests {
     }
 
     #[test]
-    fn free_windows_basic() {
-        let mut cal = Calendar::new(4);
-        cal.try_add(r(10, 20, 3)).unwrap();
-        cal.try_add(r(30, 40, 4)).unwrap();
-        // 2-processor windows in [0, 50): blocked during [10,20) and [30,40).
-        assert_eq!(
-            cal.free_windows(2, t(0), t(50)),
-            vec![(t(0), t(10)), (t(20), t(30)), (t(40), t(50))]
-        );
-        // 1-processor windows: only [30,40) blocks.
-        assert_eq!(
-            cal.free_windows(1, t(0), t(50)),
-            vec![(t(0), t(30)), (t(40), t(50))]
-        );
-        // Fully free calendar: one window.
-        assert_eq!(
-            Calendar::new(4).free_windows(4, t(5), t(9)),
-            vec![(t(5), t(9))]
-        );
-    }
-
-    #[test]
-    fn free_windows_starting_inside_busy_region() {
-        let mut cal = Calendar::new(2);
-        cal.try_add(r(0, 100, 2)).unwrap();
-        assert_eq!(cal.free_windows(1, t(10), t(150)), vec![(t(100), t(150))]);
-        assert!(cal.free_windows(1, t(10), t(90)).is_empty());
-    }
-
-    #[test]
-    fn free_windows_agree_with_earliest_fit() {
-        let mut cal = Calendar::new(8);
-        cal.try_add(r(5, 25, 6)).unwrap();
-        cal.try_add(r(40, 60, 8)).unwrap();
-        let windows = cal.free_windows(4, t(0), t(100));
-        // earliest_fit for a 1-second task must land in the first window.
-        let s = cal.earliest_fit(4, d(1), t(0));
-        assert_eq!(s, windows[0].0);
-    }
-
-    #[test]
-    fn peak_and_min_available() {
+    fn peak_used_over_windows() {
         let mut cal = Calendar::new(10);
         cal.try_add(r(0, 10, 3)).unwrap();
         cal.try_add(r(5, 15, 4)).unwrap();
         assert_eq!(cal.peak_used(t(0), t(20)), 7);
-        assert_eq!(cal.min_available(t(0), t(20)), 3);
         assert_eq!(cal.peak_used(t(10), t(20)), 4);
         assert_eq!(cal.peak_used(t(15), t(20)), 0);
     }
@@ -1413,7 +1296,7 @@ mod tests {
 
         let mut cost = QueryCost::default();
         let lf = cal.latest_fit_with_cost(4, d(5), t(500), t(0), &mut cost);
-        assert!(lf.is_ok());
+        assert!(lf.is_some());
         assert_eq!(cost.queries, 1);
         assert!(cost.steps > 0);
 
@@ -1614,7 +1497,7 @@ mod tests {
             let (procs, dur, end_by, want) = fits[1];
             assert_eq!(
                 cal.latest_fit_with_cost(procs, dur, end_by, t(0), &mut cw),
-                Ok(want)
+                Some(want)
             );
             assert_eq!(
                 lin.latest_fit_with_cost(procs, dur, end_by, t(0), &mut cl),
@@ -1705,53 +1588,6 @@ mod tests {
         assert_eq!(
             Calendar::new(4).slots().first_under(t(0), t(9), 1),
             Some((t(0), 0))
-        );
-    }
-
-    #[test]
-    fn flat_hierarchy_is_byte_identical_to_flat_queries() {
-        let mut cal = Calendar::new(8);
-        cal.try_add(r(100, 900, 6)).unwrap();
-        cal.try_add(r(2000, 4000, 8)).unwrap();
-        let flat = Hierarchy::flat(8);
-        for (procs, dur, from) in [(1, d(50), t(0)), (3, d(500), t(100)), (8, d(1000), t(0))] {
-            let mut c_flat = QueryCost::default();
-            let mut c_hier = QueryCost::default();
-            let base = cal.earliest_fit_with_cost(procs, dur, from, &mut c_flat);
-            let fit = cal
-                .earliest_fit_hier(&flat, PlacementLevel::Node, procs, dur, from, &mut c_hier)
-                .unwrap();
-            assert_eq!(fit.start, base, "start differs");
-            assert_eq!(fit.procs, procs, "flat grain must not round");
-            assert_eq!(c_hier, c_flat, "query cost differs");
-            assert_eq!(c_hier.queries, 1);
-        }
-    }
-
-    #[test]
-    fn hierarchical_fit_rounds_to_whole_nodes() {
-        let mut cal = Calendar::new(8);
-        // 6 cores busy until t=1000: a node-level ask for 3 (→ 4) cores
-        // cannot start before the release even though 2 cores are free.
-        cal.try_add(r(0, 1000, 6)).unwrap();
-        let h = Hierarchy::uniform("c", 2, 2, 2); // grain 2 at node level
-        let mut cost = QueryCost::default();
-        let fit = cal
-            .earliest_fit_hier(&h, PlacementLevel::Node, 3, d(100), t(0), &mut cost)
-            .unwrap();
-        assert_eq!(fit.procs, 4);
-        assert_eq!(fit.start, t(1000));
-        // Capacity disagreement is a structured error, not a wrong answer.
-        let wrong = Hierarchy::flat(16);
-        let err = cal
-            .earliest_fit_hier(&wrong, PlacementLevel::Core, 1, d(1), t(0), &mut cost)
-            .unwrap_err();
-        assert_eq!(
-            err,
-            HierarchyError::CapacityMismatch {
-                hierarchy: 16,
-                calendar: 8
-            }
         );
     }
 

@@ -35,15 +35,13 @@
 
 pub mod backend;
 mod calendar;
-pub mod hierarchy;
 pub mod quotas;
 mod reservation;
 mod slotset;
 pub mod time;
 mod txn;
 
-pub use calendar::{Calendar, LinearRef, NoFit, QueryCost};
-pub use hierarchy::{HierFit, Hierarchy, HierarchyError, PlacementLevel};
+pub use calendar::{Calendar, LinearRef, QueryCost};
 pub use quotas::{AdmissionGate, Owner, QuotaDenial, QuotaRule, QuotaSet, QuotaSubject};
 pub use reservation::{Reservation, ReservationError};
 pub use time::{Dur, Time, DAY, HOUR, MINUTE, SECOND};

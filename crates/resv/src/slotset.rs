@@ -20,7 +20,7 @@
 //!   periods;
 //! * outside the covered span every processor is free (implicitly).
 
-use crate::calendar::{NoFit, Step};
+use crate::calendar::Step;
 use crate::reservation::Reservation;
 use crate::time::{Dur, Time};
 
@@ -331,11 +331,6 @@ impl<'a> Slots<'a> {
     /// starting before `end_by`, then walks backward; a blocking slot moves
     /// the window to end where it starts and the walk carries on from the
     /// slot before it. `visited` counts slots inspected.
-    ///
-    /// A failed probe has seen every run of `procs` free processors inside
-    /// `[not_before, end_by)`: the gaps between the blockers it restarted
-    /// at, and the remainder below the last one (too short to hold `dur`,
-    /// so never entered). The longest of them is what [`NoFit`] carries.
     pub(crate) fn latest_fit(
         self,
         procs: u32,
@@ -343,7 +338,7 @@ impl<'a> Slots<'a> {
         end_by: Time,
         not_before: Time,
         visited: &mut u64,
-    ) -> Result<Time, NoFit> {
+    ) -> Option<Time> {
         assert!(procs > 0 && procs <= self.capacity, "bad procs {procs}");
         assert!(dur.is_positive(), "bad duration {dur}");
         let max_used = self.capacity - procs;
@@ -351,12 +346,8 @@ impl<'a> Slots<'a> {
         *visited += 1;
         // The window under test is `[e - dur, e)`.
         let mut e = end_by;
-        let mut longest_run = Dur::ZERO;
-        let no_fit = |e: Time, longest_run: Dur| NoFit {
-            longest_run: longest_run.max(e - not_before),
-        };
         if e - dur < not_before {
-            return Err(no_fit(e, longest_run));
+            return None;
         }
         let mut k = self.starting_before(end_by);
         while let Some(slot) = self.before(k) {
@@ -365,17 +356,15 @@ impl<'a> Slots<'a> {
                 break; // everything earlier lies before the window
             }
             if slot.used > max_used {
-                // Blocked: the free run `[slot.end, e)` is too short, and
-                // the window must end where this slot starts.
-                longest_run = longest_run.max(e - slot.end);
+                // Blocked: the window must end where this slot starts.
                 e = slot.start;
                 if e - dur < not_before {
-                    return Err(no_fit(e, longest_run));
+                    return None;
                 }
             }
             k -= 1;
         }
-        Ok(e - dur)
+        Some(e - dur)
     }
 
     /// The reservation of the width candidate whose latest fit inside
@@ -694,18 +683,15 @@ mod tests {
         // Blocked by [20,30), then the hole and the slot before it (which
         // ends at the window start and stops the walk).
         let mut v = 0;
-        assert_eq!(ss.latest_fit(2, d(10), t(30), t(0), &mut v), Ok(t(10)));
+        assert_eq!(ss.latest_fit(2, d(10), t(30), t(0), &mut v), Some(t(10)));
         assert_eq!(v, 4);
         let mut v = 0;
-        // No fit: the hole [10, 20) is the longest free run it saw.
-        assert_eq!(
-            ss.latest_fit(2, d(11), t(30), t(0), &mut v),
-            Err(NoFit { longest_run: d(10) })
-        );
+        // No fit: the hole [10, 20) is one second short.
+        assert_eq!(ss.latest_fit(2, d(11), t(30), t(0), &mut v), None);
         assert!(v > 0);
         // Past the span: the last slot ends before the window.
         let mut v = 0;
-        assert_eq!(ss.latest_fit(1, d(5), t(100), t(0), &mut v), Ok(t(95)));
+        assert_eq!(ss.latest_fit(1, d(5), t(100), t(0), &mut v), Some(t(95)));
         assert_eq!(v, 2);
     }
 
@@ -769,7 +755,7 @@ mod tests {
     }
 
     #[test]
-    fn latest_fit_one_walk_matches_the_per_restart_search_and_bounds_its_failures() {
+    fn latest_fit_one_walk_matches_the_per_restart_search() {
         for seed in 0..40u64 {
             let cal = seeded_calendar(8, seed, 4 + (seed as usize % 5) * 8);
             let steps = steps_of(&cal);
@@ -785,9 +771,8 @@ mod tests {
                     for procs in [1, 3, 5, 8] {
                         for dur in [1, 4, 9, 25, 70] {
                             let (mut v1, mut v2) = (0, 0);
-                            let probe =
+                            let got =
                                 ss.latest_fit(procs, d(dur), t(end_by), t(not_before), &mut v1);
-                            let got = probe.ok();
                             let want = latest_fit_by_repeated_search(
                                 ss,
                                 procs,
@@ -807,24 +792,6 @@ mod tests {
                                 lin.latest_fit(procs, d(dur), t(end_by), t(not_before)),
                                 "{case}"
                             );
-                            // A failure's bound is below the probed duration
-                            // and nothing one second longer fits the window.
-                            if let Err(NoFit { longest_run }) = probe {
-                                assert!(
-                                    !longest_run.is_negative() && longest_run < d(dur),
-                                    "bound {longest_run}, {case}"
-                                );
-                                assert_eq!(
-                                    lin.latest_fit(
-                                        procs,
-                                        longest_run + d(1),
-                                        t(end_by),
-                                        t(not_before)
-                                    ),
-                                    None,
-                                    "a run longer than the bound {longest_run} exists, {case}"
-                                );
-                            }
                         }
                     }
                 }
@@ -1017,7 +984,7 @@ mod tests {
             let fit = cal.linear().latest_fit(m, dur, end_by, not_before);
             let mut v = 0;
             let walked = ss.latest_fit(m, dur, end_by, not_before, &mut v);
-            assert_eq!(walked.ok(), fit, "{case}");
+            assert_eq!(walked, fit, "{case}");
             fits.push(fit.map(|start| Reservation::for_duration(start, dur, m)));
             walks.push(v);
         }
@@ -1328,12 +1295,9 @@ mod tests {
         // (`slot_queries > 0 ⇒ slot_steps > 0`).
         assert_eq!(v, 1);
         let mut v = 0;
-        assert_eq!(ss.latest_fit(8, d(10), t(100), t(0), &mut v), Ok(t(90)));
+        assert_eq!(ss.latest_fit(8, d(10), t(100), t(0), &mut v), Some(t(90)));
         assert_eq!(v, 1);
-        assert_eq!(
-            ss.latest_fit(8, d(10), t(100), t(91), &mut v),
-            Err(NoFit { longest_run: d(9) })
-        );
+        assert_eq!(ss.latest_fit(8, d(10), t(100), t(91), &mut v), None);
         assert_eq!(ss.peak_used(t(0), t(100)), 0);
         assert_eq!(ss.used_integral(t(0), t(100)), 0);
         assert_eq!(ss.first_conflict(t(0), t(100), 8), None);
@@ -1349,9 +1313,9 @@ mod tests {
         assert_eq!(ss.earliest_fit(2, d(5), t(0), &mut v), t(0)); // ends before it
         assert_eq!(ss.earliest_fit(2, d(11), t(0), &mut v), t(20)); // must clear it
         assert_eq!(ss.earliest_fit(1, d(50), t(0), &mut v), t(0)); // fits beside it
-        assert_eq!(ss.latest_fit(2, d(5), t(18), t(0), &mut v), Ok(t(5)));
-        assert_eq!(ss.latest_fit(1, d(5), t(18), t(0), &mut v), Ok(t(13)));
-        assert_eq!(ss.latest_fit(2, d(5), t(25), t(0), &mut v), Ok(t(20)));
+        assert_eq!(ss.latest_fit(2, d(5), t(18), t(0), &mut v), Some(t(5)));
+        assert_eq!(ss.latest_fit(1, d(5), t(18), t(0), &mut v), Some(t(13)));
+        assert_eq!(ss.latest_fit(2, d(5), t(25), t(0), &mut v), Some(t(20)));
         assert_eq!(ss.peak_used(t(0), t(30)), 3);
         assert_eq!(ss.used_integral(t(12), t(30)), 24);
         assert_eq!(ss.first_conflict(t(0), t(30), 2), Some((t(10), 1)));
@@ -1371,7 +1335,7 @@ mod tests {
             assert_eq!(ss.first_under(from, to, 1), Some((from, 0)));
             let mut v = 0;
             assert_eq!(ss.earliest_fit(4, to - from, from, &mut v), from);
-            assert_eq!(ss.latest_fit(4, to - from, to, from, &mut v), Ok(from));
+            assert_eq!(ss.latest_fit(4, to - from, to, from, &mut v), Some(from));
         }
     }
 
@@ -1384,8 +1348,11 @@ mod tests {
         let mut v = 0;
         assert_eq!(ss.earliest_fit(4, d(50), t(50), &mut v), t(50));
         assert_eq!(ss.earliest_fit(4, d(50), t(200), &mut v), t(200));
-        assert_eq!(ss.latest_fit(4, d(50), t(100), t(0), &mut v), Ok(t(50)));
-        assert_eq!(ss.latest_fit(4, d(50), t(250), t(200), &mut v), Ok(t(200)));
+        assert_eq!(ss.latest_fit(4, d(50), t(100), t(0), &mut v), Some(t(50)));
+        assert_eq!(
+            ss.latest_fit(4, d(50), t(250), t(200), &mut v),
+            Some(t(200))
+        );
         assert_eq!(ss.first_conflict(t(50), t(100), 1), None);
         assert_eq!(ss.first_conflict(t(200), t(250), 1), None);
         assert_eq!(ss.peak_used(t(50), t(100)), 0);

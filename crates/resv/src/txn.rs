@@ -64,11 +64,6 @@ impl ShadowTxn<'_> {
         self.cal
     }
 
-    /// Number of operations applied so far in this transaction.
-    pub fn num_ops(&self) -> usize {
-        self.log.len()
-    }
-
     /// Transactional [`Calendar::try_add`].
     pub fn try_add(&mut self, r: Reservation) -> Result<(), ReservationError> {
         self.cal.try_add(r)?;
@@ -119,7 +114,11 @@ impl ShadowTxn<'_> {
     fn undo(&mut self) {
         while let Some(op) = self.log.pop() {
             match op {
-                TxnOp::Added(r) => self.cal.remove_unchecked(r),
+                TxnOp::Added(r) => {
+                    // `Drop` runs this, so the non-panicking removal.
+                    let undone = self.cal.release(r);
+                    debug_assert!(undone.is_ok(), "undoing an applied add: {undone:?}");
+                }
                 TxnOp::Removed(r) => self.cal.add_unchecked(r),
             }
         }
@@ -162,7 +161,6 @@ mod tests {
         txn.try_add(r(10, 30, 3)).unwrap();
         txn.try_remove(r(20, 60, 2)).unwrap();
         txn.try_resize(r(0, 100, 3), r(0, 50, 3)).unwrap();
-        assert_eq!(txn.num_ops(), 4);
         let n = txn.rollback();
         assert_eq!(n, 4);
 
@@ -221,7 +219,6 @@ mod tests {
         assert!(txn.try_add(r(5, 15, 1)).is_err());
         assert!(txn.try_remove(r(0, 10, 5)).is_err());
         assert!(txn.try_resize(r(0, 10, 4), r(0, 10, 5)).is_err());
-        assert_eq!(txn.num_ops(), 0);
         assert_eq!(txn.commit(), 0);
         assert_eq!(cal, before);
     }

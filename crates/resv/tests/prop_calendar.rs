@@ -295,8 +295,7 @@ fn indexed_backend_matches_linear_reference() {
             let mut ci = QueryCost::default();
             let mut cl = QueryCost::default();
             assert_eq!(
-                cal.latest_fit_with_cost(procs, dur, end_by, nb, &mut ci)
-                    .ok(),
+                cal.latest_fit_with_cost(procs, dur, end_by, nb, &mut ci),
                 lin.latest_fit_with_cost(procs, dur, end_by, nb, &mut cl),
                 "latest_fit disagrees (case {case}, procs {procs}, dur {dur}, \
                  end_by {end_by}, not_before {nb})"

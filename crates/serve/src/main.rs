@@ -16,13 +16,14 @@
 //! total reservation area (0 = unlimited on that axis).
 //!
 //! `--probe-fanout` takes 1 to `PROBE_ROSTER.len()` (4), `--accel` a finite
-//! factor above 0, `--admit-hours` 1 to `swf::MAX_SECONDS / 3600` (the
-//! parser's bound on instants, in hours); anything else is a usage error.
+//! factor above 0, `--admit-hours` 1 to `swf::MAX_SECONDS / 3600` and
+//! `--days` 1 to `swf::MAX_SECONDS / 86_400` (the parser's bound on
+//! instants, in hours and in days); anything else is a usage error.
 //!
 //! `--assert-clean` exits nonzero unless the run had zero calendar-audit
 //! violations and exercised both the commit and the rollback path — and,
 //! when quotas are configured, at least one quota denial — the contract
-//! the CI serve-smoke and hierarchy lanes enforce.
+//! the CI serve-smoke and quotas lanes enforce.
 
 use resched_serve::{run, summarize, ServeConfig, ServeQuotaConfig, PROBE_ROSTER};
 use resched_workloads::prelude::*;
@@ -75,7 +76,15 @@ fn main() -> ExitCode {
         match a.as_str() {
             "--preset" => preset = parse("--preset", args.next()),
             "--swf" => swf = Some(parse("--swf", args.next())),
-            "--days" => days = parse("--days", args.next()),
+            "--days" => {
+                // `days * 86_400` wraps on a large value (negative: a panic
+                // in the generator; positive: a log that never ends); same
+                // bound as `--admit-hours`.
+                let range = 1..=resched_workloads::swf::MAX_SECONDS / 86_400;
+                days = parse_if(&format!("--days (expected {range:?})"), args.next(), |d| {
+                    range.contains(d)
+                });
+            }
             "--apps" => cfg.max_apps = parse("--apps", args.next()),
             "--accel" => {
                 cfg.accel = parse_if("--accel", args.next(), |x: &f64| x.is_finite() && *x > 0.0)
@@ -162,7 +171,7 @@ fn main() -> ExitCode {
                     return ExitCode::from(2);
                 }
             };
-            generate_log(&spec.with_duration(Dur::days(days.max(1))), cfg.seed)
+            generate_log(&spec.with_duration(Dur::days(days)), cfg.seed)
         }
     };
 

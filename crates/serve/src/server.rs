@@ -302,9 +302,10 @@ pub struct Server {
     gate: Option<AdmissionGate>,
     live: Vec<LiveApp>,
     /// Every owner an arrival can be attributed to, `[project p0, p1]` per
-    /// user: arrivals are attributed by id (user `id % users`, project
+    /// user — user 0's pair, then the other users', so there is always
+    /// one: arrivals are attributed by id (user `id % users`, project
     /// `id % 2`), so admission is as deterministic as the rest of a replay.
-    owners: Vec<[Owner; 2]>,
+    owners: ([Owner; 2], Vec<[Owner; 2]>),
     /// Mutating steps so far, the audit cadence's clock.
     events: usize,
     apps: usize,
@@ -326,14 +327,13 @@ impl Server {
     /// As [`Calendar::new`]: a platform needs at least one processor.
     pub fn new(procs: u32, cfg: &ServeConfig) -> Server {
         let users = cfg.quota.map_or(1, |q| q.users.max(1));
+        let projects = |u| ["p0", "p1"].map(|project| Owner::new(&format!("u{u}"), project));
         Server {
             cfg: *cfg,
             cal: Calendar::new(procs),
             gate: cfg.quota.map(|q| quota_gate(&q, users)),
             live: Vec::new(),
-            owners: (0..users)
-                .map(|u| ["p0", "p1"].map(|project| Owner::new(&format!("u{u}"), project)))
-                .collect(),
+            owners: (projects(0), (1..users).map(projects).collect()),
             events: 0,
             apps: 0,
             commits: 0,
@@ -385,6 +385,7 @@ impl Server {
             self.cal.capacity()
         };
 
+        // lint:allow(det): the latency sample is reported beside the decisions and never read by them (`golden_serve_replays` pins every decision with this clock running).
         let t0 = Instant::now();
         let decision = self.decide(now, q, app_id, dag);
         let ns = u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX);
@@ -407,12 +408,18 @@ impl Server {
 
     /// The transaction of one arrival, from open to commit or rollback.
     fn decide(&mut self, now: Time, q: u32, app_id: u32, dag: &Dag) -> Decision {
-        resched_core::span!("serve.schedule");
+        resched_core::span!(names::SPAN_SERVE_SCHEDULE);
         let horizon = now + self.cfg.admit_horizon;
         let by_deadline =
             self.cfg.deadline_every > 0 && self.apps.is_multiple_of(self.cfg.deadline_every);
         let fanout = by_deadline.then_some(self.cfg.probe_fanout);
-        let owner = &self.owners[app_id as usize % self.owners.len()][(app_id % 2) as usize];
+        let (first, rest) = &self.owners;
+        let user = app_id as usize % (rest.len() + 1);
+        let [p0, p1] = user
+            .checked_sub(1)
+            .and_then(|u| rest.get(u))
+            .unwrap_or(first);
+        let owner = if app_id.is_multiple_of(2) { p0 } else { p1 };
 
         let mut txn = self.cal.transaction();
         let placed =
@@ -457,7 +464,7 @@ impl Server {
         }
         let app = self.live.swap_remove(k);
         let removed = {
-            resched_core::span!("serve.cancel");
+            resched_core::span!(names::SPAN_SERVE_CANCEL);
             let mut txn = self.cal.transaction();
             let removed = app.resvs.iter().try_for_each(|r| txn.try_remove(*r));
             match removed {

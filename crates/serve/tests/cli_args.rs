@@ -21,6 +21,13 @@ fn out_of_domain_flag_values_are_usage_errors() {
         ("--admit-hours", "305419897"),
         ("--admit-hours", "0"),
         ("--admit-hours", "-3"),
+        // `days * 86_400` wrapped negative (a panic in the log generator),
+        // wrapped positive (a log that never ends), and 0 or below ran as 1.
+        ("--days", "200000000000000"),
+        ("--days", "99999999999999999"),
+        ("--days", "12725830"),
+        ("--days", "0"),
+        ("--days", "-2"),
     ] {
         let out = Command::new(env!("CARGO_BIN_EXE_resched-serve"))
             .args(["--apps", "5", flag, value])

@@ -105,7 +105,9 @@ pub fn time_algorithms(params: &DagParams, label: &str, scale: Scale, seed: u64)
             // The lump stopwatch stays on `Instant` so Tables 9/10 are
             // measured identically in every build; the observe scope only
             // adds the per-phase decomposition when `obs` is compiled in.
-            // lint:allow(nondet): deliberate stopwatch — Tables 9/10 report measured wall-clock scheduling time, not schedule content.
+            // A deliberate stopwatch: Tables 9/10 report measured wall-clock
+            // scheduling time, not schedule content.
+            #[allow(clippy::disallowed_methods)]
             let t0 = Instant::now();
             let ((), report) = obs::observe(algo.name(), || match algo {
                 TimedAlgo::Forward(bd) => {

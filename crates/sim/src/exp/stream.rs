@@ -99,9 +99,9 @@ pub fn run_stream(cfg: &StreamConfig, seed: u64) -> StreamResult {
         // the paper's q, over the same window of the recent past.
         let q = server.calendar().average_available(now - window, now);
         q_fracs.push(q as f64 / cfg.procs as f64);
-        resched_core::obs::counter_add("stream.apps", 1);
+        resched_core::obs::counter_add(resched_core::obs::names::STREAM_APPS, 1);
         let decision = {
-            resched_core::span!("stream.schedule");
+            resched_core::span!(resched_core::obs::names::SPAN_STREAM_SCHEDULE);
             server.submit(now, app, &dag)
         };
         match decision {

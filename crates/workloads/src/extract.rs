@@ -103,6 +103,7 @@ impl ReservationSchedule {
     /// schedules extracted from a feasible log.
     pub fn calendar(&self) -> Calendar {
         Calendar::with_reservations(self.procs, self.reservations.iter().copied())
+            // lint:allow(panic): documented panicking constructor (see doc comment). No root calls it: the proof arrives by name, from `txn.calendar()` in `Server::decide`, which is `ShadowTxn::calendar`.
             .expect("extracted reservations come from a feasible log")
     }
 

@@ -103,20 +103,20 @@ pub fn parse_swf(name: &str, text: &str) -> Result<JobLog, SwfError> {
             continue;
         }
         let fields: Vec<&str> = line.split_whitespace().collect();
-        if fields.len() < 5 {
+        let [id, submit, wait, runtime, procs, ..] = fields.as_slice() else {
             return Err(SwfError::TooFewFields { line: lineno + 1 });
-        }
-        let num = |i: usize| -> Result<i64, SwfError> {
-            fields[i].parse().map_err(|_| SwfError::BadNumber {
+        };
+        let num = |field: usize, text: &str| -> Result<i64, SwfError> {
+            text.parse().map_err(|_| SwfError::BadNumber {
                 line: lineno + 1,
-                field: i + 1,
+                field,
             })
         };
-        let id = num(0)?;
-        let submit = num(1)?;
-        let wait = num(2)?;
-        let runtime = num(3)?;
-        let procs = num(4)?;
+        let id = num(1, id)?;
+        let submit = num(2, submit)?;
+        let wait = num(3, wait)?;
+        let runtime = num(4, runtime)?;
+        let procs = num(5, procs)?;
         // -1 sentinels (and any other non-positive value) on the runtime or
         // allocation mark a cancelled/failed record; a negative submit is
         // an unusable timestamp. Skip-with-counter, never silently.

@@ -18,10 +18,9 @@ use resched_resv::{AdmissionGate, Owner, QuotaRule, QuotaSet, QuotaSubject};
 use serde::{Deserialize, Serialize};
 
 /// Stable snake_case label for a [`Violation`] kind, used to name and
-/// bucket shrunk repro files. resched-lint's violation-parity rule pins
-/// every kind declared in `resched-core::validate` to an arm here, so a
-/// new kind cannot ship without a shrink label; the wildcard arm exists
-/// only because the enum is `#[non_exhaustive]` across crates.
+/// bucket shrunk repro files. The `match` has no wildcard arm, so a new
+/// kind in `resched-core::validate` does not compile here until it has a
+/// label.
 pub fn violation_label(v: &Violation) -> &'static str {
     match v {
         Violation::TaskCountMismatch { .. } => "task_count_mismatch",
@@ -43,7 +42,6 @@ pub fn violation_label(v: &Violation) -> &'static str {
         Violation::CancelledResidue { .. } => "cancelled_residue",
         Violation::HierarchyViolation { .. } => "hierarchy_violation",
         Violation::QuotaViolation { .. } => "quota_violation",
-        _ => "unknown",
     }
 }
 

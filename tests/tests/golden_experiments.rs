@@ -127,7 +127,7 @@ struct ServeDecisions {
 }
 
 /// Online serving: pin what `serve::run` decides on the four CI replays
-/// (`ci.yml`, serve-smoke and hierarchy lanes) and on the three serve
+/// (`ci.yml`, serve-smoke and quotas lanes) and on the three serve
 /// shapes of the repo benchmark at its test size.
 #[test]
 fn golden_serve_replays() {

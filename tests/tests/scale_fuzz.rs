@@ -141,8 +141,7 @@ fn scale_100k_mutation_heavy_backends_agree() {
         assert_eq!(
             (
                 cal.earliest_fit_with_cost(procs, d, a, &mut c),
-                cal.latest_fit_with_cost(procs, d, a + d + d, a, &mut c)
-                    .ok(),
+                cal.latest_fit_with_cost(procs, d, a + d + d, a, &mut c),
                 cal.peak_used(a, a + d),
                 cal.used_integral(a, a + d),
                 c.queries,
