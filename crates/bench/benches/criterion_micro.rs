@@ -3,7 +3,9 @@
 //! problem size.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
-use resched_core::backward::{schedule_deadline, DeadlineAlgo, DeadlineConfig};
+use resched_core::backward::{
+    schedule_deadline, schedule_deadline_roster, DeadlineAlgo, DeadlineConfig,
+};
 use resched_core::cpa;
 use resched_core::forward::{schedule_forward, ForwardConfig};
 use resched_core::prelude::*;
@@ -409,6 +411,53 @@ fn bench_schedulers(c: &mut Criterion) {
     });
 }
 
+/// What serve's probe roster costs per deadline arrival, two ways: one
+/// `schedule_deadline_roster` call over the first 1 / 2 / 4 roster entries
+/// (the CPA(`q`) allocation and the `BL_CPAR` order computed once), and
+/// that many `schedule_deadline` calls (each computing both), which is
+/// what serve issued before. A 10-task paper-default DAG — serve's arrival
+/// — on [`month_of_reservations`], deadline twice the forward turn-around.
+fn bench_deadline_roster(c: &mut Criterion) {
+    // `serve::PROBE_ROSTER` (this crate does not depend on `serve`).
+    const ROSTER: [DeadlineAlgo; 4] = [
+        DeadlineAlgo::BdCpaR,
+        DeadlineAlgo::RcbdCpaRLambda,
+        DeadlineAlgo::RcCpaRLambda,
+        DeadlineAlgo::BdAll,
+    ];
+    let cal = month_of_reservations();
+    let dag = generate(
+        &DagParams {
+            num_tasks: 10,
+            ..DagParams::paper_default()
+        },
+        42,
+    );
+    let (q, cfg) = (215, DeadlineConfig::default());
+    let reference = schedule_forward(&dag, &cal, Time::ZERO, q, ForwardConfig::recommended());
+    let deadline = Time::ZERO + reference.turnaround() * 2;
+    let per_algorithm = |probed: &[DeadlineAlgo]| -> Vec<_> {
+        let alone = |&algo| schedule_deadline(&dag, &cal, Time::ZERO, q, deadline, algo, cfg);
+        probed.iter().map(alone).collect()
+    };
+    let one_call =
+        |probed| schedule_deadline_roster(&dag, &cal, Time::ZERO, q, deadline, probed, cfg);
+    assert_eq!(one_call(&ROSTER), per_algorithm(&ROSTER));
+    assert!(one_call(&ROSTER).iter().any(|out| out.is_ok()));
+
+    let mut group = c.benchmark_group("deadline_roster");
+    for fanout in [1, 2, 4] {
+        let probed = &ROSTER[..fanout];
+        group.bench_function(format!("one_call/{fanout}"), |b| {
+            b.iter(|| black_box(one_call(black_box(probed))))
+        });
+        group.bench_function(format!("per_algorithm/{fanout}"), |b| {
+            b.iter(|| black_box(per_algorithm(black_box(probed))))
+        });
+    }
+    group.finish();
+}
+
 /// Overhead of the observability layer. Without the `obs` feature every
 /// primitive compiles to a no-op and must measure at ~zero (the optimizer
 /// deletes the calls); with it, `span_enter`/`counter_add` outside an
@@ -466,6 +515,6 @@ fn config() -> Criterion {
 criterion_group! {
     name = benches;
     config = config();
-    targets = bench_calendar, bench_earliest_fit_scaling, bench_latest_fit_scaling, bench_forward_scan, bench_backward_scan, bench_calendar_mutate, bench_cpa, bench_cpa_alloc, bench_schedulers, bench_obs
+    targets = bench_calendar, bench_earliest_fit_scaling, bench_latest_fit_scaling, bench_forward_scan, bench_backward_scan, bench_calendar_mutate, bench_cpa, bench_cpa_alloc, bench_schedulers, bench_deadline_roster, bench_obs
 }
 criterion_main!(benches);

@@ -163,6 +163,7 @@ pub struct DeadlineOutcome {
 ///
 /// `competing` describes the platform and its existing reservations, `now`
 /// the scheduling instant, and `q` the historical average availability.
+/// This is [`schedule_deadline_roster`] asked for one algorithm.
 pub fn schedule_deadline(
     dag: &Dag,
     competing: &Calendar,
@@ -172,135 +173,189 @@ pub fn schedule_deadline(
     algo: DeadlineAlgo,
     cfg: DeadlineConfig,
 ) -> Result<DeadlineOutcome, DeadlineInfeasible> {
-    let p = competing.capacity();
-    let q = Pool::effective(q, p);
-    let grain = cfg.grain.clamp(1, p.max(1));
-    let mut stats = ScheduleStats::default();
+    Roster::prepare(dag, competing, now, q, deadline, cfg).schedule(algo)
+}
 
-    // All algorithms order tasks with BL_CPAR bottom levels (paper §5.2:
-    // "We use the BL_CPAR method ... because it proved the best"). The
-    // per-call cache means the CPA(q) allocation computed here is reused by
-    // the BD_CPAR bounds, RC guides, and hybrid guides below.
-    let mut cache = CpaCache::new();
-    let order = {
-        crate::span!(obs::names::SPAN_DEADLINE_PREP);
-        stats.count_cpa_allocation();
-        let exec = cache.exec_times(dag, p, q, BlMethod::CpaR, cfg.criterion);
-        let levels = bl::bottom_levels(dag, &exec);
-        bl::order_by_increasing_bl(dag, &levels)
-    };
-    let order: &[TaskId] = &order;
-    // One pass-buffer set and one placement buffer for the whole call:
-    // the λ sweep below runs up to 21 passes over them.
-    let mut pass = PassBufs::default();
-    let mut placed = Vec::new();
+/// [`schedule_deadline`] for each of `algos`, in the order asked: the
+/// `i`-th answer is exactly what `schedule_deadline(.., algos[i], ..)`
+/// returns — placements, λ, infeasibility and every [`ScheduleStats`]
+/// field, which count what the algorithm asked for, not what was computed.
+///
+/// Every RESSCHEDDL algorithm starts from the CPA(`q`) allocation and the
+/// increasing-`BL_CPAR` order it gives (paper §5.2), both pure functions of
+/// `(dag, p, q, criterion)`: a caller comparing several algorithms on one
+/// instance (serve's probe roster) computes them once here. Nothing
+/// outlives the call.
+pub fn schedule_deadline_roster(
+    dag: &Dag,
+    competing: &Calendar,
+    now: Time,
+    q: u32,
+    deadline: Time,
+    algos: &[DeadlineAlgo],
+    cfg: DeadlineConfig,
+) -> Vec<Result<DeadlineOutcome, DeadlineInfeasible>> {
+    let mut roster = Roster::prepare(dag, competing, now, q, deadline, cfg);
+    algos.iter().map(|&algo| roster.schedule(algo)).collect()
+}
 
-    let lambda = match algo {
-        DeadlineAlgo::BdAll | DeadlineAlgo::BdCpa | DeadlineAlgo::BdCpaR => {
-            let flat;
-            let bounds: &[u32] = match algo {
-                DeadlineAlgo::BdCpa => {
-                    stats.count_cpa_allocation();
-                    &cache.cpa(dag, p, cfg.criterion).allocs
-                }
-                DeadlineAlgo::BdCpaR => {
-                    stats.count_cpa_allocation();
-                    &cache.cpa(dag, q, cfg.criterion).allocs
-                }
-                _ => {
-                    flat = vec![p; dag.num_tasks()];
-                    &flat
-                }
-            };
-            let ok = backward_pass(
-                dag,
-                competing,
-                now,
-                deadline,
-                order,
-                Mode::Aggressive { bounds },
-                grain,
-                &mut stats,
-                &mut pass,
-                &mut placed,
-            );
-            if !ok {
-                return Err(DeadlineInfeasible { deadline });
-            }
-            None
+/// One deadline instance, prepared once for every algorithm asked of it.
+struct Roster<'a> {
+    dag: &'a Dag,
+    competing: &'a Calendar,
+    now: Time,
+    /// The effective pool `Pool::effective(q, p)`.
+    q: u32,
+    deadline: Time,
+    cfg: DeadlineConfig,
+    /// The CPA allocations of the instance: CPA(`q`) from the order on,
+    /// CPA(`p`) (a continuation of it) once a `*_CPA` algorithm asks.
+    cache: CpaCache,
+    /// Increasing `BL_CPAR` bottom levels: exit tasks first.
+    order: Vec<TaskId>,
+    /// One pass-buffer set for every pass of every algorithm: a λ sweep
+    /// alone runs up to 21 passes over it.
+    pass: PassBufs,
+}
+
+impl<'a> Roster<'a> {
+    fn prepare(
+        dag: &'a Dag,
+        competing: &'a Calendar,
+        now: Time,
+        q: u32,
+        deadline: Time,
+        cfg: DeadlineConfig,
+    ) -> Roster<'a> {
+        let p = competing.capacity();
+        let q = Pool::effective(q, p);
+        // All algorithms order tasks with BL_CPAR bottom levels (paper §5.2:
+        // "We use the BL_CPAR method ... because it proved the best"). The
+        // CPA(q) allocation computed here is the one the BD_CPAR bounds, RC
+        // guides and hybrid guides read back from the cache.
+        let mut cache = CpaCache::new();
+        let order = {
+            crate::span!(obs::names::SPAN_DEADLINE_PREP);
+            let exec = cache.exec_times(dag, p, q, BlMethod::CpaR, cfg.criterion);
+            let levels = bl::bottom_levels(dag, &exec);
+            bl::order_by_increasing_bl(dag, &levels)
+        };
+        Roster {
+            dag,
+            competing,
+            now,
+            q,
+            deadline,
+            cfg,
+            cache,
+            order,
+            pass: PassBufs::default(),
         }
-        DeadlineAlgo::RcCpa | DeadlineAlgo::RcCpaR => {
-            let pool = if algo == DeadlineAlgo::RcCpa { p } else { q };
-            stats.count_cpa_allocation();
-            let guide = cache.cpa(dag, pool, cfg.criterion);
-            let ok = backward_pass(
+    }
+
+    /// One algorithm's answer. Its stats start from the allocation request
+    /// behind the order, as if the algorithm had prepared the instance.
+    fn schedule(&mut self, algo: DeadlineAlgo) -> Result<DeadlineOutcome, DeadlineInfeasible> {
+        let Roster {
+            dag,
+            competing,
+            now,
+            q,
+            deadline,
+            cfg,
+            ref mut cache,
+            ref order,
+            ref mut pass,
+        } = *self;
+        let p = competing.capacity();
+        let grain = cfg.grain.clamp(1, p.max(1));
+        let mut stats = ScheduleStats::default();
+        stats.count_cpa_allocation();
+        // `S_i` depends on the guide, and an algorithm counts every mapping
+        // it reads; the width candidates depend on cost and grain alone and
+        // stay.
+        pass.guideline.starts.clear();
+        let mut placed = Vec::new();
+        let mut run = |mode: Mode<'_>, stats: &mut ScheduleStats, pass: &mut PassBufs| {
+            backward_pass(
                 dag,
                 competing,
                 now,
                 deadline,
                 order,
-                Mode::Rc {
+                mode,
+                grain,
+                stats,
+                pass,
+                &mut placed,
+            )
+        };
+
+        let lambda = match algo {
+            DeadlineAlgo::BdAll | DeadlineAlgo::BdCpa | DeadlineAlgo::BdCpaR => {
+                let flat;
+                let bounds: &[u32] = match algo {
+                    DeadlineAlgo::BdCpa => {
+                        stats.count_cpa_allocation();
+                        &cache.cpa(dag, p, cfg.criterion).allocs
+                    }
+                    DeadlineAlgo::BdCpaR => {
+                        stats.count_cpa_allocation();
+                        &cache.cpa(dag, q, cfg.criterion).allocs
+                    }
+                    _ => {
+                        flat = vec![p; dag.num_tasks()];
+                        &flat
+                    }
+                };
+                run(Mode::Aggressive { bounds }, &mut stats, pass).then_some(None)
+            }
+            DeadlineAlgo::RcCpa | DeadlineAlgo::RcCpaR => {
+                let pool = if algo == DeadlineAlgo::RcCpa { p } else { q };
+                stats.count_cpa_allocation();
+                let guide = cache.cpa(dag, pool, cfg.criterion);
+                let mode = Mode::Rc {
                     guide,
                     lambda: 0.0,
                     fallback_bounds: None,
-                },
-                grain,
-                &mut stats,
-                &mut pass,
-                &mut placed,
-            );
-            if !ok {
-                return Err(DeadlineInfeasible { deadline });
+                };
+                run(mode, &mut stats, pass).then_some(None)
             }
-            None
-        }
-        DeadlineAlgo::RcCpaRLambda | DeadlineAlgo::RcbdCpaRLambda => {
-            stats.count_cpa_allocation();
-            let guide = cache.cpa(dag, q, cfg.criterion);
-            let fallback_bounds =
-                (algo == DeadlineAlgo::RcbdCpaRLambda).then_some(guide.allocs.as_slice());
-            // The most recent failed pass's decision log (the warm-start
-            // skip reads it); kept by swapping with the pass's, not cloning.
-            let mut last_failure = Vec::new();
-            let mut found = None;
-            for lambda in lambda_grid(cfg.lambda_step) {
-                if sweep_skips(&last_failure, lambda) {
-                    continue;
-                }
-                let ok = backward_pass(
-                    dag,
-                    competing,
-                    now,
-                    deadline,
-                    order,
-                    Mode::Rc {
-                        guide,
-                        lambda,
-                        fallback_bounds,
-                    },
-                    grain,
-                    &mut stats,
-                    &mut pass,
-                    &mut placed,
-                );
-                if ok {
-                    found = Some(lambda);
-                    break;
-                }
-                std::mem::swap(&mut pass.decisions, &mut last_failure);
+            DeadlineAlgo::RcCpaRLambda | DeadlineAlgo::RcbdCpaRLambda => {
+                stats.count_cpa_allocation();
+                let guide = cache.cpa(dag, q, cfg.criterion);
+                let fallback_bounds =
+                    (algo == DeadlineAlgo::RcbdCpaRLambda).then_some(guide.allocs.as_slice());
+                // The most recent failed pass's decision log (the warm-start
+                // skip reads it); kept by swapping with the pass's, not cloning.
+                let mut last_failure = Vec::new();
+                lambda_grid(cfg.lambda_step)
+                    .find(|&lambda| {
+                        if sweep_skips(&last_failure, lambda) {
+                            return false;
+                        }
+                        let mode = Mode::Rc {
+                            guide,
+                            lambda,
+                            fallback_bounds,
+                        };
+                        let ok = run(mode, &mut stats, pass);
+                        if !ok {
+                            std::mem::swap(&mut pass.decisions, &mut last_failure);
+                        }
+                        ok
+                    })
+                    .map(Some)
             }
-            match found {
-                Some(lambda) => Some(lambda),
-                None => return Err(DeadlineInfeasible { deadline }),
-            }
-        }
-    };
+        };
+        let lambda = lambda.ok_or(DeadlineInfeasible { deadline })?;
 
-    let mut schedule = Schedule::new(placed, now);
-    schedule.stats = stats;
-    #[cfg(any(debug_assertions, feature = "validate"))]
-    validate_outcome(dag, competing, now, deadline, q, algo, cfg, &schedule);
-    Ok(DeadlineOutcome { schedule, lambda })
+        let mut schedule = Schedule::new(placed, now);
+        schedule.stats = stats;
+        #[cfg(any(debug_assertions, feature = "validate"))]
+        validate_outcome(dag, competing, now, deadline, q, algo, cfg, &schedule);
+        Ok(DeadlineOutcome { schedule, lambda })
+    }
 }
 
 /// Debug/feature-gated post-pass: replay a successful deadline schedule
@@ -351,26 +406,37 @@ enum Mode<'a> {
     },
 }
 
-/// The hybrid λ sweep grid: every multiple of `step` strictly below 1,
-/// then exactly `1.0`.
+/// The finest λ grid a sweep walks: 1 001 passes at most.
+pub const MIN_LAMBDA_STEP: f64 = 1e-3;
+
+/// The hybrid λ sweep grid, lazily: every multiple of `step` strictly
+/// below 1, then exactly `1.0`.
 ///
 /// Integer-indexed (`i as f64 * step`) so repeated float accumulation
 /// cannot drift, and `1.0` is always the final value — the legacy
 /// `lambda += step` loop drifted and, for step sizes like `0.3`, stepped
 /// from `0.899…` straight past `1.0` without ever trying the fully
 /// aggressive pass.
-pub fn lambda_grid(step: f64) -> Vec<f64> {
-    assert!(step > 0.0, "lambda step must be positive");
-    let mut grid = Vec::new();
-    for i in 0.. {
-        let lambda = i as f64 * step;
-        if lambda >= 1.0 {
-            break;
-        }
-        grid.push(lambda);
-    }
-    grid.push(1.0);
-    grid
+///
+/// Total in `step`, which a deserialised [`DeadlineConfig`] carries
+/// unchecked: a step below [`MIN_LAMBDA_STEP`] is raised to it (the sweep
+/// stays bounded), and one that is not a positive number (zero, negative,
+/// NaN) gives the two endpoint passes, like any step of 1 or more. Clamped
+/// rather than rejected because `schedule_deadline`'s only error is "the
+/// deadline cannot be met", and the endpoints are the two passes every
+/// grid shares: pure RC, then the fully aggressive fallback.
+pub fn lambda_grid(step: f64) -> impl Iterator<Item = f64> {
+    // NaN fails the comparison and lands on the coarsest grid; a step of 1
+    // is that grid too, and keeps `0 · ∞` out of the multiples.
+    let step = if step > 0.0 {
+        step.clamp(MIN_LAMBDA_STEP, 1.0)
+    } else {
+        1.0
+    };
+    (0u32..)
+        .map(move |i| f64::from(i) * step)
+        .take_while(|&lambda| lambda < 1.0)
+        .chain(std::iter::once(1.0))
 }
 
 /// The relaxed RC guideline `S_i + λ·(dl_i − S_i)` (paper §5.4).
@@ -489,10 +555,10 @@ fn failure_repeats_at(decisions: &[RcDecision], lambda: f64) -> bool {
         })
 }
 
-/// Scratch for [`backward_pass`], held by `schedule_deadline` for the whole
+/// Scratch for [`backward_pass`], held by the [`Roster`] for the whole
 /// call: a hybrid sweep runs one pass per λ over the same set. `cal` and
-/// `placements` are rebuilt by every pass; `guideline` and `widths` are
-/// per-call memos every pass reads and extends.
+/// `placements` are rebuilt by every pass; `guideline` (per algorithm) and
+/// `widths` (per call) are memos every pass reads and extends.
 #[derive(Debug)]
 struct PassBufs {
     cal: Calendar,
@@ -998,7 +1064,8 @@ mod tests {
     #[allow(clippy::float_cmp)]
     fn lambda_grid_is_drift_free_and_always_ends_at_one() {
         // Paper default step 0.05: exactly the 21 values 0.00, 0.05, …, 1.00.
-        let g = lambda_grid(0.05);
+        let grid = |step| lambda_grid(step).collect::<Vec<f64>>();
+        let g = grid(0.05);
         assert_eq!(g.len(), 21);
         assert_eq!(g[0], 0.0);
         assert_eq!(*g.last().unwrap(), 1.0);
@@ -1010,13 +1077,69 @@ mod tests {
         // Step 0.3 is the regression case: the legacy accumulating loop
         // visited 0.0, 0.3, 0.6, 0.899…, then jumped past 1.0 — it never
         // ran the fully aggressive λ = 1 pass. The grid must end at 1.0.
-        let g = lambda_grid(0.3);
+        let g = grid(0.3);
         assert_eq!(g.len(), 5);
         assert_eq!(*g.last().unwrap(), 1.0);
         assert!((g[3] - 0.9).abs() < 1e-9);
 
         // A step larger than 1 degenerates to the two endpoint passes.
-        assert_eq!(lambda_grid(2.0), vec![0.0, 1.0]);
+        assert_eq!(grid(2.0), vec![0.0, 1.0]);
+    }
+
+    #[test]
+    #[allow(clippy::float_cmp)]
+    fn lambda_grid_is_total_in_its_step() {
+        // What a deserialised config can carry: none of these may panic or
+        // walk (let alone allocate) a grid of a billion values.
+        let endpoints = vec![0.0, 1.0];
+        for step in [0.0, -0.05, f64::NAN, f64::NEG_INFINITY, f64::INFINITY] {
+            let grid: Vec<f64> = lambda_grid(step).collect();
+            assert_eq!(grid, endpoints, "step {step}");
+        }
+        for tiny in [1e-12, f64::MIN_POSITIVE, MIN_LAMBDA_STEP / 2.0] {
+            let grid: Vec<f64> = lambda_grid(tiny).collect();
+            assert_eq!(grid.len(), 1001, "step {tiny}");
+            assert_eq!(grid, lambda_grid(MIN_LAMBDA_STEP).collect::<Vec<_>>());
+            assert_eq!(grid.last(), Some(&1.0));
+        }
+        // Lazy: the first value of the finest grid costs one step.
+        assert_eq!(lambda_grid(f64::MIN_POSITIVE).next(), Some(0.0));
+
+        // A sweep under such a config still answers: the deadline is loose,
+        // so λ = 0 meets it on any grid.
+        let (dag, cal) = (small_dag(), busy_calendar());
+        for lambda_step in [f64::NAN, 0.0, -1.0, 1e-300] {
+            let cfg = DeadlineConfig {
+                lambda_step,
+                ..DeadlineConfig::default()
+            };
+            let out = schedule_deadline(
+                &dag,
+                &cal,
+                Time::ZERO,
+                4,
+                Time::seconds(400_000),
+                DeadlineAlgo::RcCpaRLambda,
+                cfg,
+            );
+            assert_eq!(out.map(|o| o.lambda), Ok(Some(0.0)), "step {lambda_step}");
+        }
+        // An impossible deadline under the finest grid fails after a
+        // bounded sweep (the warm start skips all but the first pass).
+        let cfg = DeadlineConfig {
+            lambda_step: 1e-300,
+            ..DeadlineConfig::default()
+        };
+        let out = schedule_deadline(
+            &dag,
+            &cal,
+            Time::ZERO,
+            4,
+            Time::seconds(1),
+            DeadlineAlgo::RcbdCpaRLambda,
+            cfg,
+        );
+        assert!(out.is_err());
     }
 
     #[test]
@@ -1220,7 +1343,6 @@ mod tests {
                     &all
                 };
                 lambda_grid(cfg.lambda_step)
-                    .into_iter()
                     .find_map(|l| pass(bounds, Some(&cpa_q), l).map(|pl| (pl, Some(l))))
             }
         }
@@ -1340,6 +1462,107 @@ mod tests {
         assert!(
             widest_rc > 341,
             "no RC schedule reached the last chunk (widest placement {widest_rc})"
+        );
+    }
+
+    #[test]
+    fn roster_matches_independent_calls() {
+        use rand::{Rng, SeedableRng};
+        // What one roster call shares between its algorithms — the CPA
+        // cache (and the loop state it resumes), the order, the pass
+        // buffers with their width and `S_i` memos, the mapping scratch —
+        // must not show in any answer: outcome by outcome it is the
+        // independent call's, stats included. Seeded draws; the CI fuzz
+        // lane raises the count.
+        let draws: u64 = std::env::var("RESCHED_DIFF_ITERS")
+            .ok()
+            .and_then(|v| v.parse().ok())
+            .unwrap_or(6);
+        // `serve::PROBE_ROSTER`.
+        let serve_roster = [
+            DeadlineAlgo::BdCpaR,
+            DeadlineAlgo::RcbdCpaRLambda,
+            DeadlineAlgo::RcCpaRLambda,
+            DeadlineAlgo::BdAll,
+        ];
+        let (mut feasible, mut infeasible) = (0u32, 0u32);
+        for draw in 0..draws {
+            let mut rng = rand_chacha::ChaCha12Rng::seed_from_u64(0x0205_7E12 ^ draw);
+            let p = 16;
+            let mut cal = Calendar::new(p);
+            for _ in 0..rng.gen_range(0..30usize) {
+                let s = rng.gen_range(0i64..60_000);
+                let d = rng.gen_range(60i64..15_000);
+                let m = rng.gen_range(1u32..=p);
+                let _ = cal.try_add(Reservation::new(Time::seconds(s), Time::seconds(s + d), m));
+            }
+            let q = rng.gen_range(1u32..=p);
+            // Every algorithm, each in a random place, one of them asked
+            // twice in a row (its `S_i` memo must not carry its count over).
+            let mut shuffled = DeadlineAlgo::ALL.to_vec();
+            for i in (1..shuffled.len()).rev() {
+                shuffled.swap(i, rng.gen_range(0..=i));
+            }
+            shuffled.insert(0, shuffled[0]);
+            let mut lists: Vec<&[DeadlineAlgo]> = (0..=serve_roster.len())
+                .map(|n| &serve_roster[..n])
+                .collect();
+            lists.push(&DeadlineAlgo::ALL);
+            lists.push(&shuffled);
+
+            for overhead in [0, rng.gen_range(1i64..40)] {
+                let dag = crate::dag::random_dag(&mut rng, 30_000, overhead);
+                let fwd = crate::forward::schedule_forward(
+                    &dag,
+                    &cal,
+                    Time::ZERO,
+                    q,
+                    crate::forward::ForwardConfig::recommended(),
+                );
+                for grain in [1, 4] {
+                    let cfg = DeadlineConfig::default().hierarchical(grain);
+                    for tenths in [3, 8, 11, 16, 30] {
+                        let deadline = Time::ZERO + fwd.turnaround() * tenths / 10;
+                        let alone = DeadlineAlgo::ALL.map(|algo| {
+                            schedule_deadline(&dag, &cal, Time::ZERO, q, deadline, algo, cfg)
+                        });
+                        for out in &alone {
+                            match out {
+                                Ok(_) => feasible += 1,
+                                Err(_) => infeasible += 1,
+                            }
+                        }
+                        for list in &lists {
+                            let got = schedule_deadline_roster(
+                                &dag,
+                                &cal,
+                                Time::ZERO,
+                                q,
+                                deadline,
+                                list,
+                                cfg,
+                            );
+                            assert_eq!(got.len(), list.len());
+                            for (algo, got) in list.iter().zip(&got) {
+                                let want = DeadlineAlgo::ALL
+                                    .iter()
+                                    .position(|a| a == algo)
+                                    .map(|i| &alone[i]);
+                                assert_eq!(
+                                    Some(got),
+                                    want,
+                                    "{algo} in {list:?}, draw {draw}, overhead {overhead}, \
+                                     grain {grain}, deadline {deadline}"
+                                );
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        assert!(
+            feasible > 0 && infeasible > 0,
+            "deadlines must fall on both sides of feasibility ({feasible} met, {infeasible} not)"
         );
     }
 

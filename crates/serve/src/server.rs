@@ -12,7 +12,7 @@
 
 use crate::{percentile, ServeConfig, ServeQuotaConfig, ServeReport};
 use resched_core::algos::Algorithm;
-use resched_core::backward::{schedule_deadline, DeadlineAlgo, DeadlineConfig};
+use resched_core::backward::{schedule_deadline_roster, DeadlineAlgo, DeadlineConfig};
 use resched_core::forward::{schedule_forward, ForwardConfig};
 use resched_core::obs::{self, names, MetricsRegistry};
 use resched_core::prelude::*;
@@ -180,10 +180,11 @@ pub const PROBE_ROSTER: [DeadlineAlgo; 4] = [
     DeadlineAlgo::BdAll,
 ];
 
-/// Probe the first `fanout` roster algorithms, one after the other, against
-/// the transaction's calendar view and keep the feasible candidate with the
-/// earliest completion (lowest roster index wins ties, which is what
-/// `min_by_key` does).
+/// Probe the first `fanout` roster algorithms against the transaction's
+/// calendar view — one scheduling call, so the CPA(`q`) allocation and the
+/// task order they all start from are computed once per arrival — and keep
+/// the feasible candidate with the earliest completion (lowest roster index
+/// wins ties, which is what `min_by_key` does).
 fn probe_deadline(
     dag: &Dag,
     cal: &Calendar,
@@ -192,13 +193,20 @@ fn probe_deadline(
     deadline: Time,
     fanout: usize,
 ) -> Option<(DeadlineAlgo, Schedule)> {
-    let dl_cfg = DeadlineConfig::default();
-    PROBE_ROSTER[..fanout.clamp(1, PROBE_ROSTER.len())]
+    let probed = &PROBE_ROSTER[..fanout.clamp(1, PROBE_ROSTER.len())];
+    let outcomes = schedule_deadline_roster(
+        dag,
+        cal,
+        now,
+        q,
+        deadline,
+        probed,
+        DeadlineConfig::default(),
+    );
+    probed
         .iter()
-        .filter_map(|&algo| {
-            let outcome = schedule_deadline(dag, cal, now, q, deadline, algo, dl_cfg).ok()?;
-            Some((algo, outcome.schedule))
-        })
+        .zip(outcomes)
+        .filter_map(|(&algo, outcome)| Some((algo, outcome.ok()?.schedule)))
         .min_by_key(|(_, s)| s.completion())
 }
 
@@ -638,5 +646,43 @@ impl Server {
             live_apps: self.live.len(),
             metrics,
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use resched_core::backward::schedule_deadline;
+    use resched_core::dag::fork_join;
+
+    #[test]
+    fn roster_candidates_that_tie_resolve_to_the_lower_roster_index() {
+        // Every roster algorithm places the exit task's latest fit, so on
+        // an empty machine all four complete at the deadline itself: the
+        // common case is a tie, and the first entry asked must keep it.
+        let c = |s: i64| TaskCost::new(Dur::seconds(s), 0.1);
+        let dag = fork_join(c(300), &[c(3600); 4], c(300));
+        let cal = Calendar::new(16);
+        let (now, q, deadline) = (Time::ZERO, 8, Time::seconds(400_000));
+        for algo in PROBE_ROSTER {
+            let out = schedule_deadline(
+                &dag,
+                &cal,
+                now,
+                q,
+                deadline,
+                algo,
+                DeadlineConfig::default(),
+            );
+            let completion = out.map(|out| out.schedule.completion());
+            assert_eq!(completion, Ok(deadline), "the premise: {algo} ties");
+        }
+        let winner = |fanout| probe_deadline(&dag, &cal, now, q, deadline, fanout).map(|w| w.0);
+        for fanout in 1..=PROBE_ROSTER.len() {
+            assert_eq!(winner(fanout), Some(PROBE_ROSTER[0]), "fan-out {fanout}");
+        }
+        // Out-of-range fan-outs clamp into the roster.
+        assert_eq!(winner(0), winner(1));
+        assert_eq!(winner(9), winner(4));
     }
 }
