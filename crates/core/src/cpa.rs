@@ -90,6 +90,86 @@ impl CpaAllocation {
     }
 }
 
+/// What each task holds, by topological position: its processors, the
+/// execution time on them and on one more, and the relative gain of that
+/// one more — pure functions of `(cost, m)`, so only the grown task's
+/// entries change per iteration — beside the total work `Σ m·t(m)`.
+#[derive(Debug)]
+struct Grants {
+    cost: Vec<TaskCost>,
+    m: Vec<u32>,
+    exec: Vec<Dur>,
+    next_exec: Vec<Dur>,
+    gain: Vec<f64>,
+    total_work: i64,
+}
+
+impl Grants {
+    /// Back to one processor per task.
+    fn one_each(&mut self) {
+        self.m.clear();
+        self.m.resize(self.cost.len(), 1);
+        self.exec.clear();
+        self.exec.extend(self.cost.iter().map(|c| c.exec_time(1)));
+        self.next_exec.clear();
+        self.next_exec
+            .extend(self.cost.iter().map(|c| c.exec_time(2)));
+        self.gain.clear();
+        let pairs = self.exec.iter().zip(&self.next_exec);
+        self.gain
+            .extend(pairs.map(|(&e, &next)| relative_gain(e, next)));
+        self.total_work = self.exec.iter().map(|e| e.as_seconds()).sum();
+    }
+
+    /// Offer the critical task at `u` to an iteration's pick. A candidate
+    /// needs an integer-second improvement left and room in the pool; the
+    /// return value says it had the first and not the second (the pick was
+    /// withheld). Gains are positive finite ratios, so `total_cmp` is their
+    /// numeric order; an exact tie is real (2/4 and 1/2) and goes to the
+    /// earlier task (`order` maps positions to task ids) — a total order,
+    /// so the pick does not depend on the order members are offered in.
+    #[inline]
+    fn offer(&self, u: usize, pool: u32, order: &[u32], best: &mut Option<(usize, f64)>) -> bool {
+        if self.next_exec[u] >= self.exec[u] {
+            return false;
+        }
+        if self.m[u] >= pool {
+            return true;
+        }
+        let gain = self.gain[u];
+        let wins = best.is_none_or(|(b, best_gain)| {
+            let by_gain = gain.total_cmp(&best_gain);
+            by_gain.then_with(|| order[b].cmp(&order[u])).is_gt()
+        });
+        if wins {
+            *best = Some((u, gain));
+        }
+        false
+    }
+
+    /// By how much one more processor shortens the task at `u`.
+    #[inline]
+    fn step(&self, u: usize) -> Dur {
+        self.exec[u] - self.next_exec[u]
+    }
+
+    /// Grant the task at `b` one more processor; returns the execution
+    /// time it had. The new gain divides the two execution times at hand
+    /// (the operands `marginal_gain` would re-derive), and `work(m) = m ·
+    /// exec_time(m)`.
+    #[inline]
+    fn grow(&mut self, b: usize) -> Dur {
+        let (old, new) = (self.exec[b], self.next_exec[b]);
+        self.m[b] += 1;
+        let m = self.m[b];
+        self.total_work += m as i64 * new.as_seconds() - (m - 1) as i64 * old.as_seconds();
+        self.exec[b] = new;
+        self.next_exec[b] = self.cost[b].exec_time(m + 1);
+        self.gain[b] = relative_gain(new, self.next_exec[b]);
+        old
+    }
+}
+
 /// State of the allocation loop, every array indexed by *topological
 /// position* beside the [`PosGraph`] adjacency. A [`CpaCache`] keeps one
 /// for the scheduling call it serves, and a later allocation for a larger
@@ -97,21 +177,16 @@ impl CpaAllocation {
 #[derive(Debug)]
 struct AllocState {
     graph: PosGraph,
-    cost: Vec<TaskCost>,
-    /// Processors held, the execution time on them and on one more, and
-    /// the relative gain of that one more: pure functions of `(cost, m)`,
-    /// so only the grown task's entries change per iteration.
-    m: Vec<u32>,
-    exec: Vec<Dur>,
-    next_exec: Vec<Dur>,
-    gain: Vec<f64>,
+    held: Grants,
     bl: Vec<Dur>,
-    total_work: i64,
     /// Critical-walk scratch: position `p` was reached in the current
     /// iteration iff `stamp[p] == epoch`.
     stamp: Vec<u32>,
     epoch: u32,
     stack: Vec<u32>,
+    /// The critical path's members with an improvement left, while a run
+    /// grows along it.
+    run: Vec<usize>,
     /// What the state is the trajectory of: the last run's pool (0 before
     /// the first) and criterion, and whether a critical task with an
     /// improvement left was ever passed over for holding the whole pool.
@@ -125,17 +200,20 @@ impl AllocState {
         let graph = PosGraph::new(dag);
         let n = dag.num_tasks();
         AllocState {
-            cost: graph.order().iter().map(|&t| dag.cost(TaskId(t))).collect(),
+            held: Grants {
+                cost: graph.order().iter().map(|&t| dag.cost(TaskId(t))).collect(),
+                m: Vec::new(),
+                exec: Vec::new(),
+                next_exec: Vec::new(),
+                gain: Vec::new(),
+                total_work: 0,
+            },
             graph,
-            m: Vec::new(),
-            exec: Vec::new(),
-            next_exec: Vec::new(),
-            gain: Vec::new(),
             bl: vec![Dur::ZERO; n],
-            total_work: 0,
             stamp: vec![0; n],
             epoch: 0,
             stack: Vec::new(),
+            run: Vec::new(),
             pool: 0,
             criterion: StoppingCriterion::default(),
             withheld: false,
@@ -145,20 +223,9 @@ impl AllocState {
     /// Back to one processor per task.
     fn restart(&mut self) {
         self.withheld = false;
-        self.m.clear();
-        self.m.resize(self.cost.len(), 1);
-        self.exec.clear();
-        self.exec.extend(self.cost.iter().map(|c| c.exec_time(1)));
-        self.next_exec.clear();
-        self.next_exec
-            .extend(self.cost.iter().map(|c| c.exec_time(2)));
-        self.gain.clear();
-        let pairs = self.exec.iter().zip(&self.next_exec);
-        self.gain
-            .extend(pairs.map(|(&e, &next)| relative_gain(e, next)));
-        self.total_work = self.exec.iter().map(|e| e.as_seconds()).sum();
-        self.graph
-            .sweep_bottom(&self.exec, &mut self.bl, self.cost.len());
+        self.held.one_each();
+        let n = self.bl.len();
+        self.graph.sweep_bottom(&self.held.exec, &mut self.bl, n);
     }
 
     /// Run the loop for `pool` and read the allocation out in task-id
@@ -171,10 +238,9 @@ impl AllocState {
     /// visits exactly the critical subgraph, with no top levels, and
     /// picks the argmax as it discovers members — under the total (gain,
     /// lowest-id) tie-break the pick is order-independent, so it is the
-    /// reference's id-order pick. The grown task's new gain divides the
-    /// two execution times already at hand (the operands `marginal_gain`
-    /// would re-derive), and its level change is propagated by
-    /// [`PosGraph::propagate_bottom`].
+    /// reference's id-order pick ([`Grants::offer`]). The pick is granted
+    /// its processor ([`Grants::grow`]) and its level change is propagated
+    /// by [`PosGraph::propagate_bottom`].
     ///
     /// Why tight edges: if `u` is critical and `u → s` is tight, then
     /// `tl(s) ≥ tl(u) + exec(u) = cp − bl(u) + exec(u) = cp − bl(s)`, and
@@ -182,6 +248,25 @@ impl AllocState {
     /// `tl`-argmax predecessor `u` of a critical non-entry `s` has
     /// `tl(u) + bl(u) ≥ tl(s) − exec(u) + exec(u) + bl(s) = cp`, so it is
     /// critical and its edge to `s` is tight.
+    ///
+    /// Runs. The walk reads every entry's level and every out-edge of
+    /// every critical task, so it also says whether the critical subgraph
+    /// is a single path (one critical entry, at most one tight out-edge
+    /// per member) and gives `slack`, a lower bound on how much shorter
+    /// than it any other path is: a path that leaves it does so at a
+    /// non-critical entry `e`, and is at most `bl(e) = cp − (cp − bl(e))`
+    /// long, or along a non-tight edge `u → s` of a member, and is at most
+    /// `tl(u) + exec(u) + bl(s) = cp − (bl(u) − exec(u) − bl(s))`. While
+    /// the path is single and the pick shortens it by `d < slack`, every
+    /// longest path (there is one) contains every member and shrinks by
+    /// exactly `d`, and every other path stays at most `cp − slack <
+    /// cp − d`: the next iteration's walk would find the same members over
+    /// the same tight edges, `slack − d` clear of the rest. So the loop
+    /// skips it: it carries `cp` and `slack`, re-picks among the same
+    /// members by the same rule, repeats the same stop test, and re-sweeps
+    /// the levels once, below the highest position grown, when the run
+    /// ends. Run steps are iterations like any other; the reference loop
+    /// takes exactly as many.
     ///
     /// The pool enters an iteration in two places only: the stop test,
     /// whose threshold `π(pool)·W/pool` is non-increasing in `pool` under
@@ -203,83 +288,111 @@ impl AllocState {
         };
         let AllocState {
             graph,
-            cost,
-            m,
-            exec,
-            next_exec,
-            gain,
+            held,
             bl,
-            total_work,
             stamp,
             epoch,
             stack,
+            run,
             withheld,
             ..
         } = self;
         let order = graph.order();
-        let mut iterations = 0u64;
-        let mut swept = 0u64;
+        let stop = |cp: Dur, total_work: i64| {
+            let t_a = parallelism * total_work as f64 / pool as f64;
+            (cp.as_seconds() as f64) <= t_a
+        };
+        let (mut iterations, mut run_steps, mut swept) = (0u64, 0u64, 0u64);
         loop {
             let cp = graph.critical_length(bl);
-            let t_a = parallelism * *total_work as f64 / pool as f64;
-            if (cp.as_seconds() as f64) <= t_a {
+            if stop(cp, held.total_work) {
                 break;
             }
 
             *epoch = epoch.wrapping_add(1);
-            let mut best: Option<(usize, f64)> = None;
+            let mut best = None;
+            let (mut single, mut slack) = (true, Dur::MAX);
             stack.clear();
             for &e in graph.entry_positions() {
                 if bl[e as usize] == cp {
+                    single &= stack.is_empty();
                     stamp[e as usize] = *epoch;
                     stack.push(e);
+                } else {
+                    slack = slack.min(cp - bl[e as usize]);
                 }
             }
             while let Some(u) = stack.pop() {
                 let u = u as usize;
-                // A candidate needs an integer-second improvement left and
-                // room in the pool.
-                if next_exec[u] < exec[u] {
-                    if m[u] >= pool {
-                        *withheld = true;
-                    } else {
-                        // Gains are positive finite ratios, so `total_cmp`
-                        // is their numeric order; an exact tie is real (2/4
-                        // and 1/2) and goes to the earlier task.
-                        let g = gain[u];
-                        match best {
-                            Some((b, bg))
-                                if g.total_cmp(&bg)
-                                    .then_with(|| order[b].cmp(&order[u]))
-                                    .is_le() => {}
-                            _ => best = Some((u, g)),
-                        }
-                    }
-                }
-                let tight = bl[u] - exec[u];
+                *withheld |= held.offer(u, pool, order, &mut best);
+                let tight = bl[u] - held.exec[u];
+                let mut tight_edges = 0;
                 for &s in graph.succs_at(u) {
-                    if stamp[s as usize] != *epoch && bl[s as usize] == tight {
+                    if bl[s as usize] != tight {
+                        slack = slack.min(tight - bl[s as usize]);
+                        continue;
+                    }
+                    tight_edges += 1;
+                    if stamp[s as usize] != *epoch {
                         stamp[s as usize] = *epoch;
                         stack.push(s);
                     }
                 }
+                single &= tight_edges <= 1;
             }
-            let Some((b, _)) = best else {
+            let Some((mut b, _)) = best else {
                 break; // critical path saturated; cannot improve further
             };
+
+            let mut d = held.step(b);
+            if single && d < slack {
+                // A run along the stamped members. A pick too large for
+                // the slack left ends it and is applied below as an
+                // ordinary step; the stop test and saturation end it as
+                // they end the loop, which the next iteration finds.
+                run.clear();
+                run.extend((0..order.len()).filter(|&u| stamp[u] == *epoch));
+                let (mut cp, mut touched) = (cp, 0);
+                let unfit = loop {
+                    run_steps += 1;
+                    held.grow(b);
+                    touched = touched.max(b + 1);
+                    cp -= d;
+                    slack -= d;
+                    if stop(cp, held.total_work) {
+                        break None;
+                    }
+                    let mut best = None;
+                    for &u in run.iter() {
+                        *withheld |= held.offer(u, pool, order, &mut best);
+                    }
+                    match best {
+                        Some((next, _)) if held.step(next) < slack => {
+                            (b, d) = (next, held.step(next));
+                        }
+                        unfit => break unfit,
+                    }
+                };
+                graph.sweep_bottom(&held.exec, bl, touched);
+                swept += touched as u64;
+                debug_assert_eq!(
+                    graph.critical_length(bl),
+                    cp,
+                    "a run keeps its path critical"
+                );
+                match unfit {
+                    Some((next, _)) => b = next,
+                    None => continue,
+                }
+            }
             iterations += 1;
-            let (old, new) = (exec[b], next_exec[b]);
-            m[b] += 1;
-            // work(m) = m * exec_time(m); both exec times are at hand.
-            *total_work += m[b] as i64 * new.as_seconds();
-            *total_work -= (m[b] - 1) as i64 * old.as_seconds();
-            exec[b] = new;
-            next_exec[b] = cost[b].exec_time(m[b] + 1);
-            gain[b] = relative_gain(new, next_exec[b]);
-            swept += graph.propagate_bottom(exec, bl, b, old) as u64 + 1;
+            let old = held.grow(b);
+            swept += graph.propagate_bottom(&held.exec, bl, b, old) as u64 + 1;
         }
+        iterations += run_steps;
         obs::counter_add(obs::names::CPA_ALLOC_ITERS, iterations);
         obs::record_value(obs::names::CPA_ALLOC_ITERS_PER_RUN, iterations);
+        obs::counter_add(obs::names::CPA_ALLOC_RUN_STEPS, run_steps);
         obs::counter_add(obs::names::CPA_ALLOC_INCR_UPDATES, swept);
 
         let mut out = CpaAllocation {
@@ -288,8 +401,8 @@ impl AllocState {
             exec: vec![Dur::ZERO; order.len()],
         };
         for (pos, &t) in order.iter().enumerate() {
-            out.allocs[t as usize] = m[pos];
-            out.exec[t as usize] = exec[pos];
+            out.allocs[t as usize] = held.m[pos];
+            out.exec[t as usize] = held.exec[pos];
         }
         #[cfg(any(debug_assertions, feature = "validate"))]
         crate::validate::assert_allocation_valid(dag, &out, "CPA");

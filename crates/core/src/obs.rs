@@ -94,6 +94,10 @@ pub mod names {
         /// the top-level cone in MCPA/iCASLB (a full rebuild would recompute
         /// every node per iteration).
         CPA_ALLOC_INCR_UPDATES = "cpa.alloc.incr_updates";
+        /// Counter: the CPA allocation-loop iterations among
+        /// `cpa.alloc.iterations` taken inside a run along a single
+        /// critical path, with no critical walk and no level propagation.
+        CPA_ALLOC_RUN_STEPS = "cpa.alloc.run_steps";
         /// Counter: λ-sweep passes the hybrid deadline algorithms skipped
         /// because the previous failure provably repeats at the next λ.
         HYBRID_LAMBDA_PASSES_SAVED = "hybrid.lambda_passes_saved";

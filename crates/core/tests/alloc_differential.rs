@@ -184,6 +184,164 @@ fn cpa_matches_reference_when_tasks_retire_early() {
     }
 }
 
+/// A chain whose first task takes the whole pool of 2 on the first step of
+/// a run that then grows the second (a tenth the gain) and stops there.
+fn capped_inside_a_run() -> Dag {
+    let c = |s: i64, a: f64| TaskCost::new(Dur::seconds(s), a);
+    chain(&[c(10_000, 0.0), c(10_000, 0.8)])
+}
+
+/// `cpa::allocate` under observation: the allocation, its loop iterations
+/// and how many of them were steps of a run (both 0 without `obs`).
+fn observed(dag: &Dag, pool: u32, criterion: StoppingCriterion) -> (cpa::CpaAllocation, u64, u64) {
+    let (alloc, report) = obs::observe("allocate", || cpa::allocate(dag, pool, criterion));
+    let count = |name| report.metrics.counter(name);
+    (
+        alloc,
+        count(obs::names::CPA_ALLOC_ITERS),
+        count(obs::names::CPA_ALLOC_RUN_STEPS),
+    )
+}
+
+#[test]
+fn cpa_matches_reference_where_runs_are_long() {
+    // Chains are one critical path from the first iteration to the last,
+    // and `width = 0.1` DAGs nearly so: most iterations are run steps. A
+    // run step is an iteration like any other, so the loop still takes
+    // exactly as many as the reference.
+    let mut shapes: Vec<(String, Dag)> = Vec::new();
+    let mut state = 0x5EED_C4A1u64;
+    let mut draw = |below: u64| {
+        state = state
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        (state >> 33) % below
+    };
+    for len in [1usize, 2, 3, 5, 8] {
+        for variant in 0..draws().max(2) {
+            let costs: Vec<TaskCost> = (0..len)
+                .map(|_| {
+                    let seq = Dur::seconds(60 + draw(40_000) as i64);
+                    let alpha = draw(5) as f64 * 0.05;
+                    match draw(3) {
+                        // U-shaped: retires from selection mid-run.
+                        0 => TaskCost::with_overhead(seq, alpha, Dur::seconds(1 + draw(30) as i64)),
+                        _ => TaskCost::new(seq, alpha),
+                    }
+                })
+                .collect();
+            shapes.push((format!("chain of {len}, variant {variant}"), chain(&costs)));
+        }
+    }
+    for num_tasks in [10usize, 25, 50] {
+        for seed in 0..draws().max(2) {
+            let params = DagParams {
+                num_tasks,
+                width: 0.1,
+                ..DagParams::paper_default()
+            };
+            let name = format!("width 0.1, n = {num_tasks}, seed {seed}");
+            shapes.push((
+                name,
+                generate(&params, 0x0A44 ^ (100 * num_tasks as u64 + seed)),
+            ));
+        }
+    }
+    let (mut all_iterations, mut all_run_steps) = (0u64, 0u64);
+    for (name, dag) in &shapes {
+        for criterion in [StoppingCriterion::Classic, StoppingCriterion::Stringent] {
+            let mut cache = CpaCache::new();
+            for pool in [1u32, 2, 7, 57, 430, 1152] {
+                let at = format!("{name}, pool {pool}, {criterion:?}");
+                let reference = cpa::allocate_reference(dag, pool, criterion);
+                let (fresh, ran, run_steps) = observed(dag, pool, criterion);
+                assert_eq!(fresh, reference, "{at}");
+                assert_eq!(*cache.cpa(dag, pool, criterion), reference, "cache: {at}");
+                if obs::COMPILED {
+                    assert_eq!(ran, iterations(&reference), "iterations: {at}");
+                    assert!(run_steps <= ran, "{at}");
+                }
+                all_iterations += ran;
+                all_run_steps += run_steps;
+            }
+        }
+    }
+    assert!(
+        !obs::COMPILED || 2 * all_run_steps > all_iterations,
+        "only {all_run_steps} of {all_iterations} iterations were run steps"
+    );
+}
+
+#[test]
+fn cpa_matches_reference_however_a_run_ends() {
+    let classic = StoppingCriterion::Classic;
+    let c = |s: i64, a: f64| TaskCost::new(Dur::seconds(s), a);
+    // Two independent tasks: `t(m) = ⌈1200 / m⌉` (1200, 600, 400, 300,
+    // 240, 200, …) beside a rigid one. The long task is the critical path
+    // and the rigid one the only other path, `slack = t(m) − rigid` below
+    // it: the run takes the steps of 600, 200, 100 and 60 seconds, and the
+    // next pick (40, to 200) is applied as an ordinary step.
+    let beside = |rigid: i64| {
+        let mut b = DagBuilder::new();
+        b.add_task(c(1200, 0.0));
+        b.add_task(c(rigid, 1.0));
+        b.build().unwrap()
+    };
+    // (shape, dag, pool, steps taken inside runs)
+    let cases: Vec<(&str, Dag, u32, u64)> = vec![
+        // 40 == slack: the pick would tie the two paths.
+        ("pick == slack", beside(200), 1024, 4),
+        // 40 == slack + 1: the pick would hand the critical path over; the
+        // rigid task then saturates it.
+        ("pick == slack + 1", beside(201), 1024, 4),
+        // slack + 1 < 60: the run is over a step earlier.
+        ("pick > slack + 1", beside(250), 1024, 3),
+        // One task, two processors: `T_CP = 600 <= T_A = 2 * 600 / 2` stops
+        // the loop on the run's first step.
+        ("stop test", chain(&[c(1200, 0.0)]), 2, 1),
+        // `t(m) = 10000 / m + 25 (m − 1)` bottoms out at 20 processors: the
+        // run ends with nothing left to pick.
+        (
+            "saturation",
+            chain(&[TaskCost::with_overhead(
+                Dur::seconds(10_000),
+                0.0,
+                Dur::seconds(25),
+            )]),
+            1024,
+            19,
+        ),
+        // The first task holds the whole pool after one step, inside the
+        // run, with the path still above `T_A`: the pick is withheld there.
+        (
+            "pool reached",
+            chain(&[c(10_000, 0.0), c(10_000, 1.0)]),
+            2,
+            1,
+        ),
+        // The same, but the second task can still grow: the run goes on
+        // past the withheld pick and the stop test ends it (`T_CP = T_A =
+        // 14 000`), so no walk ever sees the capped task.
+        ("pool reached, run goes on", capped_inside_a_run(), 2, 2),
+    ];
+    for (name, dag, pool, want_run_steps) in &cases {
+        for criterion in [classic, StoppingCriterion::Stringent] {
+            let reference = cpa::allocate_reference(dag, *pool, criterion);
+            let (got, ran, run_steps) = observed(dag, *pool, criterion);
+            assert_eq!(got, reference, "{name}, {criterion:?}");
+            if obs::COMPILED {
+                assert_eq!(ran, iterations(&reference), "{name}, {criterion:?}");
+                // Mean width 1 (a chain) or 2 (clamped to the pool of 2 at
+                // most): both criteria walk the same trajectory here except
+                // where `T_A` doubles.
+                if criterion == classic {
+                    assert_eq!(run_steps, *want_run_steps, "{name}: run steps");
+                }
+            }
+        }
+    }
+}
+
 #[test]
 fn one_cache_in_any_pool_order_equals_the_reference() {
     let classic = StoppingCriterion::Classic;
@@ -202,7 +360,16 @@ fn one_cache_in_any_pool_order_equals_the_reference() {
     // (dag, pools in asking order, whether each miss after the first
     // continues the one before it). On `generated` no task reaches a pool
     // of 8, 16 or 24, and some task holds all of a pool of 64.
-    let cases: [(&str, &Dag, &[u32], &[bool]); 6] = [
+    // One task: every iteration is a run step, each pool's stop test cuts
+    // the run short, and the next pool takes it up where it stopped.
+    let lone = chain(&[c(1200, 0.0)]);
+    // A pick withheld inside a run that the stop test then ends must still
+    // send the next pool back to the start.
+    let capped_in_run = capped_inside_a_run();
+    let cases: [(&str, &Dag, &[u32], &[bool]); 9] = [
+        ("capped inside a run", &capped_in_run, &[2, 8], &[false]),
+        ("across a run", &lone, &[2, 8, 64], &[true, true]),
+        ("q then p", &lone, &[7, 57], &[true]),
         ("ascending", &generated, &[8, 16, 16, 24], &[true, true]),
         ("descending", &generated, &[24, 16, 8], &[false, false]),
         ("down then up", &generated, &[16, 8, 24, 8], &[false, true]),
