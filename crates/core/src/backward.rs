@@ -291,6 +291,8 @@ impl<'a> Roster<'a> {
             )
         };
 
+        // `None`: the deadline cannot be met. `Some(λ)`: it is met, at that
+        // λ for a hybrid, with none for the others.
         let lambda = match algo {
             DeadlineAlgo::BdAll | DeadlineAlgo::BdCpa | DeadlineAlgo::BdCpaR => {
                 let flat;
@@ -1087,7 +1089,6 @@ mod tests {
     }
 
     #[test]
-    #[allow(clippy::float_cmp)]
     fn lambda_grid_is_total_in_its_step() {
         // What a deserialised config can carry: none of these may panic or
         // walk (let alone allocate) a grid of a billion values.

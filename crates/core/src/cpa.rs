@@ -184,8 +184,7 @@ struct AllocState {
     stamp: Vec<u32>,
     epoch: u32,
     stack: Vec<u32>,
-    /// The critical path's members with an improvement left, while a run
-    /// grows along it.
+    /// The critical path's members, while a run grows along it.
     run: Vec<usize>,
     /// What the state is the trajectory of: the last run's pool (0 before
     /// the first) and criterion, and whether a critical task with an
@@ -366,12 +365,12 @@ impl AllocState {
                     for &u in run.iter() {
                         *withheld |= held.offer(u, pool, order, &mut best);
                     }
-                    match best {
-                        Some((next, _)) if held.step(next) < slack => {
-                            (b, d) = (next, held.step(next));
-                        }
-                        unfit => break unfit,
+                    let Some((next, _)) = best else { break None };
+                    d = held.step(next);
+                    if d >= slack {
+                        break best;
                     }
+                    b = next;
                 };
                 graph.sweep_bottom(&held.exec, bl, touched);
                 swept += touched as u64;
