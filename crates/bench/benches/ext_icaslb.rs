@@ -2,8 +2,9 @@
 //! iCASLB algorithm directly to advance reservations and compare it with
 //! the best two-step algorithm, BL_CPAR_BD_CPAR.
 
+use resched_core::algos::Algorithm;
 use resched_core::forward::{schedule_forward, ForwardConfig};
-use resched_core::icaslb::{schedule_icaslb, IcaslbConfig};
+use resched_core::icaslb::schedule_icaslb;
 use resched_core::prelude::Time;
 use resched_sim::scenario::{instances_for, LogCache, ResvSpec, Scale, DEFAULT_ROOT_SEED};
 use resched_sim::table::{fnum, Table};
@@ -30,15 +31,12 @@ fn main() {
             );
             let fw_ms = t0.elapsed().as_secs_f64() * 1e3;
             let t0 = Instant::now();
-            let ic = schedule_icaslb(
-                &inst.dag,
-                &cal,
-                Time::ZERO,
-                inst.resv.q,
-                IcaslbConfig::default(),
-            );
+            let ic = schedule_icaslb(&inst.dag, &cal, Time::ZERO, inst.resv.q);
             let ic_ms = t0.elapsed().as_secs_f64() * 1e3;
-            ic.validate(&inst.dag, &cal).expect("valid iCASLB schedule");
+            Algorithm::Icaslb
+                .validator(&inst.dag, &cal, Time::ZERO, None)
+                .check(&ic)
+                .expect("valid iCASLB schedule");
             rows.push((
                 fw.turnaround().as_hours(),
                 ic.turnaround().as_hours(),

@@ -87,7 +87,9 @@ fn main() {
             let mcpa_b = mcpa::allocate(&inst.dag, q).allocs;
             for (i, bounds) in [&cpa_b, &mcpa_b].into_iter().enumerate() {
                 let s = schedule_with_bounds(&inst.dag, &cal, q, bounds);
-                debug_assert!(s.validate(&inst.dag, &cal).is_ok());
+                debug_assert!(ScheduleValidator::new(&inst.dag, &cal, Time::ZERO)
+                    .check(&s)
+                    .is_ok());
                 rows[i][0] += s.turnaround().as_hours();
                 rows[i][1] += s.cpu_hours();
             }

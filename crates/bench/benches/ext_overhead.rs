@@ -5,6 +5,7 @@
 
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha12Rng;
+use resched_core::algos::Algorithm;
 use resched_core::bl::BlMethod;
 use resched_core::dag::DagBuilder;
 use resched_core::forward::{schedule_forward, BdMethod, ForwardConfig};
@@ -55,14 +56,12 @@ fn main() {
             let dag = overhead_dag(DEFAULT_ROOT_SEED ^ seed, Dur::seconds(ov));
             let cal = Calendar::new(p);
             for (i, bd) in [BdMethod::All, BdMethod::CpaR].into_iter().enumerate() {
-                let s = schedule_forward(
-                    &dag,
-                    &cal,
-                    Time::ZERO,
-                    p,
-                    ForwardConfig::new(BlMethod::CpaR, bd),
-                );
-                s.validate(&dag, &cal).expect("valid");
+                let cfg = ForwardConfig::new(BlMethod::CpaR, bd);
+                let s = schedule_forward(&dag, &cal, Time::ZERO, p, cfg);
+                Algorithm::Forward(cfg)
+                    .validator(&dag, &cal, Time::ZERO, None)
+                    .check(&s)
+                    .expect("valid");
                 ta[i] += s.turnaround().as_hours() / runs as f64;
                 cpu[i] += s.cpu_hours() / runs as f64;
             }

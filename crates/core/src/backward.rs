@@ -814,6 +814,7 @@ pub fn tightest_deadline(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::algos::Algorithm;
     use crate::dag::{chain, fork_join};
     use crate::task::TaskCost;
     use resched_resv::Dur;
@@ -863,8 +864,9 @@ mod tests {
                 DeadlineConfig::default(),
             )
             .unwrap_or_else(|e| panic!("{algo} failed on loose deadline: {e}"));
-            out.schedule
-                .validate(&dag, &cal)
+            Algorithm::Deadline(algo)
+                .validator(&dag, &cal, Time::ZERO, Some(deadline))
+                .check(&out.schedule)
                 .unwrap_or_else(|e| panic!("{algo} produced invalid schedule: {e}"));
             assert!(out.schedule.completion() <= deadline);
         }
@@ -1023,7 +1025,10 @@ mod tests {
         for algo in [DeadlineAlgo::BdCpa, DeadlineAlgo::RcCpaR] {
             let (k, out) = tightest_deadline(&dag, &cal, Time::ZERO, 4, algo, cfg, prec).unwrap();
             assert!(out.schedule.completion() <= k);
-            out.schedule.validate(&dag, &cal).unwrap();
+            Algorithm::Deadline(algo)
+                .validator(&dag, &cal, Time::ZERO, Some(k))
+                .check(&out.schedule)
+                .unwrap();
             // The search's lower bound witnessed infeasibility within
             // `prec` of k; spot-check that a much tighter deadline (half
             // the slack) is indeed infeasible for this algorithm.
@@ -1646,7 +1651,10 @@ mod tests {
                     pl.procs
                 );
             }
-            out.schedule.validate(&dag, &cal).unwrap();
+            Algorithm::HierDeadline(algo)
+                .validator(&dag, &cal, Time::ZERO, Some(deadline))
+                .check(&out.schedule)
+                .unwrap();
             assert!(out.schedule.completion() <= deadline);
         }
     }

@@ -228,6 +228,7 @@ pub fn schedule_blind(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::algos::Algorithm;
     use crate::dag::{chain, fork_join};
     use crate::forward::{schedule_forward, ForwardConfig};
     use crate::task::TaskCost;
@@ -255,7 +256,10 @@ mod tests {
         let cal = busy_cal();
         let mut desk = ReservationDesk::new(cal.clone());
         let s = schedule_blind(&dag, &mut desk, Time::ZERO, 8, BlindConfig::default());
-        s.validate(&dag, &cal).expect("valid blind schedule");
+        Algorithm::Blind
+            .validator(&dag, &cal, Time::ZERO, None)
+            .check(&s)
+            .expect("valid blind schedule");
     }
 
     #[test]
@@ -297,8 +301,13 @@ mod tests {
             ..BlindConfig::default()
         };
         let s = schedule_blind(&dag, &mut desk, Time::ZERO, 4, cfg);
-        s.validate(&dag, &desk.into_calendar()).err(); // validate against base
         assert_eq!(s.placements().len(), 2);
+        // Against the base calendar: the desk's own now holds the
+        // schedule's reservations.
+        Algorithm::Blind
+            .validator(&dag, &Calendar::new(4), Time::ZERO, None)
+            .check(&s)
+            .expect("valid blind schedule");
     }
 
     #[test]

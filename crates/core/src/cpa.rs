@@ -432,7 +432,7 @@ pub fn allocate(dag: &Dag, pool: u32, criterion: StoppingCriterion) -> CpaAlloca
 /// [`allocate`]'s incremental rewrite — unit tests assert byte-identical
 /// [`CpaAllocation`]s across a seeded DAG sweep — and as the *before*
 /// baseline of the `criterion_micro` `cpa_alloc` group and the
-/// exec-time record in `BENCH_scale.json`'s `migrated` section.
+/// exec-time record in `BENCH_history.json`'s `migrated` section.
 /// Schedulers never call this.
 ///
 /// # Panics
@@ -499,19 +499,6 @@ pub fn allocate_reference(dag: &Dag, pool: u32, criterion: StoppingCriterion) ->
 // Per-call allocation memo
 // ---------------------------------------------------------------------------
 
-/// The key a memoized allocation was computed under. CPA and MCPA share
-/// the cache (both produce [`CpaAllocation`]s) but never alias.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum CacheKey {
-    Cpa {
-        pool: u32,
-        criterion: StoppingCriterion,
-    },
-    Mcpa {
-        pool: u32,
-    },
-}
-
 /// The memo of CPA phase-1 allocations one scheduling call keeps, keyed by
 /// `(pool, criterion)`.
 ///
@@ -533,7 +520,7 @@ enum CacheKey {
 /// from one processor per task.
 #[derive(Debug, Default)]
 pub struct CpaCache {
-    entries: Vec<(CacheKey, CpaAllocation)>,
+    entries: Vec<((u32, StoppingCriterion), CpaAllocation)>,
     state: Option<AllocState>,
 }
 
@@ -545,15 +532,7 @@ impl CpaCache {
 
     /// The CPA allocation for `(pool, criterion)`, computed on first use.
     pub fn cpa(&mut self, dag: &Dag, pool: u32, criterion: StoppingCriterion) -> &CpaAllocation {
-        self.fetch(dag, CacheKey::Cpa { pool, criterion })
-    }
-
-    /// The MCPA allocation for `pool`, computed on first use.
-    pub fn mcpa(&mut self, dag: &Dag, pool: u32) -> &CpaAllocation {
-        self.fetch(dag, CacheKey::Mcpa { pool })
-    }
-
-    fn fetch(&mut self, dag: &Dag, key: CacheKey) -> &CpaAllocation {
+        let key = (pool, criterion);
         let slot = match self.entries.iter().position(|(k, _)| *k == key) {
             Some(i) => {
                 obs::counter_add(obs::names::CPA_CACHE_HIT, 1);
@@ -561,13 +540,10 @@ impl CpaCache {
             }
             None => {
                 obs::counter_add(obs::names::CPA_CACHE_MISS, 1);
-                let value = match key {
-                    CacheKey::Cpa { pool, criterion } => self
-                        .state
-                        .get_or_insert_with(|| AllocState::new(dag))
-                        .allocate(dag, pool, criterion),
-                    CacheKey::Mcpa { pool } => crate::mcpa::allocate(dag, pool),
-                };
+                let value = self
+                    .state
+                    .get_or_insert_with(|| AllocState::new(dag))
+                    .allocate(dag, pool, criterion);
                 self.entries.push((key, value));
                 self.entries.len() - 1
             }
@@ -722,6 +698,7 @@ mod tests {
     use super::*;
     use crate::dag::{chain, fork_join, DagBuilder};
     use crate::task::TaskCost;
+    use crate::validate::ScheduleValidator;
 
     fn c(s: i64, a: f64) -> TaskCost {
         TaskCost::new(Dur::seconds(s), a)
@@ -789,8 +766,8 @@ mod tests {
     fn map_respects_precedence_and_capacity() {
         let dag = fork_join(c(100, 0.0), &[c(1000, 0.2); 5], c(100, 0.0));
         let sched = schedule(&dag, 8, StoppingCriterion::Stringent, Time::ZERO);
-        sched
-            .validate(&dag, &Calendar::new(8))
+        ScheduleValidator::new(&dag, &Calendar::new(8), Time::ZERO)
+            .check(&sched)
             .expect("CPA schedule must be valid");
     }
 

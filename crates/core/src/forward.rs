@@ -342,6 +342,7 @@ pub(crate) fn quantize_bound(bound: u32, g: u32, p: u32) -> u32 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::algos::Algorithm;
     use crate::cpa;
     use crate::dag::{chain, fork_join};
     use resched_resv::Dur;
@@ -394,8 +395,9 @@ mod tests {
         .unwrap();
         for cfg in all_cfgs() {
             let sched = schedule_forward(&dag, &cal, Time::ZERO, 4, cfg);
-            sched
-                .validate(&dag, &cal)
+            Algorithm::Forward(cfg)
+                .validator(&dag, &cal, Time::ZERO, None)
+                .check(&sched)
                 .unwrap_or_else(|e| panic!("{} produced invalid schedule: {e}", cfg.name()));
         }
     }

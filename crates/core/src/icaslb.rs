@@ -21,30 +21,15 @@ use crate::dag::{Dag, TaskId};
 use crate::obs;
 use crate::schedule::{Placement, Schedule, ScheduleStats};
 use resched_resv::{Calendar, Dur, Reservation, Time};
-use serde::{Deserialize, Serialize};
 
-/// Tuning knobs for [`schedule_icaslb`].
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct IcaslbConfig {
-    /// How many critical-path candidates to evaluate per iteration
-    /// (the look-ahead width; the paper's iCASLB uses a small constant).
-    pub lookahead: usize,
-    /// Stop after this many consecutive non-improving iterations.
-    pub patience: usize,
-    /// Hard cap on growth iterations (a safety net; the algorithm
-    /// normally stops via `patience`).
-    pub max_iterations: usize,
-}
-
-impl Default for IcaslbConfig {
-    fn default() -> Self {
-        IcaslbConfig {
-            lookahead: 3,
-            patience: 4,
-            max_iterations: 2000,
-        }
-    }
-}
+/// How many critical-path candidates to evaluate per iteration (the
+/// look-ahead width; the paper's iCASLB uses a small constant).
+const LOOKAHEAD: usize = 3;
+/// Stop after this many consecutive non-improving iterations.
+const PATIENCE: usize = 4;
+/// Hard cap on growth iterations (a safety net; the loop normally stops
+/// via [`PATIENCE`]).
+const MAX_ITERATIONS: usize = 2000;
 
 /// Build the full reservation-aware schedule for a fixed allocation vector:
 /// list scheduling by decreasing bottom level, earliest-fit per task.
@@ -136,13 +121,7 @@ fn cp_candidates(
 /// Returns the best schedule found. Allocations are capped at `q` (the
 /// historical average availability) — growing past the processors that are
 /// typically free only delays start times.
-pub fn schedule_icaslb(
-    dag: &Dag,
-    competing: &Calendar,
-    now: Time,
-    q: u32,
-    cfg: IcaslbConfig,
-) -> Schedule {
+pub fn schedule_icaslb(dag: &Dag, competing: &Calendar, now: Time, q: u32) -> Schedule {
     let p = competing.capacity();
     let cap = crate::pool::Pool::effective(q, p);
     let mut stats = ScheduleStats::default();
@@ -180,8 +159,8 @@ pub fn schedule_icaslb(
     let mut stalls = 0usize;
 
     crate::span!(obs::names::SPAN_ICASLB_GROW_LOOP);
-    for _ in 0..cfg.max_iterations {
-        if stalls >= cfg.patience {
+    for _ in 0..MAX_ITERATIONS {
+        if stalls >= PATIENCE {
             break;
         }
         cp_candidates(dag, &allocs, cap, &exec, &tracker, &mut gains);
@@ -195,7 +174,7 @@ pub fn schedule_icaslb(
         // the loop reuses two placement buffers instead of allocating one
         // per candidate.
         let mut best_step: Option<(TaskId, Time)> = None;
-        for &(t, _) in gains.iter().take(cfg.lookahead) {
+        for &(t, _) in gains.iter().take(LOOKAHEAD) {
             allocs[t.idx()] += 1;
             let old_exec = exec[t.idx()];
             exec[t.idx()] = dag.cost(t).exec_time(allocs[t.idx()]);
@@ -262,6 +241,7 @@ pub fn schedule_icaslb(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::algos::Algorithm;
     use crate::dag::{chain, fork_join};
     use crate::forward::{schedule_forward, ForwardConfig};
     use crate::task::TaskCost;
@@ -280,8 +260,11 @@ mod tests {
             10,
         ))
         .unwrap();
-        let s = schedule_icaslb(&dag, &cal, Time::ZERO, 12, IcaslbConfig::default());
-        s.validate(&dag, &cal).expect("valid");
+        let s = schedule_icaslb(&dag, &cal, Time::ZERO, 12);
+        Algorithm::Icaslb
+            .validator(&dag, &cal, Time::ZERO, None)
+            .check(&s)
+            .expect("valid");
     }
 
     #[test]
@@ -289,7 +272,7 @@ mod tests {
         // The all-1-processor starting point is strictly improvable here.
         let dag = chain(&[c(10_000, 0.0), c(10_000, 0.0)]);
         let cal = Calendar::new(8);
-        let s = schedule_icaslb(&dag, &cal, Time::ZERO, 8, IcaslbConfig::default());
+        let s = schedule_icaslb(&dag, &cal, Time::ZERO, 8);
         assert!(
             s.turnaround() < Dur::seconds(20_000),
             "iCASLB should beat the sequential baseline, got {}",
@@ -303,9 +286,12 @@ mod tests {
         let mut cal = Calendar::new(16);
         cal.try_add(Reservation::new(Time::ZERO, Time::seconds(7200), 12))
             .unwrap();
-        let ic = schedule_icaslb(&dag, &cal, Time::ZERO, 10, IcaslbConfig::default());
+        let ic = schedule_icaslb(&dag, &cal, Time::ZERO, 10);
         let fw = schedule_forward(&dag, &cal, Time::ZERO, 10, ForwardConfig::recommended());
-        ic.validate(&dag, &cal).unwrap();
+        Algorithm::Icaslb
+            .validator(&dag, &cal, Time::ZERO, None)
+            .check(&ic)
+            .unwrap();
         // One-step with look-ahead should be within 50% of the two-step
         // algorithm on this simple instance (usually it is better).
         assert!(
@@ -320,7 +306,7 @@ mod tests {
     fn respects_capacity_cap() {
         let dag = chain(&[c(100_000, 0.0)]);
         let cal = Calendar::new(32);
-        let s = schedule_icaslb(&dag, &cal, Time::ZERO, 4, IcaslbConfig::default());
+        let s = schedule_icaslb(&dag, &cal, Time::ZERO, 4);
         assert!(s.placement(crate::dag::TaskId(0)).procs <= 4);
     }
 
@@ -328,20 +314,8 @@ mod tests {
     fn deterministic() {
         let dag = fork_join(c(300, 0.1), &[c(3600, 0.1); 4], c(300, 0.1));
         let cal = Calendar::new(8);
-        let a = schedule_icaslb(&dag, &cal, Time::ZERO, 8, IcaslbConfig::default());
-        let b = schedule_icaslb(&dag, &cal, Time::ZERO, 8, IcaslbConfig::default());
+        let a = schedule_icaslb(&dag, &cal, Time::ZERO, 8);
+        let b = schedule_icaslb(&dag, &cal, Time::ZERO, 8);
         assert_eq!(a, b);
-    }
-
-    #[test]
-    fn lookahead_zero_is_safe() {
-        let dag = chain(&[c(1000, 0.0)]);
-        let cal = Calendar::new(4);
-        let cfg = IcaslbConfig {
-            lookahead: 0,
-            ..IcaslbConfig::default()
-        };
-        let s = schedule_icaslb(&dag, &cal, Time::ZERO, 4, cfg);
-        s.validate(&dag, &cal).unwrap();
     }
 }

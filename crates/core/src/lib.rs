@@ -37,7 +37,7 @@
 //!
 //! // Schedule for minimum turn-around time with the paper's best algorithm.
 //! let sched = schedule_forward(&dag, &cal, Time::ZERO, 16, ForwardConfig::recommended());
-//! sched.validate(&dag, &cal).unwrap();
+//! ScheduleValidator::new(&dag, &cal, Time::ZERO).check(&sched).unwrap();
 //! println!("turn-around: {}, CPU-hours: {:.2}", sched.turnaround(), sched.cpu_hours());
 //! ```
 //!
@@ -63,9 +63,10 @@
 //! * [`pool`] — the single `q`-clamping rule sizing every CPA pool;
 //! * [`obs`] — feature-gated observability: metrics registry, span timers,
 //!   per-run phase profiles, and JSONL trace reports;
-//! * [`schedule`] — schedules, metrics, and the in-band validation oracle;
-//! * [`validate`] — the independent schedule-validity oracle every
-//!   scheduler replays through in debug builds;
+//! * [`schedule`] — schedules and their metrics;
+//! * [`validate`] — the schedule-validity oracle: the one definition of a
+//!   valid schedule, which every scheduler replays its output through in
+//!   debug builds;
 //! * [`complexity`] — the paper's Table 8 complexity inventory.
 
 #![warn(missing_docs)]
@@ -101,7 +102,7 @@ pub mod prelude {
     pub use crate::dag::{Dag, DagBuilder, TaskId};
     pub use crate::forward::{schedule_forward, BdMethod, ForwardConfig, TieBreak};
     pub use crate::pool::Pool;
-    pub use crate::schedule::{Placement, Schedule, ScheduleError};
+    pub use crate::schedule::{Placement, Schedule};
     pub use crate::task::TaskCost;
     pub use crate::validate::{audit_calendar, ScheduleValidator, Violation};
     pub use resched_resv::{Calendar, Dur, Reservation, ShadowTxn, Time};

@@ -1,10 +1,10 @@
-//! Application schedules: one reservation per task, plus the metrics and the
-//! validation oracle used throughout the workspace.
+//! Application schedules: one reservation per task, plus the metrics used
+//! throughout the workspace. Whether a schedule is valid is
+//! [`crate::validate::ScheduleValidator`]'s to say.
 
 use crate::dag::{Dag, TaskId};
-use resched_resv::{Calendar, Dur, Reservation, Time};
+use resched_resv::{Dur, Reservation, Time};
 use serde::{Deserialize, Serialize};
-use std::fmt;
 
 /// The reservation chosen for one task.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -236,152 +236,15 @@ impl Schedule {
         }
         peak as u32
     }
-
-    /// Check the schedule against its DAG and the competing-reservation
-    /// calendar that was in force when it was computed.
-    ///
-    /// Verifies, for every task:
-    /// 1. the reservation is well-formed and long enough for the task's
-    ///    execution time on the reserved processor count;
-    /// 2. no task starts before `now`;
-    /// 3. precedence: a task starts no earlier than every predecessor's end;
-    /// 4. capacity: all placements plus all competing reservations fit within
-    ///    the platform simultaneously.
-    pub fn validate(&self, dag: &Dag, competing: &Calendar) -> Result<(), ScheduleError> {
-        if self.placements.len() != dag.num_tasks() {
-            return Err(ScheduleError::WrongTaskCount {
-                expected: dag.num_tasks(),
-                actual: self.placements.len(),
-            });
-        }
-        let mut cal = competing.clone();
-        for t in dag.task_ids() {
-            let pl = self.placement(t);
-            if pl.end <= pl.start || pl.procs == 0 {
-                return Err(ScheduleError::MalformedPlacement { task: t });
-            }
-            if pl.procs > competing.capacity() {
-                return Err(ScheduleError::TooManyProcs {
-                    task: t,
-                    procs: pl.procs,
-                    capacity: competing.capacity(),
-                });
-            }
-            if pl.start < self.now {
-                return Err(ScheduleError::StartsInPast { task: t });
-            }
-            let need = dag.cost(t).exec_time(pl.procs);
-            if pl.duration() < need {
-                return Err(ScheduleError::ReservationTooShort {
-                    task: t,
-                    have: pl.duration(),
-                    need,
-                });
-            }
-            for &p in dag.preds(t) {
-                if self.placement(p).end > pl.start {
-                    return Err(ScheduleError::PrecedenceViolation { pred: p, succ: t });
-                }
-            }
-            cal.try_add(pl.reservation())
-                .map_err(|_| ScheduleError::CapacityViolation { task: t })?;
-        }
-        Ok(())
-    }
 }
-
-/// Violations detected by [`Schedule::validate`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum ScheduleError {
-    /// The schedule covers a different number of tasks than the DAG.
-    WrongTaskCount {
-        /// Tasks in the DAG.
-        expected: usize,
-        /// Placements in the schedule.
-        actual: usize,
-    },
-    /// Empty interval or zero processors.
-    MalformedPlacement {
-        /// Offending task.
-        task: TaskId,
-    },
-    /// A placement requests more processors than the platform has.
-    TooManyProcs {
-        /// Offending task.
-        task: TaskId,
-        /// Processors requested.
-        procs: u32,
-        /// Platform capacity.
-        capacity: u32,
-    },
-    /// A task is placed before the scheduling instant.
-    StartsInPast {
-        /// Offending task.
-        task: TaskId,
-    },
-    /// A reservation is shorter than the task's execution time.
-    ReservationTooShort {
-        /// Offending task.
-        task: TaskId,
-        /// Reserved duration.
-        have: Dur,
-        /// Required duration.
-        need: Dur,
-    },
-    /// A task starts before one of its predecessors ends.
-    PrecedenceViolation {
-        /// Predecessor task.
-        pred: TaskId,
-        /// Successor task.
-        succ: TaskId,
-    },
-    /// Placements plus competing reservations exceed platform capacity.
-    CapacityViolation {
-        /// Offending task.
-        task: TaskId,
-    },
-}
-
-impl fmt::Display for ScheduleError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            ScheduleError::WrongTaskCount { expected, actual } => {
-                write!(f, "schedule has {actual} placements for {expected} tasks")
-            }
-            ScheduleError::MalformedPlacement { task } => {
-                write!(f, "malformed placement for {task}")
-            }
-            ScheduleError::TooManyProcs {
-                task,
-                procs,
-                capacity,
-            } => write!(
-                f,
-                "{task} reserves {procs} procs on a {capacity}-proc platform"
-            ),
-            ScheduleError::StartsInPast { task } => {
-                write!(f, "{task} starts before the scheduling instant")
-            }
-            ScheduleError::ReservationTooShort { task, have, need } => {
-                write!(f, "{task} reserved {have} but needs {need}")
-            }
-            ScheduleError::PrecedenceViolation { pred, succ } => {
-                write!(f, "{succ} starts before predecessor {pred} ends")
-            }
-            ScheduleError::CapacityViolation { task } => {
-                write!(f, "placing {task} exceeds platform capacity")
-            }
-        }
-    }
-}
-
-impl std::error::Error for ScheduleError {}
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::dag::chain;
     use crate::task::TaskCost;
+    use crate::validate::{ScheduleValidator, Violation};
+    use resched_resv::Calendar;
 
     fn two_task_dag() -> Dag {
         chain(&[
@@ -435,80 +298,80 @@ mod tests {
         assert!((sched.cpu_hours() - 300.0 / 3600.0).abs() < 1e-12);
     }
 
+    /// The oracle's first violation for `sched` of [`two_task_dag`] against
+    /// `cal`, released at time 0.
+    fn check(sched: &Schedule, cal: &Calendar) -> Result<(), Violation> {
+        ScheduleValidator::new(&two_task_dag(), cal, Time::ZERO).check(sched)
+    }
+
     #[test]
     fn validate_accepts_good_schedule() {
-        let dag = two_task_dag();
-        let cal = Calendar::new(4);
         let sched = Schedule::new(vec![pl(0, 100, 1), pl(100, 300, 1)], Time::ZERO);
-        assert_eq!(sched.validate(&dag, &cal), Ok(()));
+        assert_eq!(check(&sched, &Calendar::new(4)), Ok(()));
     }
 
     #[test]
     fn validate_catches_precedence_violation() {
-        let dag = two_task_dag();
-        let cal = Calendar::new(4);
         let sched = Schedule::new(vec![pl(0, 100, 1), pl(50, 250, 1)], Time::ZERO);
         assert!(matches!(
-            sched.validate(&dag, &cal),
-            Err(ScheduleError::PrecedenceViolation { .. })
+            check(&sched, &Calendar::new(4)),
+            Err(Violation::PrecedenceViolation { .. })
         ));
     }
 
     #[test]
     fn validate_catches_short_reservation() {
-        let dag = two_task_dag();
         let cal = Calendar::new(4);
         // Task 0 needs 100s on 1 proc but reserved 50s.
-        let sched = Schedule::new(vec![pl(0, 50, 1), pl(100, 300, 1)], Time::ZERO);
+        let short = Schedule::new(vec![pl(0, 50, 1), pl(100, 300, 1)], Time::ZERO);
         assert!(matches!(
-            sched.validate(&dag, &cal),
-            Err(ScheduleError::ReservationTooShort { .. })
+            check(&short, &cal),
+            Err(Violation::DurationMismatch { .. })
+        ));
+        // A padded reservation is no better: the model's duration exactly.
+        let padded = Schedule::new(vec![pl(0, 150, 1), pl(150, 350, 1)], Time::ZERO);
+        assert!(matches!(
+            check(&padded, &cal),
+            Err(Violation::DurationMismatch { .. })
         ));
     }
 
     #[test]
     fn validate_catches_capacity_violation() {
-        let dag = two_task_dag();
         let mut cal = Calendar::new(2);
         cal.try_add(Reservation::new(Time::ZERO, Time::seconds(500), 2))
             .unwrap();
         // Platform is fully reserved; any placement conflicts.
         let sched = Schedule::new(vec![pl(0, 100, 1), pl(100, 300, 1)], Time::ZERO);
         assert!(matches!(
-            sched.validate(&dag, &cal),
-            Err(ScheduleError::CapacityViolation { .. })
+            check(&sched, &cal),
+            Err(Violation::CapacityExceeded { .. })
         ));
     }
 
     #[test]
     fn validate_catches_start_in_past() {
-        let dag = two_task_dag();
-        let cal = Calendar::new(4);
-        let sched = Schedule::new(vec![pl(-10, 100, 1), pl(100, 300, 1)], Time::ZERO);
+        let sched = Schedule::new(vec![pl(-10, 90, 1), pl(100, 300, 1)], Time::ZERO);
         assert!(matches!(
-            sched.validate(&dag, &cal),
-            Err(ScheduleError::StartsInPast { .. })
+            check(&sched, &Calendar::new(4)),
+            Err(Violation::ReleaseViolation { .. })
         ));
     }
 
     #[test]
     fn validate_catches_wrong_count() {
-        let dag = two_task_dag();
-        let cal = Calendar::new(4);
         let sched = Schedule::new(vec![pl(0, 100, 1)], Time::ZERO);
         assert!(matches!(
-            sched.validate(&dag, &cal),
-            Err(ScheduleError::WrongTaskCount { .. })
+            check(&sched, &Calendar::new(4)),
+            Err(Violation::TaskCountMismatch { .. })
         ));
     }
 
     #[test]
     fn amdahl_speedup_makes_shorter_reservation_valid() {
-        let dag = two_task_dag();
-        let cal = Calendar::new(4);
         // Task 0 on 2 procs (alpha = 0) needs only 50s.
         let sched = Schedule::new(vec![pl(0, 50, 2), pl(50, 150, 2)], Time::ZERO);
-        assert_eq!(sched.validate(&dag, &cal), Ok(()));
+        assert_eq!(check(&sched, &Calendar::new(4)), Ok(()));
     }
 
     #[test]

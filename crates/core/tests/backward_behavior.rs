@@ -1,6 +1,7 @@
 //! Behavioral tests of the backward (RESSCHEDDL) schedulers on hand-crafted
 //! scenarios with independently computed expected outcomes.
 
+use resched_core::algos::Algorithm;
 use resched_core::backward::{schedule_deadline, tightest_deadline, DeadlineAlgo, DeadlineConfig};
 use resched_core::prelude::*;
 
@@ -281,7 +282,10 @@ fn diamond_respects_precedence_backward() {
     for algo in DeadlineAlgo::ALL {
         let out = schedule_deadline(&dag, &cal, Time::ZERO, 4, k, algo, cfg())
             .unwrap_or_else(|e| panic!("{algo}: {e}"));
-        out.schedule.validate(&dag, &cal).unwrap();
+        Algorithm::Deadline(algo)
+            .validator(&dag, &cal, Time::ZERO, Some(k))
+            .check(&out.schedule)
+            .unwrap();
         let pz = out.schedule.placement(z);
         let px = out.schedule.placement(x);
         let py = out.schedule.placement(y);

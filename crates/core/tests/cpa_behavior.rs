@@ -105,7 +105,9 @@ fn schedule_on_unit_pool_is_serial_in_topological_order_of_levels() {
     b.add_edge(x, y).add_edge(x, z);
     let dag = b.build().unwrap();
     let s = schedule(&dag, 1, StoppingCriterion::Classic, Time::ZERO);
-    s.validate(&dag, &Calendar::new(1)).unwrap();
+    ScheduleValidator::new(&dag, &Calendar::new(1), Time::ZERO)
+        .check(&s)
+        .unwrap();
     assert_eq!(s.turnaround(), Dur::seconds(600));
     // z has the larger bottom level among {y, z}, so it runs before y.
     assert!(s.placement(TaskId(2)).start < s.placement(TaskId(1)).start);

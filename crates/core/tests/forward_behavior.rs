@@ -1,6 +1,7 @@
 //! Behavioral tests of the forward (RESSCHED) scheduler on hand-crafted
 //! scenarios with independently computed expected outcomes.
 
+use resched_core::algos::Algorithm;
 use resched_core::bl::BlMethod;
 use resched_core::forward::{schedule_forward, BdMethod, ForwardConfig, TieBreak};
 use resched_core::prelude::*;
@@ -9,7 +10,15 @@ fn cost(seq_s: i64, alpha: f64) -> TaskCost {
     TaskCost::new(Dur::seconds(seq_s), alpha)
 }
 
-fn single_task(seq_s: i64, alpha: f64) -> resched_core::dag::Dag {
+/// The oracle's verdict on `s`, scheduled by `cfg` at time 0.
+fn assert_valid(cfg: ForwardConfig, dag: &Dag, cal: &Calendar, s: &Schedule) {
+    Algorithm::Forward(cfg)
+        .validator(dag, cal, Time::ZERO, None)
+        .check(s)
+        .unwrap_or_else(|e| panic!("{}: {e}", cfg.name()));
+}
+
+fn single_task(seq_s: i64, alpha: f64) -> Dag {
     resched_core::dag::chain(&[cost(seq_s, alpha)])
 }
 
@@ -78,7 +87,7 @@ fn most_procs_tie_break_is_wasteful_but_valid() {
     // With alpha = 1 every allocation gives the same 600s duration, so the
     // tie-break drives the choice to the bound.
     assert_eq!(s.placement(TaskId(0)).procs, 16);
-    s.validate(&dag, &cal).unwrap();
+    assert_valid(cfg, &dag, &cal, &s);
 }
 
 #[test]
@@ -103,8 +112,9 @@ fn parallel_tasks_share_the_machine() {
         cost(1, 0.0),
     );
     let cal = Calendar::new(4);
-    let s = schedule_forward(&dag, &cal, Time::ZERO, 4, ForwardConfig::recommended());
-    s.validate(&dag, &cal).unwrap();
+    let cfg = ForwardConfig::recommended();
+    let s = schedule_forward(&dag, &cal, Time::ZERO, 4, cfg);
+    assert_valid(cfg, &dag, &cal, &s);
     // Area lower bound: 2x1000 proc-seconds on 4 procs = 500s, plus the
     // entry/exit seconds. Full single-processor serialization would exceed
     // 2000s; exploiting the machine must land well under half that.
@@ -127,8 +137,9 @@ fn priority_order_follows_bottom_levels() {
     b.add_edge(a1, a2);
     let dag = b.build().unwrap();
     let cal = Calendar::new(1);
-    let s = schedule_forward(&dag, &cal, Time::ZERO, 1, ForwardConfig::recommended());
-    s.validate(&dag, &cal).unwrap();
+    let cfg = ForwardConfig::recommended();
+    let s = schedule_forward(&dag, &cal, Time::ZERO, 1, cfg);
+    assert_valid(cfg, &dag, &cal, &s);
     assert_eq!(s.placement(a1).start, Time::ZERO);
     assert!(s.placement(a2).start >= s.placement(a1).end);
     assert!(s.placement(b1).start >= s.placement(a1).end);
@@ -204,8 +215,9 @@ fn all_bl_methods_give_valid_orders_on_multi_exit_dags() {
         .unwrap();
     for bl in BlMethod::ALL {
         for bd in BdMethod::ALL {
-            let s = schedule_forward(&dag, &cal, Time::ZERO, 6, ForwardConfig::new(bl, bd));
-            s.validate(&dag, &cal).unwrap();
+            let cfg = ForwardConfig::new(bl, bd);
+            let s = schedule_forward(&dag, &cal, Time::ZERO, 6, cfg);
+            assert_valid(cfg, &dag, &cal, &s);
         }
     }
 }

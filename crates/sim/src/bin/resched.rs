@@ -20,6 +20,7 @@
 //! JSON files use the crates' serde formats, so artifacts are
 //! interchangeable with library users.
 
+use resched_core::algos::{Algorithm, TWIN_GRAIN};
 use resched_core::backward::{schedule_deadline, tightest_deadline, DeadlineAlgo, DeadlineConfig};
 use resched_core::bl::BlMethod;
 use resched_core::forward::{schedule_forward, BdMethod, ForwardConfig};
@@ -184,12 +185,15 @@ fn schedule_cmd(args: &Args) -> Result<(), Box<dyn Error>> {
         "CPAR" => BlMethod::CpaR,
         other => return Err(format!("unknown --bl '{other}'").into()),
     };
-    let sched = schedule_forward(&dag, &cal, Time::ZERO, rs.q, ForwardConfig::new(bl, bd));
-    sched.validate(&dag, &cal)?;
+    let cfg = ForwardConfig::new(bl, bd);
+    let sched = schedule_forward(&dag, &cal, Time::ZERO, rs.q, cfg);
+    Algorithm::Forward(cfg)
+        .validator(&dag, &cal, Time::ZERO, None)
+        .check(&sched)?;
     println!("{}", serde_json::to_string(&sched)?);
     eprintln!(
         "{}: turn-around {}, {:.2} CPU-hours",
-        ForwardConfig::new(bl, bd).name(),
+        cfg.name(),
         sched.turnaround(),
         sched.cpu_hours()
     );
@@ -218,33 +222,42 @@ fn schedule_cmd(args: &Args) -> Result<(), Box<dyn Error>> {
 }
 
 /// Resolve an `--algo` name; the `H_` prefix selects the hierarchical
-/// twin regime (same algorithm, whole-node placements).
-fn parse_algo(name: &str) -> Result<(DeadlineAlgo, DeadlineConfig), Box<dyn Error>> {
-    let (flat, cfg) = match name.strip_prefix("H_") {
-        Some(rest) => (
-            rest,
-            DeadlineConfig::default().hierarchical(resched_core::algos::TWIN_GRAIN),
-        ),
-        None => (name, DeadlineConfig::default()),
+/// twin regime (same algorithm, whole-node placements). Returns the
+/// catalog entry, whose oracle judges the schedule, and what
+/// `schedule_deadline` takes.
+fn parse_algo(name: &str) -> Result<(Algorithm, DeadlineAlgo, DeadlineConfig), Box<dyn Error>> {
+    let (flat, hierarchical) = match name.strip_prefix("H_") {
+        Some(rest) => (rest, true),
+        None => (name, false),
     };
-    DeadlineAlgo::ALL
+    let algo = DeadlineAlgo::ALL
         .into_iter()
         .find(|a| a.name() == flat)
-        .map(|a| (a, cfg))
-        .ok_or_else(|| format!("unknown --algo '{name}'").into())
+        .ok_or_else(|| format!("unknown --algo '{name}'"))?;
+    Ok(if hierarchical {
+        (
+            Algorithm::HierDeadline(algo),
+            algo,
+            DeadlineConfig::default().hierarchical(TWIN_GRAIN),
+        )
+    } else {
+        (Algorithm::Deadline(algo), algo, DeadlineConfig::default())
+    })
 }
 
 fn deadline_cmd(args: &Args, tightest: bool) -> Result<(), Box<dyn Error>> {
     let (dag, rs, cal) = load_problem(args)?;
     let name = args.opt("algo").unwrap_or("DL_RCBD_CPAR-L");
-    let (algo, cfg) = parse_algo(name)?;
+    let (family, algo, cfg) = parse_algo(name)?;
     if tightest {
         let Some((k, out)) =
             tightest_deadline(&dag, &cal, Time::ZERO, rs.q, algo, cfg, Dur::seconds(60))
         else {
             return Err("no achievable deadline".into());
         };
-        out.schedule.validate(&dag, &cal)?;
+        family
+            .validator(&dag, &cal, Time::ZERO, Some(k))
+            .check(&out.schedule)?;
         println!("{}", serde_json::to_string(&out.schedule)?);
         eprintln!(
             "{name}: tightest deadline {} ({:.2} CPU-hours, lambda {:?})",
@@ -256,7 +269,9 @@ fn deadline_cmd(args: &Args, tightest: bool) -> Result<(), Box<dyn Error>> {
         let k = Time::seconds(args.get_req::<i64>("k")?);
         match schedule_deadline(&dag, &cal, Time::ZERO, rs.q, k, algo, cfg) {
             Ok(out) => {
-                out.schedule.validate(&dag, &cal)?;
+                family
+                    .validator(&dag, &cal, Time::ZERO, Some(k))
+                    .check(&out.schedule)?;
                 println!("{}", serde_json::to_string(&out.schedule)?);
                 eprintln!(
                     "{name}: meets {} with completion {} and {:.2} CPU-hours (lambda {:?})",

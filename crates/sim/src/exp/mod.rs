@@ -6,6 +6,7 @@ pub mod logs;
 pub mod profile;
 pub mod ressched;
 pub mod scaling;
+pub mod shapes;
 pub mod stream;
 pub mod trends;
 pub mod validation;

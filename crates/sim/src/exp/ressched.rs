@@ -3,7 +3,7 @@
 //! method comparison.
 
 use crate::metrics::{AlgoSummary, DegradationTracker};
-use crate::scenario::{default_sweep, instances_for, Instance, LogCache, ResvSpec, Scale};
+use crate::scenario::{instances_for, Instance, LogCache, ResvSpec, Scale};
 use crate::table::{fnum, Table};
 use rayon::prelude::*;
 use resched_core::bl::BlMethod;
@@ -42,7 +42,6 @@ fn run_instances(instances: &[Instance], cfgs: &[ForwardConfig]) -> (Vec<Vec<f64
             let mut cpu = Vec::with_capacity(cfgs.len());
             for cfg in cfgs {
                 let s = schedule_forward(&inst.dag, &cal, Time::ZERO, inst.resv.q, *cfg);
-                debug_assert!(s.validate(&inst.dag, &cal).is_ok());
                 ta.push(s.turnaround().as_hours());
                 cpu.push(s.cpu_hours());
             }
@@ -246,16 +245,17 @@ pub fn bl_compare_table(r: &BlCompareResult) -> Table {
     t
 }
 
-/// A small sweep set for quick runs (default spec only).
-pub fn quick_sweeps() -> Vec<Sweep> {
-    vec![default_sweep()]
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::scenario::default_sweep;
     use resched_resv::Dur;
     use resched_workloads::prelude::*;
+
+    /// A small sweep set for quick runs (default spec only).
+    fn quick_sweeps() -> Vec<Sweep> {
+        vec![default_sweep()]
+    }
 
     fn tiny_specs() -> Vec<ResvSpec> {
         vec![ResvSpec {

@@ -6,7 +6,7 @@
 //!   instance materialization, deterministic seeding, log caching;
 //! * [`metrics`] — degradation-from-best and win-count aggregation;
 //! * [`exp`] — one module per experiment (Tables 2–10 plus the §3.2.1 and
-//!   §4.3.1 text results);
+//!   §4.3.1 text results), and the result-shape checks over Tables 4–7;
 //! * [`table`] — ASCII/Markdown table rendering;
 //! * [`gantt`] / [`svg`] — text and SVG Gantt charts of schedules vs.
 //!   reservation load.

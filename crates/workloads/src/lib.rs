@@ -38,7 +38,6 @@ pub mod prelude {
         extract, sample_start_times, ExtractSpec, ReservationSchedule, ThinMethod,
     };
     pub use crate::job::{Job, JobLog};
-    pub use crate::queue::QueueDiscipline;
     pub use crate::stats::{log_stats, LogStats};
     pub use crate::swf::parse_swf;
     pub use crate::swf_write::write_swf;

@@ -1,33 +1,13 @@
-//! Batch-queue disciplines for log generation.
+//! The batch queue behind log generation.
 //!
 //! The synthetic generator needs to turn an arrival stream into a
 //! *feasible* execution log; how it does so shapes the wait-time dynamics
-//! the reservation extraction later samples. Three classic disciplines:
-//!
-//! * [`QueueDiscipline::Fcfs`] — strict first-come-first-served: no job
-//!   starts before any earlier-arrived job;
-//! * [`QueueDiscipline::ConservativeBackfill`] — every job is placed at
-//!   its earliest feasible slot at arrival (a job may leap ahead only if
-//!   it delays nobody, because earlier jobs already hold their slots);
-//! * [`QueueDiscipline::EasyBackfill`] — the EASY algorithm (Lifka):
-//!   only the queue head holds a reservation; shorter jobs may backfill
-//!   if they do not delay the head's reservation.
+//! the reservation extraction later samples. The discipline is
+//! conservative backfilling: every job is placed at its earliest feasible
+//! slot at arrival, so a job may leap ahead only if it delays nobody
+//! (earlier jobs already hold their slots).
 
 use resched_resv::{Calendar, Dur, Reservation, Time};
-use serde::{Deserialize, Serialize};
-
-/// Which queueing policy turns arrivals into start times.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
-pub enum QueueDiscipline {
-    /// Strict FCFS: starts are non-decreasing in arrival order.
-    Fcfs,
-    /// Conservative backfilling (the default; every job reserved at
-    /// arrival).
-    #[default]
-    ConservativeBackfill,
-    /// EASY backfilling: reservation for the head only.
-    EasyBackfill,
-}
 
 /// One job request: eligible instant (arrival into the queue), runtime,
 /// processors.
@@ -41,139 +21,20 @@ pub struct Request {
     pub procs: u32,
 }
 
-/// Assign a start time to every request under the given discipline.
+/// Assign a start time to every request under conservative backfilling.
 /// Requests must be sorted by `eligible`. Returns starts in request order;
 /// the resulting execution is guaranteed feasible on `machine` processors.
-pub fn assign_starts(requests: &[Request], machine: u32, d: QueueDiscipline) -> Vec<Time> {
+pub fn assign_starts(requests: &[Request], machine: u32) -> Vec<Time> {
     assert!(machine > 0);
     debug_assert!(requests.windows(2).all(|w| w[0].eligible <= w[1].eligible));
-    match d {
-        QueueDiscipline::ConservativeBackfill => {
-            let mut cal = Calendar::new(machine);
-            requests
-                .iter()
-                .map(|r| {
-                    let s = cal.earliest_fit(r.procs, r.runtime, r.eligible);
-                    cal.add_unchecked(Reservation::for_duration(s, r.runtime, r.procs));
-                    s
-                })
-                .collect()
-        }
-        QueueDiscipline::Fcfs => {
-            let mut cal = Calendar::new(machine);
-            let mut frontier = Time::MIN;
-            requests
-                .iter()
-                .map(|r| {
-                    let s = cal.earliest_fit(r.procs, r.runtime, r.eligible.max(frontier));
-                    frontier = s;
-                    cal.add_unchecked(Reservation::for_duration(s, r.runtime, r.procs));
-                    s
-                })
-                .collect()
-        }
-        QueueDiscipline::EasyBackfill => easy_backfill(requests, machine),
-    }
-}
-
-/// Event-driven EASY backfilling.
-fn easy_backfill(requests: &[Request], machine: u32) -> Vec<Time> {
-    let n = requests.len();
-    let mut starts: Vec<Option<Time>> = vec![None; n];
-    // Running jobs as (end_time, procs); queue as indices in arrival order.
-    let mut running: Vec<(Time, u32)> = Vec::new();
-    let mut queue: Vec<usize> = Vec::new();
-    let mut next_arrival = 0usize;
-    let mut free = machine;
-    let mut now = Time::MIN;
-
-    let start_job = |idx: usize,
-                     at: Time,
-                     starts: &mut Vec<Option<Time>>,
-                     running: &mut Vec<(Time, u32)>,
-                     free: &mut u32| {
-        starts[idx] = Some(at);
-        running.push((at + requests[idx].runtime, requests[idx].procs));
-        *free -= requests[idx].procs;
-    };
-
-    while next_arrival < n || !queue.is_empty() || !running.is_empty() {
-        // Advance `now` to the next event: an arrival or a completion.
-        let mut next = Time::MAX;
-        if next_arrival < n {
-            next = next.min(requests[next_arrival].eligible);
-        }
-        if let Some(&(e, _)) = running.iter().min_by_key(|(e, _)| *e) {
-            next = next.min(e);
-        }
-        if next == Time::MAX {
-            break; // only queued jobs with nothing running: handled below
-        }
-        now = now.max(next);
-        // Complete finished jobs.
-        running.retain(|&(e, p)| {
-            if e <= now {
-                free += p;
-                false
-            } else {
-                true
-            }
-        });
-        // Admit arrivals.
-        while next_arrival < n && requests[next_arrival].eligible <= now {
-            queue.push(next_arrival);
-            next_arrival += 1;
-        }
-
-        // Start the head while it fits.
-        while let Some(&head) = queue.first() {
-            if requests[head].procs <= free {
-                start_job(head, now, &mut starts, &mut running, &mut free);
-                queue.remove(0);
-            } else {
-                break;
-            }
-        }
-
-        // Head blocked: compute its shadow time and backfill.
-        if let Some(&head) = queue.first() {
-            // When will enough processors be free for the head?
-            let mut ends: Vec<(Time, u32)> = running.clone();
-            ends.sort();
-            let mut avail = free;
-            let mut shadow = Time::MAX;
-            let mut extra_at_shadow = 0u32;
-            for &(e, p) in &ends {
-                avail += p;
-                if avail >= requests[head].procs {
-                    shadow = e;
-                    extra_at_shadow = avail - requests[head].procs;
-                    break;
-                }
-            }
-            // Backfill candidates in arrival order.
-            let mut i = 1;
-            while i < queue.len() {
-                let idx = queue[i];
-                let r = &requests[idx];
-                let fits_now = r.procs <= free;
-                let ends_by_shadow = now + r.runtime <= shadow;
-                let within_extra = r.procs <= extra_at_shadow.min(free);
-                if fits_now && (ends_by_shadow || within_extra) {
-                    start_job(idx, now, &mut starts, &mut running, &mut free);
-                    if r.procs <= extra_at_shadow {
-                        extra_at_shadow -= r.procs.min(extra_at_shadow);
-                    }
-                    queue.remove(i);
-                } else {
-                    i += 1;
-                }
-            }
-        }
-    }
-    starts
-        .into_iter()
-        .map(|s| s.expect("all jobs started"))
+    let mut cal = Calendar::new(machine);
+    requests
+        .iter()
+        .map(|r| {
+            let s = cal.earliest_fit(r.procs, r.runtime, r.eligible);
+            cal.add_unchecked(Reservation::for_duration(s, r.runtime, r.procs));
+            s
+        })
         .collect()
 }
 
@@ -216,148 +77,51 @@ mod tests {
             req(12, 30, 1),
             req(40, 80, 2),
         ];
-        for d in [
-            QueueDiscipline::Fcfs,
-            QueueDiscipline::ConservativeBackfill,
-            QueueDiscipline::EasyBackfill,
-        ] {
-            let starts = assign_starts(&reqs, 4, d);
-            assert!(feasible(&reqs, &starts, 4), "{d:?} infeasible");
-            for (r, &s) in reqs.iter().zip(&starts) {
-                assert!(s >= r.eligible, "{d:?} started a job early");
-            }
+        let starts = assign_starts(&reqs, 4);
+        assert!(feasible(&reqs, &starts, 4));
+        for (r, &s) in reqs.iter().zip(&starts) {
+            assert!(s >= r.eligible, "started a job early");
         }
-    }
-
-    #[test]
-    fn fcfs_preserves_start_order() {
-        let reqs = vec![req(0, 1000, 4), req(1, 10, 1), req(2, 10, 1)];
-        let starts = assign_starts(&reqs, 4, QueueDiscipline::Fcfs);
-        assert!(starts.windows(2).all(|w| w[0] <= w[1]));
-        // The small jobs wait for the big one even though they'd fit
-        // nowhere... (machine is fully used by job 0).
-        assert!(starts[1] >= t(1000));
-    }
-
-    #[test]
-    fn easy_backfills_short_jobs_without_delaying_head() {
-        // Machine 4: job0 takes all 4 procs for 1000s. job1 (arrives at 1)
-        // needs 3 procs -> queue head, shadow = 1000. job2 needs 1 proc for
-        // 10s: cannot run (0 free procs until 1000). Rework: job0 takes 3,
-        // head needs 2 (1 free), backfill needs 1 proc and ends before
-        // shadow.
-        let reqs = vec![req(0, 1000, 3), req(1, 500, 2), req(2, 100, 1)];
-        let starts = assign_starts(&reqs, 4, QueueDiscipline::EasyBackfill);
-        // Head (job1) waits for job0: starts at 1000.
-        assert_eq!(starts[1], t(1000));
-        // job2 backfills immediately at its arrival (1 proc free, ends at
-        // 102 <= shadow 1000).
-        assert_eq!(starts[2], t(2));
-    }
-
-    #[test]
-    fn easy_allows_long_backfill_within_extra_processors() {
-        // job0: 3 procs 1000s. Head job1 needs 2 procs: shadow = 1000,
-        // and at the shadow 4 procs free - 2 for the head = 2 extra.
-        // job2: 1 proc for 5000s runs past the shadow but fits in the
-        // extra processors, so EASY admits it (it cannot delay the head).
-        let reqs = vec![req(0, 1000, 3), req(1, 500, 2), req(2, 5000, 1)];
-        let starts = assign_starts(&reqs, 4, QueueDiscipline::EasyBackfill);
-        assert_eq!(starts[1], t(1000));
-        assert_eq!(starts[2], t(2));
-    }
-
-    #[test]
-    fn easy_denies_wide_long_backfill() {
-        // free = 1 while job0 runs; job2 needs 1 proc but runs past shadow
-        // and extra_at_shadow = 4 - 4 = 0 -> denied until head starts.
-        let reqs = vec![req(0, 1000, 3), req(1, 500, 4), req(2, 5000, 1)];
-        let starts = assign_starts(&reqs, 4, QueueDiscipline::EasyBackfill);
-        assert_eq!(starts[1], t(1000)); // head needs the whole machine
-        assert!(
-            starts[2] >= t(1500),
-            "long backfill would have delayed the head: started {}",
-            starts[2]
-        );
     }
 
     #[test]
     fn empty_request_list_yields_empty_starts() {
-        for d in [
-            QueueDiscipline::Fcfs,
-            QueueDiscipline::ConservativeBackfill,
-            QueueDiscipline::EasyBackfill,
-        ] {
-            assert!(assign_starts(&[], 4, d).is_empty(), "{d:?}");
-        }
+        assert!(assign_starts(&[], 4).is_empty());
     }
 
     #[test]
     fn single_request_starts_at_its_eligible_time() {
         let reqs = vec![req(42, 100, 3)];
-        for d in [
-            QueueDiscipline::Fcfs,
-            QueueDiscipline::ConservativeBackfill,
-            QueueDiscipline::EasyBackfill,
-        ] {
-            let starts = assign_starts(&reqs, 4, d);
-            assert_eq!(starts, vec![t(42)], "{d:?}");
-        }
+        assert_eq!(assign_starts(&reqs, 4), vec![t(42)]);
     }
 
     #[test]
     fn single_request_wider_than_free_pool_still_waits_nowhere() {
-        // One job asking for the whole machine on an empty calendar: every
-        // discipline starts it immediately.
+        // One job asking for the whole machine on an empty calendar starts
+        // immediately.
         let reqs = vec![req(7, 500, 4)];
-        for d in [
-            QueueDiscipline::Fcfs,
-            QueueDiscipline::ConservativeBackfill,
-            QueueDiscipline::EasyBackfill,
-        ] {
-            assert_eq!(assign_starts(&reqs, 4, d), vec![t(7)], "{d:?}");
-        }
+        assert_eq!(assign_starts(&reqs, 4), vec![t(7)]);
     }
 
     #[test]
     fn simultaneous_arrivals_break_ties_in_submission_order() {
         // Three identical jobs arriving at the same instant on a machine
-        // that fits one at a time: earlier-submitted must start earlier
-        // under every discipline (no discipline reorders equals).
+        // that fits one at a time: earlier-submitted must start earlier.
         let reqs = vec![req(0, 100, 4), req(0, 100, 4), req(0, 100, 4)];
-        for d in [
-            QueueDiscipline::Fcfs,
-            QueueDiscipline::ConservativeBackfill,
-            QueueDiscipline::EasyBackfill,
-        ] {
-            let starts = assign_starts(&reqs, 4, d);
-            assert_eq!(starts, vec![t(0), t(100), t(200)], "{d:?}");
-            assert!(feasible(&reqs, &starts, 4), "{d:?} infeasible");
-        }
+        let starts = assign_starts(&reqs, 4);
+        assert_eq!(starts, vec![t(0), t(100), t(200)]);
+        assert!(feasible(&reqs, &starts, 4));
     }
 
     #[test]
-    fn disciplines_rank_waits_sensibly() {
-        // A workload with a wide blocking job: conservative/EASY should
-        // give strictly lower mean waits than FCFS.
-        let mut reqs = vec![req(0, 2000, 7)];
-        for i in 0..20 {
-            reqs.push(req(10 + i, 50, 1));
-        }
-        let machine = 8;
-        let mean_wait = |d| {
-            let starts = assign_starts(&reqs, machine, d);
-            starts
-                .iter()
-                .zip(&reqs)
-                .map(|(&s, r)| (s - r.eligible).as_seconds() as f64)
-                .sum::<f64>()
-                / reqs.len() as f64
-        };
-        let fcfs = mean_wait(QueueDiscipline::Fcfs);
-        let cons = mean_wait(QueueDiscipline::ConservativeBackfill);
-        let easy = mean_wait(QueueDiscipline::EasyBackfill);
-        assert!(cons <= fcfs, "conservative {cons} vs fcfs {fcfs}");
-        assert!(easy <= fcfs, "easy {easy} vs fcfs {fcfs}");
+    fn conservative_backfills_ahead_of_a_blocked_wide_job() {
+        // Job 0 holds 7 of 8 processors until 2000; job 1 needs all 8, so
+        // it waits for job 0. Job 2 arrives after job 1 but needs one
+        // processor for 50 s: it fits in the free one now and delays
+        // nobody, so it leaps ahead of job 1.
+        let reqs = vec![req(0, 2000, 7), req(5, 100, 8), req(10, 50, 1)];
+        let starts = assign_starts(&reqs, 8);
+        assert_eq!(starts, vec![t(0), t(2000), t(10)]);
+        assert!(feasible(&reqs, &starts, 8));
     }
 }

@@ -8,8 +8,9 @@
 //! Poisson process whose rate is tuned analytically to hit the target
 //! utilization; runtimes and queue delays are lognormal with the target
 //! means; processor counts are powers of two (the dominant shape in the
-//! archive). Each job is then placed FCFS at the earliest feasible instant
-//! after its eligibility time, so the resulting log is *consistent*: no
+//! archive). Each job is then placed, in eligibility order, at the earliest
+//! feasible instant after its eligibility time (conservative backfilling,
+//! [`crate::queue`]), so the resulting log is *consistent*: no
 //! instant ever uses more processors than the machine has. This is the
 //! property the downstream reservation extraction actually depends on.
 
@@ -35,13 +36,6 @@ pub struct LogSpec {
     pub mean_runtime: Dur,
     /// Mean submit-to-start delay.
     pub mean_wait: Dur,
-    /// Modulate arrivals with a 24 h sinusoid (day/night cycle), as real
-    /// traces exhibit (Feitelson's workload-modeling observations). The
-    /// value is the relative amplitude in `[0, 1)`; 0 disables modulation.
-    pub diurnal_amplitude: f64,
-    /// Queue discipline turning arrivals into start times.
-    #[serde(default)]
-    pub discipline: crate::queue::QueueDiscipline,
 }
 
 /// Default trace length. The archive logs span 11–32 months; 60 days keeps
@@ -60,8 +54,6 @@ impl LogSpec {
             utilization: 0.658,
             mean_runtime: Dur::seconds((3.20 * 3600.0) as i64),
             mean_wait: Dur::seconds((7.49 * 3600.0) as i64),
-            diurnal_amplitude: 0.0,
-            discipline: crate::queue::QueueDiscipline::default(),
         }
     }
 
@@ -74,8 +66,6 @@ impl LogSpec {
             utilization: 0.385,
             mean_runtime: Dur::seconds((9.33 * 3600.0) as i64),
             mean_wait: Dur::seconds((3.02 * 3600.0) as i64),
-            diurnal_amplitude: 0.0,
-            discipline: crate::queue::QueueDiscipline::default(),
         }
     }
 
@@ -88,8 +78,6 @@ impl LogSpec {
             utilization: 0.757,
             mean_runtime: Dur::seconds((1.18 * 3600.0) as i64),
             mean_wait: Dur::seconds((8.90 * 3600.0) as i64),
-            diurnal_amplitude: 0.0,
-            discipline: crate::queue::QueueDiscipline::default(),
         }
     }
 
@@ -102,8 +90,6 @@ impl LogSpec {
             utilization: 0.273,
             mean_runtime: Dur::seconds((1.52 * 3600.0) as i64),
             mean_wait: Dur::seconds((4.41 * 3600.0) as i64),
-            diurnal_amplitude: 0.0,
-            discipline: crate::queue::QueueDiscipline::default(),
         }
     }
 
@@ -121,8 +107,6 @@ impl LogSpec {
             utilization: 0.15,
             mean_runtime: Dur::seconds((1.84 * 3600.0) as i64),
             mean_wait: Dur::seconds((3.24 * 3600.0) as i64),
-            diurnal_amplitude: 0.0,
-            discipline: crate::queue::QueueDiscipline::default(),
         }
     }
 
@@ -139,19 +123,6 @@ impl LogSpec {
     /// A copy with a different duration (useful for fast tests).
     pub fn with_duration(mut self, duration: Dur) -> LogSpec {
         self.duration = duration;
-        self
-    }
-
-    /// A copy with diurnal arrival modulation of the given amplitude.
-    pub fn with_diurnal(mut self, amplitude: f64) -> LogSpec {
-        assert!((0.0..1.0).contains(&amplitude), "amplitude in [0, 1)");
-        self.diurnal_amplitude = amplitude;
-        self
-    }
-
-    /// A copy with a different queue discipline.
-    pub fn with_discipline(mut self, d: crate::queue::QueueDiscipline) -> LogSpec {
-        self.discipline = d;
         self
     }
 }
@@ -186,19 +157,9 @@ pub fn generate_log(spec: &LogSpec, seed: u64) -> JobLog {
     let mut t = 0.0f64;
     let horizon = spec.duration.as_seconds() as f64;
     while t < horizon {
-        // Exponential inter-arrival, thinned by the diurnal profile
-        // (Lewis-Shedler thinning for a non-homogeneous Poisson process;
-        // peak load around 14:00, trough around 02:00).
+        // Exponential inter-arrival.
         let u: f64 = rng.gen_range(f64::EPSILON..1.0);
-        t += -u.ln() / (rate * (1.0 + spec.diurnal_amplitude));
-        if spec.diurnal_amplitude > 0.0 {
-            let phase = (t / 86_400.0 - 14.0 / 24.0) * std::f64::consts::TAU;
-            let intensity = 1.0 + spec.diurnal_amplitude * phase.cos();
-            let accept = intensity / (1.0 + spec.diurnal_amplitude);
-            if !rng.gen_bool(accept.clamp(0.0, 1.0)) {
-                continue;
-            }
-        }
+        t += -u.ln() / rate;
         if t >= horizon {
             break;
         }
@@ -219,11 +180,11 @@ pub fn generate_log(spec: &LogSpec, seed: u64) -> JobLog {
             },
         ));
     }
-    // Assign start times under the configured queue discipline (requests
-    // must be sorted by eligibility).
+    // Assign start times under conservative backfilling (requests must be
+    // sorted by eligibility).
     arrivals.sort_by_key(|(_, r)| r.eligible);
     let requests: Vec<crate::queue::Request> = arrivals.iter().map(|&(_, r)| r).collect();
-    let starts = crate::queue::assign_starts(&requests, spec.procs, spec.discipline);
+    let starts = crate::queue::assign_starts(&requests, spec.procs);
     let mut jobs: Vec<Job> = arrivals
         .iter()
         .zip(&starts)
@@ -334,67 +295,6 @@ mod tests {
                 assert!(s <= (machine / 4).max(1));
             }
         }
-    }
-
-    #[test]
-    fn diurnal_modulation_shapes_arrivals() {
-        let flat = generate_log(&short(LogSpec::sdsc_blue()), 6);
-        let wavy = generate_log(&short(LogSpec::sdsc_blue()).with_diurnal(0.8), 6);
-        // Count arrivals by hour of day.
-        let by_hour = |log: &crate::job::JobLog| -> Vec<f64> {
-            let mut h = vec![0.0f64; 24];
-            for j in &log.jobs {
-                h[((j.submit.as_seconds() / 3600) % 24) as usize] += 1.0;
-            }
-            h
-        };
-        let cv = |h: &[f64]| {
-            let m = h.iter().sum::<f64>() / 24.0;
-            let v = h.iter().map(|x| (x - m) * (x - m)).sum::<f64>() / 24.0;
-            v.sqrt() / m
-        };
-        assert!(
-            cv(&by_hour(&wavy)) > cv(&by_hour(&flat)) * 1.5,
-            "diurnal log should have far more hour-of-day variation"
-        );
-        // Peak hours (12-16) busier than trough hours (0-4).
-        let w = by_hour(&wavy);
-        let peak: f64 = (12..17).map(|i| w[i]).sum();
-        let trough: f64 = (0..5).map(|i| w[i]).sum();
-        assert!(peak > trough * 1.5, "peak {peak} vs trough {trough}");
-        // Utilization target still roughly holds.
-        assert!((wavy.steady_utilization() - 0.757).abs() < 0.2);
-    }
-
-    #[test]
-    fn disciplines_yield_feasible_distinct_logs() {
-        use crate::queue::QueueDiscipline;
-        let base = short(LogSpec::sdsc_ds());
-        let mut waits = Vec::new();
-        for d in [
-            QueueDiscipline::Fcfs,
-            QueueDiscipline::ConservativeBackfill,
-            QueueDiscipline::EasyBackfill,
-        ] {
-            let log = generate_log(&base.clone().with_discipline(d), 13);
-            // Feasibility re-check.
-            let mut cal = Calendar::new(log.procs);
-            let mut jobs = log.jobs.clone();
-            jobs.sort_by_key(|j| j.start);
-            for j in &jobs {
-                cal.try_add(j.reservation())
-                    .unwrap_or_else(|e| panic!("{d:?}: job {} conflicts: {e}", j.id));
-            }
-            waits.push(log.avg_wait_hours());
-        }
-        // FCFS never waits less than conservative backfilling (same
-        // arrival stream, strictly fewer scheduling opportunities).
-        assert!(
-            waits[0] >= waits[1] - 1e-9,
-            "fcfs {} vs cons {}",
-            waits[0],
-            waits[1]
-        );
     }
 
     #[test]

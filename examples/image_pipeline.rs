@@ -81,7 +81,9 @@ fn main() {
     for bd in BdMethod::ALL {
         let cfg = ForwardConfig::new(BlMethod::CpaR, bd);
         let s = schedule_forward(&dag, &cal, Time::ZERO, q, cfg);
-        s.validate(&dag, &cal).expect("valid");
+        ScheduleValidator::new(&dag, &cal, Time::ZERO)
+            .check(&s)
+            .expect("valid");
         println!(
             "{:<10} {:>14} {:>12.2}",
             bd.name(),

@@ -49,7 +49,9 @@ fn main() {
     //    algorithm, BL_CPAR_BD_CPAR.
     // ------------------------------------------------------------------
     let sched = schedule_forward(&dag, &cal, Time::ZERO, q, ForwardConfig::recommended());
-    sched.validate(&dag, &cal).expect("schedule is valid");
+    ScheduleValidator::new(&dag, &cal, Time::ZERO)
+        .check(&sched)
+        .expect("schedule is valid");
 
     println!("RESSCHED schedule (turn-around {}):", sched.turnaround());
     for t in dag.task_ids() {

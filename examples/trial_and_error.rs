@@ -47,7 +47,9 @@ fn main() {
             ..BlindConfig::default()
         };
         let s = schedule_blind(&dag, &mut desk, Time::ZERO, rs.q, cfg);
-        s.validate(&dag, &cal).expect("valid");
+        ScheduleValidator::new(&dag, &cal, Time::ZERO)
+            .check(&s)
+            .expect("valid");
         println!(
             "blind, {budget:>2} probe(s): turn-around {:>10}  {:>8.1} CPU-h  ({} probes total)",
             s.turnaround().to_string(),

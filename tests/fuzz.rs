@@ -359,8 +359,7 @@ impl Scenario {
     }
 
     /// Run every registered algorithm on this scenario and audit each
-    /// produced schedule with both oracles (the independent
-    /// `ScheduleValidator` and the in-band `Schedule::validate`).
+    /// produced schedule through the oracle (`Algorithm::validator`).
     ///
     /// Deadline-infeasible outcomes are not failures (the deadline is
     /// derived, not guaranteed achievable for every algorithm); scheduler
@@ -390,12 +389,6 @@ impl Scenario {
                         return Err(Failure {
                             algo: algo.name(),
                             detail: v.to_string(),
-                        });
-                    }
-                    if let Err(e) = sched.validate(&dag, &cal) {
-                        return Err(Failure {
-                            algo: algo.name(),
-                            detail: format!("in-band validate: {e}"),
                         });
                     }
                 }

@@ -2,6 +2,7 @@
 //! workloads -> extracted reservation schedules -> scheduling algorithms ->
 //! validated schedules.
 
+use resched_core::algos::Algorithm;
 use resched_core::bl::BlMethod;
 use resched_core::forward::{schedule_forward, BdMethod, ForwardConfig};
 use resched_core::prelude::*;
@@ -25,7 +26,9 @@ fn full_pipeline_all_forward_algorithms() {
         for bd in BdMethod::ALL {
             let cfg = ForwardConfig::new(bl, bd);
             let s = schedule_forward(&dag, &cal, Time::ZERO, q, cfg);
-            s.validate(&dag, &cal)
+            Algorithm::Forward(cfg)
+                .validator(&dag, &cal, Time::ZERO, None)
+                .check(&s)
                 .unwrap_or_else(|e| panic!("{}: {e}", cfg.name()));
             assert!(s.turnaround().is_positive());
             assert!(s.cpu_hours() > 0.0);
@@ -50,10 +53,10 @@ fn full_pipeline_all_deadline_algorithms() {
             DeadlineConfig::default(),
         )
         .unwrap_or_else(|e| panic!("{algo}: {e}"));
-        out.schedule
-            .validate(&dag, &cal)
+        Algorithm::Deadline(algo)
+            .validator(&dag, &cal, Time::ZERO, Some(deadline))
+            .check(&out.schedule)
             .unwrap_or_else(|e| panic!("{algo}: {e}"));
-        assert!(out.schedule.completion() <= deadline, "{algo} missed K");
     }
 }
 
@@ -180,6 +183,10 @@ fn grid5000_like_pipeline_works_end_to_end() {
     let rs = extract(&log, t, &ExtractSpec::new(1.0, ThinMethod::Real), 55);
     let cal = rs.calendar();
     let dag = generate(&DagParams::paper_default(), 56);
-    let s = schedule_forward(&dag, &cal, Time::ZERO, rs.q, ForwardConfig::recommended());
-    s.validate(&dag, &cal).unwrap();
+    let cfg = ForwardConfig::recommended();
+    let s = schedule_forward(&dag, &cal, Time::ZERO, rs.q, cfg);
+    Algorithm::Forward(cfg)
+        .validator(&dag, &cal, Time::ZERO, None)
+        .check(&s)
+        .unwrap();
 }

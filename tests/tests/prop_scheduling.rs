@@ -36,6 +36,14 @@ fn calendar<R: Rng>(rng: &mut R, p: u32) -> Calendar {
     cal
 }
 
+/// The oracle's verdict on `s`, scheduled by `algo` at time 0 (meeting
+/// `deadline` when one was required).
+fn assert_valid(algo: Algorithm, dag: &Dag, cal: &Calendar, s: &Schedule, deadline: Option<Time>) {
+    algo.validator(dag, cal, Time::ZERO, deadline)
+        .check(s)
+        .unwrap_or_else(|e| panic!("{algo}: {e}"));
+}
+
 #[test]
 fn random_forward_schedules_are_valid() {
     let mut rng = ChaCha12Rng::seed_from_u64(0x5CED_0001);
@@ -49,7 +57,7 @@ fn random_forward_schedules_are_valid() {
         let dag = generate(&params, seed);
         let cfg = ForwardConfig::new(BlMethod::ALL[bl_i], BdMethod::ALL[bd_i]);
         let s = schedule_forward(&dag, &cal, Time::ZERO, q, cfg);
-        assert!(s.validate(&dag, &cal).is_ok());
+        assert_valid(Algorithm::Forward(cfg), &dag, &cal, &s, None);
     }
 }
 
@@ -67,7 +75,7 @@ fn tie_break_choice_never_changes_validity() {
                 ..ForwardConfig::recommended()
             };
             let s = schedule_forward(&dag, &cal, Time::ZERO, 8, cfg);
-            assert!(s.validate(&dag, &cal).is_ok());
+            assert_valid(Algorithm::Forward(cfg), &dag, &cal, &s, None);
         }
     }
 }
@@ -93,8 +101,13 @@ fn random_deadline_schedules_are_valid_and_meet_k() {
             algo,
             DeadlineConfig::default(),
         ) {
-            assert!(out.schedule.validate(&dag, &cal).is_ok());
-            assert!(out.schedule.completion() <= k);
+            assert_valid(
+                Algorithm::Deadline(algo),
+                &dag,
+                &cal,
+                &out.schedule,
+                Some(k),
+            );
         }
     }
 }
@@ -145,7 +158,9 @@ fn cpa_dedicated_schedule_valid() {
         let pool = rng.gen_range(1u32..64);
         let dag = generate(&params, seed);
         let s = resched_core::cpa::schedule(&dag, pool, StoppingCriterion::default(), Time::ZERO);
-        assert!(s.validate(&dag, &Calendar::new(pool)).is_ok());
+        ScheduleValidator::new(&dag, &Calendar::new(pool), Time::ZERO)
+            .check(&s)
+            .unwrap();
     }
 }
 

@@ -57,7 +57,9 @@ fn schedule_roundtrip() {
     let back: Schedule = roundtrip(&s);
     assert_eq!(back, s);
     assert_eq!(back.turnaround(), s.turnaround());
-    back.validate(&dag, &cal).unwrap();
+    ScheduleValidator::new(&dag, &cal, Time::ZERO)
+        .check(&back)
+        .unwrap();
 }
 
 #[test]
