@@ -1,7 +1,7 @@
 //! Ablation — λ step size of the hybrid deadline algorithm (paper: 0.05).
 //! Coarser steps trade CPU-hour savings for fewer retry passes.
 
-use resched_core::backward::{schedule_deadline, tightest_deadline, DeadlineAlgo, DeadlineConfig};
+use resched_core::backward::{DeadlineAlgo, DeadlineConfig, Roster};
 use resched_core::prelude::{Dur, Time};
 use resched_sim::scenario::{instances_for, LogCache, ResvSpec, Scale, DEFAULT_ROOT_SEED};
 use resched_sim::table::{fnum, Table};
@@ -34,29 +34,15 @@ fn main() {
         for sweep in &sweeps {
             for inst in instances_for(sweep, &spec, &log, scale, DEFAULT_ROOT_SEED) {
                 let cal = inst.resv.calendar();
-                let Some((k, out)) = tightest_deadline(
-                    &inst.dag,
-                    &cal,
-                    Time::ZERO,
-                    inst.resv.q,
-                    DeadlineAlgo::RcCpaRLambda,
-                    cfg,
-                    Dur::seconds(60),
-                ) else {
+                let mut roster = Roster::prepare(&inst.dag, &cal, Time::ZERO, inst.resv.q, cfg);
+                let Some((k, out)) = roster.tightest(DeadlineAlgo::RcCpaRLambda, Dur::seconds(60))
+                else {
                     continue;
                 };
                 kh += (k - Time::ZERO).as_hours();
                 passes += out.schedule.stats.passes as f64;
                 let loose = Time::seconds(((k - Time::ZERO).as_seconds() as f64 * 1.5) as i64);
-                if let Ok(o2) = schedule_deadline(
-                    &inst.dag,
-                    &cal,
-                    Time::ZERO,
-                    inst.resv.q,
-                    loose,
-                    DeadlineAlgo::RcCpaRLambda,
-                    cfg,
-                ) {
+                if let Ok(o2) = roster.schedule(loose, DeadlineAlgo::RcCpaRLambda) {
                     cpu += o2.schedule.cpu_hours();
                 }
                 count += 1;

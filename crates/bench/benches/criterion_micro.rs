@@ -3,9 +3,7 @@
 //! problem size.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
-use resched_core::backward::{
-    schedule_deadline, schedule_deadline_roster, DeadlineAlgo, DeadlineConfig,
-};
+use resched_core::backward::{schedule_deadline, DeadlineAlgo, DeadlineConfig, Roster};
 use resched_core::cpa;
 use resched_core::forward::{schedule_forward, ForwardConfig};
 use resched_core::prelude::*;
@@ -412,10 +410,10 @@ fn bench_schedulers(c: &mut Criterion) {
 }
 
 /// What serve's probe roster costs per deadline arrival, two ways: one
-/// `schedule_deadline_roster` call over the first 1 / 2 / 4 roster entries
-/// (the CPA(`q`) allocation and the `BL_CPAR` order computed once), and
-/// that many `schedule_deadline` calls (each computing both), which is
-/// what serve issued before. A 10-task paper-default DAG — serve's arrival
+/// prepared `Roster` asked for the first 1 / 2 / 4 roster entries (the
+/// CPA(`q`) allocation and the `BL_CPAR` order computed once), and that
+/// many `schedule_deadline` calls (each computing both), which is what
+/// serve issued before. A 10-task paper-default DAG — serve's arrival
 /// — on [`month_of_reservations`], deadline twice the forward turn-around.
 fn bench_deadline_roster(c: &mut Criterion) {
     // `serve::PROBE_ROSTER` (this crate does not depend on `serve`).
@@ -440,8 +438,13 @@ fn bench_deadline_roster(c: &mut Criterion) {
         let alone = |&algo| schedule_deadline(&dag, &cal, Time::ZERO, q, deadline, algo, cfg);
         probed.iter().map(alone).collect()
     };
-    let one_call =
-        |probed| schedule_deadline_roster(&dag, &cal, Time::ZERO, q, deadline, probed, cfg);
+    let one_call = |probed: &[DeadlineAlgo]| -> Vec<_> {
+        let mut roster = Roster::prepare(&dag, &cal, Time::ZERO, q, cfg);
+        probed
+            .iter()
+            .map(|&algo| roster.schedule(deadline, algo))
+            .collect()
+    };
     assert_eq!(one_call(&ROSTER), per_algorithm(&ROSTER));
     assert!(one_call(&ROSTER).iter().any(|out| out.is_ok()));
 

@@ -499,8 +499,8 @@ pub fn allocate_reference(dag: &Dag, pool: u32, criterion: StoppingCriterion) ->
 // Per-call allocation memo
 // ---------------------------------------------------------------------------
 
-/// The memo of CPA phase-1 allocations one scheduling call keeps, keyed by
-/// `(pool, criterion)`.
+/// The memo of CPA phase-1 allocations one scheduling call (or one
+/// `backward::Roster`, across its questions) keeps, keyed by `(pool, criterion)`.
 ///
 /// Every algorithm in the catalog derives several artifacts from the *same*
 /// allocation — `BL_CPAR` execution times, `BD_CPAR` bounds, RC guides —
@@ -508,8 +508,8 @@ pub fn allocate_reference(dag: &Dag, pool: u32, criterion: StoppingCriterion) ->
 /// exec times ([`CpaCache::exec_times`]), bounds
 /// ([`CpaCache::allocation_bounds`]) and guides ([`CpaCache::cpa`]) through
 /// it, and drops it on return: each distinct allocation is computed
-/// exactly once per call. Hits and misses are reported through the
-/// `cpa.cache.{hit,miss}` counters.
+/// exactly once per call (per instance, through a `Roster`). Hits and
+/// misses are reported through the `cpa.cache.{hit,miss}` counters.
 ///
 /// A cache serves one DAG — keys carry no DAG identity — and is always on
 /// (DESIGN.md §16 has what computing the shared allocation once is worth

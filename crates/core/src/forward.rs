@@ -194,15 +194,26 @@ pub fn schedule_forward(
     q: u32,
     cfg: ForwardConfig,
 ) -> Schedule {
+    schedule_forward_in(&mut CpaCache::new(), dag, competing, now, q, cfg)
+}
+
+/// [`schedule_forward`] drawing its CPA allocations from `cache`, which
+/// serves this `dag` (a `backward::Roster` holds one per instance).
+pub(crate) fn schedule_forward_in(
+    cache: &mut CpaCache,
+    dag: &Dag,
+    competing: &Calendar,
+    now: Time,
+    q: u32,
+    cfg: ForwardConfig,
+) -> Schedule {
     let p = competing.capacity();
     let q = Pool::effective(q, p);
     let mut stats = ScheduleStats::default();
     stats.count_pass();
 
-    // Phase 1: bottom levels and scheduling order. The per-call CpaCache
-    // means e.g. BL_CPAR_BD_CPAR computes its CPA allocation once, not
-    // twice.
-    let mut cache = CpaCache::new();
+    // Phase 1: bottom levels and scheduling order. Through the cache, e.g.
+    // BL_CPAR_BD_CPAR computes its CPA allocation once, not twice.
     let (order, bounds) = {
         crate::span!(obs::names::SPAN_FORWARD_PREP);
         if matches!(cfg.bl, BlMethod::Cpa | BlMethod::CpaR) {

@@ -15,7 +15,7 @@
 //! * **RESSCHED** ([`forward::schedule_forward`]) — minimize turn-around
 //!   time;
 //! * **RESSCHEDDL** ([`backward::schedule_deadline`]) — meet a deadline `K`
-//!   (and, via [`backward::tightest_deadline`], find the tightest one).
+//!   (and, via [`backward::Roster::tightest`], find the tightest one).
 //!
 //! ## Quick start
 //!
@@ -95,7 +95,7 @@ pub use resched_resv as resv;
 /// One-stop imports for library users.
 pub mod prelude {
     pub use crate::backward::{
-        schedule_deadline, tightest_deadline, DeadlineAlgo, DeadlineConfig, DeadlineOutcome,
+        schedule_deadline, DeadlineAlgo, DeadlineConfig, DeadlineOutcome, Roster,
     };
     pub use crate::bl::BlMethod;
     pub use crate::cpa::StoppingCriterion;

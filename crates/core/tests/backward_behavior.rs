@@ -2,7 +2,7 @@
 //! scenarios with independently computed expected outcomes.
 
 use resched_core::algos::Algorithm;
-use resched_core::backward::{schedule_deadline, tightest_deadline, DeadlineAlgo, DeadlineConfig};
+use resched_core::backward::{schedule_deadline, DeadlineAlgo, DeadlineConfig, Roster};
 use resched_core::prelude::*;
 
 fn cost(seq_s: i64, alpha: f64) -> TaskCost {
@@ -15,6 +15,17 @@ fn single_task(seq_s: i64, alpha: f64) -> resched_core::dag::Dag {
 
 fn cfg() -> DeadlineConfig {
     DeadlineConfig::default()
+}
+
+/// The tightest deadline `algo` meets at `now = 0`, searched to `precision`.
+fn tightest(
+    dag: &resched_core::dag::Dag,
+    cal: &Calendar,
+    q: u32,
+    algo: DeadlineAlgo,
+    precision: Dur,
+) -> Option<(Time, DeadlineOutcome)> {
+    Roster::prepare(dag, cal, Time::ZERO, q, cfg()).tightest(algo, precision)
 }
 
 #[test]
@@ -169,37 +180,27 @@ fn rcbd_fallback_respects_cpa_bound() {
 }
 
 #[test]
-fn tightest_deadline_single_task_exact() {
+fn tightest_single_task_exact() {
     // alpha = 1, 600s, empty calendar: the tightest deadline is exactly
     // now + 600 (within search precision).
     let dag = single_task(600, 1.0);
     let cal = Calendar::new(4);
     let prec = Dur::seconds(10);
-    let (k, out) =
-        tightest_deadline(&dag, &cal, Time::ZERO, 4, DeadlineAlgo::BdCpa, cfg(), prec).unwrap();
+    let (k, out) = tightest(&dag, &cal, 4, DeadlineAlgo::BdCpa, prec).unwrap();
     assert!(k >= Time::seconds(600));
     assert!(k <= Time::seconds(600) + prec + prec);
     assert!(out.schedule.completion() <= k);
 }
 
 #[test]
-fn tightest_deadline_respects_reservations() {
+fn tightest_respects_reservations() {
     // Machine fully reserved over [0, 5000): nothing can finish before
     // 5000 + 600.
     let dag = single_task(600, 1.0);
     let mut cal = Calendar::new(4);
     cal.try_add(Reservation::new(Time::ZERO, Time::seconds(5000), 4))
         .unwrap();
-    let (k, _) = tightest_deadline(
-        &dag,
-        &cal,
-        Time::ZERO,
-        4,
-        DeadlineAlgo::BdCpa,
-        cfg(),
-        Dur::seconds(10),
-    )
-    .unwrap();
+    let (k, _) = tightest(&dag, &cal, 4, DeadlineAlgo::BdCpa, Dur::seconds(10)).unwrap();
     assert!(k >= Time::seconds(5600));
     assert!(k <= Time::seconds(5650));
 }
@@ -222,16 +223,7 @@ fn lambda_iterates_only_when_needed() {
     assert_eq!(loose.lambda, Some(0.0));
     assert_eq!(loose.schedule.stats.passes, 1);
     // Tight (just feasible): lambda may have to rise; passes grow with it.
-    let (k, tight) = tightest_deadline(
-        &dag,
-        &cal,
-        Time::ZERO,
-        8,
-        DeadlineAlgo::RcCpaRLambda,
-        cfg(),
-        Dur::seconds(10),
-    )
-    .unwrap();
+    let (k, tight) = tightest(&dag, &cal, 8, DeadlineAlgo::RcCpaRLambda, Dur::seconds(10)).unwrap();
     assert!(tight.lambda.unwrap() >= 0.0);
     assert!(k < Time::seconds(500_000));
 }

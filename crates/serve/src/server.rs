@@ -12,7 +12,7 @@
 
 use crate::{percentile, ServeConfig, ServeQuotaConfig, ServeReport};
 use resched_core::algos::Algorithm;
-use resched_core::backward::{schedule_deadline_roster, DeadlineAlgo, DeadlineConfig};
+use resched_core::backward::{DeadlineAlgo, DeadlineConfig, Roster};
 use resched_core::forward::{schedule_forward, ForwardConfig};
 use resched_core::obs::{self, names, MetricsRegistry};
 use resched_core::prelude::*;
@@ -181,10 +181,10 @@ pub const PROBE_ROSTER: [DeadlineAlgo; 4] = [
 ];
 
 /// Probe the first `fanout` roster algorithms against the transaction's
-/// calendar view — one scheduling call, so the CPA(`q`) allocation and the
-/// task order they all start from are computed once per arrival — and keep
-/// the feasible candidate with the earliest completion (lowest roster index
-/// wins ties, which is what `min_by_key` does).
+/// calendar view — one prepared [`Roster`], so the CPA(`q`) allocation and
+/// the task order they all start from are computed once per arrival — and
+/// keep the feasible candidate with the earliest completion (lowest roster
+/// index wins ties, which is what `min_by_key` does).
 fn probe_deadline(
     dag: &Dag,
     cal: &Calendar,
@@ -194,19 +194,10 @@ fn probe_deadline(
     fanout: usize,
 ) -> Option<(DeadlineAlgo, Schedule)> {
     let probed = &PROBE_ROSTER[..fanout.clamp(1, PROBE_ROSTER.len())];
-    let outcomes = schedule_deadline_roster(
-        dag,
-        cal,
-        now,
-        q,
-        deadline,
-        probed,
-        DeadlineConfig::default(),
-    );
+    let mut roster = Roster::prepare(dag, cal, now, q, DeadlineConfig::default());
     probed
         .iter()
-        .zip(outcomes)
-        .filter_map(|(&algo, outcome)| Some((algo, outcome.ok()?.schedule)))
+        .filter_map(|&algo| Some((algo, roster.schedule(deadline, algo).ok()?.schedule)))
         .min_by_key(|(_, s)| s.completion())
 }
 

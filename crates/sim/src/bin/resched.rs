@@ -21,7 +21,7 @@
 //! interchangeable with library users.
 
 use resched_core::algos::{Algorithm, TWIN_GRAIN};
-use resched_core::backward::{schedule_deadline, tightest_deadline, DeadlineAlgo, DeadlineConfig};
+use resched_core::backward::{schedule_deadline, DeadlineAlgo, DeadlineConfig, Roster};
 use resched_core::bl::BlMethod;
 use resched_core::forward::{schedule_forward, BdMethod, ForwardConfig};
 use resched_core::prelude::*;
@@ -250,9 +250,8 @@ fn deadline_cmd(args: &Args, tightest: bool) -> Result<(), Box<dyn Error>> {
     let name = args.opt("algo").unwrap_or("DL_RCBD_CPAR-L");
     let (family, algo, cfg) = parse_algo(name)?;
     if tightest {
-        let Some((k, out)) =
-            tightest_deadline(&dag, &cal, Time::ZERO, rs.q, algo, cfg, Dur::seconds(60))
-        else {
+        let mut roster = Roster::prepare(&dag, &cal, Time::ZERO, rs.q, cfg);
+        let Some((k, out)) = roster.tightest(algo, Dur::seconds(60)) else {
             return Err("no achievable deadline".into());
         };
         family

@@ -6,7 +6,7 @@ use crate::metrics::{AlgoSummary, DegradationTracker};
 use crate::scenario::{instances_for, Instance, LogCache, ResvSpec, Scale};
 use crate::table::{fnum, Table};
 use rayon::prelude::*;
-use resched_core::backward::{schedule_deadline, tightest_deadline, DeadlineAlgo, DeadlineConfig};
+use resched_core::backward::{DeadlineAlgo, DeadlineConfig, Roster};
 use resched_core::prelude::{Dur, Time};
 use resched_daggen::Sweep;
 use resched_workloads::prelude::LogSpec;
@@ -35,35 +35,25 @@ pub struct DeadlineResult {
 }
 
 /// Per-instance evaluation: tightest deadlines (as hours from now) and
-/// CPU-hours at the shared loose deadline, for each algorithm.
+/// CPU-hours at the shared loose deadline, for each algorithm. Every
+/// search and the loose pass ask one prepared instance.
 fn eval_instance(inst: &Instance, algos: &[DeadlineAlgo]) -> Option<(Vec<f64>, Vec<f64>)> {
     let cal = inst.resv.calendar();
     let cfg = DeadlineConfig::default();
-    let mut tightest_h = Vec::with_capacity(algos.len());
-    let mut tightest_t = Vec::with_capacity(algos.len());
-    for &algo in algos {
-        let (k, _) = tightest_deadline(
-            &inst.dag,
-            &cal,
-            Time::ZERO,
-            inst.resv.q,
-            algo,
-            cfg,
-            SEARCH_PRECISION,
-        )?;
-        tightest_h.push((k - Time::ZERO).as_hours());
-        tightest_t.push(k);
-    }
+    let mut roster = Roster::prepare(&inst.dag, &cal, Time::ZERO, inst.resv.q, cfg);
+    let tightest = algos
+        .iter()
+        .map(|&algo| Some(roster.tightest(algo, SEARCH_PRECISION)?.0))
+        .collect::<Option<Vec<Time>>>()?;
     // Loose deadline: LOOSE_FACTOR x the latest tightest deadline.
-    let latest = tightest_t.iter().copied().max()?;
+    let latest = tightest.iter().copied().max()?;
     let loose = Time::seconds(((latest - Time::ZERO).as_seconds() as f64 * LOOSE_FACTOR) as i64);
-    let mut cpu = Vec::with_capacity(algos.len());
-    for &algo in algos {
-        let out =
-            schedule_deadline(&inst.dag, &cal, Time::ZERO, inst.resv.q, loose, algo, cfg).ok()?;
-        cpu.push(out.schedule.cpu_hours());
-    }
-    Some((tightest_h, cpu))
+    let cpu = algos
+        .iter()
+        .map(|&algo| Some(roster.schedule(loose, algo).ok()?.schedule.cpu_hours()))
+        .collect::<Option<_>>()?;
+    let hours = tightest.iter().map(|&k| (k - Time::ZERO).as_hours());
+    Some((hours.collect(), cpu))
 }
 
 /// Run one deadline experiment over a scenario grid.

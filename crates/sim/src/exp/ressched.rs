@@ -6,8 +6,9 @@ use crate::metrics::{AlgoSummary, DegradationTracker};
 use crate::scenario::{instances_for, Instance, LogCache, ResvSpec, Scale};
 use crate::table::{fnum, Table};
 use rayon::prelude::*;
+use resched_core::backward::{DeadlineConfig, Roster};
 use resched_core::bl::BlMethod;
-use resched_core::forward::{schedule_forward, BdMethod, ForwardConfig};
+use resched_core::forward::{BdMethod, ForwardConfig};
 use resched_core::prelude::Time;
 use resched_daggen::{DagParams, Sweep};
 use serde::{Deserialize, Serialize};
@@ -33,19 +34,20 @@ pub fn table4_algorithms() -> Vec<ForwardConfig> {
         .collect()
 }
 
+/// Turn-around hours and CPU-hours of each configuration, per instance:
+/// every configuration asks one prepared instance.
 fn run_instances(instances: &[Instance], cfgs: &[ForwardConfig]) -> (Vec<Vec<f64>>, Vec<Vec<f64>>) {
     let rows: Vec<(Vec<f64>, Vec<f64>)> = instances
         .par_iter()
         .map(|inst| {
-            let cal = inst.resv.calendar();
-            let mut ta = Vec::with_capacity(cfgs.len());
-            let mut cpu = Vec::with_capacity(cfgs.len());
-            for cfg in cfgs {
-                let s = schedule_forward(&inst.dag, &cal, Time::ZERO, inst.resv.q, *cfg);
-                ta.push(s.turnaround().as_hours());
-                cpu.push(s.cpu_hours());
-            }
-            (ta, cpu)
+            let (cal, cfg) = (inst.resv.calendar(), DeadlineConfig::default());
+            let mut roster = Roster::prepare(&inst.dag, &cal, Time::ZERO, inst.resv.q, cfg);
+            cfgs.iter()
+                .map(|&cfg| {
+                    let s = roster.forward(cfg);
+                    (s.turnaround().as_hours(), s.cpu_hours())
+                })
+                .unzip()
         })
         .collect();
     rows.into_iter().unzip()

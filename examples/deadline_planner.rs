@@ -37,20 +37,20 @@ fn main() {
         dag.total_seq_work() as f64 / 3600.0
     );
 
-    let cfg = DeadlineConfig::default();
+    // One prepared instance answers every search and every loose pass.
+    let mut roster = Roster::prepare(&dag, &cal, Time::ZERO, rs.q, DeadlineConfig::default());
     println!(
         "{:<16} {:>14} {:>16} {:>18}",
         "algorithm", "tightest K", "CPU-h at K", "CPU-h at 2x K"
     );
     for algo in DeadlineAlgo::ALL {
-        let Some((k, out)) =
-            tightest_deadline(&dag, &cal, Time::ZERO, rs.q, algo, cfg, Dur::seconds(60))
-        else {
+        let Some((k, out)) = roster.tightest(algo, Dur::seconds(60)) else {
             println!("{:<16} {:>14}", algo.name(), "unachievable");
             continue;
         };
         let loose = Time::seconds((k - Time::ZERO).as_seconds() * 2);
-        let loose_cpu = schedule_deadline(&dag, &cal, Time::ZERO, rs.q, loose, algo, cfg)
+        let loose_cpu = roster
+            .schedule(loose, algo)
             .map(|o| o.schedule.cpu_hours())
             .unwrap_or(f64::NAN);
         println!(

@@ -65,9 +65,9 @@ fn deadline_feasibility_is_monotone_in_practice() {
     // If an algorithm meets K, it should meet every looser K' we test.
     let (dag, cal, q) = pipeline_fixture(0.5, 17);
     let cfg = DeadlineConfig::default();
+    let mut roster = Roster::prepare(&dag, &cal, Time::ZERO, q, cfg);
     for algo in [DeadlineAlgo::BdCpa, DeadlineAlgo::RcCpaR] {
-        let (k, _) = tightest_deadline(&dag, &cal, Time::ZERO, q, algo, cfg, Dur::seconds(60))
-            .expect("achievable");
+        let (k, _) = roster.tightest(algo, Dur::seconds(60)).expect("achievable");
         for factor in [1.0, 1.25, 1.5, 2.0, 4.0] {
             let loose = Time::seconds(((k - Time::ZERO).as_seconds() as f64 * factor) as i64);
             assert!(
@@ -79,21 +79,14 @@ fn deadline_feasibility_is_monotone_in_practice() {
 }
 
 #[test]
-fn forward_completion_bounds_tightest_deadline_reasonably() {
+fn forward_completion_bounds_the_tightest_reasonably() {
     // The tightest deadline should be within a small factor of the forward
     // turn-around (backward scheduling cannot be wildly worse).
     let (dag, cal, q) = pipeline_fixture(0.2, 19);
     let fwd = schedule_forward(&dag, &cal, Time::ZERO, q, ForwardConfig::recommended());
-    let (k, _) = tightest_deadline(
-        &dag,
-        &cal,
-        Time::ZERO,
-        q,
-        DeadlineAlgo::BdCpa,
-        DeadlineConfig::default(),
-        Dur::seconds(60),
-    )
-    .expect("achievable");
+    let (k, _) = Roster::prepare(&dag, &cal, Time::ZERO, q, DeadlineConfig::default())
+        .tightest(DeadlineAlgo::BdCpa, Dur::seconds(60))
+        .expect("achievable");
     let ratio = (k - Time::ZERO).as_seconds() as f64 / fwd.turnaround().as_seconds() as f64;
     assert!(
         ratio < 3.0,

@@ -1,17 +1,77 @@
-//! The probe roster prepares an arrival once: pinned by counts, not by time.
+//! One prepared instance per problem: pinned by counts, not by time.
 //!
 //! Every algorithm of `serve::PROBE_ROSTER` starts from the CPA(`q`)
 //! allocation. A deadline arrival therefore computes it once whatever the
 //! probe fan-out — one `cpa.cache.miss`, one allocation's worth of
 //! `cpa.alloc.iterations` — where one `schedule_deadline` call per roster
-//! entry computed it `fanout` times. Needs `--features obs` to see the
-//! counters; without it the test only checks that the replay stays clean.
+//! entry computed it `fanout` times. Table 6's instance, asked for five
+//! tightest-deadline searches and a loose pass, computes each pool it asks
+//! about once, where a fresh preparation per probe computed CPA(`q`) per
+//! probe. Needs `--features obs` to see the counters; without it the tests
+//! only check that the runs complete.
 
 use resched_core::obs::{self, names};
 use resched_core::prelude::*;
 use resched_daggen::{generate, DagParams};
 use resched_serve::{Decision, ServeConfig, Server, PROBE_ROSTER};
+use resched_sim::exp::deadline::{LOOSE_FACTOR, SEARCH_PRECISION};
+use resched_sim::scenario::{default_sweep, instances_for, LogCache, ResvSpec, Scale};
 use resched_workloads::prelude::*;
+
+#[test]
+fn table6_searches_and_loose_pass_allocate_each_pool_once() {
+    let (scale, seed) = (
+        Scale {
+            dags: 1,
+            starts: 1,
+            tags: 1,
+        },
+        resched_sim::scenario::DEFAULT_ROOT_SEED,
+    );
+    let specs = [
+        ResvSpec {
+            log: LogSpec::sdsc_blue(),
+            phi: 0.1,
+            method: ThinMethod::Expo,
+        },
+        ResvSpec::grid5000(),
+    ];
+    let mut logs = LogCache::new();
+    for spec in specs {
+        let log = logs.get(&spec.log, seed).clone();
+        for inst in instances_for(&default_sweep(), &spec, &log, scale, seed) {
+            let cal = inst.resv.calendar();
+            let (p, q) = (cal.capacity(), inst.resv.q);
+            // What `sim::exp::deadline` asks of one instance.
+            let ((), report) = obs::observe("instance", || {
+                let mut roster =
+                    Roster::prepare(&inst.dag, &cal, Time::ZERO, q, DeadlineConfig::default());
+                let mut latest = Time::ZERO;
+                for algo in DeadlineAlgo::TABLE6 {
+                    let (k, _) = roster.tightest(algo, SEARCH_PRECISION).expect("achievable");
+                    latest = latest.max(k);
+                }
+                let loose = (latest - Time::ZERO).as_seconds() as f64 * LOOSE_FACTOR;
+                for algo in DeadlineAlgo::TABLE6 {
+                    let _ = roster.schedule(Time::seconds(loose as i64), algo);
+                }
+            });
+            if !obs::COMPILED {
+                continue;
+            }
+            let at = format!("{}, q = {q} of {p}", spec.log.name);
+            // CPA(q) for the order; CPA(p) for the `*_CPA` algorithms,
+            // unless the two pools are one.
+            let pools = if Pool::effective(q, p) == p { 1 } else { 2 };
+            let counter = |name| report.metrics.counter(name);
+            assert_eq!(counter(names::CPA_CACHE_MISS), pools, "{at}");
+            let prep = report.profile.span(names::SPAN_DEADLINE_PREP);
+            assert_eq!(prep.map(|s| s.calls), Some(1), "{at}");
+            // Every probe and every forward guess read the same allocations.
+            assert!(counter(names::CPA_CACHE_HIT) > 50, "{at}");
+        }
+    }
+}
 
 #[test]
 fn a_deadline_arrival_allocates_once_at_every_fanout() {
