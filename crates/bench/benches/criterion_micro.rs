@@ -299,6 +299,54 @@ fn bench_cpa(c: &mut Criterion) {
     });
 }
 
+/// The Amdahl evaluation every scheduler layer calls: `exec_time` over
+/// the widths of the Table-9 platform, and one width-candidate refill per
+/// task of a paper-default 100-task DAG at p = 1152 — the loop of the
+/// crate-private `task::Widths` under the default tie rule (drop a width
+/// no shorter than a narrower one), over the public `exec_time`. Called
+/// from this crate, so a `resv` or `core` function on that path losing
+/// its inlining shows up here as a slower row.
+fn bench_amdahl(c: &mut Criterion) {
+    const P: u32 = 1152;
+    let mut group = c.benchmark_group("amdahl");
+    let cost = TaskCost::new(Dur::seconds(7_231), 0.13);
+    group.bench_function("exec_time/1..=1152", |b| {
+        b.iter(|| {
+            (1..=P)
+                .map(|m| black_box(&cost).exec_time(m).as_seconds())
+                .sum::<i64>()
+        })
+    });
+    let dag = generate(
+        &DagParams {
+            num_tasks: 100,
+            ..DagParams::paper_default()
+        },
+        42,
+    );
+    let mut candidates: Vec<(u32, Dur)> = Vec::new();
+    group.bench_function("widths_refill/n100_p1152", |b| {
+        b.iter(|| {
+            let mut kept = 0;
+            for cost in dag.costs() {
+                candidates.clear();
+                for m in 1..=P {
+                    let dur = cost.exec_time(m);
+                    if candidates
+                        .last()
+                        .is_none_or(|&(_, shortest)| dur < shortest)
+                    {
+                        candidates.push((m, dur));
+                    }
+                }
+                kept += black_box(&candidates).len();
+            }
+            kept
+        })
+    });
+    group.finish();
+}
+
 /// The allocation loop vs the legacy full-rebuild oracle: on the PR-4
 /// headline shape (n = 100 dense, `Stringent`), where each growth
 /// iteration used to rebuild all bottom/top levels from scratch, and on
@@ -518,6 +566,6 @@ fn config() -> Criterion {
 criterion_group! {
     name = benches;
     config = config();
-    targets = bench_calendar, bench_earliest_fit_scaling, bench_latest_fit_scaling, bench_forward_scan, bench_backward_scan, bench_calendar_mutate, bench_cpa, bench_cpa_alloc, bench_schedulers, bench_deadline_roster, bench_obs
+    targets = bench_calendar, bench_earliest_fit_scaling, bench_latest_fit_scaling, bench_forward_scan, bench_backward_scan, bench_calendar_mutate, bench_cpa, bench_amdahl, bench_cpa_alloc, bench_schedulers, bench_deadline_roster, bench_obs
 }
 criterion_main!(benches);

@@ -266,7 +266,7 @@ impl<'a> Roster<'a> {
         // `S_i` depends on the guide, and an algorithm counts every mapping
         // it reads; the width candidates depend on cost and grain alone and
         // stay.
-        pass.guideline.starts.clear();
+        pass.guideline.clear();
         let mut placed = Vec::new();
         let mut run = |mode: Mode<'_>, stats: &mut ScheduleStats, pass: &mut PassBufs| {
             backward_pass(
@@ -501,23 +501,58 @@ fn sweep_skips(last_failure: &[RcDecision], lambda: f64) -> bool {
 }
 
 /// The CPA guideline starts `S_i` of one call, each computed on first
-/// read: re-map the not-yet-scheduled suffix of the order
-/// (predecessor-closed, because predecessors have higher bottom levels) on
-/// an empty virtual platform from `now` (paper §5.2.2). `S_i` depends only
-/// on `(dag, guide, now, suffix)`, none of which a pass changes, so the
-/// single-pass `DL_RC_*` algorithms and every λ pass of a sweep read the
-/// same memo: a call that succeeds maps each of the `n` tasks exactly
-/// once, one that fails maps only the tasks some pass reached.
+/// read: the start of the task in the mapping of the not-yet-scheduled
+/// suffix of the order (predecessor-closed, because predecessors have
+/// higher bottom levels) on an empty virtual platform from `now` (paper
+/// §5.2.2). `S_i` depends only on `(dag, guide, now, suffix)`, none of
+/// which a pass changes, so the single-pass `DL_RC_*` algorithms and every
+/// λ pass of a sweep read the same memo: a call that succeeds reads (and
+/// counts in `cpa_mappings`) each of the `n` tasks' `S_i` exactly once, one
+/// that fails only the tasks some pass reached.
+///
+/// A read maps its suffix only when the last mapping is not also that
+/// suffix's (see [`GuidelineStarts::maps`]). Under a CPA(`q`) guide the
+/// mapping's priority order is the order reversed, so every later suffix
+/// drops a tail of it and a call maps once; under CPA(`p`) ≠ CPA(`q`) it
+/// mostly re-maps per read.
 #[derive(Debug, Default)]
 struct GuidelineStarts {
     /// `S_i` by task, `None` until first read.
     starts: Vec<Option<Time>>,
     unscheduled: Vec<bool>,
     map: MapScratch,
+    /// The last mapping.
     mapped: Vec<Option<Placement>>,
+    /// The suffix `mapped` was made for; empty when there is none under
+    /// the current guide.
+    mapped_for: Vec<TaskId>,
+    /// Each task's position in `map`'s priority order.
+    rank: Vec<usize>,
 }
 
 impl GuidelineStarts {
+    /// Forget every `S_i` and the last mapping, for a call under another
+    /// guide.
+    fn clear(&mut self) {
+        self.starts.clear();
+        self.mapped_for.clear();
+    }
+
+    /// Whether the last mapping is also the mapping of `suffix`: `suffix`
+    /// is a tail of the suffix it was made for, and every task dropped from
+    /// that comes after every kept one in the mapping's priority order.
+    /// List scheduling places tasks in that order and never moves a placed
+    /// one, so the kept tasks were placed before any dropped task existed
+    /// on the platform, exactly as a mapping of `suffix` alone places them.
+    fn maps(&self, suffix: &[TaskId]) -> bool {
+        let Some(dropped) = self.mapped_for.strip_suffix(suffix) else {
+            return false;
+        };
+        let rank = |u: &TaskId| self.rank.get(u.idx()).copied();
+        let last_kept = suffix.iter().map(rank).max().flatten();
+        dropped.iter().all(|u| rank(u) > last_kept)
+    }
+
     /// `S_i` of `t`, the first task of the unscheduled `suffix`.
     fn start(
         &mut self,
@@ -532,26 +567,36 @@ impl GuidelineStarts {
         if let Some(s_i) = self.starts[t.idx()] {
             return s_i;
         }
+        // Counted per read, mapped or not: `cpa_mappings` is what the
+        // algorithm asks for (see [`Roster`]).
         stats.count_cpa_mapping();
-        self.unscheduled.clear();
-        self.unscheduled.resize(dag.num_tasks(), false);
-        for &u in suffix {
-            self.unscheduled[u.idx()] = true;
+        if !self.maps(suffix) {
+            self.unscheduled.clear();
+            self.unscheduled.resize(dag.num_tasks(), false);
+            for &u in suffix {
+                self.unscheduled[u.idx()] = true;
+            }
+            let uns: &[bool] = &self.unscheduled;
+            // NB: the mapping's probe cost is deliberately *not* folded into
+            // `stats` (it runs on a virtual platform); the registry still
+            // sees it under `cpa.map.*` via the mapping's probes.
+            let mut qcost = QueryCost::default();
+            cpa::map_subset_into(
+                dag,
+                guide,
+                now,
+                |u| uns[u.idx()],
+                &mut qcost,
+                &mut self.map,
+                &mut self.mapped,
+            );
+            self.mapped_for.clear();
+            self.mapped_for.extend_from_slice(suffix);
+            self.rank.resize(dag.num_tasks(), 0);
+            for (i, &u) in self.map.order().iter().enumerate() {
+                self.rank[u.idx()] = i;
+            }
         }
-        let uns: &[bool] = &self.unscheduled;
-        // NB: the mapping's probe cost is deliberately *not* folded into
-        // `stats` (it runs on a virtual platform); the registry still sees
-        // it under `cpa.map.*` via the mapping's probes.
-        let mut qcost = QueryCost::default();
-        cpa::map_subset_into(
-            dag,
-            guide,
-            now,
-            |u| uns[u.idx()],
-            &mut qcost,
-            &mut self.map,
-            &mut self.mapped,
-        );
         // `t` is in the subset by construction; if the map somehow misses
         // it, `now` is the safe guideline (earliest start ⇒ loosest
         // threshold, and the aggressive fallback still guarantees validity).
@@ -894,6 +939,32 @@ mod tests {
                     u64::from(reads_guideline(algo)),
                     "{algo}"
                 );
+            }
+        }
+    }
+
+    #[test]
+    fn cpa_q_guide_is_mapped_once_per_call() {
+        // Every suffix drops a tail of the CPA(q) mapping's priority order,
+        // so one mapping answers all n reads; the stats still count n.
+        let (dag, cal) = (small_dag(), busy_calendar());
+        let n = dag.num_tasks() as u64;
+        for algo in [
+            DeadlineAlgo::RcCpaR,
+            DeadlineAlgo::RcCpaRLambda,
+            DeadlineAlgo::RcbdCpaRLambda,
+        ] {
+            let (out, report) = obs::observe("rc", || {
+                let cfg = DeadlineConfig::default();
+                schedule_deadline(&dag, &cal, Time::ZERO, 4, Time::seconds(400_000), algo, cfg)
+            });
+            let out = out.unwrap_or_else(|e| panic!("{algo}: {e}"));
+            assert_eq!(out.schedule.stats.cpa_mappings, n, "{algo}");
+            if obs::COMPILED {
+                let maps = report.profile.span(obs::names::SPAN_CPA_MAP);
+                assert_eq!(maps.map(|s| s.calls), Some(1), "{algo}");
+                let mappings = report.metrics.counter(obs::names::STATS_CPA_MAPPINGS);
+                assert_eq!(mappings, n, "{algo}");
             }
         }
     }
@@ -1347,13 +1418,26 @@ mod tests {
         chunks
     }
 
+    /// What the draws of [`width_scan_matches_the_brute_force_pass`] reached.
+    #[derive(Default)]
+    struct Reached {
+        /// (deadline, algorithm) cases met and missed.
+        feasible: u32,
+        infeasible: u32,
+        /// The widest placement an RC-family schedule made.
+        widest_rc: u32,
+        /// Feasible `DL_RC_CPA` calls whose CPA(`p`) guide is not the
+        /// CPA(`q`) one the order comes from.
+        rc_cpa_own_guide: u32,
+        /// Of those, the calls that mapped more than once (seen only with
+        /// `obs` compiled in).
+        rc_cpa_remapped: u32,
+    }
+
     /// One draw of [`width_scan_matches_the_brute_force_pass`] on a
-    /// `p`-processor platform with sequential times up to `longest`:
-    /// returns how many (deadline, algorithm) cases were met and missed,
-    /// and the widest placement an RC-family schedule made.
-    fn width_scan_draw(draw: u64, p: u32, longest: i64, tenths: &[i64]) -> (u32, u32, u32) {
+    /// `p`-processor platform with sequential times up to `longest`.
+    fn width_scan_draw(draw: u64, p: u32, longest: i64, tenths: &[i64], reached: &mut Reached) {
         use rand::{Rng, SeedableRng};
-        let (mut feasible, mut infeasible, mut widest_rc) = (0, 0, 0);
         let mut rng = rand_chacha::ChaCha12Rng::seed_from_u64(0x5CA9_0015 ^ draw);
         let (cal, q) = random_platform(&mut rng, p);
         for overhead in [0, rng.gen_range(1i64..40)] {
@@ -1365,17 +1449,34 @@ mod tests {
                 q,
                 crate::forward::ForwardConfig::recommended(),
             );
+            let criterion = DeadlineConfig::default().criterion;
+            let guides_differ = cpa::allocate(&dag, p, criterion).allocs
+                != cpa::allocate(&dag, Pool::effective(q, p), criterion).allocs;
             for grain in [1, 4] {
                 let cfg = DeadlineConfig::default().hierarchical(grain);
                 for &tenths in tenths {
                     let deadline = Time::ZERO + fwd.turnaround() * tenths / 10;
                     for algo in DeadlineAlgo::ALL {
                         let want = brute_deadline(&dag, &cal, Time::ZERO, q, deadline, algo, cfg);
-                        let got = schedule_deadline(&dag, &cal, Time::ZERO, q, deadline, algo, cfg);
+                        let (got, report) = obs::observe("width scan", || {
+                            schedule_deadline(&dag, &cal, Time::ZERO, q, deadline, algo, cfg)
+                        });
+                        let maps = report
+                            .profile
+                            .span(obs::names::SPAN_CPA_MAP)
+                            .map_or(0, |s| s.calls);
+                        // Every guide but a CPA(p) one that differs from
+                        // CPA(q) is mapped in the order's reverse priority
+                        // order, so once per call.
+                        if obs::COMPILED && !(algo == DeadlineAlgo::RcCpa && guides_differ) {
+                            let once = u64::from(reads_guideline(algo) && got.is_ok());
+                            assert!(maps <= 1 && maps >= once, "{algo}: {maps} mappings");
+                        }
                         if let Ok(out) = &got {
                             let stats = &out.schedule.stats;
-                            // One mapping per task, however many λ
-                            // passes read its `S_i`.
+                            // One `S_i` read per task, however many λ
+                            // passes read it and however few mappings
+                            // answered them.
                             let mappings = if reads_guideline(algo) {
                                 dag.num_tasks() as u64
                             } else {
@@ -1392,13 +1493,18 @@ mod tests {
                             );
                             if reads_guideline(algo) {
                                 let widest = out.schedule.placements().iter().map(|pl| pl.procs);
-                                widest_rc = widest_rc.max(widest.max().unwrap_or(0));
+                                reached.widest_rc =
+                                    reached.widest_rc.max(widest.max().unwrap_or(0));
+                            }
+                            if algo == DeadlineAlgo::RcCpa && guides_differ {
+                                reached.rc_cpa_own_guide += 1;
+                                reached.rc_cpa_remapped += u32::from(maps > 1);
                             }
                         }
                         let got = got.map(|out| (out.schedule.placements().to_vec(), out.lambda));
                         match &want {
-                            Ok(_) => feasible += 1,
-                            Err(_) => infeasible += 1,
+                            Ok(_) => reached.feasible += 1,
+                            Err(_) => reached.infeasible += 1,
                         }
                         assert_eq!(
                             got, want,
@@ -1409,27 +1515,28 @@ mod tests {
                 }
             }
         }
-        (feasible, infeasible, widest_rc)
     }
 
     #[test]
     fn width_scan_matches_the_brute_force_pass() {
-        let (mut feasible, mut infeasible, mut widest_rc) = (0u32, 0u32, 0u32);
+        let mut reached = Reached::default();
         for draw in 0..diff_iters() {
-            let (met, missed, _) = width_scan_draw(draw, 16, 30_000, &[3, 8, 11, 16, 30]);
-            feasible += met;
-            infeasible += missed;
+            width_scan_draw(draw, 16, 30_000, &[3, 8, 11, 16, 30], &mut reached);
             // Every sixth draw on a platform wide enough, under tasks long
             // enough (every width a candidate), that the conservative rule
             // asks about all six of its chunks: 1, 4, 16, 64, 256 and the
             // rest of 430.
             if draw % 6 == 0 {
-                let (met, missed, widest) = width_scan_draw(draw, 430, 400_000, &[8, 11, 30]);
-                feasible += met;
-                infeasible += missed;
-                widest_rc = widest_rc.max(widest);
+                width_scan_draw(draw, 430, 400_000, &[8, 11, 30], &mut reached);
             }
         }
+        let Reached {
+            feasible,
+            infeasible,
+            widest_rc,
+            rc_cpa_own_guide,
+            rc_cpa_remapped,
+        } = reached;
         assert!(
             feasible > 0 && infeasible > 0,
             "deadlines must fall on both sides of feasibility ({feasible} met, {infeasible} not)"
@@ -1437,6 +1544,13 @@ mod tests {
         assert!(
             widest_rc > 341,
             "no RC schedule reached the last chunk (widest placement {widest_rc})"
+        );
+        // `DL_RC_CPA` under a guide of its own: the suffix's mapping is
+        // reused only where that is exact, and re-made elsewhere.
+        assert!(rc_cpa_own_guide > 0, "CPA(p) = CPA(q) on every draw");
+        assert!(
+            !obs::COMPILED || rc_cpa_remapped > 0,
+            "no DL_RC_CPA call re-mapped ({rc_cpa_own_guide} under their own guide)"
         );
     }
 

@@ -597,6 +597,14 @@ pub(crate) struct MapScratch {
     platform: Calendar,
 }
 
+impl MapScratch {
+    /// The priority order of the last mapping: decreasing bottom level
+    /// under its guide, ties to the lower id.
+    pub(crate) fn order(&self) -> &[TaskId] {
+        &self.order
+    }
+}
+
 impl Default for MapScratch {
     fn default() -> Self {
         MapScratch {

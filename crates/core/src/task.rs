@@ -92,6 +92,7 @@ impl TaskCost {
     ///
     /// # Panics
     /// Panics if `m == 0`.
+    #[inline]
     pub fn exec_time(&self, m: u32) -> Dur {
         assert!(m > 0, "a task needs at least one processor");
         let t = self.seq.as_seconds() as f64 * (self.alpha + (1.0 - self.alpha) / m as f64)
@@ -187,6 +188,7 @@ impl Widths {
 
     /// Evaluate the next multiple of the grain, if it is no wider than
     /// `bound`.
+    #[inline]
     fn grow(&mut self, cost: &TaskCost, grain: u32, bound: u32) -> bool {
         let m = (self.evaluated + 1) * grain;
         if m > bound {

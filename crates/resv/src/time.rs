@@ -132,10 +132,27 @@ impl Dur {
     /// Execution-time models (Amdahl's law) produce fractional seconds; the
     /// calendar needs integers. Rounding *up* keeps every reservation long
     /// enough to contain the modeled execution.
+    ///
+    /// Truncate, then bump by one if that dropped a fraction, rather than
+    /// `s.ceil() as i64`: baseline x86-64 has no `roundsd`, so `f64::ceil`
+    /// is a libm call, and every Amdahl evaluation
+    /// (`TaskCost::exec_time`) pays for it. The two agree on every input
+    /// the asserts admit. Below 2^53 the truncation `w` is exact in `f64`,
+    /// so `(w as f64) < s` holds exactly when `s` has a fraction, and then
+    /// `ceil(s) = w + 1`; `−0.0` truncates to 0 with nothing to bump. From
+    /// 2^53 on every `f64` is an integer, so `w = s` until `s as i64`
+    /// saturates at 2^63, where both forms read `i64::MAX` (the bump
+    /// saturates too).
+    #[inline]
     pub fn from_secs_f64_ceil(s: f64) -> Dur {
         assert!(s.is_finite(), "duration must be finite, got {s}");
         assert!(s >= 0.0, "duration must be non-negative, got {s}");
-        Dur(s.ceil() as i64)
+        let w = s as i64;
+        Dur(if (w as f64) < s {
+            w.saturating_add(1)
+        } else {
+            w
+        })
     }
 
     /// Whether the span is strictly positive.
@@ -312,6 +329,35 @@ mod tests {
         assert_eq!(Dur::from_secs_f64_ceil(0.1), Dur::seconds(1));
         assert_eq!(Dur::from_secs_f64_ceil(59.999), Dur::seconds(60));
         assert_eq!(Dur::from_secs_f64_ceil(60.0), Dur::seconds(60));
+    }
+
+    // The reference is `f64::ceil` itself, so the comparison is exact.
+    #[test]
+    fn ceil_matches_f64_ceil_exactly() {
+        use rand::{Rng, SeedableRng};
+        let reference = |s: f64| Dur(s.ceil() as i64);
+        let two = |e: i32| 2f64.powi(e);
+        let edges = [
+            0.0,
+            -0.0,
+            1.0 - f64::EPSILON,
+            two(52) + 0.5,
+            two(53),
+            two(53) + 2.0,
+            two(63),
+            1e19,
+            f64::MAX,
+        ];
+        for s in edges {
+            assert_eq!(Dur::from_secs_f64_ceil(s), reference(s), "{s:e}");
+        }
+        // Non-negative finite bit patterns: sign bit clear, exponent below
+        // the all-ones (infinity / NaN) one.
+        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(0xCE11);
+        for _ in 0..5_000_000 {
+            let s = f64::from_bits(rng.gen_range(0..0x7FF0_0000_0000_0000u64));
+            assert_eq!(Dur::from_secs_f64_ceil(s), reference(s), "{s:e}");
+        }
     }
 
     #[test]
