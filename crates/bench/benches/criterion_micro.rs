@@ -509,11 +509,13 @@ fn bench_deadline_roster(c: &mut Criterion) {
     group.finish();
 }
 
-/// Overhead of the observability layer. Without the `obs` feature every
-/// primitive compiles to a no-op and must measure at ~zero (the optimizer
-/// deletes the calls); with it, `span_enter`/`counter_add` outside an
-/// observe scope cost one thread-local check, and a fully observed forward
-/// run must stay within a few percent of the plain one.
+/// Overhead of the observability layer. `cargo bench -p resched-bench`
+/// builds without the collector, as every shipped binary is built: every
+/// primitive is then a no-op and must measure at ~zero (the optimizer
+/// deletes the calls). Under `--features resched-core/obs`,
+/// `span_enter`/`counter_add` outside an observe scope cost one
+/// thread-local check, and a fully observed forward run must stay within a
+/// few percent of the plain one.
 fn bench_obs(c: &mut Criterion) {
     use resched_core::obs;
     let mut group = c.benchmark_group("obs");

@@ -346,17 +346,17 @@ impl<'a> Roster<'a> {
 
         let mut schedule = Schedule::new(placed, now);
         schedule.stats = stats;
-        #[cfg(any(debug_assertions, feature = "validate"))]
+        #[cfg(debug_assertions)]
         self.validate(deadline, algo, &schedule);
         Ok(DeadlineOutcome { schedule, lambda })
     }
 
-    /// Debug/feature-gated post-pass: replay a successful deadline schedule
+    /// Debug-gated post-pass: replay a successful deadline schedule
     /// through the independent oracle, with the declared allocation cap of
     /// the algorithm that produced it (the `DL_BD_*` bounds; the RC family
     /// and the λ-hybrids may fall back to scans over `1..=p`, so their cap
     /// is `p`).
-    #[cfg(any(debug_assertions, feature = "validate"))]
+    #[cfg(debug_assertions)]
     fn validate(&self, deadline: Time, algo: DeadlineAlgo, sched: &Schedule) {
         let (dag, cfg, p) = (self.dag, self.cfg, self.competing.capacity());
         let g = cfg.grain.clamp(1, p.max(1));
@@ -576,7 +576,6 @@ impl GuidelineStarts {
             for &u in suffix {
                 self.unscheduled[u.idx()] = true;
             }
-            let uns: &[bool] = &self.unscheduled;
             // NB: the mapping's probe cost is deliberately *not* folded into
             // `stats` (it runs on a virtual platform); the registry still
             // sees it under `cpa.map.*` via the mapping's probes.
@@ -585,7 +584,7 @@ impl GuidelineStarts {
                 dag,
                 guide,
                 now,
-                |u| uns[u.idx()],
+                &self.unscheduled,
                 &mut qcost,
                 &mut self.map,
                 &mut self.mapped,
@@ -933,13 +932,11 @@ mod tests {
             // No pass gets beyond the first order position, so an RC
             // algorithm (every λ pass of a hybrid included) has read one
             // `S_i` and mapped one suffix.
-            if obs::COMPILED {
-                assert_eq!(
-                    report.metrics.counter(obs::names::STATS_CPA_MAPPINGS),
-                    u64::from(reads_guideline(algo)),
-                    "{algo}"
-                );
-            }
+            assert_eq!(
+                report.metrics.counter(obs::names::STATS_CPA_MAPPINGS),
+                u64::from(reads_guideline(algo)),
+                "{algo}"
+            );
         }
     }
 
@@ -960,12 +957,10 @@ mod tests {
             });
             let out = out.unwrap_or_else(|e| panic!("{algo}: {e}"));
             assert_eq!(out.schedule.stats.cpa_mappings, n, "{algo}");
-            if obs::COMPILED {
-                let maps = report.profile.span(obs::names::SPAN_CPA_MAP);
-                assert_eq!(maps.map(|s| s.calls), Some(1), "{algo}");
-                let mappings = report.metrics.counter(obs::names::STATS_CPA_MAPPINGS);
-                assert_eq!(mappings, n, "{algo}");
-            }
+            let maps = report.profile.span(obs::names::SPAN_CPA_MAP);
+            assert_eq!(maps.map(|s| s.calls), Some(1), "{algo}");
+            let mappings = report.metrics.counter(obs::names::STATS_CPA_MAPPINGS);
+            assert_eq!(mappings, n, "{algo}");
         }
     }
 
@@ -1365,12 +1360,16 @@ mod tests {
                     .map(|s| placed[s.idx()].expect("successors first").start)
                     .fold(deadline, Time::min);
                 let threshold = guide.map(|guide| {
+                    let mut suffix = vec![false; dag.num_tasks()];
+                    for &u in &order[k..] {
+                        suffix[u.idx()] = true;
+                    }
                     let mut mapped = Vec::new();
                     cpa::map_subset_into(
                         dag,
                         guide,
                         now,
-                        |u| order[k..].contains(&u),
+                        &suffix,
                         &mut QueryCost::default(),
                         &mut MapScratch::default(),
                         &mut mapped,
@@ -1429,8 +1428,7 @@ mod tests {
         /// Feasible `DL_RC_CPA` calls whose CPA(`p`) guide is not the
         /// CPA(`q`) one the order comes from.
         rc_cpa_own_guide: u32,
-        /// Of those, the calls that mapped more than once (seen only with
-        /// `obs` compiled in).
+        /// Of those, the calls that mapped more than once.
         rc_cpa_remapped: u32,
     }
 
@@ -1468,7 +1466,7 @@ mod tests {
                         // Every guide but a CPA(p) one that differs from
                         // CPA(q) is mapped in the order's reverse priority
                         // order, so once per call.
-                        if obs::COMPILED && !(algo == DeadlineAlgo::RcCpa && guides_differ) {
+                        if !(algo == DeadlineAlgo::RcCpa && guides_differ) {
                             let once = u64::from(reads_guideline(algo) && got.is_ok());
                             assert!(maps <= 1 && maps >= once, "{algo}: {maps} mappings");
                         }
@@ -1549,7 +1547,7 @@ mod tests {
         // reused only where that is exact, and re-made elsewhere.
         assert!(rc_cpa_own_guide > 0, "CPA(p) = CPA(q) on every draw");
         assert!(
-            !obs::COMPILED || rc_cpa_remapped > 0,
+            rc_cpa_remapped > 0,
             "no DL_RC_CPA call re-mapped ({rc_cpa_own_guide} under their own guide)"
         );
     }

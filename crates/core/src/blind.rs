@@ -141,7 +141,7 @@ pub fn schedule_blind(
     let q = Pool::effective(q_estimate, p);
     // Snapshot the calendar before our own commits land in it, so the
     // post-pass can audit against the competing load alone.
-    #[cfg(any(debug_assertions, feature = "validate"))]
+    #[cfg(debug_assertions)]
     let competing_at_entry = desk.cal.clone();
     let mut stats = ScheduleStats::default();
     stats.count_pass();
@@ -165,14 +165,15 @@ pub fn schedule_blind(
     // The geometric probe ladder, rebuilt per task.
     let mut ladder: Vec<u32> = Vec::new();
     for &t in &order {
-        let ready = dag
-            .preds(t)
-            .iter()
-            // lint:allow(panic): decreasing-BL order is topological, so every predecessor is placed before its successor.
-            .map(|&pr| slots[pr.idx()].expect("preds first").end)
-            .max()
-            .unwrap_or(now)
-            .max(now);
+        // Decreasing-BL order is topological, so every predecessor is
+        // already placed.
+        let mut ready = now;
+        for &pr in dag.preds(t) {
+            debug_assert!(slots[pr.idx()].is_some(), "preds first");
+            if let Some(pl) = slots[pr.idx()] {
+                ready = ready.max(pl.end);
+            }
+        }
         let cost = dag.cost(t);
         let bound = bounds[t.idx()];
 
@@ -217,7 +218,7 @@ pub fn schedule_blind(
     debug_assert_eq!(out.placements().len(), dag.num_tasks(), "all tasks placed");
     out.stats = stats;
 
-    #[cfg(any(debug_assertions, feature = "validate"))]
+    #[cfg(debug_assertions)]
     crate::validate::ScheduleValidator::new(dag, &competing_at_entry, now)
         .with_declared_bounds(bounds)
         .assert_valid(&out, "BLIND");

@@ -403,7 +403,7 @@ impl AllocState {
             out.allocs[t as usize] = held.m[pos];
             out.exec[t as usize] = held.exec[pos];
         }
-        #[cfg(any(debug_assertions, feature = "validate"))]
+        #[cfg(debug_assertions)]
         crate::validate::assert_allocation_valid(dag, &out, "CPA");
         out
     }
@@ -490,7 +490,7 @@ pub fn allocate_reference(dag: &Dag, pool: u32, criterion: StoppingCriterion) ->
     }
 
     let out = CpaAllocation { pool, allocs, exec };
-    #[cfg(any(debug_assertions, feature = "validate"))]
+    #[cfg(debug_assertions)]
     crate::validate::assert_allocation_valid(dag, &out, "CPA-reference");
     out
 }
@@ -572,12 +572,12 @@ fn map_all(
         dag,
         alloc,
         start_at,
-        |_| true,
+        &vec![true; dag.num_tasks()],
         cost,
         &mut MapScratch::default(),
         &mut slots,
     );
-    // `include = |_| true` puts every task in the subset, so every slot is
+    // An all-true mask puts every task in the subset, so every slot is
     // `Some`; a hole would shorten the result, which the assert catches.
     let placed: Vec<Placement> = slots.into_iter().flatten().collect();
     debug_assert_eq!(placed.len(), dag.num_tasks(), "map includes every task");
@@ -616,9 +616,10 @@ impl Default for MapScratch {
     }
 }
 
-/// List-schedule a predecessor-closed subset of tasks (those for which
-/// `include` returns true) with the given allocation onto an empty
-/// platform, into caller-held buffers. Tasks outside the subset get `None`.
+/// List-schedule a predecessor-closed subset of tasks (those whose entry
+/// of the membership mask `include`, indexed by task id, is true) with the
+/// given allocation onto an empty platform, into caller-held buffers.
+/// Tasks outside the subset get `None`.
 ///
 /// Buffer-taking because the resource-conservative deadline algorithms
 /// (paper §5.2.2) re-map the not-yet-scheduled "upper" part of the DAG
@@ -632,7 +633,7 @@ pub(crate) fn map_subset_into(
     dag: &Dag,
     alloc: &CpaAllocation,
     start_at: Time,
-    include: impl Fn(TaskId) -> bool,
+    include: &[bool],
     cost: &mut QueryCost,
     scratch: &mut MapScratch,
     out: &mut Vec<Option<Placement>>,
@@ -648,18 +649,14 @@ pub(crate) fn map_subset_into(
     scratch.platform.reset(alloc.pool);
     out.clear();
     out.resize(dag.num_tasks(), None);
+    let member = |t: TaskId| include.get(t.idx()) == Some(&true);
     for &t in &scratch.order {
-        // lint:allow(dynamic-call): every root-reachable caller passes a pure membership probe — the pass's unscheduled bitmask (`|u| uns[u.idx()]`) or `|_| true` — no panics (ids are dense), no allocation, no ambient state.
-        if !include(t) {
+        if !member(t) {
             continue;
         }
         let mut ready = start_at;
         for &p in dag.preds(t) {
-            debug_assert!(
-                // lint:allow(dynamic-call): debug_assert-only probe of the same membership closure; compiled out of release builds.
-                include(p),
-                "map_subset requires a predecessor-closed subset"
-            );
+            debug_assert!(member(p), "map_subset requires a predecessor-closed subset");
             if let Some(pp) = out[p.idx()] {
                 ready = ready.max(pp.end);
             }
@@ -693,7 +690,7 @@ pub fn schedule(dag: &Dag, pool: u32, criterion: StoppingCriterion, now: Time) -
 
     // CPA runs on a dedicated platform: audit against an empty calendar,
     // with phase 1's own allocations as the declared caps.
-    #[cfg(any(debug_assertions, feature = "validate"))]
+    #[cfg(debug_assertions)]
     crate::validate::ScheduleValidator::new(dag, &Calendar::new(pool), now)
         .with_declared_bounds(alloc.allocs.clone())
         .assert_valid(&s, "CPA");
@@ -802,11 +799,13 @@ mod tests {
         let dag = b.build().unwrap();
         let alloc = allocate(&dag, 4, StoppingCriterion::Stringent);
         let mut out = Vec::new();
+        let mut include = vec![true; dag.num_tasks()];
+        include[z.idx()] = false;
         map_subset_into(
             &dag,
             &alloc,
             Time::ZERO,
-            |t| t != z,
+            &include,
             &mut QueryCost::default(),
             &mut MapScratch::default(),
             &mut out,
@@ -839,7 +838,7 @@ mod tests {
                 (&mut MapScratch::default(), &mut want),
             ] {
                 let mut cost = QueryCost::default();
-                map_subset_into(&dag, guide, Time::ZERO, |_| true, &mut cost, scratch, out);
+                map_subset_into(&dag, guide, Time::ZERO, &[true; 4], &mut cost, scratch, out);
             }
             assert_eq!(got, want);
             let leads = if guide.exec[1] > guide.exec[2] { 1 } else { 2 };

@@ -98,7 +98,7 @@ pub fn schedule_forward_dynamic(
     // The live calendar only ever grows (interference cannot remove
     // reservations), so every placement that fit the live view also fits
     // the original competing calendar — the full oracle applies.
-    #[cfg(any(debug_assertions, feature = "validate"))]
+    #[cfg(debug_assertions)]
     search
         .validator(dag, competing, now, &bounds)
         .assert_valid(&sched, "dynamic forward");

@@ -87,7 +87,7 @@ pub fn execute(
     // Replaying an infeasible schedule would silently produce nonsense
     // (reservations that overbook the machine still "execute" here), so
     // audit the input first in debug builds.
-    #[cfg(any(debug_assertions, feature = "validate"))]
+    #[cfg(debug_assertions)]
     crate::validate::ScheduleValidator::new(dag, competing, schedule.now())
         .assert_valid(schedule, "execute");
 

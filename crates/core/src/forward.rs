@@ -255,7 +255,7 @@ pub(crate) fn schedule_forward_in(
 
     // `order` visits every task exactly once, so each slot is filled; a
     // hole would shrink the schedule, which the length assert and the
-    // gated oracle both catch in checked builds.
+    // gated oracle both catch in debug builds.
     let mut out = Schedule::new(placements.into_iter().flatten().collect(), now);
     debug_assert_eq!(
         out.placements().len(),
@@ -264,10 +264,10 @@ pub(crate) fn schedule_forward_in(
     );
     out.stats = stats;
 
-    // Debug/feature-gated post-pass: replay the finished schedule through
+    // Debug-gated post-pass: replay the finished schedule through
     // the independent oracle, including the BD_* cap actually in force
     // (quantized to the placement grain) and the grain itself.
-    #[cfg(any(debug_assertions, feature = "validate"))]
+    #[cfg(debug_assertions)]
     search
         .validator(dag, competing, now, &bounds)
         .assert_valid(&out, cfg.name().as_str());
@@ -318,7 +318,7 @@ impl SlotSearch {
 
     /// The oracle for schedules this search produced: the grain and the
     /// `BD_*` caps actually in force (quantized to the grain).
-    #[cfg(any(debug_assertions, feature = "validate"))]
+    #[cfg(debug_assertions)]
     pub(crate) fn validator<'a>(
         &self,
         dag: &'a Dag,

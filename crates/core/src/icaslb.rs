@@ -58,14 +58,15 @@ fn build_schedule(
     slots.clear();
     slots.resize(dag.num_tasks(), None);
     for &t in order.iter() {
-        let ready = dag
-            .preds(t)
-            .iter()
-            // lint:allow(panic): decreasing-BL order is topological, so every predecessor is placed before its successor.
-            .map(|&p| slots[p.idx()].expect("preds first").end)
-            .max()
-            .unwrap_or(now)
-            .max(now);
+        // Decreasing-BL order is topological, so every predecessor is
+        // already placed.
+        let mut ready = now;
+        for &p in dag.preds(t) {
+            debug_assert!(slots[p.idx()].is_some(), "preds first");
+            if let Some(pl) = slots[p.idx()] {
+                ready = ready.max(pl.end);
+            }
+        }
         let m = allocs[t.idx()];
         let dur = exec[t.idx()];
         let s = obs::probe::earliest_fit(cal, m, dur, ready, stats);
@@ -230,7 +231,7 @@ pub fn schedule_icaslb(dag: &Dag, competing: &Calendar, now: Time, q: u32) -> Sc
     let mut out = Schedule::new(best, now);
     out.stats = stats;
 
-    #[cfg(any(debug_assertions, feature = "validate"))]
+    #[cfg(debug_assertions)]
     crate::validate::ScheduleValidator::new(dag, competing, now)
         .with_declared_bounds(vec![cap; dag.num_tasks()])
         .assert_valid(&out, "iCASLB-AR");

@@ -61,8 +61,9 @@
 //! * [`backward`] — RESSCHEDDL algorithms (`DL_*`, λ-hybrids, tightest
 //!   deadline);
 //! * [`pool`] — the single `q`-clamping rule sizing every CPA pool;
-//! * [`obs`] — feature-gated observability: metrics registry, span timers,
-//!   per-run phase profiles, and JSONL trace reports;
+//! * [`obs`] — observability: metrics registry, span timers, per-run phase
+//!   profiles, and JSONL trace reports, collected only where the `obs`
+//!   feature compiles the collector in (every test build, no shipped one);
 //! * [`schedule`] — schedules and their metrics;
 //! * [`validate`] — the schedule-validity oracle: the one definition of a
 //!   valid schedule, which every scheduler replays its output through in

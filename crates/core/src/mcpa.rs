@@ -102,7 +102,7 @@ pub fn allocate(dag: &Dag, pool: u32) -> CpaAllocation {
     obs::counter_add(obs::names::CPA_ALLOC_INCR_UPDATES, incr_touched);
 
     let out = CpaAllocation { pool, allocs, exec };
-    #[cfg(any(debug_assertions, feature = "validate"))]
+    #[cfg(debug_assertions)]
     crate::validate::assert_allocation_valid(dag, &out, "MCPA");
     out
 }
@@ -164,7 +164,7 @@ pub fn allocate_reference(dag: &Dag, pool: u32) -> CpaAllocation {
     }
 
     let out = CpaAllocation { pool, allocs, exec };
-    #[cfg(any(debug_assertions, feature = "validate"))]
+    #[cfg(debug_assertions)]
     crate::validate::assert_allocation_valid(dag, &out, "MCPA-reference");
     out
 }

@@ -6,15 +6,19 @@
 //! trace while being provably inert:
 //!
 //! * **Primitives** ([`MetricsRegistry`], [`Histogram`], [`PhaseProfile`],
-//!   [`RunReport`]) are always compiled and unit-tested in the default build.
-//!   They have no global state; anything can own one.
+//!   [`RunReport`]) are always compiled. They have no global state;
+//!   anything can own one.
 //! * **Ambient collection** (the [`observe`] / [`span_enter`] /
 //!   [`counter_add`] / [`record_value`] family and the [`span!`] macro) is
-//!   active only with the crate's `obs` feature. Without the feature every
-//!   ambient call compiles to a no-op (empty inline functions and a guard
-//!   type with no `Drop` impl); with it, events are recorded into a
-//!   thread-local stack of runs opened by [`observe`]. Outside an `observe`
-//!   scope the instrumented code paths stay no-ops even with the feature on.
+//!   active only with the crate's `obs` feature. Every `cargo test` build
+//!   has it (the workspace's test crates dev-depend on `resched-core` with
+//!   it) and no binary built by `cargo build` or `cargo run` does;
+//!   `--features resched-core/obs` compiles it into a release binary to
+//!   profile one. Without the feature every ambient call compiles to a
+//!   no-op (empty inline functions and a guard type with no `Drop` impl);
+//!   with it, events are recorded into a thread-local stack of runs opened
+//!   by [`observe`]. Outside an `observe` scope the instrumented code paths
+//!   stay no-ops even with the feature on.
 //!
 //! Instrumentation must never perturb scheduling decisions: the schedulers
 //! call the [`probe`] wrappers, which feed
@@ -581,8 +585,9 @@ macro_rules! span {
 // ---------------------------------------------------------------------------
 
 // The collector is the one place in this crate that reads the clock: span
-// timings are reported beside schedules, never fed into them
-// (`obs_differential` pins the schedules byte for byte, feature on and off).
+// timings are reported beside schedules, never fed into them (CI requires
+// the same `results/experiments.*` bytes from `run_experiments` built with
+// and without it).
 #[cfg(feature = "obs")]
 #[allow(clippy::disallowed_methods)]
 mod ambient {
@@ -1088,15 +1093,13 @@ mod tests {
         let (v, report) = observe("lbl", || 41 + 1);
         assert_eq!(v, 42);
         assert_eq!(report.label, "lbl");
-        if !COMPILED {
-            assert!(report.metrics.is_empty());
-            assert!(report.profile.spans.is_empty());
-        }
+        assert!(report.metrics.is_empty());
+        assert!(report.profile.spans.is_empty());
     }
 
     #[test]
     fn ambient_calls_outside_observe_are_noops() {
-        // Must not panic or leak state regardless of the feature.
+        // Must not panic or leak state.
         counter_add("orphan.counter", 1);
         record_value("orphan.hist", 9);
         {
@@ -1107,75 +1110,70 @@ mod tests {
         assert!(report.profile.span("orphan.span").is_none());
     }
 
-    #[cfg(feature = "obs")]
-    mod enabled {
-        use super::super::*;
+    #[test]
+    fn observe_collects_counters_and_histograms() {
+        let (v, report) = observe("run", || {
+            counter_add("widgets", 2);
+            counter_add("widgets", 3);
+            record_value("sizes", 8);
+            "done"
+        });
+        assert_eq!(v, "done");
+        assert_eq!(report.metrics.counter("widgets"), 5);
+        assert_eq!(report.metrics.histogram("sizes").unwrap().count(), 1);
+    }
+
+    #[test]
+    fn span_nesting_separates_self_from_total_time() {
         use std::time::Duration;
-
-        #[test]
-        fn observe_collects_counters_and_histograms() {
-            let (v, report) = observe("run", || {
-                counter_add("widgets", 2);
-                counter_add("widgets", 3);
-                record_value("sizes", 8);
-                "done"
-            });
-            assert_eq!(v, "done");
-            assert_eq!(report.metrics.counter("widgets"), 5);
-            assert_eq!(report.metrics.histogram("sizes").unwrap().count(), 1);
-        }
-
-        #[test]
-        fn span_nesting_separates_self_from_total_time() {
-            let (_, report) = observe("run", || {
-                let _outer = span_enter("outer");
+        let (_, report) = observe("run", || {
+            let _outer = span_enter("outer");
+            std::thread::sleep(Duration::from_millis(10));
+            {
+                let _inner = span_enter("inner");
                 std::thread::sleep(Duration::from_millis(10));
-                {
-                    let _inner = span_enter("inner");
-                    std::thread::sleep(Duration::from_millis(10));
-                }
-            });
-            let outer = report.profile.span("outer").unwrap();
-            let inner = report.profile.span("inner").unwrap();
-            assert_eq!(outer.calls, 1);
-            assert_eq!(inner.calls, 1);
-            // Inner is a leaf: self == total, and it slept ≥ 10ms.
-            assert_eq!(inner.self_ns, inner.total_ns);
-            assert!(inner.total_ns >= 9_000_000, "inner {} ns", inner.total_ns);
-            // Outer's total covers both sleeps; its self-time excludes the
-            // inner span entirely.
-            assert!(outer.total_ns >= inner.total_ns + 9_000_000);
-            assert_eq!(outer.self_ns, outer.total_ns - inner.total_ns);
-            // Self-times partition the wall clock.
-            assert!(report.profile.total_self_ns() <= report.profile.wall_ns);
-            assert!(report.profile.wall_ns >= 19_000_000);
-        }
+            }
+        });
+        let outer = report.profile.span("outer").unwrap();
+        let inner = report.profile.span("inner").unwrap();
+        assert_eq!(outer.calls, 1);
+        assert_eq!(inner.calls, 1);
+        // Inner is a leaf: self == total, and it slept ≥ 10ms.
+        assert_eq!(inner.self_ns, inner.total_ns);
+        assert!(inner.total_ns >= 9_000_000, "inner {} ns", inner.total_ns);
+        // Outer's total covers both sleeps; its self-time excludes the
+        // inner span entirely.
+        assert!(outer.total_ns >= inner.total_ns + 9_000_000);
+        assert_eq!(outer.self_ns, outer.total_ns - inner.total_ns);
+        // Self-times partition the wall clock.
+        assert!(report.profile.total_self_ns() <= report.profile.wall_ns);
+        assert!(report.profile.wall_ns >= 19_000_000);
+    }
 
-        #[test]
-        fn nested_observes_are_independent() {
-            let (_, outer) = observe("outer", || {
-                counter_add("outer.only", 1);
-                let (_, inner) = observe("inner", || {
-                    counter_add("inner.only", 1);
-                });
-                assert_eq!(inner.metrics.counter("inner.only"), 1);
-                assert_eq!(inner.metrics.counter("outer.only"), 0);
+    #[test]
+    fn nested_observes_are_independent() {
+        let (_, outer) = observe("outer", || {
+            counter_add("outer.only", 1);
+            let (_, inner) = observe("inner", || {
+                counter_add("inner.only", 1);
             });
-            assert_eq!(outer.metrics.counter("outer.only"), 1);
-            // The inner run's events do not leak into the outer run.
-            assert_eq!(outer.metrics.counter("inner.only"), 0);
-        }
+            assert_eq!(inner.metrics.counter("inner.only"), 1);
+            assert_eq!(inner.metrics.counter("outer.only"), 0);
+        });
+        assert_eq!(outer.metrics.counter("outer.only"), 1);
+        // The inner run's events do not leak into the outer run.
+        assert_eq!(outer.metrics.counter("inner.only"), 0);
+    }
 
-        #[test]
-        fn span_macro_closes_at_end_of_block() {
-            let (_, report) = observe("run", || {
-                {
-                    crate::span!("phase.one");
-                }
-                crate::span!("phase.two");
-            });
-            assert_eq!(report.profile.span("phase.one").unwrap().calls, 1);
-            assert_eq!(report.profile.span("phase.two").unwrap().calls, 1);
-        }
+    #[test]
+    fn span_macro_closes_at_end_of_block() {
+        let (_, report) = observe("run", || {
+            {
+                crate::span!("phase.one");
+            }
+            crate::span!("phase.two");
+        });
+        assert_eq!(report.profile.span("phase.one").unwrap().calls, 1);
+        assert_eq!(report.profile.span("phase.two").unwrap().calls, 1);
     }
 }

@@ -16,6 +16,7 @@
 use crate::forward::TieBreak;
 use resched_resv::Dur;
 use serde::{Deserialize, Serialize};
+use std::fmt;
 
 /// Cost model of a single moldable task: sequential time plus Amdahl
 /// sequential fraction, optionally with a per-processor coordination
@@ -47,19 +48,29 @@ impl TaskCost {
     /// Build a task cost with a per-processor coordination overhead.
     ///
     /// # Panics
-    /// Panics on invalid `seq`/`alpha` or negative `overhead`.
+    /// Panics where [`TaskCost::try_new`] returns an error.
     pub fn with_overhead(seq: Dur, alpha: f64, overhead: Dur) -> TaskCost {
-        assert!(seq.is_positive(), "sequential time must be positive: {seq}");
-        assert!(
-            (0.0..=1.0).contains(&alpha),
-            "alpha must be within [0, 1]: {alpha}"
-        );
-        assert!(!overhead.is_negative(), "overhead must be non-negative");
-        TaskCost {
+        TaskCost::try_new(seq, alpha, overhead).unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// The one statement of what a task cost may hold: `seq` positive,
+    /// `alpha` within `[0, 1]` (never NaN) and `overhead` non-negative.
+    /// Anything else makes [`TaskCost::exec_time`] meaningless, or negative.
+    pub fn try_new(seq: Dur, alpha: f64, overhead: Dur) -> Result<TaskCost, TaskCostError> {
+        if !seq.is_positive() {
+            return Err(TaskCostError::Seq(seq));
+        }
+        if !(0.0..=1.0).contains(&alpha) {
+            return Err(TaskCostError::Alpha(alpha));
+        }
+        if overhead.is_negative() {
+            return Err(TaskCostError::Overhead(overhead));
+        }
+        Ok(TaskCost {
             seq,
             alpha,
             overhead,
-        }
+        })
     }
 
     /// Execution time on `m` processors, rounded up to a whole second.
@@ -141,6 +152,30 @@ impl TaskCost {
         relative_gain(self.exec_time(m), self.exec_time(m + 1))
     }
 }
+
+/// The field of a [`TaskCost`] that breaks the rule of
+/// [`TaskCost::try_new`], with the value it held.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum TaskCostError {
+    /// `seq` is zero or negative.
+    Seq(Dur),
+    /// `alpha` is outside `[0, 1]`, or NaN.
+    Alpha(f64),
+    /// `overhead` is negative.
+    Overhead(Dur),
+}
+
+impl fmt::Display for TaskCostError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            TaskCostError::Seq(seq) => write!(f, "seq (sequential time) must be positive: {seq}"),
+            TaskCostError::Alpha(alpha) => write!(f, "alpha must be within [0, 1]: {alpha}"),
+            TaskCostError::Overhead(o) => write!(f, "overhead must be non-negative: {o}"),
+        }
+    }
+}
+
+impl std::error::Error for TaskCostError {}
 
 /// One task's width candidates, in scan order: `(m, exec_time(m))` over the
 /// multiples of the grain, minus the *dominated* widths — those no shorter
@@ -386,6 +421,30 @@ mod tests {
     #[should_panic(expected = "alpha")]
     fn rejects_bad_alpha() {
         let _ = c(100, 1.5);
+    }
+
+    #[test]
+    fn try_new_names_the_field_it_refuses() {
+        let (s, o) = (Dur::seconds(100), Dur::ZERO);
+        assert_eq!(
+            TaskCost::try_new(Dur::seconds(-5), 0.1, o),
+            Err(TaskCostError::Seq(Dur::seconds(-5)))
+        );
+        assert_eq!(
+            TaskCost::try_new(Dur::ZERO, 0.1, o),
+            Err(TaskCostError::Seq(Dur::ZERO))
+        );
+        assert_eq!(TaskCost::try_new(s, 3.5, o), Err(TaskCostError::Alpha(3.5)));
+        assert!(matches!(
+            TaskCost::try_new(s, f64::NAN, o),
+            Err(TaskCostError::Alpha(a)) if a.is_nan()
+        ));
+        let negative = Dur::seconds(-1);
+        assert_eq!(
+            TaskCost::try_new(s, 0.1, negative),
+            Err(TaskCostError::Overhead(negative))
+        );
+        assert_eq!(TaskCost::try_new(s, 1.0, o), Ok(c(100, 1.0)));
     }
 
     #[test]

@@ -48,8 +48,8 @@
 //! [`with_grain`]: ScheduleValidator::with_grain
 //! [`with_quotas`]: ScheduleValidator::with_quotas
 //!
-//! Schedulers invoke the oracle through a `debug_assertions`/`validate`
-//! feature-gated post-pass, and the seeded fuzz driver in `tests/` runs
+//! Schedulers invoke the oracle through a `debug_assertions`-gated
+//! post-pass, and the seeded fuzz driver in `tests/` runs
 //! every registered algorithm through it on random scenarios, shrinking
 //! failures to minimal committed repros (see DESIGN.md, "Schedule validity
 //! invariants").
@@ -571,7 +571,7 @@ impl<'a> ScheduleValidator<'a> {
     /// Panic with a descriptive message if `sched` violates any invariant.
     ///
     /// This is the post-pass the schedulers call behind
-    /// `cfg(any(debug_assertions, feature = "validate"))`.
+    /// `cfg(debug_assertions)`.
     pub fn assert_valid(&self, sched: &Schedule, context: &str) {
         if let Err(v) = self.check(sched) {
             panic!("{context}: schedule validation failed: {v}");
@@ -836,7 +836,7 @@ pub fn audit_calendar_with(
 /// the Amdahl model at the chosen allocation.
 ///
 /// Returns a human-readable description of the first inconsistency, or
-/// `Ok(())`. The allocators call this behind the same debug/feature gate
+/// `Ok(())`. The allocators call this behind the same debug gate
 /// as the schedule post-pass.
 pub fn check_allocation(dag: &Dag, alloc: &crate::cpa::CpaAllocation) -> Result<(), String> {
     if alloc.allocs.len() != dag.num_tasks() || alloc.exec.len() != dag.num_tasks() {
@@ -867,7 +867,7 @@ pub fn check_allocation(dag: &Dag, alloc: &crate::cpa::CpaAllocation) -> Result<
 }
 
 /// Panicking wrapper around [`check_allocation`] for allocator post-passes.
-#[cfg(any(debug_assertions, feature = "validate"))]
+#[cfg(debug_assertions)]
 pub(crate) fn assert_allocation_valid(dag: &Dag, alloc: &crate::cpa::CpaAllocation, context: &str) {
     if let Err(e) = check_allocation(dag, alloc) {
         panic!("{context}: allocation validation failed: {e}");

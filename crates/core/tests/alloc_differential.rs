@@ -114,23 +114,18 @@ fn cpa_matches_reference_on_the_table1_shapes() {
                         before = Some(reference);
                     }
                 });
-                if obs::COMPILED {
-                    // `allocate` walks each trajectory whole; the cache
-                    // walks at most that, less the skipped prefixes.
-                    let ran = report.metrics.counter(obs::names::CPA_ALLOC_ITERS);
-                    assert!(
-                        ran <= 2 * walked - skippable,
-                        "{ran} > 2 x {walked} - {skippable}"
-                    );
-                    resumed += u32::from(skippable > 0);
-                }
+                // `allocate` walks each trajectory whole; the cache walks
+                // at most that, less the skipped prefixes.
+                let ran = report.metrics.counter(obs::names::CPA_ALLOC_ITERS);
+                assert!(
+                    ran <= 2 * walked - skippable,
+                    "{ran} > 2 x {walked} - {skippable}"
+                );
+                resumed += u32::from(skippable > 0);
             }
         }
     }
-    assert!(
-        !obs::COMPILED || resumed > 0,
-        "no pool was ever a continuation"
-    );
+    assert!(resumed > 0, "no pool was ever a continuation");
 }
 
 #[test]
@@ -192,7 +187,7 @@ fn capped_inside_a_run() -> Dag {
 }
 
 /// `cpa::allocate` under observation: the allocation, its loop iterations
-/// and how many of them were steps of a run (both 0 without `obs`).
+/// and how many of them were steps of a run.
 fn observed(dag: &Dag, pool: u32, criterion: StoppingCriterion) -> (cpa::CpaAllocation, u64, u64) {
     let (alloc, report) = obs::observe("allocate", || cpa::allocate(dag, pool, criterion));
     let count = |name| report.metrics.counter(name);
@@ -257,17 +252,15 @@ fn cpa_matches_reference_where_runs_are_long() {
                 let (fresh, ran, run_steps) = observed(dag, pool, criterion);
                 assert_eq!(fresh, reference, "{at}");
                 assert_eq!(*cache.cpa(dag, pool, criterion), reference, "cache: {at}");
-                if obs::COMPILED {
-                    assert_eq!(ran, iterations(&reference), "iterations: {at}");
-                    assert!(run_steps <= ran, "{at}");
-                }
+                assert_eq!(ran, iterations(&reference), "iterations: {at}");
+                assert!(run_steps <= ran, "{at}");
                 all_iterations += ran;
                 all_run_steps += run_steps;
             }
         }
     }
     assert!(
-        !obs::COMPILED || 2 * all_run_steps > all_iterations,
+        2 * all_run_steps > all_iterations,
         "only {all_run_steps} of {all_iterations} iterations were run steps"
     );
 }
@@ -329,14 +322,12 @@ fn cpa_matches_reference_however_a_run_ends() {
             let reference = cpa::allocate_reference(dag, *pool, criterion);
             let (got, ran, run_steps) = observed(dag, *pool, criterion);
             assert_eq!(got, reference, "{name}, {criterion:?}");
-            if obs::COMPILED {
-                assert_eq!(ran, iterations(&reference), "{name}, {criterion:?}");
-                // Mean width 1 (a chain) or 2 (clamped to the pool of 2 at
-                // most): both criteria walk the same trajectory here except
-                // where `T_A` doubles.
-                if criterion == classic {
-                    assert_eq!(run_steps, *want_run_steps, "{name}: run steps");
-                }
+            assert_eq!(ran, iterations(&reference), "{name}, {criterion:?}");
+            // Mean width 1 (a chain) or 2 (clamped to the pool of 2 at most):
+            // both criteria walk the same trajectory here except where `T_A`
+            // doubles.
+            if criterion == classic {
+                assert_eq!(run_steps, *want_run_steps, "{name}: run steps");
             }
         }
     }
@@ -403,10 +394,8 @@ fn one_cache_in_any_pool_order_equals_the_reference() {
             }
         });
         assert_eq!(misses, continues.len() + 1, "{name}: case table");
-        if obs::COMPILED {
-            let ran = report.metrics.counter(obs::names::CPA_ALLOC_ITERS);
-            assert_eq!(ran, expected, "{name}: resumed-vs-fresh decisions");
-        }
+        let ran = report.metrics.counter(obs::names::CPA_ALLOC_ITERS);
+        assert_eq!(ran, expected, "{name}: resumed-vs-fresh decisions");
     }
     // The withheld case really is one: the capped run stopped short of
     // what the larger pool gives the same task.
@@ -469,12 +458,10 @@ fn cache_lookups_equal_direct_allocations_on_seeded_sweep() {
                     cpa::allocate(&dag, pools[0], criteria[0]),
                 );
             });
-            if obs::COMPILED {
-                // Each distinct key computed once; every repeat is a hit.
-                let keys = (pools.len() * criteria.len()) as u64;
-                assert_eq!(report.metrics.counter(obs::names::CPA_CACHE_MISS), keys);
-                assert_eq!(report.metrics.counter(obs::names::CPA_CACHE_HIT), keys + 1);
-            }
+            // Each distinct key computed once; every repeat is a hit.
+            let keys = (pools.len() * criteria.len()) as u64;
+            assert_eq!(report.metrics.counter(obs::names::CPA_CACHE_MISS), keys);
+            assert_eq!(report.metrics.counter(obs::names::CPA_CACHE_HIT), keys + 1);
         }
     }
 }

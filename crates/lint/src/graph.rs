@@ -8,7 +8,7 @@
 //! a sink the graph cannot reach from a root genuinely cannot be reached
 //! by any resolution the graph models. Calls through fn-typed parameters
 //! cannot be resolved at all and are reported as `dynamic-call`
-//! violations when reachable. Test-gated and debug/validate-gated lines
+//! violations when reachable. Test-gated and debug-gated lines
 //! are invisible (compiled out of release hot paths), macros are opaque
 //! except for the sink macros themselves, and `std`/vendored callees are
 //! trusted leaves. No root reaches the rayon shim (`resched-core` and
@@ -1070,7 +1070,7 @@ mod tests {
     fn debug_gated_lines_are_invisible() {
         let w = ws(&[(
             "crates/core/src/e.rs",
-            "pub fn root() {\n    #[cfg(any(debug_assertions, feature = \"validate\"))]\n    validate_all();\n}\nfn validate_all() {\n    let v: Vec<u32> = (0..3).collect();\n    let _ = v;\n}\n",
+            "pub fn root() {\n    #[cfg(debug_assertions)]\n    validate_all();\n}\nfn validate_all() {\n    let v: Vec<u32> = (0..3).collect();\n    let _ = v;\n}\n",
         )]);
         let (t, g) = build(&w);
         let root = t.fns.iter().position(|f| f.name == "root").unwrap();

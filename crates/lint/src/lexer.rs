@@ -27,8 +27,8 @@ pub struct Line {
     pub comment: Option<String>,
     /// True inside `#[cfg(test)]`-gated items.
     pub in_test: bool,
-    /// True inside items or statements gated on `debug_assertions` or the
-    /// `validate` feature — code that is compiled out of the release hot
+    /// True inside items or statements gated on `debug_assertions` — code
+    /// that is compiled out of every release build, so out of the hot
     /// paths the transitive proofs cover.
     pub in_debug: bool,
 }
@@ -307,11 +307,11 @@ fn mark_test_regions(lines: &mut [Line]) {
     }
 }
 
-/// Mark lines inside items or statements gated on `debug_assertions` or
-/// the `validate` feature — `#[cfg(debug_assertions)]`,
-/// `#[cfg(any(debug_assertions, ...))]`, `#[cfg(feature = "validate")]`
-/// and friends. These lines are compiled out of release builds, so the
-/// release-proof rules (transitive panic/det) skip them.
+/// Mark lines inside items or statements gated on `debug_assertions` —
+/// `#[cfg(debug_assertions)]`, `#[cfg(any(debug_assertions, ...))]` and
+/// friends. No feature arms them in a release build, so these lines are
+/// compiled out of every one and the release-proof rules (transitive
+/// panic/det) skip them.
 ///
 /// Unlike the test-region heuristic, a debug gate may sit on a *statement*
 /// (the validator replay tail in the schedulers): the region therefore
@@ -328,8 +328,7 @@ fn mark_debug_regions(lines: &mut [Line]) {
         let Some(pos) = code.find("#[cfg(") else {
             return false;
         };
-        let attr = &code[pos..];
-        attr.contains("debug_assertions") || attr.contains("feature = \"validate\"")
+        code[pos..].contains("debug_assertions")
     }
     let mut depth: i32 = 0;
     let mut paren: i32 = 0;
@@ -549,7 +548,7 @@ mod tests {
 
     #[test]
     fn debug_regions_cover_items_and_braceless_statements() {
-        let src = "pub fn hot() {\n    work();\n    #[cfg(any(debug_assertions, feature = \"validate\"))]\n    Validator::new(x)\n        .with(|&b| quant(b, (g)))\n        .assert_valid(out);\n    more();\n}\n#[cfg(debug_assertions)]\nfn dbg_only() {\n    slow_check();\n}\nfn lib() {}\n";
+        let src = "pub fn hot() {\n    work();\n    #[cfg(debug_assertions)]\n    Validator::new(x)\n        .with(|&b| quant(b, (g)))\n        .assert_valid(out);\n    more();\n}\n#[cfg(debug_assertions)]\nfn dbg_only() {\n    slow_check();\n}\nfn lib() {}\n";
         let l = lex(src);
         assert!(!l.lines[1].in_debug, "work() is release code");
         assert!(l.lines[2].in_debug, "attribute line");

@@ -43,8 +43,8 @@ pub struct FnSym {
     /// Defined in test code (a `#[cfg(test)]` region or a tests/ file):
     /// never a resolution target for library code.
     pub is_test: bool,
-    /// Defined under a debug/validate gate: compiled out of release hot
-    /// paths.
+    /// Defined under a `debug_assertions` gate: compiled out of release
+    /// hot paths.
     pub is_debug: bool,
 }
 

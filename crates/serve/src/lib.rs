@@ -325,11 +325,32 @@ pub fn summarize(r: &ServeReport) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use resched_core::obs::names;
+    use resched_core::obs::{self, names};
     use resched_workloads::prelude::*;
 
     fn small_log() -> JobLog {
         generate_log(&LogSpec::ctc_sp2().with_duration(Dur::days(2)), 7)
+    }
+
+    /// Everything a report holds but the stopwatch: the wall-clock fields
+    /// zeroed, and the registry (whose latency histogram is one) emptied.
+    fn decided(r: &ServeReport) -> ServeReport {
+        ServeReport {
+            wall_ms: 0.0,
+            throughput_per_s: 0.0,
+            p50_us: 0.0,
+            p95_us: 0.0,
+            p99_us: 0.0,
+            metrics: MetricsRegistry::new(),
+            ..r.clone()
+        }
+    }
+
+    /// A registry's counters, in name order.
+    fn counters(m: &MetricsRegistry) -> Vec<(String, u64)> {
+        m.counters()
+            .map(|(name, n)| (name.to_string(), n))
+            .collect()
     }
 
     #[test]
@@ -864,22 +885,78 @@ mod tests {
         ] {
             let (a, b) = (run(&log, &cfg), fold(&log, &cfg));
             assert!(a.commits > 0 && a.cancels > 0 && a.resizes > 0, "{a:?}");
-            // Everything but the stopwatch.
-            let decided = |r: &ServeReport| ServeReport {
-                wall_ms: 0.0,
-                throughput_per_s: 0.0,
-                p50_us: 0.0,
-                p95_us: 0.0,
-                p99_us: 0.0,
-                metrics: MetricsRegistry::new(),
-                ..r.clone()
-            };
             assert_eq!(decided(&a), decided(&b));
-            let counters = |r: &ServeReport| -> Vec<(String, u64)> {
-                let all = r.metrics.counters();
-                all.map(|(name, n)| (name.to_string(), n)).collect()
-            };
-            assert_eq!(counters(&a), counters(&b));
+            assert_eq!(counters(&a.metrics), counters(&b.metrics));
+        }
+    }
+
+    /// A replay under the collector decides exactly as a plain one, and
+    /// what the collector saw is what the report says: one `serve.schedule`
+    /// span per arrival, one `serve.cancel` per cancellation, and the
+    /// report's tallies as the ambient `serve.*` counters.
+    #[test]
+    fn an_observed_replay_decides_and_counts_as_the_report_says() {
+        let quota = ServeQuotaConfig {
+            users: 2,
+            max_concurrent_cores: 300,
+            max_core_seconds: 0,
+        };
+        for (log, cfg) in [
+            (
+                small_log(),
+                ServeConfig {
+                    max_apps: 60,
+                    ..ServeConfig::default()
+                },
+            ),
+            (
+                generate_log(&LogSpec::sdsc_blue().with_duration(Dur::days(2)), 11),
+                ServeConfig {
+                    accel: 20.0,
+                    max_apps: 60,
+                    deadline_every: 1,
+                    cancel_every: 2,
+                    quota: Some(quota),
+                    seed: 11,
+                    ..ServeConfig::default()
+                },
+            ),
+        ] {
+            let plain = run(&log, &cfg);
+            let (observed, ambient) = obs::observe("serve", || run(&log, &cfg));
+            assert!(observed.commits > 0 && observed.cancels > 0, "{observed:?}");
+            assert!(
+                cfg.quota.is_none() || observed.quota_denied > 0,
+                "{observed:?}"
+            );
+            assert_eq!(decided(&observed), decided(&plain));
+            assert_eq!(counters(&observed.metrics), counters(&plain.metrics));
+
+            let spans = |name| ambient.profile.span(name).map_or(0, |s| s.calls);
+            assert_eq!(spans(names::SPAN_SERVE_SCHEDULE), observed.apps as u64);
+            assert_eq!(spans(names::SPAN_SERVE_CANCEL), observed.cancels as u64);
+            let tallies: Vec<(String, u64)> = [
+                (names::SERVE_APPS, observed.apps as u64),
+                (names::SERVE_CANCELS, observed.cancels as u64),
+                (names::SERVE_COMMITS, observed.commits as u64),
+                (names::SERVE_QUOTA_DENIED, observed.quota_denied),
+                (names::SERVE_RESIZES, observed.resizes as u64),
+                (names::SERVE_ROLLBACKS, observed.rollbacks as u64),
+            ]
+            .into_iter()
+            .filter(|&(_, n)| n > 0)
+            .map(|(name, n)| (name.to_string(), n))
+            .collect();
+            let serve_counters: Vec<(String, u64)> = counters(&ambient.metrics)
+                .into_iter()
+                .filter(|(name, _)| name.starts_with("serve."))
+                .collect();
+            assert_eq!(serve_counters, tallies);
+            let latencies = ambient.metrics.histogram(names::SERVE_LATENCY);
+            assert_eq!(
+                latencies.map(obs::Histogram::count),
+                Some(observed.apps as u64)
+            );
         }
     }
 }

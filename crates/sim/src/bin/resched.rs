@@ -124,7 +124,7 @@ fn generate_log_cmd(args: &Args) -> Result<(), Box<dyn Error>> {
 
 fn read_json<T: serde::de::DeserializeOwned>(path: &str) -> Result<T, Box<dyn Error>> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-    Ok(serde_json::from_str(&text)?)
+    Ok(serde_json::from_str(&text).map_err(|e| format!("{path}: {e}"))?)
 }
 
 fn extract_cmd(args: &Args) -> Result<(), Box<dyn Error>> {
@@ -153,6 +153,10 @@ fn extract_cmd(args: &Args) -> Result<(), Box<dyn Error>> {
     Ok(())
 }
 
+/// The `--dag` and `--resv` files, refused with the file and the field
+/// named wherever they hold what the schedulers cannot take: a task cost
+/// outside [`TaskCost::try_new`]'s rule, a machine of no processors, or
+/// reservations that do not fit on it.
 fn load_problem(
     args: &Args,
 ) -> Result<
@@ -163,9 +167,22 @@ fn load_problem(
     ),
     Box<dyn Error>,
 > {
-    let dag: resched_core::dag::Dag = read_json(args.req("dag")?)?;
-    let rs: resched_workloads::extract::ReservationSchedule = read_json(args.req("resv")?)?;
-    let cal = rs.calendar();
+    let dag_path = args.req("dag")?;
+    let dag: resched_core::dag::Dag = read_json(dag_path)?;
+    for (i, c) in dag.costs().iter().enumerate() {
+        TaskCost::try_new(c.seq, c.alpha, c.overhead)
+            .map_err(|e| format!("{dag_path}: task {i}: {e}"))?;
+    }
+    let resv_path = args.req("resv")?;
+    let rs: resched_workloads::extract::ReservationSchedule = read_json(resv_path)?;
+    if rs.procs == 0 {
+        return Err(format!("{resv_path}: procs must be positive").into());
+    }
+    let mut cal = Calendar::new(rs.procs);
+    for (i, r) in rs.reservations.iter().enumerate() {
+        cal.try_add(*r)
+            .map_err(|e| format!("{resv_path}: reservations[{i}]: {e}"))?;
+    }
     Ok((dag, rs, cal))
 }
 

@@ -1,0 +1,92 @@
+//! `resched` refuses JSON inputs the schedulers cannot take: exit 1 with
+//! the file and the field named on stderr, instead of a panic (exit 101)
+//! inside the calendar or the Amdahl evaluation, and instead of scheduling
+//! an impossible task cost silently.
+
+use std::path::{Path, PathBuf};
+use std::process::Command;
+
+/// A one-task DAG whose task costs `cost` (a `TaskCost` JSON object).
+fn one_task_dag(cost: &str) -> String {
+    format!(
+        r#"{{"costs":[{cost}],"preds":[[]],"succs":[[]],"topo":[0],"depth":[0],"entries":[0],"exits":[0],"num_edges":0}}"#
+    )
+}
+
+fn write(name: &str, text: &str) -> PathBuf {
+    let path = Path::new(env!("CARGO_TARGET_TMPDIR")).join(name);
+    std::fs::write(&path, text).expect("scratch file");
+    path
+}
+
+/// `resched schedule` on the two files: its exit code and stderr.
+fn schedule(dag: &Path, resv: &Path) -> (Option<i32>, String) {
+    let out = Command::new(env!("CARGO_BIN_EXE_resched"))
+        .arg("schedule")
+        .arg("--dag")
+        .arg(dag)
+        .arg("--resv")
+        .arg(resv)
+        .output()
+        .expect("resched runs");
+    (
+        out.status.code(),
+        String::from_utf8_lossy(&out.stderr).into(),
+    )
+}
+
+#[test]
+fn unschedulable_inputs_exit_1_naming_the_file_and_the_field() {
+    let good_dag = write(
+        "cli_good_dag.json",
+        &one_task_dag(r#"{"seq":3600,"alpha":0.1,"overhead":0}"#),
+    );
+    let good_resv = write(
+        "cli_good_resv.json",
+        r#"{"procs":4,"reservations":[{"start":0,"end":100,"procs":4}],"q":4}"#,
+    );
+    let (code, stderr) = schedule(&good_dag, &good_resv);
+    assert_eq!(code, Some(0), "the valid pair schedules: {stderr}");
+
+    let cases = [
+        (
+            "cli_zero_procs.json",
+            false,
+            r#"{"procs":0,"reservations":[],"q":0}"#.to_string(),
+            "procs must be positive",
+        ),
+        (
+            "cli_conflict.json",
+            false,
+            r#"{"procs":4,"reservations":[{"start":0,"end":100,"procs":4},{"start":50,"end":150,"procs":4}],"q":4}"#
+                .to_string(),
+            "reservations[1]: ",
+        ),
+        (
+            "cli_negative_seq.json",
+            true,
+            one_task_dag(r#"{"seq":-5,"alpha":0.1,"overhead":0}"#),
+            "task 0: seq (sequential time) must be positive: ",
+        ),
+        (
+            "cli_alpha.json",
+            true,
+            one_task_dag(r#"{"seq":3600,"alpha":3.5,"overhead":0}"#),
+            "task 0: alpha must be within [0, 1]: 3.5",
+        ),
+    ];
+    for (name, is_dag, text, field) in cases {
+        let bad = write(name, &text);
+        let (code, stderr) = if is_dag {
+            schedule(&bad, &good_resv)
+        } else {
+            schedule(&good_dag, &bad)
+        };
+        assert_eq!(code, Some(1), "{name}: {stderr}");
+        let named = format!("{}: ", bad.display());
+        assert!(
+            stderr.contains(&named) && stderr.contains(field),
+            "{name}: {stderr}"
+        );
+    }
+}

@@ -8,9 +8,8 @@
 //! `force_threads`. These tests pin that: the same computation under
 //! `rayon::force_threads(1)` and `force_threads(4)` must produce
 //! identical results, including `ScheduleStats` work counters and the
-//! serialized `results/trace.jsonl` rows (full bytes without the obs
-//! feature; the stable subset — labels and metric counters — when obs
-//! timing is compiled in, since wall clocks are not deterministic).
+//! stable subset of the serialized `results/trace.jsonl` rows — labels and
+//! metric counters; the span timings are wall clocks.
 
 use resched_sim::exp::profile::{run_phase_profiles, write_trace};
 use resched_sim::exp::validation::run_validation;
@@ -49,11 +48,10 @@ fn experiment_sweep_is_thread_count_invariant() {
 }
 
 /// `results/trace.jsonl` rows are emitted from phase profiles collected
-/// under `obs::observe`. Without the obs feature the rows carry no wall
-/// clocks and must be byte-identical across thread counts; with obs
-/// compiled, the stable subset (row order, labels, metric counters) must
-/// match — collection is thread-local and every observed section runs on
-/// the observing thread, so no counter may be lost or reordered.
+/// under `obs::observe`. Their stable subset (row order, labels, metric
+/// counters) must match across thread counts — collection is thread-local
+/// and every observed section runs on the observing thread, so no counter
+/// may be lost or reordered.
 #[test]
 fn trace_rows_are_thread_count_invariant() {
     let _g = lock();
@@ -74,10 +72,6 @@ fn trace_rows_are_thread_count_invariant() {
         std::fs::read_to_string(&seq_path).unwrap(),
         std::fs::read_to_string(&par_path).unwrap(),
     );
-    if !resched_core::obs::COMPILED {
-        assert_eq!(seq, par, "trace.jsonl bytes diverged across thread counts");
-        return;
-    }
     let rows = |text: &str| -> Vec<(Option<serde_json::Value>, Option<serde_json::Value>)> {
         text.lines()
             .map(|l| {

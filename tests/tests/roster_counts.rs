@@ -7,8 +7,7 @@
 //! entry computed it `fanout` times. Table 6's instance, asked for five
 //! tightest-deadline searches and a loose pass, computes each pool it asks
 //! about once, where a fresh preparation per probe computed CPA(`q`) per
-//! probe. Needs `--features obs` to see the counters; without it the tests
-//! only check that the runs complete.
+//! probe.
 
 use resched_core::obs::{self, names};
 use resched_core::prelude::*;
@@ -56,9 +55,6 @@ fn table6_searches_and_loose_pass_allocate_each_pool_once() {
                     let _ = roster.schedule(Time::seconds(loose as i64), algo);
                 }
             });
-            if !obs::COMPILED {
-                continue;
-            }
             let at = format!("{}, q = {q} of {p}", spec.log.name);
             // CPA(q) for the order; CPA(p) for the `*_CPA` algorithms,
             // unless the two pools are one.
@@ -83,9 +79,9 @@ fn a_deadline_arrival_allocates_once_at_every_fanout() {
         num_tasks: 10,
         ..DagParams::paper_default()
     };
-    // Besides the scheduler's own run, debug builds (and `validate` ones)
-    // replay CPA(q) once more, outside the cache, to check a feasible
-    // `DL_BD_CPAR` schedule against its declared bounds.
+    // Besides the scheduler's own run, debug builds replay CPA(q) once
+    // more, outside the cache, to check a feasible `DL_BD_CPAR` schedule
+    // against its declared bounds.
     let replays = u64::from(cfg!(debug_assertions));
 
     for fanout in [1, 2, PROBE_ROSTER.len()] {
@@ -103,9 +99,6 @@ fn a_deadline_arrival_allocates_once_at_every_fanout() {
             match decision {
                 Decision::Admitted { .. } => admitted += 1,
                 Decision::Rejected(_) => rejected += 1,
-            }
-            if !obs::COMPILED {
-                continue;
             }
             let at = format!("fan-out {fanout}, job {}", job.id);
             let counter = |name| report.metrics.counter(name);
