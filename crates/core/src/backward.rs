@@ -29,6 +29,7 @@
 use crate::bl::{self, BlMethod};
 use crate::cpa::{self, CpaAllocation, CpaCache, MapScratch, StoppingCriterion};
 use crate::dag::{Dag, TaskId};
+use crate::floor::Floor;
 use crate::forward::{self, ForwardConfig};
 use crate::obs;
 use crate::pool::Pool;
@@ -103,11 +104,19 @@ impl fmt::Display for DeadlineAlgo {
 pub struct DeadlineInfeasible {
     /// The deadline that could not be met.
     pub deadline: Time,
+    /// The instance floor ([`Floor::time`]) when it answered: the deadline
+    /// is below it, so no algorithm meets it and none was run. `None` when
+    /// the algorithm ran and missed.
+    pub floor: Option<Time>,
 }
 
 impl fmt::Display for DeadlineInfeasible {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "deadline {} cannot be met", self.deadline)
+        write!(f, "deadline {} cannot be met", self.deadline)?;
+        match self.floor {
+            Some(floor) => write!(f, ": no valid schedule completes before {floor}"),
+            None => Ok(()),
+        }
     }
 }
 
@@ -186,10 +195,13 @@ pub fn schedule_deadline(
 /// Every RESSCHEDDL algorithm starts from the CPA(`q`) allocation and the
 /// increasing-`BL_CPAR` order it gives (paper §5.2), and the forward
 /// `*_CPA(R)` configurations read the same allocations: pure functions of
-/// `(dag, p, q, criterion)`, computed here once. Each answer is exactly the
-/// independent call's — `schedule_deadline` or `schedule_forward` —
-/// placements, λ, infeasibility and every [`ScheduleStats`] field, which
-/// count what the question asked for, not what was computed.
+/// `(dag, p, q, criterion)`, computed here once, on the first question that
+/// needs them. A deadline below the instance [`Floor`] needs nothing: no
+/// algorithm meets it, and it is answered `Err` on the spot. Each answer is
+/// exactly the independent call's — `schedule_deadline` or
+/// `schedule_forward` — placements, λ, infeasibility and every
+/// [`ScheduleStats`] field, which count what the question asked for, not
+/// what was computed.
 pub struct Roster<'a> {
     dag: &'a Dag,
     competing: &'a Calendar,
@@ -197,10 +209,13 @@ pub struct Roster<'a> {
     /// The effective pool `Pool::effective(q, p)`.
     q: u32,
     cfg: DeadlineConfig,
+    /// No schedule of the instance completes before this instant.
+    floor: Time,
     /// The CPA allocations of the instance: CPA(`q`) from the order on,
     /// CPA(`p`) (a continuation of it) once something asks for it.
     cache: CpaCache,
-    /// Increasing `BL_CPAR` bottom levels: exit tasks first.
+    /// Increasing `BL_CPAR` bottom levels: exit tasks first. Empty until
+    /// the first question that runs a pass (a DAG has at least one task).
     order: Vec<TaskId>,
     /// One pass-buffer set for every pass of every algorithm: a λ sweep
     /// alone runs up to 21 passes over it.
@@ -208,7 +223,8 @@ pub struct Roster<'a> {
 }
 
 impl<'a> Roster<'a> {
-    /// Prepare the instance for the deadline algorithms under `cfg`.
+    /// Prepare the instance for the deadline algorithms under `cfg`: its
+    /// floor, and nothing else until a question needs it.
     pub fn prepare(
         dag: &'a Dag,
         competing: &'a Calendar,
@@ -216,39 +232,60 @@ impl<'a> Roster<'a> {
         q: u32,
         cfg: DeadlineConfig,
     ) -> Roster<'a> {
-        let p = competing.capacity();
-        let q = Pool::effective(q, p);
-        // All algorithms order tasks with BL_CPAR bottom levels (paper §5.2:
-        // "We use the BL_CPAR method ... because it proved the best"). The
-        // CPA(q) allocation computed here is the one the BD_CPAR bounds, RC
-        // guides and hybrid guides read back from the cache.
-        let mut cache = CpaCache::new();
-        let order = {
-            crate::span!(obs::names::SPAN_DEADLINE_PREP);
-            let exec = cache.exec_times(dag, p, q, BlMethod::CpaR, cfg.criterion);
-            let levels = bl::bottom_levels(dag, &exec);
-            bl::order_by_increasing_bl(dag, &levels)
-        };
         Roster {
             dag,
             competing,
             now,
-            q,
+            q: Pool::effective(q, competing.capacity()),
             cfg,
-            cache,
-            order,
+            floor: Floor::of(dag, competing, now, cfg.grain).time(),
+            cache: CpaCache::new(),
+            order: Vec::new(),
             pass: PassBufs::default(),
         }
     }
 
+    /// The instance floor: every deadline before it is infeasible.
+    pub fn floor(&self) -> Time {
+        self.floor
+    }
+
+    /// The task order, computed on first use. All algorithms order tasks
+    /// with BL_CPAR bottom levels (paper §5.2: "We use the BL_CPAR method
+    /// ... because it proved the best"). The CPA(q) allocation behind it is
+    /// the one the BD_CPAR bounds, RC guides and hybrid guides read back
+    /// from the cache.
+    fn prepare_order(&mut self) {
+        if !self.order.is_empty() {
+            return;
+        }
+        crate::span!(obs::names::SPAN_DEADLINE_PREP);
+        let (dag, p) = (self.dag, self.competing.capacity());
+        let exec = self
+            .cache
+            .exec_times(dag, p, self.q, BlMethod::CpaR, self.cfg.criterion);
+        let levels = bl::bottom_levels(dag, &exec);
+        self.order = bl::order_by_increasing_bl(dag, &levels);
+    }
+
     /// `schedule_deadline(.., deadline, algo, ..)` on this instance. Its
     /// stats start from the allocation request behind the order, as if the
-    /// algorithm had prepared the instance.
+    /// algorithm had prepared the instance. A deadline below the
+    /// [`floor`](Roster::floor) is answered at once, with the floor in the
+    /// error.
     pub fn schedule(
         &mut self,
         deadline: Time,
         algo: DeadlineAlgo,
     ) -> Result<DeadlineOutcome, DeadlineInfeasible> {
+        if deadline < self.floor {
+            obs::counter_add(obs::names::BACKWARD_FLOOR_SKIPS, 1);
+            return Err(DeadlineInfeasible {
+                deadline,
+                floor: Some(self.floor),
+            });
+        }
+        self.prepare_order();
         let Roster {
             dag,
             competing,
@@ -258,6 +295,7 @@ impl<'a> Roster<'a> {
             ref mut cache,
             ref order,
             ref mut pass,
+            ..
         } = *self;
         let p = competing.capacity();
         let grain = cfg.grain.clamp(1, p.max(1));
@@ -342,7 +380,10 @@ impl<'a> Roster<'a> {
                     .map(Some)
             }
         };
-        let lambda = lambda.ok_or(DeadlineInfeasible { deadline })?;
+        let lambda = lambda.ok_or(DeadlineInfeasible {
+            deadline,
+            floor: None,
+        })?;
 
         let mut schedule = Schedule::new(placed, now);
         schedule.stats = stats;
@@ -911,33 +952,93 @@ mod tests {
     #[test]
     fn impossible_deadline_is_reported() {
         let dag = small_dag();
+        let cfg = DeadlineConfig::default();
+        // The exit task alone takes ~60 s at full width: 1 s is below the
+        // instance floor, which answers for every algorithm before any
+        // allocation, mapping or pass.
         let cal = busy_calendar();
-        // The exit task alone takes ~300s; 1s is impossible.
+        let k = Time::seconds(1);
+        let floor = Roster::prepare(&dag, &cal, Time::ZERO, 4, cfg).floor();
         for algo in DeadlineAlgo::ALL {
             let (out, report) = obs::observe("impossible", || {
-                schedule_deadline(
-                    &dag,
-                    &cal,
-                    Time::ZERO,
-                    4,
-                    Time::seconds(1),
-                    algo,
-                    DeadlineConfig::default(),
-                )
+                schedule_deadline(&dag, &cal, Time::ZERO, 4, k, algo, cfg)
             });
-            assert!(
-                out.is_err(),
-                "{algo} claimed to meet an impossible deadline"
-            );
-            // No pass gets beyond the first order position, so an RC
-            // algorithm (every λ pass of a hybrid included) has read one
-            // `S_i` and mapped one suffix.
+            let floor = Some(floor);
+            assert_eq!(out, Err(DeadlineInfeasible { deadline: k, floor }));
+            let counter = |name| report.metrics.counter(name);
+            assert_eq!(counter(obs::names::BACKWARD_FLOOR_SKIPS), 1, "{algo}");
+            for name in [
+                obs::names::CPA_CACHE_MISS,
+                obs::names::STATS_CPA_MAPPINGS,
+                obs::names::STATS_PASSES,
+            ] {
+                assert_eq!(counter(name), 0, "{algo}: {name}");
+            }
+        }
+
+        // Above the floor, on a machine that is free only 10 s in every
+        // 100: area enough, but no room for any task. No pass gets beyond
+        // the first order position, so an RC algorithm (every λ pass of a
+        // hybrid included) has read one `S_i` and mapped one suffix.
+        let mut gappy = Calendar::new(8);
+        for k in 0..400 {
+            let start = Time::seconds(k * 100 + 10);
+            gappy
+                .try_add(Reservation::new(start, start + Dur::seconds(90), 8))
+                .unwrap();
+        }
+        let k = Time::seconds(30_000);
+        assert!(Roster::prepare(&dag, &gappy, Time::ZERO, 4, cfg).floor() <= k);
+        for algo in DeadlineAlgo::ALL {
+            let (out, report) = obs::observe("impossible", || {
+                schedule_deadline(&dag, &gappy, Time::ZERO, 4, k, algo, cfg)
+            });
+            let floor = None;
+            assert_eq!(out, Err(DeadlineInfeasible { deadline: k, floor }));
             assert_eq!(
                 report.metrics.counter(obs::names::STATS_CPA_MAPPINGS),
                 u64::from(reads_guideline(algo)),
                 "{algo}"
             );
         }
+    }
+
+    #[test]
+    fn a_roster_asked_only_below_its_floor_allocates_nothing() {
+        // Every algorithm, at the scheduling instant and one second short of
+        // the floor: answered from the floor, with no CPA allocation (no
+        // cache miss), no order, no pass. At the floor itself it runs.
+        let (dag, cal) = (small_dag(), busy_calendar());
+        let cfg = DeadlineConfig::default();
+        let ((), report) = obs::observe("below the floor", || {
+            let mut roster = Roster::prepare(&dag, &cal, Time::ZERO, 4, cfg);
+            let floor = roster.floor();
+            for algo in DeadlineAlgo::ALL {
+                for k in [Time::ZERO, floor - Dur::seconds(1)] {
+                    let want = DeadlineInfeasible {
+                        deadline: k,
+                        floor: Some(floor),
+                    };
+                    assert_eq!(roster.schedule(k, algo), Err(want), "{algo}");
+                }
+            }
+        });
+        let counter = |name| report.metrics.counter(name);
+        assert_eq!(counter(obs::names::BACKWARD_FLOOR_SKIPS), 14);
+        assert_eq!(counter(obs::names::CPA_CACHE_MISS), 0);
+        assert_eq!(counter(obs::names::CPA_ALLOC_ITERS), 0);
+        assert_eq!(counter(obs::names::STATS_PASSES), 0);
+        assert!(report
+            .profile
+            .span(obs::names::SPAN_DEADLINE_PREP)
+            .is_none());
+
+        let ((), report) = obs::observe("at the floor", || {
+            let mut roster = Roster::prepare(&dag, &cal, Time::ZERO, 4, cfg);
+            let _ = roster.schedule(roster.floor(), DeadlineAlgo::BdCpaR);
+        });
+        assert_eq!(report.metrics.counter(obs::names::BACKWARD_FLOOR_SKIPS), 0);
+        assert_eq!(report.metrics.counter(obs::names::CPA_CACHE_MISS), 1);
     }
 
     #[test]
@@ -1328,8 +1429,8 @@ mod tests {
     }
 
     /// `schedule_deadline` rebuilt from [`brute_choice`]: placements and λ,
-    /// or `Err` when the deadline cannot be met. Hybrids try every λ of the
-    /// grid in order (no warm start).
+    /// or `None` when the deadline cannot be met. Hybrids try every λ of the
+    /// grid in order (no warm start); no floor answers for a pass.
     fn brute_deadline(
         dag: &Dag,
         competing: &Calendar,
@@ -1338,7 +1439,7 @@ mod tests {
         deadline: Time,
         algo: DeadlineAlgo,
         cfg: DeadlineConfig,
-    ) -> Result<(Vec<Placement>, Option<f64>), DeadlineInfeasible> {
+    ) -> Option<(Vec<Placement>, Option<f64>)> {
         let p = competing.capacity();
         let q = Pool::effective(q, p);
         let grain = cfg.grain.clamp(1, p);
@@ -1386,7 +1487,6 @@ mod tests {
         };
 
         let all = vec![p; dag.num_tasks()];
-        let infeasible = DeadlineInfeasible { deadline };
         match algo {
             DeadlineAlgo::BdAll => pass(&all, None, 0.0).map(|pl| (pl, None)),
             DeadlineAlgo::BdCpa => pass(&cpa_p.allocs, None, 0.0).map(|pl| (pl, None)),
@@ -1403,7 +1503,6 @@ mod tests {
                     .find_map(|l| pass(bounds, Some(&cpa_q), l).map(|pl| (pl, Some(l))))
             }
         }
-        .ok_or(infeasible)
     }
 
     /// How many of the conservative rule's chunks cover `n` candidates.
@@ -1420,9 +1519,11 @@ mod tests {
     /// What the draws of [`width_scan_matches_the_brute_force_pass`] reached.
     #[derive(Default)]
     struct Reached {
-        /// (deadline, algorithm) cases met and missed.
+        /// (deadline, algorithm) cases met and missed, and of the missed
+        /// ones those the floor answered.
         feasible: u32,
         infeasible: u32,
+        below_floor: u32,
         /// The widest placement an RC-family schedule made.
         widest_rc: u32,
         /// Feasible `DL_RC_CPA` calls whose CPA(`p`) guide is not the
@@ -1499,11 +1600,17 @@ mod tests {
                                 reached.rc_cpa_remapped += u32::from(maps > 1);
                             }
                         }
-                        let got = got.map(|out| (out.schedule.placements().to_vec(), out.lambda));
-                        match &want {
-                            Ok(_) => reached.feasible += 1,
-                            Err(_) => reached.infeasible += 1,
+                        match (&want, &got) {
+                            (Some(_), _) => reached.feasible += 1,
+                            (None, Err(e)) => {
+                                reached.infeasible += 1;
+                                reached.below_floor += u32::from(e.floor.is_some());
+                            }
+                            (None, Ok(_)) => {}
                         }
+                        let got = got
+                            .ok()
+                            .map(|out| (out.schedule.placements().to_vec(), out.lambda));
                         assert_eq!(
                             got, want,
                             "{algo}, draw {draw}, {p} processors, overhead {overhead}, \
@@ -1531,6 +1638,7 @@ mod tests {
         let Reached {
             feasible,
             infeasible,
+            below_floor,
             widest_rc,
             rc_cpa_own_guide,
             rc_cpa_remapped,
@@ -1538,6 +1646,11 @@ mod tests {
         assert!(
             feasible > 0 && infeasible > 0,
             "deadlines must fall on both sides of feasibility ({feasible} met, {infeasible} not)"
+        );
+        // The floor's answers are held to the brute-force pass too.
+        assert!(
+            below_floor > 0 && below_floor < infeasible,
+            "{below_floor} of {infeasible} misses answered by the floor"
         );
         assert!(
             widest_rc > 341,
@@ -1709,7 +1822,9 @@ mod tests {
         // One roster runs every algorithm's search, in a random order, each
         // on the probes and the cached forward guess the earlier searches
         // left behind; each answers what the search with nothing shared
-        // does — deadline, schedule, λ and stats.
+        // does — deadline, schedule, λ and stats. Some of its probes fall
+        // below the floor and are answered without a pass.
+        let mut floor_skips = 0;
         for draw in 0..diff_iters() {
             let mut rng = rand_chacha::ChaCha12Rng::seed_from_u64(0x7167_4E57 ^ draw);
             let (cal, q) = random_platform(&mut rng, 16);
@@ -1722,14 +1837,16 @@ mod tests {
                 for algo in shuffled(&DeadlineAlgo::ALL, &mut rng) {
                     let want = reference_tightest(&dag, &cal, q, algo, cfg, precision);
                     assert!(want.is_some(), "{algo}, draw {draw}");
+                    let (got, report) = obs::observe("search", || roster.tightest(algo, precision));
+                    floor_skips += report.metrics.counter(obs::names::BACKWARD_FLOOR_SKIPS);
                     assert_eq!(
-                        roster.tightest(algo, precision),
-                        want,
+                        got, want,
                         "{algo}, draw {draw}, grain {grain}, precision {precision}"
                     );
                 }
             }
         }
+        assert!(floor_skips > 0, "no probe fell below the floor");
     }
 
     #[test]

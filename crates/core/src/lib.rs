@@ -60,6 +60,9 @@
 //!   kill/requeue semantics (completing the paper's §3.1 estimate story);
 //! * [`backward`] — RESSCHEDDL algorithms (`DL_*`, λ-hybrids, tightest
 //!   deadline);
+//! * [`floor`] — the instance floor: the critical-path and area bounds no
+//!   valid schedule beats, which answers deadlines below it and is the
+//!   second oracle;
 //! * [`pool`] — the single `q`-clamping rule sizing every CPA pool;
 //! * [`obs`] — observability: metrics registry, span timers, per-run phase
 //!   profiles, and JSONL trace reports, collected only where the `obs`
@@ -82,6 +85,7 @@ pub mod cpa;
 pub mod dag;
 pub mod dynamic;
 pub mod exec;
+pub mod floor;
 pub mod forward;
 pub mod icaslb;
 pub mod mcpa;

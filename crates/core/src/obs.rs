@@ -105,6 +105,10 @@ pub mod names {
         /// Counter: λ-sweep passes the hybrid deadline algorithms skipped
         /// because the previous failure provably repeats at the next λ.
         HYBRID_LAMBDA_PASSES_SAVED = "hybrid.lambda_passes_saved";
+        /// Counter: deadline questions a `backward::Roster` answered
+        /// "infeasible" because the deadline is below the instance floor,
+        /// with no allocation, mapping or pass.
+        BACKWARD_FLOOR_SKIPS = "core.backward.floor_skips";
         /// Counter: mirror of [`ScheduleStats::cpa_allocations`].
         STATS_CPA_ALLOCATIONS = "sched.cpa_allocations";
         /// Counter: mirror of [`ScheduleStats::cpa_mappings`].

@@ -655,6 +655,31 @@ impl Calendar {
         self.slots().used_integral(from, to)
     }
 
+    /// The earliest instant `t >= from` at which the *free*
+    /// processor-seconds over `[from, t)` — `capacity · (t − from)` minus
+    /// [`Calendar::used_integral`] — reach `work`; `from` when `work` is not
+    /// positive. The free area only grows with `t`, and every processor is
+    /// free past the last breakpoint, so the answer always exists. One
+    /// forward walk from the slot holding `from`.
+    ///
+    /// This is the area half of an instance's lower bound: no set of
+    /// reservations holding `work` processor-seconds between them fits
+    /// after `from` and ends before this instant.
+    ///
+    /// ```
+    /// use resched_resv::{Calendar, Reservation, Time};
+    ///
+    /// let mut cal = Calendar::new(4);
+    /// cal.try_add(Reservation::new(Time::seconds(10), Time::seconds(20), 3)).unwrap();
+    /// // 40 free processor-seconds by t = 10, then one processor until 20.
+    /// assert_eq!(cal.earliest_free_work(Time::ZERO, 40), Time::seconds(10));
+    /// assert_eq!(cal.earliest_free_work(Time::ZERO, 45), Time::seconds(15));
+    /// assert_eq!(cal.earliest_free_work(Time::ZERO, 51), Time::seconds(21));
+    /// ```
+    pub fn earliest_free_work(&self, from: Time, work: i64) -> Time {
+        self.slots().earliest_free_work(from, work)
+    }
+
     /// Average *utilization* (fraction of capacity in use) over `[from, to)`.
     pub fn average_utilization(&self, from: Time, to: Time) -> f64 {
         assert!(from < to);

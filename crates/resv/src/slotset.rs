@@ -526,6 +526,38 @@ impl<'a> Slots<'a> {
             .sum()
     }
 
+    /// The first instant `t >= from` at which the free processor-seconds
+    /// over `[from, t)` reach `work` (`from` itself when `work` is not
+    /// positive). One forward pass from the slot holding `from`: the slots
+    /// are contiguous, so the cursor only leaves them before the first one
+    /// and past the last, where every processor is free and the answer is
+    /// one division away. A full slot adds nothing and is stepped over.
+    pub(crate) fn earliest_free_work(self, from: Time, work: i64) -> Time {
+        let mut t = from;
+        let mut left = work;
+        let mut i = self.first_ending_after(from);
+        while left > 0 {
+            let next = self.get(i);
+            let covering = next.filter(|s| s.start <= t);
+            let used = covering.map_or(0, |s| s.used);
+            let free = i64::from(self.capacity.saturating_sub(used));
+            // Where this stretch of constant usage ends: the covering
+            // slot's end, the first slot's start, or never.
+            let end = next.map(|s| if s.start <= t { s.end } else { s.start });
+            match end {
+                Some(end) if free * (end - t).as_seconds() < left => {
+                    left -= free * (end - t).as_seconds();
+                    t = end;
+                    i += usize::from(covering.is_some());
+                }
+                // `free > 0` here: a stretch that covers a positive `left`
+                // frees something, and past the slots all `capacity` are.
+                _ => return t + Dur::seconds((left + free - 1) / free.max(1)),
+            }
+        }
+        t
+    }
+
     /// First instant in `[from, to)` where fewer than `procs` processors
     /// are free, with the free count there — the conflict probe behind
     /// `try_add` / `fits`. The conflict instant is the later of the
@@ -1226,6 +1258,79 @@ mod tests {
         assert_eq!(ss.first_conflict(t(15), t(50), 2), Some((t(15), 1)));
         assert_eq!(ss.first_conflict(t(20), t(50), 2), None);
         assert_eq!(ss.first_conflict(t(0), t(10), 4), None);
+    }
+
+    #[test]
+    fn earliest_free_work_fixed_shapes() {
+        // Idle until 10, three of four busy until 20, full until 30, idle.
+        let steps = [step(10, 3), step(20, 4), step(30, 0)];
+        let ss = slots(4, &steps);
+        for (from, work, want) in [
+            (0, 0, 0),
+            (0, -5, 0),
+            (0, 1, 1),    // one processor-second: four free, a second
+            (0, 40, 10),  // exactly the idle lead-in
+            (0, 41, 11),  // into the slot with one free
+            (0, 50, 20),  // all of it
+            (0, 51, 31),  // the full slot adds nothing
+            (15, 5, 20),  // positioned mid-slot
+            (20, 1, 31),  // starting on the full slot
+            (25, 8, 32),  // mid full slot, two seconds past it
+            (40, 9, 43),  // past the span: four per second
+            (-10, 44, 1), // before the span, idle throughout
+        ] {
+            assert_eq!(
+                ss.earliest_free_work(t(from), work),
+                t(want),
+                "from {from}, work {work}"
+            );
+        }
+        assert_eq!(slots(2, &[]).earliest_free_work(t(7), 5), t(10));
+        // An overbooked slot (only a hand-built calendar has one) frees
+        // nothing, like a full one.
+        let steps = [step(0, 9), step(10, 0)];
+        assert_eq!(slots(8, &steps).earliest_free_work(t(0), 8), t(11));
+    }
+
+    #[test]
+    fn earliest_free_work_matches_a_bisection_over_the_usage_integral() {
+        use rand::{Rng, SeedableRng};
+        // Seeded calendar/window draws; the CI fuzz lane raises the count.
+        let draws: u64 = std::env::var("RESCHED_DIFF_ITERS")
+            .ok()
+            .and_then(|v| v.parse().ok())
+            .unwrap_or(30);
+        for draw in 0..draws {
+            let mut rng = rand_chacha::ChaCha12Rng::seed_from_u64(0xA12E_A000 ^ draw);
+            let capacity = [1, 8, 57][draw as usize % 3];
+            let cal = seeded_calendar(capacity, draw, rng.gen_range(0..60usize));
+            let horizon = cal.horizon().map_or(0, |h| h.as_seconds());
+            let lin = cal.linear();
+            let cap = i64::from(capacity);
+            // Free processor-seconds over `[from, to)`, by the reference.
+            let free = |from: i64, to: i64| cap * (to - from) - lin.used_integral(t(from), t(to));
+            for _ in 0..20 {
+                let from = rng.gen_range(-50..horizon + 50);
+                let work = rng.gen_range(-5..cap * (horizon - from + 100).max(1));
+                // The first `to` whose free area reaches `work`, by
+                // bisection: it is no later than the span's end plus one
+                // second per unit of work.
+                let (mut lo, mut hi) = (from - 1, from.max(horizon) + work.max(0));
+                while hi - lo > 1 {
+                    let mid = lo + (hi - lo) / 2;
+                    if mid >= from && free(from, mid) >= work {
+                        hi = mid;
+                    } else {
+                        lo = mid;
+                    }
+                }
+                assert_eq!(
+                    cal.earliest_free_work(t(from), work),
+                    t(hi),
+                    "draw {draw}, {capacity} processors, from {from}, work {work}"
+                );
+            }
+        }
     }
 
     #[test]

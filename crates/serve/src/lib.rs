@@ -673,12 +673,43 @@ mod tests {
             ..ServeConfig::default()
         };
         let (now, reason) = first_rejection(64, &cfg, "deadline_infeasible");
-        assert_eq!(
-            reason,
-            Reason::DeadlineInfeasible {
-                deadline: now + cfg.admit_horizon
-            }
-        );
+        let Reason::DeadlineInfeasible { deadline, floor } = reason else {
+            panic!("{reason}");
+        };
+        assert_eq!(deadline, now + cfg.admit_horizon);
+        // A floor that answered lies past the deadline.
+        assert!(floor.is_none_or(|floor| floor > deadline), "{floor:?}");
+    }
+
+    #[test]
+    fn a_deadline_below_the_instance_floor_is_rejected_with_the_floor() {
+        // Each of three two-hour tasks in a chain takes over an hour at
+        // α = 0.5 on 64 processors: a one-hour horizon is below the floor,
+        // whatever the roster, and the rejection carries it.
+        let cost = TaskCost::new(Dur::hours(2), 0.5);
+        let dag = resched_core::dag::chain(&[cost; 3]);
+        let cfg = ServeConfig {
+            deadline_every: 1,
+            probe_fanout: 4,
+            admit_horizon: Dur::hours(1),
+            ..ServeConfig::default()
+        };
+        let mut server = Server::new(64, &cfg);
+        let now = Time::seconds(100);
+        let floor =
+            Roster::prepare(&dag, server.calendar(), now, 64, DeadlineConfig::default()).floor();
+        let (decision, report) = obs::observe("below the floor", || server.submit(now, 0, &dag));
+        let reason = Reason::DeadlineInfeasible {
+            deadline: now + cfg.admit_horizon,
+            floor: Some(floor),
+        };
+        assert_eq!(decision, Decision::Rejected(reason.clone()));
+        assert_eq!(reason.code(), "deadline_infeasible");
+        assert!(reason.to_string().contains(&floor.to_string()), "{reason}");
+        // Every roster entry was answered from the floor: nothing allocated.
+        let counter = |name| report.metrics.counter(name);
+        assert_eq!(counter(names::BACKWARD_FLOOR_SKIPS), 4);
+        assert_eq!(counter(names::CPA_CACHE_MISS), 0);
     }
 
     #[test]

@@ -12,7 +12,7 @@
 
 use crate::{percentile, ServeConfig, ServeQuotaConfig, ServeReport};
 use resched_core::algos::Algorithm;
-use resched_core::backward::{DeadlineAlgo, DeadlineConfig, Roster};
+use resched_core::backward::{DeadlineAlgo, DeadlineConfig, DeadlineInfeasible, Roster};
 use resched_core::forward::{schedule_forward, ForwardConfig};
 use resched_core::obs::{self, names, MetricsRegistry};
 use resched_core::prelude::*;
@@ -57,6 +57,10 @@ pub enum Reason {
     DeadlineInfeasible {
         /// The deadline (arrival + `admit_horizon`).
         deadline: Time,
+        /// The instance floor, when the deadline is below it: no valid
+        /// schedule completes before it, so no algorithm was run. `None`
+        /// when every probed algorithm ran and missed.
+        floor: Option<Time>,
     },
     /// The quota gate vetoed a schedule that fits.
     Quota(QuotaDenial),
@@ -91,9 +95,18 @@ impl fmt::Display for Reason {
                 f,
                 "completion {completion} is past the admission horizon {horizon}"
             ),
-            Reason::DeadlineInfeasible { deadline } => {
-                write!(f, "no probed algorithm meets the deadline {deadline}")
-            }
+            Reason::DeadlineInfeasible {
+                deadline,
+                floor: None,
+            } => write!(f, "no probed algorithm meets the deadline {deadline}"),
+            Reason::DeadlineInfeasible {
+                deadline,
+                floor: Some(floor),
+            } => write!(
+                f,
+                "the deadline {deadline} is below the instance floor {floor}: \
+                 no valid schedule completes before it"
+            ),
             Reason::Quota(d) => write!(f, "{d}"),
             Reason::Validator(v) => write!(f, "{v}"),
             Reason::ApplyFailed(e) => write!(f, "validated placement does not fit: {e}"),
@@ -182,9 +195,11 @@ pub const PROBE_ROSTER: [DeadlineAlgo; 4] = [
 
 /// Probe the first `fanout` roster algorithms against the transaction's
 /// calendar view — one prepared [`Roster`], so the CPA(`q`) allocation and
-/// the task order they all start from are computed once per arrival — and
-/// keep the feasible candidate with the earliest completion (lowest roster
-/// index wins ties, which is what `min_by_key` does).
+/// the task order they all start from are computed once per arrival, and
+/// not at all when the deadline is below the instance floor — and keep the
+/// feasible candidate with the earliest completion (lowest roster index
+/// wins ties, which is what `min_by_key` does). With none, the last miss
+/// says whether the floor answered.
 fn probe_deadline(
     dag: &Dag,
     cal: &Calendar,
@@ -192,13 +207,24 @@ fn probe_deadline(
     q: u32,
     deadline: Time,
     fanout: usize,
-) -> Option<(DeadlineAlgo, Schedule)> {
+) -> Result<(DeadlineAlgo, Schedule), DeadlineInfeasible> {
     let probed = &PROBE_ROSTER[..fanout.clamp(1, PROBE_ROSTER.len())];
     let mut roster = Roster::prepare(dag, cal, now, q, DeadlineConfig::default());
-    probed
+    let mut missed = DeadlineInfeasible {
+        deadline,
+        floor: None,
+    };
+    let best = probed
         .iter()
-        .filter_map(|&algo| Some((algo, roster.schedule(deadline, algo).ok()?.schedule)))
-        .min_by_key(|(_, s)| s.completion())
+        .filter_map(|&algo| match roster.schedule(deadline, algo) {
+            Ok(out) => Some((algo, out.schedule)),
+            Err(e) => {
+                missed = e;
+                None
+            }
+        })
+        .min_by_key(|(_, s)| s.completion());
+    best.ok_or(missed)
 }
 
 /// The validated candidate schedule for one arrival, or why there is none.
@@ -215,8 +241,13 @@ fn candidate(
 ) -> Result<(Algorithm, Schedule), Reason> {
     let (algo, sched) = match fanout {
         Some(fanout) => {
-            let (algo, sched) = probe_deadline(dag, cal, now, q, horizon, fanout)
-                .ok_or(Reason::DeadlineInfeasible { deadline: horizon })?;
+            let (algo, sched) =
+                probe_deadline(dag, cal, now, q, horizon, fanout).map_err(|missed| {
+                    Reason::DeadlineInfeasible {
+                        deadline: horizon,
+                        floor: missed.floor,
+                    }
+                })?;
             (Algorithm::Deadline(algo), sched)
         }
         None => {
@@ -670,7 +701,7 @@ mod tests {
         }
         let winner = |fanout| probe_deadline(&dag, &cal, now, q, deadline, fanout).map(|w| w.0);
         for fanout in 1..=PROBE_ROSTER.len() {
-            assert_eq!(winner(fanout), Some(PROBE_ROSTER[0]), "fan-out {fanout}");
+            assert_eq!(winner(fanout), Ok(PROBE_ROSTER[0]), "fan-out {fanout}");
         }
         // Out-of-range fan-outs clamp into the roster.
         assert_eq!(winner(0), winner(1));

@@ -11,6 +11,7 @@
 use rand::Rng;
 use resched_core::algos::Algorithm;
 use resched_core::dag::{Dag, DagBuilder};
+use resched_core::floor::Floor;
 use resched_core::forward::{schedule_forward, ForwardConfig};
 use resched_core::prelude::*;
 use resched_core::validate::{audit_calendar_with, Violation};
@@ -359,7 +360,8 @@ impl Scenario {
     }
 
     /// Run every registered algorithm on this scenario and audit each
-    /// produced schedule through the oracle (`Algorithm::validator`).
+    /// produced schedule through the oracle (`Algorithm::validator`) and
+    /// the second oracle, the instance floor (`Floor::check`).
     ///
     /// Deadline-infeasible outcomes are not failures (the deadline is
     /// derived, not guaranteed achievable for every algorithm); scheduler
@@ -370,6 +372,7 @@ impl Scenario {
         let cal = self.calendar();
         let now = self.now();
         let deadline = Some(self.deadline(&dag, &cal));
+        let floor = Floor::of(&dag, &cal, now, 1);
         for algo in Algorithm::catalog() {
             let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
                 algo.run(&dag, &cal, now, self.q, deadline)
@@ -385,10 +388,15 @@ impl Scenario {
             };
             match result {
                 Ok(sched) => {
-                    if let Err(v) = algo.validator(&dag, &cal, now, deadline).check(&sched) {
+                    let checked = algo.validator(&dag, &cal, now, deadline).check(&sched);
+                    let detail = match checked {
+                        Err(v) => Some(v.to_string()),
+                        Ok(()) => floor.check(&sched).err().map(|b| b.to_string()),
+                    };
+                    if let Some(detail) = detail {
                         return Err(Failure {
                             algo: algo.name(),
-                            detail: v.to_string(),
+                            detail,
                         });
                     }
                 }

@@ -5,6 +5,7 @@ use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha12Rng;
 use resched_core::algos::{Algorithm, RunError};
 use resched_core::bl::BlMethod;
+use resched_core::floor::Floor;
 use resched_core::forward::{schedule_forward, BdMethod, ForwardConfig, TieBreak};
 use resched_core::prelude::*;
 use resched_daggen::{generate, DagParams};
@@ -165,16 +166,24 @@ fn cpa_dedicated_schedule_valid() {
 }
 
 /// Every registered algorithm, audited by the *independent* oracle: 200
-/// random DAG × calendar scenarios, each pushed through the full catalog
-/// (16 forward variants, 7 deadline variants, iCASLB-AR, BLIND), every
+/// (or more) random DAG × calendar scenarios, each pushed through the full
+/// catalog (16 forward variants, 7 deadline variants, iCASLB-AR, BLIND), every
 /// produced schedule checked with `ScheduleValidator::check` configured
 /// via `Algorithm::validator` (which also arms the deadline invariant for
-/// deadline algorithms). Deadline-infeasible outcomes are legitimate —
-/// the derived `K` is not guaranteed achievable for every variant.
+/// deadline algorithms), and by the second oracle, which shares no code
+/// with it: no schedule completes before the instance floor. Deadline-
+/// infeasible outcomes are legitimate — the derived `K` is not guaranteed
+/// achievable for every variant — and every deadline algorithm is asked
+/// once more one second below the floor, which it must refuse. The CI fuzz
+/// lane raises the scenario count through `RESCHED_DIFF_ITERS`.
 #[test]
 fn every_algorithm_passes_the_oracle_on_random_scenarios() {
+    let scenarios = std::env::var("RESCHED_DIFF_ITERS")
+        .ok()
+        .and_then(|v| v.parse().ok())
+        .map_or(200, |n: usize| n.max(200));
     let mut rng = ChaCha12Rng::seed_from_u64(0x5CED_0008);
-    for _ in 0..200 {
+    for _ in 0..scenarios {
         let params = dag_params(&mut rng);
         let cal = calendar(&mut rng, 16);
         let seed = rng.gen_range(0u64..1000);
@@ -182,14 +191,28 @@ fn every_algorithm_passes_the_oracle_on_random_scenarios() {
         let dag = generate(&params, seed);
         let fwd = schedule_forward(&dag, &cal, Time::ZERO, q, ForwardConfig::recommended());
         let k = Time::ZERO + fwd.turnaround() * 3;
+        let floor = Floor::of(&dag, &cal, Time::ZERO, 1);
+        let below = floor.time() - Dur::seconds(1);
         for algo in Algorithm::catalog() {
             match algo.run(&dag, &cal, Time::ZERO, q, Some(k)) {
-                Ok(s) => algo
-                    .validator(&dag, &cal, Time::ZERO, Some(k))
-                    .check(&s)
-                    .unwrap_or_else(|v| panic!("{} violates the oracle: {v}", algo.name())),
+                Ok(s) => {
+                    algo.validator(&dag, &cal, Time::ZERO, Some(k))
+                        .check(&s)
+                        .unwrap_or_else(|v| panic!("{} violates the oracle: {v}", algo.name()));
+                    floor
+                        .check(&s)
+                        .unwrap_or_else(|b| panic!("{} beats the floor: {b}", algo.name()));
+                }
                 Err(RunError::Infeasible(_)) => {}
                 Err(e) => panic!("{} failed to run: {e}", algo.name()),
+            }
+            if algo.needs_deadline() {
+                let refused = algo.run(&dag, &cal, Time::ZERO, q, Some(below));
+                assert!(
+                    matches!(refused, Err(RunError::Infeasible(e)) if e.floor.is_some()),
+                    "{} below the floor: {refused:?}",
+                    algo.name()
+                );
             }
         }
     }

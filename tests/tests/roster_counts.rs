@@ -4,15 +4,16 @@
 //! allocation. A deadline arrival therefore computes it once whatever the
 //! probe fan-out — one `cpa.cache.miss`, one allocation's worth of
 //! `cpa.alloc.iterations` — where one `schedule_deadline` call per roster
-//! entry computed it `fanout` times. Table 6's instance, asked for five
-//! tightest-deadline searches and a loose pass, computes each pool it asks
-//! about once, where a fresh preparation per probe computed CPA(`q`) per
-//! probe.
+//! entry computed it `fanout` times; an arrival whose deadline is below the
+//! instance floor computes it not at all. Table 6's instance, asked for
+//! five tightest-deadline searches and a loose pass, computes each pool it
+//! asks about once, where a fresh preparation per probe computed CPA(`q`)
+//! per probe.
 
 use resched_core::obs::{self, names};
 use resched_core::prelude::*;
 use resched_daggen::{generate, DagParams};
-use resched_serve::{Decision, ServeConfig, Server, PROBE_ROSTER};
+use resched_serve::{Decision, Reason, ServeConfig, Server, PROBE_ROSTER};
 use resched_sim::exp::deadline::{LOOSE_FACTOR, SEARCH_PRECISION};
 use resched_sim::scenario::{default_sweep, instances_for, LogCache, ResvSpec, Scale};
 use resched_workloads::prelude::*;
@@ -63,8 +64,12 @@ fn table6_searches_and_loose_pass_allocate_each_pool_once() {
             assert_eq!(counter(names::CPA_CACHE_MISS), pools, "{at}");
             let prep = report.profile.span(names::SPAN_DEADLINE_PREP);
             assert_eq!(prep.map(|s| s.calls), Some(1), "{at}");
-            // Every probe and every forward guess read the same allocations.
-            assert!(counter(names::CPA_CACHE_HIT) > 50, "{at}");
+            // Every probe the floor does not answer, and every forward
+            // guess, reads the same allocations; the searches' lowest
+            // probes fall below the floor and read nothing.
+            let skips = counter(names::BACKWARD_FLOOR_SKIPS);
+            assert!(skips > 0, "{at}");
+            assert!(counter(names::CPA_CACHE_HIT) + skips > 50, "{at}");
         }
     }
 }
@@ -84,24 +89,43 @@ fn a_deadline_arrival_allocates_once_at_every_fanout() {
     // against its declared bounds.
     let replays = u64::from(cfg!(debug_assertions));
 
-    for fanout in [1, 2, PROBE_ROSTER.len()] {
+    // A horizon that some of the DAGs' critical paths exceed: those
+    // arrivals are answered from the floor.
+    for (fanout, horizon) in [(1, 12), (2, 12), (PROBE_ROSTER.len(), 12), (2, 3)] {
         let cfg = ServeConfig {
             deadline_every: 1,
             probe_fanout: fanout,
+            admit_horizon: Dur::hours(horizon),
             ..ServeConfig::default()
         };
         let mut server = Server::new(log.procs, &cfg);
-        let (mut admitted, mut rejected) = (0, 0);
+        let (mut admitted, mut rejected, mut below_floor) = (0, 0, 0);
         for job in &jobs {
             let dag = generate(&params, u64::from(job.id) ^ 0x0A11);
             let (decision, report) =
                 obs::observe("arrival", || server.submit(job.submit, job.id, &dag));
+            let at = format!("fan-out {fanout}, {horizon} h, job {}", job.id);
+            let counter = |name| report.metrics.counter(name);
             match decision {
                 Decision::Admitted { .. } => admitted += 1,
+                Decision::Rejected(Reason::DeadlineInfeasible { floor: Some(_), .. }) => {
+                    // Every roster entry answered from the floor, and
+                    // nothing allocated, mapped or run.
+                    below_floor += 1;
+                    rejected += 1;
+                    assert_eq!(counter(names::BACKWARD_FLOOR_SKIPS), fanout as u64, "{at}");
+                    for name in [
+                        names::CPA_CACHE_MISS,
+                        names::CPA_ALLOC_ITERS,
+                        names::STATS_PASSES,
+                    ] {
+                        assert_eq!(counter(name), 0, "{at}: {name}");
+                    }
+                    continue;
+                }
                 Decision::Rejected(_) => rejected += 1,
             }
-            let at = format!("fan-out {fanout}, job {}", job.id);
-            let counter = |name| report.metrics.counter(name);
+            assert_eq!(counter(names::BACKWARD_FLOOR_SKIPS), 0, "{at}");
             assert_eq!(counter(names::CPA_CACHE_MISS), 1, "{at}");
             // Each further request for the allocation is a hit: the
             // `DL_BD_CPAR` bounds and the two hybrids' guides.
@@ -131,8 +155,9 @@ fn a_deadline_arrival_allocates_once_at_every_fanout() {
         }
         assert_eq!(server.audit(), 0, "fan-out {fanout}");
         assert!(
-            admitted > 0 && rejected > 0,
-            "fan-out {fanout}: {admitted} / {rejected}"
+            admitted > 0 && rejected > below_floor,
+            "fan-out {fanout}, {horizon} h: {admitted} / {rejected}"
         );
+        assert_eq!(below_floor > 0, horizon < 12, "{horizon} h: {below_floor}");
     }
 }
