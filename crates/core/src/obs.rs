@@ -133,6 +133,9 @@ pub mod names {
         SERVE_RESIZES = "serve.resizes";
         /// Counter: applications denied admission by a quota rule.
         SERVE_QUOTA_DENIED = "serve.quota.denied";
+        /// Counter: arrivals rejected because their instance floor lies
+        /// past the horizon or deadline (no scheduler run).
+        SERVE_FLOOR_ANSWERED = "serve.floor_answered";
         /// Histogram: per-application scheduling latency in nanoseconds.
         SERVE_LATENCY = "serve.schedule.latency_ns";
         /// Span: forward scheduling — bottom levels, ordering, allocation

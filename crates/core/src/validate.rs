@@ -604,11 +604,7 @@ impl<'a> ScheduleValidator<'a> {
             events.push((pl.start, i64::from(pl.procs)));
             events.push((pl.end, -i64::from(pl.procs)));
         }
-        for t in self.competing.breakpoints() {
-            if t > lo && t < hi {
-                bounds.push(t);
-            }
-        }
+        bounds.extend(self.competing.breakpoints_within(lo, hi));
         bounds.sort();
         bounds.dedup();
         events.sort();

@@ -708,6 +708,19 @@ impl Calendar {
         self.steps.iter().map(|s| s.time)
     }
 
+    /// The breakpoints strictly inside `(lo, hi)`, in increasing order: the
+    /// [`Calendar::breakpoints`] filtered to the open interval, positioned
+    /// by binary search instead of a scan from the first.
+    pub fn breakpoints_within(&self, lo: Time, hi: Time) -> impl Iterator<Item = Time> + '_ {
+        let from = self.steps.partition_point(|s| s.time <= lo);
+        let until = self.steps.partition_point(|s| s.time < hi).max(from);
+        self.steps
+            .get(from..until)
+            .unwrap_or_default()
+            .iter()
+            .map(|s| s.time)
+    }
+
     /// The time of the last breakpoint (when the calendar drains), if any.
     pub fn horizon(&self) -> Option<Time> {
         self.steps.last().map(|s| s.time)
@@ -1042,6 +1055,19 @@ mod tests {
         }
         assert_eq!(cal.used_at(t(9)), 0);
         assert_eq!(Calendar::new(4).breakpoints().count(), 0);
+
+        // The positioned range is the filtered scan, for bounds on, between,
+        // before and after the breakpoints, and for empty and reversed
+        // intervals.
+        for lo in [0, 9, 10, 14, 15, 20, 31, 50, 60, 99] {
+            for hi in [0, 10, 11, 15, 30, 50, 60, 61, 100] {
+                let (lo, hi) = (t(lo), t(hi));
+                let scan: Vec<Time> = bps.iter().copied().filter(|&b| lo < b && b < hi).collect();
+                let within: Vec<Time> = cal.breakpoints_within(lo, hi).collect();
+                assert_eq!(within, scan, "({lo}, {hi})");
+            }
+        }
+        assert_eq!(Calendar::new(4).breakpoints_within(t(0), t(9)).count(), 0);
     }
 
     #[test]

@@ -26,9 +26,12 @@
 //! 1. estimate the availability `q` from the recent past and open a
 //!    shadow-schedule transaction ([`resched_resv::ShadowTxn`]) over the
 //!    calendar;
-//! 2. run the forward scheduler (or, for a configurable fraction of
-//!    arrivals, a roster of backward deadline schedulers) against the
-//!    transaction's view, and hold the result to the admission horizon;
+//! 2. reject the arrival at once if its instance floor
+//!    ([`resched_core::floor::Floor::past`]) already lies past the
+//!    admission horizon; otherwise run the forward scheduler (or, for a
+//!    configurable fraction of arrivals, a roster of backward deadline
+//!    schedulers) against the transaction's view, and hold the result to
+//!    the horizon;
 //! 3. audit the candidate schedule with the independent
 //!    [`ScheduleValidator`] oracle, then give the quota gate its veto;
 //! 4. apply its reservations inside the transaction and **commit** — or
@@ -56,7 +59,7 @@
 
 mod server;
 
-pub use server::{Decision, Fault, LiveApp, Reason, Server, PROBE_ROSTER};
+pub use server::{Decision, Fault, LiveApp, Overrun, Reason, Server, PROBE_ROSTER};
 
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha12Rng;
@@ -620,10 +623,15 @@ mod tests {
     }
 
     /// Submit ten-task applications at one instant to a `procs`-processor
-    /// server until one is rejected under `code` with the books non-empty,
-    /// and hand that reason back. Every rejection on the way — whatever its
-    /// reason — must leave calendar and ledger byte-identical.
-    fn first_rejection(procs: u32, cfg: &ServeConfig, code: &str) -> (Time, Reason) {
+    /// server until one is rejected for a reason `wanted` accepts with the
+    /// books non-empty, and hand that reason back. Every rejection on the
+    /// way — whatever its reason — must leave calendar and ledger
+    /// byte-identical.
+    fn first_rejection(
+        procs: u32,
+        cfg: &ServeConfig,
+        wanted: impl Fn(&Reason) -> bool,
+    ) -> (Time, Reason) {
         let params = DagParams {
             num_tasks: 10,
             ..DagParams::paper_default()
@@ -638,13 +646,13 @@ mod tests {
                 Decision::Rejected(reason) => {
                     assert_eq!(books(&server), before, "{reason} changed the books");
                     assert_eq!(server.audit(), 0);
-                    if reason.code() == code && !server.live().is_empty() {
+                    if wanted(&reason) && !server.live().is_empty() {
                         return (now, reason);
                     }
                 }
             }
         }
-        panic!("no {code} rejection in 200 arrivals");
+        panic!("no wanted rejection in 200 arrivals");
     }
 
     #[test]
@@ -653,16 +661,81 @@ mod tests {
             deadline_every: 0,
             ..ServeConfig::default()
         };
-        let (now, reason) = first_rejection(64, &cfg, "horizon_exceeded");
-        let Reason::HorizonExceeded {
-            completion,
-            horizon,
-        } = reason
-        else {
-            panic!("{reason}");
+        // Answered by the forward schedule's completion, and by the floor.
+        for by_floor in [false, true] {
+            let (now, reason) = first_rejection(64, &cfg, |r| {
+                matches!(r, Reason::HorizonExceeded { by, .. }
+                    if matches!(by, Overrun::Floor(_)) == by_floor)
+            });
+            let Reason::HorizonExceeded { horizon, by } = reason else {
+                panic!("{reason}");
+            };
+            assert_eq!(reason.code(), "horizon_exceeded");
+            assert_eq!(horizon, now + cfg.admit_horizon);
+            let past = match by {
+                Overrun::Completion(completion) => completion,
+                Overrun::Floor(floor) => {
+                    assert!(reason.to_string().contains(&floor.to_string()), "{reason}");
+                    floor.at
+                }
+            };
+            assert!(past > horizon, "{reason}");
+        }
+    }
+
+    #[test]
+    fn a_forward_arrival_past_its_floor_allocates_nothing() {
+        // One 40 h perfectly parallel task holds all four processors for
+        // 10 h. A chain of two sequential 90 min tasks behind it ends at
+        // 13 h at the earliest: past the 12 h horizon, which only the
+        // calendar path sees (critical path 3 h, area 10 h 45 min).
+        let cfg = ServeConfig {
+            deadline_every: 0,
+            ..ServeConfig::default()
         };
-        assert_eq!(horizon, now + cfg.admit_horizon);
-        assert!(completion > horizon);
+        let mut server = Server::new(4, &cfg);
+        let now = Time::seconds(100);
+        let wide = resched_core::dag::chain(&[TaskCost::new(Dur::hours(40), 0.0)]);
+        let admitted = server.submit(now, 0, &wide);
+        assert!(
+            matches!(admitted, Decision::Admitted { completion, .. } if completion == now + Dur::hours(10)),
+            "{admitted:?}"
+        );
+        let sequential = TaskCost::new(Dur::minutes(90), 1.0);
+        let dag = resched_core::dag::chain(&[sequential; 2]);
+        let floor = resched_core::floor::Floor::with_calendar_path(&dag, server.calendar(), now, 1);
+        assert_eq!(
+            (floor.critical_path, floor.area, floor.calendar_path),
+            (
+                now + Dur::hours(3),
+                now + Dur::minutes(645),
+                Some(now + Dur::hours(13))
+            )
+        );
+        let (decision, report) = obs::observe("past the floor", || server.submit(now, 1, &dag));
+        let horizon = now + cfg.admit_horizon;
+        let bound = resched_core::floor::Bound {
+            at: now + Dur::hours(13),
+            half: resched_core::floor::Half::CalendarPath,
+        };
+        let reason = Reason::HorizonExceeded {
+            horizon,
+            by: Overrun::Floor(bound),
+        };
+        assert_eq!(decision, Decision::Rejected(reason.clone()));
+        assert_eq!(
+            reason.to_string(),
+            format!(
+                "the instance floor {} (calendar path bound) is past the admission horizon \
+                 {horizon}: no valid schedule completes by it",
+                now + Dur::hours(13)
+            )
+        );
+        let counter = |name| report.metrics.counter(name);
+        assert_eq!(counter(names::SERVE_FLOOR_ANSWERED), 1);
+        assert_eq!(counter(names::CPA_CACHE_MISS), 0);
+        assert_eq!(counter(names::EARLIEST_FIT_QUERIES), 0);
+        assert!(report.profile.span(names::SPAN_FORWARD_PREP).is_none());
     }
 
     #[test]
@@ -672,13 +745,13 @@ mod tests {
             probe_fanout: 2,
             ..ServeConfig::default()
         };
-        let (now, reason) = first_rejection(64, &cfg, "deadline_infeasible");
+        let (now, reason) = first_rejection(64, &cfg, |r| r.code() == "deadline_infeasible");
         let Reason::DeadlineInfeasible { deadline, floor } = reason else {
             panic!("{reason}");
         };
         assert_eq!(deadline, now + cfg.admit_horizon);
         // A floor that answered lies past the deadline.
-        assert!(floor.is_none_or(|floor| floor > deadline), "{floor:?}");
+        assert!(floor.is_none_or(|floor| floor.at > deadline), "{floor:?}");
     }
 
     #[test]
@@ -699,16 +772,28 @@ mod tests {
         let floor =
             Roster::prepare(&dag, server.calendar(), now, 64, DeadlineConfig::default()).floor();
         let (decision, report) = obs::observe("below the floor", || server.submit(now, 0, &dag));
+        // On an empty calendar the critical path sets it.
+        let bound = resched_core::floor::Bound {
+            at: floor,
+            half: resched_core::floor::Half::CriticalPath,
+        };
         let reason = Reason::DeadlineInfeasible {
             deadline: now + cfg.admit_horizon,
-            floor: Some(floor),
+            floor: Some(bound),
         };
         assert_eq!(decision, Decision::Rejected(reason.clone()));
         assert_eq!(reason.code(), "deadline_infeasible");
-        assert!(reason.to_string().contains(&floor.to_string()), "{reason}");
-        // Every roster entry was answered from the floor: nothing allocated.
+        assert!(
+            reason
+                .to_string()
+                .contains(&format!("{floor} (critical path bound)")),
+            "{reason}"
+        );
+        // The arrival was answered from the floor before the roster was
+        // prepared: nothing allocated, and no roster question asked.
         let counter = |name| report.metrics.counter(name);
-        assert_eq!(counter(names::BACKWARD_FLOOR_SKIPS), 4);
+        assert_eq!(counter(names::SERVE_FLOOR_ANSWERED), 1);
+        assert_eq!(counter(names::BACKWARD_FLOOR_SKIPS), 0);
         assert_eq!(counter(names::CPA_CACHE_MISS), 0);
     }
 
@@ -740,7 +825,7 @@ mod tests {
                 admit_horizon: Dur::days(30),
                 ..ServeConfig::default()
             };
-            let (_, reason) = first_rejection(430, &cfg, code);
+            let (_, reason) = first_rejection(430, &cfg, |r| r.code() == code);
             let Reason::Quota(denial) = &reason else {
                 panic!("{reason}");
             };
@@ -978,9 +1063,20 @@ mod tests {
             .filter(|&(_, n)| n > 0)
             .map(|(name, n)| (name.to_string(), n))
             .collect();
+            // The floor's answers are on the ambient tally only, and each
+            // is a rollback (most of the saturated replay's).
+            let floor_answered = ambient.metrics.counter(names::SERVE_FLOOR_ANSWERED);
+            assert!(
+                floor_answered <= observed.rollbacks as u64
+                    && (cfg.quota.is_some() || floor_answered > 0),
+                "{floor_answered} of {} rollbacks",
+                observed.rollbacks
+            );
             let serve_counters: Vec<(String, u64)> = counters(&ambient.metrics)
                 .into_iter()
-                .filter(|(name, _)| name.starts_with("serve."))
+                .filter(|(name, _)| {
+                    name.starts_with("serve.") && name != names::SERVE_FLOOR_ANSWERED
+                })
                 .collect();
             assert_eq!(serve_counters, tallies);
             let latencies = ambient.metrics.histogram(names::SERVE_LATENCY);

@@ -12,7 +12,8 @@
 
 use crate::{percentile, ServeConfig, ServeQuotaConfig, ServeReport};
 use resched_core::algos::Algorithm;
-use resched_core::backward::{DeadlineAlgo, DeadlineConfig, DeadlineInfeasible, Roster};
+use resched_core::backward::{DeadlineAlgo, DeadlineConfig, Roster};
+use resched_core::floor::{Bound, Floor};
 use resched_core::forward::{schedule_forward, ForwardConfig};
 use resched_core::obs::{self, names, MetricsRegistry};
 use resched_core::prelude::*;
@@ -43,24 +44,38 @@ pub enum Decision {
     Rejected(Reason),
 }
 
+/// What lies past the admission horizon of a forward arrival.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Overrun {
+    /// The forward schedule's completion.
+    Completion(Time),
+    /// The instance floor as far as it was computed: the first of its
+    /// halves found past the horizon ([`Floor::past`]). No valid schedule
+    /// completes before it, so no scheduler was run.
+    Floor(Bound),
+}
+
 /// Why an arrival was rejected.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Reason {
-    /// The forward schedule ends after the admission horizon.
+    /// The forward schedule ends after the admission horizon, or the
+    /// instance floor already lies past it.
     HorizonExceeded {
-        /// When the schedule would have completed.
-        completion: Time,
         /// The latest admissible completion (arrival + `admit_horizon`).
         horizon: Time,
+        /// What answered: the schedule's completion, or the floor.
+        by: Overrun,
     },
     /// No probed roster algorithm finds a schedule that meets the deadline.
     DeadlineInfeasible {
         /// The deadline (arrival + `admit_horizon`).
         deadline: Time,
-        /// The instance floor, when the deadline is below it: no valid
-        /// schedule completes before it, so no algorithm was run. `None`
-        /// when every probed algorithm ran and missed.
-        floor: Option<Time>,
+        /// The instance floor as far as it was computed, when it lies past
+        /// the deadline: the first of its halves found past it
+        /// ([`Floor::past`]). No valid schedule completes before it, so no
+        /// algorithm was run. `None` when every probed algorithm ran and
+        /// missed.
+        floor: Option<Bound>,
     },
     /// The quota gate vetoed a schedule that fits.
     Quota(QuotaDenial),
@@ -89,11 +104,19 @@ impl fmt::Display for Reason {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             Reason::HorizonExceeded {
-                completion,
                 horizon,
+                by: Overrun::Completion(completion),
             } => write!(
                 f,
                 "completion {completion} is past the admission horizon {horizon}"
+            ),
+            Reason::HorizonExceeded {
+                horizon,
+                by: Overrun::Floor(floor),
+            } => write!(
+                f,
+                "the instance floor {floor} is past the admission horizon {horizon}: \
+                 no valid schedule completes by it"
             ),
             Reason::DeadlineInfeasible {
                 deadline,
@@ -195,11 +218,9 @@ pub const PROBE_ROSTER: [DeadlineAlgo; 4] = [
 
 /// Probe the first `fanout` roster algorithms against the transaction's
 /// calendar view — one prepared [`Roster`], so the CPA(`q`) allocation and
-/// the task order they all start from are computed once per arrival, and
-/// not at all when the deadline is below the instance floor — and keep the
-/// feasible candidate with the earliest completion (lowest roster index
-/// wins ties, which is what `min_by_key` does). With none, the last miss
-/// says whether the floor answered.
+/// the task order they all start from are computed once per arrival — and
+/// keep the feasible candidate with the earliest completion (lowest roster
+/// index wins ties, which is what `min_by_key` does).
 fn probe_deadline(
     dag: &Dag,
     cal: &Calendar,
@@ -207,30 +228,26 @@ fn probe_deadline(
     q: u32,
     deadline: Time,
     fanout: usize,
-) -> Result<(DeadlineAlgo, Schedule), DeadlineInfeasible> {
+) -> Option<(DeadlineAlgo, Schedule)> {
     let probed = &PROBE_ROSTER[..fanout.clamp(1, PROBE_ROSTER.len())];
     let mut roster = Roster::prepare(dag, cal, now, q, DeadlineConfig::default());
-    let mut missed = DeadlineInfeasible {
-        deadline,
-        floor: None,
-    };
-    let best = probed
+    probed
         .iter()
-        .filter_map(|&algo| match roster.schedule(deadline, algo) {
-            Ok(out) => Some((algo, out.schedule)),
-            Err(e) => {
-                missed = e;
-                None
-            }
-        })
-        .min_by_key(|(_, s)| s.completion());
-    best.ok_or(missed)
+        .filter_map(|&algo| Some((algo, roster.schedule(deadline, algo).ok()?.schedule)))
+        .min_by_key(|(_, s)| s.completion())
 }
 
 /// The validated candidate schedule for one arrival, or why there is none.
 /// A deadline arrival (`fanout` is `Some`) probes the roster against
 /// `horizon`; any other is scheduled forward and then held to the same
 /// bound, which keeps the turn-around of what is admitted bounded.
+///
+/// First of all, whether the instance floor with its calendar path lies
+/// past `horizon` ([`Floor::past`]): every valid schedule completes at or
+/// after it, so a floor past the horizon answers for every scheduler, and
+/// nothing is allocated or placed. Decisions are those of the schedulers
+/// themselves. The roster's own floor is two halves of this one, so below
+/// the horizon it never answers either.
 fn candidate(
     dag: &Dag,
     cal: &Calendar,
@@ -239,28 +256,41 @@ fn candidate(
     horizon: Time,
     fanout: Option<usize>,
 ) -> Result<(Algorithm, Schedule), Reason> {
+    let forward = ForwardConfig::recommended();
+    let grain = fanout.map_or(forward.grain, |_| DeadlineConfig::default().grain);
+    if let Some(floor) = Floor::past(dag, cal, now, grain, horizon) {
+        obs::counter_add(names::SERVE_FLOOR_ANSWERED, 1);
+        return Err(match fanout {
+            Some(_) => Reason::DeadlineInfeasible {
+                deadline: horizon,
+                floor: Some(floor),
+            },
+            None => Reason::HorizonExceeded {
+                horizon,
+                by: Overrun::Floor(floor),
+            },
+        });
+    }
     let (algo, sched) = match fanout {
         Some(fanout) => {
-            let (algo, sched) =
-                probe_deadline(dag, cal, now, q, horizon, fanout).map_err(|missed| {
-                    Reason::DeadlineInfeasible {
-                        deadline: horizon,
-                        floor: missed.floor,
-                    }
-                })?;
+            let (algo, sched) = probe_deadline(dag, cal, now, q, horizon, fanout).ok_or(
+                Reason::DeadlineInfeasible {
+                    deadline: horizon,
+                    floor: None,
+                },
+            )?;
             (Algorithm::Deadline(algo), sched)
         }
         None => {
-            let cfg = ForwardConfig::recommended();
-            let sched = schedule_forward(dag, cal, now, q, cfg);
+            let sched = schedule_forward(dag, cal, now, q, forward);
             let completion = sched.completion();
             if completion > horizon {
                 return Err(Reason::HorizonExceeded {
-                    completion,
                     horizon,
+                    by: Overrun::Completion(completion),
                 });
             }
-            (Algorithm::Forward(cfg), sched)
+            (Algorithm::Forward(forward), sched)
         }
     };
     algo.validator(dag, cal, now, Some(horizon))
@@ -398,8 +428,9 @@ impl Server {
     }
 
     /// Decide one arrival: estimate `q` from the recent past, open a
-    /// transaction, find a candidate (forward, or the deadline roster for
-    /// every `deadline_every`-th arrival), hold it to the horizon, the
+    /// transaction, find a candidate (none when the instance floor is past
+    /// the horizon; else forward, or the deadline roster for every
+    /// `deadline_every`-th arrival), hold it to the horizon, the
     /// validator and the quota gate, apply it, and commit — or roll back
     /// byte-exactly on the first `Reason` not to. The arrival's latency is
     /// the time from after the `q` estimate to after the commit or
@@ -701,7 +732,7 @@ mod tests {
         }
         let winner = |fanout| probe_deadline(&dag, &cal, now, q, deadline, fanout).map(|w| w.0);
         for fanout in 1..=PROBE_ROSTER.len() {
-            assert_eq!(winner(fanout), Ok(PROBE_ROSTER[0]), "fan-out {fanout}");
+            assert_eq!(winner(fanout), Some(PROBE_ROSTER[0]), "fan-out {fanout}");
         }
         // Out-of-range fan-outs clamp into the roster.
         assert_eq!(winner(0), winner(1));

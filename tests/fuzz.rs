@@ -361,7 +361,8 @@ impl Scenario {
 
     /// Run every registered algorithm on this scenario and audit each
     /// produced schedule through the oracle (`Algorithm::validator`) and
-    /// the second oracle, the instance floor (`Floor::check`).
+    /// the second oracle, the instance floor with its calendar path
+    /// (`Floor::check`).
     ///
     /// Deadline-infeasible outcomes are not failures (the deadline is
     /// derived, not guaranteed achievable for every algorithm); scheduler
@@ -372,7 +373,7 @@ impl Scenario {
         let cal = self.calendar();
         let now = self.now();
         let deadline = Some(self.deadline(&dag, &cal));
-        let floor = Floor::of(&dag, &cal, now, 1);
+        let floor = Floor::with_calendar_path(&dag, &cal, now, 1);
         for algo in Algorithm::catalog() {
             let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
                 algo.run(&dag, &cal, now, self.q, deadline)

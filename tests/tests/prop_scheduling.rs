@@ -171,11 +171,13 @@ fn cpa_dedicated_schedule_valid() {
 /// produced schedule checked with `ScheduleValidator::check` configured
 /// via `Algorithm::validator` (which also arms the deadline invariant for
 /// deadline algorithms), and by the second oracle, which shares no code
-/// with it: no schedule completes before the instance floor. Deadline-
-/// infeasible outcomes are legitimate — the derived `K` is not guaranteed
-/// achievable for every variant — and every deadline algorithm is asked
-/// once more one second below the floor, which it must refuse. The CI fuzz
-/// lane raises the scenario count through `RESCHED_DIFF_ITERS`.
+/// with it: no schedule completes before the instance floor, its calendar
+/// path included. Deadline-infeasible outcomes are legitimate — the derived
+/// `K` is not guaranteed achievable for every variant — and every deadline
+/// algorithm is asked once more one second below the floor, which it must
+/// refuse, and one second below the roster's own two-half floor, which
+/// answers without a pass. The CI fuzz lane raises the scenario count
+/// through `RESCHED_DIFF_ITERS`.
 #[test]
 fn every_algorithm_passes_the_oracle_on_random_scenarios() {
     let scenarios = std::env::var("RESCHED_DIFF_ITERS")
@@ -191,8 +193,9 @@ fn every_algorithm_passes_the_oracle_on_random_scenarios() {
         let dag = generate(&params, seed);
         let fwd = schedule_forward(&dag, &cal, Time::ZERO, q, ForwardConfig::recommended());
         let k = Time::ZERO + fwd.turnaround() * 3;
-        let floor = Floor::of(&dag, &cal, Time::ZERO, 1);
+        let floor = Floor::with_calendar_path(&dag, &cal, Time::ZERO, 1);
         let below = floor.time() - Dur::seconds(1);
+        let below_roster = Floor::of(&dag, &cal, Time::ZERO, 1).time() - Dur::seconds(1);
         for algo in Algorithm::catalog() {
             match algo.run(&dag, &cal, Time::ZERO, q, Some(k)) {
                 Ok(s) => {
@@ -209,8 +212,14 @@ fn every_algorithm_passes_the_oracle_on_random_scenarios() {
             if algo.needs_deadline() {
                 let refused = algo.run(&dag, &cal, Time::ZERO, q, Some(below));
                 assert!(
-                    matches!(refused, Err(RunError::Infeasible(e)) if e.floor.is_some()),
+                    matches!(refused, Err(RunError::Infeasible(_))),
                     "{} below the floor: {refused:?}",
+                    algo.name()
+                );
+                let refused = algo.run(&dag, &cal, Time::ZERO, q, Some(below_roster));
+                assert!(
+                    matches!(refused, Err(RunError::Infeasible(e)) if e.floor.is_some()),
+                    "{} below the roster's floor: {refused:?}",
                     algo.name()
                 );
             }

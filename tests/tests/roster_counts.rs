@@ -89,8 +89,10 @@ fn a_deadline_arrival_allocates_once_at_every_fanout() {
     // against its declared bounds.
     let replays = u64::from(cfg!(debug_assertions));
 
-    // A horizon that some of the DAGs' critical paths exceed: those
-    // arrivals are answered from the floor.
+    // A horizon that some of the DAGs' critical paths exceed, and a
+    // calendar that fills up: those arrivals are answered from the floor,
+    // before the roster is prepared. At 12 h others clear the floor and
+    // still miss on every probed algorithm: those run the roster.
     for (fanout, horizon) in [(1, 12), (2, 12), (PROBE_ROSTER.len(), 12), (2, 3)] {
         let cfg = ServeConfig {
             deadline_every: 1,
@@ -99,7 +101,7 @@ fn a_deadline_arrival_allocates_once_at_every_fanout() {
             ..ServeConfig::default()
         };
         let mut server = Server::new(log.procs, &cfg);
-        let (mut admitted, mut rejected, mut below_floor) = (0, 0, 0);
+        let (mut admitted, mut missed, mut below_floor) = (0, 0, 0);
         for job in &jobs {
             let dag = generate(&params, u64::from(job.id) ^ 0x0A11);
             let (decision, report) =
@@ -109,12 +111,12 @@ fn a_deadline_arrival_allocates_once_at_every_fanout() {
             match decision {
                 Decision::Admitted { .. } => admitted += 1,
                 Decision::Rejected(Reason::DeadlineInfeasible { floor: Some(_), .. }) => {
-                    // Every roster entry answered from the floor, and
+                    // Answered from the floor before any roster question:
                     // nothing allocated, mapped or run.
                     below_floor += 1;
-                    rejected += 1;
-                    assert_eq!(counter(names::BACKWARD_FLOOR_SKIPS), fanout as u64, "{at}");
+                    assert_eq!(counter(names::SERVE_FLOOR_ANSWERED), 1, "{at}");
                     for name in [
+                        names::BACKWARD_FLOOR_SKIPS,
                         names::CPA_CACHE_MISS,
                         names::CPA_ALLOC_ITERS,
                         names::STATS_PASSES,
@@ -123,8 +125,10 @@ fn a_deadline_arrival_allocates_once_at_every_fanout() {
                     }
                     continue;
                 }
-                Decision::Rejected(_) => rejected += 1,
+                Decision::Rejected(Reason::DeadlineInfeasible { floor: None, .. }) => missed += 1,
+                Decision::Rejected(_) => {}
             }
+            assert_eq!(counter(names::SERVE_FLOOR_ANSWERED), 0, "{at}");
             assert_eq!(counter(names::BACKWARD_FLOOR_SKIPS), 0, "{at}");
             assert_eq!(counter(names::CPA_CACHE_MISS), 1, "{at}");
             // Each further request for the allocation is a hit: the
@@ -154,10 +158,15 @@ fn a_deadline_arrival_allocates_once_at_every_fanout() {
             );
         }
         assert_eq!(server.audit(), 0, "fan-out {fanout}");
-        assert!(
-            admitted > 0 && rejected > below_floor,
-            "fan-out {fanout}, {horizon} h: {admitted} / {rejected}"
+        let tally = format!(
+            "fan-out {fanout}, {horizon} h: {admitted} admitted, {missed} missed, \
+             {below_floor} below the floor"
         );
-        assert_eq!(below_floor > 0, horizon < 12, "{horizon} h: {below_floor}");
+        assert!(admitted > 0, "{tally}");
+        // At 12 h the calendar path answers, at 3 h the critical path too.
+        assert!(below_floor > 0, "{tally}");
+        // A miss after a roster pass, with its counts checked above; at
+        // 3 h the floor answers every rejection.
+        assert_eq!(missed > 0, horizon == 12, "{tally}");
     }
 }
