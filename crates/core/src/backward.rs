@@ -29,7 +29,7 @@
 use crate::bl::{self, BlMethod};
 use crate::cpa::{self, CpaAllocation, CpaCache, MapScratch, StoppingCriterion};
 use crate::dag::{Dag, TaskId};
-use crate::floor::Floor;
+use crate::floor::{Bound, Floor};
 use crate::forward::{self, ForwardConfig};
 use crate::obs;
 use crate::pool::Pool;
@@ -104,10 +104,10 @@ impl fmt::Display for DeadlineAlgo {
 pub struct DeadlineInfeasible {
     /// The deadline that could not be met.
     pub deadline: Time,
-    /// The instance floor ([`Floor::time`]) when it answered: the deadline
-    /// is below it, so no algorithm meets it and none was run. `None` when
-    /// the algorithm ran and missed.
-    pub floor: Option<Time>,
+    /// The floor's first half found past the deadline, when it answered
+    /// ([`Roster::floor_past`]): no algorithm meets it, and none was run.
+    /// `None` when the algorithm ran and missed.
+    pub floor: Option<Bound>,
 }
 
 impl fmt::Display for DeadlineInfeasible {
@@ -209,22 +209,23 @@ pub struct Roster<'a> {
     /// The effective pool `Pool::effective(q, p)`.
     q: u32,
     cfg: DeadlineConfig,
-    /// No schedule of the instance completes before this instant.
-    floor: Time,
+    /// The smallest instant the floor was found clear of (no floor is past `MAX`).
+    clear: Time,
     /// The CPA allocations of the instance: CPA(`q`) from the order on,
     /// CPA(`p`) (a continuation of it) once something asks for it.
     cache: CpaCache,
     /// Increasing `BL_CPAR` bottom levels: exit tasks first. Empty until
     /// the first question that runs a pass (a DAG has at least one task).
     order: Vec<TaskId>,
-    /// One pass-buffer set for every pass of every algorithm: a λ sweep
-    /// alone runs up to 21 passes over it.
-    pass: PassBufs,
+    /// One pass-buffer set for every pass of every algorithm (a λ sweep
+    /// alone runs up to 21 passes over it), made by the first pass.
+    pass: Option<PassBufs>,
 }
 
 impl<'a> Roster<'a> {
-    /// Prepare the instance for the deadline algorithms under `cfg`: its
-    /// floor, and nothing else until a question needs it.
+    /// Prepare the instance for the deadline algorithms under `cfg`:
+    /// nothing is computed until a question needs it.
+    #[inline]
     pub fn prepare(
         dag: &'a Dag,
         competing: &'a Calendar,
@@ -238,16 +239,28 @@ impl<'a> Roster<'a> {
             now,
             q: Pool::effective(q, competing.capacity()),
             cfg,
-            floor: Floor::of(dag, competing, now, cfg.grain).time(),
+            clear: Time::MAX,
             cache: CpaCache::new(),
             order: Vec::new(),
-            pass: PassBufs::default(),
+            pass: None,
         }
     }
 
-    /// The instance floor: every deadline before it is infeasible.
-    pub fn floor(&self) -> Time {
-        self.floor
+    /// Whether the instance [`Floor`] (under the roster's grain) lies past
+    /// `instant`: the first half found past it, cheapest first, and how far
+    /// it reached. Only the smallest instant found clear is remembered: a
+    /// question at or above it is `None` without a walk (the floor lies at
+    /// or below it), any other is computed afresh, bound included.
+    #[inline]
+    pub fn floor_past(&mut self, instant: Time) -> Option<Bound> {
+        if instant >= self.clear {
+            return None;
+        }
+        let bound = Floor::past(self.dag, self.competing, self.now, self.cfg.grain, instant);
+        if bound.is_none() {
+            self.clear = instant;
+        }
+        bound
     }
 
     /// The task order, computed on first use. All algorithms order tasks
@@ -270,19 +283,19 @@ impl<'a> Roster<'a> {
 
     /// `schedule_deadline(.., deadline, algo, ..)` on this instance. Its
     /// stats start from the allocation request behind the order, as if the
-    /// algorithm had prepared the instance. A deadline below the
-    /// [`floor`](Roster::floor) is answered at once, with the floor in the
-    /// error.
+    /// algorithm had prepared the instance. A deadline the floor lies past
+    /// ([`floor_past`](Roster::floor_past)) is answered at once, with the
+    /// floor's bound in the error.
     pub fn schedule(
         &mut self,
         deadline: Time,
         algo: DeadlineAlgo,
     ) -> Result<DeadlineOutcome, DeadlineInfeasible> {
-        if deadline < self.floor {
+        if let Some(floor) = self.floor_past(deadline) {
             obs::counter_add(obs::names::BACKWARD_FLOOR_SKIPS, 1);
             return Err(DeadlineInfeasible {
                 deadline,
-                floor: Some(self.floor),
+                floor: Some(floor),
             });
         }
         self.prepare_order();
@@ -297,6 +310,7 @@ impl<'a> Roster<'a> {
             ref mut pass,
             ..
         } = *self;
+        let pass = pass.get_or_insert_with(PassBufs::default);
         let p = competing.capacity();
         let grain = cfg.grain.clamp(1, p.max(1));
         let mut stats = ScheduleStats::default();
@@ -882,6 +896,7 @@ mod tests {
     use super::*;
     use crate::algos::Algorithm;
     use crate::dag::{chain, fork_join};
+    use crate::floor::Half;
     use crate::task::TaskCost;
 
     fn c(s: i64, a: f64) -> TaskCost {
@@ -958,15 +973,18 @@ mod tests {
         // allocation, mapping or pass.
         let cal = busy_calendar();
         let k = Time::seconds(1);
-        let floor = Roster::prepare(&dag, &cal, Time::ZERO, 4, cfg).floor();
+        let floor = Some(Bound {
+            at: Floor::of(&dag, &cal, Time::ZERO, 1).critical_path,
+            half: Half::CriticalPath,
+        });
         for algo in DeadlineAlgo::ALL {
             let (out, report) = obs::observe("impossible", || {
                 schedule_deadline(&dag, &cal, Time::ZERO, 4, k, algo, cfg)
             });
-            let floor = Some(floor);
             assert_eq!(out, Err(DeadlineInfeasible { deadline: k, floor }));
             let counter = |name| report.metrics.counter(name);
             assert_eq!(counter(obs::names::BACKWARD_FLOOR_SKIPS), 1, "{algo}");
+            assert_eq!(counter(obs::names::FLOOR_QUESTIONS), 1, "{algo}");
             for name in [
                 obs::names::CPA_CACHE_MISS,
                 obs::names::STATS_CPA_MAPPINGS,
@@ -976,19 +994,26 @@ mod tests {
             }
         }
 
-        // Above the floor, on a machine that is free only 10 s in every
-        // 100: area enough, but no room for any task. No pass gets beyond
-        // the first order position, so an RC algorithm (every λ pass of a
-        // hybrid included) has read one `S_i` and mapped one suffix.
+        // Above the floor, on a machine that never has more than four of
+        // its eight processors free, and those 80 s at a time: each task of
+        // a chain fits the floor's relaxed width list (four processors for
+        // the seven-processor time, 69 s) but no width it may take (four
+        // processors need 98 s). No pass gets beyond the first order
+        // position, so an RC algorithm (every λ pass of a hybrid included)
+        // has read one `S_i` and mapped one suffix.
+        let dag = chain(&[c(300, 0.1); 2]);
         let mut gappy = Calendar::new(8);
+        gappy
+            .try_add(Reservation::new(Time::ZERO, Time::seconds(40_000), 4))
+            .unwrap();
         for k in 0..400 {
-            let start = Time::seconds(k * 100 + 10);
+            let start = Time::seconds(k * 100 + 80);
             gappy
-                .try_add(Reservation::new(start, start + Dur::seconds(90), 8))
+                .try_add(Reservation::new(start, start + Dur::seconds(20), 4))
                 .unwrap();
         }
         let k = Time::seconds(30_000);
-        assert!(Roster::prepare(&dag, &gappy, Time::ZERO, 4, cfg).floor() <= k);
+        assert!(Floor::of(&dag, &gappy, Time::ZERO, 1).time() <= k);
         for algo in DeadlineAlgo::ALL {
             let (out, report) = obs::observe("impossible", || {
                 schedule_deadline(&dag, &gappy, Time::ZERO, 4, k, algo, cfg)
@@ -1010,21 +1035,23 @@ mod tests {
         // cache miss), no order, no pass. At the floor itself it runs.
         let (dag, cal) = (small_dag(), busy_calendar());
         let cfg = DeadlineConfig::default();
+        let floor = Floor::of(&dag, &cal, Time::ZERO, 1).time();
+        let below = [Time::ZERO, floor - Dur::seconds(1)]
+            .map(|k| (k, Floor::past(&dag, &cal, Time::ZERO, 1, k)));
         let ((), report) = obs::observe("below the floor", || {
             let mut roster = Roster::prepare(&dag, &cal, Time::ZERO, 4, cfg);
-            let floor = roster.floor();
             for algo in DeadlineAlgo::ALL {
-                for k in [Time::ZERO, floor - Dur::seconds(1)] {
-                    let want = DeadlineInfeasible {
-                        deadline: k,
-                        floor: Some(floor),
-                    };
+                for (k, floor) in below {
+                    assert!(floor.is_some_and(|b| b.at > k), "{floor:?}");
+                    let want = DeadlineInfeasible { deadline: k, floor };
                     assert_eq!(roster.schedule(k, algo), Err(want), "{algo}");
                 }
             }
         });
         let counter = |name| report.metrics.counter(name);
         assert_eq!(counter(obs::names::BACKWARD_FLOOR_SKIPS), 14);
+        // No instant was found clear, so each question walked.
+        assert_eq!(counter(obs::names::FLOOR_QUESTIONS), 14);
         assert_eq!(counter(obs::names::CPA_CACHE_MISS), 0);
         assert_eq!(counter(obs::names::CPA_ALLOC_ITERS), 0);
         assert_eq!(counter(obs::names::STATS_PASSES), 0);
@@ -1033,12 +1060,21 @@ mod tests {
             .span(obs::names::SPAN_DEADLINE_PREP)
             .is_none());
 
+        // At the floor, and then again at and above it: one walk finds the
+        // floor clear of it, and the later questions are answered from
+        // that.
         let ((), report) = obs::observe("at the floor", || {
             let mut roster = Roster::prepare(&dag, &cal, Time::ZERO, 4, cfg);
-            let _ = roster.schedule(roster.floor(), DeadlineAlgo::BdCpaR);
+            let _ = roster.schedule(floor, DeadlineAlgo::BdCpaR);
+            for k in [floor, floor + Dur::hours(1)] {
+                assert_eq!(roster.floor_past(k), None);
+                let _ = roster.schedule(k, DeadlineAlgo::BdCpaR);
+            }
         });
-        assert_eq!(report.metrics.counter(obs::names::BACKWARD_FLOOR_SKIPS), 0);
-        assert_eq!(report.metrics.counter(obs::names::CPA_CACHE_MISS), 1);
+        let counter = |name| report.metrics.counter(name);
+        assert_eq!(counter(obs::names::BACKWARD_FLOOR_SKIPS), 0);
+        assert_eq!(counter(obs::names::FLOOR_QUESTIONS), 1);
+        assert_eq!(counter(obs::names::CPA_CACHE_MISS), 1);
     }
 
     #[test]
@@ -1701,10 +1737,14 @@ mod tests {
         use rand::{Rng, SeedableRng};
         // What one prepared instance shares between its questions — the CPA
         // cache (and the loop state it resumes), the order, the pass buffers
-        // with their width and `S_i` memos, the mapping scratch — must not
-        // show in any answer: one `Roster` per (DAG, grain) is asked every
-        // deadline, each of them for every algorithm list, and outcome by
-        // outcome it answers what the independent call does, stats included.
+        // with their width and `S_i` memos, the mapping scratch, the instant
+        // its floor was found clear of — must not show in any answer: one
+        // `Roster` per (DAG, grain) is asked every deadline, each of them for
+        // every algorithm list, and outcome by outcome it answers what the
+        // independent call does, stats and floor bound included. Besides
+        // tight and loose deadlines it is asked around the floor: a second
+        // short of it, at it, and between the critical path and the calendar
+        // path, where only the calendar path answers.
         // `serve::PROBE_ROSTER`.
         let serve_roster = [
             DeadlineAlgo::BdCpaR,
@@ -1712,7 +1752,7 @@ mod tests {
             DeadlineAlgo::RcCpaRLambda,
             DeadlineAlgo::BdAll,
         ];
-        let (mut feasible, mut infeasible) = (0u32, 0u32);
+        let (mut feasible, mut infeasible, mut by_calendar_path) = (0u32, 0u32, 0u32);
         for draw in 0..diff_iters() {
             let mut rng = rand_chacha::ChaCha12Rng::seed_from_u64(0x0205_7E12 ^ draw);
             let (cal, q) = random_platform(&mut rng, 16);
@@ -1735,13 +1775,20 @@ mod tests {
                     q,
                     ForwardConfig::recommended(),
                 );
-                // Tight and loose, in no particular order.
-                let tenths = shuffled(&[3, 8, 11, 16, 30], &mut rng);
                 for grain in [1, 4] {
                     let cfg = DeadlineConfig::default().hierarchical(grain);
+                    let floor = Floor::of(&dag, &cal, Time::ZERO, grain);
+                    // Tight, loose and around the floor, in no particular
+                    // order.
+                    let mut deadlines: Vec<Time> = [3, 8, 11, 16, 30]
+                        .map(|tenths| Time::ZERO + fwd.turnaround() * tenths / 10)
+                        .to_vec();
+                    deadlines.extend([floor.time() - Dur::seconds(1), floor.time()]);
+                    if floor.critical_path < floor.calendar_path {
+                        deadlines.push(floor.critical_path.midpoint(floor.calendar_path));
+                    }
                     let mut roster = Roster::prepare(&dag, &cal, Time::ZERO, q, cfg);
-                    for &tenths in &tenths {
-                        let deadline = Time::ZERO + fwd.turnaround() * tenths / 10;
+                    for deadline in shuffled(&deadlines, &mut rng) {
                         let alone = DeadlineAlgo::ALL.map(|algo| {
                             schedule_deadline(&dag, &cal, Time::ZERO, q, deadline, algo, cfg)
                         });
@@ -1757,12 +1804,16 @@ mod tests {
                                     .iter()
                                     .position(|&a| a == algo)
                                     .map(|i| &alone[i]);
-                                assert_eq!(
-                                    Some(&roster.schedule(deadline, algo)),
-                                    want,
+                                let got = roster.schedule(deadline, algo);
+                                let case = format!(
                                     "{algo} in {list:?}, draw {draw}, overhead {overhead}, \
                                      grain {grain}, deadline {deadline}"
                                 );
+                                assert_eq!(Some(&got), want, "{case}");
+                                let bound = got.err().and_then(|e| e.floor);
+                                assert_eq!(bound.is_some(), deadline < floor.time(), "{case}");
+                                by_calendar_path +=
+                                    u32::from(bound.is_some_and(|b| b.half == Half::CalendarPath));
                             }
                         }
                     }
@@ -1772,6 +1823,10 @@ mod tests {
         assert!(
             feasible > 0 && infeasible > 0,
             "deadlines must fall on both sides of feasibility ({feasible} met, {infeasible} not)"
+        );
+        assert!(
+            by_calendar_path > 0,
+            "the calendar path answered no deadline"
         );
     }
 

@@ -26,12 +26,15 @@
 //!
 //! So a deadline below the floor is infeasible for every algorithm, which is
 //! how [`Roster`](crate::backward::Roster) answers it without running one
-//! (from the first two halves, [`Floor::of`]), and a completion below it
-//! marks a schedule invalid without sharing a line with
+//! ([`Roster::floor_past`](crate::backward::Roster::floor_past), the one
+//! floor computation the schedulers make), and a completion below it marks
+//! a schedule invalid without sharing a line with
 //! [`ScheduleValidator`](crate::validate::ScheduleValidator): the second
-//! oracle ([`Floor::check`]). DESIGN.md §9 has the exactness proofs.
+//! oracle ([`Floor::of`], then [`Floor::check`]). DESIGN.md §9 has the
+//! exactness proofs.
 
 use crate::dag::{Dag, TaskId};
+use crate::obs;
 use crate::schedule::Schedule;
 use crate::task::TaskCost;
 use resched_resv::{Calendar, Dur, QueryCost, Time};
@@ -46,9 +49,8 @@ pub struct Floor {
     /// after `now` cover the DAG's sequential work.
     pub area: Time,
     /// `LB_chain`: the chain that sets `LB_cp`, walked on the competing
-    /// calendar; never below `critical_path`. `None` from [`Floor::of`],
-    /// which does not walk it.
-    pub calendar_path: Option<Time>,
+    /// calendar; never below `critical_path`.
+    pub calendar_path: Time,
 }
 
 /// Which half of a [`Floor`] sets it.
@@ -72,8 +74,8 @@ impl fmt::Display for Half {
     }
 }
 
-/// What [`Floor::past`] found past an instant: how far one half of the
-/// floor reached, and which half.
+/// What [`Roster::floor_past`](crate::backward::Roster::floor_past) found
+/// past an instant: how far one half of the floor reached, and which half.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Bound {
     /// The half's value, or where its walk stopped once past the instant;
@@ -90,46 +92,37 @@ impl fmt::Display for Bound {
 }
 
 impl Floor {
-    /// The critical-path and area halves of the floor of `dag` scheduled at
-    /// `now` against `competing`, on widths in whole `grain`-core units (1
-    /// for flat placement; clamped into `1..=p` as the schedulers clamp
-    /// it). The calendar is walked once, for the area; `calendar_path` is
-    /// `None`.
+    /// The floor of `dag` scheduled at `now` against `competing`, on widths
+    /// in whole `grain`-core units (1 for flat placement; clamped into
+    /// `1..=p` as the schedulers clamp it): all three halves, the critical
+    /// chain walked to its end, one [`Calendar::earliest_finish`] per chain
+    /// task.
     pub fn of(dag: &Dag, competing: &Calendar, now: Time, grain: u32) -> Floor {
-        Floor {
-            critical_path: now + LongestPath::of(dag, competing.capacity(), grain).longest,
-            area: competing.earliest_free_work(now, dag.total_seq_work()),
-            calendar_path: None,
-        }
-    }
-
-    /// All three halves: [`Floor::of`]'s, and the critical chain walked on
-    /// `competing`, one [`Calendar::earliest_finish`] per chain task.
-    pub fn with_calendar_path(dag: &Dag, competing: &Calendar, now: Time, grain: u32) -> Floor {
         let path = LongestPath::of(dag, competing.capacity(), grain);
         Floor {
             critical_path: now + path.longest,
             area: competing.earliest_free_work(now, dag.total_seq_work()),
-            calendar_path: Some(path.on_calendar(dag, competing, now, grain, Time::MAX)),
+            calendar_path: path.on_calendar(dag, competing, now, grain, Time::MAX),
         }
     }
 
-    /// Whether the floor of [`Floor::with_calendar_path`] lies past `past`,
-    /// found by computing as little of it as that takes: the halves in
-    /// order of cost — the critical path (no calendar), the calendar path,
-    /// then the area — and the first one past `past` with what it had
-    /// reached, or `None`.
+    /// Whether the floor of [`Floor::of`] lies past `past`, found by
+    /// computing as little of it as that takes: the halves in order of
+    /// cost — the critical path (no calendar), the calendar path, then the
+    /// area — and the first one past `past` with what it had reached, or
+    /// `None`. Counted under `core.floor.questions`.
     ///
     /// The calendar-path walk stops as soon as its bound passes `past`. A
     /// stopped walk still bounds the DAG: the chain's unwalked tail is
     /// counted at its fastest durations.
-    pub fn past(
+    pub(crate) fn past(
         dag: &Dag,
         competing: &Calendar,
         now: Time,
         grain: u32,
         past: Time,
     ) -> Option<Bound> {
+        obs::counter_add(obs::names::FLOOR_QUESTIONS, 1);
         let path = LongestPath::of(dag, competing.capacity(), grain);
         let critical_path = now + path.longest;
         if critical_path > past {
@@ -152,10 +145,9 @@ impl Floor {
         })
     }
 
-    /// The floor itself, the largest of the halves computed.
+    /// The floor itself, the largest of the three halves.
     pub fn time(self) -> Time {
-        let two = self.critical_path.max(self.area);
-        self.calendar_path.map_or(two, |chain| two.max(chain))
+        self.critical_path.max(self.area).max(self.calendar_path)
     }
 
     /// The second oracle: `sched` completes no earlier than the floor, a
@@ -193,14 +185,10 @@ impl fmt::Display for BelowFloor {
         write!(
             f,
             "completion {} is before the instance floor {} (critical path {critical_path}, \
-             area {area}",
+             area {area}, calendar path {calendar_path})",
             self.completion,
             self.floor.time()
-        )?;
-        match calendar_path {
-            Some(chain) => write!(f, ", calendar path {chain})"),
-            None => f.write_str(")"),
-        }
+        )
     }
 }
 
@@ -563,7 +551,7 @@ mod tests {
     }
 
     /// Mutation: a chain schedule that ignores one competing reservation.
-    /// Neither old half sees it; the calendar path does.
+    /// Neither of the other two halves sees it; the calendar path does.
     #[test]
     fn the_floor_check_flags_a_chain_that_ignores_a_reservation() {
         // All four processors are held for the first 100 s. At full width a
@@ -572,18 +560,18 @@ mod tests {
         let mut cal = Calendar::new(4);
         cal.try_add(Reservation::new(Time::ZERO, Time::seconds(100), 4))
             .unwrap();
-        let floor = Floor::with_calendar_path(&dag, &cal, Time::ZERO, 1);
+        let floor = Floor::of(&dag, &cal, Time::ZERO, 1);
         assert_eq!(
             (floor.critical_path, floor.area, floor.calendar_path),
-            (
-                Time::seconds(1250),
-                Time::seconds(600),
-                Some(Time::seconds(1350))
-            )
+            (Time::seconds(1250), Time::seconds(600), Time::seconds(1350))
         );
 
         let ignores = Schedule::new(vec![pl(0, 625, 4), pl(625, 1250, 4)], Time::ZERO);
-        assert_eq!(Floor::of(&dag, &cal, Time::ZERO, 1).check(&ignores), Ok(()));
+        let two_halves = Floor {
+            calendar_path: floor.critical_path,
+            ..floor
+        };
+        assert_eq!(two_halves.check(&ignores), Ok(()));
         let err = floor.check(&ignores).unwrap_err();
         assert!(err.to_string().contains("calendar path 22m30s"), "{err}");
         let waits = Schedule::new(vec![pl(100, 725, 4), pl(725, 1350, 4)], Time::ZERO);
@@ -643,17 +631,13 @@ mod tests {
                 let dag = crate::dag::random_dag(&mut rng, 30_000, overhead);
                 for grain in [1, 4, rng.gen_range(1u32..=p + 2)] {
                     let case = format!("draw {draw}, p {p}, overhead {overhead}, grain {grain}");
-                    let floor = Floor::with_calendar_path(&dag, &cal, now, grain);
-                    let relaxed = floor.calendar_path.expect("walked");
+                    let floor = Floor::of(&dag, &cal, now, grain);
+                    let relaxed = floor.calendar_path;
                     let exact = exact_chain_walk(&dag, &cal, now, grain);
                     assert!(floor.critical_path <= relaxed, "{case}");
                     assert!(relaxed <= exact, "{case}");
                     above_cp += u32::from(floor.critical_path < relaxed);
                     below_exact += u32::from(relaxed < exact);
-                    let old = Floor::of(&dag, &cal, now, grain);
-                    let halves = |f: Floor| (f.critical_path, f.area);
-                    assert_eq!(halves(old), halves(floor), "{case}");
-                    assert_eq!(old.calendar_path, None, "{case}");
 
                     // Asked whether it is past an instant: yes exactly
                     // when the whole floor is, by a half that is, with a

@@ -109,6 +109,8 @@ pub mod names {
         /// "infeasible" because the deadline is below the instance floor,
         /// with no allocation, mapping or pass.
         BACKWARD_FLOOR_SKIPS = "core.backward.floor_skips";
+        /// Counter: instance-floor walks (`floor::Floor::past`), however far each got.
+        FLOOR_QUESTIONS = "core.floor.questions";
         /// Counter: mirror of [`ScheduleStats::cpa_allocations`].
         STATS_CPA_ALLOCATIONS = "sched.cpa_allocations";
         /// Counter: mirror of [`ScheduleStats::cpa_mappings`].

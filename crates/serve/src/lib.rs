@@ -26,12 +26,12 @@
 //! 1. estimate the availability `q` from the recent past and open a
 //!    shadow-schedule transaction ([`resched_resv::ShadowTxn`]) over the
 //!    calendar;
-//! 2. reject the arrival at once if its instance floor
-//!    ([`resched_core::floor::Floor::past`]) already lies past the
-//!    admission horizon; otherwise run the forward scheduler (or, for a
-//!    configurable fraction of arrivals, a roster of backward deadline
-//!    schedulers) against the transaction's view, and hold the result to
-//!    the horizon;
+//! 2. prepare one [`Roster`](resched_core::backward::Roster) against the
+//!    transaction's view and reject the arrival at once if its instance
+//!    floor already lies past the admission horizon; otherwise ask the
+//!    roster for the forward schedule (or, for a configurable fraction of
+//!    arrivals, probe its backward deadline schedulers), and hold the
+//!    result to the horizon;
 //! 3. audit the candidate schedule with the independent
 //!    [`ScheduleValidator`] oracle, then give the quota gate its veto;
 //! 4. apply its reservations inside the transaction and **commit** — or
@@ -703,13 +703,13 @@ mod tests {
         );
         let sequential = TaskCost::new(Dur::minutes(90), 1.0);
         let dag = resched_core::dag::chain(&[sequential; 2]);
-        let floor = resched_core::floor::Floor::with_calendar_path(&dag, server.calendar(), now, 1);
+        let floor = resched_core::floor::Floor::of(&dag, server.calendar(), now, 1);
         assert_eq!(
             (floor.critical_path, floor.area, floor.calendar_path),
             (
                 now + Dur::hours(3),
                 now + Dur::minutes(645),
-                Some(now + Dur::hours(13))
+                now + Dur::hours(13)
             )
         );
         let (decision, report) = obs::observe("past the floor", || server.submit(now, 1, &dag));
@@ -731,8 +731,10 @@ mod tests {
                 now + Dur::hours(13)
             )
         );
+        // One floor question, and nothing allocated or placed.
         let counter = |name| report.metrics.counter(name);
         assert_eq!(counter(names::SERVE_FLOOR_ANSWERED), 1);
+        assert_eq!(counter(names::FLOOR_QUESTIONS), 1);
         assert_eq!(counter(names::CPA_CACHE_MISS), 0);
         assert_eq!(counter(names::EARLIEST_FIT_QUERIES), 0);
         assert!(report.profile.span(names::SPAN_FORWARD_PREP).is_none());
@@ -769,8 +771,7 @@ mod tests {
         };
         let mut server = Server::new(64, &cfg);
         let now = Time::seconds(100);
-        let floor =
-            Roster::prepare(&dag, server.calendar(), now, 64, DeadlineConfig::default()).floor();
+        let floor = resched_core::floor::Floor::of(&dag, server.calendar(), now, 1).time();
         let (decision, report) = obs::observe("below the floor", || server.submit(now, 0, &dag));
         // On an empty calendar the critical path sets it.
         let bound = resched_core::floor::Bound {
@@ -789,10 +790,11 @@ mod tests {
                 .contains(&format!("{floor} (critical path bound)")),
             "{reason}"
         );
-        // The arrival was answered from the floor before the roster was
-        // prepared: nothing allocated, and no roster question asked.
+        // The arrival was answered by the roster's one floor question:
+        // nothing allocated, and no probe asked.
         let counter = |name| report.metrics.counter(name);
         assert_eq!(counter(names::SERVE_FLOOR_ANSWERED), 1);
+        assert_eq!(counter(names::FLOOR_QUESTIONS), 1);
         assert_eq!(counter(names::BACKWARD_FLOOR_SKIPS), 0);
         assert_eq!(counter(names::CPA_CACHE_MISS), 0);
     }

@@ -13,8 +13,8 @@
 use crate::{percentile, ServeConfig, ServeQuotaConfig, ServeReport};
 use resched_core::algos::Algorithm;
 use resched_core::backward::{DeadlineAlgo, DeadlineConfig, Roster};
-use resched_core::floor::{Bound, Floor};
-use resched_core::forward::{schedule_forward, ForwardConfig};
+use resched_core::floor::Bound;
+use resched_core::forward::ForwardConfig;
 use resched_core::obs::{self, names, MetricsRegistry};
 use resched_core::prelude::*;
 use resched_core::validate::audit_calendar_with;
@@ -50,8 +50,8 @@ pub enum Overrun {
     /// The forward schedule's completion.
     Completion(Time),
     /// The instance floor as far as it was computed: the first of its
-    /// halves found past the horizon ([`Floor::past`]). No valid schedule
-    /// completes before it, so no scheduler was run.
+    /// halves found past the horizon ([`Roster::floor_past`]). No valid
+    /// schedule completes before it, so no scheduler was run.
     Floor(Bound),
 }
 
@@ -72,9 +72,9 @@ pub enum Reason {
         deadline: Time,
         /// The instance floor as far as it was computed, when it lies past
         /// the deadline: the first of its halves found past it
-        /// ([`Floor::past`]). No valid schedule completes before it, so no
-        /// algorithm was run. `None` when every probed algorithm ran and
-        /// missed.
+        /// ([`Roster::floor_past`]). No valid schedule completes before it,
+        /// so no algorithm was run. `None` when every probed algorithm ran
+        /// and missed.
         floor: Option<Bound>,
     },
     /// The quota gate vetoed a schedule that fits.
@@ -216,38 +216,30 @@ pub const PROBE_ROSTER: [DeadlineAlgo; 4] = [
     DeadlineAlgo::BdAll,
 ];
 
-/// Probe the first `fanout` roster algorithms against the transaction's
-/// calendar view — one prepared [`Roster`], so the CPA(`q`) allocation and
-/// the task order they all start from are computed once per arrival — and
-/// keep the feasible candidate with the earliest completion (lowest roster
-/// index wins ties, which is what `min_by_key` does).
+/// Probe the first `fanout` roster algorithms on the arrival's roster, which
+/// computes the CPA(`q`) allocation and order they start from once, and keep
+/// the feasible candidate with the earliest completion (lowest roster index
+/// wins ties, which is what `min_by_key` does).
 fn probe_deadline(
-    dag: &Dag,
-    cal: &Calendar,
-    now: Time,
-    q: u32,
+    roster: &mut Roster<'_>,
     deadline: Time,
     fanout: usize,
 ) -> Option<(DeadlineAlgo, Schedule)> {
     let probed = &PROBE_ROSTER[..fanout.clamp(1, PROBE_ROSTER.len())];
-    let mut roster = Roster::prepare(dag, cal, now, q, DeadlineConfig::default());
     probed
         .iter()
         .filter_map(|&algo| Some((algo, roster.schedule(deadline, algo).ok()?.schedule)))
         .min_by_key(|(_, s)| s.completion())
 }
 
-/// The validated candidate schedule for one arrival, or why there is none.
-/// A deadline arrival (`fanout` is `Some`) probes the roster against
-/// `horizon`; any other is scheduled forward and then held to the same
-/// bound, which keeps the turn-around of what is admitted bounded.
-///
-/// First of all, whether the instance floor with its calendar path lies
-/// past `horizon` ([`Floor::past`]): every valid schedule completes at or
-/// after it, so a floor past the horizon answers for every scheduler, and
-/// nothing is allocated or placed. Decisions are those of the schedulers
-/// themselves. The roster's own floor is two halves of this one, so below
-/// the horizon it never answers either.
+/// The validated candidate schedule for one arrival, or why there is none,
+/// from one [`Roster`] on the transaction's calendar view: first its floor
+/// question at `horizon` ([`Roster::floor_past`]) — a floor past it answers
+/// for every scheduler, with nothing allocated or placed, and the grain-1
+/// floor bounds every grain — then, for a deadline arrival (`fanout` is
+/// `Some`), the probes against `horizon` (their floor questions answered by
+/// this one), or else the forward schedule, held to the same bound so the
+/// turn-around of what is admitted stays bounded.
 fn candidate(
     dag: &Dag,
     cal: &Calendar,
@@ -256,9 +248,8 @@ fn candidate(
     horizon: Time,
     fanout: Option<usize>,
 ) -> Result<(Algorithm, Schedule), Reason> {
-    let forward = ForwardConfig::recommended();
-    let grain = fanout.map_or(forward.grain, |_| DeadlineConfig::default().grain);
-    if let Some(floor) = Floor::past(dag, cal, now, grain, horizon) {
+    let mut roster = Roster::prepare(dag, cal, now, q, DeadlineConfig::default());
+    if let Some(floor) = roster.floor_past(horizon) {
         obs::counter_add(names::SERVE_FLOOR_ANSWERED, 1);
         return Err(match fanout {
             Some(_) => Reason::DeadlineInfeasible {
@@ -273,16 +264,16 @@ fn candidate(
     }
     let (algo, sched) = match fanout {
         Some(fanout) => {
-            let (algo, sched) = probe_deadline(dag, cal, now, q, horizon, fanout).ok_or(
-                Reason::DeadlineInfeasible {
+            let (algo, sched) =
+                probe_deadline(&mut roster, horizon, fanout).ok_or(Reason::DeadlineInfeasible {
                     deadline: horizon,
                     floor: None,
-                },
-            )?;
+                })?;
             (Algorithm::Deadline(algo), sched)
         }
         None => {
-            let sched = schedule_forward(dag, cal, now, q, forward);
+            let forward = ForwardConfig::recommended();
+            let sched = roster.forward(forward);
             let completion = sched.completion();
             if completion > horizon {
                 return Err(Reason::HorizonExceeded {
@@ -730,7 +721,10 @@ mod tests {
             let completion = out.map(|out| out.schedule.completion());
             assert_eq!(completion, Ok(deadline), "the premise: {algo} ties");
         }
-        let winner = |fanout| probe_deadline(&dag, &cal, now, q, deadline, fanout).map(|w| w.0);
+        let winner = |fanout| {
+            let mut roster = Roster::prepare(&dag, &cal, now, q, DeadlineConfig::default());
+            probe_deadline(&mut roster, deadline, fanout).map(|w| w.0)
+        };
         for fanout in 1..=PROBE_ROSTER.len() {
             assert_eq!(winner(fanout), Some(PROBE_ROSTER[0]), "fan-out {fanout}");
         }

@@ -373,7 +373,7 @@ impl Scenario {
         let cal = self.calendar();
         let now = self.now();
         let deadline = Some(self.deadline(&dag, &cal));
-        let floor = Floor::with_calendar_path(&dag, &cal, now, 1);
+        let floor = Floor::of(&dag, &cal, now, 1);
         for algo in Algorithm::catalog() {
             let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
                 algo.run(&dag, &cal, now, self.q, deadline)

@@ -5,7 +5,8 @@
 //! probe fan-out — one `cpa.cache.miss`, one allocation's worth of
 //! `cpa.alloc.iterations` — where one `schedule_deadline` call per roster
 //! entry computed it `fanout` times; an arrival whose deadline is below the
-//! instance floor computes it not at all. Table 6's instance, asked for
+//! instance floor computes it not at all. Either way the arrival asks the
+//! floor one question (`core.floor.questions`). Table 6's instance, asked for
 //! five tightest-deadline searches and a loose pass, computes each pool it
 //! asks about once, where a fresh preparation per probe computed CPA(`q`)
 //! per probe.
@@ -91,8 +92,10 @@ fn a_deadline_arrival_allocates_once_at_every_fanout() {
 
     // A horizon that some of the DAGs' critical paths exceed, and a
     // calendar that fills up: those arrivals are answered from the floor,
-    // before the roster is prepared. At 12 h others clear the floor and
-    // still miss on every probed algorithm: those run the roster.
+    // before any probe. At 12 h others clear the floor and still miss on
+    // every probed algorithm: those run the roster. Every arrival asks the
+    // floor once, whatever the fan-out: the probes' own questions are
+    // answered by the instant the arrival's question found clear.
     for (fanout, horizon) in [(1, 12), (2, 12), (PROBE_ROSTER.len(), 12), (2, 3)] {
         let cfg = ServeConfig {
             deadline_every: 1,
@@ -108,6 +111,7 @@ fn a_deadline_arrival_allocates_once_at_every_fanout() {
                 obs::observe("arrival", || server.submit(job.submit, job.id, &dag));
             let at = format!("fan-out {fanout}, {horizon} h, job {}", job.id);
             let counter = |name| report.metrics.counter(name);
+            assert_eq!(counter(names::FLOOR_QUESTIONS), 1, "{at}");
             match decision {
                 Decision::Admitted { .. } => admitted += 1,
                 Decision::Rejected(Reason::DeadlineInfeasible { floor: Some(_), .. }) => {
