@@ -20,6 +20,7 @@
 use crate::bl::{self, BlMethod};
 use crate::cpa::{CpaCache, StoppingCriterion};
 use crate::dag::Dag;
+use crate::forward;
 use crate::obs;
 use crate::pool::Pool;
 use crate::schedule::{Placement, Schedule, ScheduleStats};
@@ -165,15 +166,7 @@ pub fn schedule_blind(
     // The geometric probe ladder, rebuilt per task.
     let mut ladder: Vec<u32> = Vec::new();
     for &t in &order {
-        // Decreasing-BL order is topological, so every predecessor is
-        // already placed.
-        let mut ready = now;
-        for &pr in dag.preds(t) {
-            debug_assert!(slots[pr.idx()].is_some(), "preds first");
-            if let Some(pl) = slots[pr.idx()] {
-                ready = ready.max(pl.end);
-            }
-        }
+        let ready = forward::ready_at(dag, &slots, t, now);
         let cost = dag.cost(t);
         let bound = bounds[t.idx()];
 

@@ -48,6 +48,7 @@ use crate::bl::{
     top_levels, PosGraph,
 };
 use crate::dag::{Dag, TaskId};
+use crate::forward;
 use crate::obs;
 use crate::schedule::{Placement, Schedule};
 use crate::task::{relative_gain, TaskCost};
@@ -649,18 +650,13 @@ pub(crate) fn map_subset_into(
     scratch.platform.reset(alloc.pool);
     out.clear();
     out.resize(dag.num_tasks(), None);
-    let member = |t: TaskId| include.get(t.idx()) == Some(&true);
     for &t in &scratch.order {
-        if !member(t) {
+        if include.get(t.idx()) != Some(&true) {
             continue;
         }
-        let mut ready = start_at;
-        for &p in dag.preds(t) {
-            debug_assert!(member(p), "map_subset requires a predecessor-closed subset");
-            if let Some(pp) = out[p.idx()] {
-                ready = ready.max(pp.end);
-            }
-        }
+        // A predecessor outside the subset has no slot, which `ready_at`'s
+        // debug assert reports.
+        let ready = forward::ready_at(dag, out, t, start_at);
         let m = alloc.alloc(t).min(alloc.pool);
         let dur = alloc.exec_time(t);
         let s = obs::probe::map_earliest_fit(&scratch.platform, m, dur, ready, cost);
@@ -816,6 +812,24 @@ mod tests {
         let px = out[x.idx()].unwrap();
         let py = out[y.idx()].unwrap();
         assert!(px.start >= pa.end && py.start >= pa.end);
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "predecessors first")]
+    fn map_subset_rejects_a_mask_that_is_not_predecessor_closed() {
+        // a -> b with only b in the subset: b's predecessor has no slot.
+        let dag = chain(&[c(100, 0.0), c(100, 0.0)]);
+        let alloc = allocate(&dag, 4, StoppingCriterion::Stringent);
+        map_subset_into(
+            &dag,
+            &alloc,
+            Time::ZERO,
+            &[false, true],
+            &mut QueryCost::default(),
+            &mut MapScratch::default(),
+            &mut Vec::new(),
+        );
     }
 
     #[test]

@@ -3,24 +3,24 @@
 //! scheduled the reservation schedule does not change" is a prime candidate
 //! for removal).
 //!
-//! [`schedule_forward_dynamic`] runs the same BL_CPAR/BD-style forward pass
-//! as [`crate::forward::schedule_forward`], but between task placements it
-//! hands the calendar to an *interference* callback that may inject
-//! competing reservations (e.g. a Poisson arrival process). Reservations the
-//! application has already committed are inviolable — exactly the guarantee
-//! a real batch scheduler gives — but later tasks see a busier platform
-//! than the one the bottom levels and allocation bounds were computed for.
+//! [`schedule_forward_dynamic`] drives the forward pass of
+//! [`crate::forward::schedule_forward`] itself — same phase 1, same
+//! per-task placement, same schedule — but between task placements it
+//! hands the working calendar to an *interference* callback that may
+//! inject competing reservations (e.g. a Poisson arrival process).
+//! Reservations the application has already committed are inviolable —
+//! exactly the guarantee a real batch scheduler gives — but later tasks
+//! see a busier platform than the one the bottom levels and allocation
+//! bounds were computed for.
 //!
 //! The `ext_dynamic` bench measures the turn-around degradation as the
 //! interference rate grows.
 
-use crate::bl::{self, BlMethod};
 use crate::cpa::CpaCache;
 use crate::dag::Dag;
-use crate::forward::{ForwardConfig, SlotSearch};
-use crate::pool::Pool;
-use crate::schedule::{Placement, Schedule, ScheduleStats};
-use resched_resv::{Calendar, Reservation, Time};
+use crate::forward::{ForwardConfig, ForwardPass};
+use crate::schedule::{Placement, Schedule};
+use resched_resv::{Calendar, Time};
 
 /// Events passed to the interference callback.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -37,7 +37,8 @@ pub struct PlacementEvent {
 ///
 /// `interfere` is invoked after every task placement with the live calendar
 /// and may add competing reservations (via [`Calendar::try_add`]); it must
-/// not remove anything (the calendar API cannot anyway).
+/// not remove anything (the calendar API cannot anyway). With an
+/// `interfere` that adds nothing, the schedule is `schedule_forward`'s.
 pub fn schedule_forward_dynamic(
     dag: &Dag,
     competing: &Calendar,
@@ -46,73 +47,32 @@ pub fn schedule_forward_dynamic(
     cfg: ForwardConfig,
     mut interfere: impl FnMut(&mut Calendar, PlacementEvent),
 ) -> Schedule {
-    let p = competing.capacity();
-    let q = Pool::effective(q, p);
-    let mut stats = ScheduleStats::default();
-    stats.count_pass();
-
-    let mut cache = CpaCache::new();
-    if matches!(cfg.bl, BlMethod::Cpa | BlMethod::CpaR) {
-        stats.count_cpa_allocation();
-    }
-    let exec = cache.exec_times(dag, p, q, cfg.bl, cfg.criterion);
-    let levels = bl::bottom_levels(dag, &exec);
-    let order = bl::order_by_decreasing_bl(dag, &levels);
-    let bounds = cache.allocation_bounds(dag, p, q, cfg.bd, cfg.criterion, &mut stats);
-
-    crate::span!(crate::obs::names::SPAN_DYNAMIC_PLACE);
-    let mut cal = competing.clone();
-    let mut placements: Vec<Option<Placement>> = vec![None; dag.num_tasks()];
-    let total = order.len();
-    let mut search = SlotSearch::new(cfg, p);
-    for (ordinal, &t) in order.iter().enumerate() {
-        let ready = dag
-            .preds(t)
-            .iter()
-            .map(|&pr| placements[pr.idx()].expect("preds first").end)
-            .max()
-            .unwrap_or(now)
-            .max(now);
-        let chosen = search.place(&cal, &dag.cost(t), bounds[t.idx()], ready, &mut stats);
-        cal.add_unchecked(Reservation::new(chosen.start, chosen.end, chosen.procs));
-        placements[t.idx()] = Some(chosen);
-        interfere(
-            &mut cal,
-            PlacementEvent {
+    let mut pass = ForwardPass::new(&mut CpaCache::new(), dag, competing, now, q, cfg);
+    let total = dag.num_tasks();
+    {
+        crate::span!(crate::obs::names::SPAN_FORWARD_PLACE);
+        let mut ordinal = 0;
+        while let Some(placement) = pass.place_next() {
+            let event = PlacementEvent {
                 ordinal,
                 total,
-                placement: chosen,
-            },
-        );
+                placement,
+            };
+            interfere(pass.calendar_mut(), event);
+            ordinal += 1;
+        }
     }
-
-    let mut sched = Schedule::new(
-        placements
-            .into_iter()
-            .map(|p| p.expect("all placed"))
-            .collect(),
-        now,
-    );
-    sched.stats = stats;
-
-    // The live calendar only ever grows (interference cannot remove
-    // reservations), so every placement that fit the live view also fits
-    // the original competing calendar — the full oracle applies.
-    #[cfg(debug_assertions)]
-    search
-        .validator(dag, competing, now, &bounds)
-        .assert_valid(&sched, "dynamic forward");
-
-    sched
+    pass.finish()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dag::{chain, fork_join};
+    use crate::bl::BlMethod;
+    use crate::dag::chain;
     use crate::forward::{schedule_forward, BdMethod, TieBreak};
     use crate::task::TaskCost;
-    use resched_resv::Dur;
+    use resched_resv::{Dur, Reservation};
 
     fn c(s: i64, a: f64) -> TaskCost {
         TaskCost::new(Dur::seconds(s), a)
@@ -120,31 +80,91 @@ mod tests {
 
     #[test]
     fn no_interference_matches_static_scheduler() {
-        let dag = fork_join(c(300, 0.1), &[c(3600, 0.15); 5], c(7, 0.0));
-        let mut cal = Calendar::new(8);
-        cal.try_add(Reservation::new(Time::seconds(100), Time::seconds(900), 6))
-            .unwrap();
-        // The recommended configuration, then the tie rule and the grain,
-        // which bind here as they do in the static scheduler. The 7 s exit
-        // task takes 2 s on four, five or six processors alike, so ties do
-        // arise.
-        let recommended = ForwardConfig::recommended();
-        let bd_all = ForwardConfig::new(BlMethod::CpaR, BdMethod::All);
-        let most_procs = ForwardConfig {
-            tie: TieBreak::MostProcs,
-            ..bd_all
-        };
-        let procs = |cfg: ForwardConfig| -> Vec<u32> {
-            let dynamic = schedule_forward_dynamic(&dag, &cal, Time::ZERO, 6, cfg, |_, _| {});
-            let static_ = schedule_forward(&dag, &cal, Time::ZERO, 6, cfg);
-            assert_eq!(dynamic, static_, "{} {:?}", cfg.name(), cfg.tie);
-            dynamic.placements().iter().map(|pl| pl.procs).collect()
-        };
-        procs(recommended);
-        assert_ne!(procs(bd_all), procs(most_procs));
-        assert!(procs(recommended.hierarchical(4))
-            .iter()
-            .all(|m| m % 4 == 0));
+        use crate::algos::Algorithm;
+        use crate::backward::{DeadlineConfig, Roster};
+        use rand::{Rng, SeedableRng};
+        // With an interference that adds nothing, the dynamic scheduler is
+        // the forward pass: the same schedule (placements and stats) as
+        // `schedule_forward` and a prepared instance's `Roster::forward`,
+        // for every forward row of the catalog under both tie rules, and
+        // one event per task, in placement order. Seeded draws; the CI
+        // fuzz lane raises the count.
+        let draws: u64 = std::env::var("RESCHED_DIFF_ITERS")
+            .ok()
+            .and_then(|v| v.parse().ok())
+            .unwrap_or(6);
+        let cfgs: Vec<ForwardConfig> = Algorithm::catalog()
+            .into_iter()
+            .filter_map(|algo| match algo {
+                Algorithm::Forward(cfg) => Some(cfg),
+                _ => None,
+            })
+            .flat_map(|cfg| {
+                [TieBreak::FewestProcs, TieBreak::MostProcs].map(|tie| ForwardConfig { tie, ..cfg })
+            })
+            .collect();
+        assert_eq!(
+            cfgs.len(),
+            2 * (BlMethod::ALL.len() * BdMethod::ALL.len() + 1)
+        );
+        let mut ties = 0u32;
+        for draw in 0..draws {
+            let mut rng = rand_chacha::ChaCha12Rng::seed_from_u64(0xD1_0033 ^ draw);
+            let p = [4, 16, 64][draw as usize % 3];
+            let mut cal = Calendar::new(p);
+            for _ in 0..rng.gen_range(0..30usize) {
+                let s = rng.gen_range(0i64..60_000);
+                let d = rng.gen_range(60i64..15_000);
+                let m = rng.gen_range(1u32..=p);
+                let _ = cal.try_add(Reservation::new(Time::seconds(s), Time::seconds(s + d), m));
+            }
+            let q = rng.gen_range(1u32..=p);
+            let now = Time::seconds(rng.gen_range(0i64..30_000));
+            let overhead = rng.gen_range(0i64..40);
+            let dag = crate::dag::random_dag(&mut rng, 30_000, overhead);
+            let mut roster = Roster::prepare(&dag, &cal, now, q, DeadlineConfig::default());
+            let mut by_tie: Vec<Vec<Placement>> = Vec::new();
+            for &cfg in &cfgs {
+                let case = format!("{} {:?}, draw {draw}", cfg.name(), cfg.tie);
+                let mut events = Vec::new();
+                let dynamic =
+                    schedule_forward_dynamic(&dag, &cal, now, q, cfg, |_, ev| events.push(ev));
+                for other in [
+                    schedule_forward(&dag, &cal, now, q, cfg),
+                    roster.forward(cfg),
+                ] {
+                    assert_eq!(dynamic.placements(), other.placements(), "{case}");
+                    assert_eq!(dynamic.stats, other.stats, "{case}");
+                    assert_eq!(dynamic, other, "{case}");
+                }
+                let n = dag.num_tasks();
+                let ordinals: Vec<(usize, usize)> =
+                    events.iter().map(|ev| (ev.ordinal, ev.total)).collect();
+                assert_eq!(
+                    ordinals,
+                    (0..n).map(|i| (i, n)).collect::<Vec<_>>(),
+                    "{case}"
+                );
+                let mut placed: Vec<Placement> = events.iter().map(|ev| ev.placement).collect();
+                let mut scheduled = dynamic.placements().to_vec();
+                let key = |pl: &Placement| (pl.start, pl.end, pl.procs);
+                placed.sort_by_key(key);
+                scheduled.sort_by_key(key);
+                assert_eq!(placed, scheduled, "{case}");
+                if cfg.grain > 1 {
+                    assert!(dynamic
+                        .placements()
+                        .iter()
+                        .all(|pl| pl.procs % cfg.grain == 0));
+                }
+                by_tie.push(dynamic.placements().to_vec());
+            }
+            ties += by_tie.chunks(2).filter(|pair| pair[0] != pair[1]).count() as u32;
+        }
+        assert!(
+            draws < 3 || ties > 0,
+            "the draws must exercise the tie rule"
+        );
     }
 
     #[test]

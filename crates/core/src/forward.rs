@@ -14,10 +14,15 @@
 //!
 //! The allocation bound is one of the four [`BdMethod`] policies; the
 //! combination `BL_x_BD_y` names the paper's 12 (+BD_HALF) algorithms.
+//!
+//! Both phases are written once, in `ForwardPass`, which
+//! [`schedule_forward`] runs to the end and `dynamic` steps through with
+//! competitors reserving between placements. A task's readiness in any
+//! list pass of the crate is `ready_at`.
 
 use crate::bl::{self, BlMethod};
 use crate::cpa::{CpaCache, StoppingCriterion};
-use crate::dag::Dag;
+use crate::dag::{Dag, TaskId};
 use crate::obs;
 use crate::pool::Pool;
 use crate::schedule::{Placement, Schedule, ScheduleStats};
@@ -207,72 +212,157 @@ pub(crate) fn schedule_forward_in(
     q: u32,
     cfg: ForwardConfig,
 ) -> Schedule {
-    let p = competing.capacity();
-    let q = Pool::effective(q, p);
-    let mut stats = ScheduleStats::default();
-    stats.count_pass();
-
-    // Phase 1: bottom levels and scheduling order. Through the cache, e.g.
-    // BL_CPAR_BD_CPAR computes its CPA allocation once, not twice.
-    let (order, bounds) = {
-        crate::span!(obs::names::SPAN_FORWARD_PREP);
-        if matches!(cfg.bl, BlMethod::Cpa | BlMethod::CpaR) {
-            stats.count_cpa_allocation();
-        }
-        let exec = cache.exec_times(dag, p, q, cfg.bl, cfg.criterion);
-        let levels = bl::bottom_levels(dag, &exec);
-        let order = bl::order_by_decreasing_bl(dag, &levels);
-        let bounds = cache.allocation_bounds(dag, p, q, cfg.bd, cfg.criterion, &mut stats);
-        (order, bounds)
-    };
-
-    // Phase 2: per-task earliest-completion slot search.
-    let place_span = obs::span_enter(obs::names::SPAN_FORWARD_PLACE);
-    let mut cal = competing.clone();
-    let mut placements: Vec<Option<Placement>> = vec![None; dag.num_tasks()];
-    let mut search = SlotSearch::new(cfg, p);
-
-    for &t in &order {
-        // Decreasing-BL order is topological, so every predecessor is
-        // already placed; an unplaced one would mean a broken order, which
-        // the debug assert (and the gated oracle below) would surface.
-        let mut ready = now;
-        for &pr in dag.preds(t) {
-            debug_assert!(
-                placements[pr.idx()].is_some(),
-                "decreasing-bl order schedules predecessors first"
-            );
-            if let Some(pl) = placements[pr.idx()] {
-                ready = ready.max(pl.end);
-            }
-        }
-
-        let best = search.place(&cal, &dag.cost(t), bounds[t.idx()], ready, &mut stats);
-        cal.add_unchecked(Reservation::new(best.start, best.end, best.procs));
-        placements[t.idx()] = Some(best);
+    let mut pass = ForwardPass::new(cache, dag, competing, now, q, cfg);
+    {
+        crate::span!(obs::names::SPAN_FORWARD_PLACE);
+        while pass.place_next().is_some() {}
     }
-    drop(place_span);
+    pass.finish()
+}
 
-    // `order` visits every task exactly once, so each slot is filled; a
-    // hole would shrink the schedule, which the length assert and the
-    // gated oracle both catch in debug builds.
-    let mut out = Schedule::new(placements.into_iter().flatten().collect(), now);
-    debug_assert_eq!(
-        out.placements().len(),
-        dag.num_tasks(),
-        "every task scheduled"
-    );
-    out.stats = stats;
-
-    // Debug-gated post-pass: replay the finished schedule through
-    // the independent oracle, including the BD_* cap actually in force
-    // (quantized to the placement grain) and the grain itself.
+/// One forward pass (paper §4.2), stepped by its caller: [`Self::new`]
+/// runs phase 1 (bottom levels, order, allocation bounds), each
+/// [`Self::place_next`] places the next task in order at its earliest
+/// completion on the working calendar, and [`Self::finish`] assembles the
+/// schedule. `schedule_forward` places every task in one go;
+/// `dynamic::schedule_forward_dynamic` lets competitors reserve on
+/// [`Self::calendar_mut`] between placements.
+pub(crate) struct ForwardPass<'a> {
+    dag: &'a Dag,
+    now: Time,
+    /// What the debug-gated post-pass audits against and names.
     #[cfg(debug_assertions)]
-    search
-        .validator(dag, competing, now, &bounds)
-        .assert_valid(&out, cfg.name().as_str());
+    competing: &'a Calendar,
+    #[cfg(debug_assertions)]
+    cfg: ForwardConfig,
+    order: std::vec::IntoIter<TaskId>,
+    bounds: Vec<u32>,
+    cal: Calendar,
+    placements: Vec<Option<Placement>>,
+    search: SlotSearch,
+    stats: ScheduleStats,
+}
 
-    out
+impl<'a> ForwardPass<'a> {
+    /// Phase 1 for `dag` on `competing`, its CPA allocations drawn from
+    /// `cache`, which serves this `dag`.
+    pub(crate) fn new(
+        cache: &mut CpaCache,
+        dag: &'a Dag,
+        competing: &'a Calendar,
+        now: Time,
+        q: u32,
+        cfg: ForwardConfig,
+    ) -> ForwardPass<'a> {
+        let p = competing.capacity();
+        let q = Pool::effective(q, p);
+        let mut stats = ScheduleStats::default();
+        stats.count_pass();
+
+        // Bottom levels and scheduling order. Through the cache, e.g.
+        // BL_CPAR_BD_CPAR computes its CPA allocation once, not twice.
+        let (order, bounds) = {
+            crate::span!(obs::names::SPAN_FORWARD_PREP);
+            if matches!(cfg.bl, BlMethod::Cpa | BlMethod::CpaR) {
+                stats.count_cpa_allocation();
+            }
+            let exec = cache.exec_times(dag, p, q, cfg.bl, cfg.criterion);
+            let levels = bl::bottom_levels(dag, &exec);
+            let order = bl::order_by_decreasing_bl(dag, &levels);
+            let bounds = cache.allocation_bounds(dag, p, q, cfg.bd, cfg.criterion, &mut stats);
+            (order, bounds)
+        };
+
+        ForwardPass {
+            dag,
+            now,
+            #[cfg(debug_assertions)]
+            competing,
+            #[cfg(debug_assertions)]
+            cfg,
+            order: order.into_iter(),
+            bounds,
+            cal: competing.clone(),
+            placements: vec![None; dag.num_tasks()],
+            search: SlotSearch::new(cfg, p),
+            stats,
+        }
+    }
+
+    /// Place the next task in order on the working calendar, at its
+    /// earliest completion (phase 2); `None` once every task is placed.
+    pub(crate) fn place_next(&mut self) -> Option<Placement> {
+        let t = self.order.next()?;
+        let ready = ready_at(self.dag, &self.placements, t, self.now);
+        let best = self.search.place(
+            &self.cal,
+            &self.dag.cost(t),
+            self.bounds[t.idx()],
+            ready,
+            &mut self.stats,
+        );
+        self.cal
+            .add_unchecked(Reservation::new(best.start, best.end, best.procs));
+        self.placements[t.idx()] = Some(best);
+        Some(best)
+    }
+
+    /// The working calendar: the competing reservations plus the
+    /// placements so far.
+    pub(crate) fn calendar_mut(&mut self) -> &mut Calendar {
+        &mut self.cal
+    }
+
+    /// The schedule of the placed tasks.
+    pub(crate) fn finish(self) -> Schedule {
+        // The order visits every task exactly once, so once `place_next`
+        // has returned `None` each slot is filled; a hole would shrink the
+        // schedule, which the length assert and the gated oracle both
+        // catch in debug builds.
+        let mut out = Schedule::new(self.placements.into_iter().flatten().collect(), self.now);
+        debug_assert_eq!(
+            out.placements().len(),
+            self.dag.num_tasks(),
+            "every task scheduled"
+        );
+        out.stats = self.stats;
+
+        // Debug-gated post-pass: replay the finished schedule through the
+        // independent oracle, including the BD_* cap actually in force
+        // (quantized to the placement grain) and the grain itself. The
+        // working calendar only ever grows past `competing`, so a
+        // placement that fit it also fits `competing`.
+        #[cfg(debug_assertions)]
+        self.search
+            .validator(self.dag, self.competing, self.now, &self.bounds)
+            .assert_valid(&out, self.cfg.name().as_str());
+
+        out
+    }
+}
+
+/// When task `t` can start in a list pass: the latest end among its
+/// predecessors' `placements` (indexed by task id), or `release` if that
+/// is later. The list orders place predecessors first; an unplaced one
+/// means a broken order (or, for a subset mapping, a subset that is not
+/// predecessor-closed), which the debug assert surfaces.
+pub(crate) fn ready_at(
+    dag: &Dag,
+    placements: &[Option<Placement>],
+    t: TaskId,
+    release: Time,
+) -> Time {
+    let mut ready = release;
+    for &pr in dag.preds(t) {
+        debug_assert!(
+            placements[pr.idx()].is_some(),
+            "list order places predecessors first"
+        );
+        if let Some(pl) = placements[pr.idx()] {
+            ready = ready.max(pl.end);
+        }
+    }
+    ready
 }
 
 /// The per-task slot search of the forward family (paper §4.2): among the
@@ -283,14 +373,14 @@ pub(crate) fn schedule_forward_in(
 /// `Calendar::earliest_finish` together.
 ///
 /// Held by one scheduling call; the candidate list is refilled per task.
-pub(crate) struct SlotSearch {
+struct SlotSearch {
     grain: u32,
     widths: Widths,
 }
 
 impl SlotSearch {
     /// The search `cfg` asks for on a `p`-processor platform.
-    pub(crate) fn new(cfg: ForwardConfig, p: u32) -> SlotSearch {
+    fn new(cfg: ForwardConfig, p: u32) -> SlotSearch {
         SlotSearch {
             grain: cfg.grain.clamp(1, p.max(1)),
             widths: Widths::for_tie(cfg.tie),
@@ -299,7 +389,7 @@ impl SlotSearch {
 
     /// Where a task of `cost`, ready at `ready` and allowed `bound`
     /// processors (quantized to the grain here), goes on `cal`.
-    pub(crate) fn place(
+    fn place(
         &mut self,
         cal: &Calendar,
         cost: &TaskCost,
@@ -319,7 +409,7 @@ impl SlotSearch {
     /// The oracle for schedules this search produced: the grain and the
     /// `BD_*` caps actually in force (quantized to the grain).
     #[cfg(debug_assertions)]
-    pub(crate) fn validator<'a>(
+    fn validator<'a>(
         &self,
         dag: &'a Dag,
         competing: &'a Calendar,

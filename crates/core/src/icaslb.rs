@@ -18,6 +18,7 @@
 
 use crate::bl::{self, LevelTracker};
 use crate::dag::{Dag, TaskId};
+use crate::forward;
 use crate::obs;
 use crate::schedule::{Placement, Schedule, ScheduleStats};
 use resched_resv::{Calendar, Dur, Reservation, Time};
@@ -58,15 +59,7 @@ fn build_schedule(
     slots.clear();
     slots.resize(dag.num_tasks(), None);
     for &t in order.iter() {
-        // Decreasing-BL order is topological, so every predecessor is
-        // already placed.
-        let mut ready = now;
-        for &p in dag.preds(t) {
-            debug_assert!(slots[p.idx()].is_some(), "preds first");
-            if let Some(pl) = slots[p.idx()] {
-                ready = ready.max(pl.end);
-            }
-        }
+        let ready = forward::ready_at(dag, slots, t, now);
         let m = allocs[t.idx()];
         let dur = exec[t.idx()];
         let s = obs::probe::earliest_fit(cal, m, dur, ready, stats);

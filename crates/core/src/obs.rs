@@ -160,8 +160,6 @@ pub mod names {
         SPAN_ICASLB_BUILD = "icaslb.build";
         /// Span: iCASLB-AR's allocation growth loop.
         SPAN_ICASLB_GROW_LOOP = "icaslb.grow_loop";
-        /// Span: the dynamic (list) scheduler's placement loop.
-        SPAN_DYNAMIC_PLACE = "dynamic.place";
         /// Span: BLIND's trial-and-error placement loop.
         SPAN_BLIND_PLACE = "blind.place";
         /// Span: execution replay of a finished schedule.

@@ -112,42 +112,32 @@ impl Calendar {
         }
     }
 
-    /// Build a calendar from a list of reservations.
+    /// Build a calendar from a list of reservations in one sweep —
+    /// `O(R log R)` total, versus the `O(R · B)` of adding one at a time
+    /// (each [`Calendar::try_add`] pays `Vec::insert` on the breakpoint
+    /// vector), which is what makes million-reservation calendars
+    /// loadable. The result is byte-identical to adding the same
+    /// reservations to [`Calendar::new`] one by one.
     ///
-    /// Fails on the first reservation that does not fit.
+    /// Capacity is checked over the aggregate: the first instant where the
+    /// running usage exceeds the platform reports a conflict against the
+    /// usage level already accumulated there.
+    ///
+    /// # Panics
+    /// Panics if `capacity == 0`.
     pub fn with_reservations<I>(capacity: u32, resvs: I) -> Result<Calendar, ReservationError>
     where
         I: IntoIterator<Item = Reservation>,
     {
         let mut cal = Calendar::new(capacity);
-        for r in resvs {
-            cal.try_add(r)?;
-        }
-        Ok(cal)
-    }
-
-    /// Build a calendar from a list of reservations in one sweep —
-    /// `O(R log R)` total, versus the `O(R · B)` of adding one at a time
-    /// (each [`Calendar::try_add`] pays `Vec::insert` on the breakpoint
-    /// vector). This is what makes million-reservation calendars loadable
-    /// for the scale benchmarks; the result is byte-identical to
-    /// [`Calendar::with_reservations`] on the same input.
-    ///
-    /// Capacity is checked over the aggregate: the first instant where the
-    /// running usage exceeds the platform reports a conflict against the
-    /// usage level already accumulated there.
-    pub fn bulk_load<I>(capacity: u32, resvs: I) -> Result<Calendar, ReservationError>
-    where
-        I: IntoIterator<Item = Reservation>,
-    {
-        assert!(capacity > 0, "a platform needs at least one processor");
         let resvs = resvs.into_iter();
         // Two deltas per reservation; `size_hint` is exact for the slice
         // and Vec iterators the loaders use, making this one allocation.
         let mut deltas: Vec<(Time, i64)> = Vec::with_capacity(resvs.size_hint().0 * 2);
-        let mut reserved_proc_seconds = 0i64;
-        let mut num_reservations = 0usize;
         for r in resvs {
+            // The fields are public (and deserialized): an empty or
+            // inverted interval would drive the running usage negative.
+            Reservation::checked(r.start, r.end, r.procs)?;
             if r.procs > capacity {
                 return Err(ReservationError::ExceedsCapacity {
                     requested: r.procs,
@@ -156,32 +146,20 @@ impl Calendar {
             }
             deltas.push((r.start, r.procs as i64));
             deltas.push((r.end, -(r.procs as i64)));
-            reserved_proc_seconds += r.proc_seconds();
-            num_reservations += 1;
+            cal.reserved_proc_seconds += r.proc_seconds();
+            cal.num_reservations += 1;
         }
         deltas.sort_unstable_by_key(|&(t, _)| t);
-        // Pre-reserve the exact upper bound — one breakpoint per distinct
-        // delta instant (zero-sum instants coalesce away, never more) —
-        // so the sweep below performs a single allocation instead of
-        // doubling its way up.
-        let mut distinct = 0usize;
-        let mut prev_t: Option<Time> = None;
-        for &(t, _) in &deltas {
-            if prev_t != Some(t) {
-                distinct += 1;
-                prev_t = Some(t);
-            }
-        }
-        let mut steps: Vec<Step> = Vec::with_capacity(distinct);
+        // One breakpoint at most per distinct delta instant (zero-sum
+        // instants coalesce away), so the sweep allocates once.
+        let same_instant = |a: &(Time, i64), b: &(Time, i64)| a.0 == b.0;
+        cal.steps
+            .reserve_exact(deltas.chunk_by(same_instant).count());
         let mut used = 0i64;
-        let mut i = 0;
-        while i < deltas.len() {
-            let t = deltas[i].0;
+        for run in deltas.chunk_by(same_instant) {
+            let Some(&(t, _)) = run.first() else { continue };
             let before = used;
-            while i < deltas.len() && deltas[i].0 == t {
-                used += deltas[i].1;
-                i += 1;
-            }
+            used += run.iter().map(|&(_, d)| d).sum::<i64>();
             if used > capacity as i64 {
                 return Err(ReservationError::Conflict {
                     at: t,
@@ -190,18 +168,12 @@ impl Calendar {
                 });
             }
             if used != before {
-                steps.push(Step {
+                cal.steps.push(Step {
                     time: t,
                     used: used as u32,
                 });
             }
         }
-        let cal = Calendar {
-            capacity,
-            steps,
-            reserved_proc_seconds,
-            num_reservations,
-        };
         debug_assert!(cal.check_invariants());
         Ok(cal)
     }
@@ -1513,9 +1485,18 @@ mod tests {
 
     #[test]
     fn bulk_load_matches_incremental_build() {
+        // The sweep against the reference it replaces: one `try_add` at a
+        // time onto an empty calendar.
+        let incremental = |capacity: u32, resvs: &[Reservation]| {
+            let mut cal = Calendar::new(capacity);
+            for &r in resvs {
+                cal.try_add(r).unwrap();
+            }
+            cal
+        };
         let resvs = vec![r(10, 20, 3), r(15, 30, 2), r(50, 60, 8)];
-        let bulk = Calendar::bulk_load(8, resvs.clone()).unwrap();
-        let incr = Calendar::with_reservations(8, resvs).unwrap();
+        let bulk = Calendar::with_reservations(8, resvs.clone()).unwrap();
+        let incr = incremental(8, &resvs);
         assert_eq!(bulk, incr);
         assert_eq!(
             serde_json::to_string(&bulk).unwrap(),
@@ -1523,16 +1504,27 @@ mod tests {
         );
         // Abutting equal-usage reservations coalesce identically.
         let resvs = vec![r(0, 10, 2), r(10, 20, 2)];
-        let bulk = Calendar::bulk_load(8, resvs.clone()).unwrap();
-        assert_eq!(bulk, Calendar::with_reservations(8, resvs).unwrap());
+        let bulk = Calendar::with_reservations(8, resvs.clone()).unwrap();
+        assert_eq!(bulk, incremental(8, &resvs));
         assert_eq!(bulk.num_breakpoints(), 2);
         // Overbooking is caught at the first offending instant.
-        let err = Calendar::bulk_load(4, vec![r(0, 10, 3), r(5, 15, 2)]);
+        let err = Calendar::with_reservations(4, vec![r(0, 10, 3), r(5, 15, 2)]);
         assert!(matches!(err, Err(ReservationError::Conflict { at, .. }) if at == t(5)));
-        let err = Calendar::bulk_load(4, vec![r(0, 10, 5)]);
+        let err = Calendar::with_reservations(4, vec![r(0, 10, 5)]);
         assert!(matches!(err, Err(ReservationError::ExceedsCapacity { .. })));
+        // A reservation built field by field is checked for its shape.
+        let inverted = Reservation {
+            start: t(10),
+            end: t(5),
+            procs: 1,
+        };
+        let err = Calendar::with_reservations(4, vec![r(0, 10, 1), inverted]);
+        assert!(matches!(err, Err(ReservationError::EmptyInterval { .. })));
         // Empty load is the empty calendar.
-        assert_eq!(Calendar::bulk_load(8, []).unwrap(), Calendar::new(8));
+        assert_eq!(
+            Calendar::with_reservations(8, []).unwrap(),
+            Calendar::new(8)
+        );
     }
 
     #[test]

@@ -361,12 +361,11 @@ impl AdmissionGate {
     /// candidate. Exact sweep over reservation starts — every local
     /// maximum of a union of intervals is at some interval's start.
     fn peak_concurrent(&self, subject: &QuotaSubject, extra: Option<&Reservation>) -> u32 {
-        let matching = |o: &Owner| subject_covers(subject, o);
         let mut peak = 0u32;
         let candidates = self
             .held
             .iter()
-            .filter(|(o, _)| matching(o))
+            .filter(|(o, _)| subject.matches(o))
             .map(|(_, r)| r)
             .chain(extra);
         // Collect starts to probe; includes the candidate's own start.
@@ -374,7 +373,7 @@ impl AdmissionGate {
             let t = probe.start;
             let mut used = 0u32;
             for (o, r) in &self.held {
-                if matching(o) && r.active_at(t) {
+                if subject.matches(o) && r.active_at(t) {
                     used = used.saturating_add(r.procs);
                 }
             }
@@ -392,16 +391,10 @@ impl AdmissionGate {
     fn subject_core_seconds(&self, subject: &QuotaSubject) -> i64 {
         self.held
             .iter()
-            .filter(|(o, _)| subject_covers(subject, o))
+            .filter(|(o, _)| subject.matches(o))
             .map(|(_, r)| r.proc_seconds())
             .sum()
     }
-}
-
-/// Free-function twin of [`QuotaSubject::matches`] usable in closures that
-/// already borrow the gate.
-fn subject_covers(subject: &QuotaSubject, owner: &Owner) -> bool {
-    subject.matches(owner)
 }
 
 #[cfg(test)]

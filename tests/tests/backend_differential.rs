@@ -185,7 +185,7 @@ fn dispatched_queries_are_backend_invariant() {
                 .collect()
         };
         let base = costed(&cal);
-        let bulk = Calendar::bulk_load(cal.capacity(), live).expect("live set fits");
+        let bulk = Calendar::with_reservations(cal.capacity(), live).expect("live set fits");
         let thawed: Calendar = serde_json::from_str(&serde_json::to_string(&cal).unwrap())
             .expect("serialized calendar parses");
         for (how, other) in [
