@@ -34,13 +34,15 @@ fn bench_calendar(c: &mut Criterion) {
     c.bench_function("calendar/earliest_fit", |b| {
         b.iter(|| black_box(cal.earliest_fit(black_box(16), Dur::hours(2), Time::ZERO)))
     });
+    // The one-width backward question: `latest_start` over one candidate.
     c.bench_function("calendar/latest_fit", |b| {
         b.iter(|| {
-            black_box(cal.latest_fit(
-                black_box(16),
-                Dur::hours(2),
+            let mut cost = QueryCost::default();
+            black_box(cal.latest_start(
+                &[(black_box(16), Dur::hours(2))],
                 Time::seconds(5 * 86_400),
                 Time::ZERO,
+                &mut cost,
             ))
         })
     });
@@ -84,7 +86,8 @@ fn bench_earliest_fit_scaling(c: &mut Criterion) {
 /// end by the staircase's last breakpoint, so every slot blocks and the
 /// backward walk restarts `r` times before it finds room ahead of the
 /// first one. A walk that re-positions after each restart pays
-/// `O(r log r)` here instead of `O(r)`.
+/// `O(r log r)` here instead of `O(r)`. The calendar side is
+/// `latest_start` over one candidate.
 fn bench_latest_fit_scaling(c: &mut Criterion) {
     let mut group = c.benchmark_group("latest_fit");
     for &r in &[100usize, 1_000, 10_000] {
@@ -93,7 +96,9 @@ fn bench_latest_fit_scaling(c: &mut Criterion) {
         let not_before = Time::seconds(-1_000);
         group.bench_function(format!("calendar/{r}"), |b| {
             b.iter(|| {
-                black_box(cal.latest_fit(black_box(33), Dur::seconds(100), end_by, not_before))
+                let one = [(black_box(33), Dur::seconds(100))];
+                let mut cost = QueryCost::default();
+                black_box(cal.latest_start(&one, end_by, not_before, &mut cost))
             })
         });
         let lin = cal.linear();
@@ -174,15 +179,16 @@ fn bench_forward_scan(c: &mut Criterion) {
 }
 
 /// RESSCHEDDL's per-task slot search, one walk against the loop it replaced
-/// — one `latest_fit` per candidate, then the latest start (the aggressive
-/// rule) or the first start at or after a threshold (the conservative one)
-/// — which lives on here (and as the schedulers' test oracle), not in
-/// `core`. On [`month_of_reservations`], the first 8 / 64 / 430 widths
-/// of a shorter Amdahl task (one that fits between the reservations),
-/// searched backward from four deadlines; the conservative legs ask for a
-/// start in the last twelve hours before the deadline, which takes five
-/// processors on an empty machine and more where reservations are in the
-/// way — so their per-width loop stops early when the answer is narrow.
+/// — one single-candidate `latest_start` per width, then the latest start
+/// (the aggressive rule) or the first start at or after a threshold (the
+/// conservative one) — which lives on here (and as the schedulers' test
+/// oracle), not in `core`. On [`month_of_reservations`], the first 8 / 64 /
+/// 430 widths of a shorter Amdahl task (one that fits between the
+/// reservations), searched backward from four deadlines; the conservative
+/// legs ask for a start in the last twelve hours before the deadline, which
+/// takes five processors on an empty machine and more where reservations
+/// are in the way — so their per-width loop stops early when the answer is
+/// narrow.
 fn bench_backward_scan(c: &mut Criterion) {
     let cal = month_of_reservations();
     let cost = TaskCost::new(Dur::seconds(200_000), 0.02);
@@ -192,10 +198,11 @@ fn bench_backward_scan(c: &mut Criterion) {
     let per_width = |cands: &[(u32, Dur)], dl: Time, threshold: Option<Time>| {
         let mut latest: Option<Reservation> = None;
         for &(m, dur) in cands {
-            let Some(start) = cal.latest_fit(m, dur, dl, Time::ZERO) else {
+            let mut cost = QueryCost::default();
+            let Some(fit) = cal.latest_start(&[(m, dur)], dl, Time::ZERO, &mut cost) else {
                 continue;
             };
-            let fit = Reservation::for_duration(start, dur, m);
+            let start = fit.start;
             if threshold.is_some_and(|th| start >= th) {
                 return Some(fit);
             }

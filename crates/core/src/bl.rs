@@ -286,7 +286,7 @@ impl PosGraph {
 /// per iteration. That can only affect the bottom levels of the task and
 /// its *ancestors* and the top levels of its *descendants*, so
 /// [`LevelTracker::update`] re-sweeps the positions below the task's
-/// highest predecessor ([`PosGraph::propagate_bottom`], the routine CPA's
+/// highest predecessor (`PosGraph::propagate_bottom`, the routine CPA's
 /// own loop runs) and propagates top levels along the descendant cone —
 /// instead of the O(V+E) rebuild per iteration the legacy loops paid.
 ///

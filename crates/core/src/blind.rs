@@ -65,7 +65,8 @@ impl ReservationDesk {
     ) -> Time {
         self.probes += 1;
         self.cal
-            .earliest_fit_with_cost(procs, dur, not_before, cost)
+            .earliest_finish(&[(procs, dur)], not_before, false, cost)
+            .start
     }
 
     /// Commit a reservation previously discovered through [`Self::probe`].

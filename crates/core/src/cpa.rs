@@ -506,8 +506,8 @@ pub fn allocate_reference(dag: &Dag, pool: u32, criterion: StoppingCriterion) ->
 /// Every algorithm in the catalog derives several artifacts from the *same*
 /// allocation — `BL_CPAR` execution times, `BD_CPAR` bounds, RC guides —
 /// so each scheduler builds one `CpaCache` at the top of the call, reads
-/// exec times ([`CpaCache::exec_times`]), bounds
-/// ([`CpaCache::allocation_bounds`]) and guides ([`CpaCache::cpa`]) through
+/// exec times (`CpaCache::exec_times`), bounds
+/// (`CpaCache::allocation_bounds`) and guides ([`CpaCache::cpa`]) through
 /// it, and drops it on return: each distinct allocation is computed
 /// exactly once per call (per instance, through a `Roster`). Hits and
 /// misses are reported through the `cpa.cache.{hit,miss}` counters.

@@ -613,7 +613,7 @@ mod tests {
     /// completion kept under the tie rule. What the one-walk search
     /// (dominance-elided candidates, `Calendar::earliest_finish`) is pinned
     /// to. Returns the placements, the non-`slot_*` stats, and the slot
-    /// steps the per-width walks of the calendar itself would have cost.
+    /// steps the calendar's one-candidate scans cost, width by width.
     fn brute_forward(
         dag: &Dag,
         competing: &Calendar,
@@ -647,10 +647,8 @@ mod tests {
                 let m = k * g;
                 let dur = dag.cost(t).exec_time(m);
                 let start = cal.linear().earliest_fit(m, dur, ready);
-                assert_eq!(
-                    cal.earliest_fit_with_cost(m, dur, ready, &mut walked),
-                    start
-                );
+                let one = cal.earliest_finish(&[(m, dur)], ready, false, &mut walked);
+                assert_eq!(one.start, start);
                 let end = start + dur;
                 let better = best.is_none_or(|b| {
                     end < b.end

@@ -18,10 +18,10 @@
 
 use crate::bl::{self, LevelTracker};
 use crate::dag::{Dag, TaskId};
-use crate::forward;
+use crate::forward::{self, TieBreak};
 use crate::obs;
 use crate::schedule::{Placement, Schedule, ScheduleStats};
-use resched_resv::{Calendar, Dur, Reservation, Time};
+use resched_resv::{Calendar, Dur, Time};
 
 /// How many critical-path candidates to evaluate per iteration (the
 /// look-ahead width; the paper's iCASLB uses a small constant).
@@ -62,13 +62,9 @@ fn build_schedule(
         let ready = forward::ready_at(dag, slots, t, now);
         let m = allocs[t.idx()];
         let dur = exec[t.idx()];
-        let s = obs::probe::earliest_fit(cal, m, dur, ready, stats);
-        cal.add_unchecked(Reservation::for_duration(s, dur, m));
-        slots[t.idx()] = Some(Placement {
-            start: s,
-            end: s + dur,
-            procs: m,
-        });
+        let pl = obs::probe::earliest_finish(cal, &[(m, dur)], ready, TieBreak::FewestProcs, stats);
+        cal.add_unchecked(pl.reservation());
+        slots[t.idx()] = Some(pl);
     }
     out.clear();
     out.extend(slots.iter().flatten().copied());
@@ -239,6 +235,7 @@ mod tests {
     use crate::dag::{chain, fork_join};
     use crate::forward::{schedule_forward, ForwardConfig};
     use crate::task::TaskCost;
+    use resched_resv::Reservation;
 
     fn c(s: i64, a: f64) -> TaskCost {
         TaskCost::new(Dur::seconds(s), a)

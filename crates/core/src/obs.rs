@@ -9,23 +9,23 @@
 //!   [`RunReport`]) are always compiled. They have no global state;
 //!   anything can own one.
 //! * **Ambient collection** (the [`observe`] / [`span_enter`] /
-//!   [`counter_add`] / [`record_value`] family and the [`span!`] macro) is
-//!   active only with the crate's `obs` feature. Every `cargo test` build
-//!   has it (the workspace's test crates dev-depend on `resched-core` with
-//!   it) and no binary built by `cargo build` or `cargo run` does;
-//!   `--features resched-core/obs` compiles it into a release binary to
-//!   profile one. Without the feature every ambient call compiles to a
-//!   no-op (empty inline functions and a guard type with no `Drop` impl);
-//!   with it, events are recorded into a thread-local stack of runs opened
-//!   by [`observe`]. Outside an `observe` scope the instrumented code paths
-//!   stay no-ops even with the feature on.
+//!   [`counter_add`] / [`record_value`] family and the
+//!   [`span!`](crate::span) macro) is active only with the crate's `obs`
+//!   feature. Every `cargo test` build has it (the workspace's test crates
+//!   dev-depend on `resched-core` with it) and no binary built by `cargo
+//!   build` or `cargo run` does; `--features resched-core/obs` compiles it
+//!   into a release binary to profile one. Without the feature every
+//!   ambient call compiles to a no-op (empty inline functions and a guard
+//!   type with no `Drop` impl); with it, events are recorded into a
+//!   thread-local stack of runs opened by [`observe`]. Outside an `observe`
+//!   scope the instrumented code paths stay no-ops even with the feature
+//!   on.
 //!
 //! Instrumentation must never perturb scheduling decisions: the schedulers
-//! call the [`probe`] wrappers, which feed
-//! [`ScheduleStats`](crate::schedule::ScheduleStats) exactly as the old
-//! bespoke `QueryCost` plumbing did *and* mirror the same tallies into the
-//! ambient registry. A differential test over the whole algorithm catalog
-//! pins byte-identical schedules with and without the feature, and
+//! call the [`probe`] wrappers, which feed [`ScheduleStats`] exactly as the
+//! old bespoke `QueryCost` plumbing did *and* mirror the same tallies into
+//! the ambient registry. A differential test over the whole algorithm
+//! catalog pins byte-identical schedules with and without the feature, and
 //! [`MetricsRegistry::stats_view`] reconstructs `ScheduleStats` from the
 //! registry so the two accountings can be cross-checked.
 //!
@@ -65,14 +65,15 @@ pub mod names {
     names! {
         /// Counter: forward slot queries issued against a competing calendar —
         /// one `earliest_finish` walk per task the forward family places, one
-        /// `earliest_fit` per placement elsewhere.
+        /// over a single candidate per placement elsewhere.
         EARLIEST_FIT_QUERIES = "calendar.earliest_fit.queries";
         /// Counter: slots those walks inspected, plus one positioning step per
         /// query.
         EARLIEST_FIT_STEPS = "calendar.earliest_fit.steps";
-        /// Counter: `latest_fit` queries issued against a competing calendar.
+        /// Counter: backward slot queries (`latest_start`,
+        /// `narrowest_start_from`) issued against a competing calendar.
         LATEST_FIT_QUERIES = "calendar.latest_fit.queries";
-        /// Counter: steps spent in `latest_fit`.
+        /// Counter: steps spent in those backward walks.
         LATEST_FIT_STEPS = "calendar.latest_fit.steps";
         /// Histogram: steps per individual fit query (size distribution).
         FIT_STEPS = "calendar.fit.steps";
@@ -424,7 +425,7 @@ impl MetricsRegistry {
     /// differential tests assert exactly that. One documented divergence:
     /// standalone `cpa::schedule` folds its mapping-phase probe cost into
     /// `slot_queries`/`slot_steps`, while the registry keeps that cost
-    /// separate under `cpa.map.*` (see [`names::STATS_VIEW`]); its view
+    /// separate under `cpa.map.*` (see `names::STATS_VIEW`); its view
     /// therefore under-counts `slot_*` by exactly the `cpa.map.*` tallies.
     pub fn stats_view(&self) -> ScheduleStats {
         let mut out = ScheduleStats::default();
@@ -483,7 +484,7 @@ impl Deserialize for MetricsRegistry {
 /// Aggregated timing of one named span within a run.
 #[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct SpanStat {
-    /// Span name (as passed to [`span_enter`] / [`span!`]).
+    /// Span name (as passed to [`span_enter`] / [`span!`](crate::span)).
     pub name: String,
     /// Times the span was entered.
     pub calls: u64,
@@ -763,7 +764,9 @@ pub use ambient::{counter_add, observe, record_value, span_enter, SpanGuard};
 
 /// Instrumented calendar-probe wrappers used by every scheduler.
 ///
-/// Each wrapper issues the underlying `*_with_cost` query, folds the
+/// Each wrapper asks one of the calendar's three width-scan queries
+/// (`earliest_finish`, `latest_start`, `narrowest_start_from`; a one-width
+/// question is a scan over one candidate), folds the
 /// [`QueryCost`](resched_resv::QueryCost) into the caller's
 /// [`ScheduleStats`] exactly as the old hand-rolled plumbing did, and
 /// mirrors the tally into the ambient registry (a no-op without the `obs`
@@ -798,23 +801,6 @@ pub mod probe {
             end: r.end,
             procs: r.procs,
         }
-    }
-
-    /// `Calendar::earliest_fit` with cost folded into `stats` and mirrored
-    /// into the ambient registry.
-    #[inline]
-    pub fn earliest_fit(
-        cal: &Calendar,
-        procs: u32,
-        dur: Dur,
-        not_before: Time,
-        stats: &mut ScheduleStats,
-    ) -> Time {
-        let mut cost = QueryCost::default();
-        let start = cal.earliest_fit_with_cost(procs, dur, not_before, &mut cost);
-        stats.absorb_query_cost(cost);
-        record_fit(names::EARLIEST_FIT_QUERIES, names::EARLIEST_FIT_STEPS, cost);
-        start
     }
 
     /// `Calendar::earliest_finish` over one task's width `candidates`, as
@@ -872,12 +858,12 @@ pub mod probe {
         fit.map(placed)
     }
 
-    /// `Calendar::earliest_fit` against the CPA mapping phase's *virtual*
-    /// platform: cost is folded into the caller's [`QueryCost`] accumulator
-    /// (whose fate — absorbed into stats or dropped — is the caller's
-    /// business, exactly as before) and mirrored into the registry under the
-    /// dedicated `cpa.map.*` names so scheduler-level `slot_*` views stay
-    /// untouched.
+    /// The earliest start of one width (`Calendar::earliest_finish` over one
+    /// candidate) against the CPA mapping phase's *virtual* platform: cost is
+    /// folded into the caller's [`QueryCost`] accumulator (whose fate —
+    /// absorbed into stats or dropped — is the caller's business, exactly as
+    /// before) and mirrored into the registry under the dedicated `cpa.map.*`
+    /// names so scheduler-level `slot_*` views stay untouched.
     #[inline]
     pub fn map_earliest_fit(
         platform: &Calendar,
@@ -887,7 +873,9 @@ pub mod probe {
         acc: &mut QueryCost,
     ) -> Time {
         let mut cost = QueryCost::default();
-        let start = platform.earliest_fit_with_cost(procs, dur, not_before, &mut cost);
+        let start = platform
+            .earliest_finish(&[(procs, dur)], not_before, false, &mut cost)
+            .start;
         acc.absorb(cost);
         // `counter_add` is a no-op stub when `obs` is off, so no cfg gate
         // is needed.

@@ -37,8 +37,8 @@ pub struct ScheduleStats {
     /// task for the forward family (it decides among all the task's widths
     /// in one walk); per task decision of a deadline pass one
     /// `latest_start`, after one `narrowest_start_from` per chunk of widths
-    /// the conservative rule asked about; one `earliest_fit` per placement
-    /// elsewhere.
+    /// the conservative rule asked about; one single-candidate
+    /// `earliest_finish` per placement elsewhere.
     pub slot_queries: u64,
     /// Work done answering those queries: calendar slots inspected, plus
     /// one positioning step per query (see `resched_resv::QueryCost`) —

@@ -335,7 +335,7 @@ impl Sink {
     /// Mark the waiver at exactly `(path, line, rule)` as used. The
     /// transitive rules call this when a graph traversal stops at a
     /// barrier waiver, so barrier waivers that intercept no path are
-    /// reported as stale by [`Sink::finish`] like any other unused waiver.
+    /// reported as stale by `Sink::finish` like any other unused waiver.
     pub fn consume(&self, path: &str, line: usize, rule: Rule) {
         if let Some(waivers) = self.waivers.get(path) {
             for w in waivers {

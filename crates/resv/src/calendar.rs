@@ -3,13 +3,14 @@
 //!
 //! The calendar answers three questions:
 //!
-//! 1. *Earliest fit* — the earliest start `s >= not_before` such that `m`
-//!    processors are free throughout `[s, s + d)` (forward / RESSCHED
-//!    scheduling, paper §4.2) — and *earliest finish*, the same question
-//!    over all of a task's `<m, d>` candidates at once, which is what
-//!    RESSCHED asks per task.
-//! 2. *Latest fit* — the latest start `s` with `s + d <= end_by` and `m`
-//!    processors free throughout (backward / RESSCHEDDL scheduling, §5.2).
+//! 1. *Earliest finish* — over a task's `<m, d>` candidates, the one whose
+//!    earliest start `s >= not_before` with `m` processors free throughout
+//!    `[s, s + d)` completes first (forward / RESSCHED scheduling, paper
+//!    §4.2). [`Calendar::earliest_fit`] asks it of one candidate.
+//! 2. *Latest start* — over a task's candidates, the one whose latest start
+//!    `s` with `s + d <= end_by` and `m` processors free throughout starts
+//!    latest, or the narrowest one that starts past a threshold (backward /
+//!    RESSCHEDDL scheduling, §5.2).
 //! 3. *Historical average availability* — the time-average number of free
 //!    processors over a past window, the paper's estimate `q` used by the
 //!    `*_CPAR` algorithm variants (§4.2).
@@ -396,7 +397,8 @@ impl Calendar {
     }
 
     /// Earliest start `s >= not_before` such that `procs` processors are free
-    /// throughout `[s, s + dur)`.
+    /// throughout `[s, s + dur)`: [`Calendar::earliest_finish`] over the one
+    /// candidate `(procs, dur)`, its cost dropped.
     ///
     /// Always succeeds (the calendar eventually drains), provided
     /// `procs <= capacity`.
@@ -405,21 +407,8 @@ impl Calendar {
     /// Panics if `procs == 0`, `procs > capacity`, or `dur <= 0`.
     pub fn earliest_fit(&self, procs: u32, dur: Dur, not_before: Time) -> Time {
         let mut cost = QueryCost::default();
-        self.earliest_fit_with_cost(procs, dur, not_before, &mut cost)
-    }
-
-    /// [`Calendar::earliest_fit`], tallying the work performed into `cost`:
-    /// one query plus the slots the walk inspected.
-    pub fn earliest_fit_with_cost(
-        &self,
-        procs: u32,
-        dur: Dur,
-        not_before: Time,
-        cost: &mut QueryCost,
-    ) -> Time {
-        cost.queries += 1;
-        self.slots()
-            .earliest_fit(procs, dur, not_before, &mut cost.steps)
+        self.earliest_finish(&[(procs, dur)], not_before, false, &mut cost)
+            .start
     }
 
     /// Earliest *finish* over a task's width candidates: the reservation of
@@ -470,50 +459,22 @@ impl Calendar {
             .earliest_finish(candidates, not_before, widest_on_tie, &mut cost.steps)
     }
 
-    /// Latest start `s` with `s + dur <= end_by`, `s >= not_before`, and
-    /// `procs` processors free throughout `[s, s + dur)`. `None` if no such
-    /// start exists. [`Calendar::latest_fit_with_cost`] with the tally
-    /// dropped; production asks the width-scan queries below, this one is
-    /// the per-width primitive their differentials and benches compare
-    /// against.
-    ///
-    /// # Panics
-    /// Panics if `procs == 0`, `procs > capacity`, or `dur <= 0`.
-    pub fn latest_fit(&self, procs: u32, dur: Dur, end_by: Time, not_before: Time) -> Option<Time> {
-        let mut cost = QueryCost::default();
-        self.latest_fit_with_cost(procs, dur, end_by, not_before, &mut cost)
-    }
-
-    /// [`Calendar::latest_fit`], tallying the work performed into `cost`
-    /// (one query plus the slots the walk inspected).
-    pub fn latest_fit_with_cost(
-        &self,
-        procs: u32,
-        dur: Dur,
-        end_by: Time,
-        not_before: Time,
-        cost: &mut QueryCost,
-    ) -> Option<Time> {
-        cost.queries += 1;
-        self.slots()
-            .latest_fit(procs, dur, end_by, not_before, &mut cost.steps)
-    }
-
     /// Latest *start* over a task's width candidates: the reservation of the
     /// one whose latest fit inside `[not_before, end_by)` starts latest, a
     /// tie going to the narrower candidate; `None` if none of them fits.
     /// The backward mirror of [`Calendar::earliest_finish`], and what the
     /// aggressive deadline algorithms (and the conservative ones' fallback)
-    /// place a task by.
+    /// place a task by. One candidate asks the latest start `s` with
+    /// `s + dur <= end_by`, `s >= not_before` and `procs` processors free
+    /// throughout `[s, s + dur)`.
     ///
     /// `candidates` is `(procs, dur)` in increasing `procs` with `dur`
-    /// decreasing. The answer is the argmax of
-    /// `latest_fit(procs, dur, end_by, not_before)` over them, found in one
-    /// backward walk that carries every candidate's window end at once — a
-    /// slot too full for one width is too full for every wider one, so the
-    /// ends move together: `cost` is charged **one** query and the slots
-    /// that walk inspected, no more than the answer's own `latest_fit`
-    /// would have inspected alone.
+    /// decreasing. The answer is the argmax of that one-candidate latest
+    /// fit over them, found in one backward walk that carries every
+    /// candidate's window end at once — a slot too full for one width is
+    /// too full for every wider one, so the ends move together: `cost` is
+    /// charged **one** query and the slots that walk inspected, no more
+    /// than a walk for the answer alone would have inspected.
     ///
     /// ```
     /// use resched_resv::{Calendar, Dur, QueryCost, Reservation, Time};
@@ -556,12 +517,12 @@ impl Calendar {
     /// guideline.
     ///
     /// `candidates` as for [`Calendar::latest_start`]. The answer is the
-    /// first of them for which `latest_fit(procs, dur, end_by, threshold)`
-    /// succeeds, found in one backward walk (one query in `cost`, plus the
-    /// slots it inspected). Asking about consecutive chunks of a candidate
-    /// list in turn finds the same answer as asking about the whole list —
-    /// the first chunk that has one holds the narrowest — so a caller whose
-    /// candidates are costly to list can list them as it goes.
+    /// first of them with a latest fit inside `[threshold, end_by)`, found in
+    /// one backward walk (one query in `cost`, plus the slots it inspected).
+    /// Asking about consecutive chunks of a candidate list in turn finds the
+    /// same answer as asking about the whole list — the first chunk that has
+    /// one holds the narrowest — so a caller whose candidates are costly to
+    /// list can list them as it goes.
     ///
     /// ```
     /// use resched_resv::{Calendar, Dur, QueryCost, Reservation, Time};
@@ -782,9 +743,8 @@ impl LinearRef<'_> {
         self.earliest_fit_with_cost(procs, dur, not_before, &mut cost)
     }
 
-    /// Linear-scan [`Calendar::earliest_fit_with_cost`]; `cost.steps`
-    /// counts breakpoints visited.
-    // lint:allow(panic-transitive): step indices come from binary searches and linear walks over `cal.steps`, bounded by its length at every step. (No root calls the reference; the proof arrives by name from `Calendar::earliest_fit_with_cost` call sites.)
+    /// Linear-scan [`Calendar::earliest_fit`], tallying the work into
+    /// `cost`; `cost.steps` counts breakpoints visited.
     pub fn earliest_fit_with_cost(
         &self,
         procs: u32,
@@ -825,14 +785,16 @@ impl LinearRef<'_> {
         }
     }
 
-    /// Linear-scan [`Calendar::latest_fit`].
+    /// Latest start `s` with `s + dur <= end_by`, `s >= not_before` and
+    /// `procs` processors free throughout `[s, s + dur)`, by linear scan:
+    /// [`Calendar::latest_start`] over the one candidate `(procs, dur)`.
     pub fn latest_fit(&self, procs: u32, dur: Dur, end_by: Time, not_before: Time) -> Option<Time> {
         let mut cost = QueryCost::default();
         self.latest_fit_with_cost(procs, dur, end_by, not_before, &mut cost)
     }
 
-    /// Linear-scan [`Calendar::latest_fit_with_cost`]; `cost.steps` counts
-    /// breakpoints visited.
+    /// [`LinearRef::latest_fit`], tallying the work into `cost`;
+    /// `cost.steps` counts breakpoints visited.
     pub fn latest_fit_with_cost(
         &self,
         procs: u32,
@@ -1001,13 +963,25 @@ mod tests {
     fn r(s: i64, e: i64, p: u32) -> Reservation {
         Reservation::new(t(s), t(e), p)
     }
+    /// The latest start of one width: a one-candidate `latest_start`.
+    fn latest_of_one(
+        cal: &Calendar,
+        procs: u32,
+        dur: Dur,
+        end_by: Time,
+        not_before: Time,
+    ) -> Option<Time> {
+        let mut cost = QueryCost::default();
+        cal.latest_start(&[(procs, dur)], end_by, not_before, &mut cost)
+            .map(|r| r.start)
+    }
 
     #[test]
     fn empty_calendar_everything_fits_now() {
         let cal = Calendar::new(8);
         assert_eq!(cal.earliest_fit(8, d(100), t(0)), t(0));
         assert_eq!(cal.used_at(t(12345)), 0);
-        assert_eq!(cal.latest_fit(8, d(10), t(100), t(0)), Some(t(90)));
+        assert_eq!(latest_of_one(&cal, 8, d(10), t(100), t(0)), Some(t(90)));
     }
 
     #[test]
@@ -1102,14 +1076,14 @@ mod tests {
         let mut cal = Calendar::new(4);
         cal.try_add(r(50, 100, 4)).unwrap();
         // Latest 10s window for 1 proc ending by 200 is [190, 200).
-        assert_eq!(cal.latest_fit(1, d(10), t(200), t(0)), Some(t(190)));
+        assert_eq!(latest_of_one(&cal, 1, d(10), t(200), t(0)), Some(t(190)));
         // Ending by 100 must finish before the busy region: [40, 50).
-        assert_eq!(cal.latest_fit(1, d(10), t(100), t(0)), Some(t(40)));
+        assert_eq!(latest_of_one(&cal, 1, d(10), t(100), t(0)), Some(t(40)));
         // Window longer than the pre-busy region: impossible before 50.
-        assert_eq!(cal.latest_fit(1, d(60), t(100), t(0)), None);
+        assert_eq!(latest_of_one(&cal, 1, d(60), t(100), t(0)), None);
         // not_before binds.
-        assert_eq!(cal.latest_fit(1, d(10), t(100), t(45)), None);
-        assert_eq!(cal.latest_fit(1, d(10), t(100), t(40)), Some(t(40)));
+        assert_eq!(latest_of_one(&cal, 1, d(10), t(100), t(45)), None);
+        assert_eq!(latest_of_one(&cal, 1, d(10), t(100), t(40)), Some(t(40)));
     }
 
     #[test]
@@ -1120,9 +1094,9 @@ mod tests {
         cal.try_add(r(40, 50, 1)).unwrap();
         // 2-proc 5s window ending by 45: [40,50) has only 1 free, hole
         // [30,40) works -> latest start 35.
-        assert_eq!(cal.latest_fit(2, d(5), t(45), t(0)), Some(t(35)));
+        assert_eq!(latest_of_one(&cal, 2, d(5), t(45), t(0)), Some(t(35)));
         // 1-proc can end at 45.
-        assert_eq!(cal.latest_fit(1, d(5), t(45), t(0)), Some(t(40)));
+        assert_eq!(latest_of_one(&cal, 1, d(5), t(45), t(0)), Some(t(40)));
     }
 
     #[test]
@@ -1229,13 +1203,13 @@ mod tests {
         cal.try_add(r(0, 10, 2)).unwrap();
         cal.try_add(r(20, 30, 2)).unwrap();
         // The hole [10, 20) exactly fits a 10s window.
-        assert_eq!(cal.latest_fit(2, d(10), t(30), t(0)), Some(t(10)));
+        assert_eq!(latest_of_one(&cal, 2, d(10), t(30), t(0)), Some(t(10)));
         assert_eq!(cal.linear().latest_fit(2, d(10), t(30), t(0)), Some(t(10)));
         // One second longer cannot fit anywhere ending by 30.
-        assert_eq!(cal.latest_fit(2, d(11), t(30), t(0)), None);
+        assert_eq!(latest_of_one(&cal, 2, d(11), t(30), t(0)), None);
         assert_eq!(cal.linear().latest_fit(2, d(11), t(30), t(0)), None);
         // A window whose start abuts not_before exactly still counts.
-        assert_eq!(cal.latest_fit(2, d(10), t(30), t(10)), Some(t(10)));
+        assert_eq!(latest_of_one(&cal, 2, d(10), t(30), t(10)), Some(t(10)));
     }
 
     #[test]
@@ -1245,16 +1219,16 @@ mod tests {
         for i in 0..50 {
             cal.try_add(r(20 * i, 20 * i + 10, 2)).unwrap();
         }
-        assert_eq!(cal.latest_fit(2, d(5), t(1000), t(0)), Some(t(995)));
-        assert_eq!(cal.latest_fit(2, d(10), t(1000), t(0)), Some(t(990)));
+        assert_eq!(latest_of_one(&cal, 2, d(5), t(1000), t(0)), Some(t(995)));
+        assert_eq!(latest_of_one(&cal, 2, d(10), t(1000), t(0)), Some(t(990)));
         // end_by inside the last busy region walks back one hole.
-        assert_eq!(cal.latest_fit(2, d(10), t(985), t(0)), Some(t(970)));
+        assert_eq!(latest_of_one(&cal, 2, d(10), t(985), t(0)), Some(t(970)));
         assert_eq!(
             cal.linear().latest_fit(2, d(10), t(985), t(0)),
             Some(t(970))
         );
         // Impossible request walks all the way back and gives up.
-        assert_eq!(cal.latest_fit(2, d(15), t(990), t(0)), None);
+        assert_eq!(latest_of_one(&cal, 2, d(15), t(990), t(0)), None);
     }
 
     #[test]
@@ -1307,7 +1281,9 @@ mod tests {
         }
         let mut walked = QueryCost::default();
         let mut linear = QueryCost::default();
-        let a = cal.earliest_fit_with_cost(4, d(10), t(0), &mut walked);
+        let a = cal
+            .earliest_finish(&[(4, d(10))], t(0), false, &mut walked)
+            .start;
         let b = cal
             .linear()
             .earliest_fit_with_cost(4, d(10), t(0), &mut linear);
@@ -1318,7 +1294,7 @@ mod tests {
         assert!(linear.steps > 0);
 
         let mut cost = QueryCost::default();
-        let lf = cal.latest_fit_with_cost(4, d(5), t(500), t(0), &mut cost);
+        let lf = cal.latest_start(&[(4, d(5))], t(500), t(0), &mut cost);
         assert!(lf.is_some());
         assert_eq!(cost.queries, 1);
         assert!(cost.steps > 0);
@@ -1535,13 +1511,12 @@ mod tests {
             let lin = cal.linear();
             let (mut cw, mut cl) = (QueryCost::default(), QueryCost::default());
             let (procs, dur, from, want) = fits[0];
-            assert_eq!(cal.earliest_fit_with_cost(procs, dur, from, &mut cw), want);
+            let walked = cal.earliest_finish(&[(procs, dur)], from, false, &mut cw);
+            assert_eq!(walked.start, want);
             assert_eq!(lin.earliest_fit_with_cost(procs, dur, from, &mut cl), want);
             let (procs, dur, end_by, want) = fits[1];
-            assert_eq!(
-                cal.latest_fit_with_cost(procs, dur, end_by, t(0), &mut cw),
-                Some(want)
-            );
+            let walked = cal.latest_start(&[(procs, dur)], end_by, t(0), &mut cw);
+            assert_eq!(walked.map(|r| r.start), Some(want));
             assert_eq!(
                 lin.latest_fit_with_cost(procs, dur, end_by, t(0), &mut cl),
                 Some(want)

@@ -11,6 +11,12 @@
 //! the borrowed [`Slots`] view. Nothing is derived, cached or repaired:
 //! a mutation edits the breakpoints and the next query sees them.
 //!
+//! Three width-scan walks answer every slot question: forward, the width
+//! that completes first ([`Slots::earliest_finish`]); backward, the width
+//! that starts latest ([`Slots::latest_start`]) and the narrowest width
+//! past a threshold ([`Slots::narrowest_start_from`]). A question about
+//! one width is a scan over one candidate.
+//!
 //! What the canonical form of the breakpoints guarantees about the slots:
 //!
 //! * slots are contiguous and adjacent slots differ in `used`;
@@ -217,46 +223,16 @@ impl<'a> Slots<'a> {
             .take_while(move |s| s.start < to)
     }
 
-    /// Earliest start `s >= not_before` with `procs` processors free
-    /// throughout `[s, s + dur)`. Positions on the first slot ending after
-    /// the candidate start, then walks forward restarting past each
-    /// blocking slot; `visited` counts slots inspected.
-    pub(crate) fn earliest_fit(
-        self,
-        procs: u32,
-        dur: Dur,
-        not_before: Time,
-        visited: &mut u64,
-    ) -> Time {
-        assert!(procs > 0 && procs <= self.capacity, "bad procs {procs}");
-        assert!(dur.is_positive(), "bad duration {dur}");
-        let max_used = self.capacity - procs;
-        // The positioning search is real work: count it as one step so a
-        // query that inspects no slot still reports nonzero cost
-        // (ScheduleStats promises `slot_queries > 0 ⇒ slot_steps > 0`).
-        *visited += 1;
-        let mut c = not_before;
-        let mut i = self.first_ending_after(c);
-        // Past the covered span everything from `c` on is free; so is a
-        // window that completes before the next covered slot.
-        while let Some(s) = self.get(i).filter(|s| s.start < c + dur) {
-            *visited += 1;
-            if s.used > max_used {
-                // Blocked: the window cannot start before this slot drains.
-                c = s.end;
-            }
-            i += 1;
-        }
-        c
-    }
-
     /// The reservation of the width candidate that completes first: the
-    /// argmin over `cands` of `earliest_fit(m, dur, not_before) + dur`, a
-    /// tie going to the widest candidate if `widest_on_tie` and to the
-    /// narrowest otherwise — from one forward walk instead of one per
-    /// candidate. `cands` is `(m, dur)` in increasing `m` with `dur`
-    /// decreasing (non-increasing if `widest_on_tie`): a wider candidate
-    /// that is no shorter can never complete first.
+    /// argmin over `cands` of `fit + dur`, where `fit` is the candidate's
+    /// earliest start `s >= not_before` with `m` processors free throughout
+    /// `[s, s + dur)`, a tie going to the widest candidate if
+    /// `widest_on_tie` and to the narrowest otherwise — from one forward
+    /// walk instead of one per candidate. `cands` is `(m, dur)` in
+    /// increasing `m` with `dur` decreasing (non-increasing if
+    /// `widest_on_tie`): a wider candidate that is no shorter can never
+    /// complete first. A one-width question is this walk over one
+    /// candidate.
     ///
     /// A slot with `free` processors free blocks exactly the candidates
     /// wider than `free`, a suffix of `cands`, and sends all of them to the
@@ -265,8 +241,8 @@ impl<'a> Slots<'a> {
     /// [`Segment`]s, starts increasing up the stack: a blocking slot pops
     /// the segments it blocks whole, cuts the one it blocks in part, and
     /// pushes the blocked suffix as one segment. Each candidate's start
-    /// thereby follows the trajectory its own
-    /// [`earliest_fit`](Slots::earliest_fit) walk would. Within a segment
+    /// thereby follows the trajectory a walk of its own would, restarting
+    /// past every slot too full for it. Within a segment
     /// the widest candidate is the shortest, so it alone can complete
     /// first; the walk stops at the first slot starting at or after the
     /// earliest such completion (every candidate still waiting then ends
@@ -274,7 +250,8 @@ impl<'a> Slots<'a> {
     /// answer is the best of the segments' widest candidates.
     ///
     /// `visited` counts the positioning step and the slots inspected — no
-    /// more than any single candidate's own walk inspects.
+    /// more than any single candidate's own walk inspects, and exactly that
+    /// when there is one candidate.
     pub(crate) fn earliest_finish(
         self,
         cands: &[(u32, Dur)],
@@ -305,18 +282,35 @@ impl<'a> Slots<'a> {
             }
             lead
         };
+        // Every candidate starting at `edge`: the widest, the shortest,
+        // completes first.
+        let together = |edge: Time| Reservation {
+            start: edge,
+            end: edge + top.1,
+            procs: widest,
+        };
+        let narrowest = cands.first().map_or(widest, |&(m, _)| m);
         *visited += 1;
-        let mut segs = vec![Segment {
-            first: 0,
-            edge: not_before,
-            top,
-        }];
-        let mut lead = lead_of(&segs);
+        // The stack stays empty while every candidate shares the lead's
+        // start, so a slot too full for all of them, the only kind a single
+        // candidate meets, moves the lead and nothing else.
+        let mut segs = Vec::new();
+        let mut lead = together(not_before);
         let mut i = self.first_ending_after(not_before);
         while let Some(s) = self.get(i).filter(|s| s.start < lead.end) {
             *visited += 1;
             let free = self.capacity.saturating_sub(s.used);
-            if free < widest {
+            if free < narrowest {
+                segs.clear();
+                lead = together(s.end);
+            } else if free < widest {
+                if segs.is_empty() {
+                    segs.push(Segment {
+                        first: 0,
+                        edge: lead.start,
+                        top,
+                    });
+                }
                 let blocked = cands.partition_point(|&(m, _)| m <= free);
                 block_from(&mut segs, cands, blocked, s.end);
                 lead = lead_of(&segs);
@@ -326,74 +320,37 @@ impl<'a> Slots<'a> {
         lead
     }
 
-    /// Latest start `s` with `s + dur <= end_by`, `s >= not_before`, and
-    /// `procs` processors free throughout. Positions once on the last slot
-    /// starting before `end_by`, then walks backward; a blocking slot moves
-    /// the window to end where it starts and the walk carries on from the
-    /// slot before it. `visited` counts slots inspected.
-    pub(crate) fn latest_fit(
-        self,
-        procs: u32,
-        dur: Dur,
-        end_by: Time,
-        not_before: Time,
-        visited: &mut u64,
-    ) -> Option<Time> {
-        assert!(procs > 0 && procs <= self.capacity, "bad procs {procs}");
-        assert!(dur.is_positive(), "bad duration {dur}");
-        let max_used = self.capacity - procs;
-        // Positioning step, as in `earliest_fit`.
-        *visited += 1;
-        // The window under test is `[e - dur, e)`.
-        let mut e = end_by;
-        if e - dur < not_before {
-            return None;
-        }
-        let mut k = self.starting_before(end_by);
-        while let Some(slot) = self.before(k) {
-            *visited += 1;
-            if slot.end <= e - dur {
-                break; // everything earlier lies before the window
-            }
-            if slot.used > max_used {
-                // Blocked: the window must end where this slot starts.
-                e = slot.start;
-                if e - dur < not_before {
-                    return None;
-                }
-            }
-            k -= 1;
-        }
-        Some(e - dur)
-    }
-
     /// The reservation of the width candidate whose latest fit inside
-    /// `[not_before, end_by)` starts latest: the argmax over `cands` of
-    /// `latest_fit(m, dur, end_by, not_before)`, a tie going to the narrower
-    /// candidate, or `None` if no candidate fits — from one backward walk
-    /// instead of one per candidate. `cands` is `(m, dur)` in increasing `m`
-    /// with `dur` decreasing.
+    /// `[not_before, end_by)` starts latest — a candidate's latest fit being
+    /// its latest start `s >= not_before` with `s + dur <= end_by` and `m`
+    /// processors free throughout — a tie going to the narrower candidate,
+    /// or `None` if no candidate fits: from one backward walk instead of one
+    /// per candidate. `cands` is `(m, dur)` in increasing `m` with `dur`
+    /// decreasing.
     ///
-    /// The mirror of [`earliest_finish`](Slots::earliest_finish). A slot
-    /// with `free` processors free blocks exactly the candidates wider than
+    /// The mirror of [`earliest_finish`](Slots::earliest_finish). A slot with
+    /// `free` processors free blocks exactly the candidates wider than
     /// `free`, a suffix of `cands`, and sends all of their windows to end
-    /// where the slot starts, before every window end so far. So window
-    /// ends never increase with `m`, and the walk keeps them as a stack of
+    /// where the slot starts, before every window end so far. So window ends
+    /// never increase with `m`, and the walk keeps them as a stack of
     /// [`Segment`]s, ends decreasing up the stack. Within a segment the
     /// widest candidate is the shortest, so it alone can start latest; the
     /// lead is the latest-starting of the segments' widest candidates. No
-    /// candidate starts after the lead, so every slot ending after the
-    /// lead's start still lies in every candidate's window, and each
-    /// candidate's window end follows the trajectory its own
-    /// [`latest_fit`](Slots::latest_fit) walk would give it. The walk stops
-    /// at the first slot ending at or before the lead's start (the lead's
-    /// window is clear, and nothing can start later), before the covered
-    /// span, or when the lead itself — hence every candidate — would start
-    /// before `not_before`.
+    /// candidate starts after the lead, so every slot ending after the lead's
+    /// start still lies in every candidate's window, and each candidate's
+    /// window end follows the trajectory a walk of its own would give it,
+    /// restarting before every slot too full for it. The walk stops at the
+    /// first slot ending at or before the lead's start (the lead's window is
+    /// clear, and nothing can start later), before the covered span, or when
+    /// the lead itself — hence every candidate — would start before
+    /// `not_before`.
     ///
     /// `visited` counts the positioning step and the slots inspected — no
-    /// more than the answer's own `latest_fit` walk inspects (than the
-    /// longest of the candidates' walks, when nothing fits).
+    /// more than the answer's own walk inspects (than the longest of the
+    /// candidates' walks, when nothing fits). With one candidate that is
+    /// its own walk's count, less the slot lying wholly before the window
+    /// that ends it: the stop test reads that slot's end without counting
+    /// it.
     pub(crate) fn latest_start(
         self,
         cands: &[(u32, Dur)],
@@ -438,8 +395,8 @@ impl<'a> Slots<'a> {
 
     /// The reservation of the *narrowest* width candidate whose latest fit
     /// ending by `end_by` starts at or after `threshold`: the first of
-    /// `cands` for which `latest_fit(m, dur, end_by, threshold)` succeeds,
-    /// with that fit, or `None` — from one backward walk. `cands` as for
+    /// `cands` with a latest fit inside `[threshold, end_by)`, with that
+    /// fit, or `None` — from one backward walk. `cands` as for
     /// [`latest_start`](Slots::latest_start), whose segment stack this walk
     /// shares.
     ///
@@ -460,7 +417,7 @@ impl<'a> Slots<'a> {
     /// in turn: the first chunk with an answer holds the narrowest one.
     ///
     /// `visited` counts the positioning step and the slots inspected — no
-    /// more than the longest `latest_fit` walk among the answer's and the
+    /// more than the longest per-width walk among the answer's and the
     /// narrower candidates'.
     pub(crate) fn narrowest_start_from(
         self,
@@ -637,6 +594,24 @@ mod tests {
         }
     }
 
+    /// The earliest start of one width: a one-candidate forward scan.
+    fn earliest_of_one(ss: Slots<'_>, procs: u32, dur: Dur, not_before: Time, v: &mut u64) -> Time {
+        ss.earliest_finish(&[(procs, dur)], not_before, false, v)
+            .start
+    }
+    /// The latest start of one width: a one-candidate backward scan.
+    fn latest_of_one(
+        ss: Slots<'_>,
+        procs: u32,
+        dur: Dur,
+        end_by: Time,
+        not_before: Time,
+        v: &mut u64,
+    ) -> Option<Time> {
+        ss.latest_start(&[(procs, dur)], end_by, not_before, v)
+            .map(|r| r.start)
+    }
+
     #[test]
     fn build_is_the_segment_dual() {
         let steps = [step(10, 3), step(20, 0), step(30, 8), step(40, 0)];
@@ -696,15 +671,15 @@ mod tests {
         // The hole [10,20) takes a 10s window exactly: one positioning
         // step, the blocker, the hole.
         let mut v = 0;
-        assert_eq!(ss.earliest_fit(4, d(10), t(0), &mut v), t(10));
+        assert_eq!(earliest_of_one(ss, 4, d(10), t(0), &mut v), t(10));
         assert_eq!(v, 3);
         // An 11s window must wait for the drain: all three slots.
         let mut v = 0;
-        assert_eq!(ss.earliest_fit(4, d(11), t(0), &mut v), t(30));
+        assert_eq!(earliest_of_one(ss, 4, d(11), t(0), &mut v), t(30));
         assert_eq!(v, 4);
         // Past the span everything is free: the positioning step alone.
         let mut v = 0;
-        assert_eq!(ss.earliest_fit(1, d(5), t(100), &mut v), t(100));
+        assert_eq!(earliest_of_one(ss, 1, d(5), t(100), &mut v), t(100));
         assert_eq!(v, 1);
     }
 
@@ -712,19 +687,58 @@ mod tests {
     fn latest_fit_walks_backward() {
         let steps = [step(0, 2), step(10, 0), step(20, 2), step(30, 0)];
         let ss = slots(2, &steps);
-        // Blocked by [20,30), then the hole and the slot before it (which
-        // ends at the window start and stops the walk).
+        // Blocked by [20,30), then the hole; the slot before it ends at the
+        // window start and stops the walk uninspected.
         let mut v = 0;
-        assert_eq!(ss.latest_fit(2, d(10), t(30), t(0), &mut v), Some(t(10)));
-        assert_eq!(v, 4);
+        assert_eq!(
+            latest_of_one(ss, 2, d(10), t(30), t(0), &mut v),
+            Some(t(10))
+        );
+        assert_eq!(v, 3);
         let mut v = 0;
         // No fit: the hole [10, 20) is one second short.
-        assert_eq!(ss.latest_fit(2, d(11), t(30), t(0), &mut v), None);
+        assert_eq!(latest_of_one(ss, 2, d(11), t(30), t(0), &mut v), None);
         assert!(v > 0);
-        // Past the span: the last slot ends before the window.
+        // Past the span: the last slot ends before the window, and the
+        // positioning step is all the walk does.
         let mut v = 0;
-        assert_eq!(ss.latest_fit(1, d(5), t(100), t(0), &mut v), Some(t(95)));
-        assert_eq!(v, 2);
+        assert_eq!(
+            latest_of_one(ss, 1, d(5), t(100), t(0), &mut v),
+            Some(t(95))
+        );
+        assert_eq!(v, 1);
+    }
+
+    /// One width's forward walk with a fresh `partition_point` for the
+    /// window start after every blocker: the reference the one-width scan's
+    /// answers and `visited` counts are pinned to.
+    fn earliest_fit_by_repeated_search(
+        ss: Slots<'_>,
+        procs: u32,
+        dur: Dur,
+        not_before: Time,
+        visited: &mut u64,
+    ) -> Time {
+        let max_used = ss.capacity - procs;
+        *visited += 1;
+        let mut c = not_before;
+        loop {
+            let mut i = ss.steps.partition_point(|b| b.time <= c).saturating_sub(1);
+            let blocker = loop {
+                let Some(slot) = ss.get(i).filter(|slot| slot.start < c + dur) else {
+                    break None;
+                };
+                *visited += 1;
+                if slot.used > max_used {
+                    break Some(slot);
+                }
+                i += 1;
+            };
+            match blocker {
+                None => return c,
+                Some(b) => c = b.end,
+            }
+        }
     }
 
     /// The backward walk as it was before it positioned once: a fresh
@@ -786,43 +800,92 @@ mod tests {
         cal
     }
 
-    #[test]
-    fn latest_fit_one_walk_matches_the_per_restart_search() {
-        for seed in 0..40u64 {
+    /// The one-width differentials' calendars: one per draw, with window
+    /// edges mid-slot, on every breakpoint and past the span, and lower
+    /// bounds before the span, inside it and beyond the last blocker.
+    fn one_width_draws() -> impl Iterator<Item = (u64, Calendar, Vec<i64>, Vec<i64>)> {
+        // Seeded calendar draws; the CI fuzz lane raises the count.
+        let draws: u64 = std::env::var("RESCHED_DIFF_ITERS")
+            .ok()
+            .and_then(|v| v.parse().ok())
+            .unwrap_or(40);
+        (0..draws).map(|seed| {
             let cal = seeded_calendar(8, seed, 4 + (seed as usize % 5) * 8);
+            let horizon = cal.horizon().map_or(0, Time::as_seconds);
+            let mut edges: Vec<i64> = cal.breakpoints().map(Time::as_seconds).collect();
+            edges.extend([3, 57, 111, 203, 333, horizon + 1, horizon + 50]);
+            let lows = vec![-20, 0, 41, 150, horizon - 1, horizon + 10];
+            (seed, cal, edges, lows)
+        })
+    }
+
+    #[test]
+    fn one_width_earliest_finish_matches_the_repeated_search() {
+        for (seed, cal, edges, lows) in one_width_draws() {
             let steps = steps_of(&cal);
             let ss = slots(8, &steps);
-            let horizon = steps.last().map_or(0, |b| b.time.as_seconds());
-            // Window ends mid-slot, on every breakpoint, and past the span;
-            // `not_before` before the span, inside it, and beyond the last
-            // blocker.
-            let mut ends: Vec<i64> = steps.iter().map(|b| b.time.as_seconds()).collect();
-            ends.extend([3, 57, 111, 203, 333, horizon + 1, horizon + 50]);
-            for &end_by in &ends {
-                for not_before in [-20, 0, 41, 150, horizon - 1, horizon + 10] {
+            let lin = cal.linear();
+            for &not_before in edges.iter().chain(&lows) {
+                for procs in [1, 3, 5, 8] {
+                    for dur in [1, 4, 9, 25, 70] {
+                        let (mut v1, mut v2) = (0, 0);
+                        let got = earliest_of_one(ss, procs, d(dur), t(not_before), &mut v1);
+                        let want = earliest_fit_by_repeated_search(
+                            ss,
+                            procs,
+                            d(dur),
+                            t(not_before),
+                            &mut v2,
+                        );
+                        let case = format!("seed {seed}: {procs} procs x {dur}s from {not_before}");
+                        assert_eq!(got, want, "{case}");
+                        assert_eq!(
+                            got,
+                            lin.earliest_fit(procs, d(dur), t(not_before)),
+                            "{case}"
+                        );
+                        assert_eq!(v1, v2, "visited differs, {case}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn one_width_backward_walks_match_the_repeated_search() {
+        for (seed, cal, edges, lows) in one_width_draws() {
+            let steps = steps_of(&cal);
+            let ss = slots(8, &steps);
+            let lin = cal.linear();
+            // The first slot's end: a fit starting there or later has a slot
+            // lying wholly before its window, which ends the reference walk
+            // as its last inspected slot and the one-width scan uninspected.
+            let first_end = ss.get(0).map(|first| first.end);
+            for &end_by in &edges {
+                for &not_before in &lows {
                     for procs in [1, 3, 5, 8] {
                         for dur in [1, 4, 9, 25, 70] {
                             let (mut v1, mut v2) = (0, 0);
-                            let got =
-                                ss.latest_fit(procs, d(dur), t(end_by), t(not_before), &mut v1);
+                            let (dur, end_by, not_before) = (d(dur), t(end_by), t(not_before));
+                            let got = latest_of_one(ss, procs, dur, end_by, not_before, &mut v1);
                             let want = latest_fit_by_repeated_search(
-                                ss,
-                                procs,
-                                d(dur),
-                                t(end_by),
-                                t(not_before),
-                                &mut v2,
+                                ss, procs, dur, end_by, not_before, &mut v2,
                             );
                             let case = format!(
-                                "seed {seed}: {procs} procs x {dur}s in [{not_before}, {end_by})"
+                                "seed {seed}: {procs} procs x {dur} in [{not_before}, {end_by})"
                             );
                             assert_eq!(got, want, "{case}");
-                            assert_eq!(v1, v2, "visited differs, {case}");
-                            let lin = cal.linear();
                             assert_eq!(
                                 got,
-                                lin.latest_fit(procs, d(dur), t(end_by), t(not_before)),
+                                lin.latest_fit(procs, dur, end_by, not_before),
                                 "{case}"
+                            );
+                            let stopped_before =
+                                got.is_some_and(|s| first_end.is_some_and(|e| e <= s));
+                            assert_eq!(
+                                v1 + u64::from(stopped_before),
+                                v2,
+                                "visited differs, {case}"
                             );
                         }
                     }
@@ -831,9 +894,10 @@ mod tests {
         }
     }
 
-    /// `earliest_finish` against the loop it replaces: one `earliest_fit`
-    /// per candidate (the `linear()` reference for the answer, the slot walk
-    /// for the step count), best completion kept under the same tie rule.
+    /// `earliest_finish` against the loop it replaces: one earliest fit per
+    /// candidate (the `linear()` reference for the answer, the repeated
+    /// search for the step count), best completion kept under the same tie
+    /// rule.
     fn assert_finish_matches_per_width_fits(
         cal: &Calendar,
         cands: &[(u32, Dur)],
@@ -853,7 +917,8 @@ mod tests {
             for &(m, dur) in cands {
                 let start = cal.linear().earliest_fit(m, dur, not_before);
                 let mut v = 0;
-                assert_eq!(ss.earliest_fit(m, dur, not_before, &mut v), start, "{case}");
+                let searched = earliest_fit_by_repeated_search(ss, m, dur, not_before, &mut v);
+                assert_eq!(searched, start, "{case}");
                 summed += v;
                 cheapest = cheapest.min(v);
                 let fit = Reservation::for_duration(start, dur, m);
@@ -996,9 +1061,9 @@ mod tests {
     }
 
     /// `latest_start` and `narrowest_start_from` against the loops they
-    /// replace: one `latest_fit` per candidate inside `[not_before, end_by)`
-    /// (the `linear()` reference for the answers, the slot walk for the step
-    /// counts), then the latest start with ties to the narrower, and — for
+    /// replace: one latest fit per candidate inside `[not_before, end_by)`
+    /// (the `linear()` reference for the answers, the repeated search for
+    /// the step counts), then the latest start with ties to the narrower, and — for
     /// a threshold on either side of every candidate's start, below
     /// `not_before` and past `end_by` — the first start at or after it.
     fn assert_backward_walks_match_per_width_fits(
@@ -1015,7 +1080,7 @@ mod tests {
         for &(m, dur) in cands {
             let fit = cal.linear().latest_fit(m, dur, end_by, not_before);
             let mut v = 0;
-            let walked = ss.latest_fit(m, dur, end_by, not_before, &mut v);
+            let walked = latest_fit_by_repeated_search(ss, m, dur, end_by, not_before, &mut v);
             assert_eq!(walked, fit, "{case}");
             fits.push(fit.map(|start| Reservation::for_duration(start, dur, m)));
             walks.push(v);
@@ -1343,8 +1408,7 @@ mod tests {
         assert_eq!(ss.peak_used(t(0), t(10)), 9);
         assert_eq!(ss.used_integral(t(0), t(10)), 90);
         assert_eq!(ss.first_conflict(t(0), t(10), 1), Some((t(0), 0)));
-        let mut v = 0;
-        assert_eq!(ss.earliest_fit(1, d(5), t(0), &mut v), t(10));
+        assert_eq!(earliest_of_one(ss, 1, d(5), t(0), &mut 0), t(10));
     }
 
     #[test]
@@ -1395,14 +1459,17 @@ mod tests {
     fn empty_calendar_answers_at_the_query_bounds() {
         let ss = slots(8, &[]);
         let mut v = 0;
-        assert_eq!(ss.earliest_fit(8, d(100), t(7), &mut v), t(7));
+        assert_eq!(earliest_of_one(ss, 8, d(100), t(7), &mut v), t(7));
         // A query that inspects no slot still reports its positioning step
         // (`slot_queries > 0 ⇒ slot_steps > 0`).
         assert_eq!(v, 1);
         let mut v = 0;
-        assert_eq!(ss.latest_fit(8, d(10), t(100), t(0), &mut v), Some(t(90)));
+        assert_eq!(
+            latest_of_one(ss, 8, d(10), t(100), t(0), &mut v),
+            Some(t(90))
+        );
         assert_eq!(v, 1);
-        assert_eq!(ss.latest_fit(8, d(10), t(100), t(91), &mut v), None);
+        assert_eq!(latest_of_one(ss, 8, d(10), t(100), t(91), &mut v), None);
         assert_eq!(ss.peak_used(t(0), t(100)), 0);
         assert_eq!(ss.used_integral(t(0), t(100)), 0);
         assert_eq!(ss.first_conflict(t(0), t(100), 8), None);
@@ -1415,12 +1482,12 @@ mod tests {
         let ss = slots(4, &steps);
         assert_eq!(all(ss), vec![slot(10, 20, 3)]);
         let mut v = 0;
-        assert_eq!(ss.earliest_fit(2, d(5), t(0), &mut v), t(0)); // ends before it
-        assert_eq!(ss.earliest_fit(2, d(11), t(0), &mut v), t(20)); // must clear it
-        assert_eq!(ss.earliest_fit(1, d(50), t(0), &mut v), t(0)); // fits beside it
-        assert_eq!(ss.latest_fit(2, d(5), t(18), t(0), &mut v), Some(t(5)));
-        assert_eq!(ss.latest_fit(1, d(5), t(18), t(0), &mut v), Some(t(13)));
-        assert_eq!(ss.latest_fit(2, d(5), t(25), t(0), &mut v), Some(t(20)));
+        assert_eq!(earliest_of_one(ss, 2, d(5), t(0), &mut v), t(0)); // ends before it
+        assert_eq!(earliest_of_one(ss, 2, d(11), t(0), &mut v), t(20)); // must clear it
+        assert_eq!(earliest_of_one(ss, 1, d(50), t(0), &mut v), t(0)); // fits beside it
+        assert_eq!(latest_of_one(ss, 2, d(5), t(18), t(0), &mut v), Some(t(5)));
+        assert_eq!(latest_of_one(ss, 1, d(5), t(18), t(0), &mut v), Some(t(13)));
+        assert_eq!(latest_of_one(ss, 2, d(5), t(25), t(0), &mut v), Some(t(20)));
         assert_eq!(ss.peak_used(t(0), t(30)), 3);
         assert_eq!(ss.used_integral(t(12), t(30)), 24);
         assert_eq!(ss.first_conflict(t(0), t(30), 2), Some((t(10), 1)));
@@ -1439,8 +1506,11 @@ mod tests {
             assert_eq!(ss.first_conflict(from, to, 4), None);
             assert_eq!(ss.first_under(from, to, 1), Some((from, 0)));
             let mut v = 0;
-            assert_eq!(ss.earliest_fit(4, to - from, from, &mut v), from);
-            assert_eq!(ss.latest_fit(4, to - from, to, from, &mut v), Some(from));
+            assert_eq!(earliest_of_one(ss, 4, to - from, from, &mut v), from);
+            assert_eq!(
+                latest_of_one(ss, 4, to - from, to, from, &mut v),
+                Some(from)
+            );
         }
     }
 
@@ -1451,11 +1521,14 @@ mod tests {
         // Ending exactly where the busy slot starts, starting exactly
         // where it ends: both fit, and neither counts it as a conflict.
         let mut v = 0;
-        assert_eq!(ss.earliest_fit(4, d(50), t(50), &mut v), t(50));
-        assert_eq!(ss.earliest_fit(4, d(50), t(200), &mut v), t(200));
-        assert_eq!(ss.latest_fit(4, d(50), t(100), t(0), &mut v), Some(t(50)));
+        assert_eq!(earliest_of_one(ss, 4, d(50), t(50), &mut v), t(50));
+        assert_eq!(earliest_of_one(ss, 4, d(50), t(200), &mut v), t(200));
         assert_eq!(
-            ss.latest_fit(4, d(50), t(250), t(200), &mut v),
+            latest_of_one(ss, 4, d(50), t(100), t(0), &mut v),
+            Some(t(50))
+        );
+        assert_eq!(
+            latest_of_one(ss, 4, d(50), t(250), t(200), &mut v),
             Some(t(200))
         );
         assert_eq!(ss.first_conflict(t(50), t(100), 1), None);
@@ -1467,6 +1540,6 @@ mod tests {
         assert_eq!(ss.first_conflict(t(50), t(101), 1), Some((t(100), 0)));
         assert_eq!(ss.first_conflict(t(199), t(250), 1), Some((t(199), 0)));
         // Starting on the busy breakpoint itself skips past the slot.
-        assert_eq!(ss.earliest_fit(1, d(10), t(100), &mut v), t(200));
+        assert_eq!(earliest_of_one(ss, 1, d(10), t(100), &mut v), t(200));
     }
 }

@@ -11,6 +11,19 @@ use resched_resv::{Calendar, Dur, QueryCost, Reservation, Time};
 
 const HORIZON: i64 = 400;
 
+/// The latest start of one width: `latest_start` over one candidate.
+fn latest_of_one(
+    cal: &Calendar,
+    procs: u32,
+    dur: Dur,
+    end_by: Time,
+    not_before: Time,
+    cost: &mut QueryCost,
+) -> Option<Time> {
+    cal.latest_start(&[(procs, dur)], end_by, not_before, cost)
+        .map(|r| r.start)
+}
+
 /// Brute-force model: an array of used-processor counts, one per second.
 #[derive(Clone)]
 struct Brute {
@@ -161,11 +174,13 @@ fn latest_fit_matches_brute_force() {
         let dur = rng.gen_range(1i64..60);
         let end_by = rng.gen_range(1i64..HORIZON + 50);
         let not_before = rng.gen_range(0i64..50);
-        let got = cal.latest_fit(
+        let got = latest_of_one(
+            &cal,
             procs,
             Dur::seconds(dur),
             Time::seconds(end_by),
             Time::seconds(not_before),
+            &mut QueryCost::default(),
         );
         let want = brute.latest_fit(procs, dur, end_by, not_before);
         assert_eq!(got, want.map(Time::seconds));
@@ -218,8 +233,9 @@ fn latest_fit_is_feasible_and_tight() {
         let procs = rng.gen_range(1u32..=16);
         let dur = rng.gen_range(1i64..60);
         let end_by = rng.gen_range(1i64..HORIZON);
-        if let Some(s) = cal.latest_fit(procs, Dur::seconds(dur), Time::seconds(end_by), Time::MIN)
-        {
+        let (dur_s, end_by_t) = (Dur::seconds(dur), Time::seconds(end_by));
+        let mut cost = QueryCost::default();
+        if let Some(s) = latest_of_one(&cal, procs, dur_s, end_by_t, Time::MIN, &mut cost) {
             assert!(brute.fits(s.as_seconds(), dur, procs));
             assert!(s + Dur::seconds(dur) <= Time::seconds(end_by));
             // Tight: one second later must violate feasibility or the bound.
@@ -260,9 +276,10 @@ fn average_available_bounds() {
 }
 
 /// Differential test: on >= 1000 random calendars, the calendar's queries
-/// and the linear-scan reference must agree on every slot query —
-/// `earliest_fit`, `latest_fit`, `peak_used`, and `used_integral` — at the
-/// same query count. (The test name predates the single engine: "indexed
+/// and the linear-scan reference must agree on every slot query — the
+/// earliest and latest fit of one width (a one-candidate `earliest_finish`
+/// and `latest_start`), `peak_used`, and `used_integral` — at the same
+/// query count. (The test name predates the single engine: "indexed
 /// backend" was the calendar's then-default query path.)
 #[test]
 fn indexed_backend_matches_linear_reference() {
@@ -282,7 +299,8 @@ fn indexed_backend_matches_linear_reference() {
             let mut ci = QueryCost::default();
             let mut cl = QueryCost::default();
             assert_eq!(
-                cal.earliest_fit_with_cost(procs, dur, not_before, &mut ci),
+                cal.earliest_finish(&[(procs, dur)], not_before, false, &mut ci)
+                    .start,
                 lin.earliest_fit_with_cost(procs, dur, not_before, &mut cl),
                 "earliest_fit disagrees (case {case}, procs {procs}, dur {dur}, \
                  not_before {not_before})"
@@ -295,7 +313,7 @@ fn indexed_backend_matches_linear_reference() {
             let mut ci = QueryCost::default();
             let mut cl = QueryCost::default();
             assert_eq!(
-                cal.latest_fit_with_cost(procs, dur, end_by, nb, &mut ci),
+                latest_of_one(&cal, procs, dur, end_by, nb, &mut ci),
                 lin.latest_fit_with_cost(procs, dur, end_by, nb, &mut cl),
                 "latest_fit disagrees (case {case}, procs {procs}, dur {dur}, \
                  end_by {end_by}, not_before {nb})"
@@ -344,14 +362,15 @@ fn incremental_index_matches_fresh_rebuild() {
             let nb = Time::seconds(rng.gen_range(0i64..HORIZON));
             let fresh: Calendar =
                 serde_json::from_str(&serde_json::to_string(&cal).unwrap()).unwrap();
+            let mut cost = QueryCost::default();
             assert_eq!(cal, fresh);
             assert_eq!(
                 cal.earliest_fit(procs, dur, nb),
                 fresh.earliest_fit(procs, dur, nb)
             );
             assert_eq!(
-                cal.latest_fit(procs, dur, nb + dur + dur, Time::ZERO),
-                fresh.latest_fit(procs, dur, nb + dur + dur, Time::ZERO)
+                latest_of_one(&cal, procs, dur, nb + dur + dur, Time::ZERO, &mut cost),
+                latest_of_one(&fresh, procs, dur, nb + dur + dur, Time::ZERO, &mut cost),
             );
         }
     }

@@ -26,12 +26,11 @@
 //! 1. estimate the availability `q` from the recent past and open a
 //!    shadow-schedule transaction ([`resched_resv::ShadowTxn`]) over the
 //!    calendar;
-//! 2. prepare one [`Roster`](resched_core::backward::Roster) against the
-//!    transaction's view and reject the arrival at once if its instance
-//!    floor already lies past the admission horizon; otherwise ask the
-//!    roster for the forward schedule (or, for a configurable fraction of
-//!    arrivals, probe its backward deadline schedulers), and hold the
-//!    result to the horizon;
+//! 2. prepare one [`Roster`] against the transaction's view and reject the
+//!    arrival at once if its instance floor already lies past the admission
+//!    horizon; otherwise ask the roster for the forward schedule (or, for a
+//!    configurable fraction of arrivals, probe its backward deadline
+//!    schedulers), and hold the result to the horizon;
 //! 3. audit the candidate schedule with the independent
 //!    [`ScheduleValidator`] oracle, then give the quota gate its veto;
 //! 4. apply its reservations inside the transaction and **commit** — or
@@ -125,8 +124,9 @@ pub struct ServeConfig {
     #[serde(default)]
     pub probe_fanout: usize,
     /// Per-user admission quotas, enforced through an
-    /// [`AdmissionGate`] before any transaction commits (`None` =
-    /// admit on capacity alone, the pre-quota behavior).
+    /// [`AdmissionGate`](resched_resv::AdmissionGate) before any
+    /// transaction commits (`None` = admit on capacity alone, the
+    /// pre-quota behavior).
     #[serde(default)]
     pub quota: Option<ServeQuotaConfig>,
     /// Master seed for DAG generation and cancel/resize picks.

@@ -53,7 +53,7 @@ const DEADLINE_ROWS: [DeadlineAlgo; 3] = [
 ];
 
 /// Measure counter growth for the forward algorithms (`BD_ALL`, the
-/// recommended `BD_CPAR`) and the [`DEADLINE_ROWS`] as `n` grows.
+/// recommended `BD_CPAR`) and the `DEADLINE_ROWS` as `n` grows.
 pub fn run_scaling(scale: Scale, seed: u64) -> Vec<ScalingResult> {
     let sizes = [10usize, 25, 50, 100];
     let spec = ResvSpec::grid5000();

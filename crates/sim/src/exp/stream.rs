@@ -50,7 +50,8 @@ pub struct StreamResult {
     pub apps: usize,
     /// Mean per-application turn-around in hours.
     pub avg_turnaround_h: f64,
-    /// 95th percentile turn-around in hours.
+    /// 95th percentile turn-around in hours, by nearest rank over whole
+    /// seconds ([`resched_serve::percentile`]).
     pub p95_turnaround_h: f64,
     /// Calendar utilization over the submission horizon.
     pub utilization: f64,
@@ -82,7 +83,7 @@ pub fn run_stream(cfg: &StreamConfig, seed: u64) -> StreamResult {
         num_tasks: cfg.tasks_per_app,
         ..DagParams::paper_default()
     };
-    let mut turnarounds = Vec::new();
+    let mut turnaround_s: Vec<u64> = Vec::new();
     let mut q_fracs = Vec::new();
     let mut now = Time::ZERO;
     let horizon = Time::ZERO + cfg.horizon;
@@ -106,24 +107,19 @@ pub fn run_stream(cfg: &StreamConfig, seed: u64) -> StreamResult {
         };
         match decision {
             Decision::Admitted { completion, .. } => {
-                turnarounds.push((completion - now).as_hours());
+                turnaround_s.push((completion - now).as_seconds().max(0) as u64);
             }
             // Under this configuration only a scheduler or calendar bug
             // rejects an arrival.
             Decision::Rejected(reason) => panic!("stream application {app} rejected: {reason}"),
         }
     }
-    turnarounds.sort_by(|a, b| a.partial_cmp(b).unwrap());
-    let n = turnarounds.len();
-    let p95 = if n == 0 {
-        0.0
-    } else {
-        turnarounds[((n as f64 * 0.95) as usize).min(n - 1)]
-    };
+    turnaround_s.sort_unstable();
+    let turnarounds: Vec<f64> = turnaround_s.iter().map(|&s| s as f64 / 3600.0).collect();
     StreamResult {
-        apps: n,
+        apps: turnaround_s.len(),
         avg_turnaround_h: crate::metrics::mean(&turnarounds),
-        p95_turnaround_h: p95,
+        p95_turnaround_h: resched_serve::percentile(&turnaround_s, 0.95) / 3600.0,
         utilization: server.calendar().average_utilization(Time::ZERO, horizon),
         avg_q_fraction: crate::metrics::mean(&q_fracs),
     }

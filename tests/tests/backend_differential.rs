@@ -86,29 +86,44 @@ fn battery(cal: &Calendar) -> Vec<(u32, Dur, Time, Time)> {
 /// observable allowed to differ between the walk and the reference scans.
 type Answers = Vec<(Time, u64, Option<Time>, u64, u32, i64)>;
 
-/// The battery's answers through `$view` — the calendar itself or its
-/// `linear()` reference, which share method names but no trait.
-macro_rules! answers {
-    ($cal:expr, $view:expr) => {{
-        let view = $view;
-        battery($cal)
-            .into_iter()
-            .map(|(procs, dur, a, b)| {
-                let mut c1 = QueryCost::default();
-                let earliest = view.earliest_fit_with_cost(procs, dur, a, &mut c1);
-                let mut c2 = QueryCost::default();
-                let latest = view.latest_fit_with_cost(procs, dur, b, a, &mut c2);
-                (
-                    earliest,
-                    c1.queries,
-                    latest,
-                    c2.queries,
-                    view.peak_used(a, b),
-                    view.used_integral(a, b),
-                )
-            })
-            .collect::<Answers>()
-    }};
+/// The battery's answers through the calendar, each fit a one-candidate
+/// width scan.
+fn walked_answers(cal: &Calendar) -> Answers {
+    battery(cal)
+        .into_iter()
+        .map(|(procs, dur, a, b)| {
+            let (mut c1, mut c2) = (QueryCost::default(), QueryCost::default());
+            let earliest = cal.earliest_finish(&[(procs, dur)], a, false, &mut c1);
+            let latest = cal.latest_start(&[(procs, dur)], b, a, &mut c2);
+            (
+                earliest.start,
+                c1.queries,
+                latest.map(|r| r.start),
+                c2.queries,
+                cal.peak_used(a, b),
+                cal.used_integral(a, b),
+            )
+        })
+        .collect()
+}
+
+/// The battery's answers through the calendar's `linear()` reference.
+fn linear_answers(cal: &Calendar) -> Answers {
+    let lin = cal.linear();
+    battery(cal)
+        .into_iter()
+        .map(|(procs, dur, a, b)| {
+            let (mut c1, mut c2) = (QueryCost::default(), QueryCost::default());
+            (
+                lin.earliest_fit_with_cost(procs, dur, a, &mut c1),
+                c1.queries,
+                lin.latest_fit_with_cost(procs, dur, b, a, &mut c2),
+                c2.queries,
+                lin.peak_used(a, b),
+                lin.used_integral(a, b),
+            )
+        })
+        .collect()
 }
 
 /// Full differential for one scenario: build + mutate the calendar under
@@ -123,7 +138,7 @@ fn divergence(s: &Scenario) -> Option<String> {
     if live != ref_live {
         return Some("live sets diverge: production vs linear-oracle".into());
     }
-    if answers!(&cal, &cal) != answers!(&cal, cal.linear()) {
+    if walked_answers(&cal) != linear_answers(&cal) {
         return Some("query answers diverge: production vs linear".into());
     }
     None
@@ -175,8 +190,8 @@ fn dispatched_queries_are_backend_invariant() {
                 .map(|(procs, dur, a, b)| {
                     let mut cost = QueryCost::default();
                     (
-                        c.earliest_fit_with_cost(procs, dur, a, &mut cost),
-                        c.latest_fit_with_cost(procs, dur, b, a, &mut cost),
+                        c.earliest_finish(&[(procs, dur)], a, false, &mut cost),
+                        c.latest_start(&[(procs, dur)], b, a, &mut cost),
                         c.peak_used(a, b),
                         c.used_integral(a, b),
                         cost,

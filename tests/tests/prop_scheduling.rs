@@ -246,13 +246,16 @@ fn scheduling_queries_agree_across_backends() {
             let mut lc = QueryCost::default();
             // The competing calendar must grant the placement's slot no
             // later than the schedule chose it, identically by both routes.
-            let ei = cal.earliest_fit_with_cost(pl.procs, dur, pl.start, &mut ic);
+            let one = [(pl.procs, dur)];
+            let ei = cal.earliest_finish(&one, pl.start, false, &mut ic).start;
             let el = lin.earliest_fit_with_cost(pl.procs, dur, pl.start, &mut lc);
             assert_eq!(ei, el, "earliest_fit diverges at placement {pl:?}");
             assert_eq!(ei, pl.start, "placement must be feasible on the calendar");
             assert_eq!(ic.queries, lc.queries);
 
-            let li = cal.latest_fit(pl.procs, dur, pl.end, Time::ZERO);
+            let li = cal
+                .latest_start(&one, pl.end, Time::ZERO, &mut ic)
+                .map(|r| r.start);
             let ll = lin.latest_fit(pl.procs, dur, pl.end, Time::ZERO);
             assert_eq!(li, ll, "latest_fit diverges at placement {pl:?}");
             assert_eq!(

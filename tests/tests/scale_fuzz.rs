@@ -141,8 +141,9 @@ fn scale_100k_mutation_heavy_backends_agree() {
         let (mut c, mut lc) = (QueryCost::default(), QueryCost::default());
         assert_eq!(
             (
-                cal.earliest_fit_with_cost(procs, d, a, &mut c),
-                cal.latest_fit_with_cost(procs, d, a + d + d, a, &mut c),
+                cal.earliest_finish(&[(procs, d)], a, false, &mut c).start,
+                cal.latest_start(&[(procs, d)], a + d + d, a, &mut c)
+                    .map(|r| r.start),
                 cal.peak_used(a, a + d),
                 cal.used_integral(a, a + d),
                 c.queries,
