@@ -516,6 +516,57 @@ fn bench_deadline_roster(c: &mut Criterion) {
     group.finish();
 }
 
+/// The admission gate on a serve-shaped ledger: `held` reservations
+/// (10 min – 4 h, 1–64 cores, over 30 days) spread round-robin over 8
+/// users in two projects, one concurrent-core rule per user. `admit_all`
+/// asks a 10-reservation batch for `u0`; its tenth reservation breaks the
+/// cap, so every reservation is checked, the batch rolls back and the
+/// ledger is the same on every iteration. `audit` asks all 8 rules.
+fn bench_quota(c: &mut Criterion) {
+    use resched_resv::{AdmissionGate, Owner, QuotaRule, QuotaSet, QuotaSubject};
+    const USERS: u64 = 8;
+    const CAP: u32 = 1 << 20;
+    let owner = |u: u64| Owner::new(&format!("u{u}"), &format!("p{}", u % 2));
+    let mut group = c.benchmark_group("quota");
+    for held in [200u64, 2_000] {
+        let rules = (0..USERS).fold(QuotaSet::unlimited(), |set, u| {
+            set.with_rule(QuotaRule::concurrent(
+                QuotaSubject::User(format!("u{u}")),
+                CAP,
+            ))
+        });
+        let mut gate = AdmissionGate::new(rules);
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        let mut next = |n: u64| {
+            state = state
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1);
+            (state >> 33) % n
+        };
+        for i in 0..held {
+            let start = Time::seconds(next(30 * 86_400) as i64);
+            let dur = Dur::seconds(600 + next(4 * 3_600 - 600) as i64);
+            let r = Reservation::for_duration(start, dur, 1 + next(64) as u32);
+            gate.admit(&owner(i % USERS), r).unwrap();
+        }
+        let mut batch: Vec<Reservation> = (0..9)
+            .map(|k| Reservation::for_duration(Time::seconds(k * 3_600), Dur::seconds(7_200), 8))
+            .collect();
+        batch.push(Reservation::for_duration(Time::ZERO, Dur::seconds(60), CAP));
+        let u0 = owner(0);
+        assert!(gate.admit_all(&u0, &batch).is_err());
+        assert_eq!(gate.held() as u64, held);
+        assert!(gate.audit().is_empty());
+        group.bench_function(format!("admit_all/{held}"), |b| {
+            b.iter(|| black_box(gate.admit_all(&u0, black_box(&batch))))
+        });
+        group.bench_function(format!("audit/{held}"), |b| {
+            b.iter(|| black_box(gate.audit()))
+        });
+    }
+    group.finish();
+}
+
 /// Overhead of the observability layer. `cargo bench -p resched-bench`
 /// builds without the collector, as every shipped binary is built: every
 /// primitive is then a no-op and must measure at ~zero (the optimizer
@@ -575,6 +626,6 @@ fn config() -> Criterion {
 criterion_group! {
     name = benches;
     config = config();
-    targets = bench_calendar, bench_earliest_fit_scaling, bench_latest_fit_scaling, bench_forward_scan, bench_backward_scan, bench_calendar_mutate, bench_cpa, bench_amdahl, bench_cpa_alloc, bench_schedulers, bench_deadline_roster, bench_obs
+    targets = bench_calendar, bench_earliest_fit_scaling, bench_latest_fit_scaling, bench_forward_scan, bench_backward_scan, bench_calendar_mutate, bench_cpa, bench_amdahl, bench_cpa_alloc, bench_schedulers, bench_deadline_roster, bench_quota, bench_obs
 }
 criterion_main!(benches);

@@ -20,6 +20,7 @@
 //! everything for that subject.
 
 use crate::reservation::Reservation;
+use crate::time::Time;
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
@@ -358,33 +359,36 @@ impl AdmissionGate {
     }
 
     /// Peak concurrent cores held by `subject`, optionally counting a
-    /// candidate. Exact sweep over reservation starts — every local
-    /// maximum of a union of intervals is at some interval's start.
+    /// candidate, clamped to `u32::MAX`: the maximum over instants `t` of
+    /// the procs of every reservation active at `t` (`start <= t < end`).
+    ///
+    /// One event sweep, O(H + H_s log H_s) for a ledger of H entries of
+    /// which H_s are the subject's: each reservation is a `+procs` delta at
+    /// its start and a `-procs` delta at its end, sorted by instant. At one
+    /// instant the `-procs` deltas sort first, so every level read is at
+    /// most the level some half-open interval `[t, next)` really holds, and
+    /// the last read of each instant is exactly that level: touching
+    /// intervals (`end == start`) never add up. An entry with `end <=
+    /// start` (a deserialized ledger can hold one) is active at no instant
+    /// and adds no delta. The `i64` level cannot overflow (fewer than 2³²
+    /// terms of at most `u32::MAX`).
     fn peak_concurrent(&self, subject: &QuotaSubject, extra: Option<&Reservation>) -> u32 {
-        let mut peak = 0u32;
-        let candidates = self
+        let mut deltas: Vec<(Time, i64)> = self
             .held
             .iter()
             .filter(|(o, _)| subject.matches(o))
             .map(|(_, r)| r)
-            .chain(extra);
-        // Collect starts to probe; includes the candidate's own start.
-        for probe in candidates {
-            let t = probe.start;
-            let mut used = 0u32;
-            for (o, r) in &self.held {
-                if subject.matches(o) && r.active_at(t) {
-                    used = used.saturating_add(r.procs);
-                }
-            }
-            if let Some(r) = extra {
-                if r.active_at(t) {
-                    used = used.saturating_add(r.procs);
-                }
-            }
-            peak = peak.max(used);
+            .chain(extra)
+            .filter(|r| r.start < r.end)
+            .flat_map(|r| [(r.start, i64::from(r.procs)), (r.end, -i64::from(r.procs))])
+            .collect();
+        deltas.sort_unstable();
+        let (mut level, mut peak) = (0i64, 0i64);
+        for (_, delta) in deltas {
+            level += delta;
+            peak = peak.max(level);
         }
-        peak
+        u32::try_from(peak).unwrap_or(u32::MAX)
     }
 
     /// Total core-seconds held by `subject`.
@@ -515,5 +519,88 @@ mod tests {
         let back: AdmissionGate = serde_json::from_str(&json).unwrap();
         assert_eq!(back.held(), 1);
         assert_eq!(back.quotas(), gate.quotas());
+    }
+
+    /// A gate for user `u` capped at `cores`, holding `held` as `u@p`,
+    /// read from JSON so no admission check (and no `Reservation::checked`)
+    /// filters the ledger.
+    fn gate_from_json(cores: u32, held: &[(i64, i64, u32)]) -> AdmissionGate {
+        let held: Vec<String> = held
+            .iter()
+            .map(|&(s, e, procs)| {
+                format!(
+                    r#"[{{"user":"u","project":"p"}},{{"start":{s},"end":{e},"procs":{procs}}}]"#
+                )
+            })
+            .collect();
+        serde_json::from_str(&format!(
+            r#"{{"quotas":{{"rules":[{{"subject":{{"User":"u"}},"max_concurrent_cores":{cores}}}]}},"held":[{}]}}"#,
+            held.join(",")
+        ))
+        .unwrap()
+    }
+
+    fn user_u() -> QuotaSubject {
+        QuotaSubject::User("u".into())
+    }
+
+    #[test]
+    fn touching_intervals_peak_at_the_max_not_the_sum() {
+        let gate = gate_from_json(8, &[(0, 10, 4), (10, 20, 6), (20, 30, 3)]);
+        assert_eq!(gate.peak_concurrent(&user_u(), None), 6);
+        // A candidate ending where the ledger starts, and one starting
+        // where it ends, touch without overlapping.
+        assert_eq!(gate.peak_concurrent(&user_u(), Some(&r(-5, 0, 8))), 8);
+        assert_eq!(gate.peak_concurrent(&user_u(), Some(&r(30, 40, 7))), 7);
+        assert!(gate.check(&Owner::new("u", "p"), &r(10, 20, 2)).is_ok());
+        let err = gate.check(&Owner::new("u", "p"), &r(5, 15, 3)).unwrap_err();
+        assert_eq!((err.requested, err.limit), (9, 8));
+    }
+
+    #[test]
+    fn shared_starts_and_nested_intervals_add_up() {
+        // Three starts at 0; the 5-wide entry nests inside the 3-wide one.
+        let gate = gate_from_json(100, &[(0, 100, 2), (0, 50, 3), (0, 10, 1), (20, 30, 5)]);
+        assert_eq!(gate.peak_concurrent(&user_u(), None), 10);
+        assert_eq!(gate.peak_concurrent(&user_u(), Some(&r(25, 26, 1))), 11);
+        // Nested inside the ledger's quiet stretch: 2 held from 50 on.
+        assert_eq!(gate.peak_concurrent(&user_u(), Some(&r(60, 70, 9))), 11);
+        assert_eq!(gate.peak_concurrent(&user_u(), Some(&r(0, 100, 1))), 11);
+        let other = QuotaSubject::User("v".into());
+        assert_eq!(gate.peak_concurrent(&other, None), 0);
+        assert_eq!(gate.peak_concurrent(&other, Some(&r(0, 1, 4))), 4);
+    }
+
+    #[test]
+    fn requested_saturates_at_u32_max() {
+        let gate = gate_from_json(u32::MAX - 1, &[(0, 10, u32::MAX), (5, 15, u32::MAX)]);
+        assert_eq!(gate.peak_concurrent(&user_u(), None), u32::MAX);
+        let u = Owner::new("u", "p");
+        let err = gate.check(&u, &r(7, 8, 1)).unwrap_err();
+        assert_eq!(err.requested, i64::from(u32::MAX));
+        assert_eq!(gate.audit().len(), 1);
+        assert_eq!(gate.audit()[0].requested, i64::from(u32::MAX));
+        // A limit of u32::MAX admits any saturated peak, exactly on it.
+        let mut open = gate_from_json(u32::MAX, &[(0, 10, u32::MAX - 1)]);
+        assert!(open.admit(&u, r(0, 10, 2)).is_ok());
+        assert!(open.admit(&u, r(0, 10, u32::MAX)).is_ok());
+        assert!(open.audit().is_empty());
+    }
+
+    #[test]
+    fn an_empty_or_inverted_ledger_entry_counts_nowhere() {
+        // Serde bypasses `Reservation::checked`: (10, 0) is inverted and
+        // (5, 5) is empty; neither is active at any instant.
+        let gate = gate_from_json(4, &[(10, 0, 9), (5, 5, 9), (0, 20, 3)]);
+        assert_eq!(gate.held(), 3);
+        assert_eq!(gate.peak_concurrent(&user_u(), None), 3);
+        assert!(gate.audit().is_empty());
+        let u = Owner::new("u", "p");
+        assert!(gate.check(&u, &r(5, 6, 1)).is_ok());
+        let err = gate.check(&u, &r(2, 8, 2)).unwrap_err();
+        assert_eq!(err.requested, 5);
+        let only_inverted = gate_from_json(0, &[(10, 0, 9), (5, 5, 9)]);
+        assert_eq!(only_inverted.peak_concurrent(&user_u(), None), 0);
+        assert!(only_inverted.audit().is_empty());
     }
 }

@@ -15,7 +15,8 @@ use resched_core::floor::Floor;
 use resched_core::forward::{schedule_forward, ForwardConfig};
 use resched_core::prelude::*;
 use resched_core::validate::{audit_calendar_with, Violation};
-use resched_resv::{AdmissionGate, Owner, QuotaRule, QuotaSet, QuotaSubject};
+use resched_resv::quotas::QuotaAxis;
+use resched_resv::{AdmissionGate, Owner, QuotaDenial, QuotaRule, QuotaSet, QuotaSubject};
 use serde::{Deserialize, Serialize};
 
 /// Stable snake_case label for a [`Violation`] kind, used to name and
@@ -522,11 +523,13 @@ pub struct QuotaRequest {
 
 /// A quota-admission stress case: a request sequence driven through an
 /// [`AdmissionGate`] and a live [`Calendar`] together. The observable is
-/// the per-request decision log (`admit` / `conflict` / a quota reason
-/// code), which must be identical under both capacity [`Judge`]s — quota
-/// admissibility and capacity feasibility are independent judgments, and
-/// neither may depend on how the calendar answers. Serializable for committing
-/// shrunk failures under `tests/repros/quota_*.json`.
+/// the per-request decision log (`admit` / `conflict` / the full
+/// [`QuotaDenial`]), which must be identical under both capacity
+/// [`Judge`]s — quota admissibility and capacity feasibility are
+/// independent judgments, and neither may depend on how the calendar
+/// answers — and under the [`ReferenceGate`], asked every question beside
+/// the production gate. Serializable for committing shrunk failures under
+/// `tests/repros/quota_*.json`.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct QuotaStress {
     /// Platform capacity `p`.
@@ -602,7 +605,10 @@ impl QuotaStress {
     /// Returns the decision log, or `Err` on any internal inconsistency:
     /// a check/admit disagreement, a ledger miss on release, a failed
     /// audit (`AdmissionGate::audit` plus `audit_calendar_with`), or
-    /// ledger/live-set accounting drift.
+    /// ledger/live-set accounting drift. A [`ReferenceGate`] over the same
+    /// rules follows every step: each check must return the production
+    /// gate's result (the whole [`QuotaDenial`], not only its reason
+    /// code), and the final audits must be equal, or the replay is `Err`.
     pub fn replay(&self) -> Result<Vec<String>, String> {
         self.replay_judged(Judge::Production)
     }
@@ -613,6 +619,7 @@ impl QuotaStress {
         let cap = self.capacity.max(1);
         let mut cal = Calendar::new(cap);
         let mut gate = self.gate();
+        let mut reference = ReferenceGate::new(gate.quotas().clone());
         let mut live: Vec<(Owner, Reservation)> = Vec::new();
         let mut log = Vec::new();
         for req in &self.requests {
@@ -621,7 +628,7 @@ impl QuotaStress {
                 if cal.try_remove(r).is_err() {
                     return Err("calendar lost a tracked live reservation".into());
                 }
-                if !gate.release(&o, &r) {
+                if !gate.release(&o, &r) || !reference.release(&o, &r) {
                     return Err(format!("gate ledger missing a released entry for {o}"));
                 }
             }
@@ -634,13 +641,21 @@ impl QuotaStress {
                 Dur::seconds(req.dur_secs.max(1)),
                 req.procs.clamp(1, cap),
             );
-            match gate.check(&owner, &r) {
-                Err(denial) => log.push(denial.reason_code().to_string()),
+            let decision = gate.check(&owner, &r);
+            let oracle = reference.check(&owner, &r);
+            if decision != oracle {
+                return Err(format!(
+                    "production gate {decision:?} but reference gate {oracle:?} for {owner}"
+                ));
+            }
+            match decision {
+                Err(denial) => log.push(denial.to_string()),
                 Ok(()) => {
                     if judge.try_add(&mut cal, r) {
                         if let Err(denial) = gate.admit(&owner, r) {
                             return Err(format!("gate flipped after a clean check: {denial}"));
                         }
+                        reference.admit(&owner, r);
                         live.push((owner, r));
                         log.push("admit".to_string());
                     } else {
@@ -649,7 +664,14 @@ impl QuotaStress {
                 }
             }
         }
-        if let Some(denial) = gate.audit().first() {
+        let audit = gate.audit();
+        if audit != reference.audit() {
+            return Err(format!(
+                "production audit {audit:?} but reference audit {:?}",
+                reference.audit()
+            ));
+        }
+        if let Some(denial) = audit.first() {
             return Err(format!("gate ledger breaks its own rules: {denial}"));
         }
         if let Some(v) = audit_calendar_with(&cal, None, Some(&gate)).first() {
@@ -719,6 +741,128 @@ impl QuotaStress {
     /// Parse a committed quota repro.
     pub fn from_json(json: &str) -> Result<QuotaStress, serde_json::Error> {
         serde_json::from_str(json)
+    }
+}
+
+/// The admission gate's reference: the rules and `≤`-inclusive checks of
+/// [`AdmissionGate`], over its own ledger, with the peak found the slow,
+/// obvious way — probe every start of the subject's reservations (and the
+/// candidate's) and rescan the whole ledger at each, O(H_s·H) per
+/// question. [`QuotaStress::replay`] asks it every question beside the
+/// production gate's event sweep.
+#[derive(Debug, Clone)]
+pub struct ReferenceGate {
+    quotas: QuotaSet,
+    held: Vec<(Owner, Reservation)>,
+}
+
+impl ReferenceGate {
+    /// A reference gate enforcing `quotas` over an empty ledger.
+    pub fn new(quotas: QuotaSet) -> ReferenceGate {
+        ReferenceGate {
+            quotas,
+            held: Vec::new(),
+        }
+    }
+
+    /// `AdmissionGate::check`: the first denial of the first matching
+    /// rule, the concurrent axis before the core-second one.
+    pub fn check(&self, owner: &Owner, r: &Reservation) -> Result<(), QuotaDenial> {
+        let mut denials = self
+            .quotas
+            .rules
+            .iter()
+            .filter(|rule| rule.subject.matches(owner))
+            .flat_map(|rule| self.denials(rule, Some(r)));
+        denials.next().map_or(Ok(()), Err)
+    }
+
+    /// Record `r` for `owner` unchecked: the replay admits only what
+    /// [`ReferenceGate::check`] has just passed.
+    pub fn admit(&mut self, owner: &Owner, r: Reservation) {
+        self.held.push((owner.clone(), r));
+    }
+
+    /// `AdmissionGate::release`.
+    pub fn release(&mut self, owner: &Owner, r: &Reservation) -> bool {
+        match self.held.iter().position(|(o, h)| o == owner && h == r) {
+            Some(i) => {
+                self.held.remove(i);
+                true
+            }
+            None => false,
+        }
+    }
+
+    /// `AdmissionGate::audit`: every rule the held ledger alone breaks.
+    pub fn audit(&self) -> Vec<QuotaDenial> {
+        self.quotas
+            .rules
+            .iter()
+            .flat_map(|rule| self.denials(rule, None))
+            .collect()
+    }
+
+    /// The axes of `rule` the ledger plus `extra` breaks, concurrent first.
+    fn denials(&self, rule: &QuotaRule, extra: Option<&Reservation>) -> Vec<QuotaDenial> {
+        let mut out = Vec::new();
+        if let Some(limit) = rule.max_concurrent_cores {
+            let peak = self.peak_concurrent(&rule.subject, extra);
+            if peak > limit {
+                out.push(QuotaDenial {
+                    subject: rule.subject.label(),
+                    axis: QuotaAxis::ConcurrentCores,
+                    requested: i64::from(peak),
+                    limit: i64::from(limit),
+                });
+            }
+        }
+        if let Some(limit) = rule.max_core_seconds {
+            let area: i64 = self
+                .held
+                .iter()
+                .filter(|(o, _)| rule.subject.matches(o))
+                .map(|(_, r)| r.proc_seconds())
+                .sum::<i64>()
+                + extra.map_or(0, Reservation::proc_seconds);
+            if area > limit {
+                out.push(QuotaDenial {
+                    subject: rule.subject.label(),
+                    axis: QuotaAxis::CoreSeconds,
+                    requested: area,
+                    limit,
+                });
+            }
+        }
+        out
+    }
+
+    /// Probe at every start: every local maximum of a union of intervals
+    /// is at some interval's start.
+    fn peak_concurrent(&self, subject: &QuotaSubject, extra: Option<&Reservation>) -> u32 {
+        let mut peak = 0u32;
+        let candidates = self
+            .held
+            .iter()
+            .filter(|(o, _)| subject.matches(o))
+            .map(|(_, r)| r)
+            .chain(extra);
+        for probe in candidates {
+            let t = probe.start;
+            let mut used = 0u32;
+            for (o, r) in &self.held {
+                if subject.matches(o) && r.active_at(t) {
+                    used = used.saturating_add(r.procs);
+                }
+            }
+            if let Some(r) = extra {
+                if r.active_at(t) {
+                    used = used.saturating_add(r.procs);
+                }
+            }
+            peak = peak.max(used);
+        }
+        peak
     }
 }
 

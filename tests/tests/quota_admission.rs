@@ -2,9 +2,12 @@
 //! [`AdmissionGate`] and the independent [`ScheduleValidator`] oracle, a
 //! capacity-judge invariance check (admission decisions and reason codes
 //! must be the same whether the calendar's own checks or its linear
-//! reference decide capacity), and a seeded
+//! reference decide capacity), a seeded
 //! [`QuotaStress`] mutation sweep with greedy shrinking to
-//! `tests/repros/quota_*.json`. Committed quota repros replay here forever.
+//! `tests/repros/quota_*.json`, and the same sweep on a coarse grid as the
+//! reference-gate differential (the production gate against the
+//! probe-at-starts `ReferenceGate`). Committed quota repros replay here
+//! forever.
 
 use rand::SeedableRng;
 use rand_chacha::ChaCha12Rng;
@@ -208,24 +211,24 @@ fn divergence(c: &QuotaStress) -> Option<String> {
     (logs[0] != logs[1]).then(|| "decision logs diverge: production vs linear-oracle".into())
 }
 
-/// Seeded sweep: every generated case must replay consistently (gate audit
-/// clean, ledger accounting exact) with judge-invariant decisions. A
+/// Replay `n` cases drawn from `seed`, each passed through `shape` first,
+/// under both capacity judges (and so beside the reference gate). A
 /// failure is greedily shrunk and committed under `tests/repros/` as
-/// `quota_*.json` before the test panics.
-#[test]
-fn quota_stress_sweep_is_consistent_and_backend_invariant() {
-    let mut rng = ChaCha12Rng::seed_from_u64(QUOTA_SEED);
+/// `quota_{tag}{i}.json` before the test panics.
+fn sweep(seed: u64, tag: &str, shape: impl Fn(&mut QuotaStress)) {
+    let mut rng = ChaCha12Rng::seed_from_u64(seed);
     let n: usize = std::env::var("RESCHED_QUOTA_FUZZ_ITERS")
         .ok()
         .and_then(|v| v.parse().ok())
         .unwrap_or(150);
     let mut denials = 0usize;
     for i in 0..n {
-        let case = QuotaStress::generate(&mut rng);
+        let mut case = QuotaStress::generate(&mut rng);
+        shape(&mut case);
         if let Some(detail) = divergence(&case) {
             let minimal = shrink_quota(&case, |c| divergence(c).is_some());
             let final_detail = divergence(&minimal).unwrap_or_else(|| detail.clone());
-            let path = repro_dir().join(format!("quota_iter{i:04}.json"));
+            let path = repro_dir().join(format!("quota_{tag}{i:04}.json"));
             std::fs::create_dir_all(repro_dir()).unwrap();
             std::fs::write(&path, minimal.to_json()).unwrap();
             panic!(
@@ -245,6 +248,47 @@ fn quota_stress_sweep_is_consistent_and_backend_invariant() {
         denials > n / 4,
         "generator stopped producing quota denials ({denials} over {n} cases)"
     );
+}
+
+/// Seeded sweep: every generated case must replay consistently (gate audit
+/// clean, ledger accounting exact) with judge-invariant decisions.
+#[test]
+fn quota_stress_sweep_is_consistent_and_backend_invariant() {
+    sweep(QUOTA_SEED, "iter", |_| {});
+}
+
+/// The reference-gate differential on the shapes a random draw rarely
+/// hits: every start and length snapped to a 500 s grid, so touching
+/// intervals (`end == start`), shared starts and nested intervals are
+/// common. Each replay asks the production gate's event sweep and the
+/// test-local [`resched_tests::fuzz::ReferenceGate`]'s probe-at-starts
+/// loop every question; any difference in a denial (subject, axis,
+/// requested, limit) or in the final audit fails the case.
+#[test]
+fn production_gate_matches_the_reference_gate() {
+    const GRID: i64 = 500;
+    let snap = |case: &mut QuotaStress| {
+        for q in &mut case.requests {
+            q.start_secs -= q.start_secs % GRID;
+            q.dur_secs = (q.dur_secs / GRID).max(1) * GRID;
+        }
+    };
+    let mut rng = ChaCha12Rng::seed_from_u64(QUOTA_SEED ^ 0x0000_5EEF);
+    let touching = (0..50)
+        .map(|_| {
+            let mut case = QuotaStress::generate(&mut rng);
+            snap(&mut case);
+            let reqs = &case.requests;
+            reqs.iter()
+                .filter(|a| {
+                    reqs.iter()
+                        .any(|b| a.start_secs + a.dur_secs == b.start_secs)
+                })
+                .count()
+        })
+        .sum::<usize>();
+    assert!(touching > 0, "the grid produced no touching intervals");
+    sweep(QUOTA_SEED ^ 0x0000_5EEF, "grid", snap);
 }
 
 /// Committed quota repros (the seed case plus any shrunk failures) stay
