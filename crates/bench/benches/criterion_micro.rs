@@ -1,6 +1,6 @@
 //! Criterion micro-benchmarks of the hot operations: calendar slot queries,
-//! CPA allocation, and whole-schedule computations at the paper's default
-//! problem size.
+//! CPA allocation, arrival DAG generation, and whole-schedule computations
+//! at the paper's default problem size.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use resched_core::backward::{schedule_deadline, DeadlineAlgo, DeadlineConfig, Roster};
@@ -304,6 +304,55 @@ fn bench_cpa(c: &mut Criterion) {
     c.bench_function("cpa/map_n50", |b| {
         b.iter(|| black_box(cpa::map(&dag, &alloc, Time::ZERO)))
     });
+}
+
+/// Building an arrival's DAG, which `resched-serve` does once per arrival:
+/// `daggen/generate/N` is `generate` of a paper-default N-task DAG over
+/// seeds 0..64 in turn, `dag/build/N` only the `DagBuilder::build` of one
+/// such DAG's tasks and edges (the builder cloned outside the timing).
+fn bench_arrival_dag(c: &mut Criterion) {
+    use resched_core::dag::DagBuilder;
+    let params = |num_tasks| DagParams {
+        num_tasks,
+        ..DagParams::paper_default()
+    };
+    let mut group = c.benchmark_group("daggen");
+    for n in [10, 100] {
+        let p = params(n);
+        let mut seed = 0u64;
+        group.bench_function(format!("generate/{n}"), |b| {
+            b.iter(|| {
+                seed = (seed + 1) % 64;
+                black_box(generate(&p, black_box(seed)))
+            })
+        });
+    }
+    group.finish();
+    let mut group = c.benchmark_group("dag");
+    for n in [10, 100] {
+        let dag = generate(&params(n), 42);
+        let mut builder = DagBuilder::new();
+        for t in dag.task_ids() {
+            builder.add_task(dag.cost(t));
+        }
+        for t in dag.task_ids() {
+            for &u in dag.succs(t) {
+                builder.add_edge(t, u);
+            }
+        }
+        assert_eq!(
+            builder.clone().build().map(|d| d.num_edges()),
+            Ok(dag.num_edges())
+        );
+        group.bench_function(format!("build/{n}"), |b| {
+            b.iter_batched(
+                || builder.clone(),
+                |builder| black_box(builder.build()),
+                BatchSize::SmallInput,
+            )
+        });
+    }
+    group.finish();
 }
 
 /// The Amdahl evaluation every scheduler layer calls: `exec_time` over
@@ -626,6 +675,6 @@ fn config() -> Criterion {
 criterion_group! {
     name = benches;
     config = config();
-    targets = bench_calendar, bench_earliest_fit_scaling, bench_latest_fit_scaling, bench_forward_scan, bench_backward_scan, bench_calendar_mutate, bench_cpa, bench_amdahl, bench_cpa_alloc, bench_schedulers, bench_deadline_roster, bench_quota, bench_obs
+    targets = bench_calendar, bench_earliest_fit_scaling, bench_latest_fit_scaling, bench_forward_scan, bench_backward_scan, bench_calendar_mutate, bench_cpa, bench_arrival_dag, bench_amdahl, bench_cpa_alloc, bench_schedulers, bench_deadline_roster, bench_quota, bench_obs
 }
 criterion_main!(benches);

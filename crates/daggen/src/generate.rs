@@ -47,84 +47,67 @@ pub fn generate(params: &DagParams, seed: u64) -> Dag {
 }
 
 /// Like [`generate`], but drawing from a caller-supplied RNG.
+///
+/// O(V + E), with no edge set. Tasks are created level by level, so a
+/// level is a range of ids. No pair `(u, v)` is ever offered twice:
+/// step 2 draws each candidate pair once, step 3a links only a task with
+/// no parent in the previous level, and step 3b links into level 1 and
+/// the exit, which nothing before it does. Two flags per task answer the
+/// only questions an edge set would be asked (DESIGN.md §20).
 pub fn generate_with<R: Rng>(params: &DagParams, rng: &mut R) -> Dag {
     let n = params.num_tasks;
-    let mut b = DagBuilder::new();
+    // Room for two edges per task: a paper-default DAG has ~1.4 at n = 10
+    // and ~3 at n = 50, so a serve arrival's builder seldom grows.
+    let mut b = DagBuilder::with_capacity(n, 2 * n);
 
     // Degenerate sizes: fall back to a chain.
     if n <= 2 {
-        let ids: Vec<TaskId> = (0..n)
-            .map(|_| b.add_task(random_cost(params, rng)))
-            .collect();
-        for w in ids.windows(2) {
-            b.add_edge(w[0], w[1]);
+        for i in 0..n as u32 {
+            b.add_task(random_cost(params, rng));
+            if i > 0 {
+                b.add_edge(TaskId(i - 1), TaskId(i));
+            }
         }
         return b.build().expect("chain is valid");
     }
 
-    // Step 1: levels for the n-2 inner tasks.
+    // Step 1: levels for the n-2 inner tasks. Level `l` holds the ids
+    // `bounds[l]..bounds[l + 1]`; level 0 is the entry, task 0, and the
+    // exit is task `n - 1`, after the last level.
     let inner = n - 2;
     let mean_width = (inner as f64).powf(params.width).clamp(1.0, inner as f64);
-    let mut level_sizes: Vec<usize> = Vec::new();
+    let mut bounds: Vec<usize> = vec![0, 1];
     let mut remaining = inner;
     while remaining > 0 {
         let jitter: f64 = 1.0 + (rng.gen_range(-1.0..=1.0)) * (1.0 - params.regularity);
         let size = (mean_width * jitter).round().max(1.0) as usize;
         let size = size.min(remaining);
-        level_sizes.push(size);
+        bounds.push(n - 1 - remaining + size);
         remaining -= size;
     }
-
-    // Create tasks level by level.
-    let entry = b.add_task(random_cost(params, rng));
-    let mut levels: Vec<Vec<TaskId>> = vec![vec![entry]];
-    for &size in &level_sizes {
-        let level: Vec<TaskId> = (0..size)
-            .map(|_| b.add_task(random_cost(params, rng)))
-            .collect();
-        levels.push(level);
+    let level = |l: usize| bounds[l]..bounds[l + 1];
+    let levels = bounds.len() - 1;
+    let exit = n - 1;
+    for _ in 0..n {
+        b.add_task(random_cost(params, rng));
     }
-    let exit = b.add_task(random_cost(params, rng));
-
-    // Local adjacency mirrors so edge-existence checks stay O(1); the
-    // builder itself only validates at build() time.
-    let total = b.num_tasks() + 1; // +1 for the exit, added above
-    let mut pred_count = vec![0usize; total];
-    let mut succ_count = vec![0usize; total];
-    let mut edge_set: std::collections::HashSet<(u32, u32)> = std::collections::HashSet::new();
-    let link = |b: &mut DagBuilder,
-                edge_set: &mut std::collections::HashSet<(u32, u32)>,
-                pred_count: &mut Vec<usize>,
-                succ_count: &mut Vec<usize>,
-                u: TaskId,
-                v: TaskId|
-     -> bool {
-        if edge_set.insert((u.0, v.0)) {
-            b.add_edge(u, v);
-            succ_count[u.idx()] += 1;
-            pred_count[v.idx()] += 1;
-            true
-        } else {
-            false
-        }
-    };
+    let id = |t: usize| TaskId(t as u32);
+    // `has_prev_parent[v]`: an edge into `v` from the level before it;
+    // `has_succ[u]`: an edge out of `u`.
+    let mut has_prev_parent = vec![false; n];
+    let mut has_succ = vec![false; n];
 
     // Step 2: edges with density / jump. Level 0 is the entry; inner levels
     // start at index 1.
-    for l in 2..levels.len() {
-        let (before, current) = levels.split_at(l);
-        for &v in &current[0] {
+    let jump_p = (params.density * JUMP_EDGE_DAMPING).clamp(0.0, 1.0);
+    for l in 2..levels {
+        for v in level(l) {
             // Consecutive level: probability `density` per candidate parent.
-            for &u in &before[l - 1] {
+            for u in level(l - 1) {
                 if rng.gen_bool(params.density) {
-                    link(
-                        &mut b,
-                        &mut edge_set,
-                        &mut pred_count,
-                        &mut succ_count,
-                        u,
-                        v,
-                    );
+                    b.add_edge(id(u), id(v));
+                    has_succ[u] = true;
+                    has_prev_parent[v] = true;
                 }
             }
             // Jump edges from levels l-jump .. l-2.
@@ -132,17 +115,10 @@ pub fn generate_with<R: Rng>(params: &DagParams, rng: &mut R) -> Dag {
                 if d >= l {
                     break;
                 }
-                let p = (params.density * JUMP_EDGE_DAMPING).clamp(0.0, 1.0);
-                for &u in &before[l - d] {
-                    if p > 0.0 && rng.gen_bool(p) {
-                        link(
-                            &mut b,
-                            &mut edge_set,
-                            &mut pred_count,
-                            &mut succ_count,
-                            u,
-                            v,
-                        );
+                for u in level(l - d) {
+                    if jump_p > 0.0 && rng.gen_bool(jump_p) {
+                        b.add_edge(id(u), id(v));
+                        has_succ[u] = true;
                     }
                 }
             }
@@ -154,61 +130,24 @@ pub fn generate_with<R: Rng>(params: &DagParams, rng: &mut R) -> Dag {
     // task equal to its realized longest-path depth, so the `jump`
     // parameter cleanly bounds edge spans (jump = 1 yields a layered DAG,
     // as the paper defines it).
-    for l in 2..levels.len() {
-        let (before, current) = levels.split_at(l);
-        for &v in &current[0] {
-            let has_prev_parent = before[l - 1]
-                .iter()
-                .any(|&u| edge_set.contains(&(u.0, v.0)));
-            if !has_prev_parent {
-                let prev = &before[l - 1];
-                let u = prev[rng.gen_range(0..prev.len())];
-                link(
-                    &mut b,
-                    &mut edge_set,
-                    &mut pred_count,
-                    &mut succ_count,
-                    u,
-                    v,
-                );
+    for l in 2..levels {
+        let prev = level(l - 1);
+        for v in level(l) {
+            if !has_prev_parent[v] {
+                let u = prev.start + rng.gen_range(0..prev.len());
+                b.add_edge(id(u), id(v));
+                has_succ[u] = true;
             }
         }
     }
-    // Step 3b: entry feeds every level-1 task; exit drains every sink.
-    if levels.len() > 1 {
-        for &v in &levels[1].clone() {
-            link(
-                &mut b,
-                &mut edge_set,
-                &mut pred_count,
-                &mut succ_count,
-                entry,
-                v,
-            );
-        }
-    } else {
-        link(
-            &mut b,
-            &mut edge_set,
-            &mut pred_count,
-            &mut succ_count,
-            entry,
-            exit,
-        );
+    // Step 3b: entry feeds every level-1 task (there is one, since n > 2);
+    // exit drains every sink.
+    for v in level(1) {
+        b.add_edge(id(0), id(v));
     }
-    // Sinks: inner tasks (and the entry, if isolated) with no successors.
-    let all_inner: Vec<TaskId> = levels.iter().flatten().copied().collect();
-    for &u in &all_inner {
-        if succ_count[u.idx()] == 0 {
-            link(
-                &mut b,
-                &mut edge_set,
-                &mut pred_count,
-                &mut succ_count,
-                u,
-                exit,
-            );
-        }
+    has_succ[0] = true;
+    for u in (0..exit).filter(|&u| !has_succ[u]) {
+        b.add_edge(id(u), id(exit));
     }
 
     b.build().expect("generated graph is a DAG by construction")
@@ -228,6 +167,259 @@ fn random_cost<R: Rng>(params: &DagParams, rng: &mut R) -> TaskCost {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The generator before its O(V + E) rewrite, kept as the oracle of
+    /// `generate_with`: an edge set consulted on every link, a task list
+    /// per level, and predecessor / successor counts.
+    fn reference_generate<R: Rng>(params: &DagParams, rng: &mut R) -> Dag {
+        let n = params.num_tasks;
+        let mut b = DagBuilder::new();
+
+        // Degenerate sizes: fall back to a chain.
+        if n <= 2 {
+            let ids: Vec<TaskId> = (0..n)
+                .map(|_| b.add_task(random_cost(params, rng)))
+                .collect();
+            for w in ids.windows(2) {
+                b.add_edge(w[0], w[1]);
+            }
+            return b.build().expect("chain is valid");
+        }
+
+        // Step 1: levels for the n-2 inner tasks.
+        let inner = n - 2;
+        let mean_width = (inner as f64).powf(params.width).clamp(1.0, inner as f64);
+        let mut level_sizes: Vec<usize> = Vec::new();
+        let mut remaining = inner;
+        while remaining > 0 {
+            let jitter: f64 = 1.0 + (rng.gen_range(-1.0..=1.0)) * (1.0 - params.regularity);
+            let size = (mean_width * jitter).round().max(1.0) as usize;
+            let size = size.min(remaining);
+            level_sizes.push(size);
+            remaining -= size;
+        }
+
+        // Create tasks level by level.
+        let entry = b.add_task(random_cost(params, rng));
+        let mut levels: Vec<Vec<TaskId>> = vec![vec![entry]];
+        for &size in &level_sizes {
+            let level: Vec<TaskId> = (0..size)
+                .map(|_| b.add_task(random_cost(params, rng)))
+                .collect();
+            levels.push(level);
+        }
+        let exit = b.add_task(random_cost(params, rng));
+
+        // Local adjacency mirrors so edge-existence checks stay O(1); the
+        // builder itself only validates at build() time.
+        let total = b.num_tasks() + 1; // +1 for the exit, added above
+        let mut pred_count = vec![0usize; total];
+        let mut succ_count = vec![0usize; total];
+        let mut edge_set: std::collections::HashSet<(u32, u32)> = std::collections::HashSet::new();
+        let link = |b: &mut DagBuilder,
+                    edge_set: &mut std::collections::HashSet<(u32, u32)>,
+                    pred_count: &mut Vec<usize>,
+                    succ_count: &mut Vec<usize>,
+                    u: TaskId,
+                    v: TaskId|
+         -> bool {
+            if edge_set.insert((u.0, v.0)) {
+                b.add_edge(u, v);
+                succ_count[u.idx()] += 1;
+                pred_count[v.idx()] += 1;
+                true
+            } else {
+                false
+            }
+        };
+
+        // Step 2: edges with density / jump. Level 0 is the entry; inner levels
+        // start at index 1.
+        for l in 2..levels.len() {
+            let (before, current) = levels.split_at(l);
+            for &v in &current[0] {
+                // Consecutive level: probability `density` per candidate parent.
+                for &u in &before[l - 1] {
+                    if rng.gen_bool(params.density) {
+                        link(
+                            &mut b,
+                            &mut edge_set,
+                            &mut pred_count,
+                            &mut succ_count,
+                            u,
+                            v,
+                        );
+                    }
+                }
+                // Jump edges from levels l-jump .. l-2.
+                for d in 2..=params.jump as usize {
+                    if d >= l {
+                        break;
+                    }
+                    let p = (params.density * JUMP_EDGE_DAMPING).clamp(0.0, 1.0);
+                    for &u in &before[l - d] {
+                        if p > 0.0 && rng.gen_bool(p) {
+                            link(
+                                &mut b,
+                                &mut edge_set,
+                                &mut pred_count,
+                                &mut succ_count,
+                                u,
+                                v,
+                            );
+                        }
+                    }
+                }
+            }
+        }
+
+        // Step 3a: connectivity — every inner task gets at least one parent in
+        // the *immediately previous* level. This keeps the generated level of a
+        // task equal to its realized longest-path depth, so the `jump`
+        // parameter cleanly bounds edge spans (jump = 1 yields a layered DAG,
+        // as the paper defines it).
+        for l in 2..levels.len() {
+            let (before, current) = levels.split_at(l);
+            for &v in &current[0] {
+                let has_prev_parent = before[l - 1]
+                    .iter()
+                    .any(|&u| edge_set.contains(&(u.0, v.0)));
+                if !has_prev_parent {
+                    let prev = &before[l - 1];
+                    let u = prev[rng.gen_range(0..prev.len())];
+                    link(
+                        &mut b,
+                        &mut edge_set,
+                        &mut pred_count,
+                        &mut succ_count,
+                        u,
+                        v,
+                    );
+                }
+            }
+        }
+        // Step 3b: entry feeds every level-1 task; exit drains every sink.
+        if levels.len() > 1 {
+            for &v in &levels[1].clone() {
+                link(
+                    &mut b,
+                    &mut edge_set,
+                    &mut pred_count,
+                    &mut succ_count,
+                    entry,
+                    v,
+                );
+            }
+        } else {
+            link(
+                &mut b,
+                &mut edge_set,
+                &mut pred_count,
+                &mut succ_count,
+                entry,
+                exit,
+            );
+        }
+        // Sinks: inner tasks (and the entry, if isolated) with no successors.
+        let all_inner: Vec<TaskId> = levels.iter().flatten().copied().collect();
+        for &u in &all_inner {
+            if succ_count[u.idx()] == 0 {
+                link(
+                    &mut b,
+                    &mut edge_set,
+                    &mut pred_count,
+                    &mut succ_count,
+                    u,
+                    exit,
+                );
+            }
+        }
+
+        b.build().expect("generated graph is a DAG by construction")
+    }
+
+    /// `generate_with` builds the reference generator's DAG, field for
+    /// field and byte for byte, and leaves the caller's RNG in the same
+    /// state: over every Table 1 sweep, the degenerate and larger sizes and
+    /// the extreme shapes, `RESCHED_DIFF_ITERS` seeds each (default 8).
+    #[test]
+    fn generate_matches_the_reference_generator() {
+        let seeds: u64 = std::env::var("RESCHED_DIFF_ITERS")
+            .ok()
+            .and_then(|v| v.parse().ok())
+            .unwrap_or(8);
+        let d = DagParams::paper_default();
+        let mut shapes: Vec<DagParams> = DagParams::paper_sweeps()
+            .into_iter()
+            .map(|s| s.params)
+            .collect();
+        for num_tasks in [1, 2, 3, 100] {
+            shapes.push(DagParams { num_tasks, ..d });
+        }
+        for num_tasks in [3, 10, 50] {
+            shapes.extend(
+                [
+                    DagParams { density: 0.0, ..d },
+                    DagParams { density: 1.0, ..d },
+                    DagParams {
+                        density: 1.0,
+                        jump: 4,
+                        ..d
+                    },
+                    DagParams {
+                        density: 0.0,
+                        jump: 4,
+                        ..d
+                    },
+                    DagParams {
+                        regularity: 1.0,
+                        ..d
+                    },
+                    DagParams {
+                        regularity: 0.0,
+                        jump: 4,
+                        ..d
+                    },
+                    DagParams {
+                        width: 0.0,
+                        jump: 4,
+                        ..d
+                    },
+                    DagParams { width: 1.0, ..d },
+                    DagParams {
+                        width: 1.0,
+                        density: 1.0,
+                        jump: 4,
+                        ..d
+                    },
+                    DagParams {
+                        alpha_max: 0.0,
+                        ..d
+                    },
+                ]
+                .map(|p| DagParams { num_tasks, ..p }),
+            );
+        }
+        for p in &shapes {
+            for seed in 0..seeds {
+                let mut rng = ChaCha12Rng::seed_from_u64(seed);
+                let mut reference_rng = rng.clone();
+                let dag = generate_with(p, &mut rng);
+                let reference = reference_generate(p, &mut reference_rng);
+                assert_eq!(dag, reference, "{p:?} seed {seed}");
+                assert_eq!(
+                    serde_json::to_string(&dag).unwrap(),
+                    serde_json::to_string(&reference).unwrap(),
+                    "{p:?} seed {seed}"
+                );
+                assert_eq!(
+                    rng.gen::<u64>(),
+                    reference_rng.gen::<u64>(),
+                    "{p:?} seed {seed}"
+                );
+            }
+        }
+    }
 
     #[test]
     fn generates_requested_task_count() {

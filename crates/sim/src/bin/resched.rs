@@ -154,9 +154,10 @@ fn extract_cmd(args: &Args) -> Result<(), Box<dyn Error>> {
 }
 
 /// The `--dag` and `--resv` files, refused with the file and the field
-/// named wherever they hold what the schedulers cannot take: a task cost
-/// outside [`TaskCost::try_new`]'s rule, a machine of no processors, or
-/// reservations that do not fit on it.
+/// named wherever they hold what the schedulers cannot take: a graph that
+/// is not the DAG its own fields describe (the `Dag` deserializer's
+/// checks), a task cost outside [`TaskCost::try_new`]'s rule, a machine of
+/// no processors, or reservations that do not fit on it.
 fn load_problem(
     args: &Args,
 ) -> Result<

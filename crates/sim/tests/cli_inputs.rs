@@ -1,7 +1,7 @@
 //! `resched` refuses JSON inputs the schedulers cannot take: exit 1 with
 //! the file and the field named on stderr, instead of a panic (exit 101)
 //! inside the calendar or the Amdahl evaluation, and instead of scheduling
-//! an impossible task cost silently.
+//! an impossible task cost or a graph that is not a DAG silently.
 
 use std::path::{Path, PathBuf};
 use std::process::Command;
@@ -17,6 +17,14 @@ fn write(name: &str, text: &str) -> PathBuf {
     let path = Path::new(env!("CARGO_TARGET_TMPDIR")).join(name);
     std::fs::write(&path, text).expect("scratch file");
     path
+}
+
+/// A two-task DAG of one-hour tasks with the given adjacency lists.
+fn two_task_dag(preds: &str, succs: &str) -> String {
+    let cost = r#"{"seq":3600,"alpha":0.1,"overhead":0}"#;
+    format!(
+        r#"{{"costs":[{cost},{cost}],"preds":{preds},"succs":{succs},"topo":[0,1],"depth":[0,1],"entries":[0],"exits":[1],"num_edges":1}}"#
+    )
 }
 
 /// `resched schedule` on the two files: its exit code and stderr.
@@ -74,6 +82,24 @@ fn unschedulable_inputs_exit_1_naming_the_file_and_the_field() {
             one_task_dag(r#"{"seq":3600,"alpha":3.5,"overhead":0}"#),
             "task 0: alpha must be within [0, 1]: 3.5",
         ),
+        (
+            "cli_cycle.json",
+            true,
+            two_task_dag("[[1],[0]]", "[[1],[0]]"),
+            "invalid Dag: precedence edges contain a cycle",
+        ),
+        (
+            "cli_succ_out_of_range.json",
+            true,
+            two_task_dag("[[],[0]]", "[[1,5],[]]"),
+            "invalid Dag: edge (0 -> 5) out of range",
+        ),
+        (
+            "cli_preds_mismatch.json",
+            true,
+            two_task_dag("[[],[]]", "[[1],[]]"),
+            "invalid Dag: preds of t1 are not the transpose of succs",
+        ),
     ];
     for (name, is_dag, text, field) in cases {
         let bad = write(name, &text);
@@ -89,4 +115,34 @@ fn unschedulable_inputs_exit_1_naming_the_file_and_the_field() {
             "{name}: {stderr}"
         );
     }
+}
+
+/// A DAG `resched generate-dag` writes is one `resched schedule --dag`
+/// reads back and schedules.
+#[test]
+fn generated_dag_round_trips_through_schedule() {
+    let out = Command::new(env!("CARGO_BIN_EXE_resched"))
+        .args([
+            "generate-dag",
+            "--tasks",
+            "30",
+            "--jump",
+            "3",
+            "--seed",
+            "7",
+        ])
+        .output()
+        .expect("resched runs");
+    assert_eq!(out.status.code(), Some(0));
+    let text = String::from_utf8(out.stdout).expect("utf-8 JSON");
+    let dag: resched_core::dag::Dag = serde_json::from_str(&text).expect("a valid Dag");
+    assert_eq!(dag.num_tasks(), 30);
+    assert_eq!(serde_json::to_string_pretty(&dag).unwrap(), text.trim_end());
+    let dag_path = write("cli_generated_dag.json", &text);
+    let resv = write(
+        "cli_generated_resv.json",
+        r#"{"procs":16,"reservations":[{"start":0,"end":7200,"procs":8}],"q":8}"#,
+    );
+    let (code, stderr) = schedule(&dag_path, &resv);
+    assert_eq!(code, Some(0), "{stderr}");
 }
