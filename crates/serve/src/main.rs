@@ -18,7 +18,10 @@
 //! `--probe-fanout` takes 1 to `PROBE_ROSTER.len()` (4), `--accel` a finite
 //! factor above 0, `--admit-hours` 1 to `swf::MAX_SECONDS / 3600` and
 //! `--days` 1 to `swf::MAX_SECONDS / 86_400` (the parser's bound on
-//! instants, in hours and in days); anything else is a usage error.
+//! instants, in hours and in days), `--quota-users` 1 to 4096 (each user
+//! is two owners and up to two quota rules, all built before the first
+//! arrival, and every ledger audit reads every rule); anything else is a
+//! usage error.
 //!
 //! `--assert-clean` exits nonzero unless the run had zero calendar-audit
 //! violations and exercised both the commit and the rollback path — and,
@@ -28,6 +31,12 @@
 use resched_serve::{run, summarize, ServeConfig, ServeQuotaConfig, PROBE_ROSTER};
 use resched_workloads::prelude::*;
 use std::process::ExitCode;
+
+/// The most synthetic users `--quota-users` takes. Each user is two
+/// owners and up to two rules, all built before the first arrival, and
+/// every ledger audit reads every rule; 4096 users (8 192 rules) is 512
+/// times the 8 of the benchmark's `serve_deadline`.
+const MAX_QUOTA_USERS: usize = 4096;
 
 const PRESETS: &[&str] = &["ctc_sp2", "osc_cluster", "sdsc_blue", "sdsc_ds", "grid5000"];
 
@@ -114,7 +123,12 @@ fn main() -> ExitCode {
                 );
             }
             "--quota-users" => {
-                quota.users = parse("--quota-users", args.next());
+                let users = 1..=MAX_QUOTA_USERS;
+                quota.users = parse_if(
+                    &format!("--quota-users (expected {users:?})"),
+                    args.next(),
+                    |n| users.contains(n),
+                );
                 quota_requested = true;
             }
             "--quota-cores" => {

@@ -28,6 +28,11 @@ fn out_of_domain_flag_values_are_usage_errors() {
         ("--days", "12725830"),
         ("--days", "0"),
         ("--days", "-2"),
+        // Any `usize` used to be taken: a huge value built its owners and
+        // rules before the first arrival, and 0 ran as 1.
+        ("--quota-users", "0"),
+        ("--quota-users", "4097"),
+        ("--quota-users", "18446744073709551615"),
     ] {
         let out = Command::new(env!("CARGO_BIN_EXE_resched-serve"))
             .args(["--apps", "5", flag, value])
@@ -47,6 +52,17 @@ fn the_widest_admission_horizon_is_accepted() {
     // `swf::MAX_SECONDS / 3600`, the last value inside the bound.
     let out = Command::new(env!("CARGO_BIN_EXE_resched-serve"))
         .args(["--apps", "5", "--admit-hours", "305419896"])
+        .output()
+        .expect("resched-serve runs");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(0), "{stderr}");
+}
+
+#[test]
+fn the_most_quota_users_are_accepted() {
+    // `MAX_QUOTA_USERS`, the last value inside the bound.
+    let out = Command::new(env!("CARGO_BIN_EXE_resched-serve"))
+        .args(["--apps", "5", "--quota-users", "4096", "--quota-cores", "300"])
         .output()
         .expect("resched-serve runs");
     let stderr = String::from_utf8_lossy(&out.stderr);

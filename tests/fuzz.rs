@@ -519,6 +519,28 @@ pub struct QuotaRequest {
     /// live calendar removals.
     #[serde(default)]
     pub release: u32,
+    /// Reservations in this request (0, a repro written before the field
+    /// existed, means 1). Reservation `k` starts `k` half-lengths after the
+    /// first, with the same length and width; a batch of more than one is
+    /// admitted through `admit_all`, as serve admits an application.
+    #[serde(default)]
+    pub batch: u32,
+}
+
+impl QuotaRequest {
+    /// The request's reservations on a `cap`-processor platform.
+    pub fn reservations(&self, cap: u32) -> Vec<Reservation> {
+        let (start, dur) = (self.start_secs.max(0), self.dur_secs.max(1));
+        (0..i64::from(self.batch.max(1)))
+            .map(|k| {
+                Reservation::for_duration(
+                    Time::seconds(start + k * (dur / 2)),
+                    Dur::seconds(dur),
+                    self.procs.clamp(1, cap),
+                )
+            })
+            .collect()
+    }
 }
 
 /// A quota-admission stress case: a request sequence driven through an
@@ -562,6 +584,7 @@ impl QuotaStress {
                 } else {
                     0
                 },
+                batch: 1,
             })
             .collect();
         QuotaStress {
@@ -602,13 +625,15 @@ impl QuotaStress {
     }
 
     /// Replay the request sequence against a fresh calendar and gate.
-    /// Returns the decision log, or `Err` on any internal inconsistency:
-    /// a check/admit disagreement, a ledger miss on release, a failed
-    /// audit (`AdmissionGate::audit` plus `audit_calendar_with`), or
-    /// ledger/live-set accounting drift. A [`ReferenceGate`] over the same
-    /// rules follows every step: each check must return the production
-    /// gate's result (the whole [`QuotaDenial`], not only its reason
-    /// code), and the final audits must be equal, or the replay is `Err`.
+    /// Returns the decision log, one line per request, or `Err` on any
+    /// internal inconsistency: a check/admit disagreement, a ledger miss on
+    /// release, a failed audit (`AdmissionGate::audit` plus
+    /// `audit_calendar_with`), or ledger/live-set accounting drift. A
+    /// [`ReferenceGate`] over the same rules follows every step: each
+    /// check and batch admission must return the production gate's result
+    /// (the whole [`QuotaDenial`], not only its reason code), the two
+    /// ledgers must be equal after every request, and the final audits
+    /// must be equal, or the replay is `Err`.
     pub fn replay(&self) -> Result<Vec<String>, String> {
         self.replay_judged(Judge::Production)
     }
@@ -636,32 +661,21 @@ impl QuotaStress {
                 &format!("u{}", req.user % 4),
                 &format!("p{}", req.project % 2),
             );
-            let r = Reservation::for_duration(
-                Time::seconds(req.start_secs.max(0)),
-                Dur::seconds(req.dur_secs.max(1)),
-                req.procs.clamp(1, cap),
-            );
-            let decision = gate.check(&owner, &r);
-            let oracle = reference.check(&owner, &r);
-            if decision != oracle {
-                return Err(format!(
-                    "production gate {decision:?} but reference gate {oracle:?} for {owner}"
-                ));
+            let batch = req.reservations(cap);
+            log.push(match batch.as_slice() {
+                [r] => admit_one(judge, &mut cal, &mut gate, &mut reference, &owner, *r)?,
+                _ => admit_batch(judge, &mut cal, &mut gate, &mut reference, &owner, &batch)?,
+            });
+            if log.last().is_some_and(|line| line == "admit") {
+                live.extend(batch.iter().map(|r| (owner.clone(), *r)));
             }
-            match decision {
-                Err(denial) => log.push(denial.to_string()),
-                Ok(()) => {
-                    if judge.try_add(&mut cal, r) {
-                        if let Err(denial) = gate.admit(&owner, r) {
-                            return Err(format!("gate flipped after a clean check: {denial}"));
-                        }
-                        reference.admit(&owner, r);
-                        live.push((owner, r));
-                        log.push("admit".to_string());
-                    } else {
-                        log.push("conflict".to_string());
-                    }
-                }
+            let ledger: Vec<(Owner, Reservation)> =
+                gate.ledger().map(|(o, r)| (o.clone(), *r)).collect();
+            if ledger != reference.ledger() {
+                return Err(format!(
+                    "production ledger {ledger:?} but reference ledger {:?}",
+                    reference.ledger()
+                ));
             }
         }
         let audit = gate.audit();
@@ -712,6 +726,11 @@ impl QuotaStress {
                 s.requests[i].dur_secs /= 2;
                 out.push(s);
             }
+            if self.requests[i].batch > 1 {
+                let mut s = self.clone();
+                s.requests[i].batch /= 2;
+                out.push(s);
+            }
         }
         for (cores, core_secs, proj) in [
             (0, self.user_core_seconds, self.project_cores),
@@ -744,12 +763,80 @@ impl QuotaStress {
     }
 }
 
+/// One reservation, as a single admission asks the gate: `check` (the
+/// reference's answer must be the same), then capacity, then `admit`.
+/// The decision's log line.
+fn admit_one(
+    judge: Judge,
+    cal: &mut Calendar,
+    gate: &mut AdmissionGate,
+    reference: &mut ReferenceGate,
+    owner: &Owner,
+    r: Reservation,
+) -> Result<String, String> {
+    let decision = gate.check(owner, &r);
+    let oracle = reference.check(owner, &r);
+    if decision != oracle {
+        return Err(format!(
+            "production gate {decision:?} but reference gate {oracle:?} for {owner}"
+        ));
+    }
+    Ok(match decision {
+        Err(denial) => denial.to_string(),
+        Ok(()) if judge.try_add(cal, r) => {
+            if let Err(denial) = gate.admit(owner, r) {
+                return Err(format!("gate flipped after a clean check: {denial}"));
+            }
+            reference.admit(owner, r);
+            "admit".to_string()
+        }
+        Ok(()) => "conflict".to_string(),
+    })
+}
+
+/// A batch, as serve admits an application: capacity for the whole batch
+/// (or none of it), then `admit_all` (the reference's answer must be the
+/// same), the calendar rolled back on a denial. A denial's log line names
+/// the reservation of the batch it fell on.
+fn admit_batch(
+    judge: Judge,
+    cal: &mut Calendar,
+    gate: &mut AdmissionGate,
+    reference: &mut ReferenceGate,
+    owner: &Owner,
+    batch: &[Reservation],
+) -> Result<String, String> {
+    let placed = batch.iter().take_while(|r| judge.try_add(cal, **r)).count();
+    let line = if placed < batch.len() {
+        "conflict".to_string()
+    } else {
+        let decision = gate.admit_all(owner, batch);
+        let oracle = reference.admit_all(owner, batch);
+        if decision != oracle.clone().map_err(|(_, d)| d) {
+            return Err(format!(
+                "production gate {decision:?} but reference gate {oracle:?} for {owner}"
+            ));
+        }
+        match oracle {
+            Ok(()) => return Ok("admit".to_string()),
+            Err((k, denial)) => format!("{denial} (reservation {k} of {})", batch.len()),
+        }
+    };
+    for r in batch.iter().take(placed) {
+        if cal.try_remove(*r).is_err() {
+            return Err("calendar lost a batch reservation it had just placed".into());
+        }
+    }
+    Ok(line)
+}
+
 /// The admission gate's reference: the rules and `≤`-inclusive checks of
 /// [`AdmissionGate`], over its own ledger, with the peak found the slow,
 /// obvious way — probe every start of the subject's reservations (and the
 /// candidate's) and rescan the whole ledger at each, O(H_s·H) per
-/// question. [`QuotaStress::replay`] asks it every question beside the
-/// production gate's event sweep.
+/// question, and a batch checked one reservation after another.
+/// [`QuotaStress::replay`] asks it every question beside the production
+/// gate's subject profiles.
 #[derive(Debug, Clone)]
 pub struct ReferenceGate {
     quotas: QuotaSet,
@@ -781,6 +868,31 @@ impl ReferenceGate {
     /// [`ReferenceGate::check`] has just passed.
     pub fn admit(&mut self, owner: &Owner, r: Reservation) {
         self.held.push((owner.clone(), r));
+    }
+
+    /// `AdmissionGate::admit_all`: each reservation checked against the
+    /// ledger plus the batch entries before it and pushed; on the first
+    /// denial the batch is truncated away, and the denial is returned with
+    /// the index of the reservation it fell on.
+    pub fn admit_all(
+        &mut self,
+        owner: &Owner,
+        resvs: &[Reservation],
+    ) -> Result<(), (usize, QuotaDenial)> {
+        let mark = self.held.len();
+        for (k, r) in resvs.iter().enumerate() {
+            if let Err(denial) = self.check(owner, r) {
+                self.held.truncate(mark);
+                return Err((k, denial));
+            }
+            self.admit(owner, *r);
+        }
+        Ok(())
+    }
+
+    /// The ledger, admission order.
+    pub fn ledger(&self) -> &[(Owner, Reservation)] {
+        &self.held
     }
 
     /// `AdmissionGate::release`.

@@ -6,8 +6,8 @@
 //! [`QuotaStress`] mutation sweep with greedy shrinking to
 //! `tests/repros/quota_*.json`, and the same sweep on a coarse grid as the
 //! reference-gate differential (the production gate against the
-//! probe-at-starts `ReferenceGate`). Committed quota repros replay here
-//! forever.
+//! probe-at-starts `ReferenceGate`), once more with every request a batch
+//! through `admit_all`. Committed quota repros replay here forever.
 
 use rand::SeedableRng;
 use rand_chacha::ChaCha12Rng;
@@ -211,20 +211,21 @@ fn divergence(c: &QuotaStress) -> Option<String> {
     (logs[0] != logs[1]).then(|| "decision logs diverge: production vs linear-oracle".into())
 }
 
-/// Replay `n` cases drawn from `seed`, each passed through `shape` first,
-/// under both capacity judges (and so beside the reference gate). A
-/// failure is greedily shrunk and committed under `tests/repros/` as
-/// `quota_{tag}{i}.json` before the test panics.
-fn sweep(seed: u64, tag: &str, shape: impl Fn(&mut QuotaStress)) {
+/// Replay `n` cases drawn from `seed`, each passed through `shape` (with
+/// the sweep's generator) first, under both capacity judges (and so beside
+/// the reference gate). A failure is greedily shrunk and committed under
+/// `tests/repros/` as `quota_{tag}{i}.json` before the test panics. Returns
+/// every case's quota-denial log lines.
+fn sweep(seed: u64, tag: &str, shape: impl Fn(&mut QuotaStress, &mut ChaCha12Rng)) -> Vec<String> {
     let mut rng = ChaCha12Rng::seed_from_u64(seed);
     let n: usize = std::env::var("RESCHED_QUOTA_FUZZ_ITERS")
         .ok()
         .and_then(|v| v.parse().ok())
         .unwrap_or(150);
-    let mut denials = 0usize;
+    let mut denials = Vec::new();
     for i in 0..n {
         let mut case = QuotaStress::generate(&mut rng);
-        shape(&mut case);
+        shape(&mut case, &mut rng);
         if let Some(detail) = divergence(&case) {
             let minimal = shrink_quota(&case, |c| divergence(c).is_some());
             let final_detail = divergence(&minimal).unwrap_or_else(|| detail.clone());
@@ -237,24 +238,26 @@ fn sweep(seed: u64, tag: &str, shape: impl Fn(&mut QuotaStress)) {
                 path.display()
             );
         }
-        denials += case
-            .replay()
-            .expect("divergence-free case replays")
-            .iter()
-            .filter(|d| d.starts_with("quota."))
-            .count();
+        denials.extend(
+            case.replay()
+                .expect("divergence-free case replays")
+                .into_iter()
+                .filter(|d| d.starts_with("quota.")),
+        );
     }
     assert!(
-        denials > n / 4,
-        "generator stopped producing quota denials ({denials} over {n} cases)"
+        denials.len() > n / 4,
+        "generator stopped producing quota denials ({} over {n} cases)",
+        denials.len()
     );
+    denials
 }
 
 /// Seeded sweep: every generated case must replay consistently (gate audit
 /// clean, ledger accounting exact) with judge-invariant decisions.
 #[test]
 fn quota_stress_sweep_is_consistent_and_backend_invariant() {
-    sweep(QUOTA_SEED, "iter", |_| {});
+    sweep(QUOTA_SEED, "iter", |_, _| {});
 }
 
 /// The reference-gate differential on the shapes a random draw rarely
@@ -267,7 +270,7 @@ fn quota_stress_sweep_is_consistent_and_backend_invariant() {
 #[test]
 fn production_gate_matches_the_reference_gate() {
     const GRID: i64 = 500;
-    let snap = |case: &mut QuotaStress| {
+    let snap = |case: &mut QuotaStress, _: &mut ChaCha12Rng| {
         for q in &mut case.requests {
             q.start_secs -= q.start_secs % GRID;
             q.dur_secs = (q.dur_secs / GRID).max(1) * GRID;
@@ -277,7 +280,7 @@ fn production_gate_matches_the_reference_gate() {
     let touching = (0..50)
         .map(|_| {
             let mut case = QuotaStress::generate(&mut rng);
-            snap(&mut case);
+            snap(&mut case, &mut rng);
             let reqs = &case.requests;
             reqs.iter()
                 .filter(|a| {
@@ -289,6 +292,54 @@ fn production_gate_matches_the_reference_gate() {
         .sum::<usize>();
     assert!(touching > 0, "the grid produced no touching intervals");
     sweep(QUOTA_SEED ^ 0x0000_5EEF, "grid", snap);
+}
+
+/// The reference-gate differential on batches, as serve admits them:
+/// every request is a batch of 2 to 10 reservations (each starting half a
+/// length after the one before) through `admit_all`, on a platform four
+/// times wider than the draw so capacity rarely refuses one. Every owner
+/// matches a user rule and a project rule at once: a concurrent-core cap
+/// per user in half the cases, a core-second cap of 10 000 to 500 000 per
+/// user (a batch reaches up to 640 000) and no user core cap in the
+/// others, and a concurrent-core cap per project in all. The caps sit below
+/// what a batch reaches, so batches are denied part-way through. Each
+/// replay compares the whole `QuotaDenial` and the ledger after every
+/// request with the reference's reservation-by-reservation admission.
+#[test]
+fn batched_admissions_match_the_reference_gate() {
+    use rand::Rng;
+    let denials = sweep(QUOTA_SEED ^ 0x0000_BA7C, "batch", |case, rng| {
+        case.capacity *= 4;
+        if rng.gen_bool(0.5) {
+            case.user_cores = case.user_cores.max(1);
+        } else {
+            case.user_cores = 0;
+            case.user_core_seconds = rng.gen_range(10_000i64..500_000);
+        }
+        case.project_cores = case.project_cores.max(1);
+        for q in &mut case.requests {
+            q.batch = rng.gen_range(2u32..=10);
+        }
+    });
+    let mid_batch = |prefix: &str| {
+        denials
+            .iter()
+            .filter(|d| d.contains(prefix) && !d.contains("(reservation 0 of"))
+            .count()
+    };
+    for subject in ["for user:", "for project:"] {
+        assert!(
+            mid_batch(subject) > 0,
+            "no mid-batch denial {subject} in {} denials",
+            denials.len()
+        );
+    }
+    assert!(
+        denials
+            .iter()
+            .any(|d| d.starts_with("quota.core_seconds") && !d.contains("(reservation 0 of")),
+        "no mid-batch core-second denial"
+    );
 }
 
 /// Committed quota repros (the seed case plus any shrunk failures) stay
