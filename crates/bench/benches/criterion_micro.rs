@@ -111,6 +111,36 @@ fn bench_latest_fit_scaling(c: &mut Criterion) {
     group.finish();
 }
 
+/// The calendar audit `resched-serve` runs after every event, on
+/// [`staircase_calendar`]s of 100, 2 000 and 20 000 breakpoints (100 is
+/// what `serve_saturated` audits, thousands what `serve_admit` grows to),
+/// and the four whole-span queries it asks: `peak_used` and
+/// `used_integral` through the calendar and through its linear reference.
+fn bench_audit(c: &mut Criterion) {
+    use resched_core::validate::audit_calendar;
+    for breakpoints in [100usize, 2_000, 20_000] {
+        let cal = staircase_calendar(breakpoints - 1);
+        assert_eq!(cal.num_breakpoints(), breakpoints);
+        let (from, to) = (Time::ZERO, cal.horizon().expect("a busy calendar"));
+        c.bench_function(&format!("audit/{breakpoints}"), |b| {
+            b.iter(|| black_box(audit_calendar(black_box(&cal))))
+        });
+        c.bench_function(&format!("calendar/peak_used/{breakpoints}"), |b| {
+            b.iter(|| black_box(black_box(&cal).peak_used(from, to)))
+        });
+        c.bench_function(&format!("calendar/used_integral/{breakpoints}"), |b| {
+            b.iter(|| black_box(black_box(&cal).used_integral(from, to)))
+        });
+        let lin = cal.linear();
+        c.bench_function(&format!("linear/peak_used/{breakpoints}"), |b| {
+            b.iter(|| black_box(black_box(&lin).peak_used(from, to)))
+        });
+        c.bench_function(&format!("linear/used_integral/{breakpoints}"), |b| {
+            b.iter(|| black_box(black_box(&lin).used_integral(from, to)))
+        });
+    }
+}
+
 /// The machine the width-scan groups search: 430 processors holding 300
 /// seeded reservations over a month.
 fn month_of_reservations() -> Calendar {
@@ -675,6 +705,6 @@ fn config() -> Criterion {
 criterion_group! {
     name = benches;
     config = config();
-    targets = bench_calendar, bench_earliest_fit_scaling, bench_latest_fit_scaling, bench_forward_scan, bench_backward_scan, bench_calendar_mutate, bench_cpa, bench_arrival_dag, bench_amdahl, bench_cpa_alloc, bench_schedulers, bench_deadline_roster, bench_quota, bench_obs
+    targets = bench_calendar, bench_audit, bench_earliest_fit_scaling, bench_latest_fit_scaling, bench_forward_scan, bench_backward_scan, bench_calendar_mutate, bench_cpa, bench_arrival_dag, bench_amdahl, bench_cpa_alloc, bench_schedulers, bench_deadline_roster, bench_quota, bench_obs
 }
 criterion_main!(benches);

@@ -695,56 +695,31 @@ pub fn audit_calendar(cal: &Calendar) -> Vec<Violation> {
 /// * `gate` — the admission gate whose ledger mirrors this calendar;
 ///   [`AdmissionGate::audit`] re-checks every held reservation against
 ///   the quota rules ([`Violation::QuotaViolation`]).
+///
+/// The audit runs after every serve event, so each check is a straight
+/// loop over the breakpoints: the shape, capacity and grain checks are
+/// one branch-free fold that only decides whether anything is wrong, and
+/// only a calendar with a finding is scanned again, in order, to write
+/// the findings; the four whole-span queries are single loops over
+/// slices that a search and a gallop bound.
 pub fn audit_calendar_with(
     cal: &Calendar,
     grain: Option<u32>,
     gate: Option<&AdmissionGate>,
 ) -> Vec<Violation> {
     let mut out = Vec::new();
-    // The step function as stored, read once: every segment's start with
-    // its level, then the last breakpoint with the trailing level.
-    let levels = cal
-        .segments()
-        .map(|(start, _, used)| (start, used))
-        .chain(cal.horizon().map(|last| (last, cal.used_at(last))));
     let grain = grain.filter(|&g| g > 1);
-    // The first misaligned and the first overbooked level: one report
-    // each, since every later breakpoint would repeat it.
-    let mut misaligned = None;
-    let mut overbooked = None;
-    let mut shape = Vec::new();
-    let mut breakpoints = 0usize;
-    let mut first = None;
-    let mut prev: Option<(Time, u32)> = None;
-    for (t, used) in levels {
-        breakpoints += 1;
-        if misaligned.is_none() && grain.is_some_and(|g| !used.is_multiple_of(g)) {
-            misaligned = Some((t, used));
-        }
-        if overbooked.is_none() && used > cal.capacity() {
-            overbooked = Some((t, used));
-        }
-        if let Some((before, level)) = prev {
-            if before >= t {
-                shape.push(Violation::CalendarCorrupt {
-                    detail: format!("breakpoints out of order: {before} then {t}"),
-                });
-            }
-            if level == used {
-                shape.push(Violation::CalendarCorrupt {
-                    detail: format!(
-                        "redundant breakpoint at {t}: usage {used} unchanged from {before}"
-                    ),
-                });
-            }
-        } else {
-            first = Some((t, used));
-        }
-        prev = Some((t, used));
-    }
-    let last = prev;
+    let clean = match grain {
+        Some(g) => shape_is_clean::<true>(cal, g),
+        None => shape_is_clean::<false>(cal, 1),
+    };
+    let shape = if clean {
+        ShapeFindings::default()
+    } else {
+        ordered_scan(cal, grain)
+    };
 
-    if let (Some((t, procs)), Some(grain)) = (misaligned, grain) {
+    if let (Some((t, procs)), Some(grain)) = (shape.misaligned, grain) {
         out.push(Violation::HierarchyViolation {
             at: format!("breakpoint {t}"),
             procs,
@@ -761,20 +736,20 @@ pub fn audit_calendar_with(
         }
     }
 
-    out.extend(shape);
-    if let Some((first, 0)) = first {
+    out.extend(shape.corrupt);
+    if let Some(first) = shape.leading_zero {
         out.push(Violation::CalendarCorrupt {
             detail: format!("leading breakpoint at {first} carries zero usage"),
         });
     }
-    if let Some((last, used)) = last.filter(|&(_, used)| used != 0) {
+    if let Some((last, used)) = shape.trailing {
         out.push(Violation::CalendarCorrupt {
             detail: format!(
                 "trailing breakpoint at {last} carries usage {used} (calendar never drains)"
             ),
         });
     }
-    if let Some((at, used)) = overbooked {
+    if let Some((at, used)) = shape.overbooked {
         out.push(Violation::CalendarOverbooked {
             at,
             used,
@@ -784,9 +759,10 @@ pub fn audit_calendar_with(
 
     // The production integral over the whole span, computed once: the
     // ledger is checked against it, and so is the reference scan below.
-    let span = first
-        .zip(last)
-        .map(|((a, _), (b, _))| (a, b))
+    let span = cal
+        .breakpoints()
+        .next()
+        .zip(cal.horizon())
         .filter(|(a, b)| a < b);
     let recomputed = span.map_or(0, |(a, b)| cal.used_integral(a, b));
     if recomputed != cal.reserved_proc_seconds() {
@@ -796,6 +772,7 @@ pub fn audit_calendar_with(
         });
     }
 
+    let breakpoints = cal.num_breakpoints();
     if cal.num_reservations() == 0 && (breakpoints != 0 || cal.reserved_proc_seconds() != 0) {
         out.push(Violation::CancelledResidue {
             breakpoints,
@@ -825,6 +802,95 @@ pub fn audit_calendar_with(
     }
 
     out
+}
+
+/// Whether [`ordered_scan`] would find nothing: breakpoints strictly
+/// increasing, adjacent levels different, every level within capacity
+/// (and a multiple of `grain` when `GRAINED`), the leading level nonzero
+/// and the trailing one zero. One pass over the stored breakpoints that
+/// folds every condition without a branch, so a clean calendar, the one
+/// every audit expects, costs a straight loop; it writes nothing, and what
+/// it saw is not kept. Without a grain the alignment test is compiled out
+/// rather than asked of a grain of 1: a division per breakpoint would
+/// cost more than the rest of the fold.
+fn shape_is_clean<const GRAINED: bool>(cal: &Calendar, grain: u32) -> bool {
+    let aligned = |used: u32| !GRAINED || used.is_multiple_of(grain);
+    let levels = cal.levels();
+    let (Some((_, lead)), Some((_, trail))) = (levels.clone().next(), levels.clone().next_back())
+    else {
+        return true;
+    };
+    let (mut ordered, mut minimal, mut all_aligned, mut peak) = (true, true, aligned(lead), lead);
+    for ((t0, u0), (t1, u1)) in levels.clone().zip(levels.skip(1)) {
+        ordered &= t0 < t1;
+        minimal &= u0 != u1;
+        all_aligned &= aligned(u1);
+        peak = peak.max(u1);
+    }
+    ordered & minimal & all_aligned & (peak <= cal.capacity()) & (lead != 0) & (trail == 0)
+}
+
+/// What [`ordered_scan`] found wrong with a calendar's shape; nothing, for
+/// a calendar [`shape_is_clean`] accepts.
+#[derive(Default)]
+struct ShapeFindings {
+    /// The first level off the grain, with its breakpoint.
+    misaligned: Option<(Time, u32)>,
+    /// The first level above capacity, with its breakpoint.
+    overbooked: Option<(Time, u32)>,
+    /// Out-of-order and redundant breakpoints, in breakpoint order.
+    corrupt: Vec<Violation>,
+    /// The first breakpoint, when its level is zero.
+    leading_zero: Option<Time>,
+    /// The last breakpoint and its level, when the calendar never drains.
+    trailing: Option<(Time, u32)>,
+}
+
+/// The shape checks breakpoint by breakpoint, in order, writing each
+/// finding: run only on a calendar [`shape_is_clean`] refused. It reads
+/// the step function as segments plus the level at the horizon, so a
+/// calendar whose breakpoints are out of order is described as the
+/// public surface shows it.
+fn ordered_scan(cal: &Calendar, grain: Option<u32>) -> ShapeFindings {
+    // The step function as stored, read once: every segment's start with
+    // its level, then the last breakpoint with the trailing level.
+    let levels = cal
+        .segments()
+        .map(|(start, _, used)| (start, used))
+        .chain(cal.horizon().map(|last| (last, cal.used_at(last))));
+    // The first misaligned and the first overbooked level: one report
+    // each, since every later breakpoint would repeat it.
+    let mut found = ShapeFindings::default();
+    let mut first = None;
+    let mut prev: Option<(Time, u32)> = None;
+    for (t, used) in levels {
+        if found.misaligned.is_none() && grain.is_some_and(|g| !used.is_multiple_of(g)) {
+            found.misaligned = Some((t, used));
+        }
+        if found.overbooked.is_none() && used > cal.capacity() {
+            found.overbooked = Some((t, used));
+        }
+        if let Some((before, level)) = prev {
+            if before >= t {
+                found.corrupt.push(Violation::CalendarCorrupt {
+                    detail: format!("breakpoints out of order: {before} then {t}"),
+                });
+            }
+            if level == used {
+                found.corrupt.push(Violation::CalendarCorrupt {
+                    detail: format!(
+                        "redundant breakpoint at {t}: usage {used} unchanged from {before}"
+                    ),
+                });
+            }
+        } else {
+            first = Some((t, used));
+        }
+        prev = Some((t, used));
+    }
+    found.leading_zero = first.filter(|&(_, used)| used == 0).map(|(t, _)| t);
+    found.trailing = prev.filter(|&(_, used)| used != 0);
+    found
 }
 
 /// Audit a CPA/MCPA phase-1 allocation: one entry per task, every
@@ -1329,6 +1395,435 @@ mod tests {
         assert!(audit_calendar(&bad)
             .iter()
             .any(|v| matches!(v, Violation::CalendarCorrupt { .. })));
+    }
+
+    /// The body `audit_calendar_with` had before its shape checks became a
+    /// fold, kept only here: every check breakpoint by breakpoint, in
+    /// order, whether or not the calendar is clean. Its queries are the
+    /// production ones, which `backend_differential` checks three ways.
+    fn reference_audit(
+        cal: &Calendar,
+        grain: Option<u32>,
+        gate: Option<&AdmissionGate>,
+    ) -> Vec<Violation> {
+        let mut out = Vec::new();
+        // The step function as stored, read once: every segment's start with
+        // its level, then the last breakpoint with the trailing level.
+        let levels = cal
+            .segments()
+            .map(|(start, _, used)| (start, used))
+            .chain(cal.horizon().map(|last| (last, cal.used_at(last))));
+        let grain = grain.filter(|&g| g > 1);
+        // The first misaligned and the first overbooked level: one report
+        // each, since every later breakpoint would repeat it.
+        let mut misaligned = None;
+        let mut overbooked = None;
+        let mut shape = Vec::new();
+        let mut breakpoints = 0usize;
+        let mut first = None;
+        let mut prev: Option<(Time, u32)> = None;
+        for (t, used) in levels {
+            breakpoints += 1;
+            if misaligned.is_none() && grain.is_some_and(|g| !used.is_multiple_of(g)) {
+                misaligned = Some((t, used));
+            }
+            if overbooked.is_none() && used > cal.capacity() {
+                overbooked = Some((t, used));
+            }
+            if let Some((before, level)) = prev {
+                if before >= t {
+                    shape.push(Violation::CalendarCorrupt {
+                        detail: format!("breakpoints out of order: {before} then {t}"),
+                    });
+                }
+                if level == used {
+                    shape.push(Violation::CalendarCorrupt {
+                        detail: format!(
+                            "redundant breakpoint at {t}: usage {used} unchanged from {before}"
+                        ),
+                    });
+                }
+            } else {
+                first = Some((t, used));
+            }
+            prev = Some((t, used));
+        }
+        let last = prev;
+
+        if let (Some((t, procs)), Some(grain)) = (misaligned, grain) {
+            out.push(Violation::HierarchyViolation {
+                at: format!("breakpoint {t}"),
+                procs,
+                grain,
+            });
+        }
+        if let Some(gate) = gate {
+            for d in gate.audit() {
+                out.push(Violation::QuotaViolation {
+                    subject: d.subject.clone(),
+                    reason: d.reason_code().to_string(),
+                    detail: d.to_string(),
+                });
+            }
+        }
+
+        out.extend(shape);
+        if let Some((first, 0)) = first {
+            out.push(Violation::CalendarCorrupt {
+                detail: format!("leading breakpoint at {first} carries zero usage"),
+            });
+        }
+        if let Some((last, used)) = last.filter(|&(_, used)| used != 0) {
+            out.push(Violation::CalendarCorrupt {
+                detail: format!(
+                    "trailing breakpoint at {last} carries usage {used} (calendar never drains)"
+                ),
+            });
+        }
+        if let Some((at, used)) = overbooked {
+            out.push(Violation::CalendarOverbooked {
+                at,
+                used,
+                capacity: cal.capacity(),
+            });
+        }
+
+        // The production integral over the whole span, computed once: the
+        // ledger is checked against it, and so is the reference scan below.
+        let span = first
+            .zip(last)
+            .map(|((a, _), (b, _))| (a, b))
+            .filter(|(a, b)| a < b);
+        let recomputed = span.map_or(0, |(a, b)| cal.used_integral(a, b));
+        if recomputed != cal.reserved_proc_seconds() {
+            out.push(Violation::CalendarAccountingDrift {
+                recorded: cal.reserved_proc_seconds(),
+                recomputed,
+            });
+        }
+
+        if cal.num_reservations() == 0 && (breakpoints != 0 || cal.reserved_proc_seconds() != 0) {
+            out.push(Violation::CancelledResidue {
+                breakpoints,
+                proc_seconds: cal.reserved_proc_seconds(),
+            });
+        }
+
+        if let Some((a, b)) = span {
+            let linear = cal.linear();
+            let (cp, lp) = (cal.peak_used(a, b), linear.peak_used(a, b));
+            if cp != lp {
+                out.push(Violation::BackendDivergence {
+                    from: a,
+                    to: b,
+                    calendar: cp,
+                    linear: lp,
+                });
+            }
+            let li = linear.used_integral(a, b);
+            if recomputed != li {
+                out.push(Violation::CalendarCorrupt {
+                    detail: format!(
+                        "usage integral diverges over [{a}, {b}): calendar {recomputed} vs linear {li}"
+                    ),
+                });
+            }
+        }
+
+        out
+    }
+
+    /// The kinds of finding a calendar audit writes, for the tally below.
+    const AUDIT_KINDS: [&str; 7] = [
+        "hierarchy",
+        "quota",
+        "corrupt",
+        "overbooked",
+        "drift",
+        "residue",
+        "divergence",
+    ];
+
+    fn audit_kind(v: &Violation) -> usize {
+        match v {
+            Violation::HierarchyViolation { .. } => 0,
+            Violation::QuotaViolation { .. } => 1,
+            Violation::CalendarCorrupt { .. } => 2,
+            Violation::CalendarOverbooked { .. } => 3,
+            Violation::CalendarAccountingDrift { .. } => 4,
+            Violation::CancelledResidue { .. } => 5,
+            Violation::BackendDivergence { .. } => 6,
+            other => panic!("not an audit finding: {other:?}"),
+        }
+    }
+
+    /// The findings an audit reads off the breakpoints one by one (shape,
+    /// grain, capacity, residue) and the quota gate's: what must agree on a
+    /// calendar whose breakpoints are out of order, where the slot queries'
+    /// binary searches read an unsorted vector.
+    fn shape_findings(report: Vec<Violation>) -> Vec<Violation> {
+        report
+            .into_iter()
+            .filter(|v| match v {
+                Violation::CalendarAccountingDrift { .. } | Violation::BackendDivergence { .. } => {
+                    false
+                }
+                Violation::CalendarCorrupt { detail } => !detail.starts_with("usage integral"),
+                _ => true,
+            })
+            .collect()
+    }
+
+    /// A calendar of `n` seeded reservations, built in one sweep and then
+    /// put through a cycle of removals, shrinks and additions. Widths are
+    /// multiples of `grain`; at most nine reservations overlap and each
+    /// takes at most a sixteenth of the machine, so every one fits.
+    fn mutated_calendar(
+        rng: &mut rand_chacha::ChaCha8Rng,
+        n: usize,
+        grain: u32,
+    ) -> (Calendar, Vec<Reservation>) {
+        use rand::Rng;
+        let capacity = 16 * grain * rng.gen_range(1..=8u32);
+        let base = rng.gen_range(-1_000_000i64..1_000_000);
+        let mut live: Vec<Reservation> = (0..n as i64)
+            .map(|i| {
+                let start = base + 100 * i + rng.gen_range(0..100i64);
+                let procs = grain * rng.gen_range(1..=capacity / grain / 16);
+                Reservation::new(
+                    Time::seconds(start),
+                    Time::seconds(start + rng.gen_range(1..=800i64)),
+                    procs,
+                )
+            })
+            .collect();
+        let mut cal = Calendar::with_reservations(capacity, live.iter().copied()).unwrap();
+        for _ in 0..rng.gen_range(0..=40.min(n)) {
+            let k = rng.gen_range(0..live.len());
+            match rng.gen_range(0..3) {
+                0 => {
+                    cal.try_remove(live.swap_remove(k)).unwrap();
+                }
+                1 => {
+                    let old = live[k];
+                    let new = Reservation::new(old.start, old.start + Dur::seconds(1), old.procs);
+                    if new != old {
+                        cal.try_resize(old, new).unwrap();
+                        live[k] = new;
+                    }
+                }
+                _ => {
+                    let old = live[k];
+                    let new = Reservation::new(old.end, old.end + Dur::seconds(50), grain);
+                    if cal.try_add(new).is_ok() {
+                        live.push(new);
+                    }
+                }
+            }
+        }
+        (cal, live)
+    }
+
+    /// A calendar's four serialized fields, as plain values to edit.
+    #[derive(Clone)]
+    struct Fields {
+        capacity: u32,
+        steps: Vec<(i64, u32)>,
+        reserved_proc_seconds: i64,
+        num_reservations: usize,
+    }
+
+    impl Fields {
+        fn of(cal: &Calendar) -> Fields {
+            Fields {
+                capacity: cal.capacity(),
+                steps: cal
+                    .levels()
+                    .map(|(t, used)| (t.as_seconds(), used))
+                    .collect(),
+                reserved_proc_seconds: cal.reserved_proc_seconds(),
+                num_reservations: cal.num_reservations(),
+            }
+        }
+
+        /// The calendar these fields describe, read back through its JSON
+        /// form: serde trusts every field.
+        fn calendar(&self) -> Calendar {
+            use serde_json::{Number, Value};
+            let (int, uint) = (
+                |n| Value::Number(Number::I64(n)),
+                |n| Value::Number(Number::U64(n)),
+            );
+            let steps = self.steps.iter().map(|&(time, used)| {
+                let fields = [("time", int(time)), ("used", uint(u64::from(used)))];
+                Value::Object(
+                    fields
+                        .into_iter()
+                        .map(|(k, v)| (k.to_string(), v))
+                        .collect(),
+                )
+            });
+            let fields = [
+                ("capacity", uint(u64::from(self.capacity))),
+                ("steps", Value::Array(steps.collect())),
+                ("reserved_proc_seconds", int(self.reserved_proc_seconds)),
+                ("num_reservations", uint(self.num_reservations as u64)),
+            ];
+            let json = Value::Object(
+                fields
+                    .into_iter()
+                    .map(|(k, v)| (k.to_string(), v))
+                    .collect(),
+            );
+            serde_json::from_value(json).unwrap()
+        }
+
+        /// One seeded way to break the fields: `kind` 1 drifts the ledger,
+        /// 2 clears the reservation count, 3 overbooks a level, 4 splits a
+        /// segment with a redundant breakpoint, 5 zeroes the leading level,
+        /// 6 lifts the trailing one, 7 puts a level off a grain of 2, 8 swaps
+        /// two breakpoints' times.
+        fn tamper(&mut self, rng: &mut rand_chacha::ChaCha8Rng, kind: u64) {
+            use rand::Rng;
+            let n = self.steps.len();
+            let i = rng.gen_range(0..n.max(1));
+            match kind {
+                1 => self.reserved_proc_seconds += rng.gen_range(1..100i64),
+                2 => self.num_reservations = 0,
+                3 if n > 0 => self.steps[i].1 = self.capacity + rng.gen_range(1..4u32),
+                4 if n > 1 => {
+                    let i = i.min(n - 2);
+                    let ((t0, used), (t1, _)) = (self.steps[i], self.steps[i + 1]);
+                    if t1 - t0 > 1 {
+                        self.steps.insert(i + 1, (t0 + (t1 - t0) / 2, used));
+                    }
+                }
+                5 if n > 0 => self.steps[0].1 = 0,
+                6 if n > 0 => self.steps[n - 1].1 = rng.gen_range(1..=self.capacity),
+                7 if n > 0 => self.steps[i].1 |= 1,
+                8 if n > 1 => {
+                    let j = rng.gen_range(0..n);
+                    let (ti, tj) = (self.steps[i].0, self.steps[j].0);
+                    (self.steps[i].0, self.steps[j].0) = (tj, ti);
+                }
+                _ => {}
+            }
+        }
+    }
+
+    /// The production audit against [`reference_audit`]: well-formed
+    /// calendars from seeded mutation cycles of up to ~20 000 breakpoints,
+    /// with and without a grain and a quota gate, each also tampered
+    /// through its JSON form one way or two (the gate's limit too). The
+    /// reports must be equal whenever the breakpoints are in order, and
+    /// their shape findings equal when they are not. Every kind of finding
+    /// the shape, capacity, grain, ledger and quota checks write shows up
+    /// at least once, so the ordered scan behind a finding runs.
+    /// `RESCHED_DIFF_ITERS` draws (default 8).
+    #[test]
+    fn audit_matches_the_reference_audit() {
+        use rand::{Rng, SeedableRng};
+        use resched_resv::{QuotaRule, QuotaSubject};
+        let draws: u64 = std::env::var("RESCHED_DIFF_ITERS")
+            .ok()
+            .and_then(|v| v.parse().ok())
+            .unwrap_or(8);
+        const SIZES: [usize; 8] = [0, 1, 2, 7, 60, 400, 1_000, 10_000];
+        let mut seen = [0u64; 7];
+        let (mut ordered_cases, mut unordered_cases) = (0u64, 0u64);
+        for seed in 0..draws {
+            let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(seed);
+            let n = SIZES[seed as usize % SIZES.len()];
+            let grain = [1u32, 2, 4][rng.gen_range(0..3usize)];
+            let (cal, live) = mutated_calendar(&mut rng, n, grain);
+            // The gate admits one reservation at a time against what it
+            // holds: quadratic, so only up to a thousand.
+            let gate = (rng.gen_bool(0.5) && n <= 1_000).then(|| {
+                let users = ["u0", "u1", "u2"];
+                let mut quotas = QuotaSet::unlimited();
+                for user in users {
+                    let limit = cal.capacity() / 2;
+                    quotas = quotas.with_rule(QuotaRule::concurrent(
+                        QuotaSubject::User(user.into()),
+                        limit,
+                    ));
+                }
+                let mut gate = AdmissionGate::new(quotas);
+                for (k, &r) in live.iter().enumerate() {
+                    let _ = gate.admit(&Owner::new(users[k % users.len()], "p"), r);
+                }
+                gate
+            });
+            let audit_grain = (grain > 1)
+                .then_some(grain)
+                .or(rng.gen_bool(0.3).then_some(2));
+            let clean = audit_calendar_with(&cal, audit_grain, gate.as_ref());
+            assert_eq!(
+                clean,
+                reference_audit(&cal, audit_grain, gate.as_ref()),
+                "draw {seed}: {n} reservations"
+            );
+            for v in &clean {
+                seen[audit_kind(v)] += 1;
+            }
+            ordered_cases += 1;
+
+            let fields = Fields::of(&cal);
+            for kind in 1..=9u64 {
+                let mut bad = fields.clone();
+                bad.tamper(&mut rng, kind);
+                if rng.gen_bool(0.3) {
+                    let second = rng.gen_range(1..=8);
+                    bad.tamper(&mut rng, second);
+                }
+                let bad = bad.calendar();
+                // Kind 9 tampers the gate: a limit below what it holds.
+                let tampered = kind == 9;
+                let bad_gate: Option<AdmissionGate> = gate.as_ref().filter(|_| tampered).map(|g| {
+                    let text = serde_json::to_string(g).unwrap();
+                    let limit = format!("\"max_concurrent_cores\":{}", cal.capacity() / 2);
+                    serde_json::from_str(&text.replace(&limit, "\"max_concurrent_cores\":1"))
+                        .unwrap()
+                });
+                let gate = bad_gate.as_ref().or(gate.as_ref());
+                let grain = if kind == 7 { Some(2) } else { audit_grain };
+                let (got, want) = (
+                    audit_calendar_with(&bad, grain, gate),
+                    reference_audit(&bad, grain, gate),
+                );
+                for v in &got {
+                    seen[audit_kind(v)] += 1;
+                }
+                let in_order = bad
+                    .levels()
+                    .zip(bad.levels().skip(1))
+                    .all(|((a, _), (b, _))| a < b);
+                if in_order {
+                    ordered_cases += 1;
+                    assert_eq!(got, want, "draw {seed}, tamper {kind}: {n} reservations");
+                } else {
+                    unordered_cases += 1;
+                    assert_eq!(
+                        shape_findings(got),
+                        shape_findings(want),
+                        "draw {seed}, tamper {kind}: {n} reservations, out of order"
+                    );
+                }
+            }
+        }
+        eprintln!(
+            "audit differential: {ordered_cases} calendars in order, {unordered_cases} out of order; findings {:?}",
+            AUDIT_KINDS.iter().zip(seen).collect::<Vec<_>>()
+        );
+        if draws >= 8 {
+            for (kind, count) in AUDIT_KINDS.iter().zip(seen).take(6) {
+                assert!(count > 0, "no {kind} finding in {draws} draws");
+            }
+            assert!(
+                unordered_cases > 0,
+                "no out-of-order calendar in {draws} draws"
+            );
+        }
     }
 
     #[test]

@@ -44,6 +44,29 @@ pub(crate) struct Step {
     pub(crate) used: u32,
 }
 
+/// `from` plus how many of `steps[from..]` lie before `t`: the
+/// `partition_point` of `time < t` over the breakpoints from `from` on,
+/// found by galloping from `from` (probes at `from`, `from + 1`,
+/// `from + 3`, `from + 7`, …, then a binary search within the last
+/// doubling). A window over `k` breakpoints costs `O(log k)` probes however
+/// long the calendar is, so the window queries the validator asks per
+/// interval, which hold no breakpoint inside, pay one or two; a whole-span
+/// query pays about twice a binary search. Every breakpoint before `from`
+/// must lie before `t` for the answer to be the `partition_point` over
+/// all of `steps`.
+pub(crate) fn before_from(steps: &[Step], from: usize, t: Time) -> usize {
+    let tail = steps.get(from..).unwrap_or_default();
+    let mut reach = 1;
+    while tail.get(reach - 1).is_some_and(|s| s.time < t) {
+        reach *= 2;
+    }
+    // Everything below `reach / 2` lies before `t`; `tail[reach - 1]`, if
+    // any, does not.
+    let lower = reach / 2;
+    let last = tail.get(lower..reach.min(tail.len())).unwrap_or_default();
+    from + lower + last.partition_point(|s| s.time < t)
+}
+
 /// Work performed by calendar slot queries, for scheduler statistics.
 ///
 /// `steps` counts the slots a query inspected plus one for the binary
@@ -631,6 +654,17 @@ impl Calendar {
             .map(|(a, b)| (a.time, b.time, a.used))
     }
 
+    /// The breakpoints as stored, each with the usage level it starts:
+    /// `(time, used)` in vector order, the last one's `used` being the level
+    /// the calendar drains to. What an auditor reads to re-check the
+    /// canonical form (ordered, minimal, leading level nonzero, trailing
+    /// level zero) without trusting it.
+    pub fn levels(
+        &self,
+    ) -> impl DoubleEndedIterator<Item = (Time, u32)> + ExactSizeIterator + Clone + '_ {
+        self.steps.iter().map(|s| (s.time, s.used))
+    }
+
     /// Iterate the breakpoint instants of the usage step function, in
     /// strictly increasing order. Usage is constant on every half-open
     /// interval between consecutive breakpoints (and zero before the first
@@ -829,62 +863,38 @@ impl LinearRef<'_> {
         }
     }
 
-    /// Linear-scan [`Calendar::peak_used`].
-    pub fn peak_used(&self, from: Time, to: Time) -> u32 {
-        let cal = self.cal;
-        assert!(from < to, "empty window");
-        let mut peak = cal.used_at(from);
-        let start_idx = match cal.steps.binary_search_by_key(&from, |s| s.time) {
-            Ok(i) => i + 1,
-            Err(i) => i,
-        };
-        for s in &cal.steps[start_idx..] {
-            if s.time >= to {
-                break;
-            }
-            peak = peak.max(s.used);
-        }
-        peak
+    /// The stored breakpoints strictly inside `(from, to)`: the instants
+    /// where the usage level changes within the window, a binary search to
+    /// the first and a gallop from it to the end.
+    fn inside(&self, from: Time, to: Time) -> &[Step] {
+        let steps = &self.cal.steps;
+        let lo = steps.partition_point(|s| s.time <= from);
+        steps
+            .get(lo..before_from(steps, lo, to))
+            .unwrap_or_default()
     }
 
-    /// Linear-scan [`Calendar::used_integral`].
-    // lint:allow(panic-transitive): step indices come from binary searches and linear walks over `cal.steps`, bounded by its length at every step.
+    /// Linear-scan [`Calendar::peak_used`]: the level at `from`, and every
+    /// level a breakpoint inside the window starts.
+    pub fn peak_used(&self, from: Time, to: Time) -> u32 {
+        assert!(from < to, "empty window");
+        let at_from = self.cal.used_at(from);
+        self.inside(from, to)
+            .iter()
+            .fold(at_from, |peak, s| peak.max(s.used))
+    }
+
+    /// Linear-scan [`Calendar::used_integral`]: the level at `from` until
+    /// the first breakpoint inside the window, each one's level until the
+    /// next or `to`, every segment clamped to the window.
     pub fn used_integral(&self, from: Time, to: Time) -> i64 {
-        let cal = self.cal;
         assert!(from <= to);
-        if from == to || cal.steps.is_empty() {
-            return 0;
+        let (mut total, mut since, mut level) = (0i64, from, self.cal.used_at(from));
+        for s in self.inside(from, to) {
+            total += i64::from(level) * (s.time - since).as_seconds();
+            (since, level) = (s.time, s.used);
         }
-        let mut total = 0i64;
-        // Segment covering `from`.
-        let mut idx = match cal.steps.binary_search_by_key(&from, |s| s.time) {
-            Ok(i) => i,
-            Err(i) => i.saturating_sub(1),
-        };
-        // If `from` precedes the first breakpoint, usage is 0 until steps[0].
-        if cal.steps[idx].time > from {
-            // idx == 0 here
-            if cal.steps[0].time >= to {
-                return 0;
-            }
-        }
-        let mut cursor = from;
-        if cal.steps[idx].time <= from {
-            let seg_end = cal.next_time_after_idx(idx).min(to);
-            total += cal.steps[idx].used as i64 * (seg_end - cursor).as_seconds();
-            cursor = seg_end;
-            idx += 1;
-        }
-        while idx < cal.steps.len() && cal.steps[idx].time < to {
-            let seg_start = cal.steps[idx].time.max(cursor);
-            let seg_end = cal.next_time_after_idx(idx).min(to);
-            if seg_end > seg_start {
-                total += cal.steps[idx].used as i64 * (seg_end - seg_start).as_seconds();
-                cursor = seg_end;
-            }
-            idx += 1;
-        }
-        total
+        total + i64::from(level) * (to - since).as_seconds()
     }
 
     fn first_blocker(

@@ -538,7 +538,8 @@ impl<'a> Profile<'a> {
             *level += d;
             Some(*level)
         });
-        self.peak.max(inside.fold(below, i64::max) + i64::from(r.procs))
+        self.peak
+            .max(inside.fold(below, i64::max) + i64::from(r.procs))
     }
 
     /// Record `r` as held by the subject, keeping the deltas sorted.
@@ -583,7 +584,10 @@ impl<'a> Profile<'a> {
             }
             QuotaAxis::CoreSeconds => {
                 let limit = self.rule.max_core_seconds?;
-                (self.area + extra.map_or(0, Reservation::proc_seconds), limit)
+                (
+                    self.area + extra.map_or(0, Reservation::proc_seconds),
+                    limit,
+                )
             }
         };
         (requested > limit).then(|| QuotaDenial {
@@ -919,7 +923,10 @@ mod tests {
             let audit = back.audit();
             assert_eq!(audit.len(), denied);
             if let Some(d) = audit.first() {
-                assert_eq!((d.subject.as_str(), d.requested, d.limit), ("project:p", 6, 5));
+                assert_eq!(
+                    (d.subject.as_str(), d.requested, d.limit),
+                    ("project:p", 6, 5)
+                );
             }
             for (owner, x) in entries.iter().rev() {
                 assert!(back.release(owner, x));

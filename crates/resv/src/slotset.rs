@@ -26,7 +26,7 @@
 //!   periods;
 //! * outside the covered span every processor is free (implicitly).
 
-use crate::calendar::Step;
+use crate::calendar::{before_from, Step};
 use crate::reservation::Reservation;
 use crate::time::{Dur, Time};
 
@@ -464,23 +464,59 @@ impl<'a> Slots<'a> {
         Some(lead)
     }
 
+    /// The breakpoints that bound the slots intersecting `[from, to)`:
+    /// slot `k` of the run is `(run[k], run[k + 1])`, so the run holds one
+    /// more breakpoint than there are slots (none when it is empty). The
+    /// positioning search, then a gallop to the first slot starting at or
+    /// after `to`: a short window pays a probe or two past the search, and
+    /// no slot is walked.
+    fn bounding(self, from: Time, to: Time) -> &'a [Step] {
+        let lo = self.first_ending_after(from);
+        let hi = before_from(self.steps, lo, to).min(self.steps.len().saturating_sub(1));
+        self.steps.get(lo..=hi).unwrap_or_default()
+    }
+
     /// Peak processors in use over `[from, to)`. Implicitly-free time
     /// outside the covered span contributes 0.
     pub(crate) fn peak_used(self, from: Time, to: Time) -> u32 {
         assert!(from < to, "empty window");
-        self.intersecting(from, to)
-            .map(|s| s.used)
-            .max()
-            .unwrap_or(0)
+        let run = self.bounding(from, to);
+        // Every breakpoint but the last starts a slot of the window.
+        let starts = run.split_last().map_or(run, |(_, starts)| starts);
+        starts.iter().fold(0, |peak, s| peak.max(s.used))
     }
 
     /// Integral of processors-in-use over `[from, to)`, in
-    /// processor-seconds.
+    /// processor-seconds: every slot of the window whole, in one loop with
+    /// no early exit, less the parts of the two end slots that lie outside
+    /// it.
+    ///
+    /// The arithmetic wraps. A whole end slot can hold more
+    /// processor-seconds than an `i64` while the window's share of it does
+    /// not; every operation here is a ring operation, exact modulo 2^64, so
+    /// whenever the integral itself fits in an `i64` the wrapped result is
+    /// that integral exactly.
     pub(crate) fn used_integral(self, from: Time, to: Time) -> i64 {
         assert!(from <= to);
-        self.intersecting(from, to)
-            .map(|s| i64::from(s.used) * (s.end.min(to) - s.start.max(from)).as_seconds())
-            .sum()
+        let run = self.bounding(from, to);
+        let area = |used: u32, from: Time, to: Time| {
+            i64::from(used).wrapping_mul(to.as_seconds().wrapping_sub(from.as_seconds()))
+        };
+        let whole = run
+            .iter()
+            .zip(run.iter().skip(1))
+            .fold(0i64, |sum, (a, b)| {
+                sum.wrapping_add(area(a.used, a.time, b.time))
+            });
+        let head = match run {
+            [a, _, ..] if a.time < from => area(a.used, a.time, from),
+            _ => 0,
+        };
+        let tail = match run {
+            [.., a, b] if b.time > to => area(a.used, to, b.time),
+            _ => 0,
+        };
+        whole.wrapping_sub(head).wrapping_sub(tail)
     }
 
     /// The first instant `t >= from` at which the free processor-seconds

@@ -18,10 +18,11 @@
 //! `--probe-fanout` takes 1 to `PROBE_ROSTER.len()` (4), `--accel` a finite
 //! factor above 0, `--admit-hours` 1 to `swf::MAX_SECONDS / 3600` and
 //! `--days` 1 to `swf::MAX_SECONDS / 86_400` (the parser's bound on
-//! instants, in hours and in days), `--quota-users` 1 to 4096 (each user
-//! is two owners and up to two quota rules, all built before the first
-//! arrival, and every ledger audit reads every rule); anything else is a
-//! usage error.
+//! instants, in hours and in days), `--tasks` 1 to 1000 (ten times the
+//! paper's largest Table 1 application; every arrival generates a DAG of
+//! that size), `--quota-users` 1 to 4096 (each user is two owners and up
+//! to two quota rules, all built before the first arrival, and every
+//! ledger audit reads every rule); anything else is a usage error.
 //!
 //! `--assert-clean` exits nonzero unless the run had zero calendar-audit
 //! violations and exercised both the commit and the rollback path — and,
@@ -31,6 +32,11 @@
 use resched_serve::{run, summarize, ServeConfig, ServeQuotaConfig, PROBE_ROSTER};
 use resched_workloads::prelude::*;
 use std::process::ExitCode;
+
+/// The most tasks `--tasks` takes: ten times the largest application of
+/// the paper's Table 1 (100 tasks). Every arrival generates and schedules a
+/// DAG of this size, so an unbounded value allocates without bound.
+const MAX_TASKS: usize = 1000;
 
 /// The most synthetic users `--quota-users` takes. Each user is two
 /// owners and up to two rules, all built before the first arrival, and
@@ -98,7 +104,14 @@ fn main() -> ExitCode {
             "--accel" => {
                 cfg.accel = parse_if("--accel", args.next(), |x: &f64| x.is_finite() && *x > 0.0)
             }
-            "--tasks" => cfg.tasks_per_app = parse("--tasks", args.next()),
+            "--tasks" => {
+                // 0 used to run as 1 (`tasks_per_app.max(1)`).
+                let tasks = 1..=MAX_TASKS;
+                cfg.tasks_per_app =
+                    parse_if(&format!("--tasks (expected {tasks:?})"), args.next(), |n| {
+                        tasks.contains(n)
+                    });
+            }
             "--seed" => cfg.seed = parse("--seed", args.next()),
             "--cancel-every" => cfg.cancel_every = parse("--cancel-every", args.next()),
             "--resize-every" => cfg.resize_every = parse("--resize-every", args.next()),

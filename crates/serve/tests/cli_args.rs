@@ -33,6 +33,11 @@ fn out_of_domain_flag_values_are_usage_errors() {
         ("--quota-users", "0"),
         ("--quota-users", "4097"),
         ("--quota-users", "18446744073709551615"),
+        // Any `usize` used to be taken: a huge value made every arrival
+        // generate a DAG that size, and 0 ran as 1.
+        ("--tasks", "0"),
+        ("--tasks", "1001"),
+        ("--tasks", "18446744073709551615"),
     ] {
         let out = Command::new(env!("CARGO_BIN_EXE_resched-serve"))
             .args(["--apps", "5", flag, value])
@@ -59,10 +64,28 @@ fn the_widest_admission_horizon_is_accepted() {
 }
 
 #[test]
+fn the_largest_applications_are_accepted() {
+    // `MAX_TASKS`, the last value inside the bound.
+    let out = Command::new(env!("CARGO_BIN_EXE_resched-serve"))
+        .args(["--apps", "1", "--tasks", "1000"])
+        .output()
+        .expect("resched-serve runs");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(0), "{stderr}");
+}
+
+#[test]
 fn the_most_quota_users_are_accepted() {
     // `MAX_QUOTA_USERS`, the last value inside the bound.
     let out = Command::new(env!("CARGO_BIN_EXE_resched-serve"))
-        .args(["--apps", "5", "--quota-users", "4096", "--quota-cores", "300"])
+        .args([
+            "--apps",
+            "5",
+            "--quota-users",
+            "4096",
+            "--quota-cores",
+            "300",
+        ])
         .output()
         .expect("resched-serve runs");
     let stderr = String::from_utf8_lossy(&out.stderr);

@@ -218,6 +218,147 @@ fn dispatched_queries_are_backend_invariant() {
     }
 }
 
+/// Peak usage and usage integral over `[from, to)` by a sum over the
+/// calendar's segments, each clipped to the window, in `i128`: the third
+/// opinion beside the calendar's slot loop and the linear reference.
+fn per_segment(cal: &Calendar, from: Time, to: Time) -> (u32, i128) {
+    let (mut peak, mut area) = (0, 0i128);
+    for (start, end, used) in cal.segments() {
+        let (a, b) = (start.max(from), end.min(to));
+        if a < b {
+            peak = peak.max(used);
+            area += i128::from(used) * i128::from((b - a).as_seconds());
+        }
+    }
+    (peak, area)
+}
+
+/// Windows around a calendar's breakpoints: before, after, straddling and
+/// inside its span, between breakpoints and across them, and seeded ones
+/// reaching past either end.
+fn aggregate_windows(cal: &Calendar, rng: &mut ChaCha12Rng) -> Vec<(Time, Time)> {
+    use rand::Rng;
+    let points: Vec<Time> = cal.breakpoints().collect();
+    let (lo, hi) = match (points.first(), points.last()) {
+        (Some(&lo), Some(&hi)) => (lo, hi),
+        _ => (Time::ZERO, Time::seconds(100)),
+    };
+    let span = (hi - lo).as_seconds().max(2);
+    let mid = lo + Dur::seconds(span / 2);
+    let s = Dur::seconds;
+    let mut windows = vec![
+        (lo - s(100), lo - s(1)),
+        (lo - s(100), lo),
+        (hi, hi + s(100)),
+        (hi + s(1), hi + s(50)),
+        (lo - s(50), mid),
+        (mid, hi + s(50)),
+        (lo - s(10), hi + s(10)),
+        (lo, hi),
+        (lo, mid),
+        (mid, mid + s(1)),
+    ];
+    for pair in points.windows(2).take(6) {
+        if let &[a, b] = pair {
+            windows.push((a, b));
+            windows.push((a + s(1), b + s(1)));
+        }
+    }
+    for _ in 0..12 {
+        let a = lo + s(rng.gen_range(-span..2 * span));
+        let b = a + s(rng.gen_range(1..=2 * span));
+        windows.push((a, b));
+    }
+    windows.retain(|(a, b)| a < b);
+    windows
+}
+
+/// `peak_used` and `used_integral` three ways: the calendar's (one loop
+/// over the slots two binary searches bound, the end slots clipped), its
+/// `linear()` reference's (the level at `from` and the breakpoints inside,
+/// segments clamped to the window) and [`per_segment`]'s. On the empty
+/// calendar, a single reservation, seeded scenario calendars and two
+/// calendars spanning `±swf::MAX_SECONDS`: one built by `try_add`, and one
+/// deserialized with levels of 2^31 processors, whose whole slots hold
+/// more processor-seconds than an `i64` while the windows near zero and
+/// near either end do not. The calendar's wrapping arithmetic must still
+/// give those exactly. A window whose integral does not fit in an `i64` is
+/// asked only for its peak.
+#[test]
+fn aggregates_agree_three_ways() {
+    use resched_workloads::swf::MAX_SECONDS;
+    let mut rng = ChaCha12Rng::seed_from_u64(DIFF_SEED ^ 2);
+    let (low, high) = (Time::seconds(-MAX_SECONDS), Time::seconds(MAX_SECONDS));
+    let mut wide = Calendar::new(1 << 20);
+    for (start, end, procs) in [
+        (-MAX_SECONDS, MAX_SECONDS, 1 << 19),
+        (-MAX_SECONDS, -MAX_SECONDS + 7, 1 << 18),
+        (MAX_SECONDS - 10, MAX_SECONDS, 5),
+        (-3, 4, 1 << 10),
+    ] {
+        wide.try_add(Reservation::new(
+            Time::seconds(start),
+            Time::seconds(end),
+            procs,
+        ))
+        .expect("fits the machine");
+    }
+    // No calendar built by `try_add` holds a slot past an `i64` (its
+    // ledger would overflow first); a deserialized one can.
+    let json = format!(
+        r#"{{"capacity":{},"steps":[{{"time":{},"used":{}}},{{"time":-3,"used":{}}},{{"time":4,"used":{}}},{{"time":{},"used":0}}],"reserved_proc_seconds":0,"num_reservations":2}}"#,
+        u32::MAX,
+        -MAX_SECONDS,
+        1u32 << 31,
+        (1u32 << 31) + 7,
+        1u32 << 31,
+        MAX_SECONDS
+    );
+    let huge: Calendar = serde_json::from_str(&json).expect("calendar parses");
+    let mut single = Calendar::new(8);
+    single
+        .try_add(Reservation::new(Time::seconds(10), Time::seconds(20), 3))
+        .unwrap();
+    let mut calendars = vec![("empty", Calendar::new(8)), ("single", single)];
+    for _ in 0..iterations() {
+        let (cal, _) = Scenario::generate(&mut rng).calendar_with_live();
+        calendars.push(("scenario", cal));
+    }
+    calendars.extend([("wide", wide), ("huge", huge)]);
+    let mut checked = (0usize, 0usize);
+    for (name, cal) in &calendars {
+        let mut windows = aggregate_windows(cal, &mut rng);
+        if matches!(*name, "wide" | "huge") {
+            let s = Dur::seconds;
+            windows.extend([
+                (Time::seconds(-1), Time::seconds(1)),
+                (low - s(5), low + s(5)),
+                (low, low + s(3)),
+                (low + s(6), low + s(8)),
+                (high - s(3), high),
+                (high - s(11), high + s(5)),
+                (Time::seconds(-5), Time::seconds(5)),
+            ]);
+        }
+        let lin = cal.linear();
+        for (a, b) in windows {
+            let (peak, area) = per_segment(cal, a, b);
+            let at = format!("{name} calendar over [{a}, {b})");
+            assert_eq!(cal.peak_used(a, b), peak, "{at}: calendar peak");
+            assert_eq!(lin.peak_used(a, b), peak, "{at}: linear peak");
+            checked.0 += 1;
+            let Ok(area) = i64::try_from(area) else {
+                continue;
+            };
+            assert_eq!(cal.used_integral(a, b), area, "{at}: calendar integral");
+            assert_eq!(lin.used_integral(a, b), area, "{at}: linear integral");
+            assert_eq!(cal.used_integral(a, a), 0, "{at}: empty window");
+            checked.1 += 1;
+        }
+    }
+    assert!(checked.1 > 100, "too few integrals compared: {checked:?}");
+}
+
 /// Committed backend-divergence repros (if any) stay fixed forever.
 #[test]
 fn committed_backend_repros_replay_green() {
