@@ -13,7 +13,7 @@
 //!
 //! [`schedule_blind`] reproduces the `BL_CPAR / BD_CPAR` structure on top
 //! of this narrow interface, probing a geometric ladder of processor counts
-//! instead of exhaustively scanning `1..=bound`. The `ext_blind` bench
+//! instead of exhaustively scanning `1..=bound`. The `ext_blind` experiment
 //! quantifies what the lost visibility costs relative to
 //! [`crate::forward::schedule_forward`].
 

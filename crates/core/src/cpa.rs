@@ -41,7 +41,7 @@
 //! numbers (see DESIGN.md §3 and EXPERIMENTS.md) showed this variant is too
 //! aggressive on small platforms — it starves near-linear tasks of
 //! processors — so it is offered as an explicit option and quantified by
-//! the `ablation_cpa_criterion` bench rather than used by default.
+//! the `ablation_cpa_criterion` experiment rather than used by default.
 
 use crate::bl::{
     bottom_levels, bottom_levels_into, critical_path_length, order_by_decreasing_bl_into,

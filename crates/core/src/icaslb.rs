@@ -14,7 +14,7 @@
 //! This adaptation evaluates every candidate growth step against the real
 //! reservation schedule, so allocation decisions see reservation-induced
 //! delays — exactly what the two-step CPA-based algorithms cannot do.
-//! The `ext_icaslb` bench compares it with `BL_CPAR_BD_CPAR`.
+//! The `ext_icaslb` experiment compares it with `BL_CPAR_BD_CPAR`.
 
 use crate::bl::{self, LevelTracker};
 use crate::dag::{Dag, TaskId};

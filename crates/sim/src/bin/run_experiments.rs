@@ -19,6 +19,7 @@
 //! Scale with `RESCHED_SCALE` / `RESCHED_DAGS` / `RESCHED_STARTS` /
 //! `RESCHED_TAGS` / `RESCHED_SWEEP_STRIDE`; see `resched_sim::scenario`.
 
+use resched_sim::exp::beyond::Beyond;
 use resched_sim::exp::deadline::{deadline_table, run_table6, run_table7};
 use resched_sim::exp::exec_time::{run_table10, run_table9, timing_table};
 use resched_sim::exp::logs::{correlation_table, run_correlations, run_log_stats, table2, table3};
@@ -29,13 +30,13 @@ use resched_sim::exp::ressched::{
     bl_compare_table, ressched_table, run_bl_compare, run_table4, run_table5,
 };
 use resched_sim::exp::scaling::{run_scaling, scaling_table, symbolic_table8};
-use resched_sim::exp::shapes::{any_failed, check_shapes, shapes_table};
+use resched_sim::exp::shapes::{any_failed, check_beyond, check_shapes, shapes_table};
 use resched_sim::exp::stream::StreamConfig;
+use resched_sim::exp::timed;
 use resched_sim::exp::validation::{run_validation, validation_table};
 use resched_sim::scenario::{sweeps_with_stride, ResvSpec, Scale, DEFAULT_ROOT_SEED};
 use resched_sim::table::{fnum, Table};
 use std::fmt::Write as _;
-use std::time::Instant;
 
 /// One results file pair: its Markdown text and its JSON object.
 struct Out {
@@ -51,9 +52,14 @@ impl Out {
         }
     }
 
-    fn emit(&mut self, key: &str, table: &Table, value: serde_json::Value) {
+    /// Print `table` and add it to the Markdown only.
+    fn show(&mut self, table: &Table) {
         println!("{}", table.render());
         let _ = writeln!(self.md, "{}", table.render_markdown());
+    }
+
+    fn emit(&mut self, key: &str, table: &Table, value: serde_json::Value) {
+        self.show(table);
         self.json.insert(key.to_string(), value);
     }
 
@@ -64,16 +70,6 @@ impl Out {
     }
 }
 
-/// `f()`, its wall-clock seconds recorded under `key`: a deliberate
-/// stopwatch that never reaches schedules or tables.
-fn timed<T>(walls: &mut Vec<(&'static str, f64)>, key: &'static str, f: impl FnOnce() -> T) -> T {
-    #[allow(clippy::disallowed_methods)]
-    let t0 = Instant::now();
-    let out = f();
-    walls.push((key, t0.elapsed().as_secs_f64()));
-    out
-}
-
 fn main() {
     let seed = DEFAULT_ROOT_SEED;
     // Every knob is read before any experiment runs, so a typo stops the
@@ -81,6 +77,7 @@ fn main() {
     let scale = Scale::from_env().unwrap_or_else(|e| e.exit());
     let bl_sweeps = sweeps_with_stride(2).unwrap_or_else(|e| e.exit());
     let sweeps = sweeps_with_stride(5).unwrap_or_else(|e| e.exit());
+    let sparse_sweeps = sweeps_with_stride(10).unwrap_or_else(|e| e.exit());
     eprintln!(
         "scale: {scale:?} ({} instances/scenario)",
         scale.instances()
@@ -99,8 +96,7 @@ fn main() {
         &table2(&stats),
         serde_json::to_value(&stats).unwrap(),
     );
-    let _ = writeln!(out.md, "{}", table3(&stats).render_markdown());
-    println!("{}", table3(&stats).render());
+    out.show(&table3(&stats));
     let corrs = timed(&mut walls, "correlations", || run_correlations(seed, 5));
     out.emit(
         "correlations",
@@ -169,13 +165,12 @@ fn main() {
     let shapes = check_shapes(&t4, &t5, &t6, &t7);
     out.emit(
         "shapes",
-        &shapes_table(&shapes),
+        &shapes_table("Result shapes (EXPERIMENTS.md)", &shapes),
         serde_json::to_value(&shapes).unwrap(),
     );
 
     // Table 8.
-    println!("{}", symbolic_table8().render());
-    let _ = writeln!(out.md, "{}", symbolic_table8().render_markdown());
+    out.show(&symbolic_table8());
     let scaling = timed(&mut walls, "table8", || run_scaling(scale, seed));
     out.emit(
         "table8",
@@ -189,6 +184,24 @@ fn main() {
         "validation",
         &validation_table(&validation),
         serde_json::to_value(&validation).unwrap(),
+    );
+
+    // Table 1, the ablations and the extensions, and the directions
+    // EXPERIMENTS.md states about them; only iCASLB's runtime is timing.
+    let beyond = Beyond::run(&sweeps, &sparse_sweeps, scale, seed, &mut walls);
+    for (key, table, value) in beyond.tables() {
+        out.emit(key, &table, value);
+    }
+    let (runtime, runtime_json) = beyond.runtime_table();
+    timing.emit("ext_icaslb", &runtime, runtime_json);
+    let beyond_shapes = check_beyond(&beyond);
+    out.emit(
+        "beyond_shapes",
+        &shapes_table(
+            "Result shapes beyond Tables 2-10 (EXPERIMENTS.md)",
+            &beyond_shapes,
+        ),
+        serde_json::to_value(&beyond_shapes).unwrap(),
     );
 
     // Tables 9 & 10: what one scheduling call costs, by stopwatch.
@@ -261,7 +274,7 @@ fn main() {
         "done in {:.1} min; wrote results/experiments.{{md,json}} and results/timing.{{md,json}}",
         walls.iter().map(|(_, s)| s).sum::<f64>() / 60.0
     );
-    if any_failed(&shapes) {
+    if any_failed(&shapes) || any_failed(&beyond_shapes) {
         eprintln!("a result shape check FAILED (see the shapes table)");
         std::process::exit(1);
     }

@@ -128,7 +128,7 @@ pub fn run_table6(sweeps: &[Sweep], scale: Scale, seed: u64) -> Vec<DeadlineResu
 }
 
 /// The four algorithms of Table 7.
-pub fn table7_algorithms() -> [DeadlineAlgo; 4] {
+fn table7_algorithms() -> [DeadlineAlgo; 4] {
     [
         DeadlineAlgo::BdCpa,
         DeadlineAlgo::RcCpaR,

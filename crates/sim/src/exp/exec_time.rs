@@ -10,6 +10,7 @@
 //! The stopwatch times plain scheduling calls, never observed ones; the
 //! per-phase decomposition of an algorithm's time is `exp::profile`'s.
 
+use crate::exp::stopwatch;
 use crate::scenario::{derive_seed, instances_for, Instance, LogCache, ResvSpec, Scale};
 use crate::table::{fnum, Table};
 use resched_core::backward::{schedule_deadline, DeadlineAlgo, DeadlineConfig};
@@ -18,7 +19,6 @@ use resched_core::forward::{schedule_forward, BdMethod, ForwardConfig};
 use resched_core::prelude::{Calendar, Time};
 use resched_daggen::{DagParams, Sweep};
 use serde::{Deserialize, Serialize};
-use std::time::Instant;
 
 /// All rows of Tables 9/10: forward algorithms by bounding method, then the
 /// deadline algorithms.
@@ -71,7 +71,7 @@ pub struct TimingColumn {
 /// parameter set. The deadline algorithms are given a deadline of twice the
 /// forward BD_CPAR turn-around, which keeps every algorithm on its normal
 /// code path (feasible, non-trivial).
-pub fn time_algorithms(params: &DagParams, label: &str, scale: Scale, seed: u64) -> TimingColumn {
+fn time_algorithms(params: &DagParams, label: &str, scale: Scale, seed: u64) -> TimingColumn {
     let algos = TimedAlgo::table9_rows();
     let mut totals = vec![0.0f64; algos.len()];
     let mut count = 0usize;
@@ -79,12 +79,9 @@ pub fn time_algorithms(params: &DagParams, label: &str, scale: Scale, seed: u64)
         let cal = inst.resv.calendar();
         let deadline = reference_deadline(inst, &cal);
         for (i, algo) in algos.iter().enumerate() {
-            // A deliberate stopwatch: Tables 9/10 report measured wall-clock
-            // scheduling time, not schedule content.
-            #[allow(clippy::disallowed_methods)]
-            let t0 = Instant::now();
-            run_algo(*algo, inst, &cal, deadline);
-            totals[i] += t0.elapsed().as_secs_f64() * 1e3;
+            // Tables 9/10 report measured wall-clock scheduling time, not
+            // schedule content.
+            totals[i] += stopwatch(|| run_algo(*algo, inst, &cal, deadline)).1 * 1e3;
         }
         count += 1;
     }

@@ -27,7 +27,7 @@ pub struct ResschedResult {
 
 /// The four bounding algorithms of Tables 4/5, all using BL_CPAR bottom
 /// levels (§4.3.2).
-pub fn table4_algorithms() -> Vec<ForwardConfig> {
+fn table4_algorithms() -> Vec<ForwardConfig> {
     BdMethod::ALL
         .iter()
         .map(|&bd| ForwardConfig::new(BlMethod::CpaR, bd))
@@ -78,7 +78,7 @@ pub fn run_table5(scale: Scale, seed: u64) -> ResschedResult {
 }
 
 /// Generic forward-experiment runner.
-pub fn run_forward_experiment(
+fn run_forward_experiment(
     sweeps: &[Sweep],
     specs: &[ResvSpec],
     cfgs: &[ForwardConfig],

@@ -5,6 +5,7 @@
 //! exits 1 if any check reads `FAILED`. A check whose premise the draw does
 //! not meet reads `n/a`, with its numbers, which is not a failure.
 
+use crate::exp::beyond::{Beyond, TAT};
 use crate::exp::deadline::DeadlineResult;
 use crate::exp::ressched::ResschedResult;
 use crate::table::Table;
@@ -15,7 +16,7 @@ use serde::{Deserialize, Serialize};
 /// the draw at the default 4 instances per scenario (1.2 % today; the
 /// paper's 1,000-instance average is 73 %), and a hybrid can only repair a
 /// looseness that is there.
-pub const RC_LOOSE_PCT: f64 = 5.0;
+const RC_LOOSE_PCT: f64 = 5.0;
 
 /// The outcome of one shape check.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -30,7 +31,7 @@ pub enum Verdict {
 
 impl Verdict {
     /// The label the shapes table prints.
-    pub fn label(self) -> &'static str {
+    fn label(self) -> &'static str {
         match self {
             Verdict::Ok => "ok",
             Verdict::NotApplicable => "n/a",
@@ -172,17 +173,180 @@ pub fn check_shapes(
     out
 }
 
+/// Whether `xs` never falls (`rising`) or never rises, in order.
+fn monotone(xs: &[f64], rising: bool) -> bool {
+    xs.windows(2)
+        .all(|w| if rising { w[0] <= w[1] } else { w[0] >= w[1] })
+}
+
+/// `|a − b|` within `pct` percent of `|b|`.
+fn within(a: f64, b: f64, pct: f64) -> bool {
+    (a - b).abs() <= b.abs() * pct / 100.0
+}
+
+/// `xs`' first and last value, as a claim prints them.
+fn span(xs: &[f64], decimals: usize) -> String {
+    let (first, last) = (xs[0], xs[xs.len() - 1]);
+    format!("{first:.decimals$} -> {last:.decimals$}")
+}
+
+/// Judge the directions EXPERIMENTS.md states about Table 1, the ablations
+/// and the extensions on what [`Beyond::run`] measured.
+pub fn check_beyond(b: &Beyond) -> Vec<ShapeCheck> {
+    let mut out = Vec::new();
+    let mut check = |ok, claim: String| out.push(ShapeCheck::new(ok, claim));
+
+    // ---- Table 1 and the ablations -------------------------------------
+    let levels = b.table1.column("avg levels");
+    let widest = b.table1.column("avg max level width");
+    let (l, w) = (span(&levels, 1), span(&widest, 1));
+    check(
+        monotone(&levels, false) && monotone(&widest, true),
+        format!("Table1: wider DAGs have fewer, wider levels (levels {l}, widest {w})"),
+    );
+    let [classic, stringent] = ["classic", "stringent"].map(|r| b.cpa_criterion.row(r));
+    let (c, st) = (classic[1], stringent[1]);
+    check(
+        st < c && stringent[0] > classic[0],
+        format!(
+            "Ablation[criterion]: stringent saves CPU-hours, costs turn-around ({st:.0} vs {c:.0})"
+        ),
+    );
+    let [fewest, most] = ["fewest procs", "most procs"].map(|r| b.tiebreak.row(r));
+    let (f, m) = (fewest[0], most[0]);
+    check(
+        within(m, f, 1.0) && within(most[1], fewest[1], 1.0),
+        format!("Ablation[tie-break]: fewest and most procs within 1% ({f:.2} vs {m:.2} h)"),
+    );
+    let tat = b.qwindow.column(TAT);
+    let lo = tat.iter().copied().fold(f64::INFINITY, f64::min);
+    let hi = tat.iter().copied().fold(0.0, f64::max);
+    check(
+        within(hi, lo, 3.0),
+        format!("Ablation[q window]: turn-around within 3% across windows ({lo:.2} vs {hi:.2} h)"),
+    );
+
+    // ---- Extensions ----------------------------------------------------
+    let ([fw_tat, fw_cpu], [ic_tat, ic_cpu]) = (b.icaslb.forward, b.icaslb.icaslb);
+    check(
+        ic_cpu < fw_cpu,
+        format!("Ext[iCASLB]: fewer CPU-hours than BL_CPAR_BD_CPAR ({ic_cpu:.0} vs {fw_cpu:.0})"),
+    );
+    check(
+        within(ic_tat, fw_tat, 2.0),
+        format!(
+            "Ext[iCASLB]: turn-around within 2% of BL_CPAR_BD_CPAR ({ic_tat:.2} vs {fw_tat:.2} h)"
+        ),
+    );
+    let rows = &b.pessimistic.rows;
+    let ranking = |f: usize| {
+        let mut order: Vec<usize> = (0..rows.len()).collect();
+        order.sort_by(|&i, &j| rows[i].1[f].total_cmp(&rows[j].1[f]));
+        order
+    };
+    let (name, slowest) = &rows[ranking(0)[rows.len() - 1]];
+    let slowest_span = span(slowest, 2);
+    check(
+        (0..slowest.len()).all(|f| ranking(f) == ranking(0)),
+        format!("Ext[pessimistic]: the ranking holds at every factor ({name} {slowest_span} h)"),
+    );
+    let degs = b.blind.column("TAT deg vs full [%]");
+    let worst = degs.into_iter().max_by(|a, b| a.abs().total_cmp(&b.abs()));
+    let worst = worst.unwrap_or(0.0);
+    check(
+        worst.abs() <= 1.0,
+        format!("Ext[blind]: every probe budget within 1% of full visibility (worst {worst:+.2}%)"),
+    );
+    let degs = b.dynamic.column("Deg vs static [%]");
+    let d = span(&degs, 1);
+    check(
+        monotone(&degs, true),
+        format!("Ext[dynamic]: degradation rises with the interference rate ({d}%)"),
+    );
+    let done = b.robustness.column("Completion rate (Kill) [%]");
+    let paid = b.robustness.column("Avg CPU-h paid (Requeue)");
+    let (c, p) = (span(&done, 1), span(&paid, 0));
+    check(
+        monotone(&done, true) && monotone(&paid, true),
+        format!("Ext[robustness]: pessimism buys completion ({c}%) for CPU-hours ({p})"),
+    );
+    let heavy = (b.overhead.rows.iter()).filter(|(s, _)| s.parse().is_ok_and(|s: i64| s >= 20));
+    let gap = heavy.map(|(_, v)| ((v[0] - v[1]) / v[1] * 100.0).abs());
+    let gap = gap.fold(0.0, f64::max);
+    check(
+        gap <= 0.5,
+        format!("Ext[overhead]: BD_ALL equals BD_CPAR at >= 20 s/proc (turn-around gap {gap:.2}%)"),
+    );
+    let all = b.overhead.column("BD_ALL CPU-h");
+    let cpar = b.overhead.column("BD_CPAR CPU-h");
+    let ratio = cpar
+        .iter()
+        .zip(&all)
+        .map(|(c, a)| c / a)
+        .fold(0.0, f64::max);
+    check(
+        ratio < 1.0,
+        format!("Ext[overhead]: BD_CPAR holds fewer CPU-hours at every overhead (<= {ratio:.2}x)"),
+    );
+    let [cpa, mcpa] = ["CPA(q)", "MCPA(q)"].map(|r| b.mcpa.row(r));
+    let (c, m) = (cpa[1], mcpa[1]);
+    check(
+        within(mcpa[0], cpa[0], 1.0) && within(m, c, 1.0),
+        format!("Ext[MCPA]: MCPA(q) bounds within 1% of CPA(q) ({m:.0} vs {c:.0} CPU-h)"),
+    );
+    // Stream rows run from the lightest offered load to the heaviest.
+    let util = b.stream.column("Utilization [%]");
+    let u = span(&util, 1);
+    check(
+        monotone(&util, true),
+        format!("Ext[stream]: utilisation rises with offered load ({u}%)"),
+    );
+    let tat = b.stream.column("Avg TAT [h]");
+    let qp = b.stream.column("Avg q/p [%]");
+    let (t, q) = (span(&tat, 1), span(&qp, 1));
+    check(
+        monotone(&tat, true) && monotone(&qp, false),
+        format!("Ext[stream]: turn-around rises ({t} h), q/p falls ({q}%) with load"),
+    );
+
+    // ---- §4.3 trends ---------------------------------------------------
+    let bd_all = "BD_ALL vs BD_CPAR TAT gap [%]";
+    let gap = |log: &str, phi: f64, column: &str| {
+        let mut rows = b.trends.rows.iter().zip(b.trends.column(column));
+        let at = rows.find(|((l, v), _)| l == log && (v[0] - phi).abs() < 1e-9);
+        at.unwrap_or_else(|| panic!("no {log} phi={phi} trend row"))
+            .1
+    };
+    let (big, small) = ("SDSC_BLUE", "OSC_Cluster");
+    for (what, column) in [("BD_ALL", bd_all), ("BL_1", "BL_1 vs BL_CPAR TAT gap [%]")] {
+        let [b0, b1, s0, s1] = [(big, 0.1), (big, 0.5), (small, 0.1), (small, 0.5)]
+            .map(|(log, phi)| gap(log, phi, column));
+        let (bs, ss) = (span(&[b0, b1], 1), span(&[s0, s1], 1));
+        check(
+            b1 < b0 && s1 < s0,
+            format!("Trends: {what}'s gap shrinks with load ({big} {bs}%, {small} {ss}%)"),
+        );
+    }
+    let [s0, b0, s1, b1] = [(small, 0.1), (big, 0.1), (small, 0.5), (big, 0.5)]
+        .map(|(log, phi)| gap(log, phi, bd_all));
+    check(
+        s0 > b0 && s1 > b1,
+        format!("Trends (deviation): BD_ALL's gap is wider on the smaller machine ({s0:.1}% vs {b0:.1}%)"),
+    );
+    out
+}
+
 /// Whether the run must fail: any `FAILED` verdict (`n/a` is not one).
 pub fn any_failed(checks: &[ShapeCheck]) -> bool {
     checks.iter().any(|c| c.verdict == Verdict::Failed)
 }
 
-/// Render the checks, with the verdict counts in the title.
-pub fn shapes_table(checks: &[ShapeCheck]) -> Table {
+/// Render the checks under `title`, with the verdict counts after it.
+pub fn shapes_table(title: &str, checks: &[ShapeCheck]) -> Table {
     let count = |v: Verdict| checks.iter().filter(|c| c.verdict == v).count();
     let mut t = Table::new(
         &format!(
-            "Result shapes (EXPERIMENTS.md) - {} ok, {} n/a, {} FAILED",
+            "{title} - {} ok, {} n/a, {} FAILED",
             count(Verdict::Ok),
             count(Verdict::NotApplicable),
             count(Verdict::Failed)
@@ -198,7 +362,9 @@ pub fn shapes_table(checks: &[ShapeCheck]) -> Table {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::exp::beyond::{Icaslb, CPU};
     use crate::metrics::AlgoSummary;
+    use crate::table::Measured;
 
     fn summaries(rows: &[(&str, f64)]) -> Vec<AlgoSummary> {
         rows.iter()
@@ -294,7 +460,7 @@ mod tests {
             assert_eq!(c.verdict, Verdict::Ok, "{}", c.claim);
         }
         assert!(!any_failed(&checks));
-        assert!(shapes_table(&checks)
+        assert!(shapes_table("T", &checks)
             .render()
             .contains("19 ok, 0 n/a, 0 FAILED"));
     }
@@ -351,7 +517,157 @@ mod tests {
             verdict_of(&checks, "Table5: BD_ALL/BD_HALF far worse"),
             Verdict::Ok
         );
-        assert!(shapes_table(&checks).render().contains("1 FAILED"));
+        assert!(shapes_table("T", &checks).render().contains("1 FAILED"));
+    }
+
+    /// A measured table with these headers and rows.
+    fn measured(header: &[&str], rows: &[(&str, &[f64])]) -> Measured {
+        Measured::new("T", header, &[], rows.iter().map(|&(l, v)| (l, v.to_vec())))
+    }
+
+    /// Every experiment beyond Tables 2-10, shaped as EXPERIMENTS.md
+    /// states it (numbers near the default scale's).
+    fn beyond() -> Beyond {
+        let tat_cpu = |rows: &[(&str, &[f64])]| measured(&["", TAT, CPU], rows);
+        Beyond {
+            table1: measured(
+                &["width", "avg levels", "avg max level width", "avg edges"],
+                &[
+                    ("0.1", &[35.8, 2.0, 62.3]),
+                    ("0.5", &[8.9, 9.7, 158.9]),
+                    ("0.9", &[4.1, 39.0, 198.8]),
+                ],
+            ),
+            cpa_criterion: tat_cpu(&[("classic", &[7.85, 1647.0]), ("stringent", &[8.73, 906.0])]),
+            tiebreak: tat_cpu(&[
+                ("fewest procs", &[7.85, 1647.0]),
+                ("most procs", &[7.85, 1647.0]),
+            ]),
+            qwindow: measured(
+                &["", "Avg q", TAT, CPU],
+                &[
+                    ("1", &[758.0, 8.22, 1910.0]),
+                    ("14", &[700.0, 8.22, 1910.0]),
+                ],
+            ),
+            icaslb: Icaslb {
+                forward: [7.85, 1647.0],
+                icaslb: [7.90, 1382.0],
+                icaslb_better: 5,
+                instances: 32,
+            },
+            icaslb_ms: [0.6, 33.0],
+            pessimistic: measured(
+                &["", "f=1", "f=2", "f=3"],
+                &[
+                    ("BD_ALL", &[14.6, 33.8, 55.9]),
+                    ("BD_CPA", &[9.6, 19.1, 28.7]),
+                    ("BD_CPAR", &[9.6, 19.1, 28.7]),
+                ],
+            ),
+            blind: measured(
+                &["", "TAT deg vs full [%]"],
+                &[("1", &[0.21]), ("8", &[-0.37]), ("16", &[-0.42])],
+            ),
+            dynamic: measured(
+                &["", "Deg vs static [%]"],
+                &[("0.0", &[0.0]), ("0.5", &[12.9]), ("2.0", &[123.9])],
+            ),
+            robustness: measured(
+                &["", "Completion rate (Kill) [%]", "Avg CPU-h paid (Requeue)"],
+                &[
+                    ("1.00", &[0.0, 3600.0]),
+                    ("1.50", &[43.8, 4170.0]),
+                    ("2.00", &[100.0, 4948.0]),
+                ],
+            ),
+            overhead: measured(
+                &[
+                    "",
+                    "BD_ALL TAT [h]",
+                    "BD_CPAR TAT [h]",
+                    "BD_ALL CPU-h",
+                    "BD_CPAR CPU-h",
+                ],
+                &[
+                    ("0", &[23.5, 9.3, 5992.0, 1820.0]),
+                    ("20", &[10.86, 10.86, 1213.0, 716.0]),
+                    ("60", &[13.06, 13.06, 880.0, 558.0]),
+                ],
+            ),
+            mcpa: tat_cpu(&[("CPA(q)", &[7.85, 1647.3]), ("MCPA(q)", &[7.85, 1642.3])]),
+            stream: measured(
+                &["", "Avg TAT [h]", "Utilization [%]", "Avg q/p [%]"],
+                &[
+                    ("8.0", &[7.46, 36.7, 73.0]),
+                    ("2.0", &[9.88, 80.0, 33.8]),
+                    ("0.5", &[78.6, 95.0, 28.6]),
+                ],
+            ),
+            trends: measured(
+                &[
+                    "",
+                    "phi",
+                    "BL_1 vs BL_CPAR TAT gap [%]",
+                    "BD_ALL vs BD_CPAR TAT gap [%]",
+                ],
+                &[
+                    ("SDSC_BLUE", &[0.1, 0.0, 42.4]),
+                    ("SDSC_BLUE", &[0.5, -1.26, 14.05]),
+                    ("OSC_Cluster", &[0.1, 21.2, 114.6]),
+                    ("OSC_Cluster", &[0.5, 13.5, 90.3]),
+                ],
+            ),
+        }
+    }
+
+    #[test]
+    fn every_beyond_claim_reads_ok_on_a_shape_true_input() {
+        let checks = check_beyond(&beyond());
+        assert_eq!(checks.len(), 18);
+        for c in &checks {
+            assert_eq!(c.verdict, Verdict::Ok, "{}", c.claim);
+        }
+    }
+
+    #[test]
+    fn each_beyond_claim_fails_alone_on_an_input_that_breaks_it() {
+        type Break = fn(&mut Beyond);
+        let breaks: [(&str, Break); 18] = [
+            ("Table1:", |b| b.table1.rows[2].1[0] = 9.0),
+            ("Ablation[criterion]", |b| {
+                b.cpa_criterion.rows[1].1[0] = 7.8
+            }),
+            ("Ablation[tie-break]", |b| b.tiebreak.rows[1].1[1] = 1700.0),
+            ("Ablation[q window]", |b| b.qwindow.rows[1].1[1] = 8.6),
+            ("Ext[iCASLB]: fewer", |b| b.icaslb.icaslb[1] = 1700.0),
+            ("Ext[iCASLB]: turn-around", |b| b.icaslb.icaslb[0] = 8.1),
+            ("Ext[pessimistic]", |b| b.pessimistic.rows[1].1[2] = 60.0),
+            ("Ext[blind]", |b| b.blind.rows[0].1[0] = 1.9),
+            ("Ext[dynamic]", |b| b.dynamic.rows[2].1[0] = 4.5),
+            ("Ext[robustness]", |b| b.robustness.rows[1].1[1] = 3500.0),
+            ("Ext[overhead]: BD_ALL equals", |b| {
+                b.overhead.rows[2].1[0] = 13.2
+            }),
+            ("Ext[overhead]: BD_CPAR holds", |b| {
+                b.overhead.rows[1].1[3] = 1300.0
+            }),
+            ("Ext[MCPA]", |b| b.mcpa.rows[1].1[0] = 8.0),
+            ("Ext[stream]: utilisation", |b| b.stream.rows[2].1[1] = 70.0),
+            ("Ext[stream]: turn-around", |b| b.stream.rows[1].1[2] = 80.0),
+            ("Trends: BD_ALL", |b| b.trends.rows[1].1[2] = 50.0),
+            ("Trends: BL_1", |b| b.trends.rows[3].1[1] = 25.0),
+            ("Trends (deviation)", |b| b.trends.rows[0].1[2] = 120.0),
+        ];
+        for (prefix, break_it) in breaks {
+            let mut b = beyond();
+            break_it(&mut b);
+            let checks = check_beyond(&b);
+            assert_eq!(verdict_of(&checks, prefix), Verdict::Failed, "{prefix}");
+            let failed = checks.iter().filter(|c| c.verdict == Verdict::Failed);
+            assert_eq!(failed.count(), 1, "{prefix} breaks another check too");
+            assert!(any_failed(&checks));
+        }
     }
 
     #[test]

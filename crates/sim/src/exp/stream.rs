@@ -11,7 +11,7 @@
 //! evolution of the availability estimate `q`.
 
 use crate::scenario::derive_seed;
-use crate::table::{fnum, Table};
+use crate::table::{fnum, Measured};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha12Rng;
 use resched_core::prelude::*;
@@ -125,9 +125,25 @@ pub fn run_stream(cfg: &StreamConfig, seed: u64) -> StreamResult {
     }
 }
 
-/// Sweep arrival intensity and render the results.
-pub fn stream_table(cfg: &StreamConfig, interarrivals_h: &[f64], seed: u64) -> Table {
-    let mut t = Table::new(
+/// [`run_stream`] of `cfg` at each mean interarrival time, one row each.
+pub(crate) fn stream_sweep(cfg: &StreamConfig, interarrivals_h: &[f64], seed: u64) -> Measured {
+    let point = |&interarrival_h: &f64| {
+        let cfg = StreamConfig {
+            mean_interarrival: Dur::seconds((interarrival_h * 3600.0) as i64),
+            ..*cfg
+        };
+        let r = run_stream(&cfg, seed);
+        let (utilization, q) = (r.utilization * 100.0, r.avg_q_fraction * 100.0);
+        let values = vec![
+            r.apps as f64,
+            r.avg_turnaround_h,
+            r.p95_turnaround_h,
+            utilization,
+            q,
+        ];
+        (fnum(interarrival_h, 1), values)
+    };
+    Measured::new(
         "Extension - multi-application stream (BL_CPAR_BD_CPAR, closed loop)",
         &[
             "Mean interarrival [h]",
@@ -137,23 +153,9 @@ pub fn stream_table(cfg: &StreamConfig, interarrivals_h: &[f64], seed: u64) -> T
             "Utilization [%]",
             "Avg q/p [%]",
         ],
-    );
-    for &ia in interarrivals_h {
-        let cfg = StreamConfig {
-            mean_interarrival: Dur::seconds((ia * 3600.0) as i64),
-            ..*cfg
-        };
-        let r = run_stream(&cfg, seed);
-        t.row(vec![
-            fnum(ia, 1),
-            r.apps.to_string(),
-            fnum(r.avg_turnaround_h, 2),
-            fnum(r.p95_turnaround_h, 2),
-            fnum(r.utilization * 100.0, 1),
-            fnum(r.avg_q_fraction * 100.0, 1),
-        ]);
-    }
-    t
+        &[0, 2, 2, 1, 1],
+        interarrivals_h.iter().map(point),
+    )
 }
 
 #[cfg(test)]
@@ -200,7 +202,7 @@ mod tests {
             tasks_per_app: 8,
             ..StreamConfig::default()
         };
-        let t = stream_table(&cfg, &[4.0], 3);
+        let t = stream_sweep(&cfg, &[4.0], 3).table();
         assert!(t.render().contains("Avg TAT"));
     }
 }

@@ -9,32 +9,18 @@
 
 use crate::metrics::mean;
 use crate::scenario::{default_sweep, instances_for, LogCache, ResvSpec, Scale};
-use crate::table::{fnum, Table};
+use crate::table::Measured;
 use resched_core::bl::BlMethod;
 use resched_core::forward::{schedule_forward, BdMethod, ForwardConfig};
 use resched_core::prelude::Time;
 use resched_workloads::prelude::*;
-use serde::{Deserialize, Serialize};
 
-/// One measured trend point.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct TrendPoint {
-    /// Log name (machine size proxy).
-    pub log: String,
-    /// Tagged fraction.
-    pub phi: f64,
-    /// Mean turn-around gap of BL_1 relative to BL_CPAR, percent
-    /// (positive = BL_CPAR better).
-    pub bl_gap_pct: f64,
-    /// Mean turn-around gap of BD_ALL relative to BD_CPAR, percent.
-    pub bd_all_gap_pct: f64,
-}
-
-/// Measure the trend grid: two machine sizes × two reservation loads.
-pub fn run_trends(scale: Scale, seed: u64) -> Vec<TrendPoint> {
-    let mut cache = LogCache::new();
+/// Measure the trend grid: two machine sizes × two reservation loads, one
+/// row per (log, φ) with the mean turn-around gaps of BL_1 over BL_CPAR
+/// and of BD_ALL over BD_CPAR, percent (positive = BL_CPAR_BD_CPAR better).
+pub(crate) fn run_trends(cache: &mut LogCache, scale: Scale, seed: u64) -> Measured {
     let sweep = default_sweep();
-    let mut out = Vec::new();
+    let mut rows = Vec::new();
     for log_spec in [LogSpec::sdsc_blue(), LogSpec::osc_cluster()] {
         let log = cache.get(&log_spec, seed).clone();
         for phi in [0.1, 0.5] {
@@ -65,20 +51,13 @@ pub fn run_trends(scale: Scale, seed: u64) -> Vec<TrendPoint> {
                 let bdall = run(BlMethod::CpaR, BdMethod::All);
                 bd_gaps.push((bdall - blc) / blc * 100.0);
             }
-            out.push(TrendPoint {
-                log: log_spec.name.clone(),
-                phi,
-                bl_gap_pct: mean(&bl_gaps),
-                bd_all_gap_pct: mean(&bd_gaps),
-            });
+            rows.push((
+                log_spec.name.clone(),
+                vec![phi, mean(&bl_gaps), mean(&bd_gaps)],
+            ));
         }
     }
-    out
-}
-
-/// Render the trend table.
-pub fn trends_table(points: &[TrendPoint]) -> Table {
-    let mut t = Table::new(
+    Measured::new(
         "Sec 4.3 trends - method gaps vs machine size and reservation load",
         &[
             "Log (machine)",
@@ -86,16 +65,9 @@ pub fn trends_table(points: &[TrendPoint]) -> Table {
             "BL_1 vs BL_CPAR TAT gap [%]",
             "BD_ALL vs BD_CPAR TAT gap [%]",
         ],
-    );
-    for p in points {
-        t.row(vec![
-            p.log.clone(),
-            fnum(p.phi, 1),
-            fnum(p.bl_gap_pct, 2),
-            fnum(p.bd_all_gap_pct, 2),
-        ]);
-    }
-    t
+        &[1, 2, 2],
+        rows,
+    )
 }
 
 #[cfg(test)]
@@ -109,19 +81,22 @@ mod tests {
             starts: 2,
             tags: 1,
         };
-        let points = run_trends(scale, 11);
-        assert_eq!(points.len(), 4);
-        for p in &points {
-            assert!(p.bl_gap_pct.is_finite());
-            assert!(p.bd_all_gap_pct.is_finite());
+        let points = run_trends(&mut LogCache::new(), scale, 11);
+        assert_eq!(points.rows.len(), 4);
+        for (log, p) in &points.rows {
+            let [_, bl_gap_pct, bd_all_gap_pct] = p[..] else {
+                panic!("{log}: {p:?}")
+            };
+            assert!(bl_gap_pct.is_finite());
+            assert!(bd_all_gap_pct.is_finite());
             // BD_ALL never beats BD_CPAR on average in any cell of the
             // grid (the paper's ranking claim, which is scale-robust).
             assert!(
-                p.bd_all_gap_pct > -5.0,
-                "BD_ALL implausibly beats BD_CPAR: {p:?}"
+                bd_all_gap_pct > -5.0,
+                "BD_ALL implausibly beats BD_CPAR: {log} {p:?}"
             );
         }
-        let t = trends_table(&points);
+        let t = points.table();
         assert!(t.render().contains("OSC_Cluster"));
         assert!(t.render().contains("SDSC_BLUE"));
     }

@@ -50,7 +50,7 @@ impl ResvSpec {
     }
 
     /// A short human-readable label.
-    pub fn label(&self) -> String {
+    fn label(&self) -> String {
         format!(
             "{}/phi{:.1}/{}",
             self.log.name,
@@ -152,7 +152,7 @@ impl Scale {
     }
 
     /// Laptop-friendly default: 2 × 2 × 1 = 4 instances per scenario.
-    pub fn quick() -> Scale {
+    fn quick() -> Scale {
         Scale {
             dags: 2,
             starts: 2,
@@ -161,7 +161,7 @@ impl Scale {
     }
 
     /// Read the scale from the environment (see type docs), starting from
-    /// [`Scale::quick`]. A variable that is set but does not parse is an
+    /// the default 2 × 2 × 1. A variable that is set but does not parse is an
     /// error, not the default. This is the binaries' start-up check, so it
     /// also vets `RESCHED_PAR`, the rayon shim's worker count, which would
     /// otherwise be read only when the first parallel section runs.

@@ -1,4 +1,7 @@
-//! Minimal ASCII table rendering for the experiment binaries and benches.
+//! Minimal ASCII table rendering for the experiment binaries, and the
+//! numeric table most experiments produce.
+
+use serde::Serialize;
 
 /// A simple right-padded ASCII table.
 pub struct Table {
@@ -79,6 +82,58 @@ impl Table {
 /// Format a float with the given number of decimals.
 pub fn fnum(x: f64, decimals: usize) -> String {
     format!("{:.*}", decimals, x)
+}
+
+/// One experiment's table: a column of row labels, then numeric columns,
+/// each printed to its own number of decimals.
+#[derive(Debug, Clone, PartialEq, Serialize)]
+pub(crate) struct Measured {
+    pub(crate) title: String,
+    /// The label column's header, then each numeric column's.
+    pub(crate) header: Vec<String>,
+    #[serde(skip)]
+    decimals: Vec<usize>,
+    pub(crate) rows: Vec<(String, Vec<f64>)>,
+}
+
+impl Measured {
+    pub(crate) fn new<L: ToString>(
+        title: &str,
+        header: &[&str],
+        decimals: &[usize],
+        rows: impl IntoIterator<Item = (L, Vec<f64>)>,
+    ) -> Measured {
+        Measured {
+            title: title.to_string(),
+            header: header.iter().map(|h| h.to_string()).collect(),
+            decimals: decimals.to_vec(),
+            rows: rows.into_iter().map(|(l, v)| (l.to_string(), v)).collect(),
+        }
+    }
+
+    pub(crate) fn table(&self) -> Table {
+        let header: Vec<&str> = self.header.iter().map(String::as_str).collect();
+        let mut t = Table::new(&self.title, &header);
+        for (label, values) in &self.rows {
+            let cells = values.iter().zip(&self.decimals).map(|(&x, &d)| fnum(x, d));
+            t.row(std::iter::once(label.clone()).chain(cells).collect());
+        }
+        t
+    }
+
+    /// The values under the header `name`, top to bottom.
+    pub(crate) fn column(&self, name: &str) -> Vec<f64> {
+        let at = self.header.iter().skip(1).position(|h| h == name);
+        let at = at.unwrap_or_else(|| panic!("{}: no column {name}", self.title));
+        self.rows.iter().map(|(_, values)| values[at]).collect()
+    }
+
+    /// The values of the row labelled `label`.
+    pub(crate) fn row(&self, label: &str) -> &[f64] {
+        let row = self.rows.iter().find(|(l, _)| l == label);
+        &row.unwrap_or_else(|| panic!("{}: no row {label}", self.title))
+            .1
+    }
 }
 
 #[cfg(test)]
