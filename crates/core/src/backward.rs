@@ -436,7 +436,7 @@ impl<'a> Roster<'a> {
     /// instance's CPA allocations.
     pub fn forward(&mut self, cfg: ForwardConfig) -> Schedule {
         let (dag, competing, now, q) = (self.dag, self.competing, self.now, self.q);
-        forward::schedule_forward_in(&mut self.cache, dag, competing, now, q, cfg)
+        forward::schedule_forward_in(&mut self.cache, dag, competing, now, q, cfg, None)
     }
 
     /// The tightest deadline `algo` meets on this instance, found by

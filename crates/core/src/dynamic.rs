@@ -47,7 +47,7 @@ pub fn schedule_forward_dynamic(
     cfg: ForwardConfig,
     mut interfere: impl FnMut(&mut Calendar, PlacementEvent),
 ) -> Schedule {
-    let mut pass = ForwardPass::new(&mut CpaCache::new(), dag, competing, now, q, cfg);
+    let mut pass = ForwardPass::new(&mut CpaCache::new(), dag, competing, now, q, cfg, None);
     let total = dag.num_tasks();
     {
         crate::span!(crate::obs::names::SPAN_FORWARD_PLACE);

@@ -16,8 +16,10 @@
 //! combination `BL_x_BD_y` names the paper's 12 (+BD_HALF) algorithms.
 //!
 //! Both phases are written once, in `ForwardPass`, which
-//! [`schedule_forward`] runs to the end and `dynamic` steps through with
-//! competitors reserving between placements. A task's readiness in any
+//! [`schedule_forward`] runs to the end (as does
+//! [`schedule_forward_bounded`], with bounds from outside [`BdMethod`])
+//! and `dynamic` steps through with competitors reserving between
+//! placements. A task's readiness in any
 //! list pass of the crate is `ready_at`.
 
 use crate::bl::{self, BlMethod};
@@ -199,11 +201,36 @@ pub fn schedule_forward(
     q: u32,
     cfg: ForwardConfig,
 ) -> Schedule {
-    schedule_forward_in(&mut CpaCache::new(), dag, competing, now, q, cfg)
+    schedule_forward_in(&mut CpaCache::new(), dag, competing, now, q, cfg, None)
+}
+
+/// [`schedule_forward`] with the per-task allocation bounds given, one per
+/// task in task-id order, in place of the ones `cfg.bd` would compute: the
+/// same pass for a bound source outside [`BdMethod`], such as an
+/// `mcpa::allocate` allocation. In debug builds the schedule is audited
+/// against these bounds.
+pub fn schedule_forward_bounded(
+    dag: &Dag,
+    competing: &Calendar,
+    now: Time,
+    q: u32,
+    cfg: ForwardConfig,
+    bounds: &[u32],
+) -> Schedule {
+    schedule_forward_in(
+        &mut CpaCache::new(),
+        dag,
+        competing,
+        now,
+        q,
+        cfg,
+        Some(bounds),
+    )
 }
 
 /// [`schedule_forward`] drawing its CPA allocations from `cache`, which
-/// serves this `dag` (a `backward::Roster` holds one per instance).
+/// serves this `dag` (a `backward::Roster` holds one per instance), and
+/// taking `bounds`, when given, in place of `cfg.bd`'s.
 pub(crate) fn schedule_forward_in(
     cache: &mut CpaCache,
     dag: &Dag,
@@ -211,8 +238,9 @@ pub(crate) fn schedule_forward_in(
     now: Time,
     q: u32,
     cfg: ForwardConfig,
+    bounds: Option<&[u32]>,
 ) -> Schedule {
-    let mut pass = ForwardPass::new(cache, dag, competing, now, q, cfg);
+    let mut pass = ForwardPass::new(cache, dag, competing, now, q, cfg, bounds);
     {
         crate::span!(obs::names::SPAN_FORWARD_PLACE);
         while pass.place_next().is_some() {}
@@ -245,7 +273,8 @@ pub(crate) struct ForwardPass<'a> {
 
 impl<'a> ForwardPass<'a> {
     /// Phase 1 for `dag` on `competing`, its CPA allocations drawn from
-    /// `cache`, which serves this `dag`.
+    /// `cache`, which serves this `dag`. `bounds`, when given, replaces the
+    /// allocation bounds `cfg.bd` computes.
     pub(crate) fn new(
         cache: &mut CpaCache,
         dag: &'a Dag,
@@ -253,6 +282,7 @@ impl<'a> ForwardPass<'a> {
         now: Time,
         q: u32,
         cfg: ForwardConfig,
+        bounds: Option<&[u32]>,
     ) -> ForwardPass<'a> {
         let p = competing.capacity();
         let q = Pool::effective(q, p);
@@ -269,7 +299,10 @@ impl<'a> ForwardPass<'a> {
             let exec = cache.exec_times(dag, p, q, cfg.bl, cfg.criterion);
             let levels = bl::bottom_levels(dag, &exec);
             let order = bl::order_by_decreasing_bl(dag, &levels);
-            let bounds = cache.allocation_bounds(dag, p, q, cfg.bd, cfg.criterion, &mut stats);
+            let bounds = match bounds {
+                Some(bounds) => bounds.to_vec(),
+                None => cache.allocation_bounds(dag, p, q, cfg.bd, cfg.criterion, &mut stats),
+            };
             (order, bounds)
         };
 

@@ -11,9 +11,10 @@
 //! violations when reachable. Test-gated and debug-gated lines
 //! are invisible (compiled out of release hot paths), macros are opaque
 //! except for the sink macros themselves, and `std`/vendored callees are
-//! trusted leaves. No root reaches the rayon shim (`resched-core` and
-//! `resched-serve` do not depend on it), so the `det` proof's "no thread
-//! spawn reachable" does not lean on that trust.
+//! trusted leaves. No vendored crate spawns a thread, and the only
+//! threads in the workspace are `resched-sim`'s sweep workers, which no
+//! root reaches, so the `det` proof's "no thread spawn reachable" does
+//! not lean on that trust.
 
 use crate::lexer::strip_attributes;
 use crate::symbols::SymbolTable;

@@ -18,6 +18,11 @@
 //!
 //! Scale with `RESCHED_SCALE` / `RESCHED_DAGS` / `RESCHED_STARTS` /
 //! `RESCHED_TAGS` / `RESCHED_SWEEP_STRIDE`; see `resched_sim::scenario`.
+//! `RESCHED_PAR` sets how many threads the instance sweeps of §4.3.1,
+//! Tables 4–7 and the validation audit run on (`off`, `seq`, `0`, `1` or a
+//! count; default: every available core); see
+//! `resched_sim::threads_from_env`. The count changes no byte of
+//! `results/experiments.*`.
 
 use resched_sim::exp::beyond::Beyond;
 use resched_sim::exp::deadline::{deadline_table, run_table6, run_table7};
@@ -36,6 +41,7 @@ use resched_sim::exp::timed;
 use resched_sim::exp::validation::{run_validation, validation_table};
 use resched_sim::scenario::{sweeps_with_stride, ResvSpec, Scale, DEFAULT_ROOT_SEED};
 use resched_sim::table::{fnum, Table};
+use resched_sim::threads_from_env;
 use std::fmt::Write as _;
 
 /// One results file pair: its Markdown text and its JSON object.
@@ -75,11 +81,12 @@ fn main() {
     // Every knob is read before any experiment runs, so a typo stops the
     // binary at once instead of minutes in.
     let scale = Scale::from_env().unwrap_or_else(|e| e.exit());
+    let threads = threads_from_env().unwrap_or_else(|e| e.exit());
     let bl_sweeps = sweeps_with_stride(2).unwrap_or_else(|e| e.exit());
     let sweeps = sweeps_with_stride(5).unwrap_or_else(|e| e.exit());
     let sparse_sweeps = sweeps_with_stride(10).unwrap_or_else(|e| e.exit());
     eprintln!(
-        "scale: {scale:?} ({} instances/scenario)",
+        "scale: {scale:?} ({} instances/scenario), {threads} thread(s)",
         scale.instances()
     );
 
@@ -106,7 +113,7 @@ fn main() {
 
     // §4.3.1 bottom-level comparison.
     let bl = timed(&mut walls, "bl_compare", || {
-        run_bl_compare(&bl_sweeps, &ResvSpec::paper_grid(), scale, seed)
+        run_bl_compare(&bl_sweeps, &ResvSpec::paper_grid(), scale, seed, threads)
     });
     out.emit(
         "bl_compare",
@@ -115,7 +122,7 @@ fn main() {
     );
 
     // Tables 4 & 5.
-    let t4 = timed(&mut walls, "table4", || run_table4(scale, seed));
+    let t4 = timed(&mut walls, "table4", || run_table4(scale, seed, threads));
     out.emit(
         "table4",
         &ressched_table(
@@ -127,7 +134,7 @@ fn main() {
         ),
         serde_json::to_value(&t4).unwrap(),
     );
-    let t5 = timed(&mut walls, "table5", || run_table5(scale, seed));
+    let t5 = timed(&mut walls, "table5", || run_table5(scale, seed, threads));
     out.emit(
         "table5",
         &ressched_table(
@@ -141,7 +148,9 @@ fn main() {
     );
 
     // Tables 6 & 7.
-    let t6 = timed(&mut walls, "table6", || run_table6(&sweeps, scale, seed));
+    let t6 = timed(&mut walls, "table6", || {
+        run_table6(&sweeps, scale, seed, threads)
+    });
     out.emit(
         "table6",
         &deadline_table(
@@ -150,7 +159,9 @@ fn main() {
         ),
         serde_json::to_value(&t6).unwrap(),
     );
-    let t7 = timed(&mut walls, "table7", || run_table7(&sweeps, scale, seed));
+    let t7 = timed(&mut walls, "table7", || {
+        run_table7(&sweeps, scale, seed, threads)
+    });
     out.emit(
         "table7",
         &deadline_table(
@@ -179,7 +190,9 @@ fn main() {
     );
 
     // Oracle audit of every algorithm on the batch the tables came from.
-    let validation = timed(&mut walls, "validation", || run_validation(scale, seed));
+    let validation = timed(&mut walls, "validation", || {
+        run_validation(scale, seed, threads)
+    });
     out.emit(
         "validation",
         &validation_table(&validation),

@@ -24,9 +24,10 @@ use resched_core::algos::Algorithm;
 use resched_core::blind::{schedule_blind, BlindConfig, ReservationDesk};
 use resched_core::dynamic::schedule_forward_dynamic;
 use resched_core::exec::{execute, OverrunPolicy};
+use resched_core::forward::schedule_forward_bounded;
 use resched_core::icaslb::schedule_icaslb;
+use resched_core::mcpa;
 use resched_core::prelude::*;
-use resched_core::{bl, cpa, mcpa};
 use resched_daggen::{DagParams, Sweep};
 use resched_workloads::prelude::*;
 use serde::Serialize;
@@ -566,61 +567,17 @@ fn overhead(seed: u64) -> Measured {
     )
 }
 
-/// A forward schedule whose widths are bounded by `bounds` (the BL_CPAR
-/// slot search with the bounding source swapped, so CPA and MCPA bounds
-/// are treated alike).
-fn schedule_with_bounds(dag: &Dag, cal: &Calendar, q: u32, bounds: &[u32]) -> Schedule {
-    let crit = StoppingCriterion::default();
-    let exec = bl::exec_times(dag, cal.capacity(), q, BlMethod::CpaR, crit);
-    let levels = bl::bottom_levels(dag, &exec);
-    let mut live = cal.clone();
-    let mut placements: Vec<Option<Placement>> = vec![None; dag.num_tasks()];
-    for t in bl::order_by_decreasing_bl(dag, &levels) {
-        let ready = dag
-            .preds(t)
-            .iter()
-            .map(|&p| placements[p.idx()].unwrap().end)
-            .max()
-            .unwrap_or(Time::ZERO);
-        let cost = dag.cost(t);
-        let mut best: Option<Placement> = None;
-        let mut prev = None;
-        for procs in 1..=bounds[t.idx()].clamp(1, cal.capacity()) {
-            let dur = cost.exec_time(procs);
-            if prev == Some(dur) {
-                continue;
-            }
-            prev = Some(dur);
-            let start = live.earliest_fit(procs, dur, ready);
-            let end = start + dur;
-            if best.is_none_or(|b| end < b.end) {
-                best = Some(Placement { start, end, procs });
-            }
-        }
-        let chosen = best.unwrap();
-        live.add_unchecked(Reservation::new(chosen.start, chosen.end, chosen.procs));
-        placements[t.idx()] = Some(chosen);
-    }
-    let placements = placements.into_iter().map(Option::unwrap).collect();
-    Schedule::new(placements, Time::ZERO)
-}
-
 /// CPA(q) against MCPA(q) allocation bounds on the layered (jump = 1)
 /// sweeps of `sweeps`, drawn as `g`.
 fn mcpa_bounds(sweeps: &[Sweep], g: &Drawn) -> Measured {
     let (mut by_cpa, mut by_mcpa) = (Vec::new(), Vec::new());
     let layered = sweeps.iter().zip(g).filter(|(s, _)| s.params.jump == 1);
-    for (inst, cal) in layered.flat_map(|(_, drawn)| drawn) {
-        let q = inst.resv.q;
-        let cpa_b = cpa::allocate(&inst.dag, q, StoppingCriterion::default()).allocs;
-        let mcpa_b = mcpa::allocate(&inst.dag, q).allocs;
-        for (out, bounds) in [(&mut by_cpa, &cpa_b), (&mut by_mcpa, &mcpa_b)] {
-            let s = schedule_with_bounds(&inst.dag, cal, q, bounds);
-            debug_assert!(ScheduleValidator::new(&inst.dag, cal, Time::ZERO)
-                .check(&s)
-                .is_ok());
-            out.push(s);
-        }
+    for d @ (inst, cal) in layered.flat_map(|(_, drawn)| drawn) {
+        let (dag, q, cfg) = (&inst.dag, inst.resv.q, ForwardConfig::recommended());
+        by_cpa.push(forward(d, cfg));
+        let bounds = mcpa::allocate(dag, q).allocs;
+        let s = schedule_forward_bounded(dag, cal, Time::ZERO, q, cfg, &bounds);
+        by_mcpa.push(s);
     }
     Measured::new(
         "Extension - MCPA vs CPA allocation bounds (layered DAGs, Grid'5000-like)",

@@ -3,9 +3,9 @@
 //! (the λ-hybrids on Grid'5000-like schedules).
 
 use crate::metrics::{AlgoSummary, DegradationTracker};
+use crate::par_map;
 use crate::scenario::{instances_for, Instance, LogCache, ResvSpec, Scale};
 use crate::table::{fnum, Table};
-use rayon::prelude::*;
 use resched_core::backward::{DeadlineAlgo, DeadlineConfig, Roster};
 use resched_core::prelude::{Dur, Time};
 use resched_daggen::Sweep;
@@ -56,7 +56,8 @@ fn eval_instance(inst: &Instance, algos: &[DeadlineAlgo]) -> Option<(Vec<f64>, V
     Some((hours.collect(), cpu))
 }
 
-/// Run one deadline experiment over a scenario grid.
+/// Run one deadline experiment over a scenario grid, each scenario's
+/// instances on `threads` workers.
 pub fn run_deadline_experiment(
     label: &str,
     sweeps: &[Sweep],
@@ -64,6 +65,7 @@ pub fn run_deadline_experiment(
     algos: &[DeadlineAlgo],
     scale: Scale,
     seed: u64,
+    threads: usize,
 ) -> DeadlineResult {
     let names: Vec<&str> = algos.iter().map(|a| a.name()).collect();
     let mut k_tracker = DegradationTracker::new(&names);
@@ -74,11 +76,8 @@ pub fn run_deadline_experiment(
         let log = cache.get(&spec.log, seed).clone();
         for sweep in sweeps {
             let instances = instances_for(sweep, spec, &log, scale, seed);
-            let evals: Vec<(Vec<f64>, Vec<f64>)> = instances
-                .par_iter()
-                .filter_map(|inst| eval_instance(inst, algos))
-                .collect();
-            let (ks, cpus): (Vec<Vec<f64>>, Vec<Vec<f64>>) = evals.into_iter().unzip();
+            let evals = par_map(&instances, threads, |inst| eval_instance(inst, algos));
+            let (ks, cpus): (Vec<Vec<f64>>, Vec<Vec<f64>>) = evals.into_iter().flatten().unzip();
             k_tracker.absorb_scenario(&ks);
             cpu_tracker.absorb_scenario(&cpus);
         }
@@ -94,8 +93,14 @@ pub fn run_deadline_experiment(
 
 /// Run the paper's Table 6: five algorithms, SDSC_BLUE-like synthetic
 /// schedules at φ ∈ {0.1, 0.2, 0.5} (averaged over the three thinning
-/// methods, like the paper's per-φ columns) plus Grid'5000-like schedules.
-pub fn run_table6(sweeps: &[Sweep], scale: Scale, seed: u64) -> Vec<DeadlineResult> {
+/// methods, like the paper's per-φ columns) plus Grid'5000-like schedules,
+/// on `threads` workers.
+pub fn run_table6(
+    sweeps: &[Sweep],
+    scale: Scale,
+    seed: u64,
+    threads: usize,
+) -> Vec<DeadlineResult> {
     let algos = DeadlineAlgo::TABLE6;
     let mut out = Vec::new();
     for &phi in &resched_workloads::extract::ExtractSpec::PHIS {
@@ -114,6 +119,7 @@ pub fn run_table6(sweeps: &[Sweep], scale: Scale, seed: u64) -> Vec<DeadlineResu
             &algos,
             scale,
             seed,
+            threads,
         ));
     }
     out.push(run_deadline_experiment(
@@ -123,6 +129,7 @@ pub fn run_table6(sweeps: &[Sweep], scale: Scale, seed: u64) -> Vec<DeadlineResu
         &algos,
         scale,
         seed,
+        threads,
     ));
     out
 }
@@ -138,8 +145,8 @@ fn table7_algorithms() -> [DeadlineAlgo; 4] {
 }
 
 /// Run the paper's Table 7: hybrids vs. their parents on Grid'5000-like
-/// schedules.
-pub fn run_table7(sweeps: &[Sweep], scale: Scale, seed: u64) -> DeadlineResult {
+/// schedules, on `threads` workers.
+pub fn run_table7(sweeps: &[Sweep], scale: Scale, seed: u64, threads: usize) -> DeadlineResult {
     run_deadline_experiment(
         "Grid5000",
         sweeps,
@@ -147,6 +154,7 @@ pub fn run_table7(sweeps: &[Sweep], scale: Scale, seed: u64) -> DeadlineResult {
         &table7_algorithms(),
         scale,
         seed,
+        threads,
     )
 }
 
@@ -203,7 +211,7 @@ mod tests {
             tags: 1,
         };
         let algos = [DeadlineAlgo::BdCpa, DeadlineAlgo::RcCpaR];
-        let r = run_deadline_experiment("test", &sweeps, &specs, &algos, scale, 3);
+        let r = run_deadline_experiment("test", &sweeps, &specs, &algos, scale, 3, 2);
         assert_eq!(r.scenarios, 1);
         assert_eq!(r.tightest.len(), 2);
         assert!(r.tightest.iter().any(|s| s.wins > 0));

@@ -3,9 +3,9 @@
 //! method comparison.
 
 use crate::metrics::{AlgoSummary, DegradationTracker};
+use crate::par_map;
 use crate::scenario::{instances_for, Instance, LogCache, ResvSpec, Scale};
 use crate::table::{fnum, Table};
-use rayon::prelude::*;
 use resched_core::backward::{DeadlineConfig, Roster};
 use resched_core::bl::BlMethod;
 use resched_core::forward::{BdMethod, ForwardConfig};
@@ -34,46 +34,50 @@ fn table4_algorithms() -> Vec<ForwardConfig> {
         .collect()
 }
 
-/// Turn-around hours and CPU-hours of each configuration, per instance:
-/// every configuration asks one prepared instance.
-fn run_instances(instances: &[Instance], cfgs: &[ForwardConfig]) -> (Vec<Vec<f64>>, Vec<Vec<f64>>) {
-    let rows: Vec<(Vec<f64>, Vec<f64>)> = instances
-        .par_iter()
-        .map(|inst| {
-            let (cal, cfg) = (inst.resv.calendar(), DeadlineConfig::default());
-            let mut roster = Roster::prepare(&inst.dag, &cal, Time::ZERO, inst.resv.q, cfg);
-            cfgs.iter()
-                .map(|&cfg| {
-                    let s = roster.forward(cfg);
-                    (s.turnaround().as_hours(), s.cpu_hours())
-                })
-                .unzip()
-        })
-        .collect();
+/// Turn-around hours and CPU-hours of each configuration, per instance,
+/// on `threads` workers: every configuration asks one prepared instance.
+fn run_instances(
+    instances: &[Instance],
+    cfgs: &[ForwardConfig],
+    threads: usize,
+) -> (Vec<Vec<f64>>, Vec<Vec<f64>>) {
+    let rows = par_map(instances, threads, |inst| {
+        let (cal, cfg) = (inst.resv.calendar(), DeadlineConfig::default());
+        let mut roster = Roster::prepare(&inst.dag, &cal, Time::ZERO, inst.resv.q, cfg);
+        cfgs.iter()
+            .map(|&cfg| {
+                let s = roster.forward(cfg);
+                (s.turnaround().as_hours(), s.cpu_hours())
+            })
+            .unzip()
+    });
     rows.into_iter().unzip()
 }
 
 /// Run the Table 4 experiment over the paper's full scenario grid
-/// (40 application sweeps × 36 synthetic reservation specs).
-pub fn run_table4(scale: Scale, seed: u64) -> ResschedResult {
+/// (40 application sweeps × 36 synthetic reservation specs), each
+/// scenario's instances on `threads` workers.
+pub fn run_table4(scale: Scale, seed: u64, threads: usize) -> ResschedResult {
     run_forward_experiment(
         &DagParams::paper_sweeps(),
         &ResvSpec::paper_grid(),
         &table4_algorithms(),
         scale,
         seed,
+        threads,
     )
 }
 
 /// Run the Table 5 experiment: same algorithms, Grid'5000-like reservation
-/// schedules, the 40 application sweeps.
-pub fn run_table5(scale: Scale, seed: u64) -> ResschedResult {
+/// schedules, the 40 application sweeps, on `threads` workers.
+pub fn run_table5(scale: Scale, seed: u64, threads: usize) -> ResschedResult {
     run_forward_experiment(
         &DagParams::paper_sweeps(),
         &[ResvSpec::grid5000()],
         &table4_algorithms(),
         scale,
         seed,
+        threads,
     )
 }
 
@@ -84,6 +88,7 @@ fn run_forward_experiment(
     cfgs: &[ForwardConfig],
     scale: Scale,
     seed: u64,
+    threads: usize,
 ) -> ResschedResult {
     let names: Vec<String> = cfgs.iter().map(|c| c.bd.name().to_string()).collect();
     let name_refs: Vec<&str> = names.iter().map(String::as_str).collect();
@@ -95,7 +100,7 @@ fn run_forward_experiment(
         let log = cache.get(&spec.log, seed).clone();
         for sweep in sweeps {
             let instances = instances_for(sweep, spec, &log, scale, seed);
-            let (ta, cpu) = run_instances(&instances, cfgs);
+            let (ta, cpu) = run_instances(&instances, cfgs, threads);
             ta_tracker.absorb_scenario(&ta);
             cpu_tracker.absorb_scenario(&cpu);
         }
@@ -151,12 +156,14 @@ pub struct BlCompareResult {
 }
 
 /// Run the §4.3.1 experiment: all 4 BL methods × 3 bounding methods
-/// (BD_ALL, BD_CPA, BD_CPAR — BD_HALF is not part of the 12 algorithms).
+/// (BD_ALL, BD_CPA, BD_CPAR — BD_HALF is not part of the 12 algorithms),
+/// each scenario's instances on `threads` workers.
 pub fn run_bl_compare(
     sweeps: &[Sweep],
     specs: &[ResvSpec],
     scale: Scale,
     seed: u64,
+    threads: usize,
 ) -> BlCompareResult {
     let bds = [BdMethod::All, BdMethod::Cpa, BdMethod::CpaR];
     let mut cache = LogCache::new();
@@ -174,7 +181,7 @@ pub fn run_bl_compare(
                     .iter()
                     .map(|&bl| ForwardConfig::new(bl, bd))
                     .collect();
-                let (ta_rows, _) = run_instances(&instances, &cfgs);
+                let (ta_rows, _) = run_instances(&instances, &cfgs, threads);
                 // Scenario-average turn-around per BL method.
                 let n = ta_rows.len().max(1) as f64;
                 let mut avg = [0.0f64; 4];
@@ -283,6 +290,7 @@ mod tests {
             &table4_algorithms(),
             tiny_scale(),
             42,
+            2,
         );
         assert_eq!(r.scenarios, 1);
         assert_eq!(r.turnaround.len(), 4);
@@ -298,7 +306,7 @@ mod tests {
 
     #[test]
     fn bl_compare_produces_sane_fractions() {
-        let r = run_bl_compare(&quick_sweeps(), &tiny_specs(), tiny_scale(), 42);
+        let r = run_bl_compare(&quick_sweeps(), &tiny_specs(), tiny_scale(), 42, 2);
         assert_eq!(r.cases, 3); // 1 scenario x 3 bounding methods
         let total: f64 = r.best_fraction.iter().sum();
         assert!(total >= 1.0 - 1e-9); // ties can push above 1

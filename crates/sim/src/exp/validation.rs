@@ -8,9 +8,9 @@
 //! regression shows up in the report next to the numbers it would taint.
 //! The expected violation count is zero for every algorithm.
 
+use crate::par_map;
 use crate::scenario::{default_sweep, derive_seed, instances_for, LogCache, ResvSpec, Scale};
 use crate::table::Table;
-use rayon::prelude::*;
 use resched_core::algos::{Algorithm, RunError};
 use resched_core::forward::{schedule_forward, ForwardConfig};
 use resched_core::prelude::Time;
@@ -40,8 +40,9 @@ enum Outcome {
 
 /// Run every registered algorithm over the default application sweep on
 /// Grid'5000-like reservation schedules and audit each produced schedule
-/// with the oracle configured via [`Algorithm::validator`].
-pub fn run_validation(scale: Scale, seed: u64) -> Vec<ValidationSummary> {
+/// with the oracle configured via [`Algorithm::validator`], the instances
+/// on `threads` workers.
+pub fn run_validation(scale: Scale, seed: u64, threads: usize) -> Vec<ValidationSummary> {
     let spec = ResvSpec::grid5000();
     let mut cache = LogCache::new();
     let log = cache.get(&spec.log, seed).clone();
@@ -54,36 +55,33 @@ pub fn run_validation(scale: Scale, seed: u64) -> Vec<ValidationSummary> {
     );
     let catalog = Algorithm::catalog();
 
-    let per_instance: Vec<Vec<Outcome>> = instances
-        .par_iter()
-        .map(|inst| {
-            let cal = inst.resv.calendar();
-            let fwd = schedule_forward(
-                &inst.dag,
-                &cal,
-                Time::ZERO,
-                inst.resv.q,
-                ForwardConfig::recommended(),
-            );
-            let deadline = Some(Time::ZERO + fwd.turnaround() * 2);
-            catalog
-                .iter()
-                .map(
-                    |algo| match algo.run(&inst.dag, &cal, Time::ZERO, inst.resv.q, deadline) {
-                        Ok(s) => match algo
-                            .validator(&inst.dag, &cal, Time::ZERO, deadline)
-                            .check(&s)
-                        {
-                            Ok(()) => Outcome::Valid,
-                            Err(v) => Outcome::Violation(v.to_string()),
-                        },
-                        Err(RunError::Infeasible(_)) => Outcome::Infeasible,
-                        Err(e) => Outcome::Violation(format!("failed to run: {e}")),
+    let per_instance: Vec<Vec<Outcome>> = par_map(&instances, threads, |inst| {
+        let cal = inst.resv.calendar();
+        let fwd = schedule_forward(
+            &inst.dag,
+            &cal,
+            Time::ZERO,
+            inst.resv.q,
+            ForwardConfig::recommended(),
+        );
+        let deadline = Some(Time::ZERO + fwd.turnaround() * 2);
+        catalog
+            .iter()
+            .map(
+                |algo| match algo.run(&inst.dag, &cal, Time::ZERO, inst.resv.q, deadline) {
+                    Ok(s) => match algo
+                        .validator(&inst.dag, &cal, Time::ZERO, deadline)
+                        .check(&s)
+                    {
+                        Ok(()) => Outcome::Valid,
+                        Err(v) => Outcome::Violation(v.to_string()),
                     },
-                )
-                .collect()
-        })
-        .collect();
+                    Err(RunError::Infeasible(_)) => Outcome::Infeasible,
+                    Err(e) => Outcome::Violation(format!("failed to run: {e}")),
+                },
+            )
+            .collect()
+    });
 
     let mut out: Vec<ValidationSummary> = catalog
         .iter()
@@ -148,7 +146,7 @@ mod tests {
             starts: 1,
             tags: 1,
         };
-        let results = run_validation(scale, 5);
+        let results = run_validation(scale, 5, 2);
         assert_eq!(results.len(), Algorithm::catalog().len());
         let mut audited_total = 0usize;
         for r in &results {

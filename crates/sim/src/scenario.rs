@@ -93,7 +93,7 @@ impl EnvError {
 }
 
 /// A variable lookup: `std::env::var` in the binaries, a table in tests.
-type Lookup<'a> = &'a dyn Fn(&str) -> Option<String>;
+pub(crate) type Lookup<'a> = &'a dyn Fn(&str) -> Option<String>;
 
 /// A count knob under `get`: `None` when unset, an error naming the
 /// variable and the value when set but not a whole number.
@@ -162,20 +162,13 @@ impl Scale {
 
     /// Read the scale from the environment (see type docs), starting from
     /// the default 2 × 2 × 1. A variable that is set but does not parse is an
-    /// error, not the default. This is the binaries' start-up check, so it
-    /// also vets `RESCHED_PAR`, the rayon shim's worker count, which would
-    /// otherwise be read only when the first parallel section runs.
+    /// error, not the default.
     pub fn from_env() -> Result<Scale, EnvError> {
         Scale::from_vars(&|k| std::env::var(k).ok())
     }
 
     /// [`Scale::from_env`] over an explicit variable lookup.
     fn from_vars(get: Lookup<'_>) -> Result<Scale, EnvError> {
-        rayon::threads_from_vars(get).map_err(|e| EnvError {
-            var: "RESCHED_PAR",
-            value: e.value,
-            expected: rayon::PAR_EXPECTED,
-        })?;
         let mut s = Scale::quick();
         if let Some(f) = env_scale(get)? {
             let scale = |x: usize| ((x as f64 * f).round() as usize).max(1);
@@ -377,8 +370,7 @@ mod tests {
                 _ => Scale::from_vars(&get).map(|s| s.instances()),
             }
         };
-        let table: [(&'static str, &[&'static str], &'static str, usize); 6] = [
-            ("RESCHED_PAR", &["on", "", "two", "2 ", "-1"], "seq", 4),
+        let table: [(&'static str, &[&'static str], &'static str, usize); 5] = [
             (
                 "RESCHED_SCALE",
                 &["fast", "", "1,5", "0", "-2", "NaN", "inf"],

@@ -101,6 +101,7 @@ fn golden_deadline_grid5000() {
         &algos,
         GOLDEN_SCALE,
         DEFAULT_ROOT_SEED,
+        2,
     );
     check_golden("deadline_grid5000_small.json", &result);
 }
