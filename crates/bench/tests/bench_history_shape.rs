@@ -1,8 +1,9 @@
 //! Shape check for the hand-kept `BENCH_history.json`: every section says
-//! which PR measured it and why it is frozen, and the `parallel_sweep`
-//! record (the experiment sweep at one thread vs all, moved here when
-//! `bench_scale` was deleted) still records the host thread count beside
-//! each ratio.
+//! which PR measured it and why it is frozen, DESIGN.md's decision table
+//! names every section (so no measured result drops out of the design
+//! record), and the `parallel_sweep` record (the experiment sweep at one
+//! thread vs all, moved here when `bench_scale` was deleted) still records
+//! the host thread count beside each ratio.
 //!
 //! This is a schema smoke test, not a perf assertion: no binary reads or
 //! writes the file.
@@ -51,6 +52,21 @@ fn bench_history_json_has_the_expected_shape() {
         assert!(num(section, "source_pr") >= 1.0, "{key}");
         assert!(!text(section, "frozen").is_empty(), "{key}");
     }
+
+    // DESIGN.md names every measured section, as a code span.
+    let design_path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../DESIGN.md");
+    let design =
+        std::fs::read_to_string(design_path).unwrap_or_else(|e| panic!("{design_path}: {e}"));
+    let unnamed: Vec<&str> = history
+        .keys()
+        .map(String::as_str)
+        .filter(|k| !["description", "migrated"].contains(k))
+        .filter(|k| !design.contains(&format!("`{k}`")))
+        .collect();
+    assert!(
+        unnamed.is_empty(),
+        "DESIGN.md does not name these BENCH_history.json sections: {unnamed:?}"
+    );
 
     // The parallel sweep: thread count recorded beside every ratio.
     let sweep = obj(history

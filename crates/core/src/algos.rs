@@ -203,7 +203,7 @@ mod tests {
 
     #[test]
     fn catalog_matches_the_doc_tables() {
-        // The catalog tables of DESIGN.md §13 and EXPERIMENTS.md — the
+        // The catalog tables of DESIGN.md §1.2 and EXPERIMENTS.md — the
         // backticked names between the `lint:catalog` markers — list
         // exactly `Algorithm::catalog()`, in its order. (The goldens are
         // held to the catalog by `obs_differential`, which runs all of it.)

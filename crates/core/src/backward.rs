@@ -500,7 +500,7 @@ enum Mode<'a> {
 }
 
 /// The finest λ grid a sweep walks: 1 001 passes at most.
-pub const MIN_LAMBDA_STEP: f64 = 1e-3;
+const MIN_LAMBDA_STEP: f64 = 1e-3;
 
 /// The hybrid λ sweep grid, lazily: every multiple of `step` strictly
 /// below 1, then exactly `1.0`.
@@ -518,7 +518,7 @@ pub const MIN_LAMBDA_STEP: f64 = 1e-3;
 /// rather than rejected because `schedule_deadline`'s only error is "the
 /// deadline cannot be met", and the endpoints are the two passes every
 /// grid shares: pure RC, then the fully aggressive fallback.
-pub fn lambda_grid(step: f64) -> impl Iterator<Item = f64> {
+fn lambda_grid(step: f64) -> impl Iterator<Item = f64> {
     // NaN fails the comparison and lands on the coarsest grid; a step of 1
     // is that grid too, and keeps `0 · ∞` out of the multiples.
     let step = if step > 0.0 {
@@ -844,7 +844,7 @@ struct WidthScan<'a> {
 /// every candidate is in exactly one chunk, so the first chunk with an
 /// answer holds the narrowest, and a scan that accepts `m = 1` never
 /// evaluates `exec_time(p)`. Measured (seed 77, `--seconds 6`, three
-/// alternating rounds, medians; DESIGN.md §9): handing the whole list to
+/// alternating rounds, medians; DESIGN.md §14): handing the whole list to
 /// one walk costs `batch_table9` 726 → 621 ops/s and 1 346 → 1 902 µs
 /// `op_p50_us` (100 tasks × 1 152 `exec_time` evaluations per RC pass);
 /// growth by 2 / 4 / 8 reads 753 / 726 / 734 ops/s there and 4 650 / 4 852

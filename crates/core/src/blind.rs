@@ -56,7 +56,7 @@ impl ReservationDesk {
     }
 
     /// [`Self::probe`], tallying the calendar query work into `cost`.
-    pub fn probe_with_cost(
+    fn probe_with_cost(
         &mut self,
         procs: u32,
         dur: Dur,
@@ -91,11 +91,6 @@ impl ReservationDesk {
     /// Number of reservations committed.
     pub fn commits(&self) -> u64 {
         self.commits
-    }
-
-    /// The calendar including committed reservations (for validation).
-    pub fn into_calendar(self) -> Calendar {
-        self.cal
     }
 }
 
@@ -313,6 +308,5 @@ mod tests {
         desk.commit(Reservation::for_duration(s, Dur::seconds(100), 2));
         assert_eq!(desk.probes(), 1);
         assert_eq!(desk.commits(), 1);
-        assert_eq!(desk.into_calendar().num_reservations(), 1);
     }
 }

@@ -38,7 +38,7 @@
 //!
 //! Since `T_A' ≥ T_A`, the allocation loop stops earlier and per-task
 //! allocations stay smaller. Calibration against the paper's published
-//! numbers (see DESIGN.md §3 and EXPERIMENTS.md) showed this variant is too
+//! numbers (see DESIGN.md §1.3 and EXPERIMENTS.md) showed this variant is too
 //! aggressive on small platforms — it starves near-linear tasks of
 //! processors — so it is offered as an explicit option and quantified by
 //! the `ablation_cpa_criterion` experiment rather than used by default.
@@ -513,7 +513,7 @@ pub fn allocate_reference(dag: &Dag, pool: u32, criterion: StoppingCriterion) ->
 /// misses are reported through the `cpa.cache.{hit,miss}` counters.
 ///
 /// A cache serves one DAG — keys carry no DAG identity — and is always on
-/// (DESIGN.md §16 has what computing the shared allocation once is worth
+/// (DESIGN.md §14 has what computing the shared allocation once is worth
 /// end to end). Lookup is a plain probed `Vec`; a call touches at most a
 /// handful of distinct pools. A miss leaves the allocation loop's state
 /// behind, and a later miss for a larger pool under the same criterion

@@ -356,11 +356,6 @@ impl DagBuilder {
         self.costs.len()
     }
 
-    /// Whether the edge already exists.
-    pub fn has_edge(&self, from: TaskId, to: TaskId) -> bool {
-        self.edges.contains(&(from.0, to.0))
-    }
-
     /// Validate and freeze into a [`Dag`].
     ///
     /// O(V + E) on valid input: one pass counts degrees, so every adjacency
@@ -506,9 +501,11 @@ pub(crate) fn random_dag<R: rand::Rng>(rng: &mut R, longest: i64, overhead: i64)
             rng.gen_range(0.0..0.5f64),
             Dur::seconds(overhead),
         ));
+        let mut preds = Vec::new();
         for _ in 0..rng.gen_range(0..=3usize.min(j)) {
             let pred = TaskId(rng.gen_range(j.saturating_sub(5)..j) as u32);
-            if !b.has_edge(pred, t) {
+            if !preds.contains(&pred) {
+                preds.push(pred);
                 b.add_edge(pred, t);
             }
         }

@@ -30,7 +30,7 @@
 //! floor computation the schedulers make), and a completion below it marks
 //! a schedule invalid without sharing a line with
 //! [`ScheduleValidator`](crate::validate::ScheduleValidator): the second
-//! oracle ([`Floor::of`], then [`Floor::check`]). DESIGN.md §9 has the
+//! oracle ([`Floor::of`], then [`Floor::check`]). DESIGN.md §7 has the
 //! exactness proofs.
 
 use crate::dag::{Dag, TaskId};

@@ -235,7 +235,7 @@ impl Histogram {
     }
 
     /// Index of the bucket holding `v`.
-    pub fn bucket_index(v: u64) -> usize {
+    fn bucket_index(v: u64) -> usize {
         if v == 0 {
             0
         } else {
@@ -247,7 +247,7 @@ impl Histogram {
     ///
     /// # Panics
     /// If `i >= 65`.
-    pub fn bucket_bounds(i: usize) -> (u64, u64) {
+    fn bucket_bounds(i: usize) -> (u64, u64) {
         assert!(i < HIST_BUCKETS, "bucket index {i} out of range");
         if i == 0 {
             (0, 0)
@@ -394,7 +394,7 @@ impl MetricsRegistry {
     }
 
     /// Iterate histograms in name order.
-    pub fn histograms(&self) -> impl Iterator<Item = (&str, &Histogram)> {
+    fn histograms(&self) -> impl Iterator<Item = (&str, &Histogram)> {
         self.histograms.iter().map(|(k, v)| (k.as_str(), v))
     }
 

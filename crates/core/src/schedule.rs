@@ -2,7 +2,7 @@
 //! throughout the workspace. Whether a schedule is valid is
 //! [`crate::validate::ScheduleValidator`]'s to say.
 
-use crate::dag::{Dag, TaskId};
+use crate::dag::TaskId;
 use resched_resv::{Dur, Reservation, Time};
 use serde::{Deserialize, Serialize};
 
@@ -191,57 +191,12 @@ impl Schedule {
             .map(|p| p.reservation().proc_seconds())
             .sum()
     }
-
-    /// Mean parallel efficiency across tasks: for each task, the speedup
-    /// achieved on its reserved processors divided by the processor count,
-    /// averaged unweighted.
-    ///
-    /// 1.0 means no Amdahl loss anywhere; aggressive over-allocation pushes
-    /// this toward 0 — the mechanism behind the paper's CPU-hour gaps.
-    pub fn mean_parallel_efficiency(&self, dag: &Dag) -> f64 {
-        let n = dag.num_tasks();
-        if n == 0 {
-            return 1.0;
-        }
-        dag.task_ids()
-            .map(|t| dag.cost(t).efficiency(self.placement(t).procs))
-            .sum::<f64>()
-            / n as f64
-    }
-
-    /// Packing density: the application's useful work (1-processor
-    /// seconds) divided by the processor-seconds it reserved.
-    pub fn packing_density(&self, dag: &Dag) -> f64 {
-        let reserved = self.proc_seconds();
-        if reserved == 0 {
-            return 0.0;
-        }
-        dag.total_seq_work() as f64 / reserved as f64
-    }
-
-    /// Maximum number of processors this schedule holds simultaneously.
-    pub fn peak_procs(&self) -> u32 {
-        // Sweep over placement boundaries.
-        let mut events: Vec<(Time, i64)> = Vec::with_capacity(self.placements.len() * 2);
-        for p in &self.placements {
-            events.push((p.start, p.procs as i64));
-            events.push((p.end, -(p.procs as i64)));
-        }
-        events.sort();
-        let mut cur = 0i64;
-        let mut peak = 0i64;
-        for (_, d) in events {
-            cur += d;
-            peak = peak.max(cur);
-        }
-        peak as u32
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dag::chain;
+    use crate::dag::{chain, Dag};
     use crate::task::TaskCost;
     use crate::validate::{ScheduleValidator, Violation};
     use resched_resv::Calendar;
@@ -372,28 +327,6 @@ mod tests {
         // Task 0 on 2 procs (alpha = 0) needs only 50s.
         let sched = Schedule::new(vec![pl(0, 50, 2), pl(50, 150, 2)], Time::ZERO);
         assert_eq!(check(&sched, &Calendar::new(4)), Ok(()));
-    }
-
-    #[test]
-    fn efficiency_statistics() {
-        let dag = two_task_dag(); // alpha = 0 everywhere
-        let sched = Schedule::new(vec![pl(0, 50, 2), pl(50, 150, 2)], Time::ZERO);
-        // alpha = 0 tasks at any allocation are perfectly efficient.
-        assert!((sched.mean_parallel_efficiency(&dag) - 1.0).abs() < 1e-9);
-        // Useful work 300s; reserved 2x50 + 2x100 = 300 proc-seconds.
-        assert!((sched.packing_density(&dag) - 1.0).abs() < 1e-9);
-        assert_eq!(sched.peak_procs(), 2);
-        // Overlapping placements raise the peak.
-        let overlap = Schedule::new(vec![pl(0, 100, 2), pl(50, 150, 3)], Time::ZERO);
-        assert_eq!(overlap.peak_procs(), 5);
-    }
-
-    #[test]
-    fn padding_reduces_packing_density() {
-        let dag = two_task_dag();
-        // Same placements but each reservation padded 2x longer.
-        let padded = Schedule::new(vec![pl(0, 100, 2), pl(100, 300, 2)], Time::ZERO);
-        assert!(padded.packing_density(&dag) < 0.5 + 1e-9);
     }
 
     #[test]

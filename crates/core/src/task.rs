@@ -113,32 +113,12 @@ impl TaskCost {
         Dur::from_secs_f64_ceil(t).max(Dur::seconds(1))
     }
 
-    /// The processor count minimizing execution time (the smallest such
-    /// count on ties). For zero overhead this is unbounded growth, so the
-    /// search is capped at `cap`.
-    pub fn best_procs(&self, cap: u32) -> u32 {
-        assert!(cap >= 1);
-        (1..=cap)
-            .min_by_key(|&m| (self.exec_time(m), m))
-            .expect("cap >= 1")
-    }
-
     /// Work area `m * t(m)` on `m` processors, in processor-seconds.
     ///
     /// By Amdahl's law this is non-decreasing in `m`: parallelism never
     /// reduces total resource consumption.
     pub fn work(&self, m: u32) -> i64 {
         m as i64 * self.exec_time(m).as_seconds()
-    }
-
-    /// Absolute speedup `t(1) / t(m)`.
-    pub fn speedup(&self, m: u32) -> f64 {
-        self.exec_time(1).as_seconds() as f64 / self.exec_time(m).as_seconds() as f64
-    }
-
-    /// Parallel efficiency `speedup(m) / m`.
-    pub fn efficiency(&self, m: u32) -> f64 {
-        self.speedup(m) / m as f64
     }
 
     /// The relative execution-time reduction from granting one more
@@ -371,16 +351,6 @@ mod tests {
     }
 
     #[test]
-    fn speedup_and_efficiency() {
-        let t = c(10_000, 0.0);
-        assert!((t.speedup(10) - 10.0).abs() < 1e-9);
-        assert!((t.efficiency(10) - 1.0).abs() < 1e-9);
-        let seq = c(10_000, 1.0);
-        assert!((seq.speedup(10) - 1.0).abs() < 1e-9);
-        assert!((seq.efficiency(10) - 0.1).abs() < 1e-9);
-    }
-
-    #[test]
     fn marginal_gain_diminishes() {
         let t = c(100_000, 0.05);
         assert!(t.marginal_gain(1) > t.marginal_gain(4));
@@ -394,7 +364,7 @@ mod tests {
         // Small m: parallelism wins. Large m: overhead dominates.
         assert!(t.exec_time(4) < t.exec_time(1));
         assert!(t.exec_time(64) > t.exec_time(16));
-        let best = t.best_procs(128);
+        let best = fastest_width(&t, 128);
         assert!(
             best > 1 && best < 128,
             "U-shape minimum interior, got {best}"
@@ -403,12 +373,17 @@ mod tests {
         assert!((10..=40).contains(&best), "minimum at {best}");
     }
 
+    /// The narrowest width in `1..=cap` with the shortest `exec_time`.
+    fn fastest_width(t: &TaskCost, cap: u32) -> u32 {
+        (1..=cap).min_by_key(|&m| (t.exec_time(m), m)).unwrap_or(1)
+    }
+
     #[test]
     fn zero_overhead_best_procs_is_cap_for_parallel_tasks() {
         let t = c(100_000, 0.0);
-        assert_eq!(t.best_procs(32), 32);
+        assert_eq!(fastest_width(&t, 32), 32);
         let seq = c(100_000, 1.0);
-        assert_eq!(seq.best_procs(32), 1); // ties resolve to fewest
+        assert_eq!(fastest_width(&seq, 32), 1); // ties resolve to fewest
     }
 
     #[test]

@@ -51,8 +51,7 @@
 //! Schedulers invoke the oracle through a `debug_assertions`-gated
 //! post-pass, and the seeded fuzz driver in `tests/` runs
 //! every registered algorithm through it on random scenarios, shrinking
-//! failures to minimal committed repros (see DESIGN.md, "Schedule validity
-//! invariants").
+//! failures to minimal committed repros (see DESIGN.md §8).
 
 use crate::dag::{Dag, TaskId};
 use crate::schedule::{Schedule, ScheduleStats};
@@ -893,46 +892,32 @@ fn ordered_scan(cal: &Calendar, grain: Option<u32>) -> ShapeFindings {
     found
 }
 
-/// Audit a CPA/MCPA phase-1 allocation: one entry per task, every
-/// allocation within `1..=pool`, and every cached execution time equal to
-/// the Amdahl model at the chosen allocation.
-///
-/// Returns a human-readable description of the first inconsistency, or
-/// `Ok(())`. The allocators call this behind the same debug gate
-/// as the schedule post-pass.
-pub fn check_allocation(dag: &Dag, alloc: &crate::cpa::CpaAllocation) -> Result<(), String> {
-    if alloc.allocs.len() != dag.num_tasks() || alloc.exec.len() != dag.num_tasks() {
-        return Err(format!(
-            "allocation covers {} tasks (exec {}) for a {}-task DAG",
-            alloc.allocs.len(),
-            alloc.exec.len(),
-            dag.num_tasks()
-        ));
-    }
-    for t in dag.task_ids() {
-        let m = alloc.alloc(t);
-        if m < 1 || m > alloc.pool {
-            return Err(format!(
-                "task {t} allocated {m} procs for a pool of {}",
-                alloc.pool
-            ));
-        }
-        let model = dag.cost(t).exec_time(m);
-        if alloc.exec_time(t) != model {
-            return Err(format!(
-                "task {t} caches exec {} but the model gives {model} at m={m}",
-                alloc.exec_time(t)
-            ));
-        }
-    }
-    Ok(())
-}
-
-/// Panicking wrapper around [`check_allocation`] for allocator post-passes.
+/// Audit a CPA/MCPA phase-1 allocation for the allocators' debug-gated
+/// post-passes: one entry per task, every allocation within `1..=pool`,
+/// and every cached execution time equal to the Amdahl model at the
+/// chosen allocation. Panics naming `context` and the first inconsistency.
 #[cfg(debug_assertions)]
 pub(crate) fn assert_allocation_valid(dag: &Dag, alloc: &crate::cpa::CpaAllocation, context: &str) {
-    if let Err(e) = check_allocation(dag, alloc) {
-        panic!("{context}: allocation validation failed: {e}");
+    let n = dag.num_tasks();
+    assert!(
+        alloc.allocs.len() == n && alloc.exec.len() == n,
+        "{context}: allocation validation failed: allocation covers {} tasks (exec {}) for a {n}-task DAG",
+        alloc.allocs.len(),
+        alloc.exec.len(),
+    );
+    for t in dag.task_ids() {
+        let m = alloc.alloc(t);
+        assert!(
+            (1..=alloc.pool).contains(&m),
+            "{context}: allocation validation failed: task {t} allocated {m} procs for a pool of {}",
+            alloc.pool
+        );
+        let model = dag.cost(t).exec_time(m);
+        assert!(
+            alloc.exec_time(t) == model,
+            "{context}: allocation validation failed: task {t} caches exec {} but the model gives {model} at m={m}",
+            alloc.exec_time(t)
+        );
     }
 }
 

@@ -53,7 +53,7 @@ pub fn generate(params: &DagParams, seed: u64) -> Dag {
 /// step 2 draws each candidate pair once, step 3a links only a task with
 /// no parent in the previous level, and step 3b links into level 1 and
 /// the exit, which nothing before it does. Two flags per task answer the
-/// only questions an edge set would be asked (DESIGN.md §20).
+/// only questions an edge set would be asked (DESIGN.md §2.3).
 pub fn generate_with<R: Rng>(params: &DagParams, rng: &mut R) -> Dag {
     let n = params.num_tasks;
     // Room for two edges per task: a paper-default DAG has ~1.4 at n = 10

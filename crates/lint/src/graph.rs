@@ -1,5 +1,5 @@
 //! Approximate name-resolved call graph and the transitive rule families
-//! built on it (DESIGN.md §18).
+//! built on it (DESIGN.md §13).
 //!
 //! The graph over-approximates: a call site edges to *every* workspace
 //! function the name could plausibly resolve to (all same-named methods
@@ -610,7 +610,7 @@ fn scan_calls(code: &str, n: usize, fi: usize, table: &SymbolTable, node: &mut N
 /// adds, iterates or drops a value of the type is taken to be among the
 /// functions that spell the type. Over-approximate by design, and blind
 /// to a function that handles the type only through inference or field
-/// access (DESIGN.md §18).
+/// access (DESIGN.md §13).
 fn scan_implicit(code: &str, n: usize, fi: usize, table: &SymbolTable, node: &mut Node) {
     let own = table.fns[fi].self_type.as_deref();
     let named = code

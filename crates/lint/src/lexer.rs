@@ -14,7 +14,7 @@
 //!   these lines.
 //!
 //! Known heuristic limits, acceptable for this workspace and documented in
-//! DESIGN.md §10: `#[cfg(test)]` is assumed to gate a braced item (a `;`
+//! DESIGN.md §13: `#[cfg(test)]` is assumed to gate a braced item (a `;`
 //! before any `{` cancels the region), and block comments never carry
 //! waivers.
 
@@ -317,7 +317,7 @@ fn mark_test_regions(lines: &mut [Line]) {
 /// (the validator replay tail in the schedulers): the region therefore
 /// extends to the gated item's matching `}` **or** to the first `;` at
 /// paren-depth 0 before any `{` opens — whichever comes first. Known
-/// approximation (DESIGN.md §18): a brace opening inside a gated braceless
+/// approximation (DESIGN.md §13): a brace opening inside a gated braceless
 /// statement (a block-bodied closure argument) ends the region at that
 /// brace's close rather than the statement's `;`.
 fn mark_debug_regions(lines: &mut [Line]) {

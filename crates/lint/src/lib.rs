@@ -2,7 +2,7 @@
 //!
 //! What is checked here is what no compiler pass, clippy lint or test can
 //! check: properties of everything *reachable* from the entry points
-//! declared in `crates/lint/roots.toml` (DESIGN.md §13, §18):
+//! declared in `crates/lint/roots.toml` (DESIGN.md §13):
 //!
 //! * `panic` — no `unwrap()`/`expect(`/`panic!`/`unreachable!`/unchecked
 //!   indexing in any function transitively reachable from a root;

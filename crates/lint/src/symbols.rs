@@ -4,7 +4,7 @@
 //!
 //! The table is the foundation the call graph (`graph.rs`) resolves names
 //! against. It is an *approximation* with documented limits (DESIGN.md
-//! §18): items are recognized by leading tokens on comment-stripped,
+//! §13): items are recognized by leading tokens on comment-stripped,
 //! attribute-blanked code lines; generics are skipped textually; macros
 //! that *define* functions are invisible. The workspace deliberately
 //! contains none of the latter.

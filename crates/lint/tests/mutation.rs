@@ -1,4 +1,4 @@
-//! Mutation audit of the call graph (DESIGN.md §13, §18): for every root
+//! Mutation audit of the call graph (DESIGN.md §13): for every root
 //! in the real `roots.toml`, over the real workspace, inject a probe three
 //! calls below the root — root → hop 1 → hop 2 → sink — whose sink function
 //! holds an `unwrap()` and an `Instant::now()`, once per way hop 2 can
@@ -247,7 +247,7 @@ fn sinks_in_an_iterator_impl_are_seen_from_every_root() {
 }
 
 #[test]
-#[ignore = "stated hole: an operator impl of a type that no reachable function names (the value comes from a const and is touched only through field access) gets no implicit edge — DESIGN.md §18"]
+#[ignore = "stated hole: an operator impl of a type that no reachable function names (the value comes from a const and is touched only through field access) gets no implicit edge — DESIGN.md §13"]
 fn sinks_in_an_operator_impl_of_a_type_nobody_names_are_seen() {
     owed("unnamed", Rule::Panic, "v.unwrap()");
     owed("unnamed", Rule::Det, "Instant::now()");

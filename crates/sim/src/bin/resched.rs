@@ -128,7 +128,9 @@ fn read_json<T: serde::de::DeserializeOwned>(path: &str) -> Result<T, Box<dyn Er
 }
 
 fn extract_cmd(args: &Args) -> Result<(), Box<dyn Error>> {
-    let log: JobLog = read_json(args.req("log")?)?;
+    let log_path = args.req("log")?;
+    let log: JobLog = read_json(log_path)?;
+    log.check().map_err(|e| format!("{log_path}: {e}"))?;
     let method = match args.opt("method").unwrap_or("expo") {
         "linear" => ThinMethod::Linear,
         "expo" => ThinMethod::Expo,

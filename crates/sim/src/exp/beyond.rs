@@ -1,6 +1,6 @@
 //! Everything `run_experiments` reports beyond Tables 2–10: Table 1 with
 //! the DAG shapes its generator realizes, the design-choice ablations
-//! (DESIGN.md §3) and the extensions past the paper — iCASLB adapted to
+//! (DESIGN.md §1.4) and the extensions past the paper — iCASLB adapted to
 //! reservations (§7), pessimistic and noisy runtime estimates (§3.1),
 //! trial-and-error scheduling and competition during scheduling (§3.2.2),
 //! the per-processor overhead model, MCPA bounds, the closed-loop stream

@@ -117,6 +117,59 @@ fn unschedulable_inputs_exit_1_naming_the_file_and_the_field() {
     }
 }
 
+/// `resched extract --log` holds a JSON job log to `JobLog::check`, so a
+/// machine of no processors is refused instead of panicking inside the
+/// calendar (exit 101), and a job wider than the machine instead of being
+/// extracted as a reservation set that overbooks it.
+#[test]
+fn hostile_job_logs_exit_1_naming_the_file_and_the_job() {
+    let extract = |log: &Path| {
+        let out = Command::new(env!("CARGO_BIN_EXE_resched"))
+            .arg("extract")
+            .arg("--log")
+            .arg(log)
+            .args(["--at", "0", "--phi", "1.0", "--method", "real"])
+            .output()
+            .expect("resched runs");
+        (
+            out.status.code(),
+            String::from_utf8_lossy(&out.stderr).into_owned(),
+        )
+    };
+    let job = |id: u32, procs: u32| {
+        format!(r#"{{"id":{id},"submit":0,"start":0,"runtime":3600,"procs":{procs}}}"#)
+    };
+    let good = write(
+        "cli_good_log.json",
+        &format!(r#"{{"name":"x","procs":8,"jobs":[{}]}}"#, job(1, 8)),
+    );
+    let (code, stderr) = extract(&good);
+    assert_eq!(code, Some(0), "the valid log extracts: {stderr}");
+    let cases = [
+        (
+            "cli_log_no_procs.json",
+            format!(r#"{{"name":"x","procs":0,"jobs":[{}]}}"#, job(1, 1)),
+            "procs (the machine size) must be positive",
+        ),
+        (
+            "cli_log_too_wide.json",
+            format!(
+                r#"{{"name":"x","procs":8,"jobs":[{},{}]}}"#,
+                job(1, 2),
+                job(9, 40)
+            ),
+            "job 9: procs outside 1..=the machine size",
+        ),
+    ];
+    for (name, text, reason) in cases {
+        let bad = write(name, &text);
+        let (code, stderr) = extract(&bad);
+        assert_eq!(code, Some(1), "{name}: {stderr}");
+        let named = format!("{}: {reason}", bad.display());
+        assert!(stderr.contains(&named), "{name}: {stderr}");
+    }
+}
+
 /// A DAG `resched generate-dag` writes is one `resched schedule --dag`
 /// reads back and schedules.
 #[test]

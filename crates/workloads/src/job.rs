@@ -1,7 +1,9 @@
 //! Batch jobs and job logs.
 
+use crate::swf::MAX_SECONDS;
 use resched_resv::{Dur, Reservation, Time};
 use serde::{Deserialize, Serialize};
+use std::fmt;
 
 /// One batch job: submitted at `submit`, started at `start`, ran for
 /// `runtime` on `procs` processors.
@@ -53,7 +55,67 @@ pub struct JobLog {
     pub skipped_jobs: u32,
 }
 
+/// The rule of [`JobLog::check`] a log breaks; every variant but the first
+/// carries the id of the job at fault.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum JobLogError {
+    /// The machine has no processors.
+    NoProcessors,
+    /// The job holds no processors, or more than the machine has.
+    Procs(u32),
+    /// The job's runtime is not positive.
+    Runtime(u32),
+    /// The job starts before it is submitted.
+    StartBeforeSubmit(u32),
+    /// The job's submit or start instant lies outside ±[`MAX_SECONDS`], or
+    /// its runtime is longer than that.
+    OutOfRange(u32),
+}
+
+impl fmt::Display for JobLogError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            JobLogError::NoProcessors => write!(f, "procs (the machine size) must be positive"),
+            JobLogError::Procs(id) => write!(f, "job {id}: procs outside 1..=the machine size"),
+            JobLogError::Runtime(id) => write!(f, "job {id}: runtime must be positive"),
+            JobLogError::StartBeforeSubmit(id) => write!(f, "job {id}: start is before submit"),
+            JobLogError::OutOfRange(id) => write!(f, "job {id}: lies past ±{MAX_SECONDS} s"),
+        }
+    }
+}
+
+impl std::error::Error for JobLogError {}
+
 impl JobLog {
+    /// Hold a log read from outside the program to the rules
+    /// [`parse_swf`](crate::swf::parse_swf) applies to the records it
+    /// keeps: the machine has a processor, and every job runs on
+    /// `1..=procs` processors for a positive runtime, starts at or after
+    /// its submission, and has its submit and start instants within
+    /// ±[`MAX_SECONDS`] and its runtime within [`MAX_SECONDS`], so that no
+    /// sum of them overflows. Names the first job at fault, in log order.
+    pub fn check(&self) -> Result<(), JobLogError> {
+        if self.procs == 0 {
+            return Err(JobLogError::NoProcessors);
+        }
+        let within = |t: Time| (-MAX_SECONDS..=MAX_SECONDS).contains(&t.as_seconds());
+        for job in &self.jobs {
+            if !within(job.submit) || !within(job.start) || job.runtime.as_seconds() > MAX_SECONDS {
+                return Err(JobLogError::OutOfRange(job.id));
+            }
+            if job.procs == 0 || job.procs > self.procs {
+                return Err(JobLogError::Procs(job.id));
+            }
+            if !job.runtime.is_positive() {
+                return Err(JobLogError::Runtime(job.id));
+            }
+            if job.start < job.submit {
+                return Err(JobLogError::StartBeforeSubmit(job.id));
+            }
+        }
+        Ok(())
+    }
+
     /// Span covered by the log: earliest submit to latest end.
     pub fn span(&self) -> (Time, Time) {
         let lo = self
@@ -75,7 +137,7 @@ impl JobLog {
     ///
     /// Note the span runs to the *last job end*, so a trace with a long
     /// drain tail reads slightly lower than its steady-state utilization;
-    /// use [`JobLog::utilization_in`] to measure a steady-state window.
+    /// [`JobLog::steady_utilization`] leaves that tail out.
     pub fn utilization(&self) -> f64 {
         let (lo, hi) = self.span();
         if hi <= lo {
@@ -86,7 +148,7 @@ impl JobLog {
 
     /// Average utilization over `[lo, hi)`, clamping each job's execution
     /// interval to the window.
-    pub fn utilization_in(&self, lo: Time, hi: Time) -> f64 {
+    fn utilization_in(&self, lo: Time, hi: Time) -> f64 {
         let span = (hi - lo).as_seconds();
         if span <= 0 {
             return 0.0;
@@ -231,6 +293,77 @@ mod tests {
         assert!((log.utilization() - 0.5).abs() < 1e-12);
         assert!((log.avg_runtime_hours() - 100.0 / 3600.0).abs() < 1e-12);
         assert!((log.avg_wait_hours() - 50.0 / 3600.0).abs() < 1e-12);
+    }
+
+    fn log(procs: u32, jobs: Vec<Job>) -> JobLog {
+        JobLog {
+            name: "check".into(),
+            procs,
+            jobs,
+            skipped_jobs: 0,
+        }
+    }
+
+    #[test]
+    fn check_accepts_what_the_parsers_and_generators_produce() {
+        assert_eq!(
+            log(8, vec![j(1, 0, 10, 60, 8), j(2, 5, 5, 1, 1)]).check(),
+            Ok(())
+        );
+        assert_eq!(log(1, vec![]).check(), Ok(()));
+        let edge = log(1, vec![j(3, -MAX_SECONDS, MAX_SECONDS, MAX_SECONDS, 1)]);
+        assert_eq!(edge.check(), Ok(()));
+        let swf = crate::swf::parse_swf("x", "1 0 10 3600 16\n2 50 0 60 4\n").expect("parses");
+        assert_eq!(swf.check(), Ok(()));
+        let synth = crate::synth::generate_log(
+            &crate::synth::LogSpec::sdsc_ds().with_duration(Dur::days(2)),
+            7,
+        );
+        assert_eq!(synth.check(), Ok(()));
+    }
+
+    #[test]
+    fn check_needs_a_processor() {
+        assert_eq!(log(0, vec![]).check(), Err(JobLogError::NoProcessors));
+    }
+
+    #[test]
+    fn check_bounds_each_jobs_processors_by_the_machine() {
+        let zero = log(8, vec![j(1, 0, 0, 60, 4), j(2, 0, 0, 60, 0)]);
+        assert_eq!(zero.check(), Err(JobLogError::Procs(2)));
+        let wide = log(8, vec![j(7, 0, 0, 60, 40)]);
+        assert_eq!(wide.check(), Err(JobLogError::Procs(7)));
+    }
+
+    #[test]
+    fn check_needs_a_positive_runtime() {
+        for run in [0, -60] {
+            assert_eq!(
+                log(8, vec![j(4, 0, 0, run, 2)]).check(),
+                Err(JobLogError::Runtime(4))
+            );
+        }
+    }
+
+    #[test]
+    fn check_needs_start_at_or_after_submit() {
+        assert_eq!(
+            log(8, vec![j(5, 100, 99, 60, 2)]).check(),
+            Err(JobLogError::StartBeforeSubmit(5))
+        );
+    }
+
+    #[test]
+    fn check_keeps_every_instant_within_max_seconds() {
+        let past = MAX_SECONDS + 1;
+        for job in [
+            j(6, -past, 0, 60, 2),
+            j(6, 0, past, 60, 2),
+            j(6, 0, 0, past, 2),
+            j(6, i64::MIN, i64::MIN, 60, 2),
+        ] {
+            assert_eq!(log(8, vec![job]).check(), Err(JobLogError::OutOfRange(6)));
+        }
     }
 
     #[test]

@@ -77,7 +77,7 @@ pub fn log_stats(log: &JobLog, windows: usize, seed: u64) -> LogStats {
 }
 
 /// Coefficient of variation in percent (0 for fewer than two samples).
-pub fn cv_pct(samples: &[f64]) -> f64 {
+fn cv_pct(samples: &[f64]) -> f64 {
     if samples.len() < 2 {
         return 0.0;
     }

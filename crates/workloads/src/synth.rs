@@ -128,9 +128,9 @@ impl LogSpec {
 }
 
 /// Job processor counts: powers of two up to a quarter of the machine,
-/// uniformly weighted. Exposed so the arrival-rate computation and tests
-/// agree on the expected value.
-pub fn proc_count_choices(machine: u32) -> Vec<u32> {
+/// uniformly weighted. The generator draws job widths from it and tunes
+/// its arrival rate to their mean.
+fn proc_count_choices(machine: u32) -> Vec<u32> {
     let cap = (machine / 4).max(1);
     let mut v = Vec::new();
     let mut s = 1u32;

@@ -5,7 +5,7 @@
 //! argument, workers map contiguous chunks of a scenario's instances with
 //! pure per-item closures, and the results come back in input order, so
 //! the thread count is unobservable. Every scheduler and the serve
-//! admission path run on the caller's thread (DESIGN.md §15.3). These
+//! admission path run on the caller's thread (DESIGN.md §2.1). These
 //! tests pin that for each of the three parallel sites — the forward
 //! tables' instance map, the deadline experiment's and the validation
 //! audit's — by running each sweep at 1 thread and at 4 and comparing the
