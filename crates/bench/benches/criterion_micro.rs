@@ -76,7 +76,14 @@ fn bench_earliest_fit_scaling(c: &mut Criterion) {
         });
         let lin = cal.linear();
         group.bench_function(format!("linear/{r}"), |b| {
-            b.iter(|| black_box(lin.earliest_fit(black_box(33), Dur::seconds(100), Time::ZERO)))
+            b.iter(|| {
+                black_box(lin.earliest_fit(
+                    black_box(33),
+                    Dur::seconds(100),
+                    Time::ZERO,
+                    &mut Default::default(),
+                ))
+            })
         });
     }
     group.finish();
@@ -104,7 +111,13 @@ fn bench_latest_fit_scaling(c: &mut Criterion) {
         let lin = cal.linear();
         group.bench_function(format!("linear/{r}"), |b| {
             b.iter(|| {
-                black_box(lin.latest_fit(black_box(33), Dur::seconds(100), end_by, not_before))
+                black_box(lin.latest_fit(
+                    black_box(33),
+                    Dur::seconds(100),
+                    end_by,
+                    not_before,
+                    &mut Default::default(),
+                ))
             })
         });
     }

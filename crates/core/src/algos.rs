@@ -74,11 +74,6 @@ impl Algorithm {
         Algorithm::catalog().into_iter().find(|a| a.name() == name)
     }
 
-    /// Whether the algorithm needs a deadline.
-    pub fn needs_deadline(&self) -> bool {
-        matches!(self, Algorithm::Deadline(_) | Algorithm::HierDeadline(_))
-    }
-
     /// The independent validity oracle configured for this algorithm on
     /// one problem instance: deadline algorithms get their deadline wired
     /// in, everything else is checked against the base invariants.
@@ -252,12 +247,15 @@ mod tests {
     #[test]
     fn deadline_algorithms_demand_a_deadline() {
         let (dag, cal) = instance();
-        let a = Algorithm::Deadline(DeadlineAlgo::BdCpa);
-        assert!(a.needs_deadline());
-        assert_eq!(
-            a.run(&dag, &cal, Time::ZERO, 4, None).unwrap_err(),
-            RunError::DeadlineRequired
-        );
-        assert!(!Algorithm::Icaslb.needs_deadline());
+        for a in Algorithm::catalog() {
+            let needs = matches!(a, Algorithm::Deadline(_) | Algorithm::HierDeadline(_));
+            let run = a.run(&dag, &cal, Time::ZERO, 4, None);
+            assert_eq!(
+                run.err() == Some(RunError::DeadlineRequired),
+                needs,
+                "{}",
+                a.name()
+            );
+        }
     }
 }

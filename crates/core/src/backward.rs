@@ -1445,7 +1445,9 @@ mod tests {
                     return None; // plateau
                 }
                 prev_dur = Some(dur);
-                let start = cal.linear().latest_fit(m, dur, dl, now)?;
+                let start = cal
+                    .linear()
+                    .latest_fit(m, dur, dl, now, &mut Default::default())?;
                 Some(Placement {
                     start,
                     end: start + dur,

@@ -155,7 +155,7 @@ impl Dag {
     }
 
     /// Number of tasks per depth level.
-    pub fn level_widths(&self) -> Vec<u32> {
+    fn level_widths(&self) -> Vec<u32> {
         let mut w = vec![0u32; self.num_levels() as usize];
         for &d in &self.depth {
             w[d as usize] += 1;
@@ -252,10 +252,14 @@ impl Deserialize for Dag {
 }
 
 impl Dag {
-    /// `self` if it is what [`DagBuilder`] builds from its costs and
-    /// successor lists, up to the order of each predecessor list and of
-    /// the topological order; otherwise what differs.
+    /// `self` if each cost is one [`TaskCost::try_new`] accepts and the
+    /// rest is what [`DagBuilder`] builds from the costs and successor
+    /// lists, up to the order of each predecessor list and of the
+    /// topological order; otherwise what differs.
     fn checked(self) -> Result<Dag, String> {
+        for (i, c) in self.costs.iter().enumerate() {
+            TaskCost::try_new(c.seq, c.alpha, c.overhead).map_err(|e| format!("task {i}: {e}"))?;
+        }
         let n = self.costs.len();
         for (name, len) in [
             ("preds", self.preds.len()),
@@ -862,6 +866,16 @@ mod tests {
             ("entries", "[0,1]", "entries differs"),
             ("exits", "[]", "exits differs"),
             ("num_edges", "5", "num_edges differs"),
+            (
+                "costs",
+                r#"[{"seq":-5,"alpha":0,"overhead":0},{"seq":1,"alpha":0,"overhead":0},{"seq":1,"alpha":0,"overhead":0},{"seq":1,"alpha":0,"overhead":0}]"#,
+                "task 0: seq (sequential time) must be positive",
+            ),
+            (
+                "costs",
+                r#"[{"seq":1,"alpha":0,"overhead":0},{"seq":1,"alpha":3.5,"overhead":0},{"seq":1,"alpha":0,"overhead":0},{"seq":1,"alpha":0,"overhead":0}]"#,
+                "task 1: alpha must be within [0, 1]: 3.5",
+            ),
         ];
         for (field, json, why) in cases {
             let err = diamond_with(field, json).unwrap_err();

@@ -518,7 +518,9 @@ mod tests {
             (1..=p / g)
                 .map(|k| {
                     let dur = cost.exec_time(k * g);
-                    cal.linear().earliest_fit(k * g, dur, ready) + dur
+                    cal.linear()
+                        .earliest_fit(k * g, dur, ready, &mut Default::default())
+                        + dur
                 })
                 .min()
                 .expect("one grain is a width")

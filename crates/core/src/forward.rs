@@ -679,7 +679,9 @@ mod tests {
             for k in 1..=quantize_bound(bounds[t.idx()], g, p) / g {
                 let m = k * g;
                 let dur = dag.cost(t).exec_time(m);
-                let start = cal.linear().earliest_fit(m, dur, ready);
+                let start = cal
+                    .linear()
+                    .earliest_fit(m, dur, ready, &mut Default::default());
                 let one = cal.earliest_finish(&[(m, dur)], ready, false, &mut walked);
                 assert_eq!(one.start, start);
                 let end = start + dur;

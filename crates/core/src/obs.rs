@@ -526,14 +526,6 @@ impl PhaseProfile {
         self.spans.iter().find(|s| s.name == name)
     }
 
-    /// Sum of all spans' self-times. Never exceeds [`Self::wall_ns`] by more
-    /// than timer granularity, because self-times partition the wall clock.
-    pub fn total_self_ns(&self) -> u64 {
-        self.spans
-            .iter()
-            .fold(0u64, |a, s| a.saturating_add(s.self_ns))
-    }
-
     /// Fold another profile into this one (spans merged by name, wall-clock
     /// times added).
     pub fn absorb(&mut self, other: &PhaseProfile) {
@@ -1026,7 +1018,7 @@ mod tests {
         assert_eq!(a.calls, 2);
         assert_eq!(a.total_ns, 150);
         assert_eq!(a.self_ns, 110);
-        assert_eq!(p.total_self_ns(), 150);
+        assert_eq!(p.spans.iter().map(|s| s.self_ns).sum::<u64>(), 150);
         // First-entered order is preserved.
         let order: Vec<&str> = p.spans.iter().map(|s| s.name.as_str()).collect();
         assert_eq!(order, vec!["a", "b"]);
@@ -1141,7 +1133,8 @@ mod tests {
         assert!(outer.total_ns >= inner.total_ns + 9_000_000);
         assert_eq!(outer.self_ns, outer.total_ns - inner.total_ns);
         // Self-times partition the wall clock.
-        assert!(report.profile.total_self_ns() <= report.profile.wall_ns);
+        let self_ns: u64 = report.profile.spans.iter().map(|s| s.self_ns).sum();
+        assert!(self_ns <= report.profile.wall_ns);
         assert!(report.profile.wall_ns >= 19_000_000);
     }
 

@@ -19,7 +19,7 @@ use std::collections::{BTreeMap, BTreeSet};
 pub struct FnSym {
     /// Fully qualified name: `module::fn`, or `module::Type::fn` for
     /// methods (e.g. `core::forward::schedule_forward_with`,
-    /// `resv::calendar::LinearRef::earliest_fit_with_cost`).
+    /// `resv::calendar::LinearRef::earliest_fit`).
     pub qname: String,
     /// The bare function name (last segment).
     pub name: String,

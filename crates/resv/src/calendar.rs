@@ -354,28 +354,6 @@ impl Calendar {
             })
     }
 
-    /// Cancel a reservation that is already known to be present.
-    ///
-    /// Subtracts `r.procs` from every segment of `[r.start, r.end)` and
-    /// re-coalesces boundary breakpoints — the exact mirror of
-    /// [`Calendar::add_unchecked`]. Because the step vector is always kept
-    /// in canonical minimal form, an add followed by its removal restores
-    /// the byte-identical state.
-    ///
-    /// # Panics
-    /// Panics — in **all** build profiles — if usage would underflow, i.e.
-    /// the named processors were not reserved. The subtraction is checked,
-    /// never wrapping: silent wrap-around would corrupt the calendar in
-    /// release builds. Use [`Calendar::try_remove`] for the fallible path.
-    pub fn remove_unchecked(&mut self, r: Reservation) {
-        self.release(r).unwrap_or_else(|(at, used)| {
-            panic!(
-                "removal underflow: {used} procs in use, {} to release at {at}",
-                r.procs
-            )
-        });
-    }
-
     /// The removal itself: checks every step of `[r.start, r.end)` before
     /// it changes any, so on `Err((instant, used there))` the calendar is
     /// as it was (the two breakpoints it may have inserted coalesce away).
@@ -771,15 +749,9 @@ pub struct LinearRef<'a> {
 }
 
 impl LinearRef<'_> {
-    /// Linear-scan [`Calendar::earliest_fit`].
-    pub fn earliest_fit(&self, procs: u32, dur: Dur, not_before: Time) -> Time {
-        let mut cost = QueryCost::default();
-        self.earliest_fit_with_cost(procs, dur, not_before, &mut cost)
-    }
-
     /// Linear-scan [`Calendar::earliest_fit`], tallying the work into
     /// `cost`; `cost.steps` counts breakpoints visited.
-    pub fn earliest_fit_with_cost(
+    pub fn earliest_fit(
         &self,
         procs: u32,
         dur: Dur,
@@ -821,15 +793,10 @@ impl LinearRef<'_> {
 
     /// Latest start `s` with `s + dur <= end_by`, `s >= not_before` and
     /// `procs` processors free throughout `[s, s + dur)`, by linear scan:
-    /// [`Calendar::latest_start`] over the one candidate `(procs, dur)`.
-    pub fn latest_fit(&self, procs: u32, dur: Dur, end_by: Time, not_before: Time) -> Option<Time> {
-        let mut cost = QueryCost::default();
-        self.latest_fit_with_cost(procs, dur, end_by, not_before, &mut cost)
-    }
-
-    /// [`LinearRef::latest_fit`], tallying the work into `cost`;
-    /// `cost.steps` counts breakpoints visited.
-    pub fn latest_fit_with_cost(
+    /// [`Calendar::latest_start`] over the one candidate `(procs, dur)`,
+    /// tallying the work into `cost`; `cost.steps` counts breakpoints
+    /// visited.
+    pub fn latest_fit(
         &self,
         procs: u32,
         dur: Dur,
@@ -1190,8 +1157,16 @@ mod tests {
         cal.try_add(r(0, 50, 4)).unwrap();
         assert_eq!(cal.earliest_fit(4, d(10), t(0)), t(50));
         assert_eq!(cal.earliest_fit(1, d(1), t(49)), t(50));
-        assert_eq!(cal.linear().earliest_fit(4, d(10), t(0)), t(50));
-        assert_eq!(cal.linear().earliest_fit(1, d(1), t(49)), t(50));
+        assert_eq!(
+            cal.linear()
+                .earliest_fit(4, d(10), t(0), &mut Default::default()),
+            t(50)
+        );
+        assert_eq!(
+            cal.linear()
+                .earliest_fit(1, d(1), t(49), &mut Default::default()),
+            t(50)
+        );
     }
 
     #[test]
@@ -1204,7 +1179,11 @@ mod tests {
         assert_eq!(cal.earliest_fit(4, d(10), t(20)), t(20));
         // not_before exactly on the blocked breakpoint skips past it.
         assert_eq!(cal.earliest_fit(4, d(10), t(10)), t(20));
-        assert_eq!(cal.linear().earliest_fit(4, d(10), t(10)), t(20));
+        assert_eq!(
+            cal.linear()
+                .earliest_fit(4, d(10), t(10), &mut Default::default()),
+            t(20)
+        );
     }
 
     #[test]
@@ -1214,10 +1193,18 @@ mod tests {
         cal.try_add(r(20, 30, 2)).unwrap();
         // The hole [10, 20) exactly fits a 10s window.
         assert_eq!(latest_of_one(&cal, 2, d(10), t(30), t(0)), Some(t(10)));
-        assert_eq!(cal.linear().latest_fit(2, d(10), t(30), t(0)), Some(t(10)));
+        assert_eq!(
+            cal.linear()
+                .latest_fit(2, d(10), t(30), t(0), &mut Default::default()),
+            Some(t(10))
+        );
         // One second longer cannot fit anywhere ending by 30.
         assert_eq!(latest_of_one(&cal, 2, d(11), t(30), t(0)), None);
-        assert_eq!(cal.linear().latest_fit(2, d(11), t(30), t(0)), None);
+        assert_eq!(
+            cal.linear()
+                .latest_fit(2, d(11), t(30), t(0), &mut Default::default()),
+            None
+        );
         // A window whose start abuts not_before exactly still counts.
         assert_eq!(latest_of_one(&cal, 2, d(10), t(30), t(10)), Some(t(10)));
     }
@@ -1234,7 +1221,8 @@ mod tests {
         // end_by inside the last busy region walks back one hole.
         assert_eq!(latest_of_one(&cal, 2, d(10), t(985), t(0)), Some(t(970)));
         assert_eq!(
-            cal.linear().latest_fit(2, d(10), t(985), t(0)),
+            cal.linear()
+                .latest_fit(2, d(10), t(985), t(0), &mut Default::default()),
             Some(t(970))
         );
         // Impossible request walks all the way back and gives up.
@@ -1294,9 +1282,7 @@ mod tests {
         let a = cal
             .earliest_finish(&[(4, d(10))], t(0), false, &mut walked)
             .start;
-        let b = cal
-            .linear()
-            .earliest_fit_with_cost(4, d(10), t(0), &mut linear);
+        let b = cal.linear().earliest_fit(4, d(10), t(0), &mut linear);
         assert_eq!(a, b);
         assert_eq!(walked.queries, 1);
         assert_eq!(linear.queries, 1);
@@ -1523,12 +1509,12 @@ mod tests {
             let (procs, dur, from, want) = fits[0];
             let walked = cal.earliest_finish(&[(procs, dur)], from, false, &mut cw);
             assert_eq!(walked.start, want);
-            assert_eq!(lin.earliest_fit_with_cost(procs, dur, from, &mut cl), want);
+            assert_eq!(lin.earliest_fit(procs, dur, from, &mut cl), want);
             let (procs, dur, end_by, want) = fits[1];
             let walked = cal.latest_start(&[(procs, dur)], end_by, t(0), &mut cw);
             assert_eq!(walked.map(|r| r.start), Some(want));
             assert_eq!(
-                lin.latest_fit_with_cost(procs, dur, end_by, t(0), &mut cl),
+                lin.latest_fit(procs, dur, end_by, t(0), &mut cl),
                 Some(want)
             );
             assert_eq!((cw.queries, cl.queries), (2, 2));

@@ -251,11 +251,6 @@ impl AdmissionGate {
             .filter_map(|(o, r)| Some((&self.owners.get(*o)?.owner, r)))
     }
 
-    /// Total core-seconds across the ledger (accounting cross-checks).
-    pub fn held_core_seconds(&self) -> i64 {
-        self.held.iter().map(|(_, r)| r.proc_seconds()).sum()
-    }
-
     /// Would admitting `r` for `owner` violate any matching rule?
     /// Non-mutating; `Ok` means the request passes every rule with the
     /// current ledger.
@@ -689,7 +684,8 @@ mod tests {
         let u = Owner::new("u", "p");
         assert!(gate.admit(&u, r(0, 1000, 8)).is_ok());
         assert!(gate.replace(&u, &r(0, 1000, 8), r(0, 500, 8)));
-        assert_eq!(gate.held_core_seconds(), 4000);
+        let held: i64 = gate.ledger().map(|(_, r)| r.proc_seconds()).sum();
+        assert_eq!(held, 4000);
         assert!(gate.audit().is_empty());
         assert!(!gate.release(&u, &r(0, 1000, 8)), "old shape is gone");
         assert!(gate.release(&u, &r(0, 500, 8)));

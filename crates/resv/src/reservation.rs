@@ -60,16 +60,6 @@ impl Reservation {
     pub fn cpu_hours(&self) -> f64 {
         self.proc_seconds() as f64 / 3600.0
     }
-
-    /// Whether this reservation is active at instant `t` (half-open).
-    pub fn active_at(&self, t: Time) -> bool {
-        self.start <= t && t < self.end
-    }
-
-    /// Whether the time intervals of two reservations overlap.
-    pub fn overlaps(&self, other: &Reservation) -> bool {
-        self.start < other.end && other.start < self.end
-    }
 }
 
 impl fmt::Debug for Reservation {
@@ -190,20 +180,20 @@ mod tests {
 
     #[test]
     fn half_open_activity() {
-        let x = r(10, 20, 1);
-        assert!(!x.active_at(Time::seconds(9)));
-        assert!(x.active_at(Time::seconds(10)));
-        assert!(x.active_at(Time::seconds(19)));
-        assert!(!x.active_at(Time::seconds(20)));
+        let cal = crate::Calendar::with_reservations(1, [r(10, 20, 1)]).unwrap();
+        let used = |t| cal.used_at(Time::seconds(t));
+        assert_eq!([used(9), used(10), used(19), used(20)], [0, 1, 1, 0]);
     }
 
     #[test]
     fn overlap_is_half_open() {
-        let a = r(0, 10, 1);
-        assert!(a.overlaps(&r(9, 12, 1)));
-        assert!(!a.overlaps(&r(10, 12, 1))); // abutting is not overlapping
-        assert!(a.overlaps(&r(0, 1, 1)));
-        assert!(!a.overlaps(&r(-5, 0, 1)));
+        // On one processor, two reservations conflict exactly when their
+        // intervals overlap.
+        let cal = crate::Calendar::with_reservations(1, [r(0, 10, 1)]).unwrap();
+        assert!(!cal.fits(&r(9, 12, 1)));
+        assert!(cal.fits(&r(10, 12, 1))); // abutting is not overlapping
+        assert!(!cal.fits(&r(0, 1, 1)));
+        assert!(cal.fits(&r(-5, 0, 1)));
     }
 
     #[test]

@@ -877,7 +877,7 @@ mod tests {
                         assert_eq!(got, want, "{case}");
                         assert_eq!(
                             got,
-                            lin.earliest_fit(procs, d(dur), t(not_before)),
+                            lin.earliest_fit(procs, d(dur), t(not_before), &mut Default::default()),
                             "{case}"
                         );
                         assert_eq!(v1, v2, "visited differs, {case}");
@@ -913,7 +913,13 @@ mod tests {
                             assert_eq!(got, want, "{case}");
                             assert_eq!(
                                 got,
-                                lin.latest_fit(procs, dur, end_by, not_before),
+                                lin.latest_fit(
+                                    procs,
+                                    dur,
+                                    end_by,
+                                    not_before,
+                                    &mut Default::default()
+                                ),
                                 "{case}"
                             );
                             let stopped_before =
@@ -951,7 +957,9 @@ mod tests {
             let mut want: Option<Reservation> = None;
             let (mut summed, mut cheapest) = (0u64, u64::MAX);
             for &(m, dur) in cands {
-                let start = cal.linear().earliest_fit(m, dur, not_before);
+                let start = cal
+                    .linear()
+                    .earliest_fit(m, dur, not_before, &mut Default::default());
                 let mut v = 0;
                 let searched = earliest_fit_by_repeated_search(ss, m, dur, not_before, &mut v);
                 assert_eq!(searched, start, "{case}");
@@ -1114,7 +1122,9 @@ mod tests {
         let case = format!("{case}, {cands:?} in [{not_before}, {end_by})");
         let (mut fits, mut walks) = (Vec::new(), Vec::new());
         for &(m, dur) in cands {
-            let fit = cal.linear().latest_fit(m, dur, end_by, not_before);
+            let fit = cal
+                .linear()
+                .latest_fit(m, dur, end_by, not_before, &mut Default::default());
             let mut v = 0;
             let walked = latest_fit_by_repeated_search(ss, m, dur, end_by, not_before, &mut v);
             assert_eq!(walked, fit, "{case}");

@@ -301,7 +301,7 @@ fn indexed_backend_matches_linear_reference() {
             assert_eq!(
                 cal.earliest_finish(&[(procs, dur)], not_before, false, &mut ci)
                     .start,
-                lin.earliest_fit_with_cost(procs, dur, not_before, &mut cl),
+                lin.earliest_fit(procs, dur, not_before, &mut cl),
                 "earliest_fit disagrees (case {case}, procs {procs}, dur {dur}, \
                  not_before {not_before})"
             );
@@ -314,7 +314,7 @@ fn indexed_backend_matches_linear_reference() {
             let mut cl = QueryCost::default();
             assert_eq!(
                 latest_of_one(&cal, procs, dur, end_by, nb, &mut ci),
-                lin.latest_fit_with_cost(procs, dur, end_by, nb, &mut cl),
+                lin.latest_fit(procs, dur, end_by, nb, &mut cl),
                 "latest_fit disagrees (case {case}, procs {procs}, dur {dur}, \
                  end_by {end_by}, not_before {nb})"
             );

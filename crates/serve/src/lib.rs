@@ -4,24 +4,25 @@
 //! assume but the batch harness never exercises: every arriving
 //! application is scheduled **against the calendar as it stands now**.
 //!
-//! The unit is one operation on a [`Server`], which owns the calendar, the
-//! quota ledger and the live applications:
+//! The unit is one [`Step`] applied to a [`Server`], which owns the
+//! calendar, the quota ledger and the live applications:
 //!
 //! ```
-//! use resched_serve::{Decision, ServeConfig, Server};
+//! use resched_serve::{Outcome, ServeConfig, Server, Step};
 //! # use resched_core::prelude::*;
 //! # use resched_daggen::DagParams;
 //! # let params = DagParams { num_tasks: 10, ..DagParams::paper_default() };
 //! # let (now, app_id, dag) = (Time::ZERO, 1, resched_daggen::generate(&params, 1));
 //! let mut server = Server::new(128, &ServeConfig::default());
-//! match server.submit(now, app_id, &dag) {
-//!     Decision::Admitted { completion, .. } => println!("runs until {completion}"),
-//!     Decision::Rejected(reason) => println!("{}: {reason}", reason.code()),
+//! match server.apply(&Step::Submit { now, app_id, dag }) {
+//!     Outcome::Admitted { completion, .. } => println!("runs until {completion}"),
+//!     Outcome::Rejected(reason) => println!("{}: {reason}", reason.code()),
+//!     other => unreachable!("an arrival is admitted or rejected: {other:?}"),
 //! }
-//! # assert_eq!(server.live().len(), 1);
+//! assert_eq!(server.apply(&Step::Cancel { k: 0 }), Outcome::Cancelled);
 //! ```
 //!
-//! [`Server::submit`] is the admission policy, in one place:
+//! A [`Step::Submit`] is decided by the admission policy, in one place:
 //!
 //! 1. estimate the availability `q` from the recent past and open a
 //!    shadow-schedule transaction ([`resched_resv::ShadowTxn`]) over the
@@ -36,16 +37,15 @@
 //! 4. apply its reservations inside the transaction and **commit** — or
 //!    **roll back**, byte-exactly, with a typed [`Reason`].
 //!
-//! Committed applications stay live and can be [cancelled](Server::cancel)
-//! (all reservations removed) or [shrunk](Server::resize) (one reservation
-//! trimmed in place). After every `audit_every`-th step the whole calendar
-//! is re-audited by [`resched_core::validate::audit_calendar`]; any
-//! violation is counted in the report.
+//! Committed applications stay live and can be [cancelled](Step::Cancel)
+//! or [shrunk](Step::Resize). After every `audit_every`-th step the whole
+//! calendar is re-audited by [`resched_core::validate::audit_calendar`];
+//! any violation is counted in the report.
 //!
-//! [`run`] is the replay built on those steps: it compresses an SWF
-//! workload's arrival process, generates one DAG per job, submits it, and
-//! after each commit draws a seeded cancel or shrink, exercising the
-//! calendar's mutable surface under sustained load.
+//! [`run`] is the one producer of steps: it compresses an SWF workload's
+//! arrival process, generates one DAG per job, submits it, and after each
+//! commit draws a seeded cancel or shrink. Its steps as JSON lines are a
+//! journal that a fresh `Server` replays to the same outcomes.
 //!
 //! Scheduling latency is measured per arrival (wall clock) and reported as
 //! p50/p95/p99 percentiles, both exactly (sorted samples) and through the
@@ -58,7 +58,7 @@
 
 mod server;
 
-pub use server::{Decision, Fault, LiveApp, Overrun, Reason, Server, PROBE_ROSTER};
+pub use server::{Fault, LiveApp, Outcome, Overrun, Reason, Server, Step, PROBE_ROSTER};
 
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha12Rng;
@@ -230,8 +230,8 @@ pub fn percentile(sorted: &[u64], q: f64) -> f64 {
     sorted[rank] as f64
 }
 
-/// Replay `log` through the online serving loop: a fold over a
-/// [`Server`].
+/// Replay `log` through the online serving loop: the steps it realizes,
+/// applied to a [`Server`].
 ///
 /// The log's submission process (compressed by `cfg.accel`) drives
 /// arrivals; each arrival's DAG is generated from the job id under
@@ -240,6 +240,11 @@ pub fn percentile(sorted: &[u64], q: f64) -> f64 {
 /// wall-clock latency measurements. The report's `wall_ms` covers the
 /// steps, not the log preparation before them or the final audit after.
 pub fn run(log: &JobLog, cfg: &ServeConfig) -> ServeReport {
+    replay(log, cfg, |_, _| {})
+}
+
+/// [`run`], handing each step and its outcome to `seen` as it is taken.
+fn replay(log: &JobLog, cfg: &ServeConfig, mut seen: impl FnMut(&Step, &Outcome)) -> ServeReport {
     let log = log.accelerated(cfg.accel);
     let mut jobs = log.jobs;
     jobs.sort_by_key(|j| (j.submit, j.id));
@@ -252,42 +257,48 @@ pub fn run(log: &JobLog, cfg: &ServeConfig) -> ServeReport {
     };
     let mut rng = ChaCha12Rng::seed_from_u64(derive_seed(cfg.seed, u64::MAX));
     let mut server = Server::new(log.procs, cfg);
+    let mut apply = |server: &mut Server, step: Step| {
+        let outcome = server.apply(&step);
+        seen(&step, &outcome);
+        outcome
+    };
+    let mut commits = 0usize;
 
     let wall_start = Instant::now();
     for job in &jobs {
         let dag = resched_daggen::generate(&params, derive_seed(cfg.seed, u64::from(job.id)));
-        if let Decision::Admitted { .. } = server.submit(job.submit, job.id, &dag) {
-            churn(&mut server, cfg, &mut rng);
+        let (now, app_id) = (job.submit, job.id);
+        let outcome = apply(&mut server, Step::Submit { now, app_id, dag });
+        if !matches!(outcome, Outcome::Admitted { .. }) {
+            continue;
         }
-    }
-    server.into_report(wall_start.elapsed())
-}
-
-/// Seeded churn on the committed population, drawn after a commit: every
-/// `cancel_every`-th commit cancels a random live application, every
-/// `resize_every`-th trims the longest reservation of one to half its
-/// length. The indices are drawn in range and the trim is a shrink, so a
-/// step can only fail on a bookkeeping fault — which is on the server's
-/// tally (`violations`) by the time it returns, and the replay goes on.
-fn churn(server: &mut Server, cfg: &ServeConfig, rng: &mut ChaCha12Rng) {
-    let commits = server.commits();
-    let due = |every: usize| every > 0 && commits.is_multiple_of(every);
-    if due(cfg.cancel_every) && !server.live().is_empty() {
-        let k = rng.gen_range(0..server.live().len());
-        let _ = server.cancel(k);
-    }
-    if due(cfg.resize_every) && !server.live().is_empty() {
-        let k = rng.gen_range(0..server.live().len());
-        let resvs = &server.live()[k].resvs;
-        let longest = (0..resvs.len()).max_by_key(|&i| resvs[i].duration().as_seconds());
-        if let Some(i) = longest {
-            let old = resvs[i];
-            let mid = old.start.midpoint(old.end);
-            if mid > old.start {
-                let _ = server.resize(k, i, Reservation::new(old.start, mid, old.procs));
+        // The seeded churn on the committed population: every
+        // `cancel_every`-th commit cancels a random live application, every
+        // `resize_every`-th halves the longest reservation of one (the last
+        // of equals). The indices are drawn in range and the trim is a
+        // shrink, so a step can only fail on a bookkeeping fault — which is
+        // on the server's tally (`violations`) by the time it returns.
+        commits += 1;
+        let due = |every: usize| every > 0 && commits.is_multiple_of(every);
+        if due(cfg.cancel_every) && !server.live().is_empty() {
+            let k = rng.gen_range(0..server.live().len());
+            apply(&mut server, Step::Cancel { k });
+        }
+        if due(cfg.resize_every) && !server.live().is_empty() {
+            let k = rng.gen_range(0..server.live().len());
+            let resvs = &server.live()[k].resvs;
+            let longest = (0..resvs.len()).max_by_key(|&i| resvs[i].duration().as_seconds());
+            if let Some(i) = longest {
+                let old = resvs[i];
+                let mid = old.start.midpoint(old.end);
+                if mid > old.start {
+                    let new = Reservation::new(old.start, mid, old.procs);
+                    apply(&mut server, Step::Resize { k, i, new });
+                }
             }
         }
     }
+    server.into_report(wall_start.elapsed())
 }
 
 /// Render a human-readable summary of a report.
@@ -641,18 +652,71 @@ mod tests {
         for id in 0..200u32 {
             let before = books(&server);
             let dag = resched_daggen::generate(&params, derive_seed(cfg.seed, u64::from(id)));
-            match server.submit(now, id, &dag) {
-                Decision::Admitted { .. } => assert_ne!(books(&server), before),
-                Decision::Rejected(reason) => {
+            match server.apply(&Step::Submit {
+                now,
+                app_id: id,
+                dag,
+            }) {
+                Outcome::Admitted { .. } => assert_ne!(books(&server), before),
+                Outcome::Rejected(reason) => {
                     assert_eq!(books(&server), before, "{reason} changed the books");
                     assert_eq!(server.audit(), 0);
                     if wanted(&reason) && !server.live().is_empty() {
                         return (now, reason);
                     }
                 }
+                other => panic!("an arrival is admitted or rejected: {other:?}"),
             }
         }
         panic!("no wanted rejection in 200 arrivals");
+    }
+
+    /// A resize to `new_of(old)` of an admitted application's one
+    /// reservation is refused as not a shrink, with nothing touched or
+    /// counted.
+    fn refused_resize(new_of: impl Fn(Reservation) -> Reservation) {
+        let cfg = ServeConfig {
+            audit_every: 1,
+            ..ServeConfig::default()
+        };
+        let mut server = Server::new(4, &cfg);
+        let now = Time::seconds(100);
+        let dag = resched_core::dag::chain(&[TaskCost::new(Dur::hours(2), 0.0)]);
+        let admitted = server.apply(&Step::Submit {
+            now,
+            app_id: 0,
+            dag,
+        });
+        assert!(matches!(admitted, Outcome::Admitted { .. }), "{admitted:?}");
+        let before = (books(&server), server.live().to_vec());
+        let old = server.live()[0].resvs[0];
+        let new = new_of(old);
+        let refused = server.apply(&Step::Resize { k: 0, i: 0, new });
+        assert_eq!(refused, Outcome::Failed(Fault::NotAShrink { old, new }));
+        assert_eq!((books(&server), server.live().to_vec()), before);
+        let report = server.into_report(std::time::Duration::ZERO);
+        assert_eq!((report.resizes, report.violations), (0, 0));
+    }
+
+    #[test]
+    fn a_resize_to_an_empty_reservation_is_not_a_shrink() {
+        refused_resize(|old| {
+            let mid = old.start.midpoint(old.end);
+            Reservation {
+                start: mid,
+                end: mid,
+                ..old
+            }
+        });
+    }
+
+    #[test]
+    fn a_resize_to_an_inverted_reservation_is_not_a_shrink() {
+        refused_resize(|old| Reservation {
+            start: old.start.midpoint(old.end),
+            end: old.start,
+            ..old
+        });
     }
 
     #[test]
@@ -695,10 +759,14 @@ mod tests {
         };
         let mut server = Server::new(4, &cfg);
         let now = Time::seconds(100);
-        let wide = resched_core::dag::chain(&[TaskCost::new(Dur::hours(40), 0.0)]);
-        let admitted = server.submit(now, 0, &wide);
+        let dag = resched_core::dag::chain(&[TaskCost::new(Dur::hours(40), 0.0)]);
+        let admitted = server.apply(&Step::Submit {
+            now,
+            app_id: 0,
+            dag,
+        });
         assert!(
-            matches!(admitted, Decision::Admitted { completion, .. } if completion == now + Dur::hours(10)),
+            matches!(admitted, Outcome::Admitted { completion, .. } if completion == now + Dur::hours(10)),
             "{admitted:?}"
         );
         let sequential = TaskCost::new(Dur::minutes(90), 1.0);
@@ -712,7 +780,12 @@ mod tests {
                 now + Dur::hours(13)
             )
         );
-        let (decision, report) = obs::observe("past the floor", || server.submit(now, 1, &dag));
+        let step = Step::Submit {
+            now,
+            app_id: 1,
+            dag,
+        };
+        let (decision, report) = obs::observe("past the floor", || server.apply(&step));
         let horizon = now + cfg.admit_horizon;
         let bound = resched_core::floor::Bound {
             at: now + Dur::hours(13),
@@ -722,7 +795,7 @@ mod tests {
             horizon,
             by: Overrun::Floor(bound),
         };
-        assert_eq!(decision, Decision::Rejected(reason.clone()));
+        assert_eq!(decision, Outcome::Rejected(reason.clone()));
         assert_eq!(
             reason.to_string(),
             format!(
@@ -772,7 +845,12 @@ mod tests {
         let mut server = Server::new(64, &cfg);
         let now = Time::seconds(100);
         let floor = resched_core::floor::Floor::of(&dag, server.calendar(), now, 1).time();
-        let (decision, report) = obs::observe("below the floor", || server.submit(now, 0, &dag));
+        let step = Step::Submit {
+            now,
+            app_id: 0,
+            dag,
+        };
+        let (decision, report) = obs::observe("below the floor", || server.apply(&step));
         // On an empty calendar the critical path sets it.
         let bound = resched_core::floor::Bound {
             at: floor,
@@ -782,7 +860,7 @@ mod tests {
             deadline: now + cfg.admit_horizon,
             floor: Some(bound),
         };
-        assert_eq!(decision, Decision::Rejected(reason.clone()));
+        assert_eq!(decision, Outcome::Rejected(reason.clone()));
         assert_eq!(reason.code(), "deadline_infeasible");
         assert!(
             reason
@@ -917,61 +995,11 @@ mod tests {
         assert_eq!(quota, r.quota_reasons);
     }
 
-    /// The replay written out against `Server`'s public steps alone: what
-    /// `run` adds to them is the log preparation, the DAG per job id and
-    /// the seeded churn.
-    fn fold(log: &JobLog, cfg: &ServeConfig) -> ServeReport {
-        let log = log.accelerated(cfg.accel);
-        let mut jobs = log.jobs.clone();
-        jobs.sort_by_key(|j| (j.submit, j.id));
-        jobs.truncate(if cfg.max_apps > 0 {
-            cfg.max_apps
-        } else {
-            jobs.len()
-        });
-        let params = DagParams {
-            num_tasks: cfg.tasks_per_app.max(1),
-            ..DagParams::paper_default()
-        };
-        let mut rng = ChaCha12Rng::seed_from_u64(derive_seed(cfg.seed, u64::MAX));
-        let mut server = Server::new(log.procs, cfg);
-        let mut commits = 0;
-        for job in jobs {
-            let dag = resched_daggen::generate(&params, derive_seed(cfg.seed, u64::from(job.id)));
-            if matches!(
-                server.submit(job.submit, job.id, &dag),
-                Decision::Rejected(_)
-            ) {
-                continue;
-            }
-            commits += 1;
-            if cfg.cancel_every > 0 && commits % cfg.cancel_every == 0 {
-                let k = rng.gen_range(0..server.live().len());
-                server.cancel(k).unwrap();
-            }
-            if cfg.resize_every > 0 && commits % cfg.resize_every == 0 && !server.live().is_empty()
-            {
-                let k = rng.gen_range(0..server.live().len());
-                // The longest reservation (the last of equals), halved.
-                let (i, old) = server.live()[k]
-                    .resvs
-                    .iter()
-                    .copied()
-                    .enumerate()
-                    .max_by_key(|(_, r)| r.duration())
-                    .unwrap();
-                let mid = old.start.midpoint(old.end);
-                if mid > old.start {
-                    let half = Reservation::new(old.start, mid, old.procs);
-                    server.resize(k, i, half).unwrap();
-                }
-            }
-        }
-        server.into_report(std::time::Duration::from_millis(1))
-    }
-
+    /// The journal `run`'s body realizes, written as JSONL and read back,
+    /// replays through a fresh `Server` to the same outcomes and the same
+    /// report, wall-clock fields aside.
     #[test]
-    fn run_is_the_fold_over_the_public_steps() {
+    fn a_replayed_journal_reproduces_every_outcome() {
         let quota = ServeQuotaConfig {
             users: 3,
             max_concurrent_cores: 300,
@@ -1001,10 +1029,33 @@ mod tests {
                 },
             ),
         ] {
-            let (a, b) = (run(&log, &cfg), fold(&log, &cfg));
-            assert!(a.commits > 0 && a.cancels > 0 && a.resizes > 0, "{a:?}");
-            assert_eq!(decided(&a), decided(&b));
-            assert_eq!(counters(&a.metrics), counters(&b.metrics));
+            let (mut steps, mut outcomes) = (Vec::new(), Vec::new());
+            let recorded = replay(&log, &cfg, |step, outcome| {
+                steps.push(step.clone());
+                outcomes.push(outcome.clone());
+            });
+            assert!(
+                recorded.commits > 0 && recorded.cancels > 0 && recorded.resizes > 0,
+                "{recorded:?}"
+            );
+            assert_eq!(decided(&recorded), decided(&run(&log, &cfg)));
+
+            let journal: String = steps
+                .iter()
+                .map(|step| serde_json::to_string(step).unwrap() + "\n")
+                .collect();
+            let read: Vec<Step> = journal
+                .lines()
+                .map(|line| serde_json::from_str(line).unwrap())
+                .collect();
+            assert_eq!(read, steps);
+
+            let mut server = Server::new(log.procs, &cfg);
+            let replayed: Vec<Outcome> = read.iter().map(|step| server.apply(step)).collect();
+            assert_eq!(replayed, outcomes);
+            let report = server.into_report(std::time::Duration::from_millis(1));
+            assert_eq!(decided(&report), decided(&recorded));
+            assert_eq!(counters(&report.metrics), counters(&recorded.metrics));
         }
     }
 

@@ -44,8 +44,6 @@ const MAX_TASKS: usize = 1000;
 /// times the 8 of the benchmark's `serve_deadline`.
 const MAX_QUOTA_USERS: usize = 4096;
 
-const PRESETS: &[&str] = &["ctc_sp2", "osc_cluster", "sdsc_blue", "sdsc_ds", "grid5000"];
-
 fn usage() -> ! {
     eprintln!(
         "usage: resched-serve [--preset {}] [--swf FILE] [--days N] [--apps N] \
@@ -53,7 +51,7 @@ fn usage() -> ! {
          [--deadline-every N] [--admit-hours N] [--probe-fanout N] \
          [--quota-users N] [--quota-cores N] [--quota-core-seconds N] [--json] \
          [--assert-clean]",
-        PRESETS.join("|")
+        LogSpec::PRESETS.join("|")
     );
     std::process::exit(2);
 }
@@ -184,19 +182,12 @@ fn main() -> ExitCode {
             }
         }
         None => {
-            let spec = match preset.as_str() {
-                "ctc_sp2" => LogSpec::ctc_sp2(),
-                "osc_cluster" => LogSpec::osc_cluster(),
-                "sdsc_blue" => LogSpec::sdsc_blue(),
-                "sdsc_ds" => LogSpec::sdsc_ds(),
-                "grid5000" => LogSpec::grid5000(),
-                other => {
-                    eprintln!(
-                        "unknown preset {other} (expected one of {})",
-                        PRESETS.join(", ")
-                    );
-                    return ExitCode::from(2);
-                }
+            let Some(spec) = LogSpec::preset(&preset) else {
+                eprintln!(
+                    "unknown preset {preset} (expected one of {})",
+                    LogSpec::PRESETS.join(", ")
+                );
+                return ExitCode::from(2);
             };
             generate_log(&spec.with_duration(Dur::days(days)), cfg.seed)
         }

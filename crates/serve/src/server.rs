@@ -3,11 +3,10 @@
 //! A [`Server`] owns the three things that must never drift apart — the
 //! [`Calendar`], the quota ledger ([`AdmissionGate`]) and the set of live
 //! applications — as private fields, so the only code that can change any
-//! of them is one of its steps: [`submit`](Server::submit),
-//! [`cancel`](Server::cancel), [`resize`](Server::resize) and
-//! [`audit`](Server::audit). Each mutating step counts one event and
+//! of them is [`Server::apply`], one [`Step`] at a time, and
+//! [`Server::audit`]. Each step that goes through counts one event and
 //! re-audits the calendar on the configured cadence; every outcome is a
-//! typed value ([`Decision`], [`Reason`], [`Fault`]) and turns into text
+//! typed value ([`Outcome`], [`Reason`], [`Fault`]) and turns into text
 //! only in [`Server::into_report`].
 
 use crate::{percentile, ServeConfig, ServeQuotaConfig, ServeReport};
@@ -21,15 +20,46 @@ use resched_core::validate::audit_calendar_with;
 use resched_resv::{
     AdmissionGate, Owner, QuotaDenial, QuotaRule, QuotaSet, QuotaSubject, ReservationError,
 };
+use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::fmt;
 use std::time::{Duration, Instant};
 
-/// What [`Server::submit`] decided about one arrival.
+/// One request to a [`Server`]. Steps as JSON lines are a journal: replayed
+/// through a fresh server of the same configuration, the same [`Outcome`]s.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+pub enum Step {
+    /// Decide the arrival of application `app_id` at `now`.
+    Submit {
+        /// The arrival instant.
+        now: Time,
+        /// Picks the owner: user `app_id % users`, project `app_id % 2`.
+        app_id: u32,
+        /// The application.
+        dag: Dag,
+    },
+    /// Cancel live application `k`: its reservations leave calendar and
+    /// ledger, and the last live application takes its place (`swap_remove`).
+    Cancel {
+        /// Index into [`Server::live`].
+        k: usize,
+    },
+    /// Shrink reservation `i` of live application `k` to `new`: a valid
+    /// reservation inside the old one (no earlier, later or wider), not it.
+    Resize {
+        /// Index into [`Server::live`].
+        k: usize,
+        /// Index into the application's reservations.
+        i: usize,
+        /// What the reservation becomes.
+        new: Reservation,
+    },
+}
+
+/// What [`Server::apply`] made of one [`Step`].
 #[derive(Debug, Clone, PartialEq)]
-pub enum Decision {
-    /// Committed: the application's reservations are in the calendar (and
-    /// in the ledger) and the application is live.
+pub enum Outcome {
+    /// Committed: the reservations are in calendar and ledger, the app live.
     Admitted {
         /// The algorithm whose schedule was taken: the forward scheduler,
         /// or the winner of the deadline roster.
@@ -39,9 +69,14 @@ pub enum Decision {
         /// Processor-seconds reserved for it.
         proc_seconds: i64,
     },
-    /// Rolled back: calendar and ledger are byte-identical to what they
-    /// were before the arrival.
+    /// Rolled back: calendar and ledger are byte-identical to before.
     Rejected(Reason),
+    /// The application is cancelled.
+    Cancelled,
+    /// The reservation is shrunk.
+    Resized,
+    /// A cancel or resize refused, or done with the books disagreeing.
+    Failed(Fault),
 }
 
 /// What lies past the admission horizon of a forward arrival.
@@ -137,8 +172,8 @@ impl fmt::Display for Reason {
     }
 }
 
-/// Why a [`cancel`](Server::cancel) or [`resize`](Server::resize) did not
-/// go through, or what an audit found.
+/// Why a [`Step::Cancel`] or [`Step::Resize`] did not go through, or what
+/// an audit found.
 ///
 /// The first two are the caller's: the step is refused before anything is
 /// touched and nothing is counted. The rest are the server's own books
@@ -154,8 +189,9 @@ pub enum Fault {
         /// How many there are.
         len: usize,
     },
-    /// `new` is not `old` made smaller. Only a shrink is accepted, because
-    /// the ledger swaps the entry without re-checking quotas.
+    /// `new` is not `old` made smaller, or is no valid reservation at all.
+    /// Only a shrink is accepted, because the ledger swaps the entry without
+    /// re-checking quotas.
     NotAShrink {
         /// The live reservation.
         old: Reservation,
@@ -403,7 +439,8 @@ impl Server {
         &self.cal
     }
 
-    /// The live applications; `cancel` and `resize` index into this.
+    /// The live applications; [`Step::Cancel`] and [`Step::Resize`] index
+    /// into this.
     pub fn live(&self) -> &[LiveApp] {
         &self.live
     }
@@ -413,9 +450,21 @@ impl Server {
         self.gate.iter().flat_map(AdmissionGate::ledger)
     }
 
-    /// Arrivals admitted so far.
-    pub fn commits(&self) -> usize {
-        self.commits
+    /// Take one step. A cancel or resize the caller got wrong (an index out
+    /// of range, a `new` that is not a shrink) is refused before anything
+    /// is touched or counted; every other step counts one event, its faults
+    /// go on the tally, and every `audit_every`-th event re-audits the
+    /// calendar.
+    pub fn apply(&mut self, step: &Step) -> Outcome {
+        let taken = match step {
+            Step::Submit { now, app_id, dag } => Ok(self.submit(*now, *app_id, dag)),
+            Step::Cancel { k } => self.cancel(*k),
+            Step::Resize { k, i, new } => self.resize(*k, *i, *new),
+        };
+        taken.map_or_else(Outcome::Failed, |outcome| {
+            self.end_step();
+            outcome
+        })
     }
 
     /// Decide one arrival: estimate `q` from the recent past, open a
@@ -426,7 +475,7 @@ impl Server {
     /// byte-exactly on the first `Reason` not to. The arrival's latency is
     /// the time from after the `q` estimate to after the commit or
     /// rollback.
-    pub fn submit(&mut self, now: Time, app_id: u32, dag: &Dag) -> Decision {
+    fn submit(&mut self, now: Time, app_id: u32, dag: &Dag) -> Outcome {
         self.apps += 1;
         self.first_arrival.get_or_insert(now);
         // A window that is not positive holds no history (and
@@ -439,27 +488,24 @@ impl Server {
 
         // lint:allow(det): the latency sample is reported beside the decisions and never read by them (`golden_serve_replays` pins every decision with this clock running).
         let t0 = Instant::now();
-        let decision = self.decide(now, q, app_id, dag);
+        let outcome = self.decide(now, q, app_id, dag);
         let ns = u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX);
         self.latencies_ns.push(ns);
 
-        let fault = match &decision {
-            Decision::Admitted { .. } => {
-                self.commits += 1;
-                None
-            }
-            Decision::Rejected(reason) => {
+        match &outcome {
+            Outcome::Rejected(reason) => {
                 *self.rejections.entry(reason.code()).or_insert(0) += 1;
-                matches!(reason, Reason::Validator(_) | Reason::ApplyFailed(_))
-                    .then(|| Fault::Rejected(reason.clone()))
+                if matches!(reason, Reason::Validator(_) | Reason::ApplyFailed(_)) {
+                    self.record([Fault::Rejected(reason.clone())]);
+                }
             }
-        };
-        self.end_step(fault);
-        decision
+            _ => self.commits += 1,
+        }
+        outcome
     }
 
     /// The transaction of one arrival, from open to commit or rollback.
-    fn decide(&mut self, now: Time, q: u32, app_id: u32, dag: &Dag) -> Decision {
+    fn decide(&mut self, now: Time, q: u32, app_id: u32, dag: &Dag) -> Outcome {
         resched_core::span!(names::SPAN_SERVE_SCHEDULE);
         let horizon = now + self.cfg.admit_horizon;
         let by_deadline =
@@ -491,7 +537,7 @@ impl Server {
                     owner: owner.clone(),
                     resvs,
                 });
-                Decision::Admitted {
+                Outcome::Admitted {
                     algo,
                     completion,
                     proc_seconds,
@@ -499,15 +545,13 @@ impl Server {
             }
             Err(reason) => {
                 txn.rollback();
-                Decision::Rejected(reason)
+                Outcome::Rejected(reason)
             }
         }
     }
 
-    /// Cancel live application `k`: remove all its reservations from the
-    /// calendar and the ledger. The last live application takes its place
-    /// in [`live`](Server::live) (`swap_remove`).
-    pub fn cancel(&mut self, k: usize) -> Result<(), Fault> {
+    /// [`Step::Cancel`], or why it was refused.
+    fn cancel(&mut self, k: usize) -> Result<Outcome, Fault> {
         if k >= self.live.len() {
             return Err(Fault::OutOfRange {
                 index: k,
@@ -541,15 +585,13 @@ impl Server {
                 }
             }
         };
-        let result = faults.first().cloned().map_or(Ok(()), Err);
-        self.end_step(faults);
-        result
+        let first = faults.first().cloned();
+        self.record(faults);
+        Ok(first.map_or(Outcome::Cancelled, Outcome::Failed))
     }
 
-    /// Shrink reservation `i` of live application `k` to `new`, which must
-    /// lie inside the old one (no earlier, no later, no wider) and differ
-    /// from it.
-    pub fn resize(&mut self, k: usize, i: usize, new: Reservation) -> Result<(), Fault> {
+    /// [`Step::Resize`], or why it was refused.
+    fn resize(&mut self, k: usize, i: usize, new: Reservation) -> Result<Outcome, Fault> {
         let len = self.live.len();
         let app = self
             .live
@@ -561,11 +603,14 @@ impl Server {
             .get_mut(i)
             .ok_or(Fault::OutOfRange { index: i, len })?;
         let old = *held;
-        if new == old || new.start < old.start || new.end > old.end || new.procs > old.procs {
+        // A journal is outside data: `new` need not be a valid reservation.
+        let valid = Reservation::checked(new.start, new.end, new.procs).is_ok();
+        let inside = new.start >= old.start && new.end <= old.end && new.procs <= old.procs;
+        if !valid || !inside || new == old {
             return Err(Fault::NotAShrink { old, new });
         }
         let mut txn = self.cal.transaction();
-        let result = match txn.try_resize(old, new) {
+        let fault = match txn.try_resize(old, new) {
             Ok(()) => {
                 txn.commit();
                 *held = new;
@@ -574,21 +619,17 @@ impl Server {
                     .gate
                     .as_mut()
                     .is_none_or(|gate| gate.replace(&app.owner, &old, new));
-                if in_ledger {
-                    Ok(())
-                } else {
-                    Err(Fault::LedgerMiss(old))
-                }
+                (!in_ledger).then_some(Fault::LedgerMiss(old))
             }
             // Shrinking a live reservation releases capacity only; it can
             // never conflict.
             Err(e) => {
                 txn.rollback();
-                Err(Fault::ShrinkFailed(e))
+                Some(Fault::ShrinkFailed(e))
             }
         };
-        self.end_step(result.clone().err());
-        result
+        self.record(fault.clone());
+        Ok(fault.map_or(Outcome::Resized, Outcome::Failed))
     }
 
     /// Audit the calendar (shape, capacity, accounting, reference scans)
@@ -609,10 +650,10 @@ impl Server {
         }
     }
 
-    /// Close a mutating step: its faults go on the tally, it counts as one
-    /// event, and every `audit_every`-th event re-audits the calendar.
-    fn end_step(&mut self, faults: impl IntoIterator<Item = Fault>) {
-        self.record(faults);
+    /// Close a step that went through (its faults are on the tally): it
+    /// counts as one event, and every `audit_every`-th event re-audits the
+    /// calendar.
+    fn end_step(&mut self) {
         self.events += 1;
         if self.cfg.audit_every > 0 && self.events.is_multiple_of(self.cfg.audit_every) {
             self.audit();

@@ -132,3 +132,22 @@ fn unrepresentable_swf_files_are_parse_errors() {
         assert!(stderr.contains(message), "{name}: {stderr}");
     }
 }
+
+/// Both binaries take their presets from `LogSpec::preset`; an unknown
+/// name is a usage error listing the five.
+#[test]
+fn an_unknown_preset_is_a_usage_error_naming_the_presets() {
+    let out = Command::new(env!("CARGO_BIN_EXE_resched-serve"))
+        .args(["--apps", "5", "--preset", "bogus"])
+        .output()
+        .expect("resched-serve runs");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{stderr}");
+    assert!(
+        stderr.contains(
+            "unknown preset bogus (expected one of ctc_sp2, osc_cluster, sdsc_blue, sdsc_ds, \
+             grid5000)"
+        ),
+        "{stderr}"
+    );
+}

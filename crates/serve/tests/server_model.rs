@@ -1,7 +1,7 @@
 //! Model-based test of the [`Server`] steps.
 //!
-//! Seeded random sequences of `submit` / `cancel` / `resize` — good and
-//! bad arguments alike — run against a naive model: a `Vec` of
+//! Seeded random sequences of [`Step`]s — submits, cancels and resizes,
+//! good and bad arguments alike — run against a naive model: a `Vec` of
 //! `(owner, reservations)`, one entry per live application, changed only
 //! by what a step reports. After every step the server's calendar must
 //! equal a calendar rebuilt from the model (the calendar's form is
@@ -9,6 +9,9 @@
 //! as a multiset, its live set must equal the model in order, and an
 //! audit must find nothing. A refused step (bad index, not a shrink) and a
 //! rejected arrival must change none of them.
+//!
+//! Each sequence is also a journal: written as JSONL and read back, it
+//! replays through a fresh server to the same outcomes and the same books.
 //!
 //! `RESCHED_FUZZ_ITERS` sets the number of sequences (default 60; CI's
 //! serve-smoke lane runs 300).
@@ -23,7 +26,7 @@ use resched_core::task::TaskCost;
 use resched_daggen::DagParams;
 use resched_resv::Owner;
 use resched_serve::{
-    Decision, Fault, LiveApp, ServeConfig, ServeQuotaConfig, Server, PROBE_ROSTER,
+    Fault, LiveApp, Outcome, ServeConfig, ServeQuotaConfig, Server, Step, PROBE_ROSTER,
 };
 use std::collections::BTreeMap;
 use std::time::Duration;
@@ -100,7 +103,8 @@ fn config(it: u64, rng: &mut ChaCha12Rng) -> (u32, ServeConfig) {
 
 /// A replacement for `old`: a real shrink on even draws (later start,
 /// earlier end or fewer processors, whichever the reservation has room
-/// for), something that is not one on odd draws.
+/// for), something that is not one on odd draws — a larger reservation,
+/// or none at all (empty, inverted, or of no processors).
 fn replacement(old: Reservation, rng: &mut ChaCha12Rng) -> (Reservation, bool) {
     let mid = old.start.midpoint(old.end);
     let shrinks = [
@@ -114,6 +118,17 @@ fn replacement(old: Reservation, rng: &mut ChaCha12Rng) -> (Reservation, bool) {
         Reservation::new(old.start - Dur::seconds(1), old.end, old.procs),
         Reservation::new(old.start, old.end, old.procs + 1),
         Reservation::new(old.end, old.end + Dur::seconds(5), old.procs),
+        Reservation {
+            start: mid,
+            end: mid,
+            procs: old.procs,
+        },
+        Reservation {
+            start: old.end,
+            end: old.start,
+            procs: old.procs,
+        },
+        Reservation { procs: 0, ..old },
     ];
     if rng.gen_bool(0.5) {
         if let Some(new) = pick(rng, &shrinks) {
@@ -121,6 +136,40 @@ fn replacement(old: Reservation, rng: &mut ChaCha12Rng) -> (Reservation, bool) {
         }
     }
     (pick(rng, &grows), false)
+}
+
+/// What the server holds: the calendar's JSON, the ledger and the live set.
+fn books(server: &Server) -> (String, Vec<(Owner, Reservation)>, Vec<LiveApp>) {
+    (
+        serde_json::to_string(server.calendar()).expect("a calendar serializes"),
+        server.ledger().map(|(o, r)| (o.clone(), *r)).collect(),
+        server.live().to_vec(),
+    )
+}
+
+/// The journal `steps`, written as JSONL and read back, replayed through a
+/// fresh server: the same outcomes and the same books as the original's.
+fn replay_journal(
+    procs: u32,
+    cfg: &ServeConfig,
+    steps: &[Step],
+    outcomes: &[Outcome],
+    original: &Server,
+    ctx: &str,
+) {
+    let journal: String = steps
+        .iter()
+        .map(|step| serde_json::to_string(step).expect("a step serializes") + "\n")
+        .collect();
+    let read: Vec<Step> = journal
+        .lines()
+        .map(|line| serde_json::from_str(line).unwrap_or_else(|e| panic!("{ctx}: {e}: {line}")))
+        .collect();
+    assert_eq!(read, steps, "{ctx}: the journal reads back changed");
+    let mut fresh = Server::new(procs, cfg);
+    let replayed: Vec<Outcome> = read.iter().map(|step| fresh.apply(step)).collect();
+    assert_eq!(replayed, outcomes, "{ctx}: the replay decided otherwise");
+    assert_eq!(books(&fresh), books(original), "{ctx}: the replay's books");
 }
 
 /// The server's books against the model, after a step.
@@ -160,6 +209,13 @@ fn random_steps_agree_with_a_naive_model() {
         let mut model: Vec<LiveApp> = Vec::new();
         let mut now = Time::seconds(1_000);
         let (mut arrivals, mut commits, mut cancels, mut resizes) = (0usize, 0, 0, 0);
+        let (mut steps, mut outcomes) = (Vec::new(), Vec::new());
+        let mut take = |server: &mut Server, step: Step| {
+            let outcome = server.apply(&step);
+            steps.push(step);
+            outcomes.push(outcome.clone());
+            outcome
+        };
 
         for step in 0..STEPS {
             let ctx = format!("sequence {it} step {step} ({cfg:?})");
@@ -168,18 +224,24 @@ fn random_steps_agree_with_a_naive_model() {
                     now += Dur::seconds(rng.gen_range(0..3600));
                     let id: u32 = rng.gen_range(0..1000);
                     let dag = small_dag(&mut rng);
+                    let tasks = dag.num_tasks();
                     arrivals += 1;
                     let by_deadline =
                         cfg.deadline_every > 0 && arrivals.is_multiple_of(cfg.deadline_every);
-                    match server.submit(now, id, &dag) {
-                        Decision::Admitted {
+                    let submit = Step::Submit {
+                        now,
+                        app_id: id,
+                        dag,
+                    };
+                    match take(&mut server, submit) {
+                        Outcome::Admitted {
                             algo,
                             completion,
                             proc_seconds,
                         } => {
                             commits += 1;
                             let app = server.live().last().expect("an admitted app is live");
-                            assert_eq!(app.resvs.len(), dag.num_tasks(), "{ctx}");
+                            assert_eq!(app.resvs.len(), tasks, "{ctx}");
                             assert_eq!(
                                 app.owner,
                                 Owner::new(
@@ -207,29 +269,28 @@ fn random_steps_agree_with_a_naive_model() {
                             assert!(expected, "{ctx}: {algo} admitted");
                             model.push(app.clone());
                         }
-                        Decision::Rejected(reason) => {
+                        Outcome::Rejected(reason) => {
                             // Anything else would be a scheduler or
                             // calendar bug.
                             assert!(POLICY.contains(&reason.code()), "{ctx}: {reason}");
                             *rejected.entry(reason.code()).or_insert(0) += 1;
                         }
+                        other => panic!("{ctx}: an arrival is admitted or rejected: {other:?}"),
                     }
                 }
                 6 | 7 => {
                     // One past the end about as often as a small live set
                     // has entries.
                     let k = rng.gen_range(0..model.len() + 2);
+                    let outcome = take(&mut server, Step::Cancel { k });
                     if k < model.len() {
-                        assert_eq!(server.cancel(k), Ok(()), "{ctx}");
+                        assert_eq!(outcome, Outcome::Cancelled, "{ctx}");
                         model.swap_remove(k);
                         cancels += 1;
                     } else {
                         let len = model.len();
-                        assert_eq!(
-                            server.cancel(k),
-                            Err(Fault::OutOfRange { index: k, len }),
-                            "{ctx}"
-                        );
+                        let refusal = Fault::OutOfRange { index: k, len };
+                        assert_eq!(outcome, Outcome::Failed(refusal), "{ctx}");
                         refused += 1;
                     }
                 }
@@ -239,8 +300,8 @@ fn random_steps_agree_with_a_naive_model() {
                         let new = Reservation::new(now, now + Dur::seconds(1), 1);
                         let len = model.len();
                         assert_eq!(
-                            server.resize(k, 0, new),
-                            Err(Fault::OutOfRange { index: k, len }),
+                            take(&mut server, Step::Resize { k, i: 0, new }),
+                            Outcome::Failed(Fault::OutOfRange { index: k, len }),
                             "{ctx}"
                         );
                         refused += 1;
@@ -249,9 +310,10 @@ fn random_steps_agree_with_a_naive_model() {
                     let i = rng.gen_range(0..app.resvs.len() + 1);
                     let Some(held) = app.resvs.get_mut(i) else {
                         let len = app.resvs.len();
+                        let new = app.resvs[0];
                         assert_eq!(
-                            server.resize(k, i, app.resvs[0]),
-                            Err(Fault::OutOfRange { index: i, len }),
+                            take(&mut server, Step::Resize { k, i, new }),
+                            Outcome::Failed(Fault::OutOfRange { index: i, len }),
                             "{ctx}"
                         );
                         refused += 1;
@@ -259,22 +321,22 @@ fn random_steps_agree_with_a_naive_model() {
                     };
                     let old = *held;
                     let (new, is_shrink) = replacement(old, &mut rng);
+                    let outcome = take(&mut server, Step::Resize { k, i, new });
                     if is_shrink {
-                        assert_eq!(server.resize(k, i, new), Ok(()), "{ctx}");
+                        assert_eq!(outcome, Outcome::Resized, "{ctx}");
                         *held = new;
                         resizes += 1;
                     } else {
-                        assert_eq!(
-                            server.resize(k, i, new),
-                            Err(Fault::NotAShrink { old, new }),
-                            "{ctx}"
-                        );
+                        let refusal = Fault::NotAShrink { old, new };
+                        assert_eq!(outcome, Outcome::Failed(refusal), "{ctx}");
                         refused += 1;
                     }
                 }
             }
             check(&mut server, &model, procs, cfg.quota.is_some(), &ctx);
         }
+        let ctx = format!("sequence {it} ({cfg:?})");
+        replay_journal(procs, &cfg, &steps, &outcomes, &server, &ctx);
 
         admitted += commits;
         cancelled += cancels;

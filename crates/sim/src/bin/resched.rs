@@ -90,19 +90,9 @@ fn generate_dag(args: &Args) -> Result<(), Box<dyn Error>> {
     Ok(())
 }
 
-fn preset(name: &str) -> Result<LogSpec, Box<dyn Error>> {
-    Ok(match name {
-        "ctc_sp2" => LogSpec::ctc_sp2(),
-        "osc_cluster" => LogSpec::osc_cluster(),
-        "sdsc_blue" => LogSpec::sdsc_blue(),
-        "sdsc_ds" => LogSpec::sdsc_ds(),
-        "grid5000" => LogSpec::grid5000(),
-        other => return Err(format!("unknown preset '{other}'").into()),
-    })
-}
-
 fn generate_log_cmd(args: &Args) -> Result<(), Box<dyn Error>> {
-    let mut spec = preset(args.opt("preset").unwrap_or("sdsc_blue"))?;
+    let name = args.opt("preset").unwrap_or("sdsc_blue");
+    let mut spec = LogSpec::preset(name).ok_or_else(|| format!("unknown preset '{name}'"))?;
     if let Some(days) = args.opt("days") {
         let days: i64 = days.parse().map_err(|_| "bad --days")?;
         spec = spec.with_duration(Dur::days(days));
@@ -172,10 +162,6 @@ fn load_problem(
 > {
     let dag_path = args.req("dag")?;
     let dag: resched_core::dag::Dag = read_json(dag_path)?;
-    for (i, c) in dag.costs().iter().enumerate() {
-        TaskCost::try_new(c.seq, c.alpha, c.overhead)
-            .map_err(|e| format!("{dag_path}: task {i}: {e}"))?;
-    }
     let resv_path = args.req("resv")?;
     let rs: resched_workloads::extract::ReservationSchedule = read_json(resv_path)?;
     if rs.procs == 0 {
@@ -183,7 +169,8 @@ fn load_problem(
     }
     let mut cal = Calendar::new(rs.procs);
     for (i, r) in rs.reservations.iter().enumerate() {
-        cal.try_add(*r)
+        Reservation::checked(r.start, r.end, r.procs)
+            .and_then(|r| cal.try_add(r))
             .map_err(|e| format!("{resv_path}: reservations[{i}]: {e}"))?;
     }
     Ok((dag, rs, cal))

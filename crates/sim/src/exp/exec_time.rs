@@ -229,11 +229,12 @@ mod tests {
                 let prof = &report.profile;
                 // Self-times partition the observed wall clock, so their
                 // sum can never exceed it.
+                let self_ns: u64 = prof.spans.iter().map(|s| s.self_ns).sum();
                 assert!(
-                    prof.total_self_ns() <= prof.wall_ns,
+                    self_ns <= prof.wall_ns,
                     "{}: phase sum {} ns exceeds wall {} ns",
                     algo.name(),
-                    prof.total_self_ns(),
+                    self_ns,
                     prof.wall_ns
                 );
                 assert!(!prof.spans.is_empty(), "{}: no spans", algo.name());

@@ -16,7 +16,7 @@ use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha12Rng;
 use resched_core::prelude::*;
 use resched_daggen::DagParams;
-use resched_serve::{Decision, ServeConfig, Server};
+use resched_serve::{Outcome, ServeConfig, Server, Step};
 use serde::{Deserialize, Serialize};
 
 /// Configuration of a stream simulation.
@@ -87,31 +87,31 @@ pub fn run_stream(cfg: &StreamConfig, seed: u64) -> StreamResult {
     let mut q_fracs = Vec::new();
     let mut now = Time::ZERO;
     let horizon = Time::ZERO + cfg.horizon;
-    let mut app = 0u32;
+    let mut app_id = 0u32;
     while now < horizon {
         let u: f64 = rng.gen_range(f64::EPSILON..1.0);
         now += Dur::from_secs_f64_ceil(-u.ln() * cfg.mean_interarrival.as_seconds() as f64);
         if now >= horizon {
             break;
         }
-        app += 1;
-        let dag = resched_daggen::generate(&params, derive_seed(seed, "stream", u64::from(app)));
+        app_id += 1;
+        let dag = resched_daggen::generate(&params, derive_seed(seed, "stream", u64::from(app_id)));
         // The availability estimate the server is about to schedule with:
         // the paper's q, over the same window of the recent past.
         let q = server.calendar().average_available(now - window, now);
         q_fracs.push(q as f64 / cfg.procs as f64);
         resched_core::obs::counter_add(resched_core::obs::names::STREAM_APPS, 1);
-        let decision = {
+        let outcome = {
             resched_core::span!(resched_core::obs::names::SPAN_STREAM_SCHEDULE);
-            server.submit(now, app, &dag)
+            server.apply(&Step::Submit { now, app_id, dag })
         };
-        match decision {
-            Decision::Admitted { completion, .. } => {
+        match outcome {
+            Outcome::Admitted { completion, .. } => {
                 turnaround_s.push((completion - now).as_seconds().max(0) as u64);
             }
             // Under this configuration only a scheduler or calendar bug
             // rejects an arrival.
-            Decision::Rejected(reason) => panic!("stream application {app} rejected: {reason}"),
+            other => panic!("stream application {app_id} not admitted: {other:?}"),
         }
     }
     turnaround_s.sort_unstable();

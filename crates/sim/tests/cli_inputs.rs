@@ -71,6 +71,18 @@ fn unschedulable_inputs_exit_1_naming_the_file_and_the_field() {
             "reservations[1]: ",
         ),
         (
+            "cli_inverted_resv.json",
+            false,
+            r#"{"procs":4,"reservations":[{"start":100,"end":50,"procs":4}],"q":4}"#.to_string(),
+            "reservations[0]: empty interval",
+        ),
+        (
+            "cli_zero_procs_resv.json",
+            false,
+            r#"{"procs":4,"reservations":[{"start":0,"end":500,"procs":0}],"q":4}"#.to_string(),
+            "reservations[0]: reservation for zero processors",
+        ),
+        (
             "cli_negative_seq.json",
             true,
             one_task_dag(r#"{"seq":-5,"alpha":0.1,"overhead":0}"#),

@@ -45,6 +45,21 @@ pub struct LogSpec {
 pub const DEFAULT_DURATION: Dur = Dur::days(60);
 
 impl LogSpec {
+    /// The presets' names, as `--preset` takes them.
+    pub const PRESETS: [&str; 5] = ["ctc_sp2", "osc_cluster", "sdsc_blue", "sdsc_ds", "grid5000"];
+
+    /// The preset called `name`, one of [`LogSpec::PRESETS`].
+    pub fn preset(name: &str) -> Option<LogSpec> {
+        Some(match name {
+            "ctc_sp2" => LogSpec::ctc_sp2(),
+            "osc_cluster" => LogSpec::osc_cluster(),
+            "sdsc_blue" => LogSpec::sdsc_blue(),
+            "sdsc_ds" => LogSpec::sdsc_ds(),
+            "grid5000" => LogSpec::grid5000(),
+            _ => return None,
+        })
+    }
+
     /// CTC SP2 (430 procs, 65.8% utilization, 3.20 h jobs, 7.49 h waits).
     pub fn ctc_sp2() -> LogSpec {
         LogSpec {

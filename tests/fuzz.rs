@@ -57,8 +57,8 @@ pub fn violation_label(v: &Violation) -> &'static str {
 pub enum Judge {
     /// The calendar's own fallible mutators.
     Production,
-    /// `Calendar::linear()` decides, `add_unchecked` / `remove_unchecked`
-    /// apply.
+    /// `Calendar::linear()` decides, `add_unchecked` applies (and
+    /// `try_remove` gives the old reservation back).
     LinearOracle,
 }
 
@@ -94,7 +94,8 @@ impl Judge {
         match self {
             Judge::Production => cal.try_resize(old, new).is_ok(),
             Judge::LinearOracle => {
-                cal.remove_unchecked(old);
+                cal.try_remove(old)
+                    .expect("a live reservation is removable");
                 let fits = linear_fits(cal, &new);
                 cal.add_unchecked(if fits { new } else { old });
                 fits
@@ -692,11 +693,9 @@ impl QuotaStress {
             return Err(format!("{}: {v}", violation_label(v)));
         }
         let area: i64 = live.iter().map(|(_, r)| r.proc_seconds()).sum();
-        if area != gate.held_core_seconds() {
-            return Err(format!(
-                "ledger area drifted: live {area} vs gate {}",
-                gate.held_core_seconds()
-            ));
+        let held: i64 = gate.ledger().map(|(_, r)| r.proc_seconds()).sum();
+        if area != held {
+            return Err(format!("ledger area drifted: live {area} vs gate {held}"));
         }
         Ok(log)
     }
@@ -963,12 +962,12 @@ impl ReferenceGate {
             let t = probe.start;
             let mut used = 0u32;
             for (o, r) in &self.held {
-                if subject.matches(o) && r.active_at(t) {
+                if subject.matches(o) && r.start <= t && t < r.end {
                     used = used.saturating_add(r.procs);
                 }
             }
             if let Some(r) = extra {
-                if r.active_at(t) {
+                if r.start <= t && t < r.end {
                     used = used.saturating_add(r.procs);
                 }
             }

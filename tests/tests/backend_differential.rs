@@ -115,9 +115,9 @@ fn linear_answers(cal: &Calendar) -> Answers {
         .map(|(procs, dur, a, b)| {
             let (mut c1, mut c2) = (QueryCost::default(), QueryCost::default());
             (
-                lin.earliest_fit_with_cost(procs, dur, a, &mut c1),
+                lin.earliest_fit(procs, dur, a, &mut c1),
                 c1.queries,
-                lin.latest_fit_with_cost(procs, dur, b, a, &mut c2),
+                lin.latest_fit(procs, dur, b, a, &mut c2),
                 c2.queries,
                 lin.peak_used(a, b),
                 lin.used_integral(a, b),

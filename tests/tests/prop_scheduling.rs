@@ -207,7 +207,7 @@ fn every_algorithm_passes_the_oracle_on_random_scenarios() {
                 Err(RunError::Infeasible(_)) => {}
                 Err(e) => panic!("{} failed to run: {e}", algo.name()),
             }
-            if algo.needs_deadline() {
+            if matches!(algo, Algorithm::Deadline(_) | Algorithm::HierDeadline(_)) {
                 let refused = algo.run(&dag, &cal, Time::ZERO, q, Some(below));
                 assert!(
                     matches!(refused, Err(RunError::Infeasible(e)) if e.floor.is_some()),
@@ -248,7 +248,7 @@ fn scheduling_queries_agree_across_backends() {
             // later than the schedule chose it, identically by both routes.
             let one = [(pl.procs, dur)];
             let ei = cal.earliest_finish(&one, pl.start, false, &mut ic).start;
-            let el = lin.earliest_fit_with_cost(pl.procs, dur, pl.start, &mut lc);
+            let el = lin.earliest_fit(pl.procs, dur, pl.start, &mut lc);
             assert_eq!(ei, el, "earliest_fit diverges at placement {pl:?}");
             assert_eq!(ei, pl.start, "placement must be feasible on the calendar");
             assert_eq!(ic.queries, lc.queries);
@@ -256,7 +256,7 @@ fn scheduling_queries_agree_across_backends() {
             let li = cal
                 .latest_start(&one, pl.end, Time::ZERO, &mut ic)
                 .map(|r| r.start);
-            let ll = lin.latest_fit(pl.procs, dur, pl.end, Time::ZERO);
+            let ll = lin.latest_fit(pl.procs, dur, pl.end, Time::ZERO, &mut Default::default());
             assert_eq!(li, ll, "latest_fit diverges at placement {pl:?}");
             assert_eq!(
                 li,

@@ -14,7 +14,7 @@
 use resched_core::obs::{self, names};
 use resched_core::prelude::*;
 use resched_daggen::{generate, DagParams};
-use resched_serve::{Decision, Reason, ServeConfig, Server, PROBE_ROSTER};
+use resched_serve::{Outcome, Reason, ServeConfig, Server, Step, PROBE_ROSTER};
 use resched_sim::exp::deadline::{LOOSE_FACTOR, SEARCH_PRECISION};
 use resched_sim::scenario::{default_sweep, instances_for, LogCache, ResvSpec, Scale};
 use resched_workloads::prelude::*;
@@ -106,15 +106,18 @@ fn a_deadline_arrival_allocates_once_at_every_fanout() {
         let mut server = Server::new(log.procs, &cfg);
         let (mut admitted, mut missed, mut below_floor) = (0, 0, 0);
         for job in &jobs {
-            let dag = generate(&params, u64::from(job.id) ^ 0x0A11);
-            let (decision, report) =
-                obs::observe("arrival", || server.submit(job.submit, job.id, &dag));
+            let submit = Step::Submit {
+                now: job.submit,
+                app_id: job.id,
+                dag: generate(&params, u64::from(job.id) ^ 0x0A11),
+            };
+            let (outcome, report) = obs::observe("arrival", || server.apply(&submit));
             let at = format!("fan-out {fanout}, {horizon} h, job {}", job.id);
             let counter = |name| report.metrics.counter(name);
             assert_eq!(counter(names::FLOOR_QUESTIONS), 1, "{at}");
-            match decision {
-                Decision::Admitted { .. } => admitted += 1,
-                Decision::Rejected(Reason::DeadlineInfeasible { floor: Some(_), .. }) => {
+            match outcome {
+                Outcome::Admitted { .. } => admitted += 1,
+                Outcome::Rejected(Reason::DeadlineInfeasible { floor: Some(_), .. }) => {
                     // Answered from the floor before any roster question:
                     // nothing allocated, mapped or run.
                     below_floor += 1;
@@ -129,8 +132,8 @@ fn a_deadline_arrival_allocates_once_at_every_fanout() {
                     }
                     continue;
                 }
-                Decision::Rejected(Reason::DeadlineInfeasible { floor: None, .. }) => missed += 1,
-                Decision::Rejected(_) => {}
+                Outcome::Rejected(Reason::DeadlineInfeasible { floor: None, .. }) => missed += 1,
+                _ => {}
             }
             assert_eq!(counter(names::SERVE_FLOOR_ANSWERED), 0, "{at}");
             assert_eq!(counter(names::BACKWARD_FLOOR_SKIPS), 0, "{at}");

@@ -149,8 +149,8 @@ fn scale_100k_mutation_heavy_backends_agree() {
                 c.queries,
             ),
             (
-                lin.earliest_fit_with_cost(procs, d, a, &mut lc),
-                lin.latest_fit_with_cost(procs, d, a + d + d, a, &mut lc),
+                lin.earliest_fit(procs, d, a, &mut lc),
+                lin.latest_fit(procs, d, a + d + d, a, &mut lc),
                 lin.peak_used(a, a + d),
                 lin.used_integral(a, a + d),
                 lc.queries,
