@@ -139,9 +139,8 @@ pub fn order_by_decreasing_bl(dag: &Dag, bl: &[Dur]) -> Vec<TaskId> {
     order
 }
 
-/// [`order_by_decreasing_bl`] into a caller-held buffer: iCASLB re-sorts
-/// per candidate build of its growth loop, the CPA mapping phase per
-/// guide of an RC deadline pass.
+/// [`order_by_decreasing_bl`] into a caller-held buffer: the CPA mapping
+/// phase re-sorts per guide of an RC deadline pass.
 ///
 /// The sort key `(Reverse(bl), id)` is injective (ids are unique), so the
 /// unstable sort is deterministic and byte-identical to a stable one.
@@ -166,9 +165,8 @@ pub fn order_by_increasing_bl(dag: &Dag, bl: &[Dur]) -> Vec<TaskId> {
 /// level propagation is a linear positional sweep instead of a worklist.
 #[derive(Debug, Clone)]
 pub(crate) struct PosGraph {
-    /// Task index at each topological position, and its inverse.
+    /// Task index at each topological position.
     order: Vec<u32>,
-    topo_pos: Vec<u32>,
     succ_start: Vec<u32>,
     succ_list: Vec<u32>,
     pred_start: Vec<u32>,
@@ -193,12 +191,10 @@ impl PosGraph {
             pred_start: Vec::with_capacity(n + 1),
             pred_list: Vec::with_capacity(dag.num_edges()),
             entry_pos: dag.entries().iter().map(|t| topo_pos[t.idx()]).collect(),
-            topo_pos,
         };
         g.succ_start.push(0);
         g.pred_start.push(0);
         for &t in dag.topo_order() {
-            let topo_pos = &g.topo_pos;
             g.succ_list
                 .extend(dag.succs(t).iter().map(|s| topo_pos[s.idx()]));
             g.succ_start.push(g.succ_list.len() as u32);
@@ -213,12 +209,6 @@ impl PosGraph {
     #[inline]
     pub(crate) fn order(&self) -> &[u32] {
         &self.order
-    }
-
-    /// Positions of the entry tasks.
-    #[inline]
-    pub(crate) fn entry_positions(&self) -> &[u32] {
-        &self.entry_pos
     }
 
     /// Successor positions of the task at `pos`.
@@ -236,6 +226,7 @@ impl PosGraph {
     /// Recompute the bottom levels of positions `0..end` by the
     /// full-rebuild formula, highest position first; positions `end..`
     /// must already be exact. `end = len` is the full build.
+    // lint:allow(panic-transitive): every caller sizes `exec` and `bl` to this graph's DAG, and `end` and the successor positions of the CSR are ≤ num_tasks, so every index is in range.
     pub(crate) fn sweep_bottom(&self, exec: &[Dur], bl: &mut [Dur], end: usize) {
         for pos in (0..end).rev() {
             let mut succ_max = Dur::ZERO;
@@ -277,152 +268,117 @@ impl PosGraph {
         let entry_levels = self.entry_pos.iter().map(|&e| bl[e as usize]);
         entry_levels.max().unwrap_or(Dur::ZERO)
     }
-}
 
-/// Incrementally maintained bottom/top levels under single-task execution
-/// time updates.
-///
-/// The MCPA and iCASLB allocation loops change one task's execution time
-/// per iteration. That can only affect the bottom levels of the task and
-/// its *ancestors* and the top levels of its *descendants*, so
-/// [`LevelTracker::update`] re-sweeps the positions below the task's
-/// highest predecessor (`PosGraph::propagate_bottom`, the routine CPA's
-/// own loop runs) and propagates top levels along the descendant cone —
-/// instead of the O(V+E) rebuild per iteration the legacy loops paid.
-///
-/// Levels are kept in *topological position* space, with id-indexed
-/// views in sync by write-through so [`LevelTracker::bottom`] /
-/// [`LevelTracker::top`] stay cheap borrows.
-///
-/// Exactness: levels are integer-second [`Dur`] max-plus values, and the
-/// update recomputes each touched node with the same formula as the full
-/// rebuild, so the tracker's state is always *identical* (not merely
-/// approximately equal) to [`bottom_levels`]/[`top_levels`] on the current
-/// execution times. `tests/alloc_differential.rs` pins this.
-#[derive(Debug, Clone)]
-pub struct LevelTracker {
-    graph: PosGraph,
-    /// Bottom / top levels indexed by task id (write-through copies of
-    /// `blp` / `tlp`).
-    bl: Vec<Dur>,
-    tl: Vec<Dur>,
-    /// Bottom levels, top levels and execution times by position.
-    blp: Vec<Dur>,
-    tlp: Vec<Dur>,
-    execp: Vec<Dur>,
-    /// Dirty flags of the top-level sweep, indexed by position; every
-    /// flag it sets is cleared before it returns.
-    dirty: Vec<bool>,
-}
-
-impl LevelTracker {
-    /// Full build from the given per-task execution times.
-    // lint:allow(panic-transitive): `order` holds every task id < num_tasks once, and the level vectors are built over the same DAG, so every index is in range.
-    pub fn new(dag: &Dag, exec: &[Dur]) -> LevelTracker {
-        let graph = PosGraph::new(dag);
-        let (bl, tl) = (bottom_levels(dag, exec), top_levels(dag, exec));
-        let by_pos = |v: &[Dur]| graph.order().iter().map(|&t| v[t as usize]).collect();
-        LevelTracker {
-            blp: by_pos(&bl),
-            tlp: by_pos(&tl),
-            execp: by_pos(exec),
-            dirty: vec![false; dag.num_tasks()],
-            bl,
-            tl,
-            graph,
-        }
-    }
-
-    /// Current bottom levels (always equal to `bottom_levels(dag, exec)`).
-    #[inline]
-    pub fn bottom(&self) -> &[Dur] {
-        &self.bl
-    }
-
-    /// Current top levels (always equal to `top_levels(dag, exec)`).
-    #[inline]
-    pub fn top(&self) -> &[Dur] {
-        &self.tl
-    }
-
-    /// Current critical-path length (max bottom level over entry tasks;
-    /// every other task's bottom level is dominated by an entry ancestor's).
-    // lint:allow(panic-transitive): entry positions are < num_tasks and `blp` is sized to the DAG, so every index is in range by construction.
-    pub fn critical_path(&self) -> Dur {
-        self.graph.critical_length(&self.blp)
-    }
-
-    /// Re-establish both level vectors after `exec[t]` changed (and nothing
-    /// else). Returns the number of positions whose level was recomputed —
-    /// the work a full rebuild would have spent on *every* node.
+    /// Visit every task on a critical path (`tl + bl == cp`, `cp` the
+    /// critical length of `bl`) once, in no particular order: the one way
+    /// the allocation loops find their candidates. A task is critical iff
+    /// it is reachable from a `bl == cp` entry along *tight* edges
+    /// (`bl(u) == exec(u) + bl(s)`), so the walk needs no top levels.
     ///
-    /// Top levels flow from predecessors to successors: `tl[t]` does not
-    /// depend on `exec[t]`, but every direct successor reads it, so the
-    /// sweep is seeded with them and walks increasing positions with a
-    /// dirty bitmap and a pending counter instead of a priority queue: a
-    /// predecessor always sits at a smaller position than its successors,
-    /// so the linear scan pops nodes in exactly the order a heap would,
-    /// and it stops as soon as no dirty node remains.
-    // lint:allow(panic-transitive): task ids are dense indices < num_tasks and the level arrays are sized to the DAG, so every index is in range by construction.
-    pub fn update(&mut self, dag: &Dag, exec: &[Dur], t: TaskId) -> u64 {
-        debug_assert_eq!(exec.len(), self.bl.len());
-        debug_assert_eq!(dag.num_tasks(), self.bl.len());
-        let LevelTracker {
-            graph,
-            bl,
-            tl,
-            blp,
-            tlp,
-            execp,
-            dirty,
-        } = self;
-        let tp = graph.topo_pos[t.idx()] as usize;
-        let old = std::mem::replace(&mut execp[tp], exec[t.idx()]);
-        let swept = graph.propagate_bottom(execp, blp, tp, old);
-        bl[t.idx()] = blp[tp];
-        for (&u, &level) in graph.order[..swept].iter().zip(&blp[..swept]) {
-            bl[u as usize] = level;
-        }
-        let mut touched = swept as u64 + 1;
-
-        let mut pending = 0u32;
-        for &sp in graph.succs_at(tp) {
-            if !std::mem::replace(&mut dirty[sp as usize], true) {
-                pending += 1;
+    /// Why tight edges: if `u` is critical and `u → s` is tight, then
+    /// `tl(s) ≥ tl(u) + exec(u) = cp − bl(u) + exec(u) = cp − bl(s)`, and
+    /// `tl + bl ≤ cp` always, so `s` is critical. Conversely the
+    /// `tl`-argmax predecessor `u` of a critical non-entry `s` has
+    /// `tl(u) + bl(u) ≥ tl(s) − exec(u) + exec(u) + bl(s) = cp`, so it is
+    /// critical and its edge to `s` is tight.
+    ///
+    /// `visit` gets each member's position and the [`Tightness`] of its
+    /// out-edges; the return value is the entries' (the out-edges of a
+    /// virtual source at `cp` above them). CPA's runs read both (see
+    /// `cpa::AllocState::allocate`); a loop that only picks ignores them.
+    /// `marks` records who was reached until the next walk.
+    #[inline]
+    pub(crate) fn walk_critical(
+        &self,
+        exec: &[Dur],
+        bl: &[Dur],
+        cp: Dur,
+        marks: &mut Marks,
+        mut visit: impl FnMut(usize, Tightness),
+    ) -> Tightness {
+        let Marks {
+            stamp,
+            epoch,
+            stack,
+        } = marks;
+        *epoch = epoch.wrapping_add(1);
+        stack.clear();
+        let mut entries = Tightness::NONE;
+        for &e in &self.entry_pos {
+            if bl[e as usize] == cp {
+                entries.tight += 1;
+                stamp[e as usize] = *epoch;
+                stack.push(e);
+            } else {
+                entries.gap = entries.gap.min(cp - bl[e as usize]);
             }
         }
-        let lo = graph.succs_at(tp).iter().min().map_or(0, |&sp| sp as usize);
-        for pos in lo..graph.order.len() {
-            if pending == 0 {
-                break;
-            }
-            if !std::mem::replace(&mut dirty[pos], false) {
-                continue;
-            }
-            pending -= 1;
-            touched += 1;
-            let mut pred_max = Dur::ZERO;
-            for &pp in graph.preds_at(pos) {
-                pred_max = pred_max.max(tlp[pp as usize] + execp[pp as usize]);
-            }
-            if pred_max != tlp[pos] {
-                tlp[pos] = pred_max;
-                tl[graph.order[pos] as usize] = pred_max;
-                for &sp in graph.succs_at(pos) {
-                    if !std::mem::replace(&mut dirty[sp as usize], true) {
-                        pending += 1;
-                    }
+        while let Some(u) = stack.pop() {
+            let u = u as usize;
+            let tight = bl[u] - exec[u];
+            let mut out = Tightness::NONE;
+            for &s in self.succs_at(u) {
+                if bl[s as usize] != tight {
+                    out.gap = out.gap.min(tight - bl[s as usize]);
+                    continue;
+                }
+                out.tight += 1;
+                if stamp[s as usize] != *epoch {
+                    stamp[s as usize] = *epoch;
+                    stack.push(s);
                 }
             }
+            visit(u, out);
         }
-        touched
+        entries
+    }
+}
+
+/// What [`PosGraph::walk_critical`] reports about a set of out-edges: how
+/// many are tight, and the smallest amount by which a non-tight one falls
+/// short of tight (`Dur::MAX` if none does).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Tightness {
+    pub(crate) tight: u32,
+    pub(crate) gap: Dur,
+}
+
+impl Tightness {
+    const NONE: Tightness = Tightness {
+        tight: 0,
+        gap: Dur::MAX,
+    };
+}
+
+/// Scratch of [`PosGraph::walk_critical`], sized to one DAG: position `p`
+/// was reached by the latest walk iff `stamp[p] == epoch`.
+#[derive(Debug, Clone)]
+pub(crate) struct Marks {
+    stamp: Vec<u32>,
+    epoch: u32,
+    stack: Vec<u32>,
+}
+
+impl Marks {
+    pub(crate) fn new(num_tasks: usize) -> Marks {
+        Marks {
+            stamp: vec![0; num_tasks],
+            epoch: 0,
+            stack: Vec::new(),
+        }
+    }
+
+    /// Whether the latest walk reached position `pos`.
+    #[inline]
+    pub(crate) fn reached(&self, pos: usize) -> bool {
+        self.stamp.get(pos) == Some(&self.epoch)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dag::{chain, DagBuilder};
+    use crate::dag::{chain, fork_join, DagBuilder};
     use crate::task::TaskCost;
 
     fn c(s: i64) -> TaskCost {
@@ -546,7 +502,7 @@ mod tests {
     }
 
     /// A deterministic multi-level DAG with cross edges, denser than the
-    /// diamond, for exercising the tracker's propagation.
+    /// diamond, for exercising level propagation.
     fn lattice() -> Dag {
         let mut b = DagBuilder::new();
         let ids: Vec<_> = (1..=9i64).map(|i| b.add_task(c(i * 7))).collect();
@@ -566,105 +522,168 @@ mod tests {
         b.build().unwrap()
     }
 
-    #[test]
-    fn tracker_matches_full_rebuild_under_updates() {
-        let dag = lattice();
-        let mut exec: Vec<Dur> = dag.costs().iter().map(|c| c.exec_time(1)).collect();
-        let mut tracker = LevelTracker::new(&dag, &exec);
-        // Deterministic pseudo-random walk of single-task changes.
-        let mut state = 0x9E37_79B9u64;
-        for step in 0..200 {
-            state = state
+    /// `layers` fully bipartite layers of `width` tasks, plus a skip edge
+    /// from each layer's first task two layers down.
+    fn layered(layers: usize, width: usize) -> Dag {
+        let mut b = DagBuilder::new();
+        let ids: Vec<TaskId> = (0..layers * width)
+            .map(|i| b.add_task(c(7 * i as i64 + 5)))
+            .collect();
+        for l in 1..layers {
+            for i in 0..width {
+                for j in 0..width {
+                    b.add_edge(ids[(l - 1) * width + i], ids[l * width + j]);
+                }
+            }
+            if l >= 2 {
+                b.add_edge(ids[(l - 2) * width], ids[l * width + width - 1]);
+            }
+        }
+        b.build().unwrap()
+    }
+
+    struct Lcg(u64);
+
+    impl Lcg {
+        fn next(&mut self) -> u64 {
+            self.0 = self
+                .0
                 .wrapping_mul(6364136223846793005)
                 .wrapping_add(1442695040888963407);
-            let t = TaskId((state >> 33) as u32 % dag.num_tasks() as u32);
-            let delta = 1 + (state >> 11) as i64 % 40;
-            exec[t.idx()] = Dur::seconds(delta);
-            tracker.update(&dag, &exec, t);
-            assert_eq!(
-                tracker.bottom(),
-                &bottom_levels(&dag, &exec)[..],
-                "bl diverged at step {step}"
-            );
-            assert_eq!(
-                tracker.top(),
-                &top_levels(&dag, &exec)[..],
-                "tl diverged at step {step}"
-            );
-            assert_eq!(
-                tracker.critical_path(),
-                critical_path_length(tracker.bottom())
-            );
+            self.0 >> 11
         }
     }
 
-    #[test]
-    fn tracker_matches_full_rebuild_on_dense_dag() {
-        // The same random walk on a dense DAG (average degree >= 4), where
-        // nearly every update moves most of the swept prefix, and `update`
-        // must keep the id-indexed views in sync with it.
-        // Fully-bipartite adjacent layers: 3 layers of 8 give 128 edges
-        // >= 4 * 24 tasks.
+    /// A random DAG of 1–40 tasks whose ids are not in topological order:
+    /// edges run along a shuffled task order, each present with a drawn
+    /// density.
+    fn random_dag(rng: &mut Lcg) -> Dag {
+        let n = 1 + rng.next() as usize % 40;
         let mut b = DagBuilder::new();
-        let ids: Vec<_> = (1..=24i64).map(|i| b.add_task(c(i * 5))).collect();
-        for layer in 0..2 {
-            for i in 0..8 {
-                for j in 0..8 {
-                    b.add_edge(ids[layer * 8 + i], ids[(layer + 1) * 8 + j]);
+        let ids: Vec<TaskId> = (0..n)
+            .map(|_| b.add_task(c(1 + (rng.next() % 500) as i64)))
+            .collect();
+        let mut order = ids.clone();
+        for i in (1..n).rev() {
+            order.swap(i, rng.next() as usize % (i + 1));
+        }
+        let density = rng.next() % 100;
+        for i in 0..n {
+            for j in i + 1..n {
+                if rng.next() % 100 < density / 3 + 1 {
+                    b.add_edge(order[i], order[j]);
                 }
             }
         }
-        let dag = b.build().unwrap();
-        assert!(
-            dag.num_edges() >= 4 * dag.num_tasks(),
-            "test DAG not dense enough ({} edges)",
-            dag.num_edges()
-        );
+        b.build().unwrap()
+    }
+
+    /// Check every `PosGraph` level routine against the full rebuild on
+    /// `dag` under a seeded walk of single-task execution-time changes
+    /// (rises, falls and no-ops): `propagate_bottom` against
+    /// [`bottom_levels`], and the critical walk's members, out-edge reports
+    /// and entry report against `{tl + bl == cp}` from [`top_levels`].
+    fn walk_and_propagate_match_rebuild(name: &str, dag: &Dag, seed: u64, steps: usize) {
+        let graph = PosGraph::new(dag);
+        let order = graph.order().to_vec();
+        let n = dag.num_tasks();
         let mut exec: Vec<Dur> = dag.costs().iter().map(|c| c.exec_time(1)).collect();
-        let mut tracker = LevelTracker::new(&dag, &exec);
-        let mut state = 0xDEAD_BEEFu64;
-        for step in 0..200 {
-            state = state
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            let t = TaskId((state >> 33) as u32 % dag.num_tasks() as u32);
-            let delta = 1 + (state >> 11) as i64 % 40;
-            exec[t.idx()] = Dur::seconds(delta);
-            tracker.update(&dag, &exec, t);
-            assert_eq!(
-                tracker.bottom(),
-                &bottom_levels(&dag, &exec)[..],
-                "bl diverged at step {step}"
-            );
-            assert_eq!(
-                tracker.top(),
-                &top_levels(&dag, &exec)[..],
-                "tl diverged at step {step}"
-            );
-            assert_eq!(
-                tracker.critical_path(),
-                critical_path_length(tracker.bottom())
-            );
+        let mut execp: Vec<Dur> = order.iter().map(|&t| exec[t as usize]).collect();
+        let mut blp = vec![Dur::ZERO; n];
+        graph.sweep_bottom(&execp, &mut blp, n);
+        let mut marks = Marks::new(n);
+        let mut rng = Lcg(seed ^ n as u64);
+        for step in 0..=steps {
+            let at = format!("{name}, step {step}");
+            if step > 0 {
+                let u = rng.next() as usize % n;
+                let t = order[u] as usize;
+                exec[t] = Dur::seconds(1 + (rng.next() % 40) as i64);
+                let old = std::mem::replace(&mut execp[u], exec[t]);
+                graph.propagate_bottom(&execp, &mut blp, u, old);
+            }
+            let (bl, tl) = (bottom_levels(dag, &exec), top_levels(dag, &exec));
+            let by_pos: Vec<Dur> = order.iter().map(|&t| bl[t as usize]).collect();
+            assert_eq!(blp, by_pos, "bl: {at}");
+            let cp = critical_path_length(&bl);
+            assert_eq!(graph.critical_length(&blp), cp, "cp: {at}");
+
+            let mut seen = vec![0u32; n];
+            let entries = graph.walk_critical(&execp, &blp, cp, &mut marks, |u, out| {
+                seen[u] += 1;
+                let t = TaskId(order[u]);
+                let tight = bl[t.idx()] - exec[t.idx()];
+                let succs = dag.succs(t).iter().map(|s| bl[s.idx()]);
+                let n_tight = succs.clone().filter(|&b| b == tight).count() as u32;
+                let gap = succs.filter(|&b| b != tight).map(|b| tight - b).min();
+                assert_eq!(out.tight, n_tight, "tight out-edges of {t}: {at}");
+                assert_eq!(out.gap, gap.unwrap_or(Dur::MAX), "gap of {t}: {at}");
+            });
+            for (u, &t) in order.iter().enumerate() {
+                let critical = tl[t as usize] + bl[t as usize] == cp;
+                assert_eq!(seen[u], u32::from(critical), "member {t}: {at}");
+                assert_eq!(marks.reached(u), critical, "marks of {t}: {at}");
+            }
+            let entry_levels = dag.entries().iter().map(|e| bl[e.idx()]);
+            let n_tight = entry_levels.clone().filter(|&b| b == cp).count() as u32;
+            let gap = entry_levels.filter(|&b| b != cp).map(|b| cp - b).min();
+            assert_eq!(entries.tight, n_tight, "critical entries: {at}");
+            assert_eq!(entries.gap, gap.unwrap_or(Dur::MAX), "entry gap: {at}");
         }
     }
 
     #[test]
-    fn tracker_prunes_untouched_cones() {
+    fn walk_and_propagate_match_a_full_rebuild() {
+        let shapes = [
+            ("chain", chain(&[c(10), c(400), c(3), c(77), c(1), c(90)])),
+            ("single task", chain(&[c(10)])),
+            ("fork-join", fork_join(c(60), &[c(500); 40], c(60))),
+            ("lattice", lattice()),
+            ("dense lattice", layered(3, 8)),
+            ("skip lattice", layered(4, 8)),
+            ("sparse lattice", layered(6, 2)),
+        ];
+        for (i, (name, dag)) in shapes.iter().enumerate() {
+            walk_and_propagate_match_rebuild(name, dag, 0x9E37_79B9 + i as u64, 300);
+        }
+        let draws: u64 = std::env::var("RESCHED_DIFF_ITERS")
+            .ok()
+            .and_then(|v| v.parse().ok())
+            .unwrap_or(20);
+        let mut rng = Lcg(0xDEAD_BEEF);
+        for draw in 0..draws {
+            let dag = random_dag(&mut rng);
+            walk_and_propagate_match_rebuild(&format!("random {draw}"), &dag, draw, 60);
+        }
+    }
+
+    #[test]
+    fn propagate_bottom_resweeps_only_below_the_highest_predecessor() {
         // Changing an exit-level task must not recompute the whole DAG:
-        // only the task and its ancestors (bl side) are touched.
+        // only the prefix below its highest predecessor, its ancestors'
+        // positions (the middle level and the entries), is re-swept.
         let dag = lattice();
-        let mut exec: Vec<Dur> = dag.costs().iter().map(|c| c.exec_time(1)).collect();
-        let mut tracker = LevelTracker::new(&dag, &exec);
+        let graph = PosGraph::new(&dag);
+        let n = dag.num_tasks();
         let exit_task = TaskId(7); // level-3 task with no successors
         assert!(dag.succs(exit_task).is_empty());
+        let u = graph
+            .order()
+            .iter()
+            .position(|&t| t == exit_task.0)
+            .unwrap();
+        let mut exec: Vec<Dur> = dag.costs().iter().map(|c| c.exec_time(1)).collect();
+        let mut execp: Vec<Dur> = graph.order().iter().map(|&t| exec[t as usize]).collect();
+        let mut blp = vec![Dur::ZERO; n];
+        graph.sweep_bottom(&execp, &mut blp, n);
         exec[exit_task.idx()] = Dur::seconds(1);
-        let touched = tracker.update(&dag, &exec, exit_task);
-        // bl cone: itself + up to 6 ancestors (the middle level + entries);
-        // tl cone: no successors, nothing. A full rebuild touches 18.
-        assert!(
-            touched <= 7,
-            "exit-task update touched {touched} nodes, expected <= 7"
-        );
-        assert_eq!(tracker.bottom(), &bottom_levels(&dag, &exec)[..]);
+        let old = std::mem::replace(&mut execp[u], exec[exit_task.idx()]);
+        let swept = graph.propagate_bottom(&execp, &mut blp, u, old);
+        // bl cone: the 6 ancestors sit at positions 0..6; a full rebuild
+        // sweeps all 9.
+        assert_eq!(swept, 6, "exit-task update re-swept {swept} positions");
+        let bl = bottom_levels(&dag, &exec);
+        let by_pos: Vec<Dur> = graph.order().iter().map(|&t| bl[t as usize]).collect();
+        assert_eq!(blp, by_pos);
     }
 }

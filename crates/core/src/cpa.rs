@@ -45,7 +45,7 @@
 
 use crate::bl::{
     bottom_levels, bottom_levels_into, critical_path_length, order_by_decreasing_bl_into,
-    top_levels, PosGraph,
+    top_levels, Marks, PosGraph,
 };
 use crate::dag::{Dag, TaskId};
 use crate::forward;
@@ -88,6 +88,21 @@ impl CpaAllocation {
     #[inline]
     pub fn exec_time(&self, t: TaskId) -> Dur {
         self.exec[t.idx()]
+    }
+
+    /// The allocation a loop kept by topological position (widths `m`,
+    /// times `exec`), read out in task-id space; `order` maps positions
+    /// to task ids.
+    pub(crate) fn from_positions(pool: u32, order: &[u32], m: &[u32], exec: &[Dur]) -> Self {
+        let mut out = CpaAllocation {
+            pool,
+            allocs: vec![0; order.len()],
+            exec: vec![Dur::ZERO; order.len()],
+        };
+        for ((&t, &m), &e) in order.iter().zip(m).zip(exec) {
+            (out.allocs[t as usize], out.exec[t as usize]) = (m, e);
+        }
+        out
     }
 }
 
@@ -180,11 +195,7 @@ struct AllocState {
     graph: PosGraph,
     held: Grants,
     bl: Vec<Dur>,
-    /// Critical-walk scratch: position `p` was reached in the current
-    /// iteration iff `stamp[p] == epoch`.
-    stamp: Vec<u32>,
-    epoch: u32,
-    stack: Vec<u32>,
+    marks: Marks,
     /// The critical path's members, while a run grows along it.
     run: Vec<usize>,
     /// What the state is the trajectory of: the last run's pool (0 before
@@ -210,9 +221,7 @@ impl AllocState {
             },
             graph,
             bl: vec![Dur::ZERO; n],
-            stamp: vec![0; n],
-            epoch: 0,
-            stack: Vec::new(),
+            marks: Marks::new(n),
             run: Vec::new(),
             pool: 0,
             criterion: StoppingCriterion::default(),
@@ -232,30 +241,23 @@ impl AllocState {
     /// space.
     ///
     /// One iteration, all in position space: the entry scan gives the
-    /// critical-path length for the stop test; a task is on a critical
-    /// path (`tl + bl == cp`) iff it is reachable from a `bl == cp` entry
-    /// along *tight* edges (`bl(u) == exec(u) + bl(s)`), so the walk
-    /// visits exactly the critical subgraph, with no top levels, and
-    /// picks the argmax as it discovers members — under the total (gain,
-    /// lowest-id) tie-break the pick is order-independent, so it is the
-    /// reference's id-order pick ([`Grants::offer`]). The pick is granted
-    /// its processor ([`Grants::grow`]) and its level change is propagated
-    /// by [`PosGraph::propagate_bottom`].
-    ///
-    /// Why tight edges: if `u` is critical and `u → s` is tight, then
-    /// `tl(s) ≥ tl(u) + exec(u) = cp − bl(u) + exec(u) = cp − bl(s)`, and
-    /// `tl + bl ≤ cp` always, so `s` is critical. Conversely the
-    /// `tl`-argmax predecessor `u` of a critical non-entry `s` has
-    /// `tl(u) + bl(u) ≥ tl(s) − exec(u) + exec(u) + bl(s) = cp`, so it is
-    /// critical and its edge to `s` is tight.
+    /// critical-path length for the stop test, the critical walk
+    /// ([`PosGraph::walk_critical`]) visits exactly the critical subgraph,
+    /// with no top levels, and the loop picks the argmax as members are
+    /// visited — under the total (gain, lowest-id) tie-break the pick is
+    /// order-independent, so it is the reference's id-order pick
+    /// ([`Grants::offer`]). The pick is granted its processor
+    /// ([`Grants::grow`]) and its level change is propagated by
+    /// [`PosGraph::propagate_bottom`].
     ///
     /// Runs. The walk reads every entry's level and every out-edge of
-    /// every critical task, so it also says whether the critical subgraph
-    /// is a single path (one critical entry, at most one tight out-edge
-    /// per member) and gives `slack`, a lower bound on how much shorter
-    /// than it any other path is: a path that leaves it does so at a
-    /// non-critical entry `e`, and is at most `bl(e) = cp − (cp − bl(e))`
-    /// long, or along a non-tight edge `u → s` of a member, and is at most
+    /// every critical task, and its [`Tightness`](crate::bl::Tightness)
+    /// reports say whether the critical subgraph is a single path (one
+    /// critical entry, at most one tight out-edge per member) and give
+    /// `slack`, a lower bound on how much shorter than it any other path
+    /// is: a path that leaves it does so at a non-critical entry `e`, and
+    /// is at most `bl(e) = cp − (cp − bl(e))` long, or along a non-tight
+    /// edge `u → s` of a member, and is at most
     /// `tl(u) + exec(u) + bl(s) = cp − (bl(u) − exec(u) − bl(s))`. While
     /// the path is single and the pick shortens it by `d < slack`, every
     /// longest path (there is one) contains every member and shrinks by
@@ -290,9 +292,7 @@ impl AllocState {
             graph,
             held,
             bl,
-            stamp,
-            epoch,
-            stack,
+            marks,
             run,
             withheld,
             ..
@@ -309,49 +309,28 @@ impl AllocState {
                 break;
             }
 
-            *epoch = epoch.wrapping_add(1);
             let mut best = None;
-            let (mut single, mut slack) = (true, Dur::MAX);
-            stack.clear();
-            for &e in graph.entry_positions() {
-                if bl[e as usize] == cp {
-                    single &= stack.is_empty();
-                    stamp[e as usize] = *epoch;
-                    stack.push(e);
-                } else {
-                    slack = slack.min(cp - bl[e as usize]);
-                }
-            }
-            while let Some(u) = stack.pop() {
-                let u = u as usize;
+            let mut single = true;
+            let mut slack = Dur::MAX;
+            let entries = graph.walk_critical(&held.exec, bl, cp, marks, |u, out| {
                 *withheld |= held.offer(u, pool, order, &mut best);
-                let tight = bl[u] - held.exec[u];
-                let mut tight_edges = 0;
-                for &s in graph.succs_at(u) {
-                    if bl[s as usize] != tight {
-                        slack = slack.min(tight - bl[s as usize]);
-                        continue;
-                    }
-                    tight_edges += 1;
-                    if stamp[s as usize] != *epoch {
-                        stamp[s as usize] = *epoch;
-                        stack.push(s);
-                    }
-                }
-                single &= tight_edges <= 1;
-            }
+                single &= out.tight <= 1;
+                slack = slack.min(out.gap);
+            });
+            single &= entries.tight <= 1;
+            slack = slack.min(entries.gap);
             let Some((mut b, _)) = best else {
                 break; // critical path saturated; cannot improve further
             };
 
             let mut d = held.step(b);
             if single && d < slack {
-                // A run along the stamped members. A pick too large for
-                // the slack left ends it and is applied below as an
-                // ordinary step; the stop test and saturation end it as
+                // A run along the members the walk reached. A pick too
+                // large for the slack left ends it and is applied below as
+                // an ordinary step; the stop test and saturation end it as
                 // they end the loop, which the next iteration finds.
                 run.clear();
-                run.extend((0..order.len()).filter(|&u| stamp[u] == *epoch));
+                run.extend((0..order.len()).filter(|&u| marks.reached(u)));
                 let (mut cp, mut touched) = (cp, 0);
                 let unfit = loop {
                     run_steps += 1;
@@ -395,15 +374,7 @@ impl AllocState {
         obs::counter_add(obs::names::CPA_ALLOC_RUN_STEPS, run_steps);
         obs::counter_add(obs::names::CPA_ALLOC_INCR_UPDATES, swept);
 
-        let mut out = CpaAllocation {
-            pool,
-            allocs: vec![0; order.len()],
-            exec: vec![Dur::ZERO; order.len()],
-        };
-        for (pos, &t) in order.iter().enumerate() {
-            out.allocs[t as usize] = held.m[pos];
-            out.exec[t as usize] = held.exec[pos];
-        }
+        let out = CpaAllocation::from_positions(pool, order, &held.m, &held.exec);
         #[cfg(debug_assertions)]
         crate::validate::assert_allocation_valid(dag, &out, "CPA");
         out

@@ -16,7 +16,7 @@
 //! delays — exactly what the two-step CPA-based algorithms cannot do.
 //! The `ext_icaslb` experiment compares it with `BL_CPAR_BD_CPAR`.
 
-use crate::bl::{self, LevelTracker};
+use crate::bl::{Marks, PosGraph};
 use crate::dag::{Dag, TaskId};
 use crate::forward::{self, TieBreak};
 use crate::obs;
@@ -32,78 +32,126 @@ const PATIENCE: usize = 4;
 /// via [`PATIENCE`]).
 const MAX_ITERATIONS: usize = 2000;
 
-/// Build the full reservation-aware schedule for a fixed allocation vector:
-/// list scheduling by decreasing bottom level, earliest-fit per task.
-///
-/// `exec` and `levels` are maintained incrementally by the caller (one
-/// allocation changes per growth step), so this no longer recomputes them.
-/// `order`, `cal` and `slots` are working buffers the growth loop hands to
-/// every build (one per look-ahead candidate); `out` receives the result.
-#[allow(clippy::too_many_arguments)]
-fn build_schedule(
-    dag: &Dag,
-    competing: &Calendar,
-    now: Time,
-    allocs: &[u32],
-    exec: &[Dur],
-    levels: &[Dur],
-    stats: &mut ScheduleStats,
-    order: &mut Vec<TaskId>,
-    cal: &mut Calendar,
-    slots: &mut Vec<Option<Placement>>,
-    out: &mut Vec<Placement>,
-) {
-    crate::span!(obs::names::SPAN_ICASLB_BUILD);
-    bl::order_by_decreasing_bl_into(dag, levels, order);
-    cal.copy_from(competing);
-    slots.clear();
-    slots.resize(dag.num_tasks(), None);
-    for &t in order.iter() {
-        let ready = forward::ready_at(dag, slots, t, now);
-        let m = allocs[t.idx()];
-        let dur = exec[t.idx()];
-        let pl = obs::probe::earliest_finish(cal, &[(m, dur)], ready, TieBreak::FewestProcs, stats);
-        cal.add_unchecked(pl.reservation());
-        slots[t.idx()] = Some(pl);
-    }
-    out.clear();
-    out.extend(slots.iter().flatten().copied());
-    debug_assert_eq!(out.len(), dag.num_tasks(), "all tasks placed");
-}
-
 fn makespan(placements: &[Placement]) -> Time {
     // `DagBuilder` rejects empty DAGs, so there is always a placement.
     placements.iter().map(|p| p.end).max().unwrap_or(Time::ZERO)
 }
 
-/// Critical-path candidates under the current allocation: tasks with
-/// `tl + bl == CP`, ordered by decreasing marginal gain from one extra
-/// processor. Levels come from the caller's [`LevelTracker`]; `gains` is
-/// the growth loop's per-iteration candidate buffer.
-fn cp_candidates(
-    dag: &Dag,
-    allocs: &[u32],
-    cap: u32,
-    exec: &[Dur],
-    tracker: &LevelTracker,
-    gains: &mut Vec<(TaskId, f64)>,
-) {
-    let bls = tracker.bottom();
-    let tls = tracker.top();
-    let cp = tracker.critical_path();
-    gains.clear();
-    gains.extend(
-        dag.task_ids()
-            .filter(|&t| tls[t.idx()] + bls[t.idx()] == cp)
-            .filter(|&t| allocs[t.idx()] < cap)
-            .filter(|&t| dag.cost(t).exec_time(allocs[t.idx()] + 1) < exec[t.idx()])
-            .map(|t| (t, dag.cost(t).marginal_gain(allocs[t.idx()]))),
-    );
-    // The task-id tie-break makes the key injective, so the unstable sort
-    // is deterministic.
-    // Marginal gains are positive finite ratios, so `total_cmp` is their
-    // numeric order.
-    gains.sort_unstable_by(|a, b| b.1.total_cmp(&a.1).then(a.0 .0.cmp(&b.0 .0)));
+/// The growth loop's allocation, by topological position of one
+/// [`PosGraph`]: a growth step or a trial moves one task's width, and
+/// `PosGraph::propagate_bottom` re-establishes the bottom levels; the
+/// candidates come from CPA's critical walk.
+struct Levels {
+    graph: PosGraph,
+    allocs: Vec<u32>,
+    exec: Vec<Dur>,
+    bl: Vec<Dur>,
+    marks: Marks,
+    /// Positions re-swept so far (`cpa.alloc.incr_updates`).
+    swept: u64,
+}
+
+impl Levels {
+    fn new(dag: &Dag) -> Levels {
+        let graph = PosGraph::new(dag);
+        let n = graph.order().len();
+        let ids = graph.order().iter();
+        let exec: Vec<Dur> = ids.map(|&t| dag.cost(TaskId(t)).exec_time(1)).collect();
+        let mut bl = vec![Dur::ZERO; n];
+        graph.sweep_bottom(&exec, &mut bl, n);
+        Levels {
+            allocs: vec![1; n],
+            exec,
+            bl,
+            marks: Marks::new(n),
+            swept: 0,
+            graph,
+        }
+    }
+
+    /// Move the width of the task at position `u` by `by`.
+    // lint:allow(panic-transitive): `u` is a position of this graph (from the critical walk), < num_tasks, and every array here is sized to the DAG in `new`.
+    fn nudge(&mut self, dag: &Dag, u: usize, by: i32) {
+        let t = TaskId(self.graph.order()[u]);
+        self.allocs[u] = self.allocs[u].saturating_add_signed(by);
+        let new = dag.cost(t).exec_time(self.allocs[u]);
+        let old = std::mem::replace(&mut self.exec[u], new);
+        let swept = self
+            .graph
+            .propagate_bottom(&self.exec, &mut self.bl, u, old);
+        self.swept += swept as u64 + 1;
+    }
+
+    /// Critical-path candidates under the current allocation: critical
+    /// tasks below `cap` with an integer-second improvement left, as
+    /// `(position, marginal gain)`, ordered by decreasing gain, ties to
+    /// the lower id. `gains` is the growth loop's per-iteration buffer.
+    // lint:allow(panic-transitive): the walk yields positions < num_tasks, and every array here is sized to the DAG in `new`.
+    fn cp_candidates(&mut self, dag: &Dag, cap: u32, gains: &mut Vec<(usize, f64)>) {
+        let Levels {
+            graph,
+            allocs,
+            exec,
+            bl,
+            marks,
+            ..
+        } = self;
+        let ids = graph.order();
+        let cp = graph.critical_length(bl);
+        gains.clear();
+        graph.walk_critical(exec, bl, cp, marks, |u, _| {
+            let (cost, m) = (dag.cost(TaskId(ids[u])), allocs[u]);
+            if m < cap && cost.exec_time(m + 1) < exec[u] {
+                gains.push((u, cost.marginal_gain(m)));
+            }
+        });
+        // The task-id tie-break makes the key injective, so the unstable sort
+        // is deterministic and independent of the walk's visiting order.
+        // Marginal gains are positive finite ratios, so `total_cmp` is their
+        // numeric order.
+        gains.sort_unstable_by(|a, b| b.1.total_cmp(&a.1).then(ids[a.0].cmp(&ids[b.0])));
+    }
+
+    /// Build the full reservation-aware schedule for the current
+    /// allocation: list scheduling by decreasing bottom level (positions
+    /// sorted by `(Reverse(bl), task id)`, an injective key, so
+    /// [`crate::bl::order_by_decreasing_bl`]'s order), earliest fit per
+    /// task. `order`, `cal` and `slots` are working buffers the growth
+    /// loop hands to every build (one per look-ahead candidate); `out`
+    /// receives the result.
+    #[allow(clippy::too_many_arguments)]
+    // lint:allow(panic-transitive): positions come from this graph, built over `dag`, and are < num_tasks, and every array here is sized to the DAG in `new`.
+    fn list_schedule(
+        &self,
+        dag: &Dag,
+        competing: &Calendar,
+        now: Time,
+        stats: &mut ScheduleStats,
+        order: &mut Vec<usize>,
+        cal: &mut Calendar,
+        slots: &mut Vec<Option<Placement>>,
+        out: &mut Vec<Placement>,
+    ) {
+        crate::span!(obs::names::SPAN_ICASLB_BUILD);
+        let ids = self.graph.order();
+        order.clear();
+        order.extend(0..ids.len());
+        order.sort_unstable_by_key(|&u| (std::cmp::Reverse(self.bl[u]), ids[u]));
+        cal.copy_from(competing);
+        slots.clear();
+        slots.resize(dag.num_tasks(), None);
+        for &u in order.iter() {
+            let t = TaskId(ids[u]);
+            let ready = forward::ready_at(dag, slots, t, now);
+            let widths = [(self.allocs[u], self.exec[u])];
+            let pl = obs::probe::earliest_finish(cal, &widths, ready, TieBreak::FewestProcs, stats);
+            cal.add_unchecked(pl.reservation());
+            slots[t.idx()] = Some(pl);
+        }
+        out.clear();
+        out.extend(slots.iter().flatten().copied());
+        debug_assert_eq!(out.len(), dag.num_tasks(), "all tasks placed");
+    }
 }
 
 /// Schedule `dag` with the reservation-aware one-step iCASLB adaptation.
@@ -117,30 +165,20 @@ pub fn schedule_icaslb(dag: &Dag, competing: &Calendar, now: Time, q: u32) -> Sc
     let mut stats = ScheduleStats::default();
     stats.count_pass();
 
-    let mut allocs = vec![1u32; dag.num_tasks()];
-    let mut exec: Vec<Dur> = dag.costs().iter().map(|c| c.exec_time(1)).collect();
-    let mut tracker = LevelTracker::new(dag, &exec);
+    let mut lv = Levels::new(dag);
     // The growth loop's buffers, reused across its iterations: candidate
     // gains, one build's working set (order, calendar, slots), and three
     // placement vectors (the candidate under evaluation, this iteration's
     // best, the best so far) rotated by swapping.
-    let mut gains: Vec<(TaskId, f64)> = Vec::new();
+    let mut gains: Vec<(usize, f64)> = Vec::new();
     let (mut order, mut cal, mut slots) = (Vec::new(), Calendar::new(1), Vec::new());
     let (mut trial, mut step, mut best) = (Vec::new(), Vec::new(), Vec::new());
-    let mut incr_touched = 0u64;
-    build_schedule(
-        dag,
-        competing,
-        now,
-        &allocs,
-        &exec,
-        tracker.bottom(),
-        &mut stats,
-        &mut order,
-        &mut cal,
-        &mut slots,
-        &mut best,
-    );
+    let mut build = |lv: &Levels, stats: &mut ScheduleStats, out: &mut Vec<Placement>| {
+        lv.list_schedule(
+            dag, competing, now, stats, &mut order, &mut cal, &mut slots, out,
+        );
+    };
+    build(&lv, &mut stats, &mut best);
     let mut best_makespan = makespan(&best);
     let mut best_cpu: i64 = best
         .iter()
@@ -153,55 +191,36 @@ pub fn schedule_icaslb(dag: &Dag, competing: &Calendar, now: Time, q: u32) -> Sc
         if stalls >= PATIENCE {
             break;
         }
-        cp_candidates(dag, &allocs, cap, &exec, &tracker, &mut gains);
+        lv.cp_candidates(dag, cap, &mut gains);
         if gains.is_empty() {
             break;
         }
         // Look-ahead: evaluate the real makespan of each candidate growth.
-        // Each trial nudges the tracked levels forward and back — an exact
-        // round trip, since level maintenance is pure max-plus arithmetic.
+        // Each trial nudges the levels forward and back — an exact round
+        // trip, since level maintenance is pure max-plus arithmetic.
         // The winning trial's placements are kept in `step` by swapping, so
         // the loop reuses two placement buffers instead of allocating one
         // per candidate.
-        let mut best_step: Option<(TaskId, Time)> = None;
-        for &(t, _) in gains.iter().take(LOOKAHEAD) {
-            allocs[t.idx()] += 1;
-            let old_exec = exec[t.idx()];
-            exec[t.idx()] = dag.cost(t).exec_time(allocs[t.idx()]);
-            incr_touched += tracker.update(dag, &exec, t);
-            build_schedule(
-                dag,
-                competing,
-                now,
-                &allocs,
-                &exec,
-                tracker.bottom(),
-                &mut stats,
-                &mut order,
-                &mut cal,
-                &mut slots,
-                &mut trial,
-            );
-            let m = makespan(&trial);
-            allocs[t.idx()] -= 1;
-            exec[t.idx()] = old_exec;
-            incr_touched += tracker.update(dag, &exec, t);
+        let mut best_step: Option<(usize, Time)> = None;
+        for &(u, _) in gains.iter().take(LOOKAHEAD) {
+            lv.nudge(dag, u, 1);
+            build(&lv, &mut stats, &mut trial);
+            let span = makespan(&trial);
+            lv.nudge(dag, u, -1);
             match &best_step {
-                Some((_, bm)) if m >= *bm => {}
+                Some((_, bm)) if span >= *bm => {}
                 _ => {
-                    best_step = Some((t, m));
+                    best_step = Some((u, span));
                     std::mem::swap(&mut trial, &mut step);
                 }
             }
         }
-        let Some((t, m)) = best_step else {
+        let Some((u, m)) = best_step else {
             break;
         };
         // Commit the best step even if it does not improve (escaping local
         // minima), but count the stall.
-        allocs[t.idx()] += 1;
-        exec[t.idx()] = dag.cost(t).exec_time(allocs[t.idx()]);
-        incr_touched += tracker.update(dag, &exec, t);
+        lv.nudge(dag, u, 1);
         let cpu: i64 = step
             .iter()
             .map(|pl| pl.procs as i64 * pl.duration().as_seconds())
@@ -216,7 +235,7 @@ pub fn schedule_icaslb(dag: &Dag, competing: &Calendar, now: Time, q: u32) -> Sc
         }
     }
 
-    obs::counter_add(obs::names::CPA_ALLOC_INCR_UPDATES, incr_touched);
+    obs::counter_add(obs::names::CPA_ALLOC_INCR_UPDATES, lv.swept);
     let mut out = Schedule::new(best, now);
     out.stats = stats;
 

@@ -14,94 +14,98 @@
 //! and guideline roles; the `ext_mcpa` bench compares CPA- and
 //! MCPA-derived bounds over the paper's scenario grid.
 
-use crate::bl::{bottom_levels, critical_path_length, top_levels, LevelTracker};
+use crate::bl::{bottom_levels, critical_path_length, top_levels, Marks, PosGraph};
 use crate::cpa::CpaAllocation;
-use crate::dag::Dag;
+use crate::dag::{Dag, TaskId};
 use crate::obs;
 use resched_resv::Dur;
-
-/// Count one more processor on `level`. `depth(t) < num_levels()` for every
-/// task by `Dag` construction; a level outside the table counts nothing
-/// (and reads as full where the loop asks for headroom).
-fn grant(level_total: &mut [u32], level: u32) {
-    if let Some(total) = level_total.get_mut(level as usize) {
-        *total += 1;
-    }
-}
 
 /// MCPA allocation: CPA's loop with a per-level total-allocation cap.
 ///
 /// Returns the same [`CpaAllocation`] shape as [`crate::cpa::allocate`], so
 /// it can be swapped in anywhere CPA allocations are used.
 ///
-/// Levels are maintained incrementally by a [`LevelTracker`] (only one
-/// task's exec time changes per iteration); [`allocate_reference`] keeps
-/// the legacy full-rebuild loop as a differential oracle.
+/// The loop runs in CPA's topological-position space: bottom levels by
+/// position, the critical tasks found by CPA's tight-edge walk
+/// (`PosGraph::walk_critical`), and one grant's level change propagated
+/// by `PosGraph::propagate_bottom` (only one task's exec time changes per
+/// iteration). The pick is the argmax of a total order (gain, lowest id),
+/// so the order the walk visits members in does not matter.
+/// [`allocate_reference`] keeps the legacy full-rebuild loop as a
+/// differential oracle.
 ///
 /// # Panics
 /// Panics if `pool == 0`.
+// lint:allow(panic-transitive): every array is sized to the DAG here and indexed by positions < num_tasks taken from the `PosGraph` built over the same DAG, or by a depth < num_levels (`Dag` construction).
 pub fn allocate(dag: &Dag, pool: u32) -> CpaAllocation {
     assert!(pool > 0, "MCPA needs a non-empty processor pool");
-    let n = dag.num_tasks();
+    let graph = PosGraph::new(dag);
+    let order = graph.order();
+    let n = order.len();
     let mut allocs = vec![1u32; n];
-    let mut exec: Vec<Dur> = dag.costs().iter().map(|c| c.exec_time(1)).collect();
+    let mut exec: Vec<Dur> = order
+        .iter()
+        .map(|&t| dag.cost(TaskId(t)).exec_time(1))
+        .collect();
     let mut total_work: i64 = dag.task_ids().map(|t| dag.cost(t).work(1)).sum();
 
     // Per-level allocation totals (levels = longest-path depth).
     let mut level_total: Vec<u32> = vec![0; dag.num_levels() as usize];
     for t in dag.task_ids() {
-        grant(&mut level_total, dag.depth(t));
+        level_total[dag.depth(t) as usize] += 1;
     }
 
     crate::span!(obs::names::SPAN_MCPA_ALLOC_LOOP);
-    let mut tracker = LevelTracker::new(dag, &exec);
+    let mut bl = vec![Dur::ZERO; n];
+    graph.sweep_bottom(&exec, &mut bl, n);
+    let mut marks = Marks::new(n);
     let mut iterations = 0u64;
-    let mut incr_touched = 0u64;
+    let mut swept = 0u64;
     loop {
-        let cp = tracker.critical_path();
+        let cp = graph.critical_length(&bl);
         let t_a = total_work as f64 / pool as f64;
         if (cp.as_seconds() as f64) <= t_a {
             break;
         }
-        let (bl, tl) = (tracker.bottom(), tracker.top());
-        let mut best: Option<(crate::dag::TaskId, f64)> = None;
-        for t in dag.task_ids() {
-            if tl[t.idx()] + bl[t.idx()] != cp {
-                continue;
-            }
-            let m = allocs[t.idx()];
+        let mut best: Option<(usize, f64)> = None;
+        graph.walk_critical(&exec, &bl, cp, &mut marks, |u, _| {
+            let t = TaskId(order[u]);
+            let m = allocs[u];
             if m >= pool {
-                continue;
+                return;
             }
             // MCPA's extra constraint: the task's level must have headroom.
-            let level = level_total.get(dag.depth(t) as usize);
-            if level.is_none_or(|&total| total >= pool) {
-                continue;
+            if level_total[dag.depth(t) as usize] >= pool {
+                return;
             }
             let cost = dag.cost(t);
-            if cost.exec_time(m + 1) >= exec[t.idx()] {
-                continue;
+            if cost.exec_time(m + 1) >= exec[u] {
+                return;
             }
             let gain = cost.marginal_gain(m);
-            match best {
-                Some((bt, bg)) if gain.total_cmp(&bg).then(bt.0.cmp(&t.0)).is_le() => {}
-                _ => best = Some((t, gain)),
+            let wins = best.is_none_or(|(b, best_gain)| {
+                let by_gain = gain.total_cmp(&best_gain);
+                by_gain.then_with(|| order[b].cmp(&order[u])).is_gt()
+            });
+            if wins {
+                best = Some((u, gain));
             }
-        }
-        let Some((t, _)) = best else { break };
+        });
+        let Some((u, _)) = best else { break };
         iterations += 1;
-        let m = allocs[t.idx()] + 1;
+        let t = TaskId(order[u]);
+        let m = allocs[u] + 1;
         total_work -= dag.cost(t).work(m - 1);
         total_work += dag.cost(t).work(m);
-        allocs[t.idx()] = m;
-        exec[t.idx()] = dag.cost(t).exec_time(m);
-        grant(&mut level_total, dag.depth(t));
-        incr_touched += tracker.update(dag, &exec, t);
+        allocs[u] = m;
+        let old = std::mem::replace(&mut exec[u], dag.cost(t).exec_time(m));
+        level_total[dag.depth(t) as usize] += 1;
+        swept += graph.propagate_bottom(&exec, &mut bl, u, old) as u64 + 1;
     }
     obs::counter_add(obs::names::MCPA_ALLOC_ITERS, iterations);
-    obs::counter_add(obs::names::CPA_ALLOC_INCR_UPDATES, incr_touched);
+    obs::counter_add(obs::names::CPA_ALLOC_INCR_UPDATES, swept);
 
-    let out = CpaAllocation { pool, allocs, exec };
+    let out = CpaAllocation::from_positions(pool, order, &allocs, &exec);
     #[cfg(debug_assertions)]
     crate::validate::assert_allocation_valid(dag, &out, "MCPA");
     out
@@ -132,7 +136,7 @@ pub fn allocate_reference(dag: &Dag, pool: u32) -> CpaAllocation {
         if (cp.as_seconds() as f64) <= t_a {
             break;
         }
-        let mut best: Option<(crate::dag::TaskId, f64)> = None;
+        let mut best: Option<(TaskId, f64)> = None;
         for t in dag.task_ids() {
             if tl[t.idx()] + bl[t.idx()] != cp {
                 continue;

@@ -319,9 +319,10 @@ impl Calendar {
     }
 
     /// Whether `r` fits the calendar as-is (capacity respected throughout
-    /// its interval). The read-only twin of [`Calendar::try_add`], used by
-    /// transaction probes.
-    pub fn fits(&self, r: &Reservation) -> bool {
+    /// its interval): the read-only twin of [`Calendar::try_add`], which
+    /// this crate's tests probe with.
+    #[cfg(test)]
+    pub(crate) fn fits(&self, r: &Reservation) -> bool {
         if r.procs > self.capacity {
             return false;
         }

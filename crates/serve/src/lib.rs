@@ -997,24 +997,98 @@ mod tests {
 
     /// The journal `run`'s body realizes, written as JSONL and read back,
     /// replays through a fresh `Server` to the same outcomes and the same
-    /// report, wall-clock fields aside.
+    /// report, wall-clock fields aside: on the seven replays
+    /// `golden_serve_replays` pins (the four CI replays and the three
+    /// benchmark serve shapes at test size; `tests/tests/golden_experiments.rs`,
+    /// keep the two tables in step), and on one with heavy churn, a 3-way
+    /// roster and a sparser audit cadence.
     #[test]
     fn a_replayed_journal_reproduces_every_outcome() {
-        let quota = ServeQuotaConfig {
-            users: 3,
-            max_concurrent_cores: 300,
-            max_core_seconds: 0,
+        let base = ServeConfig::default();
+        let quota = |users| {
+            Some(ServeQuotaConfig {
+                users,
+                max_concurrent_cores: 300,
+                max_core_seconds: 0,
+            })
         };
-        for (log, cfg) in [
+        let (ctc, sdsc) = (LogSpec::ctc_sp2(), LogSpec::sdsc_blue());
+        // (log preset, log days, configuration); the log is generated from
+        // the configuration's seed, as the CLI does.
+        let replays = [
             (
-                small_log(),
+                &ctc,
+                3,
                 ServeConfig {
-                    max_apps: 80,
-                    ..ServeConfig::default()
+                    max_apps: 150,
+                    ..base
                 },
             ),
             (
-                generate_log(&LogSpec::sdsc_blue().with_duration(Dur::days(2)), 11),
+                &sdsc,
+                2,
+                ServeConfig {
+                    max_apps: 100,
+                    deadline_every: 2,
+                    seed: 7,
+                    ..base
+                },
+            ),
+            (
+                &ctc,
+                3,
+                ServeConfig {
+                    max_apps: 150,
+                    deadline_every: 1,
+                    probe_fanout: 4,
+                    ..base
+                },
+            ),
+            (
+                &ctc,
+                3,
+                ServeConfig {
+                    max_apps: 150,
+                    quota: quota(2),
+                    ..base
+                },
+            ),
+            (
+                &ctc,
+                5,
+                ServeConfig {
+                    max_apps: 120,
+                    seed: 1,
+                    ..base
+                },
+            ),
+            (
+                &ctc,
+                11,
+                ServeConfig {
+                    accel: 1.0,
+                    max_apps: 120,
+                    seed: 2,
+                    ..base
+                },
+            ),
+            (
+                &ctc,
+                2,
+                ServeConfig {
+                    accel: 1.0,
+                    max_apps: 100,
+                    deadline_every: 1,
+                    admit_horizon: Dur::hours(3),
+                    probe_fanout: 2,
+                    quota: quota(8),
+                    seed: 3,
+                    ..base
+                },
+            ),
+            (
+                &sdsc,
+                2,
                 ServeConfig {
                     accel: 20.0,
                     max_apps: 80,
@@ -1023,12 +1097,14 @@ mod tests {
                     cancel_every: 2,
                     resize_every: 3,
                     audit_every: 3,
-                    quota: Some(quota),
+                    quota: quota(3),
                     seed: 11,
-                    ..ServeConfig::default()
+                    ..base
                 },
             ),
-        ] {
+        ];
+        for (spec, days, cfg) in replays {
+            let log = generate_log(&spec.clone().with_duration(Dur::days(days)), cfg.seed);
             let (mut steps, mut outcomes) = (Vec::new(), Vec::new());
             let recorded = replay(&log, &cfg, |step, outcome| {
                 steps.push(step.clone());

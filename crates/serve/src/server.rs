@@ -20,6 +20,7 @@ use resched_core::validate::audit_calendar_with;
 use resched_resv::{
     AdmissionGate, Owner, QuotaDenial, QuotaRule, QuotaSet, QuotaSubject, ReservationError,
 };
+use resched_workloads::swf::MAX_SECONDS;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::fmt;
@@ -56,6 +57,20 @@ pub enum Step {
     },
 }
 
+impl Step {
+    /// The first instant of the step outside ±`swf::MAX_SECONDS`, if any:
+    /// a `Submit`'s `now`, a `Resize`'s `new` start and end.
+    fn out_of_domain(&self) -> Option<Time> {
+        let (a, b) = match self {
+            Step::Submit { now, .. } => (*now, *now),
+            Step::Cancel { .. } => return None,
+            Step::Resize { new, .. } => (new.start, new.end),
+        };
+        let within = |t: &Time| (-MAX_SECONDS..=MAX_SECONDS).contains(&t.as_seconds());
+        [a, b].into_iter().find(|t| !within(t))
+    }
+}
+
 /// What [`Server::apply`] made of one [`Step`].
 #[derive(Debug, Clone, PartialEq)]
 pub enum Outcome {
@@ -75,7 +90,8 @@ pub enum Outcome {
     Cancelled,
     /// The reservation is shrunk.
     Resized,
-    /// A cancel or resize refused, or done with the books disagreeing.
+    /// A step refused, or a cancel or resize done with the books
+    /// disagreeing.
     Failed(Fault),
 }
 
@@ -172,16 +188,20 @@ impl fmt::Display for Reason {
     }
 }
 
-/// Why a [`Step::Cancel`] or [`Step::Resize`] did not go through, or what
-/// an audit found.
+/// Why a step did not go through, or what an audit found.
 ///
-/// The first two are the caller's: the step is refused before anything is
-/// touched and nothing is counted. The rest are the server's own books
+/// The first three are the caller's: the step is refused before anything
+/// is touched and nothing is counted. The rest are the server's own books
 /// disagreeing with each other — each is counted in
 /// `ServeReport::violations`, and the first one is the report's
 /// `first_violation`, rendered by this type's `Display`.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Fault {
+    /// An instant of the step lies outside ±`swf::MAX_SECONDS` (a
+    /// `Submit`'s `now`, a `Resize`'s `new` start or end): the bound that
+    /// keeps every sum a replay forms from it, `now + admit_horizon` and
+    /// a schedule's length among them, far inside `i64`.
+    OutOfDomain(Time),
     /// No live application (or no reservation of it) at that index.
     OutOfRange {
         /// The index asked for.
@@ -214,6 +234,7 @@ pub enum Fault {
 impl fmt::Display for Fault {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
+            Fault::OutOfDomain(t) => write!(f, "instant {t} lies past ±{MAX_SECONDS} s"),
             Fault::OutOfRange { index, len } => write!(f, "index {index} out of range ({len})"),
             Fault::NotAShrink { old, new } => write!(f, "{new:?} is not a shrink of {old:?}"),
             Fault::Rejected(reason) => write!(f, "{reason}"),
@@ -450,12 +471,15 @@ impl Server {
         self.gate.iter().flat_map(AdmissionGate::ledger)
     }
 
-    /// Take one step. A cancel or resize the caller got wrong (an index out
-    /// of range, a `new` that is not a shrink) is refused before anything
-    /// is touched or counted; every other step counts one event, its faults
-    /// go on the tally, and every `audit_every`-th event re-audits the
-    /// calendar.
+    /// Take one step. A step the caller got wrong (an instant outside
+    /// ±`swf::MAX_SECONDS`, an index out of range, a `new` that is not a
+    /// shrink) is refused before anything is touched or counted; every
+    /// other step counts one event, its faults go on the tally, and every
+    /// `audit_every`-th event re-audits the calendar.
     pub fn apply(&mut self, step: &Step) -> Outcome {
+        if let Some(t) = step.out_of_domain() {
+            return Outcome::Failed(Fault::OutOfDomain(t));
+        }
         let taken = match step {
             Step::Submit { now, app_id, dag } => Ok(self.submit(*now, *app_id, dag)),
             Step::Cancel { k } => self.cancel(*k),
@@ -526,7 +550,22 @@ impl Server {
                     .task_ids()
                     .map(|t| sched.placement(t).reservation())
                     .collect();
+                // The quota oracle, asked before the gate answers (the
+                // transaction's view is the candidate's competing calendar
+                // only until the reservations go in) and held to what the
+                // gate admits: a schedule the gate lets through must replay
+                // cleanly through a fresh gate on its own.
+                #[cfg(debug_assertions)]
+                let oracle = self.gate.as_ref().map(|gate| {
+                    algo.validator(dag, txn.calendar(), now, Some(horizon))
+                        .with_quotas(gate.quotas(), owner.clone())
+                        .check(&sched)
+                });
                 reserve(&mut txn, self.gate.as_mut(), owner, &resvs)?;
+                #[cfg(debug_assertions)]
+                if let Some(Err(v)) = oracle {
+                    panic!("serve: the quota gate admitted a schedule its oracle refuses: {v}");
+                }
                 Ok((algo, sched.completion(), resvs))
             });
         match placed {
@@ -738,7 +777,82 @@ impl Server {
 mod tests {
     use super::*;
     use resched_core::backward::schedule_deadline;
-    use resched_core::dag::fork_join;
+    use resched_core::dag::{chain, fork_join};
+
+    #[test]
+    fn a_step_with_an_instant_outside_the_domain_is_refused_untouched() {
+        // A quota'd server with one admitted application, audited on every
+        // event: a refused step must leave calendar, ledger, live set and
+        // the event clock as they were, and count nothing.
+        let cfg = ServeConfig {
+            audit_every: 1,
+            quota: Some(ServeQuotaConfig {
+                users: 2,
+                max_concurrent_cores: 300,
+                max_core_seconds: 0,
+            }),
+            ..ServeConfig::default()
+        };
+        let mut server = Server::new(4, &cfg);
+        let dag = chain(&[TaskCost::new(Dur::hours(2), 0.0)]);
+        let now = Time::seconds(100);
+        let admitted = server.apply(&Step::Submit {
+            now,
+            app_id: 0,
+            dag: dag.clone(),
+        });
+        assert!(matches!(admitted, Outcome::Admitted { .. }), "{admitted:?}");
+        let old = server.live()[0].resvs[0];
+        let books = |s: &Server| {
+            let ledger: Vec<_> = s.ledger().map(|(o, r)| (o.clone(), *r)).collect();
+            (s.cal.clone(), ledger, s.live.clone(), s.events, s.apps)
+        };
+        let before = books(&server);
+        let (past, edge) = (MAX_SECONDS + 1, MAX_SECONDS);
+        for far in [Time::seconds(past), Time::seconds(-past)] {
+            let submit = Step::Submit {
+                now: far,
+                app_id: 1,
+                dag: dag.clone(),
+            };
+            let shrunk = |start, end| Step::Resize {
+                k: 0,
+                i: 0,
+                new: Reservation { start, end, ..old },
+            };
+            for step in [submit, shrunk(far, old.end), shrunk(old.start, far)] {
+                let fault = Fault::OutOfDomain(far);
+                assert_eq!(
+                    server.apply(&step),
+                    Outcome::Failed(fault.clone()),
+                    "{step:?}"
+                );
+                assert!(fault.to_string().contains("lies past"), "{fault}");
+                assert!(books(&server) == before, "{step:?} touched the books");
+            }
+        }
+        // The edge itself is inside: a resize reaching it is judged as a
+        // shrink (and refused as none), an arrival at it is decided.
+        let at_edge = Step::Resize {
+            k: 0,
+            i: 0,
+            new: Reservation {
+                end: Time::seconds(edge),
+                ..old
+            },
+        };
+        let refused = server.apply(&at_edge);
+        assert!(matches!(refused, Outcome::Failed(Fault::NotAShrink { .. })));
+        let decided = server.apply(&Step::Submit {
+            now: Time::seconds(-edge),
+            app_id: 1,
+            dag,
+        });
+        assert!(!matches!(decided, Outcome::Failed(_)), "{decided:?}");
+        assert_eq!(server.events, before.3 + 1);
+        let report = server.into_report(Duration::ZERO);
+        assert_eq!((report.apps, report.violations), (2, 0));
+    }
 
     #[test]
     fn roster_candidates_that_tie_resolve_to_the_lower_roster_index() {

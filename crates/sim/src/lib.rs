@@ -13,7 +13,7 @@
 //!
 //! Scale knobs: the `RESCHED_SCALE` environment variable multiplies the
 //! default per-scenario instance counts (see [`scenario::Scale`]); the
-//! paper's full scale is `Scale::paper()`. The experiment sweeps take
+//! paper's full scale is 20 × 10 × 5 instances. The experiment sweeps take
 //! their worker count as an argument; `run_experiments` reads it from
 //! `RESCHED_PAR` once, with [`threads_from_env`].
 

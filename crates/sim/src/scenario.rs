@@ -142,15 +142,6 @@ pub struct Scale {
 }
 
 impl Scale {
-    /// The paper's full scale: 20 × 10 × 5 = 1,000 instances per scenario.
-    pub fn paper() -> Scale {
-        Scale {
-            dags: 20,
-            starts: 10,
-            tags: 5,
-        }
-    }
-
     /// Laptop-friendly default: 2 × 2 × 1 = 4 instances per scenario.
     fn quick() -> Scale {
         Scale {
@@ -322,7 +313,13 @@ mod tests {
 
     #[test]
     fn scale_arithmetic() {
-        assert_eq!(Scale::paper().instances(), 1000);
+        // The paper's full scale: 20 × 10 × 5 instances per scenario.
+        let paper = Scale {
+            dags: 20,
+            starts: 10,
+            tags: 5,
+        };
+        assert_eq!(paper.instances(), 1000);
         assert_eq!(Scale::quick().instances(), 4);
     }
 

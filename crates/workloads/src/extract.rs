@@ -106,16 +106,6 @@ impl ReservationSchedule {
             // lint:allow(panic): documented panicking constructor (see doc comment). No root calls it: the proof arrives by name, from `txn.calendar()` in `Server::decide`, which is `ShadowTxn::calendar`.
             .expect("extracted reservations come from a feasible log")
     }
-
-    /// An empty schedule on a machine of `procs` processors with full
-    /// availability.
-    pub fn empty(procs: u32) -> ReservationSchedule {
-        ReservationSchedule {
-            procs,
-            reservations: Vec::new(),
-            q: procs,
-        }
-    }
 }
 
 /// Extract the reservation schedule at instant `t` from `log`.
@@ -315,7 +305,11 @@ mod tests {
 
     #[test]
     fn empty_schedule_helper() {
-        let rs = ReservationSchedule::empty(64);
+        let rs = ReservationSchedule {
+            procs: 64,
+            reservations: Vec::new(),
+            q: 64,
+        };
         assert_eq!(rs.q, 64);
         assert_eq!(rs.calendar().num_reservations(), 0);
     }
