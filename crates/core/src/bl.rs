@@ -633,13 +633,29 @@ mod tests {
     }
 
     #[test]
+    fn walk_and_propagate_match_a_full_rebuild_under_updates() {
+        walk_and_propagate_match_rebuild("lattice", &lattice(), 0x9E37_79B9, 300);
+    }
+
+    #[test]
+    fn walk_and_propagate_match_a_full_rebuild_on_dense_dag() {
+        // Fully bipartite adjacent layers, where nearly every change moves
+        // most of the swept prefix: 3 layers of 8 give >= 4 edges a task.
+        let dag = layered(3, 8);
+        assert!(
+            dag.num_edges() >= 4 * dag.num_tasks(),
+            "test DAG not dense enough ({} edges)",
+            dag.num_edges()
+        );
+        walk_and_propagate_match_rebuild("dense lattice", &dag, 0xDEAD_BEEF, 300);
+    }
+
+    #[test]
     fn walk_and_propagate_match_a_full_rebuild() {
         let shapes = [
             ("chain", chain(&[c(10), c(400), c(3), c(77), c(1), c(90)])),
             ("single task", chain(&[c(10)])),
             ("fork-join", fork_join(c(60), &[c(500); 40], c(60))),
-            ("lattice", lattice()),
-            ("dense lattice", layered(3, 8)),
             ("skip lattice", layered(4, 8)),
             ("sparse lattice", layered(6, 2)),
         ];
