@@ -108,6 +108,10 @@ pub struct DeadlineInfeasible {
     /// ([`Roster::floor_past`]): no algorithm meets it, and none was run.
     /// `None` when the algorithm ran and missed.
     pub floor: Option<Bound>,
+    /// The work the question cost, counted as a successful answer's
+    /// `Schedule::stats` is: every pass, allocation request, `S_i` read
+    /// and slot query of the missed run, or nothing for a floor answer.
+    pub stats: ScheduleStats,
 }
 
 impl fmt::Display for DeadlineInfeasible {
@@ -122,13 +126,15 @@ impl fmt::Display for DeadlineInfeasible {
 
 impl std::error::Error for DeadlineInfeasible {}
 
+/// CPA stopping criterion of every allocation a deadline algorithm reads.
+const CRITERION: StoppingCriterion = StoppingCriterion::Classic;
+
+/// λ step of the hybrid algorithms' sweep (paper §5.4).
+const LAMBDA_STEP: f64 = 0.05;
+
 /// Configuration shared by the deadline algorithms.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct DeadlineConfig {
-    /// CPA stopping criterion for all CPA allocations.
-    pub criterion: StoppingCriterion,
-    /// λ step size for the hybrid algorithms (paper: 0.05).
-    pub lambda_step: f64,
     /// Placement grain: candidate allocations are restricted to multiples
     /// of this many cores. 1 is the paper's flat core-level placement;
     /// above 1 is the hierarchical twin regime (whole nodes of `grain`
@@ -141,11 +147,7 @@ pub struct DeadlineConfig {
 
 impl Default for DeadlineConfig {
     fn default() -> Self {
-        DeadlineConfig {
-            criterion: StoppingCriterion::default(),
-            lambda_step: 0.05,
-            grain: 1,
-        }
+        DeadlineConfig { grain: 1 }
     }
 }
 
@@ -155,7 +157,6 @@ impl DeadlineConfig {
     pub fn hierarchical(self, grain: u32) -> DeadlineConfig {
         DeadlineConfig {
             grain: grain.max(1),
-            ..self
         }
     }
 }
@@ -195,7 +196,7 @@ pub fn schedule_deadline(
 /// Every RESSCHEDDL algorithm starts from the CPA(`q`) allocation and the
 /// increasing-`BL_CPAR` order it gives (paper §5.2), and the forward
 /// `*_CPA(R)` configurations read the same allocations: pure functions of
-/// `(dag, p, q, criterion)`, computed here once, on the first question that
+/// `(dag, p, q)`, computed here once, on the first question that
 /// needs them. A deadline below the instance [`Floor`] needs nothing: no
 /// algorithm meets it, and it is answered `Err` on the spot. Each answer is
 /// exactly the independent call's — `schedule_deadline` or
@@ -276,7 +277,7 @@ impl<'a> Roster<'a> {
         let (dag, p) = (self.dag, self.competing.capacity());
         let exec = self
             .cache
-            .exec_times(dag, p, self.q, BlMethod::CpaR, self.cfg.criterion);
+            .exec_times(dag, p, self.q, BlMethod::CpaR, CRITERION);
         let levels = bl::bottom_levels(dag, &exec);
         self.order = bl::order_by_increasing_bl(dag, &levels);
     }
@@ -285,7 +286,7 @@ impl<'a> Roster<'a> {
     /// stats start from the allocation request behind the order, as if the
     /// algorithm had prepared the instance. A deadline the floor lies past
     /// ([`floor_past`](Roster::floor_past)) is answered at once, with the
-    /// floor's bound in the error.
+    /// floor's bound in the error and no work in its stats.
     pub fn schedule(
         &mut self,
         deadline: Time,
@@ -296,6 +297,7 @@ impl<'a> Roster<'a> {
             return Err(DeadlineInfeasible {
                 deadline,
                 floor: Some(floor),
+                stats: ScheduleStats::default(),
             });
         }
         self.prepare_order();
@@ -314,7 +316,7 @@ impl<'a> Roster<'a> {
         let p = competing.capacity();
         let grain = cfg.grain.clamp(1, p.max(1));
         let mut stats = ScheduleStats::default();
-        stats.count_cpa_allocation();
+        stats.cpa_allocations += 1;
         // `S_i` depends on the guide, and an algorithm counts every mapping
         // it reads; the width candidates depend on cost and grain alone and
         // stay.
@@ -342,12 +344,12 @@ impl<'a> Roster<'a> {
                 let flat;
                 let bounds: &[u32] = match algo {
                     DeadlineAlgo::BdCpa => {
-                        stats.count_cpa_allocation();
-                        &cache.cpa(dag, p, cfg.criterion).allocs
+                        stats.cpa_allocations += 1;
+                        &cache.cpa(dag, p, CRITERION).allocs
                     }
                     DeadlineAlgo::BdCpaR => {
-                        stats.count_cpa_allocation();
-                        &cache.cpa(dag, q, cfg.criterion).allocs
+                        stats.cpa_allocations += 1;
+                        &cache.cpa(dag, q, CRITERION).allocs
                     }
                     _ => {
                         flat = vec![p; dag.num_tasks()];
@@ -358,8 +360,8 @@ impl<'a> Roster<'a> {
             }
             DeadlineAlgo::RcCpa | DeadlineAlgo::RcCpaR => {
                 let pool = if algo == DeadlineAlgo::RcCpa { p } else { q };
-                stats.count_cpa_allocation();
-                let guide = cache.cpa(dag, pool, cfg.criterion);
+                stats.cpa_allocations += 1;
+                let guide = cache.cpa(dag, pool, CRITERION);
                 let mode = Mode::Rc {
                     guide,
                     lambda: 0.0,
@@ -368,14 +370,14 @@ impl<'a> Roster<'a> {
                 run(mode, &mut stats, pass).then_some(None)
             }
             DeadlineAlgo::RcCpaRLambda | DeadlineAlgo::RcbdCpaRLambda => {
-                stats.count_cpa_allocation();
-                let guide = cache.cpa(dag, q, cfg.criterion);
+                stats.cpa_allocations += 1;
+                let guide = cache.cpa(dag, q, CRITERION);
                 let fallback_bounds =
                     (algo == DeadlineAlgo::RcbdCpaRLambda).then_some(guide.allocs.as_slice());
                 // The most recent failed pass's decision log (the warm-start
                 // skip reads it); kept by swapping with the pass's, not cloning.
                 let mut last_failure = Vec::new();
-                lambda_grid(cfg.lambda_step)
+                lambda_grid(LAMBDA_STEP)
                     .find(|&lambda| {
                         if sweep_skips(&last_failure, lambda) {
                             return false;
@@ -397,6 +399,7 @@ impl<'a> Roster<'a> {
         let lambda = lambda.ok_or(DeadlineInfeasible {
             deadline,
             floor: None,
+            stats,
         })?;
 
         let mut schedule = Schedule::new(placed, now);
@@ -416,8 +419,8 @@ impl<'a> Roster<'a> {
         let (dag, cfg, p) = (self.dag, self.cfg, self.competing.capacity());
         let g = cfg.grain.clamp(1, p.max(1));
         let declared: Vec<u32> = match algo {
-            DeadlineAlgo::BdCpa => cpa::allocate(dag, p, cfg.criterion).allocs,
-            DeadlineAlgo::BdCpaR => cpa::allocate(dag, self.q, cfg.criterion).allocs,
+            DeadlineAlgo::BdCpa => cpa::allocate(dag, p, CRITERION).allocs,
+            DeadlineAlgo::BdCpaR => cpa::allocate(dag, self.q, CRITERION).allocs,
             _ => vec![p; dag.num_tasks()],
         };
         crate::validate::ScheduleValidator::new(dag, self.competing, self.now)
@@ -499,9 +502,6 @@ enum Mode<'a> {
     },
 }
 
-/// The finest λ grid a sweep walks: 1 001 passes at most.
-const MIN_LAMBDA_STEP: f64 = 1e-3;
-
 /// The hybrid λ sweep grid, lazily: every multiple of `step` strictly
 /// below 1, then exactly `1.0`.
 ///
@@ -509,23 +509,9 @@ const MIN_LAMBDA_STEP: f64 = 1e-3;
 /// cannot drift, and `1.0` is always the final value — the legacy
 /// `lambda += step` loop drifted and, for step sizes like `0.3`, stepped
 /// from `0.899…` straight past `1.0` without ever trying the fully
-/// aggressive pass.
-///
-/// Total in `step`, which a deserialised [`DeadlineConfig`] carries
-/// unchecked: a step below [`MIN_LAMBDA_STEP`] is raised to it (the sweep
-/// stays bounded), and one that is not a positive number (zero, negative,
-/// NaN) gives the two endpoint passes, like any step of 1 or more. Clamped
-/// rather than rejected because `schedule_deadline`'s only error is "the
-/// deadline cannot be met", and the endpoints are the two passes every
-/// grid shares: pure RC, then the fully aggressive fallback.
+/// aggressive pass. The sweep walks it at [`LAMBDA_STEP`]; a step of 1
+/// or more gives the two endpoint passes.
 fn lambda_grid(step: f64) -> impl Iterator<Item = f64> {
-    // NaN fails the comparison and lands on the coarsest grid; a step of 1
-    // is that grid too, and keeps `0 · ∞` out of the multiples.
-    let step = if step > 0.0 {
-        step.clamp(MIN_LAMBDA_STEP, 1.0)
-    } else {
-        1.0
-    };
     (0u32..)
         .map(move |i| f64::from(i) * step)
         .take_while(|&lambda| lambda < 1.0)
@@ -624,7 +610,7 @@ impl GuidelineStarts {
         }
         // Counted per read, mapped or not: `cpa_mappings` is what the
         // algorithm asks for (see [`Roster`]).
-        stats.count_cpa_mapping();
+        stats.cpa_mappings += 1;
         if !self.maps(suffix) {
             self.unscheduled.clear();
             self.unscheduled.resize(dag.num_tasks(), false);
@@ -742,7 +728,7 @@ fn backward_pass(
     out: &mut Vec<Placement>,
 ) -> bool {
     crate::span!(obs::names::SPAN_DEADLINE_PASS);
-    stats.count_pass();
+    stats.passes += 1;
     let p = competing.capacity();
     let PassBufs {
         cal,
@@ -981,17 +967,17 @@ mod tests {
             let (out, report) = obs::observe("impossible", || {
                 schedule_deadline(&dag, &cal, Time::ZERO, 4, k, algo, cfg)
             });
-            assert_eq!(out, Err(DeadlineInfeasible { deadline: k, floor }));
+            let stats = ScheduleStats::default();
+            let want = DeadlineInfeasible {
+                deadline: k,
+                floor,
+                stats,
+            };
+            assert_eq!(out, Err(want), "{algo}");
             let counter = |name| report.metrics.counter(name);
             assert_eq!(counter(obs::names::BACKWARD_FLOOR_SKIPS), 1, "{algo}");
             assert_eq!(counter(obs::names::FLOOR_QUESTIONS), 1, "{algo}");
-            for name in [
-                obs::names::CPA_CACHE_MISS,
-                obs::names::STATS_CPA_MAPPINGS,
-                obs::names::STATS_PASSES,
-            ] {
-                assert_eq!(counter(name), 0, "{algo}: {name}");
-            }
+            assert_eq!(counter(obs::names::CPA_CACHE_MISS), 0, "{algo}");
         }
 
         // Above the floor, on a machine that never has more than four of
@@ -1015,15 +1001,13 @@ mod tests {
         let k = Time::seconds(30_000);
         assert!(Floor::of(&dag, &gappy, Time::ZERO, 1).time() <= k);
         for algo in DeadlineAlgo::ALL {
-            let (out, report) = obs::observe("impossible", || {
-                schedule_deadline(&dag, &gappy, Time::ZERO, 4, k, algo, cfg)
-            });
-            let floor = None;
-            assert_eq!(out, Err(DeadlineInfeasible { deadline: k, floor }));
-            assert_eq!(
-                report.metrics.counter(obs::names::STATS_CPA_MAPPINGS),
-                u64::from(reads_guideline(algo)),
-                "{algo}"
+            let err = schedule_deadline(&dag, &gappy, Time::ZERO, 4, k, algo, cfg).unwrap_err();
+            assert_eq!((err.deadline, err.floor), (k, None), "{algo}");
+            let mappings = u64::from(reads_guideline(algo));
+            assert_eq!(err.stats.cpa_mappings, mappings, "{algo}");
+            assert!(
+                err.stats.passes >= 1 && err.stats.slot_queries >= 1,
+                "{algo}: {err:?}"
             );
         }
     }
@@ -1043,7 +1027,12 @@ mod tests {
             for algo in DeadlineAlgo::ALL {
                 for (k, floor) in below {
                     assert!(floor.is_some_and(|b| b.at > k), "{floor:?}");
-                    let want = DeadlineInfeasible { deadline: k, floor };
+                    let stats = ScheduleStats::default();
+                    let want = DeadlineInfeasible {
+                        deadline: k,
+                        floor,
+                        stats,
+                    };
                     assert_eq!(roster.schedule(k, algo), Err(want), "{algo}");
                 }
             }
@@ -1054,7 +1043,6 @@ mod tests {
         assert_eq!(counter(obs::names::FLOOR_QUESTIONS), 14);
         assert_eq!(counter(obs::names::CPA_CACHE_MISS), 0);
         assert_eq!(counter(obs::names::CPA_ALLOC_ITERS), 0);
-        assert_eq!(counter(obs::names::STATS_PASSES), 0);
         assert!(report
             .profile
             .span(obs::names::SPAN_DEADLINE_PREP)
@@ -1096,8 +1084,6 @@ mod tests {
             assert_eq!(out.schedule.stats.cpa_mappings, n, "{algo}");
             let maps = report.profile.span(obs::names::SPAN_CPA_MAP);
             assert_eq!(maps.map(|s| s.calls), Some(1), "{algo}");
-            let mappings = report.metrics.counter(obs::names::STATS_CPA_MAPPINGS);
-            assert_eq!(mappings, n, "{algo}");
         }
     }
 
@@ -1279,61 +1265,6 @@ mod tests {
     }
 
     #[test]
-    fn lambda_grid_is_total_in_its_step() {
-        // What a deserialised config can carry: none of these may panic or
-        // walk (let alone allocate) a grid of a billion values.
-        let endpoints = vec![0.0, 1.0];
-        for step in [0.0, -0.05, f64::NAN, f64::NEG_INFINITY, f64::INFINITY] {
-            let grid: Vec<f64> = lambda_grid(step).collect();
-            assert_eq!(grid, endpoints, "step {step}");
-        }
-        for tiny in [1e-12, f64::MIN_POSITIVE, MIN_LAMBDA_STEP / 2.0] {
-            let grid: Vec<f64> = lambda_grid(tiny).collect();
-            assert_eq!(grid.len(), 1001, "step {tiny}");
-            assert_eq!(grid, lambda_grid(MIN_LAMBDA_STEP).collect::<Vec<_>>());
-            assert_eq!(grid.last(), Some(&1.0));
-        }
-        // Lazy: the first value of the finest grid costs one step.
-        assert_eq!(lambda_grid(f64::MIN_POSITIVE).next(), Some(0.0));
-
-        // A sweep under such a config still answers: the deadline is loose,
-        // so λ = 0 meets it on any grid.
-        let (dag, cal) = (small_dag(), busy_calendar());
-        for lambda_step in [f64::NAN, 0.0, -1.0, 1e-300] {
-            let cfg = DeadlineConfig {
-                lambda_step,
-                ..DeadlineConfig::default()
-            };
-            let out = schedule_deadline(
-                &dag,
-                &cal,
-                Time::ZERO,
-                4,
-                Time::seconds(400_000),
-                DeadlineAlgo::RcCpaRLambda,
-                cfg,
-            );
-            assert_eq!(out.map(|o| o.lambda), Ok(Some(0.0)), "step {lambda_step}");
-        }
-        // An impossible deadline under the finest grid fails after a
-        // bounded sweep (the warm start skips all but the first pass).
-        let cfg = DeadlineConfig {
-            lambda_step: 1e-300,
-            ..DeadlineConfig::default()
-        };
-        let out = schedule_deadline(
-            &dag,
-            &cal,
-            Time::ZERO,
-            4,
-            Time::seconds(1),
-            DeadlineAlgo::RcbdCpaRLambda,
-            cfg,
-        );
-        assert!(out.is_err());
-    }
-
-    #[test]
     fn rc_threshold_floors_toward_the_guideline() {
         let s = Time::seconds(100);
         // λ = 0 is exactly S_i, λ = 1 exactly dl — for positive *and*
@@ -1369,10 +1300,10 @@ mod tests {
 
         // Replicate the prep phase to drive backward_pass directly.
         let p = cal.capacity();
-        let bl_exec = bl::exec_times(&dag, p, q, BlMethod::CpaR, cfg.criterion);
+        let bl_exec = bl::exec_times(&dag, p, q, BlMethod::CpaR, CRITERION);
         let levels = bl::bottom_levels(&dag, &bl_exec);
         let order = bl::order_by_increasing_bl(&dag, &levels);
-        let guide = cpa::allocate(&dag, q, cfg.criterion);
+        let guide = cpa::allocate(&dag, q, CRITERION);
 
         for algo in [DeadlineAlgo::RcCpaRLambda, DeadlineAlgo::RcbdCpaRLambda] {
             let (k_hy, _) = tightest(&dag, &cal, q, algo, cfg, prec).unwrap();
@@ -1380,7 +1311,7 @@ mod tests {
                 (algo == DeadlineAlgo::RcbdCpaRLambda).then_some(guide.allocs.as_slice());
             for deadline in [k_hy, k_hy.midpoint(k_rc), k_rc.max(k_hy)] {
                 let mut brute = None;
-                for lambda in lambda_grid(cfg.lambda_step) {
+                for lambda in lambda_grid(LAMBDA_STEP) {
                     let mut stats = ScheduleStats::default();
                     let mut bufs = PassBufs::default();
                     let mut placements = Vec::new();
@@ -1481,11 +1412,11 @@ mod tests {
         let p = competing.capacity();
         let q = Pool::effective(q, p);
         let grain = cfg.grain.clamp(1, p);
-        let exec = bl::exec_times(dag, p, q, BlMethod::CpaR, cfg.criterion);
+        let exec = bl::exec_times(dag, p, q, BlMethod::CpaR, CRITERION);
         let order = bl::order_by_increasing_bl(dag, &bl::bottom_levels(dag, &exec));
         let quantize = |b: u32| crate::forward::quantize_bound(b, grain, p);
-        let cpa_p = cpa::allocate(dag, p, cfg.criterion);
-        let cpa_q = cpa::allocate(dag, q, cfg.criterion);
+        let cpa_p = cpa::allocate(dag, p, CRITERION);
+        let cpa_q = cpa::allocate(dag, q, CRITERION);
 
         // One pass: `guide` = None is the aggressive family over `bounds`;
         // otherwise RC at `lambda`, falling back over `bounds`.
@@ -1537,7 +1468,7 @@ mod tests {
                 } else {
                     &all
                 };
-                lambda_grid(cfg.lambda_step)
+                lambda_grid(LAMBDA_STEP)
                     .find_map(|l| pass(bounds, Some(&cpa_q), l).map(|pl| (pl, Some(l))))
             }
         }
@@ -1586,9 +1517,8 @@ mod tests {
                 q,
                 crate::forward::ForwardConfig::recommended(),
             );
-            let criterion = DeadlineConfig::default().criterion;
-            let guides_differ = cpa::allocate(&dag, p, criterion).allocs
-                != cpa::allocate(&dag, Pool::effective(q, p), criterion).allocs;
+            let guides_differ = cpa::allocate(&dag, p, CRITERION).allocs
+                != cpa::allocate(&dag, Pool::effective(q, p), CRITERION).allocs;
             for grain in [1, 4] {
                 let cfg = DeadlineConfig::default().hierarchical(grain);
                 for &tenths in tenths {
@@ -1743,7 +1673,8 @@ mod tests {
         // its floor was found clear of — must not show in any answer: one
         // `Roster` per (DAG, grain) is asked every deadline, each of them for
         // every algorithm list, and outcome by outcome it answers what the
-        // independent call does, stats and floor bound included. Besides
+        // independent call does, stats and floor bound included, `Err`s
+        // whole. Besides
         // tight and loose deadlines it is asked around the floor: a second
         // short of it, at it, and between the critical path and the calendar
         // path, where only the calendar path answers.
@@ -1812,7 +1743,15 @@ mod tests {
                                      grain {grain}, deadline {deadline}"
                                 );
                                 assert_eq!(Some(&got), want, "{case}");
-                                let bound = got.err().and_then(|e| e.floor);
+                                // A missed run counts its passes; a floor
+                                // answer ran none.
+                                let idle = ScheduleStats::default();
+                                let err = got.err();
+                                let bound = err.and_then(|e| e.floor);
+                                assert_eq!(
+                                    err.map(|e| e.stats == idle),
+                                    err.map(|_| bound.is_some())
+                                );
                                 assert_eq!(bound.is_some(), deadline < floor.time(), "{case}");
                                 by_calendar_path +=
                                     u32::from(bound.is_some_and(|b| b.half == Half::CalendarPath));

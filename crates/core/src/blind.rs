@@ -104,21 +104,20 @@ impl std::fmt::Debug for ReservationDesk {
     }
 }
 
+/// CPA stopping criterion of the blind scheduler's bottom levels and
+/// allocation bounds.
+const CRITERION: StoppingCriterion = StoppingCriterion::Classic;
+
 /// Configuration for the blind scheduler.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BlindConfig {
     /// Maximum probes per task (the paper's "bounded number").
     pub probes_per_task: usize,
-    /// CPA stopping criterion for bottom levels and allocation bounds.
-    pub criterion: StoppingCriterion,
 }
 
 impl Default for BlindConfig {
     fn default() -> Self {
-        BlindConfig {
-            probes_per_task: 8,
-            criterion: StoppingCriterion::default(),
-        }
+        BlindConfig { probes_per_task: 8 }
     }
 }
 
@@ -141,19 +140,19 @@ pub fn schedule_blind(
     #[cfg(debug_assertions)]
     let competing_at_entry = desk.cal.clone();
     let mut stats = ScheduleStats::default();
-    stats.count_pass();
-    stats.count_cpa_allocation();
+    stats.passes += 1;
+    stats.cpa_allocations += 1;
 
     // Bottom levels and bounds exactly as BL_CPAR / BD_CPAR would; the
     // per-call cache computes the CPA(q) allocation once for both roles.
     let mut cache = CpaCache::new();
     let bounds: Vec<u32> = cache
-        .cpa(dag, q, cfg.criterion)
+        .cpa(dag, q, CRITERION)
         .allocs
         .iter()
         .map(|&a| a.clamp(1, p))
         .collect();
-    let exec = cache.exec_times(dag, p, q, BlMethod::CpaR, cfg.criterion);
+    let exec = cache.exec_times(dag, p, q, BlMethod::CpaR, CRITERION);
     let levels = bl::bottom_levels(dag, &exec);
     let order = bl::order_by_decreasing_bl(dag, &levels);
 
@@ -256,10 +255,7 @@ mod tests {
     fn probe_budget_is_respected() {
         let dag = fork_join(c(300, 0.1), &[c(3600, 0.15); 5], c(300, 0.1));
         let mut desk = ReservationDesk::new(busy_cal());
-        let cfg = BlindConfig {
-            probes_per_task: 3,
-            ..BlindConfig::default()
-        };
+        let cfg = BlindConfig { probes_per_task: 3 };
         let _ = schedule_blind(&dag, &mut desk, Time::ZERO, 8, cfg);
         assert!(desk.probes() <= 3 * dag.num_tasks() as u64);
         assert_eq!(desk.commits(), dag.num_tasks() as u64);
@@ -286,10 +282,7 @@ mod tests {
     fn single_probe_per_task_still_works() {
         let dag = chain(&[c(1000, 0.0), c(1000, 0.0)]);
         let mut desk = ReservationDesk::new(Calendar::new(4));
-        let cfg = BlindConfig {
-            probes_per_task: 1,
-            ..BlindConfig::default()
-        };
+        let cfg = BlindConfig { probes_per_task: 1 };
         let s = schedule_blind(&dag, &mut desk, Time::ZERO, 4, cfg);
         assert_eq!(s.placements().len(), 2);
         // Against the base calendar: the desk's own now holds the

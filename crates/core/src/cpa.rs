@@ -651,8 +651,8 @@ pub fn schedule(dag: &Dag, pool: u32, criterion: StoppingCriterion, now: Time) -
     let mut cost = QueryCost::default();
     let placements = map_all(dag, &alloc, now, &mut cost);
     let mut s = Schedule::new(placements, now);
-    s.stats.count_cpa_allocation();
-    s.stats.count_cpa_mapping();
+    s.stats.cpa_allocations += 1;
+    s.stats.cpa_mappings += 1;
     s.stats.absorb_query_cost(cost);
 
     // CPA runs on a dedicated platform: audit against an empty calendar,

@@ -175,11 +175,11 @@ impl CpaCache {
             BdMethod::All => vec![p; dag.num_tasks()],
             BdMethod::Half => vec![(p / 2).max(1); dag.num_tasks()],
             BdMethod::Cpa => {
-                stats.count_cpa_allocation();
+                stats.cpa_allocations += 1;
                 self.cpa(dag, p, criterion).allocs.clone()
             }
             BdMethod::CpaR => {
-                stats.count_cpa_allocation();
+                stats.cpa_allocations += 1;
                 self.cpa(dag, Pool::effective(q, p), criterion)
                     .allocs
                     .clone()
@@ -287,14 +287,14 @@ impl<'a> ForwardPass<'a> {
         let p = competing.capacity();
         let q = Pool::effective(q, p);
         let mut stats = ScheduleStats::default();
-        stats.count_pass();
+        stats.passes += 1;
 
         // Bottom levels and scheduling order. Through the cache, e.g.
         // BL_CPAR_BD_CPAR computes its CPA allocation once, not twice.
         let (order, bounds) = {
             crate::span!(obs::names::SPAN_FORWARD_PREP);
             if matches!(cfg.bl, BlMethod::Cpa | BlMethod::CpaR) {
-                stats.count_cpa_allocation();
+                stats.cpa_allocations += 1;
             }
             let exec = cache.exec_times(dag, p, q, cfg.bl, cfg.criterion);
             let levels = bl::bottom_levels(dag, &exec);
@@ -657,9 +657,9 @@ mod tests {
         let p = competing.capacity();
         let q = Pool::effective(q, p);
         let mut stats = ScheduleStats::default();
-        stats.count_pass();
+        stats.passes += 1;
         if matches!(cfg.bl, BlMethod::Cpa | BlMethod::CpaR) {
-            stats.count_cpa_allocation();
+            stats.cpa_allocations += 1;
         }
         let exec = bl::exec_times(dag, p, q, cfg.bl, cfg.criterion);
         let order = bl::order_by_decreasing_bl(dag, &bl::bottom_levels(dag, &exec));

@@ -163,7 +163,7 @@ pub fn schedule_icaslb(dag: &Dag, competing: &Calendar, now: Time, q: u32) -> Sc
     let p = competing.capacity();
     let cap = crate::pool::Pool::effective(q, p);
     let mut stats = ScheduleStats::default();
-    stats.count_pass();
+    stats.passes += 1;
 
     let mut lv = Levels::new(dag);
     // The growth loop's buffers, reused across its iterations: candidate

@@ -22,12 +22,13 @@
 //!   on.
 //!
 //! Instrumentation must never perturb scheduling decisions: the schedulers
-//! call the [`probe`] wrappers, which feed [`ScheduleStats`] exactly as the
-//! old bespoke `QueryCost` plumbing did *and* mirror the same tallies into
-//! the ambient registry. A differential test over the whole algorithm
-//! catalog pins byte-identical schedules with and without the feature, and
-//! [`MetricsRegistry::stats_view`] reconstructs `ScheduleStats` from the
-//! registry so the two accountings can be cross-checked.
+//! call the [`probe`] wrappers, which fold each query's cost into the
+//! caller's `ScheduleStats` and record what no answer carries (the
+//! per-query step histogram, CPA mapping-phase probes) into the ambient
+//! registry. A scheduler's work travels in its answer — a `Schedule`, or a
+//! `DeadlineInfeasible` — and the registry holds only the rest. A
+//! differential test over the whole algorithm catalog pins byte-identical
+//! schedules with and without the feature.
 //!
 //! Timing is collected per *span*: [`span_enter`] opens a named frame,
 //! dropping the guard closes it. Frames nest; a frame's elapsed time is
@@ -36,7 +37,6 @@
 //! wall clock (up to measurement noise). [`RunReport`] serializes to one
 //! JSON object — the unit written per line in JSONL trace files.
 
-use crate::schedule::ScheduleStats;
 use serde::{Deserialize, Serialize, Value};
 use std::collections::BTreeMap;
 
@@ -48,9 +48,7 @@ pub const COMPILED: bool = cfg!(feature = "obs");
 
 /// Canonical metric names recorded by the instrumented schedulers.
 ///
-/// Collected in one place so reports, tests, and the
-/// [`stats_view`](MetricsRegistry::stats_view) reconstruction agree on
-/// spelling.
+/// Collected in one place so reports and tests agree on spelling.
 pub mod names {
     /// Declares every name constant and [`ALL`] from one list, so a name
     /// cannot exist without being in the list the manifest test reads.
@@ -63,18 +61,6 @@ pub mod names {
     }
 
     names! {
-        /// Counter: forward slot queries issued against a competing calendar —
-        /// one `earliest_finish` walk per task the forward family places, one
-        /// over a single candidate per placement elsewhere.
-        EARLIEST_FIT_QUERIES = "calendar.earliest_fit.queries";
-        /// Counter: slots those walks inspected, plus one positioning step per
-        /// query.
-        EARLIEST_FIT_STEPS = "calendar.earliest_fit.steps";
-        /// Counter: backward slot queries (`latest_start`,
-        /// `narrowest_start_from`) issued against a competing calendar.
-        LATEST_FIT_QUERIES = "calendar.latest_fit.queries";
-        /// Counter: steps spent in those backward walks.
-        LATEST_FIT_STEPS = "calendar.latest_fit.steps";
         /// Histogram: steps per individual fit query (size distribution).
         FIT_STEPS = "calendar.fit.steps";
         /// Counter: fit queries issued by the CPA mapping phase against its
@@ -95,9 +81,9 @@ pub mod names {
         /// actually computed, then retained for the rest of the run).
         CPA_CACHE_MISS = "cpa.cache.miss";
         /// Counter: level positions recomputed by the allocation loops'
-        /// incremental maintenance — the re-swept prefix per grown task, plus
-        /// the top-level cone in MCPA/iCASLB (a full rebuild would recompute
-        /// every node per iteration).
+        /// incremental maintenance — the re-swept prefix per width change: a
+        /// grown task in CPA and MCPA, a growth step, trial or revert in
+        /// iCASLB (a full rebuild would recompute every node per change).
         CPA_ALLOC_INCR_UPDATES = "cpa.alloc.incr_updates";
         /// Counter: the CPA allocation-loop iterations among
         /// `cpa.alloc.iterations` taken inside a run along a single
@@ -112,12 +98,6 @@ pub mod names {
         BACKWARD_FLOOR_SKIPS = "core.backward.floor_skips";
         /// Counter: instance-floor walks (`floor::Floor::past`), however far each got.
         FLOOR_QUESTIONS = "core.floor.questions";
-        /// Counter: mirror of [`ScheduleStats::cpa_allocations`].
-        STATS_CPA_ALLOCATIONS = "sched.cpa_allocations";
-        /// Counter: mirror of [`ScheduleStats::cpa_mappings`].
-        STATS_CPA_MAPPINGS = "sched.cpa_mappings";
-        /// Counter: mirror of [`ScheduleStats::passes`].
-        STATS_PASSES = "sched.passes";
         /// Counter: probes the BLIND scheduler sent through its reservation desk.
         BLIND_PROBES = "blind.desk.probes";
         /// Counter: tasks whose actual runtime overran the reservation.
@@ -136,9 +116,6 @@ pub mod names {
         SERVE_RESIZES = "serve.resizes";
         /// Counter: applications denied admission by a quota rule.
         SERVE_QUOTA_DENIED = "serve.quota.denied";
-        /// Counter: arrivals rejected because their instance floor lies
-        /// past the horizon or deadline (no scheduler run).
-        SERVE_FLOOR_ANSWERED = "serve.floor_answered";
         /// Histogram: per-application scheduling latency in nanoseconds.
         SERVE_LATENCY = "serve.schedule.latency_ns";
         /// Span: forward scheduling — bottom levels, ordering, allocation
@@ -177,24 +154,6 @@ pub mod names {
         /// Span: the serving loop's cancellation of one application.
         SPAN_SERVE_CANCEL = "serve.cancel";
     }
-
-    use super::ScheduleStats;
-
-    /// Selects the [`ScheduleStats`] field a registry counter sums into.
-    type StatsField = fn(&mut ScheduleStats) -> &mut u64;
-
-    /// The counters [`super::MetricsRegistry::stats_view`] sums into each
-    /// [`ScheduleStats`] field. `cpa.map.*` is deliberately absent: catalog
-    /// algorithms never absorb mapping-phase probe cost into their stats.
-    pub(super) const STATS_VIEW: [(&str, StatsField); 7] = [
-        (EARLIEST_FIT_QUERIES, |s| &mut s.slot_queries),
-        (LATEST_FIT_QUERIES, |s| &mut s.slot_queries),
-        (EARLIEST_FIT_STEPS, |s| &mut s.slot_steps),
-        (LATEST_FIT_STEPS, |s| &mut s.slot_steps),
-        (STATS_CPA_ALLOCATIONS, |s| &mut s.cpa_allocations),
-        (STATS_CPA_MAPPINGS, |s| &mut s.cpa_mappings),
-        (STATS_PASSES, |s| &mut s.passes),
-    ];
 }
 
 /// Number of histogram buckets: one for zero plus one per power of two.
@@ -416,23 +375,6 @@ impl MetricsRegistry {
                 }
             }
         }
-    }
-
-    /// Reconstruct [`ScheduleStats`] from the registry's mirror counters.
-    ///
-    /// For every catalog algorithm the instrumented probe wrappers keep this
-    /// view equal to the `ScheduleStats` the scheduler returned — the
-    /// differential tests assert exactly that. One documented divergence:
-    /// standalone `cpa::schedule` folds its mapping-phase probe cost into
-    /// `slot_queries`/`slot_steps`, while the registry keeps that cost
-    /// separate under `cpa.map.*` (see `names::STATS_VIEW`); its view
-    /// therefore under-counts `slot_*` by exactly the `cpa.map.*` tallies.
-    pub fn stats_view(&self) -> ScheduleStats {
-        let mut out = ScheduleStats::default();
-        for (name, field) in names::STATS_VIEW {
-            *field(&mut out) += self.counter(name);
-        }
-        out
     }
 }
 
@@ -750,8 +692,8 @@ mod ambient {
 pub use ambient::{counter_add, observe, record_value, span_enter, SpanGuard};
 
 // ---------------------------------------------------------------------------
-// Probe wrappers: the single choke point between schedulers, ScheduleStats,
-// and the ambient registry.
+// Probe wrappers: the single choke point between schedulers and the
+// calendar queries they count.
 // ---------------------------------------------------------------------------
 
 /// Instrumented calendar-probe wrappers used by every scheduler.
@@ -760,30 +702,14 @@ pub use ambient::{counter_add, observe, record_value, span_enter, SpanGuard};
 /// (`earliest_finish`, `latest_start`, `narrowest_start_from`; a one-width
 /// question is a scan over one candidate), folds the
 /// [`QueryCost`](resched_resv::QueryCost) into the caller's
-/// [`ScheduleStats`] exactly as the old hand-rolled plumbing did, and
-/// mirrors the tally into the ambient registry (a no-op without the `obs`
-/// feature or outside an [`observe`] scope). Keeping stats and registry fed
-/// from one place is what makes [`MetricsRegistry::stats_view`] a faithful
-/// reconstruction.
+/// `ScheduleStats`, and records the query's steps into the
+/// `calendar.fit.steps` histogram (a no-op without the `obs` feature or
+/// outside an [`observe`] scope).
 pub mod probe {
     use super::names;
     use crate::forward::TieBreak;
     use crate::schedule::{Placement, ScheduleStats};
     use resched_resv::{Calendar, Dur, QueryCost, Reservation, Time};
-
-    /// Mirror one earliest/latest fit query into the ambient registry.
-    #[cfg(feature = "obs")]
-    fn record_fit(queries_name: &'static str, steps_name: &'static str, cost: QueryCost) {
-        super::counter_add(queries_name, cost.queries);
-        super::counter_add(steps_name, cost.steps);
-        super::record_value(names::FIT_STEPS, cost.steps);
-    }
-
-    /// Mirror one earliest/latest fit query into the ambient registry
-    /// (no-op: `obs` feature disabled).
-    #[cfg(not(feature = "obs"))]
-    #[inline(always)]
-    fn record_fit(_queries_name: &'static str, _steps_name: &'static str, _cost: QueryCost) {}
 
     /// The reservation a width-scan query answered with, as the scheduler's
     /// placement.
@@ -797,7 +723,7 @@ pub mod probe {
 
     /// `Calendar::earliest_finish` over one task's width `candidates`, as
     /// the placement it picks: one query, whatever the number of widths,
-    /// folded into `stats` and mirrored under `calendar.earliest_fit.*`.
+    /// folded into `stats`.
     #[inline]
     pub fn earliest_finish(
         cal: &Calendar,
@@ -810,13 +736,13 @@ pub mod probe {
         let widest_on_tie = tie == TieBreak::MostProcs;
         let first = cal.earliest_finish(candidates, not_before, widest_on_tie, &mut cost);
         stats.absorb_query_cost(cost);
-        record_fit(names::EARLIEST_FIT_QUERIES, names::EARLIEST_FIT_STEPS, cost);
+        super::record_value(names::FIT_STEPS, cost.steps);
         placed(first)
     }
 
     /// `Calendar::latest_start` over one task's width `candidates`, as the
     /// placement it picks: one query, whatever the number of widths, folded
-    /// into `stats` and mirrored under `calendar.latest_fit.*`.
+    /// into `stats`.
     #[inline]
     pub fn latest_start(
         cal: &Calendar,
@@ -828,13 +754,13 @@ pub mod probe {
         let mut cost = QueryCost::default();
         let last = cal.latest_start(candidates, end_by, not_before, &mut cost);
         stats.absorb_query_cost(cost);
-        record_fit(names::LATEST_FIT_QUERIES, names::LATEST_FIT_STEPS, cost);
+        super::record_value(names::FIT_STEPS, cost.steps);
         last.map(placed)
     }
 
     /// `Calendar::narrowest_start_from` over one chunk of a task's width
     /// `candidates`, as the placement it picks: one query per chunk, folded
-    /// into `stats` and mirrored under `calendar.latest_fit.*`.
+    /// into `stats`.
     #[inline]
     pub fn narrowest_start_from(
         cal: &Calendar,
@@ -846,7 +772,7 @@ pub mod probe {
         let mut cost = QueryCost::default();
         let fit = cal.narrowest_start_from(candidates, end_by, threshold, &mut cost);
         stats.absorb_query_cost(cost);
-        record_fit(names::LATEST_FIT_QUERIES, names::LATEST_FIT_STEPS, cost);
+        super::record_value(names::FIT_STEPS, cost.steps);
         fit.map(placed)
     }
 
@@ -854,8 +780,8 @@ pub mod probe {
     /// candidate) against the CPA mapping phase's *virtual* platform: cost is
     /// folded into the caller's [`QueryCost`] accumulator (whose fate —
     /// absorbed into stats or dropped — is the caller's business, exactly as
-    /// before) and mirrored into the registry under the dedicated `cpa.map.*`
-    /// names so scheduler-level `slot_*` views stay untouched.
+    /// before) and recorded into the registry under `cpa.map.*`, which no
+    /// answer carries.
     #[inline]
     pub fn map_earliest_fit(
         platform: &Calendar,
@@ -876,13 +802,13 @@ pub mod probe {
         start
     }
 
-    /// Mirror a fit query that went through BLIND's reservation desk (the
-    /// desk already accumulated the [`QueryCost`]): counts as an ordinary
-    /// earliest-fit probe plus a `blind.desk.probes` tick.
+    /// Count a fit query that went through BLIND's reservation desk (the
+    /// desk already accumulated the [`QueryCost`]): an ordinary earliest-fit
+    /// probe in `stats`, plus a `blind.desk.probes` tick.
     #[inline]
     pub fn record_desk_probe(cost: QueryCost, stats: &mut ScheduleStats) {
         stats.absorb_query_cost(cost);
-        record_fit(names::EARLIEST_FIT_QUERIES, names::EARLIEST_FIT_STEPS, cost);
+        super::record_value(names::FIT_STEPS, cost.steps);
         super::counter_add(names::BLIND_PROBES, 1);
     }
 }
@@ -1031,27 +957,6 @@ mod tests {
     }
 
     #[test]
-    fn stats_view_reconstructs_schedule_stats() {
-        let mut reg = MetricsRegistry::new();
-        reg.inc(names::EARLIEST_FIT_QUERIES, 7);
-        reg.inc(names::LATEST_FIT_QUERIES, 2);
-        reg.inc(names::EARLIEST_FIT_STEPS, 70);
-        reg.inc(names::LATEST_FIT_STEPS, 20);
-        reg.inc(names::STATS_CPA_ALLOCATIONS, 3);
-        reg.inc(names::STATS_CPA_MAPPINGS, 1);
-        reg.inc(names::STATS_PASSES, 4);
-        // cpa.map.* must not leak into scheduler-level slot counters.
-        reg.inc(names::CPA_MAP_QUERIES, 1000);
-        reg.inc(names::CPA_MAP_STEPS, 1000);
-        let view = reg.stats_view();
-        assert_eq!(view.slot_queries, 9);
-        assert_eq!(view.slot_steps, 90);
-        assert_eq!(view.cpa_allocations, 3);
-        assert_eq!(view.cpa_mappings, 1);
-        assert_eq!(view.passes, 4);
-    }
-
-    #[test]
     fn run_report_jsonl_round_trip() {
         let mut report = RunReport {
             label: "BL_CPAR_BD_CPAR".to_string(),
@@ -1060,7 +965,7 @@ mod tests {
         report.profile.record("cpa.alloc_loop", 1234, 1000);
         report.profile.record("forward.place", 999, 999);
         report.profile.wall_ns = 5000;
-        report.metrics.inc(names::EARLIEST_FIT_QUERIES, 12);
+        report.metrics.inc(names::CPA_MAP_QUERIES, 12);
         report.metrics.record(names::FIT_STEPS, 33);
         report.metrics.record(names::FIT_STEPS, 1);
         // One line of JSONL: compact, no interior newline.

@@ -67,28 +67,6 @@ impl ScheduleStats {
         self.slot_queries += cost.queries;
         self.slot_steps += cost.steps;
     }
-
-    /// Count one CPA allocation-phase run, mirrored into the ambient
-    /// observability registry so [`crate::obs::MetricsRegistry::stats_view`]
-    /// stays a faithful reconstruction of these fields.
-    pub fn count_cpa_allocation(&mut self) {
-        self.cpa_allocations += 1;
-        crate::obs::counter_add(crate::obs::names::STATS_CPA_ALLOCATIONS, 1);
-    }
-
-    /// Count one CPA mapping (list-scheduling) run, mirrored into the
-    /// ambient observability registry.
-    pub fn count_cpa_mapping(&mut self) {
-        self.cpa_mappings += 1;
-        crate::obs::counter_add(crate::obs::names::STATS_CPA_MAPPINGS, 1);
-    }
-
-    /// Count one whole-DAG scheduling pass, mirrored into the ambient
-    /// observability registry.
-    pub fn count_pass(&mut self) {
-        self.passes += 1;
-        crate::obs::counter_add(crate::obs::names::STATS_PASSES, 1);
-    }
 }
 
 /// A complete schedule: one [`Placement`] per task of the DAG, plus the

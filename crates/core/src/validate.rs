@@ -22,28 +22,26 @@
 //!    `end - start == cost.exec_time(procs)`;
 //! 5. every task starts at or after the release instant `now`;
 //! 6. precedence: a child starts no earlier than every parent's finish;
-//! 7. each placement round-trips into its own advance reservation
-//!    (`Placement::reservation()` covers exactly `[start, end)` with
-//!    exactly `procs` processors);
-//! 8. calendar capacity is never exceeded at any breakpoint: at every
+//! 7. calendar capacity is never exceeded at any breakpoint: at every
 //!    instant, application usage plus competing usage stays within `p`
 //!    (this is the "never runs inside a competing reservation" guarantee —
 //!    processors held by competing reservations are simply not there);
-//! 9. the calendar's queries and its linear reference agree on competing
+//! 8. the calendar's queries and its linear reference agree on competing
 //!    usage over every audited interval (divergence is reported
 //!    separately);
-//! 10. the turn-around / deadline bookkeeping is consistent with the exit
-//!     tasks' finish times (`completion()` equals the latest exit finish,
-//!     and meets the deadline when one was required);
-//! 11. [`ScheduleStats`] are internally consistent (slot-step work implies
+//! 9. the turn-around / deadline bookkeeping is consistent with the exit
+//!    tasks' finish times (`completion()` equals the latest exit finish,
+//!    and meets the deadline when one was required);
+//! 10. [`ScheduleStats`] are internally consistent (slot-step work implies
 //!     slot queries; slot queries imply at least one recorded pass or CPA
 //!     mapping);
-//! 12. hierarchical placement grain: when the algorithm placed on whole
+//! 11. hierarchical placement grain: when the algorithm placed on whole
 //!     nodes ([`with_grain`]), every allocation is a multiple of the
 //!     node size;
-//! 13. admission quotas: when the schedule belongs to a quota-constrained
-//!     owner ([`with_quotas`]), its reservations replayed through a fresh
-//!     [`AdmissionGate`] admit cleanly.
+//! 12. admission quotas: when the schedule belongs to a quota-constrained
+//!     owner ([`with_quotas`]), its reservations replayed through a clone
+//!     of the owner's [`AdmissionGate`], beside every reservation it
+//!     already holds, admit cleanly.
 //!
 //! [`with_grain`]: ScheduleValidator::with_grain
 //! [`with_quotas`]: ScheduleValidator::with_quotas
@@ -55,7 +53,7 @@
 
 use crate::dag::{Dag, TaskId};
 use crate::schedule::{Schedule, ScheduleStats};
-use resched_resv::{AdmissionGate, Calendar, Dur, Owner, QuotaSet, Time};
+use resched_resv::{AdmissionGate, Calendar, Dur, Owner, Time};
 use std::fmt;
 
 /// Cap on capacity-sweep intervals that get the full calendar-vs-linear
@@ -125,12 +123,6 @@ pub enum Violation {
         pred_end: Time,
         /// When the successor starts.
         succ_start: Time,
-    },
-    /// A placement's own advance reservation does not cover exactly its
-    /// execution window with exactly its processors.
-    ReservationMismatch {
-        /// The offending task.
-        task: TaskId,
     },
     /// Application plus competing usage exceeds platform capacity.
     CapacityExceeded {
@@ -279,10 +271,6 @@ impl fmt::Display for Violation {
                 f,
                 "task {succ} starts at {succ_start}, before predecessor {pred} ends at {pred_end}"
             ),
-            Violation::ReservationMismatch { task } => write!(
-                f,
-                "task {task}'s reservation does not match its placement window"
-            ),
             Violation::CapacityExceeded {
                 at,
                 app,
@@ -371,7 +359,7 @@ pub struct ScheduleValidator<'a> {
     declared_bounds: Option<Vec<u32>>,
     deadline: Option<Time>,
     grain: u32,
-    quotas: Option<(&'a QuotaSet, Owner)>,
+    quotas: Option<(&'a AdmissionGate, Owner)>,
 }
 
 impl<'a> ScheduleValidator<'a> {
@@ -397,11 +385,11 @@ impl<'a> ScheduleValidator<'a> {
         self
     }
 
-    /// Declare the admission policy and owner the schedule is billed to:
-    /// its reservations must replay cleanly through a fresh
-    /// [`AdmissionGate`] enforcing `quotas`.
-    pub fn with_quotas(mut self, quotas: &'a QuotaSet, owner: Owner) -> Self {
-        self.quotas = Some((quotas, owner));
+    /// Declare the admission gate and owner the schedule is billed to:
+    /// its reservations must replay cleanly through a clone of `gate`, on
+    /// top of the ledger the gate already holds.
+    pub fn with_quotas(mut self, gate: &'a AdmissionGate, owner: Owner) -> Self {
+        self.quotas = Some((gate, owner));
         self
     }
 
@@ -496,10 +484,6 @@ impl<'a> ScheduleValidator<'a> {
                     release: self.now,
                 });
             }
-            let r = pl.reservation();
-            if r.start != pl.start || r.end != pl.end || r.procs != pl.procs {
-                out.push(Violation::ReservationMismatch { task: t });
-            }
             if self.grain > 1 && !pl.procs.is_multiple_of(self.grain) {
                 out.push(Violation::HierarchyViolation {
                     at: format!("task {t}"),
@@ -509,8 +493,8 @@ impl<'a> ScheduleValidator<'a> {
             }
         }
 
-        if let Some((quotas, owner)) = &self.quotas {
-            let mut gate = AdmissionGate::new((*quotas).clone());
+        if let Some((gate, owner)) = &self.quotas {
+            let mut gate = (*gate).clone();
             for t in self.dag.task_ids() {
                 if let Err(d) = gate.admit(owner, sched.placement(t).reservation()) {
                     out.push(Violation::QuotaViolation {
@@ -945,7 +929,7 @@ mod tests {
     use crate::forward::{schedule_forward, ForwardConfig};
     use crate::schedule::Placement;
     use crate::task::TaskCost;
-    use resched_resv::Reservation;
+    use resched_resv::{QuotaSet, Reservation};
 
     fn c(s: i64, a: f64) -> TaskCost {
         TaskCost::new(Dur::seconds(s), a)
@@ -1072,8 +1056,10 @@ mod tests {
         let owner = Owner::new("u", "p");
         // The fork-join runs four tasks side by side, so a 1-core user cap
         // cannot replay cleanly.
-        let tight = QuotaSet::unlimited()
-            .with_rule(QuotaRule::concurrent(QuotaSubject::User("u".into()), 1));
+        let tight = AdmissionGate::new(
+            QuotaSet::unlimited()
+                .with_rule(QuotaRule::concurrent(QuotaSubject::User("u".into()), 1)),
+        );
         let v = ScheduleValidator::new(&dag, &cal, Time::ZERO).with_quotas(&tight, owner.clone());
         let report = v.report(&s);
         assert!(
@@ -1084,10 +1070,49 @@ mod tests {
             "got {report:?}"
         );
         // A cap at platform capacity can never trip on a valid schedule.
-        let loose = QuotaSet::unlimited()
-            .with_rule(QuotaRule::concurrent(QuotaSubject::User("u".into()), 8));
+        let loose = AdmissionGate::new(
+            QuotaSet::unlimited()
+                .with_rule(QuotaRule::concurrent(QuotaSubject::User("u".into()), 8)),
+        );
         let v = ScheduleValidator::new(&dag, &cal, Time::ZERO).with_quotas(&loose, owner);
         assert_eq!(v.report(&s), Vec::new());
+    }
+
+    #[test]
+    fn quota_replay_starts_from_the_held_ledger() {
+        use resched_resv::{QuotaRule, QuotaSubject};
+        let (dag, cal, s) = fixture();
+        let owner = Owner::new("u", "p");
+        let area: i64 = s
+            .placements()
+            .iter()
+            .map(|pl| pl.reservation().proc_seconds())
+            .sum();
+        // Room for the schedule and ten core-seconds more.
+        let mut gate = AdmissionGate::new(QuotaSet::unlimited().with_rule(
+            QuotaRule::core_seconds(QuotaSubject::User("u".into()), area + 10),
+        ));
+        let report = |gate: &AdmissionGate| {
+            ScheduleValidator::new(&dag, &cal, Time::ZERO)
+                .with_quotas(gate, owner.clone())
+                .report(&s)
+        };
+        assert_eq!(report(&gate), Vec::new());
+        // Eleven core-seconds long after the schedule: another user's
+        // leave the budget alone, the owner's own do not.
+        let later = Reservation::new(Time::seconds(1_000_000), Time::seconds(1_000_011), 1);
+        gate.admit(&Owner::new("v", "p"), later).unwrap();
+        assert_eq!(report(&gate), Vec::new());
+        gate.admit(&owner, later).unwrap();
+        let found = report(&gate);
+        assert!(
+            matches!(
+                found.as_slice(),
+                [Violation::QuotaViolation { reason, .. }] if reason == "quota.core_seconds"
+            ),
+            "got {found:?}"
+        );
+        assert_eq!(gate.held(), 2, "the replay leaves the gate's ledger alone");
     }
 
     #[test]

@@ -806,10 +806,9 @@ mod tests {
         );
         // One floor question, and nothing allocated or placed.
         let counter = |name| report.metrics.counter(name);
-        assert_eq!(counter(names::SERVE_FLOOR_ANSWERED), 1);
         assert_eq!(counter(names::FLOOR_QUESTIONS), 1);
         assert_eq!(counter(names::CPA_CACHE_MISS), 0);
-        assert_eq!(counter(names::EARLIEST_FIT_QUERIES), 0);
+        assert!(report.metrics.histogram(names::FIT_STEPS).is_none());
         assert!(report.profile.span(names::SPAN_FORWARD_PREP).is_none());
     }
 
@@ -871,7 +870,6 @@ mod tests {
         // The arrival was answered by the roster's one floor question:
         // nothing allocated, and no probe asked.
         let counter = |name| report.metrics.counter(name);
-        assert_eq!(counter(names::SERVE_FLOOR_ANSWERED), 1);
         assert_eq!(counter(names::FLOOR_QUESTIONS), 1);
         assert_eq!(counter(names::BACKWARD_FLOOR_SKIPS), 0);
         assert_eq!(counter(names::CPA_CACHE_MISS), 0);
@@ -999,112 +997,34 @@ mod tests {
     /// replays through a fresh `Server` to the same outcomes and the same
     /// report, wall-clock fields aside: on the seven replays
     /// `golden_serve_replays` pins (the four CI replays and the three
-    /// benchmark serve shapes at test size; `tests/tests/golden_experiments.rs`,
-    /// keep the two tables in step), and on one with heavy churn, a 3-way
+    /// benchmark serve shapes at test size, one table:
+    /// `tests/replays/golden.rs`), and on one with heavy churn, a 3-way
     /// roster and a sparser audit cadence.
     #[test]
     fn a_replayed_journal_reproduces_every_outcome() {
-        let base = ServeConfig::default();
-        let quota = |users| {
-            Some(ServeQuotaConfig {
-                users,
+        let churn = ServeConfig {
+            accel: 20.0,
+            max_apps: 80,
+            deadline_every: 2,
+            probe_fanout: 3,
+            cancel_every: 2,
+            resize_every: 3,
+            audit_every: 3,
+            quota: Some(ServeQuotaConfig {
+                users: 3,
                 max_concurrent_cores: 300,
                 max_core_seconds: 0,
-            })
+            }),
+            seed: 11,
+            ..ServeConfig::default()
         };
-        let (ctc, sdsc) = (LogSpec::ctc_sp2(), LogSpec::sdsc_blue());
-        // (log preset, log days, configuration); the log is generated from
-        // the configuration's seed, as the CLI does.
-        let replays = [
-            (
-                &ctc,
-                3,
-                ServeConfig {
-                    max_apps: 150,
-                    ..base
-                },
-            ),
-            (
-                &sdsc,
-                2,
-                ServeConfig {
-                    max_apps: 100,
-                    deadline_every: 2,
-                    seed: 7,
-                    ..base
-                },
-            ),
-            (
-                &ctc,
-                3,
-                ServeConfig {
-                    max_apps: 150,
-                    deadline_every: 1,
-                    probe_fanout: 4,
-                    ..base
-                },
-            ),
-            (
-                &ctc,
-                3,
-                ServeConfig {
-                    max_apps: 150,
-                    quota: quota(2),
-                    ..base
-                },
-            ),
-            (
-                &ctc,
-                5,
-                ServeConfig {
-                    max_apps: 120,
-                    seed: 1,
-                    ..base
-                },
-            ),
-            (
-                &ctc,
-                11,
-                ServeConfig {
-                    accel: 1.0,
-                    max_apps: 120,
-                    seed: 2,
-                    ..base
-                },
-            ),
-            (
-                &ctc,
-                2,
-                ServeConfig {
-                    accel: 1.0,
-                    max_apps: 100,
-                    deadline_every: 1,
-                    admit_horizon: Dur::hours(3),
-                    probe_fanout: 2,
-                    quota: quota(8),
-                    seed: 3,
-                    ..base
-                },
-            ),
-            (
-                &sdsc,
-                2,
-                ServeConfig {
-                    accel: 20.0,
-                    max_apps: 80,
-                    deadline_every: 2,
-                    probe_fanout: 3,
-                    cancel_every: 2,
-                    resize_every: 3,
-                    audit_every: 3,
-                    quota: quota(3),
-                    seed: 11,
-                    ..base
-                },
-            ),
-        ];
+        let golden = include!("../tests/replays/golden.rs");
+        let replays = golden
+            .into_iter()
+            .map(|(_, spec, days, cfg)| (spec, days, cfg))
+            .chain([(LogSpec::sdsc_blue(), 2, churn)]);
         for (spec, days, cfg) in replays {
-            let log = generate_log(&spec.clone().with_duration(Dur::days(days)), cfg.seed);
+            let log = generate_log(&spec.with_duration(Dur::days(days)), cfg.seed);
             let (mut steps, mut outcomes) = (Vec::new(), Vec::new());
             let recorded = replay(&log, &cfg, |step, outcome| {
                 steps.push(step.clone());
@@ -1192,20 +1112,9 @@ mod tests {
             .filter(|&(_, n)| n > 0)
             .map(|(name, n)| (name.to_string(), n))
             .collect();
-            // The floor's answers are on the ambient tally only, and each
-            // is a rollback (most of the saturated replay's).
-            let floor_answered = ambient.metrics.counter(names::SERVE_FLOOR_ANSWERED);
-            assert!(
-                floor_answered <= observed.rollbacks as u64
-                    && (cfg.quota.is_some() || floor_answered > 0),
-                "{floor_answered} of {} rollbacks",
-                observed.rollbacks
-            );
             let serve_counters: Vec<(String, u64)> = counters(&ambient.metrics)
                 .into_iter()
-                .filter(|(name, _)| {
-                    name.starts_with("serve.") && name != names::SERVE_FLOOR_ANSWERED
-                })
+                .filter(|(name, _)| name.starts_with("serve."))
                 .collect();
             assert_eq!(serve_counters, tallies);
             let latencies = ambient.metrics.histogram(names::SERVE_LATENCY);

@@ -307,7 +307,6 @@ fn candidate(
 ) -> Result<(Algorithm, Schedule), Reason> {
     let mut roster = Roster::prepare(dag, cal, now, q, DeadlineConfig::default());
     if let Some(floor) = roster.floor_past(horizon) {
-        obs::counter_add(names::SERVE_FLOOR_ANSWERED, 1);
         return Err(match fanout {
             Some(_) => Reason::DeadlineInfeasible {
                 deadline: horizon,
@@ -552,13 +551,14 @@ impl Server {
                     .collect();
                 // The quota oracle, asked before the gate answers (the
                 // transaction's view is the candidate's competing calendar
-                // only until the reservations go in) and held to what the
+                // only until the reservations go in, and the gate's ledger
+                // the owner's holdings without them) and held to what the
                 // gate admits: a schedule the gate lets through must replay
-                // cleanly through a fresh gate on its own.
+                // cleanly through a clone of the gate, beside what it holds.
                 #[cfg(debug_assertions)]
                 let oracle = self.gate.as_ref().map(|gate| {
                     algo.validator(dag, txn.calendar(), now, Some(horizon))
-                        .with_quotas(gate.quotas(), owner.clone())
+                        .with_quotas(gate, owner.clone())
                         .check(&sched)
                 });
                 reserve(&mut txn, self.gate.as_mut(), owner, &resvs)?;

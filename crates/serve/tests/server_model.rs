@@ -13,7 +13,7 @@
 //! Each sequence is also a journal: written as JSONL and read back, it
 //! replays through a fresh server to the same outcomes and the same books.
 //!
-//! `RESCHED_FUZZ_ITERS` sets the number of sequences (default 60; CI's
+//! `RESCHED_DIFF_ITERS` sets the number of sequences (default 60; CI's
 //! serve-smoke lane runs 300).
 
 use rand::{Rng, SeedableRng};
@@ -42,7 +42,7 @@ const POLICY: [&str; 4] = [
 ];
 
 fn iterations() -> u64 {
-    std::env::var("RESCHED_FUZZ_ITERS")
+    std::env::var("RESCHED_DIFF_ITERS")
         .ok()
         .and_then(|v| v.parse().ok())
         .unwrap_or(60)

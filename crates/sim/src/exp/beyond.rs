@@ -393,10 +393,7 @@ fn blind(g: &Drawn) -> Measured {
     let full = recommended(g)[0];
     let budget = |probes_per_task: usize| {
         let mut probes = 0.0;
-        let cfg = BlindConfig {
-            probes_per_task,
-            ..BlindConfig::default()
-        };
+        let cfg = BlindConfig { probes_per_task };
         let [ta, cpu] = means(g.iter().flatten().map(|(inst, cal)| {
             let mut desk = ReservationDesk::new(cal.clone());
             let s = schedule_blind(&inst.dag, &mut desk, Time::ZERO, inst.resv.q, cfg);

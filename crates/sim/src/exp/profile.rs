@@ -6,8 +6,10 @@
 //! [`resched_core::obs::observe`] scope; the resulting [`RunReport`]s are
 //! folded per algorithm and rendered as two tables — the *phase table*
 //! (self-time, calls, % of wall clock per span) and the *probe table*
-//! (calendar fit queries, scan steps, CPA allocation iterations) — plus a
-//! JSONL trace file (`results/trace.jsonl`, one report per line).
+//! (calendar slot queries and steps summed from each run's answer, the
+//! per-query step quantiles, CPA mapping queries and allocation
+//! iterations) — plus a JSONL trace file (`results/trace.jsonl`, one
+//! report per line).
 //!
 //! Everything here compiles in every build; without the `obs` feature
 //! (that is, in every shipped build) the reports come back empty, and
@@ -16,10 +18,11 @@
 use crate::exp::stream::{run_stream, StreamConfig, StreamResult};
 use crate::scenario::{default_sweep, derive_seed, instances_for, LogCache, ResvSpec, Scale};
 use crate::table::{fnum, Table};
-use resched_core::algos::Algorithm;
+use resched_core::algos::{Algorithm, RunError};
 use resched_core::forward::{schedule_forward, ForwardConfig};
 use resched_core::obs::{self, names, RunReport};
 use resched_core::prelude::Time;
+use resched_core::schedule::ScheduleStats;
 use serde::{Deserialize, Serialize};
 
 /// Folded observability report for one catalog algorithm over the batch.
@@ -29,6 +32,8 @@ pub struct AlgoProfile {
     pub algorithm: String,
     /// Spans and metrics folded over every instance the algorithm ran on.
     pub report: RunReport,
+    /// The work counted by every answer, met deadline or not, summed.
+    pub stats: ScheduleStats,
 }
 
 /// Run every catalog algorithm over the default sweep's Grid'5000-like
@@ -72,24 +77,31 @@ pub fn run_phase_profiles(scale: Scale, seed: u64) -> Vec<AlgoProfile> {
                 label: name.clone(),
                 ..RunReport::default()
             };
+            let mut stats = ScheduleStats::default();
             for (inst, &deadline) in instances.iter().zip(&deadlines) {
                 let cal = inst.resv.calendar();
-                let (_outcome, report) = obs::observe(&name, || {
+                let (outcome, report) = obs::observe(&name, || {
                     algo.run(&inst.dag, &cal, Time::ZERO, inst.resv.q, deadline)
                 });
                 folded.absorb(&report);
+                match outcome {
+                    Ok(s) => stats.absorb(s.stats),
+                    Err(RunError::Infeasible(e)) => stats.absorb(e.stats),
+                    Err(RunError::DeadlineRequired) => {}
+                }
             }
             AlgoProfile {
                 algorithm: name,
                 report: folded,
+                stats,
             }
         })
         .collect()
 }
 
-/// Render the per-algorithm span timings: one row per (algorithm, span),
-/// with self-time as a percentage of the algorithm's observed wall clock.
-pub fn phase_table(profiles: &[AlgoProfile]) -> Table {
+/// Render the per-run span timings: one row per (report label, span),
+/// with self-time as a percentage of the report's observed wall clock.
+pub fn phase_table<'a>(reports: impl IntoIterator<Item = &'a RunReport>) -> Table {
     let mut t = Table::new(
         "Phase profile - span timings per algorithm (obs)",
         &[
@@ -101,11 +113,11 @@ pub fn phase_table(profiles: &[AlgoProfile]) -> Table {
             "% wall",
         ],
     );
-    for p in profiles {
-        let wall = p.report.profile.wall_ns.max(1) as f64;
-        for s in &p.report.profile.spans {
+    for report in reports {
+        let wall = report.profile.wall_ns.max(1) as f64;
+        for s in &report.profile.spans {
             t.row(vec![
-                p.algorithm.clone(),
+                report.label.clone(),
                 s.name.clone(),
                 s.calls.to_string(),
                 fnum(s.total_ns as f64 / 1e6, 3),
@@ -117,17 +129,16 @@ pub fn phase_table(profiles: &[AlgoProfile]) -> Table {
     t
 }
 
-/// Render the calendar-probe counters: fit queries, scan steps (with
-/// per-query step quantiles from the `calendar.fit.steps` histogram), and
-/// CPA allocation-loop iterations.
+/// Render the calendar-probe counters: slot queries and steps from the
+/// summed answers, per-query step quantiles from the `calendar.fit.steps`
+/// histogram, CPA mapping-phase queries and allocation-loop iterations.
 pub fn probe_table(profiles: &[AlgoProfile]) -> Table {
     let mut t = Table::new(
         "Probe counters - calendar fit queries per algorithm (obs)",
         &[
             "Algorithm",
-            "eFit queries",
-            "lFit queries",
-            "Fit steps",
+            "Slot queries",
+            "Slot steps",
             "Steps p50",
             "Steps p95",
             "Map queries",
@@ -143,9 +154,8 @@ pub fn probe_table(profiles: &[AlgoProfile]) -> Table {
         let h = m.histogram(names::FIT_STEPS);
         t.row(vec![
             p.algorithm.clone(),
-            m.counter(names::EARLIEST_FIT_QUERIES).to_string(),
-            m.counter(names::LATEST_FIT_QUERIES).to_string(),
-            (m.counter(names::EARLIEST_FIT_STEPS) + m.counter(names::LATEST_FIT_STEPS)).to_string(),
+            p.stats.slot_queries.to_string(),
+            p.stats.slot_steps.to_string(),
             q(h, 0.5),
             q(h, 0.95),
             m.counter(names::CPA_MAP_QUERIES).to_string(),
@@ -202,8 +212,10 @@ mod tests {
                 prof.wall_ns
             );
         }
-        assert!(phase_table(&profiles).render().contains("Span"));
-        assert!(probe_table(&profiles).render().contains("eFit queries"));
+        assert!(phase_table(profiles.iter().map(|p| &p.report))
+            .render()
+            .contains("Span"));
+        assert!(probe_table(&profiles).render().contains("Slot queries"));
         // Forward algorithms must show the placement span and real probe
         // counts; deadline algorithms their pass span.
         let fwd = profiles
@@ -211,7 +223,7 @@ mod tests {
             .find(|p| p.algorithm == "BL_CPAR_BD_CPAR")
             .expect("catalog contains the recommended algorithm");
         assert!(fwd.report.profile.span("forward.place").is_some());
-        assert!(fwd.report.metrics.counter(names::EARLIEST_FIT_QUERIES) > 0);
+        assert!(fwd.stats.slot_queries > 0);
         assert!(fwd.report.metrics.counter(names::CPA_ALLOC_ITERS) > 0);
         let dl = profiles
             .iter()

@@ -44,7 +44,6 @@ fn main() {
         let mut desk = ReservationDesk::new(cal.clone());
         let cfg = BlindConfig {
             probes_per_task: budget,
-            ..BlindConfig::default()
         };
         let s = schedule_blind(&dag, &mut desk, Time::ZERO, rs.q, cfg);
         ScheduleValidator::new(&dag, &cal, Time::ZERO)

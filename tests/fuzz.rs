@@ -32,7 +32,6 @@ pub fn violation_label(v: &Violation) -> &'static str {
         Violation::DurationMismatch { .. } => "duration_mismatch",
         Violation::ReleaseViolation { .. } => "release_violation",
         Violation::PrecedenceViolation { .. } => "precedence_violation",
-        Violation::ReservationMismatch { .. } => "reservation_mismatch",
         Violation::CapacityExceeded { .. } => "capacity_exceeded",
         Violation::BackendDivergence { .. } => "backend_divergence",
         Violation::DeadlineMissed { .. } => "deadline_missed",
@@ -601,9 +600,9 @@ impl QuotaStress {
         }
     }
 
-    /// The gate this case's caps describe: one identical rule set per
+    /// The rules this case's caps describe: one identical rule set per
     /// synthetic user and project. Zero caps install no rule.
-    pub fn gate(&self) -> AdmissionGate {
+    pub fn quotas(&self) -> QuotaSet {
         let mut set = QuotaSet::unlimited();
         for u in 0..4 {
             let subject = QuotaSubject::User(format!("u{u}"));
@@ -622,7 +621,7 @@ impl QuotaStress {
                 ));
             }
         }
-        AdmissionGate::new(set)
+        set
     }
 
     /// Replay the request sequence against a fresh calendar and gate.
@@ -644,8 +643,9 @@ impl QuotaStress {
     pub fn replay_judged(&self, judge: Judge) -> Result<Vec<String>, String> {
         let cap = self.capacity.max(1);
         let mut cal = Calendar::new(cap);
-        let mut gate = self.gate();
-        let mut reference = ReferenceGate::new(gate.quotas().clone());
+        let quotas = self.quotas();
+        let mut gate = AdmissionGate::new(quotas.clone());
+        let mut reference = ReferenceGate::new(quotas);
         let mut live: Vec<(Owner, Reservation)> = Vec::new();
         let mut log = Vec::new();
         for req in &self.requests {

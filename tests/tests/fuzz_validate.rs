@@ -16,8 +16,8 @@
 //!    the calendar), asserts the oracle catches it, and pins the shrunk
 //!    minimal scenario byte-for-byte against a committed fixture.
 //!
-//! Iteration count is controlled by `RESCHED_FUZZ_ITERS` (default 60);
-//! CI's fuzz-smoke lane runs a reduced count. Seeds are fixed constants
+//! Iteration count is controlled by `RESCHED_DIFF_ITERS` (default 60);
+//! CI's fuzz-smoke lane runs 300. Seeds are fixed constants
 //! below — every run explores the same scenarios.
 
 use rand::SeedableRng;
@@ -35,7 +35,7 @@ const MUTATION_SEED: u64 = 0x5CED_0011;
 const MUTATION_SEARCH_BUDGET: u64 = 500;
 
 fn iterations() -> usize {
-    std::env::var("RESCHED_FUZZ_ITERS")
+    std::env::var("RESCHED_DIFF_ITERS")
         .ok()
         .and_then(|v| v.parse().ok())
         .unwrap_or(60)

@@ -29,7 +29,7 @@ use resched_tests::fuzz::Scenario;
 const SWEEP_SEED: u64 = 0x5CED_0020;
 
 fn iterations() -> usize {
-    std::env::var("RESCHED_FUZZ_ITERS")
+    std::env::var("RESCHED_DIFF_ITERS")
         .ok()
         .and_then(|v| v.parse().ok())
         .unwrap_or(60)

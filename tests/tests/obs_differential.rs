@@ -13,9 +13,8 @@
 //!   `results/experiments.*`.
 //! * **In-process differential**: each algorithm runs plain and inside an
 //!   [`resched_core::obs::observe`] scope in the same process; the
-//!   schedules must be identical, and the registry's
-//!   [`stats_view`](resched_core::obs::MetricsRegistry::stats_view) must
-//!   reconstruct the schedule's own `ScheduleStats` exactly.
+//!   answers must be identical, `ScheduleStats` included, whether the
+//!   deadline is met or missed.
 
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha12Rng;
@@ -158,14 +157,13 @@ fn golden_schedules_are_feature_invariant() {
 }
 
 /// Run each algorithm plain and under observation in the same process: the
-/// schedules must be equal, and the registry must reconstruct the
-/// schedule's stats.
+/// answers must be equal, stats included.
 #[test]
 fn observed_runs_match_plain_runs_exactly() {
     for (dag, cal, q, deadline) in scenarios() {
         for algo in Algorithm::catalog() {
             let plain = algo.run(&dag, &cal, Time::ZERO, q, deadline);
-            let (observed, report) = obs::observe(&algo.name(), || {
+            let (observed, _) = obs::observe(&algo.name(), || {
                 algo.run(&dag, &cal, Time::ZERO, q, deadline)
             });
             match (plain, observed) {
@@ -177,14 +175,10 @@ fn observed_runs_match_plain_runs_exactly() {
                         algo.name()
                     );
                     assert_eq!(a, b, "{}: observation changed the result", algo.name());
-                    assert_eq!(
-                        report.metrics.stats_view(),
-                        b.stats,
-                        "{}: registry view diverged from ScheduleStats",
-                        algo.name()
-                    );
                 }
-                (Err(_), Err(_)) => {}
+                (Err(a), Err(b)) => {
+                    assert_eq!(a, b, "{}: observation changed the error", algo.name())
+                }
                 (a, b) => panic!(
                     "{}: feasibility diverged under observation (plain ok: {}, observed ok: {})",
                     algo.name(),
@@ -199,11 +193,12 @@ fn observed_runs_match_plain_runs_exactly() {
 /// Observation is inert where the width scan works hardest: on deadlines
 /// tight enough that the conservative rule runs out of chunks and falls
 /// back, and that passes fail, the observed run returns exactly what the
-/// plain run returns and its registry still reconstructs the schedule's
-/// `slot_*` stats (one query per walk, whatever the number of widths in it).
+/// plain run returns, a missed deadline's `Err` whole, with the stats of
+/// the passes that missed.
 #[test]
 fn tight_deadlines_are_observed_without_changing_the_schedule() {
     use resched_core::backward::{schedule_deadline, DeadlineAlgo, DeadlineConfig};
+    let mut missed = 0;
     for (dag, cal, q, loose) in scenarios() {
         let loose = loose.expect("every scenario carries a deadline");
         // Half the loose deadline is the forward completion time itself.
@@ -221,16 +216,14 @@ fn tight_deadlines_are_observed_without_changing_the_schedule() {
                     )
                 };
                 let plain = run();
-                let (observed, report) = obs::observe(algo.name(), run);
+                let (observed, _) = obs::observe(algo.name(), run);
                 assert_eq!(plain, observed, "{algo}: observation changed the outcome");
-                if let Ok(out) = &observed {
-                    assert_eq!(
-                        report.metrics.stats_view(),
-                        out.schedule.stats,
-                        "{algo}: registry view diverged from ScheduleStats"
-                    );
+                if let Err(e) = observed {
+                    assert!(e.floor.is_some() || e.stats.passes > 0, "{algo}: {e:?}");
+                    missed += u32::from(e.floor.is_none());
                 }
             }
         }
     }
+    assert!(missed > 0, "no pass missed a deadline");
 }

@@ -66,7 +66,7 @@ fn zero_quota_user_is_always_denied() {
     let now = Time::ZERO;
     let sched = schedule_forward(&dag, &cal, now, 8, ForwardConfig::recommended());
     let report = ScheduleValidator::new(&dag, &cal, now)
-        .with_quotas(&quotas, alice)
+        .with_quotas(&AdmissionGate::new(quotas.clone()), alice)
         .report(&sched);
     assert!(
         report
@@ -80,7 +80,7 @@ fn zero_quota_user_is_always_denied() {
 
     // An unrelated user sails through the same policy.
     let clean = ScheduleValidator::new(&dag, &cal, now)
-        .with_quotas(&quotas, Owner::new("bob", "astro"))
+        .with_quotas(&AdmissionGate::new(quotas), Owner::new("bob", "astro"))
         .report(&sched);
     assert!(clean.is_empty(), "bob is unconstrained: {clean:?}");
 }
@@ -133,7 +133,7 @@ fn quota_exactly_equal_to_request_admits() {
         area,
     ));
     let clean = ScheduleValidator::new(&dag, &cal, now)
-        .with_quotas(&at_limit, o.clone())
+        .with_quotas(&AdmissionGate::new(at_limit), o.clone())
         .report(&sched);
     assert!(clean.is_empty(), "exact-area schedule is clean: {clean:?}");
     let under = QuotaSet::unlimited().with_rule(QuotaRule::core_seconds(
@@ -141,7 +141,7 @@ fn quota_exactly_equal_to_request_admits() {
         area - 1,
     ));
     let report = ScheduleValidator::new(&dag, &cal, now)
-        .with_quotas(&under, o)
+        .with_quotas(&AdmissionGate::new(under), o)
         .report(&sched);
     assert!(
         report
@@ -218,7 +218,7 @@ fn divergence(c: &QuotaStress) -> Option<String> {
 /// every case's quota-denial log lines.
 fn sweep(seed: u64, tag: &str, shape: impl Fn(&mut QuotaStress, &mut ChaCha12Rng)) -> Vec<String> {
     let mut rng = ChaCha12Rng::seed_from_u64(seed);
-    let n: usize = std::env::var("RESCHED_QUOTA_FUZZ_ITERS")
+    let n: usize = std::env::var("RESCHED_DIFF_ITERS")
         .ok()
         .and_then(|v| v.parse().ok())
         .unwrap_or(150);

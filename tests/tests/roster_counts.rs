@@ -6,13 +6,17 @@
 //! `cpa.alloc.iterations` — where one `schedule_deadline` call per roster
 //! entry computed it `fanout` times; an arrival whose deadline is below the
 //! instance floor computes it not at all. Either way the arrival asks the
-//! floor one question (`core.floor.questions`). Table 6's instance, asked for
-//! five tightest-deadline searches and a loose pass, computes each pool it
-//! asks about once, where a fresh preparation per probe computed CPA(`q`)
-//! per probe.
+//! floor one question (`core.floor.questions`). What the arrival's probes
+//! count — allocation requests, passes — is read from their answers, asked
+//! again of a `Roster` on the calendar the arrival saw. Table 6's instance,
+//! asked for five tightest-deadline searches and a loose pass, computes each
+//! pool it asks about once, where a fresh preparation per probe computed
+//! CPA(`q`) per probe.
 
+use resched_core::backward::DeadlineInfeasible;
 use resched_core::obs::{self, names};
 use resched_core::prelude::*;
+use resched_core::schedule::ScheduleStats;
 use resched_daggen::{generate, DagParams};
 use resched_serve::{Outcome, Reason, ServeConfig, Server, Step, PROBE_ROSTER};
 use resched_sim::exp::deadline::{LOOSE_FACTOR, SEARCH_PRECISION};
@@ -106,36 +110,71 @@ fn a_deadline_arrival_allocates_once_at_every_fanout() {
         let mut server = Server::new(log.procs, &cfg);
         let (mut admitted, mut missed, mut below_floor) = (0, 0, 0);
         for job in &jobs {
+            let (now, dag) = (job.submit, generate(&params, u64::from(job.id) ^ 0x0A11));
+            // The arrival's probes, asked of a roster on the calendar it
+            // sees, with the `q` and deadline serve gives it: their answers,
+            // met or not, carry what each probe counted.
+            let cal = server.calendar().clone();
+            let q = if cal.num_breakpoints() > 0 {
+                cal.average_available(now - cfg.q_window, now)
+            } else {
+                cal.capacity()
+            };
+            let deadline = now + cfg.admit_horizon;
+            let mut roster = Roster::prepare(&dag, &cal, now, q, DeadlineConfig::default());
+            let answers: Vec<_> = PROBE_ROSTER[..fanout]
+                .iter()
+                .map(|&algo| roster.schedule(deadline, algo))
+                .collect();
+            let mut asked = ScheduleStats::default();
+            for answer in &answers {
+                asked.absorb(match answer {
+                    Ok(out) => out.schedule.stats,
+                    Err(e) => e.stats,
+                });
+            }
+
             let submit = Step::Submit {
-                now: job.submit,
+                now,
                 app_id: job.id,
-                dag: generate(&params, u64::from(job.id) ^ 0x0A11),
+                dag,
             };
             let (outcome, report) = obs::observe("arrival", || server.apply(&submit));
             let at = format!("fan-out {fanout}, {horizon} h, job {}", job.id);
             let counter = |name| report.metrics.counter(name);
             assert_eq!(counter(names::FLOOR_QUESTIONS), 1, "{at}");
             match outcome {
-                Outcome::Admitted { .. } => admitted += 1,
+                Outcome::Admitted { .. } => {
+                    admitted += 1;
+                    assert!(answers.iter().any(Result::is_ok), "{at}");
+                }
                 Outcome::Rejected(Reason::DeadlineInfeasible { floor: Some(_), .. }) => {
                     // Answered from the floor before any roster question:
                     // nothing allocated, mapped or run.
                     below_floor += 1;
-                    assert_eq!(counter(names::SERVE_FLOOR_ANSWERED), 1, "{at}");
                     for name in [
                         names::BACKWARD_FLOOR_SKIPS,
                         names::CPA_CACHE_MISS,
                         names::CPA_ALLOC_ITERS,
-                        names::STATS_PASSES,
                     ] {
                         assert_eq!(counter(name), 0, "{at}: {name}");
                     }
+                    let by_floor = |a: &Result<_, DeadlineInfeasible>| {
+                        a.as_ref().is_err_and(|e| e.floor.is_some())
+                    };
+                    assert!(answers.iter().all(by_floor), "{at}");
+                    assert_eq!(asked, ScheduleStats::default(), "{at}");
                     continue;
                 }
-                Outcome::Rejected(Reason::DeadlineInfeasible { floor: None, .. }) => missed += 1,
+                Outcome::Rejected(Reason::DeadlineInfeasible { floor: None, .. }) => {
+                    missed += 1;
+                    let ran_and_missed = |a: &Result<_, DeadlineInfeasible>| {
+                        a.as_ref().is_err_and(|e| e.floor.is_none())
+                    };
+                    assert!(answers.iter().all(ran_and_missed), "{at}");
+                }
                 _ => {}
             }
-            assert_eq!(counter(names::SERVE_FLOOR_ANSWERED), 0, "{at}");
             assert_eq!(counter(names::BACKWARD_FLOOR_SKIPS), 0, "{at}");
             assert_eq!(counter(names::CPA_CACHE_MISS), 1, "{at}");
             // Each further request for the allocation is a hit: the
@@ -144,7 +183,8 @@ fn a_deadline_arrival_allocates_once_at_every_fanout() {
             // The logical requests stay what independent calls count: the
             // order's, once per algorithm, plus each algorithm's own.
             let requests = [2, 4, 6, 7][fanout - 1];
-            assert_eq!(counter(names::STATS_CPA_ALLOCATIONS), requests, "{at}");
+            assert_eq!(asked.cpa_allocations, requests, "{at}");
+            assert!(asked.passes >= fanout as u64, "{at}: {asked:?}");
 
             // Every loop run of the arrival is CPA(q) on this DAG, so each
             // took the same number of iterations: the total is one

@@ -232,16 +232,8 @@ fn names(text: &str, name: &str) -> bool {
 ///   grid: Tables 6 and 7 are two grids, and the golden and thread-count
 ///   tests pin a third, smaller one;
 /// * `counters`, an obs registry's counters in name order: the serve
-///   golden and serve's replay tests compare every `serve.*` counter;
-/// * `stats_view`, the `ScheduleStats` an obs registry's mirror counters
-///   add up to, which `obs_differential` holds every catalog algorithm's
-///   returned stats to.
-const TEST_ONLY: [&str; 4] = [
-    "fork_join",
-    "run_deadline_experiment",
-    "counters",
-    "stats_view",
-];
+///   golden and serve's replay tests compare every `serve.*` counter.
+const TEST_ONLY: [&str; 3] = ["fork_join", "run_deadline_experiment", "counters"];
 
 /// The code of `text` above its first column-0 `#[cfg(test)]`: comments
 /// and the contents of string and char literals blanked by the lint's
