@@ -104,18 +104,6 @@ pub mod names {
         EXEC_OVERRUNS = "exec.overruns";
         /// Counter: tasks re-queued (re-reserved) during execution replay.
         EXEC_REQUEUES = "exec.requeues";
-        /// Counter: applications submitted to the online serving loop.
-        SERVE_APPS = "serve.apps";
-        /// Counter: shadow transactions committed by the serving loop.
-        SERVE_COMMITS = "serve.commits";
-        /// Counter: shadow transactions rolled back by the serving loop.
-        SERVE_ROLLBACKS = "serve.rollbacks";
-        /// Counter: committed applications later cancelled (reservations removed).
-        SERVE_CANCELS = "serve.cancels";
-        /// Counter: committed reservations later resized in place.
-        SERVE_RESIZES = "serve.resizes";
-        /// Counter: applications denied admission by a quota rule.
-        SERVE_QUOTA_DENIED = "serve.quota.denied";
         /// Histogram: per-application scheduling latency in nanoseconds.
         SERVE_LATENCY = "serve.schedule.latency_ns";
         /// Span: forward scheduling — bottom levels, ordering, allocation
@@ -316,7 +304,7 @@ impl MetricsRegistry {
     }
 
     /// Add `by` to counter `name` (created at zero), saturating at `u64::MAX`.
-    pub fn inc(&mut self, name: &str, by: u64) {
+    fn inc(&mut self, name: &str, by: u64) {
         match self.counters.get_mut(name) {
             Some(c) => *c = c.saturating_add(by),
             None => {
@@ -348,7 +336,7 @@ impl MetricsRegistry {
     }
 
     /// Iterate counters in name order.
-    pub fn counters(&self) -> impl Iterator<Item = (&str, u64)> {
+    fn counters(&self) -> impl Iterator<Item = (&str, u64)> {
         self.counters.iter().map(|(k, v)| (k.as_str(), *v))
     }
 

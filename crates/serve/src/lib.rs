@@ -14,60 +14,49 @@
 //! # let params = DagParams { num_tasks: 10, ..DagParams::paper_default() };
 //! # let (now, app_id, dag) = (Time::ZERO, 1, resched_daggen::generate(&params, 1));
 //! let mut server = Server::new(128, &ServeConfig::default());
-//! match server.apply(&Step::Submit { now, app_id, dag }) {
+//! match server.apply(&Step::Submit { now, app_id, dag }).outcome {
 //!     Outcome::Admitted { completion, .. } => println!("runs until {completion}"),
-//!     Outcome::Rejected(reason) => println!("{}: {reason}", reason.code()),
+//!     Outcome::Rejected { reason, .. } => println!("{}: {reason}", reason.code()),
 //!     other => unreachable!("an arrival is admitted or rejected: {other:?}"),
 //! }
-//! assert_eq!(server.apply(&Step::Cancel { k: 0 }), Outcome::Cancelled);
+//! assert_eq!(server.apply(&Step::Cancel { k: 0 }).outcome, Outcome::Cancelled);
 //! ```
 //!
-//! A [`Step::Submit`] is decided by the admission policy, in one place:
+//! A [`Step::Submit`] is decided by the admission policy, in one place: a
+//! shadow-schedule transaction ([`resched_resv::ShadowTxn`]) over the
+//! calendar, one [`Roster`] on its view (the instance floor first, then the
+//! forward schedule or, for a configurable fraction of arrivals, the
+//! backward deadline probes), the independent [`ScheduleValidator`] oracle
+//! and the quota gate's veto, then **commit** — or **roll back**,
+//! byte-exactly, with a typed [`Reason`]. Committed applications stay live
+//! and can be [cancelled](Step::Cancel) or [shrunk](Step::Resize); every
+//! `audit_every`-th step re-audits the calendar
+//! ([`resched_core::validate::audit_calendar`]).
 //!
-//! 1. estimate the availability `q` from the recent past and open a
-//!    shadow-schedule transaction ([`resched_resv::ShadowTxn`]) over the
-//!    calendar;
-//! 2. prepare one [`Roster`] against the transaction's view and reject the
-//!    arrival at once if its instance floor already lies past the admission
-//!    horizon; otherwise ask the roster for the forward schedule (or, for a
-//!    configurable fraction of arrivals, probe its backward deadline
-//!    schedulers), and hold the result to the horizon;
-//! 3. audit the candidate schedule with the independent
-//!    [`ScheduleValidator`] oracle, then give the quota gate its veto;
-//! 4. apply its reservations inside the transaction and **commit** — or
-//!    **roll back**, byte-exactly, with a typed [`Reason`].
-//!
-//! Committed applications stay live and can be [cancelled](Step::Cancel)
-//! or [shrunk](Step::Resize). After every `audit_every`-th step the whole
-//! calendar is re-audited by [`resched_core::validate::audit_calendar`];
-//! any violation is counted in the report.
-//!
-//! [`run`] is the one producer of steps: it compresses an SWF workload's
-//! arrival process, generates one DAG per job, submits it, and after each
-//! commit draws a seeded cancel or shrink. Its steps as JSON lines are a
-//! journal that a fresh `Server` replays to the same outcomes.
-//!
-//! Scheduling latency is measured per arrival (wall clock) and reported as
-//! p50/p95/p99 percentiles, both exactly (sorted samples) and through the
-//! obs [`MetricsRegistry`] histogram under `serve.schedule.latency_ns`;
-//! commits, rollbacks, cancels, and resizes are counted under the
-//! `serve.*` counters of `crates/core/src/obs/metrics.toml`.
+//! Every step answers with a [`Record`]: the outcome, an arrival's `q` and
+//! wall-clock latency, and the faults found. [`replay`], the one producer
+//! of steps, replays an SWF workload's compressed arrival process (one DAG
+//! per job, and a seeded cancel or shrink after commits) and hands each
+//! step and record on; [`run`] folds them into a [`ServeReport`]
+//! ([`Tally`]), latency percentiles exact and as the obs histogram
+//! `serve.schedule.latency_ns`. The steps as JSON lines are a journal that
+//! a fresh `Server` replays to the same outcomes.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
+mod replay;
 mod server;
 
-pub use server::{Fault, LiveApp, Outcome, Overrun, Reason, Server, Step, PROBE_ROSTER};
+pub use replay::{replay, run};
+pub use server::{
+    Arrival, Fault, LiveApp, Outcome, Overrun, Reason, Record, Server, Step, Tally, PROBE_ROSTER,
+};
 
-use rand::{Rng, SeedableRng};
-use rand_chacha::ChaCha12Rng;
 use resched_core::obs::MetricsRegistry;
 use resched_core::prelude::*;
-use resched_daggen::DagParams;
-use resched_workloads::job::JobLog;
+use resched_core::schedule::ScheduleStats;
 use serde::{Deserialize, Serialize};
-use std::time::Instant;
 
 /// Per-user admission quotas for the serving loop.
 ///
@@ -155,8 +144,8 @@ impl Default for ServeConfig {
     }
 }
 
-/// Aggregate outcome of one serving run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+/// Aggregate outcome of one serving run: its records folded ([`Tally`]).
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct ServeReport {
     /// Arrivals processed.
     pub apps: usize,
@@ -173,15 +162,13 @@ pub struct ServeReport {
     /// `rollbacks`).
     #[serde(default)]
     pub quota_denied: u64,
-    /// Denial tallies by stable reason code (`quota.concurrent_cores`,
-    /// `quota.core_seconds`), sorted by code; their sum is `quota_denied`.
-    /// The `quota.*` slice of `rejections`.
-    #[serde(default)]
-    pub quota_reasons: Vec<(String, u64)>,
     /// Rejection tallies by [`Reason::code`], sorted by code; their sum is
-    /// `rollbacks`.
+    /// `rollbacks`, and the `quota.*` ones sum to `quota_denied`.
     #[serde(default)]
     pub rejections: Vec<(String, u64)>,
+    /// The scheduler work of every arrival, admitted or rejected.
+    #[serde(default)]
+    pub work: ScheduleStats,
     /// Calendar-audit violations observed (must be 0 on a healthy run).
     pub violations: usize,
     /// First violation, for diagnostics.
@@ -200,18 +187,9 @@ pub struct ServeReport {
     pub utilization: f64,
     /// Live applications still holding reservations at the end.
     pub live_apps: usize,
-    /// The obs metrics recorded during the run (`serve.*` counters and the
-    /// `serve.schedule.latency_ns` histogram).
+    /// The obs metrics recorded during the run: the
+    /// `serve.schedule.latency_ns` histogram.
     pub metrics: MetricsRegistry,
-}
-
-/// Deterministic per-application seed derivation (splitmix64 over the
-/// master seed and the job id).
-fn derive_seed(seed: u64, salt: u64) -> u64 {
-    let mut z = seed ^ salt.wrapping_mul(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
 }
 
 /// Exact `q`-quantile of a sorted sample set, or 0.0 when empty.
@@ -230,84 +208,12 @@ pub fn percentile(sorted: &[u64], q: f64) -> f64 {
     sorted[rank] as f64
 }
 
-/// Replay `log` through the online serving loop: the steps it realizes,
-/// applied to a [`Server`].
-///
-/// The log's submission process (compressed by `cfg.accel`) drives
-/// arrivals; each arrival's DAG is generated from the job id under
-/// `cfg.seed` and submitted, and every commit is followed by the seeded
-/// churn — so the run is fully deterministic in everything except the
-/// wall-clock latency measurements. The report's `wall_ms` covers the
-/// steps, not the log preparation before them or the final audit after.
-pub fn run(log: &JobLog, cfg: &ServeConfig) -> ServeReport {
-    replay(log, cfg, |_, _| {})
-}
-
-/// [`run`], handing each step and its outcome to `seen` as it is taken.
-fn replay(log: &JobLog, cfg: &ServeConfig, mut seen: impl FnMut(&Step, &Outcome)) -> ServeReport {
-    let log = log.accelerated(cfg.accel);
-    let mut jobs = log.jobs;
-    jobs.sort_by_key(|j| (j.submit, j.id));
-    if cfg.max_apps > 0 {
-        jobs.truncate(cfg.max_apps);
-    }
-    let params = DagParams {
-        num_tasks: cfg.tasks_per_app.max(1),
-        ..DagParams::paper_default()
-    };
-    let mut rng = ChaCha12Rng::seed_from_u64(derive_seed(cfg.seed, u64::MAX));
-    let mut server = Server::new(log.procs, cfg);
-    let mut apply = |server: &mut Server, step: Step| {
-        let outcome = server.apply(&step);
-        seen(&step, &outcome);
-        outcome
-    };
-    let mut commits = 0usize;
-
-    let wall_start = Instant::now();
-    for job in &jobs {
-        let dag = resched_daggen::generate(&params, derive_seed(cfg.seed, u64::from(job.id)));
-        let (now, app_id) = (job.submit, job.id);
-        let outcome = apply(&mut server, Step::Submit { now, app_id, dag });
-        if !matches!(outcome, Outcome::Admitted { .. }) {
-            continue;
-        }
-        // The seeded churn on the committed population: every
-        // `cancel_every`-th commit cancels a random live application, every
-        // `resize_every`-th halves the longest reservation of one (the last
-        // of equals). The indices are drawn in range and the trim is a
-        // shrink, so a step can only fail on a bookkeeping fault — which is
-        // on the server's tally (`violations`) by the time it returns.
-        commits += 1;
-        let due = |every: usize| every > 0 && commits.is_multiple_of(every);
-        if due(cfg.cancel_every) && !server.live().is_empty() {
-            let k = rng.gen_range(0..server.live().len());
-            apply(&mut server, Step::Cancel { k });
-        }
-        if due(cfg.resize_every) && !server.live().is_empty() {
-            let k = rng.gen_range(0..server.live().len());
-            let resvs = &server.live()[k].resvs;
-            let longest = (0..resvs.len()).max_by_key(|&i| resvs[i].duration().as_seconds());
-            if let Some(i) = longest {
-                let old = resvs[i];
-                let mid = old.start.midpoint(old.end);
-                if mid > old.start {
-                    let new = Reservation::new(old.start, mid, old.procs);
-                    apply(&mut server, Step::Resize { k, i, new });
-                }
-            }
-        }
-    }
-    server.into_report(wall_start.elapsed())
-}
-
 /// Render a human-readable summary of a report.
 pub fn summarize(r: &ServeReport) -> String {
-    let mut out = String::new();
-    out.push_str(&format!(
+    let mut out = format!(
         "apps {}  commits {}  rollbacks {}  cancels {}  resizes {}\n",
         r.apps, r.commits, r.rollbacks, r.cancels, r.resizes
-    ));
+    );
     out.push_str(&format!(
         "latency p50 {:.1} us  p95 {:.1} us  p99 {:.1} us  ({:.0} apps/s, {:.0} ms total)\n",
         r.p50_us, r.p95_us, r.p99_us, r.throughput_per_s, r.wall_ms
@@ -324,12 +230,6 @@ pub fn summarize(r: &ServeReport) -> String {
             out.push_str(&format!("  {code} {n}"));
         }
     }
-    if r.quota_denied > 0 {
-        out.push_str(&format!("\nquota denied {}", r.quota_denied));
-        for (code, n) in &r.quota_reasons {
-            out.push_str(&format!("  {code} {n}"));
-        }
-    }
     if let Some(v) = &r.first_violation {
         out.push_str(&format!("\nfirst violation: {v}"));
     }
@@ -339,8 +239,11 @@ pub fn summarize(r: &ServeReport) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use replay::derive_seed;
     use resched_core::obs::{self, names};
+    use resched_daggen::DagParams;
     use resched_workloads::prelude::*;
+    use std::time::Duration;
 
     fn small_log() -> JobLog {
         generate_log(&LogSpec::ctc_sp2().with_duration(Dur::days(2)), 7)
@@ -360,33 +263,33 @@ mod tests {
         }
     }
 
-    /// A registry's counters, in name order.
-    fn counters(m: &MetricsRegistry) -> Vec<(String, u64)> {
-        m.counters()
-            .map(|(name, n)| (name.to_string(), n))
-            .collect()
-    }
-
     #[test]
     fn a_validated_placement_that_does_not_fit_is_a_violation_not_a_panic() {
+        use resched_resv::{AdmissionGate, Owner, QuotaSet, ReservationError};
         let mut cal = Calendar::new(4);
         cal.try_add(Reservation::new(Time::ZERO, Time::seconds(100), 3))
             .unwrap();
         let before = cal.clone();
-        let mut txn = cal.transaction();
         let fits = Reservation::new(Time::ZERO, Time::seconds(50), 1);
         let overlaps = Reservation::new(Time::seconds(10), Time::seconds(60), 2);
-        let violation = server::apply_all(&mut txn, &[fits, overlaps]).unwrap_err();
-        assert!(
-            matches!(
-                violation,
-                resched_resv::ReservationError::Conflict { requested: 2, .. }
-            ),
-            "{violation}"
-        );
-        // The caller rolls back: the add that did fit goes with the rest.
-        txn.rollback();
-        assert_eq!(cal, before);
+        let owner = Owner::new("u0", "p0");
+        let mut gate = AdmissionGate::new(QuotaSet::unlimited());
+        for gate in [None, Some(&mut gate)] {
+            let mut txn = cal.transaction();
+            let refused = server::reserve(&mut txn, gate, &owner, &[fits, overlaps]);
+            let Err(Reason::ApplyFailed(violation)) = refused else {
+                panic!("{refused:?}");
+            };
+            assert!(
+                matches!(violation, ReservationError::Conflict { requested: 2, .. }),
+                "{violation}"
+            );
+            // The caller rolls back: the add that did fit goes with the rest.
+            txn.rollback();
+            assert_eq!(cal, before);
+        }
+        // And the gate gave back what it admitted.
+        assert_eq!(gate.ledger().count(), 0);
     }
 
     #[test]
@@ -410,12 +313,9 @@ mod tests {
         assert_eq!(r.apps, r.commits + r.rollbacks);
         assert!(r.p50_us <= r.p95_us && r.p95_us <= r.p99_us);
         assert!(r.p99_us > 0.0);
-        // The obs registry carries the same tallies.
-        assert_eq!(r.metrics.counter(names::SERVE_APPS), r.apps as u64);
-        assert_eq!(r.metrics.counter(names::SERVE_COMMITS), r.commits as u64);
-        assert_eq!(
-            r.metrics.counter(names::SERVE_ROLLBACKS),
-            r.rollbacks as u64
+        assert!(
+            r.work.slot_queries > 0 && r.work.cpa_allocations > 0,
+            "{r:?}"
         );
         let h = r
             .metrics
@@ -520,11 +420,16 @@ mod tests {
         assert_eq!(a.utilization, b.utilization);
     }
 
-    /// The ISSUE acceptance criterion: the quota-denied path must be
-    /// observable end-to-end — structured reason codes in the report AND
-    /// the `serve.quota.denied` counter in the obs registry, with zero
-    /// audit violations (the ledger stays consistent with the calendar
-    /// under cancels and resizes).
+    /// The `quota.*` slice of a report's rejections.
+    fn quota_reasons(r: &ServeReport) -> Vec<(String, u64)> {
+        let quota = r.rejections.iter().filter(|(c, _)| c.starts_with("quota."));
+        quota.cloned().collect()
+    }
+
+    /// The quota-denied path is observable end-to-end — structured reason
+    /// codes in the report that sum to `quota_denied`, with zero audit
+    /// violations (the ledger stays consistent with the calendar under
+    /// cancels and resizes).
     #[test]
     fn quota_denials_are_counted_and_observable() {
         let log = small_log();
@@ -545,19 +450,14 @@ mod tests {
         );
         assert!(r.quota_denied > 0, "tight quota denied nothing: {r:?}");
         assert!(r.commits > 0, "tight quota denied everything: {r:?}");
-        assert_eq!(
-            r.metrics.counter(names::SERVE_QUOTA_DENIED),
-            r.quota_denied,
-            "obs counter and report disagree"
-        );
         assert!(
-            r.quota_reasons
+            quota_reasons(&r)
                 .iter()
                 .any(|(code, _)| code == "quota.concurrent_cores"),
             "expected a concurrent-cores reason code: {:?}",
-            r.quota_reasons
+            r.rejections
         );
-        let tallied: u64 = r.quota_reasons.iter().map(|(_, n)| n).sum();
+        let tallied: u64 = quota_reasons(&r).iter().map(|(_, n)| n).sum();
         assert_eq!(tallied, r.quota_denied);
         // Every quota denial is also a rollback, never a commit.
         assert!(r.quota_denied <= r.rollbacks as u64);
@@ -565,8 +465,8 @@ mod tests {
         // Deterministic, like the rest of the replay.
         let b = run(&log, &cfg);
         assert_eq!(
-            (r.quota_denied, &r.quota_reasons),
-            (b.quota_denied, &b.quota_reasons)
+            (r.quota_denied, &r.rejections),
+            (b.quota_denied, &b.rejections)
         );
         assert_eq!((r.commits, r.rollbacks), (b.commits, b.rollbacks));
 
@@ -585,12 +485,13 @@ mod tests {
         );
         assert_eq!(cs.violations, 0, "{:?}", cs.first_violation);
         assert!(cs.quota_denied > 0, "tight core-seconds cap denied nothing");
+        let cs_reasons = quota_reasons(&cs);
         assert!(
-            cs.quota_reasons
-                .iter()
-                .all(|(code, _)| code == "quota.core_seconds"),
-            "only the core-seconds axis was capped: {:?}",
-            cs.quota_reasons
+            !cs_reasons.is_empty()
+                && cs_reasons
+                    .iter()
+                    .all(|(code, _)| code == "quota.core_seconds"),
+            "only the core-seconds axis was capped: {cs_reasons:?}"
         );
 
         // No quota config ⇒ the path is dormant and nothing is denied.
@@ -602,8 +503,7 @@ mod tests {
             },
         );
         assert_eq!(free.quota_denied, 0);
-        assert_eq!(free.metrics.counter(names::SERVE_QUOTA_DENIED), 0);
-        assert!(free.quota_reasons.is_empty());
+        assert!(quota_reasons(&free).is_empty());
         assert!(
             free.commits >= r.commits,
             "quotas may only shrink the admitted set"
@@ -652,15 +552,16 @@ mod tests {
         for id in 0..200u32 {
             let before = books(&server);
             let dag = resched_daggen::generate(&params, derive_seed(cfg.seed, u64::from(id)));
-            match server.apply(&Step::Submit {
+            let step = Step::Submit {
                 now,
                 app_id: id,
                 dag,
-            }) {
+            };
+            match server.apply(&step).outcome {
                 Outcome::Admitted { .. } => assert_ne!(books(&server), before),
-                Outcome::Rejected(reason) => {
+                Outcome::Rejected { reason, .. } => {
                     assert_eq!(books(&server), before, "{reason} changed the books");
-                    assert_eq!(server.audit(), 0);
+                    assert_eq!(server.audit(), []);
                     if wanted(&reason) && !server.live().is_empty() {
                         return (now, reason);
                     }
@@ -687,15 +588,18 @@ mod tests {
             app_id: 0,
             dag,
         });
-        assert!(matches!(admitted, Outcome::Admitted { .. }), "{admitted:?}");
+        assert!(
+            matches!(admitted.outcome, Outcome::Admitted { .. }),
+            "{admitted:?}"
+        );
         let before = (books(&server), server.live().to_vec());
         let old = server.live()[0].resvs[0];
         let new = new_of(old);
         let refused = server.apply(&Step::Resize { k: 0, i: 0, new });
-        assert_eq!(refused, Outcome::Failed(Fault::NotAShrink { old, new }));
+        let not_a_shrink = Outcome::Failed(Fault::NotAShrink { old, new });
+        assert_eq!((refused.outcome, refused.findings), (not_a_shrink, vec![]));
         assert_eq!((books(&server), server.live().to_vec()), before);
-        let report = server.into_report(std::time::Duration::ZERO);
-        assert_eq!((report.resizes, report.violations), (0, 0));
+        assert_eq!(server.audit(), []);
     }
 
     #[test]
@@ -766,7 +670,7 @@ mod tests {
             dag,
         });
         assert!(
-            matches!(admitted, Outcome::Admitted { completion, .. } if completion == now + Dur::hours(10)),
+            matches!(admitted.outcome, Outcome::Admitted { completion, .. } if completion == now + Dur::hours(10)),
             "{admitted:?}"
         );
         let sequential = TaskCost::new(Dur::minutes(90), 1.0);
@@ -785,7 +689,7 @@ mod tests {
             app_id: 1,
             dag,
         };
-        let (decision, report) = obs::observe("past the floor", || server.apply(&step));
+        let (decision, report) = obs::observe("past the floor", || server.apply(&step).outcome);
         let horizon = now + cfg.admit_horizon;
         let bound = resched_core::floor::Bound {
             at: now + Dur::hours(13),
@@ -795,7 +699,13 @@ mod tests {
             horizon,
             by: Overrun::Floor(bound),
         };
-        assert_eq!(decision, Outcome::Rejected(reason.clone()));
+        // Answered by the floor: no scheduler work.
+        let work = ScheduleStats::default();
+        let rejected = Outcome::Rejected {
+            reason: reason.clone(),
+            work,
+        };
+        assert_eq!(decision, rejected);
         assert_eq!(
             reason.to_string(),
             format!(
@@ -849,7 +759,7 @@ mod tests {
             app_id: 0,
             dag,
         };
-        let (decision, report) = obs::observe("below the floor", || server.apply(&step));
+        let (decision, report) = obs::observe("below the floor", || server.apply(&step).outcome);
         // On an empty calendar the critical path sets it.
         let bound = resched_core::floor::Bound {
             at: floor,
@@ -859,7 +769,12 @@ mod tests {
             deadline: now + cfg.admit_horizon,
             floor: Some(bound),
         };
-        assert_eq!(decision, Outcome::Rejected(reason.clone()));
+        let work = ScheduleStats::default();
+        let rejected = Outcome::Rejected {
+            reason: reason.clone(),
+            work,
+        };
+        assert_eq!(decision, rejected);
         assert_eq!(reason.code(), "deadline_infeasible");
         assert!(
             reason
@@ -960,7 +875,7 @@ mod tests {
             assert!(summarize(&r).contains(&format!("rejections  {only} {}", r.rollbacks)));
         }
         // Mixed: the codes are sorted and sum to the rollbacks, and the
-        // quota fields are the `quota.*` slice of the same tally.
+        // `quota.*` ones to the quota denials.
         let r = run(
             &log,
             &ServeConfig {
@@ -984,22 +899,17 @@ mod tests {
         );
         let total: u64 = r.rejections.iter().map(|(_, n)| n).sum();
         assert_eq!(total, r.rollbacks as u64);
-        let quota: Vec<(String, u64)> = r
-            .rejections
-            .iter()
-            .filter(|(c, _)| c.starts_with("quota."))
-            .cloned()
-            .collect();
-        assert_eq!(quota, r.quota_reasons);
+        let quota: u64 = quota_reasons(&r).iter().map(|(_, n)| n).sum();
+        assert_eq!(quota, r.quota_denied);
     }
 
-    /// The journal `run`'s body realizes, written as JSONL and read back,
-    /// replays through a fresh `Server` to the same outcomes and the same
-    /// report, wall-clock fields aside: on the seven replays
-    /// `golden_serve_replays` pins (the four CI replays and the three
-    /// benchmark serve shapes at test size, one table:
-    /// `tests/replays/golden.rs`), and on one with heavy churn, a 3-way
-    /// roster and a sparser audit cadence.
+    /// The journal [`replay`] realizes, written as JSONL and read back,
+    /// replays through a fresh `Server` to the same outcomes, and its
+    /// records fold ([`Tally`]) to `run`'s report, wall-clock fields aside:
+    /// on the seven replays `golden_serve_replays` pins (the four CI
+    /// replays and the three benchmark serve shapes at test size, one
+    /// table: `tests/replays/golden.rs`), and on one with heavy churn, a
+    /// 3-way roster and a sparser audit cadence.
     #[test]
     fn a_replayed_journal_reproduces_every_outcome() {
         let churn = ServeConfig {
@@ -1026,15 +936,16 @@ mod tests {
         for (spec, days, cfg) in replays {
             let log = generate_log(&spec.with_duration(Dur::days(days)), cfg.seed);
             let (mut steps, mut outcomes) = (Vec::new(), Vec::new());
-            let recorded = replay(&log, &cfg, |step, outcome| {
+            replay(&log, &cfg, |step, record| {
                 steps.push(step.clone());
-                outcomes.push(outcome.clone());
+                outcomes.push(record.outcome.clone());
             });
+            let recorded = run(&log, &cfg);
             assert!(
                 recorded.commits > 0 && recorded.cancels > 0 && recorded.resizes > 0,
                 "{recorded:?}"
             );
-            assert_eq!(decided(&recorded), decided(&run(&log, &cfg)));
+            assert!(recorded.work.slot_queries > 0, "{recorded:?}");
 
             let journal: String = steps
                 .iter()
@@ -1047,18 +958,23 @@ mod tests {
             assert_eq!(read, steps);
 
             let mut server = Server::new(log.procs, &cfg);
-            let replayed: Vec<Outcome> = read.iter().map(|step| server.apply(step)).collect();
+            let mut tally = Tally::default();
+            let mut replayed = Vec::new();
+            for step in &read {
+                let record = server.apply(step);
+                tally.add(step, &record);
+                replayed.push(record.outcome);
+            }
             assert_eq!(replayed, outcomes);
-            let report = server.into_report(std::time::Duration::from_millis(1));
+            let report = tally.finish(&server, Duration::from_millis(1));
             assert_eq!(decided(&report), decided(&recorded));
-            assert_eq!(counters(&report.metrics), counters(&recorded.metrics));
         }
     }
 
     /// A replay under the collector decides exactly as a plain one, and
     /// what the collector saw is what the report says: one `serve.schedule`
-    /// span per arrival, one `serve.cancel` per cancellation, and the
-    /// report's tallies as the ambient `serve.*` counters.
+    /// span per arrival, one `serve.cancel` per cancellation, and one
+    /// latency sample per arrival.
     #[test]
     fn an_observed_replay_decides_and_counts_as_the_report_says() {
         let quota = ServeQuotaConfig {
@@ -1095,28 +1011,10 @@ mod tests {
                 "{observed:?}"
             );
             assert_eq!(decided(&observed), decided(&plain));
-            assert_eq!(counters(&observed.metrics), counters(&plain.metrics));
 
             let spans = |name| ambient.profile.span(name).map_or(0, |s| s.calls);
             assert_eq!(spans(names::SPAN_SERVE_SCHEDULE), observed.apps as u64);
             assert_eq!(spans(names::SPAN_SERVE_CANCEL), observed.cancels as u64);
-            let tallies: Vec<(String, u64)> = [
-                (names::SERVE_APPS, observed.apps as u64),
-                (names::SERVE_CANCELS, observed.cancels as u64),
-                (names::SERVE_COMMITS, observed.commits as u64),
-                (names::SERVE_QUOTA_DENIED, observed.quota_denied),
-                (names::SERVE_RESIZES, observed.resizes as u64),
-                (names::SERVE_ROLLBACKS, observed.rollbacks as u64),
-            ]
-            .into_iter()
-            .filter(|&(_, n)| n > 0)
-            .map(|(name, n)| (name.to_string(), n))
-            .collect();
-            let serve_counters: Vec<(String, u64)> = counters(&ambient.metrics)
-                .into_iter()
-                .filter(|(name, _)| name.starts_with("serve."))
-                .collect();
-            assert_eq!(serve_counters, tallies);
             let latencies = ambient.metrics.histogram(names::SERVE_LATENCY);
             assert_eq!(
                 latencies.map(obs::Histogram::count),

@@ -18,20 +18,20 @@
 //! `--probe-fanout` takes 1 to `PROBE_ROSTER.len()` (4), `--accel` a finite
 //! factor above 0, `--admit-hours` 1 to `swf::MAX_SECONDS / 3600` and
 //! `--days` 1 to `swf::MAX_SECONDS / 86_400` (the parser's bound on
-//! instants, in hours and in days), `--tasks` 1 to 1000 (ten times the
-//! paper's largest Table 1 application; every arrival generates a DAG of
-//! that size), `--quota-users` 1 to 4096 (each user is two owners and up
-//! to two quota rules, all built before the first arrival, and every
-//! ledger audit reads every rule); anything else is a usage error.
+//! instants, in hours and in days), `--tasks` 1 to `MAX_TASKS` (1000) and
+//! `--quota-users` 1 to `MAX_QUOTA_USERS` (4096); anything else is a usage
+//! error.
 //!
-//! `--assert-clean` exits nonzero unless the run had zero calendar-audit
-//! violations and exercised both the commit and the rollback path — and,
-//! when quotas are configured, at least one quota denial — the contract
+//! `--assert-clean` exits nonzero on what [`unclean`] finds: the contract
 //! the CI serve-smoke and quotas lanes enforce.
 
-use resched_serve::{run, summarize, ServeConfig, ServeQuotaConfig, PROBE_ROSTER};
+use resched_serve::{run, summarize, ServeConfig, ServeQuotaConfig, ServeReport, PROBE_ROSTER};
 use resched_workloads::prelude::*;
+use resched_workloads::swf::MAX_SECONDS;
+use std::fmt::Debug;
+use std::ops::RangeInclusive;
 use std::process::ExitCode;
+use std::str::FromStr;
 
 /// The most tasks `--tasks` takes: ten times the largest application of
 /// the paper's Table 1 (100 tasks). Every arrival generates and schedules a
@@ -56,12 +56,12 @@ fn usage() -> ! {
     std::process::exit(2);
 }
 
-fn parse<T: std::str::FromStr>(flag: &str, v: Option<String>) -> T {
+fn parse<T: FromStr>(flag: &str, v: Option<String>) -> T {
     parse_if(flag, v, |_| true)
 }
 
 /// [`parse`], with a value outside the flag's domain rejected the same way.
-fn parse_if<T: std::str::FromStr>(flag: &str, v: Option<String>, ok: impl Fn(&T) -> bool) -> T {
+fn parse_if<T: FromStr>(flag: &str, v: Option<String>, ok: impl Fn(&T) -> bool) -> T {
     v.and_then(|s| s.parse().ok())
         .filter(ok)
         .unwrap_or_else(|| {
@@ -70,17 +70,52 @@ fn parse_if<T: std::str::FromStr>(flag: &str, v: Option<String>, ok: impl Fn(&T)
         })
 }
 
+/// [`parse_if`] held to `range`, which the error names.
+fn parse_in<T: FromStr + PartialOrd + Debug>(
+    flag: &str,
+    v: Option<String>,
+    range: RangeInclusive<T>,
+) -> T {
+    parse_if(&format!("{flag} (expected {range:?})"), v, |x| {
+        range.contains(x)
+    })
+}
+
+/// Why a report fails `--assert-clean`, if it does: a calendar-audit
+/// violation, a commit or a rollback path not exercised, admitted schedules
+/// with no scheduler work counted, or quotas configured and never denying.
+fn unclean(report: &ServeReport, quotas: bool) -> Option<String> {
+    let r = report;
+    if r.violations > 0 {
+        Some(format!(
+            "{} violations ({:?})",
+            r.violations, r.first_violation
+        ))
+    } else if r.commits == 0 || r.rollbacks == 0 {
+        let (commits, rollbacks) = (r.commits, r.rollbacks);
+        Some(format!(
+            "commit/rollback path not exercised (commits {commits}, rollbacks {rollbacks})"
+        ))
+    } else if r.work.slot_queries == 0 {
+        Some("schedules admitted but no scheduler work counted".into())
+    } else if quotas && r.quota_denied == 0 {
+        Some("quotas configured but no denial observed".into())
+    } else {
+        None
+    }
+}
+
 fn main() -> ExitCode {
     let mut preset = "ctc_sp2".to_string();
     let mut swf: Option<String> = None;
     let mut days: i64 = 3;
     let mut cfg = ServeConfig::default();
-    let mut quota = ServeQuotaConfig {
+    // What the first `--quota-*` flag installs, before it sets its field.
+    let quota = ServeQuotaConfig {
         users: 4,
         max_concurrent_cores: 0,
         max_core_seconds: 0,
     };
-    let mut quota_requested = false;
     let mut json = false;
     let mut assert_clean = false;
 
@@ -89,27 +124,16 @@ fn main() -> ExitCode {
         match a.as_str() {
             "--preset" => preset = parse("--preset", args.next()),
             "--swf" => swf = Some(parse("--swf", args.next())),
-            "--days" => {
-                // `days * 86_400` wraps on a large value (negative: a panic
-                // in the generator; positive: a log that never ends); same
-                // bound as `--admit-hours`.
-                let range = 1..=resched_workloads::swf::MAX_SECONDS / 86_400;
-                days = parse_if(&format!("--days (expected {range:?})"), args.next(), |d| {
-                    range.contains(d)
-                });
-            }
+            // `days * 86_400` wraps on a large value (negative: a panic in
+            // the generator; positive: a log that never ends); same bound as
+            // `--admit-hours`.
+            "--days" => days = parse_in("--days", args.next(), 1..=MAX_SECONDS / 86_400),
             "--apps" => cfg.max_apps = parse("--apps", args.next()),
             "--accel" => {
                 cfg.accel = parse_if("--accel", args.next(), |x: &f64| x.is_finite() && *x > 0.0)
             }
-            "--tasks" => {
-                // 0 used to run as 1 (`tasks_per_app.max(1)`).
-                let tasks = 1..=MAX_TASKS;
-                cfg.tasks_per_app =
-                    parse_if(&format!("--tasks (expected {tasks:?})"), args.next(), |n| {
-                        tasks.contains(n)
-                    });
-            }
+            // 0 used to run as 1 (`tasks_per_app.max(1)`).
+            "--tasks" => cfg.tasks_per_app = parse_in("--tasks", args.next(), 1..=MAX_TASKS),
             "--seed" => cfg.seed = parse("--seed", args.next()),
             "--cancel-every" => cfg.cancel_every = parse("--cancel-every", args.next()),
             "--resize-every" => cfg.resize_every = parse("--resize-every", args.next()),
@@ -118,37 +142,23 @@ fn main() -> ExitCode {
                 // The horizon is added to arrival instants the SWF parser
                 // bounds by `MAX_SECONDS`; the same bound keeps the sum (and
                 // `hours * 3600` itself) far inside an `i64`.
-                let hours = 1..=resched_workloads::swf::MAX_SECONDS / 3600;
-                cfg.admit_horizon = Dur::hours(parse_if(
-                    &format!("--admit-hours (expected {hours:?})"),
-                    args.next(),
-                    |h| hours.contains(h),
-                ));
+                let hours = parse_in("--admit-hours", args.next(), 1..=MAX_SECONDS / 3600);
+                cfg.admit_horizon = Dur::hours(hours);
             }
             "--probe-fanout" => {
-                let roster = 1..=PROBE_ROSTER.len();
-                cfg.probe_fanout = parse_if(
-                    &format!("--probe-fanout (expected {roster:?})"),
-                    args.next(),
-                    |n| roster.contains(n),
-                );
+                cfg.probe_fanout = parse_in("--probe-fanout", args.next(), 1..=PROBE_ROSTER.len())
             }
             "--quota-users" => {
-                let users = 1..=MAX_QUOTA_USERS;
-                quota.users = parse_if(
-                    &format!("--quota-users (expected {users:?})"),
-                    args.next(),
-                    |n| users.contains(n),
-                );
-                quota_requested = true;
+                let users = parse_in("--quota-users", args.next(), 1..=MAX_QUOTA_USERS);
+                cfg.quota.get_or_insert(quota).users = users;
             }
             "--quota-cores" => {
-                quota.max_concurrent_cores = parse("--quota-cores", args.next());
-                quota_requested = true;
+                let cores = parse("--quota-cores", args.next());
+                cfg.quota.get_or_insert(quota).max_concurrent_cores = cores;
             }
             "--quota-core-seconds" => {
-                quota.max_core_seconds = parse("--quota-core-seconds", args.next());
-                quota_requested = true;
+                let area = parse("--quota-core-seconds", args.next());
+                cfg.quota.get_or_insert(quota).max_core_seconds = area;
             }
             "--json" => json = true,
             "--assert-clean" => assert_clean = true,
@@ -160,36 +170,27 @@ fn main() -> ExitCode {
         }
     }
 
-    if quota_requested {
-        cfg.quota = Some(quota);
-    }
-
+    // An input the run cannot start from exits 2, naming the file or preset.
     let log = match swf {
-        Some(path) => {
-            let text = match std::fs::read_to_string(&path) {
-                Ok(t) => t,
-                Err(e) => {
-                    eprintln!("cannot read {path}: {e}");
-                    return ExitCode::from(2);
-                }
-            };
-            match parse_swf(&path, &text) {
-                Ok(log) => log,
-                Err(e) => {
-                    eprintln!("cannot parse {path}: {e}");
-                    return ExitCode::from(2);
-                }
-            }
-        }
-        None => {
-            let Some(spec) = LogSpec::preset(&preset) else {
-                eprintln!(
+        Some(path) => std::fs::read_to_string(&path)
+            .map_err(|e| format!("cannot read {path}: {e}"))
+            .and_then(|text| {
+                parse_swf(&path, &text).map_err(|e| format!("cannot parse {path}: {e}"))
+            }),
+        None => LogSpec::preset(&preset)
+            .map(|spec| generate_log(&spec.with_duration(Dur::days(days)), cfg.seed))
+            .ok_or_else(|| {
+                format!(
                     "unknown preset {preset} (expected one of {})",
                     LogSpec::PRESETS.join(", ")
-                );
-                return ExitCode::from(2);
-            };
-            generate_log(&spec.with_duration(Dur::days(days)), cfg.seed)
+                )
+            }),
+    };
+    let log = match log {
+        Ok(log) => log,
+        Err(why) => {
+            eprintln!("{why}");
+            return ExitCode::from(2);
         }
     };
 
@@ -212,26 +213,11 @@ fn main() -> ExitCode {
         println!("{}", summarize(&report));
     }
 
-    if assert_clean {
-        if report.violations > 0 {
-            eprintln!(
-                "ASSERT-CLEAN FAILED: {} violations ({:?})",
-                report.violations, report.first_violation
-            );
-            return ExitCode::FAILURE;
+    match unclean(&report, cfg.quota.is_some()).filter(|_| assert_clean) {
+        Some(why) => {
+            eprintln!("ASSERT-CLEAN FAILED: {why}");
+            ExitCode::FAILURE
         }
-        if report.commits == 0 || report.rollbacks == 0 {
-            eprintln!(
-                "ASSERT-CLEAN FAILED: commit/rollback path not exercised \
-                 (commits {}, rollbacks {})",
-                report.commits, report.rollbacks
-            );
-            return ExitCode::FAILURE;
-        }
-        if cfg.quota.is_some() && report.quota_denied == 0 {
-            eprintln!("ASSERT-CLEAN FAILED: quotas configured but no denial observed");
-            return ExitCode::FAILURE;
-        }
+        None => ExitCode::SUCCESS,
     }
-    ExitCode::SUCCESS
 }

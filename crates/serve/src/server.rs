@@ -4,25 +4,24 @@
 //! [`Calendar`], the quota ledger ([`AdmissionGate`]) and the set of live
 //! applications — as private fields, so the only code that can change any
 //! of them is [`Server::apply`], one [`Step`] at a time, and
-//! [`Server::audit`]. Each step that goes through counts one event and
-//! re-audits the calendar on the configured cadence; every outcome is a
-//! typed value ([`Outcome`], [`Reason`], [`Fault`]) and turns into text
-//! only in [`Server::into_report`].
+//! [`Server::audit`]. A step answers with a [`Record`] of typed values
+//! ([`Outcome`], [`Reason`], [`Fault`]); the server keeps no tally, and a
+//! run's [`ServeReport`] is the fold of its records ([`Tally`]).
 
 use crate::{percentile, ServeConfig, ServeQuotaConfig, ServeReport};
 use resched_core::algos::Algorithm;
 use resched_core::backward::{DeadlineAlgo, DeadlineConfig, Roster};
 use resched_core::floor::Bound;
 use resched_core::forward::ForwardConfig;
-use resched_core::obs::{self, names, MetricsRegistry};
+use resched_core::obs::{self, names};
 use resched_core::prelude::*;
+use resched_core::schedule::ScheduleStats;
 use resched_core::validate::audit_calendar_with;
 use resched_resv::{
     AdmissionGate, Owner, QuotaDenial, QuotaRule, QuotaSet, QuotaSubject, ReservationError,
 };
 use resched_workloads::swf::MAX_SECONDS;
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
 use std::fmt;
 use std::time::{Duration, Instant};
 
@@ -71,7 +70,8 @@ impl Step {
     }
 }
 
-/// What [`Server::apply`] made of one [`Step`].
+/// What [`Server::apply`] did to the books on one [`Step`]. What went
+/// wrong on the way is the [`Record`]'s `findings`.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Outcome {
     /// Committed: the reservations are in calendar and ledger, the app live.
@@ -83,16 +83,47 @@ pub enum Outcome {
         completion: Time,
         /// Processor-seconds reserved for it.
         proc_seconds: i64,
+        /// The scheduler work of the arrival: the forward schedule's, or
+        /// every probed roster algorithm's, met or missed.
+        work: ScheduleStats,
     },
     /// Rolled back: calendar and ledger are byte-identical to before.
-    Rejected(Reason),
-    /// The application is cancelled.
+    Rejected {
+        /// Why.
+        reason: Reason,
+        /// The scheduler work of the arrival, as for `Admitted`; zero when
+        /// the instance floor answered.
+        work: ScheduleStats,
+    },
+    /// The application's reservations left the calendar.
     Cancelled,
-    /// The reservation is shrunk.
+    /// The reservation is shrunk in the calendar.
     Resized,
-    /// A step refused, or a cancel or resize done with the books
-    /// disagreeing.
+    /// A step refused, or a cancel or resize the calendar did not take.
     Failed(Fault),
+}
+
+/// What [`Server::apply`] answers for one [`Step`].
+#[derive(Debug, Clone, PartialEq)]
+pub struct Record {
+    /// What happened to the books.
+    pub outcome: Outcome,
+    /// For a `Submit` that went through, its numbers; else `None`.
+    pub arrival: Option<Arrival>,
+    /// Every fault the step and any audit on its cadence counted: each is
+    /// one of `ServeReport::violations`.
+    pub findings: Vec<Fault>,
+}
+
+/// A decided arrival's numbers besides its [`Outcome`]. The latency is
+/// wall-clock, so it stays outside what a replayed journal compares.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Arrival {
+    /// The availability estimate the arrival was scheduled with.
+    pub q: u32,
+    /// Nanoseconds from after the `q` estimate to after the commit or
+    /// rollback.
+    pub latency_ns: u64,
 }
 
 /// What lies past the admission horizon of a forward arrival.
@@ -188,13 +219,10 @@ impl fmt::Display for Reason {
     }
 }
 
-/// Why a step did not go through, or what an audit found.
-///
-/// The first three are the caller's: the step is refused before anything
-/// is touched and nothing is counted. The rest are the server's own books
-/// disagreeing with each other — each is counted in
-/// `ServeReport::violations`, and the first one is the report's
-/// `first_violation`, rendered by this type's `Display`.
+/// Why a step did not go through, or what went wrong in one. The first
+/// three are the caller's: the step is refused before anything is touched.
+/// The rest are the server's own books disagreeing with each other, each a
+/// [`Record`] finding and so one of `ServeReport::violations`.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Fault {
     /// An instant of the step lies outside ±`swf::MAX_SECONDS` (a
@@ -276,16 +304,26 @@ pub const PROBE_ROSTER: [DeadlineAlgo; 4] = [
 /// Probe the first `fanout` roster algorithms on the arrival's roster, which
 /// computes the CPA(`q`) allocation and order they start from once, and keep
 /// the feasible candidate with the earliest completion (lowest roster index
-/// wins ties, which is what `min_by_key` does).
+/// wins ties, which is what `min_by_key` does). Every probe's work, met or
+/// missed, goes into `work`.
 fn probe_deadline(
     roster: &mut Roster<'_>,
     deadline: Time,
     fanout: usize,
+    work: &mut ScheduleStats,
 ) -> Option<(DeadlineAlgo, Schedule)> {
     let probed = &PROBE_ROSTER[..fanout.clamp(1, PROBE_ROSTER.len())];
     probed
         .iter()
-        .filter_map(|&algo| Some((algo, roster.schedule(deadline, algo).ok()?.schedule)))
+        .filter_map(|&algo| {
+            let answer = roster.schedule(deadline, algo);
+            work.absorb(
+                answer
+                    .as_ref()
+                    .map_or_else(|e| e.stats, |out| out.schedule.stats),
+            );
+            Some((algo, answer.ok()?.schedule))
+        })
         .min_by_key(|(_, s)| s.completion())
 }
 
@@ -296,7 +334,8 @@ fn probe_deadline(
 /// floor bounds every grain — then, for a deadline arrival (`fanout` is
 /// `Some`), the probes against `horizon` (their floor questions answered by
 /// this one), or else the forward schedule, held to the same bound so the
-/// turn-around of what is admitted stays bounded.
+/// turn-around of what is admitted stays bounded. The schedulers' work
+/// goes into `work`, whatever the answer.
 fn candidate(
     dag: &Dag,
     cal: &Calendar,
@@ -304,6 +343,7 @@ fn candidate(
     q: u32,
     horizon: Time,
     fanout: Option<usize>,
+    work: &mut ScheduleStats,
 ) -> Result<(Algorithm, Schedule), Reason> {
     let mut roster = Roster::prepare(dag, cal, now, q, DeadlineConfig::default());
     if let Some(floor) = roster.floor_past(horizon) {
@@ -320,16 +360,18 @@ fn candidate(
     }
     let (algo, sched) = match fanout {
         Some(fanout) => {
-            let (algo, sched) =
-                probe_deadline(&mut roster, horizon, fanout).ok_or(Reason::DeadlineInfeasible {
+            let (algo, sched) = probe_deadline(&mut roster, horizon, fanout, work).ok_or(
+                Reason::DeadlineInfeasible {
                     deadline: horizon,
                     floor: None,
-                })?;
+                },
+            )?;
             (Algorithm::Deadline(algo), sched)
         }
         None => {
             let forward = ForwardConfig::recommended();
             let sched = roster.forward(forward);
+            work.absorb(sched.stats);
             let completion = sched.completion();
             if completion > horizon {
                 return Err(Reason::HorizonExceeded {
@@ -346,34 +388,25 @@ fn candidate(
     Ok((algo, sched))
 }
 
-/// Apply a validated schedule's reservations inside the transaction.
-///
-/// The schedule was validated against this exact transaction view, so
-/// every add fits; one that does not is a fault in the validator or the
-/// calendar, handed back for the caller to count — not a panic that ends
-/// the replay.
-pub(crate) fn apply_all(
-    txn: &mut ShadowTxn<'_>,
-    resvs: &[Reservation],
-) -> Result<(), ReservationError> {
-    resvs.iter().try_for_each(|r| txn.try_add(*r))
-}
-
 /// Capacity said yes; the quota gate gets its veto, then the reservations
 /// go into the transaction. The all-or-nothing batch admit leaves the
 /// ledger untouched on denial, mirroring the rollback the caller owes the
-/// calendar on any `Err`.
-fn reserve(
+/// calendar on any `Err`. The schedule was validated against this exact
+/// transaction view, so every add fits; one that does not is a fault in
+/// the validator or the calendar, handed back for the caller to count —
+/// not a panic that ends the replay.
+pub(crate) fn reserve(
     txn: &mut ShadowTxn<'_>,
     gate: Option<&mut AdmissionGate>,
     owner: &Owner,
     resvs: &[Reservation],
 ) -> Result<(), Reason> {
+    let mut apply_all = || resvs.iter().try_for_each(|r| txn.try_add(*r));
     let Some(gate) = gate else {
-        return apply_all(txn, resvs).map_err(Reason::ApplyFailed);
+        return apply_all().map_err(Reason::ApplyFailed);
     };
     gate.admit_all(owner, resvs).map_err(Reason::Quota)?;
-    apply_all(txn, resvs).map_err(|e| {
+    apply_all().map_err(|e| {
         // The gate admitted the batch: the caller's rollback undoes the
         // calendar, this undoes the ledger.
         for r in resvs {
@@ -401,6 +434,14 @@ fn quota_gate(q: &ServeQuotaConfig, users: usize) -> AdmissionGate {
     AdmissionGate::new(set)
 }
 
+/// The clocks of the server's cadences: steps that went through (the
+/// audit's) and the arrivals among them (the deadline roster's).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+struct Events {
+    steps: usize,
+    arrivals: usize,
+}
+
 /// The online admission server: see the module documentation.
 #[derive(Debug)]
 pub struct Server {
@@ -413,18 +454,7 @@ pub struct Server {
     /// one: arrivals are attributed by id (user `id % users`, project
     /// `id % 2`), so admission is as deterministic as the rest of a replay.
     owners: ([Owner; 2], Vec<[Owner; 2]>),
-    /// Mutating steps so far, the audit cadence's clock.
-    events: usize,
-    apps: usize,
-    commits: usize,
-    cancels: usize,
-    resizes: usize,
-    /// Rejections by [`Reason::code`]; their sum is the rollback count.
-    rejections: BTreeMap<&'static str, u64>,
-    violations: usize,
-    first_fault: Option<Fault>,
-    first_arrival: Option<Time>,
-    latencies_ns: Vec<u64>,
+    events: Events,
 }
 
 impl Server {
@@ -441,16 +471,7 @@ impl Server {
             gate: cfg.quota.map(|q| quota_gate(&q, users)),
             live: Vec::new(),
             owners: (projects(0), (1..users).map(projects).collect()),
-            events: 0,
-            apps: 0,
-            commits: 0,
-            cancels: 0,
-            resizes: 0,
-            rejections: BTreeMap::new(),
-            violations: 0,
-            first_fault: None,
-            first_arrival: None,
-            latencies_ns: Vec::new(),
+            events: Events::default(),
         }
     }
 
@@ -472,35 +493,31 @@ impl Server {
 
     /// Take one step. A step the caller got wrong (an instant outside
     /// ±`swf::MAX_SECONDS`, an index out of range, a `new` that is not a
-    /// shrink) is refused before anything is touched or counted; every
-    /// other step counts one event, its faults go on the tally, and every
-    /// `audit_every`-th event re-audits the calendar.
-    pub fn apply(&mut self, step: &Step) -> Outcome {
-        if let Some(t) = step.out_of_domain() {
-            return Outcome::Failed(Fault::OutOfDomain(t));
-        }
-        let taken = match step {
-            Step::Submit { now, app_id, dag } => Ok(self.submit(*now, *app_id, dag)),
-            Step::Cancel { k } => self.cancel(*k),
-            Step::Resize { k, i, new } => self.resize(*k, *i, *new),
+    /// shrink) is refused before anything is touched, with no findings;
+    /// every other step counts one event, and every `audit_every`-th event
+    /// re-audits the calendar, its findings added to the step's.
+    pub fn apply(&mut self, step: &Step) -> Record {
+        let taken = match (step.out_of_domain(), step) {
+            (Some(t), _) => Err(Fault::OutOfDomain(t)),
+            (None, Step::Submit { now, app_id, dag }) => Ok(self.submit(*now, *app_id, dag)),
+            (None, Step::Cancel { k }) => self.cancel(*k),
+            (None, Step::Resize { k, i, new }) => self.resize(*k, *i, *new),
         };
-        taken.map_or_else(Outcome::Failed, |outcome| {
-            self.end_step();
-            outcome
-        })
+        let mut record = match taken {
+            Ok(record) => record,
+            Err(fault) => return Record::of(Outcome::Failed(fault), Vec::new()),
+        };
+        self.events.steps += 1;
+        if self.cfg.audit_every > 0 && self.events.steps.is_multiple_of(self.cfg.audit_every) {
+            record.findings.extend(self.audit());
+        }
+        record
     }
 
-    /// Decide one arrival: estimate `q` from the recent past, open a
-    /// transaction, find a candidate (none when the instance floor is past
-    /// the horizon; else forward, or the deadline roster for every
-    /// `deadline_every`-th arrival), hold it to the horizon, the
-    /// validator and the quota gate, apply it, and commit — or roll back
-    /// byte-exactly on the first `Reason` not to. The arrival's latency is
-    /// the time from after the `q` estimate to after the commit or
-    /// rollback.
-    fn submit(&mut self, now: Time, app_id: u32, dag: &Dag) -> Outcome {
-        self.apps += 1;
-        self.first_arrival.get_or_insert(now);
+    /// Estimate `q` from the recent past and decide one arrival; its
+    /// latency runs from after the estimate to after the commit or rollback.
+    fn submit(&mut self, now: Time, app_id: u32, dag: &Dag) -> Record {
+        self.events.arrivals += 1;
         // A window that is not positive holds no history (and
         // `average_available` asserts a non-empty one).
         let q = if self.cal.num_breakpoints() > 0 && self.cfg.q_window.is_positive() {
@@ -512,27 +529,31 @@ impl Server {
         // lint:allow(det): the latency sample is reported beside the decisions and never read by them (`golden_serve_replays` pins every decision with this clock running).
         let t0 = Instant::now();
         let outcome = self.decide(now, q, app_id, dag);
-        let ns = u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX);
-        self.latencies_ns.push(ns);
+        let latency_ns = u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX);
 
-        match &outcome {
-            Outcome::Rejected(reason) => {
-                *self.rejections.entry(reason.code()).or_insert(0) += 1;
-                if matches!(reason, Reason::Validator(_) | Reason::ApplyFailed(_)) {
-                    self.record([Fault::Rejected(reason.clone())]);
-                }
-            }
-            _ => self.commits += 1,
+        let findings = match &outcome {
+            Outcome::Rejected {
+                reason: reason @ (Reason::Validator(_) | Reason::ApplyFailed(_)),
+                ..
+            } => vec![Fault::Rejected(reason.clone())],
+            _ => Vec::new(),
+        };
+        Record {
+            arrival: Some(Arrival { q, latency_ns }),
+            ..Record::of(outcome, findings)
         }
-        outcome
     }
 
-    /// The transaction of one arrival, from open to commit or rollback.
+    /// The transaction of one arrival: find a candidate (none when the
+    /// instance floor is past the horizon; else forward, or the deadline
+    /// roster for every `deadline_every`-th arrival), hold it to the
+    /// horizon, the validator and the quota gate, apply it, and commit — or
+    /// roll back byte-exactly on the first `Reason` not to.
     fn decide(&mut self, now: Time, q: u32, app_id: u32, dag: &Dag) -> Outcome {
         resched_core::span!(names::SPAN_SERVE_SCHEDULE);
         let horizon = now + self.cfg.admit_horizon;
-        let by_deadline =
-            self.cfg.deadline_every > 0 && self.apps.is_multiple_of(self.cfg.deadline_every);
+        let by_deadline = self.cfg.deadline_every > 0
+            && self.events.arrivals.is_multiple_of(self.cfg.deadline_every);
         let fanout = by_deadline.then_some(self.cfg.probe_fanout);
         let (first, rest) = &self.owners;
         let user = app_id as usize % (rest.len() + 1);
@@ -542,9 +563,10 @@ impl Server {
             .unwrap_or(first);
         let owner = if app_id.is_multiple_of(2) { p0 } else { p1 };
 
+        let mut work = ScheduleStats::default();
         let mut txn = self.cal.transaction();
-        let placed =
-            candidate(dag, txn.calendar(), now, q, horizon, fanout).and_then(|(algo, sched)| {
+        let placed = candidate(dag, txn.calendar(), now, q, horizon, fanout, &mut work).and_then(
+            |(algo, sched)| {
                 let resvs: Vec<Reservation> = dag
                     .task_ids()
                     .map(|t| sched.placement(t).reservation())
@@ -567,7 +589,8 @@ impl Server {
                     panic!("serve: the quota gate admitted a schedule its oracle refuses: {v}");
                 }
                 Ok((algo, sched.completion(), resvs))
-            });
+            },
+        );
         match placed {
             Ok((algo, completion, resvs)) => {
                 txn.commit();
@@ -580,17 +603,18 @@ impl Server {
                     algo,
                     completion,
                     proc_seconds,
+                    work,
                 }
             }
             Err(reason) => {
                 txn.rollback();
-                Outcome::Rejected(reason)
+                Outcome::Rejected { reason, work }
             }
         }
     }
 
     /// [`Step::Cancel`], or why it was refused.
-    fn cancel(&mut self, k: usize) -> Result<Outcome, Fault> {
+    fn cancel(&mut self, k: usize) -> Result<Record, Fault> {
         if k >= self.live.len() {
             return Err(Fault::OutOfRange {
                 index: k,
@@ -608,29 +632,29 @@ impl Server {
             };
             removed
         };
-        let faults: Vec<Fault> = match removed {
+        Ok(match removed {
             // A tracked live reservation must always be removable.
-            Err(e) => vec![Fault::CancelFailed(e)],
+            Err(e) => {
+                let fault = Fault::CancelFailed(e);
+                Record::of(Outcome::Failed(fault.clone()), vec![fault])
+            }
             Ok(()) => {
-                self.cancels += 1;
                 // The ledger mirrors commits exactly; a miss here is a
                 // bookkeeping bug, not a policy call.
-                match &mut self.gate {
+                let missed = match &mut self.gate {
                     None => Vec::new(),
                     Some(gate) => {
                         let missed = app.resvs.iter().filter(|r| !gate.release(&app.owner, r));
                         missed.map(|r| Fault::LedgerMiss(*r)).collect()
                     }
-                }
+                };
+                Record::of(Outcome::Cancelled, missed)
             }
-        };
-        let first = faults.first().cloned();
-        self.record(faults);
-        Ok(first.map_or(Outcome::Cancelled, Outcome::Failed))
+        })
     }
 
     /// [`Step::Resize`], or why it was refused.
-    fn resize(&mut self, k: usize, i: usize, new: Reservation) -> Result<Outcome, Fault> {
+    fn resize(&mut self, k: usize, i: usize, new: Reservation) -> Result<Record, Fault> {
         let len = self.live.len();
         let app = self
             .live
@@ -649,126 +673,119 @@ impl Server {
             return Err(Fault::NotAShrink { old, new });
         }
         let mut txn = self.cal.transaction();
-        let fault = match txn.try_resize(old, new) {
+        Ok(match txn.try_resize(old, new) {
             Ok(()) => {
                 txn.commit();
                 *held = new;
-                self.resizes += 1;
                 let in_ledger = self
                     .gate
                     .as_mut()
                     .is_none_or(|gate| gate.replace(&app.owner, &old, new));
-                (!in_ledger).then_some(Fault::LedgerMiss(old))
+                let missed = (!in_ledger).then_some(Fault::LedgerMiss(old));
+                Record::of(Outcome::Resized, missed.into_iter().collect())
             }
             // Shrinking a live reservation releases capacity only; it can
             // never conflict.
             Err(e) => {
                 txn.rollback();
-                Some(Fault::ShrinkFailed(e))
+                let fault = Fault::ShrinkFailed(e);
+                Record::of(Outcome::Failed(fault.clone()), vec![fault])
             }
-        };
-        self.record(fault.clone());
-        Ok(fault.map_or(Outcome::Resized, Outcome::Failed))
+        })
     }
 
     /// Audit the calendar (shape, capacity, accounting, reference scans)
-    /// and the ledger against its rules, now; the findings go on the
-    /// tally, their number is returned.
-    pub fn audit(&mut self) -> usize {
+    /// and the ledger against its rules, now: the findings.
+    pub fn audit(&self) -> Vec<Fault> {
         let found = audit_calendar_with(&self.cal, None, self.gate.as_ref());
-        let n = found.len();
-        self.record(found.into_iter().map(Fault::Audit));
-        n
+        found.into_iter().map(Fault::Audit).collect()
     }
+}
 
-    /// The one place a violation is counted.
-    fn record(&mut self, faults: impl IntoIterator<Item = Fault>) {
-        for fault in faults {
-            self.violations += 1;
-            self.first_fault.get_or_insert(fault);
+impl Record {
+    /// The record of a step that was no arrival.
+    fn of(outcome: Outcome, findings: Vec<Fault>) -> Record {
+        Record {
+            outcome,
+            arrival: None,
+            findings,
         }
     }
+}
 
-    /// Close a step that went through (its faults are on the tally): it
-    /// counts as one event, and every `audit_every`-th event re-audits the
-    /// calendar.
-    fn end_step(&mut self) {
-        self.events += 1;
-        if self.cfg.audit_every > 0 && self.events.is_multiple_of(self.cfg.audit_every) {
-            self.audit();
+/// The fold of a run's records into its [`ServeReport`]: [`Tally::add`]
+/// every step with the record [`Server::apply`] answered, in order, then
+/// [`Tally::finish`]. It keeps counts, not records; latencies also go to
+/// the `serve.schedule.latency_ns` histogram, the report's and ambient.
+#[derive(Debug, Default)]
+pub struct Tally {
+    /// The counts so far, in the fields of the report they end in.
+    report: ServeReport,
+    first_arrival: Option<Time>,
+    latencies_ns: Vec<u64>,
+}
+
+impl Tally {
+    /// Count one step and the record it was answered with.
+    pub fn add(&mut self, step: &Step, record: &Record) {
+        let r = &mut self.report;
+        if let (Step::Submit { now, .. }, Some(arrival)) = (step, &record.arrival) {
+            r.apps += 1;
+            self.first_arrival.get_or_insert(*now);
+            self.latencies_ns.push(arrival.latency_ns);
+            r.metrics.record(names::SERVE_LATENCY, arrival.latency_ns);
+            obs::record_value(names::SERVE_LATENCY, arrival.latency_ns);
         }
-    }
-
-    /// Close the books: a final audit (it covers `audit_every == 0` and
-    /// any tail the cadence skipped), then the tallies as a report. `wall`
-    /// is the caller's stopwatch over the steps; the `serve.*` counters
-    /// and the latency histogram are written here, once, to the report's
-    /// registry and to the ambient obs collector.
-    pub fn into_report(mut self, wall: Duration) -> ServeReport {
-        self.audit();
-
-        let rejections: Vec<(String, u64)> = self
-            .rejections
-            .iter()
-            .map(|(code, n)| (code.to_string(), *n))
-            .collect();
-        let rollbacks: u64 = rejections.iter().map(|(_, n)| n).sum();
-        // The quota denials are the `quota.*` slice of the same tally.
-        let quota_reasons: Vec<(String, u64)> = rejections
-            .iter()
-            .filter(|(code, _)| code.starts_with("quota."))
-            .cloned()
-            .collect();
-        let quota_denied: u64 = quota_reasons.iter().map(|(_, n)| n).sum();
-
-        let mut metrics = MetricsRegistry::new();
-        for (name, n) in [
-            (names::SERVE_APPS, self.apps as u64),
-            (names::SERVE_COMMITS, self.commits as u64),
-            (names::SERVE_ROLLBACKS, rollbacks),
-            (names::SERVE_QUOTA_DENIED, quota_denied),
-            (names::SERVE_CANCELS, self.cancels as u64),
-            (names::SERVE_RESIZES, self.resizes as u64),
-        ] {
-            // A counter exists from its first tick on, not before.
-            if n > 0 {
-                metrics.inc(name, n);
-                obs::counter_add(name, n);
+        match &record.outcome {
+            Outcome::Admitted { work, .. } => {
+                r.commits += 1;
+                r.work.absorb(*work);
             }
+            Outcome::Rejected { reason, work } => {
+                r.rollbacks += 1;
+                r.quota_denied += u64::from(matches!(reason, Reason::Quota(_)));
+                let code = reason.code();
+                match r.rejections.binary_search_by(|(c, _)| c.as_str().cmp(code)) {
+                    Ok(at) => r.rejections[at].1 += 1,
+                    Err(at) => r.rejections.insert(at, (code.to_string(), 1)),
+                }
+                r.work.absorb(*work);
+            }
+            Outcome::Cancelled => r.cancels += 1,
+            Outcome::Resized => r.resizes += 1,
+            Outcome::Failed(_) => {}
         }
-        for &ns in &self.latencies_ns {
-            metrics.record(names::SERVE_LATENCY, ns);
-            obs::record_value(names::SERVE_LATENCY, ns);
-        }
+        self.found(&record.findings);
+    }
 
+    fn found(&mut self, findings: &[Fault]) {
+        let r = &mut self.report;
+        r.violations += findings.len();
+        if r.first_violation.is_none() {
+            r.first_violation = findings.first().map(Fault::to_string);
+        }
+    }
+
+    /// Close the books: a final audit of `server` (it covers
+    /// `audit_every == 0` and any tail the cadence skipped), then the
+    /// report. `wall` is the caller's stopwatch over the steps.
+    pub fn finish(mut self, server: &Server, wall: Duration) -> ServeReport {
+        self.found(&server.audit());
         self.latencies_ns.sort_unstable();
         let secs = wall.as_secs_f64();
+        let (apps, cal) = (self.report.apps, server.calendar());
         ServeReport {
-            apps: self.apps,
-            commits: self.commits,
-            rollbacks: rollbacks as usize,
-            cancels: self.cancels,
-            resizes: self.resizes,
-            quota_denied,
-            quota_reasons,
-            rejections,
-            violations: self.violations,
-            first_violation: self.first_fault.map(|f| f.to_string()),
             wall_ms: secs * 1e3,
-            throughput_per_s: if secs > 0.0 {
-                self.apps as f64 / secs
-            } else {
-                0.0
-            },
+            throughput_per_s: if secs > 0.0 { apps as f64 / secs } else { 0.0 },
             p50_us: percentile(&self.latencies_ns, 0.50) / 1e3,
             p95_us: percentile(&self.latencies_ns, 0.95) / 1e3,
             p99_us: percentile(&self.latencies_ns, 0.99) / 1e3,
-            utilization: match (self.first_arrival, self.cal.horizon()) {
-                (Some(first), Some(h)) if h > first => self.cal.average_utilization(first, h),
+            utilization: match (self.first_arrival, cal.horizon()) {
+                (Some(first), Some(h)) if h > first => cal.average_utilization(first, h),
                 _ => 0.0,
             },
-            live_apps: self.live.len(),
-            metrics,
+            live_apps: server.live().len(),
+            ..self.report
         }
     }
 }
@@ -801,11 +818,14 @@ mod tests {
             app_id: 0,
             dag: dag.clone(),
         });
-        assert!(matches!(admitted, Outcome::Admitted { .. }), "{admitted:?}");
+        assert!(
+            matches!(admitted.outcome, Outcome::Admitted { .. }),
+            "{admitted:?}"
+        );
         let old = server.live()[0].resvs[0];
         let books = |s: &Server| {
             let ledger: Vec<_> = s.ledger().map(|(o, r)| (o.clone(), *r)).collect();
-            (s.cal.clone(), ledger, s.live.clone(), s.events, s.apps)
+            (s.cal.clone(), ledger, s.live.clone(), s.events)
         };
         let before = books(&server);
         let (past, edge) = (MAX_SECONDS + 1, MAX_SECONDS);
@@ -822,11 +842,9 @@ mod tests {
             };
             for step in [submit, shrunk(far, old.end), shrunk(old.start, far)] {
                 let fault = Fault::OutOfDomain(far);
-                assert_eq!(
-                    server.apply(&step),
-                    Outcome::Failed(fault.clone()),
-                    "{step:?}"
-                );
+                let refused = server.apply(&step);
+                assert_eq!(refused.outcome, Outcome::Failed(fault.clone()), "{step:?}");
+                assert_eq!((refused.arrival, refused.findings), (None, vec![]));
                 assert!(fault.to_string().contains("lies past"), "{fault}");
                 assert!(books(&server) == before, "{step:?} touched the books");
             }
@@ -841,17 +859,21 @@ mod tests {
                 ..old
             },
         };
-        let refused = server.apply(&at_edge);
+        let refused = server.apply(&at_edge).outcome;
         assert!(matches!(refused, Outcome::Failed(Fault::NotAShrink { .. })));
         let decided = server.apply(&Step::Submit {
             now: Time::seconds(-edge),
             app_id: 1,
             dag,
         });
-        assert!(!matches!(decided, Outcome::Failed(_)), "{decided:?}");
-        assert_eq!(server.events, before.3 + 1);
-        let report = server.into_report(Duration::ZERO);
-        assert_eq!((report.apps, report.violations), (2, 0));
+        assert!(decided.arrival.is_some(), "{decided:?}");
+        assert!(decided.findings.is_empty(), "{decided:?}");
+        let clock = Events {
+            steps: before.3.steps + 1,
+            arrivals: 2,
+        };
+        assert_eq!(server.events, clock);
+        assert_eq!(server.audit(), []);
     }
 
     #[test]
@@ -878,7 +900,8 @@ mod tests {
         }
         let winner = |fanout| {
             let mut roster = Roster::prepare(&dag, &cal, now, q, DeadlineConfig::default());
-            probe_deadline(&mut roster, deadline, fanout).map(|w| w.0)
+            let mut work = ScheduleStats::default();
+            probe_deadline(&mut roster, deadline, fanout, &mut work).map(|w| w.0)
         };
         for fanout in 1..=PROBE_ROSTER.len() {
             assert_eq!(winner(fanout), Some(PROBE_ROSTER[0]), "fan-out {fanout}");

@@ -151,3 +151,24 @@ fn an_unknown_preset_is_a_usage_error_naming_the_presets() {
         "{stderr}"
     );
 }
+
+#[test]
+fn a_clean_run_reports_the_work_of_what_it_decided() {
+    // The CI soak: `--assert-clean` also holds the admitted schedules to
+    // counted scheduler work, and the report carries the total.
+    let out = Command::new(env!("CARGO_BIN_EXE_resched-serve"))
+        .args(["--days", "3", "--apps", "150", "--seed", "42"])
+        .args(["--json", "--assert-clean"])
+        .output()
+        .expect("resched-serve runs");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(0), "{stderr}");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    let report: resched_serve::ServeReport =
+        serde_json::from_str(&stdout).expect("--json prints the report");
+    let work = report.work;
+    assert!(
+        work.slot_queries > 0 && work.cpa_allocations > 0,
+        "{work:?}"
+    );
+}

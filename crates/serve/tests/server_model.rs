@@ -26,7 +26,7 @@ use resched_core::task::TaskCost;
 use resched_daggen::DagParams;
 use resched_resv::Owner;
 use resched_serve::{
-    Fault, LiveApp, Outcome, ServeConfig, ServeQuotaConfig, Server, Step, PROBE_ROSTER,
+    Fault, LiveApp, Outcome, ServeConfig, ServeQuotaConfig, Server, Step, Tally, PROBE_ROSTER,
 };
 use std::collections::BTreeMap;
 use std::time::Duration;
@@ -167,7 +167,7 @@ fn replay_journal(
         .collect();
     assert_eq!(read, steps, "{ctx}: the journal reads back changed");
     let mut fresh = Server::new(procs, cfg);
-    let replayed: Vec<Outcome> = read.iter().map(|step| fresh.apply(step)).collect();
+    let replayed: Vec<Outcome> = read.iter().map(|step| fresh.apply(step).outcome).collect();
     assert_eq!(replayed, outcomes, "{ctx}: the replay decided otherwise");
     assert_eq!(books(&fresh), books(original), "{ctx}: the replay's books");
 }
@@ -194,7 +194,7 @@ fn check(server: &mut Server, model: &[LiveApp], procs: u32, quotas: bool, ctx: 
     expected.sort_by_key(key);
     assert_eq!(ledger, expected, "{ctx}: ledger != model");
 
-    assert_eq!(server.audit(), 0, "{ctx}: audit");
+    assert_eq!(server.audit(), [], "{ctx}: audit");
 }
 
 #[test]
@@ -210,11 +210,14 @@ fn random_steps_agree_with_a_naive_model() {
         let mut now = Time::seconds(1_000);
         let (mut arrivals, mut commits, mut cancels, mut resizes) = (0usize, 0, 0, 0);
         let (mut steps, mut outcomes) = (Vec::new(), Vec::new());
+        let mut tally = Tally::default();
         let mut take = |server: &mut Server, step: Step| {
-            let outcome = server.apply(&step);
+            let record = server.apply(&step);
+            assert_eq!(record.findings, [], "sequence {it}: {step:?}");
+            tally.add(&step, &record);
             steps.push(step);
-            outcomes.push(outcome.clone());
-            outcome
+            outcomes.push(record.outcome.clone());
+            record.outcome
         };
 
         for step in 0..STEPS {
@@ -238,6 +241,7 @@ fn random_steps_agree_with_a_naive_model() {
                             algo,
                             completion,
                             proc_seconds,
+                            ..
                         } => {
                             commits += 1;
                             let app = server.live().last().expect("an admitted app is live");
@@ -269,7 +273,7 @@ fn random_steps_agree_with_a_naive_model() {
                             assert!(expected, "{ctx}: {algo} admitted");
                             model.push(app.clone());
                         }
-                        Outcome::Rejected(reason) => {
+                        Outcome::Rejected { reason, .. } => {
                             // Anything else would be a scheduler or
                             // calendar bug.
                             assert!(POLICY.contains(&reason.code()), "{ctx}: {reason}");
@@ -341,7 +345,7 @@ fn random_steps_agree_with_a_naive_model() {
         admitted += commits;
         cancelled += cancels;
         shrunk += resizes;
-        let r = server.into_report(Duration::ZERO);
+        let r = tally.finish(&server, Duration::ZERO);
         assert_eq!(
             (r.apps, r.commits, r.rollbacks, r.cancels, r.resizes),
             (arrivals, commits, arrivals - commits, cancels, resizes),

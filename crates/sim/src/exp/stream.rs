@@ -16,7 +16,7 @@ use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha12Rng;
 use resched_core::prelude::*;
 use resched_daggen::DagParams;
-use resched_serve::{Outcome, ServeConfig, Server, Step};
+use resched_serve::{Arrival, Outcome, Record, ServeConfig, Server, Step};
 use serde::{Deserialize, Serialize};
 
 /// Configuration of a stream simulation.
@@ -63,7 +63,6 @@ pub struct StreamResult {
 /// Run one stream simulation.
 pub fn run_stream(cfg: &StreamConfig, seed: u64) -> StreamResult {
     let mut rng = ChaCha12Rng::seed_from_u64(seed);
-    let window = Dur::days(1);
     // Admission is the online server's, pared down to what the experiment
     // is about: every arrival scheduled forward, no quota, no periodic
     // audit, and a horizon no turn-around reaches — so nothing is rejected
@@ -75,7 +74,7 @@ pub fn run_stream(cfg: &StreamConfig, seed: u64) -> StreamResult {
             audit_every: 0,
             quota: None,
             admit_horizon: Dur::days(365_000),
-            q_window: window,
+            q_window: Dur::days(1),
             ..ServeConfig::default()
         },
     );
@@ -96,17 +95,20 @@ pub fn run_stream(cfg: &StreamConfig, seed: u64) -> StreamResult {
         }
         app_id += 1;
         let dag = resched_daggen::generate(&params, derive_seed(seed, "stream", u64::from(app_id)));
-        // The availability estimate the server is about to schedule with:
-        // the paper's q, over the same window of the recent past.
-        let q = server.calendar().average_available(now - window, now);
-        q_fracs.push(q as f64 / cfg.procs as f64);
         resched_core::obs::counter_add(resched_core::obs::names::STREAM_APPS, 1);
-        let outcome = {
+        let record = {
             resched_core::span!(resched_core::obs::names::SPAN_STREAM_SCHEDULE);
             server.apply(&Step::Submit { now, app_id, dag })
         };
-        match outcome {
-            Outcome::Admitted { completion, .. } => {
+        match record {
+            Record {
+                outcome: Outcome::Admitted { completion, .. },
+                arrival: Some(Arrival { q, .. }),
+                ..
+            } => {
+                // The paper's q, over the window of the recent past, that
+                // the server scheduled with.
+                q_fracs.push(q as f64 / cfg.procs as f64);
                 turnaround_s.push((completion - now).as_seconds().max(0) as u64);
             }
             // Under this configuration only a scheduler or calendar bug

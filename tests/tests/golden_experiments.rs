@@ -13,6 +13,7 @@
 //! golden_experiments` and review the diff like any other code change.
 
 use resched_core::backward::DeadlineAlgo;
+use resched_core::schedule::ScheduleStats;
 use resched_daggen::Sweep;
 use resched_sim::exp::deadline::run_deadline_experiment;
 use resched_sim::exp::scaling::run_scaling;
@@ -119,12 +120,12 @@ struct ServeDecisions {
     cancels: usize,
     resizes: usize,
     quota_denied: u64,
-    quota_reasons: Vec<(String, u64)>,
+    rejections: Vec<(String, u64)>,
     violations: usize,
     first_violation: Option<String>,
     utilization: f64,
     live_apps: usize,
-    serve_counters: Vec<(String, u64)>,
+    work: ScheduleStats,
 }
 
 /// Online serving: pin what `serve::run` decides on the four CI replays
@@ -148,17 +149,12 @@ fn golden_serve_replays() {
                 cancels: r.cancels,
                 resizes: r.resizes,
                 quota_denied: r.quota_denied,
-                quota_reasons: r.quota_reasons,
+                rejections: r.rejections,
                 violations: r.violations,
                 first_violation: r.first_violation,
                 utilization: r.utilization,
                 live_apps: r.live_apps,
-                serve_counters: r
-                    .metrics
-                    .counters()
-                    .filter(|(name, _)| name.starts_with("serve."))
-                    .map(|(name, n)| (name.to_string(), n))
-                    .collect(),
+                work: r.work,
             }
         })
         .collect();

@@ -5,7 +5,8 @@
 //!
 //! * **Golden**: a seeded scenario sweep runs the full 25-algorithm
 //!   catalog and pins every schedule (task order, start/end seconds,
-//!   processor counts, stats) to a committed golden file. The file was
+//!   processor counts, stats, a missed deadline's included) to a committed
+//!   golden file. The file was
 //!   written by a build without the collector and is checked by test
 //!   builds, which all have it. That compiling the collector in changes no
 //!   paper table is checked in CI, which runs `run_experiments` with and
@@ -138,11 +139,11 @@ fn golden_schedules_are_feature_invariant() {
                         .collect(),
                     stats: s.stats,
                 },
-                Err(RunError::Infeasible(_)) => AlgoResult {
+                Err(RunError::Infeasible(e)) => AlgoResult {
                     algorithm: algo.name(),
                     outcome: "infeasible",
                     placements: Vec::new(),
-                    stats: ScheduleStats::default(),
+                    stats: e.stats,
                 },
                 Err(e) => panic!("{} failed to run: {e}", algo.name()),
             };

@@ -7,8 +7,9 @@
 //! entry computed it `fanout` times; an arrival whose deadline is below the
 //! instance floor computes it not at all. Either way the arrival asks the
 //! floor one question (`core.floor.questions`). What the arrival's probes
-//! count — allocation requests, passes — is read from their answers, asked
-//! again of a `Roster` on the calendar the arrival saw. Table 6's instance,
+//! count — allocation requests, passes — is read from the work its outcome
+//! carries, and cross-checked against the answers of a second `Roster` on
+//! the calendar the arrival saw. Table 6's instance,
 //! asked for five tightest-deadline searches and a loose pass, computes each
 //! pool it asks about once, where a fresh preparation per probe computed
 //! CPA(`q`) per probe.
@@ -139,16 +140,26 @@ fn a_deadline_arrival_allocates_once_at_every_fanout() {
                 app_id: job.id,
                 dag,
             };
-            let (outcome, report) = obs::observe("arrival", || server.apply(&submit));
+            let (record, report) = obs::observe("arrival", || server.apply(&submit));
             let at = format!("fan-out {fanout}, {horizon} h, job {}", job.id);
             let counter = |name| report.metrics.counter(name);
             assert_eq!(counter(names::FLOOR_QUESTIONS), 1, "{at}");
-            match outcome {
+            // The outcome carries the work the second roster counted, floor
+            // answers (both zero) included.
+            let work = match &record.outcome {
+                Outcome::Admitted { work, .. } | Outcome::Rejected { work, .. } => *work,
+                other => panic!("{at}: an arrival is admitted or rejected: {other:?}"),
+            };
+            assert_eq!(work, asked, "{at}");
+            match record.outcome {
                 Outcome::Admitted { .. } => {
                     admitted += 1;
                     assert!(answers.iter().any(Result::is_ok), "{at}");
                 }
-                Outcome::Rejected(Reason::DeadlineInfeasible { floor: Some(_), .. }) => {
+                Outcome::Rejected {
+                    reason: Reason::DeadlineInfeasible { floor: Some(_), .. },
+                    ..
+                } => {
                     // Answered from the floor before any roster question:
                     // nothing allocated, mapped or run.
                     below_floor += 1;
@@ -166,7 +177,10 @@ fn a_deadline_arrival_allocates_once_at_every_fanout() {
                     assert_eq!(asked, ScheduleStats::default(), "{at}");
                     continue;
                 }
-                Outcome::Rejected(Reason::DeadlineInfeasible { floor: None, .. }) => {
+                Outcome::Rejected {
+                    reason: Reason::DeadlineInfeasible { floor: None, .. },
+                    ..
+                } => {
                     missed += 1;
                     let ran_and_missed = |a: &Result<_, DeadlineInfeasible>| {
                         a.as_ref().is_err_and(|e| e.floor.is_none())
@@ -204,7 +218,7 @@ fn a_deadline_arrival_allocates_once_at_every_fanout() {
                 "{at}"
             );
         }
-        assert_eq!(server.audit(), 0, "fan-out {fanout}");
+        assert_eq!(server.audit(), [], "fan-out {fanout}");
         let tally = format!(
             "fan-out {fanout}, {horizon} h: {admitted} admitted, {missed} missed, \
              {below_floor} below the floor"

@@ -3,7 +3,7 @@
 //! * Every `DESIGN.md §N` citation (and every `§M` continuing it after a
 //!   comma or an "and") names a heading of DESIGN.md, and every row of its
 //!   old → new anchor table points at one; DESIGN.md stays within 1 500
-//!   lines.
+//!   lines, and the waiver and `TEST_ONLY` counts it writes are the tree's.
 //! * Every `pub fn` of `core`, `resv`, `serve`, `workloads`, `daggen` and
 //!   `sim` above its file's first column-0 `#[cfg(test)]` is named by the
 //!   shipped text of some other `.rs` file: `crates/*/src`, `crates/bench/benches`,
@@ -12,6 +12,7 @@
 //!   can miss an unused function whose name is common, but it never flags
 //!   one that shipped code names.
 
+use std::collections::BTreeMap;
 use std::fs;
 use std::path::{Path, PathBuf};
 
@@ -206,6 +207,72 @@ fn design_md_is_at_most_1500_lines() {
     );
 }
 
+/// The waivers (`// lint:allow(<rule>): …` lines, the lint's grammar)
+/// outside `crates/lint`, by rule.
+fn waivers(root: &Path) -> BTreeMap<String, usize> {
+    let lint = root.join("crates").join("lint");
+    let mut files: Vec<PathBuf> = rs_files(&root.join("crates"));
+    files.retain(|p| !p.starts_with(&lint));
+    for dir in ["tests", "examples", "benchmark/src"] {
+        files.extend(rs_files(&root.join(dir)));
+    }
+    let mut by_rule = BTreeMap::new();
+    for path in files {
+        for line in read(&path).lines() {
+            if let Some(rest) = line.trim_start().strip_prefix("// lint:allow(") {
+                let rule = rest.split(')').next().unwrap_or(rest);
+                *by_rule.entry(rule.to_string()).or_insert(0) += 1;
+            }
+        }
+    }
+    by_rule
+}
+
+/// The number written right after the first `phrase` in `text`.
+fn number_after(text: &str, phrase: &str) -> Option<usize> {
+    let rest = text[text.find(phrase)? + phrase.len()..].trim_start();
+    let end = rest
+        .find(|c: char| !c.is_ascii_digit())
+        .unwrap_or(rest.len());
+    rest[..end].parse().ok()
+}
+
+/// DESIGN.md §13 writes the waiver count (total, under its cap of 20, and
+/// by rule) and the `TEST_ONLY` count below as digits in fixed phrases;
+/// both must be the tree's.
+#[test]
+fn design_md_counts_the_waivers_and_test_only_names() {
+    let design = design();
+    let by_rule = waivers(&repo());
+    let total: usize = by_rule.values().sum();
+    let phrase = "Waivers outside `crates/lint`:";
+    assert_eq!(
+        number_after(&design, phrase),
+        Some(total),
+        "DESIGN.md §13 must say \"{phrase} {total}\" ({by_rule:?})"
+    );
+    assert!(
+        total < 20,
+        "{total} waivers outside crates/lint; the cap is under 20"
+    );
+    let (_, from) = design.split_once(phrase).expect("the phrase is there");
+    let paragraph = from.split("\n\n").next().unwrap_or(from);
+    for (rule, n) in &by_rule {
+        assert_eq!(
+            number_after(paragraph, &format!("`{rule}`")),
+            Some(*n),
+            "DESIGN.md §13 must give `{rule}` {n} after \"{phrase}\""
+        );
+    }
+    let phrase = "`TEST_ONLY` names:";
+    assert_eq!(
+        number_after(&design, phrase),
+        Some(TEST_ONLY.len()),
+        "DESIGN.md §13 must say \"{phrase} {}\"",
+        TEST_ONLY.len()
+    );
+}
+
 /// The name of the `pub fn` a line declares, if it declares one.
 fn pub_fn_name(line: &str) -> Option<&str> {
     let rest = line.trim_start().strip_prefix("pub ")?;
@@ -230,10 +297,8 @@ fn names(text: &str, name: &str) -> bool {
 ///   `serve` and `resched-tests`;
 /// * `run_deadline_experiment`, the deadline experiment over a caller's
 ///   grid: Tables 6 and 7 are two grids, and the golden and thread-count
-///   tests pin a third, smaller one;
-/// * `counters`, an obs registry's counters in name order: the serve
-///   golden and serve's replay tests compare every `serve.*` counter.
-const TEST_ONLY: [&str; 3] = ["fork_join", "run_deadline_experiment", "counters"];
+///   tests pin a third, smaller one.
+const TEST_ONLY: [&str; 2] = ["fork_join", "run_deadline_experiment"];
 
 /// The code of `text` above its first column-0 `#[cfg(test)]`: comments
 /// and the contents of string and char literals blanked by the lint's
