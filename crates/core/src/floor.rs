@@ -78,8 +78,9 @@ impl fmt::Display for Half {
 /// past an instant: how far one half of the floor reached, and which half.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Bound {
-    /// The half's value, or where its walk stopped once past the instant;
-    /// no valid schedule completes before it.
+    /// The half's value, or, for the calendar path, where its walk stopped
+    /// once past the instant: no later than the half's value. No valid
+    /// schedule completes before it.
     pub at: Time,
     /// The half.
     pub half: Half,
@@ -112,9 +113,10 @@ impl Floor {
     /// area — and the first one past `past` with what it had reached, or
     /// `None`. Counted under `core.floor.questions`.
     ///
-    /// The calendar-path walk stops as soon as its bound passes `past`. A
-    /// stopped walk still bounds the DAG: the chain's unwalked tail is
-    /// counted at its fastest durations.
+    /// The calendar-path walk stops as soon as its bound passes `past`, and
+    /// so does each chain task's own slot walk. A stopped walk still bounds
+    /// the DAG: the chain's unwalked tail is counted at its fastest
+    /// durations.
     pub(crate) fn past(
         dag: &Dag,
         competing: &Calendar,
@@ -244,6 +246,10 @@ impl LongestPath {
     /// The calendar-path bound: each chain task at its earliest relaxed
     /// finish on `competing` from the previous one's, plus the chain's
     /// rest at its fastest durations, stopping once that passes `past`.
+    /// Each task's walk stops too, once its finish passes `past` less the
+    /// rest ([`Calendar::earliest_finish_until`]): the instant it then
+    /// returns lies past that and no later than the finish, so the bound
+    /// passes `past` at the same task, by no more than the full walk's.
     ///
     /// *Exact because*, by induction along the chain, a valid schedule ends
     /// chain task `i` no earlier than its relaxed finish `EF_i`: it starts
@@ -265,12 +271,11 @@ impl LongestPath {
         let (mut finish, mut bound) = (now, now + self.longest);
         for t in self.chain() {
             let candidates = relaxed_widths(&dag.cost(t), p, grain, &mut widths);
-            let mut cost = QueryCost::default();
-            finish = competing
-                .earliest_finish(candidates, finish, false, &mut cost)
-                .end;
             let fastest_end = self.finish.get(t.idx()).map_or(Dur::ZERO, |&(end, _)| end);
-            bound = finish + (self.longest - fastest_end);
+            let rest = self.longest - fastest_end;
+            let mut cost = QueryCost::default();
+            finish = competing.earliest_finish_until(candidates, finish, past - rest, &mut cost);
+            bound = finish + rest;
             if bound > past {
                 break;
             }
@@ -597,6 +602,99 @@ mod tests {
         assert_eq!(past(1250), at(725 + 625, Half::CalendarPath));
         assert_eq!(past(1349), at(1350, Half::CalendarPath));
         assert_eq!(past(1350), None);
+    }
+
+    /// `Floor::past` with every chain task's walk run to its answer
+    /// (`Calendar::earliest_finish`): the reference the stopping walks are
+    /// pinned to.
+    fn past_by_full_walks(
+        dag: &Dag,
+        cal: &Calendar,
+        now: Time,
+        grain: u32,
+        past: Time,
+    ) -> Option<Bound> {
+        let path = LongestPath::of(dag, cal.capacity(), grain);
+        let bound = |at, half| Some(Bound { at, half });
+        if now + path.longest > past {
+            return bound(now + path.longest, Half::CriticalPath);
+        }
+        let (mut widths, mut finish) = (Vec::new(), now);
+        for t in path.chain() {
+            let cands = relaxed_widths(&dag.cost(t), cal.capacity(), grain, &mut widths);
+            finish = cal
+                .earliest_finish(cands, finish, false, &mut QueryCost::default())
+                .end;
+            let rest = path.longest - path.finish[t.idx()].0;
+            if finish + rest > past {
+                return bound(finish + rest, Half::CalendarPath);
+            }
+        }
+        let area = cal.earliest_free_work(now, dag.total_seq_work());
+        (area > past).then_some(Bound {
+            at: area,
+            half: Half::Area,
+        })
+    }
+
+    #[test]
+    fn past_matches_the_full_walks() {
+        use rand::{Rng, SeedableRng};
+        // Seeded instances on crowded calendars, each asked about instants
+        // around its halves and between them; the CI fuzz lane raises the
+        // count.
+        let draws: u64 = std::env::var("RESCHED_DIFF_ITERS")
+            .ok()
+            .and_then(|v| v.parse().ok())
+            .unwrap_or(60);
+        let (mut by_chain, mut short) = (0, 0);
+        for draw in 0..draws {
+            let mut rng = rand_chacha::ChaCha12Rng::seed_from_u64(0xF1_0048 ^ draw);
+            let p = [4, 16, 57, 430][draw as usize % 4];
+            let mut cal = Calendar::new(p);
+            for _ in 0..rng.gen_range(0..120usize) {
+                let s = rng.gen_range(0i64..80_000);
+                let d = rng.gen_range(60i64..20_000);
+                let m = rng.gen_range(1u32..=p);
+                let _ = cal.try_add(Reservation::new(Time::seconds(s), Time::seconds(s + d), m));
+            }
+            let now = Time::seconds(rng.gen_range(0i64..30_000));
+            let overhead = [0, rng.gen_range(1i64..60)][draw as usize % 2];
+            let dag = crate::dag::random_dag(&mut rng, 30_000, overhead);
+            let grain = [1, 1, 4][draw as usize % 3];
+            let floor = Floor::of(&dag, &cal, now, grain);
+            let mut pasts = vec![now, floor.critical_path, floor.area];
+            for at in [floor.calendar_path, floor.time()] {
+                pasts.extend([at - Dur::seconds(1), at]);
+            }
+            pasts.extend((0..8).map(|_| {
+                floor.critical_path
+                    + Dur::seconds(
+                        rng.gen_range(0i64..=(floor.time() - floor.critical_path).as_seconds()),
+                    )
+            }));
+            for past in pasts {
+                let case = format!("draw {draw}, p {p}, grain {grain}, past {past}");
+                let got = Floor::past(&dag, &cal, now, grain, past);
+                let want = past_by_full_walks(&dag, &cal, now, grain, past);
+                match (got, want) {
+                    (Some(got), Some(want)) if want.half == Half::CalendarPath => {
+                        assert_eq!(got.half, want.half, "{case}");
+                        assert!(
+                            past < got.at && got.at <= want.at,
+                            "{got:?} against {want:?}, {case}"
+                        );
+                        by_chain += 1;
+                        short += u32::from(got.at < want.at);
+                    }
+                    _ => assert_eq!(got, want, "{case}"),
+                }
+            }
+        }
+        assert!(
+            by_chain > 0 && short > 0,
+            "{by_chain} chain answers, {short} short of the full walk's"
+        );
     }
 
     #[test]

@@ -457,8 +457,38 @@ impl Calendar {
         cost: &mut QueryCost,
     ) -> Reservation {
         cost.queries += 1;
+        self.slots().earliest_finish(
+            candidates,
+            not_before,
+            widest_on_tie,
+            Time::MAX,
+            &mut cost.steps,
+        )
+    }
+
+    /// When [`Calendar::earliest_finish`] over `candidates` from
+    /// `not_before` completes, if that is at or before `stop`; otherwise
+    /// some instant after `stop` and no later than that completion. The
+    /// same walk, returned as soon as its best completion so far — which
+    /// only rises, and never past the answer's — lies after `stop`: a
+    /// bound that has to pass an instant stops walking once it provably
+    /// does. `cost` is charged as by `earliest_finish`, for the slots
+    /// inspected before the walk stopped. `candidates` as for
+    /// `earliest_finish` with `widest_on_tie` false: durations decreasing.
+    ///
+    /// # Panics
+    /// As [`Calendar::earliest_finish`].
+    pub fn earliest_finish_until(
+        &self,
+        candidates: &[(u32, Dur)],
+        not_before: Time,
+        stop: Time,
+        cost: &mut QueryCost,
+    ) -> Time {
+        cost.queries += 1;
         self.slots()
-            .earliest_finish(candidates, not_before, widest_on_tie, &mut cost.steps)
+            .earliest_finish(candidates, not_before, false, stop, &mut cost.steps)
+            .end
     }
 
     /// Latest *start* over a task's width candidates: the reservation of the
@@ -843,13 +873,19 @@ impl LinearRef<'_> {
     }
 
     /// Linear-scan [`Calendar::peak_used`]: the level at `from`, and every
-    /// level a breakpoint inside the window starts.
+    /// level a breakpoint inside the window starts. One search finds both:
+    /// the window's breakpoints start right after the one that sets the
+    /// level at `from`, so a window that holds none costs one probe past it.
     pub fn peak_used(&self, from: Time, to: Time) -> u32 {
         assert!(from < to, "empty window");
-        let at_from = self.cal.used_at(from);
-        self.inside(from, to)
+        let steps = &self.cal.steps;
+        let after = steps.partition_point(|s| s.time <= from);
+        let at_from = after.checked_sub(1).and_then(|i| steps.get(i));
+        let inside = steps.get(after..before_from(steps, after, to));
+        inside
+            .unwrap_or_default()
             .iter()
-            .fold(at_from, |peak, s| peak.max(s.used))
+            .fold(at_from.map_or(0, |s| s.used), |peak, s| peak.max(s.used))
     }
 
     /// Linear-scan [`Calendar::used_integral`]: the level at `from` until

@@ -85,6 +85,27 @@ fn block_from(segs: &mut Vec<Segment>, cands: &[(u32, Dur)], blocked: usize, edg
     }
 }
 
+/// The longest width list [`unblocked`] counts through; a longer one is
+/// binary-searched. Per forward walk of ~70 partly blocking slots on a
+/// 1 152-processor calendar of 3 000 reservations (2-core x86-64 host,
+/// best of three alternated runs), the count took ×0.93–0.96 of the
+/// search's time at 8–11 candidates, ×1.1 at 24–32, ×1.4 at 64 and ×3.6 at
+/// 227 (a `BD_ALL` list); the backward walk alike.
+const COUNT_MAX: usize = 16;
+
+/// How many of `cands` are no wider than `free`, widths increasing: the
+/// index of the first candidate a slot with `free` processors free blocks.
+/// Every slot that blocks part of the list asks it, and which widths a slot
+/// frees is data the branch predictor cannot learn: over a short list (the
+/// floor's ~`log2 p` relaxed widths) a count with no data-dependent branch
+/// beats the binary search's mispredicted probes.
+fn unblocked(cands: &[(u32, Dur)], free: u32) -> usize {
+    if cands.len() > COUNT_MAX {
+        return cands.partition_point(|&(m, _)| m <= free);
+    }
+    cands.iter().map(|&(m, _)| usize::from(m <= free)).sum()
+}
+
 /// Candidate `(m, dur)` in the window ending at `edge`.
 fn ending_at(edge: Time, (procs, dur): (u32, Dur)) -> Reservation {
     Reservation {
@@ -249,14 +270,23 @@ impl<'a> Slots<'a> {
     /// later than that slot starts) or past the covered span, and the
     /// answer is the best of the segments' widest candidates.
     ///
+    /// The lead, the best completion among the segments' widest candidates,
+    /// is the least of all the candidates' tentative completions; those
+    /// only rise, so the lead's end never decreases and never passes the
+    /// answer's. Once it ends after `stop` the walk returns it: the answer
+    /// whenever that ends at or before `stop`, and otherwise a tentative
+    /// reservation — not a fit — ending after `stop` and no later than the
+    /// answer. `Time::MAX` walks to the answer.
+    ///
     /// `visited` counts the positioning step and the slots inspected — no
     /// more than any single candidate's own walk inspects, and exactly that
-    /// when there is one candidate.
+    /// when there is one candidate and the walk runs to the answer.
     pub(crate) fn earliest_finish(
         self,
         cands: &[(u32, Dur)],
         not_before: Time,
         widest_on_tie: bool,
+        stop: Time,
         visited: &mut u64,
     ) -> Reservation {
         let top = self.widest_of(cands, widest_on_tie);
@@ -297,7 +327,10 @@ impl<'a> Slots<'a> {
         let mut segs = Vec::new();
         let mut lead = together(not_before);
         let mut i = self.first_ending_after(not_before);
-        while let Some(s) = self.get(i).filter(|s| s.start < lead.end) {
+        while let Some(s) = self
+            .get(i)
+            .filter(|s| s.start < lead.end && lead.end <= stop)
+        {
             *visited += 1;
             let free = self.capacity.saturating_sub(s.used);
             if free < narrowest {
@@ -311,8 +344,7 @@ impl<'a> Slots<'a> {
                         top,
                     });
                 }
-                let blocked = cands.partition_point(|&(m, _)| m <= free);
-                block_from(&mut segs, cands, blocked, s.end);
+                block_from(&mut segs, cands, unblocked(cands, free), s.end);
                 lead = lead_of(&segs);
             }
             i += 1;
@@ -384,8 +416,7 @@ impl<'a> Slots<'a> {
             *visited += 1;
             let free = self.capacity.saturating_sub(s.used);
             if free < widest {
-                let blocked = cands.partition_point(|&(m, _)| m <= free);
-                block_from(&mut segs, cands, blocked, s.start);
+                block_from(&mut segs, cands, unblocked(cands, free), s.start);
                 lead = lead_of(&segs)?;
             }
             k -= 1;
@@ -445,7 +476,7 @@ impl<'a> Slots<'a> {
             }
             // The lead is the first candidate of the bottom segment.
             let lead_at = segs.first().map_or(0, |seg| seg.first);
-            let blocked = cands.partition_point(|&(m, _)| m <= free).max(lead_at);
+            let blocked = unblocked(cands, free).max(lead_at);
             if let Some((i, fit)) = narrowest_settled(&segs, cands, blocked, s.end) {
                 settled = Some(fit);
                 cut_at(&mut segs, cands, i);
@@ -477,9 +508,17 @@ impl<'a> Slots<'a> {
     }
 
     /// Peak processors in use over `[from, to)`. Implicitly-free time
-    /// outside the covered span contributes 0.
+    /// outside the covered span contributes 0. A window that holds no
+    /// breakpoint, what the validator's capacity sweep asks of each
+    /// interval it samples, sees one level: the one the positioning search
+    /// lands on. Any other window folds the levels of its slots.
     pub(crate) fn peak_used(self, from: Time, to: Time) -> u32 {
         assert!(from < to, "empty window");
+        let after = self.steps.partition_point(|s| s.time <= from);
+        if self.steps.get(after).is_none_or(|next| next.time >= to) {
+            let at_from = after.checked_sub(1).and_then(|at| self.steps.get(at));
+            return at_from.map_or(0, |s| s.used);
+        }
         let run = self.bounding(from, to);
         // Every breakpoint but the last starts a slot of the window.
         let starts = run.split_last().map_or(run, |(_, starts)| starts);
@@ -632,7 +671,7 @@ mod tests {
 
     /// The earliest start of one width: a one-candidate forward scan.
     fn earliest_of_one(ss: Slots<'_>, procs: u32, dur: Dur, not_before: Time, v: &mut u64) -> Time {
-        ss.earliest_finish(&[(procs, dur)], not_before, false, v)
+        ss.earliest_finish(&[(procs, dur)], not_before, false, Time::MAX, v)
             .start
     }
     /// The latest start of one width: a one-candidate backward scan.
@@ -971,7 +1010,7 @@ mod tests {
                 }
             }
             let mut v = 0;
-            let got = ss.earliest_finish(cands, not_before, widest_on_tie, &mut v);
+            let got = ss.earliest_finish(cands, not_before, widest_on_tie, Time::MAX, &mut v);
             let case =
                 format!("{case}, widest_on_tie {widest_on_tie}, {cands:?} from {not_before}");
             assert_eq!(Some(got), want, "{case}");
@@ -1038,7 +1077,7 @@ mod tests {
         let steps = steps_of(cal);
         let mut v = 0;
         let long: Vec<(u32, Dur)> = (1..=8).map(|m| (m, d(500 - i64::from(m)))).collect();
-        let got = slots(8, &steps).earliest_finish(&long, t(100), false, &mut v);
+        let got = slots(8, &steps).earliest_finish(&long, t(100), false, Time::MAX, &mut v);
         // One processor frees first and is never caught up.
         assert_eq!(got, Reservation::new(t(115), t(115 + 499), 1));
         assert_eq!(v, 1 + 8);
@@ -1081,6 +1120,121 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn unblocked_counts_what_partition_point_finds() {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand_chacha::ChaCha12Rng::seed_from_u64(0xC0_0417);
+        // Every length up to 64 with seeded gaps between the widths, the
+        // long `BD_ALL` list of `batch_table9` and a whole 1 152-processor
+        // machine; every `free` from nothing to past the widest.
+        for len in (0..=64).chain([227, 1152]) {
+            let mut m = 0u32;
+            let cands: Vec<(u32, Dur)> = (0..len)
+                .map(|k| {
+                    m += if len == 1152 { 1 } else { rng.gen_range(1..6) };
+                    (m, d(2 * len - k))
+                })
+                .collect();
+            for free in 0..=m + 1 {
+                assert_eq!(
+                    unblocked(&cands, free),
+                    cands.partition_point(|&(w, _)| w <= free),
+                    "{len} candidates, {free} free"
+                );
+            }
+        }
+    }
+
+    /// A walk told to stop at `stop` against the same walk run to its
+    /// answer: the answer itself whenever that ends by `stop`, at the same
+    /// step count; otherwise a tentative reservation that ends after `stop`
+    /// and no later than the answer, for no more steps.
+    fn assert_stopped_walk_brackets_the_answer(
+        ss: Slots<'_>,
+        cands: &[(u32, Dur)],
+        not_before: Time,
+        case: &str,
+    ) -> (u32, u32) {
+        let strict = cands.windows(2).all(|w| w[1].1 < w[0].1);
+        let shortest = cands.last().map_or(Dur::ZERO, |&(_, dur)| dur);
+        let (mut exact, mut short) = (0, 0);
+        for widest_on_tie in [true, false].into_iter().filter(|&w| w || strict) {
+            let mut full_steps = 0;
+            let full =
+                ss.earliest_finish(cands, not_before, widest_on_tie, Time::MAX, &mut full_steps);
+            // Every lead the walk can hold ends a candidate's duration past
+            // `not_before` or past a slot's end: the widest's from each of
+            // those, the first one above all, and the answer's neighbours.
+            let mut stops: Vec<Time> = ss.steps.iter().map(|b| b.time + shortest).collect();
+            stops.extend(cands.iter().map(|&(_, dur)| not_before + dur));
+            stops.extend([full.end - d(1), full.end, full.end + d(1), Time::MAX]);
+            for stop in stops {
+                let mut steps = 0;
+                let got = ss.earliest_finish(cands, not_before, widest_on_tie, stop, &mut steps);
+                let case = format!(
+                    "{case}, widest_on_tie {widest_on_tie}, {cands:?} from {not_before}, stop {stop}"
+                );
+                if full.end <= stop {
+                    assert_eq!((got, steps), (full, full_steps), "{case}");
+                    exact += 1;
+                } else {
+                    assert!(
+                        stop < got.end && got.end <= full.end,
+                        "{got:?} against {full:?}, {case}"
+                    );
+                    assert!((1..=full_steps).contains(&steps), "{steps} steps, {case}");
+                    short += u32::from(got.end < full.end);
+                }
+            }
+        }
+        (exact, short)
+    }
+
+    #[test]
+    fn a_stopped_earliest_finish_brackets_the_full_walk() {
+        use rand::{Rng, SeedableRng};
+        // Seeded calendar/candidate draws; the CI fuzz lane raises the count.
+        let draws: u64 = std::env::var("RESCHED_DIFF_ITERS")
+            .ok()
+            .and_then(|v| v.parse().ok())
+            .unwrap_or(60);
+        let (mut exact, mut short) = (0, 0);
+        for draw in 0..draws {
+            let mut rng = rand_chacha::ChaCha12Rng::seed_from_u64(0x5709_0048 ^ draw);
+            let capacity = [1, 3, 8, 32, 430][draw as usize % 5];
+            let cal = seeded_calendar(capacity, draw, rng.gen_range(0..60usize));
+            let steps = steps_of(&cal);
+            let ss = slots(capacity, &steps);
+            let lists = [
+                amdahl(
+                    capacity,
+                    rng.gen_range(1..600i64),
+                    rng.gen_range(0.0..0.6),
+                    0,
+                ),
+                amdahl(
+                    capacity,
+                    rng.gen_range(1..600i64),
+                    0.0,
+                    rng.gen_range(1..4i64),
+                ),
+                vec![(rng.gen_range(1..=capacity), d(rng.gen_range(1..90i64)))],
+            ];
+            for cands in &lists {
+                for not_before in [-50, 0, rng.gen_range(0..400i64), 450] {
+                    let case = format!("draw {draw} on {capacity} processors");
+                    let (e, s) =
+                        assert_stopped_walk_brackets_the_answer(ss, cands, t(not_before), &case);
+                    (exact, short) = (exact + e, short + s);
+                }
+            }
+        }
+        assert!(
+            exact > 0 && short > 0,
+            "{exact} exact, {short} short of the answer"
+        );
     }
 
     /// The conservative query asked chunk by chunk (1, 4, 16, … candidates),

@@ -615,13 +615,11 @@ impl Server {
 
     /// [`Step::Cancel`], or why it was refused.
     fn cancel(&mut self, k: usize) -> Result<Record, Fault> {
-        if k >= self.live.len() {
-            return Err(Fault::OutOfRange {
-                index: k,
-                len: self.live.len(),
-            });
-        }
-        let app = self.live.swap_remove(k);
+        let len = self.live.len();
+        let app = self
+            .live
+            .get(k)
+            .ok_or(Fault::OutOfRange { index: k, len })?;
         let removed = {
             resched_core::span!(names::SPAN_SERVE_CANCEL);
             let mut txn = self.cal.transaction();
@@ -633,12 +631,15 @@ impl Server {
             removed
         };
         Ok(match removed {
-            // A tracked live reservation must always be removable.
+            // A tracked live reservation must always be removable; if one
+            // is not, the application stays live, its reservations still
+            // held and accounted.
             Err(e) => {
                 let fault = Fault::CancelFailed(e);
                 Record::of(Outcome::Failed(fault.clone()), vec![fault])
             }
             Ok(()) => {
+                let app = self.live.swap_remove(k);
                 // The ledger mirrors commits exactly; a miss here is a
                 // bookkeeping bug, not a policy call.
                 let missed = match &mut self.gate {
@@ -873,6 +874,52 @@ mod tests {
             arrivals: 2,
         };
         assert_eq!(server.events, clock);
+        assert_eq!(server.audit(), []);
+    }
+
+    #[test]
+    fn a_cancel_the_calendar_refuses_leaves_the_application_live() {
+        // A live reservation the calendar does not hold is the only way to
+        // a refused cancel short of a calendar bug: plant one behind an
+        // admitted application's own, so the transaction removes those
+        // first and must roll them back.
+        let cfg = ServeConfig {
+            quota: Some(ServeQuotaConfig {
+                users: 2,
+                max_concurrent_cores: 300,
+                max_core_seconds: 0,
+            }),
+            ..ServeConfig::default()
+        };
+        let mut server = Server::new(4, &cfg);
+        let dag = chain(&[TaskCost::new(Dur::hours(2), 0.0); 2]);
+        let admitted = server.apply(&Step::Submit {
+            now: Time::seconds(100),
+            app_id: 0,
+            dag,
+        });
+        assert!(
+            matches!(admitted.outcome, Outcome::Admitted { .. }),
+            "{admitted:?}"
+        );
+        let planted = Reservation::for_duration(Time::ZERO + Dur::days(30), Dur::days(1), 1);
+        server.live[0].resvs.push(planted);
+        let books = |s: &Server| {
+            let ledger: Vec<_> = s.ledger().map(|(o, r)| (o.clone(), *r)).collect();
+            (s.cal.clone(), ledger, s.live.clone())
+        };
+        let before = books(&server);
+        assert_eq!(before.1.len(), 2, "the premise: both tasks accounted");
+
+        let refused = server.apply(&Step::Cancel { k: 0 });
+        let [fault @ Fault::CancelFailed(_)] = &refused.findings[..] else {
+            panic!("{refused:?}");
+        };
+        assert_eq!(refused.outcome, Outcome::Failed(fault.clone()));
+        assert!(
+            books(&server) == before,
+            "the refused cancel touched the books"
+        );
         assert_eq!(server.audit(), []);
     }
 

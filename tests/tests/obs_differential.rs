@@ -54,19 +54,27 @@ fn calendar<R: Rng>(rng: &mut R, p: u32) -> Calendar {
     cal
 }
 
-/// The seeded scenario sweep shared by both tests. Deadlines come from a
-/// reference forward run so every deadline algorithm stays on its normal
-/// (feasible) code path.
+/// How many of [`scenarios`] set their deadline at the forward completion.
+const TIGHT: usize = 3;
+
+/// The seeded scenario sweep shared by the tests. Deadlines come from a
+/// reference forward run: twice its turnaround, so every deadline algorithm
+/// stays on its normal (feasible) code path, except in the last [`TIGHT`]
+/// scenarios, whose deadline is the forward completion itself. No valid
+/// schedule completes before the instance floor, so the floor lies at or
+/// below that deadline, and a deadline algorithm that misses it does so
+/// after running its passes.
 fn scenarios() -> Vec<(Dag, Calendar, u32, Option<Time>)> {
     let mut rng = ChaCha12Rng::seed_from_u64(0x0B5_D1FF);
-    (0..6)
-        .map(|_| {
+    (0..6 + TIGHT)
+        .map(|i| {
             let params = dag_params(&mut rng);
             let cal = calendar(&mut rng, 16);
             let q = rng.gen_range(1u32..=16);
             let dag = generate(&params, rng.gen_range(0u64..1000));
             let fwd = schedule_forward(&dag, &cal, Time::ZERO, q, ForwardConfig::recommended());
-            let deadline = Some(Time::ZERO + fwd.turnaround() * 2);
+            let slack = if i < 6 { 2 } else { 1 };
+            let deadline = Some(Time::ZERO + fwd.turnaround() * slack);
             (dag, cal, q, deadline)
         })
         .collect()
@@ -121,9 +129,11 @@ fn check_golden(name: &str, value: &impl serde::Serialize) {
 }
 
 /// Pin every catalog algorithm's schedule on the seeded sweep, with the
-/// collector compiled in, against the golden a build without it wrote.
+/// collector compiled in, against the golden a build without it wrote —
+/// including the work of a deadline missed after running passes.
 #[test]
 fn golden_schedules_are_feature_invariant() {
+    let mut missed_after_passes = 0;
     let mut all = Vec::new();
     for (i, (dag, cal, q, deadline)) in scenarios().iter().enumerate() {
         let mut results = Vec::new();
@@ -139,12 +149,15 @@ fn golden_schedules_are_feature_invariant() {
                         .collect(),
                     stats: s.stats,
                 },
-                Err(RunError::Infeasible(e)) => AlgoResult {
-                    algorithm: algo.name(),
-                    outcome: "infeasible",
-                    placements: Vec::new(),
-                    stats: e.stats,
-                },
+                Err(RunError::Infeasible(e)) => {
+                    missed_after_passes += u32::from(e.floor.is_none() && e.stats.passes > 0);
+                    AlgoResult {
+                        algorithm: algo.name(),
+                        outcome: "infeasible",
+                        placements: Vec::new(),
+                        stats: e.stats,
+                    }
+                }
                 Err(e) => panic!("{} failed to run: {e}", algo.name()),
             };
             results.push(r);
@@ -154,6 +167,10 @@ fn golden_schedules_are_feature_invariant() {
             results,
         });
     }
+    assert!(
+        missed_after_passes > 0,
+        "no algorithm missed a deadline the floor clears"
+    );
     check_golden("obs_differential.json", &all);
 }
 
